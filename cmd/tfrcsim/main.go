@@ -293,24 +293,8 @@ func run() int {
 		}
 	}
 
-	// Run under a cancellable context: the first SIGINT/SIGTERM skips
-	// the remaining sweep cells and the run winds down with whatever
-	// partial result the finished cells assembled; a second signal kills
-	// the process the default way.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	sigc := make(chan os.Signal, 1)
-	caught := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigc)
-	go func() {
-		s := <-sigc
-		signal.Stop(sigc)
-		caught <- s
-		cancel()
-	}()
-	experiment.SetContext(ctx)
-	defer experiment.SetContext(nil)
+	exitCode, stop := catchInterrupt()
+	defer stop()
 
 	res, err := experiment.Run(d, p)
 	if errors.Is(err, experiment.ErrInterrupted) {
@@ -321,15 +305,7 @@ func run() int {
 		if werr := experiment.WritePartialJSON(os.Stdout, d.Name, p, res); werr != nil {
 			fmt.Fprintf(os.Stderr, "tfrcsim: encoding partial result: %v\n", werr)
 		}
-		code := 130
-		select {
-		case s := <-caught:
-			if sn, ok := s.(syscall.Signal); ok {
-				code = 128 + int(sn)
-			}
-		default: // cancelled some other way; keep the SIGINT convention
-		}
-		return code
+		return exitCode()
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tfrcsim: %v\n", err)
@@ -344,6 +320,41 @@ func run() int {
 	}
 	res.Table(os.Stdout)
 	return 0
+}
+
+// catchInterrupt puts the experiment layer under a cancellable run
+// context: the first SIGINT/SIGTERM skips the remaining sweep cells and
+// the run winds down with whatever the finished cells assembled; a
+// second signal kills the process the default way. stop uninstalls the
+// context; exitCode is the status for a run that reported
+// ErrInterrupted: 128+signal, the shell convention.
+func catchInterrupt() (exitCode func() int, stop func()) {
+	ctx, cancel := context.WithCancel(context.Background())
+	sigc := make(chan os.Signal, 1)
+	caught := make(chan os.Signal, 1)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	go func() {
+		s := <-sigc
+		signal.Stop(sigc)
+		caught <- s
+		cancel()
+	}()
+	experiment.SetContext(ctx)
+	exitCode = func() int {
+		select {
+		case s := <-caught:
+			if sn, ok := s.(syscall.Signal); ok {
+				return 128 + int(sn)
+			}
+		default: // cancelled some other way; keep the SIGINT convention
+		}
+		return 130
+	}
+	return exitCode, func() {
+		experiment.SetContext(nil)
+		signal.Stop(sigc)
+		cancel()
+	}
 }
 
 // printList enumerates the registry: one row per experiment, generated

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"os/exec"
+	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -51,13 +53,13 @@ func shardRunCmd(args []string) int {
 	cells := fs.String("cells", "", "explicit cell range lo:hi overriding -shard")
 	checkpoint := fs.String("checkpoint", "", "checkpoint file for crash-safe progress")
 	resume := fs.Bool("resume", false, "resume finished cells from -checkpoint instead of recomputing")
-	flush := fs.Int("flush", 0, "cells per checkpoint flush (0 = every cell)")
+	flush := fs.Int("flush", 0, "cells of recomputation a crash may cost, beyond those in flight (0 = 1: flush after every cell)")
 	out := fs.String("o", "", "envelope output file (default stdout)")
 	preset := fs.String("preset", "", "named parameter preset (\"default\", \"paper\")")
 	paramsFile := fs.String("params", "", "JSON parameter file overlaid on the preset's defaults")
 	seed := fs.Int64("seed", 1, "random seed")
 	seeds := fs.Int("seeds", 1, "seeds per cell for experiments supporting multi-seed replication")
-	parallel := fs.Int("parallel", 0, "worker count for this shard's cells (0 = all CPUs)")
+	parallel := fs.Int("parallel", 0, "worker count for this shard's cells, at any -flush (0 = all CPUs; results are identical either way)")
 
 	name, ok := popExperimentName(fs, "shard run", args)
 	if !ok {
@@ -67,9 +69,10 @@ func shardRunCmd(args []string) int {
 	if code != exitOK {
 		return code
 	}
-	if *parallel > 0 {
-		experiment.SetParallelism(*parallel)
+	if *parallel <= 0 {
+		*parallel = runtime.GOMAXPROCS(0)
 	}
+	experiment.SetParallelism(*parallel)
 
 	sp := shard.ShardParams{Checkpoint: *checkpoint, Resume: *resume, FlushEvery: *flush}
 	if _, err := fmt.Sscanf(*shardSpec, "%d/%d", &sp.Index, &sp.Count); err != nil {
@@ -86,9 +89,17 @@ func shardRunCmd(args []string) int {
 		rng = &r
 	}
 
+	// The first SIGINT/SIGTERM stops the shard once the cells in flight
+	// are done; the checkpoint then holds every cell finished before the
+	// signal and -resume continues from there.
+	exitCode, stop := catchInterrupt()
+	defer stop()
 	env, err := shard.Run(shard.RunSpec{Desc: d, Params: p, Shard: sp, Range: rng})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tfrcsim: %v\n", err)
+		if errors.Is(err, experiment.ErrInterrupted) {
+			return exitCode()
+		}
 		return exitRuntime
 	}
 	return writeEnvelope(*out, env)
@@ -104,7 +115,7 @@ func shardExecCmd(args []string) int {
 	dir := fs.String("dir", "", "working directory for checkpoints and envelopes (default: temp dir)")
 	format := fs.String("format", "table", "output format for the reduced result: table | json")
 	out := fs.String("o", "", "write the merged envelope to this file as well")
-	flush := fs.Int("flush", 0, "cells per checkpoint flush in each shard (0 = every cell)")
+	flush := fs.Int("flush", 0, "cells of recomputation a crash may cost each shard, beyond those in flight (0 = 1: flush after every cell)")
 	timeout := fs.Duration("shard-timeout", 0, "kill and retry a shard attempt running longer than this (0 = no timeout)")
 	retries := fs.Int("retries", 3, "per-shard attempt budget, first run included")
 	backoff := fs.Duration("backoff", 250*time.Millisecond, "base delay between shard retries (doubles per attempt)")
@@ -114,7 +125,7 @@ func shardExecCmd(args []string) int {
 	paramsFile := fs.String("params", "", "JSON parameter file overlaid on the preset's defaults")
 	seed := fs.Int64("seed", 1, "random seed")
 	seeds := fs.Int("seeds", 1, "seeds per cell for experiments supporting multi-seed replication")
-	parallel := fs.Int("parallel", 0, "worker count inside each shard (0 = all CPUs)")
+	parallel := fs.Int("parallel", 0, "worker count inside each shard (0 = all CPUs divided among the -n shards)")
 
 	name, ok := popExperimentName(fs, "shard exec", args)
 	if !ok {
@@ -140,6 +151,10 @@ func shardExecCmd(args []string) int {
 		fmt.Fprintf(os.Stderr, "tfrcsim: %v\n", err)
 		return exitRuntime
 	}
+	if *parallel <= 0 {
+		// n processes each taking every CPU would oversubscribe n-fold.
+		*parallel = max(1, runtime.GOMAXPROCS(0)/max(1, *n))
+	}
 	self, err := os.Executable()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tfrcsim: locating own binary: %v\n", err)
@@ -164,10 +179,8 @@ func shardExecCmd(args []string) int {
 				"-checkpoint", c.Checkpoint,
 				"-resume",
 				"-flush", strconv.Itoa(c.FlushEvery),
+				"-parallel", strconv.Itoa(*parallel),
 				"-o", c.Out,
-			}
-			if *parallel > 0 {
-				args = append(args, "-parallel", strconv.Itoa(*parallel))
 			}
 			cmd := exec.CommandContext(ctx, self, args...)
 			cmd.Stderr = os.Stderr

@@ -15,13 +15,17 @@ import (
 
 // The checkpoint file is JSON Lines: a header line identifying exactly
 // what is being computed, then one line per finished cell in index
-// order. Every flush rewrites the whole file through the atomic
-// write-temp, fsync, rename discipline, so the visible file is always a
-// complete flush — a crash can only cost the cells computed since the
-// last flush. The loader is nevertheless tolerant of a torn tail
-// (truncated or garbled trailing lines, as a non-atomic filesystem
-// might leave): it keeps the longest valid prefix and the runner
-// recomputes the rest, which is always safe because cells are pure.
+// order. A Run publishes it once — header plus the finished prefix,
+// through the atomic write-temp, fsync, rename discipline — and from
+// then on only appends the newly finished lines and fsyncs: one fsync
+// and O(new cells) bytes per flush. A crash mid-append can leave a torn
+// last line; that is safe because the loader keeps the longest valid
+// prefix (truncated, garbled or out-of-order trailing lines are
+// dropped) and the runner recomputes the rest, which is always right
+// because cells are pure — and because the first flush of the resumed
+// Run republishes the whole file atomically, so nothing is ever
+// appended behind garbage. The bytes of a finished file do not depend
+// on how many flushes, crashes or workers produced it.
 //
 //	{"schema":"tfrc.shard.checkpoint/v1","experiment":"fig6","params_hash":"sha256:…","cell_range":{"lo":0,"hi":18}}
 //	{"index":0,"cell":{…}}
@@ -41,42 +45,79 @@ type checkpointLine struct {
 	Cell  json.RawMessage `json:"cell"`
 }
 
-// checkpointWriter flushes a shard's progress to disk.
+// checkpointWriter flushes a shard's progress to disk. It belongs to
+// one Run and to that Run's committer goroutine alone.
 type checkpointWriter struct {
 	path  string
 	hdr   checkpointHeader
 	crash *crasher
+
+	done int          // cells the file holds: loaded on resume, then flushed
+	f    *os.File     // open for append once the first flush published the file
+	buf  bytes.Buffer // encoding scratch, reused across flushes
 }
 
-// flush atomically replaces the checkpoint with the header plus the
-// first done cells of the range. The crasher's mid-flush, torn-flush,
-// and after-flush points bracket the rename so tests can SIGKILL the
-// process at every interesting instant.
+// flush makes the first done cells of the range durable. The first
+// flush of a Run publishes header plus prefix atomically, replacing
+// whatever an earlier attempt left behind (a torn tail, a header for a
+// narrower range); every later one appends only the lines past w.done
+// and fsyncs. The crasher's mid-flush, torn-flush, and after-flush
+// points bracket the write so tests can SIGKILL the process at every
+// interesting instant.
 func (w *checkpointWriter) flush(cells []json.RawMessage, done int) error {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf) // Encode appends the newline
-	if err := enc.Encode(w.hdr); err != nil {
-		return fmt.Errorf("encoding checkpoint header: %w", err)
+	w.buf.Reset()
+	enc := json.NewEncoder(&w.buf) // Encode appends the newline
+	from := w.done
+	if w.f == nil {
+		from = 0
+		if err := enc.Encode(w.hdr); err != nil {
+			return fmt.Errorf("encoding checkpoint header: %w", err)
+		}
 	}
-	for i := 0; i < done; i++ {
+	for i := from; i < done; i++ {
 		if err := enc.Encode(checkpointLine{Index: w.hdr.CellRange.Lo + i, Cell: cells[i]}); err != nil {
 			return fmt.Errorf("encoding checkpoint cell %d: %w", w.hdr.CellRange.Lo+i, err)
 		}
 	}
-	data := buf.Bytes()
+	data := w.buf.Bytes()
 	if w.crash.firesAt(pointTornFlush) {
-		// Simulate a torn write: publish a checkpoint truncated
+		// Simulate a torn write: make the flush visible truncated
 		// mid-line, then die. The loader must drop the torn tail.
-		torn := data[:len(data)-len(data)/4]
-		atomicWrite(w.path, torn)
+		w.write(data[:len(data)-len(data)/4])
 		w.crash.die()
 	}
 	w.crash.at(pointMidFlush) // before the write becomes visible
-	if err := atomicWrite(w.path, data); err != nil {
+	if err := w.write(data); err != nil {
 		return fmt.Errorf("flushing checkpoint: %w", err)
 	}
-	w.crash.at(pointAfterFlush) // after the write became visible
+	w.crash.at(pointAfterFlush) // after the write became durable
+	w.done = done
 	return nil
+}
+
+// write publishes data as the whole file when nothing is open yet and
+// leaves the file open for append; after that it appends and fsyncs.
+func (w *checkpointWriter) write(data []byte) (err error) {
+	if w.f == nil {
+		if err = atomicWrite(w.path, data); err == nil {
+			w.f, err = os.OpenFile(w.path, os.O_WRONLY|os.O_APPEND, 0)
+		}
+		return err
+	}
+	if _, err = w.f.Write(data); err == nil {
+		err = w.f.Sync()
+	}
+	return err
+}
+
+// close releases the append handle, if a flush opened one; a nil
+// writer (no checkpoint) closes trivially. Every flush already fsynced,
+// so nothing is pending.
+func (w *checkpointWriter) close() error {
+	if w == nil || w.f == nil {
+		return nil
+	}
+	return w.f.Close()
 }
 
 // loadCheckpoint reads a checkpoint, validates its identity against the
@@ -142,12 +183,15 @@ func loadCheckpoint(path string, want checkpointHeader) (cells []json.RawMessage
 // occurrence count, "point:n": the process SIGKILLs itself at the n-th
 // (1-based) occurrence of that point. Points:
 //
-//	after-flush — the flush completed (rename done); the checkpoint
-//	              holds everything computed so far.
-//	mid-flush   — the new flush is fully staged but not yet visible;
-//	              the previous checkpoint is still in place.
-//	torn-flush  — a truncated checkpoint was made visible (simulating
-//	              a torn write), exercising the tolerant loader.
+//	after-flush — the flush completed (renamed in, or appended and
+//	              fsynced); the checkpoint holds the finished prefix.
+//	mid-flush   — the new flush is encoded but not yet written; the
+//	              previous checkpoint is still in place.
+//	torn-flush  — a truncated flush was made visible (simulating a
+//	              torn write), exercising the tolerant loader.
+//
+// The first occurrence of a point in a process is the atomic publish,
+// every later one an append.
 //
 // TFRCSIM_SHARD_CRASH_ONCE="shard:path" arms an after-flush crash for
 // the matching shard index only, guarded by a sentinel file created

@@ -34,9 +34,11 @@ func TestCheckpointFlushLoad(t *testing.T) {
 	path := filepath.Join(dir, "s.ckpt")
 	hdr := testHeader(exp.CellRange{Lo: 5, Hi: 12})
 	w := &checkpointWriter{path: path, hdr: hdr}
+	defer w.close()
 	cells := testCells(7)
 
-	// Progressive flushes: each one supersedes the last atomically.
+	// Progressive flushes: the first publishes the file, each later one
+	// appends the cells past the last.
 	for done := 1; done <= 7; done++ {
 		if err := w.flush(cells, done); err != nil {
 			t.Fatal(err)
@@ -61,6 +63,7 @@ func TestCheckpointTornTailTolerated(t *testing.T) {
 	path := filepath.Join(dir, "s.ckpt")
 	hdr := testHeader(exp.CellRange{Lo: 0, Hi: 5})
 	w := &checkpointWriter{path: path, hdr: hdr}
+	defer w.close()
 	if err := w.flush(testCells(5), 5); err != nil {
 		t.Fatal(err)
 	}
@@ -105,6 +108,7 @@ func TestCheckpointIdentityMismatch(t *testing.T) {
 	path := filepath.Join(dir, "s.ckpt")
 	hdr := testHeader(exp.CellRange{Lo: 0, Hi: 3})
 	w := &checkpointWriter{path: path, hdr: hdr}
+	defer w.close()
 	if err := w.flush(testCells(3), 2); err != nil {
 		t.Fatal(err)
 	}

@@ -39,8 +39,8 @@ type ExecConfig struct {
 	// Dir holds params.json, per-shard checkpoints, and per-shard
 	// envelopes. It must exist.
 	Dir string
-	// FlushEvery is the children's checkpoint cadence (cells per
-	// flush); 0 means DefaultFlushEvery.
+	// FlushEvery is the children's checkpoint cadence
+	// (ShardParams.FlushEvery); 0 means DefaultFlushEvery.
 	FlushEvery int
 
 	// ShardTimeout kills and retries a shard attempt that runs longer

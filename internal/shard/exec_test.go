@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -19,6 +20,10 @@ import (
 // set, so Exec drives real processes that really crash (SIGKILL via the
 // checkpoint crash hooks), hang, or fail.
 const helperModeEnv = "TFRC_SHARD_TEST_HELPER"
+
+// helperWorkersEnv, when set, is the helper's in-shard worker count
+// (the -parallel of "tfrcsim shard run").
+const helperWorkersEnv = "TFRC_SHARD_TEST_WORKERS"
 
 func TestMain(m *testing.M) {
 	if os.Getenv(helperModeEnv) != "" {
@@ -62,6 +67,9 @@ func helperMain() {
 	if err := json.Unmarshal(pj, params); err != nil {
 		fmt.Fprintln(os.Stderr, "helper:", err)
 		os.Exit(1)
+	}
+	if w, err := strconv.Atoi(os.Getenv(helperWorkersEnv)); err == nil {
+		exp.SetParallelism(w)
 	}
 	env, err := Run(RunSpec{
 		Desc:   desc,

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"sync"
+	"sync/atomic"
 
 	"tfrc/internal/exp"
 )
@@ -32,12 +34,20 @@ type RunSpec struct {
 // transients, which register no Grid).
 var ErrNoGrid = fmt.Errorf("experiment has no cell grid and can only run whole (use \"tfrcsim run\")")
 
-// Run computes the spec's cell range, checkpointing as configured, and
-// returns the shard's complete envelope. With Resume set, finished
-// cells are loaded from the checkpoint and only the missing tail is
-// recomputed; because cells are pure functions of (params, index), the
-// returned envelope is byte-identical to an uninterrupted run's no
-// matter how many crash/resume cycles preceded it.
+// Run computes the spec's cell range on exp.Parallelism() workers,
+// checkpointing as configured, and returns the shard's complete
+// envelope. With Resume set, finished cells are loaded from the
+// checkpoint and only the missing tail is recomputed; because cells are
+// pure functions of (params, index), the returned envelope — and the
+// finished checkpoint file — is byte-identical to an uninterrupted
+// run's no matter how many workers computed it or how many crash/resume
+// cycles preceded it.
+//
+// When the run context is cancelled (exp.SetContext), Run stops
+// claiming cells, flushes the prefix that finished before the signal
+// and returns ErrInterrupted, so a resume continues from there. When a
+// cell or a flush fails it stops the same way and reports the failing
+// cell with the lowest index. No goroutine outlives Run.
 func Run(spec RunSpec) (*Envelope, error) {
 	if spec.Desc.Grid == nil {
 		return nil, fmt.Errorf("%s: %w", spec.Desc.Name, ErrNoGrid)
@@ -70,7 +80,8 @@ func Run(spec RunSpec) (*Envelope, error) {
 		return nil, fmt.Errorf("%s: cell range %s out of bounds for %d cells", spec.Desc.Name, rng, total)
 	}
 
-	cells := make([]json.RawMessage, 0, rng.Len())
+	cells := make([]json.RawMessage, rng.Len())
+	done := 0 // cells[:done] is the contiguous finished prefix
 	var ckpt *checkpointWriter
 	if spec.Shard.Checkpoint != "" {
 		ckpt = &checkpointWriter{
@@ -88,34 +99,18 @@ func Run(spec RunSpec) (*Envelope, error) {
 			if err != nil && !isNotExist(err) {
 				return nil, err
 			}
-			cells = append(cells, loaded...)
+			done = copy(cells, loaded)
+			ckpt.done = done
 		}
 	}
 
-	// Compute the missing tail in flush-sized batches. Batch boundaries
-	// never change cell payloads — cells are pure functions of
-	// (params, absolute index) — they only bound recomputation cost.
-	flush := spec.Shard.flushEvery()
-	for len(cells) < rng.Len() {
-		lo := rng.Lo + len(cells)
-		hi := min(lo+flush, rng.Hi)
-		batch, err := grid.RunRange(spec.Params, exp.CellRange{Lo: lo, Hi: hi})
-		if err != nil {
-			return nil, fmt.Errorf("%s: cells [%d,%d): %w", spec.Desc.Name, lo, hi, err)
-		}
-		if exp.Interrupted() {
-			// Cancelled mid-range: the batch holds zero-valued skipped
-			// cells. Never checkpoint those as real results.
-			return nil, fmt.Errorf("%s: %w", spec.Desc.Name, exp.ErrInterrupted)
-		}
-		cells = append(cells, batch...)
-		if ckpt != nil {
-			if err := ckpt.flush(cells, len(cells)); err != nil {
-				return nil, err
-			}
-		}
+	err = computeMissing(spec, rng, cells, done, ckpt)
+	if cerr := ckpt.close(); err == nil && cerr != nil {
+		err = fmt.Errorf("closing checkpoint: %w", cerr)
 	}
-
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", spec.Desc.Name, err)
+	}
 	return &Envelope{
 		Schema:     EnvelopeSchema,
 		Experiment: spec.Desc.Name,
@@ -125,6 +120,99 @@ func Run(spec RunSpec) (*Envelope, error) {
 		Cells:      cells,
 		Complete:   rng.Lo == 0 && rng.Hi == total,
 	}, nil
+}
+
+// cellResult is what a worker hands the committer for one claimed cell:
+// its offset in the shard's range and the payload or the error.
+type cellResult struct {
+	i   int
+	raw json.RawMessage
+	err error
+}
+
+// computeMissing fills cells[done:], cells[i] being cell rng.Lo+i.
+// exp.Parallelism() workers claim the missing offsets one at a time, in
+// increasing order; the calling goroutine is the only committer: it
+// slots each payload, advances the contiguous finished prefix and
+// flushes that prefix once it is FlushEvery cells ahead of the file. So
+// no worker waits on a flush, and completion order never reaches the
+// output. On an error or an interrupt the workers stop claiming and the
+// committer, once the cells in flight are in, flushes the prefix that
+// did finish.
+func computeMissing(spec RunSpec, rng exp.CellRange, cells []json.RawMessage, done int, ckpt *checkpointWriter) error {
+	n := len(cells)
+	var (
+		next atomic.Int64 // next unclaimed offset
+		stop atomic.Bool  // the committer saw an error: claim no more
+		wg   sync.WaitGroup
+	)
+	next.Store(int64(done))
+	// One slot per missing cell, the most that can be sent: a worker
+	// never blocks, whatever the committer is doing.
+	results := make(chan cellResult, n-done)
+	for w := min(exp.Parallelism(), n-done); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				out, err := spec.Desc.Grid.RunRange(spec.Params, exp.CellRange{Lo: rng.Lo + i, Hi: rng.Lo + i + 1})
+				if err != nil {
+					results <- cellResult{i: i, err: err}
+				} else if exp.Interrupted() {
+					// Cancelled: out may be a zero-valued skipped
+					// cell. Never pass that on as a real result.
+					return
+				} else {
+					results <- cellResult{i: i, raw: out[0]}
+				}
+			}
+		}()
+	}
+	go func() { wg.Wait(); close(results) }()
+
+	var cellErr, flushErr error
+	failedAt := n
+	// flush persists the prefix once it is due cells ahead of the file.
+	flush := func(due int) {
+		if ckpt != nil && flushErr == nil && done-ckpt.done >= due {
+			if flushErr = ckpt.flush(cells, done); flushErr != nil {
+				stop.Store(true)
+			}
+		}
+	}
+	for r := range results {
+		if r.err != nil {
+			// Offsets are claimed in order, so the lowest failing cell
+			// is in flight or in by now: waiting for it makes the
+			// reported error independent of completion order.
+			stop.Store(true)
+			if r.i < failedAt {
+				failedAt, cellErr = r.i, fmt.Errorf("cell %d: %w", rng.Lo+r.i, r.err)
+			}
+			continue
+		}
+		cells[r.i] = r.raw
+		for done < n && cells[done] != nil {
+			done++
+		}
+		flush(spec.Shard.flushEvery())
+	}
+	// Every worker has exited. What the cadence left over is the end of
+	// the range, or the cells finished before an interrupt or an error.
+	flush(1)
+	switch {
+	case cellErr != nil:
+		return cellErr
+	case flushErr != nil:
+		return flushErr
+	case done < n: // no error, yet a cell is missing: a worker dropped it
+		return exp.ErrInterrupted
+	}
+	return nil
 }
 
 // salvageEnvelope builds a partial envelope from whatever a dead

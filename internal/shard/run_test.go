@@ -1,0 +1,348 @@
+package shard
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"tfrc/internal/exp"
+)
+
+// stubDesc is a grid of n cells computed by cell, which sees absolute
+// indices and may block, fail or cancel to script the pipeline.
+func stubDesc(n int, cell func(i int) (json.RawMessage, error)) exp.Descriptor {
+	return exp.Descriptor{
+		Name: "stub",
+		Grid: &exp.Grid{
+			Cells: func(exp.Params) (int, error) { return n, nil },
+			RunRange: func(_ exp.Params, r exp.CellRange) ([]json.RawMessage, error) {
+				out := make([]json.RawMessage, 0, r.Len())
+				for i := r.Lo; i < r.Hi; i++ {
+					c, err := cell(i)
+					if err != nil {
+						return nil, err
+					}
+					out = append(out, c)
+				}
+				return out, nil
+			},
+		},
+	}
+}
+
+func stubCell(i int) (json.RawMessage, error) {
+	return json.RawMessage(fmt.Sprintf(`{"cell":%d}`, i)), nil
+}
+
+// withWorkers sets the sweep worker count for one test.
+func withWorkers(t *testing.T, n int) {
+	t.Helper()
+	prev := exp.SetParallelism(n)
+	t.Cleanup(func() { exp.SetParallelism(prev) })
+}
+
+// assertNoGoroutinesLeft waits for the goroutine count to fall back to
+// base: Run's workers have all exited by the time it returns, the
+// goroutine that closed their channel may still be on its last
+// instruction.
+func assertNoGoroutinesLeft(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines outlived Run (started with %d)", runtime.NumGoroutine()-base, base)
+		}
+		runtime.Gosched()
+	}
+}
+
+func stubHeader(t *testing.T, n int) checkpointHeader {
+	t.Helper()
+	pj, err := json.Marshal(&shardtestParams{N: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return checkpointHeader{
+		Schema:     CheckpointSchema,
+		Experiment: "stub",
+		ParamsHash: mustHash(t, "stub", pj),
+		CellRange:  exp.CellRange{Lo: 0, Hi: n},
+	}
+}
+
+// TestRunInterruptKeepsProgress cancels the run context from inside
+// cell 5 of 10. Run must report ErrInterrupted only after flushing the
+// prefix that finished before the cancel — even though the cadence
+// (FlushEvery beyond the range) never came due — must never checkpoint
+// a cell the sweep skipped, and a resume must finish the range with the
+// envelope of an uninterrupted run.
+func TestRunInterruptKeepsProgress(t *testing.T) {
+	const n, cancelAt = 10, 5
+	params := &shardtestParams{N: n}
+	clean, err := Run(RunSpec{Desc: stubDesc(n, stubCell), Params: params, Shard: ShardParams{Count: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			withWorkers(t, workers)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			exp.SetContext(ctx)
+			defer exp.SetContext(nil)
+
+			d := stubDesc(n, func(i int) (json.RawMessage, error) {
+				if exp.Interrupted() {
+					// What the sweep runner hands back for a cell it
+					// skipped: a zero value, not a result.
+					return json.RawMessage(`{"cell":0,"skipped":true}`), nil
+				}
+				if i == cancelAt {
+					cancel()
+				}
+				return stubCell(i)
+			})
+			sp := ShardParams{Count: 1, Checkpoint: filepath.Join(t.TempDir(), "s.ckpt"), FlushEvery: 100}
+			if _, err := Run(RunSpec{Desc: d, Params: params, Shard: sp}); !errors.Is(err, exp.ErrInterrupted) {
+				t.Fatalf("Run = %v, want ErrInterrupted", err)
+			}
+
+			got, err := loadCheckpoint(sp.Checkpoint, stubHeader(t, n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Cell cancelAt saw the cancel before it returned, so it is
+			// dropped; a second worker may have had an earlier cell
+			// still in flight, which is dropped the same way.
+			if len(got) > cancelAt || (workers == 1 && len(got) != cancelAt) {
+				t.Fatalf("checkpoint holds %d cells after a cancel inside cell %d at %d workers", len(got), cancelAt, workers)
+			}
+			for i, c := range got {
+				if !bytes.Equal(c, clean.Cells[i]) {
+					t.Fatalf("checkpointed cell %d = %s, want %s", i, c, clean.Cells[i])
+				}
+			}
+
+			exp.SetContext(nil)
+			sp.Resume = true
+			resumed, err := Run(RunSpec{Desc: stubDesc(n, stubCell), Params: params, Shard: sp})
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertEnvelopesIdentical(t, clean, resumed)
+		})
+	}
+}
+
+// TestRunReportsLowestFailingCell: cells 3 and 5 of 8 both fail, and at
+// 8 workers cell 3 fails only after cell 5 has. Run must name cell 3 at
+// any worker count, leave no goroutine behind, and have flushed the
+// cells before the failure so a resume with a healthy grid finishes.
+func TestRunReportsLowestFailingCell(t *testing.T) {
+	const n = 8
+	params := &shardtestParams{N: n}
+	clean, err := Run(RunSpec{Desc: stubDesc(n, stubCell), Params: params, Shard: ShardParams{Count: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			withWorkers(t, workers)
+			fiveFailed := make(chan struct{})
+			d := stubDesc(n, func(i int) (json.RawMessage, error) {
+				switch {
+				case i == 5:
+					close(fiveFailed)
+					return nil, errors.New("boom 5")
+				case i == 3 && workers == n: // every cell is in flight at once
+					<-fiveFailed
+					return nil, errors.New("boom 3")
+				case i == 3:
+					return nil, errors.New("boom 3")
+				}
+				return stubCell(i)
+			})
+			sp := ShardParams{Count: 1, Checkpoint: filepath.Join(t.TempDir(), "s.ckpt"), FlushEvery: 100}
+			base := runtime.NumGoroutine()
+			_, err := Run(RunSpec{Desc: d, Params: params, Shard: sp})
+			if err == nil || !strings.Contains(err.Error(), "cell 3: boom 3") {
+				t.Fatalf("Run = %v, want the failure of cell 3", err)
+			}
+			assertNoGoroutinesLeft(t, base)
+
+			got, err := loadCheckpoint(sp.Checkpoint, stubHeader(t, n))
+			if err != nil || len(got) != 3 {
+				t.Fatalf("checkpoint after the failure holds %d cells, err %v; want cells 0..2", len(got), err)
+			}
+			sp.Resume = true
+			resumed, err := Run(RunSpec{Desc: stubDesc(n, stubCell), Params: params, Shard: sp})
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertEnvelopesIdentical(t, clean, resumed)
+		})
+	}
+}
+
+// TestRunFlushErrorStopsWorkers: the checkpoint cannot be written (its
+// directory does not exist). Run must fail with the flush error rather
+// than compute on without durability, and leave no goroutine behind.
+func TestRunFlushErrorStopsWorkers(t *testing.T) {
+	const n = 50
+	for _, workers := range []int{1, 4} {
+		withWorkers(t, workers)
+		sp := ShardParams{Count: 1, Checkpoint: filepath.Join(t.TempDir(), "missing", "s.ckpt")}
+		base := runtime.NumGoroutine()
+		_, err := Run(RunSpec{Desc: stubDesc(n, stubCell), Params: &shardtestParams{N: n}, Shard: sp})
+		if err == nil || !strings.Contains(err.Error(), "flushing checkpoint") {
+			t.Fatalf("workers=%d: Run = %v, want a checkpoint flush error", workers, err)
+		}
+		assertNoGoroutinesLeft(t, base)
+	}
+}
+
+// TestRunCellsFinishingInReverseOrder: with every cell in flight at
+// once, cell i returns only after cell i+1 has, so the committer sees
+// the payloads last-first and the prefix jumps from nothing to
+// everything. Completion order must not reach the envelope or the
+// checkpoint file.
+func TestRunCellsFinishingInReverseOrder(t *testing.T) {
+	const n = 6
+	params := &shardtestParams{N: n}
+	dir := t.TempDir()
+	cleanSP := ShardParams{Count: 1, Checkpoint: filepath.Join(dir, "clean.ckpt")}
+	clean, err := Run(RunSpec{Desc: stubDesc(n, stubCell), Params: params, Shard: cleanSP})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	withWorkers(t, n)
+	finished := make([]chan struct{}, n+1)
+	for i := range finished {
+		finished[i] = make(chan struct{})
+	}
+	close(finished[n])
+	d := stubDesc(n, func(i int) (json.RawMessage, error) {
+		<-finished[i+1]
+		defer close(finished[i])
+		return stubCell(i)
+	})
+	sp := ShardParams{Count: 1, Checkpoint: filepath.Join(dir, "s.ckpt")}
+	got, err := Run(RunSpec{Desc: d, Params: params, Shard: sp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertEnvelopesIdentical(t, clean, got)
+	assertFilesIdentical(t, cleanSP.Checkpoint, sp.Checkpoint)
+}
+
+// TestRunByteIdentityMatrix: the envelope and the finished checkpoint
+// file are the same bytes at any worker count, any flush cadence, with
+// or without a checkpoint, fresh or resumed from a half-done range.
+func TestRunByteIdentityMatrix(t *testing.T) {
+	const n = 10
+	d := shardtestDesc(t)
+	params := func() exp.Params { return &shardtestParams{N: n, Seed: 7} }
+	dir := t.TempDir()
+	cleanCkpt := filepath.Join(dir, "clean.ckpt")
+	clean, err := Run(RunSpec{Desc: d, Params: params(), Shard: ShardParams{Count: 1, Checkpoint: cleanCkpt}})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, workers := range []int{1, 2, 8} {
+		for _, flush := range []int{0, 1, 3, n + 5} {
+			for _, mode := range []string{"no-checkpoint", "checkpoint", "resume-from-half"} {
+				t.Run(fmt.Sprintf("workers=%d/flush=%d/%s", workers, flush, mode), func(t *testing.T) {
+					withWorkers(t, workers)
+					sp := ShardParams{Count: 1, FlushEvery: flush}
+					if mode != "no-checkpoint" {
+						sp.Checkpoint = filepath.Join(t.TempDir(), "s.ckpt")
+					}
+					if mode == "resume-from-half" {
+						half := exp.CellRange{Lo: 0, Hi: n / 2}
+						if _, err := Run(RunSpec{Desc: d, Params: params(), Shard: sp, Range: &half}); err != nil {
+							t.Fatal(err)
+						}
+						sp.Resume = true
+					}
+					got, err := Run(RunSpec{Desc: d, Params: params(), Shard: sp})
+					if err != nil {
+						t.Fatal(err)
+					}
+					assertEnvelopesIdentical(t, clean, got)
+					if sp.Checkpoint != "" {
+						assertFilesIdentical(t, cleanCkpt, sp.Checkpoint)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestRunResumesParentCommitCheckpoint: testdata holds two checkpoints
+// of shardtest {N: 9, Seed: 42} written by the code before the
+// pipelined runner (whole-file rewrite per flush): one from a run
+// SIGKILLed after its fourth flush, one from a run that finished. The
+// crashed one must resume under this code, and the file this code
+// leaves must be byte-identical to the finished one.
+func TestRunResumesParentCommitCheckpoint(t *testing.T) {
+	d := shardtestDesc(t)
+	params := &shardtestParams{N: 9, Seed: 42}
+	clean, err := Run(RunSpec{Desc: d, Params: params, Shard: ShardParams{Count: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	crashed, err := os.ReadFile(filepath.Join("testdata", "parent_crashed.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	withWorkers(t, 2)
+	ckpt := filepath.Join(t.TempDir(), "s.ckpt")
+	if err := os.WriteFile(ckpt, crashed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var computed atomic.Int64
+	counting := d
+	counting.Grid = &exp.Grid{
+		Cells: d.Grid.Cells,
+		RunRange: func(p exp.Params, r exp.CellRange) ([]json.RawMessage, error) {
+			computed.Add(int64(r.Len()))
+			return d.Grid.RunRange(p, r)
+		},
+	}
+	resumed, err := Run(RunSpec{Desc: counting, Params: params,
+		Shard: ShardParams{Count: 1, Checkpoint: ckpt, Resume: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := computed.Load(); c != 5 {
+		t.Errorf("resume recomputed %d cells, want only the 5 the parent's checkpoint lacks", c)
+	}
+	assertEnvelopesIdentical(t, clean, resumed)
+	assertFilesIdentical(t, filepath.Join("testdata", "parent_full.ckpt"), ckpt)
+}
+
+func assertFilesIdentical(t *testing.T, wantPath, gotPath string) {
+	t.Helper()
+	want, err := os.ReadFile(wantPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(gotPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want, got) {
+		t.Fatalf("%s differs from %s:\nwant %s\ngot  %s", gotPath, wantPath, want, got)
+	}
+}

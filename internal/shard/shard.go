@@ -49,10 +49,14 @@ type ShardParams struct {
 	// index space: SplitRange(total, Index, Count).
 	Index int `json:"index"`
 	Count int `json:"count"`
-	// FlushEvery is the number of computed cells between checkpoint
-	// flushes; 0 means DefaultFlushEvery. Each flush is atomic
-	// (write-temp, fsync, rename), so a crash costs at most FlushEvery
-	// cells of recomputation.
+	// FlushEvery is how far the contiguous finished prefix may grow
+	// before it is flushed to the checkpoint; 0 means
+	// DefaultFlushEvery. It bounds what a crash costs — at most
+	// FlushEvery cells finished but flushed late, plus the at most
+	// workers−1 cells in flight behind a slower one — and nothing
+	// else: cells run exp.Parallelism() at a time at any cadence. The
+	// first flush of a run publishes the file atomically (write-temp,
+	// fsync, rename); every later one appends and fsyncs.
 	FlushEvery int `json:"flushEvery,omitempty"`
 	// Checkpoint is the checkpoint file path; empty disables
 	// checkpointing.
@@ -173,9 +177,9 @@ func missingRanges(cells []json.RawMessage, lo int) []exp.CellRange {
 	return out
 }
 
-// WriteEnvelopeFile writes the envelope as indented JSON via the same
-// atomic write-temp, fsync, rename discipline as checkpoints, so a
-// crash mid-write never leaves a torn envelope behind.
+// WriteEnvelopeFile writes the envelope as indented JSON via the
+// atomic write-temp, fsync, rename discipline a checkpoint is published
+// with, so a crash mid-write never leaves a torn envelope behind.
 func WriteEnvelopeFile(path string, e *Envelope) error {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
