@@ -66,14 +66,18 @@
 // reports utilization, Jain fairness, and per-flow throughput/loss
 // distributions per decade; "tfrcsim run manyflows", preset "million"):
 //
-//   - Event queue: the scheduler's default pending-event queue is an
-//     adaptive calendar queue — O(1) expected insert/pop at the uniform
-//     event spacing packet simulations produce — selected over the flat
-//     4-ary heap by benchmark (see sim.DefaultSchedulerQueue for the
-//     recorded verdict). Both backends fire events in identical
-//     (time, insertion-sequence) order, so results are bit-identical;
-//     sim.NewSchedulerWith(sim.QueueHeap4) keeps the heap for workloads
-//     that genuinely hold ~10^6 concurrent events.
+//   - Event queue: the scheduler's default pending-event queue is a
+//     self-tuning calendar queue whose day buckets are linked lists
+//     threaded through the scheduler's own slot table (one 64-byte
+//     event per pending callback, nothing else grows with the
+//     population). It re-derives its day width from the density of the
+//     soonest-due events whenever list walks get long, so insert/pop
+//     stay O(1) expected as a population slow-starts, converges or
+//     drains. It beats the flat 4-ary heap at every population measured
+//     (see sim.DefaultSchedulerQueue for the recorded verdict); both
+//     fire events in identical (time, insertion-sequence) order, so
+//     results are bit-identical, and sim.NewSchedulerWith(sim.QueueHeap4)
+//     keeps the heap as the differential-test oracle.
 //
 //   - Batched timers: TFRC feedback and no-feedback timers — precision
 //     requirement "about one RTT" — can opt onto a shared timer wheel

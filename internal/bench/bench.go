@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"slices"
 	"time"
 
 	"tfrc/internal/exp"
@@ -47,8 +48,8 @@ type SchedulerMetrics struct {
 // costs to set up, and how many cells per second a worker pool sustains
 // (the BenchmarkSweepCellsPerSecond workload).
 type SweepMetrics struct {
-	// CellSetupAllocs is the allocations per cell of a short scenario
-	// run sequentially on a warm worker arena. The steady-state event
+	// CellSetupAllocs is the allocations of the median cell of a short
+	// scenario run sequentially on a warm worker arena. The steady-state event
 	// loop allocates nothing, so this is construction plus result
 	// harvest — the cost the pooled agent arenas exist to eliminate.
 	CellSetupAllocs float64 `json:"cell_setup_allocs"`
@@ -144,19 +145,27 @@ func benchSweep() SweepMetrics {
 			Seed:         seed,
 		})
 	}
-	// Per-cell setup allocations, sequential on a warm worker arena.
+	// Per-cell setup allocations, sequential on a warm worker arena: the
+	// median cell, because a GC that empties the pooled arena mid-loop
+	// makes one cell rebuild from cold (~200 allocations), and averaged
+	// in that reads as 4 more on every cell — 9.0 against a 5.04 baseline
+	// was measured on unchanged code.
 	prev := exp.SetParallelism(1)
 	short(0) // warm the pooled cell
 	const setupIters = 50
-	var before, after runtime.MemStats
+	counts := make([]uint64, setupIters)
+	var ms runtime.MemStats
 	runtime.GC()
-	runtime.ReadMemStats(&before)
-	for i := 0; i < setupIters; i++ {
+	runtime.ReadMemStats(&ms)
+	for i := range counts {
+		before := ms.Mallocs
 		short(int64(i))
+		runtime.ReadMemStats(&ms)
+		counts[i] = ms.Mallocs - before
 	}
-	runtime.ReadMemStats(&after)
+	slices.Sort(counts)
 	m := SweepMetrics{
-		CellSetupAllocs: float64(after.Mallocs-before.Mallocs) / setupIters,
+		CellSetupAllocs: float64(counts[setupIters/2]),
 	}
 
 	// End-to-end grid throughput on the worker-pinned runner. The worker

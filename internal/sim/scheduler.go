@@ -20,13 +20,19 @@ import (
 // event is one scheduled callback. Events live inline in the scheduler's
 // slot table — callers never hold them; At and After hand out
 // generation-checked Handles carrying the slot index instead.
+//
+// The struct is exactly 64 bytes — one cache line per event — and, for
+// the calendar backend, it is the queue node itself: (at, seq) is the
+// sort key and next threads the event's day bucket through the table.
 type event struct {
-	gen uint64  // bumped on every recycle; stale Handles don't match
-	pos int32   // heap: index into the order array; calendar: 0 when queued; -1 when not queued
-	at  float64 // firing time, kept here so Handle.Time works on any queue backend
-	fn  func()
-	afn func(any) // arg-carrying variant, used by the packet hot path
-	arg any
+	gen  uint64  // bumped on every recycle; stale Handles don't match
+	at   float64 // firing time, kept here so Handle.Time works on any queue backend
+	seq  uint64  // insertion sequence: FIFO among equal times
+	fn   func()
+	afn  func(any) // arg-carrying variant, used by the packet hot path
+	arg  any
+	pos  int32 // heap: index into the order array; calendar: 0 when queued; -1 when not queued
+	next int32 // calendar: next slot in the day bucket, -1 at the tail
 }
 
 // entry is one element of the flat 4-ary min-heap. The sort key (time,
@@ -90,23 +96,24 @@ const (
 	// QueueHeap4 is the flat 4-ary min-heap: O(log n) insert/pop with
 	// very small constants and no tuning state.
 	QueueHeap4 SchedulerQueue = iota
-	// QueueCalendar is the adaptive calendar queue: O(1) expected
-	// insert/pop under the uniform event-spacing typical of packet
-	// simulations, at the price of adaptive resizing state.
+	// QueueCalendar is the self-tuning calendar queue threaded through
+	// the slot table: O(1) expected insert/pop at whatever event density
+	// the simulation currently has, at the price of tuning state and an
+	// occasional rebuild.
 	QueueCalendar
 )
 
 // DefaultSchedulerQueue is the backend NewScheduler uses.
 //
-// Verdict (2026-08, BenchmarkSchedulerEventsPerSecond / -Queues, 1-core
-// x86-64): the calendar queue wins the standing populations the
-// simulator actually runs at — 13.9M vs 7.7M events/sec at 1k pending,
-// 5.2M vs 3.4M at 100k — and lifts the end-to-end 8-flow scenario bench
-// from ~1.03M to ~1.29M pkts/sec. The 4-ary heap only overtakes at ~1M
-// pending events (2.2M vs 1.6M events/sec), a population the timer
-// wheel keeps million-flow scenarios well below. The calendar queue is
-// therefore the default; the heap stays selectable via NewSchedulerWith
-// for workloads that genuinely hold a million concurrent events.
+// Verdict (2026-10, BenchmarkSchedulerQueues, 2-core x86-64 container,
+// medians of three): the intrusive calendar queue of PR 14 wins at every
+// standing population measured — 20M vs 5.4M events/sec at 1k pending,
+// 6.0M vs 2.5M at 100k, 2.9M vs 1.3M at 1M (its lazy-cancel, per-bucket-
+// slice predecessor managed 10M, 2.8M and 2.0M on the same host and
+// lost to the heap at 1M on the 2026-08 one) — and lifts the benchmark's
+// 8-flow dumbbell from 1.14M to 1.64M pkts/sec over that predecessor.
+// The calendar queue is therefore the default; the heap stays
+// selectable via NewSchedulerWith as the differential-test oracle.
 var DefaultSchedulerQueue = QueueCalendar
 
 // Scheduler owns the simulation clock and the pending event queue —
@@ -122,7 +129,7 @@ type Scheduler struct {
 	epoch   uint64         // bumped by Reset; stale-epoch Handles are inert
 	queue   SchedulerQueue // backend in use; fixed between Resets
 	heap    []entry        //tfrc:keep value-only heap backing, truncated on Reset/reuse
-	cal     calQueue       //tfrc:keep value-only calendar buckets, truncated on Reset/reuse
+	cal     calQueue       //tfrc:keep value-only calendar bucket ends, truncated on Reset/reuse
 	slots   []event
 	free    []int32 //tfrc:keep recycled slot indices, value-only backing
 	stopped bool
@@ -209,7 +216,7 @@ func (s *Scheduler) Reset() {
 	s.seq = 0
 	s.epoch++
 	s.heap = s.heap[:0]
-	if s.cal.buckets != nil || s.queue == QueueCalendar {
+	if s.queue == QueueCalendar {
 		s.calReset()
 	}
 	for _, w := range s.wheels {
@@ -263,19 +270,6 @@ func (s *Scheduler) Len() int {
 	return len(s.heap)
 }
 
-// peek returns the firing time of the earliest pending event.
-//
-//tfrc:hotpath
-func (s *Scheduler) peek() (float64, bool) {
-	if s.queue == QueueCalendar {
-		return s.calPeek()
-	}
-	if len(s.heap) == 0 {
-		return 0, false
-	}
-	return s.heap[0].at, true
-}
-
 // alloc validates t, claims a slot, and queues its entry on the active
 // backend.
 //
@@ -295,15 +289,16 @@ func (s *Scheduler) alloc(t float64) int32 {
 		slot = int32(len(s.slots))
 		s.slots = append(s.slots, event{}) //tfrclint:allow hotpathalloc amortized slab growth
 	}
-	s.slots[slot].at = t
-	seq := s.seq
+	ev := &s.slots[slot]
+	ev.at = t
+	ev.seq = s.seq
 	s.seq++
 	if s.queue == QueueCalendar {
-		s.slots[slot].pos = 0 // queued marker; the calendar has no order array
-		s.calInsert(t, seq, slot)
+		ev.pos = 0 // queued marker; the calendar has no order array
+		s.calInsert(slot)
 		return slot
 	}
-	e := entry{at: t, seq: seq, slot: slot}
+	e := entry{at: t, seq: ev.seq, slot: slot}
 	s.heap = append(s.heap, e) //tfrclint:allow hotpathalloc amortized heap growth
 	s.siftUp(len(s.heap) - 1)
 	return slot
@@ -434,13 +429,10 @@ func (s *Scheduler) Cancel(h Handle) {
 		return
 	}
 	if s.queue == QueueCalendar {
-		// Lazy: the generation bump in recycle marks the calendar entry
-		// dead; the scan discards it when reached.
-		s.cal.live--
-		s.recycle(h.slot)
-		return
+		s.calUnlink(h.slot)
+	} else {
+		s.remove(int(s.slots[h.slot].pos))
 	}
-	s.remove(int(s.slots[h.slot].pos))
 	s.recycle(h.slot)
 }
 
@@ -448,26 +440,37 @@ func (s *Scheduler) Cancel(h Handle) {
 // It returns false when the queue is empty.
 //
 //tfrc:hotpath
-func (s *Scheduler) Step() bool {
+func (s *Scheduler) Step() bool { return s.step(math.Inf(1)) }
+
+// step runs the earliest pending event if it fires no later than bound:
+// pop, advance the clock, fire. It returns false, leaving the event
+// queued, when there is none or it is later.
+//
+//tfrc:hotpath
+func (s *Scheduler) step(bound float64) bool {
+	var slot int32
 	if s.queue == QueueCalendar {
-		return s.stepCal()
-	}
-	if len(s.heap) == 0 {
-		return false
-	}
-	top := s.heap[0]
-	last := len(s.heap) - 1
-	if last > 0 {
-		s.heap[0] = s.heap[last]
-		s.heap = s.heap[:last]
-		s.siftDown(0)
+		if slot = s.calTake(bound); slot < 0 {
+			return false
+		}
 	} else {
-		s.heap = s.heap[:0]
+		if len(s.heap) == 0 || s.heap[0].at > bound {
+			return false
+		}
+		slot = s.heap[0].slot
+		last := len(s.heap) - 1
+		if last > 0 {
+			s.heap[0] = s.heap[last]
+			s.heap = s.heap[:last]
+			s.siftDown(0)
+		} else {
+			s.heap = s.heap[:0]
+		}
 	}
-	s.now = top.at
-	e := &s.slots[top.slot]
+	e := &s.slots[slot]
+	s.now = e.at
 	fn, afn, arg := e.fn, e.afn, e.arg
-	s.recycle(top.slot)
+	s.recycle(slot)
 	if afn != nil {
 		afn(arg)
 	} else if fn != nil {
@@ -490,12 +493,7 @@ func (s *Scheduler) Run() {
 // and advances the clock to end.
 func (s *Scheduler) RunUntil(end float64) {
 	s.stopped = false
-	for !s.stopped {
-		t, ok := s.peek()
-		if !ok || t > end {
-			break
-		}
-		s.Step()
+	for !s.stopped && s.step(end) {
 	}
 	if !s.stopped && s.now < end {
 		s.now = end

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestSchedulerOrdersByTime(t *testing.T) {
@@ -393,7 +394,7 @@ var queueKinds = []struct {
 // TestSchedulerDifferential drives each queue backend (4-ary heap and
 // calendar queue) and the naive sorted-slice reference through a long
 // randomized interleaving of At, After, Cancel, stale-handle Cancel,
-// and Step, checking that every firing matches the reference in both
+// Step, and RunUntil, checking that every firing matches the reference in both
 // identity and time, that Scheduled agrees with the reference's
 // liveness, and that stale handles never disturb live events.
 func TestSchedulerDifferential(t *testing.T) {
@@ -435,6 +436,17 @@ func testSchedulerDifferential(t *testing.T, kind SchedulerQueue) {
 			pending = append(pending, live{h: h, seq: seq, id: id})
 		}
 
+		// retire moves a fired event's handle from pending to stale.
+		retire := func(id int) {
+			for i, p := range pending {
+				if p.id == id {
+					stale = append(stale, p.h)
+					pending = append(pending[:i], pending[i+1:]...)
+					return
+				}
+			}
+		}
+
 		step := func() {
 			fired = fired[:0]
 			want, ok := ref.pop()
@@ -450,17 +462,33 @@ func testSchedulerDifferential(t *testing.T, kind SchedulerQueue) {
 			if s.Now() != want.at {
 				t.Fatalf("seed %d: clock %v after firing, reference says %v", seed, s.Now(), want.at)
 			}
-			for i, p := range pending {
-				if p.id == want.id {
-					stale = append(stale, p.h)
-					pending = append(pending[:i], pending[i+1:]...)
-					break
+			retire(want.id)
+		}
+
+		// runUntil checks a bounded run against the reference: exactly the
+		// events due by end fire, in reference order, and the clock lands
+		// on end. Events scheduled afterwards may be earlier than the one
+		// the look-ahead stopped at.
+		runUntil := func() {
+			end := s.Now() + r.Float64()*2
+			fired = fired[:0]
+			s.RunUntil(end)
+			for i := 0; len(ref.events) > 0 && ref.events[0].at <= end; i++ {
+				want, _ := ref.pop()
+				if i >= len(fired) || fired[i] != want.id {
+					t.Fatalf("seed %d: RunUntil(%v) fired %v, reference expects id %d at position %d", seed, end, fired, want.id, i)
 				}
+				retire(want.id)
+			}
+			if s.Now() != end {
+				t.Fatalf("seed %d: clock %v after RunUntil(%v)", seed, s.Now(), end)
 			}
 		}
 
 		for op := 0; op < 3000; op++ {
-			switch k := r.Intn(10); {
+			switch k := r.Intn(11); {
+			case k == 10:
+				runUntil()
 			case k < 4:
 				schedule()
 			case k < 6 && len(pending) > 0:
@@ -616,7 +644,9 @@ func TestSchedulerQueueEquivalence(t *testing.T) {
 		rec := func(any) { fired = append(fired, s.Now()) }
 		var handles []Handle
 		for op := 0; op < 20000; op++ {
-			switch k := r.Intn(10); {
+			switch k := r.Intn(11); {
+			case k == 10:
+				s.RunUntil(s.Now() + r.Float64()*0.5)
 			case k < 5:
 				handles = append(handles, s.AfterArg(r.Float64()*3, rec, nil))
 			case k < 7 && len(handles) > 0:
@@ -685,6 +715,292 @@ func TestCalendarRunUntil(t *testing.T) {
 	s.RunUntil(10)
 	if len(fired) != 4 || s.Now() != 10 {
 		t.Fatalf("RunUntil(10): fired %v, clock %v", fired, s.Now())
+	}
+}
+
+// TestCalendarInsertBehindLookahead pins the look-ahead bug: RunUntil
+// stopping short of the next event leaves the calendar scan on that
+// event's day, and an event then scheduled before it must still fire
+// first. Before the fix the calendar fired [10 6] and ran the clock
+// backwards.
+func TestCalendarInsertBehindLookahead(t *testing.T) {
+	for _, qk := range queueKinds {
+		t.Run(qk.name, func(t *testing.T) {
+			s := NewSchedulerWith(qk.kind)
+			var fired []float64
+			rec := func(any) {
+				if n := len(fired); n > 0 && s.Now() < fired[n-1] {
+					t.Fatalf("clock ran backwards: %v after %v", s.Now(), fired[n-1])
+				}
+				fired = append(fired, s.Now())
+			}
+			s.AtArg(10, rec, nil)
+			s.RunUntil(5)
+			s.AtArg(6, rec, nil)
+			s.Run()
+			if len(fired) != 2 || fired[0] != 6 || fired[1] != 10 {
+				t.Fatalf("fired %v, want [6 10]", fired)
+			}
+		})
+	}
+}
+
+// calCheck verifies the calendar's structural invariants: every bucket
+// list is (at, seq)-sorted, holds only events of that bucket, ends at
+// the recorded tail, and the lists together hold exactly the live
+// events, none of them earlier than the scan position.
+func calCheck(t testing.TB, s *Scheduler) {
+	t.Helper()
+	c := &s.cal
+	mask := int64(len(c.head) - 1)
+	n := 0
+	for idx, h := range c.head {
+		last := int32(-1)
+		for ; h >= 0; h = s.slots[h].next {
+			ev := &s.slots[h]
+			if ev.pos < 0 {
+				t.Fatalf("bucket %d holds recycled slot %d", idx, h)
+			}
+			if day := c.calDay(ev.at); int(day&mask) != idx || day < c.curV {
+				t.Fatalf("slot %d (at %v, day %d) filed in bucket %d with the scan at day %d", h, ev.at, day, idx, c.curV)
+			}
+			if last >= 0 {
+				if p := &s.slots[last]; p.at > ev.at || (p.at == ev.at && p.seq > ev.seq) {
+					t.Fatalf("bucket %d out of order: (%v, %d) before (%v, %d)", idx, p.at, p.seq, ev.at, ev.seq)
+				}
+			}
+			last = h
+			if n++; n > c.live {
+				t.Fatalf("buckets hold more than the %d live events (cycle?)", c.live)
+			}
+		}
+		if last >= 0 && c.tail[idx] != last {
+			t.Fatalf("bucket %d: tail %d, last node %d", idx, c.tail[idx], last)
+		}
+	}
+	if n != c.live {
+		t.Fatalf("buckets hold %d events, live = %d", n, c.live)
+	}
+}
+
+// TestCalendarUnlink cancels the head, a middle entry, the tail and the
+// only entry of one day bucket, each followed by inserts before, inside
+// and after what is left, and requires the heap's firing order.
+func TestCalendarUnlink(t *testing.T) {
+	// All inside day 10 of the resting calendar (width 1 ms).
+	base := []float64{0.0101, 0.0103, 0.0105, 0.0107}
+	after := []float64{0.01005, 0.0104, 0.0104, 0.0109}
+	for _, tc := range []struct {
+		name   string
+		n      int   // base entries scheduled
+		cancel []int // indices cancelled, in order
+	}{
+		{"head", 4, []int{0}},
+		{"middle", 4, []int{2}},
+		{"tail", 4, []int{3}},
+		{"only", 1, []int{0}},
+		{"all-from-tail", 4, []int{3, 2, 1, 0}},
+		{"head-then-tail", 4, []int{0, 3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var order [2][]int
+			for k, qk := range queueKinds {
+				s := NewSchedulerWith(qk.kind)
+				rec := func(x any) { order[k] = append(order[k], x.(int)) }
+				var hs []Handle
+				for i, at := range base[:tc.n] {
+					hs = append(hs, s.AtArg(at, rec, i))
+				}
+				for _, i := range tc.cancel {
+					s.Cancel(hs[i])
+					if hs[i].Scheduled() {
+						t.Fatalf("%s: handle %d still Scheduled after Cancel", qk.name, i)
+					}
+					if qk.kind == QueueCalendar {
+						calCheck(t, s)
+					}
+				}
+				for i, at := range after {
+					s.AtArg(at, rec, 100+i)
+					if qk.kind == QueueCalendar {
+						calCheck(t, s)
+					}
+				}
+				if want := tc.n - len(tc.cancel) + len(after); s.Len() != want {
+					t.Fatalf("%s: Len = %d, want %d", qk.name, s.Len(), want)
+				}
+				s.Run()
+			}
+			if fmt.Sprint(order[0]) != fmt.Sprint(order[1]) {
+				t.Fatalf("heap fired %v, calendar %v", order[0], order[1])
+			}
+		})
+	}
+}
+
+// TestCalendarEqualTimesAreTailInserts schedules 10k events at one
+// instant: they must fire FIFO, and every insert must take the O(1)
+// tail path — no list node is ever stepped over, through all the
+// rebuilds the growth triggers.
+func TestCalendarEqualTimesAreTailInserts(t *testing.T) {
+	s := NewSchedulerWith(QueueCalendar)
+	var got []int
+	rec := func(x any) { got = append(got, x.(int)) }
+	s.AtArg(0.5, rec, -1) // an earlier event, so the burst is not at the scan position
+	for i := 0; i < 10000; i++ {
+		s.AtArg(1.25, rec, i)
+		if s.cal.steps != 0 {
+			t.Fatalf("insert %d stepped over %d list nodes, want 0", i, s.cal.steps)
+		}
+	}
+	calCheck(t, s)
+	s.Run()
+	if len(got) != 10001 || got[0] != -1 {
+		t.Fatalf("fired %d events, first %v", len(got), got[:1])
+	}
+	for i, v := range got[1:] {
+		if v != i {
+			t.Fatalf("equal-time events not FIFO: position %d fired %d", i, v)
+		}
+	}
+}
+
+// TestCalendarStragglersDoNotStretchTheWidth holds a population whose
+// bulk lies within 100 ms while 1 % of it sits a thousand seconds out.
+// A width taken from the whole span would put the bulk in one bucket;
+// the estimator must ignore the stragglers, settle in a bounded number
+// of rebuilds, and keep the mean insert walk short afterwards.
+func TestCalendarStragglersDoNotStretchTheWidth(t *testing.T) {
+	s := NewSchedulerWith(QueueCalendar)
+	r := rand.New(rand.NewSource(11))
+	nop := func(any) {}
+	add := func() {
+		d := r.Float64() * 0.1
+		if r.Intn(100) == 0 {
+			d += 1000
+		}
+		s.AfterArg(d, nop, nil)
+	}
+	const pop, churn = 20000, 200000
+	for i := 0; i < pop; i++ {
+		add()
+	}
+	rebuilds, steps, ops := 0, 0, 0
+	for i := 0; i < churn; i++ {
+		s.Step()
+		w, nb, before := s.cal.width, len(s.cal.head), s.cal.steps
+		add()
+		if s.cal.width != w || len(s.cal.head) != nb {
+			rebuilds++
+		} else if i >= churn/2 {
+			steps += s.cal.steps - before
+			ops++
+		}
+	}
+	calCheck(t, s)
+	if rebuilds > 12 {
+		t.Errorf("%d rebuilds over %d steady-state operations, want a handful", rebuilds, churn)
+	}
+	if mean := float64(steps) / float64(ops); mean > calMaxMeanSteps {
+		t.Errorf("mean insert walk %.2f nodes after convergence (width %v), want ≤ %d", mean, s.cal.width, calMaxMeanSteps)
+	}
+}
+
+// TestCalendarSparseAfterBurstRetunes leaves a calendar tuned to a dense
+// burst holding only sparse events, with no insert to trigger a
+// re-tune: every take would scan a whole year of empty buckets. The
+// year scans are charged to the walk cost, so the drain itself must
+// re-derive the width after a few of them.
+func TestCalendarSparseAfterBurstRetunes(t *testing.T) {
+	s := NewSchedulerWith(QueueCalendar)
+	n := 0
+	rec := func(any) { n++ }
+	for i := 0; i < 600; i++ { // crosses the growth trigger: width tuned to 1 ns spacing
+		s.AtArg(1+float64(i)*1e-9, rec, nil)
+	}
+	for i := 0; i < 400; i++ { // too many for the drain to shrink the calendar
+		s.AtArg(2+float64(i)*1e-3, rec, nil)
+	}
+	if s.cal.width > 1e-6 {
+		t.Fatalf("width %v after the burst: the test no longer sets up a too-fine calendar", s.cal.width)
+	}
+	s.RunUntil(2.2)
+	if s.cal.width < 1e-4 {
+		t.Errorf("width still %v halfway through the sparse events", s.cal.width)
+	}
+	calCheck(t, s)
+	s.Run()
+	if n != 1000 {
+		t.Fatalf("fired %d events, want 1000", n)
+	}
+}
+
+// TestCalendarResetAfterGrowth grows the calendar well past its resting
+// size, shrinks it again, and then sends it through Reset and through
+// the Release/NewScheduler pool: each time it must come back at the
+// resting size and default width, empty, and fire in heap order.
+func TestCalendarResetAfterGrowth(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	nop := func(any) {}
+	workload := func(s *Scheduler) []float64 {
+		wr := rand.New(rand.NewSource(4))
+		var fired []float64
+		rec := func(any) { fired = append(fired, s.Now()) }
+		for i := 0; i < 2000; i++ {
+			s.AfterArg(wr.Float64(), rec, nil)
+			if i%3 == 0 {
+				s.Step()
+			}
+		}
+		s.Run()
+		return fired
+	}
+	want := workload(NewSchedulerWith(QueueHeap4))
+	s := NewSchedulerWith(QueueCalendar)
+	for round := 0; round < 4; round++ {
+		for i := 0; i < 20000; i++ {
+			s.AfterArg(r.Float64()*50, nop, nil)
+		}
+		if len(s.cal.head) <= calMinBuckets {
+			t.Fatalf("round %d: calendar did not grow: %d buckets", round, len(s.cal.head))
+		}
+		grown := len(s.cal.head)
+		for s.Len() > 100 {
+			s.Step()
+		}
+		if len(s.cal.head) >= grown {
+			t.Fatalf("round %d: calendar did not shrink: %d buckets", round, len(s.cal.head))
+		}
+		calCheck(t, s)
+		if round%2 == 0 {
+			s.Reset()
+		} else {
+			s.Release()
+			s = NewSchedulerWith(QueueCalendar)
+		}
+		if len(s.cal.head) != calMinBuckets || s.cal.width != calDefaultWidth || s.Len() != 0 || s.Now() != 0 {
+			t.Fatalf("round %d: recycled calendar has %d buckets, width %v, %d events, clock %v",
+				round, len(s.cal.head), s.cal.width, s.Len(), s.Now())
+		}
+		calCheck(t, s)
+		got := workload(s)
+		if len(got) != len(want) {
+			t.Fatalf("round %d: fired %d events, heap fired %d", round, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("round %d: firing %d at %v, heap at %v", round, i, got[i], want[i])
+			}
+		}
+		s.Reset()
+	}
+}
+
+// TestEventIsOneCacheLine pins the slot layout the calendar's locality
+// rests on.
+func TestEventIsOneCacheLine(t *testing.T) {
+	if sz := unsafe.Sizeof(event{}); sz != 64 {
+		t.Fatalf("event is %d bytes, want 64", sz)
 	}
 }
 

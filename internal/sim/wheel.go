@@ -14,7 +14,7 @@ import (
 // turns a million resident feedback-timer heap entries into at most
 // one pending scheduler event per occupied tick bucket.
 //
-// Cancellation is lazy, mirroring the calendar queue: Timer.Stop bumps
+// Cancellation is lazy (unlike the calendar queue's): Timer.Stop bumps
 // the timer's wheel generation and the stale bucket entry is discarded
 // when its tick is processed. Determinism: tick processing order is
 // bucket insertion order, and every deadline-to-tick rounding uses the
