@@ -86,8 +86,15 @@
 //     armed timers do not mean a million resident queue entries. Figure
 //     experiments keep exact timers; deadlines are never early.
 //
-//   - Flow state: agents live in chunked arena slabs addressed by index,
-//     per-flow measurement series live in struct-of-arrays monitor
+//   - Flow state: agents, controllers, nodes, links and queues live as
+//     values in one slab type (sim.Slab: stable addresses, chunks that
+//     start at 8 slots and double, a free list, the same slots in the
+//     same order after every Reset). Storage is sized by demand and kept
+//     by its slot: a SACK scoreboard is allocated by the first hole a
+//     flow sees, a queue ring starts at 8 packets and doubles up to its
+//     limit, and whatever a slot grew is there for its next tenant, so a
+//     cold cell costs what it uses and a warm one allocates nothing new.
+//     Per-flow measurement series live in struct-of-arrays monitor
 //     columns, and packet delivery at a node with many bound ports goes
 //     through a dense port-indexed table rather than a scan.
 //

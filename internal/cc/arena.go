@@ -4,57 +4,23 @@ import "tfrc/internal/sim"
 
 var ccArenaID = sim.NewArenaID()
 
-// ctlChunk is how many controllers one value slab holds. Chunks are
-// never relocated, so controller addresses stay stable for the
-// scheduler's lifetime — controllers are values in slabs, not
-// individually heap-allocated structs.
-const ctlChunk = 256
-
-// slab is a chunked value pool for one controller kind: a bump pointer
-// over stable chunks plus a free list for mid-scenario returns.
-type slab[T any] struct {
-	chunks [][]T //tfrc:keep value slabs; addresses into them are stable across reuse
-	used   int
-	free   []*T //tfrc:keep recycled free-list backing
-}
-
-func (p *slab[T]) get() *T {
-	if n := len(p.free); n > 0 {
-		x := p.free[n-1]
-		p.free = p.free[:n-1]
-		return x
-	}
-	ci, off := p.used/ctlChunk, p.used%ctlChunk
-	if ci == len(p.chunks) {
-		p.chunks = append(p.chunks, make([]T, ctlChunk))
-	}
-	p.used++
-	return &p.chunks[ci][off]
-}
-
-func (p *slab[T]) put(x *T) { p.free = append(p.free, x) }
-
-func (p *slab[T]) reset() {
-	p.used = 0
-	p.free = p.free[:0]
-}
-
 // arena is the scheduler-attached pool of controllers, one slab per
-// built-in kind. Like the agent arenas, everything ever handed out
-// becomes available again at Scheduler.Reset.
+// built-in kind: controllers are values in slabs, not individually
+// heap-allocated structs. Like the agent arenas, everything ever handed
+// out becomes available again at Scheduler.Reset.
 type arena struct {
-	reno       slab[Reno]
-	vegas      slab[Vegas]
-	ledbat     slab[LEDBAT]
-	relentless slab[Relentless]
+	reno       sim.Slab[Reno]
+	vegas      sim.Slab[Vegas]
+	ledbat     sim.Slab[LEDBAT]
+	relentless sim.Slab[Relentless]
 }
 
 // ResetArena implements sim.Arena.
 func (a *arena) ResetArena() {
-	a.reno.reset()
-	a.vegas.reset()
-	a.ledbat.reset()
-	a.relentless.reset()
+	a.reno.Reset()
+	a.vegas.Reset()
+	a.ledbat.Reset()
+	a.relentless.Reset()
 }
 
 func arenaOf(s *sim.Scheduler) *arena {

@@ -108,5 +108,5 @@ func (l *LEDBAT) Release() {
 	}
 	h := l.home
 	l.home = nil
-	h.ledbat.put(l)
+	h.ledbat.Put(l)
 }

@@ -66,22 +66,22 @@ func New(s *sim.Scheduler, cfg Config, maxWindow float64) Controller {
 	a := arenaOf(s)
 	switch cfg.Name.String() {
 	case "reno":
-		r := a.reno.get()
+		r := a.reno.Get()
 		r.Init(maxWindow)
 		r.home = a
 		return r
 	case "vegas":
-		v := a.vegas.get()
+		v := a.vegas.Get()
 		v.Init(cfg.Vegas, maxWindow)
 		v.home = a
 		return v
 	case "ledbat":
-		l := a.ledbat.get()
+		l := a.ledbat.Get()
 		l.Init(cfg.LEDBAT, maxWindow)
 		l.home = a
 		return l
 	case "relentless":
-		r := a.relentless.get()
+		r := a.relentless.Get()
 		r.Init(cfg.Relentless, maxWindow)
 		r.home = a
 		return r
@@ -100,7 +100,7 @@ func init() {
 		Params:      func() Params { return &RenoParams{} },
 		New: func(s *sim.Scheduler, cfg Config, maxWindow float64) Controller {
 			a := arenaOf(s)
-			r := a.reno.get()
+			r := a.reno.Get()
 			r.Init(maxWindow)
 			r.home = a
 			return r
@@ -112,7 +112,7 @@ func init() {
 		Params:      func() Params { return &VegasParams{} },
 		New: func(s *sim.Scheduler, cfg Config, maxWindow float64) Controller {
 			a := arenaOf(s)
-			v := a.vegas.get()
+			v := a.vegas.Get()
 			v.Init(cfg.Vegas, maxWindow)
 			v.home = a
 			return v
@@ -124,7 +124,7 @@ func init() {
 		Params:      func() Params { return &LEDBATParams{} },
 		New: func(s *sim.Scheduler, cfg Config, maxWindow float64) Controller {
 			a := arenaOf(s)
-			l := a.ledbat.get()
+			l := a.ledbat.Get()
 			l.Init(cfg.LEDBAT, maxWindow)
 			l.home = a
 			return l
@@ -136,7 +136,7 @@ func init() {
 		Params:      func() Params { return &RelentlessParams{} },
 		New: func(s *sim.Scheduler, cfg Config, maxWindow float64) Controller {
 			a := arenaOf(s)
-			r := a.relentless.get()
+			r := a.relentless.Get()
 			r.Init(cfg.Relentless, maxWindow)
 			r.home = a
 			return r

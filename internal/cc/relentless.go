@@ -64,5 +64,5 @@ func (r *Relentless) Release() {
 	}
 	h := r.home
 	r.home = nil
-	h.relentless.put(r)
+	h.relentless.Put(r)
 }

@@ -49,5 +49,5 @@ func (r *Reno) Release() {
 	}
 	h := r.home
 	r.home = nil
-	h.reno.put(r)
+	h.reno.Put(r)
 }

@@ -146,5 +146,5 @@ func (v *Vegas) Release() {
 	}
 	h := v.home
 	v.home = nil
-	h.vegas.put(v)
+	h.vegas.Put(v)
 }

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
 
 	"tfrc/internal/sim"
 )
@@ -57,18 +58,19 @@ const (
 	portSlack      = 4
 )
 
-// Attach binds an agent to a local port.
+// Attach binds an agent to a local port; binding a bound port panics.
 func (n *Node) Attach(port int, a Agent) {
-	if len(n.portTab) > 0 && port >= 0 && port < len(n.portTab) {
-		if n.portTab[port] != nil {
-			panic(fmt.Sprintf("netsim: node %d port %d already bound", n.ID, port))
-		}
+	var bound bool
+	if tab := n.portTab; len(tab) > 0 {
+		// The dense table covers every bound port, so a port outside it
+		// is unbound: no walk of n.ports, which would make binding n
+		// densely numbered flows on one node O(n²).
+		bound = port >= 0 && port < len(tab) && tab[port] != nil
 	} else {
-		for _, b := range n.ports {
-			if b.port == port {
-				panic(fmt.Sprintf("netsim: node %d port %d already bound", n.ID, port))
-			}
-		}
+		bound = slices.ContainsFunc(n.ports, func(b portBinding) bool { return b.port == port })
+	}
+	if bound {
+		panic(fmt.Sprintf("netsim: node %d port %d already bound", n.ID, port))
 	}
 	n.ports = append(n.ports, portBinding{port: port, a: a})
 	n.portInsert(port, a)
@@ -183,12 +185,6 @@ func (n *Node) forward(p *Packet) {
 	n.route[p.Dst].Send(p)
 }
 
-const (
-	nodeChunkSize = 32
-	linkChunkSize = 64
-	ringBlockSize = 4096
-)
-
 // bfsHop is BuildRoutes scratch: a frontier node plus the first hop that
 // reached it.
 type bfsHop struct {
@@ -198,26 +194,25 @@ type bfsHop struct {
 
 // Network owns the topology, the packet pool, and the scheduler binding.
 //
-// All working memory — node and link structs, route tables, queue rings,
+// All working memory — node, link and queue structs, route tables,
 // packets, and route-computation scratch — is slab-allocated on the
 // Network, which itself lives in its scheduler's arena and survives
-// Release/New and Scheduler.Reset cycles, so sweep cells that build
-// thousands of short-lived networks stop paying setup allocations after
-// the first few.
+// Release/New and Scheduler.Reset cycles. The slabs hand the same slots
+// out in the same order every time, and a slot keeps what its last
+// tenant grew (a node's port table, a queue's ring), so storage is sized
+// by demand — a cold cell pays for what it uses — and sweep cells that
+// build thousands of short-lived networks stop paying setup allocations
+// once the first has grown.
 type Network struct {
 	sched      *sim.Scheduler
 	pool       Pool    //tfrc:keep packet chunk free lists are the slab being pooled
-	nodes      []*Node //tfrc:keep node headers live in nodeChunks; this index is recycled backing
+	nodes      []*Node //tfrc:keep node headers live in nodeSlab; this index is recycled backing
 	nominalPkt int     // mean packet size (bytes) for capacity-aware queues
 
-	nodeChunks [][]Node
-	nodesUsed  int
-	linkChunks [][]Link
-	linksUsed  int
-	dtChunks   [][]DropTail //tfrc:keep slab: queue structs are recycled in place across scenarios
-	dtUsed     int
-	redChunks  [][]RED //tfrc:keep slab: queue structs are recycled in place across scenarios
-	redUsed    int
+	nodeSlab sim.Slab[Node]
+	linkSlab sim.Slab[Link]
+	dtSlab   sim.Slab[DropTail] //tfrc:keep queue structs and their rings are recycled in place across scenarios
+	redSlab  sim.Slab[RED]      //tfrc:keep queue structs and their rings are recycled in place across scenarios
 
 	// nowFn is the clock closure handed to capacity-aware queues. It
 	// captures the (stable) Network rather than the current scheduler, so
@@ -225,10 +220,6 @@ type Network struct {
 	nowFn func() float64 //tfrc:keep built once per Network lifetime; captures only the Network itself
 
 	routeSlab []*Link // n*n next-hop table, partitioned per node
-
-	ringBlocks [][]*Packet //tfrc:keep arena for queue ring buffers; Release clears the pointees' slots
-	ringBlock  int
-	ringOff    int
 
 	visited []bool   //tfrc:keep BuildRoutes scratch, value-only backing
 	bfsQ    []bfsHop //tfrc:keep BuildRoutes scratch; truncated after every build
@@ -250,12 +241,10 @@ func New(sched *sim.Scheduler) *Network {
 	nw.sched = sched
 	nw.nominalPkt = 1000
 	nw.nodes = nw.nodes[:0]
-	nw.nodesUsed = 0
-	nw.linksUsed = 0
-	nw.dtUsed = 0
-	nw.redUsed = 0
-	nw.ringBlock = 0
-	nw.ringOff = 0
+	nw.nodeSlab.Reset()
+	nw.linkSlab.Reset()
+	nw.dtSlab.Reset()
+	nw.redSlab.Reset()
 	nw.partitioned = false
 	nw.routeDrops = 0
 	nw.pool.reset()
@@ -274,21 +263,19 @@ func New(sched *sim.Scheduler) *Network {
 // memory at the next Scheduler.Reset either way.
 func (nw *Network) Release() {
 	nw.sched = nil
-	for i := 0; i < nw.nodesUsed; i++ {
-		n := &nw.nodeChunks[i/nodeChunkSize][i%nodeChunkSize]
+	nw.nodeSlab.Each(func(n *Node) {
 		clear(n.ports[:cap(n.ports)])
 		n.ports = n.ports[:0]
 		clear(n.portTab[:cap(n.portTab)])
 		n.portTab = n.portTab[:0]
 		n.route = nil
-	}
-	for i := 0; i < nw.linksUsed; i++ {
-		l := &nw.linkChunks[i/linkChunkSize][i%linkChunkSize]
+	})
+	nw.linkSlab.Each(func(l *Link) {
 		clear(l.taps[:cap(l.taps)])
 		l.taps = l.taps[:0]
 		l.queue = nil
 		l.imp = nil
-	}
+	})
 	clear(nw.routeSlab)
 }
 
@@ -313,15 +300,10 @@ func (nw *Network) Now() float64 { return nw.sched.Now() }
 // Pool returns the shared packet pool.
 func (nw *Network) Pool() *Pool { return &nw.pool }
 
-// allocNode hands out the next node struct from the chunk slabs,
-// preserving any slice capacity a previous life of the struct grew.
+// allocNode hands out the next node struct from the slab, preserving
+// any slice capacity a previous life of the struct grew.
 func (nw *Network) allocNode() *Node {
-	ci, off := nw.nodesUsed/nodeChunkSize, nw.nodesUsed%nodeChunkSize
-	if ci == len(nw.nodeChunks) {
-		nw.nodeChunks = append(nw.nodeChunks, make([]Node, nodeChunkSize))
-	}
-	nw.nodesUsed++
-	n := &nw.nodeChunks[ci][off]
+	n := nw.nodeSlab.Get()
 	n.links = n.links[:0]
 	n.ports = n.ports[:0]
 	n.portTab = n.portTab[:0]
@@ -330,39 +312,11 @@ func (nw *Network) allocNode() *Node {
 	return n
 }
 
-// allocLink hands out the next link struct from the chunk slabs.
+// allocLink hands out the next link struct from the slab.
 func (nw *Network) allocLink() *Link {
-	ci, off := nw.linksUsed/linkChunkSize, nw.linksUsed%linkChunkSize
-	if ci == len(nw.linkChunks) {
-		nw.linkChunks = append(nw.linkChunks, make([]Link, linkChunkSize))
-	}
-	nw.linksUsed++
-	l := &nw.linkChunks[ci][off]
+	l := nw.linkSlab.Get()
 	*l = Link{taps: l.taps[:0]}
 	return l
-}
-
-// pktRing carves a packet ring buffer of exactly n slots out of the
-// network's arena blocks. Oversized requests fall back to a private
-// allocation.
-func (nw *Network) pktRing(n int) []*Packet {
-	if n > ringBlockSize {
-		return make([]*Packet, n)
-	}
-	if len(nw.ringBlocks) == 0 {
-		nw.ringBlocks = append(nw.ringBlocks, make([]*Packet, ringBlockSize))
-	}
-	if ringBlockSize-nw.ringOff < n {
-		nw.ringBlock++
-		nw.ringOff = 0
-		if nw.ringBlock == len(nw.ringBlocks) {
-			nw.ringBlocks = append(nw.ringBlocks, make([]*Packet, ringBlockSize))
-		}
-	}
-	s := nw.ringBlocks[nw.ringBlock][nw.ringOff : nw.ringOff+n : nw.ringOff+n]
-	nw.ringOff += n
-	clear(s)
-	return s
 }
 
 // NewNode adds a node to the topology.

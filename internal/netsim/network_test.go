@@ -404,3 +404,56 @@ func TestSparsePortsFallBackToScan(t *testing.T) {
 		t.Fatalf("scan fallback delivered sink=%dB far=%d, want 100B and 1", sink.bytes, far.n)
 	}
 }
+
+// TestAttachDoubleBindPanics covers the duplicate check in each of the
+// node's three binding modes, and that a port the dense table does not
+// reach binds without a panic: past the table's end nothing can be bound,
+// so Attach answers from the table alone instead of walking n.ports.
+func TestAttachDoubleBindPanics(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		bound  []int // bound first, in order (-2 detaches port 2)
+		dup    int   // then binding this again must panic
+		fresh  int   // and this must not
+		sparse bool  // mode the node must be in when dup is tried
+	}{
+		{"first binding", []int{4}, 4, 5, false},
+		{"dense, inside the table", []int{1, 2, 3, 40}, 2, 17, false},
+		{"dense, past the table's end", []int{1, 2, 3}, 3, 4, false},
+		{"dense, rebound after a detach", []int{1, 2, 3, -2, 2}, 2, 4, false},
+		{"sparse", []int{1, 5000, 2}, 5000, 3, true},
+		{"sparse by a negative port", []int{1, -7}, -7, -8, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nw := New(sim.NewScheduler())
+			n := nw.NewNode()
+			a := &portSink{nw: nw}
+			for _, port := range tc.bound {
+				if port == -2 {
+					n.Detach(2)
+					continue
+				}
+				n.Attach(port, a)
+			}
+			if n.portSparse != tc.sparse || (len(n.portTab) == 0) != tc.sparse {
+				t.Fatalf("node in the wrong mode: sparse=%v, table of %d", n.portSparse, len(n.portTab))
+			}
+			bindings := len(n.ports)
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("binding port %d twice did not panic", tc.dup)
+					}
+				}()
+				n.Attach(tc.dup, a)
+			}()
+			if len(n.ports) != bindings {
+				t.Fatal("the refused binding was recorded")
+			}
+			n.Attach(tc.fresh, a)
+			if len(n.ports) != bindings+1 {
+				t.Fatalf("port %d did not bind", tc.fresh)
+			}
+		})
+	}
+}

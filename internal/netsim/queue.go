@@ -15,7 +15,15 @@ type Queue interface {
 	Bytes() int
 }
 
-// fifo is the shared ring-buffer backing for the queue disciplines.
+// fifoMinRing is the slot count a ring starts with.
+const fifoMinRing = 8
+
+// fifo is the shared ring-buffer backing for the queue disciplines. The
+// ring is demand-sized: it starts at fifoMinRing slots and doubles when
+// full, so its length is always a power of two (indexed by mask) and,
+// because the disciplines refuse arrivals at their packet limit, never
+// exceeds the next power of two at or above that limit. A queue that
+// never backs up never pays for its limit.
 type fifo struct {
 	buf   []*Packet
 	head  int
@@ -23,26 +31,34 @@ type fifo struct {
 	bytes int
 }
 
-func newFIFO(capHint int) fifo {
-	if capHint < 8 {
-		capHint = 8
-	}
-	return fifo{buf: make([]*Packet, capHint)}
+// recycled returns an empty fifo on f's ring, cleared — how a queue slot
+// keeps the ring it grew across Network.New.
+func (f *fifo) recycled() fifo {
+	clear(f.buf)
+	return fifo{buf: f.buf}
 }
 
 //tfrc:hotpath
 func (f *fifo) push(p *Packet) {
 	if f.n == len(f.buf) {
-		grown := make([]*Packet, 2*len(f.buf)) //tfrclint:allow hotpathalloc amortized ring growth
-		for i := 0; i < f.n; i++ {
-			grown[i] = f.buf[(f.head+i)%len(f.buf)]
-		}
-		f.buf = grown
-		f.head = 0
+		f.grow()
 	}
-	f.buf[(f.head+f.n)%len(f.buf)] = p
+	f.buf[(f.head+f.n)&(len(f.buf)-1)] = p
 	f.n++
 	f.bytes += p.Size
+}
+
+// grow doubles the ring, unwrapping its contents to the front. It is the
+// cold half of push, kept out of line so the allocation has one site
+// however the disciplines' wrappers are inlined.
+//
+//go:noinline
+func (f *fifo) grow() {
+	grown := make([]*Packet, max(2*len(f.buf), fifoMinRing))
+	n := copy(grown, f.buf[f.head:])
+	copy(grown[n:], f.buf[:f.head])
+	f.buf = grown
+	f.head = 0
 }
 
 //tfrc:hotpath
@@ -52,7 +68,7 @@ func (f *fifo) pop() *Packet {
 	}
 	p := f.buf[f.head]
 	f.buf[f.head] = nil
-	f.head = (f.head + 1) % len(f.buf)
+	f.head = (f.head + 1) & (len(f.buf) - 1)
 	f.n--
 	f.bytes -= p.Size
 	return p
@@ -70,27 +86,19 @@ func NewDropTail(limit int) *DropTail {
 	if limit < 1 {
 		panic("netsim: DropTail limit must be ≥ 1")
 	}
-	return &DropTail{fifo: newFIFO(limit), limit: limit}
+	return &DropTail{limit: limit}
 }
 
 // newDropTail is the arena-backed variant used by the topology layer:
-// the struct comes from the network's chunk slabs and the ring buffer
-// from its packet-pointer arena, both recycled across Release/New.
+// the struct comes from the network's queue slab and keeps the ring a
+// previous life of the slot grew, so a recycled network's queues are
+// already as large as the last scenario needed.
 func (nw *Network) newDropTail(limit int) *DropTail {
 	if limit < 1 {
 		panic("netsim: DropTail limit must be ≥ 1")
 	}
-	ci, off := nw.dtUsed/linkChunkSize, nw.dtUsed%linkChunkSize
-	if ci == len(nw.dtChunks) {
-		nw.dtChunks = append(nw.dtChunks, make([]DropTail, linkChunkSize))
-	}
-	nw.dtUsed++
-	q := &nw.dtChunks[ci][off]
-	n := limit
-	if n < 8 {
-		n = 8
-	}
-	*q = DropTail{fifo: fifo{buf: nw.pktRing(n)}, limit: limit}
+	q := nw.dtSlab.Get()
+	*q = DropTail{fifo: q.recycled(), limit: limit}
 	return q
 }
 

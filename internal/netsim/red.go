@@ -74,38 +74,21 @@ func validateRED(cfg REDConfig) {
 	}
 }
 
-// newREDNoBuf validates cfg and builds a RED queue without its ring
-// buffer; the caller supplies one.
-func newREDNoBuf(cfg REDConfig, now func() float64, rng *sim.Rand) *RED {
+// NewRED returns a RED queue. now supplies the current simulated time and
+// rng drives the early-drop coin flips.
+func NewRED(cfg REDConfig, now func() float64, rng *sim.Rand) *RED {
 	validateRED(cfg)
 	return &RED{cfg: cfg, rng: rng, now: now, idle: true}
 }
 
-// NewRED returns a RED queue. now supplies the current simulated time and
-// rng drives the early-drop coin flips.
-func NewRED(cfg REDConfig, now func() float64, rng *sim.Rand) *RED {
-	q := newREDNoBuf(cfg, now, rng)
-	q.fifo = newFIFO(cfg.Limit)
-	return q
-}
-
 // newRED is the arena-backed variant used by the topology layer: the
-// struct comes from the network's chunk slabs, the ring buffer from its
-// packet-pointer arena, and the clock closure is the network's shared
-// one — all recycled across Release/New.
+// struct comes from the network's queue slab and keeps the ring a
+// previous life of the slot grew, and the clock closure is the
+// network's shared one — all recycled across Release/New.
 func (nw *Network) newRED(cfg REDConfig, rng *sim.Rand) *RED {
 	validateRED(cfg)
-	ci, off := nw.redUsed/linkChunkSize, nw.redUsed%linkChunkSize
-	if ci == len(nw.redChunks) {
-		nw.redChunks = append(nw.redChunks, make([]RED, linkChunkSize))
-	}
-	nw.redUsed++
-	q := &nw.redChunks[ci][off]
-	n := cfg.Limit
-	if n < 8 {
-		n = 8
-	}
-	*q = RED{cfg: cfg, rng: rng, now: nw.nowFn, idle: true, fifo: fifo{buf: nw.pktRing(n)}}
+	q := nw.redSlab.Get()
+	*q = RED{cfg: cfg, rng: rng, now: nw.nowFn, idle: true, fifo: q.recycled()}
 	return q
 }
 

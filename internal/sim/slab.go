@@ -1,0 +1,76 @@
+package sim
+
+// Slab chunk sizes: the first chunk holds slabFirstChunk values and each
+// later one twice the last, up to slabMaxChunk. A cold scenario with a
+// dozen agents pays for 24 slots, a million-agent one for ~4k chunk
+// headers instead of a million pointer-chased allocations.
+const (
+	slabFirstChunk = 8
+	slabMaxChunk   = 256
+)
+
+// Slab is a chunked value pool: the one allocator behind every
+// scheduler-attached arena. Chunks are never relocated, so the address
+// of a handed-out value stays valid for the slab's lifetime — which is
+// what lets agents, controllers, nodes, links and queues live as values
+// in slabs instead of as individually heap-allocated structs. Get hands
+// out free-list returns first, then bumps through the chunks; Reset
+// makes everything available again in the original order, so a slot's
+// grown backing (a scoreboard, a queue ring) meets the same tenant in the
+// next cell. Values come back as their last user left them: the caller
+// resets what it needs and keeps the capacity it wants.
+type Slab[T any] struct {
+	chunks [][]T //tfrc:keep value chunks; addresses into them are stable across reuse
+	ci     int   // chunk the bump pointer is in
+	off    int   // next unissued slot of chunks[ci]
+	free   []*T  //tfrc:keep recycled free-list backing
+}
+
+// Get returns a slot: the most recent Put if any, else the next unissued
+// one, growing the slab by one chunk when all are issued.
+func (s *Slab[T]) Get() *T {
+	if n := len(s.free); n > 0 {
+		x := s.free[n-1]
+		s.free = s.free[:n-1]
+		return x
+	}
+	if s.ci < len(s.chunks) && s.off == len(s.chunks[s.ci]) {
+		s.ci++
+		s.off = 0
+	}
+	if s.ci == len(s.chunks) {
+		n := slabFirstChunk
+		if s.ci > 0 {
+			n = min(2*len(s.chunks[s.ci-1]), slabMaxChunk)
+		}
+		s.chunks = append(s.chunks, make([]T, n))
+	}
+	x := &s.chunks[s.ci][s.off]
+	s.off++
+	return x
+}
+
+// Put hands a slot back for reuse by a later Get, ahead of the bump
+// pointer. The caller must not use it afterwards.
+func (s *Slab[T]) Put(x *T) { s.free = append(s.free, x) }
+
+// Reset makes every slot available again: Get then hands out the same
+// addresses in the same order as after construction.
+func (s *Slab[T]) Reset() {
+	s.ci, s.off = 0, 0
+	s.free = s.free[:0]
+}
+
+// Each calls f on every slot the bump pointer has issued since the last
+// Reset, in issue order, including slots since handed back with Put.
+func (s *Slab[T]) Each(f func(*T)) {
+	for ci := 0; ci <= s.ci && ci < len(s.chunks); ci++ {
+		c := s.chunks[ci]
+		if ci == s.ci {
+			c = c[:s.off]
+		}
+		for i := range c {
+			f(&c[i])
+		}
+	}
+}

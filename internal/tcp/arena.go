@@ -4,65 +4,22 @@ import "tfrc/internal/sim"
 
 var tcpArenaID = sim.NewArenaID()
 
-// agentChunk is how many agents one value slab holds. Chunks are never
-// relocated, so &chunk[i] addresses stay stable for a scheduler's whole
-// lifetime — the property that lets agents be values in slabs instead of
-// individually heap-allocated structs. At a million agents this is ~4k
-// chunk headers instead of a million pointer-chased allocations.
-const agentChunk = 256
-
-// agentArena is the scheduler-attached pool of TCP agents, stored as
-// chunked value slabs. Long-lived senders and sinks are reclaimed
-// wholesale at the next Scheduler.Reset via the bump pointer; short-lived
-// ones (mice sessions) can be handed back mid-scenario via Release, so a
-// 5000-second cell with thousands of web-mouse transfers churns a bounded
-// set of slots instead of growing without limit.
+// agentArena is the scheduler-attached pool of TCP agents. Long-lived
+// senders and sinks are reclaimed wholesale at the next Scheduler.Reset;
+// short-lived ones (mice sessions) can be handed back mid-scenario via
+// Release, so a 5000-second cell with thousands of web-mouse transfers
+// churns a bounded set of slots instead of growing without limit.
 type agentArena struct {
-	sndChunks  [][]Sender // value slabs; addresses into them are stable
-	sndUsed    int        // bump pointer across sndChunks
-	freeSnd    []*Sender  // mid-scenario returns, popped before bumping
-	sinkChunks [][]Sink
-	sinkUsed   int
-	freeSink   []*Sink
+	senders sim.Slab[Sender]
+	sinks   sim.Slab[Sink]
 }
 
-// ResetArena implements sim.Arena: everything ever handed out becomes
-// available again by rewinding the bump pointers.
+// ResetArena implements sim.Arena.
 func (a *agentArena) ResetArena() {
-	a.sndUsed = 0
-	a.freeSnd = a.freeSnd[:0]
-	a.sinkUsed = 0
-	a.freeSink = a.freeSink[:0]
+	a.senders.Reset()
+	a.sinks.Reset()
 }
 
 func arenaOf(s *sim.Scheduler) *agentArena {
 	return s.Arena(tcpArenaID, func() sim.Arena { return &agentArena{} }).(*agentArena)
-}
-
-func (a *agentArena) sender() *Sender {
-	if n := len(a.freeSnd); n > 0 {
-		s := a.freeSnd[n-1]
-		a.freeSnd = a.freeSnd[:n-1]
-		return s
-	}
-	ci, off := a.sndUsed/agentChunk, a.sndUsed%agentChunk
-	if ci == len(a.sndChunks) {
-		a.sndChunks = append(a.sndChunks, make([]Sender, agentChunk))
-	}
-	a.sndUsed++
-	return &a.sndChunks[ci][off]
-}
-
-func (a *agentArena) sink() *Sink {
-	if n := len(a.freeSink); n > 0 {
-		s := a.freeSink[n-1]
-		a.freeSink = a.freeSink[:n-1]
-		return s
-	}
-	ci, off := a.sinkUsed/agentChunk, a.sinkUsed%agentChunk
-	if ci == len(a.sinkChunks) {
-		a.sinkChunks = append(a.sinkChunks, make([]Sink, agentChunk))
-	}
-	a.sinkUsed++
-	return &a.sinkChunks[ci][off]
 }

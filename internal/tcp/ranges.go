@@ -31,6 +31,11 @@ func (s *rangeSet) searchEndAtLeast(v int64) int {
 	return lo
 }
 
+// minRanges is the capacity a set's first growth reaches: a flow that
+// sees one hole pays one 128-byte allocation, not append-from-nil's
+// three, and a flow that sees none pays nothing.
+const minRanges = 8
+
 // add inserts [start, end), merging overlapping and adjacent ranges.
 // The merge is done in place: the backing array is reused, so
 // steady-state adds on the ACK path allocate nothing.
@@ -51,6 +56,9 @@ func (s *rangeSet) add(start, end int64) {
 	}
 	if i == j {
 		// Pure insertion: shift the tail up one slot.
+		if cap(s.r) == 0 {
+			s.r = make([]srange, 0, minRanges)
+		}
 		s.r = append(s.r, srange{})
 		copy(s.r[i+1:], s.r[i:])
 		s.r[i] = srange{start, end}

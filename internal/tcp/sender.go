@@ -66,21 +66,16 @@ type Sender struct {
 
 // NewSender creates a sender on node, addressing the sink at dst:dstPort.
 // ACKs must be routed back to srcPort on node (Attach does this). flow
-// tags all packets for monitors. The sender struct — including its SACK
-// scoreboard backing — is drawn from the scheduler's agent arena, so
-// sweep cells and short-session generators construct senders without
-// touching the allocator once the arena is warm.
+// tags all packets for monitors. The sender struct is drawn from the
+// scheduler's agent arena. Its SACK scoreboard starts empty and is
+// allocated by the first hole the sender sees; whatever it grows to
+// stays with the arena slot, so sweep cells and short-session
+// generators construct senders without touching the allocator once the
+// arena is warm.
 func NewSender(nw *netsim.Network, node *netsim.Node, dst netsim.NodeID, dstPort, srcPort, flow int, cfg Config) *Sender {
 	cfg.fill()
-	s := arenaOf(nw.Scheduler()).sender()
+	s := arenaOf(nw.Scheduler()).senders.Get()
 	sacked, rtxed := s.sacked.r[:0], s.rtxed.r[:0]
-	if cap(sacked) == 0 || cap(rtxed) == 0 {
-		// One backing array serves both scoreboards; either set regrows
-		// privately in the rare case it outgrows its half.
-		buf := make([]srange, 2*256)
-		sacked = buf[0:0:256]
-		rtxed = buf[256:256:512]
-	}
 	*s = Sender{
 		cfg:     cfg,
 		net:     nw,
@@ -124,8 +119,7 @@ func (s *Sender) Release() {
 		s.ctrl.Release()
 		s.ctrl = nil
 	}
-	a := arenaOf(s.net.Scheduler())
-	a.freeSnd = append(a.freeSnd, s)
+	arenaOf(s.net.Scheduler()).senders.Put(s)
 }
 
 // senderTimeoutFn and senderStartFn are shared scheduler callbacks (the

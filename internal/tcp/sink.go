@@ -24,17 +24,15 @@ type Sink struct {
 
 // NewSink attaches a sink to node:port. ACKs carry the given flow id (the
 // data flow's id, so monitors can pair them). Like senders, sinks are
-// drawn from the scheduler's agent arena and keep their received-range
-// backing across reuse.
+// drawn from the scheduler's agent arena; the received-range set is
+// allocated by the first out-of-order arrival and its backing stays with
+// the arena slot across reuse.
 func NewSink(nw *netsim.Network, node *netsim.Node, port, flow, ackSize int) *Sink {
 	if ackSize == 0 {
 		ackSize = 40
 	}
-	s := arenaOf(nw.Scheduler()).sink()
+	s := arenaOf(nw.Scheduler()).sinks.Get()
 	received := s.received.r[:0]
-	if cap(received) == 0 {
-		received = make([]srange, 0, 256)
-	}
 	*s = Sink{net: nw, node: node, ackSize: ackSize, flow: flow}
 	s.received.r = received
 	node.Attach(port, s)
@@ -49,8 +47,7 @@ func (s *Sink) Release() {
 		return
 	}
 	s.released = true
-	a := arenaOf(s.net.Scheduler())
-	a.freeSink = append(a.freeSink, s)
+	arenaOf(s.net.Scheduler()).sinks.Put(s)
 }
 
 // CumAck returns the current cumulative acknowledgment (next expected

@@ -326,3 +326,81 @@ func TestSenderCountersString(t *testing.T) {
 		t.Fatalf("unknown variant: %s", got)
 	}
 }
+
+// rangePeak passes data on to a sink and records the most ranges the
+// sink's received set ever held.
+type rangePeak struct {
+	sink *Sink
+	peak int
+}
+
+func (c *rangePeak) Recv(p *netsim.Packet) {
+	c.sink.Recv(p)
+	c.peak = max(c.peak, len(c.sink.received.r))
+}
+
+// TestScoreboardGrowsPastOldFixedHalf drives a SACK pair through 300
+// simultaneous holes — more than the 256 ranges each scoreboard used to
+// be born with — and requires nothing to be lost on the way: every range
+// is kept, the transfer recovers fully, and every sequence number is
+// delivered in order exactly once. The grown scoreboards then stay with
+// their arena slots.
+func TestScoreboardGrowsPastOldFixedHalf(t *testing.T) {
+	const (
+		limit = 6000
+		first = 2001 // odd sequence numbers from here are dropped once
+		holes = 300
+	)
+	sched := sim.NewScheduler()
+	nw := netsim.New(sched)
+	a, b := nw.NewNode(), nw.NewNode()
+	nw.Connect(a, b, 8e6, 0.010, func() netsim.Queue { return netsim.NewDropTail(10000) })
+	nw.BuildRoutes()
+	drop := map[int64]bool{}
+	for i := int64(0); i < holes; i++ {
+		drop[first+2*i] = true
+	}
+	snk := NewSink(nw, b, 9, 1, 40) // a slab sink; data reaches it through the filter on port 1
+	count := &rangePeak{sink: snk}
+	b.Attach(1, &filter{nw: nw, next: count, drop: drop})
+	snd := NewSenderLimited(nw, a, b.ID, 1, 2, 1, Config{Variant: Sack}, limit)
+	if cap(snd.sacked.r) != 0 || cap(snd.rtxed.r) != 0 || cap(snk.received.r) != 0 {
+		t.Fatal("fresh agents already own scoreboard storage")
+	}
+	done := false
+	snd.OnComplete = func() { done = true }
+	snd.Start(0)
+	sched.RunUntil(60)
+
+	if !done || snk.Delivered != limit || snk.CumAck() != limit {
+		t.Fatalf("transfer incomplete: done=%v delivered=%d cumack=%d, want %d", done, snk.Delivered, snk.CumAck(), limit)
+	}
+	if count.peak < holes {
+		t.Fatalf("sink held at most %d ranges, want ≥ %d simultaneous holes", count.peak, holes)
+	}
+	// rtxed is bounded by the recovery's pipe, not by the hole count, and
+	// stays small; the other two must have outgrown the old fixed 256.
+	if cap(snd.sacked.r) <= 256 || cap(snk.received.r) <= 256 || cap(snd.rtxed.r) == 0 {
+		t.Fatalf("scoreboards did not grow with the holes: sacked %d, rtxed %d, received %d",
+			cap(snd.sacked.r), cap(snd.rtxed.r), cap(snk.received.r))
+	}
+
+	// A recycled slot starts logically empty but keeps what it grew.
+	sackedCap, rtxedCap, receivedCap := cap(snd.sacked.r), cap(snd.rtxed.r), cap(snk.received.r)
+	snd.sacked.add(1, 2) // leftovers a new tenant must not see
+	b.Detach(9)
+	snd.Release()
+	snk.Release()
+	snd2 := NewSender(nw, a, b.ID, 1, 2, 2, Config{Variant: Sack})
+	snk2 := NewSink(nw, b, 9, 2, 40)
+	if snd2 != snd || snk2 != snk {
+		t.Fatal("released agents were not the next ones handed out")
+	}
+	if len(snd2.sacked.r)+len(snd2.rtxed.r)+len(snk2.received.r) != 0 {
+		t.Fatal("recycled agents inherited scoreboard contents")
+	}
+	if cap(snd2.sacked.r) != sackedCap || cap(snd2.rtxed.r) != rtxedCap || cap(snk2.received.r) != receivedCap {
+		t.Fatalf("recycled agents lost their grown scoreboards: %d/%d/%d, want %d/%d/%d",
+			cap(snd2.sacked.r), cap(snd2.rtxed.r), cap(snk2.received.r), sackedCap, rtxedCap, receivedCap)
+	}
+}

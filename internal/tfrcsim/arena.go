@@ -4,47 +4,21 @@ import "tfrc/internal/sim"
 
 var tfrcArenaID = sim.NewArenaID()
 
-// agentChunk is how many agents one value slab holds. Chunks are never
-// relocated, so &chunk[i] addresses stay stable for a scheduler's whole
-// lifetime — agents live as values in slabs rather than as a million
-// individually heap-allocated structs the collector must trace.
-const agentChunk = 256
-
-// agentArena pools TFRC agents per scheduler as chunked value slabs.
-// Agents live for a whole scenario, so there is no mid-cell free list:
-// ResetArena rewinds the bump pointers when the scheduler is recycled for
-// the next sweep cell, and the slabs are reused in place.
+// agentArena pools TFRC agents per scheduler. Agents live for a whole
+// scenario, so nothing is handed back mid-cell: ResetArena rewinds the
+// slabs when the scheduler is recycled for the next sweep cell, and the
+// agents are reused in place.
 type agentArena struct {
-	sndChunks [][]Sender // value slabs; addresses into them are stable
-	sndUsed   int        // bump pointer across sndChunks
-	rcvChunks [][]Receiver
-	rcvUsed   int
+	senders   sim.Slab[Sender]
+	receivers sim.Slab[Receiver]
 }
 
 // ResetArena implements sim.Arena.
 func (a *agentArena) ResetArena() {
-	a.sndUsed = 0
-	a.rcvUsed = 0
+	a.senders.Reset()
+	a.receivers.Reset()
 }
 
 func arenaOf(s *sim.Scheduler) *agentArena {
 	return s.Arena(tfrcArenaID, func() sim.Arena { return &agentArena{} }).(*agentArena)
-}
-
-func (a *agentArena) sender() *Sender {
-	ci, off := a.sndUsed/agentChunk, a.sndUsed%agentChunk
-	if ci == len(a.sndChunks) {
-		a.sndChunks = append(a.sndChunks, make([]Sender, agentChunk))
-	}
-	a.sndUsed++
-	return &a.sndChunks[ci][off]
-}
-
-func (a *agentArena) receiver() *Receiver {
-	ci, off := a.rcvUsed/agentChunk, a.rcvUsed%agentChunk
-	if ci == len(a.rcvChunks) {
-		a.rcvChunks = append(a.rcvChunks, make([]Receiver, agentChunk))
-	}
-	a.rcvUsed++
-	return &a.rcvChunks[ci][off]
 }

@@ -90,7 +90,7 @@ func NewSender(nw *netsim.Network, node *netsim.Node, dst netsim.NodeID, dstPort
 	if cfg.FeedbackEvery == 0 {
 		cfg.FeedbackEvery = 1
 	}
-	s := arenaOf(nw.Scheduler()).sender()
+	s := arenaOf(nw.Scheduler()).senders.Get()
 	*s = Sender{
 		cfg:  cfg,
 		net:  nw,
@@ -260,7 +260,7 @@ func NewReceiver(nw *netsim.Network, node *netsim.Node, port, flow int, cfg Conf
 	if pktSize == 0 {
 		pktSize = 1000
 	}
-	r := arenaOf(nw.Scheduler()).receiver()
+	r := arenaOf(nw.Scheduler()).receivers.Get()
 	// Preserve the embedded state machine across the wholesale reset so
 	// its Init can reuse the loss-interval buffers it already owns.
 	saved := r.core
