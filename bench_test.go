@@ -414,8 +414,8 @@ func BenchmarkReceiverOnData(b *testing.B) {
 func BenchmarkSimulatorPacketsPerSecond(b *testing.B) {
 	// End-to-end simulator cost: one 10-second 8-flow scenario per
 	// iteration; the metric is delivered bottleneck data packets (a
-	// deterministic count) per real second. `tfrcsim -bench` snapshots
-	// the same workload into BENCH_<n>.json for the CI regression gate.
+	// deterministic count) per real second. `go run ./benchmark` gates
+	// the same cell as its dumbbell8 workload.
 	var pkts float64
 	for i := 0; i < b.N; i++ {
 		r := exp.RunScenario(exp.Scenario{
@@ -442,8 +442,8 @@ func BenchmarkSimulatorPacketsPerSecond(b *testing.B) {
 // Figure 6-shaped grid of short scenarios executed on the worker-pinned
 // runner at realistic parallelism. The metric is grid cells completed
 // per wall-clock second — the quantity that decides how long PaperFig11
-// takes. `tfrcsim -bench` snapshots the same workload (plus per-cell
-// setup allocations) into BENCH_<n>.json for the CI regression gate.
+// takes. `go run ./benchmark` gates a grid of this shape (and its
+// per-cell allocations) as the sweepgrid workload.
 func BenchmarkSweepCellsPerSecond(b *testing.B) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > 4 {
@@ -474,12 +474,12 @@ func BenchmarkSweepCellsPerSecond(b *testing.B) {
 // — chunked agent slabs, struct-of-arrays monitors, the coarse timer
 // wheel, dense port tables, and the calendar event queue — at the 10k
 // rung of the manyflows ladder. The metric is bottleneck-delivered
-// packets per wall-clock second; `tfrcsim -bench` snapshots the full
-// 1k/10k/100k curve into BENCH_<n>.json for the CI regression gate, and
-// CI captures cpu/mem profiles of this benchmark as artifacts.
+// packets per wall-clock second; `go run ./benchmark` reports the same
+// rung off-contract as manyflows10k (-flows runs the 1k and 100k ones),
+// and CI captures cpu/mem profiles of this benchmark as artifacts.
 func BenchmarkManyFlowsPacketsPerSecond(b *testing.B) {
 	pr := exp.DefaultManyFlows()
-	// Short window, as in the bench harness: throughput needs no settling.
+	// Short window, as in manyflows10k: throughput needs no settling.
 	pr.Duration, pr.Warmup = 5, 2
 	var pkts float64
 	for i := 0; i < b.N; i++ {

@@ -28,10 +28,8 @@
 // shards still produces a well-formed partial envelope (complete:
 // false, missing ranges enumerated) and exits with code 3.
 //
-// The historical flag spellings keep working: -fig 6 is run fig6,
-// -exp parkinglot is run parkinglot, -paper is -preset paper, and
-// -list is list. Experiment names resolve through registry aliases, so
-// run 10 and run fig10 both reach fig9 (which includes Figure 10).
+// Experiment names resolve through registry aliases, so run 10 and
+// run fig10 both reach fig9 (which includes Figure 10).
 //
 // Sweep-shaped experiments execute their independent cells on a worker
 // pool; -parallel defaults to the number of CPUs and results are
@@ -47,14 +45,13 @@
 // tables.
 //
 //	tfrcsim run fig6 -cpuprofile cpu.out -memprofile mem.out  # pprof a run
-//	tfrcsim -bench -bench-name PR3             # write BENCH_PR3.json
-//	tfrcsim -bench -bench-compare bench/BENCH_3.json  # CI regression gate
+//
+// Performance is measured by the repo's benchmark, not by this command:
+// go run ./benchmark (and its compare subcommand).
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -67,81 +64,95 @@ import (
 	"syscall"
 
 	"tfrc/experiment"
-	"tfrc/internal/bench"
 )
 
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(os.Args[1:])) }
 
-// run holds the real main body and reports the process exit code, so
-// deferred profile writers always flush before the process exits.
-func run() int {
-	fig := flag.Int("fig", 0, "figure number to reproduce (2-21); same as: run fig<N>")
-	expName := flag.String("exp", "", "experiment name; same as: run <name>")
-	paper := flag.Bool("paper", false, "use the paper's full-scale parameters; same as -preset paper")
-	preset := flag.String("preset", "", "named parameter preset (\"default\", \"paper\")")
-	paramsFile := flag.String("params", "", "JSON parameter file overlaid on the preset's defaults")
-	format := flag.String("format", "table", "output format: table | json")
-	seed := flag.Int64("seed", 1, "random seed")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
-		"worker count for sweep cells (1 = sequential; results are identical either way)")
-	seeds := flag.Int("seeds", 1,
-		"seeds per cell for experiments supporting multi-seed replication: >1 reports mean ± 90% CI")
-	list := flag.Bool("list", false, "list experiments and exit")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memprofile := flag.String("memprofile", "", "write an allocation profile of the run to this file")
-	runBench := flag.Bool("bench", false,
-		"run the perf measurement suite and write a BENCH_<name>.json snapshot instead of an experiment")
-	benchName := flag.String("bench-name", "local", "label stored in the bench snapshot")
-	benchOut := flag.String("bench-out", "", "bench snapshot path (default BENCH_<name>.json)")
-	benchCompare := flag.String("bench-compare", "",
-		"compare the fresh bench snapshot against this committed baseline and exit non-zero on regression")
-	benchTolerance := flag.Float64("bench-tolerance", 0.15,
-		"allowed fractional regression for -bench-compare (0.15 = 15%)")
-
-	// Subcommand forms: "tfrcsim run <name> [flags]" and "tfrcsim list".
-	// A bare leading word is taken as an experiment name directly.
-	args := os.Args[1:]
-	runName := ""
-	listCmd := false
-	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
+// run dispatches the subcommand and reports the process exit code.
+func run(args []string) int {
+	if len(args) > 0 {
 		switch args[0] {
 		case "run":
-			if len(args) < 2 || strings.HasPrefix(args[1], "-") {
-				fmt.Fprintln(os.Stderr, "tfrcsim: run needs an experiment name (try: tfrcsim list)")
-				return 2
-			}
-			runName, args = args[1], args[2:]
+			return runCmd(args[1:])
 		case "list":
-			listCmd, args = true, args[1:]
+			printList(os.Stdout)
+			return exitOK
 		case "shard":
 			return shardCmd(args[1:])
 		case "merge":
 			return mergeCmd(args[1:])
-		default:
-			runName, args = args[0], args[1:]
 		}
 	}
-	flag.CommandLine.Parse(args)
-	if rest := flag.CommandLine.Args(); len(rest) > 0 {
-		fmt.Fprintf(os.Stderr, "tfrcsim: unexpected arguments %q (one experiment per run)\n", rest)
-		return 2
+	fmt.Fprintf(os.Stderr, "tfrcsim: want a command: run <name> | list | shard run|exec <name> | merge <files>%s\n", removedSpelling(args))
+	return exitUsage
+}
+
+// removedSpelling recognizes a command line in one of the forms dropped
+// for "run <name>" (-fig N, -exp name, a bare experiment name, -paper,
+// -list, -bench*) and names what to type now.
+func removedSpelling(args []string) string {
+	if len(args) == 0 {
+		return ""
+	}
+	flagName, val, _ := strings.Cut(strings.TrimLeft(args[0], "-"), "=")
+	if val == "" && len(args) > 1 {
+		val = args[1]
+	}
+	switch {
+	case !strings.HasPrefix(args[0], "-"):
+		return "; for an experiment: tfrcsim run " + args[0]
+	case flagName == "fig":
+		return "; -fig is now: tfrcsim run fig" + val
+	case flagName == "exp":
+		return "; -exp is now: tfrcsim run " + val
+	case flagName == "paper":
+		return "; -paper is now: tfrcsim run <name> -preset paper"
+	case flagName == "list":
+		return "; -list is now: tfrcsim list"
+	case strings.HasPrefix(flagName, "bench"):
+		return "; the perf harness is now: go run ./benchmark"
+	}
+	return ""
+}
+
+// runCmd executes one experiment and writes its table or JSON record:
+// tfrcsim run fig6 -preset paper -format json.
+func runCmd(args []string) int {
+	fs := flag.NewFlagSet("run", flag.ContinueOnError)
+	preset := fs.String("preset", "", "named parameter preset (\"default\", \"paper\")")
+	paramsFile := fs.String("params", "", "JSON parameter file overlaid on the preset's defaults")
+	format := fs.String("format", "table", "output format: table | json")
+	seed := fs.Int64("seed", 1, "random seed")
+	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0),
+		"worker count for sweep cells (1 = sequential; results are identical either way)")
+	seeds := fs.Int("seeds", 1,
+		"seeds per cell for experiments supporting multi-seed replication: >1 reports mean ± 90% CI")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memprofile := fs.String("memprofile", "", "write an allocation profile of the run to this file")
+
+	name, ok := popExperimentName(fs, "run", args)
+	if !ok {
+		return exitUsage
 	}
 	if *format != "table" && *format != "json" {
 		fmt.Fprintf(os.Stderr, "tfrcsim: unknown -format %q (want table or json)\n", *format)
-		return 2
+		return exitUsage
 	}
-
+	d, p, code := resolveExperiment(fs, name, *preset, *paramsFile, seed, seeds)
+	if code != exitOK {
+		return code
+	}
 	experiment.SetParallelism(*parallel)
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "tfrcsim: %v\n", err)
-			return 1
+			return exitRuntime
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
 			fmt.Fprintf(os.Stderr, "tfrcsim: %v\n", err)
-			return 1
+			return exitRuntime
 		}
 		defer func() {
 			pprof.StopCPUProfile()
@@ -163,136 +174,6 @@ func run() int {
 		}()
 	}
 
-	if *runBench {
-		rep := bench.Run(*benchName)
-		out := *benchOut
-		if out == "" {
-			out = "BENCH_" + *benchName + ".json"
-		}
-		if err := rep.Write(out); err != nil {
-			fmt.Fprintf(os.Stderr, "tfrcsim: writing bench snapshot: %v\n", err)
-			return 1
-		}
-		fmt.Printf("bench: %.0f pkts/sec, %.0f allocs/op, %.2fM scheduler events/sec, %.1f setup allocs/cell, %.1f cells/sec (%d workers) -> %s\n",
-			rep.Scenario.PktsPerSec, rep.Scenario.AllocsPerOp,
-			rep.Scheduler.EventsPerSec/1e6, rep.Sweep.CellSetupAllocs,
-			rep.Sweep.CellsPerSec, rep.Sweep.Workers, out)
-		if *benchCompare != "" {
-			base, err := bench.Load(*benchCompare)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "tfrcsim: %v\n", err)
-				return 1
-			}
-			if err := bench.Compare(rep, base, *benchTolerance); err != nil {
-				fmt.Fprintf(os.Stderr, "tfrcsim: %v\n", err)
-				return 1
-			}
-			fmt.Printf("bench: within %.0f%% of baseline %s (%s)\n",
-				*benchTolerance*100, base.Name, *benchCompare)
-		}
-		return 0
-	}
-
-	if *list || listCmd {
-		printList(os.Stdout)
-		return 0
-	}
-
-	// Exactly one way of naming the experiment: run <name>, -fig, or -exp.
-	name := runName
-	sources := 0
-	for _, set := range []bool{runName != "", *fig != 0, *expName != ""} {
-		if set {
-			sources++
-		}
-	}
-	if sources > 1 {
-		fmt.Fprintln(os.Stderr, "tfrcsim: pass only one of: run <name>, -fig, -exp")
-		return 2
-	}
-	if *fig != 0 {
-		name = fmt.Sprintf("fig%d", *fig)
-	}
-	if *expName != "" {
-		name = *expName
-	}
-	if name == "" {
-		fmt.Fprintln(os.Stderr, "tfrcsim: pass run <name> (try: tfrcsim list), -fig 2..21, or -exp <name>")
-		return 2
-	}
-
-	d, err := experiment.Get(name)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tfrcsim: %v\n", err)
-		return 2
-	}
-
-	// Resolve the preset. -paper is legacy shorthand for -preset paper,
-	// and — as the old per-figure switch did — silently means "default"
-	// for experiments that have no paper-scale setup (with a warning).
-	presetName := *preset
-	if *paper {
-		if presetName != "" && presetName != "paper" {
-			fmt.Fprintln(os.Stderr, "tfrcsim: -paper conflicts with -preset")
-			return 2
-		}
-		if _, ok := d.Presets["paper"]; !ok {
-			fmt.Fprintf(os.Stderr, "tfrcsim: %s has no paper-scale preset; using defaults\n", d.Name)
-		} else {
-			presetName = "paper"
-		}
-	}
-	p, err := d.PresetParams(presetName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tfrcsim: %v\n", err)
-		return 2
-	}
-
-	if *paramsFile != "" {
-		data, err := os.ReadFile(*paramsFile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tfrcsim: %v\n", err)
-			return 1
-		}
-		dec := json.NewDecoder(bytes.NewReader(data))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(p); err != nil {
-			fmt.Fprintf(os.Stderr, "tfrcsim: parsing %s for %s: %v\n", *paramsFile, d.Name, err)
-			return 1
-		}
-		if dec.More() {
-			fmt.Fprintf(os.Stderr, "tfrcsim: %s: trailing data after the parameter object\n", *paramsFile)
-			return 1
-		}
-	}
-
-	// -seed/-seeds apply only when passed explicitly, so a -params file's
-	// seeds survive; experiments without the knob warn instead of
-	// silently accepting it.
-	seedSet, seedsSet := false, false
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "seed":
-			seedSet = true
-		case "seeds":
-			seedsSet = true
-		}
-	})
-	if seedSet {
-		if s, ok := p.(experiment.SeedSetter); ok {
-			s.SetSeed(*seed)
-		} else {
-			fmt.Fprintf(os.Stderr, "tfrcsim: %s takes no -seed; ignored\n", d.Name)
-		}
-	}
-	if seedsSet {
-		if s, ok := p.(experiment.SeedsSetter); ok {
-			s.SetSeeds(*seeds)
-		} else {
-			fmt.Fprintf(os.Stderr, "tfrcsim: %s takes no -seeds; ignored\n", d.Name)
-		}
-	}
-
 	exitCode, stop := catchInterrupt()
 	defer stop()
 
@@ -309,35 +190,41 @@ func run() int {
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tfrcsim: %v\n", err)
-		return 1
+		return exitRuntime
 	}
 	if *format == "json" {
 		if err := experiment.WriteJSON(os.Stdout, d.Name, p, res); err != nil {
 			fmt.Fprintf(os.Stderr, "tfrcsim: encoding result: %v\n", err)
-			return 1
+			return exitRuntime
 		}
-		return 0
+		return exitOK
 	}
 	res.Table(os.Stdout)
-	return 0
+	return exitOK
 }
 
 // catchInterrupt puts the experiment layer under a cancellable run
 // context: the first SIGINT/SIGTERM skips the remaining sweep cells and
 // the run winds down with whatever the finished cells assembled; a
 // second signal kills the process the default way. stop uninstalls the
-// context; exitCode is the status for a run that reported
-// ErrInterrupted: 128+signal, the shell convention.
+// context and returns once the signal goroutine has exited; exitCode is
+// the status for a run that reported ErrInterrupted: 128+signal, the
+// shell convention.
 func catchInterrupt() (exitCode func() int, stop func()) {
 	ctx, cancel := context.WithCancel(context.Background())
 	sigc := make(chan os.Signal, 1)
 	caught := make(chan os.Signal, 1)
+	done := make(chan struct{})
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	go func() {
-		s := <-sigc
-		signal.Stop(sigc)
-		caught <- s
-		cancel()
+		defer close(done)
+		select {
+		case s := <-sigc:
+			signal.Stop(sigc)
+			caught <- s
+			cancel()
+		case <-ctx.Done(): // stop: the run ended unsignalled
+		}
 	}()
 	experiment.SetContext(ctx)
 	exitCode = func() int {
@@ -354,6 +241,7 @@ func catchInterrupt() (exitCode func() int, stop func()) {
 		experiment.SetContext(nil)
 		signal.Stop(sigc)
 		cancel()
+		<-done
 	}
 }
 

@@ -1,0 +1,123 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"runtime/pprof"
+	"strings"
+	"testing"
+)
+
+// The CLI tests re-exec this test binary as tfrcsim: TestMain diverts to
+// main when the variable is set.
+const asTfrcsimEnv = "TFRCSIM_TEST_AS_CLI"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(asTfrcsimEnv) != "" {
+		main()
+		return // unreachable; main exits
+	}
+	os.Exit(m.Run())
+}
+
+// tfrcsim runs the CLI with the given arguments and returns its output
+// streams and exit code.
+func tfrcsim(t *testing.T, args ...string) (stdout, stderr string, code int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), asTfrcsimEnv+"=1")
+	var out, errb bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errb
+	err := cmd.Run()
+	if ee, ok := err.(*exec.ExitError); ok {
+		code = ee.ExitCode()
+	} else if err != nil {
+		t.Fatalf("tfrcsim %v: %v", args, err)
+	}
+	return out.String(), errb.String(), code
+}
+
+func TestCommands(t *testing.T) {
+	for _, tc := range []struct {
+		args   string
+		code   int
+		stdout string // substring of stdout
+		stderr string // substring of stderr
+	}{
+		{args: "run fig5 -format json", stdout: `"experiment": "fig5"`},
+		{args: "list", stdout: "run one with: tfrcsim run <name>"},
+		{args: "run 10 -format json", stdout: `"experiment": "fig9"`}, // registry aliases stay
+		// The spellings removed in favour of "run <name>" name their replacement.
+		{args: "-fig 6", code: 2, stderr: "tfrcsim run fig6"},
+		{args: "-exp parkinglot", code: 2, stderr: "tfrcsim run parkinglot"},
+		{args: "-paper", code: 2, stderr: "-preset paper"},
+		{args: "-list", code: 2, stderr: "tfrcsim list"},
+		{args: "fig6", code: 2, stderr: "tfrcsim run fig6"},
+		{args: "-bench", code: 2, stderr: "go run ./benchmark"},
+		{args: "", code: 2, stderr: "want a command"},
+		{args: "run", code: 2, stderr: "needs an experiment name"},
+		{args: "run bwsetp", code: 2, stderr: `did you mean "bwstep"`},
+		{args: "run fig5 -format xml", code: 2, stderr: "-format"},
+	} {
+		t.Run(tc.args, func(t *testing.T) {
+			stdout, stderr, code := tfrcsim(t, strings.Fields(tc.args)...)
+			if code != tc.code {
+				t.Errorf("exit %d, want %d (stderr: %s)", code, tc.code, stderr)
+			}
+			if !strings.Contains(stdout, tc.stdout) {
+				t.Errorf("stdout lacks %q:\n%s", tc.stdout, stdout)
+			}
+			if !strings.Contains(stderr, tc.stderr) {
+				t.Errorf("stderr lacks %q:\n%s", tc.stderr, stderr)
+			}
+			if tc.code == 2 && strings.Count(stderr, "\n") != 1 {
+				t.Errorf("usage error is not one line:\n%s", stderr)
+			}
+		})
+	}
+}
+
+// TestShardMergeEqualsRun pins the distributed contract at the CLI:
+// shard envelopes merged back are byte-identical to the single run.
+func TestShardMergeEqualsRun(t *testing.T) {
+	params := filepath.Join(t.TempDir(), "p.json")
+	grid := `{"LinkMbps": [2], "TotalFlows": [2, 4], "Queues": ["droptail", "red"], "Duration": 5, "MeasureTail": 3}`
+	if err := os.WriteFile(params, []byte(grid), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	single, stderr, code := tfrcsim(t, "run", "fig6", "-params", params, "-format", "json")
+	if code != 0 {
+		t.Fatalf("run: exit %d: %s", code, stderr)
+	}
+	var envs []string
+	for _, shard := range []string{"0/2", "1/2"} {
+		env := filepath.Join(t.TempDir(), "s.json")
+		if _, stderr, code := tfrcsim(t, "shard", "run", "fig6", "-params", params, "-shard", shard, "-o", env); code != 0 {
+			t.Fatalf("shard run %s: exit %d: %s", shard, code, stderr)
+		}
+		envs = append(envs, env)
+	}
+	merged, stderr, code := tfrcsim(t, append([]string{"merge", "-format", "json"}, envs...)...)
+	if code != 0 {
+		t.Fatalf("merge: exit %d: %s", code, stderr)
+	}
+	if merged != single {
+		t.Errorf("merged shards differ from the single run:\n%s\nvs\n%s", merged, single)
+	}
+}
+
+// TestCatchInterruptLeavesNoGoroutine checks that an uninterrupted run's
+// stop reaps the signal goroutine.
+func TestCatchInterruptLeavesNoGoroutine(t *testing.T) {
+	_, stop := catchInterrupt()
+	stop()
+	var stacks bytes.Buffer
+	if err := pprof.Lookup("goroutine").WriteTo(&stacks, 1); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(stacks.String(), "catchInterrupt") {
+		t.Errorf("a catchInterrupt goroutine outlives stop:\n%s", stacks.String())
+	}
+}

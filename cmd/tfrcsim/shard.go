@@ -18,9 +18,9 @@ import (
 	"tfrc/internal/shard"
 )
 
-// Exit codes shared by the distributed-sweep commands: 0 success,
-// 1 runtime failure, 2 usage error, 3 degraded success (a well-formed
-// partial envelope was produced but cells are permanently missing).
+// Exit codes shared by every command: 0 success, 1 runtime failure,
+// 2 usage error, 3 degraded success (a well-formed partial envelope was
+// produced but cells are permanently missing).
 const (
 	exitOK      = 0
 	exitRuntime = 1

@@ -66,18 +66,17 @@
 // reports utilization, Jain fairness, and per-flow throughput/loss
 // distributions per decade; "tfrcsim run manyflows", preset "million"):
 //
-//   - Event queue: the scheduler's default pending-event queue is a
+//   - Event queue: the scheduler's pending-event queue is a
 //     self-tuning calendar queue whose day buckets are linked lists
 //     threaded through the scheduler's own slot table (one 64-byte
 //     event per pending callback, nothing else grows with the
 //     population). It re-derives its day width from the density of the
 //     soonest-due events whenever list walks get long, so insert/pop
 //     stay O(1) expected as a population slow-starts, converges or
-//     drains. It beats the flat 4-ary heap at every population measured
-//     (see sim.DefaultSchedulerQueue for the recorded verdict); both
-//     fire events in identical (time, insertion-sequence) order, so
-//     results are bit-identical, and sim.NewSchedulerWith(sim.QueueHeap4)
-//     keeps the heap as the differential-test oracle.
+//     drains. It replaced a flat 4-ary heap that it beat at every
+//     population measured (internal/sim/calendar.go records the
+//     verdict); events fire in (time, insertion-sequence) order whatever
+//     the tuning, which the sim tests check against a sorted slice.
 //
 //   - Batched timers: TFRC feedback and no-feedback timers — precision
 //     requirement "about one RTT" — can opt onto a shared timer wheel

@@ -174,6 +174,16 @@ func TestFig06CellFairness(t *testing.T) {
 	}
 }
 
+// TestFig06CellsBuildsNoKeyList pins the shard runner's per-cell cost:
+// it asks for the grid size once per cell, so counting must not flatten
+// the axes into a list.
+func TestFig06CellsBuildsNoKeyList(t *testing.T) {
+	pr := PaperFig06()
+	if n := testing.AllocsPerRun(10, func() { fig06Cells(&pr) }); n != 0 {
+		t.Fatalf("fig06Cells allocates %v times per call, want 0", n)
+	}
+}
+
 func TestFig07PerFlowSpread(t *testing.T) {
 	cells := RunFig07([]int{16}, 40, 20, 1)
 	c := cells[0]

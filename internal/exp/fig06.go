@@ -164,27 +164,6 @@ func runFig06Cell(c *Cell, queue netsim.QueueKind, linkMbps float64, flows int, 
 	}
 }
 
-// fig06Key is one (queue, link rate, flow count) grid point.
-type fig06Key struct {
-	q  netsim.QueueKind
-	bw float64
-	fl int
-}
-
-// fig06Keys flattens the grid axes in deterministic (queue, link,
-// flows) order.
-func fig06Keys(pr *Fig06Params) []fig06Key {
-	keys := make([]fig06Key, 0, len(pr.Queues)*len(pr.LinkMbps)*len(pr.TotalFlows))
-	for _, q := range pr.Queues {
-		for _, bw := range pr.LinkMbps {
-			for _, fl := range pr.TotalFlows {
-				keys = append(keys, fig06Key{q, bw, fl})
-			}
-		}
-	}
-	return keys
-}
-
 // fig06Seeds is the per-grid-point replicate count (Seeds clamped ≥ 1).
 func fig06Seeds(pr *Fig06Params) int {
 	if pr.Seeds < 1 {
@@ -193,9 +172,10 @@ func fig06Seeds(pr *Fig06Params) int {
 	return pr.Seeds
 }
 
-// fig06Cells is the flattened cell count: grid-major, seed-minor.
+// fig06Cells is the flattened cell count: (queue, link, flows) grid
+// points in that nesting order, seed-minor.
 func fig06Cells(pr *Fig06Params) int {
-	return len(fig06Keys(pr)) * fig06Seeds(pr)
+	return len(pr.Queues) * len(pr.LinkMbps) * len(pr.TotalFlows) * fig06Seeds(pr)
 }
 
 // fig06RunRange computes cells [r.Lo, r.Hi) on the worker pool. Every
@@ -204,11 +184,15 @@ func fig06Cells(pr *Fig06Params) int {
 // any sub-range on any machine computes the same values.
 func fig06RunRange(pr *Fig06Params, r CellRange) []Fig06Cell {
 	seeds := fig06Seeds(pr)
-	keys := fig06Keys(pr)
+	perLink := len(pr.TotalFlows) * seeds
+	perQueue := len(pr.LinkMbps) * perLink
 	return runCellsCtx(r.Len(), func(c *Cell, i int) Fig06Cell {
 		idx := r.Lo + i
-		k, rep := keys[idx/seeds], idx%seeds
-		return runFig06Cell(c, k.q, k.bw, k.fl, pr.Duration, pr.MeasureTail,
+		q := pr.Queues[idx/perQueue]
+		bw := pr.LinkMbps[(idx%perQueue)/perLink]
+		fl := pr.TotalFlows[(idx%perLink)/seeds]
+		rep := idx % seeds
+		return runFig06Cell(c, q, bw, fl, pr.Duration, pr.MeasureTail,
 			pr.Seed+int64(rep)*6151)
 	})
 }

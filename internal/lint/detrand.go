@@ -35,7 +35,7 @@ var detrandExclude string
 
 func init() {
 	DetRand.Flags.StringVar(&detrandExclude, "exclude",
-		"tfrc/internal/wire,tfrc/internal/bench,tfrc/internal/lint,tfrc/cmd,tfrc/examples",
+		"tfrc/internal/wire,tfrc/internal/lint,tfrc/cmd,tfrc/examples",
 		"comma-separated package path prefixes to skip")
 }
 

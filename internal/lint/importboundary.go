@@ -22,8 +22,8 @@ Layer rules, replacing the grep checks that used to live in CI:
   - tfrc/cmd/... never imports the simulator layers
     (internal/{sim,netsim,core,cc,tcp,tfrcsim,traffic,exp,sweep,wire,stats});
     binaries are registry shells going through the public packages.
-    Tool-infrastructure internals (internal/bench, internal/lint) are
-    the explicit exceptions: they exist only for the binaries.
+    The tool-infrastructure internal (internal/lint) is the explicit
+    exception: it exists only for the binaries.
   - The public packages (tfrc, tfrc/scenario, tfrc/experiment) must not
     leak internal types through their exported API unless the package
     re-exports the type under a public alias, so no user is ever forced

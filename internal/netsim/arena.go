@@ -5,118 +5,62 @@ import "tfrc/internal/sim"
 // netsimArenaID is this package's slot in every scheduler's arena table.
 var netsimArenaID = sim.NewArenaID()
 
-// arena is the scheduler-attached pool of netsim's per-scenario objects.
-// Everything is handed out bump-pointer style and reclaimed wholesale by
-// ResetArena at the next Scheduler.Reset: a worker that pins a scheduler
-// therefore rebuilds each sweep cell out of the previous cell's entire
-// working set — networks, topologies, monitors — without touching the
-// allocator.
+// arena is the scheduler-attached store of netsim's per-scenario
+// objects, reclaimed wholesale by ResetArena at the next Scheduler.Reset:
+// a worker that pins a scheduler rebuilds each sweep cell out of the
+// previous cell's entire working set — network, topology, monitors —
+// without touching the allocator.
+//
+// A scenario has one network, one topology builder and at most one
+// dumbbell, so each is a single retained object (see claim). Monitors
+// come one to a few per cell: their slabs hold pointers, so a cold cell
+// pays for the monitors it builds and not for a chunk of eight.
 type arena struct {
-	networks []*Network
-	netUsed  int
+	network  *Network
+	topo     *Topology
+	dumbbell *Dumbbell
 
-	topos    []*Topology
-	topoUsed int
+	netUsed, topoUsed, dbUsed bool // claimed since the last Reset
 
-	dumbbells []*Dumbbell
-	dbUsed    int
-
-	flowMons []*FlowMonitor
-	fmUsed   int
-
-	queueMons []*QueueMonitor
-	qmUsed    int
-
-	utilMons []*UtilizationMonitor
-	umUsed   int
+	flowMons  sim.Slab[*FlowMonitor]
+	queueMons sim.Slab[*QueueMonitor]
+	utilMons  sim.Slab[*UtilizationMonitor]
 }
 
 // ResetArena implements sim.Arena: every object ever handed out becomes
 // construction stock again.
 func (a *arena) ResetArena() {
-	a.netUsed = 0
-	a.topoUsed = 0
-	a.dbUsed = 0
-	a.fmUsed = 0
-	a.qmUsed = 0
-	a.umUsed = 0
+	a.netUsed, a.topoUsed, a.dbUsed = false, false, false
+	a.flowMons.Reset()
+	a.queueMons.Reset()
+	a.utilMons.Reset()
 }
 
 func arenaOf(s *sim.Scheduler) *arena {
 	return s.Arena(netsimArenaID, func() sim.Arena { return &arena{} }).(*arena)
 }
 
-func (a *arena) network() *Network {
-	if a.netUsed < len(a.networks) {
-		nw := a.networks[a.netUsed]
-		a.netUsed++
-		return nw
+// claim hands out the arena's retained object, allocating it on the
+// arena's first scenario. A second claim before the next Reset — two
+// networks on one scheduler — gets an object of its own that the arena
+// does not keep.
+func claim[T any](retained **T, used *bool) *T {
+	if *used {
+		return new(T)
 	}
-	nw := new(Network)
-	a.networks = append(a.networks, nw)
-	a.netUsed = len(a.networks)
-	return nw
+	*used = true
+	if *retained == nil {
+		*retained = new(T)
+	}
+	return *retained
 }
 
-func (a *arena) topology() *Topology {
-	if a.topoUsed < len(a.topos) {
-		t := a.topos[a.topoUsed]
-		a.topoUsed++
-		return t
+// next returns the object in the slab's next slot, allocating it the
+// first time the slot is issued.
+func next[T any](s *sim.Slab[*T]) *T {
+	p := s.Get()
+	if *p == nil {
+		*p = new(T)
 	}
-	t := &Topology{
-		nodes: make(map[string]*Node),
-		links: make(map[string]*Link),
-	}
-	a.topos = append(a.topos, t)
-	a.topoUsed = len(a.topos)
-	return t
-}
-
-func (a *arena) dumbbell() *Dumbbell {
-	if a.dbUsed < len(a.dumbbells) {
-		d := a.dumbbells[a.dbUsed]
-		a.dbUsed++
-		return d
-	}
-	d := new(Dumbbell)
-	a.dumbbells = append(a.dumbbells, d)
-	a.dbUsed = len(a.dumbbells)
-	return d
-}
-
-func (a *arena) flowMonitor() *FlowMonitor {
-	if a.fmUsed < len(a.flowMons) {
-		m := a.flowMons[a.fmUsed]
-		a.fmUsed++
-		return m
-	}
-	m := new(FlowMonitor)
-	a.flowMons = append(a.flowMons, m)
-	a.fmUsed = len(a.flowMons)
-	return m
-}
-
-func (a *arena) queueMonitor() *QueueMonitor {
-	if a.qmUsed < len(a.queueMons) {
-		m := a.queueMons[a.qmUsed]
-		a.qmUsed++
-		return m
-	}
-	m := new(QueueMonitor)
-	a.queueMons = append(a.queueMons, m)
-	a.qmUsed = len(a.queueMons)
-	return m
-}
-
-func (a *arena) utilizationMonitor() *UtilizationMonitor {
-	if a.umUsed < len(a.utilMons) {
-		m := a.utilMons[a.umUsed]
-		a.umUsed++
-		return m
-	}
-	m := new(UtilizationMonitor)
-	a.utilMons = append(a.utilMons, m)
-	a.umUsed = len(a.utilMons)
-	return m
+	return *p
 }

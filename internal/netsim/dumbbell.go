@@ -95,7 +95,8 @@ func NewDumbbell(sched *sim.Scheduler, cfg DumbbellConfig, rng *sim.Rand) *Dumbb
 	// The realized-topology struct rides the scheduler's arena like the
 	// builder state it wraps; its host slices keep their capacity across
 	// sweep cells.
-	d := arenaOf(sched).dumbbell()
+	a := arenaOf(sched)
+	d := claim(&a.dumbbell, &a.dbUsed)
 	*d = Dumbbell{
 		Topo: t, Net: t.Network(), cfg: cfg,
 		Left:  d.Left[:0],

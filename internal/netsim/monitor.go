@@ -34,7 +34,7 @@ func NewFlowMonitor(binWidth, start float64) *FlowMonitor {
 // flow's bin capacity, so repeated sweep cells monitor their links
 // without reallocating series storage.
 func (nw *Network) NewFlowMonitor(binWidth, start float64) *FlowMonitor {
-	m := arenaOf(nw.sched).flowMonitor()
+	m := next(&arenaOf(nw.sched).flowMons)
 	m.init(binWidth, start)
 	return m
 }
@@ -267,7 +267,7 @@ func NewQueueMonitor(nw *Network, q Queue, period, end float64) *QueueMonitor {
 	if period <= 0 {
 		panic("netsim: QueueMonitor period must be positive")
 	}
-	m := arenaOf(nw.sched).queueMonitor()
+	m := next(&arenaOf(nw.sched).queueMons)
 	*m = QueueMonitor{nw: nw, q: q, period: period, end: end}
 	if end > 0 {
 		m.Samples = make([]QueueSample, 0, int(end/period)+1)
@@ -323,7 +323,7 @@ type UtilizationMonitor struct {
 // departures from time start onward. The monitor is drawn from the
 // owning scheduler's arena and recycled across scenarios.
 func NewUtilizationMonitor(l *Link, start float64) *UtilizationMonitor {
-	m := arenaOf(l.net.sched).utilizationMonitor()
+	m := next(&arenaOf(l.net.sched).utilMons)
 	m.bw = l.Bandwidth()
 	m.start = start
 	m.bytes = 0

@@ -237,7 +237,8 @@ type Network struct {
 // all its slab storage — is handed out again, so sweep cells that build
 // thousands of short-lived networks stop paying setup allocations.
 func New(sched *sim.Scheduler) *Network {
-	nw := arenaOf(sched).network()
+	a := arenaOf(sched)
+	nw := claim(&a.network, &a.netUsed)
 	nw.sched = sched
 	nw.nominalPkt = 1000
 	nw.nodes = nw.nodes[:0]

@@ -52,10 +52,15 @@ type Topology struct {
 // repeated cells on a recycled scheduler rebuild their topology without
 // reallocating it.
 func NewTopology(sched *sim.Scheduler, rng *sim.Rand) *Topology {
-	t := arenaOf(sched).topology()
+	a := arenaOf(sched)
+	t := claim(&a.topo, &a.topoUsed)
 	t.nw = New(sched)
 	t.sched = sched
 	t.rng = rng
+	if t.nodes == nil {
+		t.nodes = make(map[string]*Node)
+		t.links = make(map[string]*Link)
+	}
 	clear(t.nodes)
 	clear(t.links)
 	t.schedules = t.schedules[:0]

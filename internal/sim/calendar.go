@@ -6,16 +6,24 @@ import (
 	"slices"
 )
 
-// This file implements the calendar-queue backend of the Scheduler: a
-// Brown-style calendar queue (R. Brown, "Calendar Queues: A Fast O(1)
-// Priority Queue Implementation for the Simulation Event Set Problem",
-// CACM 1988) living behind the same At/AtArg/Cancel/Step API as the
-// 4-ary heap. The queue is an array of "day" buckets, each holding the
-// events of one width-sized slice of simulated time in (time, insertion
-// sequence) order; popping walks the calendar "day by day", firing the
-// events whose virtual day has arrived. When a full rotation finds
-// nothing (a sparse far-future queue), a direct scan of all bucket
-// heads locates the global minimum and the calendar jumps there.
+// This file implements the Scheduler's pending-event set: a Brown-style
+// calendar queue (R. Brown, "Calendar Queues: A Fast O(1) Priority Queue
+// Implementation for the Simulation Event Set Problem", CACM 1988). The
+// queue is an array of "day" buckets, each holding the events of one
+// width-sized slice of simulated time in (time, insertion sequence)
+// order; popping walks the calendar "day by day", firing the events
+// whose virtual day has arrived. When a full rotation finds nothing (a
+// sparse far-future queue), a direct scan of all bucket heads locates
+// the global minimum and the calendar jumps there.
+//
+// It is the only queue. Verdict (2026-10, the standing-population churn
+// benchmark in scheduler_test.go, 2-core x86-64 container, medians of
+// three) against the flat 4-ary heap it replaced: 20M vs 5.4M events/sec
+// at 1k pending, 6.0M vs 2.5M at 100k, 2.9M vs 1.3M at 1M (its
+// lazy-cancel, per-bucket-slice predecessor managed 10M, 2.8M and 2.0M
+// on the same host and lost to the heap at 1M on the 2026-08 one), and
+// the benchmark's 8-flow dumbbell rose from 1.14M to 1.64M pkts/sec over
+// that predecessor. The tests hold it to the order of a sorted slice.
 //
 // The queue is intrusive: a bucket is a singly linked list threaded
 // through the scheduler's slot table (head/tail slot index per bucket,

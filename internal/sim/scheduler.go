@@ -1,13 +1,12 @@
 // Package sim provides a deterministic discrete-event simulation engine:
-// an event scheduler with selectable queue backends (an adaptive
-// calendar queue by default, a flat 4-ary heap via NewSchedulerWith), a
-// simulation clock, cancellable timers with optional coarse batching on
-// a timer wheel, and seeded random-variate helpers.
+// an event scheduler on a self-tuning calendar queue, a simulation
+// clock, cancellable timers with optional coarse batching on a timer
+// wheel, and seeded random-variate helpers.
 //
 // The engine is single-threaded by design. Determinism comes from three
-// properties: events fire in (time, insertion-sequence) order regardless
-// of queue backend, all randomness is drawn from explicitly seeded
-// sources, and no wall-clock time is consulted anywhere.
+// properties: events fire in (time, insertion-sequence) order whatever
+// the calendar's current tuning, all randomness is drawn from explicitly
+// seeded sources, and no wall-clock time is consulted anywhere.
 package sim
 
 import (
@@ -21,34 +20,19 @@ import (
 // slot table — callers never hold them; At and After hand out
 // generation-checked Handles carrying the slot index instead.
 //
-// The struct is exactly 64 bytes — one cache line per event — and, for
-// the calendar backend, it is the queue node itself: (at, seq) is the
-// sort key and next threads the event's day bucket through the table.
+// The struct is exactly 64 bytes — one cache line per event — and it is
+// the calendar queue's node itself: (at, seq) is the sort key and next
+// threads the event's day bucket through the table. Three of those
+// bytes are padding after queued.
 type event struct {
-	gen  uint64  // bumped on every recycle; stale Handles don't match
-	at   float64 // firing time, kept here so Handle.Time works on any queue backend
-	seq  uint64  // insertion sequence: FIFO among equal times
-	fn   func()
-	afn  func(any) // arg-carrying variant, used by the packet hot path
-	arg  any
-	pos  int32 // heap: index into the order array; calendar: 0 when queued; -1 when not queued
-	next int32 // calendar: next slot in the day bucket, -1 at the tail
-}
-
-// entry is one element of the flat 4-ary min-heap. The sort key (time,
-// then insertion sequence for FIFO among equal times) is kept inline so
-// sift comparisons never chase a pointer into the slot table.
-type entry struct {
-	at   float64
-	seq  uint64
-	slot int32
-}
-
-func entryLess(a, b *entry) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
+	gen    uint64  // bumped on every recycle; stale Handles don't match
+	at     float64 // firing time
+	seq    uint64  // insertion sequence: FIFO among equal times
+	fn     func()
+	afn    func(any) // arg-carrying variant, used by the packet hot path
+	arg    any
+	next   int32 // next slot in the day bucket, -1 at the tail
+	queued bool  // pending in the calendar; false once fired, cancelled or recycled
 }
 
 // Handle refers to one scheduled firing of an event. The zero Handle is
@@ -83,53 +67,20 @@ func (h Handle) Scheduled() bool {
 		return false
 	}
 	e := &h.s.slots[h.slot]
-	return e.gen == h.gen && e.pos >= 0
+	return e.gen == h.gen && e.queued
 }
 
-// SchedulerQueue selects the pending-event queue backend of a
-// Scheduler. Both backends implement identical (time, insertion-
-// sequence) firing order, so simulation results are bit-identical under
-// either; they differ only in cost profile across event populations.
-type SchedulerQueue int32
-
-const (
-	// QueueHeap4 is the flat 4-ary min-heap: O(log n) insert/pop with
-	// very small constants and no tuning state.
-	QueueHeap4 SchedulerQueue = iota
-	// QueueCalendar is the self-tuning calendar queue threaded through
-	// the slot table: O(1) expected insert/pop at whatever event density
-	// the simulation currently has, at the price of tuning state and an
-	// occasional rebuild.
-	QueueCalendar
-)
-
-// DefaultSchedulerQueue is the backend NewScheduler uses.
-//
-// Verdict (2026-10, BenchmarkSchedulerQueues, 2-core x86-64 container,
-// medians of three): the intrusive calendar queue of PR 14 wins at every
-// standing population measured — 20M vs 5.4M events/sec at 1k pending,
-// 6.0M vs 2.5M at 100k, 2.9M vs 1.3M at 1M (its lazy-cancel, per-bucket-
-// slice predecessor managed 10M, 2.8M and 2.0M on the same host and
-// lost to the heap at 1M on the 2026-08 one) — and lifts the benchmark's
-// 8-flow dumbbell from 1.14M to 1.64M pkts/sec over that predecessor.
-// The calendar queue is therefore the default; the heap stays
-// selectable via NewSchedulerWith as the differential-test oracle.
-var DefaultSchedulerQueue = QueueCalendar
-
-// Scheduler owns the simulation clock and the pending event queue —
-// either a flat 4-ary min-heap of inline entries or a calendar queue
-// (see SchedulerQueue), both ordered by (time, sequence) and backed by
-// a slot table that gives every pending event a stable index for
+// Scheduler owns the simulation clock and the pending event queue: a
+// calendar queue (calendar.go) ordered by (time, sequence) and threaded
+// through a slot table that gives every pending event a stable index for
 // generation-checked Handles. No interface boxing, no per-event
 // allocation: steady-state scheduling touches only flat slices.
 // The zero value is not ready for use; call NewScheduler.
 type Scheduler struct {
 	now     float64
 	seq     uint64
-	epoch   uint64         // bumped by Reset; stale-epoch Handles are inert
-	queue   SchedulerQueue // backend in use; fixed between Resets
-	heap    []entry        //tfrc:keep value-only heap backing, truncated on Reset/reuse
-	cal     calQueue       //tfrc:keep value-only calendar bucket ends, truncated on Reset/reuse
+	epoch   uint64   // bumped by Reset; stale-epoch Handles are inert
+	cal     calQueue //tfrc:keep value-only calendar bucket ends, truncated on Reset/reuse
 	slots   []event
 	free    []int32 //tfrc:keep recycled slot indices, value-only backing
 	stopped bool
@@ -180,24 +131,13 @@ func (s *Scheduler) Arena(id ArenaID, mk func() Arena) Arena {
 // slices keeps per-cell setup out of the allocator.
 var schedMem = sync.Pool{New: func() any { return new(Scheduler) }}
 
-// NewScheduler returns a scheduler with the clock at zero, using the
-// DefaultSchedulerQueue backend. Its backing arrays may be recycled
-// from a previously Released scheduler.
+// NewScheduler returns a scheduler with the clock at zero. Its backing
+// arrays may be recycled from a previously Released scheduler.
 func NewScheduler() *Scheduler {
-	return NewSchedulerWith(DefaultSchedulerQueue)
-}
-
-// NewSchedulerWith returns a scheduler using the given queue backend.
-// Both backends produce bit-identical simulations; see SchedulerQueue.
-func NewSchedulerWith(q SchedulerQueue) *Scheduler {
 	s := schedMem.Get().(*Scheduler)
-	s.queue = q
 	s.Reset()
 	return s
 }
-
-// Queue reports which queue backend the scheduler uses.
-func (s *Scheduler) Queue() SchedulerQueue { return s.queue }
 
 // Reset rewinds the scheduler for a fresh scenario: the clock returns to
 // zero, every pending event is dropped (and its callback reference
@@ -215,10 +155,7 @@ func (s *Scheduler) Reset() {
 	s.now = 0
 	s.seq = 0
 	s.epoch++
-	s.heap = s.heap[:0]
-	if s.queue == QueueCalendar {
-		s.calReset()
-	}
+	s.calReset()
 	for _, w := range s.wheels {
 		w.reset()
 	}
@@ -263,15 +200,9 @@ func (s *Scheduler) Release() {
 func (s *Scheduler) Now() float64 { return s.now }
 
 // Len returns the number of pending events.
-func (s *Scheduler) Len() int {
-	if s.queue == QueueCalendar {
-		return s.cal.live
-	}
-	return len(s.heap)
-}
+func (s *Scheduler) Len() int { return s.cal.live }
 
-// alloc validates t, claims a slot, and queues its entry on the active
-// backend.
+// alloc validates t, claims a slot, and files it in the calendar.
 //
 //tfrc:hotpath
 func (s *Scheduler) alloc(t float64) int32 {
@@ -293,14 +224,8 @@ func (s *Scheduler) alloc(t float64) int32 {
 	ev.at = t
 	ev.seq = s.seq
 	s.seq++
-	if s.queue == QueueCalendar {
-		ev.pos = 0 // queued marker; the calendar has no order array
-		s.calInsert(slot)
-		return slot
-	}
-	e := entry{at: t, seq: ev.seq, slot: slot}
-	s.heap = append(s.heap, e) //tfrclint:allow hotpathalloc amortized heap growth
-	s.siftUp(len(s.heap) - 1)
+	ev.queued = true
+	s.calInsert(slot)
 	return slot
 }
 
@@ -314,75 +239,8 @@ func (s *Scheduler) recycle(slot int32) {
 	e.afn = nil
 	e.arg = nil
 	e.gen++
-	e.pos = -1
+	e.queued = false
 	s.free = append(s.free, slot) //tfrclint:allow hotpathalloc amortized free-list growth
-}
-
-// siftUp moves heap[i] toward the root until its parent is not larger.
-//
-//tfrc:hotpath
-func (s *Scheduler) siftUp(i int) {
-	e := s.heap[i]
-	for i > 0 {
-		p := (i - 1) >> 2
-		if !entryLess(&e, &s.heap[p]) {
-			break
-		}
-		s.heap[i] = s.heap[p]
-		s.slots[s.heap[i].slot].pos = int32(i)
-		i = p
-	}
-	s.heap[i] = e
-	s.slots[e.slot].pos = int32(i)
-}
-
-// siftDown moves heap[i] toward the leaves until no child is smaller.
-//
-//tfrc:hotpath
-func (s *Scheduler) siftDown(i int) {
-	n := len(s.heap)
-	e := s.heap[i]
-	for {
-		c := i<<2 + 1
-		if c >= n {
-			break
-		}
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		m := c
-		for j := c + 1; j < end; j++ {
-			if entryLess(&s.heap[j], &s.heap[m]) {
-				m = j
-			}
-		}
-		if !entryLess(&s.heap[m], &e) {
-			break
-		}
-		s.heap[i] = s.heap[m]
-		s.slots[s.heap[i].slot].pos = int32(i)
-		i = m
-	}
-	s.heap[i] = e
-	s.slots[e.slot].pos = int32(i)
-}
-
-// remove deletes the heap entry at index i, restoring heap order.
-//
-//tfrc:hotpath
-func (s *Scheduler) remove(i int) {
-	last := len(s.heap) - 1
-	if i == last {
-		s.heap = s.heap[:last]
-		return
-	}
-	s.heap[i] = s.heap[last]
-	s.heap = s.heap[:last]
-	s.siftDown(i)
-	if s.slots[s.heap[i].slot].pos == int32(i) && i > 0 {
-		s.siftUp(i)
-	}
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past
@@ -428,11 +286,7 @@ func (s *Scheduler) Cancel(h Handle) {
 	if !h.Scheduled() {
 		return
 	}
-	if s.queue == QueueCalendar {
-		s.calUnlink(h.slot)
-	} else {
-		s.remove(int(s.slots[h.slot].pos))
-	}
+	s.calUnlink(h.slot)
 	s.recycle(h.slot)
 }
 
@@ -448,24 +302,9 @@ func (s *Scheduler) Step() bool { return s.step(math.Inf(1)) }
 //
 //tfrc:hotpath
 func (s *Scheduler) step(bound float64) bool {
-	var slot int32
-	if s.queue == QueueCalendar {
-		if slot = s.calTake(bound); slot < 0 {
-			return false
-		}
-	} else {
-		if len(s.heap) == 0 || s.heap[0].at > bound {
-			return false
-		}
-		slot = s.heap[0].slot
-		last := len(s.heap) - 1
-		if last > 0 {
-			s.heap[0] = s.heap[last]
-			s.heap = s.heap[:last]
-			s.siftDown(0)
-		} else {
-			s.heap = s.heap[:0]
-		}
+	slot := s.calTake(bound)
+	if slot < 0 {
+		return false
 	}
 	e := &s.slots[slot]
 	s.now = e.at

@@ -28,15 +28,15 @@ func fuzzDelay(b byte) float64 {
 	}
 }
 
-// schedTrio drives both queue backends and the sorted-slice reference
-// through one operation sequence.
-type schedTrio struct {
+// schedPair drives the scheduler and the sorted-slice reference through
+// one operation sequence.
+type schedPair struct {
 	t      testing.TB
-	s      [2]*Scheduler // heap4, calendar
-	fired  [2][]int
-	lastAt [2]float64
-	live   [2][]Handle // pending handles, index-aligned across backends
-	stale  [2][]Handle
+	s      *Scheduler
+	fired  []int
+	lastAt float64
+	live   []Handle // pending handles
+	stale  []Handle
 	seqs   []uint64 // reference sequence numbers, aligned with live
 	ids    []int    // event ids, aligned with live
 	ref    refQueue
@@ -44,180 +44,154 @@ type schedTrio struct {
 	nextID int
 }
 
-func newSchedTrio(t testing.TB) *schedTrio {
-	return &schedTrio{t: t, s: [2]*Scheduler{NewSchedulerWith(QueueHeap4), NewSchedulerWith(QueueCalendar)}}
-}
-
 // record is every event's callback body: note the id and check that the
-// backend's clock never runs backwards.
-func (tr *schedTrio) record(k, id int) {
-	if now := tr.s[k].Now(); now < tr.lastAt[k] {
-		tr.t.Fatalf("%s: clock ran backwards, %v after %v", queueKinds[k].name, now, tr.lastAt[k])
+// clock never runs backwards.
+func (p *schedPair) record(id int) {
+	if now := p.s.Now(); now < p.lastAt {
+		p.t.Fatalf("clock ran backwards, %v after %v", now, p.lastAt)
 	} else {
-		tr.lastAt[k] = now
+		p.lastAt = now
 	}
-	tr.fired[k] = append(tr.fired[k], id)
+	p.fired = append(p.fired, id)
 }
 
 // fuzzMaxLive bounds the population: the reference and the invariant
 // check are O(n) per operation.
 const fuzzMaxLive = 4096
 
-// schedule queues one event d from now on all three, through the API
-// variant selected by how.
-func (tr *schedTrio) schedule(how byte, d float64) {
-	if len(tr.ids) >= fuzzMaxLive {
+// schedule queues one event d from now on both, through the API variant
+// selected by how.
+func (p *schedPair) schedule(how byte, d float64) {
+	if len(p.ids) >= fuzzMaxLive {
 		return
 	}
-	id := tr.nextID
-	tr.nextID++
-	at := tr.now + d
-	for k, s := range tr.s {
-		k := k
-		var h Handle
-		switch how % 3 {
-		case 0:
-			h = s.At(at, func() { tr.record(k, id) })
-		case 1:
-			h = s.After(d, func() { tr.record(k, id) })
-		default:
-			h = s.AtArg(at, func(x any) { tr.record(k, x.(int)) }, id)
-		}
-		if !h.Scheduled() || h.Time() != at {
-			tr.t.Fatalf("%s: fresh handle Scheduled=%v Time=%v, want %v", queueKinds[k].name, h.Scheduled(), h.Time(), at)
-		}
-		tr.live[k] = append(tr.live[k], h)
+	id := p.nextID
+	p.nextID++
+	at := p.now + d
+	var h Handle
+	switch how % 3 {
+	case 0:
+		h = p.s.At(at, func() { p.record(id) })
+	case 1:
+		h = p.s.After(d, func() { p.record(id) })
+	default:
+		h = p.s.AtArg(at, func(x any) { p.record(x.(int)) }, id)
 	}
-	tr.seqs = append(tr.seqs, tr.ref.schedule(at, id))
-	tr.ids = append(tr.ids, id)
+	if !h.Scheduled() || h.Time() != at {
+		p.t.Fatalf("fresh handle Scheduled=%v Time=%v, want %v", h.Scheduled(), h.Time(), at)
+	}
+	p.live = append(p.live, h)
+	p.seqs = append(p.seqs, p.ref.schedule(at, id))
+	p.ids = append(p.ids, id)
 }
 
-// retire moves the live entry at index i to the stale lists.
-func (tr *schedTrio) retire(i int) {
-	last := len(tr.ids) - 1
-	for k := range tr.s {
-		tr.stale[k] = append(tr.stale[k], tr.live[k][i])
-		tr.live[k][i] = tr.live[k][last]
-		tr.live[k] = tr.live[k][:last]
-	}
-	tr.seqs[i], tr.ids[i] = tr.seqs[last], tr.ids[last]
-	tr.seqs, tr.ids = tr.seqs[:last], tr.ids[:last]
+// retire moves the live entry at index i to the stale list.
+func (p *schedPair) retire(i int) {
+	last := len(p.ids) - 1
+	p.stale = append(p.stale, p.live[i])
+	p.live[i] = p.live[last]
+	p.live = p.live[:last]
+	p.seqs[i], p.ids[i] = p.seqs[last], p.ids[last]
+	p.seqs, p.ids = p.seqs[:last], p.ids[:last]
 }
 
 // expect pops the reference events due by bound (at most limit of
-// them) and requires both backends to have fired exactly those, then
+// them) and requires the scheduler to have fired exactly those, then
 // agree with the reference on clock and population.
-func (tr *schedTrio) expect(bound float64, limit int, now float64) {
+func (p *schedPair) expect(bound float64, limit int, now float64) {
 	var want []int
-	for len(want) < limit && len(tr.ref.events) > 0 && tr.ref.events[0].at <= bound {
-		e, _ := tr.ref.pop()
+	for len(want) < limit && len(p.ref.events) > 0 && p.ref.events[0].at <= bound {
+		e, _ := p.ref.pop()
 		want = append(want, e.id)
 		if now < e.at {
 			now = e.at
 		}
-		for i, id := range tr.ids {
+		for i, id := range p.ids {
 			if id == e.id {
-				tr.retire(i)
+				p.retire(i)
 				break
 			}
 		}
 	}
-	tr.now = now
-	for k, s := range tr.s {
-		name := queueKinds[k].name
-		if len(tr.fired[k]) != len(want) {
-			tr.t.Fatalf("%s fired %v, reference %v", name, tr.fired[k], want)
-		}
-		for i := range want {
-			if tr.fired[k][i] != want[i] {
-				tr.t.Fatalf("%s fired %v, reference %v", name, tr.fired[k], want)
-			}
-		}
-		tr.fired[k] = tr.fired[k][:0]
-		if s.Now() != tr.now {
-			tr.t.Fatalf("%s clock %v, reference %v", name, s.Now(), tr.now)
-		}
-		if s.Len() != len(tr.ref.events) {
-			tr.t.Fatalf("%s holds %d events, reference %d", name, s.Len(), len(tr.ref.events))
+	p.now = now
+	if len(p.fired) != len(want) {
+		p.t.Fatalf("fired %v, reference %v", p.fired, want)
+	}
+	for i := range want {
+		if p.fired[i] != want[i] {
+			p.t.Fatalf("fired %v, reference %v", p.fired, want)
 		}
 	}
-	calCheck(tr.t, tr.s[1])
+	p.fired = p.fired[:0]
+	if p.s.Now() != p.now {
+		p.t.Fatalf("clock %v, reference %v", p.s.Now(), p.now)
+	}
+	if p.s.Len() != len(p.ref.events) {
+		p.t.Fatalf("%d events pending, reference %d", p.s.Len(), len(p.ref.events))
+	}
+	calCheck(p.t, p.s)
 }
 
 // run interprets data as (opcode, operand) pairs.
-func (tr *schedTrio) run(data []byte) {
+func (p *schedPair) run(data []byte) {
 	for i := 0; i+1 < len(data); i += 2 {
 		op, arg := data[i], data[i+1]
 		switch op % 10 {
 		case 0, 1, 2:
-			tr.schedule(op, fuzzDelay(arg))
+			p.schedule(op, fuzzDelay(arg))
 		case 3: // a burst, so short inputs reach the growth and re-tune triggers
 			for j := 0; j < 4*int(arg); j++ {
-				tr.schedule(2, fuzzDelay(byte(j*37)+arg))
+				p.schedule(2, fuzzDelay(byte(j*37)+arg))
 			}
 		case 4: // cancel a live event
-			if n := len(tr.ids); n > 0 {
+			if n := len(p.ids); n > 0 {
 				j := int(arg) % n
-				for k, s := range tr.s {
-					s.Cancel(tr.live[k][j])
-				}
-				tr.ref.cancel(tr.seqs[j])
-				tr.retire(j)
+				p.s.Cancel(p.live[j])
+				p.ref.cancel(p.seqs[j])
+				p.retire(j)
 			}
 		case 5: // cancel through a stale handle: a no-op
-			for k, s := range tr.s {
-				if n := len(tr.stale[k]); n > 0 {
-					h := tr.stale[k][int(arg)%n]
-					if h.Scheduled() {
-						tr.t.Fatalf("%s: stale handle reports Scheduled", queueKinds[k].name)
-					}
-					s.Cancel(h)
+			if n := len(p.stale); n > 0 {
+				h := p.stale[int(arg)%n]
+				if h.Scheduled() {
+					p.t.Fatalf("stale handle reports Scheduled")
 				}
+				p.s.Cancel(h)
 			}
 		case 6, 7:
-			for _, s := range tr.s {
-				s.Step()
-			}
-			tr.expect(math.Inf(1), 1, tr.now)
+			p.s.Step()
+			p.expect(math.Inf(1), 1, p.now)
 			continue
 		case 8:
-			end := tr.now + fuzzDelay(arg)
-			for _, s := range tr.s {
-				s.RunUntil(end)
-			}
-			tr.expect(end, math.MaxInt, end)
+			end := p.now + fuzzDelay(arg)
+			p.s.RunUntil(end)
+			p.expect(end, math.MaxInt, end)
 			continue
 		case 9:
 			if arg%8 != 0 { // keep Reset rare enough that populations build up
 				continue
 			}
-			for k, s := range tr.s {
-				s.Reset()
-				tr.stale[k] = append(tr.stale[k], tr.live[k]...)
-				tr.live[k] = tr.live[k][:0]
-				tr.lastAt[k] = 0
-			}
-			tr.ref = refQueue{}
-			tr.seqs, tr.ids = tr.seqs[:0], tr.ids[:0]
-			tr.now = 0
+			p.s.Reset()
+			p.stale = append(p.stale, p.live...)
+			p.live = p.live[:0]
+			p.lastAt = 0
+			p.ref = refQueue{}
+			p.seqs, p.ids = p.seqs[:0], p.ids[:0]
+			p.now = 0
 		}
-		tr.expect(math.Inf(-1), 0, tr.now)
+		p.expect(math.Inf(-1), 0, p.now)
 	}
-	for _, s := range tr.s {
-		s.Run()
-	}
-	tr.expect(math.Inf(1), math.MaxInt, tr.now)
-	for _, s := range tr.s {
-		s.Release()
-	}
+	p.s.Run()
+	p.expect(math.Inf(1), math.MaxInt, p.now)
+	p.s.Release()
 }
 
 // FuzzSchedulerOrder feeds one byte-coded operation sequence (At, After,
 // AtArg, bursts, Cancel, stale Cancel, Step, RunUntil, Reset) to the
-// calendar queue, the 4-ary heap and the sorted-slice reference, and
-// requires identical firing sequences, clocks that never run backwards,
-// and an intact calendar after every operation. Without -fuzz it runs
-// the seed corpus as a plain test.
+// scheduler and the sorted-slice reference, and requires identical
+// firing sequences, a clock that never runs backwards, and an intact
+// calendar after every operation. Without -fuzz it runs the seed corpus
+// as a plain test.
 func FuzzSchedulerOrder(f *testing.F) {
 	// The look-ahead sequence: an event at +10 s, RunUntil short of it,
 	// then an event before it.
@@ -236,6 +210,6 @@ func FuzzSchedulerOrder(f *testing.F) {
 		if len(data) > 4096 {
 			t.Skip()
 		}
-		newSchedTrio(t).run(data)
+		(&schedPair{t: t, s: NewScheduler()}).run(data)
 	})
 }

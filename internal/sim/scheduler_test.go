@@ -331,7 +331,7 @@ func TestRandBernoulli(t *testing.T) {
 	}
 }
 
-// --- Differential test: flat 4-ary heap vs a naive sorted-slice queue ---
+// --- Differential tests: the calendar queue vs a naive sorted-slice queue ---
 
 // refEvent is one event in the reference implementation: a slice kept
 // sorted by (time, sequence) with linear insertion, too slow to use but
@@ -382,31 +382,51 @@ func (q *refQueue) pop() (refEvent, bool) {
 	return e, true
 }
 
-// queueKinds enumerates both queue backends for parameterized tests.
-var queueKinds = []struct {
-	name string
-	kind SchedulerQueue
-}{
-	{"heap4", QueueHeap4},
-	{"calendar", QueueCalendar},
+// refSched is the reference scheduler: a refQueue under a clock, firing
+// in (time, sequence) order by construction. fired logs each firing's
+// time and id.
+type refSched struct {
+	refQueue
+	now   float64
+	fired []refEvent
 }
 
-// TestSchedulerDifferential drives each queue backend (4-ary heap and
-// calendar queue) and the naive sorted-slice reference through a long
-// randomized interleaving of At, After, Cancel, stale-handle Cancel,
-// Step, and RunUntil, checking that every firing matches the reference in both
-// identity and time, that Scheduled agrees with the reference's
-// liveness, and that stale handles never disturb live events.
-func TestSchedulerDifferential(t *testing.T) {
-	for _, qk := range queueKinds {
-		t.Run(qk.name, func(t *testing.T) { testSchedulerDifferential(t, qk.kind) })
+func (r *refSched) after(d float64, id int) uint64 { return r.schedule(r.now+d, id) }
+
+func (r *refSched) step() {
+	if e, ok := r.pop(); ok {
+		r.now = e.at
+		r.fired = append(r.fired, e)
 	}
 }
 
-func testSchedulerDifferential(t *testing.T, kind SchedulerQueue) {
+func (r *refSched) runUntil(end float64) {
+	for len(r.events) > 0 && r.events[0].at <= end {
+		r.step()
+	}
+	r.now = max(r.now, end)
+}
+
+func (r *refSched) run() {
+	for len(r.events) > 0 {
+		r.step()
+	}
+}
+
+// TestSchedulerDifferential drives the scheduler and the naive
+// sorted-slice reference through a long randomized interleaving of At,
+// After, Cancel, stale-handle Cancel, Step, and RunUntil, checking that
+// every firing matches the reference in both identity and time, that
+// Scheduled agrees with the reference's liveness, and that stale handles
+// never disturb live events.
+func TestSchedulerDifferential(t *testing.T) {
+	t.Run("calendar", testSchedulerDifferential)
+}
+
+func testSchedulerDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		r := rand.New(rand.NewSource(seed))
-		s := NewSchedulerWith(kind)
+		s := NewScheduler()
 		ref := &refQueue{}
 
 		type live struct {
@@ -538,56 +558,29 @@ func testSchedulerDifferential(t *testing.T, kind SchedulerQueue) {
 }
 
 // TestSchedulerReleaseReuse checks that a scheduler built from recycled
-// backing arrays behaves identically to a fresh one, for both queue
-// backends — including a backend switch across the pool round-trip.
+// backing arrays behaves identically to a fresh one.
 func TestSchedulerReleaseReuse(t *testing.T) {
-	for _, qk := range queueKinds {
-		t.Run(qk.name, func(t *testing.T) { testSchedulerReleaseReuse(t, qk.kind) })
-	}
-	// Alternating backends through the shared pool must reconfigure
-	// cleanly: a released calendar scheduler may come back as a heap
-	// scheduler and vice versa.
-	t.Run("alternating", func(t *testing.T) {
-		for i := 0; i < 6; i++ {
-			kind := queueKinds[i%2].kind
-			s := NewSchedulerWith(kind)
-			if s.Queue() != kind {
-				t.Fatalf("round %d: queue = %v, want %v", i, s.Queue(), kind)
-			}
+	t.Run("calendar", func(t *testing.T) {
+		run := func() []float64 {
+			s := NewScheduler()
 			var got []float64
-			for _, at := range []float64{3, 1, 2} {
+			for _, at := range []float64{3, 1, 2, 1, 5} {
 				at := at
 				s.At(at, func() { got = append(got, at) })
 			}
+			h := s.At(4, func() { got = append(got, -1) })
+			s.Cancel(h)
 			s.Run()
-			if len(got) != 3 || !sort.Float64sAreSorted(got) {
-				t.Fatalf("round %d (%v): fired %v", i, kind, got)
-			}
 			s.Release()
+			return got
+		}
+		first := run()
+		for i := 0; i < 3; i++ {
+			if again := run(); !sort.Float64sAreSorted(again) || len(again) != len(first) {
+				t.Fatalf("recycled scheduler run %d differs: %v vs %v", i, again, first)
+			}
 		}
 	})
-}
-
-func testSchedulerReleaseReuse(t *testing.T, kind SchedulerQueue) {
-	run := func() []float64 {
-		s := NewSchedulerWith(kind)
-		var got []float64
-		for _, at := range []float64{3, 1, 2, 1, 5} {
-			at := at
-			s.At(at, func() { got = append(got, at) })
-		}
-		h := s.At(4, func() { got = append(got, -1) })
-		s.Cancel(h)
-		s.Run()
-		s.Release()
-		return got
-	}
-	first := run()
-	for i := 0; i < 3; i++ {
-		if again := run(); !sort.Float64sAreSorted(again) || len(again) != len(first) {
-			t.Fatalf("recycled scheduler run %d differs: %v vs %v", i, again, first)
-		}
-	}
 }
 
 // TestHandlesFromBeforeResetAreInert pins the epoch guard: a Handle
@@ -598,13 +591,11 @@ func testSchedulerReleaseReuse(t *testing.T, kind SchedulerQueue) {
 // pair for an unrelated event (which a stale Cancel would otherwise
 // kill).
 func TestHandlesFromBeforeResetAreInert(t *testing.T) {
-	for _, qk := range queueKinds {
-		t.Run(qk.name, func(t *testing.T) { testHandlesFromBeforeResetAreInert(t, qk.kind) })
-	}
+	t.Run("calendar", testHandlesFromBeforeResetAreInert)
 }
 
-func testHandlesFromBeforeResetAreInert(t *testing.T, kind SchedulerQueue) {
-	s := NewSchedulerWith(kind)
+func testHandlesFromBeforeResetAreInert(t *testing.T) {
+	s := NewScheduler()
 	// Grow the slot table, keeping a pending handle at a high slot and
 	// one at slot 0 with generation 0 — the aliasing candidates.
 	var stale []Handle
@@ -633,38 +624,43 @@ func testHandlesFromBeforeResetAreInert(t *testing.T, kind SchedulerQueue) {
 }
 
 // TestSchedulerQueueEquivalence runs one random churn workload through
-// both backends and requires bit-identical firing sequences — the
-// property that lets the default backend change without perturbing any
-// golden output.
+// the scheduler and the reference and requires bit-identical firing
+// sequences — the property that lets the queue be re-tuned or replaced
+// without perturbing any golden output.
 func TestSchedulerQueueEquivalence(t *testing.T) {
-	workload := func(kind SchedulerQueue) []float64 {
-		s := NewSchedulerWith(kind)
-		r := rand.New(rand.NewSource(99))
-		var fired []float64
-		rec := func(any) { fired = append(fired, s.Now()) }
-		var handles []Handle
-		for op := 0; op < 20000; op++ {
-			switch k := r.Intn(11); {
-			case k == 10:
-				s.RunUntil(s.Now() + r.Float64()*0.5)
-			case k < 5:
-				handles = append(handles, s.AfterArg(r.Float64()*3, rec, nil))
-			case k < 7 && len(handles) > 0:
-				s.Cancel(handles[r.Intn(len(handles))])
-			default:
-				s.Step()
-			}
+	s, ref := NewScheduler(), &refSched{}
+	r := rand.New(rand.NewSource(99))
+	var fired []float64
+	rec := func(any) { fired = append(fired, s.Now()) }
+	var handles []Handle
+	var seqs []uint64
+	for op := 0; op < 20000; op++ {
+		switch k := r.Intn(11); {
+		case k == 10:
+			d := r.Float64() * 0.5
+			s.RunUntil(s.Now() + d)
+			ref.runUntil(ref.now + d)
+		case k < 5:
+			d := r.Float64() * 3
+			handles = append(handles, s.AfterArg(d, rec, nil))
+			seqs = append(seqs, ref.after(d, 0))
+		case k < 7 && len(handles) > 0:
+			i := r.Intn(len(handles)) // often stale: a no-op on both
+			s.Cancel(handles[i])
+			ref.cancel(seqs[i])
+		default:
+			s.Step()
+			ref.step()
 		}
-		s.Run()
-		return fired
 	}
-	a, b := workload(QueueHeap4), workload(QueueCalendar)
-	if len(a) != len(b) {
-		t.Fatalf("fired %d events on heap, %d on calendar", len(a), len(b))
+	s.Run()
+	ref.run()
+	if len(fired) != len(ref.fired) {
+		t.Fatalf("fired %d events, reference %d", len(fired), len(ref.fired))
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("firing %d: heap at %v, calendar at %v", i, a[i], b[i])
+	for i, e := range ref.fired {
+		if fired[i] != e.at {
+			t.Fatalf("firing %d at %v, reference at %v", i, fired[i], e.at)
 		}
 	}
 }
@@ -672,7 +668,7 @@ func TestSchedulerQueueEquivalence(t *testing.T) {
 // TestCalendarResizeStress pushes the calendar through several grow and
 // shrink cycles while checking global firing order.
 func TestCalendarResizeStress(t *testing.T) {
-	s := NewSchedulerWith(QueueCalendar)
+	s := NewScheduler()
 	r := rand.New(rand.NewSource(5))
 	last := -1.0
 	n := 0
@@ -702,7 +698,7 @@ func TestCalendarResizeStress(t *testing.T) {
 
 // TestCalendarRunUntil pins RunUntil's peek path on the calendar.
 func TestCalendarRunUntil(t *testing.T) {
-	s := NewSchedulerWith(QueueCalendar)
+	s := NewScheduler()
 	var fired []float64
 	for _, at := range []float64{1, 2, 3, 4} {
 		at := at
@@ -724,25 +720,23 @@ func TestCalendarRunUntil(t *testing.T) {
 // first. Before the fix the calendar fired [10 6] and ran the clock
 // backwards.
 func TestCalendarInsertBehindLookahead(t *testing.T) {
-	for _, qk := range queueKinds {
-		t.Run(qk.name, func(t *testing.T) {
-			s := NewSchedulerWith(qk.kind)
-			var fired []float64
-			rec := func(any) {
-				if n := len(fired); n > 0 && s.Now() < fired[n-1] {
-					t.Fatalf("clock ran backwards: %v after %v", s.Now(), fired[n-1])
-				}
-				fired = append(fired, s.Now())
+	t.Run("calendar", func(t *testing.T) {
+		s := NewScheduler()
+		var fired []float64
+		rec := func(any) {
+			if n := len(fired); n > 0 && s.Now() < fired[n-1] {
+				t.Fatalf("clock ran backwards: %v after %v", s.Now(), fired[n-1])
 			}
-			s.AtArg(10, rec, nil)
-			s.RunUntil(5)
-			s.AtArg(6, rec, nil)
-			s.Run()
-			if len(fired) != 2 || fired[0] != 6 || fired[1] != 10 {
-				t.Fatalf("fired %v, want [6 10]", fired)
-			}
-		})
-	}
+			fired = append(fired, s.Now())
+		}
+		s.AtArg(10, rec, nil)
+		s.RunUntil(5)
+		s.AtArg(6, rec, nil)
+		s.Run()
+		if len(fired) != 2 || fired[0] != 6 || fired[1] != 10 {
+			t.Fatalf("fired %v, want [6 10]", fired)
+		}
+	})
 }
 
 // calCheck verifies the calendar's structural invariants: every bucket
@@ -758,7 +752,7 @@ func calCheck(t testing.TB, s *Scheduler) {
 		last := int32(-1)
 		for ; h >= 0; h = s.slots[h].next {
 			ev := &s.slots[h]
-			if ev.pos < 0 {
+			if !ev.queued {
 				t.Fatalf("bucket %d holds recycled slot %d", idx, h)
 			}
 			if day := c.calDay(ev.at); int(day&mask) != idx || day < c.curV {
@@ -785,7 +779,7 @@ func calCheck(t testing.TB, s *Scheduler) {
 
 // TestCalendarUnlink cancels the head, a middle entry, the tail and the
 // only entry of one day bucket, each followed by inserts before, inside
-// and after what is left, and requires the heap's firing order.
+// and after what is left, and requires the reference's firing order.
 func TestCalendarUnlink(t *testing.T) {
 	// All inside day 10 of the resting calendar (width 1 ms).
 	base := []float64{0.0101, 0.0103, 0.0105, 0.0107}
@@ -803,36 +797,39 @@ func TestCalendarUnlink(t *testing.T) {
 		{"head-then-tail", 4, []int{0, 3}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var order [2][]int
-			for k, qk := range queueKinds {
-				s := NewSchedulerWith(qk.kind)
-				rec := func(x any) { order[k] = append(order[k], x.(int)) }
-				var hs []Handle
-				for i, at := range base[:tc.n] {
-					hs = append(hs, s.AtArg(at, rec, i))
-				}
-				for _, i := range tc.cancel {
-					s.Cancel(hs[i])
-					if hs[i].Scheduled() {
-						t.Fatalf("%s: handle %d still Scheduled after Cancel", qk.name, i)
-					}
-					if qk.kind == QueueCalendar {
-						calCheck(t, s)
-					}
-				}
-				for i, at := range after {
-					s.AtArg(at, rec, 100+i)
-					if qk.kind == QueueCalendar {
-						calCheck(t, s)
-					}
-				}
-				if want := tc.n - len(tc.cancel) + len(after); s.Len() != want {
-					t.Fatalf("%s: Len = %d, want %d", qk.name, s.Len(), want)
-				}
-				s.Run()
+			s, ref := NewScheduler(), &refSched{}
+			var order []int
+			rec := func(x any) { order = append(order, x.(int)) }
+			var hs []Handle
+			var seqs []uint64
+			for i, at := range base[:tc.n] {
+				hs = append(hs, s.AtArg(at, rec, i))
+				seqs = append(seqs, ref.schedule(at, i))
 			}
-			if fmt.Sprint(order[0]) != fmt.Sprint(order[1]) {
-				t.Fatalf("heap fired %v, calendar %v", order[0], order[1])
+			for _, i := range tc.cancel {
+				s.Cancel(hs[i])
+				ref.cancel(seqs[i])
+				if hs[i].Scheduled() {
+					t.Fatalf("handle %d still Scheduled after Cancel", i)
+				}
+				calCheck(t, s)
+			}
+			for i, at := range after {
+				s.AtArg(at, rec, 100+i)
+				ref.schedule(at, 100+i)
+				calCheck(t, s)
+			}
+			if s.Len() != len(ref.events) {
+				t.Fatalf("Len = %d, want %d", s.Len(), len(ref.events))
+			}
+			s.Run()
+			ref.run()
+			var want []int
+			for _, e := range ref.fired {
+				want = append(want, e.id)
+			}
+			if fmt.Sprint(order) != fmt.Sprint(want) {
+				t.Fatalf("fired %v, reference %v", order, want)
 			}
 		})
 	}
@@ -843,7 +840,7 @@ func TestCalendarUnlink(t *testing.T) {
 // tail path — no list node is ever stepped over, through all the
 // rebuilds the growth triggers.
 func TestCalendarEqualTimesAreTailInserts(t *testing.T) {
-	s := NewSchedulerWith(QueueCalendar)
+	s := NewScheduler()
 	var got []int
 	rec := func(x any) { got = append(got, x.(int)) }
 	s.AtArg(0.5, rec, -1) // an earlier event, so the burst is not at the scan position
@@ -871,7 +868,7 @@ func TestCalendarEqualTimesAreTailInserts(t *testing.T) {
 // the estimator must ignore the stragglers, settle in a bounded number
 // of rebuilds, and keep the mean insert walk short afterwards.
 func TestCalendarStragglersDoNotStretchTheWidth(t *testing.T) {
-	s := NewSchedulerWith(QueueCalendar)
+	s := NewScheduler()
 	r := rand.New(rand.NewSource(11))
 	nop := func(any) {}
 	add := func() {
@@ -912,7 +909,7 @@ func TestCalendarStragglersDoNotStretchTheWidth(t *testing.T) {
 // year scans are charged to the walk cost, so the drain itself must
 // re-derive the width after a few of them.
 func TestCalendarSparseAfterBurstRetunes(t *testing.T) {
-	s := NewSchedulerWith(QueueCalendar)
+	s := NewScheduler()
 	n := 0
 	rec := func(any) { n++ }
 	for i := 0; i < 600; i++ { // crosses the growth trigger: width tuned to 1 ns spacing
@@ -938,25 +935,30 @@ func TestCalendarSparseAfterBurstRetunes(t *testing.T) {
 // TestCalendarResetAfterGrowth grows the calendar well past its resting
 // size, shrinks it again, and then sends it through Reset and through
 // the Release/NewScheduler pool: each time it must come back at the
-// resting size and default width, empty, and fire in heap order.
+// resting size and default width, empty, and fire in reference order.
 func TestCalendarResetAfterGrowth(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	nop := func(any) {}
-	workload := func(s *Scheduler) []float64 {
+	// workload runs on the scheduler and the reference at once and
+	// returns both firing-time sequences.
+	workload := func(s *Scheduler) (fired []float64, want []refEvent) {
 		wr := rand.New(rand.NewSource(4))
-		var fired []float64
+		ref := &refSched{}
 		rec := func(any) { fired = append(fired, s.Now()) }
 		for i := 0; i < 2000; i++ {
-			s.AfterArg(wr.Float64(), rec, nil)
+			d := wr.Float64()
+			s.AfterArg(d, rec, nil)
+			ref.after(d, 0)
 			if i%3 == 0 {
 				s.Step()
+				ref.step()
 			}
 		}
 		s.Run()
-		return fired
+		ref.run()
+		return fired, ref.fired
 	}
-	want := workload(NewSchedulerWith(QueueHeap4))
-	s := NewSchedulerWith(QueueCalendar)
+	s := NewScheduler()
 	for round := 0; round < 4; round++ {
 		for i := 0; i < 20000; i++ {
 			s.AfterArg(r.Float64()*50, nop, nil)
@@ -976,20 +978,20 @@ func TestCalendarResetAfterGrowth(t *testing.T) {
 			s.Reset()
 		} else {
 			s.Release()
-			s = NewSchedulerWith(QueueCalendar)
+			s = NewScheduler()
 		}
 		if len(s.cal.head) != calMinBuckets || s.cal.width != calDefaultWidth || s.Len() != 0 || s.Now() != 0 {
 			t.Fatalf("round %d: recycled calendar has %d buckets, width %v, %d events, clock %v",
 				round, len(s.cal.head), s.cal.width, s.Len(), s.Now())
 		}
 		calCheck(t, s)
-		got := workload(s)
+		got, want := workload(s)
 		if len(got) != len(want) {
-			t.Fatalf("round %d: fired %d events, heap fired %d", round, len(got), len(want))
+			t.Fatalf("round %d: fired %d events, reference %d", round, len(got), len(want))
 		}
 		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("round %d: firing %d at %v, heap at %v", round, i, got[i], want[i])
+			if got[i] != want[i].at {
+				t.Fatalf("round %d: firing %d at %v, reference at %v", round, i, got[i], want[i].at)
 			}
 		}
 		s.Reset()
@@ -1042,33 +1044,31 @@ func BenchmarkSchedulerEventsPerSecond(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
 }
 
-// BenchmarkSchedulerQueues compares the two queue backends across
-// standing event populations (the decision benchmark behind
-// DefaultSchedulerQueue): hold N events pending, then measure
-// pop-one/push-one churn, the simulator's steady-state access pattern.
+// BenchmarkSchedulerQueues measures the queue across standing event
+// populations (the numbers behind the verdict in calendar.go): hold N
+// events pending, then measure pop-one/push-one churn, the simulator's
+// steady-state access pattern.
 func BenchmarkSchedulerQueues(b *testing.B) {
-	for _, qk := range queueKinds {
-		for _, pop := range []int{1_000, 100_000, 1_000_000} {
-			b.Run(fmt.Sprintf("%s/pop=%d", qk.name, pop), func(b *testing.B) {
-				s := NewSchedulerWith(qk.kind)
-				s.Pin() // keep the 1M-population backing out of the shared pool
-				r := rand.New(rand.NewSource(1))
-				delays := make([]float64, 8192)
-				for i := range delays {
-					delays[i] = r.Float64()
-				}
-				fn := func(any) {}
-				for i := 0; i < pop; i++ {
-					s.AfterArg(delays[i%len(delays)], fn, nil)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					s.AfterArg(delays[i%len(delays)], fn, nil)
-					s.Step()
-				}
-				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
-			})
-		}
+	for _, pop := range []int{1_000, 100_000, 1_000_000} {
+		b.Run(fmt.Sprintf("pop=%d", pop), func(b *testing.B) {
+			s := NewScheduler()
+			s.Pin() // keep the 1M-population backing out of the shared pool
+			r := rand.New(rand.NewSource(1))
+			delays := make([]float64, 8192)
+			for i := range delays {
+				delays[i] = r.Float64()
+			}
+			fn := func(any) {}
+			for i := 0; i < pop; i++ {
+				s.AfterArg(delays[i%len(delays)], fn, nil)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.AfterArg(delays[i%len(delays)], fn, nil)
+				s.Step()
+			}
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
+		})
 	}
 }

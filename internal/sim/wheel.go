@@ -11,7 +11,7 @@ import (
 // the next multiple of the wheel tick — timers may fire late by up to
 // one tick, never early — and all timers sharing a tick fire from a
 // single scheduler event, in arming order. At a million flows this
-// turns a million resident feedback-timer heap entries into at most
+// turns a million resident feedback-timer queue entries into at most
 // one pending scheduler event per occupied tick bucket.
 //
 // Cancellation is lazy (unlike the calendar queue's): Timer.Stop bumps

@@ -6,74 +6,34 @@ var trafficArenaID = sim.NewArenaID()
 
 // genArena pools the background-traffic generators per scheduler. They
 // all live for a whole scenario, so ResetArena reclaims everything when
-// the scheduler is recycled for the next sweep cell.
+// the scheduler is recycled for the next sweep cell. A cell has a few of
+// each at most: the slabs hold pointers, so a cold cell pays for the
+// generators it builds and not for a chunk of eight.
 type genArena struct {
-	onoffs []*OnOff
-	ooUsed int
-	cbrs   []*CBR
-	cbUsed int
-	sinks  []*Sink
-	skUsed int
-	mice   []*Mice
-	miUsed int
+	onoffs sim.Slab[*OnOff]
+	cbrs   sim.Slab[*CBR]
+	sinks  sim.Slab[*Sink]
+	mice   sim.Slab[*Mice]
 }
 
 // ResetArena implements sim.Arena.
 func (a *genArena) ResetArena() {
-	a.ooUsed = 0
-	a.cbUsed = 0
-	a.skUsed = 0
-	a.miUsed = 0
+	a.onoffs.Reset()
+	a.cbrs.Reset()
+	a.sinks.Reset()
+	a.mice.Reset()
 }
 
 func arenaOf(s *sim.Scheduler) *genArena {
 	return s.Arena(trafficArenaID, func() sim.Arena { return &genArena{} }).(*genArena)
 }
 
-func (a *genArena) onoff() *OnOff {
-	if a.ooUsed < len(a.onoffs) {
-		o := a.onoffs[a.ooUsed]
-		a.ooUsed++
-		return o
+// next returns the generator in the slab's next slot, allocating it the
+// first time the slot is issued.
+func next[T any](s *sim.Slab[*T]) *T {
+	p := s.Get()
+	if *p == nil {
+		*p = new(T)
 	}
-	o := new(OnOff)
-	a.onoffs = append(a.onoffs, o)
-	a.ooUsed = len(a.onoffs)
-	return o
-}
-
-func (a *genArena) cbr() *CBR {
-	if a.cbUsed < len(a.cbrs) {
-		c := a.cbrs[a.cbUsed]
-		a.cbUsed++
-		return c
-	}
-	c := new(CBR)
-	a.cbrs = append(a.cbrs, c)
-	a.cbUsed = len(a.cbrs)
-	return c
-}
-
-func (a *genArena) sink() *Sink {
-	if a.skUsed < len(a.sinks) {
-		s := a.sinks[a.skUsed]
-		a.skUsed++
-		return s
-	}
-	s := new(Sink)
-	a.sinks = append(a.sinks, s)
-	a.skUsed = len(a.sinks)
-	return s
-}
-
-func (a *genArena) miceGen() *Mice {
-	if a.miUsed < len(a.mice) {
-		m := a.mice[a.miUsed]
-		a.miUsed++
-		return m
-	}
-	m := new(Mice)
-	a.mice = append(a.mice, m)
-	a.miUsed = len(a.mice)
-	return m
+	return *p
 }

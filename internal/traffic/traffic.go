@@ -64,7 +64,7 @@ func NewOnOff(nw *netsim.Network, node *netsim.Node, dst netsim.NodeID, port, fl
 	if cfg.Rate <= 0 || cfg.MeanOn <= 0 || cfg.MeanOff <= 0 {
 		panic("traffic: ON/OFF source needs positive rate and sojourn times")
 	}
-	o := arenaOf(nw.Scheduler()).onoff()
+	o := next(&arenaOf(nw.Scheduler()).onoffs)
 	emitFn, startOnFn, startOffFn := o.emitFn, o.startOnFn, o.startOffFn
 	*o = OnOff{cfg: cfg, net: nw, node: node, dst: dst, port: port, flow: flow, rng: rng}
 	o.emitFn, o.startOnFn, o.startOffFn = emitFn, startOnFn, startOffFn
@@ -143,7 +143,7 @@ func NewCBR(nw *netsim.Network, node *netsim.Node, dst netsim.NodeID, port, flow
 	if rate <= 0 || size <= 0 {
 		panic("traffic: CBR needs positive rate and size")
 	}
-	c := arenaOf(nw.Scheduler()).cbr()
+	c := next(&arenaOf(nw.Scheduler()).cbrs)
 	emitFn := c.emitFn
 	*c = CBR{
 		net: nw, node: node, dst: dst, port: port, flow: flow,
@@ -188,7 +188,7 @@ type Sink struct {
 
 // NewSink attaches a discarding sink at node:port.
 func NewSink(nw *netsim.Network, node *netsim.Node, port int) *Sink {
-	s := arenaOf(nw.Scheduler()).sink()
+	s := next(&arenaOf(nw.Scheduler()).sinks)
 	*s = Sink{net: nw}
 	node.Attach(port, s)
 	return s
@@ -250,7 +250,7 @@ func NewMice(nw *netsim.Network, src, dst *netsim.Node, flow int, cfg MiceConfig
 	if cfg.BasePort == 0 {
 		cfg.BasePort = 1000
 	}
-	m := arenaOf(nw.Scheduler()).miceGen()
+	m := next(&arenaOf(nw.Scheduler()).mice)
 	spawnFn, slotSnd, slotSink := m.spawnFn, m.slotSnd, m.slotSink
 	*m = Mice{cfg: cfg, net: nw, src: src, dst: dst, flow: flow, rng: rng}
 	m.spawnFn = spawnFn
