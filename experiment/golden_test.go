@@ -1,0 +1,117 @@
+package experiment_test
+
+import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"tfrc/experiment"
+)
+
+// goldenCases gives every registered experiment a small parameter
+// overlay (JSON over the defaults, as "tfrcsim run -params" applies it)
+// whose table and "-format json" record are pinned byte-for-byte in
+// testdata/golden. Experiments with a replicate count appear twice, so
+// both the single-seed pass-through and the mean ± CI reduction are
+// pinned. The files were generated by the commit before the experiment
+// kernel landed; UPDATE_GOLDEN=1 rewrites them.
+var goldenCases = []struct{ name, exp, overlay string }{
+	{"fig2", "fig2", `{"T1": 3, "T2": 5, "Duration": 8}`},
+	{"fig3", "fig3", `{"BufferSizes": [4, 16], "Duration": 30, "Warmup": 10}`},
+	{"fig4", "fig4", `{"BufferSizes": [4, 16], "Duration": 30, "Warmup": 10}`},
+	{"fig5", "fig5", `{"PLoss": [0.01, 0.05, 0.1]}`},
+	{"fig6", "fig6", `{"LinkMbps": [2], "TotalFlows": [2, 4], "Duration": 15, "MeasureTail": 8}`},
+	{"fig6-seeds2", "fig6", `{"LinkMbps": [2], "TotalFlows": [2, 4], "Duration": 15, "MeasureTail": 8, "Seeds": 2}`},
+	{"fig7", "fig7", `{"TotalFlows": [4, 8], "Duration": 15, "MeasureTail": 8}`},
+	{"fig8", "fig8", `{"Flows": 4}`},
+	{"fig8-seeds2", "fig8", `{"Flows": 4, "Seeds": 2}`},
+	{"fig9", "fig9", `{"Runs": 2, "FlowsEach": 2, "Duration": 20, "Warmup": 5, "Timescales": [0.5, 2]}`},
+	{"fig11", "fig11", `{"Sources": [10, 20], "Duration": 30, "Warmup": 10, "Timescales": [0.5, 2], "Runs": 2}`},
+	{"fig14", "fig14", `{"Flows": 4, "Stagger": 2, "Duration": 6}`},
+	{"fig14-seeds2", "fig14", `{"Flows": 4, "Stagger": 2, "Duration": 6, "Seeds": 2}`},
+	{"fig15", "fig15", `{"Duration": 30}`},
+	{"fig15-seeds2", "fig15", `{"Duration": 30, "Seeds": 2}`},
+	{"fig16", "fig16", `{"Timescales": [1, 5], "Duration": 30}`},
+	{"fig18", "fig18", `{"HistorySizes": [2, 8], "Duration": 30}`},
+	{"fig19", "fig19", `{"SwitchTime": 5, "Duration": 7}`},
+	{"fig20", "fig20", `{"SwitchTime": 5, "Duration": 7}`},
+	{"fig21", "fig21", `{"DropRates": [0.01, 0.1]}`},
+	{"blackout", "blackout", `{"OutageStart": 10, "OutageEnd": 18, "Duration": 30}`},
+	{"bwstep", "bwstep", `{"StepAt": 8, "RestoreAt": 16, "Duration": 24}`},
+	{"bwstep-seeds2", "bwstep", `{"StepAt": 8, "RestoreAt": 16, "Duration": 24, "Seeds": 2}`},
+	{"ccfair", "ccfair", `{"RTTs": [0.06, 0.12], "LinkMbps": [4, 8], "Duration": 20, "Warmup": 5}`},
+	{"ccfair-seeds2", "ccfair", `{"RTTs": [0.06, 0.12], "LinkMbps": [4, 8], "Duration": 20, "Warmup": 5, "Seeds": 2}`},
+	{"chaos", "chaos", `{"Cells": 3, "Episodes": 3, "Duration": 25}`},
+	{"flap", "flap", `{"FlapStart": 8, "Period": 3, "Flaps": 2, "Duration": 24}`},
+	{"manyflows", "manyflows", `{"Flows": [50, 200], "Duration": 6, "Warmup": 3}`},
+	{"parkinglot", "parkinglot", `{"Bottlenecks": [1, 2], "Duration": 20, "Warmup": 5}`},
+	{"parkinglot-seeds2", "parkinglot", `{"Bottlenecks": [1, 2], "Duration": 20, "Warmup": 5, "Seeds": 2}`},
+}
+
+// TestGoldenEveryExperiment runs each case through the registry the way
+// the CLI does and compares both output formats with the goldens.
+func TestGoldenEveryExperiment(t *testing.T) {
+	covered := map[string]bool{}
+	for _, tc := range goldenCases {
+		covered[tc.exp] = true
+		t.Run(tc.name, func(t *testing.T) {
+			d, err := experiment.Get(tc.exp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := d.Params()
+			dec := json.NewDecoder(strings.NewReader(tc.overlay))
+			dec.DisallowUnknownFields()
+			if err := dec.Decode(p); err != nil {
+				t.Fatalf("overlay: %v", err)
+			}
+			res, err := experiment.Run(d, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var table, record bytes.Buffer
+			res.Table(&table)
+			if err := experiment.WriteJSON(&record, d.Name, p, res); err != nil {
+				t.Fatal(err)
+			}
+			compareGolden(t, tc.name+".table", table.Bytes())
+			compareGolden(t, tc.name+".json", record.Bytes())
+		})
+	}
+	for _, d := range experiment.List() {
+		if !covered[d.Name] && !strings.HasPrefix(d.Name, "user-") {
+			t.Errorf("registered experiment %q has no golden case", d.Name)
+		}
+	}
+}
+
+func compareGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", "golden", name)
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatalf("updating golden: %v", err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("reading golden: %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s differs from the golden (%d bytes, want %d); first difference at byte %d",
+			name, len(got), len(want), firstDiff(got, want))
+	}
+}
+
+func firstDiff(a, b []byte) int {
+	n := min(len(a), len(b))
+	for i := 0; i < n; i++ {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return n
+}
