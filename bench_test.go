@@ -80,7 +80,7 @@ func BenchmarkFig06FairnessGrid(b *testing.B) {
 
 func BenchmarkFig07PerFlowDistribution(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cells := exp.RunFig07([]int{16}, 40, 20, 1)
+		cells := exp.RunFig07(exp.Fig07Params{TotalFlows: []int{16}, Duration: 40, MeasureTail: 20, Seed: 1}).Cells
 		b.ReportMetric(stats.StdDev(cells[0].PerFlowTCP), "tcp-spread")
 		b.ReportMetric(stats.StdDev(cells[0].PerFlowTFRC), "tfrc-spread")
 	}
@@ -88,7 +88,7 @@ func BenchmarkFig07PerFlowDistribution(b *testing.B) {
 
 func BenchmarkFig08ThroughputTraces(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := exp.RunFig08(exp.DefaultFig08(netsim.QueueRED))
+		r := exp.RunFig08(exp.Fig08GridParams{Queues: []netsim.QueueKind{netsim.QueueRED}, Flows: 32, Seed: 1}).Results[0]
 		b.ReportMetric(r.CoVTCP, "cov-tcp")
 		b.ReportMetric(r.CoVTFRC, "cov-tfrc")
 	}
@@ -159,14 +159,14 @@ func BenchmarkFig14QueueDynamics(b *testing.B) {
 
 func BenchmarkFig15InternetTrace(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := exp.RunFig15(60, 1)
+		r := exp.RunFig15(exp.Fig15Params{Duration: 60, Seed: 1})
 		b.ReportMetric(r.MeanTFRC/r.MeanTCP, "tfrc/tcp")
 	}
 }
 
 func BenchmarkFig16PathEquivalence(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := exp.RunFig16([]float64{1, 10}, 60, 1)
+		r := exp.RunFig16(exp.Fig16Params{Timescales: []float64{1, 10}, Duration: 60, Seed: 1})
 		// Paper: Linux path equivalent, Solaris path poorer.
 		var linux, solaris float64
 		for _, row := range r.Rows {
@@ -184,7 +184,7 @@ func BenchmarkFig16PathEquivalence(b *testing.B) {
 
 func BenchmarkFig17PathCoV(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := exp.RunFig16([]float64{1}, 60, 1)
+		r := exp.RunFig16(exp.Fig16Params{Timescales: []float64{1}, Duration: 60, Seed: 1})
 		var tcpCov, tfrcCov float64
 		for _, row := range r.Rows {
 			if row.Path == "UMASS (Solaris)" {
@@ -225,7 +225,7 @@ func BenchmarkFig20PersistentCongestion(b *testing.B) {
 
 func BenchmarkFig21HalvingSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := exp.RunFig21([]float64{0.01, 0.1}, 0.05)
+		r := exp.RunFig21(exp.Fig21Params{DropRates: []float64{0.01, 0.1}, RTT: 0.05})
 		var mean float64
 		for _, row := range r.Rows {
 			mean += float64(row.RTTs)

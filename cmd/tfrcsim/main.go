@@ -13,14 +13,15 @@
 //	tfrcsim run parkinglot -seeds 3   # 3 seeds per cell, mean ± 90% CI
 //	tfrcsim list                      # enumerate the registry
 //
-// Grid-shaped experiments also run distributed: "shard run" computes a
-// slice of the cell grid into a shard envelope (with crash-safe
-// checkpoint/resume), "shard exec" supervises a local fan-out with
-// automatic restart of crashed or hung shards, and "merge" reassembles
-// envelopes into the exact single-machine result:
+// Every experiment is a grid of independent cells (a single trace is a
+// grid of one), so every one of them also runs distributed: "shard run"
+// computes a slice of the cell grid into a shard envelope (with
+// crash-safe checkpoint/resume), "shard exec" supervises a local fan-out
+// with automatic restart of crashed or hung shards, and "merge"
+// reassembles envelopes into the exact single-machine result:
 //
 //	tfrcsim shard run fig6 -shard 0/3 -checkpoint s0.ckpt -resume -o s0.json
-//	tfrcsim shard exec fig6 -n 3 -format json
+//	tfrcsim shard exec fig14 -seeds 4 -n 3 -format json
 //	tfrcsim merge s0.json s1.json s2.json -format json
 //
 // Merged output is byte-identical to "run -format json" at any shard
@@ -31,12 +32,13 @@
 // Experiment names resolve through registry aliases, so run 10 and
 // run fig10 both reach fig9 (which includes Figure 10).
 //
-// Sweep-shaped experiments execute their independent cells on a worker
-// pool; -parallel defaults to the number of CPUs and results are
-// bit-identical at any worker count. -seeds applies to experiments
-// whose parameters support multi-seed replication (figures 6, 8, 14,
-// 15 and the parkinglot/bwstep scenarios); each cell then repeats at
-// that many seeds and reports mean ± 90% CI.
+// Experiments execute their cells on a worker pool; -parallel defaults
+// to the number of CPUs and results are bit-identical at any worker
+// count. -seeds applies to experiments whose parameters support
+// multi-seed replication (figures 6, 8, 14, 15 and the bwstep, ccfair
+// and parkinglot scenarios); each cell then repeats at that many seeds
+// and reports mean ± 90% CI. For chaos, -seeds is the number of soak
+// cells.
 //
 // A -params file is JSON overlaid on the selected preset's defaults, so
 // it may name only the fields it changes; unknown fields are rejected.

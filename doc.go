@@ -47,15 +47,17 @@
 //
 //   - Package experiment: the registry of the paper's evaluation.
 //     Every figure (2-21) and beyond-paper experiment (parkinglot,
-//     bwstep, manyflows) self-registers a Descriptor with JSON-serializable,
-//     self-validating parameters (the paper's full scale is the
-//     "paper" preset) and a Result that renders both the gnuplot-ready
-//     table and stable-keyed JSON. experiment.Get("fig6") → tweak
-//     params → experiment.Run; cmd/tfrcsim is a thin shell over the
-//     registry ("tfrcsim run fig6 -format json"). Grid-shaped
-//     experiments execute their independent cells on a parallel sweep
-//     runner whose output is bit-identical to a sequential run
-//     (-parallel N), with -seeds K for per-cell mean ± 90% CI.
+//     bwstep, manyflows, ccfair, the fault soaks) is one
+//     experiment.Define spec — JSON-serializable, self-validating
+//     parameters (the paper's full scale is the "paper" preset), a
+//     cell count, a pure per-cell function and a reducer to a Result
+//     that renders both the gnuplot-ready table and stable-keyed JSON.
+//     experiment.Get("fig6") → tweak params → experiment.Run;
+//     cmd/tfrcsim is a thin shell over the registry ("tfrcsim run fig6
+//     -format json"). Every experiment executes its independent cells
+//     on a parallel sweep runner whose output is bit-identical to a
+//     sequential run (-parallel N) and shards across processes
+//     ("tfrcsim shard"), with -seeds K for per-cell mean ± 90% CI.
 //
 // The module path is "tfrc"; packages import as tfrc/internal/...
 //

@@ -15,8 +15,27 @@
 // Parameters are pointers to plain structs (aliased in this package:
 // Fig06Params, ParkingLotParams, ...), so callers can type-assert and
 // tweak fields, or overlay a JSON document on the defaults with
-// json.Unmarshal. Register adds user-defined experiments to the same
-// registry the CLI enumerates.
+// json.Unmarshal. Define adds user-defined experiments to the same
+// registry the CLI enumerates, as what every built-in one is — a cell
+// count, a pure per-cell function and a reducer — so they shard,
+// checkpoint and interrupt like the figures:
+//
+//	type sweepParams struct{ Rates []float64 }
+//	func (p *sweepParams) Validate() error { ... }
+//
+//	run := experiment.Define(experiment.Spec[sweepParams, float64, *sweepResult]{
+//		Name:    "ratesweep",
+//		Default: func() sweepParams { return sweepParams{Rates: []float64{1e6, 2e6}} },
+//		Cells:   func(p *sweepParams) int { return len(p.Rates) },
+//		Cell: func(_ *experiment.Cell, p *sweepParams, i int) float64 {
+//			res, _ := scenario.Run(scenario.Spec{BottleneckBW: p.Rates[i], ...})
+//			return res.Utilization
+//		},
+//		Reduce: func(p *sweepParams, util []float64) *sweepResult { ... },
+//	})
+//
+// Register takes a hand-built Descriptor; one without a Grid only runs
+// whole.
 //
 // The serialized record has a stable, versioned shape:
 //
@@ -70,28 +89,33 @@ type (
 	// SeedsSetter is implemented by params supporting multi-seed
 	// replication with mean ± 90% CI aggregation.
 	SeedsSetter = exp.SeedsSetter
-	// Grid is the optional pure-cell decomposition of an experiment:
-	// cell count, range runner, and reduce step over raw JSON cells. An
-	// experiment that provides one can be split across processes and
-	// machines (see cmd/tfrcsim's shard and merge commands) with
-	// byte-identical results.
+	// Grid is the pure-cell decomposition of an experiment: cell count,
+	// range runner, and reduce step over raw JSON cells. Every
+	// experiment declared with Define has one, so it can be split
+	// across processes and machines (see cmd/tfrcsim's shard and merge
+	// commands) with byte-identical results.
 	Grid = exp.Grid
 	// CellRange is a half-open range [Lo, Hi) of grid cell indices.
 	CellRange = exp.CellRange
 )
 
-// GridAs builds a Grid from typed cell functions: cells sizes the grid
-// for a parameter set, runRange computes the cells of a sub-range
-// (each cell a pure function of the absolute index), and reduce folds
-// a full cell slice into the experiment's Result. The JSON marshaling
-// at the Grid boundary is handled here, so registered experiments only
-// write typed code.
-func GridAs[P Params, C any, R Result](
-	cells func(P) int,
-	runRange func(P, CellRange) []C,
-	reduce func(P, []C) R,
-) *Grid {
-	return exp.GridAs(cells, runRange, reduce)
+// Spec declares an experiment as parameters → N independent cells →
+// reduce: P is the plain parameter struct (*P implements Params), C one
+// cell's JSON-round-trippable harvest, R the Result.
+type Spec[P, C any, R Result] = exp.Spec[P, C, R]
+
+// Cell is the worker's simulation arena handed to a Spec's Cell
+// function; code outside this module has no use for it.
+type Cell = exp.Cell
+
+// Define registers the experiment s describes — Run, the shardable
+// Grid and the JSON framing at its boundary are all derived from the
+// typed Spec — and returns the typed run, Reduce over all cells.
+func Define[P, C any, R Result, PP interface {
+	*P
+	Params
+}](s Spec[P, C, R]) func(*P) R {
+	return exp.Define[P, C, R, PP](s)
 }
 
 // Register adds an experiment to the registry. The paper's figures
@@ -121,9 +145,9 @@ func List() []Descriptor { return exp.Experiments() }
 // runs on unvalidated parameters.
 func Run(d Descriptor, p Params) (Result, error) { return exp.RunExperiment(d, p) }
 
-// SetParallelism sets the worker count used by grid-shaped experiments
-// to execute their independent sweep cells, returning the previous
-// value. Results are bit-identical at any setting.
+// SetParallelism sets the worker count experiments use to execute
+// their independent cells, returning the previous value. Results are
+// bit-identical at any setting.
 func SetParallelism(n int) int { return exp.SetParallelism(n) }
 
 // Parallelism returns the current sweep worker count.

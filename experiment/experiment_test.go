@@ -366,10 +366,15 @@ func TestSeedKnobs(t *testing.T) {
 			t.Errorf("%s should support -seed", name)
 		}
 	}
-	for _, name := range []string{"fig6", "fig8", "fig14", "fig15", "parkinglot", "bwstep"} {
+	// Exactly the list in the README's and cmd/tfrcsim's -seeds text.
+	wantMulti := []string{"fig6", "fig8", "fig14", "fig15", "bwstep", "ccfair", "chaos", "parkinglot"}
+	for _, name := range wantMulti {
 		if !multi[name] {
 			t.Errorf("%s should support -seeds", name)
 		}
+	}
+	if len(multi) != len(wantMulti) {
+		t.Errorf("-seeds is supported by %v; the documented list is %v", multi, wantMulti)
 	}
 	for _, name := range []string{"fig2", "fig5", "fig19", "fig20", "fig21"} {
 		if seeded[name] {

@@ -76,14 +76,12 @@ func (p *BlackoutParams) Validate() error {
 // SetSeed implements SeedSetter.
 func (p *BlackoutParams) SetSeed(seed int64) { p.Seed = seed }
 
-func init() {
-	Register(Descriptor{
-		Name:        "blackout",
-		Description: "graceful degradation through a total feedback outage",
-		Params:      paramsFn[BlackoutParams](DefaultBlackout),
-		Run:         runAs(func(p *BlackoutParams) Result { return RunBlackout(*p) }),
-	})
-}
+var runBlackout = Define(single("blackout", "graceful degradation through a total feedback outage",
+	nil, DefaultBlackout, blackoutCell))
+
+// RunBlackout runs the outage scenario and judges it with
+// faults.CheckGraceful.
+func RunBlackout(pr BlackoutParams) *BlackoutResult { return runBlackout(&pr) }
 
 // BlackoutResult carries the graceful-degradation verdict plus the
 // traces it was judged on.
@@ -99,16 +97,7 @@ type BlackoutResult struct {
 	Rates    []faults.RatePoint // allowed-rate trace
 }
 
-// RunBlackout runs the outage scenario and judges it with
-// faults.CheckGraceful.
-func RunBlackout(pr BlackoutParams) *BlackoutResult {
-	out := runCellsCtx(1, func(c *Cell, _ int) *BlackoutResult {
-		return runBlackoutCell(c, pr)
-	})
-	return out[0]
-}
-
-func runBlackoutCell(c *Cell, pr BlackoutParams) *BlackoutResult {
+func blackoutCell(c *Cell, pr *BlackoutParams) *BlackoutResult {
 	sched := c.begin()
 	bw := pr.LinkMbps * 1e6
 	queueLimit := int(max(10, bw*0.1/(8*1000)))
@@ -166,7 +155,7 @@ func runBlackoutCell(c *Cell, pr BlackoutParams) *BlackoutResult {
 		scfg.MaxBackoffInterval = 64
 	}
 	out := &BlackoutResult{
-		Params:   pr,
+		Params:   *pr,
 		BinWidth: pr.BinWidth,
 		RTT:      d.RTT(0),
 		RTO:      rto,
@@ -194,11 +183,9 @@ func runBlackoutCell(c *Cell, pr BlackoutParams) *BlackoutResult {
 	return out
 }
 
-// Table implements Result.
-func (r *BlackoutResult) Table(w io.Writer) { r.Print(w) }
-
-// Print emits the verdict and the goodput/allowed-rate traces.
-func (r *BlackoutResult) Print(w io.Writer) {
+// Table implements Result: the verdict and the goodput/allowed-rate
+// traces.
+func (r *BlackoutResult) Table(w io.Writer) {
 	fmt.Fprintf(w, "# Feedback blackout: %.0f Mb/s bottleneck, outage [%.0f, %.0f) s of %.0f s\n",
 		r.Params.LinkMbps, r.Params.OutageStart, r.Params.OutageEnd, r.Params.Duration)
 	fmt.Fprintf(w, "# rtt %.1f ms, rto at outage %.0f ms, floor %.1f B/s, %d no-feedback cuts\n",

@@ -92,8 +92,8 @@ func TestParkingLotParallelByteIdentical(t *testing.T) {
 	pr.Bottlenecks = []int{1, 3}
 	pr.Seeds = 2
 	var seq, par bytes.Buffer
-	withParallelism(1, func() { RunParkingLot(pr).Print(&seq) })
-	withParallelism(8, func() { RunParkingLot(pr).Print(&par) })
+	withParallelism(1, func() { RunParkingLot(pr).Table(&seq) })
+	withParallelism(8, func() { RunParkingLot(pr).Table(&par) })
 	if !bytes.Equal(seq.Bytes(), par.Bytes()) {
 		t.Fatalf("parallel parking lot differs from sequential:\n--- sequential\n%s--- parallel\n%s",
 			seq.String(), par.String())
@@ -165,8 +165,8 @@ func TestBWStepParallelByteIdentical(t *testing.T) {
 	pr.StepAt, pr.RestoreAt, pr.Duration = 15, 30, 45
 	pr.Seeds = 2
 	var seq, par bytes.Buffer
-	withParallelism(1, func() { RunBWStep(pr).Print(&seq) })
-	withParallelism(8, func() { RunBWStep(pr).Print(&par) })
+	withParallelism(1, func() { RunBWStep(pr).Table(&seq) })
+	withParallelism(8, func() { RunBWStep(pr).Table(&par) })
 	if !bytes.Equal(seq.Bytes(), par.Bytes()) {
 		t.Fatalf("parallel bwstep differs from sequential:\n--- sequential\n%s--- parallel\n%s",
 			seq.String(), par.String())
@@ -176,12 +176,10 @@ func TestBWStepParallelByteIdentical(t *testing.T) {
 // TestFig08FI14Fig15MultiSeed exercises the multi-seed CI mode the
 // sweep-runner adoption added to figures 8, 14, and 15.
 func TestFig08Fig14Fig15MultiSeed(t *testing.T) {
-	f8 := DefaultFig08(netsim.QueueRED)
-	f8.Duration, f8.TraceFrom, f8.Flows = 16, 8, 8
-	f8.Seeds = 3
+	f8 := Fig08GridParams{Queues: []netsim.QueueKind{netsim.QueueRED}, Flows: 8, Seed: 1, Seeds: 3}
 	var a, b *Fig08Result
-	withParallelism(4, func() { a = RunFig08(f8) })
-	withParallelism(1, func() { b = RunFig08(f8) })
+	withParallelism(4, func() { a = RunFig08(f8).Results[0] })
+	withParallelism(1, func() { b = RunFig08(f8).Results[0] })
 	if a.Seeds != 3 || a.CoVTCPCI <= 0 || a.CoVTFRCCI <= 0 {
 		t.Fatalf("fig08 multi-seed CIs not populated: %+v", a)
 	}
@@ -203,8 +201,9 @@ func TestFig08Fig14Fig15MultiSeed(t *testing.T) {
 	}
 
 	var e, f *Fig15Result
-	withParallelism(4, func() { e = RunFig15Seeds(40, 1, 2) })
-	withParallelism(1, func() { f = RunFig15Seeds(40, 1, 2) })
+	f15 := Fig15Params{Duration: 40, Seed: 1, Seeds: 2}
+	withParallelism(4, func() { e = RunFig15(f15) })
+	withParallelism(1, func() { f = RunFig15(f15) })
 	if e.Seeds != 2 || e.MeanTCPCI < 0 {
 		t.Fatalf("fig15 multi-seed not populated: %+v", e)
 	}
@@ -212,7 +211,7 @@ func TestFig08Fig14Fig15MultiSeed(t *testing.T) {
 		t.Fatalf("fig15 multi-seed depends on parallelism")
 	}
 	// Single-seed results are unchanged by the refactor: Seeds stays 0.
-	if g := RunFig15(40, 1); g.Seeds != 0 {
+	if g := RunFig15(Fig15Params{Duration: 40, Seed: 1}); g.Seeds != 0 {
 		t.Fatalf("fig15 single-seed gained Seeds=%d", g.Seeds)
 	}
 }

@@ -85,15 +85,27 @@ func (p *BWStepParams) SetSeed(seed int64) { p.Seed = seed }
 // SetSeeds implements SeedsSetter.
 func (p *BWStepParams) SetSeeds(n int) { p.Seeds = n }
 
-func init() {
-	Register(Descriptor{
-		Name:        "bwstep",
-		Description: "tracking a bottleneck bandwidth step",
-		Params:      paramsFn[BWStepParams](DefaultBWStep),
-		Presets:     map[string]func() Params{"paper": paramsFn[BWStepParams](PaperBWStep)},
-		Run:         runAs(func(p *BWStepParams) Result { return RunBWStep(*p) }),
-	})
-}
+// runBWStep is one cell per replicate.
+var runBWStep = Define(Spec[BWStepParams, BWStepResult, *BWStepResult]{
+	Name:        "bwstep",
+	Description: "tracking a bottleneck bandwidth step",
+	Default:     DefaultBWStep,
+	Presets:     map[string]func() BWStepParams{"paper": PaperBWStep},
+	Cells:       func(p *BWStepParams) int { return replicas(p.Seeds) },
+	Cell: func(c *Cell, p *BWStepParams, rep int) BWStepResult {
+		pr := *p
+		if pr.Factor == 0 {
+			pr.Factor = 0.5
+		}
+		return runBWStepSeed(c, pr, replicaSeed(pr.Seed, rep))
+	},
+	Reduce: bwStepReduce,
+})
+
+// RunBWStep runs the transient, with Seeds > 1 executing as independent
+// cells on the sweep runner and phase fractions aggregating to mean ±
+// 90% CI; traces stay the first seed's sample.
+func RunBWStep(pr BWStepParams) *BWStepResult { return runBWStep(&pr) }
 
 // BWStepPhase aggregates one phase (before / squeezed / after) of the
 // transient: per-protocol aggregate throughput as a fraction of the
@@ -121,7 +133,7 @@ type BWStepResult struct {
 	Seeds     int
 }
 
-func runBWStepSeed(c *Cell, pr BWStepParams, seed int64) *BWStepResult {
+func runBWStepSeed(c *Cell, pr BWStepParams, seed int64) BWStepResult {
 	sched := c.begin()
 	rng := sched.NewRand(seed)
 	bw := pr.LinkMbps * 1e6
@@ -164,7 +176,7 @@ func runBWStepSeed(c *Cell, pr BWStepParams, seed int64) *BWStepResult {
 	}
 	res := b.Run(pr.Duration)
 
-	out := &BWStepResult{Params: pr, BinWidth: pr.BinWidth}
+	out := BWStepResult{Params: pr, BinWidth: pr.BinWidth}
 	out.TFRCTotal = sumSeries(res.TFRCSeries, res.Bins)
 	out.TCPTotal = sumSeries(res.TCPSeries, res.Bins)
 	out.Capacity = make([]float64, res.Bins)
@@ -224,44 +236,23 @@ func sumSeries(series [][]float64, bins int) []float64 {
 	return out
 }
 
-// RunBWStep runs the transient, with Seeds > 1 executing as independent
-// cells on the sweep runner and phase fractions aggregating to mean ±
-// 90% CI; traces stay the first seed's sample.
-func RunBWStep(pr BWStepParams) *BWStepResult {
-	if pr.Factor == 0 {
-		pr.Factor = 0.5
-	}
-	seeds := pr.Seeds
-	if seeds < 1 {
-		seeds = 1
-	}
-	cells := runCellsCtx(seeds, func(c *Cell, i int) *BWStepResult {
-		return runBWStepSeed(c, pr, pr.Seed+int64(i)*6151)
-	})
-	out := cells[0]
-	if seeds > 1 {
-		out.Seeds = seeds
+// bwStepReduce collapses the replicates phase by phase.
+func bwStepReduce(_ *BWStepParams, cells []BWStepResult) *BWStepResult {
+	out := &cells[0]
+	if len(cells) > 1 {
+		out.Seeds = len(cells)
 		for pi := range out.Phases {
-			tf := make([]float64, seeds)
-			tc := make([]float64, seeds)
-			cv := make([]float64, seeds)
-			for i, c := range cells {
-				tf[i], tc[i] = c.Phases[pi].TFRCFrac, c.Phases[pi].TCPFrac
-				cv[i] = c.Phases[pi].CoVTFRC
-			}
-			out.Phases[pi].TFRCFrac, out.Phases[pi].TFRCFracCI = stats.MeanCI90(tf)
-			out.Phases[pi].TCPFrac, out.Phases[pi].TCPFracCI = stats.MeanCI90(tc)
-			out.Phases[pi].CoVTFRC = stats.Mean(cv)
+			ph := &out.Phases[pi]
+			ph.TFRCFrac, ph.TFRCFracCI = meanCI(cells, func(c *BWStepResult) float64 { return c.Phases[pi].TFRCFrac })
+			ph.TCPFrac, ph.TCPFracCI = meanCI(cells, func(c *BWStepResult) float64 { return c.Phases[pi].TCPFrac })
+			ph.CoVTFRC, _ = meanCI(cells, func(c *BWStepResult) float64 { return c.Phases[pi].CoVTFRC })
 		}
 	}
 	return out
 }
 
-// Table implements Result.
-func (r *BWStepResult) Table(w io.Writer) { r.Print(w) }
-
-// Print emits the phase summary and the aggregate traces.
-func (r *BWStepResult) Print(w io.Writer) {
+// Table implements Result: the phase summary and the aggregate traces.
+func (r *BWStepResult) Table(w io.Writer) {
 	fmt.Fprintf(w, "# Bandwidth step: %.0f Mb/s bottleneck × %.2f during [%.0f, %.0f) s, %d TCP + %d TFRC\n",
 		r.Params.LinkMbps, r.Params.Factor, r.Params.StepAt, r.Params.RestoreAt,
 		r.Params.NTCP, r.Params.NTFRC)

@@ -135,16 +135,26 @@ func (p *CCFairParams) SetSeed(seed int64) { p.Seed = seed }
 // SetSeeds implements SeedsSetter.
 func (p *CCFairParams) SetSeeds(n int) { p.Seeds = n }
 
-func init() {
-	Register(Descriptor{
-		Name:        "ccfair",
-		Description: "head-to-head fairness grid for the congestion-control zoo",
-		Params:      paramsFn[CCFairParams](DefaultCCFair),
-		Presets:     map[string]func() Params{"paper": paramsFn[CCFairParams](PaperCCFair)},
-		Run:         runAs(func(p *CCFairParams) Result { return RunCCFair(*p) }),
-		Grid:        GridAs(ccfairCells, ccfairRunRange, ccfairReduce),
-	})
-}
+// runCCFair is the grid, RTT-major, bandwidth next, replicate-minor.
+var runCCFair = Define(Spec[CCFairParams, CCFairCell, *CCFairResult]{
+	Name:        "ccfair",
+	Description: "head-to-head fairness grid for the congestion-control zoo",
+	Default:     DefaultCCFair,
+	Presets:     map[string]func() CCFairParams{"paper": PaperCCFair},
+	Cells: func(p *CCFairParams) int {
+		return len(p.RTTs) * len(p.LinkMbps) * replicas(p.Seeds)
+	},
+	Cell: func(c *Cell, p *CCFairParams, idx int) CCFairCell {
+		at := unravel(idx, len(p.RTTs), len(p.LinkMbps), replicas(p.Seeds))
+		return runCCFairCell(c, *p, p.RTTs[at[0]], p.LinkMbps[at[1]], replicaSeed(p.Seed, at[2]))
+	},
+	Reduce: ccfairReduce,
+})
+
+// RunCCFair runs the grid: every (RTT, bandwidth, seed) combination is
+// an independent cell on the sweep runner, merged in deterministic grid
+// order so output is bit-identical at any parallelism.
+func RunCCFair(pr CCFairParams) *CCFairResult { return runCCFair(&pr) }
 
 // CCFairCell is one (RTT, bandwidth, seed) cell of the grid.
 type CCFairCell struct {
@@ -316,79 +326,30 @@ func runCCFairCell(c *Cell, pr CCFairParams, rtt, linkMbps float64, seed int64) 
 	return cell
 }
 
-// ccfairSeeds clamps the replication count to at least one.
-func ccfairSeeds(pr *CCFairParams) int {
-	if pr.Seeds < 1 {
-		return 1
-	}
-	return pr.Seeds
-}
-
-// ccfairCells flattens the grid RTT-major, bandwidth next, seed-minor.
-func ccfairCells(pr *CCFairParams) int {
-	return len(pr.RTTs) * len(pr.LinkMbps) * ccfairSeeds(pr)
-}
-
-// ccfairRunRange computes grid cells [r.Lo, r.Hi); each cell's
-// coordinates derive from its absolute index, so any sharding of the
-// range reproduces the single-machine cells exactly.
-func ccfairRunRange(pr *CCFairParams, r CellRange) []CCFairCell {
-	seeds := ccfairSeeds(pr)
-	perRTT := len(pr.LinkMbps) * seeds
-	return runCellsCtx(r.Len(), func(c *Cell, i int) CCFairCell {
-		idx := r.Lo + i
-		rtt := pr.RTTs[idx/perRTT]
-		bw := pr.LinkMbps[(idx%perRTT)/seeds]
-		rep := idx % seeds
-		return runCCFairCell(c, *pr, rtt, bw, pr.Seed+int64(rep)*6151)
-	})
-}
-
 // ccfairReduce aggregates each (RTT, bandwidth) point's seeds in order.
 func ccfairReduce(pr *CCFairParams, raw []CCFairCell) *CCFairResult {
-	seeds := ccfairSeeds(pr)
+	seeds := replicas(pr.Seeds)
 	res := &CCFairResult{Params: *pr}
 	for g := 0; g*seeds < len(raw); g++ {
 		group := raw[g*seeds : (g+1)*seeds]
 		cell := group[0]
 		if seeds > 1 {
-			ratios := make([]float64, seeds)
-			var jainSum, shareA, qd, loss, util float64
-			for i, c := range group {
-				ratios[i] = c.RatioAB
-				jainSum += c.Jain
-				shareA += c.ShareA
-				qd += c.QueueDelay
-				loss += c.LossRate
-				util += c.Utilization
-			}
-			n := float64(seeds)
 			cell.Seeds = seeds
-			cell.Jain = jainSum / n
-			cell.ShareA = shareA / n
+			cell.Jain, _ = meanCI(group, func(c *CCFairCell) float64 { return c.Jain })
+			cell.ShareA, _ = meanCI(group, func(c *CCFairCell) float64 { return c.ShareA })
 			cell.ShareB = 1 - cell.ShareA
-			cell.QueueDelay = qd / n
-			cell.LossRate = loss / n
-			cell.Utilization = util / n
-			cell.RatioAB, cell.RatioABCI = stats.MeanCI90(ratios)
+			cell.QueueDelay, _ = meanCI(group, func(c *CCFairCell) float64 { return c.QueueDelay })
+			cell.LossRate, _ = meanCI(group, func(c *CCFairCell) float64 { return c.LossRate })
+			cell.Utilization, _ = meanCI(group, func(c *CCFairCell) float64 { return c.Utilization })
+			cell.RatioAB, cell.RatioABCI = meanCI(group, func(c *CCFairCell) float64 { return c.RatioAB })
 		}
 		res.Cells = append(res.Cells, cell)
 	}
 	return res
 }
 
-// RunCCFair runs the grid: every (RTT, bandwidth, seed) combination is
-// an independent cell on the sweep runner, merged in deterministic grid
-// order so output is bit-identical at any parallelism.
-func RunCCFair(pr CCFairParams) *CCFairResult {
-	return ccfairReduce(&pr, ccfairRunRange(&pr, CellRange{0, ccfairCells(&pr)}))
-}
-
-// Table implements Result.
-func (r *CCFairResult) Table(w io.Writer) { r.Print(w) }
-
-// Print emits one row per (RTT, bandwidth) point.
-func (r *CCFairResult) Print(w io.Writer) {
+// Table implements Result: one row per (RTT, bandwidth) point.
+func (r *CCFairResult) Table(w io.Writer) {
 	p := &r.Params
 	fmt.Fprintf(w, "# ccfair: %d %s flow(s) vs %d %s flow(s) on a %s",
 		p.FlowsA, p.ProtoA, p.FlowsB, p.ProtoB, p.Topology)

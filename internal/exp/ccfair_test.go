@@ -113,8 +113,8 @@ func TestCCFairParallelByteIdentical(t *testing.T) {
 		Seeds:    2,
 	}
 	var seq, par bytes.Buffer
-	withParallelism(1, func() { RunCCFair(pr).Print(&seq) })
-	withParallelism(8, func() { RunCCFair(pr).Print(&par) })
+	withParallelism(1, func() { RunCCFair(pr).Table(&seq) })
+	withParallelism(8, func() { RunCCFair(pr).Table(&par) })
 	if !bytes.Equal(seq.Bytes(), par.Bytes()) {
 		t.Fatalf("parallel ccfair output differs from sequential:\n--- sequential\n%s--- parallel\n%s",
 			seq.String(), par.String())
@@ -153,7 +153,7 @@ func TestCCFairShardMergeByteIdentical(t *testing.T) {
 	}
 
 	var single bytes.Buffer
-	RunCCFair(pr).Print(&single)
+	RunCCFair(pr).Table(&single)
 
 	var merged []json.RawMessage
 	for _, r := range []CellRange{{0, 1}, {1, 3}, {3, 4}} {

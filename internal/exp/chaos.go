@@ -101,15 +101,21 @@ func (p *ChaosParams) SetSeed(seed int64) { p.Seed = seed }
 // SetSeeds implements SeedsSetter: -seeds n means n chaos cells.
 func (p *ChaosParams) SetSeeds(n int) { p.Cells = n }
 
-func init() {
-	Register(Descriptor{
-		Name:        "chaos",
-		Description: "seeded randomized fault soak with hard invariants",
-		Params:      paramsFn[ChaosParams](DefaultChaos),
-		Run:         runAs(func(p *ChaosParams) Result { return RunChaos(*p) }),
-		Grid:        GridAs(chaosCells, chaosRunRange, chaosReduce),
-	})
-}
+// runChaos is one cell per soak run; each cell's seed derives from its
+// absolute index.
+var runChaos = Define(Spec[ChaosParams, ChaosCell, *ChaosResult]{
+	Name:        "chaos",
+	Description: "seeded randomized fault soak with hard invariants",
+	Default:     DefaultChaos,
+	Cells:       func(p *ChaosParams) int { return p.Cells },
+	Cell: func(c *Cell, p *ChaosParams, idx int) ChaosCell {
+		return runChaosCell(c, *p, chaosFloor, p.Seed+int64(idx)*9973)
+	},
+	Reduce: chaosReduce,
+})
+
+// RunChaos runs the soak on the sweep runner.
+func RunChaos(pr ChaosParams) *ChaosResult { return runChaos(&pr) }
 
 // chaosSchedule draws one cell's fault program. Every episode is a
 // fault and its heal; all randomness comes from rng, so the schedule is
@@ -202,18 +208,6 @@ type ChaosResult struct {
 // packet per 64 s, in bytes/sec.
 const chaosFloor = 1000.0 / 64
 
-// chaosCells is one cell per soak run.
-func chaosCells(pr *ChaosParams) int { return pr.Cells }
-
-// chaosRunRange computes soak cells [r.Lo, r.Hi); each cell's seed
-// derives from its absolute index.
-func chaosRunRange(pr *ChaosParams, r CellRange) []ChaosCell {
-	return runCellsCtx(r.Len(), func(c *Cell, i int) ChaosCell {
-		idx := r.Lo + i
-		return runChaosCell(c, *pr, chaosFloor, pr.Seed+int64(idx)*9973)
-	})
-}
-
 // chaosReduce tallies violations and skips across the cells.
 func chaosReduce(pr *ChaosParams, cells []ChaosCell) *ChaosResult {
 	out := &ChaosResult{Params: *pr, Floor: chaosFloor, Cells: cells}
@@ -228,11 +222,6 @@ func chaosReduce(pr *ChaosParams, cells []ChaosCell) *ChaosResult {
 		}
 	}
 	return out
-}
-
-// RunChaos runs the soak on the sweep runner.
-func RunChaos(pr ChaosParams) *ChaosResult {
-	return chaosReduce(&pr, chaosRunRange(&pr, CellRange{0, chaosCells(&pr)}))
 }
 
 func runChaosCell(c *Cell, pr ChaosParams, floor float64, seed int64) ChaosCell {
@@ -328,11 +317,8 @@ func runChaosCell(c *Cell, pr ChaosParams, floor float64, seed int64) ChaosCell 
 	return cell
 }
 
-// Table implements Result.
-func (r *ChaosResult) Table(w io.Writer) { r.Print(w) }
-
-// Print emits one row per cell plus the verdict.
-func (r *ChaosResult) Print(w io.Writer) {
+// Table implements Result: one row per cell plus the verdict.
+func (r *ChaosResult) Table(w io.Writer) {
 	fmt.Fprintf(w, "# Chaos soak: %d cells × %d episodes, %.0f Mb/s bottleneck, %d TCP + %d TFRC, %.0f s\n",
 		r.Params.Cells, r.Params.Episodes, r.Params.LinkMbps,
 		r.Params.NTCP, r.Params.NTFRC, r.Params.Duration)

@@ -1,14 +1,14 @@
 // Package exp implements one experiment per figure of the paper's
-// evaluation (Figures 2-21). Each experiment is a pure function from a
-// parameter struct to a result struct, callable from tests, benchmarks,
-// and the tfrcsim CLI; Print methods emit gnuplot-ready rows matching the
+// evaluation (Figures 2-21). Each experiment is a Spec — parameters, a
+// pure per-cell function, a reducer — that Define turns into a registry
+// Descriptor, a typed run callable from tests and benchmarks, and a
+// shardable Grid; Table methods emit gnuplot-ready rows matching the
 // series the paper plots. Scaled-down defaults keep test and benchmark
 // runtimes laptop-friendly; the CLI can run paper-scale parameters.
 package exp
 
 import (
 	"fmt"
-	"io"
 	"math"
 
 	"tfrc/internal/netsim"
@@ -286,18 +286,4 @@ func runScenarioCell(c *Cell, sc Scenario) *ScenarioResult {
 	res := b.Run(sc.Duration)
 	b.Release()
 	return res
-}
-
-// printTable writes a simple aligned table: a header line, then rows.
-func printTable(w io.Writer, header string, rows [][]float64, format string) {
-	fmt.Fprintln(w, header)
-	for _, r := range rows {
-		for i, v := range r {
-			if i > 0 {
-				fmt.Fprint(w, "\t")
-			}
-			fmt.Fprintf(w, format, v)
-		}
-		fmt.Fprintln(w)
-	}
 }

@@ -179,14 +179,15 @@ func TestFig06CellFairness(t *testing.T) {
 // the axes into a list.
 func TestFig06CellsBuildsNoKeyList(t *testing.T) {
 	pr := PaperFig06()
-	if n := testing.AllocsPerRun(10, func() { fig06Cells(&pr) }); n != 0 {
-		t.Fatalf("fig06Cells allocates %v times per call, want 0", n)
+	d, _ := Lookup("fig6")
+	var p Params = &pr
+	if n := testing.AllocsPerRun(10, func() { d.Grid.Cells(p) }); n != 0 {
+		t.Fatalf("fig6's Grid.Cells allocates %v times per call, want 0", n)
 	}
 }
 
 func TestFig07PerFlowSpread(t *testing.T) {
-	cells := RunFig07([]int{16}, 40, 20, 1)
-	c := cells[0]
+	c := RunFig07(Fig07Params{TotalFlows: []int{16}, Duration: 40, MeasureTail: 20, Seed: 1}).Cells[0]
 	if len(c.PerFlowTCP) != 8 || len(c.PerFlowTFRC) != 8 {
 		t.Fatalf("per-flow counts: %d/%d", len(c.PerFlowTCP), len(c.PerFlowTFRC))
 	}
@@ -197,11 +198,9 @@ func TestFig07PerFlowSpread(t *testing.T) {
 }
 
 func TestFig08TFRCSmootherBothQueues(t *testing.T) {
-	for _, q := range []netsim.QueueKind{netsim.QueueDropTail, netsim.QueueRED} {
-		pr := DefaultFig08(q)
-		r := RunFig08(pr)
+	for _, r := range RunFig08(DefaultFig08Grid()).Results {
 		if r.CoVTFRC >= r.CoVTCP {
-			t.Fatalf("%s: TFRC CoV %v not below TCP CoV %v", q, r.CoVTFRC, r.CoVTCP)
+			t.Fatalf("%s: TFRC CoV %v not below TCP CoV %v", r.Queue, r.CoVTFRC, r.CoVTCP)
 		}
 	}
 }
@@ -284,7 +283,7 @@ func TestFig14QueueDynamics(t *testing.T) {
 }
 
 func TestFig15TFRCSmoothComparable(t *testing.T) {
-	r := RunFig15(90, 1)
+	r := RunFig15(Fig15Params{Duration: 90, Seed: 1})
 	if r.MeanTFRC <= 0 || r.MeanTCP <= 0 {
 		t.Fatal("starved flow")
 	}
@@ -298,7 +297,7 @@ func TestFig15TFRCSmoothComparable(t *testing.T) {
 }
 
 func TestFig16SolarisAnomaly(t *testing.T) {
-	r := RunFig16([]float64{1, 5, 20}, 90, 1)
+	r := RunFig16(Fig16Params{Timescales: []float64{1, 5, 20}, Duration: 90, Seed: 1})
 	byName := map[string]Fig16Row{}
 	for _, row := range r.Rows {
 		byName[row.Path] = row
@@ -382,7 +381,7 @@ func TestFig21Sweep(t *testing.T) {
 	// p ≤ 0.15; at p = 0.25 the full PFTK equation's timeout term pins
 	// the pre-switch rate below one packet/RTT, which slows the wall-
 	// clock response (documented deviation in EXPERIMENTS.md).
-	r := RunFig21([]float64{0.01, 0.05, 0.1, 0.15}, 0.05)
+	r := RunFig21(Fig21Params{DropRates: []float64{0.01, 0.05, 0.1, 0.15}, RTT: 0.05})
 	for _, row := range r.Rows {
 		if row.RTTs == 0 {
 			t.Fatalf("p=%v never halved", row.DropRate)
@@ -396,9 +395,9 @@ func TestFig21Sweep(t *testing.T) {
 
 func TestPrintersProduceOutput(t *testing.T) {
 	var b strings.Builder
-	RunFig02(Fig02Params{P1: 0.01, P2: 0.05, P3: 0.005, T1: 2, T2: 3, Duration: 5, RTT: 0.05}).Print(&b)
-	RunFig05(Fig05Params{PLoss: []float64{0.01, 0.1}, Multiplier: []float64{1}, RTT: 0.1, PacketSize: 1000}).Print(&b)
-	RunFig19(Fig19Params{DropEveryBefore: 50, DropEveryAfter: 2, SwitchTime: 2, Duration: 4, RTT: 0.05}).Print(&b)
+	RunFig02(Fig02Params{P1: 0.01, P2: 0.05, P3: 0.005, T1: 2, T2: 3, Duration: 5, RTT: 0.05}).Table(&b)
+	RunFig05(Fig05Params{PLoss: []float64{0.01, 0.1}, Multiplier: []float64{1}, RTT: 0.1, PacketSize: 1000}).Table(&b)
+	RunFig19(Fig19Params{DropEveryBefore: 50, DropEveryAfter: 2, SwitchTime: 2, Duration: 4, RTT: 0.05}).Table(&b)
 	if len(b.String()) < 200 {
 		t.Fatal("printers emitted almost nothing")
 	}

@@ -98,8 +98,8 @@ func TestChaosByteIdenticalAcrossParallelism(t *testing.T) {
 	pr.Cells = 4
 	pr.Duration = 25
 	var seq, par bytes.Buffer
-	withParallelism(1, func() { RunChaos(pr).Print(&seq) })
-	withParallelism(8, func() { RunChaos(pr).Print(&par) })
+	withParallelism(1, func() { RunChaos(pr).Table(&seq) })
+	withParallelism(8, func() { RunChaos(pr).Table(&par) })
 	if !bytes.Equal(seq.Bytes(), par.Bytes()) {
 		t.Fatalf("parallel chaos output differs from sequential:\n--- sequential\n%s--- parallel\n%s",
 			seq.String(), par.String())

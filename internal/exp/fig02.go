@@ -44,15 +44,11 @@ func (p *Fig02Params) Validate() error {
 	return nil
 }
 
-func init() {
-	Register(Descriptor{
-		Name:        "fig2",
-		Aliases:     []string{"2"},
-		Description: "Average Loss Interval dynamics under periodic loss",
-		Params:      paramsFn[Fig02Params](DefaultFig02),
-		Run:         runAs(func(p *Fig02Params) Result { return RunFig02(*p) }),
-	})
-}
+var runFig02 = Define(single("fig2", "Average Loss Interval dynamics under periodic loss",
+	[]string{"2"}, DefaultFig02, fig02Cell))
+
+// RunFig02 runs the experiment.
+func RunFig02(pr Fig02Params) *Fig02Result { return runFig02(&pr) }
 
 // Fig02Point is one receiver-side sample, taken once per feedback.
 type Fig02Point struct {
@@ -87,8 +83,7 @@ func (d *periodicDropper) Recv(p *netsim.Packet) {
 	d.next.Recv(p)
 }
 
-// RunFig02 runs the experiment.
-func RunFig02(pr Fig02Params) *Fig02Result {
+func fig02Cell(_ *Cell, pr *Fig02Params) *Fig02Result {
 	sched := sim.NewScheduler()
 	t := netsim.NewTopology(sched, nil)
 	// Plenty of bandwidth so only the injected loss matters.
@@ -139,11 +134,9 @@ func sqrt(x float64) float64 {
 	return math.Sqrt(x)
 }
 
-// Table implements Result.
-func (r *Fig02Result) Table(w io.Writer) { r.Print(w) }
-
-// Print emits "time s0 estInterval p sqrtP txRateKBps" rows.
-func (r *Fig02Result) Print(w io.Writer) {
+// Table implements Result: "time s0 estInterval p sqrtP txRateKBps"
+// rows.
+func (r *Fig02Result) Table(w io.Writer) {
 	fmt.Fprintln(w, "# Figure 2: Average Loss Interval dynamics under periodic loss")
 	fmt.Fprintln(w, "# time\ts0\testInterval\tlossRate\tsqrtLossRate\ttxRate(KB/s)")
 	for _, p := range r.Points {

@@ -79,24 +79,29 @@ func (p *Fig03Params) Validate() error {
 // SetSeed implements SeedSetter.
 func (p *Fig03Params) SetSeed(seed int64) { p.Seed = seed }
 
-func init() {
-	Register(Descriptor{
-		Name:        "fig3",
-		Aliases:     []string{"3"},
-		Description: "send-rate oscillation vs buffer size (no spacing adjustment)",
-		Params:      paramsFn[Fig03Params](DefaultFig03),
-		Run:         runAs(func(p *Fig03Params) Result { return RunFig03(*p) }),
-		Grid:        GridAs(fig03Cells, fig03RunRange, fig03Reduce),
-	})
-	Register(Descriptor{
-		Name:        "fig4",
-		Aliases:     []string{"4"},
-		Description: "send-rate oscillation vs buffer size (with adjustment)",
-		Params:      paramsFn[Fig03Params](DefaultFig04),
-		Run:         runAs(func(p *Fig03Params) Result { return RunFig03(*p) }),
-		Grid:        GridAs(fig03Cells, fig03RunRange, fig03Reduce),
-	})
+// fig03Spec is the buffer sweep, one cell per buffer size; figures 3
+// and 4 are the same experiment at different defaults.
+func fig03Spec(name, alias, description string, def func() Fig03Params) Spec[Fig03Params, Fig03Curve, *Fig03Result] {
+	return Spec[Fig03Params, Fig03Curve, *Fig03Result]{
+		Name:        name,
+		Aliases:     []string{alias},
+		Description: description,
+		Default:     def,
+		Cells:       func(p *Fig03Params) int { return len(p.BufferSizes) },
+		Cell:        fig03Cell,
+		Reduce: func(p *Fig03Params, curves []Fig03Curve) *Fig03Result {
+			return &Fig03Result{SqrtSpacing: p.SqrtSpacing, BinWidth: p.BinWidth, Curves: curves}
+		},
+	}
 }
+
+var (
+	runFig03 = Define(fig03Spec("fig3", "3", "send-rate oscillation vs buffer size (no spacing adjustment)", DefaultFig03))
+	_        = Define(fig03Spec("fig4", "4", "send-rate oscillation vs buffer size (with adjustment)", DefaultFig04))
+)
+
+// RunFig03 runs the sweep, one independent simulation per buffer size.
+func RunFig03(pr Fig03Params) *Fig03Result { return runFig03(&pr) }
 
 // Fig03Curve is the send-rate trace for one buffer size plus its
 // oscillation measure.
@@ -113,10 +118,11 @@ type Fig03Result struct {
 	Curves      []Fig03Curve
 }
 
-// runFig03Buffer runs one cell of the buffer sweep: a two-node pipe
-// topology with a single TFRC flow, composed on the scenario builder
-// over the worker's pinned arena.
-func runFig03Buffer(c *Cell, pr Fig03Params, buf int) Fig03Curve {
+// fig03Cell runs one cell of the buffer sweep: a two-node pipe topology
+// with a single TFRC flow, composed on the scenario builder over the
+// worker's pinned arena.
+func fig03Cell(c *Cell, pr *Fig03Params, idx int) Fig03Curve {
+	buf := pr.BufferSizes[idx]
 	t := netsim.NewTopology(c.begin(), nil)
 	t.Link("src", "dst", netsim.LinkSpec{
 		Bandwidth: pr.Bandwidth, Delay: pr.BaseRTT / 2,
@@ -140,31 +146,8 @@ func runFig03Buffer(c *Cell, pr Fig03Params, buf int) Fig03Curve {
 	return Fig03Curve{Buffer: buf, Series: series, CoV: stats.CoV(series)}
 }
 
-// fig03Cells is one cell per buffer size.
-func fig03Cells(pr *Fig03Params) int { return len(pr.BufferSizes) }
-
-// fig03RunRange computes buffer-sweep cells [r.Lo, r.Hi).
-func fig03RunRange(pr *Fig03Params, r CellRange) []Fig03Curve {
-	return runCellsCtx(r.Len(), func(c *Cell, i int) Fig03Curve {
-		return runFig03Buffer(c, *pr, pr.BufferSizes[r.Lo+i])
-	})
-}
-
-// fig03Reduce wraps the full buffer sweep.
-func fig03Reduce(pr *Fig03Params, curves []Fig03Curve) *Fig03Result {
-	return &Fig03Result{SqrtSpacing: pr.SqrtSpacing, BinWidth: pr.BinWidth, Curves: curves}
-}
-
-// RunFig03 runs the sweep, one independent simulation per buffer size.
-func RunFig03(pr Fig03Params) *Fig03Result {
-	return fig03Reduce(&pr, fig03RunRange(&pr, CellRange{0, fig03Cells(&pr)}))
-}
-
-// Table implements Result.
-func (r *Fig03Result) Table(w io.Writer) { r.Print(w) }
-
-// Print emits "buffer cov" summary rows and the traces.
-func (r *Fig03Result) Print(w io.Writer) {
+// Table implements Result: "buffer cov" summary rows and the traces.
+func (r *Fig03Result) Table(w io.Writer) {
 	fig := "3 (no inter-packet spacing adjustment)"
 	if r.SqrtSpacing {
 		fig = "4 (with inter-packet spacing adjustment)"

@@ -59,15 +59,21 @@ func (p *Fig05Params) Validate() error {
 	return nil
 }
 
-func init() {
-	Register(Descriptor{
-		Name:        "fig5",
-		Aliases:     []string{"5"},
-		Description: "loss-event fraction vs Bernoulli loss probability",
-		Params:      paramsFn[Fig05Params](DefaultFig05),
-		Run:         runAs(func(p *Fig05Params) Result { return RunFig05(*p) }),
-	})
-}
+var runFig05 = Define(Spec[Fig05Params, Fig05Row, *Fig05Result]{
+	Name:        "fig5",
+	Aliases:     []string{"5"},
+	Description: "loss-event fraction vs Bernoulli loss probability",
+	Default:     DefaultFig05,
+	Cells:       func(p *Fig05Params) int { return len(p.PLoss) },
+	Cell:        fig05Cell,
+	Reduce: func(p *Fig05Params, rows []Fig05Row) *Fig05Result {
+		return &Fig05Result{Multiplier: p.Multiplier, Rows: rows}
+	},
+})
+
+// RunFig05 evaluates the fixed point over the parameter grid, one cell
+// per loss probability.
+func RunFig05(pr Fig05Params) *Fig05Result { return runFig05(&pr) }
 
 // Fig05Row is one curve point: the loss-event fraction for each rate
 // multiplier at one Bernoulli loss probability.
@@ -105,26 +111,16 @@ func lossEventFraction(pLoss, mult, rtt float64, pktSize int) float64 {
 	return pEvent
 }
 
-// RunFig05 evaluates the fixed point over the parameter grid, one cell
-// per loss probability.
-func RunFig05(pr Fig05Params) *Fig05Result {
-	res := &Fig05Result{Multiplier: pr.Multiplier}
-	res.Rows = runCells(len(pr.PLoss), func(i int) Fig05Row {
-		p := pr.PLoss[i]
-		row := Fig05Row{PLoss: p}
-		for _, m := range pr.Multiplier {
-			row.PEvent = append(row.PEvent, lossEventFraction(p, m, pr.RTT, pr.PacketSize))
-		}
-		return row
-	})
-	return res
+func fig05Cell(_ *Cell, pr *Fig05Params, idx int) Fig05Row {
+	row := Fig05Row{PLoss: pr.PLoss[idx]}
+	for _, m := range pr.Multiplier {
+		row.PEvent = append(row.PEvent, lossEventFraction(row.PLoss, m, pr.RTT, pr.PacketSize))
+	}
+	return row
 }
 
-// Table implements Result.
-func (r *Fig05Result) Table(w io.Writer) { r.Print(w) }
-
-// Print emits "pLoss pEvent(m1) pEvent(m2) ..." rows.
-func (r *Fig05Result) Print(w io.Writer) {
+// Table implements Result: "pLoss pEvent(m1) pEvent(m2) ..." rows.
+func (r *Fig05Result) Table(w io.Writer) {
 	fmt.Fprintln(w, "# Figure 5: loss-event fraction vs Bernoulli loss probability")
 	fmt.Fprint(w, "# pLoss")
 	for _, m := range r.Multiplier {

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"tfrc/internal/netsim"
-	"tfrc/internal/stats"
 	"tfrc/internal/tcp"
 )
 
@@ -83,26 +82,47 @@ func (p *Fig06Params) SetSeed(seed int64) { p.Seed = seed }
 // SetSeeds implements SeedsSetter.
 func (p *Fig06Params) SetSeeds(n int) { p.Seeds = n }
 
-func init() {
-	Register(Descriptor{
-		Name:        "fig6",
-		Aliases:     []string{"6"},
-		Description: "normalized TCP throughput vs link rate × flows × queue",
-		Params:      paramsFn[Fig06Params](DefaultFig06),
-		Presets:     map[string]func() Params{"paper": paramsFn[Fig06Params](PaperFig06)},
-		Run:         runAs(func(p *Fig06Params) Result { return RunFig06(*p) }),
-		Grid:        GridAs(fig06Cells, fig06RunRange, fig06Reduce),
-	})
-	Register(Descriptor{
-		Name:        "fig7",
-		Aliases:     []string{"7"},
-		Description: "per-flow normalized throughput at 15 Mb/s RED",
-		Params:      paramsFn[Fig07Params](DefaultFig07),
-		Presets:     map[string]func() Params{"paper": paramsFn[Fig07Params](PaperFig07)},
-		Run:         runAs(func(p *Fig07Params) Result { return RunFig07Params(*p) }),
-		Grid:        GridAs(fig07Cells, fig07RunRange, fig07Reduce),
-	})
-}
+// runFig06 is the grid: (queue, link, flows) points in that nesting
+// order, replicate-minor.
+var runFig06 = Define(Spec[Fig06Params, Fig06Cell, *Fig06Result]{
+	Name:        "fig6",
+	Aliases:     []string{"6"},
+	Description: "normalized TCP throughput vs link rate × flows × queue",
+	Default:     DefaultFig06,
+	Presets:     map[string]func() Fig06Params{"paper": PaperFig06},
+	Cells: func(p *Fig06Params) int {
+		return len(p.Queues) * len(p.LinkMbps) * len(p.TotalFlows) * replicas(p.Seeds)
+	},
+	Cell: func(c *Cell, p *Fig06Params, idx int) Fig06Cell {
+		at := unravel(idx, len(p.Queues), len(p.LinkMbps), len(p.TotalFlows), replicas(p.Seeds))
+		return runFig06Cell(c, p.Queues[at[0]], p.LinkMbps[at[1]], p.TotalFlows[at[2]],
+			p.Duration, p.MeasureTail, replicaSeed(p.Seed, at[3]))
+	},
+	Reduce: fig06Reduce,
+})
+
+// RunFig06 runs the whole grid on the sweep runner: every (queue, link,
+// flows, seed) combination is an independent cell, executed across the
+// worker pool and merged back in deterministic grid order.
+func RunFig06(pr Fig06Params) *Fig06Result { return runFig06(&pr) }
+
+// runFig07 is the 15 Mb/s RED column of the Figure 6 grid, one cell per
+// flow count.
+var runFig07 = Define(Spec[Fig07Params, Fig06Cell, *Fig07Result]{
+	Name:        "fig7",
+	Aliases:     []string{"7"},
+	Description: "per-flow normalized throughput at 15 Mb/s RED",
+	Default:     DefaultFig07,
+	Presets:     map[string]func() Fig07Params{"paper": PaperFig07},
+	Cells:       func(p *Fig07Params) int { return len(p.TotalFlows) },
+	Cell: func(c *Cell, p *Fig07Params, idx int) Fig06Cell {
+		return runFig06Cell(c, netsim.QueueRED, 15, p.TotalFlows[idx], p.Duration, p.MeasureTail, p.Seed)
+	},
+	Reduce: func(_ *Fig07Params, cells []Fig06Cell) *Fig07Result { return &Fig07Result{Cells: cells} },
+})
+
+// RunFig07 runs the column across flow counts.
+func RunFig07(pr Fig07Params) *Fig07Result { return runFig07(&pr) }
 
 // Fig06Cell is one grid cell.
 type Fig06Cell struct {
@@ -164,79 +184,29 @@ func runFig06Cell(c *Cell, queue netsim.QueueKind, linkMbps float64, flows int, 
 	}
 }
 
-// fig06Seeds is the per-grid-point replicate count (Seeds clamped ≥ 1).
-func fig06Seeds(pr *Fig06Params) int {
-	if pr.Seeds < 1 {
-		return 1
-	}
-	return pr.Seeds
-}
-
-// fig06Cells is the flattened cell count: (queue, link, flows) grid
-// points in that nesting order, seed-minor.
-func fig06Cells(pr *Fig06Params) int {
-	return len(pr.Queues) * len(pr.LinkMbps) * len(pr.TotalFlows) * fig06Seeds(pr)
-}
-
-// fig06RunRange computes cells [r.Lo, r.Hi) on the worker pool. Every
-// cell is a pure function of its absolute index (replicate 0 uses
-// pr.Seed itself so single-seed results are unchanged by sharding), so
-// any sub-range on any machine computes the same values.
-func fig06RunRange(pr *Fig06Params, r CellRange) []Fig06Cell {
-	seeds := fig06Seeds(pr)
-	perLink := len(pr.TotalFlows) * seeds
-	perQueue := len(pr.LinkMbps) * perLink
-	return runCellsCtx(r.Len(), func(c *Cell, i int) Fig06Cell {
-		idx := r.Lo + i
-		q := pr.Queues[idx/perQueue]
-		bw := pr.LinkMbps[(idx%perQueue)/perLink]
-		fl := pr.TotalFlows[(idx%perLink)/seeds]
-		rep := idx % seeds
-		return runFig06Cell(c, q, bw, fl, pr.Duration, pr.MeasureTail,
-			pr.Seed+int64(rep)*6151)
-	})
-}
-
 // fig06Reduce aggregates the full cell set in index order: each grid
 // point's seed replicates collapse to means with 90% CI half-widths.
 func fig06Reduce(pr *Fig06Params, raw []Fig06Cell) *Fig06Result {
-	seeds := fig06Seeds(pr)
+	seeds := replicas(pr.Seeds)
 	res := &Fig06Result{}
 	for c := 0; c < len(raw)/seeds; c++ {
 		group := raw[c*seeds : (c+1)*seeds]
 		cell := group[0]
 		if seeds > 1 {
-			normTCP := make([]float64, seeds)
-			normTFRC := make([]float64, seeds)
-			util := make([]float64, seeds)
-			drop := make([]float64, seeds)
-			for i, g := range group {
-				normTCP[i], normTFRC[i] = g.NormTCP, g.NormTFRC
-				util[i], drop[i] = g.Utilization, g.DropRate
-			}
 			cell.Seeds = seeds
-			cell.NormTCP, cell.NormTCPCI = stats.MeanCI90(normTCP)
-			cell.NormTFRC, cell.NormTFRCCI = stats.MeanCI90(normTFRC)
-			cell.Utilization = stats.Mean(util)
-			cell.DropRate = stats.Mean(drop)
+			cell.NormTCP, cell.NormTCPCI = meanCI(group, func(g *Fig06Cell) float64 { return g.NormTCP })
+			cell.NormTFRC, cell.NormTFRCCI = meanCI(group, func(g *Fig06Cell) float64 { return g.NormTFRC })
+			cell.Utilization, _ = meanCI(group, func(g *Fig06Cell) float64 { return g.Utilization })
+			cell.DropRate, _ = meanCI(group, func(g *Fig06Cell) float64 { return g.DropRate })
 		}
 		res.Cells = append(res.Cells, cell)
 	}
 	return res
 }
 
-// RunFig06 runs the whole grid on the sweep runner: every (queue, link,
-// flows, seed) combination is an independent cell, executed across the
-// worker pool and merged back in deterministic grid order.
-func RunFig06(pr Fig06Params) *Fig06Result {
-	return fig06Reduce(&pr, fig06RunRange(&pr, CellRange{0, fig06Cells(&pr)}))
-}
-
-// Table implements Result.
-func (r *Fig06Result) Table(w io.Writer) { r.Print(w) }
-
-// Print emits the surface as rows; multi-seed runs gain CI columns.
-func (r *Fig06Result) Print(w io.Writer) {
+// Table implements Result: the surface as rows; multi-seed runs gain CI
+// columns.
+func (r *Fig06Result) Table(w io.Writer) {
 	multiSeed := false
 	for _, c := range r.Cells {
 		if c.Seeds > 1 {
@@ -261,49 +231,8 @@ func (r *Fig06Result) Print(w io.Writer) {
 	}
 }
 
-// PrintFig07 emits the per-flow scatter for the 15 Mb/s RED column
-// (Figure 7): one row per flow.
-func PrintFig07(w io.Writer, cells []Fig06Cell) {
-	fmt.Fprintln(w, "# Figure 7: per-flow normalized throughput, RED")
-	fmt.Fprintln(w, "# flows\tprotocol\tnormThroughput")
-	for _, c := range cells {
-		for _, v := range c.PerFlowTCP {
-			fmt.Fprintf(w, "%d\tTCP\t%.3f\n", c.Flows, v)
-		}
-		for _, v := range c.PerFlowTFRC {
-			fmt.Fprintf(w, "%d\tTFRC\t%.3f\n", c.Flows, v)
-		}
-	}
-}
-
-// RunFig07 runs the 15 Mb/s RED column across flow counts — the paper's
-// Figure 7 slice of the Figure 6 grid.
-func RunFig07(totalFlows []int, duration, tail float64, seed int64) []Fig06Cell {
-	if len(totalFlows) == 0 {
-		totalFlows = []int{16, 32, 48, 64, 80, 96, 112, 128}
-	}
-	p := Fig07Params{TotalFlows: totalFlows, Duration: duration, MeasureTail: tail, Seed: seed}
-	return fig07RunRange(&p, CellRange{0, len(totalFlows)})
-}
-
-// fig07Cells is one cell per flow count.
-func fig07Cells(pr *Fig07Params) int { return len(pr.TotalFlows) }
-
-// fig07RunRange computes the column cells [r.Lo, r.Hi).
-func fig07RunRange(pr *Fig07Params, r CellRange) []Fig06Cell {
-	return runCellsCtx(r.Len(), func(c *Cell, i int) Fig06Cell {
-		return runFig06Cell(c, netsim.QueueRED, 15, pr.TotalFlows[r.Lo+i],
-			pr.Duration, pr.MeasureTail, pr.Seed)
-	})
-}
-
-// fig07Reduce wraps the full column.
-func fig07Reduce(_ *Fig07Params, cells []Fig06Cell) *Fig07Result {
-	return &Fig07Result{Cells: cells}
-}
-
-// Fig07Params is the parameter-struct form of RunFig07, the shape the
-// experiment registry serializes.
+// Fig07Params selects the Figure 7 column: the flow counts to run at
+// 15 Mb/s RED.
 type Fig07Params struct {
 	TotalFlows  []int
 	Duration    float64
@@ -349,13 +278,17 @@ func (p *Fig07Params) SetSeed(seed int64) { p.Seed = seed }
 // Fig07Result wraps the per-flow scatter cells.
 type Fig07Result struct{ Cells []Fig06Cell }
 
-// RunFig07Params is RunFig07 on the registry's parameter struct.
-func RunFig07Params(pr Fig07Params) *Fig07Result {
-	return &Fig07Result{Cells: RunFig07(pr.TotalFlows, pr.Duration, pr.MeasureTail, pr.Seed)}
+// Table implements Result: the per-flow scatter for the 15 Mb/s RED
+// column, one row per flow.
+func (r *Fig07Result) Table(w io.Writer) {
+	fmt.Fprintln(w, "# Figure 7: per-flow normalized throughput, RED")
+	fmt.Fprintln(w, "# flows\tprotocol\tnormThroughput")
+	for _, c := range r.Cells {
+		for _, v := range c.PerFlowTCP {
+			fmt.Fprintf(w, "%d\tTCP\t%.3f\n", c.Flows, v)
+		}
+		for _, v := range c.PerFlowTFRC {
+			fmt.Fprintf(w, "%d\tTFRC\t%.3f\n", c.Flows, v)
+		}
+	}
 }
-
-// Table implements Result.
-func (r *Fig07Result) Table(w io.Writer) { PrintFig07(w, r.Cells) }
-
-// Print emits the scatter rows.
-func (r *Fig07Result) Print(w io.Writer) { r.Table(w) }

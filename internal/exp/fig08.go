@@ -13,6 +13,9 @@ import (
 // and TFRC flows sharing a 15 Mb/s bottleneck with 32 flows total,
 // averaged over 0.15 s bins, for DropTail and RED queueing. The paper's
 // RED parameters (footnote 1) are min 25, max 125, max_p 0.1, gentle.
+// It is one queue discipline's setup; the registered experiment,
+// Fig08GridParams, runs DefaultFig08 once per queue and takes the flow
+// count, seed and replicate count from there.
 type Fig08Params struct {
 	Queue     netsim.QueueKind
 	Flows     int     // total; half TCP half TFRC (paper: 32)
@@ -22,11 +25,7 @@ type Fig08Params struct {
 	BinWidth  float64 // paper: 0.15 s
 	NTrace    int     // flows of each type to trace (paper: 4)
 	Seed      int64
-
-	// Seeds > 1 repeats the simulation at that many seeds on the sweep
-	// runner and reports the smoothness summaries as means with 90%
-	// confidence half-widths; traces stay the first seed's sample.
-	Seeds int
+	Seeds     int
 }
 
 // DefaultFig08 matches the paper at reduced duration.
@@ -67,13 +66,17 @@ func (p *Fig08Params) Validate() error {
 	return nil
 }
 
-// Fig08GridParams runs the trace experiment once per queue discipline —
-// the registry form of the CLI's historical DropTail-then-RED loop.
+// Fig08GridParams is the registered fig8 experiment: the trace setup of
+// DefaultFig08 once per queue discipline.
 type Fig08GridParams struct {
 	Queues []netsim.QueueKind
 	Flows  int
 	Seed   int64
-	Seeds  int
+
+	// Seeds > 1 repeats every queue's simulation at that many seeds and
+	// reports the smoothness summaries as means with 90% confidence
+	// half-widths; traces stay the first seed's sample.
+	Seeds int
 }
 
 // DefaultFig08Grid traces both queue disciplines at the paper's setup.
@@ -108,39 +111,34 @@ func (p *Fig08GridParams) SetSeeds(n int) { p.Seeds = n }
 // Fig08GridResult is one Fig08Result per requested queue discipline.
 type Fig08GridResult struct{ Results []*Fig08Result }
 
-// RunFig08Grid runs the trace experiment for every queue discipline.
-func RunFig08Grid(pr Fig08GridParams) *Fig08GridResult {
-	out := &Fig08GridResult{}
-	for _, q := range pr.Queues {
-		qp := DefaultFig08(q)
-		qp.Flows = pr.Flows
-		qp.Seed = pr.Seed
-		qp.Seeds = pr.Seeds
-		out.Results = append(out.Results, RunFig08(qp))
-	}
-	return out
-}
-
-// Table implements Result, printing each queue's block in order —
-// byte-identical to the historical CLI loop.
+// Table implements Result, printing each queue's block in order.
 func (r *Fig08GridResult) Table(w io.Writer) {
 	for _, res := range r.Results {
-		res.Print(w)
+		res.Table(w)
 	}
 }
 
-// Print emits every queue's block.
-func (r *Fig08GridResult) Print(w io.Writer) { r.Table(w) }
+// runFig08 is the (queue × replicate) grid: every cell is one trace
+// simulation at the paper's setup for its queue discipline.
+var runFig08 = Define(Spec[Fig08GridParams, Fig08Result, *Fig08GridResult]{
+	Name:        "fig8",
+	Aliases:     []string{"8"},
+	Description: "per-flow throughput traces (DropTail and RED)",
+	Default:     DefaultFig08Grid,
+	Cells:       func(p *Fig08GridParams) int { return len(p.Queues) * replicas(p.Seeds) },
+	Cell: func(c *Cell, p *Fig08GridParams, idx int) Fig08Result {
+		at := unravel(idx, len(p.Queues), replicas(p.Seeds))
+		qp := DefaultFig08(p.Queues[at[0]])
+		qp.Flows = p.Flows
+		return runFig08Seed(c, qp, replicaSeed(p.Seed, at[1]))
+	},
+	Reduce: fig08Reduce,
+})
 
-func init() {
-	Register(Descriptor{
-		Name:        "fig8",
-		Aliases:     []string{"8"},
-		Description: "per-flow throughput traces (DropTail and RED)",
-		Params:      paramsFn[Fig08GridParams](DefaultFig08Grid),
-		Run:         runAs(func(p *Fig08GridParams) Result { return RunFig08Grid(*p) }),
-	})
-}
+// RunFig08 runs the trace experiment for every queue discipline. With
+// Seeds > 1 each queue's CoV summaries aggregate to mean ± 90% CI;
+// results are identical at any parallelism.
+func RunFig08(pr Fig08GridParams) *Fig08GridResult { return runFig08(&pr) }
 
 // Fig08Result carries the traced series plus smoothness summaries.
 type Fig08Result struct {
@@ -159,7 +157,7 @@ type Fig08Result struct {
 }
 
 // runFig08Seed runs one trace simulation at one seed.
-func runFig08Seed(pr Fig08Params, seed int64) *Fig08Result {
+func runFig08Seed(c *Cell, pr Fig08Params, seed int64) Fig08Result {
 	n := pr.Flows / 2
 	sc := Scenario{
 		NTCP:         n,
@@ -175,8 +173,8 @@ func runFig08Seed(pr Fig08Params, seed int64) *Fig08Result {
 		BinWidth:     pr.BinWidth,
 		Seed:         seed,
 	}
-	res := RunScenario(sc)
-	out := &Fig08Result{Queue: pr.Queue, BinWidth: pr.BinWidth}
+	res := runScenarioCell(c, sc)
+	out := Fig08Result{Queue: pr.Queue, BinWidth: pr.BinWidth}
 	for i := 0; i < pr.NTrace && i < len(res.TCPSeries); i++ {
 		out.TCPTraces = append(out.TCPTraces, res.TCPSeries[i])
 	}
@@ -199,36 +197,27 @@ func runFig08Seed(pr Fig08Params, seed int64) *Fig08Result {
 	return out
 }
 
-// RunFig08 runs the trace experiment. With Seeds > 1 the seeds execute
-// as independent cells on the sweep runner and the CoV summaries
-// aggregate to mean ± 90% CI; results are identical at any parallelism.
-func RunFig08(pr Fig08Params) *Fig08Result {
-	seeds := pr.Seeds
-	if seeds < 1 {
-		seeds = 1
-	}
-	cells := runCells(seeds, func(i int) *Fig08Result {
-		return runFig08Seed(pr, pr.Seed+int64(i)*6151)
-	})
-	out := cells[0]
-	if seeds > 1 {
-		covT := make([]float64, seeds)
-		covF := make([]float64, seeds)
-		for i, c := range cells {
-			covT[i], covF[i] = c.CoVTCP, c.CoVTFRC
+// fig08Reduce collapses each queue's replicates: traces stay the first
+// seed's sample, the CoV summaries become means with 90% CI.
+func fig08Reduce(pr *Fig08GridParams, cells []Fig08Result) *Fig08GridResult {
+	seeds := replicas(pr.Seeds)
+	out := &Fig08GridResult{}
+	for q := range pr.Queues {
+		group := cells[q*seeds : (q+1)*seeds]
+		res := &group[0]
+		if seeds > 1 {
+			res.Seeds = seeds
+			res.CoVTCP, res.CoVTCPCI = meanCI(group, func(g *Fig08Result) float64 { return g.CoVTCP })
+			res.CoVTFRC, res.CoVTFRCCI = meanCI(group, func(g *Fig08Result) float64 { return g.CoVTFRC })
 		}
-		out.Seeds = seeds
-		out.CoVTCP, out.CoVTCPCI = stats.MeanCI90(covT)
-		out.CoVTFRC, out.CoVTFRCCI = stats.MeanCI90(covF)
+		out.Results = append(out.Results, res)
 	}
 	return out
 }
 
-// Table implements Result.
-func (r *Fig08Result) Table(w io.Writer) { r.Print(w) }
-
-// Print emits the traces: "bin TF1..TFn TCP1..TCPn" in KB per bin.
-func (r *Fig08Result) Print(w io.Writer) {
+// Table writes one queue's block: "bin TF1..TFn TCP1..TCPn" traces in KB
+// per bin, then the CoV summary.
+func (r *Fig08Result) Table(w io.Writer) {
 	fmt.Fprintf(w, "# Figure 8: per-flow throughput traces, %s queue (KB per %.2fs bin)\n",
 		r.Queue, r.BinWidth)
 	fmt.Fprint(w, "# time")

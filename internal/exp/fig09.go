@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"tfrc/internal/netsim"
-	"tfrc/internal/stats"
 	"tfrc/internal/tcp"
 )
 
@@ -70,17 +69,22 @@ func (p *Fig09Params) Validate() error {
 // SetSeed implements SeedSetter.
 func (p *Fig09Params) SetSeed(seed int64) { p.Seed = seed }
 
-func init() {
-	Register(Descriptor{
-		Name:        "fig9",
-		Aliases:     []string{"9", "fig10", "10"},
-		Description: "equivalence ratio and CoV vs timescale (incl. fig 10)",
-		Params:      paramsFn[Fig09Params](DefaultFig09),
-		Presets:     map[string]func() Params{"paper": paramsFn[Fig09Params](PaperFig09)},
-		Run:         runAs(func(p *Fig09Params) Result { return RunFig09(*p) }),
-		Grid:        GridAs(fig09Cells, fig09RunRange, fig09Reduce),
-	})
-}
+// runFig09 is one cell per independent run.
+var runFig09 = Define(Spec[Fig09Params, Fig09Run, *Fig09Result]{
+	Name:        "fig9",
+	Aliases:     []string{"9", "fig10", "10"},
+	Description: "equivalence ratio and CoV vs timescale (incl. fig 10)",
+	Default:     DefaultFig09,
+	Presets:     map[string]func() Fig09Params{"paper": PaperFig09},
+	Cells:       func(p *Fig09Params) int { return p.Runs },
+	Cell:        fig09Cell,
+	Reduce:      fig09Reduce,
+})
+
+// RunFig09 runs the multi-run study, one independent simulation per run
+// on the sweep runner; runs merge back in run order so results are
+// identical at any parallelism.
+func RunFig09(pr Fig09Params) *Fig09Result { return runFig09(&pr) }
 
 // MeanCI is a mean with its 90% confidence half-width.
 type MeanCI struct{ Mean, CI float64 }
@@ -103,107 +107,49 @@ type Fig09Run struct {
 	EqTT, EqFF, EqTF, CoVT, CoVF []float64
 }
 
-// fig09Cells is one cell per independent run.
-func fig09Cells(pr *Fig09Params) int { return pr.Runs }
-
-// fig09RunRange computes runs [r.Lo, r.Hi), each an independent
-// simulation whose seed derives from its absolute run index.
-func fig09RunRange(pr *Fig09Params, r CellRange) []Fig09Run {
-	nscale := len(pr.Timescales)
-	base := 0.1
-	return runCellsCtx(r.Len(), func(c *Cell, i int) Fig09Run {
-		run := r.Lo + i
-		sc := Scenario{
-			NTCP:          pr.FlowsEach,
-			NTFRC:         pr.FlowsEach,
-			BottleneckBW:  15e6,
-			BottleneckDly: 0.025,
-			Queue:         netsim.QueueRED,
-			QueueLimit:    100,
-			REDMin:        10,
-			REDMax:        50,
-			AccessDlyMin:  0.0075,
-			AccessDlyMax:  0.0175,
-			TCPVariant:    tcp.Sack,
-			Duration:      pr.Duration,
-			Warmup:        pr.Warmup,
-			BinWidth:      base,
-			Seed:          pr.Seed + int64(run)*1000,
-		}
-		res := runScenarioCell(c, sc)
-		tcp0, tcp1 := res.TCPSeries[0], res.TCPSeries[1]
-		tf0, tf1 := res.TFRCSeries[0], res.TFRCSeries[1]
-		out := Fig09Run{
-			EqTT: make([]float64, nscale), EqFF: make([]float64, nscale),
-			EqTF: make([]float64, nscale),
-			CoVT: make([]float64, nscale), CoVF: make([]float64, nscale),
-		}
-		for i, ts := range pr.Timescales {
-			k := int(ts/base + 0.5)
-			if k < 1 {
-				k = 1
-			}
-			a, b := stats.Rebin(tcp0, k), stats.Rebin(tcp1, k)
-			f, g := stats.Rebin(tf0, k), stats.Rebin(tf1, k)
-			out.EqTT[i] = stats.EquivalenceRatio(a, b)
-			out.EqFF[i] = stats.EquivalenceRatio(f, g)
-			out.EqTF[i] = stats.EquivalenceRatio(a, f)
-			out.CoVT[i] = stats.CoV(a)
-			out.CoVF[i] = stats.CoV(f)
-		}
-		return out
+// fig09Cell is one run, an independent simulation whose seed derives
+// from its absolute run index.
+func fig09Cell(c *Cell, pr *Fig09Params, run int) Fig09Run {
+	const base = 0.1
+	res := runScenarioCell(c, Scenario{
+		NTCP:          pr.FlowsEach,
+		NTFRC:         pr.FlowsEach,
+		BottleneckBW:  15e6,
+		BottleneckDly: 0.025,
+		Queue:         netsim.QueueRED,
+		QueueLimit:    100,
+		REDMin:        10,
+		REDMax:        50,
+		AccessDlyMin:  0.0075,
+		AccessDlyMax:  0.0175,
+		TCPVariant:    tcp.Sack,
+		Duration:      pr.Duration,
+		Warmup:        pr.Warmup,
+		BinWidth:      base,
+		Seed:          pr.Seed + int64(run)*1000,
 	})
+	var out Fig09Run
+	out.EqTT, _, _ = timescaleCurves(res.TCPSeries[0], res.TCPSeries[1], base, pr.Timescales)
+	out.EqFF, _, _ = timescaleCurves(res.TFRCSeries[0], res.TFRCSeries[1], base, pr.Timescales)
+	out.EqTF, out.CoVT, out.CoVF = timescaleCurves(res.TCPSeries[0], res.TFRCSeries[0], base, pr.Timescales)
+	return out
 }
 
 // fig09Reduce aggregates all runs into per-timescale means with 90% CI.
 func fig09Reduce(pr *Fig09Params, runs []Fig09Run) *Fig09Result {
-	nscale := len(pr.Timescales)
-
-	// per-timescale collections across runs, in run order
-	eqTT := make([][]float64, nscale)
-	eqFF := make([][]float64, nscale)
-	eqTF := make([][]float64, nscale)
-	covT := make([][]float64, nscale)
-	covF := make([][]float64, nscale)
-	for _, r := range runs {
-		for i := 0; i < nscale; i++ {
-			eqTT[i] = append(eqTT[i], r.EqTT[i])
-			eqFF[i] = append(eqFF[i], r.EqFF[i])
-			eqTF[i] = append(eqTF[i], r.EqTF[i])
-			covT[i] = append(covT[i], r.CoVT[i])
-			covF[i] = append(covF[i], r.CoVF[i])
-		}
+	n := len(pr.Timescales)
+	return &Fig09Result{
+		Timescales: pr.Timescales,
+		TCPvTCP:    meanCICurve(runs, n, func(r *Fig09Run) []float64 { return r.EqTT }),
+		TFRCvTFRC:  meanCICurve(runs, n, func(r *Fig09Run) []float64 { return r.EqFF }),
+		TCPvTFRC:   meanCICurve(runs, n, func(r *Fig09Run) []float64 { return r.EqTF }),
+		CoVTCP:     meanCICurve(runs, n, func(r *Fig09Run) []float64 { return r.CoVT }),
+		CoVTFRC:    meanCICurve(runs, n, func(r *Fig09Run) []float64 { return r.CoVF }),
 	}
-
-	res := &Fig09Result{Timescales: pr.Timescales}
-	collect := func(samples [][]float64) []MeanCI {
-		out := make([]MeanCI, nscale)
-		for i, xs := range samples {
-			m, ci := stats.MeanCI90(xs)
-			out[i] = MeanCI{m, ci}
-		}
-		return out
-	}
-	res.TCPvTCP = collect(eqTT)
-	res.TFRCvTFRC = collect(eqFF)
-	res.TCPvTFRC = collect(eqTF)
-	res.CoVTCP = collect(covT)
-	res.CoVTFRC = collect(covF)
-	return res
 }
 
-// RunFig09 runs the multi-run study, one independent simulation per run
-// on the sweep runner; runs merge back in run order so results are
-// identical at any parallelism.
-func RunFig09(pr Fig09Params) *Fig09Result {
-	return fig09Reduce(&pr, fig09RunRange(&pr, CellRange{0, fig09Cells(&pr)}))
-}
-
-// Table implements Result.
-func (r *Fig09Result) Table(w io.Writer) { r.Print(w) }
-
-// Print emits both figures' rows.
-func (r *Fig09Result) Print(w io.Writer) {
+// Table implements Result: both figures' rows.
+func (r *Fig09Result) Table(w io.Writer) {
 	fmt.Fprintln(w, "# Figure 9: equivalence ratio vs measurement timescale (mean ± 90% CI)")
 	fmt.Fprintln(w, "# timescale\tTFRCvTFRC\tci\tTCPvTCP\tci\tTFRCvTCP\tci")
 	for i, ts := range r.Timescales {

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"tfrc/internal/netsim"
-	"tfrc/internal/stats"
 	"tfrc/internal/tcp"
 )
 
@@ -74,17 +73,21 @@ func (p *Fig11Params) Validate() error {
 // SetSeed implements SeedSetter.
 func (p *Fig11Params) SetSeed(seed int64) { p.Seed = seed }
 
-func init() {
-	Register(Descriptor{
-		Name:        "fig11",
-		Aliases:     []string{"11", "fig12", "12", "fig13", "13"},
-		Description: "ON/OFF background sweep (incl. figs 12, 13)",
-		Params:      paramsFn[Fig11Params](DefaultFig11),
-		Presets:     map[string]func() Params{"paper": paramsFn[Fig11Params](PaperFig11)},
-		Run:         runAs(func(p *Fig11Params) Result { return RunFig11(*p) }),
-		Grid:        GridAs(fig11Cells, fig11RunRange, fig11Reduce),
-	})
-}
+// runFig11 flattens the sweep source-major, run-minor.
+var runFig11 = Define(Spec[Fig11Params, Fig11Cell, *Fig11Result]{
+	Name:        "fig11",
+	Aliases:     []string{"11", "fig12", "12", "fig13", "13"},
+	Description: "ON/OFF background sweep (incl. figs 12, 13)",
+	Default:     DefaultFig11,
+	Presets:     map[string]func() Fig11Params{"paper": PaperFig11},
+	Cells:       func(p *Fig11Params) int { return len(p.Sources) * p.Runs },
+	Cell:        fig11Cell,
+	Reduce:      fig11Reduce,
+})
+
+// RunFig11 runs the sweep: the (sources × runs) grid flattens onto the
+// worker pool, then each source count aggregates its runs in run order.
+func RunFig11(pr Fig11Params) *Fig11Result { return runFig11(&pr) }
 
 // Fig11Row summarizes one source count.
 type Fig11Row struct {
@@ -112,100 +115,53 @@ type Fig11Cell struct {
 	CoVTCP  []float64
 }
 
-// fig11Cells flattens the sweep source-major, run-minor.
-func fig11Cells(pr *Fig11Params) int { return len(pr.Sources) * pr.Runs }
-
-// fig11RunRange computes cells [r.Lo, r.Hi); each cell's seed derives
-// from its absolute (source count, run) coordinates.
-func fig11RunRange(pr *Fig11Params, r CellRange) []Fig11Cell {
-	base := 0.1
-	nscale := len(pr.Timescales)
-	return runCellsCtx(r.Len(), func(c *Cell, i int) Fig11Cell {
-		idx := r.Lo + i
-		n, run := pr.Sources[idx/pr.Runs], idx%pr.Runs
-		sc := Scenario{
-			NTCP:          1,
-			NTFRC:         1,
-			BottleneckBW:  15e6,
-			BottleneckDly: 0.025,
-			Queue:         netsim.QueueRED,
-			QueueLimit:    100,
-			REDMin:        10,
-			REDMax:        50,
-			TCPVariant:    tcp.Sack,
-			OnOffSources:  n,
-			Duration:      pr.Duration,
-			Warmup:        pr.Warmup,
-			BinWidth:      base,
-			Seed:          pr.Seed + int64(run)*977 + int64(n),
-		}
-		sr := runScenarioCell(c, sc)
-		out := Fig11Cell{
-			Loss:    sr.DropRate,
-			Eq:      make([]float64, nscale),
-			CoVTFRC: make([]float64, nscale),
-			CoVTCP:  make([]float64, nscale),
-		}
-		tcpS, tfS := sr.TCPSeries[0], sr.TFRCSeries[0]
-		for i, ts := range pr.Timescales {
-			k := int(ts/base + 0.5)
-			if k < 1 {
-				k = 1
-			}
-			a, f := stats.Rebin(tcpS, k), stats.Rebin(tfS, k)
-			out.Eq[i] = stats.EquivalenceRatio(a, f)
-			out.CoVTFRC[i] = stats.CoV(f)
-			out.CoVTCP[i] = stats.CoV(a)
-		}
-		return out
+// fig11Cell is one (source count, run) simulation; its seed derives
+// from those absolute coordinates.
+func fig11Cell(c *Cell, pr *Fig11Params, idx int) Fig11Cell {
+	const base = 0.1
+	at := unravel(idx, len(pr.Sources), pr.Runs)
+	n, run := pr.Sources[at[0]], at[1]
+	sr := runScenarioCell(c, Scenario{
+		NTCP:          1,
+		NTFRC:         1,
+		BottleneckBW:  15e6,
+		BottleneckDly: 0.025,
+		Queue:         netsim.QueueRED,
+		QueueLimit:    100,
+		REDMin:        10,
+		REDMax:        50,
+		TCPVariant:    tcp.Sack,
+		OnOffSources:  n,
+		Duration:      pr.Duration,
+		Warmup:        pr.Warmup,
+		BinWidth:      base,
+		Seed:          pr.Seed + int64(run)*977 + int64(n),
 	})
+	out := Fig11Cell{Loss: sr.DropRate}
+	out.Eq, out.CoVTCP, out.CoVTFRC = timescaleCurves(sr.TCPSeries[0], sr.TFRCSeries[0], base, pr.Timescales)
+	return out
 }
 
 // fig11Reduce aggregates each source count's runs in run order.
 func fig11Reduce(pr *Fig11Params, cells []Fig11Cell) *Fig11Result {
-	nscale := len(pr.Timescales)
 	res := &Fig11Result{Timescales: pr.Timescales}
 	for si, n := range pr.Sources {
 		group := cells[si*pr.Runs : (si+1)*pr.Runs]
-		loss := make([]float64, 0, pr.Runs)
-		eq := make([][]float64, nscale)
-		cvF := make([][]float64, nscale)
-		cvT := make([][]float64, nscale)
-		for _, c := range group {
-			loss = append(loss, c.Loss)
-			for i := 0; i < nscale; i++ {
-				eq[i] = append(eq[i], c.Eq[i])
-				cvF[i] = append(cvF[i], c.CoVTFRC[i])
-				cvT[i] = append(cvT[i], c.CoVTCP[i])
-			}
+		nscale := len(pr.Timescales)
+		row := Fig11Row{
+			Sources:    n,
+			EqTCPvTFRC: meanCICurve(group, nscale, func(c *Fig11Cell) []float64 { return c.Eq }),
+			CoVTFRC:    meanCICurve(group, nscale, func(c *Fig11Cell) []float64 { return c.CoVTFRC }),
+			CoVTCP:     meanCICurve(group, nscale, func(c *Fig11Cell) []float64 { return c.CoVTCP }),
 		}
-		row := Fig11Row{Sources: n}
-		m, ci := stats.MeanCI90(loss)
-		row.LossRate = MeanCI{m, ci}
-		for i := range pr.Timescales {
-			m, ci := stats.MeanCI90(eq[i])
-			row.EqTCPvTFRC = append(row.EqTCPvTFRC, MeanCI{m, ci})
-			m, ci = stats.MeanCI90(cvF[i])
-			row.CoVTFRC = append(row.CoVTFRC, MeanCI{m, ci})
-			m, ci = stats.MeanCI90(cvT[i])
-			row.CoVTCP = append(row.CoVTCP, MeanCI{m, ci})
-		}
+		row.LossRate.Mean, row.LossRate.CI = meanCI(group, func(c *Fig11Cell) float64 { return c.Loss })
 		res.Rows = append(res.Rows, row)
 	}
 	return res
 }
 
-// RunFig11 runs the sweep: the (sources × runs) grid flattens onto the
-// worker pool, then each source count aggregates its runs in run order.
-func RunFig11(pr Fig11Params) *Fig11Result {
-	return fig11Reduce(&pr, fig11RunRange(&pr, CellRange{0, fig11Cells(&pr)}))
-}
-
-// Table implements Result.
-func (r *Fig11Result) Table(w io.Writer) { r.Print(w) }
-
-// Print emits all three figures' rows.
-func (r *Fig11Result) Print(w io.Writer) {
+// Table implements Result: all three figures' rows.
+func (r *Fig11Result) Table(w io.Writer) {
 	fmt.Fprintln(w, "# Figure 11: bottleneck loss rate vs number of ON/OFF sources")
 	fmt.Fprintln(w, "# sources\tlossRate\tci")
 	for _, row := range r.Rows {

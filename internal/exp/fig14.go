@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"tfrc/internal/netsim"
-	"tfrc/internal/stats"
 	"tfrc/internal/tcp"
 )
 
@@ -73,15 +72,28 @@ func (p *Fig14Params) SetSeed(seed int64) { p.Seed = seed }
 // SetSeeds implements SeedsSetter.
 func (p *Fig14Params) SetSeeds(n int) { p.Seeds = n }
 
-func init() {
-	Register(Descriptor{
-		Name:        "fig14",
-		Aliases:     []string{"14"},
-		Description: "queue dynamics: 40 TCP vs 40 TFRC flows",
-		Params:      paramsFn[Fig14Params](DefaultFig14),
-		Run:         runAs(func(p *Fig14Params) Result { return RunFig14(*p) }),
-	})
-}
+// runFig14 is the (side × replicate) grid, side-major: all-TCP then
+// all-TFRC long-lived flows.
+var runFig14 = Define(Spec[Fig14Params, Fig14Side, *Fig14Result]{
+	Name:        "fig14",
+	Aliases:     []string{"14"},
+	Description: "queue dynamics: 40 TCP vs 40 TFRC flows",
+	Default:     DefaultFig14,
+	Cells:       func(p *Fig14Params) int { return 2 * replicas(p.Seeds) },
+	Cell: func(c *Cell, p *Fig14Params, idx int) Fig14Side {
+		at := unravel(idx, 2, replicas(p.Seeds))
+		return runFig14Side(c, p, at[0] == 1, replicaSeed(p.Seed, at[1]))
+	},
+	Reduce: func(p *Fig14Params, cells []Fig14Side) *Fig14Result {
+		seeds := replicas(p.Seeds)
+		return &Fig14Result{TCP: fig14Aggregate(cells[:seeds]), TFRC: fig14Aggregate(cells[seeds:])}
+	},
+})
+
+// RunFig14 runs both sides as independent cells on the sweep runner, so
+// results are identical at any parallelism and multi-seed runs gain 90%
+// CIs.
+func RunFig14(pr Fig14Params) *Fig14Result { return runFig14(&pr) }
 
 // Fig14Side is one of the two runs. With Seeds > 1 the scalar fields
 // are means across seeds and the CI fields carry 90% half-widths.
@@ -101,7 +113,7 @@ type Fig14Side struct {
 // Fig14Result pairs the TCP and TFRC runs.
 type Fig14Result struct{ TCP, TFRC Fig14Side }
 
-func runFig14Side(pr Fig14Params, useTFRC bool, seed int64) Fig14Side {
+func runFig14Side(c *Cell, pr *Fig14Params, useTFRC bool, seed int64) Fig14Side {
 	sc := Scenario{
 		BottleneckBW:  pr.LinkMbps * 1e6,
 		BottleneckDly: 0.010, // paper: RTTs roughly 45 ms
@@ -122,7 +134,7 @@ func runFig14Side(pr Fig14Params, useTFRC bool, seed int64) Fig14Side {
 	} else {
 		sc.NTCP = pr.Flows
 	}
-	r := RunScenario(sc)
+	r := runScenarioCell(c, sc)
 	return Fig14Side{
 		Protocol:    name,
 		Queue:       r.Queue,
@@ -132,45 +144,21 @@ func runFig14Side(pr Fig14Params, useTFRC bool, seed int64) Fig14Side {
 	}
 }
 
-// RunFig14 runs both sides as independent cells on the sweep runner:
-// the (side × seed) grid flattens side-major, so results are identical
-// at any parallelism and multi-seed runs gain 90% CIs.
-func RunFig14(pr Fig14Params) *Fig14Result {
-	seeds := pr.Seeds
-	if seeds < 1 {
-		seeds = 1
+// fig14Aggregate collapses one side's replicates: the queue trace stays
+// the first seed's sample, the scalar summaries become means with 90% CI.
+func fig14Aggregate(group []Fig14Side) Fig14Side {
+	side := group[0]
+	if len(group) > 1 {
+		side.Seeds = len(group)
+		side.QueueMean, side.QueueMeanCI = meanCI(group, func(g *Fig14Side) float64 { return g.QueueMean })
+		side.Utilization, side.UtilizationCI = meanCI(group, func(g *Fig14Side) float64 { return g.Utilization })
+		side.DropRate, side.DropRateCI = meanCI(group, func(g *Fig14Side) float64 { return g.DropRate })
 	}
-	cells := runCells(2*seeds, func(i int) Fig14Side {
-		useTFRC, rep := i/seeds == 1, i%seeds
-		return runFig14Side(pr, useTFRC, pr.Seed+int64(rep)*6151)
-	})
-	aggregate := func(group []Fig14Side) Fig14Side {
-		side := group[0]
-		if seeds > 1 {
-			qm := make([]float64, seeds)
-			ut := make([]float64, seeds)
-			dr := make([]float64, seeds)
-			for i, g := range group {
-				qm[i], ut[i], dr[i] = g.QueueMean, g.Utilization, g.DropRate
-			}
-			side.Seeds = seeds
-			side.QueueMean, side.QueueMeanCI = stats.MeanCI90(qm)
-			side.Utilization, side.UtilizationCI = stats.MeanCI90(ut)
-			side.DropRate, side.DropRateCI = stats.MeanCI90(dr)
-		}
-		return side
-	}
-	return &Fig14Result{
-		TCP:  aggregate(cells[:seeds]),
-		TFRC: aggregate(cells[seeds:]),
-	}
+	return side
 }
 
-// Table implements Result.
-func (r *Fig14Result) Table(w io.Writer) { r.Print(w) }
-
-// Print emits the queue traces and the summary comparison.
-func (r *Fig14Result) Print(w io.Writer) {
+// Table implements Result: the queue traces and the summary comparison.
+func (r *Fig14Result) Table(w io.Writer) {
 	fmt.Fprintln(w, "# Figure 14: queue dynamics, 40 long-lived TCP vs TFRC flows, DropTail")
 	for _, side := range []Fig14Side{r.TCP, r.TFRC} {
 		if side.Seeds > 1 {

@@ -133,29 +133,54 @@ func (p *Fig16Params) Validate() error {
 // SetSeed implements SeedSetter.
 func (p *Fig16Params) SetSeed(seed int64) { p.Seed = seed }
 
-func init() {
-	Register(Descriptor{
-		Name:        "fig15",
-		Aliases:     []string{"15"},
-		Description: "3 TCP + 1 TFRC on the transcontinental path profile",
-		Params:      paramsFn[Fig15Params](DefaultFig15),
-		Presets:     map[string]func() Params{"paper": paramsFn[Fig15Params](PaperFig15)},
-		Run: runAs(func(p *Fig15Params) Result {
-			return RunFig15Seeds(p.Duration, p.Seed, p.Seeds)
-		}),
-	})
-	Register(Descriptor{
-		Name:        "fig16",
-		Aliases:     []string{"16", "fig17", "17"},
-		Description: "equivalence and CoV across path profiles (incl. fig 17)",
-		Params:      paramsFn[Fig16Params](DefaultFig16),
-		Presets:     map[string]func() Params{"paper": paramsFn[Fig16Params](PaperFig16)},
-		Run: runAs(func(p *Fig16Params) Result {
-			return RunFig16(p.Timescales, p.Duration, p.Seed)
-		}),
-		Grid: GridAs(fig16Cells, fig16RunRange, fig16Reduce),
-	})
-}
+// runFig15 is one cell per replicate.
+var runFig15 = Define(Spec[Fig15Params, Fig15Result, *Fig15Result]{
+	Name:        "fig15",
+	Aliases:     []string{"15"},
+	Description: "3 TCP + 1 TFRC on the transcontinental path profile",
+	Default:     DefaultFig15,
+	Presets:     map[string]func() Fig15Params{"paper": PaperFig15},
+	Cells:       func(p *Fig15Params) int { return replicas(p.Seeds) },
+	Cell: func(c *Cell, p *Fig15Params, rep int) Fig15Result {
+		return runFig15Seed(c, p.Duration, replicaSeed(p.Seed, rep))
+	},
+	Reduce: func(_ *Fig15Params, cells []Fig15Result) *Fig15Result {
+		out := &cells[0]
+		if len(cells) > 1 {
+			out.Seeds = len(cells)
+			out.MeanTCP, out.MeanTCPCI = meanCI(cells, func(c *Fig15Result) float64 { return c.MeanTCP })
+			out.MeanTFRC, out.MeanTFRCCI = meanCI(cells, func(c *Fig15Result) float64 { return c.MeanTFRC })
+		}
+		return out
+	},
+})
+
+// RunFig15 runs the trace experiment on the UCL-like path; with Seeds >
+// 1 the mean-throughput summaries aggregate to mean ± 90% CI.
+func RunFig15(pr Fig15Params) *Fig15Result { return runFig15(&pr) }
+
+// runFig16 is one cell per path profile.
+var runFig16 = Define(Spec[Fig16Params, Fig16Row, *Fig16Result]{
+	Name:        "fig16",
+	Aliases:     []string{"16", "fig17", "17"},
+	Description: "equivalence and CoV across path profiles (incl. fig 17)",
+	Default:     DefaultFig16,
+	Presets:     map[string]func() Fig16Params{"paper": PaperFig16},
+	Cells:       func(*Fig16Params) int { return len(Paths()) },
+	Cell: func(c *Cell, p *Fig16Params, idx int) Fig16Row {
+		path := Paths()[idx]
+		sr := runScenarioCell(c, pathScenario(path, 1, 1, p.Duration, p.Duration/6, p.Seed))
+		row := Fig16Row{Path: path.Name}
+		row.Eq, row.CoVTCP, row.CoVTFRC = timescaleCurves(sr.TCPSeries[0], sr.TFRCSeries[0], 0.1, p.Timescales)
+		return row
+	},
+	Reduce: func(p *Fig16Params, rows []Fig16Row) *Fig16Result {
+		return &Fig16Result{Timescales: p.Timescales, Rows: rows}
+	},
+})
+
+// RunFig16 runs one TFRC against one TCP on every path profile.
+func RunFig16(pr Fig16Params) *Fig16Result { return runFig16(&pr) }
 
 // Fig15Result is the Figure 15 trace: three TCP flows and one TFRC flow
 // on the transcontinental profile, bandwidth in 1 s bins. With seeds > 1
@@ -175,12 +200,12 @@ type Fig15Result struct {
 	MeanTFRCCI float64
 }
 
-func runFig15Seed(duration float64, seed int64) *Fig15Result {
+func runFig15Seed(c *Cell, duration float64, seed int64) Fig15Result {
 	p := Paths()[0]
 	sc := pathScenario(p, 3, 1, duration, duration/6, seed)
 	sc.BinWidth = 1.0
-	r := RunScenario(sc)
-	out := &Fig15Result{BinWidth: 1.0, TFRCTrace: r.TFRCSeries[0]}
+	r := runScenarioCell(c, sc)
+	out := Fig15Result{BinWidth: 1.0, TFRCTrace: r.TFRCSeries[0]}
 	out.TCPTraces = r.TCPSeries
 	var covSum float64
 	for _, s := range r.TCPSeries {
@@ -194,43 +219,8 @@ func runFig15Seed(duration float64, seed int64) *Fig15Result {
 	return out
 }
 
-// RunFig15 runs the trace experiment on the UCL-like path.
-func RunFig15(duration float64, seed int64) *Fig15Result {
-	return RunFig15Seeds(duration, seed, 1)
-}
-
-// RunFig15Seeds runs the experiment at seeds independent seeds on the
-// sweep runner, aggregating the mean-throughput summaries to mean ± 90%
-// CI; results are identical at any parallelism.
-func RunFig15Seeds(duration float64, seed int64, seeds int) *Fig15Result {
-	if duration == 0 {
-		duration = 120
-	}
-	if seeds < 1 {
-		seeds = 1
-	}
-	cells := runCells(seeds, func(i int) *Fig15Result {
-		return runFig15Seed(duration, seed+int64(i)*6151)
-	})
-	out := cells[0]
-	if seeds > 1 {
-		meanT := make([]float64, seeds)
-		meanF := make([]float64, seeds)
-		for i, c := range cells {
-			meanT[i], meanF[i] = c.MeanTCP, c.MeanTFRC
-		}
-		out.Seeds = seeds
-		out.MeanTCP, out.MeanTCPCI = stats.MeanCI90(meanT)
-		out.MeanTFRC, out.MeanTFRCCI = stats.MeanCI90(meanF)
-	}
-	return out
-}
-
-// Table implements Result.
-func (r *Fig15Result) Table(w io.Writer) { r.Print(w) }
-
-// Print emits "time tcp1 tcp2 tcp3 tfrc" rows in KB/s.
-func (r *Fig15Result) Print(w io.Writer) {
+// Table implements Result: "time tcp1 tcp2 tcp3 tfrc" rows in KB/s.
+func (r *Fig15Result) Table(w io.Writer) {
 	fmt.Fprintln(w, "# Figure 15: 3 TCP + 1 TFRC on the transcontinental path profile (KB/s)")
 	fmt.Fprintln(w, "# time\tTCP1\tTCP2\tTCP3\tTFRC")
 	for i := range r.TFRCTrace {
@@ -264,57 +254,8 @@ type Fig16Result struct {
 	Rows       []Fig16Row
 }
 
-// fig16Cells is one cell per path profile.
-func fig16Cells(pr *Fig16Params) int { return len(Paths()) }
-
-// fig16RunRange computes path cells [r.Lo, r.Hi) over the profile
-// catalogue.
-func fig16RunRange(pr *Fig16Params, r CellRange) []Fig16Row {
-	base := 0.1
-	paths := Paths()
-	return runCells(r.Len(), func(i int) Fig16Row {
-		p := paths[r.Lo+i]
-		sc := pathScenario(p, 1, 1, pr.Duration, pr.Duration/6, pr.Seed)
-		sr := RunScenario(sc)
-		tcpS, tfS := sr.TCPSeries[0], sr.TFRCSeries[0]
-		row := Fig16Row{Path: p.Name}
-		for _, ts := range pr.Timescales {
-			k := int(ts/base + 0.5)
-			if k < 1 {
-				k = 1
-			}
-			a, f := stats.Rebin(tcpS, k), stats.Rebin(tfS, k)
-			row.Eq = append(row.Eq, stats.EquivalenceRatio(a, f))
-			row.CoVTFRC = append(row.CoVTFRC, stats.CoV(f))
-			row.CoVTCP = append(row.CoVTCP, stats.CoV(a))
-		}
-		return row
-	})
-}
-
-// fig16Reduce wraps the per-path rows.
-func fig16Reduce(pr *Fig16Params, rows []Fig16Row) *Fig16Result {
-	return &Fig16Result{Timescales: pr.Timescales, Rows: rows}
-}
-
-// RunFig16 runs one TFRC against one TCP on every path profile. Zero
-// arguments fill in the laptop-scale defaults.
-func RunFig16(timescales []float64, duration float64, seed int64) *Fig16Result {
-	if len(timescales) == 0 {
-		timescales = []float64{0.5, 1, 2, 5, 10, 20, 50}
-	}
-	if duration == 0 {
-		duration = 120
-	}
-	pr := Fig16Params{Timescales: timescales, Duration: duration, Seed: seed}
-	return fig16Reduce(&pr, fig16RunRange(&pr, CellRange{0, fig16Cells(&pr)}))
-}
-
-// Table implements Result.
-func (r *Fig16Result) Table(w io.Writer) { r.Print(w) }
-
-// Print emits Figures 16 and 17 rows.
-func (r *Fig16Result) Print(w io.Writer) {
+// Table implements Result: Figures 16 and 17 rows.
+func (r *Fig16Result) Table(w io.Writer) {
 	fmt.Fprintln(w, "# Figure 16: TCP equivalence with TFRC across path profiles")
 	fmt.Fprint(w, "# timescale")
 	for _, row := range r.Rows {

@@ -56,16 +56,31 @@ func (p *Fig18Params) Validate() error {
 // SetSeed implements SeedSetter.
 func (p *Fig18Params) SetSeed(seed int64) { p.Seed = seed }
 
-func init() {
-	Register(Descriptor{
-		Name:        "fig18",
-		Aliases:     []string{"18"},
-		Description: "loss-predictor error vs history size and weighting",
-		Params:      paramsFn[Fig18Params](DefaultFig18),
-		Presets:     map[string]func() Params{"paper": paramsFn[Fig18Params](PaperFig18)},
-		Run:         runAs(func(p *Fig18Params) Result { return RunFig18(*p) }),
-	})
-}
+// runFig18 harvests one loss-interval trace per cell — a DropTail and a
+// RED dumbbell shared with TCP, and step-changing Bernoulli loss on a
+// clean pipe — and scores the estimators over all of them in Reduce.
+var runFig18 = Define(Spec[Fig18Params, []float64, *Fig18Result]{
+	Name:        "fig18",
+	Aliases:     []string{"18"},
+	Description: "loss-predictor error vs history size and weighting",
+	Default:     DefaultFig18,
+	Presets:     map[string]func() Fig18Params{"paper": PaperFig18},
+	Cells:       func(*Fig18Params) int { return 3 },
+	Cell: func(c *Cell, p *Fig18Params, idx int) []float64 {
+		switch idx {
+		case 0:
+			return congestedTrace(c, netsim.QueueDropTail, p.Duration, p.Seed)
+		case 1:
+			return congestedTrace(c, netsim.QueueRED, p.Duration, p.Seed+1)
+		default:
+			return bernoulliTrace(p.Duration, p.Seed)
+		}
+	},
+	Reduce: fig18Reduce,
+})
+
+// RunFig18 harvests traces and scores every estimator configuration.
+func RunFig18(pr Fig18Params) *Fig18Result { return runFig18(&pr) }
 
 // Fig18Point is one bar of the figure.
 type Fig18Point struct {
@@ -109,72 +124,59 @@ func (d *bernoulliDropper) Recv(pk *netsim.Packet) {
 	d.next.Recv(pk)
 }
 
-// collectTraces gathers loss-interval sequences from three independent
-// conditions, run as parallel sweep cells.
-func collectTraces(duration float64, seed int64) [][]float64 {
-	// Conditions 0, 1: DropTail / RED dumbbell shared with TCP.
-	congested := func(i int, q netsim.QueueKind) []float64 {
-		var log []float64
-		cfg := tfrcsim.DefaultConfig()
-		cfg.Estimator = recEst{core.NewALI(core.DefaultLossHistory()), &log}
-		sc := Scenario{
-			NTCP:         2,
-			NTFRC:        1,
-			BottleneckBW: 4e6,
-			Queue:        q,
-			TCPVariant:   tcp.Sack,
-			TFRC:         cfg,
-			Duration:     duration,
-			BinWidth:     1,
-			Seed:         seed + int64(i),
-		}
-		RunScenario(sc)
-		return log
-	}
-	// Condition 2: step-changing Bernoulli loss on a clean pipe.
-	bernoulli := func() []float64 {
-		var log []float64
-		sched := sim.NewScheduler()
-		t := netsim.NewTopology(sched, nil)
-		t.Link("src", "dst", netsim.LinkSpec{
-			Bandwidth: 1e8, Delay: 0.030,
-			Queue: netsim.QueueDropTail, QueueLimit: 10000,
-		})
-		nw := t.Build()
-		a, b := t.Lookup("src"), t.Lookup("dst")
-		cfg := tfrcsim.DefaultConfig()
-		cfg.Estimator = recEst{core.NewALI(core.DefaultLossHistory()), &log}
-		rcv := tfrcsim.NewReceiver(nw, b, 5, 0, cfg)
-		snd := tfrcsim.NewSender(nw, a, b.ID, 1, 2, 0, cfg)
-		drop := &bernoulliDropper{nw: nw, next: rcv, p: 0.02, rng: sim.NewRand(seed + 9)}
-		b.Attach(1, drop)
-		rates := []float64{0.05, 0.01, 0.08, 0.005, 0.03}
-		for i, r := range rates {
-			r := r
-			sched.At(duration*float64(i+1)/6, func() { drop.p = r })
-		}
-		snd.Start(0)
-		sched.RunUntil(duration)
-		return log
-	}
-	return runCells(3, func(i int) []float64 {
-		switch i {
-		case 0:
-			return congested(0, netsim.QueueDropTail)
-		case 1:
-			return congested(1, netsim.QueueRED)
-		default:
-			return bernoulli()
-		}
+// congestedTrace records the loss intervals one TFRC flow sees sharing
+// a dumbbell with two TCP flows.
+func congestedTrace(c *Cell, q netsim.QueueKind, duration float64, seed int64) []float64 {
+	var log []float64
+	cfg := tfrcsim.DefaultConfig()
+	cfg.Estimator = recEst{core.NewALI(core.DefaultLossHistory()), &log}
+	runScenarioCell(c, Scenario{
+		NTCP:         2,
+		NTFRC:        1,
+		BottleneckBW: 4e6,
+		Queue:        q,
+		TCPVariant:   tcp.Sack,
+		TFRC:         cfg,
+		Duration:     duration,
+		BinWidth:     1,
+		Seed:         seed,
 	})
+	return log
 }
 
-// RunFig18 harvests traces and evaluates every estimator configuration as
-// a one-step-ahead predictor: after each closed interval the estimator
+// bernoulliTrace records the loss intervals of one TFRC flow under
+// step-changing Bernoulli loss on a clean pipe.
+func bernoulliTrace(duration float64, seed int64) []float64 {
+	var log []float64
+	sched := sim.NewScheduler()
+	t := netsim.NewTopology(sched, nil)
+	t.Link("src", "dst", netsim.LinkSpec{
+		Bandwidth: 1e8, Delay: 0.030,
+		Queue: netsim.QueueDropTail, QueueLimit: 10000,
+	})
+	nw := t.Build()
+	a, b := t.Lookup("src"), t.Lookup("dst")
+	cfg := tfrcsim.DefaultConfig()
+	cfg.Estimator = recEst{core.NewALI(core.DefaultLossHistory()), &log}
+	rcv := tfrcsim.NewReceiver(nw, b, 5, 0, cfg)
+	snd := tfrcsim.NewSender(nw, a, b.ID, 1, 2, 0, cfg)
+	drop := &bernoulliDropper{nw: nw, next: rcv, p: 0.02, rng: sim.NewRand(seed + 9)}
+	b.Attach(1, drop)
+	rates := []float64{0.05, 0.01, 0.08, 0.005, 0.03}
+	for i, r := range rates {
+		r := r
+		sched.At(duration*float64(i+1)/6, func() { drop.p = r })
+	}
+	snd.Start(0)
+	sched.RunUntil(duration)
+	return log
+}
+
+// fig18Reduce evaluates every estimator configuration as a
+// one-step-ahead predictor: after each closed interval the estimator
 // predicts p̂, which is scored against the realized next interval's rate
 // 1/s_next.
-func RunFig18(pr Fig18Params) *Fig18Result {
-	traces := collectTraces(pr.Duration, pr.Seed)
+func fig18Reduce(pr *Fig18Params, traces [][]float64) *Fig18Result {
 	res := &Fig18Result{}
 	for _, constant := range []bool{true, false} {
 		for _, n := range pr.HistorySizes {
@@ -210,11 +212,8 @@ func RunFig18(pr Fig18Params) *Fig18Result {
 	return res
 }
 
-// Table implements Result.
-func (r *Fig18Result) Table(w io.Writer) { r.Print(w) }
-
-// Print emits "history weights avgError errStdDev" rows.
-func (r *Fig18Result) Print(w io.Writer) {
+// Table implements Result: "history weights avgError errStdDev" rows.
+func (r *Fig18Result) Table(w io.Writer) {
 	fmt.Fprintln(w, "# Figure 18: loss-prediction error by history size and weighting")
 	fmt.Fprintln(w, "# history\tweights\tavgError\terrStdDev")
 	for _, p := range r.Points {

@@ -86,30 +86,41 @@ func (p *Fig21Params) Validate() error {
 	return nil
 }
 
-func init() {
-	Register(Descriptor{
-		Name:        "fig19",
-		Aliases:     []string{"19"},
-		Description: "rate increase after congestion ends",
-		Params:      paramsFn[Fig19Params](DefaultFig19),
-		Run:         runAs(func(p *Fig19Params) Result { return RunFig19(*p) }),
-	})
-	Register(Descriptor{
-		Name:        "fig20",
-		Aliases:     []string{"20"},
-		Description: "rate decrease under persistent congestion",
-		Params:      paramsFn[Fig19Params](DefaultFig20),
-		Run:         runAs(func(p *Fig19Params) Result { return RunFig19(*p) }),
-	})
-	Register(Descriptor{
-		Name:        "fig21",
-		Aliases:     []string{"21"},
-		Description: "round-trips to halve the rate vs initial drop rate",
-		Params:      paramsFn[Fig21Params](DefaultFig21),
-		Run:         runAs(func(p *Fig21Params) Result { return RunFig21(p.DropRates, p.RTT) }),
-		Grid:        GridAs(fig21Cells, fig21RunRange, fig21Reduce),
-	})
-}
+// Figures 19 and 20 are the same single rate trace at different
+// defaults.
+var (
+	runFig19 = Define(single("fig19", "rate increase after congestion ends", []string{"19"}, DefaultFig19, fig19Cell))
+	_        = Define(single("fig20", "rate decrease under persistent congestion", []string{"20"}, DefaultFig20, fig19Cell))
+)
+
+// RunFig19 runs the trace experiment.
+func RunFig19(pr Fig19Params) *Fig19Result { return runFig19(&pr) }
+
+// runFig21 sweeps the pre-switch packet drop rate, one cell per rate:
+// every-2nd-packet loss from t = 10, counting round-trips until the
+// rate halves.
+var runFig21 = Define(Spec[Fig21Params, Fig21Row, *Fig21Result]{
+	Name:        "fig21",
+	Aliases:     []string{"21"},
+	Description: "round-trips to halve the rate vs initial drop rate",
+	Default:     DefaultFig21,
+	Cells:       func(p *Fig21Params) int { return len(p.DropRates) },
+	Cell: func(c *Cell, p *Fig21Params, idx int) Fig21Row {
+		rate := p.DropRates[idx]
+		res := fig19Cell(c, &Fig19Params{
+			DropEveryBefore: max(3, int(1/rate+0.5)),
+			DropEveryAfter:  2,
+			SwitchTime:      10,
+			Duration:        14,
+			RTT:             p.RTT,
+		})
+		return Fig21Row{DropRate: rate, RTTs: res.HalvedAfterRTTs}
+	},
+	Reduce: func(_ *Fig21Params, rows []Fig21Row) *Fig21Result { return &Fig21Result{Rows: rows} },
+})
+
+// RunFig21 runs the Figure 21 sweep.
+func RunFig21(pr Fig21Params) *Fig21Result { return runFig21(&pr) }
 
 // Fig19Point samples the allowed sending rate.
 type Fig19Point struct {
@@ -134,8 +145,7 @@ type Fig19Result struct {
 	MaxIncreasePerRTT float64
 }
 
-// RunFig19 runs the trace experiment.
-func RunFig19(pr Fig19Params) *Fig19Result {
+func fig19Cell(_ *Cell, pr *Fig19Params) *Fig19Result {
 	sched := sim.NewScheduler()
 	t := netsim.NewTopology(sched, nil)
 	t.Link("src", "dst", netsim.LinkSpec{
@@ -187,11 +197,8 @@ func RunFig19(pr Fig19Params) *Fig19Result {
 	return res
 }
 
-// Table implements Result.
-func (r *Fig19Result) Table(w io.Writer) { r.Print(w) }
-
-// Print emits "time rate(pkts/RTT)" rows plus a summary.
-func (r *Fig19Result) Print(w io.Writer) {
+// Table implements Result: "time rate(pkts/RTT)" rows plus a summary.
+func (r *Fig19Result) Table(w io.Writer) {
 	fmt.Fprintln(w, "# Figures 19/20: allowed sending rate of a single TFRC flow")
 	fmt.Fprintln(w, "# time\trate(pkts/RTT)\trate(KB/s)")
 	for _, p := range r.Points {
@@ -213,49 +220,8 @@ type Fig21Row struct {
 // Fig21Result is the sweep.
 type Fig21Result struct{ Rows []Fig21Row }
 
-// fig21Cells is one cell per drop rate.
-func fig21Cells(pr *Fig21Params) int { return len(pr.DropRates) }
-
-// fig21RunRange computes sweep cells [r.Lo, r.Hi).
-func fig21RunRange(pr *Fig21Params, r CellRange) []Fig21Row {
-	return runCells(r.Len(), func(i int) Fig21Row {
-		p := pr.DropRates[r.Lo+i]
-		every := int(1/p + 0.5)
-		if every < 3 {
-			every = 3
-		}
-		res := RunFig19(Fig19Params{
-			DropEveryBefore: every,
-			DropEveryAfter:  2,
-			SwitchTime:      10,
-			Duration:        14,
-			RTT:             pr.RTT,
-		})
-		return Fig21Row{DropRate: p, RTTs: res.HalvedAfterRTTs}
-	})
-}
-
-// fig21Reduce wraps the sweep rows.
-func fig21Reduce(pr *Fig21Params, rows []Fig21Row) *Fig21Result {
-	return &Fig21Result{Rows: rows}
-}
-
-// RunFig21 sweeps the pre-switch packet drop rate as in Figure 21,
-// switching to every-2nd-packet loss at t = 10 and counting round-trips
-// until the rate halves. Zero arguments fill in the defaults.
-func RunFig21(dropRates []float64, rtt float64) *Fig21Result {
-	if len(dropRates) == 0 {
-		dropRates = []float64{0.005, 0.01, 0.02, 0.05, 0.1, 0.15, 0.2, 0.25}
-	}
-	pr := Fig21Params{DropRates: dropRates, RTT: rtt}
-	return fig21Reduce(&pr, fig21RunRange(&pr, CellRange{0, fig21Cells(&pr)}))
-}
-
-// Table implements Result.
-func (r *Fig21Result) Table(w io.Writer) { r.Print(w) }
-
-// Print emits "dropRate rttsToHalve" rows.
-func (r *Fig21Result) Print(w io.Writer) {
+// Table implements Result: "dropRate rttsToHalve" rows.
+func (r *Fig21Result) Table(w io.Writer) {
 	fmt.Fprintln(w, "# Figure 21: round-trips of persistent congestion to halve the rate")
 	fmt.Fprintln(w, "# dropRate\tRTTs")
 	for _, row := range r.Rows {

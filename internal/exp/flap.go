@@ -78,14 +78,11 @@ func (p *FlapParams) Validate() error {
 // SetSeed implements SeedSetter.
 func (p *FlapParams) SetSeed(seed int64) { p.Seed = seed }
 
-func init() {
-	Register(Descriptor{
-		Name:        "flap",
-		Description: "riding out repeated hard outages of the bottleneck",
-		Params:      paramsFn[FlapParams](DefaultFlap),
-		Run:         runAs(func(p *FlapParams) Result { return RunFlap(*p) }),
-	})
-}
+var runFlap = Define(single("flap", "riding out repeated hard outages of the bottleneck",
+	nil, DefaultFlap, flapCell))
+
+// RunFlap runs the flap scenario.
+func RunFlap(pr FlapParams) *FlapResult { return runFlap(&pr) }
 
 // FlapPhase is one phase's utilization summary.
 type FlapPhase struct {
@@ -105,15 +102,7 @@ type FlapResult struct {
 	DropRate  float64
 }
 
-// RunFlap runs the flap scenario.
-func RunFlap(pr FlapParams) *FlapResult {
-	out := runCellsCtx(1, func(c *Cell, _ int) *FlapResult {
-		return runFlapCell(c, pr)
-	})
-	return out[0]
-}
-
-func runFlapCell(c *Cell, pr FlapParams) *FlapResult {
+func flapCell(c *Cell, pr *FlapParams) *FlapResult {
 	sched := c.begin()
 	rng := sched.NewRand(pr.Seed)
 	bw := pr.LinkMbps * 1e6
@@ -152,7 +141,7 @@ func runFlapCell(c *Cell, pr FlapParams) *FlapResult {
 	res := b.Run(pr.Duration)
 
 	out := &FlapResult{
-		Params:    pr,
+		Params:    *pr,
 		BinWidth:  pr.BinWidth,
 		FlapEnd:   pr.FlapStart + float64(pr.Flaps-1)*pr.Period + pr.DownFor,
 		TFRCTotal: sumSeries(res.TFRCSeries, res.Bins),
@@ -191,11 +180,8 @@ func runFlapCell(c *Cell, pr FlapParams) *FlapResult {
 	return out
 }
 
-// Table implements Result.
-func (r *FlapResult) Table(w io.Writer) { r.Print(w) }
-
-// Print emits the phase summary and the aggregate traces.
-func (r *FlapResult) Print(w io.Writer) {
+// Table implements Result: the phase summary and the aggregate traces.
+func (r *FlapResult) Table(w io.Writer) {
 	mode := "drop"
 	if r.Params.Drain {
 		mode = "hold"

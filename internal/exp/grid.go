@@ -47,69 +47,3 @@ type Grid struct {
 	// in index order (payloads as produced by RunRange).
 	Reduce func(Params, []json.RawMessage) (Result, error)
 }
-
-// GridAs adapts an experiment's typed cell functions to the registry's
-// JSON-framed Grid contract, mirroring runAs: foreign parameter types
-// are rejected with an error instead of a panic, and per-cell values
-// are marshaled/unmarshaled at the boundary so the typed functions stay
-// JSON-free on the direct Run path.
-func GridAs[P Params, C any, R Result](
-	cells func(P) int,
-	runRange func(P, CellRange) []C,
-	reduce func(P, []C) R,
-) *Grid {
-	cast := func(p Params) (P, error) {
-		tp, ok := p.(P)
-		if !ok {
-			var want P
-			return tp, fmt.Errorf("wrong parameter type %T (want %T)", p, want)
-		}
-		return tp, nil
-	}
-	return &Grid{
-		Cells: func(p Params) (int, error) {
-			tp, err := cast(p)
-			if err != nil {
-				return 0, err
-			}
-			return cells(tp), nil
-		},
-		RunRange: func(p Params, r CellRange) ([]json.RawMessage, error) {
-			tp, err := cast(p)
-			if err != nil {
-				return nil, err
-			}
-			if n := cells(tp); r.Lo < 0 || r.Hi > n || r.Lo > r.Hi {
-				return nil, fmt.Errorf("cell range %s out of bounds for %d cells", r, n)
-			}
-			out := make([]json.RawMessage, 0, r.Len())
-			for i, c := range runRange(tp, r) {
-				j, err := json.Marshal(c)
-				if err != nil {
-					return nil, fmt.Errorf("marshaling cell %d: %w", r.Lo+i, err)
-				}
-				out = append(out, j)
-			}
-			if len(out) != r.Len() {
-				return nil, fmt.Errorf("range %s produced %d cells", r, len(out))
-			}
-			return out, nil
-		},
-		Reduce: func(p Params, raw []json.RawMessage) (Result, error) {
-			tp, err := cast(p)
-			if err != nil {
-				return nil, err
-			}
-			if n := cells(tp); len(raw) != n {
-				return nil, fmt.Errorf("reduce needs all %d cells, got %d", n, len(raw))
-			}
-			typed := make([]C, len(raw))
-			for i, r := range raw {
-				if err := json.Unmarshal(r, &typed[i]); err != nil {
-					return nil, fmt.Errorf("decoding cell %d: %w", i, err)
-				}
-			}
-			return reduce(tp, typed), nil
-		},
-	}
-}

@@ -61,8 +61,8 @@ func TestExperimentsDeterministic(t *testing.T) {
 	if c1.NormTCP != c2.NormTCP || c1.DropRate != c2.DropRate {
 		t.Fatalf("fig6 cell not deterministic: %+v vs %+v", c1, c2)
 	}
-	r1 := RunFig15(40, 3)
-	r2 := RunFig15(40, 3)
+	r1 := RunFig15(Fig15Params{Duration: 40, Seed: 3})
+	r2 := RunFig15(Fig15Params{Duration: 40, Seed: 3})
 	if r1.MeanTCP != r2.MeanTCP || r1.MeanTFRC != r2.MeanTFRC {
 		t.Fatal("fig15 not deterministic")
 	}

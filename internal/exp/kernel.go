@@ -1,0 +1,218 @@
+package exp
+
+import (
+	"encoding/json"
+	"fmt"
+
+	"tfrc/internal/stats"
+)
+
+// Spec declares an experiment as what every experiment in this package
+// is: parameters → N independent cells → reduce. P is the plain
+// parameter struct (*P implements Params), C one cell's harvest, R the
+// Result. Define derives the rest — the registry Descriptor, the typed
+// run, and the JSON-framed Grid the shard coordinator drives — so an
+// experiment file holds only what is particular to it.
+type Spec[P, C any, R Result] struct {
+	Name        string
+	Aliases     []string
+	Description string
+
+	// Default returns the default parameters; Presets are named
+	// alternatives ("paper").
+	Default func() P
+	Presets map[string]func() P
+
+	// Cells is the flattened cell count for validated parameters. The
+	// shard runner asks once per cell, so it must be cheap.
+	Cells func(p *P) int
+	// Cell computes the cell at absolute index idx on the worker's
+	// arena. It must be a pure function of (*p, idx) — any sub-range of
+	// cells computed anywhere, in any order, yields the same values —
+	// and C must survive encoding/json exactly: exported fields, no NaN
+	// or Inf, marshalers that round-trip.
+	Cell func(c *Cell, p *P, idx int) C
+	// Reduce assembles the Result from all cells in index order. Cells
+	// an interrupted run skipped arrive as zero values.
+	Reduce func(p *P, cells []C) R
+}
+
+// Define registers the experiment s describes and returns its typed
+// run, Reduce over all cells, which skips the JSON framing of the
+// Grid path.
+func Define[P, C any, R Result, PP interface {
+	*P
+	Params
+}](s Spec[P, C, R]) func(*P) R {
+	d, run := describe[P, C, R, PP](s)
+	Register(d)
+	return run
+}
+
+// describe builds the Descriptor and typed run of s without registering
+// them.
+func describe[P, C any, R Result, PP interface {
+	*P
+	Params
+}](s Spec[P, C, R]) (Descriptor, func(*P) R) {
+	cast := func(p Params) (*P, error) {
+		tp, ok := p.(PP)
+		if !ok {
+			return nil, fmt.Errorf("wrong parameter type %T (want %T)", p, PP(nil))
+		}
+		return tp, nil
+	}
+	fresh := func(def func() P) func() Params {
+		return func() Params {
+			p := def()
+			return PP(&p)
+		}
+	}
+	// The per-range closure captures the cell function alone, not the
+	// whole Spec by value: it is allocated once per cell on the shard
+	// runner's path.
+	cells, cell, reduce := s.Cells, s.Cell, s.Reduce
+	runRange := func(p *P, r CellRange) []C {
+		return runCellsCtx(r.Len(), func(c *Cell, i int) C { return cell(c, p, r.Lo+i) })
+	}
+	run := func(p *P) R { return reduce(p, runRange(p, CellRange{0, cells(p)})) }
+
+	d := Descriptor{
+		Name:        s.Name,
+		Aliases:     s.Aliases,
+		Description: s.Description,
+		Params:      fresh(s.Default),
+		Run: func(p Params) (Result, error) {
+			tp, err := cast(p)
+			if err != nil {
+				return nil, err
+			}
+			return run(tp), nil
+		},
+		Grid: &Grid{
+			Cells: func(p Params) (int, error) {
+				tp, err := cast(p)
+				if err != nil {
+					return 0, err
+				}
+				return cells(tp), nil
+			},
+			RunRange: func(p Params, r CellRange) ([]json.RawMessage, error) {
+				tp, err := cast(p)
+				if err != nil {
+					return nil, err
+				}
+				if n := cells(tp); r.Lo < 0 || r.Hi > n || r.Lo > r.Hi {
+					return nil, fmt.Errorf("cell range %s out of bounds for %d cells", r, n)
+				}
+				out := make([]json.RawMessage, 0, r.Len())
+				for i, c := range runRange(tp, r) {
+					j, err := json.Marshal(c)
+					if err != nil {
+						return nil, fmt.Errorf("marshaling cell %d: %w", r.Lo+i, err)
+					}
+					out = append(out, j)
+				}
+				return out, nil
+			},
+			Reduce: func(p Params, raw []json.RawMessage) (Result, error) {
+				tp, err := cast(p)
+				if err != nil {
+					return nil, err
+				}
+				if n := cells(tp); len(raw) != n {
+					return nil, fmt.Errorf("reduce needs all %d cells, got %d", n, len(raw))
+				}
+				typed := make([]C, len(raw))
+				for i, r := range raw {
+					if err := json.Unmarshal(r, &typed[i]); err != nil {
+						return nil, fmt.Errorf("decoding cell %d: %w", i, err)
+					}
+				}
+				return reduce(tp, typed), nil
+			},
+		},
+	}
+	if len(s.Presets) > 0 {
+		d.Presets = make(map[string]func() Params, len(s.Presets))
+		for name, def := range s.Presets {
+			d.Presets[name] = fresh(def)
+		}
+	}
+	return d, run
+}
+
+// single is the Spec of an experiment that is one simulation: a grid
+// of one cell, so it still shards, checkpoints and interrupts like the
+// rest.
+func single[P any, R Result](name, description string, aliases []string, def func() P, run func(c *Cell, p *P) R) Spec[P, R, R] {
+	return Spec[P, R, R]{
+		Name:        name,
+		Aliases:     aliases,
+		Description: description,
+		Default:     def,
+		Cells:       func(*P) int { return 1 },
+		Cell:        func(c *Cell, p *P, _ int) R { return run(c, p) },
+		Reduce:      func(_ *P, cells []R) R { return cells[0] },
+	}
+}
+
+// replicas is the per-grid-point replicate count of a Seeds parameter:
+// 0 and 1 both mean a single run.
+func replicas(seeds int) int {
+	if seeds < 1 {
+		return 1
+	}
+	return seeds
+}
+
+// replicaSeed derives replicate rep's seed. Replicate 0 runs at the
+// base seed itself, so single-seed output does not depend on Seeds.
+func replicaSeed(base int64, rep int) int64 { return base + int64(rep)*6151 }
+
+// meanCI reduces one grid point's replicates to the mean of f and its
+// 90% confidence half-width, summing in replicate order.
+func meanCI[C any](group []C, f func(*C) float64) (mean, ci float64) {
+	xs := make([]float64, len(group))
+	for i := range group {
+		xs[i] = f(&group[i])
+	}
+	return stats.MeanCI90(xs)
+}
+
+// meanCICurve is meanCI pointwise over a per-replicate curve of n
+// points (one per measurement timescale).
+func meanCICurve[C any](group []C, n int, curve func(*C) []float64) []MeanCI {
+	out := make([]MeanCI, n)
+	for i := range out {
+		out[i].Mean, out[i].CI = meanCI(group, func(c *C) float64 { return curve(c)[i] })
+	}
+	return out
+}
+
+// unravel decodes a flattened cell index into one coordinate per axis,
+// the last axis varying fastest — grids put the replicate there, so a
+// grid point's replicates are adjacent cells.
+func unravel(idx int, dims ...int) (at [4]int) {
+	for k := len(dims) - 1; k >= 0; k-- {
+		at[k], idx = idx%dims[k], idx/dims[k]
+	}
+	return at
+}
+
+// timescaleCurves walks the measurement-timescale ladder of figures 9-13
+// and 16-17 for a pair of series binned at base seconds: at each
+// timescale both are re-binned to the nearest whole multiple of base and
+// yield their equivalence ratio and each one's CoV.
+func timescaleCurves(a, b []float64, base float64, timescales []float64) (eq, covA, covB []float64) {
+	eq = make([]float64, len(timescales))
+	covA = make([]float64, len(timescales))
+	covB = make([]float64, len(timescales))
+	for i, ts := range timescales {
+		k := max(1, int(ts/base+0.5))
+		ra, rb := stats.Rebin(a, k), stats.Rebin(b, k)
+		eq[i] = stats.EquivalenceRatio(ra, rb)
+		covA[i], covB[i] = stats.CoV(ra), stats.CoV(rb)
+	}
+	return eq, covA, covB
+}

@@ -104,15 +104,27 @@ func (p *ManyFlowsParams) Validate() error {
 // SetSeed implements SeedSetter.
 func (p *ManyFlowsParams) SetSeed(seed int64) { p.Seed = seed }
 
-func init() {
-	Register(Descriptor{
-		Name:        "manyflows",
-		Description: "throughput-fairness and loss distributions vs flow count (1k-1M)",
-		Params:      paramsFn[ManyFlowsParams](DefaultManyFlows),
-		Presets:     map[string]func() Params{"million": paramsFn[ManyFlowsParams](MillionFlows)},
-		Run:         runAs(func(p *ManyFlowsParams) Result { return RunManyFlows(*p) }),
-	})
-}
+// runManyFlows is one cell per rung. Rungs share nothing, and each
+// builds and releases its own scheduler, so with more than one worker
+// rungs overlap and peak memory is the sum of the rungs in flight — at
+// most 1.12 × the top rung on a decade ladder; -parallel 1 keeps it to
+// the largest rung.
+var runManyFlows = Define(Spec[ManyFlowsParams, ManyFlowsDecade, *ManyFlowsResult]{
+	Name:        "manyflows",
+	Description: "throughput-fairness and loss distributions vs flow count (1k-1M)",
+	Default:     DefaultManyFlows,
+	Presets:     map[string]func() ManyFlowsParams{"million": MillionFlows},
+	Cells:       func(p *ManyFlowsParams) int { return len(p.Flows) },
+	Cell: func(_ *Cell, p *ManyFlowsParams, idx int) ManyFlowsDecade {
+		return RunManyFlowsDecade(p.Flows[idx], *p)
+	},
+	Reduce: func(p *ManyFlowsParams, cells []ManyFlowsDecade) *ManyFlowsResult {
+		return &ManyFlowsResult{Params: *p, Cells: cells}
+	},
+})
+
+// RunManyFlows climbs the ladder.
+func RunManyFlows(pr ManyFlowsParams) *ManyFlowsResult { return runManyFlows(&pr) }
 
 // manyFlowsQuantiles are the reported distribution points.
 var manyFlowsQuantiles = []float64{0.01, 0.10, 0.50, 0.90, 0.99}
@@ -243,21 +255,8 @@ func RunManyFlowsDecade(n int, pr ManyFlowsParams) ManyFlowsDecade {
 	return cell
 }
 
-// RunManyFlows climbs the ladder sequentially — decades share nothing,
-// and running them one at a time keeps peak memory to the largest rung.
-func RunManyFlows(pr ManyFlowsParams) *ManyFlowsResult {
-	res := &ManyFlowsResult{Params: pr}
-	for _, n := range pr.Flows {
-		res.Cells = append(res.Cells, RunManyFlowsDecade(n, pr))
-	}
-	return res
-}
-
-// Table implements Result.
-func (r *ManyFlowsResult) Table(w io.Writer) { r.Print(w) }
-
-// Print emits one row per decade.
-func (r *ManyFlowsResult) Print(w io.Writer) {
+// Table implements Result: one row per decade.
+func (r *ManyFlowsResult) Table(w io.Writer) {
 	fmt.Fprintln(w, "# Many flows: aggregate behavior vs concurrent flow count")
 	fmt.Fprintf(w, "# %.0f kb/s per flow, RTT %.0f ms, %s bottleneck; throughput normalized by the fair share\n",
 		r.Params.PerFlowKbps, r.Params.RTT*1000, r.Params.Queue)

@@ -28,8 +28,8 @@ func TestParallelFig06ByteIdentical(t *testing.T) {
 		Seed:        3,
 	}
 	var seq, par bytes.Buffer
-	withParallelism(1, func() { RunFig06(pr).Print(&seq) })
-	withParallelism(8, func() { RunFig06(pr).Print(&par) })
+	withParallelism(1, func() { RunFig06(pr).Table(&seq) })
+	withParallelism(8, func() { RunFig06(pr).Table(&par) })
 	if !bytes.Equal(seq.Bytes(), par.Bytes()) {
 		t.Fatalf("parallel Fig06 output differs from sequential:\n--- sequential\n%s--- parallel\n%s",
 			seq.String(), par.String())
@@ -48,8 +48,8 @@ func TestParallelFig09ByteIdentical(t *testing.T) {
 		Seed:       2,
 	}
 	var seq, par bytes.Buffer
-	withParallelism(1, func() { RunFig09(pr).Print(&seq) })
-	withParallelism(8, func() { RunFig09(pr).Print(&par) })
+	withParallelism(1, func() { RunFig09(pr).Table(&seq) })
+	withParallelism(8, func() { RunFig09(pr).Table(&par) })
 	if !bytes.Equal(seq.Bytes(), par.Bytes()) {
 		t.Fatalf("parallel Fig09 output differs from sequential:\n--- sequential\n%s--- parallel\n%s",
 			seq.String(), par.String())

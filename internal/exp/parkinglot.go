@@ -83,16 +83,24 @@ func (p *ParkingLotParams) SetSeed(seed int64) { p.Seed = seed }
 // SetSeeds implements SeedsSetter.
 func (p *ParkingLotParams) SetSeeds(n int) { p.Seeds = n }
 
-func init() {
-	Register(Descriptor{
-		Name:        "parkinglot",
-		Description: "through TFRC vs TCP across 1-3 bottlenecks",
-		Params:      paramsFn[ParkingLotParams](DefaultParkingLot),
-		Presets:     map[string]func() Params{"paper": paramsFn[ParkingLotParams](PaperParkingLot)},
-		Run:         runAs(func(p *ParkingLotParams) Result { return RunParkingLot(*p) }),
-		Grid:        GridAs(parkingLotCells, parkingLotRunRange, parkingLotReduce),
-	})
-}
+// runParkingLot is the grid, bottleneck-major, replicate-minor.
+var runParkingLot = Define(Spec[ParkingLotParams, ParkingLotCell, *ParkingLotResult]{
+	Name:        "parkinglot",
+	Description: "through TFRC vs TCP across 1-3 bottlenecks",
+	Default:     DefaultParkingLot,
+	Presets:     map[string]func() ParkingLotParams{"paper": PaperParkingLot},
+	Cells:       func(p *ParkingLotParams) int { return len(p.Bottlenecks) * replicas(p.Seeds) },
+	Cell: func(c *Cell, p *ParkingLotParams, idx int) ParkingLotCell {
+		at := unravel(idx, len(p.Bottlenecks), replicas(p.Seeds))
+		return runParkingLotCell(c, *p, p.Bottlenecks[at[0]], replicaSeed(p.Seed, at[1]))
+	},
+	Reduce: parkingLotReduce,
+})
+
+// RunParkingLot runs the grid: every (bottlenecks, seed) combination is
+// an independent cell on the sweep runner, merged in deterministic grid
+// order so output is bit-identical at any parallelism.
+func RunParkingLot(pr ParkingLotParams) *ParkingLotResult { return runParkingLot(&pr) }
 
 // ParkingLotCell is one grid cell: the through flows' throughputs
 // normalized by the single-bottleneck fair share, and the aggregate
@@ -192,64 +200,25 @@ func runParkingLotCell(c *Cell, pr ParkingLotParams, k int, seed int64) ParkingL
 	return cell
 }
 
-// parkingLotSeeds clamps the replication count to at least one.
-func parkingLotSeeds(pr *ParkingLotParams) int {
-	if pr.Seeds < 1 {
-		return 1
-	}
-	return pr.Seeds
-}
-
-// parkingLotCells flattens the grid bottleneck-major, seed-minor.
-func parkingLotCells(pr *ParkingLotParams) int {
-	return len(pr.Bottlenecks) * parkingLotSeeds(pr)
-}
-
-// parkingLotRunRange computes grid cells [r.Lo, r.Hi); each cell's
-// coordinates derive from its absolute index.
-func parkingLotRunRange(pr *ParkingLotParams, r CellRange) []ParkingLotCell {
-	seeds := parkingLotSeeds(pr)
-	return runCellsCtx(r.Len(), func(c *Cell, i int) ParkingLotCell {
-		idx := r.Lo + i
-		k, rep := pr.Bottlenecks[idx/seeds], idx%seeds
-		return runParkingLotCell(c, *pr, k, pr.Seed+int64(rep)*6151)
-	})
-}
-
 // parkingLotReduce aggregates each bottleneck count's seeds in order.
 func parkingLotReduce(pr *ParkingLotParams, raw []ParkingLotCell) *ParkingLotResult {
-	seeds := parkingLotSeeds(pr)
+	seeds := replicas(pr.Seeds)
 	res := &ParkingLotResult{Params: *pr}
 	for c := range pr.Bottlenecks {
 		group := raw[c*seeds : (c+1)*seeds]
 		cell := group[0]
 		if seeds > 1 {
-			tf := make([]float64, seeds)
-			tc := make([]float64, seeds)
-			for i, g := range group {
-				tf[i], tc[i] = g.ThroughTFRC, g.ThroughTCP
-			}
 			cell.Seeds = seeds
-			cell.ThroughTFRC, cell.ThroughTFRCCI = stats.MeanCI90(tf)
-			cell.ThroughTCP, cell.ThroughTCPCI = stats.MeanCI90(tc)
+			cell.ThroughTFRC, cell.ThroughTFRCCI = meanCI(group, func(g *ParkingLotCell) float64 { return g.ThroughTFRC })
+			cell.ThroughTCP, cell.ThroughTCPCI = meanCI(group, func(g *ParkingLotCell) float64 { return g.ThroughTCP })
 		}
 		res.Cells = append(res.Cells, cell)
 	}
 	return res
 }
 
-// RunParkingLot runs the grid: every (bottlenecks, seed) combination is
-// an independent cell on the sweep runner, merged in deterministic grid
-// order so output is bit-identical at any parallelism.
-func RunParkingLot(pr ParkingLotParams) *ParkingLotResult {
-	return parkingLotReduce(&pr, parkingLotRunRange(&pr, CellRange{0, parkingLotCells(&pr)}))
-}
-
-// Table implements Result.
-func (r *ParkingLotResult) Table(w io.Writer) { r.Print(w) }
-
-// Print emits one row per bottleneck count.
-func (r *ParkingLotResult) Print(w io.Writer) {
+// Table implements Result: one row per bottleneck count.
+func (r *ParkingLotResult) Table(w io.Writer) {
 	fmt.Fprintln(w, "# Parking lot: through TFRC vs through TCP across k bottlenecks")
 	fmt.Fprintf(w, "# %d cross TCP pairs per segment, %.0f Mb/s links, %s queues; throughput normalized by the per-bottleneck fair share\n",
 		r.Params.CrossPairs, r.Params.LinkMbps, r.Params.Queue)

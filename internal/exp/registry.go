@@ -59,8 +59,10 @@ type Descriptor struct {
 	Run func(Params) (Result, error)
 	// Grid, when non-nil, exposes the experiment's pure-cell structure
 	// for distributed execution (cell count, range execution, reduce);
-	// the shard/merge coordinator runs on this contract. Trace and
-	// transient experiments leave it nil and can only run whole.
+	// the shard/merge coordinator runs on this contract. Every
+	// experiment built with Define has one (a single simulation is a
+	// grid of one cell); a hand-built Descriptor may leave it nil and
+	// then only runs whole.
 	Grid *Grid
 }
 
@@ -232,29 +234,4 @@ func RunExperiment(d Descriptor, p Params) (res Result, err error) {
 		err = fmt.Errorf("%s: %w", d.Name, ErrInterrupted)
 	}
 	return res, err
-}
-
-// runAs adapts a typed run function to the registry's Run signature,
-// rejecting foreign parameter types with an error instead of a panic.
-func runAs[P Params](run func(P) Result) func(Params) (Result, error) {
-	return func(p Params) (Result, error) {
-		tp, ok := p.(P)
-		if !ok {
-			var want P
-			return nil, fmt.Errorf("wrong parameter type %T (want %T)", p, want)
-		}
-		return run(tp), nil
-	}
-}
-
-// paramsFn adapts a by-value default-params constructor to the
-// registry's pointer-returning Params signature.
-func paramsFn[P any, PP interface {
-	*P
-	Params
-}](def func() P) func() Params {
-	return func() Params {
-		p := def()
-		return PP(&p)
-	}
 }

@@ -41,7 +41,7 @@ func TestFig06ByteIdenticalToPreRefactor(t *testing.T) {
 		Duration:    20,
 		MeasureTail: 10,
 		Seed:        3,
-	}).Print(&b)
+	}).Table(&b)
 	compareGolden(t, "fig06_regression.golden", b.Bytes())
 }
 
@@ -60,7 +60,7 @@ func TestParkingLotByteIdentical(t *testing.T) {
 		Duration:    25,
 		Warmup:      10,
 		Seed:        5,
-	}).Print(&b)
+	}).Table(&b)
 	compareGolden(t, "parkinglot_regression.golden", b.Bytes())
 }
 
@@ -73,6 +73,6 @@ func TestFig09ByteIdenticalToPreRefactor(t *testing.T) {
 		Warmup:     10,
 		Timescales: []float64{0.5, 1, 5},
 		Seed:       2,
-	}).Print(&b)
+	}).Table(&b)
 	compareGolden(t, "fig09_regression.golden", b.Bytes())
 }

@@ -70,10 +70,10 @@ func beginRun() *runSnap {
 // endRun restores the snapshot that beginRun displaced.
 func endRun(prev *runSnap) { activeSnap.Store(prev) }
 
-// parallelism is the worker count used by every grid-shaped figure
-// experiment (atomic so figure runs may be launched from any goroutine).
-// The default of 1 keeps library callers fully sequential; cmd/tfrcsim
-// raises it via SetParallelism from its -parallel flag.
+// parallelism is the worker count every experiment's cells run on
+// (atomic so runs may be launched from any goroutine). The default of 1
+// keeps library callers fully sequential; cmd/tfrcsim raises it via
+// SetParallelism from its -parallel flag.
 var parallelism atomic.Int64
 
 func init() { parallelism.Store(1) }
@@ -103,20 +103,6 @@ func Parallelism() int {
 		return s.workers
 	}
 	return int(parallelism.Load())
-}
-
-// runCells executes n independent experiment cells on the configured
-// worker pool, returning results in cell order. Cells reached after the
-// installed run context is cancelled are skipped and yield zero values,
-// so an interrupted sweep still returns a well-formed partial slice.
-func runCells[T any](n int, fn func(i int) T) []T {
-	return sweep.Map(Parallelism(), n, func(i int) T {
-		if Interrupted() {
-			var zero T
-			return zero
-		}
-		return fn(i)
-	})
 }
 
 // Cell is a worker-pinned simulation arena: a pinned scheduler plus the
@@ -169,10 +155,11 @@ func (c *Cell) floats(n int) []float64 {
 }
 
 // runCellsCtx executes n independent experiment cells on the configured
-// worker pool with worker-pinned Cells, returning results in cell order.
-// The grid-shaped figure experiments run on this variant: it preserves
-// runCells' exactly-once, deterministic-order contract while letting
-// consecutive cells on one worker share an arena.
+// worker pool with worker-pinned Cells, returning results in cell order:
+// every cell runs exactly once and consecutive cells on one worker share
+// an arena. Cells reached after the run context is cancelled are skipped
+// and yield zero values, so an interrupted sweep still returns a
+// well-formed partial slice.
 func runCellsCtx[T any](n int, fn func(c *Cell, i int) T) []T {
 	return sweep.MapCtx(Parallelism(), n, getCell, putCell, func(c *Cell, i int) T {
 		if Interrupted() {

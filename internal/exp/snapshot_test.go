@@ -19,6 +19,12 @@ func (p *snapParams) Validate() error {
 	return nil
 }
 
+// snapCell is what one cell observed of the run configuration.
+type snapCell struct {
+	Workers     int
+	Interrupted bool
+}
+
 type snapResult struct {
 	Workers     []int
 	Interrupted []bool
@@ -26,23 +32,28 @@ type snapResult struct {
 
 func (r *snapResult) Table(io.Writer) {}
 
-// snapDescriptor runs an experiment whose cells report the Parallelism
-// and Interrupted values they observe; probe gates each cell so the
-// test can mutate the globals mid-run.
+// snapDescriptor describes an experiment whose cells report the
+// Parallelism and Interrupted values they observe; probe gates each
+// cell so the test can mutate the globals mid-run.
 func snapDescriptor(probe func(i int)) Descriptor {
-	return Descriptor{
-		Name:   "snapshot-test",
-		Params: paramsFn[snapParams](func() snapParams { return snapParams{Probes: 4} }),
-		Run: runAs(func(p *snapParams) Result {
+	d, _ := describe(Spec[snapParams, snapCell, *snapResult]{
+		Name:    "snapshot-test",
+		Default: func() snapParams { return snapParams{Probes: 4} },
+		Cells:   func(p *snapParams) int { return p.Probes },
+		Cell: func(_ *Cell, _ *snapParams, i int) snapCell {
+			probe(i)
+			return snapCell{Parallelism(), Interrupted()}
+		},
+		Reduce: func(_ *snapParams, cells []snapCell) *snapResult {
 			res := &snapResult{}
-			for i := 0; i < p.Probes; i++ {
-				probe(i)
-				res.Workers = append(res.Workers, Parallelism())
-				res.Interrupted = append(res.Interrupted, Interrupted())
+			for _, c := range cells {
+				res.Workers = append(res.Workers, c.Workers)
+				res.Interrupted = append(res.Interrupted, c.Interrupted)
 			}
 			return res
-		}),
-	}
+		},
+	})
+	return d
 }
 
 // TestRunConfigSnapshot verifies that RunExperiment freezes the

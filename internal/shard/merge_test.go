@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 
@@ -175,12 +176,10 @@ func TestReduceRejectsTamperedEnvelope(t *testing.T) {
 }
 
 func TestRunRejectsGridlessExperiment(t *testing.T) {
-	d, ok := exp.Lookup("fig19")
-	if !ok {
-		t.Skip("fig19 not registered")
-	}
+	d := shardtestDesc(t)
+	d.Name, d.Grid = "shardtest-whole", nil // a hand-built, Run-only descriptor
 	_, err := Run(RunSpec{Desc: d, Params: d.Params(), Shard: ShardParams{Index: 0, Count: 2}})
-	if err == nil {
-		t.Fatal("sharding a trace experiment must fail")
+	if !errors.Is(err, ErrNoGrid) {
+		t.Fatalf("sharding an experiment without a Grid: %v, want ErrNoGrid", err)
 	}
 }

@@ -30,8 +30,9 @@ type RunSpec struct {
 	Range *exp.CellRange
 }
 
-// ErrNoGrid marks experiments that cannot be sharded (traces and
-// transients, which register no Grid).
+// ErrNoGrid marks experiments that cannot be sharded: a hand-built
+// Descriptor that carries a Run but no Grid (exp.Define always supplies
+// one).
 var ErrNoGrid = fmt.Errorf("experiment has no cell grid and can only run whole (use \"tfrcsim run\")")
 
 // Run computes the spec's cell range on exp.Parallelism() workers,

@@ -39,44 +39,25 @@ type shardtestResult struct {
 
 func (r *shardtestResult) Table(w io.Writer) { fmt.Fprintf(w, "sum\t%v\n", r.Sum) }
 
-func shardtestCells(p *shardtestParams) int { return p.N }
-
-func shardtestRunRange(p *shardtestParams, r exp.CellRange) []shardtestCell {
-	out := make([]shardtestCell, 0, r.Len())
-	for idx := r.Lo; idx < r.Hi; idx++ {
+var _ = exp.Define(exp.Spec[shardtestParams, shardtestCell, *shardtestResult]{
+	Name:        "shardtest",
+	Description: "synthetic pure-cell grid for shard coordinator tests",
+	Default:     func() shardtestParams { return shardtestParams{N: 6, Seed: 1} },
+	Cells:       func(p *shardtestParams) int { return p.N },
+	Cell: func(_ *exp.Cell, p *shardtestParams, idx int) shardtestCell {
 		// Irrational factors make the float payloads exercise
 		// shortest-exact JSON round-tripping.
 		v := float64(p.Seed)*math.Sqrt2 + float64(idx*idx)*math.Pi/7
-		out = append(out, shardtestCell{Index: idx, Value: v})
-	}
-	return out
-}
-
-func shardtestReduce(p *shardtestParams, cells []shardtestCell) *shardtestResult {
-	res := &shardtestResult{Cells: cells}
-	for _, c := range cells {
-		res.Sum += c.Value
-	}
-	return res
-}
-
-func init() {
-	exp.Register(exp.Descriptor{
-		Name:        "shardtest",
-		Description: "synthetic pure-cell grid for shard coordinator tests",
-		Params: func() exp.Params {
-			return &shardtestParams{N: 6, Seed: 1}
-		},
-		Run: func(p exp.Params) (exp.Result, error) {
-			tp, ok := p.(*shardtestParams)
-			if !ok {
-				return nil, fmt.Errorf("wrong parameter type %T", p)
-			}
-			return shardtestReduce(tp, shardtestRunRange(tp, exp.CellRange{Lo: 0, Hi: tp.N})), nil
-		},
-		Grid: exp.GridAs(shardtestCells, shardtestRunRange, shardtestReduce),
-	})
-}
+		return shardtestCell{Index: idx, Value: v}
+	},
+	Reduce: func(_ *shardtestParams, cells []shardtestCell) *shardtestResult {
+		res := &shardtestResult{Cells: cells}
+		for _, c := range cells {
+			res.Sum += c.Value
+		}
+		return res
+	},
+})
 
 // shardtestDesc returns the registered descriptor.
 func shardtestDesc(t *testing.T) exp.Descriptor {

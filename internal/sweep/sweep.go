@@ -1,7 +1,7 @@
 // Package sweep executes embarrassingly parallel experiment grids. The
 // figure experiments are pure functions over parameter cells — every
 // simulation owns its scheduler, clock, and seeded random sources — so
-// cells can run on a worker pool with no shared state. Map preserves
+// cells can run on a worker pool with no shared state. MapCtx preserves
 // cell order in its result slice, which keeps parallel output
 // bit-identical to a sequential run: parallelism changes only which OS
 // thread computes a cell, never what the cell computes or where its
@@ -13,59 +13,26 @@ import (
 	"sync/atomic"
 )
 
-// Map runs fn(i) for every i in [0, n) and returns the results indexed
-// by cell. At most workers goroutines run concurrently, clamped to n;
-// the Go scheduler multiplexes them onto at most GOMAXPROCS threads, so
-// effective CPU parallelism is GOMAXPROCS-bounded without an explicit
-// clamp here. workers ≤ 1 runs every cell inline on the calling
+// MapCtx runs fn(c, i) for every i in [0, n) and returns the results
+// indexed by cell. At most workers goroutines run concurrently, clamped
+// to n; the Go scheduler multiplexes them onto at most GOMAXPROCS
+// threads, so effective CPU parallelism is GOMAXPROCS-bounded without an
+// explicit clamp here. workers ≤ 1 runs every cell inline on the calling
 // goroutine. fn must be safe to call concurrently from multiple
 // goroutines for distinct i (pure cells are, by construction).
-func Map[T any](workers, n int, fn func(i int) T) []T {
-	if n <= 0 {
-		return nil
-	}
-	if workers > n {
-		workers = n
-	}
-	out := make([]T, n)
-	if workers <= 1 {
-		for i := range out {
-			out[i] = fn(i)
-		}
-		return out
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				out[i] = fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-	return out
-}
-
-// MapCtx is Map with a worker-pinned context: each worker acquires one C
-// and passes it to fn for every cell it executes, so cell i+workers
-// reuses cell i's entire working set (a simulation arena — scheduler,
-// network, topology, and agents) instead of returning it to shared pools
-// and re-fetching. Contexts never cross goroutines concurrently, so C
-// needs no locking. release (optional) is called once per worker context
-// when the sweep completes, letting callers hand contexts back to a pool
-// that outlives the sweep.
 //
-// Like Map, results land in cell order and every cell runs exactly once,
-// so output is bit-identical at any worker count — provided fn(c, i)
-// computes the same result for any correctly recycled context, which the
-// experiment layer's differential tests pin.
+// Each worker acquires one context C and passes it to fn for every cell
+// it executes, so cell i+workers reuses cell i's entire working set (a
+// simulation arena — scheduler, network, topology, and agents) instead
+// of returning it to shared pools and re-fetching. Contexts never cross
+// goroutines concurrently, so C needs no locking. release (optional) is
+// called once per worker context when the sweep completes, letting
+// callers hand contexts back to a pool that outlives the sweep.
+//
+// Results land in cell order and every cell runs exactly once, so output
+// is bit-identical at any worker count — provided fn(c, i) computes the
+// same result for any correctly recycled context, which the experiment
+// layer's differential tests pin.
 //
 // Panic safety: a panic while running fn poisons the worker's context —
 // its arena may be half-built — so the worker discards it (without

@@ -5,56 +5,6 @@ import (
 	"testing"
 )
 
-func TestMapPreservesOrder(t *testing.T) {
-	for _, workers := range []int{1, 2, 4, 64} {
-		got := Map(workers, 100, func(i int) int { return i * i })
-		if len(got) != 100 {
-			t.Fatalf("workers=%d: %d results, want 100", workers, len(got))
-		}
-		for i, v := range got {
-			if v != i*i {
-				t.Fatalf("workers=%d: cell %d = %d, want %d", workers, i, v, i*i)
-			}
-		}
-	}
-}
-
-func TestMapRunsEveryCellExactlyOnce(t *testing.T) {
-	const n = 1000
-	var counts [n]atomic.Int32
-	Map(8, n, func(i int) struct{} {
-		counts[i].Add(1)
-		return struct{}{}
-	})
-	for i := range counts {
-		if c := counts[i].Load(); c != 1 {
-			t.Fatalf("cell %d ran %d times", i, c)
-		}
-	}
-}
-
-func TestMapEmptyAndSingle(t *testing.T) {
-	if got := Map(4, 0, func(i int) int { return i }); got != nil {
-		t.Fatalf("n=0 returned %v, want nil", got)
-	}
-	if got := Map(4, 1, func(i int) int { return 7 }); len(got) != 1 || got[0] != 7 {
-		t.Fatalf("n=1 returned %v", got)
-	}
-}
-
-func TestMapSequentialFallback(t *testing.T) {
-	// workers ≤ 1 must run inline: cells may then share state freely.
-	shared := 0
-	Map(1, 50, func(i int) int { shared++; return shared })
-	if shared != 50 {
-		t.Fatalf("inline run touched shared state %d times, want 50", shared)
-	}
-	Map(0, 50, func(i int) int { shared++; return shared })
-	if shared != 100 {
-		t.Fatalf("workers=0 not inline: %d", shared)
-	}
-}
-
 // testCtx is a minimal worker context: it counts the cells it has run so
 // tests can observe reuse, and carries a poison marker for panic tests.
 type testCtx struct {
@@ -98,6 +48,30 @@ func TestMapCtxRunsEveryCellExactlyOnce(t *testing.T) {
 		if c := counts[i].Load(); c != 1 {
 			t.Fatalf("cell %d ran %d times", i, c)
 		}
+	}
+}
+
+func TestMapCtxEmptyAndSingle(t *testing.T) {
+	acquire := func() *testCtx { return &testCtx{} }
+	if got := MapCtx(4, 0, acquire, nil, func(*testCtx, int) int { return 1 }); got != nil {
+		t.Fatalf("n=0 returned %v, want nil", got)
+	}
+	if got := MapCtx(4, 1, acquire, nil, func(*testCtx, int) int { return 7 }); len(got) != 1 || got[0] != 7 {
+		t.Fatalf("n=1 returned %v", got)
+	}
+}
+
+func TestMapCtxSequentialFallback(t *testing.T) {
+	// workers ≤ 1 must run inline: cells may then share state freely.
+	acquire := func() *testCtx { return &testCtx{} }
+	shared := 0
+	MapCtx(1, 50, acquire, nil, func(*testCtx, int) int { shared++; return shared })
+	if shared != 50 {
+		t.Fatalf("inline run touched shared state %d times, want 50", shared)
+	}
+	MapCtx(0, 50, acquire, nil, func(*testCtx, int) int { shared++; return shared })
+	if shared != 100 {
+		t.Fatalf("workers=0 not inline: %d", shared)
 	}
 }
 
@@ -168,19 +142,9 @@ func TestMapCtxBrokenCellPropagatesPanic(t *testing.T) {
 	t.Fatal("MapCtx returned instead of panicking")
 }
 
-// BenchmarkMapOverhead measures the per-cell scheduling cost of the
-// shared-pool runner on trivial cells — the floor the experiment grids
+// BenchmarkMapCtxOverhead measures the per-cell scheduling cost of the
+// worker-pinned runner on trivial cells — the floor the experiment grids
 // pay on top of their simulations.
-func BenchmarkMapOverhead(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		Map(8, 1024, func(i int) int { return i })
-	}
-	b.ReportMetric(float64(b.N)*1024/b.Elapsed().Seconds(), "cells/sec")
-}
-
-// BenchmarkMapCtxOverhead measures the worker-pinned runner on the same
-// trivial cells: the context plumbing must not cost more than the atomic
-// work-stealing it rides on.
 func BenchmarkMapCtxOverhead(b *testing.B) {
 	acquire := func() *testCtx { return &testCtx{} }
 	for i := 0; i < b.N; i++ {
