@@ -51,6 +51,19 @@ var goldenCases = []struct{ name, exp, overlay string }{
 	{"parkinglot-seeds2", "parkinglot", `{"Bottlenecks": [1, 2], "Duration": 20, "Warmup": 5, "Seeds": 2}`},
 }
 
+// overlaid returns the experiment's defaults with the JSON overlay
+// applied the way "tfrcsim run -params" applies it.
+func overlaid(t testing.TB, name, overlay string) (experiment.Descriptor, experiment.Params, error) {
+	d, err := experiment.Get(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := d.Params()
+	dec := json.NewDecoder(strings.NewReader(overlay))
+	dec.DisallowUnknownFields()
+	return d, p, dec.Decode(p)
+}
+
 // TestGoldenEveryExperiment runs each case through the registry the way
 // the CLI does and compares both output formats with the goldens.
 func TestGoldenEveryExperiment(t *testing.T) {
@@ -58,14 +71,8 @@ func TestGoldenEveryExperiment(t *testing.T) {
 	for _, tc := range goldenCases {
 		covered[tc.exp] = true
 		t.Run(tc.name, func(t *testing.T) {
-			d, err := experiment.Get(tc.exp)
+			d, p, err := overlaid(t, tc.exp, tc.overlay)
 			if err != nil {
-				t.Fatal(err)
-			}
-			p := d.Params()
-			dec := json.NewDecoder(strings.NewReader(tc.overlay))
-			dec.DisallowUnknownFields()
-			if err := dec.Decode(p); err != nil {
 				t.Fatalf("overlay: %v", err)
 			}
 			res, err := experiment.Run(d, p)

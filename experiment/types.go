@@ -37,7 +37,6 @@ type (
 	// Fig08GridParams/Fig08GridResult: throughput traces per queue kind.
 	Fig08GridParams = exp.Fig08GridParams
 	Fig08GridResult = exp.Fig08GridResult
-	Fig08Params     = exp.Fig08Params
 	Fig08Result     = exp.Fig08Result
 	// Fig09Params/Fig09Result: equivalence ratio and CoV vs timescale.
 	Fig09Params = exp.Fig09Params

@@ -6,7 +6,6 @@ import (
 
 	"tfrc/internal/faults"
 	"tfrc/internal/netsim"
-	"tfrc/internal/tfrcsim"
 )
 
 // BlackoutParams is the total-feedback-outage soak: one TFRC flow on a
@@ -51,26 +50,15 @@ func DefaultBlackout() BlackoutParams {
 
 // Validate implements Params.
 func (p *BlackoutParams) Validate() error {
-	if p.LinkMbps <= 0 {
-		return fmt.Errorf("LinkMbps must be positive, got %v", p.LinkMbps)
-	}
-	if p.Delay < 0 {
-		return fmt.Errorf("Delay must be non-negative, got %v", p.Delay)
-	}
-	if !(0 < p.OutageStart && p.OutageStart < p.OutageEnd && p.OutageEnd < p.Duration) {
-		return fmt.Errorf("need 0 < OutageStart < OutageEnd < Duration, got OutageStart=%v OutageEnd=%v Duration=%v",
-			p.OutageStart, p.OutageEnd, p.Duration)
-	}
-	if p.BinWidth <= 0 {
-		return fmt.Errorf("BinWidth must be positive, got %v", p.BinWidth)
-	}
-	if p.RecoverFrac < 0 || p.RecoverFrac > 1 {
-		return fmt.Errorf("RecoverFrac must be in [0, 1], got %v", p.RecoverFrac)
-	}
-	if p.RecoverRTTs < 0 {
-		return fmt.Errorf("RecoverRTTs must be non-negative, got %v", p.RecoverRTTs)
-	}
-	return nil
+	var v checks
+	positive(&v, "LinkMbps", p.LinkMbps)
+	nonNegative(&v, "Delay", p.Delay)
+	check(&v, 0 < p.OutageStart && p.OutageStart < p.OutageEnd && p.OutageEnd < p.Duration,
+		"need 0 < OutageStart < OutageEnd < Duration, got OutageStart=%v OutageEnd=%v Duration=%v", p.OutageStart, p.OutageEnd, p.Duration)
+	positive(&v, "BinWidth", p.BinWidth)
+	check(&v, 0 <= p.RecoverFrac && p.RecoverFrac <= 1, "RecoverFrac must be in [0, 1], got %v", p.RecoverFrac)
+	nonNegative(&v, "RecoverRTTs", p.RecoverRTTs)
+	return v.err
 }
 
 // SetSeed implements SeedSetter.
@@ -100,25 +88,12 @@ type BlackoutResult struct {
 func blackoutCell(c *Cell, pr *BlackoutParams) *BlackoutResult {
 	sched := c.begin()
 	bw := pr.LinkMbps * 1e6
-	queueLimit := int(max(10, bw*0.1/(8*1000)))
-	red := netsim.DefaultRED(queueLimit)
-	red.MinThresh = max(5, float64(queueLimit)/10)
-	red.MaxThresh = float64(queueLimit) / 2
-	d := netsim.NewDumbbell(sched, netsim.DumbbellConfig{
-		Hosts:         1,
-		BottleneckBW:  bw,
-		BottleneckDly: pr.Delay,
-		Queue:         pr.Queue,
-		QueueLimit:    queueLimit,
-		RED:           red,
-	}, sched.NewRand(pr.Seed+1))
+	d := houseDumbbell(sched, 1, bw, pr.Delay, pr.Queue, pr.Seed)
 
 	b := NewScenarioBuilder(d.Topo)
 	b.MonitorLink("rl->rr", pr.BinWidth, 0)
 
-	tf := tfrcsim.DefaultConfig()
-	tf.PacingJitter = 0.05
-	tf.JitterSeed = pr.Seed
+	tf := houseTFRC(pr.Seed)
 	b.AddTFRC("l0", "r0", tf, 0)
 
 	snd := b.TFRCSender(0)

@@ -6,8 +6,6 @@ import (
 
 	"tfrc/internal/netsim"
 	"tfrc/internal/stats"
-	"tfrc/internal/tcp"
-	"tfrc/internal/tfrcsim"
 )
 
 // BWStepParams is the bandwidth-step transient: TFRC and TCP flows share
@@ -46,7 +44,7 @@ func DefaultBWStep() BWStepParams {
 	}
 }
 
-// PaperBWStep is the full-scale transient the CLI's -paper flag selects.
+// PaperBWStep is the full-scale transient -preset paper selects.
 func PaperBWStep() BWStepParams {
 	p := DefaultBWStep()
 	p.NTCP, p.NTFRC = 8, 8
@@ -57,26 +55,15 @@ func PaperBWStep() BWStepParams {
 
 // Validate implements Params.
 func (p *BWStepParams) Validate() error {
-	if p.NTCP < 0 || p.NTFRC < 0 || p.NTCP+p.NTFRC < 1 {
-		return fmt.Errorf("need at least one flow, got NTCP=%d NTFRC=%d", p.NTCP, p.NTFRC)
-	}
-	if p.LinkMbps <= 0 {
-		return fmt.Errorf("LinkMbps must be positive, got %v", p.LinkMbps)
-	}
-	if p.Factor < 0 || p.Factor >= 1 {
-		return fmt.Errorf("Factor must be in (0, 1) (or 0 for the default 0.5), got %v", p.Factor)
-	}
-	if !(0 < p.StepAt && p.StepAt < p.RestoreAt && p.RestoreAt <= p.Duration) {
-		return fmt.Errorf("need 0 < StepAt < RestoreAt <= Duration, got StepAt=%v RestoreAt=%v Duration=%v",
-			p.StepAt, p.RestoreAt, p.Duration)
-	}
-	if p.BinWidth <= 0 {
-		return fmt.Errorf("BinWidth must be positive, got %v", p.BinWidth)
-	}
-	if p.Seeds < 0 {
-		return fmt.Errorf("Seeds must be non-negative, got %d", p.Seeds)
-	}
-	return nil
+	var v checks
+	check(&v, p.NTCP >= 0 && p.NTFRC >= 0 && p.NTCP+p.NTFRC >= 1, "need at least one flow, got NTCP=%d NTFRC=%d", p.NTCP, p.NTFRC)
+	positive(&v, "LinkMbps", p.LinkMbps)
+	check(&v, 0 <= p.Factor && p.Factor < 1, "Factor must be in (0, 1) (or 0 for the default 0.5), got %v", p.Factor)
+	check(&v, 0 < p.StepAt && p.StepAt < p.RestoreAt && p.RestoreAt <= p.Duration,
+		"need 0 < StepAt < RestoreAt <= Duration, got StepAt=%v RestoreAt=%v Duration=%v", p.StepAt, p.RestoreAt, p.Duration)
+	positive(&v, "BinWidth", p.BinWidth)
+	nonNegative(&v, "Seeds", p.Seeds)
+	return v.err
 }
 
 // SetSeed implements SeedSetter.
@@ -137,18 +124,7 @@ func runBWStepSeed(c *Cell, pr BWStepParams, seed int64) BWStepResult {
 	sched := c.begin()
 	rng := sched.NewRand(seed)
 	bw := pr.LinkMbps * 1e6
-	queueLimit := int(max(10, bw*0.1/(8*1000)))
-	red := netsim.DefaultRED(queueLimit)
-	red.MinThresh = max(5, float64(queueLimit)/10)
-	red.MaxThresh = float64(queueLimit) / 2
-	d := netsim.NewDumbbell(sched, netsim.DumbbellConfig{
-		Hosts:         pr.NTCP + pr.NTFRC,
-		BottleneckBW:  bw,
-		BottleneckDly: 0.025,
-		Queue:         pr.Queue,
-		QueueLimit:    queueLimit,
-		RED:           red,
-	}, sched.NewRand(seed+1))
+	d := houseDumbbell(sched, pr.NTCP+pr.NTFRC, bw, 0.025, pr.Queue, seed)
 
 	// The tentpole move: the bottleneck is a scheduled, time-varying
 	// link. Declarations on a built topology install immediately.
@@ -161,19 +137,7 @@ func runBWStepSeed(c *Cell, pr BWStepParams, seed int64) BWStepResult {
 	b.MonitorLink("rl->rr", pr.BinWidth, 0)
 	qm := b.MonitorQueue("rl->rr", 0.05, pr.Duration)
 
-	start := func() float64 { return rng.Uniform(0, 5) }
-	for i := 0; i < pr.NTCP; i++ {
-		b.AddTCP(fmt.Sprintf("l%d", i), fmt.Sprintf("r%d", i), tcp.Config{
-			Variant: tcp.Sack, SendJitter: 0.001, JitterSeed: seed,
-		}, start())
-	}
-	for i := 0; i < pr.NTFRC; i++ {
-		h := pr.NTCP + i
-		tf := tfrcsim.DefaultConfig()
-		tf.PacingJitter = 0.05
-		tf.JitterSeed = seed
-		b.AddTFRC(fmt.Sprintf("l%d", h), fmt.Sprintf("r%d", h), tf, start())
-	}
+	placeMix(b, pr.NTCP, pr.NTFRC, rng, seed)
 	res := b.Run(pr.Duration)
 
 	out := BWStepResult{Params: pr, BinWidth: pr.BinWidth}
@@ -192,26 +156,16 @@ func runBWStepSeed(c *Cell, pr BWStepParams, seed int64) BWStepResult {
 	out.DropRate = res.DropRate
 	b.Release()
 
+	capacity := func(a, z int) (sum float64) {
+		for _, c := range out.Capacity[a:z] {
+			sum += c
+		}
+		return sum
+	}
 	phase := func(name string, lo, hi float64) BWStepPhase {
-		a := int(lo / pr.BinWidth)
-		z := int(hi / pr.BinWidth)
-		if z > res.Bins {
-			z = res.Bins
-		}
-		if a > z {
-			a = z // phase window lies past the end of the run
-		}
-		var tf, tc, cap float64
-		for i := a; i < z; i++ {
-			tf += out.TFRCTotal[i]
-			tc += out.TCPTotal[i]
-			cap += out.Capacity[i]
-		}
 		p := BWStepPhase{Name: name}
-		if cap > 0 {
-			p.TFRCFrac = tf / cap
-			p.TCPFrac = tc / cap
-		}
+		var a, z int
+		p.TFRCFrac, p.TCPFrac, a, z = phaseFractions(out.TFRCTotal, out.TCPTotal, pr.BinWidth, lo, hi, capacity)
 		p.CoVTFRC = stats.CoV(out.TFRCTotal[a:z])
 		return p
 	}
@@ -251,6 +205,14 @@ func bwStepReduce(_ *BWStepParams, cells []BWStepResult) *BWStepResult {
 	return out
 }
 
+// bwStepColumns is the phase summary: fractions of the phase's capacity.
+var bwStepColumns = []column[BWStepPhase]{
+	{"phase", "%s", func(p *BWStepPhase) any { return p.Name }, nil},
+	{"tfrcFrac", "%.3f", func(p *BWStepPhase) any { return p.TFRCFrac }, func(p *BWStepPhase) any { return p.TFRCFracCI }},
+	{"tcpFrac", "%.3f", func(p *BWStepPhase) any { return p.TCPFrac }, func(p *BWStepPhase) any { return p.TCPFracCI }},
+	{"tfrcCoV", "%.3f", func(p *BWStepPhase) any { return p.CoVTFRC }, nil},
+}
+
 // Table implements Result: the phase summary and the aggregate traces.
 func (r *BWStepResult) Table(w io.Writer) {
 	fmt.Fprintf(w, "# Bandwidth step: %.0f Mb/s bottleneck × %.2f during [%.0f, %.0f) s, %d TCP + %d TFRC\n",
@@ -258,24 +220,10 @@ func (r *BWStepResult) Table(w io.Writer) {
 		r.Params.NTCP, r.Params.NTFRC)
 	if r.Seeds > 1 {
 		fmt.Fprintf(w, "# phase summary over %d seeds (fraction of phase capacity)\n", r.Seeds)
-		fmt.Fprintln(w, "# phase\ttfrcFrac\tci\ttcpFrac\tci\ttfrcCoV")
-		for _, p := range r.Phases {
-			fmt.Fprintf(w, "%s\t%.3f\t%.3f\t%.3f\t%.3f\t%.3f\n",
-				p.Name, p.TFRCFrac, p.TFRCFracCI, p.TCPFrac, p.TCPFracCI, p.CoVTFRC)
-		}
-	} else {
-		fmt.Fprintln(w, "# phase\ttfrcFrac\ttcpFrac\ttfrcCoV")
-		for _, p := range r.Phases {
-			fmt.Fprintf(w, "%s\t%.3f\t%.3f\t%.3f\n", p.Name, p.TFRCFrac, p.TCPFrac, p.CoVTFRC)
-		}
 	}
+	writeColumns(w, bwStepColumns, r.Phases, r.Seeds > 1)
 	fmt.Fprintf(w, "# max queue %d pkts, drop rate %.4f\n", r.QueueMax, r.DropRate)
 	fmt.Fprintln(w, "# time\ttfrcKBps\ttcpKBps\tcapKBps")
-	for i := range r.TFRCTotal {
-		fmt.Fprintf(w, "%.1f\t%.1f\t%.1f\t%.1f\n",
-			float64(i)*r.BinWidth,
-			r.TFRCTotal[i]/1000/r.BinWidth,
-			r.TCPTotal[i]/1000/r.BinWidth,
-			r.Capacity[i]/1000/r.BinWidth)
-	}
+	writeMatrix(w, len(r.TFRCTotal), "%.1f", binStart(r.BinWidth), "%.1f",
+		kbps(r.TFRCTotal, r.BinWidth), kbps(r.TCPTotal, r.BinWidth), kbps(r.Capacity, r.BinWidth))
 }

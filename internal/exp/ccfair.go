@@ -7,8 +7,6 @@ import (
 	"tfrc/internal/cc"
 	"tfrc/internal/netsim"
 	"tfrc/internal/stats"
-	"tfrc/internal/tcp"
-	"tfrc/internal/tfrcsim"
 )
 
 // CCFairParams is the head-to-head fairness grid for the
@@ -62,7 +60,7 @@ func DefaultCCFair() CCFairParams {
 	}
 }
 
-// PaperCCFair is the longer grid the CLI's -paper flag selects.
+// PaperCCFair is the longer grid -preset paper selects.
 func PaperCCFair() CCFairParams {
 	p := DefaultCCFair()
 	p.Duration, p.Warmup = 240, 60
@@ -84,49 +82,32 @@ func ccfairProtoOK(name string) bool {
 
 // Validate implements Params.
 func (p *CCFairParams) Validate() error {
+	var v checks
 	for _, proto := range []string{p.ProtoA, p.ProtoB} {
 		if !ccfairProtoOK(proto) {
-			return fmt.Errorf("unknown protocol %q (want tfrc or one of %v)", proto, cc.Names())
+			v.fail("unknown protocol %q (want tfrc or one of %v)", proto, cc.Names())
 		}
 	}
-	if p.FlowsA < 1 || p.FlowsB < 1 {
-		return fmt.Errorf("need at least one flow per protocol, got %d vs %d", p.FlowsA, p.FlowsB)
-	}
+	check(&v, p.FlowsA >= 1 && p.FlowsB >= 1, "need at least one flow per protocol, got %d vs %d", p.FlowsA, p.FlowsB)
 	if err := p.CCA.Validate(); err != nil {
-		return fmt.Errorf("CCA: %w", err)
+		v.fail("CCA: %w", err)
 	}
 	if err := p.CCB.Validate(); err != nil {
-		return fmt.Errorf("CCB: %w", err)
+		v.fail("CCB: %w", err)
 	}
-	switch p.Topology {
-	case "dumbbell":
-	case "parkinglot":
-		if p.Bottlenecks < 1 {
-			return fmt.Errorf("parkinglot needs Bottlenecks >= 1, got %d", p.Bottlenecks)
-		}
-	default:
-		return fmt.Errorf("unknown topology %q (want dumbbell or parkinglot)", p.Topology)
+	if p.Topology != "dumbbell" && p.Topology != "parkinglot" {
+		v.fail("unknown topology %q (want dumbbell or parkinglot)", p.Topology)
 	}
-	if len(p.RTTs) == 0 || len(p.LinkMbps) == 0 {
-		return fmt.Errorf("RTTs and LinkMbps must be non-empty")
-	}
+	check(&v, p.Topology != "parkinglot" || p.Bottlenecks >= 1, "parkinglot needs Bottlenecks >= 1, got %d", p.Bottlenecks)
+	nonEmpty(&v, "RTTs", len(p.RTTs))
+	nonEmpty(&v, "LinkMbps", len(p.LinkMbps))
 	for _, rtt := range p.RTTs {
-		if rtt <= 0.004 {
-			return fmt.Errorf("RTTs must exceed the 4 ms of access delay, got %v", rtt)
-		}
+		check(&v, rtt > 0.004, "RTTs must exceed the 4 ms of access delay, got %v", rtt)
 	}
-	for _, bw := range p.LinkMbps {
-		if bw <= 0 {
-			return fmt.Errorf("LinkMbps must be positive, got %v", bw)
-		}
-	}
-	if p.Duration <= 0 || p.Warmup < 0 || p.Warmup >= p.Duration {
-		return fmt.Errorf("need 0 <= Warmup < Duration, got Warmup=%v Duration=%v", p.Warmup, p.Duration)
-	}
-	if p.Seeds < 0 {
-		return fmt.Errorf("Seeds must be non-negative, got %d", p.Seeds)
-	}
-	return nil
+	positive(&v, "LinkMbps", p.LinkMbps...)
+	window(&v, "Warmup", p.Warmup, "Duration", p.Duration)
+	nonNegative(&v, "Seeds", p.Seeds)
+	return v.err
 }
 
 // SetSeed implements SeedSetter.
@@ -201,13 +182,9 @@ const ccfairRatioCap = 1e6
 // dst), returning its flow ID.
 func ccfairAdd(b *ScenarioBuilder, proto string, ccfg cc.Config, src, dst string, seed int64, start float64) int {
 	if proto == "tfrc" {
-		tf := tfrcsim.DefaultConfig()
-		tf.PacingJitter = 0.05
-		tf.JitterSeed = seed
-		return b.AddTFRC(src, dst, tf, start)
+		return b.AddTFRC(src, dst, houseTFRC(seed), start)
 	}
-	cfg := tcp.Config{Variant: tcp.Sack, SendJitter: 0.001, JitterSeed: seed}
-	return b.AddCC(cc.Name(proto), ccfg, src, dst, cfg, start)
+	return b.AddCC(cc.Name(proto), ccfg, src, dst, houseTCP(seed), start)
 }
 
 // runCCFairCell runs one (rtt, bandwidth, seed) cell on the worker's
@@ -219,11 +196,7 @@ func runCCFairCell(c *Cell, pr CCFairParams, rtt, linkMbps float64, seed int64) 
 	rng := sched.NewRand(seed)
 	bw := linkMbps * 1e6
 	nflows := pr.FlowsA + pr.FlowsB
-	// One bandwidth-delay product of buffering, floored for slow links.
-	queueLimit := int(max(10, bw*rtt/(8*1000)))
-	red := netsim.DefaultRED(queueLimit)
-	red.MinThresh = max(5, float64(queueLimit)/10)
-	red.MaxThresh = float64(queueLimit) / 2
+	queueLimit, red := houseQueue(bw, rtt)
 
 	var b *ScenarioBuilder
 	var bottleneck string
@@ -257,18 +230,12 @@ func runCCFairCell(c *Cell, pr CCFairParams, rtt, linkMbps float64, seed int64) 
 	b.MonitorUtilization(bottleneck, pr.Warmup)
 	b.MonitorQueue(bottleneck, 0.05, pr.Duration)
 
-	src := func(i int) string {
-		if pr.Topology == "parkinglot" {
-			return fmt.Sprintf("ts%d", i)
-		}
-		return fmt.Sprintf("l%d", i)
+	srcs, dsts := "l", "r" // host pair i is l{i}→r{i}, or ts{i}→td{i} on the parking lot
+	if pr.Topology == "parkinglot" {
+		srcs, dsts = "ts", "td"
 	}
-	dst := func(i int) string {
-		if pr.Topology == "parkinglot" {
-			return fmt.Sprintf("td%d", i)
-		}
-		return fmt.Sprintf("r%d", i)
-	}
+	src := func(i int) string { return netsim.IndexedName(srcs, i) }
+	dst := func(i int) string { return netsim.IndexedName(dsts, i) }
 	start := func() float64 { return rng.Uniform(0, 5) }
 	flowsA := make([]int, 0, pr.FlowsA)
 	flowsB := make([]int, 0, pr.FlowsB)
@@ -328,27 +295,32 @@ func runCCFairCell(c *Cell, pr CCFairParams, rtt, linkMbps float64, seed int64) 
 
 // ccfairReduce aggregates each (RTT, bandwidth) point's seeds in order.
 func ccfairReduce(pr *CCFairParams, raw []CCFairCell) *CCFairResult {
-	seeds := replicas(pr.Seeds)
-	res := &CCFairResult{Params: *pr}
-	for g := 0; g*seeds < len(raw); g++ {
-		group := raw[g*seeds : (g+1)*seeds]
-		cell := group[0]
-		if seeds > 1 {
-			cell.Seeds = seeds
-			cell.Jain, _ = meanCI(group, func(c *CCFairCell) float64 { return c.Jain })
-			cell.ShareA, _ = meanCI(group, func(c *CCFairCell) float64 { return c.ShareA })
-			cell.ShareB = 1 - cell.ShareA
-			cell.QueueDelay, _ = meanCI(group, func(c *CCFairCell) float64 { return c.QueueDelay })
-			cell.LossRate, _ = meanCI(group, func(c *CCFairCell) float64 { return c.LossRate })
-			cell.Utilization, _ = meanCI(group, func(c *CCFairCell) float64 { return c.Utilization })
-			cell.RatioAB, cell.RatioABCI = meanCI(group, func(c *CCFairCell) float64 { return c.RatioAB })
-		}
-		res.Cells = append(res.Cells, cell)
-	}
-	return res
+	return &CCFairResult{Params: *pr, Cells: reducePoints(raw, pr.Seeds, func(cell *CCFairCell, group []CCFairCell) {
+		cell.Seeds = len(group)
+		cell.Jain, _ = meanCI(group, func(c *CCFairCell) float64 { return c.Jain })
+		cell.ShareA, _ = meanCI(group, func(c *CCFairCell) float64 { return c.ShareA })
+		cell.ShareB = 1 - cell.ShareA
+		cell.QueueDelay, _ = meanCI(group, func(c *CCFairCell) float64 { return c.QueueDelay })
+		cell.LossRate, _ = meanCI(group, func(c *CCFairCell) float64 { return c.LossRate })
+		cell.Utilization, _ = meanCI(group, func(c *CCFairCell) float64 { return c.Utilization })
+		cell.RatioAB, cell.RatioABCI = meanCI(group, func(c *CCFairCell) float64 { return c.RatioAB })
+	})}
 }
 
-// Table implements Result: one row per (RTT, bandwidth) point.
+// ccfairColumns is one row per (RTT, bandwidth) point.
+var ccfairColumns = []column[CCFairCell]{
+	{"rtt", "%.3f", func(c *CCFairCell) any { return c.RTT }, nil},
+	{"mbps", "%.0f", func(c *CCFairCell) any { return c.LinkMbps }, nil},
+	{"jain", "%.3f", func(c *CCFairCell) any { return c.Jain }, nil},
+	{"shareA", "%.3f", func(c *CCFairCell) any { return c.ShareA }, nil},
+	{"shareB", "%.3f", func(c *CCFairCell) any { return c.ShareB }, nil},
+	{"ratioAB", "%.3f", func(c *CCFairCell) any { return c.RatioAB }, func(c *CCFairCell) any { return c.RatioABCI }},
+	{"qdelay", "%.4f", func(c *CCFairCell) any { return c.QueueDelay }, nil},
+	{"loss", "%.4f", func(c *CCFairCell) any { return c.LossRate }, nil},
+	{"util", "%.3f", func(c *CCFairCell) any { return c.Utilization }, nil},
+}
+
+// Table implements Result.
 func (r *CCFairResult) Table(w io.Writer) {
 	p := &r.Params
 	fmt.Fprintf(w, "# ccfair: %d %s flow(s) vs %d %s flow(s) on a %s",
@@ -358,20 +330,5 @@ func (r *CCFairResult) Table(w io.Writer) {
 	}
 	fmt.Fprintf(w, ", %s queues\n", p.Queue)
 	fmt.Fprintf(w, "# shareA/shareB: fraction of combined goodput; ratioAB: per-flow A over per-flow B\n")
-	if p.Seeds > 1 {
-		fmt.Fprintln(w, "# rtt\tmbps\tjain\tshareA\tshareB\tratioAB\tci\tqdelay\tloss\tutil")
-	} else {
-		fmt.Fprintln(w, "# rtt\tmbps\tjain\tshareA\tshareB\tratioAB\tqdelay\tloss\tutil")
-	}
-	for _, c := range r.Cells {
-		if c.Seeds > 1 {
-			fmt.Fprintf(w, "%.3f\t%.0f\t%.3f\t%.3f\t%.3f\t%.3f\t%.3f\t%.4f\t%.4f\t%.3f\n",
-				c.RTT, c.LinkMbps, c.Jain, c.ShareA, c.ShareB, c.RatioAB, c.RatioABCI,
-				c.QueueDelay, c.LossRate, c.Utilization)
-		} else {
-			fmt.Fprintf(w, "%.3f\t%.0f\t%.3f\t%.3f\t%.3f\t%.3f\t%.4f\t%.4f\t%.3f\n",
-				c.RTT, c.LinkMbps, c.Jain, c.ShareA, c.ShareB, c.RatioAB,
-				c.QueueDelay, c.LossRate, c.Utilization)
-		}
-	}
+	writeColumns(w, ccfairColumns, r.Cells, p.Seeds > 1)
 }

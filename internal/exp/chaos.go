@@ -6,13 +6,12 @@ import (
 	"hash/fnv"
 	"io"
 	"math"
+	"slices"
 	"strings"
 
 	"tfrc/internal/faults"
 	"tfrc/internal/netsim"
 	"tfrc/internal/sim"
-	"tfrc/internal/tcp"
-	"tfrc/internal/tfrcsim"
 )
 
 // ChaosParams is the randomized fault soak: Cells independent dumbbell
@@ -62,37 +61,19 @@ var episodeKinds = []faults.Kind{
 
 // Validate implements Params.
 func (p *ChaosParams) Validate() error {
-	if p.Cells < 1 {
-		return fmt.Errorf("Cells must be at least 1, got %d", p.Cells)
-	}
-	if p.NTCP < 0 || p.NTFRC < 1 {
-		return fmt.Errorf("need NTFRC >= 1 and NTCP >= 0, got NTCP=%d NTFRC=%d", p.NTCP, p.NTFRC)
-	}
-	if p.LinkMbps <= 0 {
-		return fmt.Errorf("LinkMbps must be positive, got %v", p.LinkMbps)
-	}
-	if p.Episodes < 0 {
-		return fmt.Errorf("Episodes must be non-negative, got %d", p.Episodes)
-	}
+	var v checks
+	atLeast(&v, "Cells", 1, p.Cells)
+	check(&v, p.NTCP >= 0 && p.NTFRC >= 1, "need NTFRC >= 1 and NTCP >= 0, got NTCP=%d NTFRC=%d", p.NTCP, p.NTFRC)
+	positive(&v, "LinkMbps", p.LinkMbps)
+	nonNegative(&v, "Episodes", p.Episodes)
 	for _, k := range p.Kinds {
-		ok := false
-		for _, e := range episodeKinds {
-			if k == e {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return fmt.Errorf("Kinds: %q is not an episode kind (episodes pair their own heals)", k)
+		if !slices.Contains(episodeKinds, k) {
+			v.fail("Kinds: %q is not an episode kind (episodes pair their own heals)", k)
 		}
 	}
-	if p.Duration < 20 {
-		return fmt.Errorf("Duration must be at least 20 s (episodes need a settled head and a healed tail), got %v", p.Duration)
-	}
-	if p.BinWidth <= 0 {
-		return fmt.Errorf("BinWidth must be positive, got %v", p.BinWidth)
-	}
-	return nil
+	check(&v, p.Duration >= 20, "Duration must be at least 20 s (episodes need a settled head and a healed tail), got %v", p.Duration)
+	positive(&v, "BinWidth", p.BinWidth)
+	return v.err
 }
 
 // SetSeed implements SeedSetter.
@@ -229,18 +210,7 @@ func runChaosCell(c *Cell, pr ChaosParams, floor float64, seed int64) ChaosCell 
 	rng := sched.NewRand(seed)
 	bw := pr.LinkMbps * 1e6
 	const dly = 0.025
-	queueLimit := int(max(10, bw*0.1/(8*1000)))
-	red := netsim.DefaultRED(queueLimit)
-	red.MinThresh = max(5, float64(queueLimit)/10)
-	red.MaxThresh = float64(queueLimit) / 2
-	d := netsim.NewDumbbell(sched, netsim.DumbbellConfig{
-		Hosts:         pr.NTCP + pr.NTFRC,
-		BottleneckBW:  bw,
-		BottleneckDly: dly,
-		Queue:         pr.Queue,
-		QueueLimit:    queueLimit,
-		RED:           red,
-	}, sched.NewRand(seed+1))
+	d := houseDumbbell(sched, pr.NTCP+pr.NTFRC, bw, dly, pr.Queue, seed)
 
 	sc := chaosSchedule(rng, pr, seed, bw, dly)
 	sc.Apply(d.Topo)
@@ -250,12 +220,7 @@ func runChaosCell(c *Cell, pr ChaosParams, floor float64, seed int64) ChaosCell 
 	b := NewScenarioBuilder(d.Topo)
 	b.MonitorLink("rl->rr", pr.BinWidth, 0)
 
-	start := func() float64 { return rng.Uniform(0, 5) }
-	for i := 0; i < pr.NTCP; i++ {
-		b.AddTCP(fmt.Sprintf("l%d", i), fmt.Sprintf("r%d", i), tcp.Config{
-			Variant: tcp.Sack, SendJitter: 0.001, JitterSeed: seed,
-		}, start())
-	}
+	placeMix(b, pr.NTCP, pr.NTFRC, rng, seed)
 	minRate, maxRate := math.Inf(1), 0.0
 	var samples int
 	observe := func(_, rate float64) {
@@ -264,11 +229,6 @@ func runChaosCell(c *Cell, pr ChaosParams, floor float64, seed int64) ChaosCell 
 		maxRate = math.Max(maxRate, rate)
 	}
 	for i := 0; i < pr.NTFRC; i++ {
-		h := pr.NTCP + i
-		tf := tfrcsim.DefaultConfig()
-		tf.PacingJitter = 0.05
-		tf.JitterSeed = seed
-		b.AddTFRC(fmt.Sprintf("l%d", h), fmt.Sprintf("r%d", h), tf, start())
 		b.TFRCSender(i).OnRateChange = observe
 	}
 	res := b.Run(pr.Duration)

@@ -5,10 +5,18 @@
 // shardable Grid; Table methods emit gnuplot-ready rows matching the
 // series the paper plots. Scaled-down defaults keep test and benchmark
 // runtimes laptop-friendly; the CLI can run paper-scale parameters.
+//
+// What is not particular to one experiment is stated once: Validate
+// methods are written in the vocabulary of checks.go, tables with CI
+// columns and trace blocks with table.go, and testbed.go holds the
+// house testbed of the paper's §4 — a bottleneck buffered to one
+// bandwidth-delay product with RED thresholds to match, jittered SACK
+// TCP against jittered TFRC. A new dumbbell experiment starts from
+// houseDumbbell and placeMix (houseQueue, houseTCP and houseTFRC for
+// another topology or placement) and, for a transient, phaseFractions.
 package exp
 
 import (
-	"fmt"
 	"math"
 
 	"tfrc/internal/netsim"
@@ -64,58 +72,50 @@ type Scenario struct {
 // otherwise produce an empty or meaningless result. Zero-valued fields
 // that fill defaults (queue limit, bin width, ...) are fine.
 func (sc *Scenario) Validate() error {
-	if sc.NTCP < 0 || sc.NTFRC < 0 {
-		return fmt.Errorf("flow counts must be non-negative, got NTCP=%d NTFRC=%d", sc.NTCP, sc.NTFRC)
+	var v checks
+	nonNegative(&v, "NTCP", sc.NTCP)
+	nonNegative(&v, "NTFRC", sc.NTFRC)
+	positive(&v, "BottleneckBW", sc.BottleneckBW)
+	positive(&v, "Duration", sc.Duration)
+	window(&v, "Warmup", sc.Warmup, "Duration", sc.Duration)
+	nonNegative(&v, "OnOffSources", sc.OnOffSources)
+	nonNegative(&v, "MiceLoad", sc.MiceLoad)
+	nonNegative(&v, "BinWidth", sc.BinWidth)
+	nonNegative(&v, "BottleneckDly", sc.BottleneckDly)
+	nonNegative(&v, "QueueLimit", sc.QueueLimit)
+	nonNegative(&v, "StaggerStarts", sc.StaggerStarts)
+	check(&v, 0 <= sc.AccessDlyMin && sc.AccessDlyMin <= sc.AccessDlyMax, "need 0 <= AccessDlyMin <= AccessDlyMax, got %v..%v", sc.AccessDlyMin, sc.AccessDlyMax)
+	nonNegative(&v, "REDMin", sc.REDMin)
+	nonNegative(&v, "REDMax", sc.REDMax)
+	// Judged as they will run: an explicit threshold is held against
+	// the other one's default too.
+	_, lo, hi := sc.buffer()
+	check(&v, sc.Queue != netsim.QueueRED || lo < hi, "need REDMin < REDMax, got %v and %v (defaults filled in)", lo, hi)
+	return v.err
+}
+
+// buffer returns the bottleneck's queue limit and RED thresholds with
+// the house defaults standing in for zero fields.
+func (sc *Scenario) buffer() (limit int, redMin, redMax float64) {
+	limit = sc.QueueLimit
+	if limit == 0 {
+		limit = houseLimit(sc.BottleneckBW, 0.1)
 	}
-	if sc.BottleneckBW <= 0 {
-		return fmt.Errorf("BottleneckBW must be positive, got %v", sc.BottleneckBW)
+	redMin, redMax = houseThresholds(limit)
+	if sc.REDMin != 0 {
+		redMin = sc.REDMin
 	}
-	if sc.Duration <= 0 {
-		return fmt.Errorf("Duration must be positive, got %v", sc.Duration)
+	if sc.REDMax != 0 {
+		redMax = sc.REDMax
 	}
-	if sc.Warmup < 0 || sc.Warmup >= sc.Duration {
-		return fmt.Errorf("need 0 <= Warmup < Duration, got Warmup=%v Duration=%v", sc.Warmup, sc.Duration)
-	}
-	if sc.OnOffSources < 0 {
-		return fmt.Errorf("OnOffSources must be non-negative, got %d", sc.OnOffSources)
-	}
-	if sc.MiceLoad < 0 {
-		return fmt.Errorf("MiceLoad must be non-negative, got %v", sc.MiceLoad)
-	}
-	if sc.BinWidth < 0 {
-		return fmt.Errorf("BinWidth must be non-negative (0 means the 0.1 s default), got %v", sc.BinWidth)
-	}
-	if sc.BottleneckDly < 0 {
-		return fmt.Errorf("BottleneckDly must be non-negative (0 means the 25 ms default), got %v", sc.BottleneckDly)
-	}
-	if sc.QueueLimit < 0 {
-		return fmt.Errorf("QueueLimit must be non-negative (0 means one BDP), got %d", sc.QueueLimit)
-	}
-	if sc.StaggerStarts < 0 {
-		return fmt.Errorf("StaggerStarts must be non-negative (0 means the default spread), got %v", sc.StaggerStarts)
-	}
-	if sc.AccessDlyMin < 0 || sc.AccessDlyMax < sc.AccessDlyMin {
-		return fmt.Errorf("need 0 <= AccessDlyMin <= AccessDlyMax, got %v..%v", sc.AccessDlyMin, sc.AccessDlyMax)
-	}
-	return nil
+	return limit, redMin, redMax
 }
 
 func (sc *Scenario) fill() {
 	if sc.BottleneckDly == 0 {
 		sc.BottleneckDly = 0.025
 	}
-	if sc.QueueLimit == 0 {
-		// One bandwidth-delay product at a nominal 100 ms RTT, in
-		// 1000-byte packets — mirrors the paper's buffer of 100 packets
-		// on the 15 Mb/s link.
-		sc.QueueLimit = int(math.Max(10, sc.BottleneckBW*0.1/(8*1000)))
-	}
-	if sc.REDMin == 0 {
-		sc.REDMin = math.Max(5, float64(sc.QueueLimit)/10)
-	}
-	if sc.REDMax == 0 {
-		sc.REDMax = float64(sc.QueueLimit) / 2
-	}
+	sc.QueueLimit, sc.REDMin, sc.REDMax = sc.buffer()
 	if sc.BinWidth == 0 {
 		sc.BinWidth = 0.1
 	}
@@ -239,22 +239,14 @@ func runScenarioCell(c *Cell, sc Scenario) *ScenarioResult {
 	// setup path builds no per-call function values.
 	left := func(h int) string { return netsim.IndexedName("l", h) }
 	right := func(h int) string { return netsim.IndexedName("r", h) }
+	tc := houseTCP(sc.Seed)
+	tc.Variant, tc.Granularity, tc.AggressiveRTO = sc.TCPVariant, sc.TCPGranularity, sc.TCPAggressive
 	for i := 0; i < sc.NTCP; i++ {
-		b.AddTCP(left(i), right(i), tcp.Config{
-			Variant:       sc.TCPVariant,
-			Granularity:   sc.TCPGranularity,
-			AggressiveRTO: sc.TCPAggressive,
-			SendJitter:    0.001, // break deterministic phase effects
-			JitterSeed:    sc.Seed,
-		}, rng.Uniform(0, sc.StaggerStarts))
+		b.AddTCP(left(i), right(i), tc, rng.Uniform(0, sc.StaggerStarts))
 	}
+	tf := jittered(sc.TFRC, sc.Seed)
 	for i := 0; i < sc.NTFRC; i++ {
 		h := sc.NTCP + i
-		tf := sc.TFRC
-		if tf.PacingJitter == 0 {
-			tf.PacingJitter = 0.05
-			tf.JitterSeed = sc.Seed
-		}
 		b.AddTFRC(left(h), right(h), tf, rng.Uniform(0, sc.StaggerStarts))
 	}
 

@@ -30,18 +30,13 @@ func DefaultFig02() Fig02Params {
 
 // Validate implements Params.
 func (p *Fig02Params) Validate() error {
+	var v checks
 	for _, l := range []float64{p.P1, p.P2, p.P3} {
-		if l <= 0 || l > 1 {
-			return fmt.Errorf("phase loss rates must be in (0, 1], got %v/%v/%v", p.P1, p.P2, p.P3)
-		}
+		check(&v, 0 < l && l <= 1, "phase loss rates must be in (0, 1], got %v/%v/%v", p.P1, p.P2, p.P3)
 	}
-	if !(0 < p.T1 && p.T1 < p.T2 && p.T2 < p.Duration) {
-		return fmt.Errorf("need 0 < T1 < T2 < Duration, got T1=%v T2=%v Duration=%v", p.T1, p.T2, p.Duration)
-	}
-	if p.RTT <= 0 {
-		return fmt.Errorf("RTT must be positive, got %v", p.RTT)
-	}
-	return nil
+	check(&v, 0 < p.T1 && p.T1 < p.T2 && p.T2 < p.Duration, "need 0 < T1 < T2 < Duration, got T1=%v T2=%v Duration=%v", p.T1, p.T2, p.Duration)
+	positive(&v, "RTT", p.RTT)
+	return v.err
 }
 
 var runFig02 = Define(single("fig2", "Average Loss Interval dynamics under periodic loss",
@@ -83,23 +78,29 @@ func (d *periodicDropper) Recv(p *netsim.Packet) {
 	d.next.Recv(p)
 }
 
-func fig02Cell(_ *Cell, pr *Fig02Params) *Fig02Result {
+// periodicLossPipe is the testbed of figures 2 and 19-21: one TFRC
+// flow on a fresh scheduler over a link of base round-trip rtt with
+// bandwidth and buffer to spare, so the only loss is the periodic
+// dropper's, which starts at one packet in every.
+func periodicLossPipe(rtt float64, every int) (*sim.Scheduler, *tfrcsim.Sender, *tfrcsim.Receiver, *periodicDropper) {
 	sched := sim.NewScheduler()
 	t := netsim.NewTopology(sched, nil)
-	// Plenty of bandwidth so only the injected loss matters.
 	t.Link("src", "dst", netsim.LinkSpec{
-		Bandwidth: 1e9, Delay: pr.RTT / 2,
+		Bandwidth: 1e9, Delay: rtt / 2,
 		Queue: netsim.QueueDropTail, QueueLimit: 100000,
 	})
 	nw := t.Build()
 	a, b := t.Lookup("src"), t.Lookup("dst")
-
 	cfg := tfrcsim.DefaultConfig()
 	rcv := tfrcsim.NewReceiver(nw, b, 5, 0, cfg)
 	snd := tfrcsim.NewSender(nw, a, b.ID, 1, 2, 0, cfg)
-	drop := &periodicDropper{nw: nw, next: rcv, every: int(1 / pr.P1)}
+	drop := &periodicDropper{nw: nw, next: rcv, every: every}
 	b.Attach(1, drop)
+	return sched, snd, rcv, drop
+}
 
+func fig02Cell(_ *Cell, pr *Fig02Params) *Fig02Result {
+	sched, snd, rcv, drop := periodicLossPipe(pr.RTT, int(1/pr.P1))
 	sched.At(pr.T1, func() { drop.every = int(1 / pr.P2) })
 	sched.At(pr.T2, func() { drop.every = int(1 / pr.P3) })
 

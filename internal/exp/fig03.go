@@ -53,27 +53,14 @@ func DefaultFig04() Fig03Params {
 
 // Validate implements Params.
 func (p *Fig03Params) Validate() error {
-	if len(p.BufferSizes) == 0 {
-		return fmt.Errorf("BufferSizes must be non-empty")
-	}
-	for _, b := range p.BufferSizes {
-		if b < 1 {
-			return fmt.Errorf("buffer sizes must be at least 1 packet, got %d", b)
-		}
-	}
-	if p.Bandwidth <= 0 {
-		return fmt.Errorf("Bandwidth must be positive, got %v", p.Bandwidth)
-	}
-	if p.BaseRTT <= 0 {
-		return fmt.Errorf("BaseRTT must be positive, got %v", p.BaseRTT)
-	}
-	if p.BinWidth <= 0 {
-		return fmt.Errorf("BinWidth must be positive, got %v", p.BinWidth)
-	}
-	if p.Duration <= 0 || p.Warmup < 0 || p.Warmup >= p.Duration {
-		return fmt.Errorf("need 0 <= Warmup < Duration, got Warmup=%v Duration=%v", p.Warmup, p.Duration)
-	}
-	return nil
+	var v checks
+	nonEmpty(&v, "BufferSizes", len(p.BufferSizes))
+	atLeast(&v, "BufferSizes", 1, p.BufferSizes...)
+	positive(&v, "Bandwidth", p.Bandwidth)
+	positive(&v, "BaseRTT", p.BaseRTT)
+	positive(&v, "BinWidth", p.BinWidth)
+	window(&v, "Warmup", p.Warmup, "Duration", p.Duration)
+	return v.err
 }
 
 // SetSeed implements SeedSetter.
@@ -160,8 +147,6 @@ func (r *Fig03Result) Table(w io.Writer) {
 	fmt.Fprintln(w, "# traces: time(bin) rate(KB/s) per buffer size")
 	for _, c := range r.Curves {
 		fmt.Fprintf(w, "## buffer=%d\n", c.Buffer)
-		for i, v := range c.Series {
-			fmt.Fprintf(w, "%.1f\t%.1f\n", float64(i)*r.BinWidth, v/1000)
-		}
+		writeMatrix(w, len(c.Series), "%.1f", binStart(r.BinWidth), "%.1f", func(i int) float64 { return c.Series[i] / 1000 })
 	}
 }

@@ -34,29 +34,16 @@ func DefaultFig05() Fig05Params {
 
 // Validate implements Params.
 func (p *Fig05Params) Validate() error {
-	if len(p.PLoss) == 0 {
-		return fmt.Errorf("PLoss must be non-empty")
-	}
+	var v checks
+	nonEmpty(&v, "PLoss", len(p.PLoss))
 	for _, q := range p.PLoss {
-		if q <= 0 || q >= 1 {
-			return fmt.Errorf("loss probabilities must be in (0, 1), got %v", q)
-		}
+		check(&v, 0 < q && q < 1, "loss probabilities must be in (0, 1), got %v", q)
 	}
-	if len(p.Multiplier) == 0 {
-		return fmt.Errorf("Multiplier must be non-empty")
-	}
-	for _, m := range p.Multiplier {
-		if m <= 0 {
-			return fmt.Errorf("rate multipliers must be positive, got %v", m)
-		}
-	}
-	if p.RTT <= 0 {
-		return fmt.Errorf("RTT must be positive, got %v", p.RTT)
-	}
-	if p.PacketSize <= 0 {
-		return fmt.Errorf("PacketSize must be positive, got %d", p.PacketSize)
-	}
-	return nil
+	nonEmpty(&v, "Multiplier", len(p.Multiplier))
+	positive(&v, "Multiplier", p.Multiplier...)
+	positive(&v, "RTT", p.RTT)
+	positive(&v, "PacketSize", p.PacketSize)
+	return v.err
 }
 
 var runFig05 = Define(Spec[Fig05Params, Fig05Row, *Fig05Result]{

@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"tfrc/internal/netsim"
 	"tfrc/internal/tcp"
@@ -41,39 +42,24 @@ func DefaultFig06() Fig06Params {
 
 // PaperFig06 is the full grid from the paper.
 func PaperFig06() Fig06Params {
-	return Fig06Params{
-		LinkMbps:    []float64{1, 2, 4, 8, 16, 32, 64},
-		TotalFlows:  []int{2, 8, 32, 128},
-		Queues:      []netsim.QueueKind{netsim.QueueDropTail, netsim.QueueRED},
-		Duration:    150,
-		MeasureTail: 60,
-		Seed:        1,
-	}
+	p := DefaultFig06()
+	p.LinkMbps = []float64{1, 2, 4, 8, 16, 32, 64}
+	p.TotalFlows = []int{2, 8, 32, 128}
+	p.Duration, p.MeasureTail = 150, 60
+	return p
 }
 
 // Validate implements Params.
 func (p *Fig06Params) Validate() error {
-	if len(p.LinkMbps) == 0 || len(p.TotalFlows) == 0 || len(p.Queues) == 0 {
-		return fmt.Errorf("LinkMbps, TotalFlows, and Queues must all be non-empty")
-	}
-	for _, bw := range p.LinkMbps {
-		if bw <= 0 {
-			return fmt.Errorf("link rates must be positive, got %v", bw)
-		}
-	}
-	for _, fl := range p.TotalFlows {
-		if fl < 2 {
-			return fmt.Errorf("total flows must be at least 2 (half TCP, half TFRC), got %d", fl)
-		}
-	}
-	if p.Duration <= 0 || p.MeasureTail <= 0 || p.MeasureTail > p.Duration {
-		return fmt.Errorf("need 0 < MeasureTail <= Duration, got MeasureTail=%v Duration=%v",
-			p.MeasureTail, p.Duration)
-	}
-	if p.Seeds < 0 {
-		return fmt.Errorf("Seeds must be non-negative, got %d", p.Seeds)
-	}
-	return nil
+	var v checks
+	nonEmpty(&v, "LinkMbps", len(p.LinkMbps))
+	nonEmpty(&v, "TotalFlows", len(p.TotalFlows))
+	nonEmpty(&v, "Queues", len(p.Queues))
+	positive(&v, "LinkMbps", p.LinkMbps...)
+	atLeast(&v, "TotalFlows", 2, p.TotalFlows...) // half TCP, half TFRC
+	check(&v, 0 < p.MeasureTail && p.MeasureTail <= p.Duration, "need 0 < MeasureTail <= Duration, got MeasureTail=%v Duration=%v", p.MeasureTail, p.Duration)
+	nonNegative(&v, "Seeds", p.Seeds)
+	return v.err
 }
 
 // SetSeed implements SeedSetter.
@@ -187,48 +173,31 @@ func runFig06Cell(c *Cell, queue netsim.QueueKind, linkMbps float64, flows int, 
 // fig06Reduce aggregates the full cell set in index order: each grid
 // point's seed replicates collapse to means with 90% CI half-widths.
 func fig06Reduce(pr *Fig06Params, raw []Fig06Cell) *Fig06Result {
-	seeds := replicas(pr.Seeds)
-	res := &Fig06Result{}
-	for c := 0; c < len(raw)/seeds; c++ {
-		group := raw[c*seeds : (c+1)*seeds]
-		cell := group[0]
-		if seeds > 1 {
-			cell.Seeds = seeds
-			cell.NormTCP, cell.NormTCPCI = meanCI(group, func(g *Fig06Cell) float64 { return g.NormTCP })
-			cell.NormTFRC, cell.NormTFRCCI = meanCI(group, func(g *Fig06Cell) float64 { return g.NormTFRC })
-			cell.Utilization, _ = meanCI(group, func(g *Fig06Cell) float64 { return g.Utilization })
-			cell.DropRate, _ = meanCI(group, func(g *Fig06Cell) float64 { return g.DropRate })
-		}
-		res.Cells = append(res.Cells, cell)
-	}
-	return res
+	return &Fig06Result{Cells: reducePoints(raw, pr.Seeds, func(cell *Fig06Cell, group []Fig06Cell) {
+		cell.Seeds = len(group)
+		cell.NormTCP, cell.NormTCPCI = meanCI(group, func(g *Fig06Cell) float64 { return g.NormTCP })
+		cell.NormTFRC, cell.NormTFRCCI = meanCI(group, func(g *Fig06Cell) float64 { return g.NormTFRC })
+		cell.Utilization, _ = meanCI(group, func(g *Fig06Cell) float64 { return g.Utilization })
+		cell.DropRate, _ = meanCI(group, func(g *Fig06Cell) float64 { return g.DropRate })
+	})}
 }
 
-// Table implements Result: the surface as rows; multi-seed runs gain CI
-// columns.
+// fig06Columns is the surface as rows.
+var fig06Columns = []column[Fig06Cell]{
+	{"queue", "%s", func(c *Fig06Cell) any { return c.Queue }, nil},
+	{"link(Mbps)", "%.0f", func(c *Fig06Cell) any { return c.LinkMbps }, nil},
+	{"flows", "%d", func(c *Fig06Cell) any { return c.Flows }, nil},
+	{"normTCP", "%.3f", func(c *Fig06Cell) any { return c.NormTCP }, func(c *Fig06Cell) any { return c.NormTCPCI }},
+	{"normTFRC", "%.3f", func(c *Fig06Cell) any { return c.NormTFRC }, func(c *Fig06Cell) any { return c.NormTFRCCI }},
+	{"util", "%.3f", func(c *Fig06Cell) any { return c.Utilization }, nil},
+	{"dropRate", "%.4f", func(c *Fig06Cell) any { return c.DropRate }, nil},
+}
+
+// Table implements Result; multi-seed runs gain CI columns.
 func (r *Fig06Result) Table(w io.Writer) {
-	multiSeed := false
-	for _, c := range r.Cells {
-		if c.Seeds > 1 {
-			multiSeed = true
-			break
-		}
-	}
 	fmt.Fprintln(w, "# Figure 6: normalized mean TCP throughput when competing with TFRC")
-	if multiSeed {
-		fmt.Fprintln(w, "# queue\tlink(Mbps)\tflows\tnormTCP\tci\tnormTFRC\tci\tutil\tdropRate")
-		for _, c := range r.Cells {
-			fmt.Fprintf(w, "%s\t%.0f\t%d\t%.3f\t%.3f\t%.3f\t%.3f\t%.3f\t%.4f\n",
-				c.Queue, c.LinkMbps, c.Flows, c.NormTCP, c.NormTCPCI,
-				c.NormTFRC, c.NormTFRCCI, c.Utilization, c.DropRate)
-		}
-		return
-	}
-	fmt.Fprintln(w, "# queue\tlink(Mbps)\tflows\tnormTCP\tnormTFRC\tutil\tdropRate")
-	for _, c := range r.Cells {
-		fmt.Fprintf(w, "%s\t%.0f\t%d\t%.3f\t%.3f\t%.3f\t%.4f\n",
-			c.Queue, c.LinkMbps, c.Flows, c.NormTCP, c.NormTFRC, c.Utilization, c.DropRate)
-	}
+	multiSeed := slices.ContainsFunc(r.Cells, func(c Fig06Cell) bool { return c.Seeds > 1 })
+	writeColumns(w, fig06Columns, r.Cells, multiSeed)
 }
 
 // Fig07Params selects the Figure 7 column: the flow counts to run at
@@ -247,29 +216,19 @@ func DefaultFig07() Fig07Params {
 
 // PaperFig07 is the paper's full flow ladder.
 func PaperFig07() Fig07Params {
-	return Fig07Params{
-		TotalFlows:  []int{16, 32, 48, 64, 80, 96, 112, 128},
-		Duration:    150,
-		MeasureTail: 60,
-		Seed:        1,
-	}
+	p := DefaultFig07()
+	p.TotalFlows = []int{16, 32, 48, 64, 80, 96, 112, 128}
+	p.Duration, p.MeasureTail = 150, 60
+	return p
 }
 
 // Validate implements Params.
 func (p *Fig07Params) Validate() error {
-	if len(p.TotalFlows) == 0 {
-		return fmt.Errorf("TotalFlows must be non-empty")
-	}
-	for _, fl := range p.TotalFlows {
-		if fl < 2 {
-			return fmt.Errorf("total flows must be at least 2 (half TCP, half TFRC), got %d", fl)
-		}
-	}
-	if p.Duration <= 0 || p.MeasureTail <= 0 || p.MeasureTail > p.Duration {
-		return fmt.Errorf("need 0 < MeasureTail <= Duration, got MeasureTail=%v Duration=%v",
-			p.MeasureTail, p.Duration)
-	}
-	return nil
+	var v checks
+	nonEmpty(&v, "TotalFlows", len(p.TotalFlows))
+	atLeast(&v, "TotalFlows", 2, p.TotalFlows...) // half TCP, half TFRC
+	check(&v, 0 < p.MeasureTail && p.MeasureTail <= p.Duration, "need 0 < MeasureTail <= Duration, got MeasureTail=%v Duration=%v", p.MeasureTail, p.Duration)
+	return v.err
 }
 
 // SetSeed implements SeedSetter.

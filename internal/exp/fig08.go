@@ -9,65 +9,10 @@ import (
 	"tfrc/internal/tcp"
 )
 
-// Fig08Params reproduces Figure 8: throughput traces of individual TCP
-// and TFRC flows sharing a 15 Mb/s bottleneck with 32 flows total,
-// averaged over 0.15 s bins, for DropTail and RED queueing. The paper's
-// RED parameters (footnote 1) are min 25, max 125, max_p 0.1, gentle.
-// It is one queue discipline's setup; the registered experiment,
-// Fig08GridParams, runs DefaultFig08 once per queue and takes the flow
-// count, seed and replicate count from there.
-type Fig08Params struct {
-	Queue     netsim.QueueKind
-	Flows     int     // total; half TCP half TFRC (paper: 32)
-	LinkMbps  float64 // paper: 15
-	Duration  float64 // paper: 30 s
-	TraceFrom float64 // paper: second half, 16 s
-	BinWidth  float64 // paper: 0.15 s
-	NTrace    int     // flows of each type to trace (paper: 4)
-	Seed      int64
-	Seeds     int
-}
-
-// DefaultFig08 matches the paper at reduced duration.
-func DefaultFig08(q netsim.QueueKind) Fig08Params {
-	return Fig08Params{
-		Queue:     q,
-		Flows:     32,
-		LinkMbps:  15,
-		Duration:  30,
-		TraceFrom: 16,
-		BinWidth:  0.15,
-		NTrace:    4,
-		Seed:      1,
-	}
-}
-
-// Validate implements Params.
-func (p *Fig08Params) Validate() error {
-	if p.Flows < 2 {
-		return fmt.Errorf("Flows must be at least 2 (half TCP, half TFRC), got %d", p.Flows)
-	}
-	if p.LinkMbps <= 0 {
-		return fmt.Errorf("LinkMbps must be positive, got %v", p.LinkMbps)
-	}
-	if p.Duration <= 0 || p.TraceFrom < 0 || p.TraceFrom >= p.Duration {
-		return fmt.Errorf("need 0 <= TraceFrom < Duration, got TraceFrom=%v Duration=%v",
-			p.TraceFrom, p.Duration)
-	}
-	if p.BinWidth <= 0 {
-		return fmt.Errorf("BinWidth must be positive, got %v", p.BinWidth)
-	}
-	if p.NTrace < 1 {
-		return fmt.Errorf("NTrace must be at least 1, got %d", p.NTrace)
-	}
-	if p.Seeds < 0 {
-		return fmt.Errorf("Seeds must be non-negative, got %d", p.Seeds)
-	}
-	return nil
-}
-
-// Fig08GridParams is the registered fig8 experiment: the trace setup of
-// DefaultFig08 once per queue discipline.
+// Fig08GridParams reproduces Figure 8: throughput traces of individual
+// TCP and TFRC flows sharing a 15 Mb/s bottleneck with 32 flows total,
+// averaged over 0.15 s bins, once per queue discipline. The paper's RED
+// parameters (footnote 1) are min 25, max 125, max_p 0.1, gentle.
 type Fig08GridParams struct {
 	Queues []netsim.QueueKind
 	Flows  int
@@ -90,16 +35,11 @@ func DefaultFig08Grid() Fig08GridParams {
 
 // Validate implements Params.
 func (p *Fig08GridParams) Validate() error {
-	if len(p.Queues) == 0 {
-		return fmt.Errorf("Queues must be non-empty")
-	}
-	if p.Flows < 2 {
-		return fmt.Errorf("Flows must be at least 2 (half TCP, half TFRC), got %d", p.Flows)
-	}
-	if p.Seeds < 0 {
-		return fmt.Errorf("Seeds must be non-negative, got %d", p.Seeds)
-	}
-	return nil
+	var v checks
+	nonEmpty(&v, "Queues", len(p.Queues))
+	atLeast(&v, "Flows", 2, p.Flows) // half TCP, half TFRC
+	nonNegative(&v, "Seeds", p.Seeds)
+	return v.err
 }
 
 // SetSeed implements SeedSetter.
@@ -128,9 +68,7 @@ var runFig08 = Define(Spec[Fig08GridParams, Fig08Result, *Fig08GridResult]{
 	Cells:       func(p *Fig08GridParams) int { return len(p.Queues) * replicas(p.Seeds) },
 	Cell: func(c *Cell, p *Fig08GridParams, idx int) Fig08Result {
 		at := unravel(idx, len(p.Queues), replicas(p.Seeds))
-		qp := DefaultFig08(p.Queues[at[0]])
-		qp.Flows = p.Flows
-		return runFig08Seed(c, qp, replicaSeed(p.Seed, at[1]))
+		return runFig08Seed(c, p.Queues[at[0]], p.Flows, replicaSeed(p.Seed, at[1]))
 	},
 	Reduce: fig08Reduce,
 })
@@ -156,31 +94,28 @@ type Fig08Result struct {
 	CoVTFRCCI float64
 }
 
-// runFig08Seed runs one trace simulation at one seed.
-func runFig08Seed(c *Cell, pr Fig08Params, seed int64) Fig08Result {
-	n := pr.Flows / 2
-	sc := Scenario{
-		NTCP:         n,
-		NTFRC:        n,
-		BottleneckBW: pr.LinkMbps * 1e6,
-		Queue:        pr.Queue,
+// runFig08Seed runs one trace simulation at one seed, at the paper's
+// setup: 30 s, the second half traced in 0.15 s bins, four flows of
+// each kind.
+func runFig08Seed(c *Cell, queue netsim.QueueKind, flows int, seed int64) Fig08Result {
+	const binWidth, nTrace = 0.15, 4
+	res := runScenarioCell(c, Scenario{
+		NTCP:         flows / 2,
+		NTFRC:        flows / 2,
+		BottleneckBW: 15e6,
+		Queue:        queue,
 		QueueLimit:   250,
 		REDMin:       25,
 		REDMax:       125,
 		TCPVariant:   tcp.Sack,
-		Duration:     pr.Duration,
-		Warmup:       pr.TraceFrom,
-		BinWidth:     pr.BinWidth,
+		Duration:     30,
+		Warmup:       16,
+		BinWidth:     binWidth,
 		Seed:         seed,
-	}
-	res := runScenarioCell(c, sc)
-	out := Fig08Result{Queue: pr.Queue, BinWidth: pr.BinWidth}
-	for i := 0; i < pr.NTrace && i < len(res.TCPSeries); i++ {
-		out.TCPTraces = append(out.TCPTraces, res.TCPSeries[i])
-	}
-	for i := 0; i < pr.NTrace && i < len(res.TFRCSeries); i++ {
-		out.TFRCTraces = append(out.TFRCTraces, res.TFRCSeries[i])
-	}
+	})
+	out := Fig08Result{Queue: queue, BinWidth: binWidth}
+	out.TCPTraces = res.TCPSeries[:min(nTrace, len(res.TCPSeries))]
+	out.TFRCTraces = res.TFRCSeries[:min(nTrace, len(res.TFRCSeries))]
 	var ct, cf float64
 	for _, s := range out.TCPTraces {
 		ct += stats.CoV(s)
@@ -200,17 +135,14 @@ func runFig08Seed(c *Cell, pr Fig08Params, seed int64) Fig08Result {
 // fig08Reduce collapses each queue's replicates: traces stay the first
 // seed's sample, the CoV summaries become means with 90% CI.
 func fig08Reduce(pr *Fig08GridParams, cells []Fig08Result) *Fig08GridResult {
-	seeds := replicas(pr.Seeds)
 	out := &Fig08GridResult{}
-	for q := range pr.Queues {
-		group := cells[q*seeds : (q+1)*seeds]
-		res := &group[0]
-		if seeds > 1 {
-			res.Seeds = seeds
-			res.CoVTCP, res.CoVTCPCI = meanCI(group, func(g *Fig08Result) float64 { return g.CoVTCP })
-			res.CoVTFRC, res.CoVTFRCCI = meanCI(group, func(g *Fig08Result) float64 { return g.CoVTFRC })
-		}
-		out.Results = append(out.Results, res)
+	queues := reducePoints(cells, pr.Seeds, func(res *Fig08Result, group []Fig08Result) {
+		res.Seeds = len(group)
+		res.CoVTCP, res.CoVTCPCI = meanCI(group, func(g *Fig08Result) float64 { return g.CoVTCP })
+		res.CoVTFRC, res.CoVTFRCCI = meanCI(group, func(g *Fig08Result) float64 { return g.CoVTFRC })
+	})
+	for q := range queues {
+		out.Results = append(out.Results, &queues[q])
 	}
 	return out
 }

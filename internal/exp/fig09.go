@@ -46,24 +46,13 @@ func PaperFig09() Fig09Params {
 
 // Validate implements Params.
 func (p *Fig09Params) Validate() error {
-	if p.Runs < 1 {
-		return fmt.Errorf("Runs must be at least 1, got %d", p.Runs)
-	}
-	if p.FlowsEach < 2 {
-		return fmt.Errorf("FlowsEach must be at least 2 (the equivalence ratio pairs flows), got %d", p.FlowsEach)
-	}
-	if p.Duration <= 0 || p.Warmup < 0 || p.Warmup >= p.Duration {
-		return fmt.Errorf("need 0 <= Warmup < Duration, got Warmup=%v Duration=%v", p.Warmup, p.Duration)
-	}
-	if len(p.Timescales) == 0 {
-		return fmt.Errorf("Timescales must be non-empty")
-	}
-	for _, ts := range p.Timescales {
-		if ts <= 0 {
-			return fmt.Errorf("timescales must be positive, got %v", ts)
-		}
-	}
-	return nil
+	var v checks
+	atLeast(&v, "Runs", 1, p.Runs)
+	check(&v, p.FlowsEach >= 2, "FlowsEach must be at least 2 (the equivalence ratio pairs flows), got %d", p.FlowsEach)
+	window(&v, "Warmup", p.Warmup, "Duration", p.Duration)
+	nonEmpty(&v, "Timescales", len(p.Timescales))
+	positive(&v, "Timescales", p.Timescales...)
+	return v.err
 }
 
 // SetSeed implements SeedSetter.

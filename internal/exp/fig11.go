@@ -45,29 +45,14 @@ func PaperFig11() Fig11Params {
 
 // Validate implements Params.
 func (p *Fig11Params) Validate() error {
-	if len(p.Sources) == 0 {
-		return fmt.Errorf("Sources must be non-empty")
-	}
-	for _, n := range p.Sources {
-		if n < 1 {
-			return fmt.Errorf("source counts must be at least 1, got %d", n)
-		}
-	}
-	if p.Duration <= 0 || p.Warmup < 0 || p.Warmup >= p.Duration {
-		return fmt.Errorf("need 0 <= Warmup < Duration, got Warmup=%v Duration=%v", p.Warmup, p.Duration)
-	}
-	if len(p.Timescales) == 0 {
-		return fmt.Errorf("Timescales must be non-empty")
-	}
-	for _, ts := range p.Timescales {
-		if ts <= 0 {
-			return fmt.Errorf("timescales must be positive, got %v", ts)
-		}
-	}
-	if p.Runs < 1 {
-		return fmt.Errorf("Runs must be at least 1, got %d", p.Runs)
-	}
-	return nil
+	var v checks
+	nonEmpty(&v, "Sources", len(p.Sources))
+	atLeast(&v, "Sources", 1, p.Sources...)
+	window(&v, "Warmup", p.Warmup, "Duration", p.Duration)
+	nonEmpty(&v, "Timescales", len(p.Timescales))
+	positive(&v, "Timescales", p.Timescales...)
+	atLeast(&v, "Runs", 1, p.Runs)
+	return v.err
 }
 
 // SetSeed implements SeedSetter.
@@ -173,22 +158,17 @@ func (r *Fig11Result) Table(w io.Writer) {
 		fmt.Fprintf(w, "\tN=%d", row.Sources)
 	}
 	fmt.Fprintln(w)
-	for i, ts := range r.Timescales {
-		fmt.Fprintf(w, "%.1f", ts)
-		for _, row := range r.Rows {
-			fmt.Fprintf(w, "\t%.3f", row.EqTCPvTFRC[i].Mean)
+	// means is one curve per source count: the mean of f at each timescale.
+	means := func(f func(*Fig11Row) []MeanCI) (out []curve) {
+		for j := range r.Rows {
+			out = append(out, func(i int) float64 { return f(&r.Rows[j])[i].Mean })
 		}
-		fmt.Fprintln(w)
+		return out
 	}
+	eq := means(func(row *Fig11Row) []MeanCI { return row.EqTCPvTFRC })
+	writeMatrix(w, len(r.Timescales), "%.1f", curveOf(r.Timescales), "%.3f", eq...)
 	fmt.Fprintln(w, "# Figure 13: CoV vs timescale (TFRC, then TCP), by source count")
-	for i, ts := range r.Timescales {
-		fmt.Fprintf(w, "%.1f", ts)
-		for _, row := range r.Rows {
-			fmt.Fprintf(w, "\t%.3f", row.CoVTFRC[i].Mean)
-		}
-		for _, row := range r.Rows {
-			fmt.Fprintf(w, "\t%.3f", row.CoVTCP[i].Mean)
-		}
-		fmt.Fprintln(w)
-	}
+	cov := append(means(func(row *Fig11Row) []MeanCI { return row.CoVTFRC }),
+		means(func(row *Fig11Row) []MeanCI { return row.CoVTCP })...)
+	writeMatrix(w, len(r.Timescales), "%.1f", curveOf(r.Timescales), "%.3f", cov...)
 }

@@ -42,28 +42,15 @@ func DefaultFig14() Fig14Params {
 
 // Validate implements Params.
 func (p *Fig14Params) Validate() error {
-	if p.Flows < 1 {
-		return fmt.Errorf("Flows must be at least 1, got %d", p.Flows)
-	}
-	if p.Stagger < 0 {
-		return fmt.Errorf("Stagger must be non-negative, got %v", p.Stagger)
-	}
-	if p.Duration <= 0 {
-		return fmt.Errorf("Duration must be positive, got %v", p.Duration)
-	}
-	if p.LinkMbps <= 0 {
-		return fmt.Errorf("LinkMbps must be positive, got %v", p.LinkMbps)
-	}
-	if p.Queue < 1 {
-		return fmt.Errorf("Queue must be at least 1 packet, got %d", p.Queue)
-	}
-	if p.MiceLoad < 0 {
-		return fmt.Errorf("MiceLoad must be non-negative, got %v", p.MiceLoad)
-	}
-	if p.Seeds < 0 {
-		return fmt.Errorf("Seeds must be non-negative, got %d", p.Seeds)
-	}
-	return nil
+	var v checks
+	atLeast(&v, "Flows", 1, p.Flows)
+	nonNegative(&v, "Stagger", p.Stagger)
+	positive(&v, "Duration", p.Duration)
+	positive(&v, "LinkMbps", p.LinkMbps)
+	atLeast(&v, "Queue", 1, p.Queue) // packets
+	nonNegative(&v, "MiceLoad", p.MiceLoad)
+	nonNegative(&v, "Seeds", p.Seeds)
+	return v.err
 }
 
 // SetSeed implements SeedSetter.

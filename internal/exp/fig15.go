@@ -75,17 +75,18 @@ type Fig15Params struct {
 func DefaultFig15() Fig15Params { return Fig15Params{Duration: 120, Seed: 1} }
 
 // PaperFig15 matches the paper's 300 s traces.
-func PaperFig15() Fig15Params { return Fig15Params{Duration: 300, Seed: 1} }
+func PaperFig15() Fig15Params {
+	p := DefaultFig15()
+	p.Duration = 300
+	return p
+}
 
 // Validate implements Params.
 func (p *Fig15Params) Validate() error {
-	if p.Duration <= 0 {
-		return fmt.Errorf("Duration must be positive, got %v", p.Duration)
-	}
-	if p.Seeds < 0 {
-		return fmt.Errorf("Seeds must be non-negative, got %d", p.Seeds)
-	}
-	return nil
+	var v checks
+	positive(&v, "Duration", p.Duration)
+	nonNegative(&v, "Seeds", p.Seeds)
+	return v.err
 }
 
 // SetSeed implements SeedSetter.
@@ -116,18 +117,11 @@ func PaperFig16() Fig16Params {
 
 // Validate implements Params.
 func (p *Fig16Params) Validate() error {
-	if len(p.Timescales) == 0 {
-		return fmt.Errorf("Timescales must be non-empty")
-	}
-	for _, ts := range p.Timescales {
-		if ts <= 0 {
-			return fmt.Errorf("timescales must be positive, got %v", ts)
-		}
-	}
-	if p.Duration <= 0 {
-		return fmt.Errorf("Duration must be positive, got %v", p.Duration)
-	}
-	return nil
+	var v checks
+	nonEmpty(&v, "Timescales", len(p.Timescales))
+	positive(&v, "Timescales", p.Timescales...)
+	positive(&v, "Duration", p.Duration)
+	return v.err
 }
 
 // SetSeed implements SeedSetter.
@@ -223,13 +217,12 @@ func runFig15Seed(c *Cell, duration float64, seed int64) Fig15Result {
 func (r *Fig15Result) Table(w io.Writer) {
 	fmt.Fprintln(w, "# Figure 15: 3 TCP + 1 TFRC on the transcontinental path profile (KB/s)")
 	fmt.Fprintln(w, "# time\tTCP1\tTCP2\tTCP3\tTFRC")
-	for i := range r.TFRCTrace {
-		fmt.Fprintf(w, "%.0f", float64(i)*r.BinWidth)
-		for _, s := range r.TCPTraces {
-			fmt.Fprintf(w, "\t%.1f", s[i]/1000/r.BinWidth)
-		}
-		fmt.Fprintf(w, "\t%.1f\n", r.TFRCTrace[i]/1000/r.BinWidth)
+	var traces []curve
+	for _, s := range r.TCPTraces {
+		traces = append(traces, kbps(s, r.BinWidth))
 	}
+	traces = append(traces, kbps(r.TFRCTrace, r.BinWidth))
+	writeMatrix(w, len(r.TFRCTrace), "%.0f", binStart(r.BinWidth), "%.1f", traces...)
 	if r.Seeds > 1 {
 		fmt.Fprintf(w, "# mean over %d seeds: TCP %.1f±%.1f KB/s, TFRC %.1f±%.1f KB/s\n",
 			r.Seeds, r.MeanTCP/1000, r.MeanTCPCI/1000, r.MeanTFRC/1000, r.MeanTFRCCI/1000)
@@ -262,22 +255,17 @@ func (r *Fig16Result) Table(w io.Writer) {
 		fmt.Fprintf(w, "\t%q", row.Path)
 	}
 	fmt.Fprintln(w)
-	for i, ts := range r.Timescales {
-		fmt.Fprintf(w, "%.1f", ts)
-		for _, row := range r.Rows {
-			fmt.Fprintf(w, "\t%.3f", row.Eq[i])
+	// curves is one curve per path.
+	curves := func(f func(*Fig16Row) []float64) (out []curve) {
+		for j := range r.Rows {
+			out = append(out, curveOf(f(&r.Rows[j])))
 		}
-		fmt.Fprintln(w)
+		return out
 	}
+	eq := curves(func(row *Fig16Row) []float64 { return row.Eq })
+	writeMatrix(w, len(r.Timescales), "%.1f", curveOf(r.Timescales), "%.3f", eq...)
 	fmt.Fprintln(w, "# Figure 17: CoV across paths (TFRC block, then TCP block)")
-	for i, ts := range r.Timescales {
-		fmt.Fprintf(w, "%.1f", ts)
-		for _, row := range r.Rows {
-			fmt.Fprintf(w, "\t%.3f", row.CoVTFRC[i])
-		}
-		for _, row := range r.Rows {
-			fmt.Fprintf(w, "\t%.3f", row.CoVTCP[i])
-		}
-		fmt.Fprintln(w)
-	}
+	cov := append(curves(func(row *Fig16Row) []float64 { return row.CoVTFRC }),
+		curves(func(row *Fig16Row) []float64 { return row.CoVTCP })...)
+	writeMatrix(w, len(r.Timescales), "%.1f", curveOf(r.Timescales), "%.3f", cov...)
 }

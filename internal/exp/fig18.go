@@ -39,18 +39,11 @@ func PaperFig18() Fig18Params {
 
 // Validate implements Params.
 func (p *Fig18Params) Validate() error {
-	if len(p.HistorySizes) == 0 {
-		return fmt.Errorf("HistorySizes must be non-empty")
-	}
-	for _, n := range p.HistorySizes {
-		if n < 1 {
-			return fmt.Errorf("history sizes must be at least 1 interval, got %d", n)
-		}
-	}
-	if p.Duration <= 0 {
-		return fmt.Errorf("Duration must be positive, got %v", p.Duration)
-	}
-	return nil
+	var v checks
+	nonEmpty(&v, "HistorySizes", len(p.HistorySizes))
+	atLeast(&v, "HistorySizes", 1, p.HistorySizes...)
+	positive(&v, "Duration", p.Duration)
+	return v.err
 }
 
 // SetSeed implements SeedSetter.

@@ -3,10 +3,6 @@ package exp
 import (
 	"fmt"
 	"io"
-
-	"tfrc/internal/netsim"
-	"tfrc/internal/sim"
-	"tfrc/internal/tfrcsim"
 )
 
 // Fig19Params reproduces Figures 19-21 (Appendix A): a single TFRC flow
@@ -39,20 +35,12 @@ func DefaultFig20() Fig19Params {
 
 // Validate implements Params.
 func (p *Fig19Params) Validate() error {
-	if p.DropEveryBefore < 1 {
-		return fmt.Errorf("DropEveryBefore must be at least 1, got %d", p.DropEveryBefore)
-	}
-	if p.DropEveryAfter < 0 {
-		return fmt.Errorf("DropEveryAfter must be non-negative, got %d", p.DropEveryAfter)
-	}
-	if !(0 < p.SwitchTime && p.SwitchTime < p.Duration) {
-		return fmt.Errorf("need 0 < SwitchTime < Duration, got SwitchTime=%v Duration=%v",
-			p.SwitchTime, p.Duration)
-	}
-	if p.RTT <= 0 {
-		return fmt.Errorf("RTT must be positive, got %v", p.RTT)
-	}
-	return nil
+	var v checks
+	atLeast(&v, "DropEveryBefore", 1, p.DropEveryBefore)
+	nonNegative(&v, "DropEveryAfter", p.DropEveryAfter)
+	check(&v, 0 < p.SwitchTime && p.SwitchTime < p.Duration, "need 0 < SwitchTime < Duration, got SwitchTime=%v Duration=%v", p.SwitchTime, p.Duration)
+	positive(&v, "RTT", p.RTT)
+	return v.err
 }
 
 // Fig21Params is the registry's parameter struct for the Figure 21
@@ -72,18 +60,13 @@ func DefaultFig21() Fig21Params {
 
 // Validate implements Params.
 func (p *Fig21Params) Validate() error {
-	if len(p.DropRates) == 0 {
-		return fmt.Errorf("DropRates must be non-empty")
-	}
+	var v checks
+	nonEmpty(&v, "DropRates", len(p.DropRates))
 	for _, d := range p.DropRates {
-		if d <= 0 || d >= 1 {
-			return fmt.Errorf("drop rates must be in (0, 1), got %v", d)
-		}
+		check(&v, 0 < d && d < 1, "drop rates must be in (0, 1), got %v", d)
 	}
-	if p.RTT <= 0 {
-		return fmt.Errorf("RTT must be positive, got %v", p.RTT)
-	}
-	return nil
+	positive(&v, "RTT", p.RTT)
+	return v.err
 }
 
 // Figures 19 and 20 are the same single rate trace at different
@@ -146,20 +129,7 @@ type Fig19Result struct {
 }
 
 func fig19Cell(_ *Cell, pr *Fig19Params) *Fig19Result {
-	sched := sim.NewScheduler()
-	t := netsim.NewTopology(sched, nil)
-	t.Link("src", "dst", netsim.LinkSpec{
-		Bandwidth: 1e9, Delay: pr.RTT / 2,
-		Queue: netsim.QueueDropTail, QueueLimit: 100000,
-	})
-	nw := t.Build()
-	a, b := t.Lookup("src"), t.Lookup("dst")
-
-	cfg := tfrcsim.DefaultConfig()
-	rcv := tfrcsim.NewReceiver(nw, b, 5, 0, cfg)
-	snd := tfrcsim.NewSender(nw, a, b.ID, 1, 2, 0, cfg)
-	drop := &periodicDropper{nw: nw, next: rcv, every: pr.DropEveryBefore}
-	b.Attach(1, drop)
+	sched, snd, _, drop := periodicLossPipe(pr.RTT, pr.DropEveryBefore)
 	sched.At(pr.SwitchTime, func() { drop.every = pr.DropEveryAfter })
 
 	res := &Fig19Result{RTT: pr.RTT}

@@ -6,8 +6,6 @@ import (
 
 	"tfrc/internal/faults"
 	"tfrc/internal/netsim"
-	"tfrc/internal/tcp"
-	"tfrc/internal/tfrcsim"
 )
 
 // FlapParams is the link-flap soak: TFRC and TCP flows share a dumbbell
@@ -53,26 +51,15 @@ func DefaultFlap() FlapParams {
 
 // Validate implements Params.
 func (p *FlapParams) Validate() error {
-	if p.NTCP < 0 || p.NTFRC < 0 || p.NTCP+p.NTFRC < 1 {
-		return fmt.Errorf("need at least one flow, got NTCP=%d NTFRC=%d", p.NTCP, p.NTFRC)
-	}
-	if p.LinkMbps <= 0 {
-		return fmt.Errorf("LinkMbps must be positive, got %v", p.LinkMbps)
-	}
-	if p.Flaps < 1 {
-		return fmt.Errorf("Flaps must be at least 1, got %d", p.Flaps)
-	}
-	if p.DownFor <= 0 || p.Period <= p.DownFor {
-		return fmt.Errorf("need 0 < DownFor < Period, got DownFor=%v Period=%v", p.DownFor, p.Period)
-	}
+	var v checks
+	check(&v, p.NTCP >= 0 && p.NTFRC >= 0 && p.NTCP+p.NTFRC >= 1, "need at least one flow, got NTCP=%d NTFRC=%d", p.NTCP, p.NTFRC)
+	positive(&v, "LinkMbps", p.LinkMbps)
+	atLeast(&v, "Flaps", 1, p.Flaps)
+	check(&v, 0 < p.DownFor && p.DownFor < p.Period, "need 0 < DownFor < Period, got DownFor=%v Period=%v", p.DownFor, p.Period)
 	end := p.FlapStart + float64(p.Flaps-1)*p.Period + p.DownFor
-	if !(0 < p.FlapStart && end < p.Duration) {
-		return fmt.Errorf("flap window [%v, %v) must sit inside (0, Duration=%v)", p.FlapStart, end, p.Duration)
-	}
-	if p.BinWidth <= 0 {
-		return fmt.Errorf("BinWidth must be positive, got %v", p.BinWidth)
-	}
-	return nil
+	check(&v, 0 < p.FlapStart && end < p.Duration, "flap window [%v, %v) must sit inside (0, Duration=%v)", p.FlapStart, end, p.Duration)
+	positive(&v, "BinWidth", p.BinWidth)
+	return v.err
 }
 
 // SetSeed implements SeedSetter.
@@ -106,18 +93,7 @@ func flapCell(c *Cell, pr *FlapParams) *FlapResult {
 	sched := c.begin()
 	rng := sched.NewRand(pr.Seed)
 	bw := pr.LinkMbps * 1e6
-	queueLimit := int(max(10, bw*0.1/(8*1000)))
-	red := netsim.DefaultRED(queueLimit)
-	red.MinThresh = max(5, float64(queueLimit)/10)
-	red.MaxThresh = float64(queueLimit) / 2
-	d := netsim.NewDumbbell(sched, netsim.DumbbellConfig{
-		Hosts:         pr.NTCP + pr.NTFRC,
-		BottleneckBW:  bw,
-		BottleneckDly: 0.025,
-		Queue:         pr.Queue,
-		QueueLimit:    queueLimit,
-		RED:           red,
-	}, sched.NewRand(pr.Seed+1))
+	d := houseDumbbell(sched, pr.NTCP+pr.NTFRC, bw, 0.025, pr.Queue, pr.Seed)
 
 	flaps := faults.Flap("rl->rr", pr.FlapStart, pr.Period, pr.DownFor, pr.Flaps, pr.Drain, false)
 	flaps.Apply(d.Topo)
@@ -125,19 +101,7 @@ func flapCell(c *Cell, pr *FlapParams) *FlapResult {
 	b := NewScenarioBuilder(d.Topo)
 	b.MonitorLink("rl->rr", pr.BinWidth, 0)
 
-	start := func() float64 { return rng.Uniform(0, 5) }
-	for i := 0; i < pr.NTCP; i++ {
-		b.AddTCP(fmt.Sprintf("l%d", i), fmt.Sprintf("r%d", i), tcp.Config{
-			Variant: tcp.Sack, SendJitter: 0.001, JitterSeed: pr.Seed,
-		}, start())
-	}
-	for i := 0; i < pr.NTFRC; i++ {
-		h := pr.NTCP + i
-		tf := tfrcsim.DefaultConfig()
-		tf.PacingJitter = 0.05
-		tf.JitterSeed = pr.Seed
-		b.AddTFRC(fmt.Sprintf("l%d", h), fmt.Sprintf("r%d", h), tf, start())
-	}
+	placeMix(b, pr.NTCP, pr.NTFRC, rng, pr.Seed)
 	res := b.Run(pr.Duration)
 
 	out := &FlapResult{
@@ -151,24 +115,10 @@ func flapCell(c *Cell, pr *FlapParams) *FlapResult {
 	b.Release()
 
 	capPerBin := bw / 8 * pr.BinWidth
+	capacity := func(a, z int) float64 { return capPerBin * float64(z-a) }
 	phase := func(name string, lo, hi float64) FlapPhase {
-		a, z := int(lo/pr.BinWidth), int(hi/pr.BinWidth)
-		if z > res.Bins {
-			z = res.Bins
-		}
-		if a > z {
-			a = z
-		}
 		p := FlapPhase{Name: name}
-		if z > a {
-			var tf, tc float64
-			for i := a; i < z; i++ {
-				tf += out.TFRCTotal[i]
-				tc += out.TCPTotal[i]
-			}
-			cap := capPerBin * float64(z-a)
-			p.TFRCFrac, p.TCPFrac = tf/cap, tc/cap
-		}
+		p.TFRCFrac, p.TCPFrac, _, _ = phaseFractions(out.TFRCTotal, out.TCPTotal, pr.BinWidth, lo, hi, capacity)
 		return p
 	}
 	margin := 5.0
@@ -195,10 +145,6 @@ func (r *FlapResult) Table(w io.Writer) {
 	}
 	fmt.Fprintf(w, "# drop rate %.4f\n", r.DropRate)
 	fmt.Fprintln(w, "# time\ttfrcKBps\ttcpKBps")
-	for i := range r.TFRCTotal {
-		fmt.Fprintf(w, "%.1f\t%.1f\t%.1f\n",
-			float64(i)*r.BinWidth,
-			r.TFRCTotal[i]/1000/r.BinWidth,
-			r.TCPTotal[i]/1000/r.BinWidth)
-	}
+	writeMatrix(w, len(r.TFRCTotal), "%.1f", binStart(r.BinWidth), "%.1f",
+		kbps(r.TFRCTotal, r.BinWidth), kbps(r.TCPTotal, r.BinWidth))
 }

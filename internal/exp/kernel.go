@@ -180,6 +180,24 @@ func meanCI[C any](group []C, f func(*C) float64) (mean, ci float64) {
 	return stats.MeanCI90(xs)
 }
 
+// reducePoints collapses each grid point's replicates — adjacent runs
+// of replicas(seeds) cells — to one cell: the point's first replicate,
+// which merge overwrites with means and CIs when there are several.
+func reducePoints[C any](cells []C, seeds int, merge func(point *C, group []C)) []C {
+	n := replicas(seeds)
+	var out []C
+	for lo := 0; lo+n <= len(cells); lo += n {
+		group := cells[lo : lo+n]
+		out = append(out, group[0])
+		if n > 1 {
+			// In place: a local handed to merge would escape, one
+			// allocation per point.
+			merge(&out[len(out)-1], group)
+		}
+	}
+	return out
+}
+
 // meanCICurve is meanCI pointwise over a per-replicate curve of n
 // points (one per measurement timescale).
 func meanCICurve[C any](group []C, n int, curve func(*C) []float64) []MeanCI {

@@ -75,30 +75,15 @@ func MillionFlows() ManyFlowsParams {
 
 // Validate implements Params.
 func (p *ManyFlowsParams) Validate() error {
-	if len(p.Flows) == 0 {
-		return fmt.Errorf("Flows must be non-empty")
-	}
-	for _, n := range p.Flows {
-		if n < 1 {
-			return fmt.Errorf("flow counts must be at least 1, got %d", n)
-		}
-	}
-	if p.PerFlowKbps <= 0 {
-		return fmt.Errorf("PerFlowKbps must be positive, got %v", p.PerFlowKbps)
-	}
-	if p.RTT < 0.005 {
-		return fmt.Errorf("RTT must be at least 5 ms (access hops use 1 ms each), got %v", p.RTT)
-	}
-	if p.PacketSize <= 0 {
-		return fmt.Errorf("PacketSize must be positive, got %d", p.PacketSize)
-	}
-	if p.Duration <= 0 || p.Warmup < 0 || p.Warmup >= p.Duration {
-		return fmt.Errorf("need 0 <= Warmup < Duration, got Warmup=%v Duration=%v", p.Warmup, p.Duration)
-	}
-	if p.CoarseTimerTick < 0 {
-		return fmt.Errorf("CoarseTimerTick must be non-negative, got %v", p.CoarseTimerTick)
-	}
-	return nil
+	var v checks
+	nonEmpty(&v, "Flows", len(p.Flows))
+	atLeast(&v, "Flows", 1, p.Flows...)
+	positive(&v, "PerFlowKbps", p.PerFlowKbps)
+	check(&v, p.RTT >= 0.005, "RTT must be at least 5 ms (access hops use 1 ms each), got %v", p.RTT)
+	positive(&v, "PacketSize", p.PacketSize)
+	window(&v, "Warmup", p.Warmup, "Duration", p.Duration)
+	nonNegative(&v, "CoarseTimerTick", p.CoarseTimerTick)
+	return v.err
 }
 
 // SetSeed implements SeedSetter.

@@ -3,11 +3,10 @@ package exp
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"tfrc/internal/netsim"
 	"tfrc/internal/stats"
-	"tfrc/internal/tcp"
-	"tfrc/internal/tfrcsim"
 )
 
 // ParkingLotParams is the multi-bottleneck fairness grid the single
@@ -44,7 +43,7 @@ func DefaultParkingLot() ParkingLotParams {
 	}
 }
 
-// PaperParkingLot is the full-scale grid the CLI's -paper flag selects.
+// PaperParkingLot is the full-scale grid -preset paper selects.
 func PaperParkingLot() ParkingLotParams {
 	p := DefaultParkingLot()
 	p.Duration, p.Warmup = 300, 60
@@ -54,27 +53,14 @@ func PaperParkingLot() ParkingLotParams {
 
 // Validate implements Params.
 func (p *ParkingLotParams) Validate() error {
-	if len(p.Bottlenecks) == 0 {
-		return fmt.Errorf("Bottlenecks must be non-empty")
-	}
-	for _, k := range p.Bottlenecks {
-		if k < 1 {
-			return fmt.Errorf("bottleneck counts must be at least 1, got %d", k)
-		}
-	}
-	if p.CrossPairs < 0 {
-		return fmt.Errorf("CrossPairs must be non-negative, got %d", p.CrossPairs)
-	}
-	if p.LinkMbps <= 0 {
-		return fmt.Errorf("LinkMbps must be positive, got %v", p.LinkMbps)
-	}
-	if p.Duration <= 0 || p.Warmup < 0 || p.Warmup >= p.Duration {
-		return fmt.Errorf("need 0 <= Warmup < Duration, got Warmup=%v Duration=%v", p.Warmup, p.Duration)
-	}
-	if p.Seeds < 0 {
-		return fmt.Errorf("Seeds must be non-negative, got %d", p.Seeds)
-	}
-	return nil
+	var v checks
+	nonEmpty(&v, "Bottlenecks", len(p.Bottlenecks))
+	atLeast(&v, "Bottlenecks", 1, p.Bottlenecks...)
+	nonNegative(&v, "CrossPairs", p.CrossPairs)
+	positive(&v, "LinkMbps", p.LinkMbps)
+	window(&v, "Warmup", p.Warmup, "Duration", p.Duration)
+	nonNegative(&v, "Seeds", p.Seeds)
+	return v.err
 }
 
 // SetSeed implements SeedSetter.
@@ -132,10 +118,7 @@ func runParkingLotCell(c *Cell, pr ParkingLotParams, k int, seed int64) ParkingL
 	sched := c.begin()
 	rng := sched.NewRand(seed)
 	bw := pr.LinkMbps * 1e6
-	queueLimit := int(max(10, bw*0.1/(8*1000)))
-	red := netsim.DefaultRED(queueLimit)
-	red.MinThresh = max(5, float64(queueLimit)/10)
-	red.MaxThresh = float64(queueLimit) / 2
+	queueLimit, red := houseQueue(bw, 0.1)
 	pl := netsim.NewParkingLot(sched, netsim.ParkingLotConfig{
 		Bottlenecks:   k,
 		ThroughPairs:  2, // pair 0 carries TFRC, pair 1 TCP
@@ -156,11 +139,8 @@ func runParkingLotCell(c *Cell, pr ParkingLotParams, k int, seed int64) ParkingL
 	}
 
 	start := func() float64 { return rng.Uniform(0, 5) }
-	tf := tfrcsim.DefaultConfig()
-	tf.PacingJitter = 0.05
-	tf.JitterSeed = seed
-	tcpCfg := tcp.Config{Variant: tcp.Sack, SendJitter: 0.001, JitterSeed: seed}
-	throughTFRC := b.AddTFRC("ts0", "td0", tf, start())
+	tcpCfg := houseTCP(seed)
+	throughTFRC := b.AddTFRC("ts0", "td0", houseTFRC(seed), start())
 	throughTCP := b.AddTCP("ts1", "td1", tcpCfg, start())
 	crossFlows := make([][]int, k)
 	for s := 0; s < k; s++ {
@@ -202,46 +182,33 @@ func runParkingLotCell(c *Cell, pr ParkingLotParams, k int, seed int64) ParkingL
 
 // parkingLotReduce aggregates each bottleneck count's seeds in order.
 func parkingLotReduce(pr *ParkingLotParams, raw []ParkingLotCell) *ParkingLotResult {
-	seeds := replicas(pr.Seeds)
-	res := &ParkingLotResult{Params: *pr}
-	for c := range pr.Bottlenecks {
-		group := raw[c*seeds : (c+1)*seeds]
-		cell := group[0]
-		if seeds > 1 {
-			cell.Seeds = seeds
-			cell.ThroughTFRC, cell.ThroughTFRCCI = meanCI(group, func(g *ParkingLotCell) float64 { return g.ThroughTFRC })
-			cell.ThroughTCP, cell.ThroughTCPCI = meanCI(group, func(g *ParkingLotCell) float64 { return g.ThroughTCP })
-		}
-		res.Cells = append(res.Cells, cell)
-	}
-	return res
+	return &ParkingLotResult{Params: *pr, Cells: reducePoints(raw, pr.Seeds, func(cell *ParkingLotCell, group []ParkingLotCell) {
+		cell.Seeds = len(group)
+		cell.ThroughTFRC, cell.ThroughTFRCCI = meanCI(group, func(g *ParkingLotCell) float64 { return g.ThroughTFRC })
+		cell.ThroughTCP, cell.ThroughTCPCI = meanCI(group, func(g *ParkingLotCell) float64 { return g.ThroughTCP })
+	})}
 }
 
-// Table implements Result: one row per bottleneck count.
+// parkingLotColumns is one row per bottleneck count.
+var parkingLotColumns = []column[ParkingLotCell]{
+	{"bottlenecks", "%d", func(c *ParkingLotCell) any { return c.Bottlenecks }, nil},
+	{"throughTFRC", "%.3f", func(c *ParkingLotCell) any { return c.ThroughTFRC }, func(c *ParkingLotCell) any { return c.ThroughTFRCCI }},
+	{"throughTCP", "%.3f", func(c *ParkingLotCell) any { return c.ThroughTCP }, func(c *ParkingLotCell) any { return c.ThroughTCPCI }},
+	{"crossMean", "%.3f", func(c *ParkingLotCell) any { return c.CrossMean }, nil},
+	{"util0", "%.3f", func(c *ParkingLotCell) any { return c.Utilization }, nil},
+	{"dropRates", "%s", func(c *ParkingLotCell) any {
+		rates := make([]string, len(c.DropRates))
+		for i, d := range c.DropRates {
+			rates[i] = fmt.Sprintf("%.4f", d)
+		}
+		return strings.Join(rates, ",")
+	}, nil},
+}
+
+// Table implements Result.
 func (r *ParkingLotResult) Table(w io.Writer) {
 	fmt.Fprintln(w, "# Parking lot: through TFRC vs through TCP across k bottlenecks")
 	fmt.Fprintf(w, "# %d cross TCP pairs per segment, %.0f Mb/s links, %s queues; throughput normalized by the per-bottleneck fair share\n",
 		r.Params.CrossPairs, r.Params.LinkMbps, r.Params.Queue)
-	if r.Params.Seeds > 1 {
-		fmt.Fprintln(w, "# bottlenecks\tthroughTFRC\tci\tthroughTCP\tci\tcrossMean\tutil0\tdropRates")
-	} else {
-		fmt.Fprintln(w, "# bottlenecks\tthroughTFRC\tthroughTCP\tcrossMean\tutil0\tdropRates")
-	}
-	for _, c := range r.Cells {
-		if c.Seeds > 1 {
-			fmt.Fprintf(w, "%d\t%.3f\t%.3f\t%.3f\t%.3f\t%.3f\t%.3f\t",
-				c.Bottlenecks, c.ThroughTFRC, c.ThroughTFRCCI,
-				c.ThroughTCP, c.ThroughTCPCI, c.CrossMean, c.Utilization)
-		} else {
-			fmt.Fprintf(w, "%d\t%.3f\t%.3f\t%.3f\t%.3f\t",
-				c.Bottlenecks, c.ThroughTFRC, c.ThroughTCP, c.CrossMean, c.Utilization)
-		}
-		for i, d := range c.DropRates {
-			if i > 0 {
-				fmt.Fprint(w, ",")
-			}
-			fmt.Fprintf(w, "%.4f", d)
-		}
-		fmt.Fprintln(w)
-	}
+	writeColumns(w, parkingLotColumns, r.Cells, r.Params.Seeds > 1)
 }

@@ -46,7 +46,7 @@ type Descriptor struct {
 	// Aliases are alternate lookup keys — panels the experiment
 	// includes ("fig10" for fig9) and bare figure numbers ("6").
 	Aliases []string
-	// Description is the one-line text shown by -list.
+	// Description is the one-line text shown by tfrcsim list.
 	Description string
 	// Params returns a fresh default parameter set. It must return a
 	// pointer so JSON decoding and seed overrides mutate it in place.

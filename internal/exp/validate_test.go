@@ -3,6 +3,8 @@ package exp
 import (
 	"strings"
 	"testing"
+
+	"tfrc/internal/netsim"
 )
 
 // TestDefaultsValidate: every registered experiment's default and
@@ -69,9 +71,23 @@ func TestValidateCatchesBadParams(t *testing.T) {
 
 // TestScenarioValidate covers the public scenario.Spec preset's checks.
 func TestScenarioValidate(t *testing.T) {
-	good := Scenario{NTCP: 1, NTFRC: 1, BottleneckBW: 1e6, Duration: 10}
-	if err := good.Validate(); err != nil {
-		t.Fatalf("valid scenario rejected: %v", err)
+	good := []Scenario{
+		{NTCP: 1, NTFRC: 1, BottleneckBW: 1e6, Duration: 10},
+		// A 10-packet RED buffer: the house thresholds used to come out
+		// min = max = 5, which netsim refuses.
+		{NTCP: 1, NTFRC: 1, BottleneckBW: 1e6, Duration: 10, Queue: netsim.QueueRED, QueueLimit: 10},
+		{NTCP: 1, BottleneckBW: 1e6, Duration: 10, Queue: netsim.QueueRED, REDMin: 10, REDMax: 40},
+		// DropTail never reads the thresholds.
+		{NTCP: 1, BottleneckBW: 1e6, Duration: 10, REDMin: 40, REDMax: 10},
+	}
+	for i, sc := range good {
+		if err := sc.Validate(); err != nil {
+			t.Errorf("good scenario %d rejected: %v", i, err)
+			continue
+		}
+		if res := RunScenario(sc); res.Utilization <= 0 || res.Utilization > 1 {
+			t.Errorf("good scenario %d: utilization %v", i, res.Utilization)
+		}
 	}
 	bad := []Scenario{
 		{NTCP: -1, BottleneckBW: 1e6, Duration: 10},
@@ -84,6 +100,13 @@ func TestScenarioValidate(t *testing.T) {
 		{NTCP: 1, BottleneckBW: 1e6, Duration: 10, BottleneckDly: -0.01},
 		{NTCP: 1, BottleneckBW: 1e6, Duration: 10, StaggerStarts: -1},
 		{NTCP: 1, BottleneckBW: 1e6, Duration: 10, AccessDlyMin: 0.02, AccessDlyMax: 0.01},
+		// RED thresholds netsim would panic on, or silently run with.
+		{NTCP: 1, BottleneckBW: 1e6, Duration: 10, Queue: netsim.QueueRED, REDMin: 40, REDMax: 10},
+		{NTCP: 1, BottleneckBW: 1e6, Duration: 10, Queue: netsim.QueueRED, REDMin: 30, REDMax: 30},
+		{NTCP: 1, BottleneckBW: 1e6, Duration: 10, Queue: netsim.QueueRED, REDMin: -1},
+		{NTCP: 1, BottleneckBW: 1e6, Duration: 10, REDMax: -1},
+		// An explicit min against the defaulted max (half of 100).
+		{NTCP: 1, BottleneckBW: 1e6, Duration: 10, Queue: netsim.QueueRED, QueueLimit: 100, REDMin: 60},
 	}
 	for i, sc := range bad {
 		if err := sc.Validate(); err == nil {

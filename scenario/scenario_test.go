@@ -96,6 +96,18 @@ func TestSpecRunMatchesSeries(t *testing.T) {
 	if _, err := scenario.Run(scenario.Spec{NTCP: 1}); err == nil {
 		t.Fatal("Run accepted a spec with no bandwidth and no duration")
 	}
+
+	// RED thresholds the queue would refuse are an error, not a panic;
+	// a 10-packet RED buffer with defaulted thresholds runs.
+	red := scenario.Spec{NTCP: 1, NTFRC: 1, BottleneckBW: 1e6, Duration: 10, Queue: scenario.QueueRED}
+	red.REDMin, red.REDMax = 40, 10
+	if _, err := scenario.Run(red); err == nil {
+		t.Fatal("Run accepted REDMin > REDMax")
+	}
+	red.REDMin, red.REDMax, red.QueueLimit = 0, 0, 10
+	if _, err := scenario.Run(red); err != nil {
+		t.Fatalf("10-packet RED buffer: %v", err)
+	}
 }
 
 // TestScheduledLinkChange: a bandwidth step declared on the public
