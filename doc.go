@@ -18,10 +18,13 @@
 //     function), LossHistory (the Average Loss Interval method),
 //     RTTEstimator, and the transport-agnostic Sender/Receiver state
 //     machines, all clock-injected and allocation-light — plus a wire
-//     implementation over any net.PacketConn (NewWireSender /
-//     NewWireReceiver, with NewEmulatedPath as an in-process
-//     Dummynet-style impaired path). Use these to embed TFRC in your
-//     own transport.
+//     implementation of them: endpoints that see only a clock and a
+//     datagram seam, run either over any net.PacketConn on the wall
+//     clock (NewWireSender / NewWireReceiver) or, byte for byte the
+//     same code, between two hosts of a scenario.Topology in virtual
+//     time (NewSimWirePair — a deterministic Dummynet-style testbed
+//     shaped by link schedules and fault schedules). Use these to
+//     embed TFRC in your own transport.
 //
 //   - Package scenario: the packet-level simulator's composition
 //     surface. Topologies are declared, not hardcoded — named nodes,
@@ -109,8 +112,9 @@
 //	go build -o bin/tfrclint ./cmd/tfrclint
 //	go vet -vettool=$PWD/bin/tfrclint ./...
 //
-// Its five analyzers: detrand (no global math/rand, time.Now, or
-// order-sensitive map iteration in simulation packages), hotpathalloc
+// Its five analyzers: detrand (no global math/rand, wall-clock reads or
+// timers, or order-sensitive map iteration in simulation packages — the
+// wire transport included, bar its OS driver's marked sites), hotpathalloc
 // (functions marked //tfrc:hotpath must not allocate; paired with
 // scripts/escape-gate.sh, which gates compiler escape analysis against
 // a committed allowlist), releasecheck (Release methods nil their
@@ -121,15 +125,16 @@
 // round-trip and Validate). Deliberate exceptions are annotated in
 // place: //tfrclint:allow <analyzer> <why>.
 //
-// Quick start (wire endpoints over an emulated 2 Mb/s path):
+// Quick start (the wire endpoints over a simulated 2 Mb/s path; put
+// them on sockets with NewWireSender / NewWireReceiver and `go x.Run()`):
 //
-//	a, b := tfrc.NewEmulatedPath(tfrc.PathConfig{
-//		Bandwidth: 2e6, Delay: 10 * time.Millisecond, Queue: 60,
-//	})
-//	recv := tfrc.NewWireReceiver(b, tfrc.WireConfig{})
-//	send := tfrc.NewWireSender(a, b.LocalAddr(), nil, tfrc.WireConfig{})
-//	go recv.Run()
-//	go send.Run()
-//	// ... stream; send.Rate() follows the TCP-fair rate.
-//	send.Stop(); recv.Stop()
+//	sched := scenario.NewScheduler()
+//	topo := scenario.NewTopology(sched, nil)
+//	topo.Link("src", "dst", scenario.LinkSpec{Bandwidth: 2e6, Delay: 0.010, QueueLimit: 60})
+//	topo.Build()
+//	send, recv := tfrc.NewSimWirePair(topo, "src", "dst", 1, nil, tfrc.WireConfig{})
+//	sched.At(0, send.Run)
+//	sched.RunUntil(10) // ten virtual seconds, no wall-clock time
+//	// send.Rate() follows the TCP-fair rate; send.Stats(), recv.Stats()
+//	// snapshot rate, p, RTT and the packet and reject counters.
 package tfrc

@@ -2,20 +2,23 @@
 // media that adapts its encoding tier to a smoothly changing TCP-fair
 // rate instead of suffering TCP's rate halvings.
 //
-// A synthetic "encoder" offers four quality tiers. The sender streams
-// over an emulated path whose available bandwidth drops sharply mid-run
-// (a competing flow arrives) and then recovers. Watch the tier track the
-// TFRC rate without the oscillation a TCP-driven player would see.
+// A synthetic "encoder" offers four quality tiers. The real wire
+// endpoints stream over a simulated path whose available bandwidth drops
+// sharply mid-run (a competing flow arrives) and then recovers — a link
+// schedule on the topology, in virtual time, so the run is deterministic
+// and instant. Watch the tier track the TFRC rate without the
+// oscillation a TCP-driven player would see.
 //
 //	go run ./examples/streaming
 package main
 
 import (
 	"fmt"
-	"sync/atomic"
-	"time"
+	"strings"
 
 	"tfrc"
+	"tfrc/experiment"
+	"tfrc/scenario"
 )
 
 // tiers are encoder ladder rungs in bytes/sec (≈ 0.4-2.4 Mb/s video).
@@ -23,12 +26,11 @@ var tiers = []float64{50e3, 100e3, 200e3, 300e3}
 
 // encoder fills packets with the current tier index so the receiver can
 // reassemble "frames" of the right quality.
-type encoder struct{ tier atomic.Int32 }
+type encoder struct{ tier byte }
 
 func (e *encoder) Fill(b []byte) int {
-	t := byte(e.tier.Load())
 	for i := range b {
-		b[i] = t
+		b[i] = e.tier
 	}
 	return len(b)
 }
@@ -45,61 +47,50 @@ func pickTier(rate float64) int {
 }
 
 func main() {
-	a, b := tfrc.NewEmulatedPath(tfrc.PathConfig{
-		Bandwidth: 3e6,
-		Delay:     25 * time.Millisecond,
-		Queue:     60,
-		Loss:      0.002,
-		Seed:      42,
-	})
-	defer a.Close()
-	defer b.Close()
-
-	enc := &encoder{}
-	cfg := tfrc.WireConfig{PacketSize: 1000}
-	recv := tfrc.NewWireReceiver(b, cfg)
-	var frames [4]atomic.Int64
-	recv.OnData = func(seq uint32, payload []byte) {
-		if len(payload) > 0 && int(payload[0]) < len(tiers) {
-			frames[payload[0]].Add(1)
-		}
-	}
-	send := tfrc.NewWireSender(a, b.LocalAddr(), enc, cfg)
-	go recv.Run()
-	go send.Run()
-
+	sched := scenario.NewScheduler()
+	topo := scenario.NewTopology(sched, nil)
+	topo.Link("server", "player", scenario.LinkSpec{Bandwidth: 3e6, Delay: 0.025, QueueLimit: 60})
 	// Mid-run congestion: at t=4s the path loses most of its capacity
 	// (as if competing flows arrived), recovering at t=8s.
-	lossy := a.(*tfrc.EmulatedConn)
-	t1 := time.AfterFunc(4*time.Second, func() {
-		fmt.Println("--- congestion begins: capacity cut to 600 kb/s ---")
-		lossy.SetBandwidth(600e3)
-	})
-	defer t1.Stop()
-	t2 := time.AfterFunc(8*time.Second, func() {
-		fmt.Println("--- congestion clears ---")
-		lossy.SetBandwidth(3e6)
-	})
-	defer t2.Stop()
+	topo.Schedule("server", "player",
+		scenario.LinkChange{At: 4, Bandwidth: 600e3},
+		scenario.LinkChange{At: 8, Bandwidth: 3e6})
+	topo.Build()
+	loss := experiment.FaultSchedule{Seed: 42, Faults: []experiment.Fault{
+		{At: 0, Link: "server->player", Kind: "impair", Corrupt: 0.002},
+	}}
+	loss.Apply(topo)
+
+	enc := &encoder{}
+	send, recv := tfrc.NewSimWirePair(topo, "server", "player", 1, enc, tfrc.WireConfig{PacketSize: 1000})
+	var frames [4]int
+	recv.OnData = func(seq uint32, payload []byte) {
+		if len(payload) > 0 && int(payload[0]) < len(tiers) {
+			frames[payload[0]]++
+		}
+	}
+	sched.At(0, send.Run)
 
 	fmt.Println("time   tfrc-rate   tier   (encoder follows the smooth rate)")
-	for i := 0; i < 24; i++ {
-		time.Sleep(500 * time.Millisecond)
+	for i := 1; i <= 24; i++ {
+		sched.RunUntil(0.5 * float64(i))
 		rate := send.Rate()
 		tier := pickTier(rate)
-		enc.tier.Store(int32(tier))
-		bar := ""
-		for j := 0; j <= tier; j++ {
-			bar += "█"
-		}
+		enc.tier = byte(tier)
 		fmt.Printf("%4.1fs  %7.1f kB/s  T%d %s\n",
-			float64(i+1)*0.5, rate/1000, tier, bar)
+			0.5*float64(i), rate/1000, tier, strings.Repeat("█", tier+1))
+		switch i {
+		case 8:
+			fmt.Println("--- congestion begins: capacity cut to 600 kb/s ---")
+		case 16:
+			fmt.Println("--- congestion clears ---")
+		}
 	}
 	send.Stop()
 	recv.Stop()
 
 	fmt.Println("\nframes delivered per tier:")
 	for i := range tiers {
-		fmt.Printf("  T%d (%.0f kB/s): %d packets\n", i, tiers[i]/1000, frames[i].Load())
+		fmt.Printf("  T%d (%.0f kB/s): %d packets\n", i, tiers[i]/1000, frames[i])
 	}
 }

@@ -2,8 +2,9 @@
 // JSON-serializable vocabulary of link faults (outages, feedback
 // blackholes, delay spikes, bandwidth collapses, probabilistic
 // reorder/duplicate/corrupt) that compiles onto the simulator's netsim
-// links and onto the wire emulator's path schedules, so both halves of
-// the harness speak the same fault language. A Schedule is a pure
+// links. The simulated TFRC agents and the real wire endpoints (which
+// run over the same links in virtual time) therefore meet the same
+// faults through the same one entry point, Apply. A Schedule is a pure
 // function of its spec and seed — applying the same schedule to the same
 // scenario reproduces the same run byte for byte, at any sweep
 // parallelism.
@@ -11,11 +12,9 @@ package faults
 
 import (
 	"fmt"
-	"time"
 
 	"tfrc/internal/netsim"
 	"tfrc/internal/sim"
-	"tfrc/internal/wire"
 )
 
 // Kind names one fault action. The set is closed: Validate rejects
@@ -205,50 +204,6 @@ func (s *Schedule) Apply(t *netsim.Topology) {
 			panic(fmt.Sprintf("faults: unknown kind %q (schedule not validated?)", f.Kind))
 		}
 	}
-}
-
-// PathEvents compiles the schedule onto the wire emulator's vocabulary:
-// faults on fwdLink become A→B path events, faults on revLink B→A ones,
-// and faults on any other link are skipped (the emulator models a single
-// bidirectional path). LinkDown and Blackhole both become a total
-// outage; Impair's Corrupt becomes wire loss. The returned events plug
-// into wire.PathSpec.Schedule unmodified.
-func (s *Schedule) PathEvents(fwdLink, revLink string) []wire.PathEvent {
-	var evs []wire.PathEvent
-	for i := range s.Faults {
-		f := &s.Faults[i]
-		var dir wire.Direction
-		switch f.Link {
-		case fwdLink:
-			dir = wire.AtoB
-		case revLink:
-			dir = wire.BtoA
-		default:
-			continue
-		}
-		ev := wire.PathEvent{At: seconds(f.At), Dir: dir}
-		switch f.Kind {
-		case LinkDown, Blackhole:
-			ev.SetDown, ev.Down = true, true
-		case LinkUp, BlackholeOff:
-			ev.SetDown = true
-		case DelaySpike:
-			ev.SetDelay, ev.Delay = true, seconds(f.Delay)
-		case BandwidthCollapse:
-			ev.Bandwidth = f.Bandwidth
-		case Impair:
-			ev.SetImpair = true
-			ev.Duplicate = f.Duplicate
-			ev.Reorder, ev.ReorderDelay = f.Reorder, seconds(f.ReorderDelay)
-			ev.SetLoss, ev.Loss = true, f.Corrupt
-		}
-		evs = append(evs, ev)
-	}
-	return evs
-}
-
-func seconds(s float64) time.Duration {
-	return time.Duration(s * float64(time.Second))
 }
 
 // Blackout returns a schedule that blackholes the named link for

@@ -5,7 +5,6 @@ import (
 	"math"
 	"reflect"
 	"testing"
-	"time"
 
 	"tfrc/internal/netsim"
 	"tfrc/internal/sim"
@@ -175,43 +174,6 @@ func TestApplyImpairIsDeterministic(t *testing.T) {
 	}
 }
 
-func TestPathEventsMapping(t *testing.T) {
-	sc := Schedule{Faults: []Fault{
-		{At: 1, Link: "fwd", Kind: LinkDown},
-		{At: 2, Link: "fwd", Kind: LinkUp},
-		{At: 3, Link: "rev", Kind: Blackhole},
-		{At: 4, Link: "rev", Kind: BlackholeOff},
-		{At: 5, Link: "fwd", Kind: DelaySpike, Delay: 0.2},
-		{At: 6, Link: "fwd", Kind: BandwidthCollapse, Bandwidth: 5e5},
-		{At: 7, Link: "fwd", Kind: Impair, Reorder: 0.1, ReorderDelay: 0.02, Duplicate: 0.05, Corrupt: 0.01},
-		{At: 8, Link: "elsewhere", Kind: LinkDown}, // off-path: skipped
-	}}
-	evs := sc.PathEvents("fwd", "rev")
-	if len(evs) != 7 {
-		t.Fatalf("got %d events, want 7 (off-path fault skipped)", len(evs))
-	}
-	if evs[0].Dir != wire.AtoB || !evs[0].SetDown || !evs[0].Down || evs[0].At != time.Second {
-		t.Fatalf("LinkDown mapping = %+v", evs[0])
-	}
-	if !evs[1].SetDown || evs[1].Down {
-		t.Fatalf("LinkUp mapping = %+v", evs[1])
-	}
-	if evs[2].Dir != wire.BtoA || !evs[2].SetDown || !evs[2].Down {
-		t.Fatalf("Blackhole mapping = %+v", evs[2])
-	}
-	if !evs[4].SetDelay || evs[4].Delay != 200*time.Millisecond {
-		t.Fatalf("DelaySpike mapping = %+v", evs[4])
-	}
-	if evs[5].Bandwidth != 5e5 {
-		t.Fatalf("BandwidthCollapse mapping = %+v", evs[5])
-	}
-	imp := evs[6]
-	if !imp.SetImpair || imp.Reorder != 0.1 || imp.ReorderDelay != 20*time.Millisecond ||
-		imp.Duplicate != 0.05 || !imp.SetLoss || imp.Loss != 0.01 {
-		t.Fatalf("Impair mapping = %+v", imp)
-	}
-}
-
 func TestCheckGracefulVerdicts(t *testing.T) {
 	// Synthetic run: 1000 B packets, steady 10 kB/s before the outage at
 	// [10, 20), decayed to 100 B/s during it, back to 10 kB/s right
@@ -326,48 +288,52 @@ func TestCheckGracefulRampSlack(t *testing.T) {
 	}
 }
 
-// TestWireBlackoutSoak drives the real UDP-framed TFRC endpoints over
-// the wire emulator through a faults.Schedule-compiled feedback
-// blackout: the no-feedback timer must cut the rate during the outage
-// and data must keep moving after the heal. Wall-clock based, so the
-// assertions are coarse.
+// TestWireBlackoutSoak is the one fault vocabulary at work on the real
+// transport: the UDP-framed wire endpoints run over a simulated path, and
+// a feedback blackout reaches them the way it reaches any simulated flow,
+// through Schedule.Apply. Every no-feedback expiry during the blackout
+// halves the allowed rate, down to the floor of one packet per 64 s and
+// no further; after BlackholeOff the rate comes back.
 func TestWireBlackoutSoak(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock soak")
-	}
-	sc := Blackout("rev", 0.6, 1.4)
-	a, b, stop := wire.NewPath(wire.PathSpec{
-		AtoB:     wire.PipeConfig{Bandwidth: 2e6, Delay: 5 * time.Millisecond, Queue: 60},
-		BtoA:     wire.PipeConfig{Bandwidth: 2e6, Delay: 5 * time.Millisecond, Queue: 60},
-		Schedule: sc.PathEvents("fwd", "rev"),
-	})
-	defer stop()
-	defer a.Close()
-	defer b.Close()
+	const (
+		pktSize         = 500
+		from, to, until = 5.0, 400.0, 520.0
+	)
+	sched := sim.NewScheduler()
+	topo := netsim.NewTopology(sched, nil)
+	topo.Link("a", "b", netsim.LinkSpec{Bandwidth: 2e6, Delay: 0.005, QueueLimit: 60})
+	topo.Build()
+	sc := Blackout("b->a", from, to)
+	sc.Apply(topo)
+	send, _ := wire.NewSimPair(topo, "a", "b", 1, nil, wire.Config{PacketSize: pktSize})
+	sched.At(0, send.Run)
 
-	cfg := wire.Config{PacketSize: 500}
-	recv := wire.NewReceiver(b, cfg)
-	send := wire.NewSender(a, b.LocalAddr(), nil, cfg)
-	done := make(chan struct{}, 2)
-	go func() { recv.Run(); done <- struct{}{} }()
-	go func() { send.Run(); done <- struct{}{} }()
-
-	time.Sleep(1600 * time.Millisecond) // past the heal
-	sentAtHeal, _, cutsDuring := send.Stats()
-	time.Sleep(900 * time.Millisecond)
-	send.Stop()
-	recv.Stop()
-	<-done
-	<-done
-
-	sent, feedbacks, _ := send.Stats()
-	if cutsDuring == 0 {
-		t.Fatal("no no-feedback cuts despite a 800 ms feedback blackout")
+	sched.RunUntil(from)
+	before := send.Stats()
+	if before.Rate < 100e3 {
+		t.Fatalf("before the blackout: %+v", before)
 	}
-	if sent <= sentAtHeal {
-		t.Fatalf("sender stopped after the heal: %d then %d packets", sentAtHeal, sent)
+	sched.RunUntil(from + 0.1) // reports already on the wire have landed
+	floor := float64(pktSize) / 64
+	prev := send.Stats()
+	for sched.Now() < to && sched.Step() {
+		st := send.Stats()
+		want := prev.Rate
+		if st.NoFeedbackCuts == prev.NoFeedbackCuts+1 {
+			want = math.Max(prev.Rate/2, floor)
+		}
+		if st.Rate != want || st.NoFeedbackCuts > prev.NoFeedbackCuts+1 || st.Feedbacks != prev.Feedbacks {
+			t.Fatalf("t=%v: rate %v after %d expiries and %d reports; was %v after %d and %d",
+				sched.Now(), st.Rate, st.NoFeedbackCuts, st.Feedbacks, prev.Rate, prev.NoFeedbackCuts, prev.Feedbacks)
+		}
+		prev = st
 	}
-	if feedbacks == 0 {
-		t.Fatal("no feedback ever arrived")
+	if prev.Rate != floor || prev.NoFeedbackCuts < 15 {
+		t.Fatalf("end of the blackout: rate %v after %d expiries, want the floor %v", prev.Rate, prev.NoFeedbackCuts, floor)
+	}
+
+	sched.RunUntil(until)
+	if after := send.Stats(); after.Rate < before.Rate/2 || after.Feedbacks == prev.Feedbacks {
+		t.Fatalf("%v s after the heal: %+v; before the blackout: %+v", until-to, after, before)
 	}
 }

@@ -18,8 +18,10 @@ var DetRand = &analysis.Analyzer{
 
 The figures reproduce byte-identically only because every run is a pure
 function of (params, seed). This analyzer rejects the classic leaks:
-time.Now/Since/Until, package-level math/rand functions (seeded from
-runtime state), handing a map to fmt, and ranging over a map where the
+time.Now/Since/Until, the wall-clock timers (time.Sleep/After/
+AfterFunc/NewTimer/NewTicker/Tick), package-level math/rand functions
+(seeded from runtime state), handing a map to fmt, and ranging over a
+map where the
 body is order-sensitive (emits output, schedules work, or accumulates
 floating point). The collect-keys-then-sort idiom is recognized: an
 append inside a map range is fine when the slice is sorted later in the
@@ -29,14 +31,23 @@ same function. Suppress intentional sites with
 }
 
 // detrandExclude holds package-path prefixes exempt from the analyzer:
-// real-I/O and measurement code legitimately reads the wall clock, and
-// command/example shells only format already-deterministic results.
+// tooling, and command/example shells that only format
+// already-deterministic results. Real-I/O code inside a checked package
+// (internal/wire's OS driver) marks its wall-clock sites one by one.
 var detrandExclude string
 
 func init() {
 	DetRand.Flags.StringVar(&detrandExclude, "exclude",
-		"tfrc/internal/wire,tfrc/internal/lint,tfrc/cmd,tfrc/examples",
+		"tfrc/internal/lint,tfrc/cmd,tfrc/examples",
 		"comma-separated package path prefixes to skip")
+}
+
+// detrandWallClock lists the package-level time functions that read or
+// wait on the wall clock.
+var detrandWallClock = map[string]bool{
+	"Now": true, "Since": true, "Until": true,
+	"Sleep": true, "After": true, "AfterFunc": true,
+	"NewTimer": true, "NewTicker": true, "Tick": true,
 }
 
 // detrandAllowedRand lists the math/rand(/v2) constructors that build
@@ -119,7 +130,7 @@ func (d *detrandWalker) checkCall(call *ast.CallExpr) {
 	recv := fn.Type().(*types.Signature).Recv()
 	switch pkg.Path() {
 	case "time":
-		if recv == nil && (fn.Name() == "Now" || fn.Name() == "Since" || fn.Name() == "Until") {
+		if recv == nil && detrandWallClock[fn.Name()] {
 			d.al.report(call.Pos(),
 				"time.%s in deterministic package %s: simulated time comes from sim.Scheduler.Now",
 				fn.Name(), d.pass.Pkg.Path())

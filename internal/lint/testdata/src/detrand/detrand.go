@@ -16,6 +16,18 @@ func wallClock() float64 {
 	return 0
 }
 
+// wallClockTimers: waiting on the wall clock is as nondeterministic as
+// reading it. A package that also drives real I/O (internal/wire's OS
+// driver) marks those sites one by one instead of being excluded whole.
+func wallClockTimers(f func()) {
+	time.Sleep(time.Millisecond)         // want `time\.Sleep in deterministic package`
+	<-time.After(time.Millisecond)       // want `time\.After in deterministic package`
+	t := time.NewTimer(time.Second)      // want `time\.NewTimer in deterministic package`
+	t.Reset(time.Second)                 // methods on an owned timer are not the leak
+	time.AfterFunc(time.Millisecond, f)  //tfrclint:allow detrand the OS driver's timers are wall-clock timers
+	_ = time.Unix(0, 0).Add(time.Second) // building and comparing times is pure
+}
+
 func globalRand() int {
 	n := rand.Intn(10)                 // want `global rand\.Intn is seeded from runtime state`
 	rand.Shuffle(n, func(i, j int) {}) // want `global rand\.Shuffle is seeded from runtime state`

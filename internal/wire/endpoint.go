@@ -1,7 +1,8 @@
 package wire
 
 import (
-	"net"
+	"errors"
+	"math"
 	"sync"
 	"time"
 
@@ -35,7 +36,8 @@ func (c *Config) fill() {
 // writes up to len(b) bytes and returns how many; returning 0 still sends
 // a padded packet (TFRC is unreliable and rate-driven, so the stream
 // keeps its clock even when the encoder has nothing new — callers wanting
-// true quiescence should stop the sender instead).
+// true quiescence should stop the sender instead). Fill runs inside the
+// sender's turn and must not call back into the Sender.
 type Source interface {
 	Fill(b []byte) int
 }
@@ -46,66 +48,146 @@ type ZeroSource struct{}
 // Fill implements Source.
 func (ZeroSource) Fill(b []byte) int { return len(b) }
 
-// Sender streams TFRC-paced data over a PacketConn.
+// Clock is all an endpoint sees of time: the current instant and one-shot
+// timers. A driver calls an endpoint one turn at a time — a timer expiry
+// or a datagram arrival, never two at once — and a timer that was stopped
+// or re-armed before its turn came never fires the old expiry.
+type Clock interface {
+	Now() time.Time
+	// NewTimer returns a stopped timer that runs f when it expires.
+	NewTimer(f func()) Timer
+}
+
+// Timer is a restartable one-shot timer of a Clock.
+type Timer interface {
+	// Reset (re)arms the timer to expire d from now.
+	Reset(d time.Duration)
+	// Stop cancels a pending expiry; stopping an idle timer is a no-op.
+	Stop()
+}
+
+// dur converts the state machines' float seconds to a Duration, rounding
+// so that a microsecond wire timestamp survives the trip through core.
+func dur(sec float64) time.Duration {
+	return time.Duration(math.Round(sec * float64(time.Second)))
+}
+
+// Rejects counts the datagrams an endpoint refused, by reason.
+type Rejects struct {
+	NotTFRC   int64 // no magic byte, or the other packet type
+	Truncated int64 // shorter than its header
+	Malformed int64 // fields outside their domain (ErrMalformed), or an unusable timestamp echo
+}
+
+func (r *Rejects) count(err error) {
+	switch {
+	case errors.Is(err, ErrTruncated):
+		r.Truncated++
+	case errors.Is(err, ErrMalformed):
+		r.Malformed++
+	default:
+		r.NotTFRC++
+	}
+}
+
+// SenderStats is a snapshot of a Sender.
+type SenderStats struct {
+	Rate           float64       // allowed sending rate, bytes/sec
+	P              float64       // loss event rate of the latest report
+	SRTT           time.Duration // smoothed round-trip time; 0 before the first sample
+	Sent           int64         // data packets sent
+	Feedbacks      int64         // reports processed
+	NoFeedbackCuts int64         // no-feedback timer expiries
+	Rejected       Rejects
+}
+
+// Endpoint lifecycle: a sender paces only while running, and a stopped
+// endpoint stays stopped.
+const (
+	senderIdle = iota
+	senderRunning
+	senderStopped
+)
+
+// Sender is the TFRC data sender: it paces data packets at the rate the
+// core state machine allows, feeds it the receiver's reports, and halves
+// the rate whenever the no-feedback timer expires. While running it keeps
+// exactly two timers armed: the next send and the no-feedback timer.
 type Sender struct {
-	cfg  Config
-	conn net.PacketConn
-	dst  net.Addr
-	src  Source
+	mu sync.Mutex // one turn at a time: driver callbacks and accessors
 
-	mu    sync.Mutex
-	core  *core.Sender
-	seq   uint32
-	start time.Time
+	cfg   Config
+	src   Source
+	clock Clock
+	out   func([]byte) // datagram seam: one encoded frame to the driver
+	os    *osLoop      // socket read loop; nil on a simulated host
 
-	// Stats, updated atomically under mu.
+	core     core.Sender
+	state    int
+	seq      uint32
+	sendT    Timer
+	noFbT    Timer
+	nextSend time.Time // sendT's deadline
+	buf      []byte
+	payload  []byte
+
+	lastP     float64
 	sent      int64
 	feedbacks int64
 	noFbCuts  int64
-
-	done chan struct{}
-	kick chan struct{} // recvLoop → sendLoop: the allowed rate rose
-	fb   chan struct{} // recvLoop → sendLoop: feedback arrived, re-arm the no-feedback timer
-	wg   sync.WaitGroup
-	once sync.Once
+	rejected  Rejects
 }
 
-// NewSender creates a sender streaming to dst over conn. src may be nil
-// (zero padding).
-func NewSender(conn net.PacketConn, dst net.Addr, src Source, cfg Config) *Sender {
+func newSender(src Source, cfg Config) *Sender {
 	cfg.fill()
 	if src == nil {
 		src = ZeroSource{}
 	}
-	return &Sender{
-		cfg:   cfg,
-		conn:  conn,
-		dst:   dst,
-		src:   src,
-		core:  core.NewSender(cfg.Sender),
-		start: time.Now(),
-		done:  make(chan struct{}),
-		kick:  make(chan struct{}, 1),
-		fb:    make(chan struct{}, 1),
+	s := &Sender{
+		cfg:     cfg,
+		src:     src,
+		buf:     make([]byte, 0, cfg.PacketSize),
+		payload: make([]byte, cfg.PacketSize-dataHeaderLen),
+	}
+	s.core.Init(cfg.Sender)
+	return s
+}
+
+// attach binds the sender to its driver.
+func (s *Sender) attach(c Clock, out func([]byte)) {
+	s.clock, s.out = c, out
+	s.sendT = c.NewTimer(s.onSendTimer)
+	s.noFbT = c.NewTimer(s.onNoFeedback)
+}
+
+// Run starts the sender. Over a PacketConn it then serves the socket and
+// blocks until Stop is called or the connection fails persistently; on a
+// simulated host it returns at once and the scheduler drives the sender.
+func (s *Sender) Run() {
+	s.mu.Lock()
+	if s.state == senderIdle {
+		s.state = senderRunning
+		s.onSendTimer()
+		s.noFbT.Reset(dur(s.core.NoFeedbackTimeout()))
+	}
+	s.mu.Unlock()
+	if s.os != nil {
+		s.os.serve(&s.mu, s.onDatagram)
+		s.Stop()
 	}
 }
 
-// Run starts the send and feedback loops and blocks until Stop is called
-// or the connection fails persistently.
-func (s *Sender) Run() {
-	s.wg.Add(2)
-	go s.recvLoop()
-	go s.sendLoop()
-	s.wg.Wait()
-}
-
-// Stop terminates the loops. The connection is not closed (the caller
-// owns it) but pending reads are abandoned via a short deadline.
+// Stop halts the sender permanently: nothing is sent and no timer is
+// pending afterwards. The connection is not closed (the caller owns it).
 func (s *Sender) Stop() {
-	s.once.Do(func() {
-		close(s.done)
-		s.conn.SetReadDeadline(time.Now())
-	})
+	s.mu.Lock()
+	s.state = senderStopped
+	s.sendT.Stop()
+	s.noFbT.Stop()
+	s.mu.Unlock()
+	if s.os != nil {
+		s.os.stop()
+	}
 }
 
 // Rate returns the current allowed sending rate in bytes/sec.
@@ -115,291 +197,251 @@ func (s *Sender) Rate() float64 {
 	return s.core.Rate()
 }
 
-// RTT returns the smoothed round-trip estimate (0 before feedback).
-func (s *Sender) RTT() time.Duration {
+// Stats returns a snapshot of the sender's state and counters.
+func (s *Sender) Stats() SenderStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.core.RTT().Valid() {
-		return 0
+	st := SenderStats{
+		Rate:           s.core.Rate(),
+		P:              s.lastP,
+		Sent:           s.sent,
+		Feedbacks:      s.feedbacks,
+		NoFeedbackCuts: s.noFbCuts,
+		Rejected:       s.rejected,
 	}
-	return time.Duration(s.core.RTT().SRTT() * float64(time.Second))
-}
-
-// Stats returns packets sent, feedback packets processed, and
-// no-feedback rate cuts.
-func (s *Sender) Stats() (sent, feedbacks, noFbCuts int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sent, s.feedbacks, s.noFbCuts
-}
-
-func (s *Sender) sendLoop() {
-	defer s.wg.Done()
-	buf := make([]byte, 0, s.cfg.PacketSize)
-	payload := make([]byte, s.cfg.PacketSize-dataHeaderLen)
-	timer := time.NewTimer(0)
-	defer timer.Stop()
-	noFb := time.NewTimer(2 * time.Second)
-	defer noFb.Stop()
-	var lastSend time.Time
-	for {
-		select {
-		case <-s.done:
-			return
-		case <-s.kick:
-			// The rate rose: pull the pending send forward if the new
-			// spacing says so.
-			s.mu.Lock()
-			gap := time.Duration(s.core.PacketInterval() * float64(time.Second))
-			s.mu.Unlock()
-			if remaining := time.Until(lastSend.Add(gap)); remaining >= 0 {
-				timer.Reset(remaining)
-			} else {
-				timer.Reset(0)
-			}
-		case <-s.fb:
-			// Feedback arrived: re-arm the no-feedback timer. Without
-			// this the timer keeps its boot value and fires — cutting a
-			// perfectly healthy flow — the moment the stream outlives it.
-			s.mu.Lock()
-			d := time.Duration(s.core.NoFeedbackTimeout() * float64(time.Second))
-			s.mu.Unlock()
-			noFb.Reset(d)
-		case <-noFb.C:
-			s.mu.Lock()
-			s.core.OnNoFeedback()
-			s.noFbCuts++
-			d := time.Duration(s.core.NoFeedbackTimeout() * float64(time.Second))
-			s.mu.Unlock()
-			noFb.Reset(d)
-		case <-timer.C:
-			n := s.src.Fill(payload)
-			s.mu.Lock()
-			hdr := DataHeader{
-				Seq:      s.seq,
-				SendTime: time.Now(),
-			}
-			if s.core.RTT().Valid() {
-				hdr.SenderRTT = time.Duration(s.core.RTT().SRTT() * float64(time.Second))
-			}
-			s.seq++
-			s.sent++
-			gap := s.core.PacketInterval()
-			if s.cfg.MaxRate > 0 {
-				if floor := float64(s.cfg.PacketSize) / s.cfg.MaxRate; gap < floor {
-					gap = floor
-				}
-			}
-			s.mu.Unlock()
-			pkt := AppendData(buf, hdr, payload[:n])
-			s.conn.WriteTo(pkt, s.dst)
-			lastSend = time.Now()
-			timer.Reset(time.Duration(gap * float64(time.Second)))
-		}
+	if s.core.RTT().Valid() {
+		st.SRTT = dur(s.core.RTT().SRTT())
 	}
+	return st
 }
 
-func (s *Sender) recvLoop() {
-	defer s.wg.Done()
-	buf := make([]byte, 65536)
-	for {
-		select {
-		case <-s.done:
-			return
-		default:
-		}
-		s.conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
-		n, _, err := s.conn.ReadFrom(buf)
-		if err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				continue
-			}
-			return
-		}
-		fb, err := ParseFeedback(buf[:n])
-		if err != nil {
-			continue
-		}
-		rtt := time.Since(fb.EchoSendTime) - fb.EchoDelay
-		s.mu.Lock()
-		s.feedbacks++
-		before := s.core.Rate()
-		s.core.OnFeedback(core.Feedback{
-			P:         fb.LossEventRate,
-			XRecv:     fb.RecvRate,
-			RTTSample: rtt.Seconds(),
-		})
-		rose := s.core.Rate() > before
-		s.mu.Unlock()
-		select {
-		case s.fb <- struct{}{}:
-		default:
-		}
-		if rose {
-			select {
-			case s.kick <- struct{}{}:
-			default:
-			}
-		}
+// gap is the spacing to the next packet: the core's interval, stretched
+// to the application's MaxRate.
+func (s *Sender) gap() time.Duration {
+	gap := s.core.PacketInterval()
+	if s.cfg.MaxRate > 0 {
+		gap = math.Max(gap, float64(s.cfg.PacketSize)/s.cfg.MaxRate)
 	}
+	return dur(gap)
 }
 
-// Receiver consumes TFRC data from a PacketConn and returns feedback.
-type Receiver struct {
-	cfg  Config
-	conn net.PacketConn
-
-	mu    sync.Mutex
-	core  *core.Receiver
-	peer  net.Addr
-	start time.Time
-
-	// OnData, if set, observes every delivered payload in arrival order.
-	OnData func(seq uint32, payload []byte)
-
-	received int64
-	reports  int64
-
-	done chan struct{}
-	once sync.Once
-}
-
-// NewReceiver creates a receiver on conn.
-func NewReceiver(conn net.PacketConn, cfg Config) *Receiver {
-	cfg.fill()
-	return &Receiver{
-		cfg:  cfg,
-		conn: conn,
-		core: core.NewReceiver(core.ReceiverConfig{
-			PacketSize: cfg.PacketSize,
-			Eq:         cfg.Sender.Eq,
-		}),
-		start: time.Now(),
-		done:  make(chan struct{}),
-	}
-}
-
-func (r *Receiver) now() float64 { return time.Since(r.start).Seconds() }
-
-// Stop terminates Run.
-func (r *Receiver) Stop() {
-	r.once.Do(func() {
-		close(r.done)
-		r.conn.SetReadDeadline(time.Now())
-	})
-}
-
-// P returns the current loss event rate estimate.
-func (r *Receiver) P() float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.core.P()
-}
-
-// Stats returns data packets received and reports sent.
-func (r *Receiver) Stats() (received, reports int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.received, r.reports
-}
-
-// Run reads data packets and emits feedback until Stop. Feedback goes
-// out once per sender RTT, expedited at the start of a loss event.
-func (r *Receiver) Run() {
-	buf := make([]byte, 65536)
-	fbBuf := make([]byte, 0, feedbackPacketLen)
-	var fbTimer *time.Timer
-	fbC := make(chan struct{}, 1)
-	armFb := func(d time.Duration) {
-		if fbTimer != nil {
-			fbTimer.Stop()
-		}
-		fbTimer = time.AfterFunc(d, func() {
-			select {
-			case fbC <- struct{}{}:
-			default:
-			}
-		})
-	}
-	defer func() {
-		if fbTimer != nil {
-			fbTimer.Stop()
-		}
-	}()
-	for {
-		select {
-		case <-r.done:
-			return
-		case <-fbC:
-			r.sendFeedback(&fbBuf)
-			armFb(r.feedbackInterval())
-		default:
-		}
-		r.conn.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
-		n, from, err := r.conn.ReadFrom(buf)
-		if err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				continue
-			}
-			return
-		}
-		hdr, payload, err := ParseData(buf[:n])
-		if err != nil {
-			continue
-		}
-		r.mu.Lock()
-		first := !r.core.HaveData()
-		r.peer = from
-		r.received++
-		newLoss := r.core.OnData(r.now(), core.DataPacket{
-			Seq:       int64(hdr.Seq),
-			Size:      n,
-			SendTime:  hdr.SendTime.Sub(r.start).Seconds(),
-			SenderRTT: hdr.SenderRTT.Seconds(),
-		})
-		r.mu.Unlock()
-		if r.OnData != nil {
-			r.OnData(hdr.Seq, payload)
-		}
-		if first || newLoss {
-			r.sendFeedback(&fbBuf)
-			armFb(r.feedbackInterval())
-		}
-	}
-}
-
-func (r *Receiver) feedbackInterval() time.Duration {
-	r.mu.Lock()
-	rtt := r.core.SenderRTT()
-	r.mu.Unlock()
-	if rtt <= 0 {
-		return 100 * time.Millisecond
-	}
-	d := time.Duration(rtt * float64(time.Second))
-	if d < time.Millisecond {
-		d = time.Millisecond
-	}
-	return d
-}
-
-func (r *Receiver) sendFeedback(buf *[]byte) {
-	r.mu.Lock()
-	rep, ok := r.core.MakeReport(r.now())
-	peer := r.peer
-	if ok {
-		r.reports++
-	}
-	r.mu.Unlock()
-	if !ok || peer == nil {
+func (s *Sender) onSendTimer() {
+	if s.state != senderRunning {
 		return
 	}
-	fb := FeedbackPacket{
-		LossEventRate: rep.P,
-		RecvRate:      rep.XRecv,
-		EchoSeq:       uint32(rep.EchoSeq),
-		EchoSendTime:  r.start.Add(time.Duration(rep.EchoSendTime * float64(time.Second))),
-		EchoDelay:     time.Duration(rep.EchoDelay * float64(time.Second)),
+	now := s.clock.Now()
+	hdr := DataHeader{Seq: s.seq, SendTime: now}
+	if s.core.RTT().Valid() {
+		hdr.SenderRTT = dur(s.core.RTT().SRTT())
 	}
-	*buf = AppendFeedback(*buf, fb)
-	r.conn.WriteTo(*buf, peer)
+	s.seq++
+	s.sent++
+	n := s.src.Fill(s.payload)
+	s.buf = AppendData(s.buf, hdr, s.payload[:n])
+	s.out(s.buf)
+	gap := s.gap()
+	s.nextSend = now.Add(gap)
+	s.sendT.Reset(gap)
+}
+
+func (s *Sender) onNoFeedback() {
+	if s.state != senderRunning {
+		return
+	}
+	s.noFbCuts++
+	s.core.OnNoFeedback()
+	s.noFbT.Reset(dur(s.core.NoFeedbackTimeout()))
+}
+
+// onDatagram takes one arriving datagram: a receiver report, or
+// something to reject.
+func (s *Sender) onDatagram(b []byte) {
+	if s.state != senderRunning {
+		return
+	}
+	fb, err := ParseFeedback(b)
+	if err != nil {
+		s.rejected.count(err)
+		return
+	}
+	now := s.clock.Now()
+	rtt := now.Sub(fb.EchoSendTime) - fb.EchoDelay
+	if rtt <= 0 && !s.core.RTT().Valid() {
+		// An echo from the future carries no sample, and without one the
+		// rate equation has no round-trip time to work with.
+		s.rejected.Malformed++
+		return
+	}
+	s.feedbacks++
+	s.lastP = fb.LossEventRate
+	s.core.OnFeedback(core.Feedback{
+		P:         fb.LossEventRate,
+		XRecv:     fb.RecvRate,
+		RTTSample: rtt.Seconds(),
+	})
+	s.noFbT.Reset(dur(s.core.NoFeedbackTimeout()))
+	// A rate increase shortens the inter-packet gap; pull the pending
+	// send forward if the new spacing says so.
+	gap := s.gap()
+	if next := now.Add(gap); next.Before(s.nextSend) {
+		s.nextSend = next
+		s.sendT.Reset(gap)
+	}
+}
+
+// ReceiverStats is a snapshot of a Receiver.
+type ReceiverStats struct {
+	Rate     float64       // receive rate of the latest report, bytes/sec
+	P        float64       // loss event rate estimate
+	SRTT     time.Duration // the sender's estimate, as stamped on its data
+	Received int64         // data packets received
+	Reports  int64         // reports sent
+	Rejected Rejects
+}
+
+// Receiver is the TFRC data receiver: it detects loss events and returns
+// a report once per sender round-trip time, expedited at the start of a
+// loss event.
+type Receiver struct {
+	mu sync.Mutex // one turn at a time: driver callbacks and accessors
+
+	cfg   Config
+	clock Clock
+	out   func([]byte) // datagram seam: one encoded report to the driver
+	os    *osLoop      // socket read loop; nil on a simulated host
+
+	// OnData, if set, observes every delivered payload in arrival order.
+	// It runs inside the receiver's turn: the payload is only valid
+	// during the call, which must not call back into the Receiver.
+	OnData func(seq uint32, payload []byte)
+
+	core    core.Receiver
+	epoch   time.Time // zero of the float seconds the core machine sees
+	stopped bool
+	fbT     Timer
+	fbArmed bool
+	fbBuf   []byte
+
+	lastX    float64
+	received int64
+	reports  int64
+	rejected Rejects
+}
+
+func newReceiver(cfg Config) *Receiver {
+	cfg.fill()
+	r := &Receiver{cfg: cfg, fbBuf: make([]byte, 0, feedbackPacketLen)}
+	r.core.Init(core.ReceiverConfig{PacketSize: cfg.PacketSize, Eq: cfg.Sender.Eq})
+	return r
+}
+
+// attach binds the receiver to its driver.
+func (r *Receiver) attach(c Clock, out func([]byte)) {
+	r.clock, r.out = c, out
+	r.epoch = c.Now()
+	r.fbT = c.NewTimer(r.onFeedbackTimer)
+}
+
+func (r *Receiver) now() float64 { return r.clock.Now().Sub(r.epoch).Seconds() }
+
+// Run serves the receiver's socket until Stop is called or the connection
+// fails persistently. On a simulated host there is nothing to serve —
+// arrivals come from the scheduler — and Run returns at once.
+func (r *Receiver) Run() {
+	if r.os != nil {
+		r.os.serve(&r.mu, r.onDatagram)
+		r.Stop()
+	}
+}
+
+// Stop halts the receiver permanently: arrivals are ignored and no
+// report is sent afterwards.
+func (r *Receiver) Stop() {
+	r.mu.Lock()
+	r.stopped = true
+	r.fbT.Stop()
+	r.fbArmed = false
+	r.mu.Unlock()
+	if r.os != nil {
+		r.os.stop()
+	}
+}
+
+// Stats returns a snapshot of the receiver's state and counters.
+func (r *Receiver) Stats() ReceiverStats {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return ReceiverStats{
+		Rate:     r.lastX,
+		P:        r.core.P(),
+		SRTT:     dur(r.core.SenderRTT()),
+		Received: r.received,
+		Reports:  r.reports,
+		Rejected: r.rejected,
+	}
+}
+
+// onDatagram takes one arriving datagram: a data packet, or something to
+// reject.
+func (r *Receiver) onDatagram(b []byte) {
+	if r.stopped {
+		return
+	}
+	hdr, payload, err := ParseData(b)
+	if err != nil {
+		r.rejected.count(err)
+		return
+	}
+	r.received++
+	first := !r.core.HaveData()
+	newLoss := r.core.OnData(r.now(), core.DataPacket{
+		Seq:       int64(hdr.Seq),
+		Size:      len(b),
+		SendTime:  hdr.SendTime.Sub(r.epoch).Seconds(),
+		SenderRTT: hdr.SenderRTT.Seconds(),
+	})
+	if r.OnData != nil {
+		r.OnData(hdr.Seq, payload)
+	}
+	switch {
+	case first || newLoss:
+		// Bootstrap the sender's RTT estimate immediately, and expedite
+		// the report when a new loss event begins.
+		r.sendFeedback()
+	case !r.fbArmed:
+		r.armFeedback()
+	}
+}
+
+func (r *Receiver) onFeedbackTimer() {
+	r.fbArmed = false
+	if !r.stopped {
+		r.sendFeedback()
+	}
+}
+
+// armFeedback arms the report timer one sender round-trip time ahead.
+func (r *Receiver) armFeedback() {
+	d := 100 * time.Millisecond // until the sender's estimate arrives
+	if rtt := r.core.SenderRTT(); rtt > 0 {
+		d = max(dur(rtt), time.Millisecond)
+	}
+	r.fbT.Reset(d)
+	r.fbArmed = true
+}
+
+func (r *Receiver) sendFeedback() {
+	if rep, ok := r.core.MakeReport(r.now()); ok {
+		r.reports++
+		r.lastX = rep.XRecv
+		r.fbBuf = AppendFeedback(r.fbBuf, FeedbackPacket{
+			LossEventRate: rep.P,
+			RecvRate:      rep.XRecv,
+			EchoSeq:       uint32(rep.EchoSeq),
+			EchoSendTime:  r.epoch.Add(dur(rep.EchoSendTime)),
+			EchoDelay:     dur(rep.EchoDelay),
+		})
+		r.out(r.fbBuf)
+	}
+	r.armFeedback()
 }

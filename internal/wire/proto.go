@@ -1,14 +1,18 @@
-// Package wire is a real-transport TFRC implementation — the counterpart
-// of the paper's publicly released user-space implementation. It runs the
-// internal/core state machines over any net.PacketConn (UDP in practice),
-// with a compact binary wire format for data and feedback packets, a
-// paced sender driven by wall-clock timers, and a receiver that detects
-// loss events and returns reports once per round-trip time.
+// Package wire is the real-transport TFRC implementation — the counterpart
+// of the paper's publicly released user-space implementation: a compact
+// binary wire format for data and feedback packets, and a paced Sender
+// and a reporting Receiver that run the internal/core state machines
+// behind it.
 //
-// The package also provides an in-process network emulator (Pipe) with
-// Dummynet-like bandwidth, delay, queue, and random-loss impairments, so
-// examples and tests exercise the exact wire code paths without root
-// privileges or real WANs.
+// The endpoints are single-threaded state machines that see only a Clock
+// (the current instant, one-shot timers) and a datagram seam (send these
+// bytes / these bytes arrived); sockets and clocks live in two thin
+// drivers. NewSender and NewReceiver put an endpoint on a net.PacketConn
+// and the wall clock (UDP in practice). NewSimPair binds a connection to
+// two named hosts of a netsim topology and carries every encoded frame
+// over the simulated links on the sim.Scheduler clock, so tests,
+// examples and fault schedules exercise the exact codec and timer paths
+// deterministically, without sleeping, root privileges or real WANs.
 package wire
 
 import (
@@ -48,6 +52,11 @@ var ErrNotTFRC = errors.New("wire: not a TFRC packet")
 
 // ErrTruncated reports a datagram too short for its declared type.
 var ErrTruncated = errors.New("wire: truncated packet")
+
+// ErrMalformed reports a well-framed packet whose fields no receiver can
+// have produced: a loss event rate outside [0, 1] or a receive rate that
+// is negative, infinite or NaN.
+var ErrMalformed = errors.New("wire: malformed packet")
 
 // AppendData encodes hdr and payload into buf (reusing its storage) and
 // returns the wire bytes.
@@ -102,7 +111,9 @@ func AppendFeedback(buf []byte, fb FeedbackPacket) []byte {
 	return buf
 }
 
-// ParseFeedback decodes a feedback packet.
+// ParseFeedback decodes a feedback packet. The two rates arrive as raw
+// float bits and steer the sender's pacing, so values outside their
+// domain are rejected here rather than handed to the rate equation.
 func ParseFeedback(b []byte) (FeedbackPacket, error) {
 	if len(b) < 2 || b[0] != magic {
 		return FeedbackPacket{}, ErrNotTFRC
@@ -113,13 +124,18 @@ func ParseFeedback(b []byte) (FeedbackPacket, error) {
 	if len(b) < feedbackPacketLen {
 		return FeedbackPacket{}, ErrTruncated
 	}
-	return FeedbackPacket{
+	fb := FeedbackPacket{
 		LossEventRate: floatFromBits(binary.BigEndian.Uint64(b[2:])),
 		RecvRate:      floatFromBits(binary.BigEndian.Uint64(b[10:])),
 		EchoSeq:       binary.BigEndian.Uint32(b[18:]),
 		EchoSendTime:  time.UnixMicro(int64(binary.BigEndian.Uint64(b[22:]))),
 		EchoDelay:     time.Duration(binary.BigEndian.Uint32(b[30:])) * time.Microsecond,
-	}, nil
+	}
+	// Written so that NaN fails both range checks.
+	if !(fb.LossEventRate >= 0 && fb.LossEventRate <= 1) || !(fb.RecvRate >= 0 && fb.RecvRate <= math.MaxFloat64) {
+		return FeedbackPacket{}, ErrMalformed
+	}
+	return fb, nil
 }
 
 // IsFeedback reports whether the datagram is a TFRC feedback packet.

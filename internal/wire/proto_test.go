@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -104,7 +106,14 @@ func TestDataRoundTripProperty(t *testing.T) {
 }
 
 func TestFeedbackRoundTripProperty(t *testing.T) {
-	f := func(p, x float64, seq uint32, delayMicros uint32) bool {
+	// Whatever the two rates, a report is accepted exactly when they are
+	// in their domain, and an accepted report round-trips bit for bit.
+	f := func(p, x float64, unit bool, seq uint32, delayMicros uint32) bool {
+		if unit {
+			// quick draws floats from the whole range; fold half of them
+			// into the domain so both branches are exercised.
+			p, x = math.Abs(math.Remainder(p, 1)), math.Abs(x)
+		}
 		fb := FeedbackPacket{
 			LossEventRate: p,
 			RecvRate:      x,
@@ -113,16 +122,37 @@ func TestFeedbackRoundTripProperty(t *testing.T) {
 			EchoDelay:     time.Duration(delayMicros) * time.Microsecond,
 		}
 		got, err := ParseFeedback(AppendFeedback(nil, fb))
-		if err != nil {
-			return false
+		if !(p >= 0 && p <= 1 && x >= 0 && !math.IsInf(x, 1)) {
+			return errors.Is(err, ErrMalformed)
 		}
-		// NaN never round-trips by ==; compare bit patterns.
-		return floatBits(got.LossEventRate) == floatBits(p) &&
+		return err == nil && floatBits(got.LossEventRate) == floatBits(p) &&
 			floatBits(got.RecvRate) == floatBits(x) &&
 			got.EchoSeq == seq && got.EchoDelay == fb.EchoDelay
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestParseFeedbackRejectsForgedRates: the two rates arrive as raw float
+// bits. One NaN loss event rate used to make the sender's rate and packet
+// interval NaN, and a NaN interval arms a zero timer — the paced sender
+// free-ran until the next valid report.
+func TestParseFeedbackRejectsForgedRates(t *testing.T) {
+	for _, c := range []struct{ p, x float64 }{
+		{math.NaN(), 1e5}, {-0.1, 1e5}, {1.5, 1e5}, {math.Inf(1), 1e5},
+		{0.01, math.NaN()}, {0.01, -1}, {0.01, math.Inf(1)}, {0.01, math.Inf(-1)},
+	} {
+		forged := AppendFeedback(nil, FeedbackPacket{LossEventRate: c.p, RecvRate: c.x})
+		if fb, err := ParseFeedback(forged); err == nil {
+			t.Errorf("p=%v x_recv=%v accepted as %+v", c.p, c.x, fb)
+		}
+	}
+	for _, c := range []struct{ p, x float64 }{{0, 0}, {1, math.MaxFloat64}, {1e-300, 1e-300}} {
+		ok := AppendFeedback(nil, FeedbackPacket{LossEventRate: c.p, RecvRate: c.x})
+		if _, err := ParseFeedback(ok); err != nil {
+			t.Errorf("p=%v x_recv=%v rejected: %v", c.p, c.x, err)
+		}
 	}
 }
 

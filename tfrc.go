@@ -4,6 +4,7 @@ import (
 	"net"
 
 	"tfrc/internal/core"
+	"tfrc/internal/netsim"
 	"tfrc/internal/wire"
 )
 
@@ -90,19 +91,16 @@ func NewRTTEstimator(q float64) *RTTEstimator { return core.NewRTTEstimator(q) }
 type (
 	// WireConfig parameterizes wire endpoints.
 	WireConfig = wire.Config
-	// WireSender streams TFRC-paced datagrams over a net.PacketConn.
+	// WireSender streams TFRC-paced datagrams.
 	WireSender = wire.Sender
 	// WireReceiver consumes the stream and returns feedback.
 	WireReceiver = wire.Receiver
+	// WireSenderStats is the snapshot WireSender.Stats returns.
+	WireSenderStats = wire.SenderStats
+	// WireReceiverStats is the snapshot WireReceiver.Stats returns.
+	WireReceiverStats = wire.ReceiverStats
 	// PayloadSource supplies application bytes for outgoing packets.
 	PayloadSource = wire.Source
-	// PathConfig describes an emulated path (Dummynet-style pipe).
-	PathConfig = wire.PipeConfig
-	// EmulatedConn is one endpoint of NewEmulatedPath. Asserting a
-	// returned net.PacketConn to *EmulatedConn exposes live impairment
-	// controls (SetBandwidth, SetLoss) and drop counters for mid-run
-	// path changes.
-	EmulatedConn = wire.EmuConn
 )
 
 // NewWireSender creates a wire sender streaming to dst over conn. src may
@@ -116,7 +114,15 @@ func NewWireReceiver(conn net.PacketConn, cfg WireConfig) *WireReceiver {
 	return wire.NewReceiver(conn, cfg)
 }
 
-// NewEmulatedPath returns two connected net.PacketConn endpoints joined
-// by an impaired path with the given bandwidth, delay, queue, and random
-// loss — an in-process substitute for a Dummynet testbed.
-func NewEmulatedPath(cfg PathConfig) (a, b net.PacketConn) { return wire.Pipe(cfg) }
+// NewSimWirePair places the same two endpoints on hosts src and dst of a
+// built scenario.Topology instead of on sockets: every encoded datagram
+// crosses the simulated links in virtual time, so link schedules and
+// fault schedules shape the path — a deterministic, sleep-free substitute
+// for a Dummynet testbed. id is the connection's port on both hosts and
+// its flow ID at link monitors. Start the sender from a scheduler event
+// (sched.At(0, send.Run)) and advance the scheduler to run.
+//
+//tfrclint:allow importboundary the topology is named publicly as scenario.Topology
+func NewSimWirePair(t *netsim.Topology, src, dst string, id int, source PayloadSource, cfg WireConfig) (*WireSender, *WireReceiver) {
+	return wire.NewSimPair(t, src, dst, id, source, cfg)
+}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"tfrc"
+	"tfrc/scenario"
 )
 
 func TestFacadeThroughput(t *testing.T) {
@@ -49,25 +50,21 @@ func TestFacadeStateMachines(t *testing.T) {
 }
 
 func TestFacadeWirePath(t *testing.T) {
-	a, b := tfrc.NewEmulatedPath(tfrc.PathConfig{
-		Bandwidth: 4e6,
-		Delay:     5 * time.Millisecond,
-		Queue:     60,
-	})
-	defer a.Close()
-	defer b.Close()
-	recv := tfrc.NewWireReceiver(b, tfrc.WireConfig{PacketSize: 400})
-	send := tfrc.NewWireSender(a, b.LocalAddr(), nil, tfrc.WireConfig{PacketSize: 400})
-	go recv.Run()
-	go send.Run()
-	time.Sleep(800 * time.Millisecond)
-	send.Stop()
-	recv.Stop()
-	sent, fb, _ := send.Stats()
-	if sent < 10 || fb == 0 {
-		t.Fatalf("wire quickstart too quiet: sent=%d fb=%d", sent, fb)
+	// The wire endpoints over a simulated Dummynet-style path, composed
+	// from the public packages only.
+	sched := scenario.NewScheduler()
+	topo := scenario.NewTopology(sched, nil)
+	topo.Link("src", "dst", scenario.LinkSpec{Bandwidth: 4e6, Delay: 0.005, QueueLimit: 60})
+	topo.Build()
+	send, recv := tfrc.NewSimWirePair(topo, "src", "dst", 1, nil, tfrc.WireConfig{PacketSize: 400})
+	sched.At(0, send.Run)
+	sched.RunUntil(5)
+	var s tfrc.WireSenderStats = send.Stats()
+	var r tfrc.WireReceiverStats = recv.Stats()
+	if s.Sent < 1000 || s.Feedbacks == 0 || r.Received < s.Sent*9/10 {
+		t.Fatalf("wire quickstart too quiet: %+v %+v", s, r)
 	}
-	if send.RTT() <= 0 {
-		t.Fatal("no RTT estimate")
+	if s.SRTT < 10*time.Millisecond || send.Rate() != s.Rate {
+		t.Fatalf("sender snapshot: %+v, Rate() %v", s, send.Rate())
 	}
 }
