@@ -20,16 +20,16 @@ import (
 // it uses, and a warm one — same slots, same order, each keeping what it
 // grew — costs what its results cost and not a byte more.
 
-// footprintCell builds, runs, harvests and releases one two-bottleneck
-// parking-lot cell on sched: a SACK sender per zoo controller, two TFRC
-// flows, ON/OFF and mice cross traffic, and reordering on the second
-// bottleneck so the scoreboards see holes. It returns the allocation
-// count and bytes of build + run + harvest.
-func footprintCell(sched *sim.Scheduler, seed int64) (mallocs, bytes uint64) {
-	const duration = 8.0
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
+// footprintDuration is how long the footprint cell runs.
+const footprintDuration = 8.0
 
+// buildFootprintCell builds one two-bottleneck parking-lot cell on
+// sched: a SACK sender per zoo controller, two TFRC flows, ON/OFF and
+// mice cross traffic, and reordering on the second bottleneck so the
+// scoreboards see holes. It returns the builder, ready to Run, and the
+// monitor on the reordering bottleneck.
+func buildFootprintCell(sched *sim.Scheduler, seed int64) (*ScenarioBuilder, *netsim.FlowMonitor) {
+	const duration = footprintDuration
 	rng := sched.NewRand(seed)
 	pl := netsim.NewParkingLot(sched, netsim.ParkingLotConfig{
 		Bottlenecks:   2,
@@ -46,7 +46,7 @@ func footprintCell(sched *sim.Scheduler, seed int64) (mallocs, bytes uint64) {
 	fs.Apply(pl.Topo)
 
 	b := NewScenarioBuilder(pl.Topo)
-	b.MonitorLink(pl.BottleneckName(1), 0.5, duration/4)
+	mon := b.MonitorLink(pl.BottleneckName(1), 0.5, duration/4)
 	through := func(i int) (string, string) {
 		return netsim.IndexedName("ts", i), netsim.IndexedName("td", i)
 	}
@@ -70,7 +70,18 @@ func footprintCell(sched *sim.Scheduler, seed int64) (mallocs, bytes uint64) {
 			Variant:          tcp.Sack,
 		}, sched.NewRand(seed+200+int64(s)), 0.5)
 	}
-	res := b.Run(duration)
+	return b, mon
+}
+
+// footprintCell builds, runs, harvests and releases one footprint cell on
+// sched. It returns the allocation count and bytes of build + run +
+// harvest.
+func footprintCell(sched *sim.Scheduler, seed int64) (mallocs, bytes uint64) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+
+	b, _ := buildFootprintCell(sched, seed)
+	res := b.Run(footprintDuration)
 
 	runtime.ReadMemStats(&after)
 	if len(res.TCPSeries)+len(res.TFRCSeries) != 6 {

@@ -157,6 +157,13 @@ func (s *Sender) Stop() {
 	s.rtx.Stop()
 }
 
+// Limit returns the length of a limited transfer in packets, 0 for an
+// infinite backlog.
+func (s *Sender) Limit() int64 { return s.limit }
+
+// Done reports whether a limited transfer has been fully acknowledged.
+func (s *Sender) Done() bool { return s.limit > 0 && s.cumack >= s.limit }
+
 // Cwnd returns the congestion window in packets.
 func (s *Sender) Cwnd() float64 { return s.ccs.Cwnd }
 

@@ -14,6 +14,8 @@ type genArena struct {
 	cbrs   sim.Slab[*CBR]
 	sinks  sim.Slab[*Sink]
 	mice   sim.Slab[*Mice]
+
+	observe func(SessionEvent) // see ObserveSessions; not reset
 }
 
 // ResetArena implements sim.Arena.

@@ -237,6 +237,44 @@ type Mice struct {
 	// fresh pair per session.
 	slotSnd  []*tcp.Sender
 	slotSink []*tcp.Sink
+
+	observe func(SessionEvent) // ObserveSessions' callback, nil when nobody watches
+}
+
+// SessionKind says which step of a transfer a SessionEvent reports.
+type SessionKind uint8
+
+const (
+	SessionStart   SessionKind = iota // sender and sink bound, first packet about to leave
+	SessionDone                       // every packet acknowledged
+	SessionEvicted                    // still unfinished when its port slot came round again
+)
+
+// SessionEvent is one step in the life of a Mice transfer. Sent, Rtx and
+// Timeouts are the sender's counters and Received the sink's count of
+// arriving data packets (duplicates included) at that moment; all four
+// are zero at SessionStart.
+type SessionEvent struct {
+	Kind                SessionKind
+	At                  float64
+	Flow                int // the generator's flow id
+	Slot                int // port slot, 0..MaxConcurrent-1
+	Size                int64
+	Sent, Rtx, Timeouts int64
+	Received            int64
+}
+
+// ObserveSessions makes every Mice generator created on s from now on
+// report its sessions to fn, in event order. The setting belongs to the
+// scheduler and survives Reset; nil switches it off.
+func ObserveSessions(s *sim.Scheduler, fn func(SessionEvent)) { arenaOf(s).observe = fn }
+
+func (m *Mice) report(kind SessionKind, k int, snd *tcp.Sender) {
+	m.observe(SessionEvent{
+		Kind: kind, At: m.net.Now(), Flow: m.flow, Slot: k, Size: snd.Limit(),
+		Sent: snd.Sent, Rtx: snd.Rtx, Timeouts: snd.Timeouts,
+		Received: m.slotSink[k].Received,
+	})
 }
 
 // NewMice creates the generator; flow tags all its packets.
@@ -250,9 +288,10 @@ func NewMice(nw *netsim.Network, src, dst *netsim.Node, flow int, cfg MiceConfig
 	if cfg.BasePort == 0 {
 		cfg.BasePort = 1000
 	}
-	m := next(&arenaOf(nw.Scheduler()).mice)
+	a := arenaOf(nw.Scheduler())
+	m := next(&a.mice)
 	spawnFn, slotSnd, slotSink := m.spawnFn, m.slotSnd, m.slotSink
-	*m = Mice{cfg: cfg, net: nw, src: src, dst: dst, flow: flow, rng: rng}
+	*m = Mice{cfg: cfg, net: nw, src: src, dst: dst, flow: flow, rng: rng, observe: a.observe}
 	m.spawnFn = spawnFn
 	if m.spawnFn == nil {
 		m.spawnFn = m.spawn
@@ -299,6 +338,9 @@ func (m *Mice) spawn() {
 	m.src.Detach(srcPort)
 	m.dst.Detach(sinkPort)
 	if old := m.slotSnd[k]; old != nil {
+		if m.observe != nil && !old.Done() {
+			m.report(SessionEvicted, k, old)
+		}
 		old.Release()
 	}
 	if old := m.slotSink[k]; old != nil {
@@ -307,6 +349,10 @@ func (m *Mice) spawn() {
 	m.slotSink[k] = tcp.NewSink(m.net, m.dst, sinkPort, m.flow, 40)
 	snd := tcp.NewSenderLimited(m.net, m.src, m.dst.ID, sinkPort, srcPort, m.flow, tcp.Config{Variant: m.cfg.Variant}, size)
 	m.slotSnd[k] = snd
+	if m.observe != nil {
+		m.report(SessionStart, k, snd)
+		snd.OnComplete = func() { m.report(SessionDone, k, snd) }
+	}
 	snd.Start(m.net.Now())
 	m.net.Scheduler().After(m.rng.Exponential(m.cfg.MeanInterarrival), m.spawnFn)
 }
