@@ -95,9 +95,13 @@
 //     start at 8 slots and double, a free list, the same slots in the
 //     same order after every Reset). Storage is sized by demand and kept
 //     by its slot: a SACK scoreboard is allocated by the first hole a
-//     flow sees, a queue ring starts at 8 packets and doubles up to its
-//     limit, and whatever a slot grew is there for its next tenant, so a
-//     cold cell costs what it uses and a warm one allocates nothing new.
+//     flow sees (in-order data never touches one), a queue ring starts
+//     at 8 packets and doubles up to its limit, the small per-node tables
+//     and rings are cut from a few chunks per network (sim.Carver), and
+//     whatever a slot grew is there for its next tenant, so a cold cell
+//     costs what it uses and a warm one allocates nothing new. Resident
+//     agent state follows live flows: a finished short transfer's sender
+//     is back in the arena before the next one starts.
 //     Per-flow measurement series live in struct-of-arrays monitor
 //     columns, and packet delivery at a node with many bound ports goes
 //     through a dense port-indexed table rather than a scan.

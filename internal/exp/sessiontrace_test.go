@@ -22,7 +22,7 @@ import (
 // event to w. Floats print in their shortest exact form, so equal bytes
 // mean equal bits.
 func sessionLogger(w *bytes.Buffer) func(traffic.SessionEvent) {
-	kinds := map[traffic.SessionKind]string{
+	kinds := [...]string{
 		traffic.SessionStart:   "start",
 		traffic.SessionDone:    "done",
 		traffic.SessionEvicted: "evict",

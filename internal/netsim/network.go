@@ -72,7 +72,7 @@ func (n *Node) Attach(port int, a Agent) {
 	if bound {
 		panic(fmt.Sprintf("netsim: node %d port %d already bound", n.ID, port))
 	}
-	n.ports = append(n.ports, portBinding{port: port, a: a})
+	n.ports = append(n.net.portMem.Reserve(n.ports, len(n.ports)+1), portBinding{port: port, a: a})
 	n.portInsert(port, a)
 }
 
@@ -88,8 +88,12 @@ func (n *Node) portInsert(port int, a Agent) {
 		n.portSparse = true
 		return
 	}
-	for len(n.portTab) <= port {
-		n.portTab = append(n.portTab, nil)
+	if old := len(n.portTab); port >= old {
+		// A recycled node slot's table may still hold a previous
+		// scenario's agents beyond its length: the ports skipped over
+		// must read unbound.
+		n.portTab = n.net.tabMem.Reserve(n.portTab, port+1)[:port+1]
+		clear(n.portTab[old:port])
 	}
 	n.portTab[port] = a
 }
@@ -221,6 +225,14 @@ type Network struct {
 
 	routeSlab []*Link // n*n next-hop table, partitioned per node
 
+	// What is sized per node or per queue rather than per network is cut
+	// from these: a cold cell pays a few chunks, not an append chain per
+	// node, and the slots keep their segments as they kept their slices.
+	adjMem  sim.Carver[adjacency]   //tfrc:keep node slots retain the segments they took
+	portMem sim.Carver[portBinding] //tfrc:keep node slots retain the segments they took; Release scrubs them
+	tabMem  sim.Carver[Agent]       //tfrc:keep node slots retain the segments they took; Release scrubs them
+	ringMem sim.Carver[*Packet]     //tfrc:keep queue slots retain the rings they took
+
 	visited []bool   //tfrc:keep BuildRoutes scratch, value-only backing
 	bfsQ    []bfsHop //tfrc:keep BuildRoutes scratch; truncated after every build
 
@@ -345,12 +357,12 @@ func (nw *Network) Connect(a, b *Node, bw, delay float64, mkQueue func() Queue) 
 }
 
 // insertAdj inserts an adjacency keeping the slice sorted by neighbor ID.
-func insertAdj(adj []adjacency, to NodeID, l *Link) []adjacency {
+func (nw *Network) insertAdj(adj []adjacency, to NodeID, l *Link) []adjacency {
 	i := len(adj)
 	for i > 0 && adj[i-1].to > to {
 		i--
 	}
-	adj = append(adj, adjacency{})
+	adj = append(nw.adjMem.Reserve(adj, len(adj)+1), adjacency{})
 	copy(adj[i+1:], adj[i:])
 	adj[i] = adjacency{to: to, l: l}
 	return adj
@@ -374,8 +386,8 @@ func (nw *Network) connectAsymQueues(a, b *Node, abBW, abDelay float64, abQueue 
 	ab.net, ab.to, ab.bw, ab.delay, ab.queue = nw, b, abBW, abDelay, abQueue
 	ba = nw.allocLink()
 	ba.net, ba.to, ba.bw, ba.delay, ba.queue = nw, a, baBW, baDelay, baQueue
-	a.links = insertAdj(a.links, b.ID, ab)
-	b.links = insertAdj(b.links, a.ID, ba)
+	a.links = nw.insertAdj(a.links, b.ID, ab)
+	b.links = nw.insertAdj(b.links, a.ID, ba)
 	// Let capacity-aware disciplines know their drain rate.
 	for _, l := range []*Link{ab, ba} {
 		if s, ok := l.queue.(ptcSetter); ok {

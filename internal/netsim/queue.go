@@ -1,5 +1,7 @@
 package netsim
 
+import "tfrc/internal/sim"
+
 // Queue is a link buffer discipline. Enqueue either accepts the packet or
 // rejects it (drop decision); Dequeue hands the next packet to the link
 // transmitter. Queues never own packet memory — the caller frees rejected
@@ -29,13 +31,15 @@ type fifo struct {
 	head  int
 	n     int
 	bytes int
+	mem   *sim.Carver[*Packet] // where rings come from; nil for a queue built outside a Network
 }
 
 // recycled returns an empty fifo on f's ring, cleared — how a queue slot
-// keeps the ring it grew across Network.New.
-func (f *fifo) recycled() fifo {
+// keeps the ring it grew across Network.New — that cuts any larger ring
+// it comes to need from mem.
+func (f *fifo) recycled(mem *sim.Carver[*Packet]) fifo {
 	clear(f.buf)
-	return fifo{buf: f.buf}
+	return fifo{buf: f.buf, mem: mem}
 }
 
 //tfrc:hotpath
@@ -54,9 +58,10 @@ func (f *fifo) push(p *Packet) {
 //
 //go:noinline
 func (f *fifo) grow() {
-	grown := make([]*Packet, max(2*len(f.buf), fifoMinRing))
+	grown := f.mem.Take(max(2*len(f.buf), fifoMinRing))
 	n := copy(grown, f.buf[f.head:])
 	copy(grown[n:], f.buf[:f.head])
+	clear(f.buf)
 	f.buf = grown
 	f.head = 0
 }
@@ -98,7 +103,7 @@ func (nw *Network) newDropTail(limit int) *DropTail {
 		panic("netsim: DropTail limit must be ≥ 1")
 	}
 	q := nw.dtSlab.Get()
-	*q = DropTail{fifo: q.recycled(), limit: limit}
+	*q = DropTail{fifo: q.recycled(&nw.ringMem), limit: limit}
 	return q
 }
 

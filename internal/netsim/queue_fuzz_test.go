@@ -3,6 +3,8 @@ package netsim
 import (
 	"math/bits"
 	"testing"
+
+	"tfrc/internal/sim"
 )
 
 // FuzzFifoRing drives a DropTail's ring through pushes, pops and slot
@@ -25,6 +27,7 @@ func FuzzFifoRing(f *testing.F) {
 		limit := int(data[0]) + 1
 		maxRing := max(fifoMinRing, 1<<bits.Len(uint(limit-1)))
 		q := NewDropTail(limit)
+		q.mem = new(sim.Carver[*Packet]) // rings cut from chunks, as a Network's queues cut theirs
 		var ref []*Packet
 		seq := 0
 		for step, b := range data[1:] {
@@ -52,7 +55,7 @@ func FuzzFifoRing(f *testing.F) {
 				}
 			case 3:
 				ring := cap(q.buf)
-				q.fifo, ref = q.recycled(), nil
+				q.fifo, ref = q.recycled(q.mem), nil
 				if cap(q.buf) != ring {
 					t.Fatalf("step %d: recycling changed the ring from %d to %d slots", step, ring, cap(q.buf))
 				}

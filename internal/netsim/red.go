@@ -88,7 +88,7 @@ func NewRED(cfg REDConfig, now func() float64, rng *sim.Rand) *RED {
 func (nw *Network) newRED(cfg REDConfig, rng *sim.Rand) *RED {
 	validateRED(cfg)
 	q := nw.redSlab.Get()
-	*q = RED{cfg: cfg, rng: rng, now: nw.nowFn, idle: true, fifo: q.recycled()}
+	*q = RED{cfg: cfg, rng: rng, now: nw.nowFn, idle: true, fifo: q.recycled(&nw.ringMem)}
 	return q
 }
 

@@ -262,7 +262,23 @@ func NewParkingLot(sched *sim.Scheduler, cfg ParkingLotConfig, rng *sim.Rand) *P
 		cfg.AccessQueue = 1000
 	}
 	t := NewTopology(sched, rng)
-	pl := &ParkingLot{Topo: t, cfg: cfg}
+	// Every node list is a segment of one backing, cut to its final size.
+	k := cfg.Bottlenecks
+	nodes := make([]*Node, (k+1)+2*cfg.ThroughPairs+2*k*cfg.CrossPairs)
+	cut := func(n int) []*Node {
+		s := nodes[:0:n]
+		nodes = nodes[n:]
+		return s
+	}
+	segments := make([][]*Node, 2*k)
+	pl := &ParkingLot{
+		Topo: t, cfg: cfg,
+		Routers:    cut(k + 1),
+		ThroughSrc: cut(cfg.ThroughPairs),
+		ThroughDst: cut(cfg.ThroughPairs),
+		CrossSrc:   segments[:0:k],
+		CrossDst:   segments[k:k],
+	}
 	bspec := LinkSpec{
 		Bandwidth: cfg.BottleneckBW, Delay: cfg.BottleneckDly,
 		Queue: cfg.Queue, QueueLimit: cfg.QueueLimit, RED: cfg.RED,
@@ -287,7 +303,7 @@ func NewParkingLot(sched *sim.Scheduler, cfg ParkingLotConfig, rng *sim.Rand) *P
 		pl.ThroughDst = append(pl.ThroughDst, dst)
 	}
 	for s := 0; s < cfg.Bottlenecks; s++ {
-		var srcs, dsts []*Node
+		srcs, dsts := cut(cfg.CrossPairs), cut(cfg.CrossPairs)
 		for i := 0; i < cfg.CrossPairs; i++ {
 			srcs = append(srcs, t.Node(SubName("cs", s, i)))
 			dsts = append(dsts, t.Node(SubName("cd", s, i)))

@@ -74,3 +74,80 @@ func (s *Slab[T]) Each(f func(*T)) {
 		}
 	}
 }
+
+// Carver sizes, in elements. The first chunk of a Carver holds
+// carveSmall and each later one twice the last, up to carveChunk; a
+// request above carveSmall is a plain allocation of its own. The many
+// segments are the small ones — a host's one link and two ports, a ring
+// of eight — so they are what is batched, a chunk's unused tail stays
+// small beside what it saved, and what a tenant leaves behind in the
+// chunks as it doubles is under 2·carveSmall.
+const (
+	carveSmall = 32
+	carveChunk = 128
+)
+
+// Carver is the slab's sibling for slices: it batches the many small
+// ones a scenario is built from — netsim's per-node link and port tables
+// and queue rings — into a few chunks, where growing each by append from
+// nil costs a cold cell an allocation per tenant per doubling. A segment
+// belongs to whoever took it for good: a slab slot keeps the segments it
+// took across reuse like any other backing it grew, so a carver has no
+// reset and nothing comes back. The nil Carver allocates every request on
+// its own.
+type Carver[T any] struct {
+	rest  []T // uncut remainder of the newest chunk
+	chunk int // its size
+}
+
+// Take returns a zeroed segment of n elements that no later take
+// overlaps, its capacity clipped to n. Out of line and with one make, so
+// a carver is one allocation site per element type however its callers
+// are inlined.
+//
+//go:noinline
+func (c *Carver[T]) Take(n int) []T {
+	batched := c != nil && n <= carveSmall
+	if batched && n <= len(c.rest) {
+		s := c.rest[:n:n]
+		c.rest = c.rest[n:]
+		return s
+	}
+	size := n
+	if batched {
+		c.chunk = max(min(2*c.chunk, carveChunk), carveSmall)
+		size = c.chunk
+	}
+	fresh := make([]T, size)
+	if batched {
+		c.rest = fresh[n:]
+	}
+	return fresh[:n:n]
+}
+
+// Reserve returns s with room for at least n elements: s itself when it
+// has it, else its contents moved to twice the room — a new segment
+// while that is small enough to batch, the runtime's own growth step past
+// it (append doubles only small slices, and a million-port table should
+// not either). A segment left behind stays reachable in its chunk, so it
+// is scrubbed of what it pointed at.
+func (c *Carver[T]) Reserve(s []T, n int) []T {
+	if n <= cap(s) {
+		return s
+	}
+	old := s
+	if size := max(n, 2*cap(s)); size <= carveSmall {
+		s = c.Take(size)[:len(old)]
+		copy(s, old)
+	} else {
+		var zero T
+		for cap(s) < n {
+			s = append(s[:cap(s)], zero) // one past full: the runtime picks the next capacity
+		}
+		s = s[:len(old)]
+	}
+	if cap(old) <= carveSmall {
+		clear(old)
+	}
+	return s
+}

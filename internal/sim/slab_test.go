@@ -97,3 +97,107 @@ func TestSlabStableAddresses(t *testing.T) {
 		t.Fatalf("replaying a cell grew the slab from %d to %d chunks", chunks, len(s.chunks))
 	}
 }
+
+// TestCarverSegmentsAreDisjoint pins what netsim's node and queue slots
+// rely on: a segment is zeroed, never overlapped by a later one, and
+// clipped to its length so an append cannot run into its neighbour.
+func TestCarverSegmentsAreDisjoint(t *testing.T) {
+	var c Carver[*int]
+	owner := map[**int]int{} // element address → the segment it belongs to
+	var segs [][]*int
+	take := func(n int) {
+		s := c.Take(n)
+		if len(s) != n || cap(s) != n {
+			t.Fatalf("Take(%d) returned len %d cap %d", n, len(s), cap(s))
+		}
+		for i := range s {
+			if s[i] != nil {
+				t.Fatalf("segment %d element %d is not zeroed", len(segs), i)
+			}
+			if other, taken := owner[&s[i]]; taken {
+				t.Fatalf("segment %d overlaps segment %d", len(segs), other)
+			}
+			owner[&s[i]] = len(segs)
+			s[i] = new(int)
+		}
+		segs = append(segs, s)
+	}
+	for round := 0; round < 20; round++ {
+		for _, n := range []int{1, 2, 8, carveSmall, 3, 16, 1, carveSmall, 5, 8, 8, 2} {
+			take(n)
+		}
+	}
+	take(carveSmall + 1) // its own allocation, and not out of the chunk
+	take(4 * carveChunk)
+
+	// An append to a full segment must move it, not write into the next.
+	next := segs[1][0]
+	_ = append(segs[0], new(int))
+	if segs[1][0] != next {
+		t.Fatal("append to a segment overwrote its neighbour")
+	}
+
+	var none *Carver[*int]
+	if s := none.Take(5); len(s) != 5 || cap(s) != 5 {
+		t.Fatalf("nil carver: Take(5) returned len %d cap %d", len(s), cap(s))
+	}
+}
+
+// The small segments cost the chunks that hold them, not an allocation
+// each.
+func TestCarverBatchesSmallSegments(t *testing.T) {
+	const segments = 400 // of 4 elements: 1600 in all
+	var c Carver[int]
+	perRun := testing.AllocsPerRun(1, func() {
+		c = Carver[int]{}
+		for i := 0; i < segments; i++ {
+			c.Take(4)
+		}
+	})
+	// Chunks of carveSmall, 2·carveSmall, … up to carveChunk, then carveChunk each.
+	want := 0
+	for size, left := 0, 4*segments; left > 0; left -= size {
+		size = max(min(2*size, carveChunk), carveSmall)
+		want++
+	}
+	if int(perRun) != want {
+		t.Errorf("%d four-element segments cost %v allocations, want the %d chunks that hold them", segments, perRun, want)
+	}
+}
+
+func TestCarverReserve(t *testing.T) {
+	const n = 2100 // just past a power of two: doubling would end at 4096
+	var c Carver[*int]
+	var s []*int
+	var all []*int
+	for i := 0; i < n; i++ {
+		before := s
+		s = c.Reserve(s, len(s)+1)
+		if len(s) != len(before) || cap(s) <= len(s) {
+			t.Fatalf("Reserve at length %d returned len %d cap %d", len(before), len(s), cap(s))
+		}
+		if cap(before) > 0 && &s[:1][0] != &before[:1][0] {
+			// Moved, the contents carried over. While small: twice the
+			// room, and the segment left behind in its chunk scrubbed so
+			// it pins nothing.
+			if cap(before) < carveSmall && cap(s) < 2*cap(before) {
+				t.Fatalf("grew from %d to %d, want at least double", cap(before), cap(s))
+			}
+			for _, p := range before[:min(cap(before), carveSmall)] {
+				if cap(before) <= carveSmall && p != nil {
+					t.Fatal("the abandoned segment still points at its old contents")
+				}
+			}
+		}
+		p := new(int)
+		s, all = append(s, p), append(all, p)
+		if !slices.Equal(s, all) {
+			t.Fatalf("contents lost at length %d", len(s))
+		}
+	}
+	// Past what a carver batches the runtime's growth curve takes over,
+	// and that stops doubling at 256 elements.
+	if cap(s) > n*3/2 {
+		t.Errorf("%d elements sit in a backing of %d: large tables must not double", n, cap(s))
+	}
+}

@@ -6,9 +6,10 @@ var tcpArenaID = sim.NewArenaID()
 
 // agentArena is the scheduler-attached pool of TCP agents. Long-lived
 // senders and sinks are reclaimed wholesale at the next Scheduler.Reset;
-// short-lived ones (mice sessions) can be handed back mid-scenario via
-// Release, so a 5000-second cell with thousands of web-mouse transfers
-// churns a bounded set of slots instead of growing without limit.
+// short-lived ones (mice sessions) are handed back mid-scenario via
+// Release — a sender the moment its transfer completes, a sink when its
+// port is reused — so a cell with thousands of web-mouse transfers holds
+// as many sender slots as it ever had transfers in flight.
 type agentArena struct {
 	senders sim.Slab[Sender]
 	sinks   sim.Slab[Sink]

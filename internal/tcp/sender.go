@@ -60,8 +60,10 @@ type Sender struct {
 	lastSend float64   // latest scheduled departure, preserves ordering
 
 	// OnComplete, if set, runs once when a limited transfer is fully
-	// acknowledged.
-	OnComplete func()
+	// acknowledged: the sender has stopped and detached from its port, and
+	// the call is the last thing Recv does with it, so the hook may
+	// Release the sender.
+	OnComplete func(*Sender)
 }
 
 // NewSender creates a sender on node, addressing the sink at dst:dstPort.
@@ -101,10 +103,12 @@ func NewSender(nw *netsim.Network, node *netsim.Node, dst netsim.NodeID, dstPort
 // Release hands the sender back to its scheduler's agent arena for reuse
 // by a later NewSender, stopping its timers and cancelling any pending
 // Start event first. The caller must have detached the sender from its
-// port (a completed limited transfer detaches itself); the sender must
-// not be used afterwards. Release is optional — Scheduler.Reset reclaims
-// every agent wholesale — and exists so long scenarios that churn
-// short-lived senders (web mice) recycle them mid-run.
+// port (a completed limited transfer detaches itself, and may be released
+// from its OnComplete); the sender must not be used afterwards. Release
+// is optional — Scheduler.Reset reclaims every agent wholesale — and
+// exists so scenarios that churn short-lived senders (web mice) keep as
+// many resident as are in flight: the next NewSender gets the struct just
+// released, scoreboard backing included.
 func (s *Sender) Release() {
 	if s.released {
 		return
@@ -161,9 +165,6 @@ func (s *Sender) Stop() {
 // infinite backlog.
 func (s *Sender) Limit() int64 { return s.limit }
 
-// Done reports whether a limited transfer has been fully acknowledged.
-func (s *Sender) Done() bool { return s.limit > 0 && s.cumack >= s.limit }
-
 // Cwnd returns the congestion window in packets.
 func (s *Sender) Cwnd() float64 { return s.ccs.Cwnd }
 
@@ -198,15 +199,23 @@ func (s *Sender) Recv(p *netsim.Packet) {
 
 	switch {
 	case ack > s.cumack:
-		s.onNewAck(ack)
+		if s.onNewAck(ack) {
+			if s.OnComplete != nil {
+				s.OnComplete(s)
+			}
+			return
+		}
 	case ack == s.cumack && s.flight() > 0:
 		s.onDupAck()
 	}
 	s.trySend()
 }
 
+// onNewAck advances the cumulative ACK and reports whether that
+// completed a limited transfer.
+//
 //tfrc:hotpath
-func (s *Sender) onNewAck(ack int64) {
+func (s *Sender) onNewAck(ack int64) (complete bool) {
 	newly := ack - s.cumack
 	s.cumack = ack
 	if s.next < ack {
@@ -221,10 +230,7 @@ func (s *Sender) onNewAck(ack int64) {
 		// Finite transfer complete: release the port for reuse.
 		s.Stop()
 		s.node.Detach(s.sprt)
-		if s.OnComplete != nil {
-			s.OnComplete()
-		}
-		return
+		return true
 	}
 
 	if s.inRecovery {
@@ -233,7 +239,7 @@ func (s *Sender) onNewAck(ack int64) {
 		} else {
 			s.onPartialAck(newly)
 			s.resetTimer()
-			return
+			return false
 		}
 	} else {
 		s.dupacks = 0
@@ -241,6 +247,7 @@ func (s *Sender) onNewAck(ack int64) {
 	}
 	s.dupacks = 0
 	s.resetTimer()
+	return false
 }
 
 func (s *Sender) exitRecovery() {

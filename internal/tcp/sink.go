@@ -24,9 +24,9 @@ type Sink struct {
 
 // NewSink attaches a sink to node:port. ACKs carry the given flow id (the
 // data flow's id, so monitors can pair them). Like senders, sinks are
-// drawn from the scheduler's agent arena; the received-range set is
-// allocated by the first out-of-order arrival and its backing stays with
-// the arena slot across reuse.
+// drawn from the scheduler's agent arena. In-order data never touches the
+// received-range set: it is allocated by the first arrival ahead of a
+// hole, and its backing then stays with the arena slot across reuse.
 func NewSink(nw *netsim.Network, node *netsim.Node, port, flow, ackSize int) *Sink {
 	if ackSize == 0 {
 		ackSize = 40
@@ -63,7 +63,13 @@ func (s *Sink) Recv(p *netsim.Packet) {
 		return
 	}
 	s.Received++
-	if p.Seq >= s.next && !s.received.contains(p.Seq) {
+	if p.Seq == s.next && len(s.received.r) == 0 {
+		// In order with nothing held above it — every packet of a flow
+		// that sees no hole: the range set is not consulted, let alone
+		// grown.
+		s.next++
+		s.Delivered++
+	} else if p.Seq >= s.next && !s.received.contains(p.Seq) {
 		s.received.add(p.Seq, p.Seq+1)
 		if p.Seq == s.next {
 			old := s.next

@@ -368,7 +368,7 @@ func TestScoreboardGrowsPastOldFixedHalf(t *testing.T) {
 		t.Fatal("fresh agents already own scoreboard storage")
 	}
 	done := false
-	snd.OnComplete = func() { done = true }
+	snd.OnComplete = func(*Sender) { done = true }
 	snd.Start(0)
 	sched.RunUntil(60)
 
@@ -402,5 +402,86 @@ func TestScoreboardGrowsPastOldFixedHalf(t *testing.T) {
 	if cap(snd2.sacked.r) != sackedCap || cap(snd2.rtxed.r) != rtxedCap || cap(snk2.received.r) != receivedCap {
 		t.Fatalf("recycled agents lost their grown scoreboards: %d/%d/%d, want %d/%d/%d",
 			cap(snd2.sacked.r), cap(snd2.rtxed.r), cap(snk2.received.r), sackedCap, rtxedCap, receivedCap)
+	}
+}
+
+// cleanPath is two nodes joined by an 8 Mb/s, 10 ms link whose queue
+// never fills: nothing is lost or reordered on it.
+func cleanPath() (*sim.Scheduler, *netsim.Network, *netsim.Node, *netsim.Node) {
+	sched := sim.NewScheduler()
+	nw := netsim.New(sched)
+	a, b := nw.NewNode(), nw.NewNode()
+	nw.Connect(a, b, 8e6, 0.010, func() netsim.Queue { return netsim.NewDropTail(10000) })
+	nw.BuildRoutes()
+	return sched, nw, a, b
+}
+
+// TestInOrderFlowNeverAllocates pins what NewSink promises: a flow that
+// sees no hole owns no scoreboard storage and costs the allocator nothing
+// once it is built. Every measured transfer runs on a sender and a sink
+// whose slab slots nothing has used before, so no earlier run's leftovers
+// can hide an allocation of this one's.
+func TestInOrderFlowNeverAllocates(t *testing.T) {
+	const (
+		pairs = 6
+		limit = 1000
+	)
+	sched, nw, a, b := cleanPath()
+	var senders [pairs]*Sender
+	var sinks [pairs]*Sink
+	for i := range senders {
+		sinks[i] = NewSink(nw, b, i+1, i, 40)
+		senders[i] = NewSenderLimited(nw, a, b.ID, i+1, i+1, i, Config{Variant: Sack}, limit)
+	}
+	next := 0
+	perTransfer := testing.AllocsPerRun(pairs-1, func() {
+		senders[next].Start(sched.Now())
+		next++
+		sched.RunUntil(sched.Now() + 30)
+	})
+	if perTransfer != 0 {
+		t.Errorf("a %d-packet in-order transfer allocated %v times after construction, want 0", limit, perTransfer)
+	}
+	for i, snk := range sinks {
+		if snk.Delivered != limit || senders[i].Rtx != 0 {
+			t.Fatalf("transfer %d: delivered %d of %d with %d retransmissions: the path is not clean", i, snk.Delivered, limit, senders[i].Rtx)
+		}
+		if cap(snk.received.r)+cap(senders[i].sacked.r)+cap(senders[i].rtxed.r) != 0 {
+			t.Errorf("transfer %d saw no hole but owns scoreboard storage: received %d, sacked %d, rtxed %d",
+				i, cap(snk.received.r), cap(senders[i].sacked.r), cap(senders[i].rtxed.r))
+		}
+	}
+}
+
+// TestOneHoleCostsOneScoreboard is the other half: the first packet to
+// arrive ahead of a hole makes the sink's range set, once, at minRanges.
+func TestOneHoleCostsOneScoreboard(t *testing.T) {
+	const fresh = 6
+	sched, nw, a, b := cleanPath()
+	var sinks [fresh]*Sink
+	for i := range sinks {
+		sinks[i] = NewSink(nw, b, i+1, i, 40)
+	}
+	arrivals := []int64{0, 1, 2, 4, 3, 5, 6, 7, 9, 8} // two reorderings, one scoreboard
+	next := 0
+	perSink := testing.AllocsPerRun(fresh-1, func() {
+		for _, seq := range arrivals {
+			p := nw.NewPacket()
+			p.Kind, p.Seq, p.Src, p.Dst = netsim.KindData, seq, a.ID, b.ID
+			sinks[next].Recv(p)
+		}
+		next++
+		sched.Run() // the ACKs cross to a, where nothing is bound
+	})
+	if perSink != 1 {
+		t.Errorf("a sink that saw a hole allocated %v times, want exactly 1", perSink)
+	}
+	for i, snk := range sinks {
+		if snk.CumAck() != int64(len(arrivals)) || len(snk.received.r) != 0 {
+			t.Fatalf("sink %d: cumack %d with %d ranges held, want %d and none", i, snk.CumAck(), len(snk.received.r), len(arrivals))
+		}
+		if cap(snk.received.r) != minRanges {
+			t.Errorf("sink %d: range set of %d, want minRanges = %d", i, cap(snk.received.r), minRanges)
+		}
 	}
 }

@@ -46,17 +46,19 @@ type OnOff struct {
 	until   float64 // end of the current ON period
 	Sent    int64
 	stopped bool
-	// Bound once: the emit/ON/OFF cycle reschedules these directly, so
-	// sojourn transitions allocate no method-value closures.
-	emitFn     func()
-	startOnFn  func()
-	startOffFn func()
 }
+
+// The generators' scheduler callbacks are shared, the generator riding in
+// the event's arg slot, so building one binds no closures.
+func onOffEmitFn(x any)     { x.(*OnOff).emit() }
+func onOffStartOnFn(x any)  { x.(*OnOff).startOn() }
+func onOffStartOffFn(x any) { x.(*OnOff).startOff() }
+func cbrEmitFn(x any)       { x.(*CBR).emit() }
+func miceSpawnFn(x any)     { x.(*Mice).spawn() }
 
 // NewOnOff creates a source on node sending to dst:port while ON. Each
 // source should get its own rng so sources are independent. Sources are
-// drawn from the scheduler's arena; their bound callbacks capture only
-// the (stable) source pointer, so reuse rebinds nothing.
+// drawn from the scheduler's arena.
 func NewOnOff(nw *netsim.Network, node *netsim.Node, dst netsim.NodeID, port, flow int, cfg OnOffConfig, rng *sim.Rand) *OnOff {
 	if cfg.PacketSize == 0 {
 		cfg.PacketSize = 1000
@@ -65,21 +67,14 @@ func NewOnOff(nw *netsim.Network, node *netsim.Node, dst netsim.NodeID, port, fl
 		panic("traffic: ON/OFF source needs positive rate and sojourn times")
 	}
 	o := next(&arenaOf(nw.Scheduler()).onoffs)
-	emitFn, startOnFn, startOffFn := o.emitFn, o.startOnFn, o.startOffFn
 	*o = OnOff{cfg: cfg, net: nw, node: node, dst: dst, port: port, flow: flow, rng: rng}
-	o.emitFn, o.startOnFn, o.startOffFn = emitFn, startOnFn, startOffFn
-	if o.emitFn == nil {
-		o.emitFn = o.emit
-		o.startOnFn = o.startOn
-		o.startOffFn = o.startOff
-	}
 	return o
 }
 
 // Start begins the ON/OFF cycle at the given time (starting OFF, so
 // sources desynchronize naturally).
 func (o *OnOff) Start(at float64) {
-	o.net.Scheduler().At(at, o.startOffFn)
+	o.net.Scheduler().AtArg(at, onOffStartOffFn, o)
 }
 
 // Stop permanently silences the source at its next event.
@@ -91,7 +86,7 @@ func (o *OnOff) startOff() {
 	}
 	o.on = false
 	off := o.rng.Pareto(o.cfg.MeanOff, o.cfg.Shape)
-	o.net.Scheduler().After(off, o.startOnFn)
+	o.net.Scheduler().AfterArg(off, onOffStartOnFn, o)
 }
 
 func (o *OnOff) startOn() {
@@ -122,7 +117,7 @@ func (o *OnOff) emit() {
 	o.Sent++
 	o.node.Send(p)
 	gap := float64(o.cfg.PacketSize) * 8 / o.cfg.Rate
-	o.net.Scheduler().After(gap, o.emitFn)
+	o.net.Scheduler().AfterArg(gap, onOffEmitFn, o)
 }
 
 // CBR is a constant-bit-rate source.
@@ -135,7 +130,6 @@ type CBR struct {
 	gap        float64
 	Sent       int64
 	stopped    bool
-	emitFn     func()
 }
 
 // NewCBR creates a source emitting size-byte packets at rate bits/sec.
@@ -144,20 +138,15 @@ func NewCBR(nw *netsim.Network, node *netsim.Node, dst netsim.NodeID, port, flow
 		panic("traffic: CBR needs positive rate and size")
 	}
 	c := next(&arenaOf(nw.Scheduler()).cbrs)
-	emitFn := c.emitFn
 	*c = CBR{
 		net: nw, node: node, dst: dst, port: port, flow: flow,
 		size: size, gap: float64(size) * 8 / rate,
-	}
-	c.emitFn = emitFn
-	if c.emitFn == nil {
-		c.emitFn = c.emit
 	}
 	return c
 }
 
 // Start begins emission at the given time.
-func (c *CBR) Start(at float64) { c.net.Scheduler().At(at, c.emitFn) }
+func (c *CBR) Start(at float64) { c.net.Scheduler().AtArg(at, cbrEmitFn, c) }
 
 // Stop silences the source.
 func (c *CBR) Stop() { c.stopped = true }
@@ -175,7 +164,7 @@ func (c *CBR) emit() {
 	p.DstPort = c.port
 	c.Sent++
 	c.node.Send(p)
-	c.net.Scheduler().After(c.gap, c.emitFn)
+	c.net.Scheduler().AfterArg(c.gap, cbrEmitFn, c)
 }
 
 // Sink discards arriving packets, freeing them back to the pool. Attach
@@ -217,7 +206,10 @@ type MiceConfig struct {
 	MaxConcurrent int
 }
 
-// Mice launches short TCP sessions between src and dst.
+// Mice launches short TCP sessions between src and dst. What it keeps
+// resident follows the sessions that are alive: a sender goes back to the
+// TCP agent arena the moment its last packet is acknowledged, and the
+// next session starts on that same warm struct.
 type Mice struct {
 	cfg  MiceConfig
 	net  *netsim.Network
@@ -229,16 +221,20 @@ type Mice struct {
 	slot     int
 	Sessions int64
 	stopped  bool
-	spawnFn  func() // bound once: spawn reschedules itself per session
+	doneFn   func(*tcp.Sender) // bound once: every session's OnComplete
 
-	// Per-slot live agents: when a slot is recycled its previous
-	// sender/sink pair is handed back to the TCP agent arena, so a long
-	// scenario churns a bounded set of structs instead of allocating a
-	// fresh pair per session.
-	slotSnd  []*tcp.Sender
-	slotSink []*tcp.Sink
+	slots []miceSlot // by port slot, 0..MaxConcurrent-1
 
 	observe func(SessionEvent) // ObserveSessions' callback, nil when nobody watches
+}
+
+// miceSlot is what is bound to one port slot. snd is the slot's
+// unfinished transfer, nil once it completes. sink outlives its transfer:
+// a late duplicate is still acknowledged, so the sink stays bound until
+// spawn reuses the slot's ports and hands it back to the arena.
+type miceSlot struct {
+	snd  *tcp.Sender
+	sink *tcp.Sink
 }
 
 // SessionKind says which step of a transfer a SessionEvent reports.
@@ -273,7 +269,7 @@ func (m *Mice) report(kind SessionKind, k int, snd *tcp.Sender) {
 	m.observe(SessionEvent{
 		Kind: kind, At: m.net.Now(), Flow: m.flow, Slot: k, Size: snd.Limit(),
 		Sent: snd.Sent, Rtx: snd.Rtx, Timeouts: snd.Timeouts,
-		Received: m.slotSink[k].Received,
+		Received: m.slots[k].sink.Received,
 	})
 }
 
@@ -290,31 +286,27 @@ func NewMice(nw *netsim.Network, src, dst *netsim.Node, flow int, cfg MiceConfig
 	}
 	a := arenaOf(nw.Scheduler())
 	m := next(&a.mice)
-	spawnFn, slotSnd, slotSink := m.spawnFn, m.slotSnd, m.slotSink
+	doneFn, slots := m.doneFn, m.slots
 	*m = Mice{cfg: cfg, net: nw, src: src, dst: dst, flow: flow, rng: rng, observe: a.observe}
-	m.spawnFn = spawnFn
-	if m.spawnFn == nil {
-		m.spawnFn = m.spawn
+	m.doneFn = doneFn
+	if m.doneFn == nil {
+		m.doneFn = m.sessionDone
 	}
-	maxc := cfg.MaxConcurrent
-	if cap(slotSnd) < maxc {
-		slotSnd = make([]*tcp.Sender, maxc)
-		slotSink = make([]*tcp.Sink, maxc)
+	if maxc := cfg.MaxConcurrent; cap(slots) < maxc {
+		slots = make([]miceSlot, maxc)
 	} else {
 		// Slot entries from a previous scenario were reclaimed wholesale
 		// by the arena reset; forget them rather than re-releasing.
-		slotSnd = slotSnd[:maxc]
-		slotSink = slotSink[:maxc]
-		clear(slotSnd)
-		clear(slotSink)
+		slots = slots[:maxc]
+		clear(slots)
 	}
-	m.slotSnd, m.slotSink = slotSnd, slotSink
+	m.slots = slots
 	return m
 }
 
 // Start schedules the first session at the given time.
 func (m *Mice) Start(at float64) {
-	m.net.Scheduler().At(at, m.spawnFn)
+	m.net.Scheduler().AtArg(at, miceSpawnFn, m)
 }
 
 // Stop halts new session creation.
@@ -331,28 +323,48 @@ func (m *Mice) spawn() {
 	srcPort := m.cfg.BasePort + 2*k + 1
 	size := int64(m.rng.Exponential(m.cfg.MeanSize)) + 1
 
-	// Ports are recycled: evict any straggler still bound to this slot (a
-	// slow old session simply dies; with MaxConcurrent slots that is rare
-	// and harmless for background load) and hand its agents back to the
-	// arena, which the new session immediately reuses.
+	// Ports are recycled. A sender still bound to this slot is a
+	// straggler: it simply dies (with MaxConcurrent slots that is rare and
+	// harmless for background load) and goes back to the arena here
+	// instead of in sessionDone. The slot's last sink goes back either
+	// way, and the new session immediately reuses both.
 	m.src.Detach(srcPort)
 	m.dst.Detach(sinkPort)
-	if old := m.slotSnd[k]; old != nil {
-		if m.observe != nil && !old.Done() {
-			m.report(SessionEvicted, k, old)
+	sl := &m.slots[k]
+	if sl.snd != nil {
+		if m.observe != nil {
+			m.report(SessionEvicted, k, sl.snd)
 		}
-		old.Release()
+		sl.snd.Release()
 	}
-	if old := m.slotSink[k]; old != nil {
-		old.Release()
+	if sl.sink != nil {
+		sl.sink.Release()
 	}
-	m.slotSink[k] = tcp.NewSink(m.net, m.dst, sinkPort, m.flow, 40)
+	sl.sink = tcp.NewSink(m.net, m.dst, sinkPort, m.flow, 40)
 	snd := tcp.NewSenderLimited(m.net, m.src, m.dst.ID, sinkPort, srcPort, m.flow, tcp.Config{Variant: m.cfg.Variant}, size)
-	m.slotSnd[k] = snd
+	snd.OnComplete = m.doneFn
+	sl.snd = snd
 	if m.observe != nil {
 		m.report(SessionStart, k, snd)
-		snd.OnComplete = func() { m.report(SessionDone, k, snd) }
 	}
 	snd.Start(m.net.Now())
-	m.net.Scheduler().After(m.rng.Exponential(m.cfg.MeanInterarrival), m.spawnFn)
+	m.net.Scheduler().AfterArg(m.rng.Exponential(m.cfg.MeanInterarrival), miceSpawnFn, m)
+}
+
+// sessionDone is every session's OnComplete: the sender has stopped,
+// detached itself and will not be touched again by the ACK that finished
+// it, so it goes back to the arena now rather than when its slot comes
+// round MaxConcurrent sessions later.
+//
+//tfrc:hotpath
+func (m *Mice) sessionDone(snd *tcp.Sender) {
+	k := 0
+	for m.slots[k].snd != snd {
+		k++
+	}
+	if m.observe != nil {
+		m.report(SessionDone, k, snd)
+	}
+	m.slots[k].snd = nil
+	snd.Release()
 }

@@ -125,6 +125,117 @@ func TestMiceGenerateSessions(t *testing.T) {
 	}
 }
 
+// miceWatch follows a generator through its session events: how many
+// transfers are unfinished, the most there ever were, and every sender
+// struct a session was ever started on. It fails the test if two port
+// slots ever hold the same sender — what a struct released twice, and
+// so issued twice, would look like.
+type miceWatch struct {
+	t                      *testing.T
+	m                      *Mice
+	live, peak             int
+	starts, dones, evicted int
+	issued                 map[*tcp.Sender]bool
+}
+
+func watchMice(t *testing.T, sched *sim.Scheduler, build func() *Mice) *miceWatch {
+	w := &miceWatch{t: t, issued: map[*tcp.Sender]bool{}}
+	ObserveSessions(sched, w.event)
+	w.m = build()
+	return w
+}
+
+func (w *miceWatch) event(e SessionEvent) {
+	switch e.Kind {
+	case SessionDone:
+		w.dones++
+		w.live--
+	case SessionEvicted:
+		w.evicted++
+		w.live--
+	case SessionStart:
+		w.starts++
+		w.live++
+		w.peak = max(w.peak, w.live)
+		w.issued[w.m.slots[e.Slot].snd] = true
+		held := map[*tcp.Sender]int{}
+		for k, sl := range w.m.slots {
+			if sl.snd == nil {
+				continue
+			}
+			if other, dup := held[sl.snd]; dup {
+				w.t.Fatalf("session %d: port slots %d and %d hold the same sender", w.starts, other, k)
+			}
+			held[sl.snd] = k
+		}
+		if len(held) != w.live {
+			w.t.Fatalf("session %d: %d senders held for %d unfinished transfers", w.starts, len(held), w.live)
+		}
+	}
+}
+
+func TestMiceResidentSendersFollowLiveSessions(t *testing.T) {
+	cfg := MiceConfig{MeanInterarrival: 0.02, MeanSize: 20, Variant: tcp.Sack}
+
+	t.Run("clean path", func(t *testing.T) {
+		sched, nw, a, b := twoNodes(t, 10e6)
+		w := watchMice(t, sched, func() *Mice { return NewMice(nw, a, b, 7, cfg, sim.NewRand(5)) })
+		w.m.Start(0)
+		for w.m.Sessions < 500 {
+			sched.RunUntil(sched.Now() + 1)
+		}
+		if w.evicted != 0 || w.dones != w.starts-w.live {
+			t.Fatalf("%d sessions: %d done, %d evicted: the path is not clean", w.starts, w.dones, w.evicted)
+		}
+		// 500 sessions went through 64 port slots, eight times round;
+		// the arena was asked for as many senders as were ever alive at
+		// once, the one being started included.
+		if len(w.issued) > w.peak+1 {
+			t.Errorf("%d sender structs issued for a peak of %d unfinished transfers", len(w.issued), w.peak)
+		}
+		t.Logf("%d sessions, peak %d unfinished, %d sender structs", w.starts, w.peak, len(w.issued))
+	})
+
+	t.Run("straggler", func(t *testing.T) {
+		// 20 kb/s carries a packet in 0.4 s: no transfer finishes before
+		// its slot, one of two, comes round again.
+		sched, nw, a, b := twoNodes(t, 20e3)
+		slow := cfg
+		slow.MaxConcurrent = 2
+		w := watchMice(t, sched, func() *Mice { return NewMice(nw, a, b, 7, slow, sim.NewRand(5)) })
+		w.m.Start(0)
+		sched.RunUntil(2)
+		if w.starts < 50 || w.evicted != w.starts-w.dones-w.live {
+			t.Fatalf("%d sessions, %d done, %d evicted, %d alive: the books do not balance", w.starts, w.dones, w.evicted, w.live)
+		}
+		if w.evicted < w.starts/2 {
+			t.Fatalf("only %d of %d sessions were evicted: the path is not slow enough", w.evicted, w.starts)
+		}
+		// An evicted sender goes back exactly once and is the very struct
+		// the session that evicted it starts on.
+		if len(w.issued) > slow.MaxConcurrent+1 {
+			t.Errorf("%d sender structs issued through %d port slots", len(w.issued), slow.MaxConcurrent)
+		}
+	})
+
+	t.Run("steady state allocates nothing", func(t *testing.T) {
+		sched, nw, a, b := twoNodes(t, 10e6)
+		m := NewMice(nw, a, b, 7, cfg, sim.NewRand(5))
+		m.Start(0)
+		for m.Sessions < 2*64 { // every port slot used, and the pools warm
+			sched.RunUntil(sched.Now() + 1)
+		}
+		before := m.Sessions
+		perSecond := testing.AllocsPerRun(5, func() { sched.RunUntil(sched.Now() + 1) })
+		if sessions := m.Sessions - before; sessions < 200 {
+			t.Fatalf("only %d sessions measured", sessions)
+		}
+		if perSecond != 0 {
+			t.Errorf("a second of sessions (about 50) allocated %v times once every port slot had been used, want 0", perSecond)
+		}
+	})
+}
+
 func TestConfigValidation(t *testing.T) {
 	sched, nw, a, b := twoNodes(t, 1e6)
 	_ = sched
