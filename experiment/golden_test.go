@@ -17,7 +17,8 @@ import (
 // testdata/golden. Experiments with a replicate count appear twice, so
 // both the single-seed pass-through and the mean ± CI reduction are
 // pinned. The files were generated by the commit before the experiment
-// kernel landed; UPDATE_GOLDEN=1 rewrites them.
+// kernel landed (the two full-length bwstep cases by the commit before its
+// rate step moved onto faults.Schedule); UPDATE_GOLDEN=1 rewrites them.
 var goldenCases = []struct{ name, exp, overlay string }{
 	{"fig2", "fig2", `{"T1": 3, "T2": 5, "Duration": 8}`},
 	{"fig3", "fig3", `{"BufferSizes": [4, 16], "Duration": 30, "Warmup": 10}`},
@@ -42,6 +43,8 @@ var goldenCases = []struct{ name, exp, overlay string }{
 	{"blackout", "blackout", `{"OutageStart": 10, "OutageEnd": 18, "Duration": 30}`},
 	{"bwstep", "bwstep", `{"StepAt": 8, "RestoreAt": 16, "Duration": 24}`},
 	{"bwstep-seeds2", "bwstep", `{"StepAt": 8, "RestoreAt": 16, "Duration": 24, "Seeds": 2}`},
+	{"bwstep-default", "bwstep", `{}`},
+	{"bwstep-seeds3", "bwstep", `{"Seeds": 3}`},
 	{"ccfair", "ccfair", `{"RTTs": [0.06, 0.12], "LinkMbps": [4, 8], "Duration": 20, "Warmup": 5}`},
 	{"ccfair-seeds2", "ccfair", `{"RTTs": [0.06, 0.12], "LinkMbps": [4, 8], "Duration": 20, "Warmup": 5, "Seeds": 2}`},
 	{"chaos", "chaos", `{"Cells": 3, "Episodes": 3, "Duration": 25}`},
