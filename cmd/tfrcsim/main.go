@@ -85,8 +85,7 @@ func run(args []string) int {
 			return mergeCmd(args[1:])
 		}
 	}
-	fmt.Fprintf(os.Stderr, "tfrcsim: want a command: run <name> | list | shard run|exec <name> | merge <files>%s\n", removedSpelling(args))
-	return exitUsage
+	return fail(exitUsage, fmt.Errorf("want a command: run <name> | list | shard run|exec <name> | merge <files>%s", removedSpelling(args)))
 }
 
 // removedSpelling recognizes a command line in one of the forms dropped
@@ -136,9 +135,8 @@ func runCmd(args []string) int {
 	if !ok {
 		return exitUsage
 	}
-	if *format != "table" && *format != "json" {
-		fmt.Fprintf(os.Stderr, "tfrcsim: unknown -format %q (want table or json)\n", *format)
-		return exitUsage
+	if err := checkFormat(*format); err != nil {
+		return fail(exitUsage, err)
 	}
 	d, p, code := resolveExperiment(fs, name, *preset, *paramsFile, seed, seeds)
 	if code != exitOK {
@@ -149,12 +147,10 @@ func runCmd(args []string) int {
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "tfrcsim: %v\n", err)
-			return exitRuntime
+			return fail(exitRuntime, err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "tfrcsim: %v\n", err)
-			return exitRuntime
+			return fail(exitRuntime, err)
 		}
 		defer func() {
 			pprof.StopCPUProfile()
@@ -191,13 +187,11 @@ func runCmd(args []string) int {
 		return exitCode()
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "tfrcsim: %v\n", err)
-		return exitRuntime
+		return fail(exitRuntime, err)
 	}
 	if *format == "json" {
 		if err := experiment.WriteJSON(os.Stdout, d.Name, p, res); err != nil {
-			fmt.Fprintf(os.Stderr, "tfrcsim: encoding result: %v\n", err)
-			return exitRuntime
+			return fail(exitRuntime, fmt.Errorf("encoding result: %w", err))
 		}
 		return exitOK
 	}

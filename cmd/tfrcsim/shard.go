@@ -28,11 +28,25 @@ const (
 	exitPartial = 3
 )
 
+// fail reports err on stderr the way every command does and returns the
+// exit code to leave with.
+func fail(code int, err error) int {
+	fmt.Fprintf(os.Stderr, "tfrcsim: %v\n", err)
+	return code
+}
+
+// checkFormat rejects a -format value that is neither table nor json.
+func checkFormat(format string) error {
+	if format != "table" && format != "json" {
+		return fmt.Errorf("unknown -format %q (want table or json)", format)
+	}
+	return nil
+}
+
 // shardCmd dispatches "tfrcsim shard run" and "tfrcsim shard exec".
 func shardCmd(args []string) int {
 	if len(args) == 0 || strings.HasPrefix(args[0], "-") {
-		fmt.Fprintln(os.Stderr, "tfrcsim: shard needs a subcommand: run | exec")
-		return exitUsage
+		return fail(exitUsage, errors.New("shard needs a subcommand: run | exec"))
 	}
 	switch args[0] {
 	case "run":
@@ -40,8 +54,7 @@ func shardCmd(args []string) int {
 	case "exec":
 		return shardExecCmd(args[1:])
 	default:
-		fmt.Fprintf(os.Stderr, "tfrcsim: unknown shard subcommand %q (want run or exec)\n", args[0])
-		return exitUsage
+		return fail(exitUsage, fmt.Errorf("unknown shard subcommand %q (want run or exec)", args[0]))
 	}
 }
 
@@ -76,15 +89,13 @@ func shardRunCmd(args []string) int {
 
 	sp := shard.ShardParams{Checkpoint: *checkpoint, Resume: *resume, FlushEvery: *flush}
 	if _, err := fmt.Sscanf(*shardSpec, "%d/%d", &sp.Index, &sp.Count); err != nil {
-		fmt.Fprintf(os.Stderr, "tfrcsim: -shard %q is not i/n (e.g. 0/4)\n", *shardSpec)
-		return exitUsage
+		return fail(exitUsage, fmt.Errorf("-shard %q is not i/n (e.g. 0/4)", *shardSpec))
 	}
 	var rng *experiment.CellRange
 	if *cells != "" {
 		var r experiment.CellRange
 		if _, err := fmt.Sscanf(*cells, "%d:%d", &r.Lo, &r.Hi); err != nil {
-			fmt.Fprintf(os.Stderr, "tfrcsim: -cells %q is not lo:hi (e.g. 0:18)\n", *cells)
-			return exitUsage
+			return fail(exitUsage, fmt.Errorf("-cells %q is not lo:hi (e.g. 0:18)", *cells))
 		}
 		rng = &r
 	}
@@ -95,12 +106,11 @@ func shardRunCmd(args []string) int {
 	exitCode, stop := catchInterrupt()
 	defer stop()
 	env, err := shard.Run(shard.RunSpec{Desc: d, Params: p, Shard: sp, Range: rng})
+	if errors.Is(err, experiment.ErrInterrupted) {
+		return fail(exitCode(), err)
+	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "tfrcsim: %v\n", err)
-		if errors.Is(err, experiment.ErrInterrupted) {
-			return exitCode()
-		}
-		return exitRuntime
+		return fail(exitRuntime, err)
 	}
 	return writeEnvelope(*out, env)
 }
@@ -135,21 +145,18 @@ func shardExecCmd(args []string) int {
 	if code != exitOK {
 		return code
 	}
-	if *format != "table" && *format != "json" {
-		fmt.Fprintf(os.Stderr, "tfrcsim: unknown -format %q (want table or json)\n", *format)
-		return exitUsage
+	if err := checkFormat(*format); err != nil {
+		return fail(exitUsage, err)
 	}
 	if *dir == "" {
 		tmp, err := os.MkdirTemp("", "tfrcsim-shard-*")
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "tfrcsim: %v\n", err)
-			return exitRuntime
+			return fail(exitRuntime, err)
 		}
 		defer os.RemoveAll(tmp)
 		*dir = tmp
 	} else if err := os.MkdirAll(*dir, 0o755); err != nil {
-		fmt.Fprintf(os.Stderr, "tfrcsim: %v\n", err)
-		return exitRuntime
+		return fail(exitRuntime, err)
 	}
 	if *parallel <= 0 {
 		// n processes each taking every CPU would oversubscribe n-fold.
@@ -157,8 +164,7 @@ func shardExecCmd(args []string) int {
 	}
 	self, err := os.Executable()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "tfrcsim: locating own binary: %v\n", err)
-		return exitRuntime
+		return fail(exitRuntime, fmt.Errorf("locating own binary: %w", err))
 	}
 
 	merged, err := shard.Exec(shard.ExecConfig{
@@ -189,13 +195,11 @@ func shardExecCmd(args []string) int {
 		Log: os.Stderr,
 	})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "tfrcsim: %v\n", err)
-		return exitRuntime
+		return fail(exitRuntime, err)
 	}
 	if *out != "" {
 		if err := shard.WriteEnvelopeFile(*out, merged); err != nil {
-			fmt.Fprintf(os.Stderr, "tfrcsim: %v\n", err)
-			return exitRuntime
+			return fail(exitRuntime, err)
 		}
 	}
 	return emitMerged(merged, *format)
@@ -224,32 +228,27 @@ func mergeCmd(args []string) int {
 		files, rest = append(files, rest[0]), rest[1:]
 	}
 	if len(files) == 0 {
-		fmt.Fprintln(os.Stderr, "tfrcsim: merge needs at least one envelope file (from shard run or shard exec)")
-		return exitUsage
+		return fail(exitUsage, errors.New("merge needs at least one envelope file (from shard run or shard exec)"))
 	}
-	if *format != "table" && *format != "json" {
-		fmt.Fprintf(os.Stderr, "tfrcsim: unknown -format %q (want table or json)\n", *format)
-		return exitUsage
+	if err := checkFormat(*format); err != nil {
+		return fail(exitUsage, err)
 	}
 
 	envs := make([]*shard.Envelope, 0, len(files))
 	for _, f := range files {
 		e, err := shard.ReadEnvelopeFile(f)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "tfrcsim: %v\n", err)
-			return exitRuntime
+			return fail(exitRuntime, err)
 		}
 		envs = append(envs, e)
 	}
 	merged, err := shard.Merge(envs, *allowPartial)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "tfrcsim: %v\n", err)
-		return exitRuntime
+		return fail(exitRuntime, err)
 	}
 	if *out != "" {
 		if err := shard.WriteEnvelopeFile(*out, merged); err != nil {
-			fmt.Fprintf(os.Stderr, "tfrcsim: %v\n", err)
-			return exitRuntime
+			return fail(exitRuntime, err)
 		}
 	}
 	return emitMerged(merged, *format)
@@ -263,13 +262,11 @@ func emitMerged(merged *shard.Envelope, format string) int {
 	if merged.Complete {
 		res, p, err := shard.Reduce(merged)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "tfrcsim: %v\n", err)
-			return exitRuntime
+			return fail(exitRuntime, err)
 		}
 		if format == "json" {
 			if err := experiment.WriteJSON(os.Stdout, merged.Experiment, p, res); err != nil {
-				fmt.Fprintf(os.Stderr, "tfrcsim: encoding result: %v\n", err)
-				return exitRuntime
+				return fail(exitRuntime, fmt.Errorf("encoding result: %w", err))
 			}
 			return exitOK
 		}
@@ -288,16 +285,14 @@ func emitMerged(merged *shard.Envelope, format string) int {
 func writeEnvelope(path string, env *shard.Envelope) int {
 	if path != "" {
 		if err := shard.WriteEnvelopeFile(path, env); err != nil {
-			fmt.Fprintf(os.Stderr, "tfrcsim: %v\n", err)
-			return exitRuntime
+			return fail(exitRuntime, err)
 		}
 		return exitOK
 	}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(env); err != nil {
-		fmt.Fprintf(os.Stderr, "tfrcsim: encoding envelope: %v\n", err)
-		return exitRuntime
+		return fail(exitRuntime, fmt.Errorf("encoding envelope: %w", err))
 	}
 	return exitOK
 }
@@ -336,29 +331,24 @@ func popExperimentName(fs *flag.FlagSet, cmd string, args []string) (string, boo
 func resolveExperiment(fs *flag.FlagSet, name, preset, paramsFile string, seed *int64, seeds *int) (experiment.Descriptor, experiment.Params, int) {
 	d, err := experiment.Get(name)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "tfrcsim: %v\n", err)
-		return experiment.Descriptor{}, nil, exitUsage
+		return experiment.Descriptor{}, nil, fail(exitUsage, err)
 	}
 	p, err := d.PresetParams(preset)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "tfrcsim: %v\n", err)
-		return experiment.Descriptor{}, nil, exitUsage
+		return experiment.Descriptor{}, nil, fail(exitUsage, err)
 	}
 	if paramsFile != "" {
 		data, err := os.ReadFile(paramsFile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "tfrcsim: %v\n", err)
-			return experiment.Descriptor{}, nil, exitRuntime
+			return experiment.Descriptor{}, nil, fail(exitRuntime, err)
 		}
 		dec := json.NewDecoder(bytes.NewReader(data))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(p); err != nil {
-			fmt.Fprintf(os.Stderr, "tfrcsim: parsing %s for %s: %v\n", paramsFile, d.Name, err)
-			return experiment.Descriptor{}, nil, exitRuntime
+			return experiment.Descriptor{}, nil, fail(exitRuntime, fmt.Errorf("parsing %s for %s: %w", paramsFile, d.Name, err))
 		}
 		if dec.More() {
-			fmt.Fprintf(os.Stderr, "tfrcsim: %s: trailing data after the parameter object\n", paramsFile)
-			return experiment.Descriptor{}, nil, exitRuntime
+			return experiment.Descriptor{}, nil, fail(exitRuntime, fmt.Errorf("%s: trailing data after the parameter object", paramsFile))
 		}
 	}
 	fs.Visit(func(f *flag.Flag) {

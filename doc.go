@@ -23,14 +23,14 @@
 //     clock (NewWireSender / NewWireReceiver) or, byte for byte the
 //     same code, between two hosts of a scenario.Topology in virtual
 //     time (NewSimWirePair — a deterministic Dummynet-style testbed
-//     shaped by link schedules and fault schedules). Use these to
-//     embed TFRC in your own transport.
+//     shaped by fault schedules). Use these to embed TFRC in your own
+//     transport.
 //
 //   - Package scenario: the packet-level simulator's composition
 //     surface. Topologies are declared, not hardcoded — named nodes,
-//     per-direction LinkSpecs, time-varying link schedules — with the
-//     dumbbell, parking-lot, and asymmetric-access presets, and a
-//     Builder placing TCP (Tahoe/Reno/NewReno/SACK), TFRC, and
+//     per-direction LinkSpecs, rate and delay steps as fault schedules
+//     — with the dumbbell, parking-lot, and asymmetric-access presets,
+//     and a Builder placing TCP (Tahoe/Reno/NewReno/SACK), TFRC, and
 //     background flows on named host pairs with monitors on named
 //     links, harvested into one Result. Scenarios run on the same
 //     arena-pooled zero-allocation engine as the paper experiments.
@@ -40,13 +40,15 @@
 //     your own with scenario.RegisterCC), with the sender keeping the
 //     mechanics (SACK scoreboard, recovery) and the controller the
 //     policy; the "ccfair" experiment races them head to head. A
-//     parking lot in four lines:
+//     parking lot in four lines, and a rate step on it:
 //
 //     topo := scenario.NewTopology(scenario.NewScheduler(), rng)
 //     topo.Link("r0", "r1", bottleneck) // LinkSpec{Bandwidth, Delay, Queue, ...}
 //     topo.Link("r1", "r2", bottleneck)
 //     topo.Link("src", "r0", access); topo.Link("dst", "r2", access)
-//     topo.Schedule("r0", "r1", scenario.LinkChange{At: 30, Bandwidth: 1e6})
+//     step := experiment.FaultSchedule{Faults: []experiment.Fault{{
+//     At: 30, Link: "r0->r1", Kind: "bandwidth", Bandwidth: 1e6}}}
+//     step.Apply(topo)
 //
 //   - Package experiment: the registry of the paper's evaluation.
 //     Every figure (2-21) and beyond-paper experiment (parkinglot,

@@ -3,7 +3,7 @@
 // one TCP flow cross every bottleneck while per-segment TCP cross
 // traffic loads each hop, plus a scheduled bandwidth step on the middle
 // bottleneck halfway through. Built entirely on the public scenario
-// package — no internal imports.
+// and experiment packages — no internal imports.
 //
 //	go run ./examples/parkinglot
 package main
@@ -11,6 +11,7 @@ package main
 import (
 	"fmt"
 
+	"tfrc/experiment"
 	"tfrc/scenario"
 )
 
@@ -42,10 +43,11 @@ func main() {
 		topo.Link(fmt.Sprintf("xd%d", s), fmt.Sprintf("r%d", s+1), access)
 	}
 	// The middle bottleneck loses half its capacity for 20 seconds.
-	topo.Schedule("r1", "r2",
-		scenario.LinkChange{At: 25, Bandwidth: bw / 2},
-		scenario.LinkChange{At: 45, Bandwidth: bw},
-	)
+	squeeze := experiment.FaultSchedule{Faults: []experiment.Fault{
+		{At: 25, Link: "r1->r2", Kind: "bandwidth", Bandwidth: bw / 2},
+		{At: 45, Link: "r1->r2", Kind: "bandwidth", Bandwidth: bw},
+	}}
+	squeeze.Apply(topo)
 
 	// Compose the scenario: flows on named host pairs, monitors on the
 	// named bottlenecks, one harvest at the end.

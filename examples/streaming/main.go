@@ -4,9 +4,9 @@
 //
 // A synthetic "encoder" offers four quality tiers. The real wire
 // endpoints stream over a simulated path whose available bandwidth drops
-// sharply mid-run (a competing flow arrives) and then recovers — a link
-// schedule on the topology, in virtual time, so the run is deterministic
-// and instant. Watch the tier track the TFRC rate without the
+// sharply mid-run (a competing flow arrives) and then recovers — two
+// bandwidth faults on the link, in virtual time, so the run is
+// deterministic and instant. Watch the tier track the TFRC rate without the
 // oscillation a TCP-driven player would see.
 //
 //	go run ./examples/streaming
@@ -50,16 +50,16 @@ func main() {
 	sched := scenario.NewScheduler()
 	topo := scenario.NewTopology(sched, nil)
 	topo.Link("server", "player", scenario.LinkSpec{Bandwidth: 3e6, Delay: 0.025, QueueLimit: 60})
-	// Mid-run congestion: at t=4s the path loses most of its capacity
-	// (as if competing flows arrived), recovering at t=8s.
-	topo.Schedule("server", "player",
-		scenario.LinkChange{At: 4, Bandwidth: 600e3},
-		scenario.LinkChange{At: 8, Bandwidth: 3e6})
 	topo.Build()
-	loss := experiment.FaultSchedule{Seed: 42, Faults: []experiment.Fault{
+	// Mid-run congestion: at t=4s the path loses most of its capacity
+	// (as if competing flows arrived), recovering at t=8s; a little
+	// corruption loss throughout.
+	path := experiment.FaultSchedule{Seed: 42, Faults: []experiment.Fault{
+		{At: 4, Link: "server->player", Kind: "bandwidth", Bandwidth: 600e3},
+		{At: 8, Link: "server->player", Kind: "bandwidth", Bandwidth: 3e6},
 		{At: 0, Link: "server->player", Kind: "impair", Corrupt: 0.002},
 	}}
-	loss.Apply(topo)
+	path.Apply(topo)
 
 	enc := &encoder{}
 	send, recv := tfrc.NewSimWirePair(topo, "server", "player", 1, enc, tfrc.WireConfig{PacketSize: 1000})

@@ -34,9 +34,6 @@
 //		Reduce: func(p *sweepParams, util []float64) *sweepResult { ... },
 //	})
 //
-// Register takes a hand-built Descriptor; one without a Grid only runs
-// whole.
-//
 // The serialized record has a stable, versioned shape:
 //
 //	{"schema": "tfrc.experiment.record/v1", "experiment": "fig6",
@@ -118,9 +115,8 @@ func Define[P, C any, R Result, PP interface {
 	return exp.Define[P, C, R, PP](s)
 }
 
-// Register adds an experiment to the registry. The paper's figures
-// self-register at init time; user code may add its own. Duplicate
-// names panic.
+// Register adds a hand-built Descriptor to the registry; it needs the
+// Grid that Define would have derived. Duplicate names panic.
 func Register(d Descriptor) { exp.Register(d) }
 
 // Get finds an experiment by canonical name or alias ("fig6", "6",

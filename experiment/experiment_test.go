@@ -383,25 +383,26 @@ func TestSeedKnobs(t *testing.T) {
 	}
 }
 
-// TestRegisterUserExperiment exercises the public extension point with
-// a scenario-package experiment, end to end.
+// TestRegisterUserExperiment exercises the public extension point,
+// Define, with a scenario-package experiment, end to end.
 func TestRegisterUserExperiment(t *testing.T) {
-	experiment.Register(experiment.Descriptor{
+	experiment.Define(experiment.Spec[userDumbbellParams, float64, *userDumbbellResult]{
 		Name:        "user-dumbbell",
 		Description: "test-only user experiment",
-		Params: func() experiment.Params {
-			return &userDumbbellParams{Flows: 2, Duration: 10}
-		},
-		Run: func(p experiment.Params) (experiment.Result, error) {
-			up := p.(*userDumbbellParams)
+		Default:     func() userDumbbellParams { return userDumbbellParams{Flows: 2, Duration: 10} },
+		Cells:       func(*userDumbbellParams) int { return 1 },
+		Cell: func(_ *experiment.Cell, p *userDumbbellParams, _ int) float64 {
 			res, err := scenario.Run(scenario.Spec{
-				NTCP: up.Flows, NTFRC: up.Flows,
-				BottleneckBW: 2e6, Duration: up.Duration, Seed: 1,
+				NTCP: p.Flows, NTFRC: p.Flows,
+				BottleneckBW: 2e6, Duration: p.Duration, Seed: 1,
 			})
 			if err != nil {
-				return nil, err
+				panic(err)
 			}
-			return &userDumbbellResult{Util: res.Utilization}, nil
+			return res.Utilization
+		},
+		Reduce: func(_ *userDumbbellParams, util []float64) *userDumbbellResult {
+			return &userDumbbellResult{Util: util[0]}
 		},
 	})
 	d, err := experiment.Get("user-dumbbell")

@@ -60,32 +60,9 @@ func Names() []string {
 // controller arena and re-initialized for a fresh connection. The
 // config must name a registered controller (a zero Config selects
 // reno); an unknown name panics — validate configs with Config.Validate
-// at the parameter boundary. The built-in kinds are constructed
-// directly so a warm arena makes New allocation-free.
+// at the parameter boundary. The built-in kinds draw from slabs, so a
+// warm arena makes New allocation-free.
 func New(s *sim.Scheduler, cfg Config, maxWindow float64) Controller {
-	a := arenaOf(s)
-	switch cfg.Name.String() {
-	case "reno":
-		r := a.reno.Get()
-		r.Init(maxWindow)
-		r.home = a
-		return r
-	case "vegas":
-		v := a.vegas.Get()
-		v.Init(cfg.Vegas, maxWindow)
-		v.home = a
-		return v
-	case "ledbat":
-		l := a.ledbat.Get()
-		l.Init(cfg.LEDBAT, maxWindow)
-		l.home = a
-		return l
-	case "relentless":
-		r := a.relentless.Get()
-		r.Init(cfg.Relentless, maxWindow)
-		r.home = a
-		return r
-	}
 	reg, ok := Lookup(cfg.Name.String())
 	if !ok {
 		panic(fmt.Sprintf("cc: unknown congestion controller %q", cfg.Name))

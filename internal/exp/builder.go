@@ -43,25 +43,14 @@ type ScenarioBuilder struct {
 // it pools scenario builders alongside the simulator objects they wire.
 var expArenaID = sim.NewArenaID()
 
-type builderArena struct {
-	builders []*ScenarioBuilder
-	used     int
-}
+type builderArena struct{ builders sim.Slab[*ScenarioBuilder] }
 
 // ResetArena implements sim.Arena.
-func (a *builderArena) ResetArena() { a.used = 0 }
+func (a *builderArena) ResetArena() { a.builders.Reset() }
 
 func builderFor(s *sim.Scheduler) *ScenarioBuilder {
 	a := s.Arena(expArenaID, func() sim.Arena { return &builderArena{} }).(*builderArena)
-	if a.used < len(a.builders) {
-		b := a.builders[a.used]
-		a.used++
-		return b
-	}
-	b := new(ScenarioBuilder)
-	a.builders = append(a.builders, b)
-	a.used = len(a.builders)
-	return b
+	return sim.Next(&a.builders)
 }
 
 // NewScenarioBuilder returns a builder over the topology, building it

@@ -4,15 +4,16 @@ import (
 	"fmt"
 	"io"
 
+	"tfrc/internal/faults"
 	"tfrc/internal/netsim"
 	"tfrc/internal/stats"
 )
 
 // BWStepParams is the bandwidth-step transient: TFRC and TCP flows share
 // a dumbbell whose bottleneck rate drops to Factor of nominal at StepAt
-// and restores at RestoreAt — a time-varying link schedule the static
-// dumbbell could not express. The metrics are how quickly and smoothly
-// each protocol tracks the change.
+// and restores at RestoreAt — two bandwidth faults on the bottleneck.
+// The metrics are how quickly and smoothly each protocol tracks the
+// change.
 type BWStepParams struct {
 	NTCP, NTFRC int
 	LinkMbps    float64
@@ -126,12 +127,12 @@ func runBWStepSeed(c *Cell, pr BWStepParams, seed int64) BWStepResult {
 	bw := pr.LinkMbps * 1e6
 	d := houseDumbbell(sched, pr.NTCP+pr.NTFRC, bw, 0.025, pr.Queue, seed)
 
-	// The tentpole move: the bottleneck is a scheduled, time-varying
-	// link. Declarations on a built topology install immediately.
-	d.Topo.Schedule("rl", "rr",
-		netsim.LinkChange{At: pr.StepAt, Bandwidth: bw * pr.Factor},
-		netsim.LinkChange{At: pr.RestoreAt, Bandwidth: bw},
-	)
+	// The bottleneck is a time-varying link: a rate step and its restore.
+	step := faults.Schedule{Faults: []faults.Fault{
+		{At: pr.StepAt, Link: "rl->rr", Kind: faults.BandwidthCollapse, Bandwidth: bw * pr.Factor},
+		{At: pr.RestoreAt, Link: "rl->rr", Kind: faults.BandwidthCollapse, Bandwidth: bw},
+	}}
+	step.Apply(d.Topo)
 
 	b := NewScenarioBuilder(d.Topo)
 	b.MonitorLink("rl->rr", pr.BinWidth, 0)

@@ -137,13 +137,12 @@ type ManyFlowsResult struct {
 
 // RunManyFlowsDecade runs one rung: n flows across a four-node chain
 // src — L — R — dst whose middle link carries n × PerFlowKbps. The
-// scheduler is freshly built and released per call rather than drawn
-// from the worker cell pool: a million-flow working set must not stay
-// pinned in a pooled arena after the experiment moves on.
+// scheduler is built per call rather than drawn from the worker cell
+// pool, and is never released to the shared one: nothing keeps it when
+// the call returns, so a million-flow working set goes to the collector
+// instead of staying pinned in an arena after the experiment moves on.
 func RunManyFlowsDecade(n int, pr ManyFlowsParams) ManyFlowsDecade {
 	sched := sim.NewScheduler()
-	sched.Pin()
-	defer sched.Release()
 	nw := netsim.New(sched)
 
 	src, rl, rr, dst := nw.NewNode(), nw.NewNode(), nw.NewNode(), nw.NewNode()

@@ -57,12 +57,10 @@ type Descriptor struct {
 	// Run executes the experiment. Callers should go through
 	// RunExperiment, which validates first.
 	Run func(Params) (Result, error)
-	// Grid, when non-nil, exposes the experiment's pure-cell structure
-	// for distributed execution (cell count, range execution, reduce);
-	// the shard/merge coordinator runs on this contract. Every
-	// experiment built with Define has one (a single simulation is a
-	// grid of one cell); a hand-built Descriptor may leave it nil and
-	// then only runs whole.
+	// Grid exposes the experiment's pure-cell structure for distributed
+	// execution (cell count, range execution, reduce); the shard/merge
+	// coordinator runs on this contract. Every experiment has one (a
+	// single simulation is a grid of one cell) and Define derives it.
 	Grid *Grid
 }
 
@@ -98,8 +96,8 @@ var (
 // alias twice panics: the registry is program-wide configuration, and a
 // collision is a programming error.
 func Register(d Descriptor) {
-	if d.Name == "" || d.Params == nil || d.Run == nil {
-		panic("exp: Register needs Name, Params, and Run")
+	if d.Name == "" || d.Params == nil || d.Run == nil || d.Grid == nil {
+		panic("exp: Register needs Name, Params, Run, and Grid")
 	}
 	keys := append([]string{d.Name}, d.Aliases...)
 	for _, k := range keys {

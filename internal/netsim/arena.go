@@ -11,17 +11,13 @@ var netsimArenaID = sim.NewArenaID()
 // previous cell's entire working set — network, topology, monitors —
 // without touching the allocator.
 //
-// A scenario has one network, one topology builder and at most one
-// dumbbell, so each is a single retained object (see claim). Monitors
-// come one to a few per cell: their slabs hold pointers, so a cold cell
-// pays for the monitors it builds and not for a chunk of eight.
+// A scenario has one network, one topology builder, at most one dumbbell
+// and one to a few monitors: the slabs hold pointers (see sim.Next), so
+// a cold cell pays for the objects it builds and not for chunks of them.
 type arena struct {
-	network  *Network
-	topo     *Topology
-	dumbbell *Dumbbell
-
-	netUsed, topoUsed, dbUsed bool // claimed since the last Reset
-
+	networks  sim.Slab[*Network]
+	topos     sim.Slab[*Topology]
+	dumbbells sim.Slab[*Dumbbell]
 	flowMons  sim.Slab[*FlowMonitor]
 	queueMons sim.Slab[*QueueMonitor]
 	utilMons  sim.Slab[*UtilizationMonitor]
@@ -30,7 +26,9 @@ type arena struct {
 // ResetArena implements sim.Arena: every object ever handed out becomes
 // construction stock again.
 func (a *arena) ResetArena() {
-	a.netUsed, a.topoUsed, a.dbUsed = false, false, false
+	a.networks.Reset()
+	a.topos.Reset()
+	a.dumbbells.Reset()
 	a.flowMons.Reset()
 	a.queueMons.Reset()
 	a.utilMons.Reset()
@@ -38,29 +36,4 @@ func (a *arena) ResetArena() {
 
 func arenaOf(s *sim.Scheduler) *arena {
 	return s.Arena(netsimArenaID, func() sim.Arena { return &arena{} }).(*arena)
-}
-
-// claim hands out the arena's retained object, allocating it on the
-// arena's first scenario. A second claim before the next Reset — two
-// networks on one scheduler — gets an object of its own that the arena
-// does not keep.
-func claim[T any](retained **T, used *bool) *T {
-	if *used {
-		return new(T)
-	}
-	*used = true
-	if *retained == nil {
-		*retained = new(T)
-	}
-	return *retained
-}
-
-// next returns the object in the slab's next slot, allocating it the
-// first time the slot is issued.
-func next[T any](s *sim.Slab[*T]) *T {
-	p := s.Get()
-	if *p == nil {
-		*p = new(T)
-	}
-	return *p
 }

@@ -96,7 +96,7 @@ func NewDumbbell(sched *sim.Scheduler, cfg DumbbellConfig, rng *sim.Rand) *Dumbb
 	// builder state it wraps; its host slices keep their capacity across
 	// sweep cells.
 	a := arenaOf(sched)
-	d := claim(&a.dumbbell, &a.dbUsed)
+	d := sim.Next(&a.dumbbells)
 	*d = Dumbbell{
 		Topo: t, Net: t.Network(), cfg: cfg,
 		Left:  d.Left[:0],

@@ -1,5 +1,7 @@
 package netsim
 
+import "tfrc/internal/sim"
+
 // FlowMonitor accumulates per-flow byte counts departing a link into
 // fixed-width time bins — the substrate for the paper's R_τ(t) send-rate
 // time series (Eq. 2) and the Figure 8 throughput traces. Flows are
@@ -34,7 +36,7 @@ func NewFlowMonitor(binWidth, start float64) *FlowMonitor {
 // flow's bin capacity, so repeated sweep cells monitor their links
 // without reallocating series storage.
 func (nw *Network) NewFlowMonitor(binWidth, start float64) *FlowMonitor {
-	m := next(&arenaOf(nw.sched).flowMons)
+	m := sim.Next(&arenaOf(nw.sched).flowMons)
 	m.init(binWidth, start)
 	return m
 }
@@ -267,7 +269,7 @@ func NewQueueMonitor(nw *Network, q Queue, period, end float64) *QueueMonitor {
 	if period <= 0 {
 		panic("netsim: QueueMonitor period must be positive")
 	}
-	m := next(&arenaOf(nw.sched).queueMons)
+	m := sim.Next(&arenaOf(nw.sched).queueMons)
 	*m = QueueMonitor{nw: nw, q: q, period: period, end: end}
 	if end > 0 {
 		m.Samples = make([]QueueSample, 0, int(end/period)+1)
@@ -323,7 +325,7 @@ type UtilizationMonitor struct {
 // departures from time start onward. The monitor is drawn from the
 // owning scheduler's arena and recycled across scenarios.
 func NewUtilizationMonitor(l *Link, start float64) *UtilizationMonitor {
-	m := next(&arenaOf(l.net.sched).utilMons)
+	m := sim.Next(&arenaOf(l.net.sched).utilMons)
 	m.bw = l.Bandwidth()
 	m.start = start
 	m.bytes = 0

@@ -209,7 +209,7 @@ type bfsHop struct {
 // once the first has grown.
 type Network struct {
 	sched      *sim.Scheduler
-	pool       Pool    //tfrc:keep packet chunk free lists are the slab being pooled
+	pool       Pool    //tfrc:keep the packet slab, zeroed and reissued by New
 	nodes      []*Node //tfrc:keep node headers live in nodeSlab; this index is recycled backing
 	nominalPkt int     // mean packet size (bytes) for capacity-aware queues
 
@@ -250,7 +250,7 @@ type Network struct {
 // thousands of short-lived networks stop paying setup allocations.
 func New(sched *sim.Scheduler) *Network {
 	a := arenaOf(sched)
-	nw := claim(&a.network, &a.netUsed)
+	nw := sim.Next(&a.networks)
 	nw.sched = sched
 	nw.nominalPkt = 1000
 	nw.nodes = nw.nodes[:0]

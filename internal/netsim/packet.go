@@ -5,7 +5,11 @@
 // per-flow monitors provide the measurement substrate for the experiments.
 package netsim
 
-import "fmt"
+import (
+	"fmt"
+
+	"tfrc/internal/sim"
+)
 
 // NodeID identifies a node within one Network.
 type NodeID int
@@ -102,38 +106,22 @@ func SendFn(x any) {
 	p.net.nodes[p.Src].Send(p)
 }
 
-// reset clears a packet for reuse.
-func (p *Packet) reset() {
-	*p = Packet{}
-}
-
-// pktChunkSize is how many packets the pool allocates at once: the
-// steady-state working set of a scenario is covered by a handful of chunk
-// allocations instead of one per packet.
-const pktChunkSize = 64
-
 // Pool recycles packets. It is deliberately not safe for concurrent use:
 // the simulator is single-threaded and the pool sits on the hot path.
-// Packets are allocated in chunks that the owning Network keeps across
-// Release/New cycles, so a recycled network re-fills its free list
-// without touching the allocator.
+// The packets live in a slab the owning Network keeps across Release/New
+// cycles, zeroed whenever they are not checked out, so a recycled
+// network hands the same ones out again without touching the allocator.
 type Pool struct {
-	free   []*Packet
-	chunks [][]Packet
-	live   int
+	slab sim.Slab[Packet]
+	live int
 }
 
-// reset rebuilds the free list from the pool's chunks, reclaiming any
-// packet still checked out (used when a Network is recycled).
+// reset reclaims every packet, checked out or not, zeroing what was
+// issued since the last reset (used when a Network is recycled).
 func (pl *Pool) reset() {
 	pl.live = 0
-	pl.free = pl.free[:0]
-	for _, c := range pl.chunks {
-		clear(c)
-		for i := range c {
-			pl.free = append(pl.free, &c[i]) //tfrclint:allow hotpathalloc amortized free-list growth
-		}
-	}
+	pl.slab.Each(func(p *Packet) { *p = Packet{} })
+	pl.slab.Reset()
 }
 
 // Get returns a zeroed packet.
@@ -141,17 +129,7 @@ func (pl *Pool) reset() {
 //tfrc:hotpath
 func (pl *Pool) Get() *Packet {
 	pl.live++
-	if len(pl.free) == 0 {
-		c := make([]Packet, pktChunkSize) //tfrclint:allow hotpathalloc amortized chunk growth
-		pl.chunks = append(pl.chunks, c)  //tfrclint:allow hotpathalloc amortized chunk growth
-		for i := range c {
-			pl.free = append(pl.free, &c[i]) //tfrclint:allow hotpathalloc amortized free-list growth
-		}
-	}
-	n := len(pl.free) - 1
-	p := pl.free[n]
-	pl.free = pl.free[:n]
-	return p
+	return pl.slab.Get()
 }
 
 // Put returns a packet to the pool.
@@ -162,8 +140,8 @@ func (pl *Pool) Put(p *Packet) {
 		return
 	}
 	pl.live--
-	p.reset()
-	pl.free = append(pl.free, p) //tfrclint:allow hotpathalloc append into reserved free-list capacity
+	*p = Packet{}
+	pl.slab.Put(p)
 }
 
 // Live returns the number of packets currently checked out, useful for

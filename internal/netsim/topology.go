@@ -19,30 +19,19 @@ type LinkSpec struct {
 	MakeQueue func() Queue
 }
 
-// LinkChange is one step of a time-varying link schedule: at time At the
-// link's bandwidth and/or delay switch to the given values. A zero field
-// leaves that property unchanged (an exact-zero delay therefore cannot
-// be scheduled; use a tiny positive value instead).
-type LinkChange struct {
-	At        float64
-	Bandwidth float64 // bits/sec; 0 → unchanged
-	Delay     float64 // seconds; 0 → unchanged
-}
-
-// Topology declaratively builds a Network: named nodes, links with
-// per-direction bandwidth/delay/queue, and time-varying link schedules.
-// Declaration order is construction order, so two topologies declared
-// identically are event-for-event identical. Build computes routes and
-// installs the schedules; the dumbbell, parking-lot, and
-// asymmetric-access presets below are thin layers over it.
+// Topology declaratively builds a Network: named nodes and links with
+// per-direction bandwidth/delay/queue. Declaration order is construction
+// order, so two topologies declared identically are event-for-event
+// identical. Build computes routes; the dumbbell, parking-lot, and
+// asymmetric-access presets below are thin layers over it. A link that
+// changes rate or delay mid-run is a faults.Schedule applied to the
+// topology (or a scheduler event calling Link.SetBandwidth/SetDelay).
 type Topology struct {
-	nw        *Network
-	sched     *sim.Scheduler
-	rng       *sim.Rand
-	nodes     map[string]*Node
-	links     map[string]*Link
-	schedules []func()
-	built     bool
+	nw    *Network
+	rng   *sim.Rand
+	nodes map[string]*Node
+	links map[string]*Link
+	built bool
 }
 
 // NewTopology returns an empty topology on a fresh network bound to
@@ -53,9 +42,8 @@ type Topology struct {
 // reallocating it.
 func NewTopology(sched *sim.Scheduler, rng *sim.Rand) *Topology {
 	a := arenaOf(sched)
-	t := claim(&a.topo, &a.topoUsed)
+	t := sim.Next(&a.topos)
 	t.nw = New(sched)
-	t.sched = sched
 	t.rng = rng
 	if t.nodes == nil {
 		t.nodes = make(map[string]*Node)
@@ -63,25 +51,19 @@ func NewTopology(sched *sim.Scheduler, rng *sim.Rand) *Topology {
 	}
 	clear(t.nodes)
 	clear(t.links)
-	t.schedules = t.schedules[:0]
 	t.built = false
 	return t
 }
 
-// Release scrubs the topology's references to its network and scheduler
+// Release scrubs the topology's references to its network and nodes
 // so the recycled builder state pins nothing while it waits in the
 // scheduler's arena for the next NewTopology. The topology must not be
 // used afterwards; calling Release is optional.
 func (t *Topology) Release() {
 	t.nw = nil
-	t.sched = nil
 	t.rng = nil
 	clear(t.nodes)
 	clear(t.links)
-	// Build nils the schedule list after installing it, but a topology
-	// released without ever being built would otherwise keep its
-	// LinkChange closures (and whatever they capture) alive in the pool.
-	t.schedules = nil
 }
 
 // Network returns the underlying network.
@@ -161,45 +143,13 @@ func (t *Topology) LinkByName(name string) *Link {
 	return l
 }
 
-// Schedule attaches a time-varying schedule to the from→to link: each
-// change fires as a simulation event at its At time. Changes on a
-// topology that is already built install immediately; otherwise they
-// install at Build, in declaration order either way.
-func (t *Topology) Schedule(from, to string, changes ...LinkChange) {
-	l := t.LinkByName(linkName(from, to))
-	for _, c := range changes {
-		c := c
-		install := func() {
-			t.sched.At(c.At, func() {
-				if c.Bandwidth > 0 {
-					l.SetBandwidth(c.Bandwidth)
-				}
-				if c.Delay > 0 {
-					l.SetDelay(c.Delay)
-				}
-			})
-		}
-		if t.built {
-			install()
-		} else {
-			t.schedules = append(t.schedules, install)
-		}
-	}
-}
-
-// Build computes shortest-path routes and installs any pending link
-// schedules, returning the network ready to run. Build is idempotent so
-// presets can build eagerly while callers layer schedules on afterwards.
+// Build computes shortest-path routes, returning the network ready to
+// run. Build is idempotent so presets can build eagerly.
 func (t *Topology) Build() *Network {
-	if t.built {
-		return t.nw
+	if !t.built {
+		t.built = true
+		t.nw.BuildRoutes()
 	}
-	t.built = true
-	t.nw.BuildRoutes()
-	for _, install := range t.schedules {
-		install()
-	}
-	t.schedules = nil
 	return t.nw
 }
 

@@ -118,58 +118,6 @@ func TestParkingLotNextHops(t *testing.T) {
 	}
 }
 
-// TestLinkScheduleFiresDeterministically verifies that time-varying link
-// schedules change bandwidth and delay at exactly the declared instants,
-// and that two identical runs observe identical event sequences.
-func TestLinkScheduleFiresDeterministically(t *testing.T) {
-	run := func() []string {
-		var log []string
-		sched := sim.NewScheduler()
-		topo := NewTopology(sched, nil)
-		ab, _ := topo.Link("a", "b", LinkSpec{
-			Bandwidth: 8e6, Delay: 0.010,
-			Queue: QueueDropTail, QueueLimit: 50,
-		})
-		topo.Schedule("a", "b",
-			LinkChange{At: 1, Bandwidth: 2e6},
-			LinkChange{At: 2, Delay: 0.050},
-			LinkChange{At: 3, Bandwidth: 8e6, Delay: 0.010},
-		)
-		nw := topo.Build()
-		for _, at := range []float64{0.5, 1.5, 2.5, 3.5} {
-			at := at
-			sched.At(at, func() {
-				log = append(log, fmt.Sprintf("%.1f bw=%.0f dly=%.3f", at, ab.Bandwidth(), ab.Delay()))
-			})
-		}
-		sched.RunUntil(4)
-		_ = nw
-		return log
-	}
-	got := run()
-	want := []string{
-		"0.5 bw=8000000 dly=0.010",
-		"1.5 bw=2000000 dly=0.010",
-		"2.5 bw=2000000 dly=0.050",
-		"3.5 bw=8000000 dly=0.010",
-	}
-	if len(got) != len(want) {
-		t.Fatalf("log = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("log[%d] = %q, want %q", i, got[i], want[i])
-		}
-	}
-	// Determinism: a second run produces the identical observation log.
-	again := run()
-	for i := range got {
-		if got[i] != again[i] {
-			t.Fatalf("schedule not deterministic: %q vs %q", got[i], again[i])
-		}
-	}
-}
-
 // TestLinkScheduleAffectsSerialization checks that a scheduled bandwidth
 // cut actually slows packet delivery: the same packet sent before and
 // after the step observes different serialization times.
@@ -179,9 +127,9 @@ func TestLinkScheduleAffectsSerialization(t *testing.T) {
 	topo.Link("a", "b", LinkSpec{
 		Bandwidth: 8e6, Delay: 0, Queue: QueueDropTail, QueueLimit: 50,
 	})
-	topo.Schedule("a", "b", LinkChange{At: 1, Bandwidth: 8e5})
 	nw := topo.Build()
 	a, b := topo.Lookup("a"), topo.Lookup("b")
+	sched.At(1, func() { topo.LinkByName("a->b").SetBandwidth(8e5) })
 
 	var arrivals []float64
 	sink := &collector{nw: nw}
@@ -301,7 +249,7 @@ func TestNominalPacketSizeDrivesPTC(t *testing.T) {
 	}
 	// A scheduled bandwidth change re-derives the drain rate at the same
 	// packet size.
-	d.Topo.Schedule("rl", "rr", LinkChange{At: 1, Bandwidth: 2e6})
+	sched.At(1, func() { d.Forward.SetBandwidth(2e6) })
 	sched.RunUntil(2)
 	if got, want := q.PTC(), 2e6/(8*500.0); got != want {
 		t.Fatalf("PTC after step = %v, want %v", got, want)

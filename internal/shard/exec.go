@@ -105,9 +105,6 @@ func (cfg *ExecConfig) backoff(shard, attempt int) time.Duration {
 // returned error is reserved for configuration and I/O problems that
 // prevent producing any envelope at all.
 func Exec(cfg ExecConfig) (*Envelope, error) {
-	if cfg.Desc.Grid == nil {
-		return nil, fmt.Errorf("%s: %w", cfg.Desc.Name, ErrNoGrid)
-	}
 	if cfg.Command == nil {
 		return nil, fmt.Errorf("ExecConfig.Command is required")
 	}

@@ -129,9 +129,6 @@ func decodeParams(e *Envelope) (exp.Descriptor, exp.Params, error) {
 	if !ok {
 		return exp.Descriptor{}, nil, fmt.Errorf("envelope names unknown experiment %q", e.Experiment)
 	}
-	if desc.Grid == nil {
-		return exp.Descriptor{}, nil, fmt.Errorf("%s: %w", desc.Name, ErrNoGrid)
-	}
 	params := desc.Params()
 	if err := json.Unmarshal(e.Params, params); err != nil {
 		return exp.Descriptor{}, nil, fmt.Errorf("%s: decoding envelope params: %w", e.Experiment, err)

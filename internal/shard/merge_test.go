@@ -3,7 +3,6 @@ package shard
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"strings"
 	"testing"
 
@@ -172,14 +171,5 @@ func TestReduceRejectsTamperedEnvelope(t *testing.T) {
 	env.Params = json.RawMessage(`{"n":4,"seed":9}`) // hash no longer matches
 	if _, _, err := Reduce(env); err == nil {
 		t.Fatal("a tampered envelope (params edited after writing) must be rejected")
-	}
-}
-
-func TestRunRejectsGridlessExperiment(t *testing.T) {
-	d := shardtestDesc(t)
-	d.Name, d.Grid = "shardtest-whole", nil // a hand-built, Run-only descriptor
-	_, err := Run(RunSpec{Desc: d, Params: d.Params(), Shard: ShardParams{Index: 0, Count: 2}})
-	if !errors.Is(err, ErrNoGrid) {
-		t.Fatalf("sharding an experiment without a Grid: %v, want ErrNoGrid", err)
 	}
 }

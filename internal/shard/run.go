@@ -30,11 +30,6 @@ type RunSpec struct {
 	Range *exp.CellRange
 }
 
-// ErrNoGrid marks experiments that cannot be sharded: a hand-built
-// Descriptor that carries a Run but no Grid (exp.Define always supplies
-// one).
-var ErrNoGrid = fmt.Errorf("experiment has no cell grid and can only run whole (use \"tfrcsim run\")")
-
 // Run computes the spec's cell range on exp.Parallelism() workers,
 // checkpointing as configured, and returns the shard's complete
 // envelope. With Resume set, finished cells are loaded from the
@@ -50,9 +45,6 @@ var ErrNoGrid = fmt.Errorf("experiment has no cell grid and can only run whole (
 // cell or a flush fails it stops the same way and reports the failing
 // cell with the lowest index. No goroutine outlives Run.
 func Run(spec RunSpec) (*Envelope, error) {
-	if spec.Desc.Grid == nil {
-		return nil, fmt.Errorf("%s: %w", spec.Desc.Name, ErrNoGrid)
-	}
 	if err := spec.Params.Validate(); err != nil {
 		return nil, fmt.Errorf("%s: invalid parameters: %w", spec.Desc.Name, err)
 	}

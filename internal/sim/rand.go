@@ -25,15 +25,12 @@ func NewRand(seed int64) *Rand {
 // cells stay deterministic while the (large) source state stops being
 // reallocated per cell.
 func (s *Scheduler) NewRand(seed int64) *Rand {
-	if s.randUsed < len(s.rands) {
-		r := s.rands[s.randUsed]
-		s.randUsed++
+	r := Next(&s.rands)
+	if r.Rand == nil {
+		r.Rand = rand.New(rand.NewSource(seed))
+	} else {
 		r.Seed(seed)
-		return r
 	}
-	r := NewRand(seed)
-	s.rands = append(s.rands, r)
-	s.randUsed = len(s.rands)
 	return r
 }
 

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -195,6 +196,42 @@ func TestSchedulerAtArg(t *testing.T) {
 		s.Step()
 	}); allocs > 0 {
 		t.Fatalf("AtArg steady state allocates %v per event, want 0", allocs)
+	}
+}
+
+// TestSchedulerClosureAdapters: At, After and a NewTimer are adapters
+// over the arg form — the func() rides in the event's arg slot — so with
+// a prebuilt closure they allocate nothing per event, and they fire FIFO
+// with AtArg events scheduled for the same instant.
+func TestSchedulerClosureAdapters(t *testing.T) {
+	s := NewScheduler()
+	var got []int
+	viaArg := func(x any) { got = append(got, x.(int)) }
+	s.At(1, func() { got = append(got, 0) })
+	s.AtArg(1, viaArg, 1)
+	s.After(1, func() { got = append(got, 2) })
+	s.AfterArg(1, viaArg, 3)
+	NewTimer(s, func() { got = append(got, 4) }).Reset(1)
+	s.Run()
+	if !slices.Equal(got, []int{0, 1, 2, 3, 4}) {
+		t.Fatalf("equal-time At/AtArg/After/AfterArg/Timer fired as %v, want insertion order", got)
+	}
+
+	fired := 0
+	fn := func() { fired++ }
+	tm := NewTimer(s, fn)
+	allocs := testing.AllocsPerRun(100, func() {
+		s.At(s.Now()+1, fn)
+		s.After(1, fn)
+		tm.Reset(1)
+		tm.Reset(2) // re-arm: cancels and schedules again
+		s.Run()
+	})
+	if allocs > 0 {
+		t.Fatalf("At/After/Timer.Reset with a prebuilt closure allocate %v per run, want 0", allocs)
+	}
+	if fired != 3*101 {
+		t.Fatalf("fired %d callbacks, want %d", fired, 3*101)
 	}
 }
 
@@ -999,7 +1036,8 @@ func TestCalendarResetAfterGrowth(t *testing.T) {
 }
 
 // TestEventIsOneCacheLine pins the slot layout the calendar's locality
-// rests on.
+// rests on: 53 bytes of fields padded to the 64 of one line, so no slot
+// of the table straddles two.
 func TestEventIsOneCacheLine(t *testing.T) {
 	if sz := unsafe.Sizeof(event{}); sz != 64 {
 		t.Fatalf("event is %d bytes, want 64", sz)

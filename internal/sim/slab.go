@@ -12,13 +12,17 @@ const (
 // Slab is a chunked value pool: the one allocator behind every
 // scheduler-attached arena. Chunks are never relocated, so the address
 // of a handed-out value stays valid for the slab's lifetime — which is
-// what lets agents, controllers, nodes, links and queues live as values
-// in slabs instead of as individually heap-allocated structs. Get hands
-// out free-list returns first, then bumps through the chunks; Reset
-// makes everything available again in the original order, so a slot's
-// grown backing (a scoreboard, a queue ring) meets the same tenant in the
-// next cell. Values come back as their last user left them: the caller
-// resets what it needs and keeps the capacity it wants.
+// what lets agents, controllers, nodes, links, queues and packets live
+// as values in slabs instead of as individually heap-allocated structs.
+// What a scenario has one or a few of — the scheduler's random sources,
+// netsim's network, topology, dumbbell and monitors, traffic's
+// generators, exp's scenario builder — sits in a Slab of pointers read
+// through Next, so a cold cell pays per object. Get hands out free-list
+// returns first, then bumps through the chunks; Reset makes everything
+// available again in the original order, so a slot's grown backing (a
+// scoreboard, a queue ring) meets the same tenant in the next cell.
+// Values come back as their last user left them: the caller resets what
+// it needs and keeps the capacity it wants.
 type Slab[T any] struct {
 	chunks [][]T //tfrc:keep value chunks; addresses into them are stable across reuse
 	ci     int   // chunk the bump pointer is in
@@ -59,6 +63,16 @@ func (s *Slab[T]) Put(x *T) { s.free = append(s.free, x) }
 func (s *Slab[T]) Reset() {
 	s.ci, s.off = 0, 0
 	s.free = s.free[:0]
+}
+
+// Next returns the object in the next slot of a slab of pointers,
+// allocating it the first time the slot is issued.
+func Next[T any](s *Slab[*T]) *T {
+	p := s.Get()
+	if *p == nil {
+		*p = new(T)
+	}
+	return *p
 }
 
 // Each calls f on every slot the bump pointer has issued since the last

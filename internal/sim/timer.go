@@ -17,8 +17,7 @@ package sim
 // million flows from meaning a million resident queue entries.
 type Timer struct {
 	sched *Scheduler
-	fn    func()
-	afn   func(any) // arg-carrying variant; used when fn is nil
+	afn   func(any)
 	arg   any
 	ev    Handle
 
@@ -40,11 +39,7 @@ func timerFireFn(x any) {
 //
 //tfrc:hotpath
 func (t *Timer) fire() {
-	if t.afn != nil {
-		t.afn(t.arg)
-	} else {
-		t.fn()
-	}
+	t.afn(t.arg)
 }
 
 // NewTimer returns a stopped timer that runs fn when it expires.
@@ -55,22 +50,13 @@ func NewTimer(s *Scheduler, fn func()) *Timer {
 }
 
 // Init prepares an embedded timer that runs fn when it expires.
-func (t *Timer) Init(s *Scheduler, fn func()) {
-	t.sched = s
-	t.fn = fn
-	t.afn = nil
-	t.arg = nil
-	t.ev = Handle{}
-	t.wheel = nil
-	t.wtick = -1
-}
+func (t *Timer) Init(s *Scheduler, fn func()) { t.InitArg(s, callFn, fn) }
 
 // InitArg prepares an embedded timer that runs fn(arg) when it expires.
 // With fn a package-level function and arg the owning agent, a timer costs
 // no allocations at all — neither at Init nor when (re)armed.
 func (t *Timer) InitArg(s *Scheduler, fn func(any), arg any) {
 	t.sched = s
-	t.fn = nil
 	t.afn = fn
 	t.arg = arg
 	t.ev = Handle{}

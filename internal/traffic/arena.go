@@ -29,13 +29,3 @@ func (a *genArena) ResetArena() {
 func arenaOf(s *sim.Scheduler) *genArena {
 	return s.Arena(trafficArenaID, func() sim.Arena { return &genArena{} }).(*genArena)
 }
-
-// next returns the generator in the slab's next slot, allocating it the
-// first time the slot is issued.
-func next[T any](s *sim.Slab[*T]) *T {
-	p := s.Get()
-	if *p == nil {
-		*p = new(T)
-	}
-	return *p
-}

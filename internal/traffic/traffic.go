@@ -66,7 +66,7 @@ func NewOnOff(nw *netsim.Network, node *netsim.Node, dst netsim.NodeID, port, fl
 	if cfg.Rate <= 0 || cfg.MeanOn <= 0 || cfg.MeanOff <= 0 {
 		panic("traffic: ON/OFF source needs positive rate and sojourn times")
 	}
-	o := next(&arenaOf(nw.Scheduler()).onoffs)
+	o := sim.Next(&arenaOf(nw.Scheduler()).onoffs)
 	*o = OnOff{cfg: cfg, net: nw, node: node, dst: dst, port: port, flow: flow, rng: rng}
 	return o
 }
@@ -137,7 +137,7 @@ func NewCBR(nw *netsim.Network, node *netsim.Node, dst netsim.NodeID, port, flow
 	if rate <= 0 || size <= 0 {
 		panic("traffic: CBR needs positive rate and size")
 	}
-	c := next(&arenaOf(nw.Scheduler()).cbrs)
+	c := sim.Next(&arenaOf(nw.Scheduler()).cbrs)
 	*c = CBR{
 		net: nw, node: node, dst: dst, port: port, flow: flow,
 		size: size, gap: float64(size) * 8 / rate,
@@ -177,7 +177,7 @@ type Sink struct {
 
 // NewSink attaches a discarding sink at node:port.
 func NewSink(nw *netsim.Network, node *netsim.Node, port int) *Sink {
-	s := next(&arenaOf(nw.Scheduler()).sinks)
+	s := sim.Next(&arenaOf(nw.Scheduler()).sinks)
 	*s = Sink{net: nw}
 	node.Attach(port, s)
 	return s
@@ -285,7 +285,7 @@ func NewMice(nw *netsim.Network, src, dst *netsim.Node, flow int, cfg MiceConfig
 		cfg.BasePort = 1000
 	}
 	a := arenaOf(nw.Scheduler())
-	m := next(&a.mice)
+	m := sim.Next(&a.mice)
 	doneFn, slots := m.doneFn, m.slots
 	*m = Mice{cfg: cfg, net: nw, src: src, dst: dst, flow: flow, rng: rng, observe: a.observe}
 	m.doneFn = doneFn

@@ -9,8 +9,8 @@ import (
 
 // The simulator driver: a connection between two named hosts of a netsim
 // topology, in virtual time. Each endpoint's frames cross the simulated
-// links as ordinary netsim packets of the frame's size — so every queue,
-// link schedule and fault acts on them as on any other traffic — while
+// links as ordinary netsim packets of the frame's size — so every queue
+// and every fault acts on them as on any other traffic — while
 // the encoded bytes wait in the sending port's frame ring under the
 // packet's sequence number. A copy made by a duplicate impairment
 // carries the same number and so decodes the same datagram twice.

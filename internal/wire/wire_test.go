@@ -338,10 +338,11 @@ func TestPathFaultWindow(t *testing.T) {
 }
 
 func TestPathBandwidthStep(t *testing.T) {
-	// A rate step reaches the path as a Topology link schedule: packets
-	// sent after it serialize 50x slower.
+	// A rate step reaches the path as a bandwidth fault: packets sent
+	// after it serialize 50x slower.
 	sched, topo := simPath(8e6, 0, 64)
-	topo.Schedule("a", "b", netsim.LinkChange{At: 0.05, Bandwidth: 160e3})
+	step := faults.Schedule{Faults: []faults.Fault{{At: 0.05, Link: "a->b", Kind: faults.BandwidthCollapse, Bandwidth: 160e3}}}
+	step.Apply(topo)
 	var sentAt float64
 	var took []float64
 	a, _ := rawPorts(topo, func([]byte) { took = append(took, sched.Now()-sentAt) })

@@ -1,9 +1,10 @@
 // Package scenario is the public composition surface of the packet-level
 // reproduction harness: declarative topologies (named nodes, per-direction
-// links, time-varying schedules, the dumbbell / parking-lot / asymmetric-
-// access presets), a scenario Builder placing TCP, TFRC, and background
-// flows on named host pairs with monitors on named links, and a single
-// harvest step producing a Result.
+// links, the dumbbell / parking-lot / asymmetric-access presets; a link
+// that changes rate or delay mid-run is an experiment.FaultSchedule
+// applied to the topology), a scenario Builder placing TCP, TFRC, and
+// background flows on named host pairs with monitors on named links, and
+// a single harvest step producing a Result.
 //
 // Everything here is a stable alias over the internal implementation, so
 // scenarios composed on this package run on exactly the zero-allocation
@@ -61,12 +62,10 @@ func NewRand(seed int64) *Rand { return sim.NewRand(seed) }
 // Topology layer.
 type (
 	// Topology declaratively builds a network: named nodes, links with
-	// per-direction bandwidth/delay/queue, time-varying link schedules.
+	// per-direction bandwidth/delay/queue.
 	Topology = netsim.Topology
 	// LinkSpec declares one direction of a link.
 	LinkSpec = netsim.LinkSpec
-	// LinkChange is one step of a time-varying link schedule.
-	LinkChange = netsim.LinkChange
 	// QueueKind selects a queue discipline (DropTail or RED).
 	QueueKind = netsim.QueueKind
 	// REDConfig tunes a RED queue.

@@ -110,7 +110,7 @@ func TestSpecRunMatchesSeries(t *testing.T) {
 	}
 }
 
-// TestScheduledLinkChange: a bandwidth step declared on the public
+// TestScheduledLinkChange: a bandwidth step scheduled on the public
 // surface must actually throttle the measured flow.
 func TestScheduledLinkChange(t *testing.T) {
 	run := func(step bool) float64 {
@@ -121,7 +121,7 @@ func TestScheduledLinkChange(t *testing.T) {
 			Queue: scenario.QueueDropTail, QueueLimit: 50,
 		})
 		if step {
-			topo.Schedule("a", "b", scenario.LinkChange{At: 10, Bandwidth: 4e5})
+			sched.At(10, func() { topo.LinkByName("a->b").SetBandwidth(4e5) })
 		}
 		b := scenario.NewBuilder(topo)
 		mon := b.MonitorLink("a->b", 0.5, 0)

@@ -116,9 +116,9 @@ func NewWireReceiver(conn net.PacketConn, cfg WireConfig) *WireReceiver {
 
 // NewSimWirePair places the same two endpoints on hosts src and dst of a
 // built scenario.Topology instead of on sockets: every encoded datagram
-// crosses the simulated links in virtual time, so link schedules and
-// fault schedules shape the path — a deterministic, sleep-free substitute
-// for a Dummynet testbed. id is the connection's port on both hosts and
+// crosses the simulated links in virtual time, so fault schedules (rate
+// and delay steps among them) shape the path — a deterministic,
+// sleep-free substitute for a Dummynet testbed. id is the connection's port on both hosts and
 // its flow ID at link monitors. Start the sender from a scheduler event
 // (sched.At(0, send.Run)) and advance the scheduler to run.
 //
