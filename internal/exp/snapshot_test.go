@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // snapParams/snapResult are a minimal unregistered experiment used to
@@ -141,4 +143,85 @@ func TestRunConfigSnapshotRace(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// gauge counts the cells that ran and the most that ran at once; every
+// cell dwells long enough for the other workers of its run to overlap it.
+type gauge struct{ cur, peak, ran atomic.Int32 }
+
+func (g *gauge) cell() {
+	n := g.cur.Add(1)
+	for p := g.peak.Load(); n > p && !g.peak.CompareAndSwap(p, n); p = g.peak.Load() {
+	}
+	g.ran.Add(1)
+	time.Sleep(200 * time.Microsecond)
+	g.cur.Add(-1)
+}
+
+// TestOverlappingRunsDoNotPoisonLaterRuns: run A starts, run B starts,
+// A finishes, B finishes — two library callers side by side — under a
+// context that is cancelled while both are in flight and uninstalled
+// afterwards. Nothing of those two runs may reach a later one: a fresh
+// typed run and a fresh RunRange see no interrupt and run on the
+// installed worker count.
+func TestOverlappingRunsDoNotPoisonLaterRuns(t *testing.T) {
+	prev := SetParallelism(3)
+	defer SetParallelism(prev)
+	defer SetContext(nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	SetContext(ctx)
+
+	// start launches a run whose cells block until release is closed and
+	// returns once its first cell is in flight.
+	start := func(release chan struct{}) (done chan struct{}) {
+		started, done := make(chan struct{}), make(chan struct{})
+		var once sync.Once
+		d := snapDescriptor(func(int) {
+			once.Do(func() { close(started) })
+			<-release
+		})
+		go func() {
+			defer close(done)
+			RunExperiment(d, &snapParams{Probes: 3})
+		}()
+		<-started
+		return done
+	}
+	releaseA, releaseB := make(chan struct{}), make(chan struct{})
+	doneA := start(releaseA)
+	doneB := start(releaseB)
+	cancel()
+	close(releaseA)
+	<-doneA
+	close(releaseB)
+	<-doneB
+	SetContext(nil)
+	SetParallelism(1)
+
+	if Interrupted() {
+		t.Error("Interrupted() = true with no context installed")
+	}
+	if got := Parallelism(); got != 1 {
+		t.Errorf("Parallelism() = %d with 1 installed", got)
+	}
+	const n = 6
+	var g gauge
+	d, typed := describe(Spec[snapParams, snapCell, *snapResult]{
+		Name:    "overlap-test",
+		Default: func() snapParams { return snapParams{Probes: n} },
+		Cells:   func(p *snapParams) int { return p.Probes },
+		Cell:    func(*Cell, *snapParams, int) snapCell { g.cell(); return snapCell{} },
+		Reduce:  func(*snapParams, []snapCell) *snapResult { return &snapResult{} },
+	})
+	typed(&snapParams{Probes: n})
+	if _, err := d.Grid.RunRange(&snapParams{Probes: n}, CellRange{0, n}); err != nil {
+		t.Fatal(err)
+	}
+	if ran := g.ran.Load(); ran != 2*n {
+		t.Errorf("%d of %d cells ran after the overlapping runs: the later runs saw their interrupt", ran, 2*n)
+	}
+	if peak := g.peak.Load(); peak != 1 {
+		t.Errorf("%d cells ran at once with 1 worker installed", peak)
+	}
 }

@@ -346,3 +346,66 @@ func assertFilesIdentical(t *testing.T, wantPath, gotPath string) {
 		t.Fatalf("%s differs from %s:\nwant %s\ngot  %s", gotPath, wantPath, want, got)
 	}
 }
+
+// TestOverlappingRunsDoNotPoisonLaterRuns is internal/exp's test of the
+// same name seen from here: run A starts, run B starts, A finishes, B
+// finishes, under a context cancelled while both are in flight and
+// uninstalled afterwards. A later shard.Run must compute every cell, on
+// the installed worker count.
+func TestOverlappingRunsDoNotPoisonLaterRuns(t *testing.T) {
+	withWorkers(t, 3)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	exp.SetContext(ctx)
+	defer exp.SetContext(nil)
+
+	// start launches a run that blocks until release is closed and
+	// returns once it is in flight.
+	start := func(release chan struct{}) (done chan struct{}) {
+		started, done := make(chan struct{}), make(chan struct{})
+		d := exp.Descriptor{Name: "overlap", Run: func(exp.Params) (exp.Result, error) {
+			close(started)
+			<-release
+			return nil, nil
+		}}
+		go func() {
+			defer close(done)
+			exp.RunExperiment(d, &shardtestParams{N: 1})
+		}()
+		<-started
+		return done
+	}
+	releaseA, releaseB := make(chan struct{}), make(chan struct{})
+	doneA := start(releaseA)
+	doneB := start(releaseB)
+	cancel()
+	close(releaseA)
+	<-doneA
+	close(releaseB)
+	<-doneB
+	exp.SetContext(nil)
+	exp.SetParallelism(1)
+
+	const n = 6
+	var cur, peak atomic.Int32
+	d := stubDesc(n, func(i int) (json.RawMessage, error) {
+		c := cur.Add(1)
+		for p := peak.Load(); c > p && !peak.CompareAndSwap(p, c); p = peak.Load() {
+		}
+		time.Sleep(200 * time.Microsecond)
+		cur.Add(-1)
+		return stubCell(i)
+	})
+	env, err := Run(RunSpec{Desc: d, Params: &shardtestParams{N: n}, Shard: ShardParams{Count: 1}})
+	if err != nil {
+		t.Fatalf("Run after the overlapping runs = %v", err)
+	}
+	for i, c := range env.Cells {
+		if want, _ := stubCell(i); !bytes.Equal(c, want) {
+			t.Errorf("cell %d = %s, want %s", i, c, want)
+		}
+	}
+	if p := peak.Load(); p != 1 {
+		t.Errorf("%d cells ran at once with 1 worker installed", p)
+	}
+}
