@@ -449,8 +449,7 @@ func BenchmarkSweepCellsPerSecond(b *testing.B) {
 	if workers > 4 {
 		workers = 4
 	}
-	prev := exp.SetParallelism(workers)
-	defer exp.SetParallelism(prev)
+	d, _ := exp.Lookup("fig6")
 	pr := exp.Fig06Params{
 		LinkMbps:    []float64{2, 8},
 		TotalFlows:  []int{4, 8},
@@ -462,9 +461,9 @@ func BenchmarkSweepCellsPerSecond(b *testing.B) {
 	}
 	cells := len(pr.LinkMbps) * len(pr.TotalFlows) * len(pr.Queues) * pr.Seeds
 	for i := 0; i < b.N; i++ {
-		r := exp.RunFig06(pr)
-		if len(r.Cells) == 0 {
-			b.Fatal("empty grid")
+		r, err := exp.RunExperiment(d, &pr, exp.RunOptions{Workers: workers})
+		if err != nil || len(r.(*exp.Fig06Result).Cells) == 0 {
+			b.Fatalf("empty grid (err %v)", err)
 		}
 	}
 	b.ReportMetric(float64(b.N*cells)/b.Elapsed().Seconds(), "cells/sec")

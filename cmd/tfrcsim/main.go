@@ -142,7 +142,6 @@ func runCmd(args []string) int {
 	if code != exitOK {
 		return code
 	}
-	experiment.SetParallelism(*parallel)
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -172,10 +171,10 @@ func runCmd(args []string) int {
 		}()
 	}
 
-	exitCode, stop := catchInterrupt()
+	ctx, exitCode, stop := catchInterrupt()
 	defer stop()
 
-	res, err := experiment.Run(d, p)
+	res, err := experiment.RunWith(d, p, experiment.RunOptions{Workers: *parallel, Ctx: ctx})
 	if errors.Is(err, experiment.ErrInterrupted) {
 		// Emit the partial record as JSON regardless of -format: a
 		// truncated table is useless, but the envelope says exactly
@@ -199,14 +198,13 @@ func runCmd(args []string) int {
 	return exitOK
 }
 
-// catchInterrupt puts the experiment layer under a cancellable run
-// context: the first SIGINT/SIGTERM skips the remaining sweep cells and
-// the run winds down with whatever the finished cells assembled; a
-// second signal kills the process the default way. stop uninstalls the
-// context and returns once the signal goroutine has exited; exitCode is
-// the status for a run that reported ErrInterrupted: 128+signal, the
-// shell convention.
-func catchInterrupt() (exitCode func() int, stop func()) {
+// catchInterrupt returns the context a run is started under: the first
+// SIGINT/SIGTERM cancels it, so no further cell starts and the run winds
+// down with whatever the cells that ran assembled; a second signal
+// kills the process the default way. stop returns once the signal
+// goroutine has exited; exitCode is the status for a run that reported
+// ErrInterrupted: 128+signal, the shell convention.
+func catchInterrupt() (ctx context.Context, exitCode func() int, stop func()) {
 	ctx, cancel := context.WithCancel(context.Background())
 	sigc := make(chan os.Signal, 1)
 	caught := make(chan os.Signal, 1)
@@ -222,7 +220,6 @@ func catchInterrupt() (exitCode func() int, stop func()) {
 		case <-ctx.Done(): // stop: the run ended unsignalled
 		}
 	}()
-	experiment.SetContext(ctx)
 	exitCode = func() int {
 		select {
 		case s := <-caught:
@@ -233,8 +230,7 @@ func catchInterrupt() (exitCode func() int, stop func()) {
 		}
 		return 130
 	}
-	return exitCode, func() {
-		experiment.SetContext(nil)
+	return ctx, exitCode, func() {
 		signal.Stop(sigc)
 		cancel()
 		<-done

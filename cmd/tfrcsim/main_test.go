@@ -111,7 +111,7 @@ func TestShardMergeEqualsRun(t *testing.T) {
 // TestCatchInterruptLeavesNoGoroutine checks that an uninterrupted run's
 // stop reaps the signal goroutine.
 func TestCatchInterruptLeavesNoGoroutine(t *testing.T) {
-	_, stop := catchInterrupt()
+	_, _, stop := catchInterrupt()
 	stop()
 	var stacks bytes.Buffer
 	if err := pprof.Lookup("goroutine").WriteTo(&stacks, 1); err != nil {

@@ -85,7 +85,6 @@ func shardRunCmd(args []string) int {
 	if *parallel <= 0 {
 		*parallel = runtime.GOMAXPROCS(0)
 	}
-	experiment.SetParallelism(*parallel)
 
 	sp := shard.ShardParams{Checkpoint: *checkpoint, Resume: *resume, FlushEvery: *flush}
 	if _, err := fmt.Sscanf(*shardSpec, "%d/%d", &sp.Index, &sp.Count); err != nil {
@@ -101,11 +100,12 @@ func shardRunCmd(args []string) int {
 	}
 
 	// The first SIGINT/SIGTERM stops the shard once the cells in flight
-	// are done; the checkpoint then holds every cell finished before the
-	// signal and -resume continues from there.
-	exitCode, stop := catchInterrupt()
+	// are done; the checkpoint then holds the prefix of the cells that
+	// ran and -resume continues from there.
+	ctx, exitCode, stop := catchInterrupt()
 	defer stop()
-	env, err := shard.Run(shard.RunSpec{Desc: d, Params: p, Shard: sp, Range: rng})
+	env, err := shard.RunWith(shard.RunSpec{Desc: d, Params: p, Shard: sp, Range: rng},
+		experiment.RunOptions{Workers: *parallel, Ctx: ctx})
 	if errors.Is(err, experiment.ErrInterrupted) {
 		return fail(exitCode(), err)
 	}

@@ -40,7 +40,7 @@
 //	 "params": {...}, "result": {...}}
 //
 // with an optional "interrupted": true inserted by WritePartialJSON
-// when a run was cancelled mid-sweep (see SetContext) — the result is
+// when a run was cancelled mid-sweep (see RunOptions) — the result is
 // then partial, with unreached sweep cells zero-valued, never
 // fabricated. The schema string names the envelope layout, not the
 // result payload: it changes only if the record's own keys change
@@ -107,7 +107,8 @@ type Cell = exp.Cell
 
 // Define registers the experiment s describes — Run, the shardable
 // Grid and the JSON framing at its boundary are all derived from the
-// typed Spec — and returns the typed run, Reduce over all cells.
+// typed Spec — and returns the typed run, Reduce over all cells, which
+// like Run executes on the process defaults.
 func Define[P, C any, R Result, PP interface {
 	*P
 	Params
@@ -136,34 +137,41 @@ func Get(name string) (Descriptor, error) {
 // order, then named experiments alphabetically.
 func List() []Descriptor { return exp.Experiments() }
 
-// Run validates the parameters and executes the experiment. All
-// callers (the CLI included) run through here, so no experiment ever
-// runs on unvalidated parameters.
-func Run(d Descriptor, p Params) (Result, error) { return exp.RunExperiment(d, p) }
+// RunOptions is what a run is told beyond its parameters: Workers, the
+// number of goroutines executing independent cells (below 2 is
+// sequential; results are bit-identical at any value), and Ctx, whose
+// cancellation stops the run claiming cells — those in flight finish
+// and the run reports ErrInterrupted alongside the partial result. Each
+// run keeps the options it was started with, so runs with different
+// options may be in flight at once.
+type RunOptions = exp.RunOptions
 
-// SetParallelism sets the worker count experiments use to execute
-// their independent cells, returning the previous value. Results are
-// bit-identical at any setting.
+// RunWith validates the parameters and executes the experiment under o.
+// All callers (the CLI included) run through here or Run, so no
+// experiment ever runs on unvalidated parameters.
+func RunWith(d Descriptor, p Params, o RunOptions) (Result, error) {
+	return exp.RunExperiment(d, p, o)
+}
+
+// Run is RunWith on the process defaults: sequential and never
+// cancelled until SetParallelism or SetContext say otherwise.
+func Run(d Descriptor, p Params) (Result, error) { return RunWith(d, p, exp.DefaultRunOptions()) }
+
+// SetParallelism sets the default worker count (clamped to ≥ 1) and
+// returns the previous value. SetParallelism and SetContext set the
+// defaults of runs started afterwards through the option-less spellings
+// (Run, Grid.RunRange, a typed run); a run already in flight, and any
+// run given RunOptions, is not touched.
 func SetParallelism(n int) int { return exp.SetParallelism(n) }
 
-// Parallelism returns the current sweep worker count.
-func Parallelism() int { return exp.Parallelism() }
-
-// ErrInterrupted reports that the run context installed via SetContext
-// was cancelled mid-experiment. Run's error wraps it; the accompanying
-// Result, when non-nil, is partial (skipped sweep cells hold zero
-// values).
-var ErrInterrupted = exp.ErrInterrupted
-
-// SetContext installs a cancellation context for experiment runs: once
-// ctx is done, remaining sweep cells are skipped, in-flight cells
-// finish, and Run reports ErrInterrupted alongside the partial result.
-// Process-wide, like SetParallelism; nil restores the default
-// never-cancelled behavior.
+// SetContext sets the default cancellation context; nil restores never
+// cancelled.
 func SetContext(ctx context.Context) { exp.SetContext(ctx) }
 
-// Interrupted reports whether the installed run context is cancelled.
-func Interrupted() bool { return exp.Interrupted() }
+// ErrInterrupted reports that the run's context was cancelled
+// mid-experiment. Run's error wraps it; the accompanying Result, when
+// non-nil, is partial (cells that never started hold zero values).
+var ErrInterrupted = exp.ErrInterrupted
 
 // RecordSchema identifies the Record envelope layout. It versions the
 // envelope keys themselves, not the experiment-specific result shapes;

@@ -2,7 +2,9 @@ package experiment_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -58,6 +60,46 @@ func TestFig06GoldenViaRegistry(t *testing.T) {
 	got := runTable(t, "fig6", p)
 	if want := readGolden(t, "fig06_regression.golden"); !bytes.Equal(got, want) {
 		t.Fatalf("registry fig6 output differs from golden:\n--- got\n%s--- want\n%s", got, want)
+	}
+}
+
+// TestRunWithOptions: the golden grid again through RunWith, on four
+// workers, and under a context cancelled beforehand, which must start no
+// cell and say so.
+func TestRunWithOptions(t *testing.T) {
+	d, err := experiment.Get("fig6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := d.Params().(*experiment.Fig06Params)
+	*p = experiment.Fig06Params{
+		LinkMbps:    []float64{2, 4},
+		TotalFlows:  []int{2, 4},
+		Queues:      []scenario.QueueKind{scenario.QueueDropTail, scenario.QueueRED},
+		Duration:    20,
+		MeasureTail: 10,
+		Seed:        3,
+	}
+	res, err := experiment.RunWith(d, p, experiment.RunOptions{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	res.Table(&got)
+	if want := readGolden(t, "fig06_regression.golden"); !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("fig6 on 4 workers differs from golden:\n--- got\n%s--- want\n%s", got.Bytes(), want)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err = experiment.RunWith(d, p, experiment.RunOptions{Workers: 4, Ctx: ctx})
+	if !errors.Is(err, experiment.ErrInterrupted) {
+		t.Fatalf("cancelled run: err = %v, want ErrInterrupted", err)
+	}
+	for _, c := range res.(*experiment.Fig06Result).Cells {
+		if c.Utilization != 0 {
+			t.Fatalf("cancelled run computed a cell: %+v", c)
+		}
 	}
 }
 

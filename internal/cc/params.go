@@ -5,15 +5,6 @@ import (
 	"strings"
 )
 
-// Params is one controller kind's tuning: a plain struct whose exported
-// fields round-trip through encoding/json and which validates itself,
-// mirroring the experiment registry's parameter contract. Zero-valued
-// fields mean "use the default" and are filled at Init time, so the
-// zero value of every params struct is valid.
-type Params interface {
-	Validate() error
-}
-
 // Name identifies a registered controller ("reno", "vegas", "ledbat",
 // "relentless", or a custom registration). The empty Name means the
 // default, reno — so a zero cc.Config keeps classic TCP behavior.
@@ -82,16 +73,6 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// RenoParams tunes the classic controller. It has no knobs — the
-// struct exists so reno participates in the registry's params contract.
-type RenoParams struct{}
-
-// Validate implements Params.
-func (p *RenoParams) Validate() error { return nil }
-
-// DefaultReno returns the (empty) reno tuning.
-func DefaultReno() RenoParams { return RenoParams{} }
-
 // VegasParams tunes the delay-based controller: the estimated number of
 // packets the flow keeps queued at the bottleneck is held between Alpha
 // and Beta, and slow start exits once it exceeds Gamma.
@@ -121,7 +102,7 @@ func (p *VegasParams) fill() {
 	}
 }
 
-// Validate implements Params. Zero values mean defaults.
+// Validate checks the tuning. Zero values mean defaults, filled in at Init.
 func (p *VegasParams) Validate() error {
 	if p.Alpha < 0 || p.Beta < 0 || p.Gamma < 0 {
 		return fmt.Errorf("alpha/beta/gamma must be non-negative, got %v/%v/%v", p.Alpha, p.Beta, p.Gamma)
@@ -166,7 +147,7 @@ func (p *LEDBATParams) fill() {
 	}
 }
 
-// Validate implements Params. Zero values mean defaults.
+// Validate checks the tuning. Zero values mean defaults, filled in at Init.
 func (p *LEDBATParams) Validate() error {
 	if p.Target < 0 {
 		return fmt.Errorf("target must be non-negative, got %v", p.Target)
@@ -196,7 +177,7 @@ func (p *RelentlessParams) fill() {
 	}
 }
 
-// Validate implements Params. Zero means the default.
+// Validate checks the tuning. Zero means the default, filled in at Init.
 func (p *RelentlessParams) Validate() error {
 	if p.MinCwnd < 0 {
 		return fmt.Errorf("minCwnd must be non-negative, got %v", p.MinCwnd)

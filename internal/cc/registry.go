@@ -7,8 +7,7 @@ import (
 	"tfrc/internal/sim"
 )
 
-// Registration binds a controller name to its parameter type and
-// arena-backed constructor, mirroring the experiment registry: the
+// Registration binds a controller name to its arena-backed constructor, mirroring the experiment registry: the
 // built-in zoo self-registers in init, and user code can register rival
 // algorithms that then work everywhere a built-in does (tcp.Config.CC,
 // scenario.Builder.AddCC, the ccfair experiment's protocol names).
@@ -17,9 +16,6 @@ type Registration struct {
 	Name string
 	// Description is one line for listings.
 	Description string
-	// Params returns a fresh default parameter set (a pointer, so JSON
-	// decoding mutates it in place).
-	Params func() Params
 	// New builds a controller for the validated Config on the given
 	// scheduler's arena. maxWindow caps the congestion window.
 	New func(s *sim.Scheduler, cfg Config, maxWindow float64) Controller
@@ -31,8 +27,8 @@ var registry = map[string]Registration{}
 // panics: the registry is program-wide configuration and a collision is
 // a programming error.
 func Register(r Registration) {
-	if r.Name == "" || r.Params == nil || r.New == nil {
-		panic("cc: Register needs Name, Params, and New")
+	if r.Name == "" || r.New == nil {
+		panic("cc: Register needs Name and New")
 	}
 	if _, dup := registry[r.Name]; dup {
 		panic(fmt.Sprintf("cc: controller %q already registered", r.Name))
@@ -74,7 +70,6 @@ func init() {
 	Register(Registration{
 		Name:        "reno",
 		Description: "classic loss-based AIMD: slow start, 1/cwnd growth, halve on loss",
-		Params:      func() Params { return &RenoParams{} },
 		New: func(s *sim.Scheduler, cfg Config, maxWindow float64) Controller {
 			a := arenaOf(s)
 			r := a.reno.Get()
@@ -86,7 +81,6 @@ func init() {
 	Register(Registration{
 		Name:        "vegas",
 		Description: "delay-based: holds alpha..beta packets queued, backs off on RTT growth",
-		Params:      func() Params { return &VegasParams{} },
 		New: func(s *sim.Scheduler, cfg Config, maxWindow float64) Controller {
 			a := arenaOf(s)
 			v := a.vegas.Get()
@@ -98,7 +92,6 @@ func init() {
 	Register(Registration{
 		Name:        "ledbat",
 		Description: "background transport: yields once queueing delay exceeds its target",
-		Params:      func() Params { return &LEDBATParams{} },
 		New: func(s *sim.Scheduler, cfg Config, maxWindow float64) Controller {
 			a := arenaOf(s)
 			l := a.ledbat.Get()
@@ -110,7 +103,6 @@ func init() {
 	Register(Registration{
 		Name:        "relentless",
 		Description: "decreases by exactly the lost segments instead of halving",
-		Params:      func() Params { return &RelentlessParams{} },
 		New: func(s *sim.Scheduler, cfg Config, maxWindow float64) Controller {
 			a := arenaOf(s)
 			r := a.relentless.Get()

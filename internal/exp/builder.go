@@ -53,8 +53,8 @@ func builderFor(s *sim.Scheduler) *ScenarioBuilder {
 	return sim.Next(&a.builders)
 }
 
-// NewScenarioBuilder returns a builder over the topology, building it
-// (routes + schedules) if the caller has not already done so. The
+// NewScenarioBuilder returns a builder over the topology, building its
+// routes if the caller has not already done so. The
 // builder struct and its bookkeeping slices come from the scheduler's
 // arena and are recycled across sweep cells.
 func NewScenarioBuilder(t *netsim.Topology) *ScenarioBuilder {

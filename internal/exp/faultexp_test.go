@@ -112,8 +112,6 @@ func TestChaosByteIdenticalAcrossParallelism(t *testing.T) {
 func TestInterruptSkipsRemainingCells(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already cancelled: every cell is skipped
-	SetContext(ctx)
-	defer SetContext(nil)
 
 	d, ok := Lookup("chaos")
 	if !ok {
@@ -122,7 +120,7 @@ func TestInterruptSkipsRemainingCells(t *testing.T) {
 	pr := DefaultChaos()
 	pr.Cells = 3
 	pr.Duration = 25
-	res, err := RunExperiment(d, &pr)
+	res, err := RunExperiment(d, &pr, RunOptions{Ctx: ctx})
 	if !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("err = %v, want ErrInterrupted", err)
 	}

@@ -79,11 +79,10 @@ func (d *periodicDropper) Recv(p *netsim.Packet) {
 }
 
 // periodicLossPipe is the testbed of figures 2 and 19-21: one TFRC
-// flow on a fresh scheduler over a link of base round-trip rtt with
-// bandwidth and buffer to spare, so the only loss is the periodic
-// dropper's, which starts at one packet in every.
-func periodicLossPipe(rtt float64, every int) (*sim.Scheduler, *tfrcsim.Sender, *tfrcsim.Receiver, *periodicDropper) {
-	sched := sim.NewScheduler()
+// flow on sched over a link of base round-trip rtt with bandwidth and
+// buffer to spare, so the only loss is the periodic dropper's, which
+// starts at one packet in every.
+func periodicLossPipe(sched *sim.Scheduler, rtt float64, every int) (*tfrcsim.Sender, *tfrcsim.Receiver, *periodicDropper) {
 	t := netsim.NewTopology(sched, nil)
 	t.Link("src", "dst", netsim.LinkSpec{
 		Bandwidth: 1e9, Delay: rtt / 2,
@@ -96,11 +95,12 @@ func periodicLossPipe(rtt float64, every int) (*sim.Scheduler, *tfrcsim.Sender, 
 	snd := tfrcsim.NewSender(nw, a, b.ID, 1, 2, 0, cfg)
 	drop := &periodicDropper{nw: nw, next: rcv, every: every}
 	b.Attach(1, drop)
-	return sched, snd, rcv, drop
+	return snd, rcv, drop
 }
 
-func fig02Cell(_ *Cell, pr *Fig02Params) *Fig02Result {
-	sched, snd, rcv, drop := periodicLossPipe(pr.RTT, int(1/pr.P1))
+func fig02Cell(c *Cell, pr *Fig02Params) *Fig02Result {
+	sched := c.begin()
+	snd, rcv, drop := periodicLossPipe(sched, pr.RTT, int(1/pr.P1))
 	sched.At(pr.T1, func() { drop.every = int(1 / pr.P2) })
 	sched.At(pr.T2, func() { drop.every = int(1 / pr.P3) })
 

@@ -66,7 +66,7 @@ var runFig18 = Define(Spec[Fig18Params, []float64, *Fig18Result]{
 		case 1:
 			return congestedTrace(c, netsim.QueueRED, p.Duration, p.Seed+1)
 		default:
-			return bernoulliTrace(p.Duration, p.Seed)
+			return bernoulliTrace(c, p.Duration, p.Seed)
 		}
 	},
 	Reduce: fig18Reduce,
@@ -139,9 +139,9 @@ func congestedTrace(c *Cell, q netsim.QueueKind, duration float64, seed int64) [
 
 // bernoulliTrace records the loss intervals of one TFRC flow under
 // step-changing Bernoulli loss on a clean pipe.
-func bernoulliTrace(duration float64, seed int64) []float64 {
+func bernoulliTrace(c *Cell, duration float64, seed int64) []float64 {
 	var log []float64
-	sched := sim.NewScheduler()
+	sched := c.begin()
 	t := netsim.NewTopology(sched, nil)
 	t.Link("src", "dst", netsim.LinkSpec{
 		Bandwidth: 1e8, Delay: 0.030,
@@ -153,7 +153,7 @@ func bernoulliTrace(duration float64, seed int64) []float64 {
 	cfg.Estimator = recEst{core.NewALI(core.DefaultLossHistory()), &log}
 	rcv := tfrcsim.NewReceiver(nw, b, 5, 0, cfg)
 	snd := tfrcsim.NewSender(nw, a, b.ID, 1, 2, 0, cfg)
-	drop := &bernoulliDropper{nw: nw, next: rcv, p: 0.02, rng: sim.NewRand(seed + 9)}
+	drop := &bernoulliDropper{nw: nw, next: rcv, p: 0.02, rng: sched.NewRand(seed + 9)}
 	b.Attach(1, drop)
 	rates := []float64{0.05, 0.01, 0.08, 0.005, 0.03}
 	for i, r := range rates {

@@ -128,8 +128,9 @@ type Fig19Result struct {
 	MaxIncreasePerRTT float64
 }
 
-func fig19Cell(_ *Cell, pr *Fig19Params) *Fig19Result {
-	sched, snd, _, drop := periodicLossPipe(pr.RTT, pr.DropEveryBefore)
+func fig19Cell(c *Cell, pr *Fig19Params) *Fig19Result {
+	sched := c.begin()
+	snd, _, drop := periodicLossPipe(sched, pr.RTT, pr.DropEveryBefore)
 	sched.At(pr.SwitchTime, func() { drop.every = pr.DropEveryAfter })
 
 	res := &Fig19Result{RTT: pr.RTT}

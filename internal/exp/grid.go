@@ -24,7 +24,7 @@ func (r CellRange) String() string { return fmt.Sprintf("[%d,%d)", r.Lo, r.Hi) }
 // distributed sweep coordinator (internal/shard, tfrcsim shard/merge)
 // runs on. An experiment with a Grid promises that
 //
-//	Run(p) == Reduce(p, RunRange(p, [0, Cells(p))))
+//	Run(o, p) == Reduce(p, the cells Stream(o, p, [0, Cells(p))) hands over)
 //
 // and that every cell is a pure function of (params, index): computing
 // any sub-range on any machine, in any order, at any worker count,
@@ -39,11 +39,42 @@ type Grid struct {
 	// Cells returns the total flattened cell count for the (validated)
 	// parameter set.
 	Cells func(Params) (int, error)
-	// RunRange computes cells [r.Lo, r.Hi) on the sweep worker pool and
-	// returns one compact JSON payload per cell, index-aligned with the
-	// range.
-	RunRange func(Params, CellRange) ([]json.RawMessage, error)
+	// Stream computes cells [r.Lo, r.Hi) under o and hands each one to
+	// sink as it finishes — the absolute index, then the compact JSON
+	// payload or the error of marshaling it — on the worker that ran
+	// it, so sink is called concurrently, in completion order, and
+	// never for a cell that o.Ctx kept from starting. It returns once
+	// every call to sink has; its own error is a bad range or params.
+	Stream func(o RunOptions, p Params, r CellRange, sink func(idx int, raw json.RawMessage, err error)) error
 	// Reduce reassembles the experiment's Result from the full cell set
-	// in index order (payloads as produced by RunRange).
+	// in index order (payloads as produced by Stream).
 	Reduce func(Params, []json.RawMessage) (Result, error)
+}
+
+// RunRange is Stream on the process defaults, collected: one payload per
+// cell, index-aligned with the range. It fails with the error of the
+// lowest cell that could not be marshaled, and with ErrInterrupted when
+// the default context kept a cell from running.
+func (g *Grid) RunRange(p Params, r CellRange) ([]json.RawMessage, error) {
+	return g.collect(DefaultRunOptions(), p, r)
+}
+
+func (g *Grid) collect(o RunOptions, p Params, r CellRange) ([]json.RawMessage, error) {
+	n := max(0, r.Len())
+	out, errs := make([]json.RawMessage, n), make([]error, n)
+	err := g.Stream(o, p, r, func(idx int, raw json.RawMessage, err error) {
+		out[idx-r.Lo], errs[idx-r.Lo] = raw, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, raw := range out {
+		switch {
+		case errs[i] != nil:
+			return nil, errs[i]
+		case raw == nil:
+			return nil, fmt.Errorf("cell %d: %w", r.Lo+i, ErrInterrupted)
+		}
+	}
+	return out, nil
 }

@@ -23,8 +23,7 @@ type Spec[P, C any, R Result] struct {
 	Default func() P
 	Presets map[string]func() P
 
-	// Cells is the flattened cell count for validated parameters. The
-	// shard runner asks once per cell, so it must be cheap.
+	// Cells is the flattened cell count for validated parameters.
 	Cells func(p *P) int
 	// Cell computes the cell at absolute index idx on the worker's
 	// arena. It must be a pure function of (*p, idx) — any sub-range of
@@ -33,13 +32,14 @@ type Spec[P, C any, R Result] struct {
 	// or Inf, marshalers that round-trip.
 	Cell func(c *Cell, p *P, idx int) C
 	// Reduce assembles the Result from all cells in index order. Cells
-	// an interrupted run skipped arrive as zero values.
+	// an interrupted run never started arrive as zero values.
 	Reduce func(p *P, cells []C) R
 }
 
 // Define registers the experiment s describes and returns its typed
 // run, Reduce over all cells, which skips the JSON framing of the
-// Grid path.
+// Grid path. The typed run is an option-less spelling: it runs on the
+// process defaults (DefaultRunOptions).
 func Define[P, C any, R Result, PP interface {
 	*P
 	Params
@@ -68,26 +68,24 @@ func describe[P, C any, R Result, PP interface {
 			return PP(&p)
 		}
 	}
-	// The per-range closure captures the cell function alone, not the
-	// whole Spec by value: it is allocated once per cell on the shard
-	// runner's path.
 	cells, cell, reduce := s.Cells, s.Cell, s.Reduce
-	runRange := func(p *P, r CellRange) []C {
-		return runCellsCtx(r.Len(), func(c *Cell, i int) C { return cell(c, p, r.Lo+i) })
+	run := func(o RunOptions, p *P) R {
+		out := make([]C, cells(p))
+		runCells(o, len(out), func(c *Cell, i int) { out[i] = cell(c, p, i) })
+		return reduce(p, out)
 	}
-	run := func(p *P) R { return reduce(p, runRange(p, CellRange{0, cells(p)})) }
 
 	d := Descriptor{
 		Name:        s.Name,
 		Aliases:     s.Aliases,
 		Description: s.Description,
 		Params:      fresh(s.Default),
-		Run: func(p Params) (Result, error) {
+		Run: func(o RunOptions, p Params) (Result, error) {
 			tp, err := cast(p)
 			if err != nil {
 				return nil, err
 			}
-			return run(tp), nil
+			return run(o, tp), nil
 		},
 		Grid: &Grid{
 			Cells: func(p Params) (int, error) {
@@ -97,23 +95,22 @@ func describe[P, C any, R Result, PP interface {
 				}
 				return cells(tp), nil
 			},
-			RunRange: func(p Params, r CellRange) ([]json.RawMessage, error) {
+			Stream: func(o RunOptions, p Params, r CellRange, sink func(int, json.RawMessage, error)) error {
 				tp, err := cast(p)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				if n := cells(tp); r.Lo < 0 || r.Hi > n || r.Lo > r.Hi {
-					return nil, fmt.Errorf("cell range %s out of bounds for %d cells", r, n)
+					return fmt.Errorf("cell range %s out of bounds for %d cells", r, n)
 				}
-				out := make([]json.RawMessage, 0, r.Len())
-				for i, c := range runRange(tp, r) {
-					j, err := json.Marshal(c)
+				runCells(o, r.Len(), func(c *Cell, i int) {
+					raw, err := json.Marshal(cell(c, tp, r.Lo+i))
 					if err != nil {
-						return nil, fmt.Errorf("marshaling cell %d: %w", r.Lo+i, err)
+						err = fmt.Errorf("marshaling cell %d: %w", r.Lo+i, err)
 					}
-					out = append(out, j)
-				}
-				return out, nil
+					sink(r.Lo+i, raw, err)
+				})
+				return nil
 			},
 			Reduce: func(p Params, raw []json.RawMessage) (Result, error) {
 				tp, err := cast(p)
@@ -139,7 +136,7 @@ func describe[P, C any, R Result, PP interface {
 			d.Presets[name] = fresh(def)
 		}
 	}
-	return d, run
+	return d, func(p *P) R { return run(DefaultRunOptions(), p) }
 }
 
 // single is the Spec of an experiment that is one simulation: a grid

@@ -71,15 +71,11 @@ func TestEveryExperimentIsAGrid(t *testing.T) {
 				t.Fatalf("overlay: %v", err)
 			}
 			run := func(workers int) []byte {
-				var out []byte
-				withParallelism(workers, func() {
-					res, err := RunExperiment(d, p)
-					if err != nil {
-						t.Fatal(err)
-					}
-					out = rendered(t, res)
-				})
-				return out
+				res, err := RunExperiment(d, p, RunOptions{Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return rendered(t, res)
 			}
 			whole := run(1)
 			if par := run(8); !bytes.Equal(whole, par) {
@@ -118,13 +114,11 @@ func TestEveryExperimentIsAGrid(t *testing.T) {
 func TestManyFlowsHonoursInterrupt(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	SetContext(ctx)
-	defer SetContext(nil)
 
 	d, _ := Lookup("manyflows")
 	pr := DefaultManyFlows()
 	pr.Flows = []int{50, 100}
-	res, err := RunExperiment(d, &pr)
+	res, err := RunExperiment(d, &pr, RunOptions{Ctx: ctx})
 	if !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("err = %v, want ErrInterrupted", err)
 	}

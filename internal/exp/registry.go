@@ -54,9 +54,9 @@ type Descriptor struct {
 	// Presets are named alternate parameter sets; "paper" selects the
 	// paper's full-scale setup where one exists.
 	Presets map[string]func() Params
-	// Run executes the experiment. Callers should go through
-	// RunExperiment, which validates first.
-	Run func(Params) (Result, error)
+	// Run executes the experiment under the given options. Callers
+	// should go through RunExperiment, which validates first.
+	Run func(RunOptions, Params) (Result, error)
 	// Grid exposes the experiment's pure-cell structure for distributed
 	// execution (cell count, range execution, reduce); the shard/merge
 	// coordinator runs on this contract. Every experiment has one (a
@@ -194,41 +194,34 @@ func editDistance(a, b string) int {
 	return prev[len(b)]
 }
 
-// ErrInterrupted reports that the run context installed via SetContext
-// was cancelled mid-experiment. The accompanying Result, when non-nil,
-// is a partial one: skipped cells hold zero values.
+// ErrInterrupted reports that the run's context (RunOptions.Ctx) was
+// cancelled mid-experiment. The accompanying Result, when non-nil, is a
+// partial one: cells that never started hold zero values.
 var ErrInterrupted = errors.New("interrupted")
 
-// RunExperiment validates the parameters and executes the experiment.
-// This is the one entry point the CLI and the public experiment package
-// use, so no experiment can run on unvalidated parameters. The
-// process-global run configuration (SetParallelism, SetContext) is
-// snapshotted at entry, so mid-run mutation configures the next run
-// rather than splitting this one across two settings. When the
-// installed run context is cancelled mid-run, the error wraps
-// ErrInterrupted and the result carries whatever the experiment could
-// assemble from the cells that finished; a panic while interrupted
-// (aggregation tripping over zero-valued skipped cells) is converted to
-// the same error with a nil result.
-func RunExperiment(d Descriptor, p Params) (res Result, err error) {
+// RunExperiment validates the parameters and executes the experiment
+// under o. This is the one entry point the CLI and the public experiment
+// package use, so no experiment can run on unvalidated parameters. When
+// o.Ctx is cancelled mid-run, the error wraps ErrInterrupted and the
+// result carries whatever the experiment could assemble from the cells
+// that ran; a panic while interrupted (aggregation tripping over the
+// zero values of cells that never started) is converted to the same
+// error with a nil result.
+func RunExperiment(d Descriptor, p Params, o RunOptions) (res Result, err error) {
 	if verr := p.Validate(); verr != nil {
 		return nil, fmt.Errorf("%s: invalid parameters: %w", d.Name, verr)
 	}
-	// Freeze the process-global run configuration for this run; the
-	// restore defer is registered first so the recover handler below
-	// still sees the active snapshot (defers run last-in-first-out).
-	defer endRun(beginRun())
 	defer func() {
 		if r := recover(); r != nil {
-			if Interrupted() {
+			if o.interrupted() {
 				res, err = nil, fmt.Errorf("%s: %w", d.Name, ErrInterrupted)
 				return
 			}
 			panic(r)
 		}
 	}()
-	res, err = d.Run(p)
-	if err == nil && Interrupted() {
+	res, err = d.Run(o, p)
+	if err == nil && o.interrupted() {
 		err = fmt.Errorf("%s: %w", d.Name, ErrInterrupted)
 	}
 	return res, err

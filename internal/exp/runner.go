@@ -9,100 +9,60 @@ import (
 	"tfrc/internal/sweep"
 )
 
-// runCtx is the process-wide cancellation context consulted between
-// sweep cells. nil (the default) means never cancelled.
-var runCtx atomic.Pointer[context.Context]
+// RunOptions is everything a run is told beyond its parameters. The
+// zero value runs the cells one after another and is never cancelled.
+// A run reads its options once, at its entry point, and hands them
+// down, so any number of runs may be in flight at once, each on its own.
+type RunOptions struct {
+	// Workers is the number of goroutines executing independent cells
+	// (below 2: sequential, on the caller's goroutine; never more than
+	// there are cells). Each worker holds one live simulation, so
+	// memory grows with it; the Go scheduler bounds effective CPU
+	// parallelism to GOMAXPROCS. Results are bit-identical at any
+	// value: cells are pure and merged in cell order.
+	Workers int
+	// Ctx, once done, stops the run claiming cells: those in flight
+	// finish, the rest never start, and the run reports ErrInterrupted
+	// alongside whatever it assembled. nil means never cancelled.
+	Ctx context.Context
+}
 
-// SetContext installs a cancellation context for experiment runs: once
-// ctx is done, remaining sweep cells are skipped (their results stay
-// zero values), in-flight cells finish, and RunExperiment reports
-// ErrInterrupted alongside whatever partial result the experiment
-// assembled. Process-wide, like SetParallelism; passing nil restores the
-// default never-cancelled behavior.
-//
-// Because the setting is process-global, RunExperiment snapshots it (and
-// the parallelism) at run start: a SetContext call made while an
-// experiment is running configures the next run, never the one in
-// flight. Concurrent RunExperiment calls still share one configuration —
-// callers needing different settings per run must serialize.
+func (o RunOptions) interrupted() bool { return o.Ctx != nil && o.Ctx.Err() != nil }
+
+// The process defaults: what a run started through an option-less
+// spelling (experiment.Run, Grid.RunRange, shard.Run, a typed run) is
+// handed. DefaultRunOptions is their only reader.
+var (
+	defaultWorkers atomic.Int64 // 0 and 1 both mean sequential
+	defaultCtx     atomic.Pointer[context.Context]
+)
+
+// SetParallelism sets the default worker count (clamped to ≥ 1) of runs
+// started afterwards through the option-less spellings and returns the
+// previous value.
+func SetParallelism(n int) int {
+	prev := defaultWorkers.Swap(int64(max(1, n)))
+	return int(max(1, prev))
+}
+
+// SetContext sets the default cancellation context of runs started
+// afterwards through the option-less spellings; nil restores never
+// cancelled.
 func SetContext(ctx context.Context) {
 	if ctx == nil {
-		runCtx.Store(nil)
+		defaultCtx.Store(nil)
 		return
 	}
-	runCtx.Store(&ctx)
+	defaultCtx.Store(&ctx)
 }
 
-// Interrupted reports whether the governing run context is cancelled:
-// the one snapshotted by the active RunExperiment when inside a run, the
-// currently installed one otherwise.
-func Interrupted() bool {
-	p := runCtx.Load()
-	if s := activeSnap.Load(); s != nil {
-		p = s.ctx
+// DefaultRunOptions returns the process defaults as they stand now.
+func DefaultRunOptions() RunOptions {
+	o := RunOptions{Workers: int(defaultWorkers.Load())}
+	if p := defaultCtx.Load(); p != nil {
+		o.Ctx = *p
 	}
-	return p != nil && (*p).Err() != nil
-}
-
-// runSnap freezes the process-global run configuration — worker count
-// and cancellation context — for the duration of one RunExperiment
-// call, so a mid-sweep SetParallelism or SetContext cannot split a
-// single sweep across two configurations (which would break the
-// bit-identical-at-any-parallelism contract mid-merge and let a late
-// SetContext silently truncate a running sweep).
-type runSnap struct {
-	workers int
-	ctx     *context.Context
-}
-
-// activeSnap is the configuration snapshot of the innermost running
-// RunExperiment, nil outside of one.
-var activeSnap atomic.Pointer[runSnap]
-
-// beginRun installs a snapshot of the current configuration and returns
-// the previous snapshot for endRun to restore (experiments can nest:
-// fig21's cells call RunFig19).
-func beginRun() *runSnap {
-	s := &runSnap{workers: int(parallelism.Load()), ctx: runCtx.Load()}
-	return activeSnap.Swap(s)
-}
-
-// endRun restores the snapshot that beginRun displaced.
-func endRun(prev *runSnap) { activeSnap.Store(prev) }
-
-// parallelism is the worker count every experiment's cells run on
-// (atomic so runs may be launched from any goroutine). The default of 1
-// keeps library callers fully sequential; cmd/tfrcsim raises it via
-// SetParallelism from its -parallel flag.
-var parallelism atomic.Int64
-
-func init() { parallelism.Store(1) }
-
-// SetParallelism sets the number of worker goroutines used to execute
-// independent sweep cells (clamped to ≥ 1 and to the cell count) and
-// returns the previous value. Each worker holds one live simulation, so
-// memory grows with the setting; the Go scheduler bounds effective CPU
-// parallelism to GOMAXPROCS. Results are bit-identical at any setting:
-// cells are pure and merged in deterministic cell order.
-//
-// Like SetContext, this is process-global and snapshotted by
-// RunExperiment at run start: a mid-sweep call configures the next run,
-// not the one in flight.
-func SetParallelism(n int) int {
-	if n < 1 {
-		n = 1
-	}
-	return int(parallelism.Swap(int64(n)))
-}
-
-// Parallelism returns the governing sweep worker count: the one
-// snapshotted by the active RunExperiment when inside a run, the
-// currently installed one otherwise.
-func Parallelism() int {
-	if s := activeSnap.Load(); s != nil {
-		return s.workers
-	}
-	return int(parallelism.Load())
+	return o
 }
 
 // Cell is a worker-pinned simulation arena: a pinned scheduler plus the
@@ -154,18 +114,17 @@ func (c *Cell) floats(n int) []float64 {
 	return c.scratch[:n]
 }
 
-// runCellsCtx executes n independent experiment cells on the configured
-// worker pool with worker-pinned Cells, returning results in cell order:
-// every cell runs exactly once and consecutive cells on one worker share
-// an arena. Cells reached after the run context is cancelled are skipped
-// and yield zero values, so an interrupted sweep still returns a
-// well-formed partial slice.
-func runCellsCtx[T any](n int, fn func(c *Cell, i int) T) []T {
-	return sweep.MapCtx(Parallelism(), n, getCell, putCell, func(c *Cell, i int) T {
-		if Interrupted() {
-			var zero T
-			return zero
+// runCells is the one cell executor: it calls fn(c, i) for every i in
+// [0, n) on o.Workers worker-pinned Cells, so every cell runs at most
+// once and consecutive cells on one worker share an arena. Once o.Ctx is
+// done no further cell starts; fn is never called for a cell that did
+// not run, so what it stored for the others is a well-formed partial
+// result.
+func runCells(o RunOptions, n int, fn func(c *Cell, i int)) {
+	sweep.MapCtx(o.Workers, n, getCell, putCell, func(c *Cell, i int) struct{} {
+		if !o.interrupted() {
+			fn(c, i)
 		}
-		return fn(c, i)
+		return struct{}{}
 	})
 }

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -11,7 +12,7 @@ import (
 )
 
 // snapParams/snapResult are a minimal unregistered experiment used to
-// observe the run configuration from inside a run.
+// observe, from its cells, the options a run is executing under.
 type snapParams struct{ Probes int }
 
 func (p *snapParams) Validate() error {
@@ -21,46 +22,71 @@ func (p *snapParams) Validate() error {
 	return nil
 }
 
-// snapCell is what one cell observed of the run configuration.
-type snapCell struct {
-	Workers     int
-	Interrupted bool
-}
-
-type snapResult struct {
-	Workers     []int
-	Interrupted []bool
-}
+// snapResult counts the cells that ran: a cell yields 1, and one that
+// never started is left at zero.
+type snapResult struct{ Ran int }
 
 func (r *snapResult) Table(io.Writer) {}
 
-// snapDescriptor describes an experiment whose cells report the
-// Parallelism and Interrupted values they observe; probe gates each
-// cell so the test can mutate the globals mid-run.
-func snapDescriptor(probe func(i int)) Descriptor {
-	d, _ := describe(Spec[snapParams, snapCell, *snapResult]{
+// snapDescriptor describes an experiment whose cells call probe, and
+// its typed run.
+func snapDescriptor(probe func(i int)) (Descriptor, func(*snapParams) *snapResult) {
+	return describe(Spec[snapParams, int, *snapResult]{
 		Name:    "snapshot-test",
 		Default: func() snapParams { return snapParams{Probes: 4} },
 		Cells:   func(p *snapParams) int { return p.Probes },
-		Cell: func(_ *Cell, _ *snapParams, i int) snapCell {
+		Cell: func(_ *Cell, _ *snapParams, i int) int {
 			probe(i)
-			return snapCell{Parallelism(), Interrupted()}
+			return 1
 		},
-		Reduce: func(_ *snapParams, cells []snapCell) *snapResult {
+		Reduce: func(_ *snapParams, cells []int) *snapResult {
 			res := &snapResult{}
 			for _, c := range cells {
-				res.Workers = append(res.Workers, c.Workers)
-				res.Interrupted = append(res.Interrupted, c.Interrupted)
+				res.Ran += c
 			}
 			return res
 		},
 	})
-	return d
 }
 
-// TestRunConfigSnapshot verifies that RunExperiment freezes the
-// process-global parallelism and context at run start: mutating either
-// mid-run must not change what the running experiment observes.
+// gauge counts the cells that ran and the most that ran at once; every
+// cell dwells long enough for the other workers of its run to overlap it.
+type gauge struct{ cur, peak, ran atomic.Int32 }
+
+func (g *gauge) cell() {
+	g.enter()
+	time.Sleep(200 * time.Microsecond)
+	g.cur.Add(-1)
+}
+
+func (g *gauge) enter() {
+	n := g.cur.Add(1)
+	for p := g.peak.Load(); n > p && !g.peak.CompareAndSwap(p, n); p = g.peak.Load() {
+	}
+	g.ran.Add(1)
+}
+
+// meet makes the first n cells of a run wait for one another, so a run
+// on n workers shows a peak of exactly n; a run on fewer would hang, so
+// the wait gives up after a second and the peak assertion reports it.
+func meet(n int) func() {
+	var arrived atomic.Int32
+	all := make(chan struct{})
+	return func() {
+		if arrived.Add(1) == int32(n) {
+			close(all)
+		}
+		select {
+		case <-all:
+		case <-time.After(time.Second):
+		}
+	}
+}
+
+// TestRunConfigSnapshot: a run keeps the options it was started with. A
+// SetParallelism/SetContext made from inside one of its cells neither
+// changes how many of its cells run at once nor truncates it, and does
+// configure the next option-less run.
 func TestRunConfigSnapshot(t *testing.T) {
 	prev := SetParallelism(3)
 	defer SetParallelism(prev)
@@ -69,41 +95,44 @@ func TestRunConfigSnapshot(t *testing.T) {
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	d := snapDescriptor(func(i int) {
-		if i == 2 {
+	const n = 12
+	var g gauge
+	together := meet(3)
+	d, _ := snapDescriptor(func(i int) {
+		if i == 0 {
 			// Mid-run mutation: both must only affect the NEXT run.
 			SetParallelism(7)
 			SetContext(cancelled)
 		}
+		g.enter()
+		together()
+		g.cur.Add(-1)
 	})
-	res, err := RunExperiment(d, &snapParams{Probes: 4})
+	res, err := RunExperiment(d, &snapParams{Probes: n}, DefaultRunOptions())
 	if err != nil {
 		t.Fatalf("RunExperiment: %v", err)
 	}
-	sr := res.(*snapResult)
-	for i, w := range sr.Workers {
-		if w != 3 {
-			t.Errorf("probe %d saw Parallelism()=%d, want the snapshot value 3", i, w)
-		}
+	if ran := res.(*snapResult).Ran; ran != n {
+		t.Errorf("%d of %d cells ran; a mid-run SetContext must not truncate the run in flight", ran, n)
 	}
-	for i, intr := range sr.Interrupted {
-		if intr {
-			t.Errorf("probe %d saw Interrupted()=true; mid-run SetContext must not cancel the active run", i)
-		}
+	if peak := g.peak.Load(); peak != 3 {
+		t.Errorf("%d cells ran at once, want the 3 workers the run started with", peak)
 	}
 
-	// After the run the mutations take effect.
-	if got := Parallelism(); got != 7 {
-		t.Errorf("after run Parallelism()=%d, want 7", got)
+	// After the run the mutations are the defaults.
+	if o := DefaultRunOptions(); o.Workers != 7 || o.Ctx != cancelled {
+		t.Errorf("defaults after the run = %+v, want 7 workers and the cancelled context", o)
 	}
-	if !Interrupted() {
-		t.Error("after run Interrupted()=false, want true (cancelled context installed)")
+	res, err = RunExperiment(d, &snapParams{Probes: n}, DefaultRunOptions())
+	if !errors.Is(err, ErrInterrupted) || res.(*snapResult).Ran != 0 {
+		t.Errorf("next run = %+v, %v; want no cell and ErrInterrupted", res, err)
 	}
 }
 
 // TestRunConfigSnapshotRace hammers SetParallelism/SetContext from a
-// writer goroutine while an experiment runs, for the race detector, and
-// checks every cell of one run observes a single worker count.
+// writer goroutine while experiments run, for the race detector, and
+// checks that no option-less run is truncated or exceeds the 8 workers
+// the writer ever installs.
 func TestRunConfigSnapshotRace(t *testing.T) {
 	prev := SetParallelism(2)
 	defer SetParallelism(prev)
@@ -128,34 +157,17 @@ func TestRunConfigSnapshotRace(t *testing.T) {
 	}()
 
 	for run := 0; run < 50; run++ {
-		d := snapDescriptor(func(int) {})
-		res, err := RunExperiment(d, &snapParams{Probes: 8})
-		if err != nil {
-			t.Fatalf("RunExperiment: %v", err)
+		var g gauge
+		_, typed := snapDescriptor(func(int) { g.cell() })
+		if ran := typed(&snapParams{Probes: 16}).Ran; ran != 16 {
+			t.Fatalf("run %d: %d of 16 cells ran", run, ran)
 		}
-		sr := res.(*snapResult)
-		for i, w := range sr.Workers {
-			if w != sr.Workers[0] {
-				t.Fatalf("run %d: probe %d saw Parallelism()=%d, probe 0 saw %d; one run split across two worker counts",
-					run, i, w, sr.Workers[0])
-			}
+		if peak := g.peak.Load(); peak > 8 {
+			t.Fatalf("run %d: %d cells at once, more than any installed worker count", run, peak)
 		}
 	}
 	close(stop)
 	wg.Wait()
-}
-
-// gauge counts the cells that ran and the most that ran at once; every
-// cell dwells long enough for the other workers of its run to overlap it.
-type gauge struct{ cur, peak, ran atomic.Int32 }
-
-func (g *gauge) cell() {
-	n := g.cur.Add(1)
-	for p := g.peak.Load(); n > p && !g.peak.CompareAndSwap(p, n); p = g.peak.Load() {
-	}
-	g.ran.Add(1)
-	time.Sleep(200 * time.Microsecond)
-	g.cur.Add(-1)
 }
 
 // TestOverlappingRunsDoNotPoisonLaterRuns: run A starts, run B starts,
@@ -177,13 +189,13 @@ func TestOverlappingRunsDoNotPoisonLaterRuns(t *testing.T) {
 	start := func(release chan struct{}) (done chan struct{}) {
 		started, done := make(chan struct{}), make(chan struct{})
 		var once sync.Once
-		d := snapDescriptor(func(int) {
+		d, _ := snapDescriptor(func(int) {
 			once.Do(func() { close(started) })
 			<-release
 		})
 		go func() {
 			defer close(done)
-			RunExperiment(d, &snapParams{Probes: 3})
+			RunExperiment(d, &snapParams{Probes: 3}, DefaultRunOptions())
 		}()
 		<-started
 		return done
@@ -199,21 +211,9 @@ func TestOverlappingRunsDoNotPoisonLaterRuns(t *testing.T) {
 	SetContext(nil)
 	SetParallelism(1)
 
-	if Interrupted() {
-		t.Error("Interrupted() = true with no context installed")
-	}
-	if got := Parallelism(); got != 1 {
-		t.Errorf("Parallelism() = %d with 1 installed", got)
-	}
 	const n = 6
 	var g gauge
-	d, typed := describe(Spec[snapParams, snapCell, *snapResult]{
-		Name:    "overlap-test",
-		Default: func() snapParams { return snapParams{Probes: n} },
-		Cells:   func(p *snapParams) int { return p.Probes },
-		Cell:    func(*Cell, *snapParams, int) snapCell { g.cell(); return snapCell{} },
-		Reduce:  func(*snapParams, []snapCell) *snapResult { return &snapResult{} },
-	})
+	d, typed := snapDescriptor(func(int) { g.cell() })
 	typed(&snapParams{Probes: n})
 	if _, err := d.Grid.RunRange(&snapParams{Probes: n}, CellRange{0, n}); err != nil {
 		t.Fatal(err)
@@ -223,5 +223,61 @@ func TestOverlappingRunsDoNotPoisonLaterRuns(t *testing.T) {
 	}
 	if peak := g.peak.Load(); peak != 1 {
 		t.Errorf("%d cells ran at once with 1 worker installed", peak)
+	}
+}
+
+// TestConcurrentRunsKeepTheirOwnOptions: two runs in flight at once on
+// different worker counts and contexts. Cancelling one mid-run stops
+// that one only, and neither ever has more cells in flight than its own
+// Workers.
+func TestConcurrentRunsKeepTheirOwnOptions(t *testing.T) {
+	const n = 40
+	ctxA, cancelA := context.WithCancel(context.Background())
+	defer cancelA()
+	var gA, gB gauge
+	bStarted, aCancelled := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	dA, _ := snapDescriptor(func(i int) {
+		if i == 4 {
+			cancelA()
+			close(aCancelled)
+		}
+		gA.cell()
+	})
+	dB, _ := snapDescriptor(func(i int) {
+		once.Do(func() { close(bStarted) })
+		if i == n-1 {
+			<-aCancelled // B is still in flight when A is cancelled
+		}
+		gB.cell()
+	})
+
+	var resB Result
+	var errB error
+	doneB := make(chan struct{})
+	go func() {
+		defer close(doneB)
+		resB, errB = RunExperiment(dB, &snapParams{Probes: n}, RunOptions{Workers: 5, Ctx: context.Background()})
+	}()
+	<-bStarted
+	resA, errA := RunExperiment(dA, &snapParams{Probes: n}, RunOptions{Workers: 2, Ctx: ctxA})
+	<-doneB
+
+	if !errors.Is(errA, ErrInterrupted) {
+		t.Errorf("cancelled run: err = %v, want ErrInterrupted", errA)
+	}
+	// Cells 0..4 started before the cancel and the second worker may
+	// have had more in flight; the result holds exactly those.
+	if ran := resA.(*snapResult).Ran; ran < 5 || ran == n || ran != int(gA.ran.Load()) {
+		t.Errorf("cancelled run: result counts %d cells, %d ran; want at least 5, not all %d, and the two equal", ran, gA.ran.Load(), n)
+	}
+	if errB != nil || resB.(*snapResult).Ran != n {
+		t.Errorf("other run: %+v, %v; want all %d cells and no error", resB, errB, n)
+	}
+	if peak := gA.peak.Load(); peak > 2 {
+		t.Errorf("run on 2 workers had %d cells in flight", peak)
+	}
+	if peak := gB.peak.Load(); peak > 5 {
+		t.Errorf("run on 5 workers had %d cells in flight", peak)
 	}
 }

@@ -124,7 +124,7 @@ func TestRunExperimentValidates(t *testing.T) {
 	}
 	p := d.Params().(*Fig05Params)
 	p.PacketSize = 0
-	if _, err := RunExperiment(d, p); err == nil {
+	if _, err := RunExperiment(d, p, RunOptions{}); err == nil {
 		t.Fatal("RunExperiment accepted invalid params")
 	}
 }

@@ -310,15 +310,14 @@ func (m *QueueMonitor) Max() int {
 	return max
 }
 
-// UtilizationMonitor measures the fraction of link capacity used between
-// start and the last departure it sees. With a time-varying link the
+// UtilizationMonitor measures the fraction of link capacity used from
+// start on. With a time-varying link the
 // reference capacity is the bandwidth at attach time.
 type UtilizationMonitor struct {
-	bw      float64
-	start   float64
-	bytes   float64
-	lastDep float64
-	tap     Tap // prebuilt once, kept across arena reuse
+	bw    float64
+	start float64
+	bytes float64
+	tap   Tap // prebuilt once, kept across arena reuse
 }
 
 // NewUtilizationMonitor attaches a utilization tap to the link, counting
@@ -329,7 +328,6 @@ func NewUtilizationMonitor(l *Link, start float64) *UtilizationMonitor {
 	m.bw = l.Bandwidth()
 	m.start = start
 	m.bytes = 0
-	m.lastDep = 0
 	if m.tap == nil {
 		m.tap = m.observe
 	}
@@ -340,7 +338,6 @@ func NewUtilizationMonitor(l *Link, start float64) *UtilizationMonitor {
 func (m *UtilizationMonitor) observe(ev TapEvent, now float64, p *Packet) {
 	if ev == TapDepart && now >= m.start {
 		m.bytes += float64(p.Size)
-		m.lastDep = now
 	}
 }
 

@@ -12,11 +12,8 @@ type LinkSpec struct {
 	Bandwidth  float64 // bits/sec
 	Delay      float64 // one-way propagation delay, seconds
 	Queue      QueueKind
-	QueueLimit int       // packets; required unless MakeQueue is set
+	QueueLimit int       // packets
 	RED        REDConfig // used when Queue == QueueRED; Limit overridden by QueueLimit
-	// MakeQueue overrides Queue/QueueLimit/RED with a custom discipline
-	// factory, called once per direction.
-	MakeQueue func() Queue
 }
 
 // Topology declaratively builds a Network: named nodes and links with
@@ -120,9 +117,6 @@ func (t *Topology) LinkAsym(a, b string, fwd, rev LinkSpec) (ab, ba *Link) {
 }
 
 func (t *Topology) makeQueue(spec LinkSpec) Queue {
-	if spec.MakeQueue != nil {
-		return spec.MakeQueue()
-	}
 	switch spec.Queue {
 	case QueueRED:
 		red := spec.RED

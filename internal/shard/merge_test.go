@@ -31,7 +31,7 @@ func TestMergeByteIdenticalAtAnyShardCount(t *testing.T) {
 	d := shardtestDesc(t)
 	params := func() exp.Params { return &shardtestParams{N: 11, Seed: 7} }
 
-	direct, err := exp.RunExperiment(d, params())
+	direct, err := exp.RunExperiment(d, params(), exp.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,11 @@
 package shard
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
-	"sync"
-	"sync/atomic"
 
 	"tfrc/internal/exp"
 )
@@ -14,6 +13,9 @@ import (
 // isNotExist reports a missing checkpoint file, which Resume treats as
 // a fresh start.
 func isNotExist(err error) bool { return errors.Is(err, fs.ErrNotExist) }
+
+// Run is RunWith on the process defaults (exp.DefaultRunOptions).
+func Run(spec RunSpec) (*Envelope, error) { return RunWith(spec, exp.DefaultRunOptions()) }
 
 // RunSpec is one shard-run request: which experiment, the exact
 // resolved parameters, and the shard addressing.
@@ -30,7 +32,7 @@ type RunSpec struct {
 	Range *exp.CellRange
 }
 
-// Run computes the spec's cell range on exp.Parallelism() workers,
+// RunWith computes the spec's cell range on o.Workers workers,
 // checkpointing as configured, and returns the shard's complete
 // envelope. With Resume set, finished cells are loaded from the
 // checkpoint and only the missing tail is recomputed; because cells are
@@ -39,12 +41,12 @@ type RunSpec struct {
 // run's no matter how many workers computed it or how many crash/resume
 // cycles preceded it.
 //
-// When the run context is cancelled (exp.SetContext), Run stops
-// claiming cells, flushes the prefix that finished before the signal
-// and returns ErrInterrupted, so a resume continues from there. When a
-// cell or a flush fails it stops the same way and reports the failing
-// cell with the lowest index. No goroutine outlives Run.
-func Run(spec RunSpec) (*Envelope, error) {
+// When o.Ctx is cancelled, no further cell starts; RunWith flushes the
+// prefix of the cells that did run, those in flight at the cancel
+// included, and returns ErrInterrupted, so a resume continues from
+// there. When a cell or a flush fails it stops the same way and reports
+// the failing cell with the lowest index. No goroutine outlives RunWith.
+func RunWith(spec RunSpec, o exp.RunOptions) (*Envelope, error) {
 	if err := spec.Params.Validate(); err != nil {
 		return nil, fmt.Errorf("%s: invalid parameters: %w", spec.Desc.Name, err)
 	}
@@ -97,7 +99,7 @@ func Run(spec RunSpec) (*Envelope, error) {
 		}
 	}
 
-	err = computeMissing(spec, rng, cells, done, ckpt)
+	err = computeMissing(spec, o, rng, cells, done, ckpt)
 	if cerr := ckpt.close(); err == nil && cerr != nil {
 		err = fmt.Errorf("closing checkpoint: %w", cerr)
 	}
@@ -115,7 +117,7 @@ func Run(spec RunSpec) (*Envelope, error) {
 	}, nil
 }
 
-// cellResult is what a worker hands the committer for one claimed cell:
+// cellResult is what a worker hands the committer for one cell it ran:
 // its offset in the shard's range and the payload or the error.
 type cellResult struct {
 	i   int
@@ -123,49 +125,31 @@ type cellResult struct {
 	err error
 }
 
-// computeMissing fills cells[done:], cells[i] being cell rng.Lo+i.
-// exp.Parallelism() workers claim the missing offsets one at a time, in
-// increasing order; the calling goroutine is the only committer: it
-// slots each payload, advances the contiguous finished prefix and
-// flushes that prefix once it is FlushEvery cells ahead of the file. So
-// no worker waits on a flush, and completion order never reaches the
-// output. On an error or an interrupt the workers stop claiming and the
-// committer, once the cells in flight are in, flushes the prefix that
-// did finish.
-func computeMissing(spec RunSpec, rng exp.CellRange, cells []json.RawMessage, done int, ckpt *checkpointWriter) error {
+// computeMissing fills cells[done:], cells[i] being cell rng.Lo+i. The
+// grid streams the missing cells on o.Workers workers; the calling
+// goroutine is the only committer: it slots each payload, advances the
+// contiguous finished prefix and flushes that prefix once it is
+// FlushEvery cells ahead of the file. So no worker waits on a flush, and
+// completion order never reaches the output. On an error the committer
+// cancels the stream's context — as an interrupt does the caller's — and,
+// once the cells in flight are in, flushes the prefix that did finish.
+func computeMissing(spec RunSpec, o exp.RunOptions, rng exp.CellRange, cells []json.RawMessage, done int, ckpt *checkpointWriter) error {
 	n := len(cells)
-	var (
-		next atomic.Int64 // next unclaimed offset
-		stop atomic.Bool  // the committer saw an error: claim no more
-		wg   sync.WaitGroup
-	)
-	next.Store(int64(done))
+	if o.Ctx == nil {
+		o.Ctx = context.Background()
+	}
+	var stop context.CancelFunc // the committer saw an error: start no more cells
+	o.Ctx, stop = context.WithCancel(o.Ctx)
+	defer stop()
 	// One slot per missing cell, the most that can be sent: a worker
 	// never blocks, whatever the committer is doing.
 	results := make(chan cellResult, n-done)
-	for w := min(exp.Parallelism(), n-done); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !stop.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				out, err := spec.Desc.Grid.RunRange(spec.Params, exp.CellRange{Lo: rng.Lo + i, Hi: rng.Lo + i + 1})
-				if err != nil {
-					results <- cellResult{i: i, err: err}
-				} else if exp.Interrupted() {
-					// Cancelled: out may be a zero-valued skipped
-					// cell. Never pass that on as a real result.
-					return
-				} else {
-					results <- cellResult{i: i, raw: out[0]}
-				}
-			}
-		}()
-	}
-	go func() { wg.Wait(); close(results) }()
+	var streamErr error
+	go func() {
+		defer close(results)
+		streamErr = spec.Desc.Grid.Stream(o, spec.Params, exp.CellRange{Lo: rng.Lo + done, Hi: rng.Hi},
+			func(idx int, raw json.RawMessage, err error) { results <- cellResult{idx - rng.Lo, raw, err} })
+	}()
 
 	var cellErr, flushErr error
 	failedAt := n
@@ -173,36 +157,41 @@ func computeMissing(spec RunSpec, rng exp.CellRange, cells []json.RawMessage, do
 	flush := func(due int) {
 		if ckpt != nil && flushErr == nil && done-ckpt.done >= due {
 			if flushErr = ckpt.flush(cells, done); flushErr != nil {
-				stop.Store(true)
+				stop()
 			}
 		}
 	}
 	for r := range results {
 		if r.err != nil {
-			// Offsets are claimed in order, so the lowest failing cell
-			// is in flight or in by now: waiting for it makes the
-			// reported error independent of completion order.
-			stop.Store(true)
 			if r.i < failedAt {
 				failedAt, cellErr = r.i, fmt.Errorf("cell %d: %w", rng.Lo+r.i, r.err)
 			}
-			continue
+		} else {
+			cells[r.i] = r.raw
+			for done < n && cells[done] != nil {
+				done++
+			}
+			flush(spec.Shard.flushEvery())
 		}
-		cells[r.i] = r.raw
-		for done < n && cells[done] != nil {
-			done++
+		if done == failedAt {
+			// Cells are claimed in order, so every cell below a failing
+			// one is in flight or in by now. Stopping only once they are
+			// all in makes the reported error independent of completion
+			// order: a stop never keeps a lower cell from starting.
+			stop()
 		}
-		flush(spec.Shard.flushEvery())
 	}
-	// Every worker has exited. What the cadence left over is the end of
-	// the range, or the cells finished before an interrupt or an error.
+	// The stream has returned. What the cadence left over is the end of
+	// the range, or the cells that ran before an interrupt or an error.
 	flush(1)
 	switch {
+	case streamErr != nil:
+		return streamErr
 	case cellErr != nil:
 		return cellErr
 	case flushErr != nil:
 		return flushErr
-	case done < n: // no error, yet a cell is missing: a worker dropped it
+	case done < n: // no error, yet a cell is missing: the context kept it from starting
 		return exp.ErrInterrupted
 	}
 	return nil

@@ -15,25 +15,28 @@ import (
 	"time"
 
 	"tfrc/internal/exp"
+	"tfrc/internal/sweep"
 )
 
 // stubDesc is a grid of n cells computed by cell, which sees absolute
-// indices and may block, fail or cancel to script the pipeline.
+// indices and may block, fail or cancel to script the pipeline. Its
+// Stream keeps the seam's contract the way the kernel's does: o.Workers
+// cells at a time, claimed in order, none started once o.Ctx is done.
 func stubDesc(n int, cell func(i int) (json.RawMessage, error)) exp.Descriptor {
 	return exp.Descriptor{
 		Name: "stub",
 		Grid: &exp.Grid{
 			Cells: func(exp.Params) (int, error) { return n, nil },
-			RunRange: func(_ exp.Params, r exp.CellRange) ([]json.RawMessage, error) {
-				out := make([]json.RawMessage, 0, r.Len())
-				for i := r.Lo; i < r.Hi; i++ {
-					c, err := cell(i)
-					if err != nil {
-						return nil, err
-					}
-					out = append(out, c)
-				}
-				return out, nil
+			Stream: func(o exp.RunOptions, _ exp.Params, r exp.CellRange, sink func(int, json.RawMessage, error)) error {
+				sweep.MapCtx(o.Workers, r.Len(), func() struct{} { return struct{}{} }, nil,
+					func(_ struct{}, i int) struct{} {
+						if o.Ctx == nil || o.Ctx.Err() == nil {
+							raw, err := cell(r.Lo + i)
+							sink(r.Lo+i, raw, err)
+						}
+						return struct{}{}
+					})
+				return nil
 			},
 		},
 	}
@@ -81,10 +84,11 @@ func stubHeader(t *testing.T, n int) checkpointHeader {
 
 // TestRunInterruptKeepsProgress cancels the run context from inside
 // cell 5 of 10. Run must report ErrInterrupted only after flushing the
-// prefix that finished before the cancel — even though the cadence
-// (FlushEvery beyond the range) never came due — must never checkpoint
-// a cell the sweep skipped, and a resume must finish the range with the
-// envelope of an uninterrupted run.
+// cells that ran — even though the cadence (FlushEvery beyond the range)
+// never came due — the cell that cancelled and any in flight beside it
+// included, since the executor hands over every cell it started and no
+// other; and a resume must finish the range with the envelope of an
+// uninterrupted run.
 func TestRunInterruptKeepsProgress(t *testing.T) {
 	const n, cancelAt = 10, 5
 	params := &shardtestParams{N: n}
@@ -94,37 +98,34 @@ func TestRunInterruptKeepsProgress(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			withWorkers(t, workers)
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			exp.SetContext(ctx)
-			defer exp.SetContext(nil)
-
+			var started atomic.Int32
 			d := stubDesc(n, func(i int) (json.RawMessage, error) {
-				if exp.Interrupted() {
-					// What the sweep runner hands back for a cell it
-					// skipped: a zero value, not a result.
-					return json.RawMessage(`{"cell":0,"skipped":true}`), nil
-				}
-				if i == cancelAt {
+				started.Add(1)
+				switch {
+				case i == cancelAt:
 					cancel()
+				case i > cancelAt: // claimed before the cancel: in flight when it comes
+					<-ctx.Done()
 				}
 				return stubCell(i)
 			})
 			sp := ShardParams{Count: 1, Checkpoint: filepath.Join(t.TempDir(), "s.ckpt"), FlushEvery: 100}
-			if _, err := Run(RunSpec{Desc: d, Params: params, Shard: sp}); !errors.Is(err, exp.ErrInterrupted) {
-				t.Fatalf("Run = %v, want ErrInterrupted", err)
+			o := exp.RunOptions{Workers: workers, Ctx: ctx}
+			if _, err := RunWith(RunSpec{Desc: d, Params: params, Shard: sp}, o); !errors.Is(err, exp.ErrInterrupted) {
+				t.Fatalf("RunWith = %v, want ErrInterrupted", err)
 			}
 
 			got, err := loadCheckpoint(sp.Checkpoint, stubHeader(t, n))
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Cell cancelAt saw the cancel before it returned, so it is
-			// dropped; a second worker may have had an earlier cell
-			// still in flight, which is dropped the same way.
-			if len(got) > cancelAt || (workers == 1 && len(got) != cancelAt) {
-				t.Fatalf("checkpoint holds %d cells after a cancel inside cell %d at %d workers", len(got), cancelAt, workers)
+			// Cells are claimed in order, so the ones that started are a
+			// prefix: cell cancelAt and everything below it, and at two
+			// workers whatever the other one had claimed by then.
+			if ran := int(started.Load()); len(got) != ran || ran <= cancelAt || (workers == 1 && ran != cancelAt+1) {
+				t.Fatalf("checkpoint holds %d cells, %d started, after a cancel inside cell %d at %d workers", len(got), ran, cancelAt, workers)
 			}
 			for i, c := range got {
 				if !bytes.Equal(c, clean.Cells[i]) {
@@ -132,7 +133,6 @@ func TestRunInterruptKeepsProgress(t *testing.T) {
 				}
 			}
 
-			exp.SetContext(nil)
 			sp.Resume = true
 			resumed, err := Run(RunSpec{Desc: stubDesc(n, stubCell), Params: params, Shard: sp})
 			if err != nil {
@@ -315,9 +315,9 @@ func TestRunResumesParentCommitCheckpoint(t *testing.T) {
 	counting := d
 	counting.Grid = &exp.Grid{
 		Cells: d.Grid.Cells,
-		RunRange: func(p exp.Params, r exp.CellRange) ([]json.RawMessage, error) {
+		Stream: func(o exp.RunOptions, p exp.Params, r exp.CellRange, sink func(int, json.RawMessage, error)) error {
 			computed.Add(int64(r.Len()))
-			return d.Grid.RunRange(p, r)
+			return d.Grid.Stream(o, p, r, sink)
 		},
 	}
 	resumed, err := Run(RunSpec{Desc: counting, Params: params,
@@ -363,14 +363,14 @@ func TestOverlappingRunsDoNotPoisonLaterRuns(t *testing.T) {
 	// returns once it is in flight.
 	start := func(release chan struct{}) (done chan struct{}) {
 		started, done := make(chan struct{}), make(chan struct{})
-		d := exp.Descriptor{Name: "overlap", Run: func(exp.Params) (exp.Result, error) {
+		d := exp.Descriptor{Name: "overlap", Run: func(exp.RunOptions, exp.Params) (exp.Result, error) {
 			close(started)
 			<-release
 			return nil, nil
 		}}
 		go func() {
 			defer close(done)
-			exp.RunExperiment(d, &shardtestParams{N: 1})
+			exp.RunExperiment(d, &shardtestParams{N: 1}, exp.DefaultRunOptions())
 		}()
 		<-started
 		return done
@@ -407,5 +407,46 @@ func TestOverlappingRunsDoNotPoisonLaterRuns(t *testing.T) {
 	}
 	if p := peak.Load(); p != 1 {
 		t.Errorf("%d cells ran at once with 1 worker installed", p)
+	}
+}
+
+// raceEnabled is set by race_test.go in a -race build.
+var raceEnabled bool
+
+// parentShardAllocsPerCell is what one more cell cost a checkpoint-less
+// shard.Run at the parent commit, where every cell was a RunRange of
+// its own (a closure, two one-element slices and a pool round-trip for
+// the arena beside the marshal), measured as below.
+const parentShardAllocsPerCell = 8
+
+// TestWarmShardCellAllocatesOnlyItsPayload is the shard path's twin of
+// internal/exp's TestWarmCellAllocatesNothingNew: on a warm arena, what
+// a checkpoint-less Run pays for one more cell is the streaming seam's
+// marshal of it and nothing else — the committer's slot is an element
+// of a slice and of a channel buffer the run allocates once. The
+// per-run costs (params hash, context, channel, envelope) cancel in the
+// difference between a 16- and a 32-cell run.
+func TestWarmShardCellAllocatesOnlyItsPayload(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not deterministic under -race")
+	}
+	d := shardtestDesc(t)
+	run := func(n, workers int) float64 {
+		spec := RunSpec{Desc: d, Params: &shardtestParams{N: n, Seed: 7}, Shard: ShardParams{Count: 1}}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := RunWith(spec, exp.RunOptions{Workers: workers}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	marshal := testing.AllocsPerRun(100, func() { json.Marshal(shardtestCell{Index: 3, Value: 1.5}) })
+	for _, workers := range []int{1, 2} {
+		a16, a32 := run(16, workers), run(32, workers)
+		perCell := (a32 - a16) / 16
+		t.Logf("workers=%d: %.0f allocs for 16 cells, %.0f for 32: %.2f per cell (marshal %.0f; parent commit %d)",
+			workers, a16, a32, perCell, marshal, parentShardAllocsPerCell)
+		if perCell > marshal {
+			t.Errorf("workers=%d: one more cell costs %.2f allocations, its marshal %.0f", workers, perCell, marshal)
+		}
 	}
 }

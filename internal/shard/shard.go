@@ -54,7 +54,7 @@ type ShardParams struct {
 	// DefaultFlushEvery. It bounds what a crash costs — at most
 	// FlushEvery cells finished but flushed late, plus the at most
 	// workers−1 cells in flight behind a slower one — and nothing
-	// else: cells run exp.Parallelism() at a time at any cadence. The
+	// else: cells run RunOptions.Workers at a time at any cadence. The
 	// first flush of a run publishes the file atomically (write-temp,
 	// fsync, rename); every later one appends and fsyncs.
 	FlushEvery int `json:"flushEvery,omitempty"`

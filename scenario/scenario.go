@@ -173,7 +173,6 @@ type (
 	VegasParams      = cc.VegasParams
 	LEDBATParams     = cc.LEDBATParams
 	RelentlessParams = cc.RelentlessParams
-	RenoParams       = cc.RenoParams
 )
 
 // CCNames returns every registered congestion-controller name, sorted.
