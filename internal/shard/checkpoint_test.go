@@ -103,6 +103,29 @@ func TestCheckpointTornTailTolerated(t *testing.T) {
 	}
 }
 
+// TestCheckpointNullCellEndsPrefix: a line whose cell is JSON null is
+// not a finished cell — json.RawMessage decodes it to the bytes "null",
+// which Reduce would read as a zero cell — so the loaded prefix ends
+// there, as it does at a torn line.
+func TestCheckpointNullCellEndsPrefix(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "s.ckpt")
+	hdr := testHeader(exp.CellRange{Lo: 0, Hi: 3})
+	w := &checkpointWriter{path: path, hdr: hdr}
+	defer w.close()
+	cells := testCells(3)
+	cells[1] = json.RawMessage("null")
+	if err := w.flush(cells, 3); err != nil {
+		t.Fatal(err)
+	}
+	got, err := loadCheckpoint(path, hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || !bytes.Equal(got[0], cells[0]) {
+		t.Fatalf("loaded %q, want only cell 0 (%s)", got, cells[0])
+	}
+}
+
 func TestCheckpointIdentityMismatch(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "s.ckpt")
