@@ -28,19 +28,18 @@
 //
 //   - Package scenario: the packet-level simulator's composition
 //     surface. Topologies are declared, not hardcoded — named nodes,
-//     per-direction LinkSpecs, rate and delay steps as fault schedules
-//     — with the dumbbell, parking-lot, and asymmetric-access presets,
-//     and a Builder placing TCP (Tahoe/Reno/NewReno/SACK), TFRC, and
+//     LinkSpecs, rate and delay steps (of one direction or both) as
+//     fault schedules — with the dumbbell and parking-lot presets, and
+//     a Builder placing TCP (Tahoe/Reno/NewReno/SACK), TFRC, and
 //     background flows on named host pairs with monitors on named
 //     links, harvested into one Result. Scenarios run on the same
 //     arena-pooled zero-allocation engine as the paper experiments.
 //     TCP's window arithmetic is pluggable:
 //     Builder.AddCC selects a congestion controller per flow from the
-//     zoo in internal/cc (reno, vegas, ledbat, relentless — register
-//     your own with scenario.RegisterCC), with the sender keeping the
-//     mechanics (SACK scoreboard, recovery) and the controller the
-//     policy; the "ccfair" experiment races them head to head. A
-//     parking lot in four lines, and a rate step on it:
+//     zoo in internal/cc (reno, vegas, ledbat, relentless), with the
+//     sender keeping the mechanics (SACK scoreboard, recovery) and the
+//     controller the policy; the "ccfair" experiment races them head to
+//     head. A parking lot in four lines, and a rate step on it:
 //
 //     topo := scenario.NewTopology(scenario.NewScheduler(), rng)
 //     topo.Link("r0", "r1", bottleneck) // LinkSpec{Bandwidth, Delay, Queue, ...}

@@ -61,7 +61,6 @@
 package experiment
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -108,17 +107,14 @@ type Cell = exp.Cell
 // Define registers the experiment s describes — Run, the shardable
 // Grid and the JSON framing at its boundary are all derived from the
 // typed Spec — and returns the typed run, Reduce over all cells, which
-// like Run executes on the process defaults.
+// computes them one after another. Define is the one way to add an
+// experiment; duplicate names panic.
 func Define[P, C any, R Result, PP interface {
 	*P
 	Params
 }](s Spec[P, C, R]) func(*P) R {
 	return exp.Define[P, C, R, PP](s)
 }
-
-// Register adds a hand-built Descriptor to the registry; it needs the
-// Grid that Define would have derived. Duplicate names panic.
-func Register(d Descriptor) { exp.Register(d) }
 
 // Get finds an experiment by canonical name or alias ("fig6", "6",
 // "parkinglot"). Unknown names produce an error that includes the
@@ -153,20 +149,15 @@ func RunWith(d Descriptor, p Params, o RunOptions) (Result, error) {
 	return exp.RunExperiment(d, p, o)
 }
 
-// Run is RunWith on the process defaults: sequential and never
-// cancelled until SetParallelism or SetContext say otherwise.
+// Run is RunWith on the process default: never cancelled, and
+// sequential until SetParallelism says otherwise.
 func Run(d Descriptor, p Params) (Result, error) { return RunWith(d, p, exp.DefaultRunOptions()) }
 
-// SetParallelism sets the default worker count (clamped to ≥ 1) and
-// returns the previous value. SetParallelism and SetContext set the
-// defaults of runs started afterwards through the option-less spellings
-// (Run, Grid.RunRange, a typed run); a run already in flight, and any
-// run given RunOptions, is not touched.
+// SetParallelism sets the default worker count (clamped to ≥ 1) of runs
+// started afterwards through the option-less spellings (Run,
+// Grid.RunRange) and returns the previous value; a run already in
+// flight, and any run given RunOptions, is not touched.
 func SetParallelism(n int) int { return exp.SetParallelism(n) }
-
-// SetContext sets the default cancellation context; nil restores never
-// cancelled.
-func SetContext(ctx context.Context) { exp.SetContext(ctx) }
 
 // ErrInterrupted reports that the run's context was cancelled
 // mid-experiment. Run's error wraps it; the accompanying Result, when

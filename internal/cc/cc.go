@@ -1,7 +1,7 @@
 // Package cc defines the sender-side congestion-control seam: a small
 // Controller contract that window-based transports consult at every
-// acknowledgment, loss signal, timeout, and RTT sample, plus a registry
-// of rival algorithms — classic Reno arithmetic, a Vegas-style
+// acknowledgment, loss signal, timeout, and RTT sample, plus four rival
+// algorithms selected by name — classic Reno arithmetic, a Vegas-style
 // delay-based sender, a LEDBAT-style background transport, and TCP
 // Relentless — that all plug into the same TCP loss-recovery machinery
 // (internal/tcp) and therefore into the same scenario/arena/experiment

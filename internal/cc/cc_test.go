@@ -3,6 +3,7 @@ package cc
 import (
 	"encoding/json"
 	"math"
+	"slices"
 	"testing"
 
 	"tfrc/internal/sim"
@@ -311,22 +312,23 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-// TestRegistry: the built-in zoo is registered with defaults that
-// validate, and Names is sorted.
+// TestRegistry: Names is the fixed, sorted list of the zoo, Known
+// accepts exactly those canonical names, and New builds each of them.
 func TestRegistry(t *testing.T) {
-	names := Names()
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Fatalf("Names() not sorted: %v", names)
-		}
+	want := []string{"ledbat", "relentless", "reno", "vegas"}
+	if got := Names(); !slices.Equal(got, want) {
+		t.Fatalf("Names() = %v, want %v", got, want)
 	}
-	for _, want := range []string{"ledbat", "relentless", "reno", "vegas"} {
-		reg, ok := Lookup(want)
-		if !ok {
-			t.Fatalf("built-in %q not registered", want)
+	s := sim.NewScheduler()
+	for _, name := range want {
+		if !Known(name) {
+			t.Fatalf("Known(%q) = false", name)
 		}
-		if reg.New == nil || reg.Description == "" {
-			t.Fatalf("registration %q incomplete: %+v", want, reg)
+		New(s, Config{Name: Name(name)}, 1e4).Release()
+	}
+	for _, name := range []string{"", "Reno", "cubic", "tfrc"} {
+		if Known(name) {
+			t.Fatalf("Known(%q) = true", name)
 		}
 	}
 }
@@ -334,7 +336,7 @@ func TestRegistry(t *testing.T) {
 // TestArenaReuse: Release returns the controller value to the
 // scheduler's arena and the next New of the same kind reuses it; a warm
 // arena makes the construct/release cycle allocation-free for every
-// built-in, all of which New builds through their registration.
+// kind.
 func TestArenaReuse(t *testing.T) {
 	s := sim.NewScheduler()
 	// st lives outside the closure so its escape through the interface

@@ -2,13 +2,27 @@ package cc
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
-// Name identifies a registered controller ("reno", "vegas", "ledbat",
-// "relentless", or a custom registration). The empty Name means the
-// default, reno — so a zero cc.Config keeps classic TCP behavior.
+// Name identifies a controller ("reno", "vegas", "ledbat" or
+// "relentless"). The empty Name means the default, reno — so a zero
+// cc.Config keeps classic TCP behavior.
 type Name string
+
+// names lists the controllers, sorted; New has one case and the arena
+// one slab for each.
+var names = [...]string{"ledbat", "relentless", "reno", "vegas"}
+
+// Names returns every controller name, sorted, in a slice of its own.
+func Names() []string {
+	out := names
+	return out[:]
+}
+
+// Known reports whether name is the canonical name of a controller.
+func Known(name string) bool { return slices.Contains(names[:], name) }
 
 // String returns the canonical lower-case name ("reno" for the empty
 // default).
@@ -22,15 +36,15 @@ func (n Name) String() string {
 // MarshalText encodes the canonical name for JSON parameter files.
 func (n Name) MarshalText() ([]byte, error) { return []byte(n.String()), nil }
 
-// UnmarshalText accepts any case and requires the name to be registered,
-// so malformed parameter files fail at decode time with the list of
-// known controllers instead of deep inside a run.
+// UnmarshalText accepts any case and requires a known name, so
+// malformed parameter files fail at decode time with the list of known
+// controllers instead of deep inside a run.
 func (n *Name) UnmarshalText(text []byte) error {
 	name := strings.ToLower(string(text))
 	if name == "" {
 		name = "reno"
 	}
-	if _, ok := Lookup(name); !ok {
+	if !Known(name) {
 		return fmt.Errorf("unknown congestion controller %q (have %s)",
 			text, strings.Join(Names(), ", "))
 	}
@@ -43,8 +57,6 @@ func (n *Name) UnmarshalText(text []byte) error {
 // parameters. The zero value selects reno with default tuning, so
 // existing TCP configurations are unchanged. Per-kind tuning rides in
 // the typed sub-structs; only the one matching Name is consulted.
-// Custom registered controllers are selected by Name and receive their
-// registration defaults (code callers tune them through their own Init).
 type Config struct {
 	Name       Name             `json:"name,omitempty"`
 	Vegas      VegasParams      `json:"vegas,omitzero"`
@@ -52,12 +64,12 @@ type Config struct {
 	Relentless RelentlessParams `json:"relentless,omitzero"`
 }
 
-// Validate checks that the named controller is registered and every
-// tuning block is self-consistent (all blocks are checked — a typo in
-// an unused block should fail loudly, not silently ride along).
+// Validate checks that the named controller exists and every tuning
+// block is self-consistent (all blocks are checked — a typo in an
+// unused block should fail loudly, not silently ride along).
 func (c *Config) Validate() error {
 	name := c.Name.String()
-	if _, ok := Lookup(name); !ok {
+	if !Known(name) {
 		return fmt.Errorf("unknown congestion controller %q (have %s)",
 			name, strings.Join(Names(), ", "))
 	}

@@ -39,11 +39,11 @@ type SenderConfig struct {
 	// RecvRateCap caps the allowed rate at twice the rate the receiver
 	// reports receiving, limiting overshoot exactly as in slow start.
 	RecvRateCap bool
-	// MaxBackoffInterval bounds how low the no-feedback timer can push
-	// the rate: at least one packet per this many seconds (RFC's t_mbi,
-	// 64 s). 0 means 64.
-	MaxBackoffInterval float64
 }
+
+// MaxBackoffInterval bounds how low the no-feedback timer can push the
+// rate: at least one packet per this many seconds (RFC 3448's t_mbi).
+const MaxBackoffInterval = 64
 
 // DefaultSenderConfig returns the configuration used by the paper's
 // simulations.
@@ -93,9 +93,6 @@ func (s *Sender) Init(cfg SenderConfig) {
 	}
 	if cfg.RTTWeight == 0 {
 		cfg.RTTWeight = 0.1
-	}
-	if cfg.MaxBackoffInterval == 0 {
-		cfg.MaxBackoffInterval = 64
 	}
 	*s = Sender{cfg: cfg, slowStart: true}
 	s.rtt.Init(cfg.RTTWeight)
@@ -202,7 +199,7 @@ func (s *Sender) OnIdle(idle float64) float64 {
 }
 
 func (s *Sender) minRate() float64 {
-	return float64(s.cfg.PacketSize) / s.cfg.MaxBackoffInterval
+	return float64(s.cfg.PacketSize) / MaxBackoffInterval
 }
 
 // Rate returns the allowed transmission rate X in bytes/sec.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"tfrc/internal/core"
 	"tfrc/internal/faults"
 	"tfrc/internal/netsim"
 )
@@ -120,21 +121,13 @@ func blackoutCell(c *Cell, pr *BlackoutParams) *BlackoutResult {
 
 	res := b.Run(pr.Duration)
 
-	// Mirror the sender's own config normalization (sender.go) so the
-	// floor matches what the state machine enforces.
-	scfg := tf.Sender
-	if scfg.PacketSize <= 0 {
-		scfg.PacketSize = 1000
-	}
-	if scfg.MaxBackoffInterval <= 0 {
-		scfg.MaxBackoffInterval = 64
-	}
+	pkt := float64(tf.Sender.PacketSize)
 	out := &BlackoutResult{
 		Params:   *pr,
 		BinWidth: pr.BinWidth,
 		RTT:      d.RTT(0),
 		RTO:      rto,
-		Floor:    float64(scfg.PacketSize) / scfg.MaxBackoffInterval,
+		Floor:    pkt / core.MaxBackoffInterval,
 		NoFbCuts: snd.NoFbCuts,
 		Goodput:  res.TFRCSeries[0],
 		Rates:    rates,
@@ -148,8 +141,8 @@ func blackoutCell(c *Cell, pr *BlackoutParams) *BlackoutResult {
 		OutageStart:   pr.OutageStart,
 		OutageEnd:     pr.OutageEnd,
 		PreFrom:       pr.OutageStart / 2,
-		PacketSize:    float64(scfg.PacketSize),
-		DegradeBelow:  float64(scfg.PacketSize) / rto,
+		PacketSize:    pkt,
+		DegradeBelow:  pkt / rto,
 		FloorRate:     out.Floor,
 		RecoverFrac:   pr.RecoverFrac,
 		RecoverWithin: pr.RecoverRTTs * d.RTT(0),

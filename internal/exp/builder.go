@@ -111,10 +111,9 @@ func (b *ScenarioBuilder) AddTCP(src, dst string, cfg tcp.Config, start float64)
 }
 
 // AddCC places a one-way TCP transfer whose congestion-control policy
-// comes from the cc registry: name selects the controller ("reno",
-// "vegas", "ledbat", "relentless", or anything registered), ccfg carries
-// its tuning (ccfg.Name is overridden by name), and cfg the transport
-// mechanics. A zero cfg.Variant is upgraded to Sack — the scoreboard
+// comes from package cc: name selects the controller ("reno", "vegas",
+// "ledbat" or "relentless"), ccfg carries its tuning (ccfg.Name is
+// overridden by name), and cfg the transport mechanics. A zero cfg.Variant is upgraded to Sack — the scoreboard
 // recovery every non-Reno controller is designed to ride on; set a
 // variant explicitly to study a mismatched pairing. Returns the flow ID.
 func (b *ScenarioBuilder) AddCC(name cc.Name, ccfg cc.Config, src, dst string, cfg tcp.Config, start float64) int {
@@ -154,18 +153,6 @@ func (b *ScenarioBuilder) AddOnOff(src, dst string, cfg traffic.OnOffConfig, rng
 	port := b.port(d)
 	traffic.NewSink(b.nw, d, port)
 	traffic.NewOnOff(b.nw, s, d.ID, port, flow, cfg, rng).Start(start)
-	return flow
-}
-
-// AddCBR places a constant-bit-rate source from src to dst plus a
-// discarding sink, and returns its flow ID.
-func (b *ScenarioBuilder) AddCBR(src, dst string, size int, rate float64, start float64) int {
-	s, d := b.topo.Lookup(src), b.topo.Lookup(dst)
-	flow := b.nextFlow
-	b.nextFlow++
-	port := b.port(d)
-	traffic.NewSink(b.nw, d, port)
-	traffic.NewCBR(b.nw, s, d.ID, port, flow, size, rate).Start(start)
 	return flow
 }
 

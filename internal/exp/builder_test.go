@@ -92,8 +92,8 @@ func TestParkingLotParallelByteIdentical(t *testing.T) {
 	pr.Bottlenecks = []int{1, 3}
 	pr.Seeds = 2
 	var seq, par bytes.Buffer
-	withParallelism(1, func() { RunParkingLot(pr).Table(&seq) })
-	withParallelism(8, func() { RunParkingLot(pr).Table(&par) })
+	runWith[*ParkingLotResult](t, "parkinglot", &pr, 1).Table(&seq)
+	runWith[*ParkingLotResult](t, "parkinglot", &pr, 8).Table(&par)
 	if !bytes.Equal(seq.Bytes(), par.Bytes()) {
 		t.Fatalf("parallel parking lot differs from sequential:\n--- sequential\n%s--- parallel\n%s",
 			seq.String(), par.String())
@@ -165,8 +165,8 @@ func TestBWStepParallelByteIdentical(t *testing.T) {
 	pr.StepAt, pr.RestoreAt, pr.Duration = 15, 30, 45
 	pr.Seeds = 2
 	var seq, par bytes.Buffer
-	withParallelism(1, func() { RunBWStep(pr).Table(&seq) })
-	withParallelism(8, func() { RunBWStep(pr).Table(&par) })
+	runWith[*BWStepResult](t, "bwstep", &pr, 1).Table(&seq)
+	runWith[*BWStepResult](t, "bwstep", &pr, 8).Table(&par)
 	if !bytes.Equal(seq.Bytes(), par.Bytes()) {
 		t.Fatalf("parallel bwstep differs from sequential:\n--- sequential\n%s--- parallel\n%s",
 			seq.String(), par.String())
@@ -178,8 +178,8 @@ func TestBWStepParallelByteIdentical(t *testing.T) {
 func TestFig08Fig14Fig15MultiSeed(t *testing.T) {
 	f8 := Fig08GridParams{Queues: []netsim.QueueKind{netsim.QueueRED}, Flows: 8, Seed: 1, Seeds: 3}
 	var a, b *Fig08Result
-	withParallelism(4, func() { a = RunFig08(f8).Results[0] })
-	withParallelism(1, func() { b = RunFig08(f8).Results[0] })
+	a = runWith[*Fig08GridResult](t, "fig8", &f8, 4).Results[0]
+	b = runWith[*Fig08GridResult](t, "fig8", &f8, 1).Results[0]
 	if a.Seeds != 3 || a.CoVTCPCI <= 0 || a.CoVTFRCCI <= 0 {
 		t.Fatalf("fig08 multi-seed CIs not populated: %+v", a)
 	}
@@ -191,8 +191,8 @@ func TestFig08Fig14Fig15MultiSeed(t *testing.T) {
 	f14.Flows, f14.Duration, f14.Stagger = 8, 10, 5
 	f14.Seeds = 2
 	var c, d *Fig14Result
-	withParallelism(4, func() { c = RunFig14(f14) })
-	withParallelism(1, func() { d = RunFig14(f14) })
+	c = runWith[*Fig14Result](t, "fig14", &f14, 4)
+	d = runWith[*Fig14Result](t, "fig14", &f14, 1)
 	if c.TCP.Seeds != 2 || c.TFRC.Seeds != 2 {
 		t.Fatalf("fig14 sides not aggregated: %+v", c)
 	}
@@ -202,8 +202,8 @@ func TestFig08Fig14Fig15MultiSeed(t *testing.T) {
 
 	var e, f *Fig15Result
 	f15 := Fig15Params{Duration: 40, Seed: 1, Seeds: 2}
-	withParallelism(4, func() { e = RunFig15(f15) })
-	withParallelism(1, func() { f = RunFig15(f15) })
+	e = runWith[*Fig15Result](t, "fig15", &f15, 4)
+	f = runWith[*Fig15Result](t, "fig15", &f15, 1)
 	if e.Seeds != 2 || e.MeanTCPCI < 0 {
 		t.Fatalf("fig15 multi-seed not populated: %+v", e)
 	}

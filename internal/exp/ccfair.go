@@ -12,13 +12,13 @@ import (
 // CCFairParams is the head-to-head fairness grid for the
 // congestion-control zoo: N flows of protocol A against M flows of
 // protocol B sharing a dumbbell or a parking lot, swept over RTT and
-// bottleneck bandwidth. Protocols are "tfrc" or any name in the cc
-// registry ("reno", "vegas", "ledbat", "relentless", ...), so the same
-// experiment answers both the paper's question (is TFRC TCP-friendly?)
-// and its inversions (who starves whom when the rival does not halve,
-// or backs off on delay alone?).
+// bottleneck bandwidth. Protocols are "tfrc" or a cc controller name
+// ("reno", "vegas", "ledbat", "relentless"), so the same experiment
+// answers both the paper's question (is TFRC TCP-friendly?) and its
+// inversions (who starves whom when the rival does not halve, or backs
+// off on delay alone?).
 type CCFairParams struct {
-	ProtoA string // "tfrc" or a cc registry name
+	ProtoA string // "tfrc" or a cc controller name
 	ProtoB string
 	FlowsA int
 	FlowsB int
@@ -70,21 +70,11 @@ func PaperCCFair() CCFairParams {
 	return p
 }
 
-// ccfairProtoOK reports whether name is a protocol the experiment can
-// place: the TFRC transport or a registered congestion controller.
-func ccfairProtoOK(name string) bool {
-	if name == "tfrc" {
-		return true
-	}
-	_, ok := cc.Lookup(name)
-	return ok
-}
-
 // Validate implements Params.
 func (p *CCFairParams) Validate() error {
 	var v checks
 	for _, proto := range []string{p.ProtoA, p.ProtoB} {
-		if !ccfairProtoOK(proto) {
+		if proto != "tfrc" && !cc.Known(proto) {
 			v.fail("unknown protocol %q (want tfrc or one of %v)", proto, cc.Names())
 		}
 	}

@@ -113,8 +113,8 @@ func TestCCFairParallelByteIdentical(t *testing.T) {
 		Seeds:    2,
 	}
 	var seq, par bytes.Buffer
-	withParallelism(1, func() { RunCCFair(pr).Table(&seq) })
-	withParallelism(8, func() { RunCCFair(pr).Table(&par) })
+	runWith[*CCFairResult](t, "ccfair", &pr, 1).Table(&seq)
+	runWith[*CCFairResult](t, "ccfair", &pr, 8).Table(&par)
 	if !bytes.Equal(seq.Bytes(), par.Bytes()) {
 		t.Fatalf("parallel ccfair output differs from sequential:\n--- sequential\n%s--- parallel\n%s",
 			seq.String(), par.String())

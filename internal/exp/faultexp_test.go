@@ -98,8 +98,8 @@ func TestChaosByteIdenticalAcrossParallelism(t *testing.T) {
 	pr.Cells = 4
 	pr.Duration = 25
 	var seq, par bytes.Buffer
-	withParallelism(1, func() { RunChaos(pr).Table(&seq) })
-	withParallelism(8, func() { RunChaos(pr).Table(&par) })
+	runWith[*ChaosResult](t, "chaos", &pr, 1).Table(&seq)
+	runWith[*ChaosResult](t, "chaos", &pr, 8).Table(&par)
 	if !bytes.Equal(seq.Bytes(), par.Bytes()) {
 		t.Fatalf("parallel chaos output differs from sequential:\n--- sequential\n%s--- parallel\n%s",
 			seq.String(), par.String())

@@ -51,10 +51,10 @@ type Grid struct {
 	Reduce func(Params, []json.RawMessage) (Result, error)
 }
 
-// RunRange is Stream on the process defaults, collected: one payload per
-// cell, index-aligned with the range. It fails with the error of the
-// lowest cell that could not be marshaled, and with ErrInterrupted when
-// the default context kept a cell from running.
+// RunRange is Stream on the process default (DefaultRunOptions: never
+// cancelled, so every cell runs), collected: one payload per cell,
+// index-aligned with the range. It fails with the error of the lowest
+// cell that could not be marshaled.
 func (g *Grid) RunRange(p Params, r CellRange) ([]json.RawMessage, error) {
 	return g.collect(DefaultRunOptions(), p, r)
 }
@@ -68,12 +68,9 @@ func (g *Grid) collect(o RunOptions, p Params, r CellRange) ([]json.RawMessage, 
 	if err != nil {
 		return nil, err
 	}
-	for i, raw := range out {
-		switch {
-		case errs[i] != nil:
-			return nil, errs[i]
-		case raw == nil:
-			return nil, fmt.Errorf("cell %d: %w", r.Lo+i, ErrInterrupted)
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
 	return out, nil

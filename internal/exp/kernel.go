@@ -38,14 +38,14 @@ type Spec[P, C any, R Result] struct {
 
 // Define registers the experiment s describes and returns its typed
 // run, Reduce over all cells, which skips the JSON framing of the
-// Grid path. The typed run is an option-less spelling: it runs on the
-// process defaults (DefaultRunOptions).
+// Grid path. The typed run computes its cells one after another;
+// RunExperiment on the Descriptor takes RunOptions.
 func Define[P, C any, R Result, PP interface {
 	*P
 	Params
 }](s Spec[P, C, R]) func(*P) R {
 	d, run := describe[P, C, R, PP](s)
-	Register(d)
+	register(d)
 	return run
 }
 
@@ -136,7 +136,7 @@ func describe[P, C any, R Result, PP interface {
 			d.Presets[name] = fresh(def)
 		}
 	}
-	return d, func(p *P) R { return run(DefaultRunOptions(), p) }
+	return d, func(p *P) R { return run(RunOptions{}, p) }
 }
 
 // single is the Spec of an experiment that is one simulation: a grid

@@ -7,12 +7,19 @@ import (
 	"tfrc/internal/netsim"
 )
 
-// withParallelism runs f at the given worker count, restoring the
-// previous setting afterwards.
-func withParallelism(n int, f func()) {
-	prev := SetParallelism(n)
-	defer SetParallelism(prev)
-	f()
+// runWith runs the registered experiment name on p under RunOptions
+// {Workers: workers}.
+func runWith[R Result](t *testing.T, name string, p Params, workers int) R {
+	t.Helper()
+	d, ok := Lookup(name)
+	if !ok {
+		t.Fatalf("%s not registered", name)
+	}
+	res, err := RunExperiment(d, p, RunOptions{Workers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.(R)
 }
 
 // TestParallelFig06ByteIdentical requires the parallel runner to
@@ -28,8 +35,8 @@ func TestParallelFig06ByteIdentical(t *testing.T) {
 		Seed:        3,
 	}
 	var seq, par bytes.Buffer
-	withParallelism(1, func() { RunFig06(pr).Table(&seq) })
-	withParallelism(8, func() { RunFig06(pr).Table(&par) })
+	runWith[*Fig06Result](t, "fig6", &pr, 1).Table(&seq)
+	runWith[*Fig06Result](t, "fig6", &pr, 8).Table(&par)
 	if !bytes.Equal(seq.Bytes(), par.Bytes()) {
 		t.Fatalf("parallel Fig06 output differs from sequential:\n--- sequential\n%s--- parallel\n%s",
 			seq.String(), par.String())
@@ -48,8 +55,8 @@ func TestParallelFig09ByteIdentical(t *testing.T) {
 		Seed:       2,
 	}
 	var seq, par bytes.Buffer
-	withParallelism(1, func() { RunFig09(pr).Table(&seq) })
-	withParallelism(8, func() { RunFig09(pr).Table(&par) })
+	runWith[*Fig09Result](t, "fig9", &pr, 1).Table(&seq)
+	runWith[*Fig09Result](t, "fig9", &pr, 8).Table(&par)
 	if !bytes.Equal(seq.Bytes(), par.Bytes()) {
 		t.Fatalf("parallel Fig09 output differs from sequential:\n--- sequential\n%s--- parallel\n%s",
 			seq.String(), par.String())
@@ -69,9 +76,8 @@ func TestFig06MultiSeedCI(t *testing.T) {
 		Seed:        1,
 		Seeds:       3,
 	}
-	var a, b *Fig06Result
-	withParallelism(4, func() { a = RunFig06(pr) })
-	withParallelism(1, func() { b = RunFig06(pr) })
+	a := runWith[*Fig06Result](t, "fig6", &pr, 4)
+	b := runWith[*Fig06Result](t, "fig6", &pr, 1)
 	if len(a.Cells) != 1 {
 		t.Fatalf("got %d cells, want 1 (seeds aggregate within a cell)", len(a.Cells))
 	}

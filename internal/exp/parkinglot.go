@@ -145,8 +145,7 @@ func runParkingLotCell(c *Cell, pr ParkingLotParams, k int, seed int64) ParkingL
 	crossFlows := make([][]int, k)
 	for s := 0; s < k; s++ {
 		for i := 0; i < pr.CrossPairs; i++ {
-			f := b.AddTCP(fmt.Sprintf("cs%d.%d", s, i), fmt.Sprintf("cd%d.%d", s, i),
-				tcpCfg, start())
+			f := b.AddTCP(netsim.SubName("cs", s, i), netsim.SubName("cd", s, i), tcpCfg, start())
 			crossFlows[s] = append(crossFlows[s], f)
 		}
 	}

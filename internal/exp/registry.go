@@ -37,9 +37,9 @@ type SeedsSetter interface {
 	SetSeeds(n int)
 }
 
-// Descriptor registers one experiment: the paper's figures and the
-// beyond-the-paper scenarios all self-register one of these, and user
-// code can register its own.
+// Descriptor is one registered experiment, as Define derives it from a
+// Spec: the paper's figures, the beyond-the-paper scenarios and any
+// experiment user code defines.
 type Descriptor struct {
 	// Name is the canonical registry key ("fig6", "parkinglot").
 	Name string
@@ -84,20 +84,19 @@ func (d Descriptor) PresetParams(preset string) (Params, error) {
 		d.Name, preset, strings.Join(names, ", "))
 }
 
-// registry maps canonical names and aliases to descriptors. Figures
-// register from their files' init functions; Register is also the
-// public extension point (re-exported by package experiment).
+// registry maps canonical names and aliases to descriptors; Define is
+// its one writer (re-exported by package experiment).
 var (
 	registry   = map[string]Descriptor{}
 	registered []string // canonical names in registration order
 )
 
-// Register adds an experiment to the registry. Registering a name or
+// register adds an experiment to the registry. Registering a name or
 // alias twice panics: the registry is program-wide configuration, and a
 // collision is a programming error.
-func Register(d Descriptor) {
-	if d.Name == "" || d.Params == nil || d.Run == nil || d.Grid == nil {
-		panic("exp: Register needs Name, Params, Run, and Grid")
+func register(d Descriptor) {
+	if d.Name == "" {
+		panic("exp: an experiment needs a Name")
 	}
 	keys := append([]string{d.Name}, d.Aliases...)
 	for _, k := range keys {

@@ -29,13 +29,10 @@ type RunOptions struct {
 
 func (o RunOptions) interrupted() bool { return o.Ctx != nil && o.Ctx.Err() != nil }
 
-// The process defaults: what a run started through an option-less
-// spelling (experiment.Run, Grid.RunRange, shard.Run, a typed run) is
-// handed. DefaultRunOptions is their only reader.
-var (
-	defaultWorkers atomic.Int64 // 0 and 1 both mean sequential
-	defaultCtx     atomic.Pointer[context.Context]
-)
+// defaultWorkers is the process default: the worker count a run started
+// through an option-less spelling (experiment.Run, Grid.RunRange,
+// shard.Run) is handed. DefaultRunOptions is its only reader.
+var defaultWorkers atomic.Int64 // 0 and 1 both mean sequential
 
 // SetParallelism sets the default worker count (clamped to ≥ 1) of runs
 // started afterwards through the option-less spellings and returns the
@@ -45,25 +42,9 @@ func SetParallelism(n int) int {
 	return int(max(1, prev))
 }
 
-// SetContext sets the default cancellation context of runs started
-// afterwards through the option-less spellings; nil restores never
-// cancelled.
-func SetContext(ctx context.Context) {
-	if ctx == nil {
-		defaultCtx.Store(nil)
-		return
-	}
-	defaultCtx.Store(&ctx)
-}
-
-// DefaultRunOptions returns the process defaults as they stand now.
-func DefaultRunOptions() RunOptions {
-	o := RunOptions{Workers: int(defaultWorkers.Load())}
-	if p := defaultCtx.Load(); p != nil {
-		o.Ctx = *p
-	}
-	return o
-}
+// DefaultRunOptions returns the process default as it stands now: the
+// default worker count, never cancelled.
+func DefaultRunOptions() RunOptions { return RunOptions{Workers: int(defaultWorkers.Load())} }
 
 // Cell is a worker-pinned simulation arena: a pinned scheduler plus the
 // package arenas riding on it (network, topology, monitors, TCP/TFRC/

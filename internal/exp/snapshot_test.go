@@ -84,25 +84,20 @@ func meet(n int) func() {
 }
 
 // TestRunConfigSnapshot: a run keeps the options it was started with. A
-// SetParallelism/SetContext made from inside one of its cells neither
-// changes how many of its cells run at once nor truncates it, and does
-// configure the next option-less run.
+// SetParallelism made from inside one of its cells neither changes how
+// many of its cells run at once nor truncates it, and does configure
+// the next option-less run.
 func TestRunConfigSnapshot(t *testing.T) {
 	prev := SetParallelism(3)
 	defer SetParallelism(prev)
-	defer SetContext(nil)
-
-	cancelled, cancel := context.WithCancel(context.Background())
-	cancel()
 
 	const n = 12
 	var g gauge
 	together := meet(3)
 	d, _ := snapDescriptor(func(i int) {
 		if i == 0 {
-			// Mid-run mutation: both must only affect the NEXT run.
+			// Mid-run mutation: it must only affect the NEXT run.
 			SetParallelism(7)
-			SetContext(cancelled)
 		}
 		g.enter()
 		together()
@@ -113,30 +108,25 @@ func TestRunConfigSnapshot(t *testing.T) {
 		t.Fatalf("RunExperiment: %v", err)
 	}
 	if ran := res.(*snapResult).Ran; ran != n {
-		t.Errorf("%d of %d cells ran; a mid-run SetContext must not truncate the run in flight", ran, n)
+		t.Errorf("%d of %d cells ran; a mid-run SetParallelism must not truncate the run in flight", ran, n)
 	}
 	if peak := g.peak.Load(); peak != 3 {
 		t.Errorf("%d cells ran at once, want the 3 workers the run started with", peak)
 	}
 
-	// After the run the mutations are the defaults.
-	if o := DefaultRunOptions(); o.Workers != 7 || o.Ctx != cancelled {
-		t.Errorf("defaults after the run = %+v, want 7 workers and the cancelled context", o)
-	}
-	res, err = RunExperiment(d, &snapParams{Probes: n}, DefaultRunOptions())
-	if !errors.Is(err, ErrInterrupted) || res.(*snapResult).Ran != 0 {
-		t.Errorf("next run = %+v, %v; want no cell and ErrInterrupted", res, err)
+	// After the run the mutation is the default.
+	if o := DefaultRunOptions(); o.Workers != 7 {
+		t.Errorf("defaults after the run = %+v, want 7 workers", o)
 	}
 }
 
-// TestRunConfigSnapshotRace hammers SetParallelism/SetContext from a
-// writer goroutine while experiments run, for the race detector, and
-// checks that no option-less run is truncated or exceeds the 8 workers
-// the writer ever installs.
+// TestRunConfigSnapshotRace hammers SetParallelism from a writer
+// goroutine while option-less runs (RunRange) execute, for the race
+// detector, and checks that no run is truncated or exceeds the 8
+// workers the writer ever installs.
 func TestRunConfigSnapshotRace(t *testing.T) {
 	prev := SetParallelism(2)
 	defer SetParallelism(prev)
-	defer SetContext(nil)
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -151,15 +141,17 @@ func TestRunConfigSnapshotRace(t *testing.T) {
 			default:
 			}
 			SetParallelism(n%8 + 1)
-			SetContext(context.Background())
 			n++
 		}
 	}()
 
 	for run := 0; run < 50; run++ {
 		var g gauge
-		_, typed := snapDescriptor(func(int) { g.cell() })
-		if ran := typed(&snapParams{Probes: 16}).Ran; ran != 16 {
+		d, _ := snapDescriptor(func(int) { g.cell() })
+		if _, err := d.Grid.RunRange(&snapParams{Probes: 16}, CellRange{0, 16}); err != nil {
+			t.Fatal(err)
+		}
+		if ran := g.ran.Load(); ran != 16 {
 			t.Fatalf("run %d: %d of 16 cells ran", run, ran)
 		}
 		if peak := g.peak.Load(); peak > 8 {
@@ -171,18 +163,12 @@ func TestRunConfigSnapshotRace(t *testing.T) {
 }
 
 // TestOverlappingRunsDoNotPoisonLaterRuns: run A starts, run B starts,
-// A finishes, B finishes — two library callers side by side — under a
-// context that is cancelled while both are in flight and uninstalled
-// afterwards. Nothing of those two runs may reach a later one: a fresh
-// typed run and a fresh RunRange see no interrupt and run on the
-// installed worker count.
+// A finishes, B finishes — two library callers side by side. Nothing of
+// those two runs may reach a later one: a fresh typed run and a fresh
+// RunRange run every cell, on the installed worker count.
 func TestOverlappingRunsDoNotPoisonLaterRuns(t *testing.T) {
 	prev := SetParallelism(3)
 	defer SetParallelism(prev)
-	defer SetContext(nil)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	SetContext(ctx)
 
 	// start launches a run whose cells block until release is closed and
 	// returns once its first cell is in flight.
@@ -203,12 +189,10 @@ func TestOverlappingRunsDoNotPoisonLaterRuns(t *testing.T) {
 	releaseA, releaseB := make(chan struct{}), make(chan struct{})
 	doneA := start(releaseA)
 	doneB := start(releaseB)
-	cancel()
 	close(releaseA)
 	<-doneA
 	close(releaseB)
 	<-doneB
-	SetContext(nil)
 	SetParallelism(1)
 
 	const n = 6
@@ -219,7 +203,7 @@ func TestOverlappingRunsDoNotPoisonLaterRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ran := g.ran.Load(); ran != 2*n {
-		t.Errorf("%d of %d cells ran after the overlapping runs: the later runs saw their interrupt", ran, 2*n)
+		t.Errorf("%d of %d cells ran after the overlapping runs", ran, 2*n)
 	}
 	if peak := g.peak.Load(); peak != 1 {
 		t.Errorf("%d cells ran at once with 1 worker installed", peak)

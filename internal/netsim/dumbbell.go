@@ -41,21 +41,37 @@ func (k *QueueKind) UnmarshalText(text []byte) error {
 	return nil
 }
 
+// The access links of the dumbbell and parking-lot presets are
+// provisioned so that drops happen only at the bottleneck (§4.1.2): ten
+// times its rate, 1 ms of delay (unless DumbbellConfig.AccessDly says
+// otherwise), and a generous DropTail buffer.
+const (
+	accessBWFactor = 10
+	accessDelay    = 0.001 // seconds, one way
+	accessQueue    = 1000  // packets
+)
+
+// accessSpec is the access-link spec of a preset whose bottleneck runs at
+// bottleneckBW.
+func accessSpec(bottleneckBW, delay float64) LinkSpec {
+	return LinkSpec{
+		Bandwidth: accessBWFactor * bottleneckBW, Delay: delay,
+		Queue: QueueDropTail, QueueLimit: accessQueue,
+	}
+}
+
 // DumbbellConfig describes the paper's standard single-bottleneck
 // evaluation topology: N left hosts and N right hosts joined through two
-// routers by one congested link. Access links are provisioned so that
-// drops happen only at the bottleneck (§4.1.2).
+// routers by one congested link.
 type DumbbellConfig struct {
-	Hosts          int       // host pairs (left i talks to right i)
-	BottleneckBW   float64   // bits/sec
-	BottleneckDly  float64   // one-way propagation delay of the bottleneck
-	AccessBW       float64   // bits/sec; 0 → 10× bottleneck
-	AccessDly      []float64 // per-host access one-way delay; nil → 1 ms each
-	Queue          QueueKind
-	QueueLimit     int       // packets at the bottleneck (both directions)
-	RED            REDConfig // used when Queue == QueueRED; Limit overridden
-	AccessQueueLen int       // packets on access links; 0 → generous (1000)
-	PktBytes       int       // nominal packet size for capacity-aware queues; 0 → 1000
+	Hosts         int       // host pairs (left i talks to right i)
+	BottleneckBW  float64   // bits/sec
+	BottleneckDly float64   // one-way propagation delay of the bottleneck
+	AccessDly     []float64 // per-host access one-way delay; nil → 1 ms each
+	Queue         QueueKind
+	QueueLimit    int       // packets at the bottleneck (both directions)
+	RED           REDConfig // used when Queue == QueueRED; Limit overridden
+	PktBytes      int       // nominal packet size for capacity-aware queues; 0 → 1000
 }
 
 // Dumbbell is the realized topology. Its Topo field exposes the builder
@@ -82,12 +98,6 @@ func NewDumbbell(sched *sim.Scheduler, cfg DumbbellConfig, rng *sim.Rand) *Dumbb
 	if cfg.QueueLimit < 1 {
 		panic("netsim: dumbbell needs a queue limit")
 	}
-	if cfg.AccessBW == 0 {
-		cfg.AccessBW = 10 * cfg.BottleneckBW
-	}
-	if cfg.AccessQueueLen == 0 {
-		cfg.AccessQueueLen = 1000
-	}
 	t := NewTopology(sched, rng)
 	if cfg.PktBytes > 0 {
 		t.Network().SetNominalPacketSize(cfg.PktBytes)
@@ -112,18 +122,11 @@ func NewDumbbell(sched *sim.Scheduler, cfg DumbbellConfig, rng *sim.Rand) *Dumbb
 	d.RevQ = d.Reverse.Queue()
 
 	for i := 0; i < cfg.Hosts; i++ {
-		dly := 0.001
-		if cfg.AccessDly != nil {
-			dly = cfg.AccessDly[i%len(cfg.AccessDly)]
-		}
 		l := IndexedName("l", i)
 		r := IndexedName("r", i)
 		d.Left = append(d.Left, t.Node(l))
 		d.Right = append(d.Right, t.Node(r))
-		aspec := LinkSpec{
-			Bandwidth: cfg.AccessBW, Delay: dly,
-			Queue: QueueDropTail, QueueLimit: cfg.AccessQueueLen,
-		}
+		aspec := accessSpec(cfg.BottleneckBW, d.accessDly(i))
 		t.Link(l, "rl", aspec)
 		t.Link(r, "rr", aspec)
 	}
@@ -131,12 +134,16 @@ func NewDumbbell(sched *sim.Scheduler, cfg DumbbellConfig, rng *sim.Rand) *Dumbb
 	return d
 }
 
+// accessDly is the one-way delay of host pair i's access links.
+func (d *Dumbbell) accessDly(i int) float64 {
+	if d.cfg.AccessDly == nil {
+		return accessDelay
+	}
+	return d.cfg.AccessDly[i%len(d.cfg.AccessDly)]
+}
+
 // RTT returns the base (zero-queue) round-trip time between left host i
 // and its right peer, counting propagation only.
 func (d *Dumbbell) RTT(i int) float64 {
-	acc := 0.001
-	if d.cfg.AccessDly != nil {
-		acc = d.cfg.AccessDly[i%len(d.cfg.AccessDly)]
-	}
-	return 2 * (2*acc + d.cfg.BottleneckDly)
+	return 2 * (2*d.accessDly(i) + d.cfg.BottleneckDly)
 }

@@ -353,7 +353,7 @@ type ptcSetter interface{ SetPTC(float64) }
 // queue from mkQueue. It returns the a→b and b→a links. Call BuildRoutes
 // after the topology is complete.
 func (nw *Network) Connect(a, b *Node, bw, delay float64, mkQueue func() Queue) (ab, ba *Link) {
-	return nw.ConnectAsym(a, b, bw, delay, mkQueue, bw, delay, mkQueue)
+	return nw.connect(a, b, bw, delay, mkQueue(), mkQueue())
 }
 
 // insertAdj inserts an adjacency keeping the slice sorted by neighbor ID.
@@ -368,24 +368,16 @@ func (nw *Network) insertAdj(adj []adjacency, to NodeID, l *Link) []adjacency {
 	return adj
 }
 
-// ConnectAsym joins a and b with per-direction bandwidth, delay, and
-// queue discipline: abBW/abDelay/mkABQueue shape the a→b direction,
-// baBW/baDelay/mkBAQueue the b→a direction. Call BuildRoutes after the
-// topology is complete.
-func (nw *Network) ConnectAsym(a, b *Node, abBW, abDelay float64, mkABQueue func() Queue, baBW, baDelay float64, mkBAQueue func() Queue) (ab, ba *Link) {
-	return nw.connectAsymQueues(a, b, abBW, abDelay, mkABQueue(), baBW, baDelay, mkBAQueue())
-}
-
-// connectAsymQueues is ConnectAsym with the queues already constructed —
-// the closure-free path the topology layer uses.
-func (nw *Network) connectAsymQueues(a, b *Node, abBW, abDelay float64, abQueue Queue, baBW, baDelay float64, baQueue Queue) (ab, ba *Link) {
-	if abBW <= 0 || abDelay < 0 || baBW <= 0 || baDelay < 0 {
+// connect is Connect with the queues already constructed — the
+// closure-free path the topology layer uses.
+func (nw *Network) connect(a, b *Node, bw, delay float64, abQueue, baQueue Queue) (ab, ba *Link) {
+	if bw <= 0 || delay < 0 {
 		panic("netsim: link needs positive bandwidth and non-negative delay")
 	}
 	ab = nw.allocLink()
-	ab.net, ab.to, ab.bw, ab.delay, ab.queue = nw, b, abBW, abDelay, abQueue
+	ab.net, ab.to, ab.bw, ab.delay, ab.queue = nw, b, bw, delay, abQueue
 	ba = nw.allocLink()
-	ba.net, ba.to, ba.bw, ba.delay, ba.queue = nw, a, baBW, baDelay, baQueue
+	ba.net, ba.to, ba.bw, ba.delay, ba.queue = nw, a, bw, delay, baQueue
 	a.links = nw.insertAdj(a.links, b.ID, ab)
 	b.links = nw.insertAdj(b.links, a.ID, ba)
 	// Let capacity-aware disciplines know their drain rate.

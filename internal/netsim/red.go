@@ -7,17 +7,16 @@ import (
 )
 
 // REDConfig parameterizes Random Early Detection per Floyd & Jacobson
-// (1993) with the optional "gentle" extension used throughout the paper's
-// simulations.
+// (1993) as the paper's ns-2 simulations run it: "gentle" (the drop
+// probability ramps from MaxP to 1 between MaxThresh and 2·MaxThresh)
+// and with ns-2's inter-drop spreading (no second early drop within
+// about 1/p packets of the last).
 type REDConfig struct {
 	MinThresh float64 // avg queue (pkts) below which no packet is marked
 	MaxThresh float64 // avg queue at which mark probability reaches MaxP
 	MaxP      float64 // mark probability at MaxThresh
 	Wq        float64 // EWMA weight for the average queue estimator
-	Gentle    bool    // ramp drop prob from MaxP to 1 between max and 2·max
 	Limit     int     // physical buffer limit in packets
-	MeanPkt   int     // mean packet size (bytes) for idle-time compensation
-	Wait      bool    // spread drops: avoid dropping twice within 1/p pkts
 	// ECN marks ECN-capable (ECT) packets with Congestion Experienced
 	// instead of early-dropping them. Forced drops (buffer overflow,
 	// avg beyond the gentle region) still drop.
@@ -25,17 +24,14 @@ type REDConfig struct {
 }
 
 // DefaultRED mirrors the parameters in the paper's Figure 8 footnote:
-// min_thresh 25, max_thresh 5·min, max_p 0.1, gentle on.
+// min_thresh 25, max_thresh 5·min, max_p 0.1.
 func DefaultRED(limit int) REDConfig {
 	return REDConfig{
 		MinThresh: 25,
 		MaxThresh: 125,
 		MaxP:      0.1,
 		Wq:        0.002,
-		Gentle:    true,
 		Limit:     limit,
-		MeanPkt:   1000,
-		Wait:      true,
 	}
 }
 
@@ -151,7 +147,7 @@ func (q *RED) dropEarly() bool {
 		q.count++
 		pb := cfg.MaxP * (q.avg - cfg.MinThresh) / (cfg.MaxThresh - cfg.MinThresh)
 		return q.flip(pb)
-	case cfg.Gentle && q.avg < 2*cfg.MaxThresh:
+	case q.avg < 2*cfg.MaxThresh:
 		q.count++
 		pb := cfg.MaxP + (q.avg-cfg.MaxThresh)/cfg.MaxThresh*(1-cfg.MaxP)
 		return q.flip(pb)
@@ -161,29 +157,19 @@ func (q *RED) dropEarly() bool {
 	}
 }
 
-// flip applies the ns-2 inter-drop spreading: with Wait enabled a drop is
-// suppressed until count·pb ≥ 1, making inter-drop gaps closer to uniform
-// than geometric.
+// flip applies the ns-2 inter-drop spreading: a drop is suppressed until
+// count·pb ≥ 1, making inter-drop gaps closer to uniform than geometric.
 //
 //tfrc:hotpath
 func (q *RED) flip(pb float64) bool {
 	if pb <= 0 {
 		return false
 	}
-	var pa float64
 	cp := float64(q.count) * pb
-	if q.cfg.Wait {
-		if cp < 1 {
-			return false
-		}
-		pa = pb / (2 - cp)
-	} else {
-		if cp < 1 {
-			pa = pb / (1 - cp)
-		} else {
-			pa = 1
-		}
+	if cp < 1 {
+		return false
 	}
+	pa := pb / (2 - cp)
 	if pa < 0 {
 		pa = 1
 	}

@@ -16,13 +16,15 @@ type LinkSpec struct {
 	RED        REDConfig // used when Queue == QueueRED; Limit overridden by QueueLimit
 }
 
-// Topology declaratively builds a Network: named nodes and links with
-// per-direction bandwidth/delay/queue. Declaration order is construction
-// order, so two topologies declared identically are event-for-event
-// identical. Build computes routes; the dumbbell, parking-lot, and
-// asymmetric-access presets below are thin layers over it. A link that
-// changes rate or delay mid-run is a faults.Schedule applied to the
-// topology (or a scheduler event calling Link.SetBandwidth/SetDelay).
+// Topology declaratively builds a Network: named nodes joined by links
+// whose two directions share a bandwidth, delay and queue discipline,
+// each direction with a queue of its own. Declaration order is
+// construction order, so two topologies declared identically are
+// event-for-event identical. Build computes routes; the dumbbell and
+// parking-lot presets are thin layers over it. A link that changes rate
+// or delay mid-run — or runs one direction at another rate — is a
+// faults.Schedule applied to the topology (or a scheduler event calling
+// Link.SetBandwidth/SetDelay).
 type Topology struct {
 	nw    *Network
 	rng   *sim.Rand
@@ -92,12 +94,6 @@ func (t *Topology) Lookup(name string) *Node {
 // the a→b and b→a links, addressable afterwards as "a->b" and "b->a".
 // Nodes are created on first mention.
 func (t *Topology) Link(a, b string, spec LinkSpec) (ab, ba *Link) {
-	return t.LinkAsym(a, b, spec, spec)
-}
-
-// LinkAsym joins a and b with per-direction specs: fwd shapes a→b, rev
-// shapes b→a.
-func (t *Topology) LinkAsym(a, b string, fwd, rev LinkSpec) (ab, ba *Link) {
 	if t.built {
 		panic("netsim: cannot add links after Build")
 	}
@@ -107,10 +103,9 @@ func (t *Topology) LinkAsym(a, b string, fwd, rev LinkSpec) (ab, ba *Link) {
 	na, nb := t.Node(a), t.Node(b)
 	// Queues are built eagerly (a→b first) rather than through mkQueue
 	// closures, keeping the declaration path allocation-free.
-	qab := t.makeQueue(fwd)
-	qba := t.makeQueue(rev)
-	ab, ba = t.nw.connectAsymQueues(na, nb,
-		fwd.Bandwidth, fwd.Delay, qab, rev.Bandwidth, rev.Delay, qba)
+	qab := t.makeQueue(spec)
+	qba := t.makeQueue(spec)
+	ab, ba = t.nw.connect(na, nb, spec.Bandwidth, spec.Delay, qab, qba)
 	t.links[linkName(a, b)] = ab
 	t.links[linkName(b, a)] = ba
 	return ab, ba
@@ -154,19 +149,16 @@ func (t *Topology) Build() *Network {
 // host pairs (sources at router 0, sinks at router k) cross every
 // bottleneck; cross host pairs on segment i enter at router i and leave
 // at router i+1, loading exactly one bottleneck each. Access links are
-// provisioned so drops happen only at the bottlenecks.
+// the dumbbell's: provisioned so drops happen only at the bottlenecks.
 type ParkingLotConfig struct {
 	Bottlenecks   int // k ≥ 1
 	ThroughPairs  int // host pairs traversing every bottleneck (≥ 1)
 	CrossPairs    int // host pairs per segment
 	BottleneckBW  float64
 	BottleneckDly float64 // per bottleneck hop, one way
-	AccessBW      float64 // 0 → 10× bottleneck
-	AccessDly     float64 // 0 → 1 ms
 	Queue         QueueKind
 	QueueLimit    int       // packets per bottleneck
 	RED           REDConfig // used when Queue == QueueRED
-	AccessQueue   int       // packets on access links; 0 → 1000
 }
 
 // ParkingLot is the realized multi-bottleneck topology. Routers are
@@ -181,7 +173,6 @@ type ParkingLot struct {
 	CrossSrc    [][]*Node // [segment][pair]
 	CrossDst    [][]*Node
 	Bottlenecks []*Link // forward direction: router s → router s+1
-	cfg         ParkingLotConfig
 }
 
 // NewParkingLot builds the parking lot on a fresh network bound to
@@ -196,15 +187,6 @@ func NewParkingLot(sched *sim.Scheduler, cfg ParkingLotConfig, rng *sim.Rand) *P
 	if cfg.QueueLimit < 1 {
 		panic("netsim: parking lot needs a queue limit")
 	}
-	if cfg.AccessBW == 0 {
-		cfg.AccessBW = 10 * cfg.BottleneckBW
-	}
-	if cfg.AccessDly == 0 {
-		cfg.AccessDly = 0.001
-	}
-	if cfg.AccessQueue == 0 {
-		cfg.AccessQueue = 1000
-	}
 	t := NewTopology(sched, rng)
 	// Every node list is a segment of one backing, cut to its final size.
 	k := cfg.Bottlenecks
@@ -216,7 +198,7 @@ func NewParkingLot(sched *sim.Scheduler, cfg ParkingLotConfig, rng *sim.Rand) *P
 	}
 	segments := make([][]*Node, 2*k)
 	pl := &ParkingLot{
-		Topo: t, cfg: cfg,
+		Topo:       t,
 		Routers:    cut(k + 1),
 		ThroughSrc: cut(cfg.ThroughPairs),
 		ThroughDst: cut(cfg.ThroughPairs),
@@ -227,10 +209,7 @@ func NewParkingLot(sched *sim.Scheduler, cfg ParkingLotConfig, rng *sim.Rand) *P
 		Bandwidth: cfg.BottleneckBW, Delay: cfg.BottleneckDly,
 		Queue: cfg.Queue, QueueLimit: cfg.QueueLimit, RED: cfg.RED,
 	}
-	aspec := LinkSpec{
-		Bandwidth: cfg.AccessBW, Delay: cfg.AccessDly,
-		Queue: QueueDropTail, QueueLimit: cfg.AccessQueue,
-	}
+	aspec := accessSpec(cfg.BottleneckBW, accessDelay)
 	for s := 0; s <= cfg.Bottlenecks; s++ {
 		pl.Routers = append(pl.Routers, t.Node(IndexedName("r", s)))
 	}
@@ -264,82 +243,4 @@ func NewParkingLot(sched *sim.Scheduler, cfg ParkingLotConfig, rng *sim.Rand) *P
 // BottleneckName returns the topology name of forward bottleneck s.
 func (pl *ParkingLot) BottleneckName(s int) string {
 	return linkName(IndexedName("r", s), IndexedName("r", s+1))
-}
-
-// ThroughRTT returns the base (zero-queue) round-trip time of a through
-// pair, counting propagation only.
-func (pl *ParkingLot) ThroughRTT() float64 {
-	return 2 * (2*pl.cfg.AccessDly + float64(pl.cfg.Bottlenecks)*pl.cfg.BottleneckDly)
-}
-
-// --- Asymmetric-access preset ---
-
-// AsymAccessConfig describes a dumbbell whose access links are
-// asymmetric, ADSL-style: each host's uplink (host→router) and downlink
-// (router→host) carry different rates. The constrained uplink makes the
-// reverse ACK path a second bottleneck — the pathology that symmetric
-// dumbbells cannot express.
-type AsymAccessConfig struct {
-	Hosts         int
-	BottleneckBW  float64
-	BottleneckDly float64
-	UplinkBW      float64 // host→router, bits/sec
-	DownlinkBW    float64 // router→host, bits/sec
-	AccessDly     float64 // 0 → 1 ms
-	Queue         QueueKind
-	QueueLimit    int
-	RED           REDConfig
-	AccessQueue   int // packets on access links; 0 → 100
-}
-
-// AsymAccess is the realized asymmetric-access dumbbell. Node names
-// follow the dumbbell preset: routers "rl"/"rr", hosts "l{i}"/"r{i}".
-type AsymAccess struct {
-	Topo             *Topology
-	Net              *Network
-	Left, Right      []*Node
-	RouterL, RouterR *Node
-	Forward, Reverse *Link
-}
-
-// NewAsymAccess builds the asymmetric-access dumbbell on a fresh network
-// bound to sched.
-func NewAsymAccess(sched *sim.Scheduler, cfg AsymAccessConfig, rng *sim.Rand) *AsymAccess {
-	if cfg.Hosts < 1 {
-		panic("netsim: asymmetric access needs at least one host pair")
-	}
-	if cfg.QueueLimit < 1 {
-		panic("netsim: asymmetric access needs a queue limit")
-	}
-	if cfg.UplinkBW <= 0 || cfg.DownlinkBW <= 0 {
-		panic("netsim: asymmetric access needs positive up/down rates")
-	}
-	if cfg.AccessDly == 0 {
-		cfg.AccessDly = 0.001
-	}
-	if cfg.AccessQueue == 0 {
-		cfg.AccessQueue = 100
-	}
-	t := NewTopology(sched, rng)
-	d := &AsymAccess{Topo: t}
-	d.RouterL = t.Node("rl")
-	d.RouterR = t.Node("rr")
-	d.Forward, d.Reverse = t.Link("rl", "rr", LinkSpec{
-		Bandwidth: cfg.BottleneckBW, Delay: cfg.BottleneckDly,
-		Queue: cfg.Queue, QueueLimit: cfg.QueueLimit, RED: cfg.RED,
-	})
-	up := LinkSpec{Bandwidth: cfg.UplinkBW, Delay: cfg.AccessDly,
-		Queue: QueueDropTail, QueueLimit: cfg.AccessQueue}
-	down := LinkSpec{Bandwidth: cfg.DownlinkBW, Delay: cfg.AccessDly,
-		Queue: QueueDropTail, QueueLimit: cfg.AccessQueue}
-	for i := 0; i < cfg.Hosts; i++ {
-		l := IndexedName("l", i)
-		r := IndexedName("r", i)
-		d.Left = append(d.Left, t.Node(l))
-		d.Right = append(d.Right, t.Node(r))
-		t.LinkAsym(l, "rl", up, down)
-		t.LinkAsym(r, "rr", up, down)
-	}
-	d.Net = t.Build()
-	return d
 }

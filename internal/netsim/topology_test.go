@@ -154,34 +154,6 @@ func TestLinkScheduleAffectsSerialization(t *testing.T) {
 	}
 }
 
-// TestAsymAccessDirections verifies per-direction link specs: the uplink
-// and downlink of an asymmetric-access host carry different rates.
-func TestAsymAccessDirections(t *testing.T) {
-	sched := sim.NewScheduler()
-	d := NewAsymAccess(sched, AsymAccessConfig{
-		Hosts:         2,
-		BottleneckBW:  1e7,
-		BottleneckDly: 0.010,
-		UplinkBW:      1e5,
-		DownlinkBW:    1e6,
-		Queue:         QueueDropTail,
-		QueueLimit:    50,
-	}, nil)
-	up := d.Topo.LinkByName("l0->rl")
-	down := d.Topo.LinkByName("rl->l0")
-	if up.Bandwidth() != 1e5 || down.Bandwidth() != 1e6 {
-		t.Fatalf("asym rates: up %v down %v", up.Bandwidth(), down.Bandwidth())
-	}
-	// End-to-end delivery across the asymmetric path.
-	sink := &collector{nw: d.Net}
-	d.Right[1].Attach(3, sink)
-	sendOne(d.Net, d.Left[0], d.Right[1], 3, 1000)
-	sched.Run()
-	if len(sink.times) != 1 {
-		t.Fatalf("packet not delivered across asymmetric dumbbell")
-	}
-}
-
 // TestTopologyNameErrors pins the fail-fast behavior for bad names.
 func TestTopologyNameErrors(t *testing.T) {
 	topo := NewTopology(sim.NewScheduler(), nil)

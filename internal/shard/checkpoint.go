@@ -165,7 +165,9 @@ func loadCheckpoint(path string, want checkpointHeader) (cells []json.RawMessage
 	next := want.CellRange.Lo
 	for sc.Scan() && next < want.CellRange.Hi {
 		var line checkpointLine
-		if err := json.Unmarshal(sc.Bytes(), &line); err != nil || line.Cell == nil {
+		// A null cell decodes to the bytes "null", not to nil; like a
+		// missing one it is not a finished cell (ReadEnvelopeFile agrees).
+		if err := json.Unmarshal(sc.Bytes(), &line); err != nil || line.Cell == nil || bytes.Equal(line.Cell, []byte("null")) {
 			break // torn tail: keep the valid prefix
 		}
 		if line.Index != next {

@@ -14,7 +14,8 @@ import (
 // a fresh start.
 func isNotExist(err error) bool { return errors.Is(err, fs.ErrNotExist) }
 
-// Run is RunWith on the process defaults (exp.DefaultRunOptions).
+// Run is RunWith on the process default (exp.DefaultRunOptions): the
+// SetParallelism worker count, never cancelled.
 func Run(spec RunSpec) (*Envelope, error) { return RunWith(spec, exp.DefaultRunOptions()) }
 
 // RunSpec is one shard-run request: which experiment, the exact

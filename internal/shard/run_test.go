@@ -349,15 +349,10 @@ func assertFilesIdentical(t *testing.T, wantPath, gotPath string) {
 
 // TestOverlappingRunsDoNotPoisonLaterRuns is internal/exp's test of the
 // same name seen from here: run A starts, run B starts, A finishes, B
-// finishes, under a context cancelled while both are in flight and
-// uninstalled afterwards. A later shard.Run must compute every cell, on
-// the installed worker count.
+// finishes. A later shard.Run must compute every cell, on the installed
+// worker count.
 func TestOverlappingRunsDoNotPoisonLaterRuns(t *testing.T) {
 	withWorkers(t, 3)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	exp.SetContext(ctx)
-	defer exp.SetContext(nil)
 
 	// start launches a run that blocks until release is closed and
 	// returns once it is in flight.
@@ -378,12 +373,10 @@ func TestOverlappingRunsDoNotPoisonLaterRuns(t *testing.T) {
 	releaseA, releaseB := make(chan struct{}), make(chan struct{})
 	doneA := start(releaseA)
 	doneB := start(releaseB)
-	cancel()
 	close(releaseA)
 	<-doneA
 	close(releaseB)
 	<-doneB
-	exp.SetContext(nil)
 	exp.SetParallelism(1)
 
 	const n = 6

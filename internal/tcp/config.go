@@ -76,10 +76,6 @@ type Config struct {
 	CC cc.Config `json:"cc,omitzero"`
 	// PacketSize is the segment size in bytes (default 1000).
 	PacketSize int
-	// AckSize is the bytes of a pure ACK on the reverse path (default 40).
-	AckSize int
-	// InitialWindow in packets (default 2, as in the paper's era).
-	InitialWindow float64
 	// MaxWindow caps the congestion window in packets (default 10000).
 	MaxWindow float64
 	// Granularity is the retransmit-timer clock tick in seconds. RTO
@@ -87,9 +83,6 @@ type Config struct {
 	// stacks used a conservative 500 ms tick; its simulations use finer
 	// clocks. Default 0.1.
 	Granularity float64
-	// MinRTO floors the retransmit timer (default: max(2·Granularity, 0.2),
-	// or whatever is set here if positive).
-	MinRTO float64
 	// AggressiveRTO mimics the paper's misbehaving Solaris 2.7 sender
 	// (§4.3): a severely under-estimated RTO that fires spuriously and
 	// retransmits unnecessarily, hurting its own throughput.
@@ -106,15 +99,13 @@ type Config struct {
 	JitterSeed int64
 }
 
+// initialWindow is a new connection's congestion window in packets, as
+// in the paper's era.
+const initialWindow = 2
+
 func (c *Config) fill() {
 	if c.PacketSize == 0 {
 		c.PacketSize = 1000
-	}
-	if c.AckSize == 0 {
-		c.AckSize = 40
-	}
-	if c.InitialWindow == 0 {
-		c.InitialWindow = 2
 	}
 	if c.MaxWindow == 0 {
 		c.MaxWindow = 10000
@@ -122,14 +113,16 @@ func (c *Config) fill() {
 	if c.Granularity == 0 {
 		c.Granularity = 0.1
 	}
-	if c.MinRTO == 0 {
-		// Real stacks floor the RTO well above the clock tick (Linux:
-		// 200 ms) so queue-induced RTT swings do not fire the timer
-		// spuriously. The aggressive (Solaris-like) variant keeps a
-		// bare one-tick floor — that is precisely its pathology.
-		c.MinRTO = math.Max(2*c.Granularity, 0.2)
-		if c.AggressiveRTO {
-			c.MinRTO = c.Granularity
-		}
+}
+
+// minRTO floors the retransmit timer of a filled config. Real stacks
+// floor the RTO well above the clock tick (Linux: 200 ms) so
+// queue-induced RTT swings do not fire the timer spuriously. The
+// aggressive (Solaris-like) variant keeps a bare one-tick floor — that
+// is precisely its pathology.
+func (c *Config) minRTO() float64 {
+	if c.AggressiveRTO {
+		return c.Granularity
 	}
+	return math.Max(2*c.Granularity, 0.2)
 }

@@ -86,7 +86,7 @@ func NewSender(nw *netsim.Network, node *netsim.Node, dst netsim.NodeID, dstPort
 		dprt:    dstPort,
 		sprt:    srcPort,
 		flow:    flow,
-		ccs:     cc.State{Cwnd: cfg.InitialWindow, Ssthresh: cfg.MaxWindow},
+		ccs:     cc.State{Cwnd: initialWindow, Ssthresh: cfg.MaxWindow},
 		ctrl:    cc.New(nw.Scheduler(), cfg.CC, cfg.MaxWindow),
 		backoff: 1,
 	}
@@ -372,7 +372,7 @@ func (s *Sender) sampleRTT(r float64) {
 // the spuriously retransmitting Solaris 2.7 sender from §4.3.
 func (s *Sender) rto() float64 {
 	if !s.hasRTT {
-		return math.Max(1.0, s.cfg.MinRTO)
+		return math.Max(1.0, s.cfg.minRTO())
 	}
 	k := 4.0
 	if s.cfg.AggressiveRTO {
@@ -381,7 +381,7 @@ func (s *Sender) rto() float64 {
 	raw := s.srtt + k*s.rttvar
 	g := s.cfg.Granularity
 	quantized := math.Ceil(raw/g) * g
-	return math.Max(quantized, s.cfg.MinRTO)
+	return math.Max(quantized, s.cfg.minRTO())
 }
 
 func (s *Sender) resetTimer() {

@@ -20,13 +20,6 @@ type Config struct {
 	// paper's Average Loss Interval method). Only settable in code;
 	// serialized configs always mean the default.
 	Estimator core.LossRateEstimator `json:"-"`
-	// FeedbackEvery scales the receiver's feedback interval in units of
-	// the sender's RTT estimate (default 1 = once per RTT, §3).
-	FeedbackEvery float64
-	// BurstPairs, when true, sends two packets every two inter-packet
-	// intervals — the paper's §4.1 experiment showing burstier TFRC
-	// competes differently with small-window TCP.
-	BurstPairs bool
 	// PacingJitter perturbs each inter-packet gap by a uniform factor
 	// in [1-j, 1+j], breaking simulator phase effects at DropTail
 	// queues (the real-world role the paper ascribes to small queueing
@@ -51,7 +44,7 @@ type Config struct {
 
 // DefaultConfig returns the paper's standard configuration.
 func DefaultConfig() Config {
-	return Config{Sender: core.DefaultSenderConfig(), FeedbackEvery: 1}
+	return Config{Sender: core.DefaultSenderConfig()}
 }
 
 // Sender is the TFRC data-sending agent.
@@ -87,9 +80,6 @@ type Sender struct {
 // embedded rate-control state machine — comes from the scheduler's agent
 // arena and is recycled across sweep cells.
 func NewSender(nw *netsim.Network, node *netsim.Node, dst netsim.NodeID, dstPort, srcPort, flow int, cfg Config) *Sender {
-	if cfg.FeedbackEvery == 0 {
-		cfg.FeedbackEvery = 1
-	}
 	s := arenaOf(nw.Scheduler()).senders.Get()
 	*s = Sender{
 		cfg:  cfg,
@@ -149,14 +139,8 @@ func (s *Sender) onSend() {
 	if s.stopped {
 		return
 	}
-	n := 1
-	if s.cfg.BurstPairs {
-		n = 2
-	}
-	for i := 0; i < n; i++ {
-		s.emit()
-	}
-	gap := s.core.PacketInterval() * float64(n)
+	s.emit()
+	gap := s.core.PacketInterval()
 	if s.jitter != nil {
 		gap *= 1 + s.cfg.PacingJitter*(2*s.jitter.Float64()-1)
 	}
@@ -234,7 +218,6 @@ func (s *Sender) onNoFeedback() {
 
 // Receiver is the TFRC feedback-generating agent.
 type Receiver struct {
-	cfg  Config
 	net  *netsim.Network
 	node *netsim.Node
 	port int
@@ -253,9 +236,6 @@ type Receiver struct {
 // is drawn from the scheduler's agent arena; re-initializing the
 // embedded receiver reuses its loss-interval buffers.
 func NewReceiver(nw *netsim.Network, node *netsim.Node, port, flow int, cfg Config) *Receiver {
-	if cfg.FeedbackEvery == 0 {
-		cfg.FeedbackEvery = 1
-	}
 	pktSize := cfg.Sender.PacketSize
 	if pktSize == 0 {
 		pktSize = 1000
@@ -265,7 +245,6 @@ func NewReceiver(nw *netsim.Network, node *netsim.Node, port, flow int, cfg Conf
 	// its Init can reuse the loss-interval buffers it already owns.
 	saved := r.core
 	*r = Receiver{
-		cfg:  cfg,
 		net:  nw,
 		node: node,
 		port: port,
@@ -322,12 +301,14 @@ func (r *Receiver) Recv(p *netsim.Packet) {
 	}
 }
 
+// interval is the feedback period: one report per round-trip time of
+// the sender's estimate (§3).
 func (r *Receiver) interval() float64 {
 	rtt := r.core.SenderRTT()
 	if rtt <= 0 {
 		rtt = 0.1 // until the sender's estimate converges
 	}
-	return math.Max(rtt*r.cfg.FeedbackEvery, 1e-4)
+	return math.Max(rtt, 1e-4)
 }
 
 //tfrc:hotpath

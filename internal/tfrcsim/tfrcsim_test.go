@@ -218,17 +218,6 @@ func TestFeedbackOncePerRTT(t *testing.T) {
 	}
 }
 
-func TestBurstPairsMode(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.BurstPairs = true
-	sched, _, snd, _, _ := pipeRig(t, 2e6, 0.020, 100, cfg)
-	snd.Start(0)
-	sched.RunUntil(10)
-	if snd.Sent < 100 {
-		t.Fatalf("burst-pairs sender sent only %d packets", snd.Sent)
-	}
-}
-
 func TestCoarseTimersStillConverge(t *testing.T) {
 	// With feedback/no-feedback timers on a 10 ms wheel the protocol must
 	// still fill a clean pipe: coarse ticks delay feedback by at most one

@@ -57,7 +57,7 @@ func TestSimVsWireDifferential(t *testing.T) {
 	simulated := func(corrupt float64) trace {
 		sched, topo := path(corrupt)
 		snd, rcv := tfrcsim.Pair(topo.Network(), topo.Lookup("a"), topo.Lookup("b"), 1, 1, 1,
-			tfrcsim.Config{Sender: cc, FeedbackEvery: 1})
+			tfrcsim.Config{Sender: cc})
 		snd.Start(0)
 		return sample(sched, snd.Rate, rcv.P, func() int64 { return snd.Sent })
 	}

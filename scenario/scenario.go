@@ -1,8 +1,9 @@
 // Package scenario is the public composition surface of the packet-level
-// reproduction harness: declarative topologies (named nodes, per-direction
-// links, the dumbbell / parking-lot / asymmetric-access presets; a link
-// that changes rate or delay mid-run is an experiment.FaultSchedule
-// applied to the topology), a scenario Builder placing TCP, TFRC, and
+// reproduction harness: declarative topologies (named nodes, links, the
+// dumbbell and parking-lot presets; a link that changes rate or delay
+// mid-run, or runs one direction at another rate, is an
+// experiment.FaultSchedule applied to the topology), a scenario Builder
+// placing TCP, TFRC, and
 // background flows on named host pairs with monitors on named links, and
 // a single harvest step producing a Result.
 //
@@ -61,8 +62,8 @@ func NewRand(seed int64) *Rand { return sim.NewRand(seed) }
 
 // Topology layer.
 type (
-	// Topology declaratively builds a network: named nodes, links with
-	// per-direction bandwidth/delay/queue.
+	// Topology declaratively builds a network: named nodes joined by
+	// links, each direction with its own queue.
 	Topology = netsim.Topology
 	// LinkSpec declares one direction of a link.
 	LinkSpec = netsim.LinkSpec
@@ -81,14 +82,12 @@ type (
 	QueueMonitor       = netsim.QueueMonitor
 	UtilizationMonitor = netsim.UtilizationMonitor
 
-	// Dumbbell, ParkingLot, and AsymAccess are the built preset
-	// topologies, with their configs.
+	// Dumbbell and ParkingLot are the built preset topologies, with
+	// their configs.
 	Dumbbell         = netsim.Dumbbell
 	DumbbellConfig   = netsim.DumbbellConfig
 	ParkingLot       = netsim.ParkingLot
 	ParkingLotConfig = netsim.ParkingLotConfig
-	AsymAccess       = netsim.AsymAccess
-	AsymAccessConfig = netsim.AsymAccessConfig
 )
 
 // Queue disciplines.
@@ -113,12 +112,6 @@ func NewDumbbell(sched *Scheduler, cfg DumbbellConfig, rng *Rand) *Dumbbell {
 // "cs{s}.{i}"/"cd{s}.{i}".
 func NewParkingLot(sched *Scheduler, cfg ParkingLotConfig, rng *Rand) *ParkingLot {
 	return netsim.NewParkingLot(sched, cfg, rng)
-}
-
-// NewAsymAccess builds the ADSL-style dumbbell with per-direction access
-// rates, making the reverse ACK path a second bottleneck.
-func NewAsymAccess(sched *Scheduler, cfg AsymAccessConfig, rng *Rand) *AsymAccess {
-	return netsim.NewAsymAccess(sched, cfg, rng)
 }
 
 // DefaultRED returns the paper's RED configuration for a queue of the
@@ -151,37 +144,22 @@ const (
 	TCPSack    = tcp.Sack
 )
 
-// Congestion-control zoo: pluggable sender-side window policies riding
-// the TCP transport's loss-recovery mechanics (TCPConfig.CC selects
-// one; Builder.AddCC places a flow with one).
+// Congestion-control zoo: four sender-side window policies riding the
+// TCP transport's loss-recovery mechanics (TCPConfig.CC selects one;
+// Builder.AddCC places a flow with one).
 type (
 	// CCConfig names a congestion controller and carries its tuning; the
 	// zero value is classic Reno AIMD.
 	CCConfig = cc.Config
-	// CCName is a registered controller name with text/JSON codecs
-	// ("reno", "vegas", "ledbat", "relentless").
+	// CCName is a controller name with text/JSON codecs ("reno",
+	// "vegas", "ledbat", "relentless").
 	CCName = cc.Name
-	// CCController is the sender-side congestion-control interface: how
-	// much window acks earn and loss events cost.
-	CCController = cc.Controller
-	// CCState is the window state a controller steers.
-	CCState = cc.State
-	// CCRegistration registers a rival controller under a new name.
-	CCRegistration = cc.Registration
 	// VegasParams, LEDBATParams, and RelentlessParams tune the built-in
 	// delay-based, background, and loss-tolerant controllers.
 	VegasParams      = cc.VegasParams
 	LEDBATParams     = cc.LEDBATParams
 	RelentlessParams = cc.RelentlessParams
 )
-
-// CCNames returns every registered congestion-controller name, sorted.
-func CCNames() []string { return cc.Names() }
-
-// RegisterCC adds a controller to the registry, making it usable
-// everywhere a built-in is (TCPConfig.CC, Builder.AddCC, the ccfair
-// experiment's protocol names). Registering a taken name panics.
-func RegisterCC(r CCRegistration) { cc.Register(r) }
 
 // DefaultVegas returns the classic 1/3/1 Vegas tuning.
 func DefaultVegas() VegasParams { return cc.DefaultVegas() }
