@@ -293,7 +293,7 @@ func BenchmarkAblationDiscounting(b *testing.B) {
 		for rtt := 0; rtt < 500; rtt++ {
 			open += rate
 			h.SetOpen(open)
-			rate = 1.2 * math.Sqrt(h.AvgInterval())
+			rate = 1.2 * math.Sqrt(1/h.Report()) // one report per RTT
 		}
 		return rate
 	}
@@ -317,14 +317,13 @@ func BenchmarkAblationS0(b *testing.B) {
 		for s0 := 1.0; s0 <= 99; s0++ {
 			h.SetOpen(s0)
 			maxRule = append(maxRule, h.AvgInterval())
-			// "always include" recomputed naively:
+			// "always include" recomputed naively over the eight closed
+			// intervals the history holds, all 100:
 			sum, w := s0*1.0, 1.0
-			for j, iv := range h.Intervals() {
-				ws := core.Weights(8)
-				if j+1 < 8 {
-					sum += iv * ws[j+1]
-					w += ws[j+1]
-				}
+			ws := core.Weights(8)
+			for j := 0; j+1 < 8; j++ {
+				sum += 100 * ws[j+1]
+				w += ws[j+1]
 			}
 			always = append(always, sum/w)
 		}

@@ -15,7 +15,8 @@
 // The module exposes three public layers:
 //
 //   - The algorithms (this package): Throughput (the TCP response
-//     function), LossHistory (the Average Loss Interval method),
+//     function), LossHistory (the Average Loss Interval method, whose
+//     reads never change it),
 //     RTTEstimator, and the transport-agnostic Sender/Receiver state
 //     machines, all clock-injected and allocation-light — plus a wire
 //     implementation of them: endpoints that see only a clock and a
@@ -141,5 +142,7 @@
 //	sched.At(0, send.Run)
 //	sched.RunUntil(10) // ten virtual seconds, no wall-clock time
 //	// send.Rate() follows the TCP-fair rate; send.Stats(), recv.Stats()
-//	// snapshot rate, p, RTT and the packet and reject counters.
+//	// snapshot rate, p, RTT and the packet and reject counters. Reading
+//	// them never changes the flow: only arrivals and the receiver's own
+//	// reports write its loss history.
 package tfrc

@@ -10,27 +10,49 @@ import (
 // arbitrary (possibly duplicated, reordered, gap-ridden) arrival
 // sequences and checks the invariants that must hold regardless:
 // no panic, p ∈ [0, 1], and a well-formed report whenever data flowed.
+// A twin receiver fed the same arrivals is read after every one of them
+// (P and the history's average): its reports must be bit-equal to those
+// of the receiver nobody reads.
 func TestReceiverArbitraryArrivalsInvariant(t *testing.T) {
+	sameReport := func(a, b Report, aok, bok bool) bool {
+		return aok == bok && math.Float64bits(a.P) == math.Float64bits(b.P) &&
+			math.Float64bits(a.XRecv) == math.Float64bits(b.XRecv) && a.EchoSeq == b.EchoSeq &&
+			a.EchoSendTime == b.EchoSendTime && a.EchoDelay == b.EchoDelay
+	}
 	f := func(seqs []uint16, rttMs uint8) bool {
 		r := NewReceiver(ReceiverConfig{PacketSize: 1000})
+		twin := NewReceiver(ReceiverConfig{PacketSize: 1000})
 		rtt := float64(rttMs%200+1) / 1000
 		now := 0.0
-		for _, sq := range seqs {
-			r.OnData(now, DataPacket{
+		for i, sq := range seqs {
+			pkt := DataPacket{
 				Seq:       int64(sq % 2000),
 				Size:      1000,
 				SendTime:  now - rtt/2,
 				SenderRTT: rtt,
-			})
+			}
+			r.OnData(now, pkt)
+			twin.OnData(now, pkt)
 			now += 0.001
-			p := r.P()
+			p := twin.P()
 			if p < 0 || p > 1 || math.IsNaN(p) {
 				return false
+			}
+			if avg := twin.History().AvgInterval(); avg < 0 || math.IsNaN(avg) {
+				return false
+			}
+			if i%16 == 15 && i+1 < len(seqs) {
+				rep, ok := r.MakeReport(now)
+				trep, tok := twin.MakeReport(now)
+				if !sameReport(rep, trep, ok, tok) {
+					return false
+				}
 			}
 		}
 		if len(seqs) > 0 {
 			rep, ok := r.MakeReport(now)
-			if !ok {
+			trep, tok := twin.MakeReport(now)
+			if !ok || !sameReport(rep, trep, ok, tok) {
 				return false
 			}
 			if rep.XRecv <= 0 || math.IsNaN(rep.XRecv) || math.IsInf(rep.XRecv, 0) {

@@ -56,15 +56,17 @@ func TestIncreaseRateBoundDynamics(t *testing.T) {
 		{"no discounting", false, 0.121, 0.11},
 		{"with discounting", true, 0.28, 0.15},
 	} {
+		// One report per RTT: the rate follows the reported p, and each
+		// report is the discount trigger of the next.
 		h := NewLossHistory(LossHistoryConfig{N: 8, Discounting: tc.discount})
 		fill(h, 100, 100, 100, 100, 100, 100, 100, 100)
 		open := 0.0
-		prevRate := 1.2 * math.Sqrt(h.AvgInterval())
+		prevRate := 1.2 * math.Sqrt(1/h.Report())
 		peak := 0.0
 		for rtt := 0; rtt < 2000; rtt++ {
 			open += prevRate // 1.2√Â packets arrive per RTT
 			h.SetOpen(open)
-			rate := 1.2 * math.Sqrt(h.AvgInterval())
+			rate := 1.2 * math.Sqrt(1/h.Report())
 			inc := rate - prevRate
 			if inc > tc.upper {
 				t.Fatalf("%s: increase %v pkts/RTT at rtt %d exceeds %v",

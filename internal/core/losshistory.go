@@ -38,10 +38,8 @@ type LossHistory struct {
 	closed  []float64 // closed[0] = s_1 most recent … at most N entries
 	df      []float64 // per-closed-interval accumulated discount factors
 	open    float64   // s₀
-	dfCur   float64   // discount factor currently applied to history
-	lastAvg float64   // previous AvgInterval result, the discount trigger
-
-	scratch []float64 // Intervals snapshot buffer, reused across calls
+	dfCur   float64   // discount factor applied at the last Report
+	lastAvg float64   // average interval at the last Report, the discount trigger
 }
 
 // Weights returns the paper's weight sequence for n intervals: 1 for the
@@ -109,7 +107,6 @@ func (h *LossHistory) Init(cfg LossHistoryConfig) {
 		closed:  closed,
 		df:      df,
 		dfCur:   1,
-		scratch: h.scratch[:0],
 	}
 }
 
@@ -142,7 +139,7 @@ func (h *LossHistory) OnLossEvent(intervalLen float64) {
 	if intervalLen < 1 {
 		intervalLen = 1
 	}
-	// Fold the current discount into history before shifting.
+	// Fold the last report's discount into history before shifting.
 	if h.cfg.Discounting && h.dfCur < 1 {
 		for i := range h.df {
 			h.df[i] *= h.dfCur
@@ -175,20 +172,6 @@ func (h *LossHistory) SetOpen(pkts float64) {
 // Open returns the current open interval s₀ in packets.
 func (h *LossHistory) Open() float64 { return h.open }
 
-// Intervals returns a snapshot of the closed intervals, most recent
-// first. The slice is a history-owned scratch buffer, valid until the
-// next Intervals call on the same history: callers that need the values
-// past that must copy them. Keeping the buffer on the history removes
-// the per-call allocation this observer used to put on trace loops.
-func (h *LossHistory) Intervals() []float64 {
-	if cap(h.scratch) < len(h.closed) {
-		h.scratch = make([]float64, len(h.closed))
-	}
-	h.scratch = h.scratch[:len(h.closed)]
-	copy(h.scratch, h.closed)
-	return h.scratch
-}
-
 // avgExcluding returns ŝ computed over the closed intervals only
 // (s₁ … s_n with weights w₁ … w_n and accumulated discounts).
 func (h *LossHistory) avgExcluding() float64 {
@@ -204,11 +187,12 @@ func (h *LossHistory) avgExcluding() float64 {
 	return itot / wtot
 }
 
-// AvgInterval returns the average loss interval max(ŝ, ŝ_new) in packets,
-// or 0 when no loss has been recorded.
-func (h *LossHistory) AvgInterval() float64 {
+// average returns the average loss interval max(ŝ, ŝ_new) in packets (0
+// when no loss has been recorded) and the discount factor it applied to
+// the history. It only reads.
+func (h *LossHistory) average() (avg, dfCur float64) {
 	if len(h.closed) == 0 {
-		return 0
+		return 0, 1
 	}
 	exc := h.avgExcluding()
 
@@ -221,11 +205,11 @@ func (h *LossHistory) AvgInterval() float64 {
 	if trigger < exc {
 		trigger = exc
 	}
-	h.dfCur = 1
+	dfCur = 1
 	if h.cfg.Discounting && trigger > 0 && h.open > 2*trigger {
-		h.dfCur = 2 * trigger / h.open
-		if h.dfCur < h.cfg.DiscountThreshold {
-			h.dfCur = h.cfg.DiscountThreshold
+		dfCur = 2 * trigger / h.open
+		if dfCur < h.cfg.DiscountThreshold {
+			dfCur = h.cfg.DiscountThreshold
 		}
 	}
 
@@ -238,24 +222,44 @@ func (h *LossHistory) AvgInterval() float64 {
 		if i+1 >= len(h.weights) {
 			break
 		}
-		w := h.weights[i+1] * h.df[i] * h.dfCur
+		w := h.weights[i+1] * h.df[i] * dfCur
 		itot += s * w
 		wtot += w
 	}
 	inc := itot / wtot
 
-	avg := exc
+	avg = exc
 	if inc > avg {
 		avg = inc
 	}
-	h.lastAvg = avg
+	return avg, dfCur
+}
+
+// AvgInterval returns the average loss interval max(ŝ, ŝ_new) in packets,
+// or 0 when no loss has been recorded. It does not change the history.
+func (h *LossHistory) AvgInterval() float64 {
+	avg, _ := h.average()
 	return avg
 }
 
 // LossEventRate returns p = 1/AvgInterval, or 0 when no loss has been
-// recorded (the sender stays in slow start on p = 0).
+// recorded (the sender stays in slow start on p = 0). It does not change
+// the history.
 func (h *LossHistory) LossEventRate() float64 {
-	avg := h.AvgInterval()
+	return invert(h.AvgInterval())
+}
+
+// Report returns the loss event rate for a feedback report and makes
+// that report's average the discount trigger of every later read, with
+// its discount factor the one the next loss event folds into history.
+// The receiver calls it once per report it sends.
+func (h *LossHistory) Report() float64 {
+	avg, dfCur := h.average()
+	h.lastAvg, h.dfCur = avg, dfCur
+	return invert(avg)
+}
+
+func invert(avg float64) float64 {
 	if avg <= 0 {
 		return 0
 	}

@@ -133,7 +133,7 @@ func TestShiftDropsOldest(t *testing.T) {
 	h := NewLossHistory(LossHistoryConfig{N: 4})
 	fill(h, 10, 20, 30, 40) // closed: [40 30 20 10]
 	h.OnLossEvent(50)       // oldest (10) falls off: [50 40 30 20]
-	iv := h.Intervals()
+	iv := h.closed
 	want := []float64{50, 40, 30, 20}
 	for i := range want {
 		if iv[i] != want[i] {
@@ -237,7 +237,7 @@ func TestDiscountFoldedOnLossEvent(t *testing.T) {
 	h := NewLossHistory(DefaultLossHistory())
 	fill(h, 100, 100, 100, 100, 100, 100, 100, 100)
 	h.SetOpen(1000)
-	_ = h.AvgInterval() // trigger discounting
+	h.Report() // a report at s₀ = 1000 sets the discount the next event folds in
 	h.OnLossEvent(1000)
 	// New estimate should be much closer to 1000 than the undiscounted
 	// weighted average of [1000, 100×7] = 1000·(1/6)+100·(5/6) = 250.

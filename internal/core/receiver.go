@@ -10,9 +10,10 @@ type ReceiverConfig struct {
 	// Eq is the control equation used for seeding; nil means PFTK. It
 	// should match the sender's.
 	Eq ThroughputEq
-	// Estimator computes the loss event rate; nil means the paper's
-	// Average Loss Interval method with default configuration.
-	Estimator LossRateEstimator
+	// OnLossInterval, when set, observes every closed loss interval
+	// (packets) right after it enters the history — the Figure 18
+	// experiment logs them. Only settable in code.
+	OnLossInterval func(packets float64) `json:"-"`
 }
 
 // Report is the feedback a receiver sends at least once per round-trip
@@ -37,14 +38,14 @@ func (r Report) RTTSample(now float64) float64 {
 // from sequence gaps, aggregates losses within one round-trip time into
 // loss events, maintains the loss-interval history, measures the receive
 // rate, and builds feedback reports. The caller owns the feedback timer
-// (once per RTT, expedited on a new loss event).
+// (once per RTT, expedited on a new loss event). Reading the receiver
+// never changes it: only OnData and MakeReport do.
 type Receiver struct {
 	cfg ReceiverConfig
-	est LossRateEstimator
-	// defaultHist backs est when no estimator override is configured:
-	// embedding the paper's Average Loss Interval history by value lets a
-	// pooled receiver re-Init without reallocating its interval buffers.
-	defaultHist LossHistory
+	// hist is the paper's Average Loss Interval history, embedded by
+	// value so a pooled receiver re-Inits without reallocating its
+	// interval buffers.
+	hist LossHistory
 
 	haveData    bool
 	maxSeq      int64
@@ -71,8 +72,8 @@ func NewReceiver(cfg ReceiverConfig) *Receiver {
 
 // Init resets a receiver in place to its initial state — the
 // re-initialization path for receivers embedded by value in pooled
-// simulator agents. With no estimator override the default Average Loss
-// Interval history is rebuilt in place, reusing its buffers.
+// simulator agents. The loss history is rebuilt in place, reusing its
+// buffers.
 func (r *Receiver) Init(cfg ReceiverConfig) {
 	if cfg.PacketSize <= 0 {
 		panic("core: receiver needs a positive packet size")
@@ -80,16 +81,9 @@ func (r *Receiver) Init(cfg ReceiverConfig) {
 	if cfg.Eq == nil {
 		cfg.Eq = PFTK
 	}
-	hist := r.defaultHist
-	*r = Receiver{cfg: cfg, defaultHist: hist}
-	if cfg.Estimator != nil {
-		r.est = cfg.Estimator
-		return
-	}
-	r.defaultHist.Init(DefaultLossHistory())
-	// ALI is pointer-shaped, so this interface conversion does not
-	// allocate.
-	r.est = ALI{&r.defaultHist}
+	hist := r.hist
+	*r = Receiver{cfg: cfg, hist: hist}
+	r.hist.Init(DefaultLossHistory())
 }
 
 // DataPacket describes one arriving data packet.
@@ -142,14 +136,18 @@ func (r *Receiver) OnData(now float64, pkt DataPacket) (newLossEvent bool) {
 			r.seedHistory(now)
 			r.haveEvent = true
 		} else {
-			r.est.OnLossEvent(float64(lost - r.eventStartSeq))
+			iv := float64(lost - r.eventStartSeq)
+			r.hist.OnLossEvent(iv)
+			if r.cfg.OnLossInterval != nil {
+				r.cfg.OnLossInterval(iv)
+			}
 		}
 		r.eventStartSeq = lost
 		r.eventStartTime = lossTime
 		newLossEvent = true
 	}
 	if r.haveEvent {
-		r.est.SetOpen(float64(r.maxSeq - r.eventStartSeq))
+		r.hist.SetOpen(float64(r.maxSeq - r.eventStartSeq))
 	}
 	return newLossEvent
 }
@@ -165,11 +163,11 @@ func (r *Receiver) seedHistory(now float64) {
 		rtt = 0.1 // no estimate yet: seed against a nominal 100 ms path
 	}
 	if rate <= 0 {
-		r.est.Seed(1)
+		r.hist.Seed(1)
 		return
 	}
 	p := InverseP(r.cfg.Eq, float64(r.cfg.PacketSize), rtt, 4*rtt, rate/2)
-	r.est.Seed(1 / p)
+	r.hist.Seed(1 / p)
 }
 
 func (r *Receiver) currentXRecv(now float64) float64 {
@@ -180,10 +178,11 @@ func (r *Receiver) currentXRecv(now float64) float64 {
 }
 
 // P returns the current loss event rate estimate.
-func (r *Receiver) P() float64 { return r.est.P() }
+func (r *Receiver) P() float64 { return r.hist.LossEventRate() }
 
-// Estimator exposes the loss-rate estimator for traces and experiments.
-func (r *Receiver) Estimator() LossRateEstimator { return r.est }
+// History exposes the loss-interval history for traces and experiments.
+// Its reads do not change it; Report is the receiver's own.
+func (r *Receiver) History() *LossHistory { return &r.hist }
 
 // SenderRTT returns the sender's RTT estimate as stamped on the most
 // recent data packet — the feedback timer should be armed with this.
@@ -193,8 +192,9 @@ func (r *Receiver) SenderRTT() float64 { return r.senderRTT }
 func (r *Receiver) HaveData() bool { return r.haveData }
 
 // MakeReport builds the feedback report for local time now and starts a
-// new measurement interval. The receiver reports only if it received
-// packets since the last report; otherwise ok is false.
+// new measurement interval; the reported average becomes the history's
+// discount trigger (LossHistory.Report). The receiver reports only if it
+// received packets since the last report; otherwise ok is false.
 func (r *Receiver) MakeReport(now float64) (rep Report, ok bool) {
 	if !r.haveData || r.fbBytes == 0 {
 		return Report{}, false
@@ -205,7 +205,7 @@ func (r *Receiver) MakeReport(now float64) (rep Report, ok bool) {
 	}
 	r.lastXRecv = x
 	rep = Report{
-		P:            r.est.P(),
+		P:            r.hist.Report(),
 		XRecv:        x,
 		EchoSeq:      r.maxSeq,
 		EchoSendTime: r.maxSendTime,

@@ -96,8 +96,7 @@ func TestReceiverLossIntervalLengths(t *testing.T) {
 		seq += 99
 		seq++ // lose one
 	}
-	est := r.Estimator().(ALI)
-	ivs := est.Intervals()
+	ivs := r.History().closed
 	if len(ivs) < 8 {
 		t.Fatalf("history has %d intervals, want 8", len(ivs))
 	}
@@ -120,8 +119,7 @@ func TestReceiverSeedsOnFirstLoss(t *testing.T) {
 	dt := 0.001 // 1000 pkts/sec → X_recv = 1 MB/s
 	now := feed(r, 0, 0, 500, dt, rtt)
 	r.OnData(now, DataPacket{Seq: 501, Size: 1000, SendTime: now, SenderRTT: rtt})
-	est := r.Estimator().(ALI)
-	ivs := est.Intervals()
+	ivs := r.History().closed
 	if len(ivs) != 1 {
 		t.Fatalf("history has %d intervals after first loss, want 1 (seed)", len(ivs))
 	}
@@ -197,9 +195,8 @@ func TestReceiverOpenIntervalTracksMaxSeq(t *testing.T) {
 	r.OnData(now, DataPacket{Seq: 11, Size: 1000, SendTime: now, SenderRTT: 0.001})
 	now += 0.01
 	now = feed(r, now, 12, 50, 0.001, 0.001)
-	est := r.Estimator().(ALI)
 	// Open interval = maxSeq − eventStartSeq = 61 − 10 = 51.
-	if got := est.Open(); math.Abs(got-51) > 1e-9 {
+	if got := r.History().Open(); math.Abs(got-51) > 1e-9 {
 		t.Fatalf("open interval = %v, want 51", got)
 	}
 }

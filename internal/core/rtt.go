@@ -15,7 +15,6 @@ import "math"
 type RTTEstimator struct {
 	weight float64 // fraction of a new sample blended into the averages
 	srtt   float64
-	rttVar float64
 	sqrtM  float64 // EWMA of √sample
 	last   float64 // most recent raw sample R₀
 	init   bool
@@ -48,12 +47,10 @@ func (e *RTTEstimator) OnSample(r float64) {
 	if !e.init {
 		e.init = true
 		e.srtt = r
-		e.rttVar = r / 2
 		e.sqrtM = math.Sqrt(r)
 		return
 	}
 	q := e.weight
-	e.rttVar = (1-q)*e.rttVar + q*math.Abs(r-e.srtt)
 	e.srtt = (1-q)*e.srtt + q*r
 	e.sqrtM = (1-q)*e.sqrtM + q*math.Sqrt(r)
 }
@@ -64,9 +61,6 @@ func (e *RTTEstimator) Valid() bool { return e.init }
 // SRTT returns the smoothed round-trip time.
 func (e *RTTEstimator) SRTT() float64 { return e.srtt }
 
-// Var returns the smoothed mean deviation of the samples.
-func (e *RTTEstimator) Var() float64 { return e.rttVar }
-
 // Last returns the most recent raw sample R₀.
 func (e *RTTEstimator) Last() float64 { return e.last }
 
@@ -75,6 +69,5 @@ func (e *RTTEstimator) SqrtMean() float64 { return e.sqrtM }
 
 // RTO returns the retransmit-timeout estimate. The paper finds the simple
 // heuristic t_RTO = 4R provides fairness with TCP in practice (§3.2), so
-// that is what TFRC uses; the SRTT + 4·RTTvar alternative is available to
-// callers via SRTT and Var.
+// that is what TFRC uses.
 func (e *RTTEstimator) RTO() float64 { return 4 * e.srtt }

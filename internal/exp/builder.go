@@ -31,11 +31,12 @@ type ScenarioBuilder struct {
 	tfrcSenders []*tfrcsim.Sender
 
 	primary      *netsim.FlowMonitor
+	primaryLink  string
 	primaryBin   float64
 	primaryStart float64
 	primaryBW    float64
 	monitors     []*netsim.FlowMonitor
-	util         *netsim.UtilizationMonitor
+	util         bool // harvest Utilization off the primary monitor
 	qmon         *netsim.QueueMonitor
 }
 
@@ -79,10 +80,6 @@ func NewScenarioBuilder(t *netsim.Topology) *ScenarioBuilder {
 	}
 	return b
 }
-
-// Topology returns the underlying topology for direct access to nodes
-// and links.
-func (b *ScenarioBuilder) Topology() *netsim.Topology { return b.topo }
 
 // Network returns the underlying network.
 func (b *ScenarioBuilder) Network() *netsim.Network { return b.nw }
@@ -186,6 +183,7 @@ func (b *ScenarioBuilder) MonitorLink(link string, binWidth, start float64) *net
 	b.monitors = append(b.monitors, m)
 	if b.primary == nil {
 		b.primary = m
+		b.primaryLink = link
 		b.primaryBin = binWidth
 		b.primaryStart = start
 		b.primaryBW = l.Bandwidth()
@@ -204,14 +202,16 @@ func (b *ScenarioBuilder) MonitorQueue(link string, period, end float64) *netsim
 	return m
 }
 
-// MonitorUtilization measures the named link's delivered fraction of
-// capacity from time start. The first one feeds ScenarioResult.
-func (b *ScenarioBuilder) MonitorUtilization(link string, start float64) *netsim.UtilizationMonitor {
-	m := netsim.NewUtilizationMonitor(b.topo.LinkByName(link), start)
-	if b.util == nil {
-		b.util = m
+// MonitorUtilization has ScenarioResult report the named link's
+// delivered fraction of capacity from time start, against the bandwidth
+// the link had when MonitorLink attached the primary monitor. It reads
+// the primary monitor's bytes, so it panics unless that monitor watches
+// link from start.
+func (b *ScenarioBuilder) MonitorUtilization(link string, start float64) {
+	if b.primary == nil || link != b.primaryLink || start != b.primaryStart {
+		panic("exp: MonitorUtilization(" + link + ") needs the primary monitor on that link from that start")
 	}
-	return m
+	b.util = true
 }
 
 // Release returns the scenario's simulator working memory — the
@@ -231,7 +231,6 @@ func (b *ScenarioBuilder) Release() {
 	b.topo = nil
 	b.nw = nil
 	b.primary = nil
-	b.util = nil
 	b.qmon = nil
 	clear(b.monitors)
 	b.monitors = b.monitors[:0]
@@ -269,8 +268,12 @@ func (b *ScenarioBuilder) Run(duration float64) *ScenarioResult {
 			res.TFRCSeries = append(res.TFRCSeries, take(f))
 		}
 	}
-	if b.util != nil {
-		res.Utilization = b.util.Utilization(duration)
+	if elapsed := duration - b.primaryStart; b.util && elapsed > 0 {
+		var bytes float64
+		for f := 0; f < b.nextFlow; f++ {
+			bytes += b.primary.TotalBytes(f)
+		}
+		res.Utilization = bytes * 8 / (b.primaryBW * elapsed)
 	}
 	if b.qmon != nil {
 		res.QueueMean = b.qmon.Mean()

@@ -56,6 +56,31 @@ func TestScenarioBuilderArbitraryPairs(t *testing.T) {
 	}
 }
 
+// TestMonitorUtilizationNeedsThePrimaryMonitor: utilization is read off
+// the primary monitor's bytes, so asking for any other link or start is
+// a bug the builder reports at once.
+func TestMonitorUtilizationNeedsThePrimaryMonitor(t *testing.T) {
+	topo := netsim.NewTopology(sim.NewScheduler(), nil)
+	spec := netsim.LinkSpec{Bandwidth: 4e6, Delay: 0.010, Queue: netsim.QueueDropTail, QueueLimit: 50}
+	topo.Link("r1", "r2", spec)
+	topo.Link("r2", "r3", spec)
+	b := NewScenarioBuilder(topo)
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: no panic", what)
+			}
+		}()
+		f()
+	}
+	mustPanic("no primary monitor", func() { b.MonitorUtilization("r1->r2", 5) })
+	b.MonitorLink("r1->r2", 0.5, 5)
+	mustPanic("another link", func() { b.MonitorUtilization("r2->r3", 5) })
+	mustPanic("another start", func() { b.MonitorUtilization("r1->r2", 0) })
+	b.MonitorUtilization("r1->r2", 5)
+}
+
 // TestParkingLotExperiment runs the multi-bottleneck fairness grid and
 // checks its core claims: through flows survive across 1-3 bottlenecks,
 // and TFRC's through throughput stays comparable to TCP's.

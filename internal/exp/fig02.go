@@ -5,7 +5,6 @@ import (
 	"io"
 	"math"
 
-	"tfrc/internal/core"
 	"tfrc/internal/netsim"
 	"tfrc/internal/sim"
 	"tfrc/internal/tfrcsim"
@@ -106,13 +105,12 @@ func fig02Cell(c *Cell, pr *Fig02Params) *Fig02Result {
 	res := &Fig02Result{}
 	var sample func()
 	sample = func() {
-		est, ok := rcv.Core().Estimator().(core.ALI)
-		if ok && est.HaveLoss() {
-			p := est.P()
+		if h := rcv.Core().History(); h.HaveLoss() {
+			p := h.LossEventRate()
 			res.Points = append(res.Points, Fig02Point{
 				Time:         sched.Now(),
-				CurrentS0:    est.Open(),
-				EstInterval:  est.AvgInterval(),
+				CurrentS0:    h.Open(),
+				EstInterval:  h.AvgInterval(),
 				EstLossRate:  p,
 				SqrtLossRate: sqrt(p),
 				TxRate:       snd.Rate(),

@@ -88,17 +88,6 @@ type Fig18Result struct {
 	Intervals int // total intervals evaluated
 }
 
-// recEst wraps a loss estimator, recording every closed interval.
-type recEst struct {
-	core.LossRateEstimator
-	log *[]float64
-}
-
-func (r recEst) OnLossEvent(interval float64) {
-	*r.log = append(*r.log, interval)
-	r.LossRateEstimator.OnLossEvent(interval)
-}
-
 // bernoulliDropper drops data packets at a probability switchable at
 // runtime.
 type bernoulliDropper struct {
@@ -121,7 +110,7 @@ func (d *bernoulliDropper) Recv(pk *netsim.Packet) {
 func congestedTrace(c *Cell, q netsim.QueueKind, duration float64, seed int64) []float64 {
 	var log []float64
 	cfg := tfrcsim.DefaultConfig()
-	cfg.Estimator = recEst{core.NewALI(core.DefaultLossHistory()), &log}
+	cfg.OnLossInterval = func(iv float64) { log = append(log, iv) }
 	runScenarioCell(c, Scenario{
 		NTCP:         2,
 		NTFRC:        1,
@@ -149,7 +138,7 @@ func bernoulliTrace(c *Cell, duration float64, seed int64) []float64 {
 	nw := t.Build()
 	a, b := t.Lookup("src"), t.Lookup("dst")
 	cfg := tfrcsim.DefaultConfig()
-	cfg.Estimator = recEst{core.NewALI(core.DefaultLossHistory()), &log}
+	cfg.OnLossInterval = func(iv float64) { log = append(log, iv) }
 	rcv := tfrcsim.NewReceiver(nw, b, 5, 0, cfg)
 	snd := tfrcsim.NewSender(nw, a, b.ID, 1, 2, 0, cfg)
 	drop := &bernoulliDropper{nw: nw, next: rcv, p: 0.02, rng: sched.NewRand(seed + 9)}

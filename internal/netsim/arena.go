@@ -20,7 +20,6 @@ type arena struct {
 	dumbbells sim.Slab[*Dumbbell]
 	flowMons  sim.Slab[*FlowMonitor]
 	queueMons sim.Slab[*QueueMonitor]
-	utilMons  sim.Slab[*UtilizationMonitor]
 }
 
 // ResetArena implements sim.Arena: every object ever handed out becomes
@@ -31,7 +30,6 @@ func (a *arena) ResetArena() {
 	a.dumbbells.Reset()
 	a.flowMons.Reset()
 	a.queueMons.Reset()
-	a.utilMons.Reset()
 }
 
 func arenaOf(s *sim.Scheduler) *arena {

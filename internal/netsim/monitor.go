@@ -188,15 +188,6 @@ func (m *FlowMonitor) SeriesInto(dst []float64, flow int) []float64 {
 	return dst
 }
 
-// Rate returns the flow's series converted to bytes/sec, padded to nbins.
-func (m *FlowMonitor) Rate(flow, nbins int) []float64 {
-	out := m.Series(flow, nbins)
-	for i := range out {
-		out[i] /= m.binWidth
-	}
-	return out
-}
-
 // TotalBytes returns all bytes the flow moved through the link since
 // start.
 func (m *FlowMonitor) TotalBytes(flow int) float64 {
@@ -208,14 +199,6 @@ func (m *FlowMonitor) TotalBytes(flow int) float64 {
 		sum += b
 	}
 	return sum
-}
-
-// Drops returns the number of packets of a flow dropped at the link.
-func (m *FlowMonitor) Drops(flow int) int {
-	if flow >= m.nflows {
-		return 0
-	}
-	return int(m.drops[flow])
 }
 
 // Stats aggregates arrivals, departures, and drops across all flows.
@@ -308,45 +291,4 @@ func (m *QueueMonitor) Max() int {
 		}
 	}
 	return max
-}
-
-// UtilizationMonitor measures the fraction of link capacity used from
-// start on. With a time-varying link the
-// reference capacity is the bandwidth at attach time.
-type UtilizationMonitor struct {
-	bw    float64
-	start float64
-	bytes float64
-	tap   Tap // prebuilt once, kept across arena reuse
-}
-
-// NewUtilizationMonitor attaches a utilization tap to the link, counting
-// departures from time start onward. The monitor is drawn from the
-// owning scheduler's arena and recycled across scenarios.
-func NewUtilizationMonitor(l *Link, start float64) *UtilizationMonitor {
-	m := sim.Next(&arenaOf(l.net.sched).utilMons)
-	m.bw = l.Bandwidth()
-	m.start = start
-	m.bytes = 0
-	if m.tap == nil {
-		m.tap = m.observe
-	}
-	l.AddTap(m.tap)
-	return m
-}
-
-func (m *UtilizationMonitor) observe(ev TapEvent, now float64, p *Packet) {
-	if ev == TapDepart && now >= m.start {
-		m.bytes += float64(p.Size)
-	}
-}
-
-// Utilization returns delivered bits over capacity·elapsed, measured up to
-// time end.
-func (m *UtilizationMonitor) Utilization(end float64) float64 {
-	elapsed := end - m.start
-	if elapsed <= 0 {
-		return 0
-	}
-	return m.bytes * 8 / (m.bw * elapsed)
 }

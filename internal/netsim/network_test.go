@@ -232,7 +232,8 @@ func TestQueueMonitorSamples(t *testing.T) {
 
 func TestUtilizationMonitor(t *testing.T) {
 	sched, nw, a, b, _ := twoNodeNet(t, 8e6, 0.001, 100)
-	um := NewUtilizationMonitor(a.LinkTo(b), 0)
+	mon := NewFlowMonitor(1, 0)
+	a.LinkTo(b).AddTap(mon.Tap())
 	// Saturate for 1 second: one 1000-byte packet per 1 ms serialization
 	// slot = exactly 8 Mb delivered.
 	for i := 0; i < 1000; i++ {
@@ -244,7 +245,7 @@ func TestUtilizationMonitor(t *testing.T) {
 		})
 	}
 	sched.Run()
-	if u := um.Utilization(1.0); math.Abs(u-1.0) > 1e-9 {
+	if u := mon.TotalBytes(0) * 8 / 8e6; math.Abs(u-1.0) > 1e-9 {
 		t.Fatalf("utilization %v, want 1.0", u)
 	}
 }

@@ -128,6 +128,3 @@ func (q *DropTail) Len() int { return q.n }
 
 // Bytes implements Queue.
 func (q *DropTail) Bytes() int { return q.bytes }
-
-// Limit returns the configured packet limit.
-func (q *DropTail) Limit() int { return q.limit }

@@ -67,9 +67,6 @@ func (s *Scheduler) Wheel(tick float64) *Wheel {
 	return w
 }
 
-// Tick returns the wheel's tick granularity in seconds.
-func (w *Wheel) Tick() float64 { return w.tick }
-
 // reset scrubs all bucket entries (they reference Timers inside agent
 // graphs) while keeping grown backing storage.
 func (w *Wheel) reset() {

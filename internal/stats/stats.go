@@ -46,21 +46,6 @@ func CoV(xs []float64) float64 {
 	return StdDev(xs) / m
 }
 
-// Median returns the middle value (average of the two middles for even
-// lengths).
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	n := len(s)
-	if n%2 == 1 {
-		return s[n/2]
-	}
-	return (s[n/2-1] + s[n/2]) / 2
-}
-
 // Percentiles returns the q-quantiles (each in [0, 1]) of xs by linear
 // interpolation between order statistics. xs is sorted in place — at a
 // million samples the caller keeps ownership rather than paying for a
@@ -177,20 +162,4 @@ func MeanCI90(xs []float64) (mean, halfWidth float64) {
 		t = t90[df-1]
 	}
 	return mean, t * s / math.Sqrt(float64(n))
-}
-
-// Timescales returns the bin-multiplier ladder used by the timescale
-// plots: given a base bin width, it yields the multipliers whose products
-// with base approximate the requested absolute timescales, skipping
-// non-integer multiples.
-func Timescales(base float64, want []float64) (mult []int, actual []float64) {
-	for _, w := range want {
-		k := int(math.Round(w / base))
-		if k < 1 {
-			continue
-		}
-		mult = append(mult, k)
-		actual = append(actual, float64(k)*base)
-	}
-	return mult, actual
 }

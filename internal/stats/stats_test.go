@@ -33,15 +33,6 @@ func TestCoV(t *testing.T) {
 	}
 }
 
-func TestMedian(t *testing.T) {
-	if m := Median([]float64{5, 1, 3}); m != 3 {
-		t.Fatalf("odd median = %v", m)
-	}
-	if m := Median([]float64{4, 1, 3, 2}); m != 2.5 {
-		t.Fatalf("even median = %v", m)
-	}
-}
-
 func TestRebin(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5, 6, 7}
 	got := Rebin(xs, 2)
@@ -143,19 +134,5 @@ func TestMeanCI90(t *testing.T) {
 	}
 	if _, hw := MeanCI90([]float64{5}); hw != 0 {
 		t.Fatal("singleton CI not 0")
-	}
-}
-
-func TestTimescales(t *testing.T) {
-	// 0.05 rounds to k = 0 and is skipped.
-	mult, actual := Timescales(0.15, []float64{0.15, 0.3, 1.5, 0.05})
-	if len(mult) != 3 {
-		t.Fatalf("mult = %v, want 3 entries", mult)
-	}
-	if mult[0] != 1 || mult[1] != 2 || mult[2] != 10 {
-		t.Fatalf("mult = %v", mult)
-	}
-	if !almostEq(actual[2], 1.5, 1e-12) {
-		t.Fatalf("actual = %v", actual)
 	}
 }

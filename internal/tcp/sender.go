@@ -165,12 +165,6 @@ func (s *Sender) Stop() {
 // infinite backlog.
 func (s *Sender) Limit() int64 { return s.limit }
 
-// Cwnd returns the congestion window in packets.
-func (s *Sender) Cwnd() float64 { return s.ccs.Cwnd }
-
-// SRTT returns the smoothed RTT estimate (0 before the first sample).
-func (s *Sender) SRTT() float64 { return s.srtt }
-
 // RTO returns the current retransmit timeout including clock rounding.
 func (s *Sender) RTO() float64 { return s.rto() }
 

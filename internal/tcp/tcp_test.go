@@ -58,10 +58,11 @@ func TestUtilizationUnderTightQueue(t *testing.T) {
 	for _, v := range []Variant{Reno, NewReno, Sack} {
 		t.Run(v.String(), func(t *testing.T) {
 			r := newRig(t, Config{Variant: v}, 2e6, 0.020, 10)
-			um := netsim.NewUtilizationMonitor(r.lnk, 5)
+			mon := netsim.NewFlowMonitor(1, 5)
+			r.lnk.AddTap(mon.Tap())
 			r.sender.Start(0)
 			r.sched.RunUntil(60)
-			if u := um.Utilization(60); u < 0.70 {
+			if u := mon.TotalBytes(1) * 8 / (2e6 * 55); u < 0.70 {
 				t.Fatalf("utilization = %v, want ≥ 0.70", u)
 			}
 			if r.sender.Rtx == 0 {

@@ -16,10 +16,10 @@ import (
 type Config struct {
 	// Sender configures the rate-control state machine.
 	Sender core.SenderConfig
-	// Estimator overrides the receiver's loss-rate estimator (nil: the
-	// paper's Average Loss Interval method). Only settable in code;
-	// serialized configs always mean the default.
-	Estimator core.LossRateEstimator `json:"-"`
+	// OnLossInterval, when set, observes every loss interval (packets)
+	// the receiver closes; see core.ReceiverConfig. Only settable in
+	// code: serialized configs never carry it.
+	OnLossInterval func(packets float64) `json:"-"`
 	// PacingJitter perturbs each inter-packet gap by a uniform factor
 	// in [1-j, 1+j], breaking simulator phase effects at DropTail
 	// queues (the real-world role the paper ascribes to small queueing
@@ -247,9 +247,9 @@ func NewReceiver(nw *netsim.Network, node *netsim.Node, port, flow int, cfg Conf
 	}
 	r.core = saved
 	r.core.Init(core.ReceiverConfig{
-		PacketSize: pktSize,
-		Eq:         cfg.Sender.Eq,
-		Estimator:  cfg.Estimator,
+		PacketSize:     pktSize,
+		Eq:             cfg.Sender.Eq,
+		OnLossInterval: cfg.OnLossInterval,
 	})
 	r.fbTmr.InitArg(nw.Scheduler(), receiverFeedbackFn, r)
 	if cfg.CoarseTimerTick > 0 {
@@ -262,7 +262,8 @@ func NewReceiver(nw *netsim.Network, node *netsim.Node, port, flow int, cfg Conf
 // Core exposes the receiver state machine for traces and tests.
 func (r *Receiver) Core() *core.Receiver { return &r.core }
 
-// P returns the receiver's current loss event rate estimate.
+// P returns the receiver's current loss event rate estimate. Reading it
+// does not change the receiver.
 func (r *Receiver) P() float64 { return r.core.P() }
 
 // Recv handles one data packet.

@@ -25,10 +25,11 @@ func TestTFRCFillsCleanPipe(t *testing.T) {
 	// 2 Mb/s, 20 ms: with a generous queue there is almost no loss, so
 	// TFRC should settle near link speed.
 	sched, _, snd, _, lnk := pipeRig(t, 2e6, 0.020, 200, DefaultConfig())
-	um := netsim.NewUtilizationMonitor(lnk, 20)
+	mon := netsim.NewFlowMonitor(1, 20)
+	lnk.AddTap(mon.Tap())
 	snd.Start(0)
 	sched.RunUntil(60)
-	if u := um.Utilization(60); u < 0.80 {
+	if u := mon.TotalBytes(0) * 8 / (2e6 * 40); u < 0.80 {
 		t.Fatalf("utilization = %v, want ≥ 0.80", u)
 	}
 	if snd.Feedbacks == 0 {
@@ -225,10 +226,11 @@ func TestCoarseTimersStillConverge(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.CoarseTimerTick = 0.010
 	sched, _, snd, rcv, lnk := pipeRig(t, 2e6, 0.020, 200, cfg)
-	um := netsim.NewUtilizationMonitor(lnk, 20)
+	mon := netsim.NewFlowMonitor(1, 20)
+	lnk.AddTap(mon.Tap())
 	snd.Start(0)
 	sched.RunUntil(60)
-	if u := um.Utilization(60); u < 0.80 {
+	if u := mon.TotalBytes(0) * 8 / (2e6 * 40); u < 0.80 {
 		t.Fatalf("utilization with coarse timers = %v, want ≥ 0.80", u)
 	}
 	if snd.Feedbacks == 0 || rcv.Reports == 0 {

@@ -367,7 +367,8 @@ func (r *Receiver) Stop() {
 	}
 }
 
-// Stats returns a snapshot of the receiver's state and counters.
+// Stats returns a snapshot of the receiver's state and counters. Taking
+// one does not change the receiver.
 func (r *Receiver) Stats() ReceiverStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -77,10 +77,10 @@ type (
 	// QueueSample is one queue-occupancy observation.
 	QueueSample = netsim.QueueSample
 	// FlowMonitor bins per-flow bytes at a link; QueueMonitor samples
-	// queue occupancy; UtilizationMonitor measures delivered capacity.
-	FlowMonitor        = netsim.FlowMonitor
-	QueueMonitor       = netsim.QueueMonitor
-	UtilizationMonitor = netsim.UtilizationMonitor
+	// queue occupancy. Builder.MonitorUtilization reads delivered
+	// capacity off the primary FlowMonitor.
+	FlowMonitor  = netsim.FlowMonitor
+	QueueMonitor = netsim.QueueMonitor
 
 	// Dumbbell and ParkingLot are the built preset topologies, with
 	// their configs.

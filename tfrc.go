@@ -32,8 +32,6 @@ type (
 	LossHistoryConfig = core.LossHistoryConfig
 	// LossHistory is the paper's Average Loss Interval estimator.
 	LossHistory = core.LossHistory
-	// LossRateEstimator abstracts loss-event-rate estimation.
-	LossRateEstimator = core.LossRateEstimator
 	// RTTEstimator smooths RTT samples and maintains the √RTT average
 	// used by the inter-packet-spacing adjustment.
 	RTTEstimator = core.RTTEstimator
