@@ -190,23 +190,30 @@ func TestWarmCellAllocatesNothingNew(t *testing.T) {
 // What the footprint cell allocates on a fresh scheduler in a fresh
 // process (`go test -run TestColdCell`; after another test has interned
 // the topology's names it reads 82 allocations and 9.9 KB lower on both
-// sides), go1.24, amd64:
+// sides, which is why CI also runs it in a process of its own), go1.24,
+// amd64:
 //
 //	PR 14, eager scoreboards and limit-sized rings   1.95 MB
-//	parent commit, demand-sized storage              549 allocs, 310 592 B
-//	this commit                                      355 allocs, 245 208 B
+//	demand-sized storage                             549 allocs, 310 592 B
+//	finished senders back in the arena               355 allocs, 245 208 B
+//	parent commit                                    362 allocs, 257 528 B
+//	this commit                                      299 allocs, 259 696 B
 //
-// The parent held a sender for every session its 64 port slots had seen
-// and gave every sink a range set at its first packet; now a finished
-// sender is back in the arena before the next session starts, a sink
-// that sees no hole owns no set, and the per-node tables and queue rings
-// are cut from a few chunks per network. What is left is mostly the
-// jitter generators' math/rand sources and the packet pool. The budgets
-// are the measured cell plus 15 %; the parent commit is over both.
+// Demand-sized storage held a sender for every session its 64 port slots
+// had seen and gave every sink a range set at its first packet; since
+// then a finished sender is back in the arena before the next session
+// starts, a sink that sees no hole owns no set, and the per-node tables
+// and queue rings are cut from a few chunks per network. This commit
+// cuts the range sets from the TCP arena's carver too, keeps the
+// scheduler's generators by value in its slab, and backs a monitor's
+// three counter columns with one block. What is left is mostly the
+// generators' math/rand sources and the packet pool. The budgets are the
+// measured cell plus 15 %; the parent commit is over the allocation
+// budget.
 const (
-	parentColdMallocs = 549
-	parentColdBytes   = 310592
-	coldCellMallocs   = 408
+	parentColdMallocs = 362
+	parentColdBytes   = 257528
+	coldCellMallocs   = 344
 	coldCellBudget    = 282000
 )
 

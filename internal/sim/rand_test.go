@@ -55,6 +55,28 @@ func TestSchedulerRandRecycledDeterminism(t *testing.T) {
 	s3.Release()
 }
 
+// TestNewRandAllocatesOnlyItsSource pins what a generator costs a cold
+// cell: its math/rand source and nothing else. The Rand itself lives in
+// the scheduler's slab, so once the first chunk is spent (and the second
+// cut) every NewRand on a scheduler nothing has used before is exactly
+// one allocation.
+func TestNewRandAllocatesOnlyItsSource(t *testing.T) {
+	s := new(Scheduler)
+	s.Reset()
+	for i := range slabFirstChunk + 1 {
+		s.NewRand(int64(i))
+	}
+	seed := int64(slabFirstChunk + 1)
+	// One warm-up call plus the runs all fall in the second chunk.
+	per := testing.AllocsPerRun(slabFirstChunk, func() {
+		s.NewRand(seed)
+		seed++
+	})
+	if per != 1 {
+		t.Errorf("a fresh scheduler's NewRand allocated %v times, want 1 (the source)", per)
+	}
+}
+
 // TestSchedulerRandDistinctStreams checks that one scheduler hands out
 // independent generators, in order, rather than aliasing one source.
 func TestSchedulerRandDistinctStreams(t *testing.T) {
