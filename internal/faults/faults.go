@@ -68,6 +68,16 @@ type Fault struct {
 	Corrupt      float64 `json:"corrupt,omitempty"`
 }
 
+// A fault's durations are at most maxSeconds and its rates at least
+// minBandwidth, so the times a link computes from them (an arrival at
+// now + delay + reorder delay, a transmitter free at now + size/rate)
+// stay finite: a 5e-324 b/s rate or two 1e308 s delays would put an
+// event at +Inf mid-run. Neither bound is near a scenario's scale.
+const (
+	maxSeconds   = 1e9  // about 32 years
+	minBandwidth = 1e-6 // bits/sec
+)
+
 // Validate checks one fault in isolation. Every bound is written so
 // that NaN fails it (NaN compares false), and ±Inf fails too.
 func (f *Fault) Validate() error {
@@ -80,12 +90,12 @@ func (f *Fault) Validate() error {
 	switch f.Kind {
 	case LinkDown, LinkUp, Blackhole, BlackholeOff:
 	case DelaySpike:
-		if !(f.Delay >= 0 && f.Delay <= math.MaxFloat64) {
-			return fmt.Errorf("fault at %v on %s: delay must be finite and non-negative, got %v", f.At, f.Link, f.Delay)
+		if !(f.Delay >= 0 && f.Delay <= maxSeconds) {
+			return fmt.Errorf("fault at %v on %s: delay must be in [0, %g] s, got %v", f.At, f.Link, float64(maxSeconds), f.Delay)
 		}
 	case BandwidthCollapse:
-		if !(f.Bandwidth > 0 && f.Bandwidth <= math.MaxFloat64) {
-			return fmt.Errorf("fault at %v on %s: bandwidth must be finite and positive, got %v", f.At, f.Link, f.Bandwidth)
+		if !(f.Bandwidth >= minBandwidth && f.Bandwidth <= math.MaxFloat64) {
+			return fmt.Errorf("fault at %v on %s: bandwidth must be finite and at least %g b/s, got %v", f.At, f.Link, float64(minBandwidth), f.Bandwidth)
 		}
 	case Impair:
 		for _, p := range [...]float64{f.Reorder, f.Duplicate, f.Corrupt} {
@@ -93,8 +103,8 @@ func (f *Fault) Validate() error {
 				return fmt.Errorf("fault at %v on %s: impair probabilities must be in [0, 1]", f.At, f.Link)
 			}
 		}
-		if !(f.ReorderDelay >= 0 && f.ReorderDelay <= math.MaxFloat64) {
-			return fmt.Errorf("fault at %v on %s: reorderDelay must be finite and non-negative", f.At, f.Link)
+		if !(f.ReorderDelay >= 0 && f.ReorderDelay <= maxSeconds) {
+			return fmt.Errorf("fault at %v on %s: reorderDelay must be in [0, %g] s", f.At, f.Link, float64(maxSeconds))
 		}
 	default:
 		return fmt.Errorf("fault at %v on %s: unknown kind %q", f.At, f.Link, f.Kind)
@@ -148,8 +158,8 @@ const seedMix = 0x5fe41c6b
 
 // Apply validates the schedule and compiles it onto a topology: every
 // fault becomes a simulation event on the topology's scheduler. An
-// invalid fault panics here naming its index, and a misspelled link
-// (resolved through Topology.LinkByName) naming the link, never
+// invalid fault or a misspelled link (resolved through
+// Topology.LinkByName) panics here naming the fault's index, never
 // mid-run. Probabilistic impairments share one scheduler-owned
 // generator seeded from Schedule.Seed.
 func (s *Schedule) Apply(t *netsim.Topology) {
@@ -168,7 +178,7 @@ func (s *Schedule) Apply(t *netsim.Topology) {
 	reroute := s.Reroute
 	for i := range s.Faults {
 		f := s.Faults[i] // copied so the closure does not pin the schedule
-		l := t.LinkByName(f.Link)
+		l := linkOf(t, i, f.Link)
 		switch f.Kind {
 		case LinkDown:
 			mode := netsim.DownDrop
@@ -207,6 +217,17 @@ func (s *Schedule) Apply(t *netsim.Topology) {
 			})
 		}
 	}
+}
+
+// linkOf resolves faults[i]'s link, re-raising LinkByName's panic with
+// the fault's index in front.
+func linkOf(t *netsim.Topology, i int, name string) *netsim.Link {
+	defer func() {
+		if r := recover(); r != nil {
+			panic(fmt.Sprintf("faults: faults[%d]: %v", i, r))
+		}
+	}()
+	return t.LinkByName(name)
 }
 
 // Blackout returns a schedule that blackholes the named link for

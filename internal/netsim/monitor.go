@@ -81,15 +81,14 @@ func (m *FlowMonitor) growFlows(n int) {
 		m.stride = 1
 	}
 	if n > cap(m.arrivals) {
-		arr := make([]int32, n)
+		// The three counter columns share one block, each clipped to
+		// its own n so the next growth still starts here.
+		cols := make([]int32, 3*n)
+		arr, dep, dr := cols[:n:n], cols[n:2*n:2*n], cols[2*n:]
 		copy(arr, m.arrivals[:m.nflows])
-		m.arrivals = arr
-		dep := make([]int32, n)
 		copy(dep, m.departs[:m.nflows])
-		m.departs = dep
-		dr := make([]int32, n)
 		copy(dr, m.drops[:m.nflows])
-		m.drops = dr
+		m.arrivals, m.departs, m.drops = arr, dep, dr
 	} else {
 		m.arrivals = m.arrivals[:n]
 		m.departs = m.departs[:n]

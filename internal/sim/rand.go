@@ -9,12 +9,12 @@ import (
 // Every experiment owns its Rand (or several, one per traffic source) so
 // that adding a source never perturbs the variates drawn by another.
 type Rand struct {
-	*rand.Rand
+	rand.Rand
 }
 
 // NewRand returns a deterministic source seeded with seed.
 func NewRand(seed int64) *Rand {
-	return &Rand{rand.New(rand.NewSource(seed))}
+	return &Rand{*rand.New(rand.NewSource(seed))}
 }
 
 // NewRand returns a deterministic source seeded with seed whose storage
@@ -23,11 +23,12 @@ func NewRand(seed int64) *Rand {
 // Re-seeding fully resets the underlying source, so a recycled generator
 // produces exactly the stream a fresh NewRand(seed) would — scenario
 // cells stay deterministic while the (large) source state stops being
-// reallocated per cell.
+// reallocated per cell. The generator lives in the scheduler's slab, so
+// a fresh one costs only its source.
 func (s *Scheduler) NewRand(seed int64) *Rand {
-	r := Next(&s.rands)
-	if r.Rand == nil {
-		r.Rand = rand.New(rand.NewSource(seed))
+	r := s.rands.Get()
+	if r.Rand == (rand.Rand{}) {
+		r.Rand = *rand.New(rand.NewSource(seed))
 	} else {
 		r.Seed(seed)
 	}

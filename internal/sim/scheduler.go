@@ -88,7 +88,7 @@ type Scheduler struct {
 	stopped bool
 	pinned  bool // owned by a worker context: Release is a no-op
 
-	rands Slab[*Rand] //tfrc:keep generators handed out by NewRand, re-seeded and reissued on reuse
+	rands Slab[Rand] //tfrc:keep generators handed out by NewRand, re-seeded and reissued on reuse
 
 	wheels []*Wheel //tfrc:keep coarse timer wheels keyed by tick, scrubbed on Reset/Release
 

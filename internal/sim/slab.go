@@ -14,13 +14,15 @@ const (
 // of a handed-out value stays valid for the slab's lifetime — which is
 // what lets agents, controllers, nodes, links, queues and packets live
 // as values in slabs instead of as individually heap-allocated structs.
-// What a scenario has one or a few of — the scheduler's random sources,
-// netsim's network, topology, dumbbell and monitors, traffic's
-// generators, exp's scenario builder — sits in a Slab of pointers read
-// through Next, so a cold cell pays per object. Get hands out free-list
-// returns first, then bumps through the chunks; Reset makes everything
-// available again in the original order, so a slot's grown backing (a
-// scoreboard, a queue ring) meets the same tenant in the next cell.
+// The scheduler's random generators are values in a slab too, so a
+// fresh one costs only its math/rand source. What a scenario has one or
+// a few of — netsim's network, topology, dumbbell and monitors,
+// traffic's generators, exp's scenario builder — sits in a Slab of
+// pointers read through Next, so a cold cell pays per object. Get hands
+// out free-list returns first, then bumps through the chunks; Reset
+// makes everything available again in the original order, so a slot's
+// grown backing (a scoreboard, a queue ring) meets the same tenant in
+// the next cell.
 // Values come back as their last user left them: the caller resets what
 // it needs and keeps the capacity it wants.
 type Slab[T any] struct {
@@ -103,12 +105,12 @@ const (
 
 // Carver is the slab's sibling for slices: it batches the many small
 // ones a scenario is built from — netsim's per-node link and port tables
-// and queue rings — into a few chunks, where growing each by append from
-// nil costs a cold cell an allocation per tenant per doubling. A segment
-// belongs to whoever took it for good: a slab slot keeps the segments it
-// took across reuse like any other backing it grew, so a carver has no
-// reset and nothing comes back. The nil Carver allocates every request on
-// its own.
+// and queue rings, tcp's range sets — into a few chunks, where growing
+// each by append from nil costs a cold cell an allocation per tenant per
+// doubling. A segment belongs to whoever took it for good: a slab slot
+// keeps the segments it took across reuse like any other backing it
+// grew, so a carver has no reset and nothing comes back. The nil Carver
+// allocates every request on its own.
 type Carver[T any] struct {
 	rest  []T // uncut remainder of the newest chunk
 	chunk int // its size

@@ -6,6 +6,8 @@
 // FreeBSD-like) and aggressive (Solaris-like) retransmit timers.
 package tcp
 
+import "tfrc/internal/sim"
+
 // rangeSet is an ordered set of disjoint half-open int64 intervals,
 // used for the sink's received-sequence record and the sender's
 // SACK scoreboard.
@@ -32,14 +34,17 @@ func (s *rangeSet) searchEndAtLeast(v int64) int {
 }
 
 // minRanges is the capacity a set's first growth reaches: a flow that
-// sees one hole pays one 128-byte allocation, not append-from-nil's
-// three, and a flow that sees none pays nothing.
+// sees one hole takes one 128-byte segment from its arena's carver, not
+// append-from-nil's three allocations, and a flow that sees none takes
+// nothing.
 const minRanges = 8
 
 // add inserts [start, end), merging overlapping and adjacent ranges.
 // The merge is done in place: the backing array is reused, so
-// steady-state adds on the ACK path allocate nothing.
-func (s *rangeSet) add(start, end int64) {
+// steady-state adds on the ACK path allocate nothing. A set that must
+// grow takes its new backing from mem, so the scoreboards of a cold
+// cell share a few chunks instead of allocating one each.
+func (s *rangeSet) add(mem *sim.Carver[srange], start, end int64) {
 	if start >= end {
 		return
 	}
@@ -56,10 +61,8 @@ func (s *rangeSet) add(start, end int64) {
 	}
 	if i == j {
 		// Pure insertion: shift the tail up one slot.
-		if cap(s.r) == 0 {
-			s.r = make([]srange, 0, minRanges)
-		}
-		s.r = append(s.r, srange{})
+		s.r = mem.Reserve(s.r, max(len(s.r)+1, minRanges))
+		s.r = s.r[:len(s.r)+1]
 		copy(s.r[i+1:], s.r[i:])
 		s.r[i] = srange{start, end}
 		return

@@ -69,11 +69,11 @@ type Sender struct {
 // NewSender creates a sender on node, addressing the sink at dst:dstPort.
 // ACKs must be routed back to srcPort on node (Attach does this). flow
 // tags all packets for monitors. The sender struct is drawn from the
-// scheduler's agent arena. Its SACK scoreboard starts empty and is
-// allocated by the first hole the sender sees; whatever it grows to
-// stays with the arena slot, so sweep cells and short-session
-// generators construct senders without touching the allocator once the
-// arena is warm.
+// scheduler's agent arena. Its SACK scoreboard starts empty and takes
+// its backing from the arena's range carver at the first hole the
+// sender sees; whatever it grows to stays with the arena slot, so sweep
+// cells and short-session generators construct senders without touching
+// the allocator once the arena is warm.
 func NewSender(nw *netsim.Network, node *netsim.Node, dst netsim.NodeID, dstPort, srcPort, flow int, cfg Config) *Sender {
 	cfg.fill()
 	s := arenaOf(nw.Scheduler()).senders.Get()
@@ -183,8 +183,11 @@ func (s *Sender) Recv(p *netsim.Packet) {
 		return
 	}
 	ack := p.Ack
-	for i := 0; i < p.NumSack; i++ {
-		s.sacked.add(p.Sack[i].Start, p.Sack[i].End)
+	if p.NumSack > 0 {
+		mem := &arenaOf(s.net.Scheduler()).ranges
+		for i := 0; i < p.NumSack; i++ {
+			s.sacked.add(mem, p.Sack[i].Start, p.Sack[i].End)
+		}
 	}
 	if p.EchoTime > 0 {
 		s.sampleRTT(s.net.Now() - p.EchoTime)
@@ -388,7 +391,7 @@ func (s *Sender) resetTimer() {
 
 func (s *Sender) retransmit(seq int64) {
 	s.ctrl.OnLostSegment(&s.ccs) // per-segment loss charge (Relentless)
-	s.rtxed.add(seq, seq+1)
+	s.rtxed.add(&arenaOf(s.net.Scheduler()).ranges, seq, seq+1)
 	s.emit(seq, true)
 }
 

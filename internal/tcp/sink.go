@@ -25,8 +25,9 @@ type Sink struct {
 // NewSink attaches a sink to node:port. ACKs carry the given flow id (the
 // data flow's id, so monitors can pair them). Like senders, sinks are
 // drawn from the scheduler's agent arena. In-order data never touches the
-// received-range set: it is allocated by the first arrival ahead of a
-// hole, and its backing then stays with the arena slot across reuse.
+// received-range set: the first arrival ahead of a hole cuts its backing
+// from the arena's range carver, and the backing then stays with the
+// arena slot across reuse.
 func NewSink(nw *netsim.Network, node *netsim.Node, port, flow, ackSize int) *Sink {
 	if ackSize == 0 {
 		ackSize = 40
@@ -70,7 +71,7 @@ func (s *Sink) Recv(p *netsim.Packet) {
 		s.next++
 		s.Delivered++
 	} else if p.Seq >= s.next && !s.received.contains(p.Seq) {
-		s.received.add(p.Seq, p.Seq+1)
+		s.received.add(&arenaOf(s.net.Scheduler()).ranges, p.Seq, p.Seq+1)
 		if p.Seq == s.next {
 			old := s.next
 			s.next = s.received.firstGapAtOrAfter(s.next)
