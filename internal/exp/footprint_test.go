@@ -230,3 +230,33 @@ func TestColdCellStaysUnderByteBudget(t *testing.T) {
 		t.Errorf("cold cell made %d allocations, over the budget of %d", mallocs, coldCellMallocs)
 	}
 }
+
+// TestGridCellAllocatesOnlyItsResult pins what a warm Figure 6 grid cell
+// costs on its worker: the two per-flow vectors its Fig06Cell keeps, and
+// nothing for the series and queue trace the cell reads and throws away.
+// The cell has the benchmark grid's shape (8 flows, 15 s, 301 queue
+// samples); the cheapest of three warm runs is judged, as in
+// TestWarmCellAllocatesNothingNew.
+func TestGridCellAllocatesOnlyItsResult(t *testing.T) {
+	c := newCell()
+	run := func() Fig06Cell { return runFig06Cell(c, netsim.QueueRED, 8, 8, 15, 10, 1) }
+	run() // cold: the arena grows to what the cell needs
+	run()
+	mallocs, bytes := ^uint64(0), ^uint64(0)
+	var cell Fig06Cell
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		cell = run()
+		runtime.ReadMemStats(&after)
+		mallocs, bytes = min(mallocs, after.Mallocs-before.Mallocs), min(bytes, after.TotalAlloc-before.TotalAlloc)
+	}
+	// What the cell keeps, plus one allocation and 256 B the runtime may
+	// make on its own.
+	ownMallocs, ownBytes := uint64(2), uint64(8*(cap(cell.PerFlowTCP)+cap(cell.PerFlowTFRC)))
+	t.Logf("warm grid cell: %d allocs, %d B (its result: %d allocs, %d B)", mallocs, bytes, ownMallocs, ownBytes)
+	if mallocs > ownMallocs+1 || bytes > ownBytes+256 {
+		t.Errorf("warm grid cell costs %d allocs / %d B, more than its result's %d / %d plus slack",
+			mallocs, bytes, ownMallocs, ownBytes)
+	}
+}

@@ -1,8 +1,10 @@
 package exp
 
 import (
+	"slices"
 	"testing"
 
+	"tfrc/internal/netsim"
 	"tfrc/internal/sim"
 )
 
@@ -44,5 +46,48 @@ func TestReadingTheReceiverDoesNotSteerIt(t *testing.T) {
 	if differ > 0 || quietSent != watchedSent {
 		t.Fatalf("reading p every RTT changed %d of %d rate samples; Sent %d unobserved vs %d observed",
 			differ, len(quiet), quietSent, watchedSent)
+	}
+}
+
+// TestTapDoesNotSteerRED runs an 8-flow RED dumbbell twice per seed, once
+// with a tap on the bottleneck that does nothing and once without. A tap
+// only watches, so every flow's delivered bytes must be equal, bin for
+// bin. Each flow is measured where it leaves the dumbbell, on its
+// rr->r{i} access link (tapped in both runs), so in the quiet run the
+// bottleneck carries no tap at all.
+func TestTapDoesNotSteerRED(t *testing.T) {
+	const hosts, duration, bin = 8, 20.0, 0.5
+	nbins := int(duration/bin) + 1
+	run := func(seed int64, tapped bool) [][]float64 {
+		sched := sim.NewScheduler()
+		d := houseDumbbell(sched, hosts, 8e6, 0.025, netsim.QueueRED, seed)
+		if tapped {
+			d.Forward.AddTap(func(netsim.TapEvent, float64, *netsim.Packet) {})
+		}
+		b := NewScenarioBuilder(d.Topo)
+		mon := b.Network().NewFlowMonitor(bin, 0)
+		for _, r := range d.Right {
+			d.RouterR.LinkTo(r).AddTap(mon.Tap())
+		}
+		placeMix(b, hosts/2, hosts/2, sched.NewRand(seed), seed)
+		b.Run(duration)
+		series := make([][]float64, hosts)
+		for f := range series {
+			series[f] = mon.Series(f, nbins)
+		}
+		b.Release()
+		return series
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		quiet, tapped := run(seed, false), run(seed, true)
+		differ := 0
+		for f := range quiet {
+			if !slices.Equal(quiet[f], tapped[f]) {
+				differ++
+			}
+		}
+		if differ > 0 {
+			t.Errorf("seed %d: a no-op tap on the RED bottleneck changed %d of %d flows' delivered series", seed, differ, hosts)
+		}
 	}
 }
