@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"slices"
+
 	"tfrc/internal/cc"
 	"tfrc/internal/netsim"
 	"tfrc/internal/sim"
@@ -38,6 +40,11 @@ type ScenarioBuilder struct {
 	monitors     []*netsim.FlowMonitor
 	util         bool // harvest Utilization off the primary monitor
 	qmon         *netsim.QueueMonitor
+
+	// runInPlace harvests into these, kept across scenarios; the queue
+	// trace it harvests is kept by the queue monitor.
+	seriesSlab            []float64   //tfrc:keep rewritten by the next in-place harvest
+	tcpSeries, tfrcSeries [][]float64 //tfrc:keep headers into seriesSlab, rewritten likewise
 }
 
 // expArenaID is this package's slot in every scheduler's arena table;
@@ -77,6 +84,9 @@ func NewScenarioBuilder(t *netsim.Topology) *ScenarioBuilder {
 		tfrcFlows:   b.tfrcFlows[:0],
 		tfrcSenders: b.tfrcSenders[:0],
 		monitors:    b.monitors[:0],
+		seriesSlab:  b.seriesSlab,
+		tcpSeries:   b.tcpSeries,
+		tfrcSeries:  b.tfrcSeries,
 	}
 	return b
 }
@@ -217,8 +227,10 @@ func (b *ScenarioBuilder) MonitorUtilization(link string, start float64) {
 // Release returns the scenario's simulator working memory — the
 // network's node/link/queue slabs, its packet pool, and the scheduler's
 // event arrays — to shared pools for reuse by the next scenario, so
-// short sweep cells stop paying per-cell setup allocations. Monitors and
-// any harvested result stay valid (their series are private), but the
+// short sweep cells stop paying per-cell setup allocations. A result
+// from Run stays valid for good (its storage is its own). The monitors,
+// and a result harvested in place, stay readable until the scheduler's
+// next Reset, after which the next scenario rewrites their storage. The
 // topology, network, scheduler, and flows must not be touched afterwards.
 func (b *ScenarioBuilder) Release() {
 	sched := b.nw.Scheduler()
@@ -227,7 +239,8 @@ func (b *ScenarioBuilder) Release() {
 	sched.Release()
 	// Drop the monitor pointers: they reference agents of the scenario
 	// that just ended, and the next NewScenarioBuilder rebuilds them.
-	// The int bookkeeping slices stay (//tfrc:keep) as recycled backing.
+	// The int bookkeeping slices and the in-place series storage stay
+	// (//tfrc:keep) as recycled backing.
 	b.topo = nil
 	b.nw = nil
 	b.primary = nil
@@ -239,33 +252,95 @@ func (b *ScenarioBuilder) Release() {
 }
 
 // Run registers every flow with every monitor (preallocating the series
-// up front), runs the clock to duration, and harvests a ScenarioResult.
+// up front), runs the clock to duration, and harvests a ScenarioResult
+// into fresh storage: the result is the caller's own, valid after
+// Release and every later scenario on the scheduler.
 func (b *ScenarioBuilder) Run(duration float64) *ScenarioResult {
+	bins := b.simulate(duration)
+	var st resultStore
+	if b.primary != nil {
+		st.slab = make([]float64, (len(b.tcpFlows)+len(b.tfrcFlows))*bins)
+		st.tcp = make([][]float64, 0, len(b.tcpFlows))
+		st.tfrc = make([][]float64, 0, len(b.tfrcFlows))
+	}
+	if b.qmon != nil {
+		st.queue = slices.Clone(b.qmon.Samples)
+	}
+	res := &ScenarioResult{}
+	b.harvest(res, duration, bins, st)
+	return res
+}
+
+// runInPlace is Run harvesting into storage kept across scenarios: the
+// builder's series slab and headers, and the queue monitor's samples.
+// The result is valid until the scheduler's next Reset; a caller that
+// keeps any slice of it longer clones that slice.
+func (b *ScenarioBuilder) runInPlace(duration float64) ScenarioResult {
+	bins := b.simulate(duration)
+	var st resultStore
+	if b.primary != nil {
+		// Never nil, even when empty, so an in-place result's slices are
+		// nil exactly where Run's are.
+		if n := (len(b.tcpFlows) + len(b.tfrcFlows)) * bins; b.seriesSlab == nil || len(b.seriesSlab) < n {
+			b.seriesSlab = make([]float64, n)
+		}
+		if b.tcpSeries == nil || cap(b.tcpSeries) < len(b.tcpFlows) {
+			b.tcpSeries = make([][]float64, 0, len(b.tcpFlows))
+		}
+		if b.tfrcSeries == nil || cap(b.tfrcSeries) < len(b.tfrcFlows) {
+			b.tfrcSeries = make([][]float64, 0, len(b.tfrcFlows))
+		}
+		st = resultStore{slab: b.seriesSlab, tcp: b.tcpSeries[:0], tfrc: b.tfrcSeries[:0]}
+	}
+	if b.qmon != nil {
+		st.queue = b.qmon.Samples
+	}
+	var res ScenarioResult
+	b.harvest(&res, duration, bins, st)
+	return res
+}
+
+// simulate registers every flow with every monitor, runs the clock to
+// duration, and returns the number of whole bins the primary monitor
+// measured.
+func (b *ScenarioBuilder) simulate(duration float64) (bins int) {
 	for _, m := range b.monitors {
 		nbins := int((duration-m.Start())/m.BinWidth()) + 2
 		m.Register(b.nextFlow, nbins)
 	}
 	b.nw.Scheduler().RunUntil(duration)
+	if b.primary == nil {
+		return 0
+	}
+	return int((duration - b.primaryStart) / b.primaryBin)
+}
 
-	res := &ScenarioResult{}
+// resultStore is the storage a harvest fills: a slab holding bins floats
+// for every long-lived flow, the two series headers (empty, with room
+// for every flow), and the queue trace.
+type resultStore struct {
+	slab      []float64
+	tcp, tfrc [][]float64
+	queue     []netsim.QueueSample
+}
+
+// harvest fills res from the monitors once the clock has run to
+// duration, cutting its series from the storage it is handed.
+func (b *ScenarioBuilder) harvest(res *ScenarioResult, duration float64, bins int, st resultStore) {
 	if b.primary != nil {
 		res.BinWidth = b.primaryBin
-		res.Bins = int((duration - b.primaryStart) / b.primaryBin)
+		res.Bins = bins
 		res.DropRate = b.primary.DropRate()
-		// All harvested series share one backing slab.
-		slab := make([]float64, (len(b.tcpFlows)+len(b.tfrcFlows))*res.Bins)
 		take := func(f int) []float64 {
-			s := slab[:res.Bins:res.Bins]
-			slab = slab[res.Bins:]
+			s := st.slab[:bins:bins]
+			st.slab = st.slab[bins:]
 			return b.primary.SeriesInto(s, f)
 		}
-		res.TCPSeries = make([][]float64, 0, len(b.tcpFlows))
 		for _, f := range b.tcpFlows {
-			res.TCPSeries = append(res.TCPSeries, take(f))
+			st.tcp = append(st.tcp, take(f))
 		}
-		res.TFRCSeries = make([][]float64, 0, len(b.tfrcFlows))
 		for _, f := range b.tfrcFlows {
-			res.TFRCSeries = append(res.TFRCSeries, take(f))
+			st.tfrc = append(st.tfrc, take(f))
 		}
 	}
 	if elapsed := duration - b.primaryStart; b.util && elapsed > 0 {
@@ -278,13 +353,9 @@ func (b *ScenarioBuilder) Run(duration float64) *ScenarioResult {
 	if b.qmon != nil {
 		res.QueueMean = b.qmon.Mean()
 		res.QueueMax = b.qmon.Max()
-		// QueueMonitor.Samples is freshly allocated per monitor and never
-		// rewritten after harvest (see NewQueueMonitor), so handing it to
-		// the result is an ownership transfer, not an arena alias.
-		res.Queue = b.qmon.Samples //tfrclint:allow releasecheck fresh per-monitor slice, documented handoff
 	}
 	if longLived := len(b.tcpFlows) + len(b.tfrcFlows); longLived > 0 && b.primaryBW > 0 {
 		res.FairShare = b.primaryBW / 8 / float64(longLived)
 	}
-	return res
+	res.TCPSeries, res.TFRCSeries, res.Queue = st.tcp, st.tfrc, st.queue //tfrclint:allow releasecheck the caller's storage: fresh from Run, kept in place (valid until the next Reset) from runInPlace
 }

@@ -187,18 +187,49 @@ func (r *ScenarioResult) NormalizedPerFlow(series [][]float64) []float64 {
 // ScenarioBuilder: the dumbbell topology, one monitor set on the
 // congested link, and the paper's flow mix, in a fixed deterministic
 // order. The simulation runs on a pooled worker Cell, so repeated calls
-// reuse a warm arena; grid experiments pass their worker-pinned cell to
+// reuse a warm arena, and the result is harvested into fresh storage the
+// caller owns; grid experiments pass their worker-pinned cell to
 // runScenarioCell directly.
 func RunScenario(sc Scenario) *ScenarioResult {
 	c := getCell()
 	defer putCell(c)
-	return runScenarioCell(c, sc)
+	b := buildScenario(c, sc)
+	defer b.Release()
+	return b.Run(sc.Duration)
 }
 
-// runScenarioCell is RunScenario on an explicit worker cell. The result
-// is fully private to the caller: every harvested series is copied out
-// of the arena before the cell can be reused.
-func runScenarioCell(c *Cell, sc Scenario) *ScenarioResult {
+// runScenarioCell is RunScenario on an explicit worker cell, harvested in
+// place: the result's series and queue trace live in storage the cell
+// keeps, valid until the cell's next begin(). A grid cell reads them
+// there, and clones exactly the slices it keeps.
+func runScenarioCell(c *Cell, sc Scenario) ScenarioResult {
+	b := buildScenario(c, sc)
+	defer b.Release()
+	return b.runInPlace(sc.Duration)
+}
+
+// cloneSeries copies series a grid cell keeps out of its in-place
+// harvest, into one fresh slab.
+func cloneSeries(series [][]float64) [][]float64 {
+	if series == nil {
+		return nil
+	}
+	n := 0
+	for _, s := range series {
+		n += len(s)
+	}
+	slab := make([]float64, 0, n)
+	out := make([][]float64, len(series))
+	for i, s := range series {
+		slab = append(slab, s...)
+		out[i] = slab[len(slab)-len(s) : len(slab) : len(slab)]
+	}
+	return out
+}
+
+// buildScenario builds sc's dumbbell, flows and monitors on a rewound c,
+// ready to run.
+func buildScenario(c *Cell, sc Scenario) *ScenarioBuilder {
 	sc.fill()
 	sched := c.begin()
 	rng := sched.NewRand(sc.Seed)
@@ -274,8 +305,5 @@ func runScenarioCell(c *Cell, sc Scenario) *ScenarioResult {
 				sched.NewRand(sc.Seed+8), 1)
 		}
 	}
-
-	res := b.Run(sc.Duration)
-	b.Release()
-	return res
+	return b
 }

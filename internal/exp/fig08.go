@@ -111,8 +111,8 @@ func runFig08Seed(c *Cell, queue netsim.QueueKind, flows int, seed int64) Fig08R
 		Seed:         seed,
 	})
 	out := Fig08Result{Queue: queue, BinWidth: binWidth}
-	out.TCPTraces = res.TCPSeries[:min(nTrace, len(res.TCPSeries))]
-	out.TFRCTraces = res.TFRCSeries[:min(nTrace, len(res.TFRCSeries))]
+	out.TCPTraces = cloneSeries(res.TCPSeries[:min(nTrace, len(res.TCPSeries))])
+	out.TFRCTraces = cloneSeries(res.TFRCSeries[:min(nTrace, len(res.TFRCSeries))])
 	var ct, cf float64
 	for _, s := range out.TCPTraces {
 		ct += stats.CoV(s)

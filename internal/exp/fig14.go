@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"tfrc/internal/netsim"
 	"tfrc/internal/tcp"
@@ -121,7 +122,7 @@ func runFig14Side(c *Cell, pr *Fig14Params, useTFRC bool, seed int64) Fig14Side 
 	r := runScenarioCell(c, sc)
 	return Fig14Side{
 		Protocol:    name,
-		Queue:       r.Queue,
+		Queue:       slices.Clone(r.Queue),
 		QueueMean:   r.QueueMean,
 		Utilization: r.Utilization,
 		DropRate:    r.DropRate,

@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"tfrc/internal/netsim"
 	"tfrc/internal/stats"
@@ -196,8 +197,8 @@ func runFig15Seed(c *Cell, duration float64, seed int64) Fig15Result {
 	sc := pathScenario(p, 3, 1, duration, duration/6, seed)
 	sc.BinWidth = 1.0
 	r := runScenarioCell(c, sc)
-	out := Fig15Result{BinWidth: 1.0, TFRCTrace: r.TFRCSeries[0]}
-	out.TCPTraces = r.TCPSeries
+	out := Fig15Result{BinWidth: 1.0, TFRCTrace: slices.Clone(r.TFRCSeries[0])}
+	out.TCPTraces = cloneSeries(r.TCPSeries)
 	var covSum float64
 	for _, s := range r.TCPSeries {
 		out.MeanTCP += stats.Mean(s)

@@ -234,8 +234,8 @@ func TestColdCellStaysUnderByteBudget(t *testing.T) {
 // TestGridCellAllocatesOnlyItsResult pins what a warm Figure 6 grid cell
 // costs on its worker: the two per-flow vectors its Fig06Cell keeps, and
 // nothing for the series and queue trace the cell reads and throws away.
-// The cell has the benchmark grid's shape (8 flows, 15 s, 301 queue
-// samples); the cheapest of three warm runs is judged, as in
+// The cell has the benchmark grid's shape (8 flows, 15 s, about 300
+// queue samples); the cheapest of three warm runs is judged, as in
 // TestWarmCellAllocatesNothingNew.
 func TestGridCellAllocatesOnlyItsResult(t *testing.T) {
 	c := newCell()

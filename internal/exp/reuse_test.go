@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -105,9 +107,10 @@ func TestReusedCellPrintedOutputByteIdentical(t *testing.T) {
 	}
 }
 
-// TestRunScenarioResultsOutliveCellReuse pins result privacy: a harvested
-// ScenarioResult must not change when its worker cell is recycled and
-// overwritten by a different scenario.
+// TestRunScenarioResultsOutliveCellReuse pins result privacy: a
+// ScenarioResult harvested as RunScenario harvests it must not change
+// when its worker cell is recycled and a grid cell harvests in place
+// over the queue monitor's and the builder's storage.
 func TestRunScenarioResultsOutliveCellReuse(t *testing.T) {
 	c := newCell()
 	sc := Scenario{
@@ -118,15 +121,50 @@ func TestRunScenarioResultsOutliveCellReuse(t *testing.T) {
 		Warmup:       4,
 		Seed:         9,
 	}
-	first := runScenarioCell(c, sc)
+	b := buildScenario(c, sc)
+	first := b.Run(sc.Duration)
+	b.Release()
 	snapshot := fmt.Sprintf("%#v %v %v %v", *first, first.TCPSeries, first.TFRCSeries, first.Queue)
 
-	// Overwrite the arena with a differently shaped, longer scenario.
+	// Overwrite the arena with a differently shaped, shorter scenario, so
+	// the queue monitor refills the same samples backing.
 	sc2 := sc
-	sc2.NTCP, sc2.NTFRC, sc2.Seed, sc2.Duration = 4, 4, 10, 14
+	sc2.NTCP, sc2.NTFRC, sc2.Seed, sc2.Duration = 4, 4, 10, 10
 	_ = runScenarioCell(c, sc2)
 
 	if got := fmt.Sprintf("%#v %v %v %v", *first, first.TCPSeries, first.TFRCSeries, first.Queue); got != snapshot {
 		t.Fatalf("harvested result mutated by cell reuse:\nbefore: %s\nafter:  %s", snapshot, got)
+	}
+}
+
+// TestKeptSeriesSurviveCellReuse pins the clones of the grid cells that
+// keep what runScenarioCell harvests in place: Figure 8's traces, Figure
+// 14's queue trace and Figure 15's traces. They run on one Cell, grown
+// first by a larger Figure 6 cell so that all of them harvest into the
+// same kept storage, and are marshalled; a second such Figure 6 cell then
+// rewrites that storage, and the kept results must marshal to the same
+// bytes.
+func TestKeptSeriesSurviveCellReuse(t *testing.T) {
+	c := newCell()
+	// 16 flows × 60 bins and 601 queue samples: more than any cell below.
+	overwrite := func() { runFig06Cell(c, netsim.QueueRED, 4, 16, 30, 30, 3) }
+	overwrite()
+	p14 := Fig14Params{Flows: 8, Stagger: 2, Duration: 10, LinkMbps: 4, Queue: 50, MiceLoad: 0.2}
+	kept := []any{
+		runFig08Seed(c, netsim.QueueRED, 8, 1),
+		runFig14Side(c, &p14, false, 1),
+		runFig15Seed(c, 20, 1),
+	}
+	before, err := json.Marshal(kept)
+	if err != nil {
+		t.Fatal(err)
+	}
+	overwrite()
+	after, err := json.Marshal(kept)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("a later cell on the same Cell rewrote kept results:\nbefore: %.300s\nafter:  %.300s", before, after)
 	}
 }

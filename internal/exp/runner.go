@@ -51,7 +51,9 @@ func DefaultRunOptions() RunOptions { return RunOptions{Workers: int(defaultWork
 // traffic agents, scenario builders). A sweep worker passes the same
 // Cell to every cell it executes, so cell i+workers rebuilds its entire
 // working set out of cell i's memory — after each worker's first cell, a
-// scenario run touches the allocator only to harvest its result.
+// scenario run touches the allocator only for the result it keeps, which
+// a cell that harvests in place (runScenarioCell) cuts down to the
+// slices it clones.
 type Cell struct {
 	sched   *sim.Scheduler
 	scratch []float64 // per-cell float scratch (access-delay draws)
@@ -79,8 +81,9 @@ func putCell(c *Cell) {
 
 // begin rewinds the cell's arena for a fresh scenario and returns its
 // scheduler. Everything drawn from the previous scenario on this cell is
-// reclaimed — results harvested earlier stay valid because harvests copy
-// into private storage.
+// reclaimed, a result runScenarioCell harvested in place included; a
+// result harvested by ScenarioBuilder.Run stays valid, its storage being
+// its own.
 func (c *Cell) begin() *sim.Scheduler {
 	c.sched.Reset()
 	return c.sched

@@ -26,7 +26,11 @@ type Tap func(ev TapEvent, now float64, p *Packet)
 // rather than with a busy flag, so a packet arriving at an idle, untapped
 // link costs a single scheduler event (its delivery); the
 // serialization-done event exists only where something observes it — a
-// tap needing TapDepart timing, or a backlog needing a drain.
+// tap needing TapDepart timing, or a queue that has been offered a
+// packet since the transmitter last fell idle. On both paths the
+// discipline is asked to dequeue when the transmitter falls idle after
+// any offer, accepted or refused, so attaching a tap never shifts
+// simulation timing.
 type Link struct {
 	net     *Network
 	to      *Node
@@ -176,16 +180,18 @@ func (l *Link) Send(p *Packet) {
 		l.net.sched.AtArg(l.freeAt, pktTxDoneFn, p)
 		return
 	}
-	if !l.queue.Enqueue(p) {
-		l.emit(TapDrop, p)
-		l.net.pool.Put(p)
-		return
-	}
+	queued := l.queue.Enqueue(p)
 	if !l.drainOn {
 		// The transmitter is busy with a shortcut packet: arm a drain at
-		// the moment it falls idle.
+		// the moment it falls idle. A refused packet arms it too, so the
+		// discipline sees the transmitter fall idle (RED ages its average
+		// from then) exactly when a tapped link's txDone would show it.
 		l.drainOn = true
 		l.net.sched.AtArg(l.freeAt, linkDrainFn, l)
+	}
+	if !queued {
+		l.emit(TapDrop, p)
+		l.net.pool.Put(p)
 	}
 }
 

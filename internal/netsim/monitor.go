@@ -244,18 +244,20 @@ func qmonTickFn(x any) { x.(*QueueMonitor).tick() }
 // scheduler stops running or end is reached (end ≤ 0 means forever). The
 // ticks ride the arg-carrying event path, so steady-state sampling is
 // allocation-free; with a known end the sample buffer is preallocated
-// too. The monitor struct is drawn from the scheduler's arena, but
-// Samples is always freshly allocated: harvested results keep the slice,
-// so a recycled monitor must never write into it again.
+// too. The monitor is drawn from the scheduler's arena and keeps its
+// Samples backing across scenarios, the way FlowMonitor keeps its bins:
+// Samples is valid until the scheduler's next Reset, and a caller that
+// keeps it longer copies it.
 func NewQueueMonitor(nw *Network, q Queue, period, end float64) *QueueMonitor {
 	if period <= 0 {
 		panic("netsim: QueueMonitor period must be positive")
 	}
 	m := sim.Next(&arenaOf(nw.sched).queueMons)
-	*m = QueueMonitor{nw: nw, q: q, period: period, end: end}
-	if end > 0 {
-		m.Samples = make([]QueueSample, 0, int(end/period)+1)
+	samples := m.Samples[:0]
+	if n := int(end/period) + 1; end > 0 && cap(samples) < n {
+		samples = make([]QueueSample, 0, n)
 	}
+	*m = QueueMonitor{Samples: samples, nw: nw, q: q, period: period, end: end}
 	nw.Scheduler().AfterArg(period, qmonTickFn, m)
 	return m
 }
