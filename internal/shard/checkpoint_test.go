@@ -141,6 +141,7 @@ func TestCheckpointIdentityMismatch(t *testing.T) {
 		"experiment":   {Schema: CheckpointSchema, Experiment: "fig6", ParamsHash: hdr.ParamsHash, CellRange: hdr.CellRange},
 		"range lo":     {Schema: CheckpointSchema, Experiment: "shardtest", ParamsHash: hdr.ParamsHash, CellRange: exp.CellRange{Lo: 1, Hi: 3}},
 		"range shrunk": {Schema: CheckpointSchema, Experiment: "shardtest", ParamsHash: hdr.ParamsHash, CellRange: exp.CellRange{Lo: 0, Hi: 2}},
+		"range grown":  {Schema: CheckpointSchema, Experiment: "shardtest", ParamsHash: hdr.ParamsHash, CellRange: exp.CellRange{Lo: 0, Hi: 4}},
 		"schema":       {Schema: "tfrc.shard.checkpoint/v999", Experiment: "shardtest", ParamsHash: hdr.ParamsHash, CellRange: hdr.CellRange},
 	} {
 		if _, err := loadCheckpoint(path, want); err == nil {
