@@ -85,35 +85,7 @@ func run(args []string) int {
 			return mergeCmd(args[1:])
 		}
 	}
-	return fail(exitUsage, fmt.Errorf("want a command: run <name> | list | shard run|exec <name> | merge <files>%s", removedSpelling(args)))
-}
-
-// removedSpelling recognizes a command line in one of the forms dropped
-// for "run <name>" (-fig N, -exp name, a bare experiment name, -paper,
-// -list, -bench*) and names what to type now.
-func removedSpelling(args []string) string {
-	if len(args) == 0 {
-		return ""
-	}
-	flagName, val, _ := strings.Cut(strings.TrimLeft(args[0], "-"), "=")
-	if val == "" && len(args) > 1 {
-		val = args[1]
-	}
-	switch {
-	case !strings.HasPrefix(args[0], "-"):
-		return "; for an experiment: tfrcsim run " + args[0]
-	case flagName == "fig":
-		return "; -fig is now: tfrcsim run fig" + val
-	case flagName == "exp":
-		return "; -exp is now: tfrcsim run " + val
-	case flagName == "paper":
-		return "; -paper is now: tfrcsim run <name> -preset paper"
-	case flagName == "list":
-		return "; -list is now: tfrcsim list"
-	case strings.HasPrefix(flagName, "bench"):
-		return "; the perf harness is now: go run ./benchmark"
-	}
-	return ""
+	return fail(exitUsage, errors.New("want a command: run <name> | list | shard run|exec <name> | merge <files>"))
 }
 
 // runCmd executes one experiment and writes its table or JSON record:

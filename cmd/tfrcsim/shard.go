@@ -12,7 +12,6 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"time"
 
 	"tfrc/experiment"
 	"tfrc/internal/shard"
@@ -63,16 +62,14 @@ func shardCmd(args []string) int {
 func shardRunCmd(args []string) int {
 	fs := flag.NewFlagSet("shard run", flag.ContinueOnError)
 	shardSpec := fs.String("shard", "0/1", "this shard's slice as i/n: shard i of n total")
-	cells := fs.String("cells", "", "explicit cell range lo:hi overriding -shard")
 	checkpoint := fs.String("checkpoint", "", "checkpoint file for crash-safe progress")
 	resume := fs.Bool("resume", false, "resume finished cells from -checkpoint instead of recomputing")
-	flush := fs.Int("flush", 0, "cells of recomputation a crash may cost, beyond those in flight (0 = 1: flush after every cell)")
 	out := fs.String("o", "", "envelope output file (default stdout)")
 	preset := fs.String("preset", "", "named parameter preset (\"default\", \"paper\")")
 	paramsFile := fs.String("params", "", "JSON parameter file overlaid on the preset's defaults")
 	seed := fs.Int64("seed", 1, "random seed")
 	seeds := fs.Int("seeds", 1, "seeds per cell for experiments supporting multi-seed replication")
-	parallel := fs.Int("parallel", 0, "worker count for this shard's cells, at any -flush (0 = all CPUs; results are identical either way)")
+	parallel := fs.Int("parallel", 0, "worker count for this shard's cells (0 = all CPUs; results are identical either way)")
 
 	name, ok := popExperimentName(fs, "shard run", args)
 	if !ok {
@@ -86,17 +83,9 @@ func shardRunCmd(args []string) int {
 		*parallel = runtime.GOMAXPROCS(0)
 	}
 
-	sp := shard.ShardParams{Checkpoint: *checkpoint, Resume: *resume, FlushEvery: *flush}
+	sp := shard.ShardParams{Checkpoint: *checkpoint, Resume: *resume}
 	if _, err := fmt.Sscanf(*shardSpec, "%d/%d", &sp.Index, &sp.Count); err != nil {
 		return fail(exitUsage, fmt.Errorf("-shard %q is not i/n (e.g. 0/4)", *shardSpec))
-	}
-	var rng *experiment.CellRange
-	if *cells != "" {
-		var r experiment.CellRange
-		if _, err := fmt.Sscanf(*cells, "%d:%d", &r.Lo, &r.Hi); err != nil {
-			return fail(exitUsage, fmt.Errorf("-cells %q is not lo:hi (e.g. 0:18)", *cells))
-		}
-		rng = &r
 	}
 
 	// The first SIGINT/SIGTERM stops the shard once the cells in flight
@@ -104,7 +93,7 @@ func shardRunCmd(args []string) int {
 	// ran and -resume continues from there.
 	ctx, exitCode, stop := catchInterrupt()
 	defer stop()
-	env, err := shard.RunWith(shard.RunSpec{Desc: d, Params: p, Shard: sp, Range: rng},
+	env, err := shard.RunWith(shard.RunSpec{Desc: d, Params: p, Shard: sp},
 		experiment.RunOptions{Workers: *parallel, Ctx: ctx})
 	if errors.Is(err, experiment.ErrInterrupted) {
 		return fail(exitCode(), err)
@@ -125,12 +114,7 @@ func shardExecCmd(args []string) int {
 	dir := fs.String("dir", "", "working directory for checkpoints and envelopes (default: temp dir)")
 	format := fs.String("format", "table", "output format for the reduced result: table | json")
 	out := fs.String("o", "", "write the merged envelope to this file as well")
-	flush := fs.Int("flush", 0, "cells of recomputation a crash may cost each shard, beyond those in flight (0 = 1: flush after every cell)")
 	timeout := fs.Duration("shard-timeout", 0, "kill and retry a shard attempt running longer than this (0 = no timeout)")
-	retries := fs.Int("retries", 3, "per-shard attempt budget, first run included")
-	backoff := fs.Duration("backoff", 250*time.Millisecond, "base delay between shard retries (doubles per attempt)")
-	backoffCap := fs.Duration("backoff-cap", 5*time.Second, "upper bound on the retry delay")
-	jitterSeed := fs.Int64("jitter-seed", 1, "seed for the deterministic retry jitter")
 	preset := fs.String("preset", "", "named parameter preset (\"default\", \"paper\")")
 	paramsFile := fs.String("params", "", "JSON parameter file overlaid on the preset's defaults")
 	seed := fs.Int64("seed", 1, "random seed")
@@ -172,19 +156,13 @@ func shardExecCmd(args []string) int {
 		Params:       p,
 		Shards:       *n,
 		Dir:          *dir,
-		FlushEvery:   *flush,
 		ShardTimeout: *timeout,
-		MaxAttempts:  *retries,
-		BackoffBase:  *backoff,
-		BackoffCap:   *backoffCap,
-		JitterSeed:   *jitterSeed,
 		Command: func(ctx context.Context, c shard.Child) *exec.Cmd {
 			args := []string{"shard", "run", c.Experiment,
 				"-shard", fmt.Sprintf("%d/%d", c.Shard, c.Count),
 				"-params", c.ParamsFile,
 				"-checkpoint", c.Checkpoint,
 				"-resume",
-				"-flush", strconv.Itoa(c.FlushEvery),
 				"-parallel", strconv.Itoa(*parallel),
 				"-o", c.Out,
 			}

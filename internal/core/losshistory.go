@@ -12,10 +12,10 @@ type LossHistoryConfig struct {
 	// smoothly de-weighted so the estimator tracks a sustained decrease
 	// in congestion. Enabled in the protocol proper.
 	Discounting bool
-	// DiscountThreshold floors the discount factor (RFC 3448: 0.25).
-	// Zero means 0.25.
-	DiscountThreshold float64
 }
+
+// discountThreshold floors the discount factor (RFC 3448 §5.5).
+const discountThreshold = 0.25
 
 // DefaultLossHistory is the configuration evaluated throughout the paper:
 // eight intervals, decreasing weights on the older half, discounting on.
@@ -78,9 +78,6 @@ func NewLossHistory(cfg LossHistoryConfig) *LossHistory {
 func (h *LossHistory) Init(cfg LossHistoryConfig) {
 	if cfg.N < 1 {
 		panic("core: loss history needs N ≥ 1")
-	}
-	if cfg.DiscountThreshold == 0 {
-		cfg.DiscountThreshold = 0.25
 	}
 	var w []float64
 	switch {
@@ -207,10 +204,7 @@ func (h *LossHistory) average() (avg, dfCur float64) {
 	}
 	dfCur = 1
 	if h.cfg.Discounting && trigger > 0 && h.open > 2*trigger {
-		dfCur = 2 * trigger / h.open
-		if dfCur < h.cfg.DiscountThreshold {
-			dfCur = h.cfg.DiscountThreshold
-		}
+		dfCur = max(2*trigger/h.open, discountThreshold)
 	}
 
 	// ŝ_new: shift every interval one weight down so s₀ takes w₁. The

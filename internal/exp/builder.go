@@ -165,19 +165,15 @@ func (b *ScenarioBuilder) AddOnOff(src, dst string, cfg traffic.OnOffConfig, rng
 
 // AddMice places a short-TCP session generator between src and dst. All
 // sessions share one flow ID (returned). A zero cfg.BasePort draws a
-// dedicated 2·MaxConcurrent port range so concurrent generators never
-// collide.
+// dedicated 2·traffic.MiceSlots port range so concurrent generators
+// never collide.
 func (b *ScenarioBuilder) AddMice(src, dst string, cfg traffic.MiceConfig, rng *sim.Rand, start float64) int {
 	s, d := b.topo.Lookup(src), b.topo.Lookup(dst)
 	flow := b.nextFlow
 	b.nextFlow++
 	if cfg.BasePort == 0 {
-		maxc := cfg.MaxConcurrent
-		if maxc == 0 {
-			maxc = 64
-		}
 		cfg.BasePort = b.micePort
-		b.micePort += 2 * maxc
+		b.micePort += 2 * traffic.MiceSlots
 	}
 	traffic.NewMice(b.nw, s, d, flow, cfg, rng).Start(start)
 	return flow

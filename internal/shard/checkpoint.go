@@ -59,11 +59,10 @@ type checkpointWriter struct {
 
 // flush makes the first done cells of the range durable. The first
 // flush of a Run publishes header plus prefix atomically, replacing
-// whatever an earlier attempt left behind (a torn tail, a header for a
-// narrower range); every later one appends only the lines past w.done
-// and fsyncs. The crasher's mid-flush, torn-flush, and after-flush
-// points bracket the write so tests can SIGKILL the process at every
-// interesting instant.
+// whatever an earlier attempt left behind (a torn tail); every later
+// one appends only the lines past w.done and fsyncs. The crasher's
+// mid-flush, torn-flush, and after-flush points bracket the write so
+// tests can SIGKILL the process at every interesting instant.
 func (w *checkpointWriter) flush(cells []json.RawMessage, done int) error {
 	w.buf.Reset()
 	enc := json.NewEncoder(&w.buf) // Encode appends the newline
@@ -152,12 +151,7 @@ func loadCheckpoint(path string, want checkpointHeader) (cells []json.RawMessage
 		return nil, fmt.Errorf("%s: checkpoint params hash %s does not match %s — the parameters changed; delete the checkpoint or rerun with the original parameters",
 			path, hdr.ParamsHash, want.ParamsHash)
 	}
-	// A checkpoint for a same-Lo sub-range is reusable: cells are pure
-	// functions of their absolute index, so a prefix computed for a
-	// narrower range is byte-identical under the wider one (this is how
-	// a run interrupted partway resumes into the full shard). Any other
-	// range means the shard addressing changed.
-	if hdr.CellRange.Lo != want.CellRange.Lo || hdr.CellRange.Hi > want.CellRange.Hi {
+	if hdr.CellRange != want.CellRange {
 		return nil, fmt.Errorf("%s: checkpoint covers cells %s, not %s — shard addressing changed; delete the checkpoint or rerun with the original shard split",
 			path, hdr.CellRange, want.CellRange)
 	}

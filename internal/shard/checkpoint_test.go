@@ -150,8 +150,8 @@ func TestCheckpointIdentityMismatch(t *testing.T) {
 	}
 }
 
-// TestRunCheckpointResume drives Run through an explicit partial range,
-// then resumes the full shard from the checkpoint: the envelope must be
+// TestRunCheckpointResume interrupts a Run after four cells, then
+// resumes the shard from the checkpoint: the envelope must be
 // byte-identical to an uninterrupted run's.
 func TestRunCheckpointResume(t *testing.T) {
 	d := shardtestDesc(t)
@@ -166,19 +166,22 @@ func TestRunCheckpointResume(t *testing.T) {
 	}
 
 	// Interrupted run: only cells [0,4) reach the checkpoint.
-	partial := exp.CellRange{Lo: 0, Hi: 4}
-	if _, err := Run(RunSpec{
-		Desc: d, Params: params(),
-		Shard: ShardParams{Index: 0, Count: 1, Checkpoint: ckpt, FlushEvery: 2},
-		Range: &partial,
-	}); err != nil {
+	interruptedRun(t, RunSpec{Desc: d, Params: params(),
+		Shard: ShardParams{Index: 0, Count: 1, Checkpoint: ckpt}}, 4)
+	pj, err := json.Marshal(params())
+	if err != nil {
 		t.Fatal(err)
 	}
+	hdr := checkpointHeader{Schema: CheckpointSchema, Experiment: "shardtest",
+		ParamsHash: mustHash(t, "shardtest", pj), CellRange: exp.CellRange{Lo: 0, Hi: 9}}
+	if got, err := loadCheckpoint(ckpt, hdr); err != nil || len(got) != 4 {
+		t.Fatalf("interrupted run checkpointed %d cells, err %v; want 4", len(got), err)
+	}
 
-	// Resume the full shard; cells [0,4) load, [4,9) recompute.
+	// Resume the shard; cells [0,4) load, [4,9) recompute.
 	resumed, err := Run(RunSpec{
 		Desc: d, Params: params(),
-		Shard: ShardParams{Index: 0, Count: 1, Checkpoint: ckpt, Resume: true, FlushEvery: 2},
+		Shard: ShardParams{Index: 0, Count: 1, Checkpoint: ckpt, Resume: true},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -78,7 +78,6 @@ func newCrashFixture(t *testing.T, n int) crashFixture {
 			ParamsFile: paramsFile,
 			Checkpoint: filepath.Join(dir, "s.ckpt"),
 			Out:        filepath.Join(dir, "s.json"),
-			FlushEvery: 1,
 		},
 		hdr: checkpointHeader{
 			Schema:     CheckpointSchema,
@@ -138,8 +137,8 @@ func crashSweep(t *testing.T, workers, cells int) {
 				f := newCrashFixture(t, cells)
 
 				// First attempt: armed to die at the n-th occurrence of
-				// the crash point. With FlushEvery 1 that is mid-run, so
-				// the process must not survive. Only beside a second
+				// the crash point. With a flush per cell that is mid-run,
+				// so the process must not survive. Only beside a second
 				// worker can it: cells finishing out of order merge
 				// flushes, and the n-th may never come. Try again then.
 				died := false

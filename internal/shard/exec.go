@@ -25,10 +25,23 @@ type Child struct {
 	ParamsFile string // exact resolved params, written once by Exec
 	Checkpoint string
 	Out        string // envelope path the child must write
-	FlushEvery int
 }
 
-// ExecConfig configures the supervised local fan-out.
+// The supervisor's retry policy. A shard gets maxAttempts attempts, the
+// first run included; one that exhausts them is recorded as permanently
+// failed: its durable checkpoint cells are salvaged and the merged
+// envelope reports the rest as missing. After failed attempt k (0-based)
+// it waits min(backoffCap, backoffBase<<k), scaled by a jitter factor in
+// [0.5, 1.5) that is a pure function of (jitterSeed, shard, k).
+const (
+	maxAttempts = 3
+	backoffBase = 250 * time.Millisecond
+	backoffCap  = 5 * time.Second
+	jitterSeed  = 1
+)
+
+// ExecConfig configures the supervised local fan-out. Its retry policy
+// is not configurable: see maxAttempts and backoff.
 type ExecConfig struct {
 	// Desc and Params identify the sweep; Params must be resolved and
 	// valid, and Desc must expose a Grid.
@@ -39,25 +52,9 @@ type ExecConfig struct {
 	// Dir holds params.json, per-shard checkpoints, and per-shard
 	// envelopes. It must exist.
 	Dir string
-	// FlushEvery is the children's checkpoint cadence
-	// (ShardParams.FlushEvery); 0 means DefaultFlushEvery.
-	FlushEvery int
-
 	// ShardTimeout kills and retries a shard attempt that runs longer
 	// than this; 0 disables the timeout.
 	ShardTimeout time.Duration
-	// MaxAttempts is the per-shard attempt budget (first run included);
-	// 0 means 3. A shard that exhausts it is recorded as permanently
-	// failed: its durable checkpoint cells are salvaged and the merged
-	// envelope reports the rest as missing.
-	MaxAttempts int
-	// BackoffBase and BackoffCap bound the capped exponential backoff
-	// between attempts: min(cap, base<<attempt), scaled by a
-	// deterministic jitter factor in [0.5, 1.5) seeded by (JitterSeed,
-	// shard, attempt). Zero values mean 250ms and 5s.
-	BackoffBase time.Duration
-	BackoffCap  time.Duration
-	JitterSeed  int64
 
 	// Command builds one shard attempt's subprocess; the CLI supplies
 	// the real self-exec builder, tests supply fakes. The context
@@ -72,28 +69,12 @@ type ExecConfig struct {
 	Log io.Writer
 }
 
-func (cfg *ExecConfig) maxAttempts() int {
-	if cfg.MaxAttempts < 1 {
-		return 3
-	}
-	return cfg.MaxAttempts
-}
-
-func (cfg *ExecConfig) backoff(shard, attempt int) time.Duration {
-	base, cap := cfg.BackoffBase, cfg.BackoffCap
-	if base <= 0 {
-		base = 250 * time.Millisecond
-	}
-	if cap <= 0 {
-		cap = 5 * time.Second
-	}
-	d := base << attempt
-	if d <= 0 || d > cap { // <= 0 guards shift overflow
-		d = cap
-	}
-	// Deterministic jitter: same (seed, shard, attempt) → same delay,
-	// so supervisor behavior is reproducible in tests and CI.
-	r := rand.New(rand.NewSource(cfg.JitterSeed + int64(shard)*1_000_003 + int64(attempt)*7919))
+// backoff is the wait after a shard's failed attempt (0-based) before
+// the next one. Deterministic jitter: same (shard, attempt) → same
+// delay, so supervisor behavior is reproducible in tests and CI.
+func backoff(shard, attempt int) time.Duration {
+	d := min(backoffCap, backoffBase<<attempt)
+	r := rand.New(rand.NewSource(jitterSeed + int64(shard)*1_000_003 + int64(attempt)*7919))
 	return time.Duration(float64(d) * (0.5 + r.Float64()))
 }
 
@@ -157,7 +138,6 @@ func Exec(cfg ExecConfig) (*Envelope, error) {
 			ParamsFile: paramsFile,
 			Checkpoint: filepath.Join(cfg.Dir, fmt.Sprintf("shard-%d.ckpt", i)),
 			Out:        filepath.Join(cfg.Dir, fmt.Sprintf("shard-%d.json", i)),
-			FlushEvery: cfg.FlushEvery,
 		}
 		wg.Add(1)
 		go func(i int) {
@@ -193,11 +173,10 @@ func Exec(cfg ExecConfig) (*Envelope, error) {
 // superviseShard runs one shard's attempt loop; true means an attempt
 // exited cleanly.
 func superviseShard(cfg ExecConfig, c Child, sleep func(time.Duration), logf func(string, ...any)) bool {
-	attempts := cfg.maxAttempts()
-	for attempt := 0; attempt < attempts; attempt++ {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if attempt > 0 {
-			d := cfg.backoff(c.Shard, attempt-1)
-			logf("shard %d/%d: retrying (attempt %d of %d) after %s", c.Shard, c.Count, attempt+1, attempts, d)
+			d := backoff(c.Shard, attempt-1)
+			logf("shard %d/%d: retrying (attempt %d of %d) after %s", c.Shard, c.Count, attempt+1, maxAttempts, d)
 			sleep(d)
 		}
 		ctx := context.Background()
@@ -218,6 +197,6 @@ func superviseShard(cfg ExecConfig, c Child, sleep func(time.Duration), logf fun
 			logf("shard %d/%d: attempt %d failed: %v", c.Shard, c.Count, attempt+1, err)
 		}
 	}
-	logf("shard %d/%d: attempt budget (%d) exhausted; salvaging checkpoint", c.Shard, c.Count, attempts)
+	logf("shard %d/%d: attempt budget (%d) exhausted; salvaging checkpoint", c.Shard, c.Count, maxAttempts)
 	return false
 }

@@ -44,6 +44,8 @@ func helperMain() {
 	}
 	switch mode {
 	case "run":
+	case "crash": // die after this attempt's first flush
+		os.Setenv(crashPointEnv, pointAfterFlush+":1")
 	case "fail":
 		os.Exit(1)
 	case "hang":
@@ -76,7 +78,6 @@ func helperMain() {
 		Params: params,
 		Shard: ShardParams{
 			Index: c.Shard, Count: c.Count,
-			FlushEvery: c.FlushEvery,
 			Checkpoint: c.Checkpoint, Resume: true,
 		},
 	})
@@ -117,19 +118,16 @@ func helperCommand(t *testing.T, extraEnv []string, modeFor func(shard, attempt 
 }
 
 // baseExecConfig builds the common supervisor config: instant fake
-// sleeps, tight budget.
+// sleeps.
 func baseExecConfig(t *testing.T, dir string) ExecConfig {
 	t.Helper()
 	return ExecConfig{
-		Desc:        shardtestDesc(t),
-		Params:      &shardtestParams{N: 10, Seed: 21},
-		Shards:      3,
-		Dir:         dir,
-		FlushEvery:  1,
-		MaxAttempts: 3,
-		JitterSeed:  99,
-		Sleep:       func(time.Duration) {}, // hermetic: no real waiting
-		Log:         os.Stderr,
+		Desc:   shardtestDesc(t),
+		Params: &shardtestParams{N: 10, Seed: 21},
+		Shards: 3,
+		Dir:    dir,
+		Sleep:  func(time.Duration) {}, // hermetic: no real waiting
+		Log:    os.Stderr,
 	}
 }
 
@@ -208,7 +206,6 @@ func TestExecHungShardKilledAndRetried(t *testing.T) {
 // with exactly shard 1's cells missing — not an error with nothing.
 func TestExecPermanentFailureDegradesGracefully(t *testing.T) {
 	cfg := baseExecConfig(t, t.TempDir())
-	cfg.MaxAttempts = 2
 	cfg.Command = helperCommand(t, nil, func(shard, attempt int) string {
 		if shard == 1 {
 			return "fail"
@@ -239,64 +236,57 @@ func TestExecPermanentFailureDegradesGracefully(t *testing.T) {
 	}
 }
 
-// TestExecSalvagesCheckpointOfDeadShard: shard 0 crashes after
-// checkpointing some cells on every allowed attempt; the merged partial
-// envelope must carry the durably checkpointed prefix and report only
+// TestExecSalvagesCheckpointOfDeadShard: every attempt of shard 2, four
+// cells long, dies right after its first checkpoint flush. On one
+// worker each attempt resumes the last one's prefix and makes one more
+// cell durable, so after the attempt budget the merged partial envelope
+// must carry the first maxAttempts cells of the shard and report only
 // the truly lost tail as missing.
 func TestExecSalvagesCheckpointOfDeadShard(t *testing.T) {
-	dir := t.TempDir()
-	cfg := baseExecConfig(t, dir)
-	cfg.MaxAttempts = 1 // one crash = permanent failure
-	sentinel := dir + "/crashed-once"
-	cfg.Command = helperCommand(t,
-		[]string{crashOnceEnv + "=0:" + sentinel},
-		func(int, int) string { return "run" })
+	cfg := baseExecConfig(t, t.TempDir())
+	cfg.Command = helperCommand(t, []string{helperWorkersEnv + "=1"}, func(shard, attempt int) string {
+		if shard == 2 {
+			return "crash"
+		}
+		return "run"
+	})
 	merged, err := Exec(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if merged.Complete {
-		t.Fatal("crashed shard with 1-attempt budget cannot complete")
+		t.Fatal("a shard that crashes on every attempt cannot complete")
 	}
-	rng := SplitRange(10, 0, 3) // [0,4)
-	// The crash fires after the first flush (FlushEvery=1): cell
-	// rng.Lo is durable, the rest of the shard's range is lost.
-	if merged.Cells[rng.Lo] == nil {
-		t.Fatal("checkpointed cell was not salvaged into the partial envelope")
-	}
-	if len(merged.Missing) != 1 || merged.Missing[0] != (exp.CellRange{Lo: rng.Lo + 1, Hi: rng.Hi}) {
-		t.Fatalf("Missing = %v, want [[%d,%d)]", merged.Missing, rng.Lo+1, rng.Hi)
+	rng := SplitRange(10, 2, 3) // [6,10)
+	durable := exp.CellRange{Lo: rng.Lo, Hi: rng.Lo + maxAttempts}
+	if len(merged.Missing) != 1 || merged.Missing[0] != (exp.CellRange{Lo: durable.Hi, Hi: rng.Hi}) {
+		t.Fatalf("Missing = %v, want [[%d,%d)]", merged.Missing, durable.Hi, rng.Hi)
 	}
 	// Salvaged cells must equal the ground truth cells.
 	truth := directEnvelope(t, cfg)
-	if !bytes.Equal(merged.Cells[rng.Lo], truth.Cells[rng.Lo]) {
-		t.Fatalf("salvaged cell differs from ground truth: %s vs %s",
-			merged.Cells[rng.Lo], truth.Cells[rng.Lo])
+	for i := durable.Lo; i < durable.Hi; i++ {
+		if !bytes.Equal(merged.Cells[i], truth.Cells[i]) {
+			t.Fatalf("salvaged cell %d differs from ground truth: %s vs %s", i, merged.Cells[i], truth.Cells[i])
+		}
 	}
 }
 
 // TestExecBackoffDeterministic: the jittered backoff schedule is a pure
-// function of (seed, shard, attempt).
+// function of (shard, attempt), positive and within the jittered cap.
 func TestExecBackoffDeterministic(t *testing.T) {
-	cfg := ExecConfig{JitterSeed: 7, BackoffBase: 100 * time.Millisecond, BackoffCap: 2 * time.Second}
 	for shard := 0; shard < 4; shard++ {
 		for attempt := 0; attempt < 12; attempt++ {
-			a := cfg.backoff(shard, attempt)
-			b := cfg.backoff(shard, attempt)
+			a := backoff(shard, attempt)
+			b := backoff(shard, attempt)
 			if a != b {
 				t.Fatalf("backoff(%d,%d) not deterministic: %v vs %v", shard, attempt, a, b)
 			}
-			if a > 3*time.Second {
+			if a > backoffCap*3/2 {
 				t.Fatalf("backoff(%d,%d)=%v exceeds cap×1.5", shard, attempt, a)
 			}
 			if a <= 0 {
 				t.Fatalf("backoff(%d,%d)=%v must be positive", shard, attempt, a)
 			}
 		}
-	}
-	other := cfg
-	other.JitterSeed = 8
-	if cfg.backoff(1, 1) == other.backoff(1, 1) {
-		t.Error("different jitter seeds should produce different delays")
 	}
 }

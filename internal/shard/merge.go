@@ -73,7 +73,7 @@ func Merge(envs []*Envelope, allowPartial bool) (*Envelope, error) {
 			}
 			idx := e.CellRange.Lo + i
 			if prev := owner[idx]; prev != nil {
-				return nil, fmt.Errorf("shard ranges %s and %s overlap at cell %d — each cell must be computed by exactly one shard; check the -shard i/n or -cells arguments the shards ran with",
+				return nil, fmt.Errorf("shard ranges %s and %s overlap at cell %d — each cell must be computed by exactly one shard; check the -shard i/n arguments the shards ran with",
 					prev.CellRange, e.CellRange, idx)
 			}
 			merged[idx] = cell

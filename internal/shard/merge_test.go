@@ -87,11 +87,9 @@ func TestMergeOrderIndependent(t *testing.T) {
 
 func TestMergeRejectsOverlap(t *testing.T) {
 	params := func() exp.Params { return &shardtestParams{N: 8, Seed: 1} }
-	envs := runShards(t, 2, params)
-	d := shardtestDesc(t)
-	over, err := Run(RunSpec{Desc: d, Params: params(),
-		Shard: ShardParams{Index: 0, Count: 1},
-		Range: &exp.CellRange{Lo: 3, Hi: 6}})
+	envs := runShards(t, 2, params) // [0,4) [4,8)
+	over, err := Run(RunSpec{Desc: shardtestDesc(t), Params: params(),
+		Shard: ShardParams{Index: 1, Count: 3}}) // [2,5)
 	if err != nil {
 		t.Fatal(err)
 	}

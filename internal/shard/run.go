@@ -28,19 +28,16 @@ type RunSpec struct {
 	// Shard addresses this process's slice and configures
 	// checkpointing.
 	Shard ShardParams
-	// Range, when non-nil, overrides the Index/Count split with an
-	// explicit cell range (the CLI's -cells lo:hi).
-	Range *exp.CellRange
 }
 
-// RunWith computes the spec's cell range on o.Workers workers,
-// checkpointing as configured, and returns the shard's complete
-// envelope. With Resume set, finished cells are loaded from the
-// checkpoint and only the missing tail is recomputed; because cells are
-// pure functions of (params, index), the returned envelope — and the
-// finished checkpoint file — is byte-identical to an uninterrupted
-// run's no matter how many workers computed it or how many crash/resume
-// cycles preceded it.
+// RunWith computes the shard's cells, SplitRange(total, Shard.Index,
+// Shard.Count), on o.Workers workers, checkpointing as configured, and
+// returns the shard's complete envelope. With Resume set, finished
+// cells are loaded from the checkpoint and only the missing tail is
+// recomputed; because cells are pure functions of (params, index), the
+// returned envelope — and the finished checkpoint file — is
+// byte-identical to an uninterrupted run's no matter how many workers
+// computed it or how many crash/resume cycles preceded it.
 //
 // When o.Ctx is cancelled, no further cell starts; RunWith flushes the
 // prefix of the cells that did run, those in flight at the cancel
@@ -69,13 +66,6 @@ func RunWith(spec RunSpec, o exp.RunOptions) (*Envelope, error) {
 	}
 
 	rng := SplitRange(total, spec.Shard.Index, spec.Shard.Count)
-	if spec.Range != nil {
-		rng = *spec.Range
-	}
-	if rng.Lo < 0 || rng.Hi > total || rng.Lo > rng.Hi {
-		return nil, fmt.Errorf("%s: cell range %s out of bounds for %d cells", spec.Desc.Name, rng, total)
-	}
-
 	cells := make([]json.RawMessage, rng.Len())
 	done := 0 // cells[:done] is the contiguous finished prefix
 	var ckpt *checkpointWriter
@@ -129,11 +119,11 @@ type cellResult struct {
 // computeMissing fills cells[done:], cells[i] being cell rng.Lo+i. The
 // grid streams the missing cells on o.Workers workers; the calling
 // goroutine is the only committer: it slots each payload, advances the
-// contiguous finished prefix and flushes that prefix once it is
-// FlushEvery cells ahead of the file. So no worker waits on a flush, and
-// completion order never reaches the output. On an error the committer
-// cancels the stream's context — as an interrupt does the caller's — and,
-// once the cells in flight are in, flushes the prefix that did finish.
+// contiguous finished prefix and flushes that prefix whenever it grows.
+// So no worker waits on a flush, and completion order never reaches the
+// output. On an error the committer cancels the stream's context — as an
+// interrupt does the caller's — and keeps flushing the prefix as the
+// cells in flight come in.
 func computeMissing(spec RunSpec, o exp.RunOptions, rng exp.CellRange, cells []json.RawMessage, done int, ckpt *checkpointWriter) error {
 	n := len(cells)
 	if o.Ctx == nil {
@@ -154,14 +144,6 @@ func computeMissing(spec RunSpec, o exp.RunOptions, rng exp.CellRange, cells []j
 
 	var cellErr, flushErr error
 	failedAt := n
-	// flush persists the prefix once it is due cells ahead of the file.
-	flush := func(due int) {
-		if ckpt != nil && flushErr == nil && done-ckpt.done >= due {
-			if flushErr = ckpt.flush(cells, done); flushErr != nil {
-				stop()
-			}
-		}
-	}
 	for r := range results {
 		if r.err != nil {
 			if r.i < failedAt {
@@ -172,7 +154,11 @@ func computeMissing(spec RunSpec, o exp.RunOptions, rng exp.CellRange, cells []j
 			for done < n && cells[done] != nil {
 				done++
 			}
-			flush(spec.Shard.flushEvery())
+			if ckpt != nil && flushErr == nil && done > ckpt.done {
+				if flushErr = ckpt.flush(cells, done); flushErr != nil {
+					stop()
+				}
+			}
 		}
 		if done == failedAt {
 			// Cells are claimed in order, so every cell below a failing
@@ -182,9 +168,6 @@ func computeMissing(spec RunSpec, o exp.RunOptions, rng exp.CellRange, cells []j
 			stop()
 		}
 	}
-	// The stream has returned. What the cadence left over is the end of
-	// the range, or the cells that ran before an interrupt or an error.
-	flush(1)
 	switch {
 	case streamErr != nil:
 		return streamErr

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -84,8 +85,7 @@ func stubHeader(t *testing.T, n int) checkpointHeader {
 
 // TestRunInterruptKeepsProgress cancels the run context from inside
 // cell 5 of 10. Run must report ErrInterrupted only after flushing the
-// cells that ran — even though the cadence (FlushEvery beyond the range)
-// never came due — the cell that cancelled and any in flight beside it
+// cells that ran — the cell that cancelled and any in flight beside it
 // included, since the executor hands over every cell it started and no
 // other; and a resume must finish the range with the envelope of an
 // uninterrupted run.
@@ -100,18 +100,22 @@ func TestRunInterruptKeepsProgress(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			var started atomic.Int32
+			var started [n]atomic.Bool
+			// cancel returns once the run's own context, derived from
+			// ctx, is cancelled too; ctx.Done closes before that.
+			cancelled := make(chan struct{})
 			d := stubDesc(n, func(i int) (json.RawMessage, error) {
-				started.Add(1)
+				started[i].Store(true)
 				switch {
 				case i == cancelAt:
 					cancel()
+					close(cancelled)
 				case i > cancelAt: // claimed before the cancel: in flight when it comes
-					<-ctx.Done()
+					<-cancelled
 				}
 				return stubCell(i)
 			})
-			sp := ShardParams{Count: 1, Checkpoint: filepath.Join(t.TempDir(), "s.ckpt"), FlushEvery: 100}
+			sp := ShardParams{Count: 1, Checkpoint: filepath.Join(t.TempDir(), "s.ckpt")}
 			o := exp.RunOptions{Workers: workers, Ctx: ctx}
 			if _, err := RunWith(RunSpec{Desc: d, Params: params, Shard: sp}, o); !errors.Is(err, exp.ErrInterrupted) {
 				t.Fatalf("RunWith = %v, want ErrInterrupted", err)
@@ -121,11 +125,17 @@ func TestRunInterruptKeepsProgress(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Cells are claimed in order, so the ones that started are a
-			// prefix: cell cancelAt and everything below it, and at two
-			// workers whatever the other one had claimed by then.
-			if ran := int(started.Load()); len(got) != ran || ran <= cancelAt || (workers == 1 && ran != cancelAt+1) {
-				t.Fatalf("checkpoint holds %d cells, %d started, after a cancel inside cell %d at %d workers", len(got), ran, cancelAt, workers)
+			// The checkpoint holds the longest prefix of cells that
+			// started: at one worker cell cancelAt and everything below
+			// it. At two, a cell the other worker claimed but had not yet
+			// started at the cancel never starts, so the prefix may end
+			// below cancelAt, or run past it to the cell in flight beside it.
+			ran := 0
+			for ran < n && started[ran].Load() {
+				ran++
+			}
+			if len(got) != ran || (workers == 1 && ran != cancelAt+1) {
+				t.Fatalf("checkpoint holds %d cells, %d started in a row, after a cancel inside cell %d at %d workers", len(got), ran, cancelAt, workers)
 			}
 			for i, c := range got {
 				if !bytes.Equal(c, clean.Cells[i]) {
@@ -171,7 +181,7 @@ func TestRunReportsLowestFailingCell(t *testing.T) {
 				}
 				return stubCell(i)
 			})
-			sp := ShardParams{Count: 1, Checkpoint: filepath.Join(t.TempDir(), "s.ckpt"), FlushEvery: 100}
+			sp := ShardParams{Count: 1, Checkpoint: filepath.Join(t.TempDir(), "s.ckpt")}
 			base := runtime.NumGoroutine()
 			_, err := Run(RunSpec{Desc: d, Params: params, Shard: sp})
 			if err == nil || !strings.Contains(err.Error(), "cell 3: boom 3") {
@@ -245,9 +255,73 @@ func TestRunCellsFinishingInReverseOrder(t *testing.T) {
 	assertFilesIdentical(t, cleanSP.Checkpoint, sp.Checkpoint)
 }
 
+// interruptedRun runs spec on one worker and cancels it once cell
+// Lo+stop-1 of its range is handed over, so no later cell starts and the
+// checkpoint holds exactly the first stop cells.
+func interruptedRun(t *testing.T, spec RunSpec, stop int) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	inner := spec.Desc.Grid
+	grid := *inner
+	grid.Stream = func(o exp.RunOptions, p exp.Params, r exp.CellRange, sink func(int, json.RawMessage, error)) error {
+		return inner.Stream(o, p, r, func(idx int, raw json.RawMessage, err error) {
+			sink(idx, raw, err)
+			if idx == r.Lo+stop-1 {
+				cancel()
+			}
+		})
+	}
+	spec.Desc.Grid = &grid
+	if _, err := RunWith(spec, exp.RunOptions{Workers: 1, Ctx: ctx}); !errors.Is(err, exp.ErrInterrupted) {
+		t.Fatalf("RunWith = %v, want ErrInterrupted", err)
+	}
+}
+
+// batchedDesc hands d's cells to the committer k at a time, last first,
+// and what is left over once d's stream has returned: the finished prefix
+// then grows several cells at once, and one flush appends them all. k of
+// 0 or 1 leaves d as it is.
+func batchedDesc(d exp.Descriptor, k int) exp.Descriptor {
+	if k <= 1 {
+		return d
+	}
+	inner := d.Grid
+	grid := *inner
+	grid.Stream = func(o exp.RunOptions, p exp.Params, r exp.CellRange, sink func(int, json.RawMessage, error)) error {
+		type cell struct {
+			idx int
+			raw json.RawMessage
+			err error
+		}
+		var mu sync.Mutex
+		var held []cell
+		hand := func(batch []cell) {
+			for i := len(batch) - 1; i >= 0; i-- {
+				sink(batch[i].idx, batch[i].raw, batch[i].err)
+			}
+		}
+		err := inner.Stream(o, p, r, func(idx int, raw json.RawMessage, err error) {
+			mu.Lock()
+			held = append(held, cell{idx, raw, err})
+			var full []cell
+			if len(held) == k {
+				full, held = held, nil
+			}
+			mu.Unlock()
+			hand(full)
+		})
+		hand(held)
+		return err
+	}
+	d.Grid = &grid
+	return d
+}
+
 // TestRunByteIdentityMatrix: the envelope and the finished checkpoint
-// file are the same bytes at any worker count, any flush cadence, with
-// or without a checkpoint, fresh or resumed from a half-done range.
+// file are the same bytes at any worker count, however many cells a
+// flush appends (flush=k: batchedDesc), with or without a checkpoint,
+// fresh or resumed from a half-done range.
 func TestRunByteIdentityMatrix(t *testing.T) {
 	const n = 10
 	d := shardtestDesc(t)
@@ -264,18 +338,15 @@ func TestRunByteIdentityMatrix(t *testing.T) {
 			for _, mode := range []string{"no-checkpoint", "checkpoint", "resume-from-half"} {
 				t.Run(fmt.Sprintf("workers=%d/flush=%d/%s", workers, flush, mode), func(t *testing.T) {
 					withWorkers(t, workers)
-					sp := ShardParams{Count: 1, FlushEvery: flush}
+					sp := ShardParams{Count: 1}
 					if mode != "no-checkpoint" {
 						sp.Checkpoint = filepath.Join(t.TempDir(), "s.ckpt")
 					}
 					if mode == "resume-from-half" {
-						half := exp.CellRange{Lo: 0, Hi: n / 2}
-						if _, err := Run(RunSpec{Desc: d, Params: params(), Shard: sp, Range: &half}); err != nil {
-							t.Fatal(err)
-						}
+						interruptedRun(t, RunSpec{Desc: d, Params: params(), Shard: sp}, n/2)
 						sp.Resume = true
 					}
-					got, err := Run(RunSpec{Desc: d, Params: params(), Shard: sp})
+					got, err := Run(RunSpec{Desc: batchedDesc(d, flush), Params: params(), Shard: sp})
 					if err != nil {
 						t.Fatal(err)
 					}

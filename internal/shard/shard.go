@@ -49,17 +49,12 @@ type ShardParams struct {
 	// index space: SplitRange(total, Index, Count).
 	Index int `json:"index"`
 	Count int `json:"count"`
-	// FlushEvery is how far the contiguous finished prefix may grow
-	// before it is flushed to the checkpoint; 0 means
-	// DefaultFlushEvery. It bounds what a crash costs — at most
-	// FlushEvery cells finished but flushed late, plus the at most
-	// workers−1 cells in flight behind a slower one — and nothing
-	// else: cells run RunOptions.Workers at a time at any cadence. The
-	// first flush of a run publishes the file atomically (write-temp,
-	// fsync, rename); every later one appends and fsyncs.
-	FlushEvery int `json:"flushEvery,omitempty"`
 	// Checkpoint is the checkpoint file path; empty disables
-	// checkpointing.
+	// checkpointing. The checkpoint is flushed every time the
+	// contiguous finished prefix grows, so a crash costs only the cells
+	// not yet in it: those in flight and those finished behind a slower
+	// one. The first flush of a run publishes the file atomically
+	// (write-temp, fsync, rename); every later one appends and fsyncs.
 	Checkpoint string `json:"checkpoint,omitempty"`
 	// Resume loads an existing checkpoint (validating experiment,
 	// params hash, and range) and recomputes only the missing tail. A
@@ -67,9 +62,6 @@ type ShardParams struct {
 	// supervisors can pass Resume unconditionally.
 	Resume bool `json:"resume,omitempty"`
 }
-
-// DefaultFlushEvery is the checkpoint cadence when FlushEvery is 0.
-const DefaultFlushEvery = 1
 
 // Validate implements the Params convention: shard addressing must be
 // coherent before any cell runs.
@@ -80,21 +72,10 @@ func (p *ShardParams) Validate() error {
 	if p.Index < 0 || p.Index >= p.Count {
 		return fmt.Errorf("shard index must be in [0, %d), got %d", p.Count, p.Index)
 	}
-	if p.FlushEvery < 0 {
-		return fmt.Errorf("FlushEvery must be non-negative, got %d", p.FlushEvery)
-	}
 	if p.Resume && p.Checkpoint == "" {
 		return fmt.Errorf("Resume requires a Checkpoint path")
 	}
 	return nil
-}
-
-// flushEvery is the effective checkpoint cadence.
-func (p *ShardParams) flushEvery() int {
-	if p.FlushEvery == 0 {
-		return DefaultFlushEvery
-	}
-	return p.FlushEvery
 }
 
 // Envelope is the versioned partial-result container every shard run,

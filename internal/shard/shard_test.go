@@ -153,7 +153,6 @@ func TestShardParamsValidate(t *testing.T) {
 		{ShardParams{Index: 3, Count: 3}, false},
 		{ShardParams{Index: -1, Count: 3}, false},
 		{ShardParams{Index: 0, Count: 0}, false},
-		{ShardParams{Index: 0, Count: 1, FlushEvery: -1}, false},
 		{ShardParams{Index: 0, Count: 1, Resume: true}, false}, // resume needs checkpoint
 		{ShardParams{Index: 0, Count: 1, Resume: true, Checkpoint: "x"}, true},
 	} {

@@ -200,11 +200,13 @@ type MiceConfig struct {
 	// Variant for the transfers (default Sack).
 	Variant tcp.Variant
 	// BasePort: each concurrent session needs two ports; the generator
-	// uses BasePort + 2k and BasePort + 2k + 1 cyclically.
+	// uses BasePort + 2k and BasePort + 2k + 1 cyclically, k < MiceSlots.
 	BasePort int
-	// MaxConcurrent bounds live sessions (default 64).
-	MaxConcurrent int
 }
+
+// MiceSlots is the number of port slots a Mice generator cycles through,
+// and so the most sessions it keeps alive at once.
+const MiceSlots = 64
 
 // Mice launches short TCP sessions between src and dst. What it keeps
 // resident follows the sessions that are alive: a sender goes back to the
@@ -223,7 +225,7 @@ type Mice struct {
 	stopped  bool
 	doneFn   func(*tcp.Sender) // bound once: every session's OnComplete
 
-	slots []miceSlot // by port slot, 0..MaxConcurrent-1
+	slots []miceSlot // by port slot, 0..MiceSlots-1
 
 	observe func(SessionEvent) // ObserveSessions' callback, nil when nobody watches
 }
@@ -254,7 +256,7 @@ type SessionEvent struct {
 	Kind                SessionKind
 	At                  float64
 	Flow                int // the generator's flow id
-	Slot                int // port slot, 0..MaxConcurrent-1
+	Slot                int // port slot, 0..MiceSlots-1
 	Size                int64
 	Sent, Rtx, Timeouts int64
 	Received            int64
@@ -278,9 +280,6 @@ func NewMice(nw *netsim.Network, src, dst *netsim.Node, flow int, cfg MiceConfig
 	if cfg.MeanInterarrival <= 0 || cfg.MeanSize <= 0 {
 		panic("traffic: mice need positive interarrival and size")
 	}
-	if cfg.MaxConcurrent == 0 {
-		cfg.MaxConcurrent = 64
-	}
 	if cfg.BasePort == 0 {
 		cfg.BasePort = 1000
 	}
@@ -292,12 +291,11 @@ func NewMice(nw *netsim.Network, src, dst *netsim.Node, flow int, cfg MiceConfig
 	if m.doneFn == nil {
 		m.doneFn = m.sessionDone
 	}
-	if maxc := cfg.MaxConcurrent; cap(slots) < maxc {
-		slots = make([]miceSlot, maxc)
+	if slots == nil {
+		slots = make([]miceSlot, MiceSlots)
 	} else {
 		// Slot entries from a previous scenario were reclaimed wholesale
 		// by the arena reset; forget them rather than re-releasing.
-		slots = slots[:maxc]
 		clear(slots)
 	}
 	m.slots = slots
@@ -317,14 +315,14 @@ func (m *Mice) spawn() {
 		return
 	}
 	m.Sessions++
-	k := m.slot % m.cfg.MaxConcurrent
+	k := m.slot % MiceSlots
 	m.slot++
 	sinkPort := m.cfg.BasePort + 2*k
 	srcPort := m.cfg.BasePort + 2*k + 1
 	size := int64(m.rng.Exponential(m.cfg.MeanSize)) + 1
 
 	// Ports are recycled. A sender still bound to this slot is a
-	// straggler: it simply dies (with MaxConcurrent slots that is rare and
+	// straggler: it simply dies (with MiceSlots slots that is rare and
 	// harmless for background load) and goes back to the arena here
 	// instead of in sessionDone. The slot's last sink goes back either
 	// way, and the new session immediately reuses both.
@@ -354,7 +352,7 @@ func (m *Mice) spawn() {
 // sessionDone is every session's OnComplete: the sender has stopped,
 // detached itself and will not be touched again by the ACK that finished
 // it, so it goes back to the arena now rather than when its slot comes
-// round MaxConcurrent sessions later.
+// round MiceSlots sessions later.
 //
 //tfrc:hotpath
 func (m *Mice) sessionDone(snd *tcp.Sender) {

@@ -197,11 +197,12 @@ func TestMiceResidentSendersFollowLiveSessions(t *testing.T) {
 	})
 
 	t.Run("straggler", func(t *testing.T) {
-		// 20 kb/s carries a packet in 0.4 s: no transfer finishes before
-		// its slot, one of two, comes round again.
+		// 20 kb/s carries a packet in 0.4 s and sessions start 500 a
+		// second: few transfers finish before their slot, one of
+		// MiceSlots, comes round again.
 		sched, nw, a, b := twoNodes(t, 20e3)
 		slow := cfg
-		slow.MaxConcurrent = 2
+		slow.MeanInterarrival = 0.002
 		w := watchMice(t, sched, func() *Mice { return NewMice(nw, a, b, 7, slow, sim.NewRand(5)) })
 		w.m.Start(0)
 		sched.RunUntil(2)
@@ -213,9 +214,10 @@ func TestMiceResidentSendersFollowLiveSessions(t *testing.T) {
 		}
 		// An evicted sender goes back exactly once and is the very struct
 		// the session that evicted it starts on.
-		if len(w.issued) > slow.MaxConcurrent+1 {
-			t.Errorf("%d sender structs issued through %d port slots", len(w.issued), slow.MaxConcurrent)
+		if len(w.issued) > MiceSlots+1 {
+			t.Errorf("%d sender structs issued through %d port slots", len(w.issued), MiceSlots)
 		}
+		t.Logf("%d sessions, %d evicted, %d sender structs", w.starts, w.evicted, len(w.issued))
 	})
 
 	t.Run("steady state allocates nothing", func(t *testing.T) {
