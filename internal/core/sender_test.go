@@ -181,6 +181,22 @@ func TestSenderRateNeverBelowFloor(t *testing.T) {
 	}
 }
 
+// TestSenderNoSampleFirstReport hands a fresh sender a loss report that
+// carries no RTT sample and no receive rate. With no round-trip time the
+// equation is evaluated at R = 0, where it is +Inf; a pacer at that rate
+// would re-arm its send timer +0 s ahead forever. The report must leave
+// the rate finite and the packet interval positive.
+func TestSenderNoSampleFirstReport(t *testing.T) {
+	s := NewSender(DefaultSenderConfig())
+	s.OnFeedback(Feedback{P: 0.01})
+	if r := s.Rate(); math.IsInf(r, 0) || math.IsNaN(r) || r <= 0 {
+		t.Fatalf("rate after a no-sample first report = %v", r)
+	}
+	if iv := s.PacketInterval(); !(iv > 0) || math.IsInf(iv, 0) {
+		t.Fatalf("packet interval after a no-sample first report = %v", iv)
+	}
+}
+
 func TestSenderConfigValidation(t *testing.T) {
 	defer func() {
 		if recover() == nil {

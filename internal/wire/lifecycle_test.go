@@ -22,6 +22,7 @@ type probeClock struct {
 type probeTimer struct {
 	Timer
 	armed bool
+	d     time.Duration // of the latest Reset
 }
 
 func (c *probeClock) NewTimer(f func()) Timer {
@@ -31,8 +32,27 @@ func (c *probeClock) NewTimer(f func()) Timer {
 	return pt
 }
 
-func (t *probeTimer) Reset(d time.Duration) { t.armed = true; t.Timer.Reset(d) }
+func (t *probeTimer) Reset(d time.Duration) { t.armed, t.d = true, d; t.Timer.Reset(d) }
 func (t *probeTimer) Stop()                 { t.armed = false; t.Timer.Stop() }
+
+// TestReportTimerFollowsSubMillisecondRTT stamps a sender RTT of 300 µs
+// on the data: the receiver reports once per sender RTT, floored at
+// 0.1 ms as in the simulator's agents, so its report timer runs 300 µs
+// ahead, not a millisecond.
+func TestReportTimerFollowsSubMillisecondRTT(t *testing.T) {
+	sched, topo := simPath(8e6, 0.0001, 20)
+	_, rcv, _, rp := simPair(topo, "a", "b", 1, nil, Config{})
+	rck := &probeClock{Clock: simClock{sched}}
+	rcv.attach(rck, rp.send)
+	fbT := rck.timers[0]
+	const rtt = 300 * time.Microsecond
+	for seq := uint32(0); seq < 3; seq++ {
+		rcv.onDatagram(AppendData(nil, DataHeader{Seq: seq, SendTime: simEpoch, SenderRTT: rtt}, make([]byte, 100)))
+		if !fbT.armed || fbT.d != rtt {
+			t.Fatalf("after packet %d: report timer armed=%v %v ahead, want %v", seq, fbT.armed, fbT.d, rtt)
+		}
+	}
+}
 
 // probeAgent counts the packets netsim hands to a port.
 type probeAgent struct {
