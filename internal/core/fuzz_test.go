@@ -112,7 +112,9 @@ func TestSenderArbitraryFeedbackInvariant(t *testing.T) {
 
 // TestSenderInterleavedLifecycleInvariant interleaves feedback carrying
 // extreme values (loss rates of 0 and 1, receive rates from zero to
-// 1e15, microsecond to multi-second RTTs) with no-feedback expiries and
+// 1e15, RTT samples from none — 0 and −1 ms, which the sender refuses
+// until it has an estimate — through a microsecond to multi-second
+// RTTs) with no-feedback expiries and
 // idle-period decays in arbitrary order. Whatever the history, the
 // sender must keep its rate in [protocol floor, finite], and both the
 // packet interval and the no-feedback timeout positive and finite —
@@ -120,7 +122,7 @@ func TestSenderArbitraryFeedbackInvariant(t *testing.T) {
 func TestSenderInterleavedLifecycleInvariant(t *testing.T) {
 	ps := []float64{0, 1e-12, 1e-6, 0.5, 1 - 1e-12, 1}
 	xs := []float64{0, 1e-12, 1, 1000, 1e9, 1e15}
-	rtts := []float64{1e-6, 1e-3, 0.1, 1, 10}
+	rtts := []float64{-1e-3, 0, 1e-6, 1e-3, 0.1, 1, 10}
 	f := func(ops []uint16) bool {
 		s := NewSender(DefaultSenderConfig())
 		floor := 1000.0 / 64

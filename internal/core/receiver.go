@@ -28,18 +28,13 @@ type Report struct {
 	EchoDelay    float64 // receiver residence time of that packet
 }
 
-// RTTSample extracts the round-trip sample from a report given the
-// sender-side receive time of the report.
-func (r Report) RTTSample(now float64) float64 {
-	return now - r.EchoSendTime - r.EchoDelay
-}
-
 // Receiver is the TFRC receiver state machine (§3.3): it detects losses
 // from sequence gaps, aggregates losses within one round-trip time into
 // loss events, maintains the loss-interval history, measures the receive
-// rate, and builds feedback reports. The caller owns the feedback timer
-// (once per RTT, expedited on a new loss event). Reading the receiver
-// never changes it: only OnData and MakeReport do.
+// rate, and builds feedback reports. Its driver owns the transport and
+// the report timer and takes one turn per event — OnArrival,
+// OnReportTimer. Reading the receiver never changes it: only OnData and
+// MakeReport do, and the turns through them.
 type Receiver struct {
 	cfg ReceiverConfig
 	// hist is the paper's Average Loss Interval history, embedded by
@@ -57,10 +52,11 @@ type Receiver struct {
 	eventStartSeq  int64
 	eventStartTime float64
 
-	fbBytes    float64 // bytes since the last report
-	fbStart    float64 // time the current feedback interval began
-	lastXRecv  float64
-	lossSeeded bool
+	fbBytes     float64 // bytes since the last report
+	fbStart     float64 // time the current feedback interval began
+	lastXRecv   float64
+	lossSeeded  bool
+	reportArmed bool // a turn asked the driver for a report timer
 }
 
 // NewReceiver returns a receiver with no data received yet.
@@ -95,9 +91,11 @@ type DataPacket struct {
 }
 
 // OnData processes an arrival at local time now. It returns true when the
-// packet revealed the start of a new loss event, in which case the caller
-// should send feedback immediately rather than waiting for the RTT timer.
-func (r *Receiver) OnData(now float64, pkt DataPacket) (newLossEvent bool) {
+// caller should send feedback immediately rather than waiting for the
+// RTT timer: at a packet that revealed the start of a new loss event, and
+// at the first packet, which starts the report clock (with no receive
+// interval measured yet, that turn reports nothing and arms the timer).
+func (r *Receiver) OnData(now float64, pkt DataPacket) (reportNow bool) {
 	if pkt.SenderRTT > 0 {
 		r.senderRTT = pkt.SenderRTT
 	}
@@ -108,7 +106,7 @@ func (r *Receiver) OnData(now float64, pkt DataPacket) (newLossEvent bool) {
 		r.maxSendTime = pkt.SendTime
 		r.maxArrival = now
 		r.fbStart = now
-		return false
+		return true
 	}
 	if pkt.Seq <= r.maxSeq {
 		// Duplicate or reordered: counted for the receive rate above,
@@ -144,12 +142,12 @@ func (r *Receiver) OnData(now float64, pkt DataPacket) (newLossEvent bool) {
 		}
 		r.eventStartSeq = lost
 		r.eventStartTime = lossTime
-		newLossEvent = true
+		reportNow = true
 	}
 	if r.haveEvent {
 		r.hist.SetOpen(float64(r.maxSeq - r.eventStartSeq))
 	}
-	return newLossEvent
+	return reportNow
 }
 
 func (r *Receiver) seedHistory(now float64) {
@@ -185,11 +183,8 @@ func (r *Receiver) P() float64 { return r.hist.LossEventRate() }
 func (r *Receiver) History() *LossHistory { return &r.hist }
 
 // SenderRTT returns the sender's RTT estimate as stamped on the most
-// recent data packet — the feedback timer should be armed with this.
+// recent data packet — the report interval follows it.
 func (r *Receiver) SenderRTT() float64 { return r.senderRTT }
-
-// HaveData reports whether any packet has arrived.
-func (r *Receiver) HaveData() bool { return r.haveData }
 
 // MakeReport builds the feedback report for local time now and starts a
 // new measurement interval; the reported average becomes the history's
@@ -214,4 +209,47 @@ func (r *Receiver) MakeReport(now float64) (rep Report, ok bool) {
 	r.fbBytes = 0
 	r.fbStart = now
 	return rep, true
+}
+
+// The receiver's turns: if send, send the report the turn wrote to the
+// caller's rep; if arm > 0, (re)arm the report timer arm seconds ahead.
+
+// OnArrival is the receiver's turn at a data packet's arrival (OnData):
+// the first packet and a new loss event take a report turn at once; any
+// other arrival arms the report timer only if none is pending.
+//
+//tfrc:hotpath
+func (r *Receiver) OnArrival(now float64, pkt DataPacket, rep *Report) (send bool, arm float64) {
+	if r.OnData(now, pkt) {
+		return r.OnReportTimer(now, rep)
+	}
+	if r.ReportPending() {
+		return false, 0
+	}
+	r.reportArmed = true
+	return false, r.reportInterval()
+}
+
+// OnReportTimer is the report turn, taken at the report timer's expiry:
+// a report if data arrived since the last one, and the timer re-armed.
+//
+//tfrc:hotpath
+func (r *Receiver) OnReportTimer(now float64, rep *Report) (send bool, arm float64) {
+	*rep, send = r.MakeReport(now)
+	r.reportArmed = true
+	return send, r.reportInterval()
+}
+
+// ReportPending reports whether the report timer a turn asked for is
+// pending: from the first arrival on, as every report turn re-arms it.
+func (r *Receiver) ReportPending() bool { return r.reportArmed }
+
+// reportInterval is the feedback period: one report per round-trip time
+// of the sender's estimate (§3), 100 ms until the estimate arrives.
+func (r *Receiver) reportInterval() float64 {
+	rtt := r.senderRTT
+	if rtt <= 0 {
+		rtt = 0.1
+	}
+	return math.Max(rtt, 1e-4)
 }

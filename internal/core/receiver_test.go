@@ -25,9 +25,6 @@ func TestReceiverNoLossInOrder(t *testing.T) {
 	if r.P() != 0 {
 		t.Fatalf("p = %v with no loss", r.P())
 	}
-	if !r.HaveData() {
-		t.Fatal("receiver claims no data")
-	}
 	if r.SenderRTT() != 0.1 {
 		t.Fatalf("sender RTT = %v", r.SenderRTT())
 	}
@@ -153,7 +150,11 @@ func TestReceiverReportContents(t *testing.T) {
 	}
 	// Sender-side sample: receives report at 0.11; packet sent at 0.04.
 	// RTT = 0.11 − 0.04 − 0.01 = 0.06.
-	if got := rep.RTTSample(0.11); math.Abs(got-0.06) > 1e-9 {
+	s := NewSender(DefaultSenderConfig())
+	if ok, _, _ := s.OnReport(0.11, rep, 0); !ok {
+		t.Fatal("sender refused the report")
+	}
+	if got := s.RTT().Last(); math.Abs(got-0.06) > 1e-9 {
 		t.Fatalf("RTT sample = %v, want 0.06", got)
 	}
 }

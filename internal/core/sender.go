@@ -59,17 +59,16 @@ func DefaultSenderConfig() SenderConfig {
 }
 
 // Sender is the TFRC sender state machine (§3.2). It owns no transport
-// and no timers: the caller feeds it feedback reports and no-feedback
-// expiries, and reads back the allowed rate, the spacing of the next
-// packet, and the timeout to arm. All times are in seconds on the
-// caller's clock.
+// and no timers: its driver takes one turn per event — OnSend, OnStart,
+// OnReport, OnNoFeedback — and arms the timers each returns. All times
+// are in seconds on the driver's clock.
 type Sender struct {
 	cfg SenderConfig
 	rtt RTTEstimator // embedded by value so pooled senders carry no heap graph
 
 	rate      float64 // allowed transmission rate X, bytes/sec
 	slowStart bool
-	started   bool
+	nextSend  float64 // deadline of the pending send; 0 before OnStart
 }
 
 // NewSender returns a sender in its initial state: one packet per second
@@ -109,7 +108,9 @@ type Feedback struct {
 }
 
 // OnFeedback folds a receiver report into the sender state and returns
-// the new allowed rate in bytes/sec.
+// the allowed rate in bytes/sec. A report without an RTT sample reaching
+// a sender with no estimate yet is refused and leaves the rate as it
+// was: the equation has no round-trip time to work with.
 func (s *Sender) OnFeedback(fb Feedback) float64 {
 	if fb.RTTSample > 0 {
 		first := !s.rtt.Valid()
@@ -118,6 +119,8 @@ func (s *Sender) OnFeedback(fb Feedback) float64 {
 			// RTT now known: start slow start at one packet per RTT.
 			s.rate = math.Max(s.rate, float64(s.cfg.PacketSize)/s.rtt.SRTT())
 		}
+	} else if !s.rtt.Valid() {
+		return s.rate
 	}
 	if fb.P <= 0 {
 		// No reported loss: the throughput equation is undefined at
@@ -133,7 +136,6 @@ func (s *Sender) OnFeedback(fb Feedback) float64 {
 			next = cap
 		}
 		s.rate = math.Max(next, s.minRate())
-		s.started = true
 		return s.rate
 	}
 	s.slowStart = false
@@ -155,17 +157,60 @@ func (s *Sender) OnFeedback(fb Feedback) float64 {
 		}
 	}
 	s.rate = math.Max(s.rate, s.minRate())
-	s.started = true
 	return s.rate
 }
 
-// OnNoFeedback handles expiry of the no-feedback timer: several
-// round-trip times without a report mean the sender must cut its rate,
-// and ultimately stop (§3). Each expiry halves the rate down to one
-// packet per MaxBackoffInterval.
-func (s *Sender) OnNoFeedback() float64 {
+// The sender's turns return how many seconds from now to (re)arm which
+// timer. The driver's own pacing rides in two arguments: every gap is at
+// least minGap (an application rate limit; 0 for none), and a send's gap
+// is then scaled by jitter (1 for none).
+
+// OnSend is the sender's turn right after it sent a data packet (stamped
+// with RTT().SRTT(), 0 before the first sample): arm the send timer gap
+// seconds ahead.
+//
+//tfrc:hotpath
+func (s *Sender) OnSend(now, minGap, jitter float64) (gap float64) {
+	gap = max(s.PacketInterval(), minGap) * jitter
+	s.nextSend = now + gap
+	return gap
+}
+
+// OnStart is the sender's first turn, taken right after its first
+// OnSend: arm the no-feedback timer timeout seconds ahead.
+func (s *Sender) OnStart() (timeout float64) { return s.NoFeedbackTimeout() }
+
+// OnReport is the sender's turn at a receiver report: it takes the RTT
+// sample from the timestamp echo and folds the report in (OnFeedback).
+// ok is false if the report was refused for want of any RTT; otherwise
+// re-arm the no-feedback timer timeout seconds ahead, and if pull > 0
+// the new rate's next packet is due before the pending send: pull the
+// send timer forward to pull seconds ahead.
+//
+//tfrc:hotpath
+func (s *Sender) OnReport(now float64, rep Report, minGap float64) (ok bool, timeout, pull float64) {
+	s.OnFeedback(Feedback{P: rep.P, XRecv: rep.XRecv, RTTSample: now - rep.EchoSendTime - rep.EchoDelay})
+	if !s.rtt.Valid() {
+		return false, 0, 0 // refused: no sample, and no estimate to fall back on
+	}
+	gap := max(s.PacketInterval(), minGap)
+	if next := now + gap; next < s.nextSend {
+		s.nextSend = next
+		pull = gap
+	}
+	return true, s.NoFeedbackTimeout(), pull
+}
+
+// OnNoFeedback is the sender's turn at the no-feedback timer's expiry:
+// several round-trip times without a report mean the sender must cut
+// its rate, and ultimately stop (§3). Each expiry halves the rate down to
+// one packet per MaxBackoffInterval; re-arm the timer timeout seconds
+// ahead.
+//
+//tfrc:hotpath
+func (s *Sender) OnNoFeedback() (timeout float64) {
 	s.rate = math.Max(s.rate/2, s.minRate())
-	return s.rate
+	return s.NoFeedbackTimeout()
 }
 
 // OnIdle implements the paper's §7 plan for quiescent senders — a

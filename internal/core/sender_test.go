@@ -106,7 +106,8 @@ func TestSenderNoFeedbackHalves(t *testing.T) {
 	s := newTestSender(nil)
 	s.OnFeedback(Feedback{P: 0.001, XRecv: 1e9, RTTSample: 0.1})
 	r := s.Rate()
-	if got := s.OnNoFeedback(); math.Abs(got-r/2) > 1e-9 {
+	s.OnNoFeedback()
+	if got := s.Rate(); math.Abs(got-r/2) > 1e-9 {
 		t.Fatalf("no-feedback rate = %v, want %v", got, r/2)
 	}
 	// Repeated expiries floor at one packet per MaxBackoffInterval:

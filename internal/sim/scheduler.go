@@ -51,15 +51,6 @@ type Handle struct {
 	slot  int32
 }
 
-// Time returns the simulated time at which the event fires, or 0 for a
-// stale or zero Handle.
-func (h Handle) Time() float64 {
-	if !h.Scheduled() {
-		return 0
-	}
-	return h.s.slots[h.slot].at
-}
-
 // Scheduled reports whether the event this Handle was issued for is still
 // pending in the queue. The epoch check comes first: after a Reset the
 // slot table is rebuilt from empty, so a pre-Reset slot index may exceed

@@ -58,7 +58,7 @@ func (t *Timer) InitArg(s *Scheduler, fn func(any), arg any) {
 
 // Coarse switches an idle timer to batched mode on the given wheel
 // (which must belong to the timer's scheduler): every subsequent
-// Reset/ResetAt rounds the deadline up to the wheel's tick and fires
+// Reset rounds the deadline up to the wheel's tick and fires
 // from the wheel's shared per-tick event — up to one tick late, never
 // early. Call once after Init/InitArg, before the timer is first armed.
 func (t *Timer) Coarse(w *Wheel) {
@@ -80,19 +80,6 @@ func (t *Timer) Reset(d float64) {
 	t.ev = t.sched.AfterArg(d, timerFireFn, t)
 }
 
-// ResetAt (re)arms the timer to fire at absolute time at.
-//
-//tfrc:hotpath
-func (t *Timer) ResetAt(at float64) {
-	if t.wheel != nil {
-		t.wheel.cancel(t)
-		t.wheel.arm(t, at)
-		return
-	}
-	t.Stop()
-	t.ev = t.sched.AtArg(at, timerFireFn, t)
-}
-
 // Stop cancels a pending expiry. Stopping an idle timer is a no-op.
 //
 //tfrc:hotpath
@@ -111,20 +98,4 @@ func (t *Timer) Pending() bool {
 		return t.wtick >= 0
 	}
 	return t.ev.Scheduled()
-}
-
-// Deadline returns the expiry time of an armed timer and true, or 0 and
-// false for an idle timer. In coarse mode the deadline is the rounded
-// tick the wheel will fire, not the requested time.
-func (t *Timer) Deadline() (float64, bool) {
-	if t.wheel != nil {
-		if t.wtick < 0 {
-			return 0, false
-		}
-		return float64(t.wtick) * t.wheel.tick, true
-	}
-	if !t.ev.Scheduled() {
-		return 0, false
-	}
-	return t.ev.Time(), true
 }

@@ -82,7 +82,7 @@ func (w *Wheel) reset() {
 }
 
 // arm files a timer for the given absolute deadline, rounding up to the
-// next tick. Called from Timer.Reset/ResetAt after the timer's previous
+// next tick. Called from Timer.Reset after the timer's previous
 // occurrence (if any) was invalidated.
 //
 //tfrc:hotpath

@@ -47,7 +47,7 @@ func TestWheelNeverFiresEarly(t *testing.T) {
 		tm := new(Timer)
 		tm.Init(s, func() { a.firedAt = s.Now() })
 		tm.Coarse(w)
-		tm.ResetAt(a.deadline)
+		tm.Reset(a.deadline) // the clock is at 0
 	}
 	s.Run()
 	for i, a := range timers {
@@ -74,9 +74,6 @@ func TestWheelStopAndRearm(t *testing.T) {
 	tm.Reset(0.05)
 	if !tm.Pending() {
 		t.Fatal("armed coarse timer not Pending")
-	}
-	if d, ok := tm.Deadline(); !ok || d != 0.05 {
-		t.Fatalf("deadline = %v,%v want 0.05,true", d, ok)
 	}
 	tm.Stop()
 	if tm.Pending() {

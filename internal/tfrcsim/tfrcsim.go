@@ -1,12 +1,12 @@
-// Package tfrcsim binds the TFRC state machines of internal/core to the
-// packet-level simulator: a paced rate-based data sender and a feedback-
-// generating receiver, the simulator-side counterpart of the paper's ns-2
-// agents.
+// Package tfrcsim drives the TFRC agents of internal/core over the
+// packet-level simulator — the simulator-side counterpart of the paper's
+// ns-2 agents. The protocol's turns (when to send, report, and arm which
+// timer) are core's; this package keeps only what is the simulator's: the
+// packet fields, sim.Timers (optionally on a coarse timer wheel), and
+// pacing jitter.
 package tfrcsim
 
 import (
-	"math"
-
 	"tfrc/internal/core"
 	"tfrc/internal/netsim"
 	"tfrc/internal/sim"
@@ -58,7 +58,6 @@ type Sender struct {
 	sendTmr sim.Timer
 	noFbTmr sim.Timer
 	jitter  *sim.Rand
-	started bool
 	stopped bool
 
 	// Counters for experiments.
@@ -103,13 +102,20 @@ func NewSender(nw *netsim.Network, node *netsim.Node, dst netsim.NodeID, dstPort
 // constructing and starting agents builds no closures.
 func senderSendFn(x any)       { x.(*Sender).onSend() }
 func senderNoFeedbackFn(x any) { x.(*Sender).onNoFeedback() }
-func receiverFeedbackFn(x any) { x.(*Receiver).sendFeedback() }
+func receiverFeedbackFn(x any) {
+	r := x.(*Receiver)
+	var rep core.Report
+	send, arm := r.core.OnReportTimer(r.net.Now(), &rep)
+	r.act(&rep, send, arm)
+}
 
 func senderStartFn(x any) {
 	s := x.(*Sender)
-	s.started = true
+	if s.stopped {
+		return
+	}
 	s.onSend()
-	s.noFbTmr.Reset(s.core.NoFeedbackTimeout())
+	s.noFbTmr.Reset(s.core.OnStart())
 }
 
 // Start begins transmission at the given simulated time.
@@ -136,11 +142,11 @@ func (s *Sender) onSend() {
 		return
 	}
 	s.emit()
-	gap := s.core.PacketInterval()
+	jitter := 1.0
 	if s.jitter != nil {
-		gap *= 1 + s.cfg.PacingJitter*(2*s.jitter.Float64()-1)
+		jitter = 1 + s.cfg.PacingJitter*(2*s.jitter.Float64()-1)
 	}
-	s.sendTmr.Reset(gap)
+	s.sendTmr.Reset(s.core.OnSend(s.net.Now(), 0, jitter))
 }
 
 //tfrc:hotpath
@@ -154,9 +160,7 @@ func (s *Sender) emit() {
 	p.Dst = s.dst
 	p.SrcPort = s.sprt
 	p.DstPort = s.dprt
-	if s.core.RTT().Valid() {
-		p.SenderRTT = s.core.RTT().SRTT()
-	}
+	p.SenderRTT = s.core.RTT().SRTT()
 	s.seq++
 	s.Sent++
 	s.node.Send(p)
@@ -171,31 +175,24 @@ func (s *Sender) Recv(p *netsim.Packet) {
 		return
 	}
 	now := s.net.Now()
-	rep := core.Report{
+	ok, timeout, pull := s.core.OnReport(now, core.Report{
 		P:            p.LossEventRate,
 		XRecv:        p.RecvRate,
 		EchoSeq:      p.EchoSeq,
 		EchoSendTime: p.EchoTime,
 		EchoDelay:    p.EchoDelay,
+	}, 0)
+	s.net.Free(p)
+	if !ok {
+		return
 	}
 	s.Feedbacks++
-	s.core.OnFeedback(core.Feedback{
-		P:         rep.P,
-		XRecv:     rep.XRecv,
-		RTTSample: rep.RTTSample(now),
-	})
-	s.net.Free(p)
 	if s.OnRateChange != nil {
 		s.OnRateChange(now, s.core.Rate())
 	}
-	s.noFbTmr.Reset(s.core.NoFeedbackTimeout())
-	// A rate increase shortens the inter-packet gap; pull the pending
-	// send forward if the new spacing says so.
-	if dl, ok := s.sendTmr.Deadline(); ok {
-		next := now + s.core.PacketInterval()
-		if next < dl {
-			s.sendTmr.ResetAt(next)
-		}
+	s.noFbTmr.Reset(timeout)
+	if pull > 0 {
+		s.sendTmr.Reset(pull)
 	}
 }
 
@@ -204,11 +201,11 @@ func (s *Sender) onNoFeedback() {
 		return
 	}
 	s.NoFbCuts++
-	s.core.OnNoFeedback()
+	timeout := s.core.OnNoFeedback()
 	if s.OnRateChange != nil {
 		s.OnRateChange(s.net.Now(), s.core.Rate())
 	}
-	s.noFbTmr.Reset(s.core.NoFeedbackTimeout())
+	s.noFbTmr.Reset(timeout)
 }
 
 // Receiver is the TFRC feedback-generating agent.
@@ -274,43 +271,24 @@ func (r *Receiver) Recv(p *netsim.Packet) {
 		r.net.Free(p)
 		return
 	}
-	now := r.net.Now()
-	first := !r.core.HaveData()
-	newLoss := r.core.OnData(now, core.DataPacket{
+	var rep core.Report
+	send, arm := r.core.OnArrival(r.net.Now(), core.DataPacket{
 		Seq:       p.Seq,
 		Size:      p.Size,
 		SendTime:  p.SendTime,
 		SenderRTT: p.SenderRTT,
-	})
+	}, &rep)
 	r.peer = p.Src
 	r.pport = p.SrcPort
 	r.net.Free(p)
-	if first || newLoss {
-		// Bootstrap the sender's RTT estimate immediately, and expedite
-		// the report when a new loss event begins.
-		r.sendFeedback()
-		return
-	}
-	if !r.fbTmr.Pending() {
-		r.fbTmr.Reset(r.interval())
-	}
+	r.act(&rep, send, arm)
 }
 
-// interval is the feedback period: one report per round-trip time of
-// the sender's estimate (§3).
-func (r *Receiver) interval() float64 {
-	rtt := r.core.SenderRTT()
-	if rtt <= 0 {
-		rtt = 0.1 // until the sender's estimate converges
-	}
-	return math.Max(rtt, 1e-4)
-}
-
+// act does what a receiver turn asks: send the report, arm the timer.
+//
 //tfrc:hotpath
-func (r *Receiver) sendFeedback() {
-	now := r.net.Now()
-	rep, ok := r.core.MakeReport(now)
-	if ok {
+func (r *Receiver) act(rep *core.Report, send bool, arm float64) {
+	if send {
 		p := r.net.NewPacket()
 		p.Kind = netsim.KindFeedback
 		p.Flow = r.flow
@@ -327,7 +305,9 @@ func (r *Receiver) sendFeedback() {
 		r.Reports++
 		r.node.Send(p)
 	}
-	r.fbTmr.Reset(r.interval())
+	if arm > 0 {
+		r.fbTmr.Reset(arm)
+	}
 }
 
 // Pair wires a TFRC connection between two nodes: data flows src → dst.

@@ -14,15 +14,14 @@ import (
 // TestSimVsWireDifferential runs one core configuration over one path
 // twice — once as the tfrcsim agents, which ship header fields in the
 // netsim packet and never touch the codec, and once as the wire
-// endpoints on the simulator driver, which encode every frame and run
-// their own timers — and holds the two per-second traces of send rate
-// and loss event rate together, within the tolerance stated per case
-// below. Known differences: wire timestamps and
-// the stamped sender RTT are quantised to microseconds, timers to
-// nanoseconds, and the wire receiver's report timer has a 1 ms floor
-// (tfrcsim: 0.1 ms). A testbed implementation and a draft-faithful simulation of one
-// controller disagreeing is the failure this pins (Rossi et al., arXiv
-// 0908.0812).
+// endpoints on the simulator driver, which encode every frame and arm
+// their timers through the Clock seam — and holds the two per-second
+// traces of send rate and loss event rate together, within the
+// tolerance stated per case below. Both drive the same core turns, so
+// what is left to differ is the wire's quantisation: timestamps and the
+// stamped sender RTT to microseconds, timers to nanoseconds. A testbed
+// implementation and a draft-faithful simulation of one controller
+// disagreeing is the failure this pins (Rossi et al., arXiv 0908.0812).
 func TestSimVsWireDifferential(t *testing.T) {
 	const seconds = 40
 	type trace struct {
@@ -76,8 +75,10 @@ func TestSimVsWireDifferential(t *testing.T) {
 		tol, sentTol float64
 	}{
 		// Random loss ends slow start within the first second and keeps
-		// the loss history turning over: the traces stay together.
-		{"corrupt 1%", 0.01, 0.05, 0.01},
+		// the loss history turning over: the traces stay together. Largest
+		// disagreement measured: send rate 3.5 %, loss event rate 2.2 %,
+		// packets sent one in 8682 (0.01 %).
+		{"corrupt 1%", 0.01, 0.05, 0.001},
 		// Alone on a clean path the sender doubles its rate from
 		// s/RTT, so its packet spacing divides the RTT exactly and data
 		// arrivals tie with the receiver's once-per-RTT report timer to
@@ -86,7 +87,10 @@ func TestSimVsWireDifferential(t *testing.T) {
 		// packet more or less in a report's receive rate moves the
 		// slow-start exit, and the loss history — fed only by the
 		// flow's own rare queue overflows — remembers it for minutes.
-		// The throughput does not care.
+		// The throughput does not care. Measured: send rate 33.7 %, loss
+		// event rate 30.5 %, packets sent 0.6 %, the same before and after
+		// both drivers shared the turns — the ties, not the protocol, set
+		// this bound, so it cannot tighten without equal clocks.
 		{"clean", 0, 0.40, 0.01},
 	} {
 		t.Run(c.name, func(t *testing.T) {

@@ -72,6 +72,9 @@ func dur(sec float64) time.Duration {
 	return time.Duration(math.Round(sec * float64(time.Second)))
 }
 
+// secs reads t as the state machines' float seconds since epoch.
+func secs(t, epoch time.Time) float64 { return t.Sub(epoch).Seconds() }
+
 // Rejects counts the datagrams an endpoint refused, by reason.
 type Rejects struct {
 	NotTFRC   int64 // no magic byte, or the other packet type
@@ -109,27 +112,27 @@ const (
 	senderStopped
 )
 
-// Sender is the TFRC data sender: it paces data packets at the rate the
-// core state machine allows, feeds it the receiver's reports, and halves
-// the rate whenever the no-feedback timer expires. While running it keeps
-// exactly two timers armed: the next send and the no-feedback timer.
+// Sender is the TFRC data sender: it runs the core sender's turns on
+// encoded frames and its Clock's timers. While running it keeps exactly
+// two timers armed: the next send and the no-feedback timer.
 type Sender struct {
 	mu sync.Mutex // one turn at a time: driver callbacks and accessors
 
 	cfg   Config
 	src   Source
 	clock Clock
+	epoch time.Time    // zero of the float seconds the core machine sees
 	out   func([]byte) // datagram seam: one encoded frame to the driver
 	os    *osLoop      // socket read loop; nil on a simulated host
 
-	core     core.Sender
-	state    int
-	seq      uint32
-	sendT    Timer
-	noFbT    Timer
-	nextSend time.Time // sendT's deadline
-	buf      []byte
-	payload  []byte
+	core    core.Sender
+	minGap  float64 // seconds per packet at MaxRate; 0 when uncapped
+	state   int
+	seq     uint32
+	sendT   Timer
+	noFbT   Timer
+	buf     []byte
+	payload []byte
 
 	lastP     float64
 	sent      int64
@@ -149,6 +152,9 @@ func newSender(src Source, cfg Config) *Sender {
 		buf:     make([]byte, 0, cfg.PacketSize),
 		payload: make([]byte, cfg.PacketSize-dataHeaderLen),
 	}
+	if cfg.MaxRate > 0 {
+		s.minGap = float64(cfg.PacketSize) / cfg.MaxRate
+	}
 	s.core.Init(cfg.Sender)
 	return s
 }
@@ -156,6 +162,7 @@ func newSender(src Source, cfg Config) *Sender {
 // attach binds the sender to its driver.
 func (s *Sender) attach(c Clock, out func([]byte)) {
 	s.clock, s.out = c, out
+	s.epoch = c.Now()
 	s.sendT = c.NewTimer(s.onSendTimer)
 	s.noFbT = c.NewTimer(s.onNoFeedback)
 }
@@ -168,7 +175,7 @@ func (s *Sender) Run() {
 	if s.state == senderIdle {
 		s.state = senderRunning
 		s.onSendTimer()
-		s.noFbT.Reset(dur(s.core.NoFeedbackTimeout()))
+		s.noFbT.Reset(dur(s.core.OnStart()))
 	}
 	s.mu.Unlock()
 	if s.os != nil {
@@ -201,28 +208,15 @@ func (s *Sender) Rate() float64 {
 func (s *Sender) Stats() SenderStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := SenderStats{
+	return SenderStats{
 		Rate:           s.core.Rate(),
 		P:              s.lastP,
+		SRTT:           dur(s.core.RTT().SRTT()),
 		Sent:           s.sent,
 		Feedbacks:      s.feedbacks,
 		NoFeedbackCuts: s.noFbCuts,
 		Rejected:       s.rejected,
 	}
-	if s.core.RTT().Valid() {
-		st.SRTT = dur(s.core.RTT().SRTT())
-	}
-	return st
-}
-
-// gap is the spacing to the next packet: the core's interval, stretched
-// to the application's MaxRate.
-func (s *Sender) gap() time.Duration {
-	gap := s.core.PacketInterval()
-	if s.cfg.MaxRate > 0 {
-		gap = math.Max(gap, float64(s.cfg.PacketSize)/s.cfg.MaxRate)
-	}
-	return dur(gap)
 }
 
 func (s *Sender) onSendTimer() {
@@ -230,18 +224,13 @@ func (s *Sender) onSendTimer() {
 		return
 	}
 	now := s.clock.Now()
-	hdr := DataHeader{Seq: s.seq, SendTime: now}
-	if s.core.RTT().Valid() {
-		hdr.SenderRTT = dur(s.core.RTT().SRTT())
-	}
+	hdr := DataHeader{Seq: s.seq, SendTime: now, SenderRTT: dur(s.core.RTT().SRTT())}
 	s.seq++
 	s.sent++
 	n := s.src.Fill(s.payload)
 	s.buf = AppendData(s.buf, hdr, s.payload[:n])
 	s.out(s.buf)
-	gap := s.gap()
-	s.nextSend = now.Add(gap)
-	s.sendT.Reset(gap)
+	s.sendT.Reset(dur(s.core.OnSend(secs(now, s.epoch), s.minGap, 1)))
 }
 
 func (s *Sender) onNoFeedback() {
@@ -249,8 +238,7 @@ func (s *Sender) onNoFeedback() {
 		return
 	}
 	s.noFbCuts++
-	s.core.OnNoFeedback()
-	s.noFbT.Reset(dur(s.core.NoFeedbackTimeout()))
+	s.noFbT.Reset(dur(s.core.OnNoFeedback()))
 }
 
 // onDatagram takes one arriving datagram: a receiver report, or
@@ -264,28 +252,24 @@ func (s *Sender) onDatagram(b []byte) {
 		s.rejected.count(err)
 		return
 	}
-	now := s.clock.Now()
-	rtt := now.Sub(fb.EchoSendTime) - fb.EchoDelay
-	if rtt <= 0 && !s.core.RTT().Valid() {
-		// An echo from the future carries no sample, and without one the
-		// rate equation has no round-trip time to work with.
+	ok, timeout, pull := s.core.OnReport(secs(s.clock.Now(), s.epoch), core.Report{
+		P:            fb.LossEventRate,
+		XRecv:        fb.RecvRate,
+		EchoSeq:      int64(fb.EchoSeq),
+		EchoSendTime: secs(fb.EchoSendTime, s.epoch),
+		EchoDelay:    fb.EchoDelay.Seconds(),
+	}, s.minGap)
+	if !ok {
+		// An echo from the future carries no RTT sample, and before the
+		// first one core has no round-trip time to work with.
 		s.rejected.Malformed++
 		return
 	}
 	s.feedbacks++
 	s.lastP = fb.LossEventRate
-	s.core.OnFeedback(core.Feedback{
-		P:         fb.LossEventRate,
-		XRecv:     fb.RecvRate,
-		RTTSample: rtt.Seconds(),
-	})
-	s.noFbT.Reset(dur(s.core.NoFeedbackTimeout()))
-	// A rate increase shortens the inter-packet gap; pull the pending
-	// send forward if the new spacing says so.
-	gap := s.gap()
-	if next := now.Add(gap); next.Before(s.nextSend) {
-		s.nextSend = next
-		s.sendT.Reset(gap)
+	s.noFbT.Reset(dur(timeout))
+	if pull > 0 {
+		s.sendT.Reset(dur(pull))
 	}
 }
 
@@ -299,9 +283,9 @@ type ReceiverStats struct {
 	Rejected Rejects
 }
 
-// Receiver is the TFRC data receiver: it detects loss events and returns
-// a report once per sender round-trip time, expedited at the start of a
-// loss event.
+// Receiver is the TFRC data receiver: it runs the core receiver's turns
+// on encoded frames and its Clock's report timer, returning a report once
+// per sender round-trip time and at once at the start of a loss event.
 type Receiver struct {
 	mu sync.Mutex // one turn at a time: driver callbacks and accessors
 
@@ -319,7 +303,6 @@ type Receiver struct {
 	epoch   time.Time // zero of the float seconds the core machine sees
 	stopped bool
 	fbT     Timer
-	fbArmed bool
 	fbBuf   []byte
 
 	lastX    float64
@@ -342,8 +325,6 @@ func (r *Receiver) attach(c Clock, out func([]byte)) {
 	r.fbT = c.NewTimer(r.onFeedbackTimer)
 }
 
-func (r *Receiver) now() float64 { return r.clock.Now().Sub(r.epoch).Seconds() }
-
 // Run serves the receiver's socket until Stop is called or the connection
 // fails persistently. On a simulated host there is nothing to serve —
 // arrivals come from the scheduler — and Run returns at once.
@@ -360,7 +341,6 @@ func (r *Receiver) Stop() {
 	r.mu.Lock()
 	r.stopped = true
 	r.fbT.Stop()
-	r.fbArmed = false
 	r.mu.Unlock()
 	if r.os != nil {
 		r.os.stop()
@@ -394,45 +374,30 @@ func (r *Receiver) onDatagram(b []byte) {
 		return
 	}
 	r.received++
-	first := !r.core.HaveData()
-	newLoss := r.core.OnData(r.now(), core.DataPacket{
+	var rep core.Report
+	send, arm := r.core.OnArrival(secs(r.clock.Now(), r.epoch), core.DataPacket{
 		Seq:       int64(hdr.Seq),
 		Size:      len(b),
-		SendTime:  hdr.SendTime.Sub(r.epoch).Seconds(),
+		SendTime:  secs(hdr.SendTime, r.epoch),
 		SenderRTT: hdr.SenderRTT.Seconds(),
-	})
+	}, &rep)
 	if r.OnData != nil {
 		r.OnData(hdr.Seq, payload)
 	}
-	switch {
-	case first || newLoss:
-		// Bootstrap the sender's RTT estimate immediately, and expedite
-		// the report when a new loss event begins.
-		r.sendFeedback()
-	case !r.fbArmed:
-		r.armFeedback()
-	}
+	r.act(&rep, send, arm)
 }
 
 func (r *Receiver) onFeedbackTimer() {
-	r.fbArmed = false
 	if !r.stopped {
-		r.sendFeedback()
+		var rep core.Report
+		send, arm := r.core.OnReportTimer(secs(r.clock.Now(), r.epoch), &rep)
+		r.act(&rep, send, arm)
 	}
 }
 
-// armFeedback arms the report timer one sender round-trip time ahead.
-func (r *Receiver) armFeedback() {
-	d := 100 * time.Millisecond // until the sender's estimate arrives
-	if rtt := r.core.SenderRTT(); rtt > 0 {
-		d = max(dur(rtt), time.Millisecond)
-	}
-	r.fbT.Reset(d)
-	r.fbArmed = true
-}
-
-func (r *Receiver) sendFeedback() {
-	if rep, ok := r.core.MakeReport(r.now()); ok {
+// act does what a receiver turn asks: send the report, arm the timer.
+func (r *Receiver) act(rep *core.Report, send bool, arm float64) {
+	if send {
 		r.reports++
 		r.lastX = rep.XRecv
 		r.fbBuf = AppendFeedback(r.fbBuf, FeedbackPacket{
@@ -444,5 +409,7 @@ func (r *Receiver) sendFeedback() {
 		})
 		r.out(r.fbBuf)
 	}
-	r.armFeedback()
+	if arm > 0 {
+		r.fbT.Reset(dur(arm))
+	}
 }

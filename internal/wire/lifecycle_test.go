@@ -179,13 +179,14 @@ func TestEndpointsInterleavedLifecycleInvariant(t *testing.T) {
 			switch r := snd.core.Rate(); {
 			case r < floor-1e-9 || r > 1e18 || math.IsNaN(r):
 				t.Errorf("t=%v: rate %v", sched.Now(), r)
-			case snd.gap() <= 0:
-				t.Errorf("t=%v: packet gap %v at rate %v", sched.Now(), snd.gap(), r)
+			case !(snd.core.PacketInterval() > 0):
+				t.Errorf("t=%v: packet gap %v at rate %v", sched.Now(), snd.core.PacketInterval(), r)
 			}
 			isRunning := snd.state == senderRunning
-			if sendT.armed != isRunning || noFbT.armed != isRunning || fbT.armed != rcv.fbArmed {
-				t.Errorf("t=%v: running=%v but send timer armed=%v, no-feedback timer armed=%v; report timer armed=%v, receiver thinks %v",
-					sched.Now(), isRunning, sendT.armed, noFbT.armed, fbT.armed, rcv.fbArmed)
+			wantFbT := rcv.core.ReportPending() && !rcv.stopped
+			if sendT.armed != isRunning || noFbT.armed != isRunning || fbT.armed != wantFbT {
+				t.Errorf("t=%v: running=%v but send timer armed=%v, no-feedback timer armed=%v; report timer armed=%v, receiver wants %v",
+					sched.Now(), isRunning, sendT.armed, noFbT.armed, fbT.armed, wantFbT)
 			}
 			if snd.state == senderStopped {
 				if sentAtStop < 0 {

@@ -1,13 +1,14 @@
 // Package wire is the real-transport TFRC implementation — the counterpart
 // of the paper's publicly released user-space implementation: a compact
-// binary wire format for data and feedback packets, and a paced Sender
-// and a reporting Receiver that run the internal/core state machines
-// behind it.
+// binary wire format for data and feedback packets, and a Sender and a
+// Receiver that drive the internal/core agents' turns — the same turns
+// the simulator's agents (internal/tfrcsim) drive — over it.
 //
-// The endpoints are single-threaded state machines that see only a Clock
-// (the current instant, one-shot timers) and a datagram seam (send these
-// bytes / these bytes arrived); sockets and clocks live in two thin
-// drivers. NewSender and NewReceiver put an endpoint on a net.PacketConn
+// An endpoint keeps only what is the transport's: the codec, the
+// application's payload Source and MaxRate, a mutex and its lifecycle,
+// and Stats. It sees only a Clock (the current instant, one-shot timers)
+// and a datagram seam (send these bytes / these bytes arrived); sockets
+// and clocks live in two thin drivers. NewSender and NewReceiver put an endpoint on a net.PacketConn
 // and the wall clock (UDP in practice). NewSimPair binds a connection to
 // two named hosts of a netsim topology and carries every encoded frame
 // over the simulated links on the sim.Scheduler clock, so tests,

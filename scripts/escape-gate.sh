@@ -23,7 +23,7 @@ cd "$(dirname "$0")/.."
 
 ALLOWLIST=scripts/escape_allowlist.txt
 # Hot packages: the event engine and everything on the per-packet path.
-PKGS=(./internal/sim ./internal/netsim ./internal/cc ./internal/tcp ./internal/tfrcsim ./internal/traffic)
+PKGS=(./internal/sim ./internal/core ./internal/netsim ./internal/cc ./internal/tcp ./internal/tfrcsim ./internal/traffic)
 
 # A fresh GOCACHE forces real compilation; with warm caches the compiler
 # is never invoked and -m prints nothing.
