@@ -4,8 +4,8 @@
 // the control equation, the Average Loss Interval loss-event-rate
 // estimator with history discounting, RTT smoothing, and the sender and
 // receiver agents. Everything here is transport-agnostic and clock-free:
-// an agent's turns (start, send, report arrival and no-feedback expiry on
-// the sender; data arrival and report-timer expiry on the receiver) take
+// an agent's turns (send, report arrival and no-feedback expiry on the
+// sender; data arrival and report-timer expiry on the receiver) take
 // the driver's clock reading and return what to send and which timer to
 // arm, so the same code drives both the packet-level simulator
 // (internal/tfrcsim) and the wire implementation (internal/wire).

@@ -52,11 +52,10 @@ type Receiver struct {
 	eventStartSeq  int64
 	eventStartTime float64
 
-	fbBytes     float64 // bytes since the last report
-	fbStart     float64 // time the current feedback interval began
-	lastXRecv   float64
-	lossSeeded  bool
-	reportArmed bool // a turn asked the driver for a report timer
+	fbBytes    float64 // bytes since the last report
+	fbStart    float64 // time the current feedback interval began
+	lastXRecv  float64
+	lossSeeded bool
 }
 
 // NewReceiver returns a receiver with no data received yet.
@@ -213,21 +212,19 @@ func (r *Receiver) MakeReport(now float64) (rep Report, ok bool) {
 
 // The receiver's turns: if send, send the report the turn wrote to the
 // caller's rep; if arm > 0, (re)arm the report timer arm seconds ahead.
+// The report timer runs from the first arrival on: that arrival takes a
+// report turn, and every report turn re-arms it.
 
 // OnArrival is the receiver's turn at a data packet's arrival (OnData):
 // the first packet and a new loss event take a report turn at once; any
-// other arrival arms the report timer only if none is pending.
+// other arrival leaves the pending report timer as it is.
 //
 //tfrc:hotpath
 func (r *Receiver) OnArrival(now float64, pkt DataPacket, rep *Report) (send bool, arm float64) {
 	if r.OnData(now, pkt) {
 		return r.OnReportTimer(now, rep)
 	}
-	if r.ReportPending() {
-		return false, 0
-	}
-	r.reportArmed = true
-	return false, r.reportInterval()
+	return false, 0
 }
 
 // OnReportTimer is the report turn, taken at the report timer's expiry:
@@ -236,13 +233,8 @@ func (r *Receiver) OnArrival(now float64, pkt DataPacket, rep *Report) (send boo
 //tfrc:hotpath
 func (r *Receiver) OnReportTimer(now float64, rep *Report) (send bool, arm float64) {
 	*rep, send = r.MakeReport(now)
-	r.reportArmed = true
 	return send, r.reportInterval()
 }
-
-// ReportPending reports whether the report timer a turn asked for is
-// pending: from the first arrival on, as every report turn re-arms it.
-func (r *Receiver) ReportPending() bool { return r.reportArmed }
 
 // reportInterval is the feedback period: one report per round-trip time
 // of the sender's estimate (§3), 100 ms until the estimate arrives.

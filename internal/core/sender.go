@@ -59,8 +59,9 @@ func DefaultSenderConfig() SenderConfig {
 }
 
 // Sender is the TFRC sender state machine (§3.2). It owns no transport
-// and no timers: its driver takes one turn per event — OnSend, OnStart,
-// OnReport, OnNoFeedback — and arms the timers each returns. All times
+// and no timers: its driver takes one turn per event — OnSend, OnReport,
+// OnNoFeedback — and arms the timers each returns; it starts by sending
+// and arming the no-feedback timer NoFeedbackTimeout() ahead. All times
 // are in seconds on the driver's clock.
 type Sender struct {
 	cfg SenderConfig
@@ -68,7 +69,7 @@ type Sender struct {
 
 	rate      float64 // allowed transmission rate X, bytes/sec
 	slowStart bool
-	nextSend  float64 // deadline of the pending send; 0 before OnStart
+	nextSend  float64 // deadline of the pending send; 0 before the first OnSend
 }
 
 // NewSender returns a sender in its initial state: one packet per second
@@ -175,10 +176,6 @@ func (s *Sender) OnSend(now, minGap, jitter float64) (gap float64) {
 	s.nextSend = now + gap
 	return gap
 }
-
-// OnStart is the sender's first turn, taken right after its first
-// OnSend: arm the no-feedback timer timeout seconds ahead.
-func (s *Sender) OnStart() (timeout float64) { return s.NoFeedbackTimeout() }
 
 // OnReport is the sender's turn at a receiver report: it takes the RTT
 // sample from the timestamp echo and folds the report in (OnFeedback).

@@ -22,13 +22,11 @@ func TestTurns(t *testing.T) {
 		}
 		return r
 	}
-	// started returns a sender that sent its first packet and took its
-	// start turn at t = 0: its next send is pending at t = 1 (one packet
-	// per second).
+	// started returns a sender that sent its first packet at t = 0: its
+	// next send is pending at t = 1 (one packet per second).
 	started := func() *Sender {
 		s := NewSender(DefaultSenderConfig())
 		s.OnSend(0, 0, 1)
-		s.OnStart()
 		return s
 	}
 	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-12*math.Max(1, math.Abs(b)) }
@@ -45,12 +43,12 @@ func TestTurns(t *testing.T) {
 		{"sender start: 1 packet/s, no-feedback 2 s before any RTT", func() out {
 			s := NewSender(DefaultSenderConfig())
 			gap := s.OnSend(0, 0, 1)
-			return out{timer: s.OnStart(), send: gap}
+			return out{timer: s.NoFeedbackTimeout(), send: gap}
 		}, out{timer: 2, send: 1}},
 		{"send: gap stretched to minGap, then jittered", func() out {
 			return out{send: started().OnSend(1, 2, 1.5)}
 		}, out{send: 3}},
-		{"first arrival: a report turn, nothing measured yet, timer armed", func() out {
+		{"first arrival, report timer idle: a report turn, nothing measured yet, timer armed", func() out {
 			send, arm := NewReceiver(ReceiverConfig{PacketSize: 1000}).OnArrival(0, pkt(0, rtt), new(Report))
 			return out{report: send, timer: arm}
 		}, out{timer: rtt}},
@@ -66,13 +64,6 @@ func TestTurns(t *testing.T) {
 			send, arm := receiving(3).OnArrival(0.03, pkt(3, rtt), new(Report))
 			return out{report: send, timer: arm}
 		}, out{}},
-		{"in-order arrival, report timer idle", func() out {
-			r := NewReceiver(ReceiverConfig{PacketSize: 1000})
-			r.OnData(0, pkt(0, rtt)) // data folded in without a turn
-			r.OnData(0.01, pkt(1, rtt))
-			send, arm := r.OnArrival(0.02, pkt(2, rtt), new(Report))
-			return out{report: send, timer: arm}
-		}, out{timer: rtt}},
 		{"new-loss arrival: report at once, timer re-armed", func() out {
 			var rep Report
 			send, arm := receiving(10).OnArrival(0.11, pkt(11, rtt), &rep) // 10 lost

@@ -115,7 +115,7 @@ func senderStartFn(x any) {
 		return
 	}
 	s.onSend()
-	s.noFbTmr.Reset(s.core.OnStart())
+	s.noFbTmr.Reset(s.core.NoFeedbackTimeout())
 }
 
 // Start begins transmission at the given simulated time.

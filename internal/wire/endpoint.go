@@ -175,7 +175,7 @@ func (s *Sender) Run() {
 	if s.state == senderIdle {
 		s.state = senderRunning
 		s.onSendTimer()
-		s.noFbT.Reset(dur(s.core.OnStart()))
+		s.noFbT.Reset(dur(s.core.NoFeedbackTimeout()))
 	}
 	s.mu.Unlock()
 	if s.os != nil {
@@ -252,11 +252,17 @@ func (s *Sender) onDatagram(b []byte) {
 		s.rejected.count(err)
 		return
 	}
-	ok, timeout, pull := s.core.OnReport(secs(s.clock.Now(), s.epoch), core.Report{
+	// The echo is a wall-clock reading, while now and the epoch may also
+	// carry monotonic ones (the OS driver's do): measured from the epoch,
+	// the echo would be off by every wall-clock step since attach. It is
+	// measured back from now instead, in the wall clock's own frame.
+	now := s.clock.Now()
+	nowS := secs(now, s.epoch)
+	ok, timeout, pull := s.core.OnReport(nowS, core.Report{
 		P:            fb.LossEventRate,
 		XRecv:        fb.RecvRate,
 		EchoSeq:      int64(fb.EchoSeq),
-		EchoSendTime: secs(fb.EchoSendTime, s.epoch),
+		EchoSendTime: nowS - now.Sub(fb.EchoSendTime).Seconds(),
 		EchoDelay:    fb.EchoDelay.Seconds(),
 	}, s.minGap)
 	if !ok {
@@ -378,7 +384,7 @@ func (r *Receiver) onDatagram(b []byte) {
 	send, arm := r.core.OnArrival(secs(r.clock.Now(), r.epoch), core.DataPacket{
 		Seq:       int64(hdr.Seq),
 		Size:      len(b),
-		SendTime:  secs(hdr.SendTime, r.epoch),
+		SendTime:  secs(hdr.SendTime, r.epoch), // wall clock both ways: core only echoes it back through act
 		SenderRTT: hdr.SenderRTT.Seconds(),
 	}, &rep)
 	if r.OnData != nil {

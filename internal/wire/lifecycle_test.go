@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"tfrc/internal/faults"
 	"tfrc/internal/netsim"
@@ -50,6 +51,55 @@ func TestReportTimerFollowsSubMillisecondRTT(t *testing.T) {
 		rcv.onDatagram(AppendData(nil, DataHeader{Seq: seq, SendTime: simEpoch, SenderRTT: rtt}, make([]byte, 100)))
 		if !fbT.armed || fbT.d != rtt {
 			t.Fatalf("after packet %d: report timer armed=%v %v ahead, want %v", seq, fbT.armed, fbT.d, rtt)
+		}
+	}
+}
+
+// steppedClock is the scheduler's clock read the way the OS driver reads
+// the wall clock: every reading carries a monotonic reading beside its
+// wall-clock one, and once the wall clock has been stepped by step the
+// two disagree by it. The codec keeps only the wall-clock reading.
+type steppedClock struct {
+	simClock
+	base time.Time // a time.Now reading, monotonic reading included
+	step time.Duration
+}
+
+func (c *steppedClock) Now() time.Time {
+	t := c.base.Add(dur(c.s.Now()) + c.step)
+	// time.Time has no way to step the wall clock alone, so take the step
+	// back off the monotonic reading (time.Time's ext field).
+	(*struct {
+		wall uint64
+		ext  int64
+		loc  *time.Location
+	})(unsafe.Pointer(&t)).ext -= int64(c.step)
+	return t
+}
+
+// TestRTTSampleSurvivesWallClockStep steps the sender's wall clock an
+// hour either way right after attach. The echoed send time is a wall-clock
+// reading, so the RTT sample must be taken in the wall clock's frame: in
+// the monotonic one a step forward makes every sample negative (each
+// report refused before the first) and a step back adds an hour to each.
+func TestRTTSampleSurvivesWallClockStep(t *testing.T) {
+	for _, step := range []time.Duration{time.Hour, -time.Hour} {
+		sched, topo := simPath(2e6, 0.010, 60)
+		snd, rcv, sp, _ := simPair(topo, "a", "b", 1, nil, Config{PacketSize: 500})
+		ck := &steppedClock{simClock: simClock{sched}, base: time.Now()}
+		snd.attach(ck, sp.send)
+		ck.step = step
+		if now := ck.Now(); now.Sub(ck.base) != 0 || now.Round(0).Sub(ck.base.Round(0)) != step {
+			t.Fatalf("steppedClock: monotonic %v, wall %v after a %v step", now.Sub(ck.base), now.Round(0).Sub(ck.base.Round(0)), step)
+		}
+		sched.At(0, snd.Run)
+		sched.RunUntil(5)
+		s := snd.Stats()
+		if s.Rejected != (Rejects{}) || s.Feedbacks == 0 {
+			t.Errorf("step %v: %d of %d reports taken, rejected %+v", step, s.Feedbacks, rcv.Stats().Reports, s.Rejected)
+		}
+		if s.SRTT < 20*time.Millisecond || s.SRTT > 270*time.Millisecond {
+			t.Errorf("step %v: sender SRTT %v, want 20 ms + up to 60 packets of queueing", step, s.SRTT)
 		}
 	}
 }
@@ -183,7 +233,9 @@ func TestEndpointsInterleavedLifecycleInvariant(t *testing.T) {
 				t.Errorf("t=%v: packet gap %v at rate %v", sched.Now(), snd.core.PacketInterval(), r)
 			}
 			isRunning := snd.state == senderRunning
-			wantFbT := rcv.core.ReportPending() && !rcv.stopped
+			// The report timer runs from the first arrival on (core's
+			// turns) until Stop.
+			wantFbT := rcv.received > 0 && !rcv.stopped
 			if sendT.armed != isRunning || noFbT.armed != isRunning || fbT.armed != wantFbT {
 				t.Errorf("t=%v: running=%v but send timer armed=%v, no-feedback timer armed=%v; report timer armed=%v, receiver wants %v",
 					sched.Now(), isRunning, sendT.armed, noFbT.armed, fbT.armed, wantFbT)
