@@ -51,6 +51,14 @@ func (a *agent) allowedSlabGrowth(v int) {
 	a.buf = append(a.buf, v) //tfrclint:allow hotpathalloc amortized slab growth
 }
 
+// A trailing allow silences its own line only.
+//
+//tfrc:hotpath
+func (a *agent) trailingAllowIsOneLine(v int) {
+	a.buf = append(a.buf, v) //tfrclint:allow hotpathalloc amortized slab growth
+	a.buf = append(a.buf, v) // want `append may grow the backing array`
+}
+
 //tfrc:hotpath
 func (a *agent) badMake() {
 	a.buf = make([]int, 16) // want `make allocates`
