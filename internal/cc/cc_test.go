@@ -153,9 +153,9 @@ func TestVegasLatecomerAdvantage(t *testing.T) {
 		round(&v1, &st1, rtt)
 		round(&v2, &st2, rtt)
 	}
-	if v2.BaseRTT() <= path.baseRTT {
+	if v2.baseRTT <= path.baseRTT {
 		t.Fatalf("latecomer baseRTT %v should exceed the true propagation RTT %v (it joined a loaded path)",
-			v2.BaseRTT(), path.baseRTT)
+			v2.baseRTT, path.baseRTT)
 	}
 	if st2.Cwnd <= st1.Cwnd {
 		t.Fatalf("latecomer cwnd %v should exceed incumbent cwnd %v (latecomer advantage)", st2.Cwnd, st1.Cwnd)

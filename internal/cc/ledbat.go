@@ -97,10 +97,6 @@ func (l *LEDBAT) OnRTTSample(st *State, rtt float64) {
 	l.qdelay = rtt - l.baseRTT
 }
 
-// QueueDelay exposes the current queueing-delay estimate for tests and
-// diagnostics.
-func (l *LEDBAT) QueueDelay() float64 { return l.qdelay }
-
 // Release hands the controller back to its arena.
 func (l *LEDBAT) Release() {
 	if l.home == nil {

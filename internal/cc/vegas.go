@@ -136,9 +136,6 @@ func (v *Vegas) OnRTTSample(st *State, rtt float64) {
 	}
 }
 
-// BaseRTT exposes the propagation estimate for tests and diagnostics.
-func (v *Vegas) BaseRTT() float64 { return v.baseRTT }
-
 // Release hands the controller back to its arena.
 func (v *Vegas) Release() {
 	if v.home == nil {

@@ -27,16 +27,11 @@ func TestScenarioConservation(t *testing.T) {
 		s := tcp.NewSender(d.Net, d.Left[i], d.Right[i].ID, 1, 2, i, tcp.Config{Variant: tcp.Sack})
 		s.Start(0.1 * float64(i))
 	}
-	var tfrcSenders []*tfrcsim.Sender
 	for i := 2; i < 4; i++ {
 		s, _ := tfrcsim.Pair(d.Net, d.Left[i], d.Right[i], 1, 2, i, tfrcsim.DefaultConfig())
 		s.Start(0.1 * float64(i))
-		tfrcSenders = append(tfrcSenders, s)
 	}
 	sched.RunUntil(30)
-	for _, s := range tfrcSenders {
-		s.Stop()
-	}
 	arr, dep, drops := mon.Stats()
 	queued := d.ForwardQ.Len()
 	if inService := arr - dep - drops - queued; inService < 0 || inService > 1 {

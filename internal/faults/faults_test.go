@@ -181,7 +181,8 @@ func TestApplyBlackoutWindow(t *testing.T) {
 			a.Send(p)
 		})
 	}
-	sched.Run()
+	for sched.Step() {
+	}
 	// 15 sends, 5 inside [0.5, 1.0): exactly 10 arrive.
 	if len(sink.times) != 10 {
 		t.Fatalf("delivered %d packets, want 10", len(sink.times))
@@ -215,7 +216,8 @@ func TestApplyImpairIsDeterministic(t *testing.T) {
 				a.Send(p)
 			})
 		}
-		sched.Run()
+		for sched.Step() {
+		}
 		return sink.times
 	}
 	if first, second := run(), run(); !reflect.DeepEqual(first, second) {

@@ -4,43 +4,13 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/types/typeutil"
 )
 
-// DetRand forbids nondeterminism sources in the deterministic simulator
-// packages: wall-clock time, the global math/rand generators, fmt of map
-// values, and iteration over maps with an order-sensitive loop body.
-var DetRand = &analysis.Analyzer{
-	Name: "detrand",
-	Doc: `forbid nondeterminism sources in deterministic simulator packages
-
-The figures reproduce byte-identically only because every run is a pure
-function of (params, seed). This analyzer rejects the classic leaks:
-time.Now/Since/Until, the wall-clock timers (time.Sleep/After/
-AfterFunc/NewTimer/NewTicker/Tick), package-level math/rand functions
-(seeded from runtime state), handing a map to fmt, and ranging over a
-map where the
-body is order-sensitive (emits output, schedules work, or accumulates
-floating point). The collect-keys-then-sort idiom is recognized: an
-append inside a map range is fine when the slice is sorted later in the
-same function. Suppress intentional sites with
-//tfrclint:allow detrand <why>.`,
-	Run: runDetRand,
-}
-
-// detrandExclude holds package-path prefixes exempt from the analyzer:
+// detrandExclude lists the package-path prefixes exempt from detrand:
 // tooling, and command/example shells that only format
 // already-deterministic results. Real-I/O code inside a checked package
 // (internal/wire's OS driver) marks its wall-clock sites one by one.
-var detrandExclude string
-
-func init() {
-	DetRand.Flags.StringVar(&detrandExclude, "exclude",
-		"tfrc/internal/lint,tfrc/cmd,tfrc/examples",
-		"comma-separated package path prefixes to skip")
-}
+var detrandExclude = []string{"tfrc/internal/lint", "tfrc/cmd", "tfrc/examples"}
 
 // detrandWallClock lists the package-level time functions that read or
 // wait on the wall clock.
@@ -57,26 +27,33 @@ var detrandAllowedRand = map[string]bool{
 	"NewPCG": true, "NewChaCha8": true,
 }
 
-func runDetRand(pass *analysis.Pass) (any, error) {
-	if pathMatchesAny(pass.Pkg.Path(), detrandExclude) {
-		return nil, nil
+// detRand forbids nondeterminism sources in the deterministic simulator
+// packages. The figures reproduce byte-identically only because every
+// run is a pure function of (params, seed). It rejects the classic
+// leaks: time.Now/Since/Until, the wall-clock timers (time.Sleep/After/
+// AfterFunc/NewTimer/NewTicker/Tick), package-level math/rand functions
+// (seeded from runtime state), handing a map to fmt, and ranging over a
+// map where the body is order-sensitive (emits output, schedules work,
+// or accumulates floating point). The collect-keys-then-sort idiom is
+// recognized: an append inside a map range is fine when the slice is
+// sorted later in the same function.
+func detRand(pass *pass) {
+	if pathMatchesAny(pass.Pkg.Path(), detrandExclude...) {
+		return
 	}
-	al := newAllower(pass, "detrand")
 	for _, file := range pass.Files {
 		if inTestFile(pass, file.Pos()) {
 			continue
 		}
-		d := &detrandWalker{pass: pass, al: al}
+		d := &detrandWalker{pass: pass}
 		for _, decl := range file.Decls {
 			d.walkDecl(decl)
 		}
 	}
-	return nil, nil
 }
 
 type detrandWalker struct {
-	pass *analysis.Pass
-	al   *allower
+	pass *pass
 	// fnBody is the innermost enclosing function body, consulted to
 	// recognize the append-then-sort idiom.
 	fnBody *ast.BlockStmt
@@ -119,7 +96,7 @@ func (d *detrandWalker) walkFuncBody(body *ast.BlockStmt) {
 
 // checkCall flags wall-clock reads, global math/rand, and fmt of maps.
 func (d *detrandWalker) checkCall(call *ast.CallExpr) {
-	fn := typeutil.StaticCallee(d.pass.TypesInfo, call)
+	fn := staticCallee(d.pass.TypesInfo, call)
 	if fn == nil {
 		return
 	}
@@ -131,13 +108,13 @@ func (d *detrandWalker) checkCall(call *ast.CallExpr) {
 	switch pkg.Path() {
 	case "time":
 		if recv == nil && detrandWallClock[fn.Name()] {
-			d.al.report(call.Pos(),
+			d.pass.reportf(call.Pos(),
 				"time.%s in deterministic package %s: simulated time comes from sim.Scheduler.Now",
 				fn.Name(), d.pass.Pkg.Path())
 		}
 	case "math/rand", "math/rand/v2":
 		if recv == nil && !detrandAllowedRand[fn.Name()] {
-			d.al.report(call.Pos(),
+			d.pass.reportf(call.Pos(),
 				"global %s.%s is seeded from runtime state: draw from a scheduler-owned generator (sim.Scheduler.NewRand)",
 				pkg.Name(), fn.Name())
 		}
@@ -148,7 +125,7 @@ func (d *detrandWalker) checkCall(call *ast.CallExpr) {
 				continue
 			}
 			if _, isMap := t.Underlying().(*types.Map); isMap {
-				d.al.report(arg.Pos(),
+				d.pass.reportf(arg.Pos(),
 					"fmt of a map value: print explicitly sorted keys instead of relying on fmt's key ordering")
 			}
 		}
@@ -166,7 +143,7 @@ func (d *detrandWalker) checkRange(rs *ast.RangeStmt) {
 		return
 	}
 	if bad, why := d.orderSensitive(rs.Body, false); bad != nil {
-		d.al.report(rs.Pos(),
+		d.pass.reportf(rs.Pos(),
 			"iteration over map is order-sensitive (%s at line %d): collect and sort keys first",
 			why, d.pass.Fset.Position(bad.Pos()).Line)
 	}
@@ -317,7 +294,7 @@ func (d *detrandWalker) isSortedAppend(lhs *ast.Ident, rhs ast.Expr) bool {
 		if !ok {
 			return true
 		}
-		fn := typeutil.StaticCallee(d.pass.TypesInfo, call)
+		fn := staticCallee(d.pass.TypesInfo, call)
 		if fn == nil || fn.Pkg() == nil {
 			return true
 		}

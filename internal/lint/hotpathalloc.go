@@ -4,34 +4,24 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/types/typeutil"
 )
 
-// HotPathAlloc forbids known allocation patterns inside functions marked
-// with a //tfrc:hotpath directive comment.
-var HotPathAlloc = &analysis.Analyzer{
-	Name: "hotpathalloc",
-	Doc: `forbid allocation patterns in functions marked //tfrc:hotpath
-
-The per-packet path runs ~1M times a second and is budgeted at zero
-steady-state allocations (bench-gated since PR 3). A function whose doc
-comment carries the //tfrc:hotpath directive may not contain: function
-literals (closures capture and escape — use AtArg/AfterArg with a shared
-top-level callback), method values (each one allocates a bound closure),
-any fmt call, append, make, new, &composite{}, slice/map literals,
-defer/go, string concatenation, string<->[]byte conversion, or implicit
-boxing of a non-pointer value into an interface. fmt inside panic(...)
-is exempt (cold path by definition); amortized slab growth is silenced
-with //tfrclint:allow hotpathalloc <why>. These static rules are
-backstopped by the escape-analysis gate (scripts/escape-gate.sh) diffing
--gcflags=-m output against a committed allowlist.`,
-	Run: runHotPathAlloc,
-}
-
-func runHotPathAlloc(pass *analysis.Pass) (any, error) {
-	al := newAllower(pass, "hotpathalloc")
+// hotPathAlloc forbids known allocation patterns inside functions whose
+// doc comment carries the //tfrc:hotpath directive. The per-packet path
+// runs ~1M times a second and is budgeted at zero steady-state
+// allocations. A marked function may not contain: function literals
+// (closures capture and escape — use AtArg/AfterArg with a shared
+// top-level callback), method values (each one allocates a bound
+// closure), any fmt call, append, make, new, &composite{}, slice/map
+// literals, defer/go, string concatenation, string<->[]byte conversion,
+// or implicit boxing of a non-pointer value into an interface. fmt
+// inside panic(...) is exempt (cold path by definition); amortized slab
+// growth is silenced with an allow comment. These static rules are
+// backstopped by the escape-analysis gate (scripts/escape-gate.sh)
+// diffing -gcflags=-m output against a committed allowlist; append
+// growth is the case only this analyzer sees, since the compiler does
+// not report it as an escape.
+func hotPathAlloc(pass *pass) {
 	for _, file := range pass.Files {
 		if inTestFile(pass, file.Pos()) {
 			continue
@@ -43,7 +33,6 @@ func runHotPathAlloc(pass *analysis.Pass) (any, error) {
 			}
 			h := &hotWalker{
 				pass:   pass,
-				al:     al,
 				fn:     fd.Name.Name,
 				called: make(map[*ast.SelectorExpr]bool),
 				panics: make(map[*ast.CallExpr]bool),
@@ -52,12 +41,10 @@ func runHotPathAlloc(pass *analysis.Pass) (any, error) {
 			h.walk(fd.Body)
 		}
 	}
-	return nil, nil
 }
 
 type hotWalker struct {
-	pass   *analysis.Pass
-	al     *allower
+	pass   *pass
 	fn     string
 	called map[*ast.SelectorExpr]bool // selectors in call position: x.M(...)
 	panics map[*ast.CallExpr]bool     // calls that are direct arguments of panic(...)
@@ -88,7 +75,7 @@ func (h *hotWalker) prepass(body *ast.BlockStmt) {
 }
 
 func (h *hotWalker) reportf(pos token.Pos, format string, args ...any) {
-	h.al.report(pos, "hot path %s: "+format, append([]any{h.fn}, args...)...)
+	h.pass.reportf(pos, "hot path %s: "+format, append([]any{h.fn}, args...)...)
 }
 
 func (h *hotWalker) walk(body *ast.BlockStmt) {
@@ -158,7 +145,7 @@ func (h *hotWalker) checkCall(call *ast.CallExpr) {
 		}
 		return
 	}
-	if fn := typeutil.StaticCallee(info, call); fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "fmt" {
+	if fn := staticCallee(info, call); fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "fmt" {
 		if !h.panics[call] {
 			h.reportf(call.Pos(), "fmt.%s allocates (boxing + formatting); hot paths emit no formatted output", fn.Name())
 		}

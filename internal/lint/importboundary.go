@@ -5,33 +5,7 @@ import (
 	"go/types"
 	"strconv"
 	"strings"
-
-	"golang.org/x/tools/go/analysis"
 )
-
-// ImportBoundary enforces the module's three-layer architecture with a
-// real analyzer instead of the historical grep-based CI checks.
-var ImportBoundary = &analysis.Analyzer{
-	Name: "importboundary",
-	Doc: `enforce the three-layer architecture (internals / public API / shells)
-
-Layer rules, replacing the grep checks that used to live in CI:
-
-  - tfrc/examples/... never imports tfrc/internal/...: the examples are
-    the contract of the public scenario/experiment packages.
-  - tfrc/cmd/... never imports the simulator layers
-    (internal/{sim,netsim,core,cc,tcp,tfrcsim,traffic,exp,sweep,wire,stats});
-    binaries are registry shells going through the public packages.
-    The tool-infrastructure internal (internal/lint) is the explicit
-    exception: it exists only for the binaries.
-  - The public packages (tfrc, tfrc/scenario, tfrc/experiment) must not
-    leak internal types through their exported API unless the package
-    re-exports the type under a public alias, so no user is ever forced
-    to name an internal import path.
-
-Suppress deliberate one-offs with //tfrclint:allow importboundary <why>.`,
-	Run: runImportBoundary,
-}
 
 // simulatorInternals are the layers cmd/ binaries must reach only
 // through public packages.
@@ -57,24 +31,33 @@ var publicPkgs = map[string]bool{
 	"tfrc/experiment": true,
 }
 
-func runImportBoundary(pass *analysis.Pass) (any, error) {
-	al := newAllower(pass, "importboundary")
+// importBoundary enforces the module's three-layer architecture:
+//
+//   - tfrc/examples/... never imports tfrc/internal/...: the examples are
+//     the contract of the public scenario/experiment packages.
+//   - tfrc/cmd/... never imports the simulator layers
+//     (internal/{sim,netsim,core,cc,tcp,tfrcsim,traffic,exp,sweep,wire,stats});
+//     binaries are registry shells going through the public packages.
+//   - The public packages (tfrc, tfrc/scenario, tfrc/experiment) must not
+//     leak internal types through their exported API unless the package
+//     re-exports the type under a public alias, so no user is ever forced
+//     to name an internal import path.
+func importBoundary(pass *pass) {
 	path := pass.Pkg.Path()
 	switch {
 	case pathMatchesAny(path, "tfrc/examples"):
-		checkImports(pass, al, []string{"tfrc/internal"},
+		checkImports(pass, []string{"tfrc/internal"},
 			"examples demonstrate the public API and must not import %s")
 	case pathMatchesAny(path, "tfrc/cmd"):
-		checkImports(pass, al, simulatorInternals,
+		checkImports(pass, simulatorInternals,
 			"cmd binaries are registry shells and must not import the simulator layer %s; go through tfrc/scenario or tfrc/experiment")
 	}
 	if publicPkgs[path] {
-		checkExportedLeaks(pass, al)
+		checkExportedLeaks(pass)
 	}
-	return nil, nil
 }
 
-func checkImports(pass *analysis.Pass, al *allower, forbidden []string, format string) {
+func checkImports(pass *pass, forbidden []string, format string) {
 	for _, file := range pass.Files {
 		if inTestFile(pass, file.Pos()) {
 			continue
@@ -86,7 +69,7 @@ func checkImports(pass *analysis.Pass, al *allower, forbidden []string, format s
 			}
 			for _, f := range forbidden {
 				if p == f || strings.HasPrefix(p, f+"/") {
-					al.report(imp.Pos(), format, p)
+					pass.reportf(imp.Pos(), format, p)
 					break
 				}
 			}
@@ -97,7 +80,7 @@ func checkImports(pass *analysis.Pass, al *allower, forbidden []string, format s
 // checkExportedLeaks walks the package's exported API and reports named
 // types from internal packages that the package does not re-export
 // under an alias.
-func checkExportedLeaks(pass *analysis.Pass, al *allower) {
+func checkExportedLeaks(pass *pass) {
 	scope := pass.Pkg.Scope()
 
 	// Pass 1: every internal named type published via an exported alias
@@ -127,7 +110,7 @@ func checkExportedLeaks(pass *analysis.Pass, al *allower) {
 				if obj.Pkg() != nil && obj.Pkg() != pass.Pkg &&
 					strings.Contains(obj.Pkg().Path(), "/internal") &&
 					!published[obj] {
-					al.report(at.Pos(),
+					pass.reportf(at.Pos(),
 						"%s exposes internal type %s.%s without a public alias; users would be forced to import %s",
 						what, obj.Pkg().Name(), obj.Name(), obj.Pkg().Path())
 				}

@@ -1,14 +1,16 @@
-// Package lint is tfrclint: a go/analysis suite that mechanically
-// enforces the simulator's determinism, zero-alloc, and arena-discipline
-// invariants. The paper's figures only reproduce because simulation is
+// Package lint holds the analyzers that mechanically enforce the
+// simulator's determinism, zero-alloc, and arena-discipline invariants.
+// The paper's figures only reproduce because simulation is
 // bit-deterministic, and the hot path is only fast because it is
 // closure-free and slab-pooled; each analyzer turns one of those
 // reviewer-folklore rules into a build gate.
 //
-// The suite runs through the standard unitchecker protocol:
+// The gate is a test: TestLintModule lists the module's packages with
+// go list, type-checks them from source with go/types, runs every
+// analyzer over them and takes the census of exported code only tests
+// call (see census_test.go). It runs with the rest of the tests:
 //
-//	go build -o bin/tfrclint ./cmd/tfrclint
-//	go vet -vettool=bin/tfrclint ./...
+//	go test ./internal/lint
 //
 // Analyzers:
 //
@@ -28,10 +30,13 @@
 //   - paramjson: keeps the experiment-registry contract honest — every
 //     *Params struct JSON-round-trips and has a Validate() error method.
 //
-// False positives are silenced, with justification, by a trailing or
-// preceding line comment:
+// A false positive is silenced, with a reason, by a line comment:
 //
 //	//tfrclint:allow <analyzer> <why>
+//
+// Trailing code, the comment silences its own line; alone on its line,
+// it silences the next one. An allow comment that names no analyzer of
+// the suite or gives no reason is itself reported.
 //
 // releasecheck additionally honours //tfrc:keep on struct fields whose
 // retention across Release is deliberate (co-owned backing storage that
@@ -39,99 +44,227 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
+	"go/parser"
 	"go/token"
+	"go/types"
+	"os"
 	"strings"
-
-	"golang.org/x/tools/go/analysis"
 )
 
-// Analyzers returns the full tfrclint suite, in documented order.
-func Analyzers() []*analysis.Analyzer {
-	return []*analysis.Analyzer{
-		DetRand,
-		HotPathAlloc,
-		ReleaseCheck,
-		ImportBoundary,
-		ParamJSON,
+// An analyzer is one gate: a name, as allow comments and diagnostics
+// spell it, and a func that reports through the pass.
+type analyzer struct {
+	name string
+	run  func(*pass)
+}
+
+// analyzers is the suite, in documented order.
+var analyzers = []analyzer{
+	{"detrand", detRand},
+	{"hotpathalloc", hotPathAlloc},
+	{"releasecheck", releaseCheck},
+	{"importboundary", importBoundary},
+	{"paramjson", paramJSON},
+}
+
+// A pass is one type-checked package handed to one analyzer.
+type pass struct {
+	Fset      *token.FileSet
+	Files     []*ast.File
+	Pkg       *types.Package
+	TypesInfo *types.Info
+	report    func(pos token.Pos, msg string)
+}
+
+func (p *pass) reportf(pos token.Pos, format string, args ...any) {
+	p.report(pos, fmt.Sprintf(format, args...))
+}
+
+// A pkg is a package parsed with its comments and type-checked.
+type pkg struct {
+	fset  *token.FileSet
+	files []*ast.File
+	src   map[*ast.File][]byte
+	types *types.Package
+	info  *types.Info
+}
+
+// checkPkg parses the named files and type-checks them as package path,
+// resolving imports through imp.
+func checkPkg(fset *token.FileSet, path string, filenames []string, imp types.Importer) (*pkg, error) {
+	p := &pkg{fset: fset, src: make(map[*ast.File][]byte)}
+	for _, name := range filenames {
+		src, err := os.ReadFile(name)
+		if err != nil {
+			return nil, err
+		}
+		f, err := parser.ParseFile(fset, name, src, parser.ParseComments)
+		if err != nil {
+			return nil, err
+		}
+		p.files = append(p.files, f)
+		p.src[f] = src
 	}
+	p.info = &types.Info{
+		Types:      make(map[ast.Expr]types.TypeAndValue),
+		Defs:       make(map[*ast.Ident]types.Object),
+		Uses:       make(map[*ast.Ident]types.Object),
+		Implicits:  make(map[ast.Node]types.Object),
+		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		Scopes:     make(map[ast.Node]*types.Scope),
+		Instances:  make(map[*ast.Ident]types.Instance),
+	}
+	conf := types.Config{Importer: imp}
+	var err error
+	p.types, err = conf.Check(path, fset, p.files, p.info)
+	if err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// A diagnostic is one finding of an analyzer; "allow" names a malformed
+// allow comment.
+type diagnostic struct {
+	pos      token.Position
+	analyzer string
+	msg      string
+}
+
+func (d diagnostic) format() string {
+	return fmt.Sprintf("%s:%d: %s: %s", d.pos.Filename, d.pos.Line, d.analyzer, d.msg)
+}
+
+// lintPkg runs the analyzers over p and returns what they report that no
+// allow comment silences, after the diagnostics of malformed allow
+// comments.
+func lintPkg(p *pkg, suite []analyzer) []diagnostic {
+	diags, allowed := p.allows()
+	for _, a := range suite {
+		a.run(&pass{
+			Fset:      p.fset,
+			Files:     p.files,
+			Pkg:       p.types,
+			TypesInfo: p.info,
+			report: func(pos token.Pos, msg string) {
+				at := p.fset.Position(pos)
+				if !allowed[lineKey{at.Filename, at.Line}][a.name] {
+					diags = append(diags, diagnostic{at, a.name, msg})
+				}
+			},
+		})
+	}
+	return diags
+}
+
+type lineKey struct {
+	file string
+	line int
+}
+
+// allows reads p's //tfrclint:allow comments: which analyzers each line
+// silences, and a diagnostic for each comment that names an unknown
+// analyzer or gives no reason. Text from a second // on is another
+// comment (a fixture's want), not part of the reason.
+func (p *pkg) allows() ([]diagnostic, map[lineKey]map[string]bool) {
+	var diags []diagnostic
+	allowed := make(map[lineKey]map[string]bool)
+	for _, f := range p.files {
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				text, ok := strings.CutPrefix(c.Text, "//tfrclint:allow")
+				if !ok {
+					continue
+				}
+				text, _, _ = strings.Cut(text, "//")
+				at := p.fset.Position(c.Pos())
+				fields := strings.Fields(text)
+				switch {
+				case len(fields) == 0:
+					diags = append(diags, diagnostic{at, "allow", "//tfrclint:allow names no analyzer"})
+					continue
+				case !known(fields[0]):
+					diags = append(diags, diagnostic{at, "allow", fmt.Sprintf("//tfrclint:allow names %q, which is not an analyzer of the suite", fields[0])})
+					continue
+				case len(fields) == 1:
+					diags = append(diags, diagnostic{at, "allow", "//tfrclint:allow " + fields[0] + " gives no reason"})
+					continue
+				}
+				line := at.Line
+				if alone(p.src[f], at) {
+					line++
+				}
+				k := lineKey{at.Filename, line}
+				if allowed[k] == nil {
+					allowed[k] = make(map[string]bool)
+				}
+				allowed[k][fields[0]] = true
+			}
+		}
+	}
+	return diags, allowed
+}
+
+func known(name string) bool {
+	for _, a := range analyzers {
+		if a.name == name {
+			return true
+		}
+	}
+	return false
+}
+
+// alone reports whether only blanks precede the position at on its line.
+func alone(src []byte, at token.Position) bool {
+	start := at.Offset - (at.Column - 1)
+	return strings.TrimSpace(string(src[start:at.Offset])) == ""
 }
 
 // inTestFile reports whether pos is inside a _test.go file. The
 // invariants gate production simulator code; tests measure wall time,
 // build throwaway maps, and poke internals freely.
-func inTestFile(pass *analysis.Pass, pos token.Pos) bool {
+func inTestFile(pass *pass, pos token.Pos) bool {
 	return strings.HasSuffix(pass.Fset.Position(pos).Filename, "_test.go")
 }
 
-// allower answers "is this diagnostic suppressed by a
-// //tfrclint:allow <name> comment on the same or preceding line?".
-type allower struct {
-	pass  *analysis.Pass
-	name  string
-	built bool
-	lines map[string]map[int]bool // filename -> set of allowed lines
-}
-
-func newAllower(pass *analysis.Pass, name string) *allower {
-	return &allower{pass: pass, name: name}
-}
-
-func (a *allower) build() {
-	a.built = true
-	a.lines = make(map[string]map[int]bool)
-	for _, f := range a.pass.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				text := strings.TrimPrefix(c.Text, "//")
-				text = strings.TrimSpace(text)
-				if !strings.HasPrefix(text, "tfrclint:allow") {
-					continue
-				}
-				rest := strings.TrimPrefix(text, "tfrclint:allow")
-				fields := strings.Fields(rest)
-				if len(fields) == 0 || fields[0] != a.name {
-					continue
-				}
-				p := a.pass.Fset.Position(c.Pos())
-				m := a.lines[p.Filename]
-				if m == nil {
-					m = make(map[int]bool)
-					a.lines[p.Filename] = m
-				}
-				// The comment silences its own line and the next one, so
-				// both trailing comments and a comment line above work.
-				m[p.Line] = true
-				m[p.Line+1] = true
-			}
+// staticCallee returns the function or concrete method call invokes, or
+// nil for a call through a func value or an interface, a builtin, or a
+// conversion.
+func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
+	fun := ast.Unparen(call.Fun)
+	switch f := fun.(type) {
+	case *ast.IndexExpr:
+		fun = f.X
+	case *ast.IndexListExpr:
+		fun = f.X
+	}
+	var obj types.Object
+	switch f := ast.Unparen(fun).(type) {
+	case *ast.Ident:
+		obj = info.Uses[f]
+	case *ast.SelectorExpr:
+		if sel, ok := info.Selections[f]; ok {
+			obj = sel.Obj() // a method, or a field of func type
+		} else {
+			obj = info.Uses[f.Sel] // a qualified identifier
 		}
 	}
-}
-
-func (a *allower) allowed(pos token.Pos) bool {
-	if !a.built {
-		a.build()
+	fn, ok := obj.(*types.Func)
+	if !ok {
+		return nil
 	}
-	p := a.pass.Fset.Position(pos)
-	return a.lines[p.Filename][p.Line]
-}
-
-// report files a diagnostic unless suppressed by an allow comment.
-func (a *allower) report(pos token.Pos, format string, args ...any) {
-	if a.allowed(pos) {
-		return
+	if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+		return nil
 	}
-	a.pass.Reportf(pos, format, args...)
+	return fn
 }
 
-// pathMatchesAny reports whether pkgPath matches any comma-separated
-// prefix in list (exact match or prefix followed by '/').
-func pathMatchesAny(pkgPath, list string) bool {
-	for _, pre := range strings.Split(list, ",") {
-		pre = strings.TrimSpace(pre)
-		if pre == "" {
-			continue
-		}
+// pathMatchesAny reports whether pkgPath matches any of the prefixes
+// (exact match or prefix followed by '/').
+func pathMatchesAny(pkgPath string, prefixes ...string) bool {
+	for _, pre := range prefixes {
 		if pkgPath == pre || strings.HasPrefix(pkgPath, pre+"/") {
 			return true
 		}

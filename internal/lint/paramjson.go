@@ -7,36 +7,23 @@ import (
 	"go/types"
 	"reflect"
 	"strings"
-
-	"golang.org/x/tools/go/analysis"
 )
 
-// ParamJSON keeps the experiment-registry contract honest: every params
-// struct round-trips through encoding/json and self-validates.
-var ParamJSON = &analysis.Analyzer{
-	Name: "paramjson",
-	Doc: `check that *Params structs are JSON-round-trippable and have Validate() error
-
-The experiment registry (PR 5) promises that every registered parameter
-set round-trips through encoding/json (the CLI's -params file.json and
--format json envelope) and validates itself before running. By
-convention registered parameter sets are structs named *Params; for each
-one this analyzer requires:
-
-  - a Validate() error method (on the type or its pointer), and
-  - every exported field to be JSON-round-trippable: basics, strings,
-    time.Duration, slices/arrays/maps/pointers of such, structs of such,
-    or named types implementing both halves of a json.Marshaler or
-    encoding.TextMarshaler pair. Func, chan, complex, unsafe.Pointer,
-    and bare interface fields must be tagged json:"-"; one-way
-    marshalers (Marshal without Unmarshal, or vice versa) are reported.
-
-Suppress deliberate exceptions with //tfrclint:allow paramjson <why>.`,
-	Run: runParamJSON,
-}
-
-func runParamJSON(pass *analysis.Pass) (any, error) {
-	al := newAllower(pass, "paramjson")
+// paramJSON keeps the experiment-registry contract honest: every
+// registered parameter set round-trips through encoding/json (the CLI's
+// -params file.json and -format json envelope) and validates itself
+// before running. By convention registered parameter sets are structs
+// named *Params; for each one it requires:
+//
+//   - a Validate() error method (on the type or its pointer), and
+//   - every exported field to be JSON-round-trippable: basics, strings,
+//     time.Duration, slices/arrays/maps/pointers of such, structs of
+//     such, or named types implementing both halves of a json.Marshaler
+//     or encoding.TextMarshaler pair. Func, chan, complex,
+//     unsafe.Pointer, and bare interface fields must be tagged
+//     json:"-"; one-way marshalers (Marshal without Unmarshal, or vice
+//     versa) are reported.
+func paramJSON(pass *pass) {
 	for _, file := range pass.Files {
 		if inTestFile(pass, file.Pos()) {
 			continue
@@ -63,16 +50,15 @@ func runParamJSON(pass *analysis.Pass) (any, error) {
 				if !ok {
 					continue
 				}
-				checkParamsStruct(pass, al, ts, named, st)
+				checkParamsStruct(pass, ts, named, st)
 			}
 		}
 	}
-	return nil, nil
 }
 
-func checkParamsStruct(pass *analysis.Pass, al *allower, ts *ast.TypeSpec, named *types.Named, st *types.Struct) {
+func checkParamsStruct(pass *pass, ts *ast.TypeSpec, named *types.Named, st *types.Struct) {
 	if !hasValidateMethod(named) {
-		al.report(ts.Pos(),
+		pass.reportf(ts.Pos(),
 			"params struct %s has no Validate() error method; the registry validates every parameter set before running",
 			ts.Name.Name)
 	}
@@ -91,7 +77,7 @@ func checkParamsStruct(pass *analysis.Pass, al *allower, ts *ast.TypeSpec, named
 			if structAST != nil {
 				pos = fieldPos(structAST, f.Name())
 			}
-			al.report(pos,
+			pass.reportf(pos,
 				"field %s of params struct %s does not JSON-round-trip (%s); tag it json:\"-\" or use a serializable representation",
 				f.Name(), ts.Name.Name, why)
 		}

@@ -5,44 +5,31 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/types/typeutil"
 )
 
-// ReleaseCheck verifies the arena discipline that keeps pooled working
+// releaseCheck verifies the arena discipline that keeps pooled working
 // sets from pinning dead scenarios or leaking arena memory into results.
-var ReleaseCheck = &analysis.Analyzer{
-	Name: "releasecheck",
-	Doc: `verify arena discipline on Release methods, sync.Pool.Put, and Result copy-out
-
-Three checks:
-
-1. Every reference field (pointer, slice, map, chan, func, interface, or
-   struct containing one) of a type with a Release method must be
-   touched by Release — cleared, truncated, or recycled — either in the
-   method body or in a same-package function it calls. Backing storage
-   that is deliberately kept for reuse (the whole point of an arena) is
-   annotated //tfrc:keep on the field; the annotation is the audit
-   trail for why retention is safe.
-
-2. An identifier passed to sync.Pool.Put must show reset evidence in the
-   enclosing function: a Release/Reset/Init-style call on it, a
-   wholesale *x = T{} store, or explicit nil-ing/clearing of its fields.
-   Putting a live object pins everything it references until the pool
-   reuses it.
-
-3. A slice read out of another object (bare identifier, field selector,
-   index, or reslice) must not be stored into a field of a *Result
-   struct: results outlive the scenario's arena, so they copy out
-   (append, slices.Clone, make+copy) instead of aliasing.
-
-Suppress deliberate sites with //tfrclint:allow releasecheck <why>.`,
-	Run: runReleaseCheck,
-}
-
-func runReleaseCheck(pass *analysis.Pass) (any, error) {
-	al := newAllower(pass, "releasecheck")
+// Three checks:
+//
+//  1. Every reference field (pointer, slice, map, chan, func, interface,
+//     or struct containing one) of a type with a Release method must be
+//     touched by Release — cleared, truncated, or recycled — either in
+//     the method body or in a same-package function it calls. Backing
+//     storage that is deliberately kept for reuse (the whole point of an
+//     arena) is annotated //tfrc:keep on the field; the annotation is the
+//     audit trail for why retention is safe.
+//
+//  2. An identifier passed to sync.Pool.Put must show reset evidence in
+//     the enclosing function: a Release/Reset/Init-style call on it, a
+//     wholesale *x = T{} store, or explicit nil-ing/clearing of its
+//     fields. Putting a live object pins everything it references until
+//     the pool reuses it.
+//
+//  3. A slice read out of another object (bare identifier, field
+//     selector, index, or reslice) must not be stored into a field of a
+//     *Result struct: results outlive the scenario's arena, so they copy
+//     out (append, slices.Clone, make+copy) instead of aliasing.
+func releaseCheck(pass *pass) {
 	funcs := packageFuncDecls(pass)
 	for _, file := range pass.Files {
 		if inTestFile(pass, file.Pos()) {
@@ -54,17 +41,16 @@ func runReleaseCheck(pass *analysis.Pass) (any, error) {
 				continue
 			}
 			if fd.Name.Name == "Release" && fd.Recv != nil {
-				checkReleaseZeroing(pass, al, fd, funcs)
+				checkReleaseZeroing(pass, fd, funcs)
 			}
-			checkPoolPutsAndCopyOut(pass, al, fd)
+			checkPoolPutsAndCopyOut(pass, fd)
 		}
 	}
-	return nil, nil
 }
 
 // packageFuncDecls maps this package's function objects to their
 // declarations, so field mentions can be traced through helper calls.
-func packageFuncDecls(pass *analysis.Pass) map[*types.Func]*ast.FuncDecl {
+func packageFuncDecls(pass *pass) map[*types.Func]*ast.FuncDecl {
 	m := make(map[*types.Func]*ast.FuncDecl)
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
@@ -80,7 +66,7 @@ func packageFuncDecls(pass *analysis.Pass) map[*types.Func]*ast.FuncDecl {
 
 // --- check 1: Release clears or //tfrc:keep-annotates reference fields ---
 
-func checkReleaseZeroing(pass *analysis.Pass, al *allower, fd *ast.FuncDecl, funcs map[*types.Func]*ast.FuncDecl) {
+func checkReleaseZeroing(pass *pass, fd *ast.FuncDecl, funcs map[*types.Func]*ast.FuncDecl) {
 	recvType := pass.TypesInfo.TypeOf(fd.Recv.List[0].Type)
 	if recvType == nil {
 		return
@@ -148,7 +134,7 @@ func checkReleaseZeroing(pass *analysis.Pass, al *allower, fd *ast.FuncDecl, fun
 				if depth >= 4 {
 					return true
 				}
-				if fn := typeutil.StaticCallee(pass.TypesInfo, n); fn != nil && fn.Pkg() == pass.Pkg {
+				if fn := staticCallee(pass.TypesInfo, n); fn != nil && fn.Pkg() == pass.Pkg {
 					if callee, ok := funcs[fn]; ok && !seen[callee] {
 						seen[callee] = true
 						visit(callee.Body, depth+1)
@@ -176,13 +162,13 @@ func checkReleaseZeroing(pass *analysis.Pass, al *allower, fd *ast.FuncDecl, fun
 	}
 	if len(missing) > 0 {
 		sort.Strings(missing)
-		al.report(fd.Pos(),
+		pass.reportf(fd.Pos(),
 			"Release of %s leaves reference field(s) %s live: clear/recycle them, or annotate //tfrc:keep with why retention is safe",
 			named.Obj().Name(), strings.Join(missing, ", "))
 	}
 }
 
-func findTypeSpec(pass *analysis.Pass, obj types.Object) *ast.TypeSpec {
+func findTypeSpec(pass *pass, obj types.Object) *ast.TypeSpec {
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			gd, ok := decl.(*ast.GenDecl)
@@ -239,19 +225,19 @@ func containsReference(t types.Type, seen map[types.Type]bool) bool {
 
 // --- checks 2+3: Pool.Put reset evidence, Result copy-out ---
 
-func checkPoolPutsAndCopyOut(pass *analysis.Pass, al *allower, fd *ast.FuncDecl) {
+func checkPoolPutsAndCopyOut(pass *pass, fd *ast.FuncDecl) {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			checkPoolPut(pass, al, fd, n)
+			checkPoolPut(pass, fd, n)
 		case *ast.AssignStmt:
-			checkResultCopyOut(pass, al, n)
+			checkResultCopyOut(pass, n)
 		}
 		return true
 	})
 }
 
-func checkPoolPut(pass *analysis.Pass, al *allower, fd *ast.FuncDecl, call *ast.CallExpr) {
+func checkPoolPut(pass *pass, fd *ast.FuncDecl, call *ast.CallExpr) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != "Put" || len(call.Args) != 1 {
 		return
@@ -301,14 +287,14 @@ func checkPoolPut(pass *analysis.Pass, al *allower, fd *ast.FuncDecl, call *ast.
 	if poolPutResetEvidence(pass, fd.Body, obj) {
 		return
 	}
-	al.report(call.Pos(),
+	pass.reportf(call.Pos(),
 		"sync.Pool.Put(%s) without reset evidence in this function: call its Release/Reset, store *%s = zero, or nil out its reference fields before pooling",
 		arg.Name, arg.Name)
 }
 
 // poolPutResetEvidence scans the function for signs that obj's reference
 // fields were reset before pooling.
-func poolPutResetEvidence(pass *analysis.Pass, body *ast.BlockStmt, obj types.Object) bool {
+func poolPutResetEvidence(pass *pass, body *ast.BlockStmt, obj types.Object) bool {
 	found := false
 	rootedAt := func(e ast.Expr) bool {
 		for {
@@ -393,7 +379,7 @@ func poolPutResetEvidence(pass *analysis.Pass, body *ast.BlockStmt, obj types.Ob
 // checkResultCopyOut flags `res.F = <aliasing slice>` where res's type
 // name ends in Result: results outlive the arena, so slices must be
 // copied out, not shared.
-func checkResultCopyOut(pass *analysis.Pass, al *allower, n *ast.AssignStmt) {
+func checkResultCopyOut(pass *pass, n *ast.AssignStmt) {
 	for i, lhs := range n.Lhs {
 		sel, ok := lhs.(*ast.SelectorExpr)
 		if !ok || i >= len(n.Rhs) {
@@ -421,7 +407,7 @@ func checkResultCopyOut(pass *analysis.Pass, al *allower, n *ast.AssignStmt) {
 			continue // Result -> Result handoff transfers ownership, no arena involved
 		}
 		if aliasingSliceExpr(n.Rhs[i]) {
-			al.report(n.Rhs[i].Pos(),
+			pass.reportf(n.Rhs[i].Pos(),
 				"slice stored into %s field %s may alias arena/monitor memory that the next scenario recycles; copy out (append([]T(nil), src...) or slices.Clone)",
 				named.Obj().Name(), sel.Sel.Name)
 		}
@@ -431,7 +417,7 @@ func checkResultCopyOut(pass *analysis.Pass, al *allower, n *ast.AssignStmt) {
 // resultRooted reports whether e reads out of a value whose type name
 // ends in Result: slices moving between result structs are an ownership
 // transfer of already-private memory, not an arena alias.
-func resultRooted(pass *analysis.Pass, e ast.Expr) bool {
+func resultRooted(pass *pass, e ast.Expr) bool {
 	for {
 		var x ast.Expr
 		switch v := e.(type) {

@@ -59,6 +59,15 @@ func (a *agent) trailingAllowIsOneLine(v int) {
 	a.buf = append(a.buf, v) // want `append may grow the backing array`
 }
 
+// An allow alone on its line silences the next line only.
+//
+//tfrc:hotpath
+func (a *agent) allowAloneIsNextLine(v int) {
+	//tfrclint:allow hotpathalloc amortized slab growth
+	a.buf = append(a.buf, v)
+	a.buf = append(a.buf, v) // want `append may grow the backing array`
+}
+
 //tfrc:hotpath
 func (a *agent) badMake() {
 	a.buf = make([]int, 16) // want `make allocates`

@@ -121,9 +121,6 @@ func (l *Link) SetBandwidth(bw float64) {
 	}
 }
 
-// Delay returns the propagation delay in seconds.
-func (l *Link) Delay() float64 { return l.delay }
-
 // SetDelay changes the propagation delay at the current simulated time.
 // The delay is sampled when a packet starts serializing (identically on
 // tapped and untapped links), so packets already serializing or on the

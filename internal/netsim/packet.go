@@ -137,7 +137,3 @@ func (pl *Pool) Put(p *Packet) {
 	*p = Packet{}
 	pl.slab.Put(p)
 }
-
-// Live returns the number of packets currently checked out, useful for
-// leak assertions in tests.
-func (pl *Pool) Live() int { return pl.live }

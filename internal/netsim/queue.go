@@ -13,8 +13,6 @@ type Queue interface {
 	Dequeue() *Packet
 	// Len returns the number of queued packets.
 	Len() int
-	// Bytes returns the number of queued bytes.
-	Bytes() int
 }
 
 // fifoMinRing is the slot count a ring starts with.
@@ -27,11 +25,10 @@ const fifoMinRing = 8
 // exceeds the next power of two at or above that limit. A queue that
 // never backs up never pays for its limit.
 type fifo struct {
-	buf   []*Packet
-	head  int
-	n     int
-	bytes int
-	mem   *sim.Carver[*Packet] // where rings come from; nil for a queue built outside a Network
+	buf  []*Packet
+	head int
+	n    int
+	mem  *sim.Carver[*Packet] // where rings come from; nil for a queue built outside a Network
 }
 
 // recycled returns an empty fifo on f's ring, cleared — how a queue slot
@@ -49,7 +46,6 @@ func (f *fifo) push(p *Packet) {
 	}
 	f.buf[(f.head+f.n)&(len(f.buf)-1)] = p
 	f.n++
-	f.bytes += p.Size
 }
 
 // grow doubles the ring, unwrapping its contents to the front. It is the
@@ -75,7 +71,6 @@ func (f *fifo) pop() *Packet {
 	f.buf[f.head] = nil
 	f.head = (f.head + 1) & (len(f.buf) - 1)
 	f.n--
-	f.bytes -= p.Size
 	return p
 }
 
@@ -125,6 +120,3 @@ func (q *DropTail) Dequeue() *Packet { return q.pop() }
 
 // Len implements Queue.
 func (q *DropTail) Len() int { return q.n }
-
-// Bytes implements Queue.
-func (q *DropTail) Bytes() int { return q.bytes }

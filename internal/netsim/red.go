@@ -181,6 +181,3 @@ func (q *RED) Dequeue() *Packet {
 
 // Len implements Queue.
 func (q *RED) Len() int { return q.n }
-
-// Bytes implements Queue.
-func (q *RED) Bytes() int { return q.bytes }

@@ -70,14 +70,13 @@ func (h Handle) Scheduled() bool {
 // allocation: steady-state scheduling touches only flat slices.
 // The zero value is not ready for use; call NewScheduler.
 type Scheduler struct {
-	now     float64
-	seq     uint64
-	epoch   uint64   // bumped by Reset; stale-epoch Handles are inert
-	cal     calQueue //tfrc:keep value-only calendar bucket ends, truncated on Reset/reuse
-	slots   []event
-	free    []int32 //tfrc:keep recycled slot indices, value-only backing
-	stopped bool
-	pinned  bool // owned by a worker context: Release is a no-op
+	now    float64
+	seq    uint64
+	epoch  uint64   // bumped by Reset; stale-epoch Handles are inert
+	cal    calQueue //tfrc:keep value-only calendar bucket ends, truncated on Reset/reuse
+	slots  []event
+	free   []int32 //tfrc:keep recycled slot indices, value-only backing
+	pinned bool    // owned by a worker context: Release is a no-op
 
 	rands Slab[Rand] //tfrc:keep generators handed out by NewRand, re-seeded and reissued on reuse
 
@@ -146,7 +145,6 @@ func (s *Scheduler) Reset() {
 	s.calReset()
 	s.slots = s.slots[:0]
 	s.free = s.free[:0]
-	s.stopped = false
 	s.rands.Reset()
 	for _, a := range s.arenas {
 		if a != nil {
@@ -188,9 +186,6 @@ func (s *Scheduler) clear() {
 
 // Now returns the current simulated time in seconds.
 func (s *Scheduler) Now() float64 { return s.now }
-
-// Len returns the number of pending events.
-func (s *Scheduler) Len() int { return s.cal.live }
 
 // alloc validates t, claims a slot, and files it in the calendar.
 //
@@ -306,23 +301,12 @@ func (s *Scheduler) step(bound float64) bool {
 	return true
 }
 
-// Stop makes Run and RunUntil return before the next event fires.
-func (s *Scheduler) Stop() { s.stopped = true }
-
-// Run executes events until the queue drains or Stop is called.
-func (s *Scheduler) Run() {
-	s.stopped = false
-	for !s.stopped && s.Step() {
-	}
-}
-
 // RunUntil executes events with time ≤ end, leaves later events queued,
 // and advances the clock to end.
 func (s *Scheduler) RunUntil(end float64) {
-	s.stopped = false
-	for !s.stopped && s.step(end) {
+	for s.step(end) {
 	}
-	if !s.stopped && s.now < end {
+	if s.now < end {
 		s.now = end
 	}
 }

@@ -96,26 +96,6 @@ func TestSchedulerRunUntil(t *testing.T) {
 	}
 }
 
-func TestSchedulerStop(t *testing.T) {
-	s := NewScheduler()
-	count := 0
-	for i := 1; i <= 10; i++ {
-		s.At(float64(i), func() {
-			count++
-			if count == 3 {
-				s.Stop()
-			}
-		})
-	}
-	s.Run()
-	if count != 3 {
-		t.Fatalf("ran %d events after Stop, want 3", count)
-	}
-	if s.Len() != 7 {
-		t.Fatalf("queue has %d events, want 7", s.Len())
-	}
-}
-
 func TestSchedulerPastPanics(t *testing.T) {
 	s := NewScheduler()
 	s.At(5, func() {})

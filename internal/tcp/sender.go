@@ -165,9 +165,6 @@ func (s *Sender) Stop() {
 // infinite backlog.
 func (s *Sender) Limit() int64 { return s.limit }
 
-// RTO returns the current retransmit timeout including clock rounding.
-func (s *Sender) RTO() float64 { return s.rto() }
-
 func (s *Sender) window() float64 {
 	return math.Min(s.ccs.Cwnd, s.cfg.MaxWindow)
 }

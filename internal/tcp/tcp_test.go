@@ -237,14 +237,14 @@ func TestCoarseGranularityQuantizesRTO(t *testing.T) {
 	r.sched.RunUntil(2)
 	// SRTT ≈ 21 ms; a 500 ms clock must round the RTO up to ≥ 1 tick
 	// and the 2-tick floor makes it 1.0 s.
-	if got := r.sender.RTO(); got < 0.5 {
+	if got := r.sender.rto(); got < 0.5 {
 		t.Fatalf("RTO = %v, want ≥ 0.5 with coarse clock", got)
 	}
 	fine := newRig(t, Config{Variant: Sack, Granularity: 0.01}, 8e6, 0.010, 10000)
 	fine.sender.Start(0)
 	fine.sched.RunUntil(2)
-	if fine.sender.RTO() >= r.sender.RTO() {
-		t.Fatalf("fine clock RTO %v not below coarse %v", fine.sender.RTO(), r.sender.RTO())
+	if fine.sender.rto() >= r.sender.rto() {
+		t.Fatalf("fine clock RTO %v not below coarse %v", fine.sender.rto(), r.sender.rto())
 	}
 }
 
@@ -474,7 +474,8 @@ func TestOneHoleCostsOneScoreboard(t *testing.T) {
 			p.Kind, p.Seq, p.Src, p.Dst = netsim.KindData, seq, a.ID, b.ID
 			snk.Recv(p)
 		}
-		sched.Run() // the ACKs cross to a, where nothing is bound
+		for sched.Step() { // the ACKs cross to a, where nothing is bound
+		}
 	}
 	hole(sinks[0])
 	var before, after runtime.MemStats

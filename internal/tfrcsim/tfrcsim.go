@@ -58,7 +58,6 @@ type Sender struct {
 	sendTmr sim.Timer
 	noFbTmr sim.Timer
 	jitter  *sim.Rand
-	stopped bool
 
 	// Counters for experiments.
 	Sent      int64
@@ -111,9 +110,6 @@ func receiverFeedbackFn(x any) {
 
 func senderStartFn(x any) {
 	s := x.(*Sender)
-	if s.stopped {
-		return
-	}
 	s.onSend()
 	s.noFbTmr.Reset(s.core.NoFeedbackTimeout())
 }
@@ -121,13 +117,6 @@ func senderStartFn(x any) {
 // Start begins transmission at the given simulated time.
 func (s *Sender) Start(at float64) {
 	s.net.Scheduler().AtArg(at, senderStartFn, s)
-}
-
-// Stop halts the sender permanently.
-func (s *Sender) Stop() {
-	s.stopped = true
-	s.sendTmr.Stop()
-	s.noFbTmr.Stop()
 }
 
 // Rate returns the sender's current allowed rate in bytes/sec.
@@ -138,9 +127,6 @@ func (s *Sender) Core() *core.Sender { return &s.core }
 
 //tfrc:hotpath
 func (s *Sender) onSend() {
-	if s.stopped {
-		return
-	}
 	s.emit()
 	jitter := 1.0
 	if s.jitter != nil {
@@ -170,7 +156,7 @@ func (s *Sender) emit() {
 //
 //tfrc:hotpath
 func (s *Sender) Recv(p *netsim.Packet) {
-	if p.Kind != netsim.KindFeedback || s.stopped {
+	if p.Kind != netsim.KindFeedback {
 		s.net.Free(p)
 		return
 	}
@@ -197,9 +183,6 @@ func (s *Sender) Recv(p *netsim.Packet) {
 }
 
 func (s *Sender) onNoFeedback() {
-	if s.stopped {
-		return
-	}
 	s.NoFbCuts++
 	timeout := s.core.OnNoFeedback()
 	if s.OnRateChange != nil {

@@ -42,10 +42,9 @@ type OnOff struct {
 	flow int
 	rng  *sim.Rand
 
-	on      bool
-	until   float64 // end of the current ON period
-	Sent    int64
-	stopped bool
+	on    bool
+	until float64 // end of the current ON period
+	Sent  int64
 }
 
 // The generators' scheduler callbacks are shared, the generator riding in
@@ -77,31 +76,19 @@ func (o *OnOff) Start(at float64) {
 	o.net.Scheduler().AtArg(at, onOffStartOffFn, o)
 }
 
-// Stop permanently silences the source at its next event.
-func (o *OnOff) Stop() { o.stopped = true }
-
 func (o *OnOff) startOff() {
-	if o.stopped {
-		return
-	}
 	o.on = false
 	off := o.rng.Pareto(o.cfg.MeanOff, o.cfg.Shape)
 	o.net.Scheduler().AfterArg(off, onOffStartOnFn, o)
 }
 
 func (o *OnOff) startOn() {
-	if o.stopped {
-		return
-	}
 	o.on = true
 	o.until = o.net.Now() + o.rng.Pareto(o.cfg.MeanOn, o.cfg.Shape)
 	o.emit()
 }
 
 func (o *OnOff) emit() {
-	if o.stopped {
-		return
-	}
 	now := o.net.Now()
 	if now >= o.until {
 		o.startOff()
@@ -129,7 +116,6 @@ type CBR struct {
 	size       int
 	gap        float64
 	Sent       int64
-	stopped    bool
 }
 
 // NewCBR creates a source emitting size-byte packets at rate bits/sec.
@@ -148,13 +134,7 @@ func NewCBR(nw *netsim.Network, node *netsim.Node, dst netsim.NodeID, port, flow
 // Start begins emission at the given time.
 func (c *CBR) Start(at float64) { c.net.Scheduler().AtArg(at, cbrEmitFn, c) }
 
-// Stop silences the source.
-func (c *CBR) Stop() { c.stopped = true }
-
 func (c *CBR) emit() {
-	if c.stopped {
-		return
-	}
 	p := c.net.NewPacket()
 	p.Kind = netsim.KindCBR
 	p.Flow = c.flow
@@ -222,7 +202,6 @@ type Mice struct {
 
 	slot     int
 	Sessions int64
-	stopped  bool
 	doneFn   func(*tcp.Sender) // bound once: every session's OnComplete
 
 	slots []miceSlot // by port slot, 0..MiceSlots-1
@@ -307,13 +286,7 @@ func (m *Mice) Start(at float64) {
 	m.net.Scheduler().AtArg(at, miceSpawnFn, m)
 }
 
-// Stop halts new session creation.
-func (m *Mice) Stop() { m.stopped = true }
-
 func (m *Mice) spawn() {
-	if m.stopped {
-		return
-	}
 	m.Sessions++
 	k := m.slot % MiceSlots
 	m.slot++

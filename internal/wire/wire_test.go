@@ -17,6 +17,12 @@ import (
 // simPath is the testbed of this file: hosts "a" and "b" joined by one
 // link of the given rate (bits/sec), one-way delay (seconds) and
 // DropTail limit in each direction — a Dummynet pipe in virtual time.
+// drain executes events until the queue is empty.
+func drain(s *sim.Scheduler) {
+	for s.Step() {
+	}
+}
+
 func simPath(bw, delay float64, limit int) (*sim.Scheduler, *netsim.Topology) {
 	sched := sim.NewScheduler()
 	topo := netsim.NewTopology(sched, nil)
@@ -62,7 +68,7 @@ func TestEmuPipeDelivers(t *testing.T) {
 	var at float64
 	a, _ := rawPorts(topo, func(b []byte) { got, at = bytes.Clone(b), sched.Now() })
 	a.send([]byte("ping"))
-	sched.Run()
+	drain(sched)
 	if string(got) != "ping" {
 		t.Fatalf("got %q", got)
 	}
@@ -77,7 +83,7 @@ func TestEmuPipeLoss(t *testing.T) {
 	impair(topo, "a->b", 1, faults.Fault{Corrupt: 1})
 	a, _ := rawPorts(topo, func([]byte) { t.Fatal("packet survived 100% loss") })
 	sched.At(0.001, func() { a.send([]byte("x")) })
-	sched.Run()
+	drain(sched)
 	if *drops != 1 {
 		t.Fatalf("drops = %d", *drops)
 	}
@@ -91,7 +97,7 @@ func TestEmuPipeBandwidthPacing(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		a.send(make([]byte, 1000))
 	}
-	sched.Run()
+	drain(sched)
 	if len(times) != 10 {
 		t.Fatalf("%d of 10 delivered", len(times))
 	}
@@ -110,7 +116,7 @@ func TestEmuPipeQueueOverflowDrops(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		a.send(make([]byte, 1500))
 	}
-	sched.Run()
+	drain(sched)
 	// One serializing, five queued, the rest refused.
 	if delivered != 6 || *drops != 94 {
 		t.Fatalf("delivered %d, dropped %d; want 6 and 94", delivered, *drops)
@@ -127,7 +133,7 @@ func TestEmuClosedConn(t *testing.T) {
 	send.Stop()
 	recv.Stop()
 	before, got := send.Stats(), recv.Stats()
-	sched.Run() // returns only if nothing re-arms
+	drain(sched) // returns only if nothing re-arms
 	if after := send.Stats(); after != before {
 		t.Fatalf("sender moved after Stop: %+v then %+v", before, after)
 	}
@@ -135,7 +141,7 @@ func TestEmuClosedConn(t *testing.T) {
 		t.Fatalf("receiver moved after Stop: %+v then %+v", got, after)
 	}
 	send.Run() // a stopped sender stays stopped
-	sched.Run()
+	drain(sched)
 	if after := send.Stats(); after.Sent != before.Sent {
 		t.Fatal("Run restarted a stopped sender")
 	}
@@ -149,7 +155,7 @@ func TestSimDuplicateDecodesTwice(t *testing.T) {
 	var got []string
 	a, _ := rawPorts(topo, func(b []byte) { got = append(got, string(b)) })
 	sched.At(0.001, func() { a.send([]byte("one")); a.send([]byte("two")) })
-	sched.Run()
+	drain(sched)
 	if want := []string{"one", "one", "two", "two"}; !slices.Equal(got, want) {
 		t.Fatalf("got %q, want %q", got, want)
 	}
@@ -169,7 +175,7 @@ func TestSimFrameWindow(t *testing.T) {
 	for i := 0; i < frameWindow+3; i++ {
 		a.send([]byte{byte(i), byte(i >> 8)})
 	}
-	sched.Run()
+	drain(sched)
 	if delivered != frameWindow || b.expired != 3 {
 		t.Fatalf("delivered %d, expired %d; want %d and 3", delivered, b.expired, frameWindow)
 	}
@@ -331,7 +337,7 @@ func TestPathFaultWindow(t *testing.T) {
 	}{{0.05, "clean"}, {0.25, "lossy"}, {0.7, "healed"}} {
 		sched.At(m.at, func() { a.send([]byte(m.msg)) })
 	}
-	sched.Run()
+	drain(sched)
 	if !slices.Equal(got, []string{"clean", "healed"}) || *drops != 1 {
 		t.Fatalf("delivered %q with %d drops; want clean and healed, 1 drop", got, *drops)
 	}
@@ -349,7 +355,7 @@ func TestPathBandwidthStep(t *testing.T) {
 	for _, at := range []float64{0.01, 0.08} {
 		sched.At(at, func() { sentAt = sched.Now(); a.send(make([]byte, 1000)) })
 	}
-	sched.Run()
+	drain(sched)
 	if len(took) != 2 || math.Abs(took[0]-0.001) > 1e-12 || math.Abs(took[1]-0.050) > 1e-12 {
 		t.Fatalf("deliveries took %v, want 1 ms then 50 ms", took)
 	}
