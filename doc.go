@@ -111,13 +111,9 @@
 // # Invariants and lint
 //
 // The simulator's load-bearing properties — determinism, zero-allocation
-// hot paths, and arena discipline — are mechanically enforced by
-// tfrclint, a custom go/analysis suite (internal/lint, driver
-// cmd/tfrclint) run in CI and locally via
-//
-//	go build -o bin/tfrclint ./cmd/tfrclint
-//	go vet -vettool=$PWD/bin/tfrclint ./...
-//
+// hot paths, and arena discipline — are mechanically enforced by five
+// go/types analyzers in internal/lint. TestLintModule type-checks every
+// package go list names and runs them, so go test ./... is the gate.
 // Its five analyzers: detrand (no global math/rand, wall-clock reads or
 // timers, or order-sensitive map iteration in simulation packages — the
 // wire transport included, bar its OS driver's marked sites), hotpathalloc
@@ -129,7 +125,9 @@
 // (examples and cmd stay off the internals; public packages leak no
 // internal types), and paramjson (experiment Params structs JSON
 // round-trip and Validate). Deliberate exceptions are annotated in
-// place: //tfrclint:allow <analyzer> <why>.
+// place, with a reason: //tfrclint:allow <analyzer> <why>. The same
+// test fails on exported code that only tests call unless
+// scripts/census_allowlist.txt names it with a reason.
 //
 // Quick start (the wire endpoints over a simulated 2 Mb/s path; put
 // them on sockets with NewWireSender / NewWireReceiver and `go x.Run()`):

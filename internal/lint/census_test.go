@@ -45,8 +45,10 @@ func census(t *testing.T, m *module) {
 		}
 	}
 
+	// A method may be called through any interface it implements that a
+	// call names, or that the standard library declares.
 	called := make(map[*types.Func]bool)
-	throughIface := make(map[string][]*types.Interface) // by method name
+	ifaces := map[string][]*types.Interface{"Error": {types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}}
 	for _, p := range m.pkgs {
 		for id, obj := range p.info.Uses {
 			fn, ok := obj.(*types.Func)
@@ -55,14 +57,13 @@ func census(t *testing.T, m *module) {
 			}
 			fn = fn.Origin()
 			if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
-				throughIface[fn.Name()] = append(throughIface[fn.Name()], recv.Type().Underlying().(*types.Interface))
+				ifaces[fn.Name()] = append(ifaces[fn.Name()], recv.Type().Underlying().(*types.Interface))
 			}
 			if d, ok := decls[fn]; ok && (id.Pos() < d.body.Pos() || id.Pos() >= d.body.End()) {
 				called[fn] = true
 			}
 		}
 	}
-	stdIface := make(map[string][]*types.Interface)
 	for _, s := range m.std {
 		for _, name := range s.Scope().Names() {
 			tn, ok := s.Scope().Lookup(name).(*types.TypeName)
@@ -74,20 +75,17 @@ func census(t *testing.T, m *module) {
 			}
 			if it, ok := tn.Type().Underlying().(*types.Interface); ok && it.IsMethodSet() {
 				for i := 0; i < it.NumMethods(); i++ {
-					stdIface[it.Method(i).Name()] = append(stdIface[it.Method(i).Name()], it)
+					ifaces[it.Method(i).Name()] = append(ifaces[it.Method(i).Name()], it)
 				}
 			}
 		}
 	}
-	errorIface := types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
-	stdIface["Error"] = append(stdIface["Error"], errorIface)
 
 	var unused []string
 	for fn, d := range decls {
-		if called[fn] || implementsAny(fn, throughIface[fn.Name()]) || implementsAny(fn, stdIface[fn.Name()]) {
-			continue
+		if !called[fn] && !implementsAny(recvType(fn), ifaces[fn.Name()]) {
+			unused = append(unused, d.id)
 		}
-		unused = append(unused, d.id)
 	}
 	slices.Sort(unused)
 
@@ -127,33 +125,33 @@ func census(t *testing.T, m *module) {
 	}
 }
 
+// recvType returns the type method fn is declared on, pointer stripped,
+// or nil for a func.
+func recvType(fn *types.Func) types.Type {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return nil
+	}
+	if p, ok := recv.Type().(*types.Pointer); ok {
+		return p.Elem()
+	}
+	return recv.Type()
+}
+
 // funcName spells fn as the allowlist does: Name, or Recv.Name for a
 // method.
 func funcName(fn *types.Func) string {
-	recv := fn.Type().(*types.Signature).Recv()
-	if recv == nil {
-		return fn.Name()
+	if t := recvType(fn); t != nil {
+		return t.(*types.Named).Obj().Name() + "." + fn.Name()
 	}
-	t := recv.Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	return t.(*types.Named).Obj().Name() + "." + fn.Name()
+	return fn.Name()
 }
 
-// implementsAny reports whether method fn's receiver type, or a pointer
-// to it, implements one of the interfaces.
-func implementsAny(fn *types.Func, ifaces []*types.Interface) bool {
-	recv := fn.Type().(*types.Signature).Recv()
-	if recv == nil {
-		return false
-	}
-	t := recv.Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
+// implementsAny reports whether t or *t implements one of the
+// interfaces.
+func implementsAny(t types.Type, ifaces []*types.Interface) bool {
 	for _, it := range ifaces {
-		if types.Implements(t, it) || types.Implements(types.NewPointer(t), it) {
+		if t != nil && (types.Implements(t, it) || types.Implements(types.NewPointer(t), it)) {
 			return true
 		}
 	}

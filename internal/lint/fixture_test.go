@@ -8,9 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
-	"strconv"
-	"strings"
+	"slices"
 	"testing"
 )
 
@@ -114,8 +112,8 @@ func (l *fixtureLoader) load(path string) (*pkg, error) {
 	return p, nil
 }
 
-var wantRe = regexp.MustCompile(`//\s*want\s+(.*)$`)
-var quotedRe = regexp.MustCompile(`(?:\x60([^\x60]*)\x60|"((?:[^"\\]|\\.)*)")`)
+// A want comment lists backquoted patterns.
+var wantRe, patternRe = regexp.MustCompile("// want (.*)$"), regexp.MustCompile("`([^`]*)`")
 
 func checkWants(t *testing.T, path string, p *pkg, diags []diagnostic) {
 	t.Helper()
@@ -129,46 +127,29 @@ func checkWants(t *testing.T, path string, p *pkg, diags []diagnostic) {
 				}
 				pos := p.fset.Position(c.Pos())
 				k := lineKey{pos.Filename, pos.Line}
-				for _, qm := range quotedRe.FindAllStringSubmatch(m[1], -1) {
-					lit := qm[1]
-					if !strings.HasPrefix(qm[0], "`") {
-						var err error
-						if lit, err = strconv.Unquote(qm[0]); err != nil {
-							t.Fatalf("%s:%d: bad want pattern %q: %v", pos.Filename, pos.Line, qm[0], err)
-						}
-					}
-					rx, err := regexp.Compile(lit)
-					if err != nil {
-						t.Fatalf("%s:%d: bad want regexp %q: %v", pos.Filename, pos.Line, lit, err)
-					}
-					wants[k] = append(wants[k], rx)
+				for _, q := range patternRe.FindAllStringSubmatch(m[1], -1) {
+					wants[k] = append(wants[k], regexp.MustCompile(q[1]))
 				}
 			}
 		}
 	}
-
 	for _, d := range diags {
 		k := lineKey{d.pos.Filename, d.pos.Line}
-		matched := false
-		for i, rx := range wants[k] {
-			if rx.MatchString(d.msg) {
-				wants[k] = append(wants[k][:i], wants[k][i+1:]...)
-				matched = true
-				break
-			}
-		}
-		if !matched {
+		i := slices.IndexFunc(wants[k], func(rx *regexp.Regexp) bool { return rx.MatchString(d.msg) })
+		if i < 0 {
 			t.Errorf("%s: unexpected diagnostic %s", path, d.format())
+			continue
 		}
+		wants[k] = slices.Delete(wants[k], i, i+1)
 	}
 	var missed []string
 	for k, rxs := range wants {
 		for _, rx := range rxs {
-			missed = append(missed, fmt.Sprintf("%s:%d: no diagnostic matching %q", k.file, k.line, rx.String()))
+			missed = append(missed, fmt.Sprintf("%s: %s:%d: no diagnostic matching %q", path, k.file, k.line, rx))
 		}
 	}
-	sort.Strings(missed)
+	slices.Sort(missed)
 	for _, m := range missed {
-		t.Errorf("%s: %s", path, m)
+		t.Error(m)
 	}
 }

@@ -50,6 +50,7 @@ import (
 	"go/token"
 	"go/types"
 	"os"
+	"slices"
 	"strings"
 )
 
@@ -111,18 +112,11 @@ func checkPkg(fset *token.FileSet, path string, filenames []string, imp types.Im
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
 		Uses:       make(map[*ast.Ident]types.Object),
-		Implicits:  make(map[ast.Node]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Scopes:     make(map[ast.Node]*types.Scope),
-		Instances:  make(map[*ast.Ident]types.Instance),
 	}
-	conf := types.Config{Importer: imp}
 	var err error
-	p.types, err = conf.Check(path, fset, p.files, p.info)
-	if err != nil {
-		return nil, err
-	}
-	return p, nil
+	p.types, err = (&types.Config{Importer: imp}).Check(path, fset, p.files, p.info)
+	return p, err
 }
 
 // A diagnostic is one finding of an analyzer; "allow" names a malformed
@@ -185,7 +179,7 @@ func (p *pkg) allows() ([]diagnostic, map[lineKey]map[string]bool) {
 				case len(fields) == 0:
 					diags = append(diags, diagnostic{at, "allow", "//tfrclint:allow names no analyzer"})
 					continue
-				case !known(fields[0]):
+				case !slices.ContainsFunc(analyzers, func(a analyzer) bool { return a.name == fields[0] }):
 					diags = append(diags, diagnostic{at, "allow", fmt.Sprintf("//tfrclint:allow names %q, which is not an analyzer of the suite", fields[0])})
 					continue
 				case len(fields) == 1:
@@ -207,15 +201,6 @@ func (p *pkg) allows() ([]diagnostic, map[lineKey]map[string]bool) {
 	return diags, allowed
 }
 
-func known(name string) bool {
-	for _, a := range analyzers {
-		if a.name == name {
-			return true
-		}
-	}
-	return false
-}
-
 // alone reports whether only blanks precede the position at on its line.
 func alone(src []byte, at token.Position) bool {
 	start := at.Offset - (at.Column - 1)
@@ -235,24 +220,17 @@ func inTestFile(pass *pass, pos token.Pos) bool {
 func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 	fun := ast.Unparen(call.Fun)
 	switch f := fun.(type) {
-	case *ast.IndexExpr:
+	case *ast.IndexExpr: // an instantiation, f[T](…)
 		fun = f.X
 	case *ast.IndexListExpr:
 		fun = f.X
 	}
-	var obj types.Object
-	switch f := ast.Unparen(fun).(type) {
-	case *ast.Ident:
-		obj = info.Uses[f]
-	case *ast.SelectorExpr:
-		if sel, ok := info.Selections[f]; ok {
-			obj = sel.Obj() // a method, or a field of func type
-		} else {
-			obj = info.Uses[f.Sel] // a qualified identifier
-		}
+	if sel, ok := fun.(*ast.SelectorExpr); ok {
+		fun = sel.Sel
 	}
-	fn, ok := obj.(*types.Func)
-	if !ok {
+	id, _ := fun.(*ast.Ident)
+	fn, _ := info.Uses[id].(*types.Func)
+	if fn == nil {
 		return nil
 	}
 	if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {

@@ -10,7 +10,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
 )
@@ -129,14 +128,16 @@ func loadModule(t *testing.T) *module {
 	}
 
 	want := strings.Fields(string(goList(t, "list", "./...")))
-	var got []string
-	for path := range m.pkgs {
-		got = append(got, path)
+	for _, path := range want {
+		if m.pkgs[path] == nil {
+			t.Errorf("go list ./... names %s, which the load left out", path)
+		}
 	}
-	slices.Sort(want)
-	slices.Sort(got)
-	if !slices.Equal(got, want) {
-		t.Fatalf("checked packages %v, but go list ./... names %v", got, want)
+	if len(m.pkgs) != len(want) {
+		t.Errorf("checked %d packages, but go list ./... names %d", len(m.pkgs), len(want))
+	}
+	if t.Failed() {
+		t.FailNow()
 	}
 	return m
 }

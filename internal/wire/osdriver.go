@@ -8,7 +8,8 @@ import (
 
 // The OS driver: an endpoint on a net.PacketConn and the wall clock. It is
 // the one file of the package that may read the wall clock; everything
-// else is held to the simulator's no-wall-clock rule by tfrclint.
+// else is held to the simulator's no-wall-clock rule by the detrand
+// analyzer (internal/lint).
 
 // NewSender creates a sender streaming to dst over conn. src may be nil
 // (zero padding).

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # escape-gate.sh — the dynamic half of the hotpathalloc invariant.
 #
-# tfrclint's hotpathalloc analyzer forbids allocation *syntax* in
-# //tfrc:hotpath functions; this gate catches what syntax checks cannot:
+# The hotpathalloc analyzer (internal/lint, run by TestLintModule under
+# go test ./...) forbids allocation *syntax* in //tfrc:hotpath
+# functions; this gate catches what syntax checks cannot:
 # values the compiler decides to heap-allocate (escape analysis). It
 # compiles the hot simulator packages with -gcflags=-m, normalizes the
 # "escapes to heap" / "moved to heap" diagnostics to `file: message`
