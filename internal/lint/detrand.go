@@ -42,9 +42,6 @@ func detRand(pass *pass) {
 		return
 	}
 	for _, file := range pass.Files {
-		if inTestFile(pass, file.Pos()) {
-			continue
-		}
 		d := &detrandWalker{pass: pass}
 		for _, decl := range file.Decls {
 			d.walkDecl(decl)

@@ -48,8 +48,8 @@ func TestAllowComments(t *testing.T) { runFixtures(t, "", "allow") }
 
 // runFixtures type-checks each named package under testdata/src, runs
 // the named analyzer (none for ""), and matches the diagnostics against
-// the fixture's `// want "regexp"` comments: each want expects one
-// diagnostic per quoted regexp on its own line, and every diagnostic
+// the fixture's // want `regexp` comments: each want expects one
+// diagnostic per backquoted regexp on its own line, and every diagnostic
 // must be wanted.
 func runFixtures(t *testing.T, name string, paths ...string) {
 	t.Helper()

@@ -23,9 +23,6 @@ import (
 // not report it as an escape.
 func hotPathAlloc(pass *pass) {
 	for _, file := range pass.Files {
-		if inTestFile(pass, file.Pos()) {
-			continue
-		}
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil || !hasDirective(fd.Doc, "tfrc:hotpath") {
@@ -124,7 +121,7 @@ func (h *hotWalker) checkCall(call *ast.CallExpr) {
 		if _, isBuiltin := info.ObjectOf(id).(*types.Builtin); isBuiltin {
 			switch id.Name {
 			case "append":
-				h.reportf(call.Pos(), "append may grow the backing array; reserve capacity in the arena (silence amortized slab growth with //tfrclint:allow hotpathalloc)")
+				h.reportf(call.Pos(), "append may grow the backing array; reserve capacity in the arena (silence amortized slab growth with //tfrclint:allow hotpathalloc <why>)")
 			case "make", "new":
 				h.reportf(call.Pos(), "%s allocates; reuse pooled storage", id.Name)
 			}

@@ -59,19 +59,13 @@ func importBoundary(pass *pass) {
 
 func checkImports(pass *pass, forbidden []string, format string) {
 	for _, file := range pass.Files {
-		if inTestFile(pass, file.Pos()) {
-			continue
-		}
 		for _, imp := range file.Imports {
 			p, err := strconv.Unquote(imp.Path.Value)
 			if err != nil {
 				continue
 			}
-			for _, f := range forbidden {
-				if p == f || strings.HasPrefix(p, f+"/") {
-					pass.reportf(imp.Pos(), format, p)
-					break
-				}
+			if pathMatchesAny(p, forbidden...) {
+				pass.reportf(imp.Pos(), format, p)
 			}
 		}
 	}
@@ -155,9 +149,6 @@ func checkExportedLeaks(pass *pass) {
 
 	// Pass 2: exported declarations.
 	for _, file := range pass.Files {
-		if inTestFile(pass, file.Pos()) {
-			continue
-		}
 		for _, decl := range file.Decls {
 			switch d := decl.(type) {
 			case *ast.FuncDecl:

@@ -6,9 +6,11 @@
 // reviewer-folklore rules into a build gate.
 //
 // The gate is a test: TestLintModule lists the module's packages with
-// go list, type-checks them from source with go/types, runs every
-// analyzer over them and takes the census of exported code only tests
-// call (see census_test.go). It runs with the rest of the tests:
+// go list, type-checks their non-test files from source with go/types,
+// runs every analyzer over them and takes the census of exported code
+// only tests call (see census_test.go). Test files are not gated: tests
+// measure wall time, build throwaway maps, and poke internals freely.
+// It runs with the rest of the tests:
 //
 //	go test ./internal/lint
 //
@@ -205,13 +207,6 @@ func (p *pkg) allows() ([]diagnostic, map[lineKey]map[string]bool) {
 func alone(src []byte, at token.Position) bool {
 	start := at.Offset - (at.Column - 1)
 	return strings.TrimSpace(string(src[start:at.Offset])) == ""
-}
-
-// inTestFile reports whether pos is inside a _test.go file. The
-// invariants gate production simulator code; tests measure wall time,
-// build throwaway maps, and poke internals freely.
-func inTestFile(pass *pass, pos token.Pos) bool {
-	return strings.HasSuffix(pass.Fset.Position(pos).Filename, "_test.go")
 }
 
 // staticCallee returns the function or concrete method call invokes, or

@@ -25,9 +25,6 @@ import (
 //     versa) are reported.
 func paramJSON(pass *pass) {
 	for _, file := range pass.Files {
-		if inTestFile(pass, file.Pos()) {
-			continue
-		}
 		for _, decl := range file.Decls {
 			gd, ok := decl.(*ast.GenDecl)
 			if !ok {

@@ -32,9 +32,6 @@ import (
 func releaseCheck(pass *pass) {
 	funcs := packageFuncDecls(pass)
 	for _, file := range pass.Files {
-		if inTestFile(pass, file.Pos()) {
-			continue
-		}
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {

@@ -1,13 +1,5 @@
 package netsim
 
-import "tfrc/internal/sim"
-
-// drain executes events until the queue is empty.
-func drain(s *sim.Scheduler) {
-	for s.Step() {
-	}
-}
-
 // Bytes sums the sizes of the queued packets.
 func (f *fifo) Bytes() int {
 	n := 0
@@ -23,3 +15,13 @@ func (pl *Pool) Live() int { return pl.live }
 
 // Delay returns the link's propagation delay in seconds.
 func (l *Link) Delay() float64 { return l.delay }
+
+// Agent returns the agent bound to port, or nil.
+func (n *Node) Agent(port int) Agent {
+	for _, b := range n.ports {
+		if b.port == port {
+			return b.a
+		}
+	}
+	return nil
+}

@@ -38,7 +38,8 @@ func TestLinkSetDownDropFlushesQueueAndDropsArrivals(t *testing.T) {
 		l.SetUp()
 		sendN(nw, a, b, 1, 20)
 	})
-	drain(sched)
+	for sched.Step() {
+	}
 	if !l.IsDown() && drops != 6 { // 4 flushed + 2 offered while down
 		t.Fatalf("drops = %d, want 6", drops)
 	}
@@ -59,7 +60,8 @@ func TestLinkSetDownHoldParksQueueAndDrainsOnHeal(t *testing.T) {
 	l.SetDown(DownHold)
 	sendN(nw, a, b, 3, 0)
 	sched.At(0.5, func() { l.SetUp() })
-	drain(sched)
+	for sched.Step() {
+	}
 	if got := len(sink.seqs); got != 3 {
 		t.Fatalf("delivered %d packets, want all 3 after heal", got)
 	}
@@ -89,7 +91,8 @@ func TestLinkDownHoldOverflowDrops(t *testing.T) {
 	})
 	sendN(nw, a, b, 5, 0) // queue limit 2: 3 overflow even while held
 	sched.At(0.1, func() { l.SetUp() })
-	drain(sched)
+	for sched.Step() {
+	}
 	if drops != 3 {
 		t.Fatalf("drops = %d, want 3", drops)
 	}
@@ -110,7 +113,8 @@ func TestLinkBlackholeEatsSilently(t *testing.T) {
 		l.SetBlackhole(false)
 		sendN(nw, a, b, 1, 10)
 	})
-	drain(sched)
+	for sched.Step() {
+	}
 	if len(sink.seqs) != 1 || sink.seqs[0] != 10 {
 		t.Fatalf("delivered %v, want just seq 10 after the blackhole lifts", sink.seqs)
 	}
@@ -124,7 +128,8 @@ func TestImpairmentsDuplicateAndCorrupt(t *testing.T) {
 	l := a.LinkTo(b)
 	l.SetImpairments(Impairments{Duplicate: 1}, sched.NewRand(7))
 	sendN(nw, a, b, 2, 0)
-	drain(sched)
+	for sched.Step() {
+	}
 	// Every packet duplicated exactly once: clones skip the dice.
 	if len(sink.seqs) != 4 {
 		t.Fatalf("delivered %d with duplicate=1, want 4", len(sink.seqs))
@@ -135,13 +140,15 @@ func TestImpairmentsDuplicateAndCorrupt(t *testing.T) {
 
 	l.SetImpairments(Impairments{Corrupt: 1}, sched.NewRand(7))
 	sendN(nw, a, b, 3, 10)
-	drain(sched)
+	for sched.Step() {
+	}
 	if len(sink.seqs) != 4 {
 		t.Fatalf("corrupt=1 still delivered packets: %v", sink.seqs)
 	}
 	l.SetImpairments(Impairments{}, nil) // heal: all-zero config, rng optional
 	sendN(nw, a, b, 1, 20)
-	drain(sched)
+	for sched.Step() {
+	}
 	if sink.seqs[len(sink.seqs)-1] != 20 {
 		t.Fatalf("healed link did not deliver: %v", sink.seqs)
 	}
@@ -155,7 +162,8 @@ func TestImpairmentsReorderDelaysByConfiguredAmount(t *testing.T) {
 	l := a.LinkTo(b)
 	l.SetImpairments(Impairments{Reorder: 1, ReorderDelay: 0.050}, sched.NewRand(7))
 	sendN(nw, a, b, 1, 0)
-	drain(sched)
+	for sched.Step() {
+	}
 	if len(sink.times) != 1 {
 		t.Fatalf("delivered %d, want 1", len(sink.times))
 	}
@@ -182,7 +190,8 @@ func TestImpairmentsDeterministicAcrossRuns(t *testing.T) {
 			Impairments{Reorder: 0.3, ReorderDelay: 0.02, Duplicate: 0.2, Corrupt: 0.1},
 			sched.NewRand(42))
 		sendN(nw, a, b, 50, 0)
-		drain(sched)
+		for sched.Step() {
+		}
 		return sink.seqs
 	}
 	first, second := run(), run()
@@ -222,7 +231,8 @@ func TestRecomputeRoutesToleratesPartition(t *testing.T) {
 		nw.RecomputeRoutes()
 		sendN(nw, a, c, 2, 10)
 	})
-	drain(sched)
+	for sched.Step() {
+	}
 	if got := nw.RouteDrops(); got != 3 {
 		t.Fatalf("RouteDrops = %d, want 3", got)
 	}
@@ -268,7 +278,8 @@ func TestLinkChangesMidSerializationKeepOrder(t *testing.T) {
 			sched.At(at, func() { l.SetUp() })
 		}
 	}
-	drain(sched)
+	for sched.Step() {
+	}
 	if len(sink.seqs) == 0 {
 		t.Fatal("nothing delivered")
 	}

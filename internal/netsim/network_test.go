@@ -42,7 +42,8 @@ func TestLinkLatencyAndSerialization(t *testing.T) {
 	p.Size = 1000
 	p.Src, p.Dst, p.DstPort = a.ID, b.ID, 1
 	a.Send(p)
-	drain(sched)
+	for sched.Step() {
+	}
 	if len(sink.times) != 1 {
 		t.Fatalf("delivered %d packets, want 1", len(sink.times))
 	}
@@ -62,7 +63,8 @@ func TestLinkBackToBackSpacing(t *testing.T) {
 		p.Src, p.Dst, p.DstPort = a.ID, b.ID, 1
 		a.Send(p)
 	}
-	drain(sched)
+	for sched.Step() {
+	}
 	if len(sink.times) != 2 {
 		t.Fatalf("delivered %d packets, want 2", len(sink.times))
 	}
@@ -88,7 +90,8 @@ func TestLinkDropsWhenQueueFull(t *testing.T) {
 		p.Src, p.Dst, p.DstPort = a.ID, b.ID, 1
 		a.Send(p)
 	}
-	drain(sched)
+	for sched.Step() {
+	}
 	if len(sink.seqs) != 3 {
 		t.Fatalf("delivered %d, want 3", len(sink.seqs))
 	}
@@ -116,7 +119,8 @@ func TestMultiHopRouting(t *testing.T) {
 	p.Size = 125 // 1 ms serialization at 1 Mb/s
 	p.Src, p.Dst, p.DstPort = a.ID, b.ID, 7
 	a.Send(p)
-	drain(sched)
+	for sched.Step() {
+	}
 	if len(sink.times) != 1 {
 		t.Fatalf("delivered %d, want 1", len(sink.times))
 	}
@@ -152,7 +156,8 @@ func TestLocalDelivery(t *testing.T) {
 	p.Size = 100
 	p.Src, p.Dst, p.DstPort = a.ID, a.ID, 1
 	a.Send(p)
-	drain(sched)
+	for sched.Step() {
+	}
 	if len(sink.times) != 1 || sink.times[0] != 0 {
 		t.Fatalf("local delivery: %v", sink.times)
 	}
@@ -164,7 +169,8 @@ func TestUnboundPortDiscards(t *testing.T) {
 	p.Size = 100
 	p.Src, p.Dst, p.DstPort = a.ID, b.ID, 42 // nobody listens on 42
 	a.Send(p)
-	drain(sched)
+	for sched.Step() {
+	}
 	if nw.Pool().Live() != 0 {
 		t.Fatal("packet to unbound port leaked")
 	}
@@ -186,7 +192,8 @@ func TestFlowMonitorBinsAndDropRate(t *testing.T) {
 			a.Send(p)
 		})
 	}
-	drain(sched)
+	for sched.Step() {
+	}
 	series := mon.Series(5, 5)
 	var total float64
 	for _, v := range series {
@@ -244,7 +251,8 @@ func TestUtilizationMonitor(t *testing.T) {
 			a.Send(p)
 		})
 	}
-	drain(sched)
+	for sched.Step() {
+	}
 	if u := mon.TotalBytes(0) * 8 / 8e6; math.Abs(u-1.0) > 1e-9 {
 		t.Fatalf("utilization %v, want 1.0", u)
 	}
@@ -297,7 +305,8 @@ func TestDumbbellTopology(t *testing.T) {
 	p.Size = 1000
 	p.Src, p.Dst, p.DstPort = d.Left[0].ID, d.Right[0].ID, 1
 	d.Left[0].Send(p)
-	drain(sched)
+	for sched.Step() {
+	}
 	if !crossed || len(sink.times) != 1 {
 		t.Fatalf("bottleneck crossed=%v delivered=%d", crossed, len(sink.times))
 	}
@@ -350,7 +359,8 @@ func TestDensePortTable(t *testing.T) {
 	}
 	send(n + 50) // unbound: discarded
 	send(-3)     // nonsense port: discarded
-	drain(sched)
+	for sched.Step() {
+	}
 	for i := 2; i < n; i++ {
 		if sinks[i].n != 1 {
 			t.Fatalf("port %d got %d deliveries, want 1", i, sinks[i].n)
@@ -360,14 +370,16 @@ func TestDensePortTable(t *testing.T) {
 	// works again.
 	b.Detach(7)
 	send(7)
-	drain(sched)
+	for sched.Step() {
+	}
 	if sinks[7].n != 1 {
 		t.Fatalf("detached port got %d deliveries, want 1", sinks[7].n)
 	}
 	re := &portSink{nw: nw}
 	b.Attach(7, re)
 	send(7)
-	drain(sched)
+	for sched.Step() {
+	}
 	if re.n != 1 {
 		t.Fatalf("rebound port got %d deliveries, want 1", re.n)
 	}
@@ -400,7 +412,8 @@ func TestSparsePortsFallBackToScan(t *testing.T) {
 		p.Src, p.Dst, p.DstPort = a.ID, b.ID, port
 		a.Send(p)
 	}
-	drain(sched)
+	for sched.Step() {
+	}
 	if sink.bytes != 100 || far.n != 1 {
 		t.Fatalf("scan fallback delivered sink=%dB far=%d, want 100B and 1", sink.bytes, far.n)
 	}

@@ -53,7 +53,8 @@ func TestParkingLotRouting(t *testing.T) {
 	sinkT := &collector{nw: nw}
 	pl.ThroughDst[0].Attach(7, sinkT)
 	sendOne(nw, pl.ThroughSrc[0], pl.ThroughDst[0], 7, 1000)
-	drain(sched)
+	for sched.Step() {
+	}
 	if len(sinkT.times) != 1 {
 		t.Fatalf("through packet not delivered: %d", len(sinkT.times))
 	}
@@ -66,7 +67,8 @@ func TestParkingLotRouting(t *testing.T) {
 	sinkC := &collector{nw: nw}
 	pl.CrossDst[1][0].Attach(7, sinkC)
 	sendOne(nw, pl.CrossSrc[1][0], pl.CrossDst[1][0], 7, 1000)
-	drain(sched)
+	for sched.Step() {
+	}
 	if len(sinkC.times) != 1 {
 		t.Fatalf("cross packet not delivered: %d", len(sinkC.times))
 	}
@@ -78,7 +80,8 @@ func TestParkingLotRouting(t *testing.T) {
 	sinkR := &collector{nw: nw}
 	pl.ThroughSrc[0].Attach(8, sinkR)
 	sendOne(nw, pl.ThroughDst[0], pl.ThroughSrc[0], 8, 500)
-	drain(sched)
+	for sched.Step() {
+	}
 	if len(sinkR.times) != 1 || sinkR.bytes != 500 {
 		t.Fatalf("reverse packet not delivered: %d/%d", len(sinkR.times), sinkR.bytes)
 	}
@@ -142,7 +145,8 @@ func TestLinkScheduleAffectsSerialization(t *testing.T) {
 	// 1000 bytes at 8 Mb/s = 1 ms; at 0.8 Mb/s = 10 ms.
 	sched.At(0.5, func() { sendOne(nw, a, b, 1, 1000) })
 	sched.At(1.5, func() { sendOne(nw, a, b, 1, 1000) })
-	drain(sched)
+	for sched.Step() {
+	}
 	if len(arrivals) != 2 {
 		t.Fatalf("arrivals = %v", arrivals)
 	}

@@ -17,12 +17,6 @@ import (
 // simPath is the testbed of this file: hosts "a" and "b" joined by one
 // link of the given rate (bits/sec), one-way delay (seconds) and
 // DropTail limit in each direction — a Dummynet pipe in virtual time.
-// drain executes events until the queue is empty.
-func drain(s *sim.Scheduler) {
-	for s.Step() {
-	}
-}
-
 func simPath(bw, delay float64, limit int) (*sim.Scheduler, *netsim.Topology) {
 	sched := sim.NewScheduler()
 	topo := netsim.NewTopology(sched, nil)
@@ -68,7 +62,8 @@ func TestEmuPipeDelivers(t *testing.T) {
 	var at float64
 	a, _ := rawPorts(topo, func(b []byte) { got, at = bytes.Clone(b), sched.Now() })
 	a.send([]byte("ping"))
-	drain(sched)
+	for sched.Step() {
+	}
 	if string(got) != "ping" {
 		t.Fatalf("got %q", got)
 	}
@@ -83,7 +78,8 @@ func TestEmuPipeLoss(t *testing.T) {
 	impair(topo, "a->b", 1, faults.Fault{Corrupt: 1})
 	a, _ := rawPorts(topo, func([]byte) { t.Fatal("packet survived 100% loss") })
 	sched.At(0.001, func() { a.send([]byte("x")) })
-	drain(sched)
+	for sched.Step() {
+	}
 	if *drops != 1 {
 		t.Fatalf("drops = %d", *drops)
 	}
@@ -97,7 +93,8 @@ func TestEmuPipeBandwidthPacing(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		a.send(make([]byte, 1000))
 	}
-	drain(sched)
+	for sched.Step() {
+	}
 	if len(times) != 10 {
 		t.Fatalf("%d of 10 delivered", len(times))
 	}
@@ -116,7 +113,8 @@ func TestEmuPipeQueueOverflowDrops(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		a.send(make([]byte, 1500))
 	}
-	drain(sched)
+	for sched.Step() {
+	}
 	// One serializing, five queued, the rest refused.
 	if delivered != 6 || *drops != 94 {
 		t.Fatalf("delivered %d, dropped %d; want 6 and 94", delivered, *drops)
@@ -133,7 +131,8 @@ func TestEmuClosedConn(t *testing.T) {
 	send.Stop()
 	recv.Stop()
 	before, got := send.Stats(), recv.Stats()
-	drain(sched) // returns only if nothing re-arms
+	for sched.Step() { // returns only if nothing re-arms
+	}
 	if after := send.Stats(); after != before {
 		t.Fatalf("sender moved after Stop: %+v then %+v", before, after)
 	}
@@ -141,7 +140,8 @@ func TestEmuClosedConn(t *testing.T) {
 		t.Fatalf("receiver moved after Stop: %+v then %+v", got, after)
 	}
 	send.Run() // a stopped sender stays stopped
-	drain(sched)
+	for sched.Step() {
+	}
 	if after := send.Stats(); after.Sent != before.Sent {
 		t.Fatal("Run restarted a stopped sender")
 	}
@@ -155,7 +155,8 @@ func TestSimDuplicateDecodesTwice(t *testing.T) {
 	var got []string
 	a, _ := rawPorts(topo, func(b []byte) { got = append(got, string(b)) })
 	sched.At(0.001, func() { a.send([]byte("one")); a.send([]byte("two")) })
-	drain(sched)
+	for sched.Step() {
+	}
 	if want := []string{"one", "one", "two", "two"}; !slices.Equal(got, want) {
 		t.Fatalf("got %q, want %q", got, want)
 	}
@@ -175,7 +176,8 @@ func TestSimFrameWindow(t *testing.T) {
 	for i := 0; i < frameWindow+3; i++ {
 		a.send([]byte{byte(i), byte(i >> 8)})
 	}
-	drain(sched)
+	for sched.Step() {
+	}
 	if delivered != frameWindow || b.expired != 3 {
 		t.Fatalf("delivered %d, expired %d; want %d and 3", delivered, b.expired, frameWindow)
 	}
@@ -337,7 +339,8 @@ func TestPathFaultWindow(t *testing.T) {
 	}{{0.05, "clean"}, {0.25, "lossy"}, {0.7, "healed"}} {
 		sched.At(m.at, func() { a.send([]byte(m.msg)) })
 	}
-	drain(sched)
+	for sched.Step() {
+	}
 	if !slices.Equal(got, []string{"clean", "healed"}) || *drops != 1 {
 		t.Fatalf("delivered %q with %d drops; want clean and healed, 1 drop", got, *drops)
 	}
@@ -355,7 +358,8 @@ func TestPathBandwidthStep(t *testing.T) {
 	for _, at := range []float64{0.01, 0.08} {
 		sched.At(at, func() { sentAt = sched.Now(); a.send(make([]byte, 1000)) })
 	}
-	drain(sched)
+	for sched.Step() {
+	}
 	if len(took) != 2 || math.Abs(took[0]-0.001) > 1e-12 || math.Abs(took[1]-0.050) > 1e-12 {
 		t.Fatalf("deliveries took %v, want 1 ms then 50 ms", took)
 	}
