@@ -42,6 +42,7 @@ func tfrcsim(t *testing.T, args ...string) (stdout, stderr string, code int) {
 func TestCommands(t *testing.T) {
 	for _, tc := range []struct {
 		args   string
+		params string // when set, written to a file passed as the next argument
 		code   int
 		stdout string // substring of stdout
 		stderr string // substring of stderr
@@ -56,9 +57,20 @@ func TestCommands(t *testing.T) {
 		// A shard's cells and its retry policy are not flags.
 		{args: "shard run fig5 -cells 0:1", code: 2, stderr: "flag provided but not defined: -cells"},
 		{args: "shard exec fig5 -retries 2", code: 2, stderr: "flag provided but not defined: -retries"},
+		// The sender always decreases straight to the equation's rate
+		// (§3.2): a decrease policy is not a parameter.
+		{args: "run fig3 -params", params: `{"Decrease": 3}`, code: 1, stderr: `unknown field "Decrease"`},
 	} {
 		t.Run(tc.args, func(t *testing.T) {
-			stdout, stderr, code := tfrcsim(t, strings.Fields(tc.args)...)
+			args := strings.Fields(tc.args)
+			if tc.params != "" {
+				file := filepath.Join(t.TempDir(), "params.json")
+				if err := os.WriteFile(file, []byte(tc.params), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				args = append(args, file)
+			}
+			stdout, stderr, code := tfrcsim(t, args...)
 			if code != tc.code {
 				t.Errorf("exit %d, want %d (stderr: %s)", code, tc.code, stderr)
 			}
