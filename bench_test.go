@@ -1,17 +1,18 @@
 package tfrc_test
 
 // One benchmark per figure of the paper's evaluation, plus ablation
-// benches for the design decisions DESIGN.md calls out. Each figure
+// benches for the design choices of the paper's §3. Each figure
 // bench runs a scaled-down instance of the corresponding experiment and
 // reports the figure's headline metric via b.ReportMetric, so
 // `go test -bench . -benchmem` regenerates the whole evaluation at
 // laptop scale. cmd/tfrcsim runs the same experiments at paper scale.
 // Every figure bench runs its experiment as cmd/tfrcsim does: by name,
-// through exp.RunExperiment, on validated parameters.
+// through exp.RunExperiment, on validated parameters. Speed is gated by
+// `go run ./benchmark`; the one throughput bench here is the target of
+// CI's profile step.
 
 import (
 	"math"
-	"runtime"
 	"testing"
 
 	"tfrc/internal/core"
@@ -332,26 +333,6 @@ func BenchmarkAblationS0(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationDecrease compares the three §3.2 decrease policies by
-// the rate CoV of a single flow on a small-buffer bottleneck.
-func BenchmarkAblationDecrease(b *testing.B) {
-	for _, pol := range []struct {
-		name string
-		p    core.DecreasePolicy
-	}{{"to-T", core.DecreaseToT}, {"toward-T", core.DecreaseToward}, {"exponential", core.DecreaseExponential}} {
-		b.Run(pol.name, func(b *testing.B) {
-			pr := exp.DefaultFig03()
-			pr.Duration, pr.Warmup = 40, 15
-			pr.BufferSizes = []int{16}
-			pr.Decrease = pol.p
-			for i := 0; i < b.N; i++ {
-				r := runWith[*exp.Fig03Result](b, "fig3", &pr, 1)
-				b.ReportMetric(r.Curves[0].CoV, "rate-cov")
-			}
-		})
-	}
-}
-
 // BenchmarkAblationEquation compares the full PFTK response function
 // with the simple √p form at moderate and high loss.
 func BenchmarkAblationEquation(b *testing.B) {
@@ -361,93 +342,7 @@ func BenchmarkAblationEquation(b *testing.B) {
 	}
 }
 
-// --- Microbenchmarks: the protocol hot paths ---
-
-func BenchmarkEquationPFTK(b *testing.B) {
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		sink = core.PFTK(1000, 0.1, 0.4, 0.01)
-	}
-	_ = sink
-}
-
-func BenchmarkLossHistoryUpdate(b *testing.B) {
-	h := core.NewLossHistory(core.DefaultLossHistory())
-	for i := 0; i < 8; i++ {
-		h.OnLossEvent(100)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.SetOpen(float64(i % 200))
-		_ = h.LossEventRate()
-	}
-}
-
-func BenchmarkReceiverOnData(b *testing.B) {
-	r := core.NewReceiver(core.ReceiverConfig{PacketSize: 1000})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.OnData(float64(i)*0.001, core.DataPacket{
-			Seq: int64(i), Size: 1000, SendTime: float64(i) * 0.001, SenderRTT: 0.1,
-		})
-	}
-}
-
-func BenchmarkSimulatorPacketsPerSecond(b *testing.B) {
-	// End-to-end simulator cost: one 10-second 8-flow scenario per
-	// iteration; the metric is delivered bottleneck data packets (a
-	// deterministic count) per real second. `go run ./benchmark` gates
-	// the same cell as its dumbbell8 workload.
-	var pkts float64
-	for i := 0; i < b.N; i++ {
-		r := exp.RunScenario(exp.Scenario{
-			NTCP: 4, NTFRC: 4,
-			BottleneckBW: 8e6,
-			Queue:        netsim.QueueRED,
-			Duration:     10,
-			Warmup:       2,
-			Seed:         int64(i),
-		})
-		if r.Utilization == 0 {
-			b.Fatal("dead simulation")
-		}
-		for _, s := range append(r.TCPSeries, r.TFRCSeries...) {
-			for _, v := range s {
-				pkts += v / 1000
-			}
-		}
-	}
-	b.ReportMetric(pkts/b.Elapsed().Seconds(), "pkts/sec")
-}
-
-// BenchmarkSweepCellsPerSecond measures the sweep engine end to end: a
-// Figure 6-shaped grid of short scenarios executed on the worker-pinned
-// runner at realistic parallelism. The metric is grid cells completed
-// per wall-clock second — the quantity that decides how long PaperFig11
-// takes. `go run ./benchmark` gates a grid of this shape (and its
-// per-cell allocations) as the sweepgrid workload.
-func BenchmarkSweepCellsPerSecond(b *testing.B) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > 4 {
-		workers = 4
-	}
-	pr := exp.Fig06Params{
-		LinkMbps:    []float64{2, 8},
-		TotalFlows:  []int{4, 8},
-		Queues:      []netsim.QueueKind{netsim.QueueDropTail, netsim.QueueRED},
-		Duration:    15,
-		MeasureTail: 10,
-		Seed:        1,
-		Seeds:       4,
-	}
-	cells := len(pr.LinkMbps) * len(pr.TotalFlows) * len(pr.Queues) * pr.Seeds
-	for i := 0; i < b.N; i++ {
-		if len(runWith[*exp.Fig06Result](b, "fig6", &pr, workers).Cells) == 0 {
-			b.Fatal("empty grid")
-		}
-	}
-	b.ReportMetric(float64(b.N*cells)/b.Elapsed().Seconds(), "cells/sec")
-}
+// --- Scaling ---
 
 // BenchmarkManyFlowsPacketsPerSecond measures the flow-scaling machinery
 // — chunked agent slabs, struct-of-arrays monitors, the coarse timer
@@ -469,21 +364,4 @@ func BenchmarkManyFlowsPacketsPerSecond(b *testing.B) {
 		pkts += float64(cell.DeliveredPkts)
 	}
 	b.ReportMetric(pkts/b.Elapsed().Seconds(), "pkts/sec")
-}
-
-// --- Extension benches: the paper's §7 future-work items ---
-
-// BenchmarkExtensionQuiescence measures the §7 rate-validation decay: the
-// allowed rate after a 10-interval idle period, with and without OnIdle.
-func BenchmarkExtensionQuiescence(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := core.NewSender(core.DefaultSenderConfig())
-		for k := 0; k < 10; k++ {
-			s.OnFeedback(core.Feedback{P: 0.001, XRecv: 1e9, RTTSample: 0.1})
-		}
-		before := s.Rate()
-		after := s.OnIdle(10 * s.NoFeedbackTimeout())
-		b.ReportMetric(before/1000, "rate-before-kBps")
-		b.ReportMetric(after/1000, "rate-after-idle-kBps")
-	}
 }

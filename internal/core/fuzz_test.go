@@ -102,7 +102,6 @@ func TestSenderArbitraryFeedbackInvariant(t *testing.T) {
 			}
 		}
 		s.OnNoFeedback()
-		s.OnIdle(1e9)
 		return s.Rate() > 0 && !math.IsNaN(s.Rate())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -114,11 +113,10 @@ func TestSenderArbitraryFeedbackInvariant(t *testing.T) {
 // extreme values (loss rates of 0 and 1, receive rates from zero to
 // 1e15, RTT samples from none — 0 and −1 ms, which the sender refuses
 // until it has an estimate — through a microsecond to multi-second
-// RTTs) with no-feedback expiries and
-// idle-period decays in arbitrary order. Whatever the history, the
-// sender must keep its rate in [protocol floor, finite], and both the
-// packet interval and the no-feedback timeout positive and finite —
-// the state machine has no sequence of inputs that wedges it.
+// RTTs) with no-feedback expiries in arbitrary order. Whatever the
+// history, the sender must keep its rate in [protocol floor, finite],
+// and both the packet interval and the no-feedback timeout positive and
+// finite — the state machine has no sequence of inputs that wedges it.
 func TestSenderInterleavedLifecycleInvariant(t *testing.T) {
 	ps := []float64{0, 1e-12, 1e-6, 0.5, 1 - 1e-12, 1}
 	xs := []float64{0, 1e-12, 1, 1000, 1e9, 1e15}
@@ -126,9 +124,7 @@ func TestSenderInterleavedLifecycleInvariant(t *testing.T) {
 	f := func(ops []uint16) bool {
 		s := NewSender(DefaultSenderConfig())
 		floor := 1000.0 / 64
-		now := 0.0
 		for _, op := range ops {
-			now += float64(op%97) / 10
 			switch op % 6 {
 			case 0, 1, 2: // feedback dominates real traces; weight it 3-in-6
 				s.OnFeedback(Feedback{
@@ -136,10 +132,8 @@ func TestSenderInterleavedLifecycleInvariant(t *testing.T) {
 					XRecv:     xs[int(op/36)%len(xs)],
 					RTTSample: rtts[int(op/216)%len(rtts)],
 				})
-			case 3, 4:
+			case 3, 4, 5:
 				s.OnNoFeedback()
-			case 5:
-				s.OnIdle(now)
 			}
 			r := s.Rate()
 			if r < floor-1e-9 || r > 1e18 || math.IsNaN(r) {

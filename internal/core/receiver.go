@@ -5,11 +5,9 @@ import "math"
 // ReceiverConfig parameterizes a TFRC receiver.
 type ReceiverConfig struct {
 	// PacketSize is the nominal segment size s in bytes, used only for
-	// seeding the loss history via the inverse equation.
+	// seeding the loss history via the inverse of the sender's equation
+	// (PFTK).
 	PacketSize int
-	// Eq is the control equation used for seeding; nil means PFTK. It
-	// should match the sender's.
-	Eq ThroughputEq
 	// OnLossInterval, when set, observes every closed loss interval
 	// (packets) right after it enters the history — the Figure 18
 	// experiment logs them. Only settable in code.
@@ -72,9 +70,6 @@ func NewReceiver(cfg ReceiverConfig) *Receiver {
 func (r *Receiver) Init(cfg ReceiverConfig) {
 	if cfg.PacketSize <= 0 {
 		panic("core: receiver needs a positive packet size")
-	}
-	if cfg.Eq == nil {
-		cfg.Eq = PFTK
 	}
 	hist := r.hist
 	*r = Receiver{cfg: cfg, hist: hist}
@@ -163,7 +158,7 @@ func (r *Receiver) seedHistory(now float64) {
 		r.hist.Seed(1)
 		return
 	}
-	p := InverseP(r.cfg.Eq, float64(r.cfg.PacketSize), rtt, 4*rtt, rate/2)
+	p := InverseP(PFTK, float64(r.cfg.PacketSize), rtt, 4*rtt, rate/2)
 	r.hist.Seed(1 / p)
 }
 

@@ -2,43 +2,22 @@ package core
 
 import "math"
 
-// DecreasePolicy selects how the sender responds when the control
-// equation's rate T falls below the current transmission rate (§3.2). The
-// paper evaluates three and adopts decrease-to-T.
-type DecreasePolicy int
-
-// Decrease policies.
-const (
-	// DecreaseToT sets the rate directly to T — the paper's choice: the
-	// loss-measurement damping makes further damping unnecessary.
-	DecreaseToT DecreasePolicy = iota
-	// DecreaseToward halves the distance to T each feedback. Rejected:
-	// extra damping only confuses the damping already present.
-	DecreaseToward
-	// DecreaseExponential halves the rate until it is below T. Rejected:
-	// the undershoot causes oscillation.
-	DecreaseExponential
-)
-
-// SenderConfig parameterizes a TFRC sender.
+// SenderConfig parameterizes a TFRC sender. The rate rule itself is
+// fixed, as the paper fixes it in §3: the allowed rate is the control
+// equation's (Eq. 1, PFTK) at the reported loss event rate, capped at
+// twice the rate the receiver reports receiving, and falls straight to
+// that value when it is below the current rate — §3.2 tries halving the
+// distance to it and exponential decrease and rejects both. RFC 3448
+// §4.3 writes the rule as X = max(min(X_calc, 2·X_recv), s/t_mbi).
 type SenderConfig struct {
 	// PacketSize is the segment size s in bytes (paper default: 1000).
 	PacketSize int
-	// Eq is the control equation; nil means PFTK (the paper's Eq. 1).
-	// Functions cannot ride through JSON, so serialized configs always
-	// mean the default equation.
-	Eq ThroughputEq `json:"-"`
 	// RTTWeight is the EWMA weight on new RTT samples; 0 means 0.1.
 	RTTWeight float64
 	// SqrtSpacing enables the §3.4 inter-packet-spacing adjustment
 	// t = s·√R₀/(T·M), trading a little short-term rate variation for
 	// damped queueing oscillations.
 	SqrtSpacing bool
-	// Decrease selects the response when the allowed rate drops.
-	Decrease DecreasePolicy
-	// RecvRateCap caps the allowed rate at twice the rate the receiver
-	// reports receiving, limiting overshoot exactly as in slow start.
-	RecvRateCap bool
 }
 
 // MaxBackoffInterval bounds how low the no-feedback timer can push the
@@ -50,11 +29,8 @@ const MaxBackoffInterval = 64
 func DefaultSenderConfig() SenderConfig {
 	return SenderConfig{
 		PacketSize:  1000,
-		Eq:          PFTK,
 		RTTWeight:   0.1,
 		SqrtSpacing: true,
-		Decrease:    DecreaseToT,
-		RecvRateCap: true,
 	}
 }
 
@@ -88,9 +64,6 @@ func (s *Sender) Init(cfg SenderConfig) {
 	if cfg.PacketSize <= 0 {
 		panic("core: sender needs a positive packet size")
 	}
-	if cfg.Eq == nil {
-		cfg.Eq = PFTK
-	}
 	if cfg.RTTWeight == 0 {
 		cfg.RTTWeight = 0.1
 	}
@@ -123,41 +96,26 @@ func (s *Sender) OnFeedback(fb Feedback) float64 {
 	} else if !s.rtt.Valid() {
 		return s.rate
 	}
+	// Twice the rate that actually reached the receiver bounds the rate
+	// in every branch — the rate-based analogue of TCP's ACK clock; a
+	// report that measured no receive rate sets no bound.
+	recvCap := math.Inf(1)
+	if fb.XRecv > 0 {
+		recvCap = 2 * fb.XRecv
+	}
 	if fb.P <= 0 {
 		// No reported loss: the throughput equation is undefined at
-		// p = 0, so double per feedback instead, never beyond twice the
-		// rate that actually reached the receiver — the rate-based
-		// analogue of TCP's ACK clock limit. During slow start this is
-		// §3.4.1; after it (a loss history that drained back to zero,
-		// or an anomalous report) the same doubling keeps the rate
-		// finite and receiver-clocked instead of evaluating the
-		// equation at its p→0 singularity.
-		next := 2 * s.rate
-		if cap := 2 * fb.XRecv; fb.XRecv > 0 && cap < next {
-			next = cap
-		}
-		s.rate = math.Max(next, s.minRate())
+		// p = 0, so double per feedback instead. During slow start this
+		// is §3.4.1; after it (a loss history that drained back to
+		// zero, or an anomalous report) the same doubling keeps the rate
+		// finite and receiver-clocked instead of evaluating the equation
+		// at its p→0 singularity.
+		s.rate = math.Max(math.Min(2*s.rate, recvCap), s.minRate())
 		return s.rate
 	}
 	s.slowStart = false
-	target := s.cfg.Eq(float64(s.cfg.PacketSize), s.rtt.SRTT(), s.rtt.RTO(), fb.P)
-	if s.cfg.RecvRateCap && fb.XRecv > 0 {
-		target = math.Min(target, 2*fb.XRecv)
-	}
-	switch {
-	case target >= s.rate:
-		s.rate = target
-	default:
-		switch s.cfg.Decrease {
-		case DecreaseToT:
-			s.rate = target
-		case DecreaseToward:
-			s.rate = (s.rate + target) / 2
-		case DecreaseExponential:
-			s.rate = s.rate / 2
-		}
-	}
-	s.rate = math.Max(s.rate, s.minRate())
+	x := PFTK(float64(s.cfg.PacketSize), s.rtt.SRTT(), s.rtt.RTO(), fb.P)
+	s.rate = math.Max(math.Min(x, recvCap), s.minRate())
 	return s.rate
 }
 
@@ -208,36 +166,6 @@ func (s *Sender) OnReport(now float64, rep Report, minGap float64) (ok bool, tim
 func (s *Sender) OnNoFeedback() (timeout float64) {
 	s.rate = math.Max(s.rate/2, s.minRate())
 	return s.NoFeedbackTimeout()
-}
-
-// OnIdle implements the paper's §7 plan for quiescent senders — a
-// rate-based analogue of TCP Congestion Window Validation [HPF99]: an
-// application that stopped sending must not bank its old authorization
-// indefinitely. The previously allowed rate decays by half per
-// no-feedback interval of idleness, but never below the restart rate of
-// one packet per RTT, from which normal slow start resumes.
-func (s *Sender) OnIdle(idle float64) float64 {
-	if idle <= 0 {
-		return s.rate
-	}
-	interval := s.NoFeedbackTimeout()
-	halvings := int(idle / interval)
-	if halvings <= 0 {
-		return s.rate
-	}
-	if halvings > 64 {
-		halvings = 64
-	}
-	restart := float64(s.cfg.PacketSize)
-	if s.rtt.Valid() {
-		restart = float64(s.cfg.PacketSize) / s.rtt.SRTT()
-	}
-	decayed := s.rate / math.Pow(2, float64(halvings))
-	s.rate = math.Max(decayed, math.Min(restart, s.rate))
-	// No state flip is needed for the ramp back up: with the receive-
-	// rate cap in force, post-idle feedback can at most double the rate
-	// per RTT until the old operating point is re-proven.
-	return s.rate
 }
 
 func (s *Sender) minRate() float64 {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"tfrc/internal/core"
 	"tfrc/internal/netsim"
 	"tfrc/internal/stats"
 	"tfrc/internal/tfrcsim"
@@ -25,7 +24,6 @@ type Fig03Params struct {
 	BinWidth    float64 // rate-sampling bin
 	SqrtSpacing bool    // false → Figure 3, true → Figure 4
 	RTTWeight   float64 // paper: 0.05
-	Decrease    core.DecreasePolicy
 	Seed        int64
 }
 
@@ -118,7 +116,6 @@ func fig03Cell(c *Cell, pr *Fig03Params, idx int) Fig03Curve {
 	cfg := tfrcsim.DefaultConfig()
 	cfg.Sender.SqrtSpacing = pr.SqrtSpacing
 	cfg.Sender.RTTWeight = pr.RTTWeight
-	cfg.Sender.Decrease = pr.Decrease
 	b.AddTFRC("src", "dst", cfg, 0)
 	res := b.Run(pr.Duration)
 	b.Release()

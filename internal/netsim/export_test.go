@@ -9,6 +9,16 @@ func (f *fifo) Bytes() int {
 	return n
 }
 
+// PTC returns the configured drain rate in packets per second.
+func (q *RED) PTC() float64 { return q.ptc }
+
+// AvgQueue returns the current EWMA queue estimate in packets.
+func (q *RED) AvgQueue() float64 { return q.avg }
+
+// RouteDrops returns how many packets were dropped for lack of a route
+// while the network was partitioned by failed links.
+func (nw *Network) RouteDrops() int64 { return nw.routeDrops }
+
 // Live returns the number of packets checked out of the pool, for leak
 // assertions.
 func (pl *Pool) Live() int { return pl.live }

@@ -403,16 +403,12 @@ func (nw *Network) BuildRoutes() {
 // states, routing around links taken down with Link.SetDown — the
 // simulator's stand-in for routing reconvergence after a failure.
 // Destinations left unreachable get no next hop; packets addressed to
-// them are dropped at the forwarding node (counted by RouteDrops)
+// them are dropped at the forwarding node (counted in routeDrops)
 // instead of panicking. The BFS scratch of BuildRoutes is reused, so
 // periodic recomputation allocates nothing.
 func (nw *Network) RecomputeRoutes() {
 	nw.buildRoutes(true)
 }
-
-// RouteDrops returns how many packets were dropped for lack of a route
-// while the network was partitioned by failed links.
-func (nw *Network) RouteDrops() int64 { return nw.routeDrops }
 
 func (nw *Network) buildRoutes(tolerateDown bool) {
 	n := len(nw.nodes)

@@ -86,12 +86,6 @@ func (nw *Network) newRED(cfg REDConfig, rng *sim.Rand) *RED {
 // this automatically.
 func (q *RED) SetPTC(pktPerSec float64) { q.ptc = pktPerSec }
 
-// PTC returns the configured drain rate in packets per second.
-func (q *RED) PTC() float64 { return q.ptc }
-
-// AvgQueue returns the current EWMA queue estimate in packets.
-func (q *RED) AvgQueue() float64 { return q.avg }
-
 // Enqueue implements Queue.
 //
 //tfrc:hotpath

@@ -51,10 +51,6 @@ func (s *Sink) Release() {
 	arenaOf(s.net.Scheduler()).sinks.Put(s)
 }
 
-// CumAck returns the current cumulative acknowledgment (next expected
-// sequence).
-func (s *Sink) CumAck() int64 { return s.next }
-
 // Recv handles one data packet and emits the corresponding ACK.
 //
 //tfrc:hotpath

@@ -228,7 +228,6 @@ func NewReceiver(nw *netsim.Network, node *netsim.Node, port, flow int, cfg Conf
 	r.core = saved
 	r.core.Init(core.ReceiverConfig{
 		PacketSize:     pktSize,
-		Eq:             cfg.Sender.Eq,
 		OnLossInterval: cfg.OnLossInterval,
 	})
 	r.fbTmr.InitArg(nw.Scheduler(), receiverFeedbackFn, r)

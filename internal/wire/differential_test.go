@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"tfrc/internal/core"
 	"tfrc/internal/faults"
 	"tfrc/internal/netsim"
 	"tfrc/internal/sim"
@@ -28,7 +27,6 @@ func TestSimVsWireDifferential(t *testing.T) {
 		rate, p [seconds]float64
 		sent    int64
 	}
-	cc := core.DefaultSenderConfig()
 
 	path := func(corrupt float64) (*sim.Scheduler, *netsim.Topology) {
 		sched, topo := simPath(2e6, 0.025, 60)
@@ -56,13 +54,13 @@ func TestSimVsWireDifferential(t *testing.T) {
 	simulated := func(corrupt float64) trace {
 		sched, topo := path(corrupt)
 		snd, rcv := tfrcsim.Pair(topo.Network(), topo.Lookup("a"), topo.Lookup("b"), 1, 1, 1,
-			tfrcsim.Config{Sender: cc})
+			tfrcsim.DefaultConfig())
 		snd.Start(0)
 		return sample(sched, snd.Rate, rcv.P, func() int64 { return snd.Sent })
 	}
 	wired := func(corrupt float64) trace {
 		sched, topo := path(corrupt)
-		snd, rcv := NewSimPair(topo, "a", "b", 1, nil, Config{PacketSize: cc.PacketSize, Sender: cc})
+		snd, rcv := NewSimPair(topo, "a", "b", 1, nil, Config{})
 		sched.At(0, snd.Run)
 		return sample(sched, snd.Rate, func() float64 { return rcv.Stats().P }, func() int64 { return snd.Stats().Sent })
 	}

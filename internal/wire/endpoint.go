@@ -14,9 +14,6 @@ type Config struct {
 	// PacketSize is the data packet size in bytes including the TFRC
 	// header (default 1000).
 	PacketSize int
-	// Sender tunes the rate-control machine; zero value means the
-	// paper's defaults with the configured PacketSize.
-	Sender core.SenderConfig
 	// MaxRate optionally caps the sending rate in bytes/sec (application
 	// limit); 0 means uncapped.
 	MaxRate float64
@@ -25,10 +22,6 @@ type Config struct {
 func (c *Config) fill() {
 	if c.PacketSize == 0 {
 		c.PacketSize = 1000
-	}
-	if c.Sender.PacketSize == 0 {
-		c.Sender = core.DefaultSenderConfig()
-		c.Sender.PacketSize = c.PacketSize
 	}
 }
 
@@ -155,7 +148,9 @@ func newSender(src Source, cfg Config) *Sender {
 	if cfg.MaxRate > 0 {
 		s.minGap = float64(cfg.PacketSize) / cfg.MaxRate
 	}
-	s.core.Init(cfg.Sender)
+	sc := core.DefaultSenderConfig() // the paper's sender at this packet size
+	sc.PacketSize = cfg.PacketSize
+	s.core.Init(sc)
 	return s
 }
 
@@ -320,7 +315,7 @@ type Receiver struct {
 func newReceiver(cfg Config) *Receiver {
 	cfg.fill()
 	r := &Receiver{cfg: cfg, fbBuf: make([]byte, 0, feedbackPacketLen)}
-	r.core.Init(core.ReceiverConfig{PacketSize: cfg.PacketSize, Eq: cfg.Sender.Eq})
+	r.core.Init(core.ReceiverConfig{PacketSize: cfg.PacketSize})
 	return r
 }
 

@@ -139,11 +139,6 @@ func ParseFeedback(b []byte) (FeedbackPacket, error) {
 	return fb, nil
 }
 
-// IsFeedback reports whether the datagram is a TFRC feedback packet.
-func IsFeedback(b []byte) bool {
-	return len(b) >= 2 && b[0] == magic && b[1] == typeFeedback
-}
-
 // IsData reports whether the datagram is a TFRC data packet.
 func IsData(b []byte) bool {
 	return len(b) >= 2 && b[0] == magic && b[1] == typeData

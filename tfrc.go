@@ -35,15 +35,6 @@ type (
 	// RTTEstimator smooths RTT samples and maintains the √RTT average
 	// used by the inter-packet-spacing adjustment.
 	RTTEstimator = core.RTTEstimator
-	// DecreasePolicy selects the response to a rate decrease.
-	DecreasePolicy = core.DecreasePolicy
-)
-
-// Decrease policies (§3.2 of the paper).
-const (
-	DecreaseToT         = core.DecreaseToT
-	DecreaseToward      = core.DecreaseToward
-	DecreaseExponential = core.DecreaseExponential
 )
 
 // Throughput is the paper's Equation (1) — the PFTK TCP response
