@@ -196,25 +196,31 @@ func TestWarmCellAllocatesNothingNew(t *testing.T) {
 //	PR 14, eager scoreboards and limit-sized rings   1.95 MB
 //	demand-sized storage                             549 allocs, 310 592 B
 //	finished senders back in the arena               355 allocs, 245 208 B
-//	parent commit                                    362 allocs, 257 528 B
-//	this commit                                      299 allocs, 259 696 B
+//	before range sets were carved                    362 allocs, 257 528 B
+//	range sets carved, generators in a slab          299 allocs, 259 696 B
+//	parent commit                                    299 allocs, 258 480 B
+//	this commit: each table sized once               232 allocs, 236 280 B
 //
 // Demand-sized storage held a sender for every session its 64 port slots
 // had seen and gave every sink a range set at its first packet; since
 // then a finished sender is back in the arena before the next session
-// starts, a sink that sees no hole owns no set, and the per-node tables
-// and queue rings are cut from a few chunks per network. This commit
-// cuts the range sets from the TCP arena's carver too, keeps the
-// scheduler's generators by value in its slab, and backs a monitor's
-// three counter columns with one block. What is left is mostly the
-// generators' math/rand sources and the packet pool. The budgets are the
-// measured cell plus 15 %; the parent commit is over the allocation
-// budget.
+// starts, a sink that sees no hole owns no set, the per-node tables,
+// queue rings and range sets are cut from a few chunks per network, the
+// scheduler's generators are values in its slab, and a monitor's three
+// counter columns share one block. This commit makes each table a fresh
+// scheduler, slab or preset topology needs once, at a size already
+// known, instead of doubling it from nil: the scheduler's slot table,
+// free list, rebuild scratch and arena table, every slab's chunk table
+// and free list, the network's node table, the topology's name maps and
+// the route BFS queue; a link's taps are carved, and a mice generator's
+// slot table is inline. What is left is mostly slab and carver chunks
+// and the generators' math/rand sources. The budgets are the measured
+// cell plus 15 %; the parent commit is over the allocation budget.
 const (
-	parentColdMallocs = 362
-	parentColdBytes   = 257528
-	coldCellMallocs   = 344
-	coldCellBudget    = 282000
+	parentColdMallocs = 299
+	parentColdBytes   = 258480
+	coldCellMallocs   = 267
+	coldCellBudget    = 272000
 )
 
 func TestColdCellStaysUnderByteBudget(t *testing.T) {

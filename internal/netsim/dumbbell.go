@@ -98,7 +98,9 @@ func NewDumbbell(sched *sim.Scheduler, cfg DumbbellConfig, rng *sim.Rand) *Dumbb
 	if cfg.QueueLimit < 1 {
 		panic("netsim: dumbbell needs a queue limit")
 	}
-	t := NewTopology(sched, rng)
+	// Two routers and the hosts; each host's access link and the
+	// bottleneck are two simplex links.
+	t := newTopology(sched, rng, 2+2*cfg.Hosts, 2*(1+2*cfg.Hosts))
 	if cfg.PktBytes > 0 {
 		t.Network().SetNominalPacketSize(cfg.PktBytes)
 	}

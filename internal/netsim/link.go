@@ -42,10 +42,11 @@ type Link struct {
 	taps    []Tap
 
 	// imp is the link's fault state (outage, blackhole, probabilistic
-	// impairments), allocated only when a fault first touches the link:
-	// an unfaulted link pays one nil check per packet and nothing else.
-	// Once allocated it stays for the link's lifetime — a healed link
-	// keeps an inert block — and is cleared by allocLink/Release.
+	// impairments), taken from the network's slab only when a fault
+	// first touches the link: an unfaulted link pays one nil check per
+	// packet and nothing else. Once taken it stays for the link's
+	// lifetime — a healed link keeps an inert block — and is dropped by
+	// allocLink/Release.
 	imp *linkImpair
 }
 
@@ -137,7 +138,9 @@ func (l *Link) SetDelay(d float64) {
 func (l *Link) Queue() Queue { return l.queue }
 
 // AddTap registers an observer for this link's packet events.
-func (l *Link) AddTap(t Tap) { l.taps = append(l.taps, t) }
+func (l *Link) AddTap(t Tap) {
+	l.taps = append(l.net.tapMem.Reserve(l.taps, len(l.taps)+1), t)
+}
 
 func (l *Link) emit(ev TapEvent, p *Packet) {
 	if len(l.taps) == 0 {
@@ -291,7 +294,8 @@ func (l *Link) impOffer(p *Packet) bool {
 
 func (l *Link) ensureImp() *linkImpair {
 	if l.imp == nil {
-		l.imp = &linkImpair{}
+		l.imp = l.net.impSlab.Get()
+		*l.imp = linkImpair{}
 	}
 	return l.imp
 }

@@ -215,8 +215,9 @@ type Network struct {
 
 	nodeSlab sim.Slab[Node]
 	linkSlab sim.Slab[Link]
-	dtSlab   sim.Slab[DropTail] //tfrc:keep queue structs and their rings are recycled in place across scenarios
-	redSlab  sim.Slab[RED]      //tfrc:keep queue structs and their rings are recycled in place across scenarios
+	dtSlab   sim.Slab[DropTail]   //tfrc:keep queue structs and their rings are recycled in place across scenarios
+	redSlab  sim.Slab[RED]        //tfrc:keep queue structs and their rings are recycled in place across scenarios
+	impSlab  sim.Slab[linkImpair] //tfrc:keep fault blocks of impaired links, reissued by New; their rng is the scheduler's own
 
 	// nowFn is the clock closure handed to capacity-aware queues. It
 	// captures the (stable) Network rather than the current scheduler, so
@@ -232,6 +233,7 @@ type Network struct {
 	portMem sim.Carver[portBinding] //tfrc:keep node slots retain the segments they took; Release scrubs them
 	tabMem  sim.Carver[Agent]       //tfrc:keep node slots retain the segments they took; Release scrubs them
 	ringMem sim.Carver[*Packet]     //tfrc:keep queue slots retain the rings they took
+	tapMem  sim.Carver[Tap]         //tfrc:keep link slots retain the segments they took; Release scrubs them
 
 	visited []bool   //tfrc:keep BuildRoutes scratch, value-only backing
 	bfsQ    []bfsHop //tfrc:keep BuildRoutes scratch; truncated after every build
@@ -258,6 +260,7 @@ func New(sched *sim.Scheduler) *Network {
 	nw.linkSlab.Reset()
 	nw.dtSlab.Reset()
 	nw.redSlab.Reset()
+	nw.impSlab.Reset()
 	nw.partitioned = false
 	nw.routeDrops = 0
 	nw.pool.reset()
@@ -418,7 +421,9 @@ func (nw *Network) buildRoutes(tolerateDown bool) {
 	slab := nw.routeSlab[:n*n]
 	clear(slab)
 	if cap(nw.visited) < n {
+		// A BFS queues each node at most once.
 		nw.visited = make([]bool, n)
+		nw.bfsQ = make([]bfsHop, 0, n)
 	}
 	nw.partitioned = false
 	for _, src := range nw.nodes {

@@ -40,13 +40,25 @@ type Topology struct {
 // repeated cells on a recycled scheduler rebuild their topology without
 // reallocating it.
 func NewTopology(sched *sim.Scheduler, rng *sim.Rand) *Topology {
+	return newTopology(sched, rng, 0, 0)
+}
+
+// newTopology is NewTopology with room reserved for the given numbers
+// of nodes and simplex links, which a preset knows before it declares
+// any: a cold cell then makes the network's node table and the two name
+// maps once instead of growing them by doubling. A recycled builder
+// keeps the tables it grew.
+func newTopology(sched *sim.Scheduler, rng *sim.Rand, nodes, links int) *Topology {
 	a := arenaOf(sched)
 	t := sim.Next(&a.topos)
 	t.nw = New(sched)
+	if cap(t.nw.nodes) < nodes {
+		t.nw.nodes = make([]*Node, 0, nodes)
+	}
 	t.rng = rng
 	if t.nodes == nil {
-		t.nodes = make(map[string]*Node)
-		t.links = make(map[string]*Link)
+		t.nodes = make(map[string]*Node, nodes)
+		t.links = make(map[string]*Link, links)
 	}
 	clear(t.nodes)
 	clear(t.links)
@@ -187,10 +199,11 @@ func NewParkingLot(sched *sim.Scheduler, cfg ParkingLotConfig, rng *sim.Rand) *P
 	if cfg.QueueLimit < 1 {
 		panic("netsim: parking lot needs a queue limit")
 	}
-	t := NewTopology(sched, rng)
 	// Every node list is a segment of one backing, cut to its final size.
 	k := cfg.Bottlenecks
-	nodes := make([]*Node, (k+1)+2*cfg.ThroughPairs+2*k*cfg.CrossPairs)
+	hosts := 2*cfg.ThroughPairs + 2*k*cfg.CrossPairs
+	t := newTopology(sched, rng, (k+1)+hosts, 2*(k+hosts))
+	nodes := make([]*Node, (k+1)+hosts)
 	cut := func(n int) []*Node {
 		s := nodes[:0:n]
 		nodes = nodes[n:]

@@ -120,10 +120,23 @@ func (s *Scheduler) Arena(id ArenaID, mk func() Arena) Arena {
 // schedMem recycles scheduler backing arrays across instances: sweep
 // cells build thousands of short-lived schedulers, and reusing the grown
 // slices keeps per-cell setup out of the allocator.
-var schedMem = sync.Pool{New: func() any { return new(Scheduler) }}
+var schedMem = sync.Pool{New: func() any {
+	return &Scheduler{
+		slots: make([]event, 0, calMinBuckets),
+		free:  make([]int32, 0, calMinBuckets),
+		cal:   calQueue{scratch: make([]int32, 0, calMinBuckets)},
+		// IDs are taken at package init, so every arena has its entry.
+		arenas: make([]Arena, arenaIDs.Load()),
+	}
+}}
 
 // NewScheduler returns a scheduler with the clock at zero. Its backing
-// arrays may be recycled from a previously Released scheduler.
+// arrays may be recycled from a previously Released scheduler. A fresh
+// one makes its slot table, free list and calendar-rebuild scratch once,
+// at calMinBuckets — the population the calendar rests at — so up to
+// that many pending events cost no allocation, and a larger population
+// grows them by doubling from there rather than from nil. Its arena
+// table is made at the number of registered ArenaIDs.
 func NewScheduler() *Scheduler {
 	s := schedMem.Get().(*Scheduler)
 	s.Reset()

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -1086,5 +1087,44 @@ func BenchmarkSchedulerQueues(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
 		})
+	}
+}
+
+// TestFreshSchedulerHoldsRestingPopulationWithoutAllocating pins
+// NewScheduler's sizing: a scheduler the pool did not recycle holds and
+// fires calMinBuckets pending events, the population the calendar rests
+// at, with no allocation after NewScheduler. The cheapest of three tries
+// is judged: MemStats counts the whole process, and the runtime
+// allocates on its own now and then.
+func TestFreshSchedulerHoldsRestingPopulationWithoutAllocating(t *testing.T) {
+	fired := 0
+	fn := func() { fired++ }
+	best := ^uint64(0)
+	for try := 0; try < 3; try++ {
+		// sync.Pool moves what it holds to its victim cache at one
+		// collection and drops it at the next: after two, NewScheduler
+		// has nothing to recycle.
+		runtime.GC()
+		runtime.GC()
+		s := NewScheduler()
+		fired = 0
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := range calMinBuckets {
+			// Out of order, with ties, so inserts walk their buckets.
+			s.At(float64((i*37)%(calMinBuckets/2))*1e-3, fn)
+		}
+		for s.Step() {
+		}
+		runtime.ReadMemStats(&after)
+		if fired != calMinBuckets {
+			t.Fatalf("fired %d of %d events", fired, calMinBuckets)
+		}
+		best = min(best, after.Mallocs-before.Mallocs)
+	}
+	t.Logf("fresh scheduler, %d pending events: %d allocations", calMinBuckets, best)
+	if best != 0 {
+		t.Errorf("a fresh scheduler allocated %d times holding %d events: its tables were not sized at NewScheduler",
+			best, calMinBuckets)
 	}
 }

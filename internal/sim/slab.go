@@ -7,6 +7,10 @@ package sim
 const (
 	slabFirstChunk = 8
 	slabMaxChunk   = 256
+	// slabRun is the number of chunks in the doubling run from
+	// slabFirstChunk to slabMaxChunk: the chunk table is made at this
+	// length with the first chunk, so it does not double from nil.
+	slabRun = 6
 )
 
 // Slab is a chunked value pool: the one allocator behind every
@@ -22,7 +26,11 @@ const (
 // out free-list returns first, then bumps through the chunks; Reset
 // makes everything available again in the original order, so a slot's
 // grown backing (a scoreboard, a queue ring) meets the same tenant in
-// the next cell.
+// the next cell. Neither table a slab keeps doubles from nil: the chunk
+// table is made with the first chunk, at slabRun entries, and when Put
+// finds the free list full it grows to the slab's issued capacity, the
+// most it can ever hold, so a slab pays one free-list allocation per
+// chunk at most.
 // Values come back as their last user left them: the caller resets what
 // it needs and keeps the capacity it wants.
 type Slab[T any] struct {
@@ -48,6 +56,8 @@ func (s *Slab[T]) Get() *T {
 		n := slabFirstChunk
 		if s.ci > 0 {
 			n = min(2*len(s.chunks[s.ci-1]), slabMaxChunk)
+		} else {
+			s.chunks = make([][]T, 0, slabRun)
 		}
 		s.chunks = append(s.chunks, make([]T, n))
 	}
@@ -58,7 +68,26 @@ func (s *Slab[T]) Get() *T {
 
 // Put hands a slot back for reuse by a later Get, ahead of the bump
 // pointer. The caller must not use it afterwards.
-func (s *Slab[T]) Put(x *T) { s.free = append(s.free, x) }
+func (s *Slab[T]) Put(x *T) {
+	if len(s.free) == cap(s.free) {
+		s.growFree()
+	}
+	s.free = append(s.free, x)
+}
+
+// growFree gives a full free list room for every slot the chunks hold:
+// it can hold no more than were issued, so it grows at most once per
+// chunk. Out of line, so a slab is one free-list allocation site per
+// element type however its callers are inlined.
+//
+//go:noinline
+func (s *Slab[T]) growFree() {
+	n := 0
+	for _, c := range s.chunks {
+		n += len(c)
+	}
+	s.free = append(make([]*T, 0, n), s.free...)
+}
 
 // Reset makes every slot available again: Get then hands out the same
 // addresses in the same order as after construction.

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -199,5 +200,49 @@ func TestCarverReserve(t *testing.T) {
 	// and that stops doubling at 256 elements.
 	if cap(s) > n*3/2 {
 		t.Errorf("%d elements sit in a backing of %d: large tables must not double", n, cap(s))
+	}
+}
+
+// TestSlabFreeListGrowsOncePerChunk pins Put's growth rule: putting back
+// every slot of a slab that has grown k chunks allocates the free list
+// at most k times, and a Reset slab keeps it. The cheapest of three
+// tries is judged, as MemStats counts the whole process.
+func TestSlabFreeListGrowsOncePerChunk(t *testing.T) {
+	if slabFirstChunk<<(slabRun-1) != slabMaxChunk {
+		t.Fatalf("slabRun = %d does not run %d to %d by doubling", slabRun, slabFirstChunk, slabMaxChunk)
+	}
+	// The whole doubling run and three chunks at the cap.
+	n := slabFirstChunk*(1<<slabRun-1) + 3*slabMaxChunk
+	var s Slab[int]
+	got := make([]*int, n)
+	putAll := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, x := range got {
+			s.Put(x)
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	cold, warm := ^uint64(0), ^uint64(0)
+	for try := 0; try < 3; try++ {
+		s = Slab[int]{}
+		for i := range got {
+			got[i] = s.Get()
+		}
+		cold = min(cold, putAll())
+		s.Reset()
+		for i := range got {
+			got[i] = s.Get()
+		}
+		warm = min(warm, putAll())
+	}
+	k := len(s.chunks)
+	t.Logf("%d slots in %d chunks put back: %d free-list allocations cold, %d after Reset", n, k, cold, warm)
+	if cold > uint64(k) {
+		t.Errorf("putting back %d slots of %d chunks allocated %d times, more than once per chunk", n, k, cold)
+	}
+	if warm != 0 {
+		t.Errorf("after Reset the free list allocated %d times", warm)
 	}
 }

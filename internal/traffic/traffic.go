@@ -204,7 +204,7 @@ type Mice struct {
 	Sessions int64
 	doneFn   func(*tcp.Sender) // bound once: every session's OnComplete
 
-	slots []miceSlot // by port slot, 0..MiceSlots-1
+	slots [MiceSlots]miceSlot // by port slot; inline, so a generator is one allocation
 
 	observe func(SessionEvent) // ObserveSessions' callback, nil when nobody watches
 }
@@ -264,20 +264,15 @@ func NewMice(nw *netsim.Network, src, dst *netsim.Node, flow int, cfg MiceConfig
 	}
 	a := arenaOf(nw.Scheduler())
 	m := sim.Next(&a.mice)
-	doneFn, slots := m.doneFn, m.slots
+	// Slot entries from a previous scenario were reclaimed wholesale by
+	// the arena reset: the zeroed slots forget them rather than
+	// re-releasing.
+	doneFn := m.doneFn
 	*m = Mice{cfg: cfg, net: nw, src: src, dst: dst, flow: flow, rng: rng, observe: a.observe}
 	m.doneFn = doneFn
 	if m.doneFn == nil {
 		m.doneFn = m.sessionDone
 	}
-	if slots == nil {
-		slots = make([]miceSlot, MiceSlots)
-	} else {
-		// Slot entries from a previous scenario were reclaimed wholesale
-		// by the arena reset; forget them rather than re-releasing.
-		clear(slots)
-	}
-	m.slots = slots
 	return m
 }
 
