@@ -1,8 +1,11 @@
 package exp
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 
 	"tfrc/internal/stats"
 )
@@ -111,10 +114,8 @@ func describe[P, C any, R Result, PP interface {
 					return nil, fmt.Errorf("reduce needs all %d cells, got %d", n, len(raw))
 				}
 				typed := make([]C, len(raw))
-				for i, r := range raw {
-					if err := json.Unmarshal(r, &typed[i]); err != nil {
-						return nil, fmt.Errorf("decoding cell %d: %w", i, err)
-					}
+				if err := decodeCells(raw, typed); err != nil {
+					return nil, err
 				}
 				return reduce(tp, typed), nil
 			},
@@ -127,6 +128,53 @@ func describe[P, C any, R Result, PP interface {
 		}
 	}
 	return d
+}
+
+// decodeCells decodes raw[i] into cells[i] with one json.Decoder, so
+// the decoder's state and buffer serve every cell instead of being built
+// per cell as json.Unmarshal builds them. A raw cell must hold exactly one
+// JSON value: where the decoder fails or reads past a cell's end, that
+// cell alone goes through json.Unmarshal, which names the error.
+func decodeCells[C any](raw []json.RawMessage, cells []C) error {
+	dec := json.NewDecoder(&cellReader{cells: raw})
+	start := int64(0) // cell i's offset in the stream
+	for i, r := range raw {
+		err := dec.Decode(&cells[i])
+		end := dec.InputOffset() - start // where the value ended, inside r if r is one value
+		if err != nil || end > int64(len(r)) || len(bytes.TrimLeft(r[end:], " \t\r\n")) > 0 {
+			if err = json.Unmarshal(r, &cells[i]); err == nil {
+				err = errors.New("cell is not one JSON value")
+			}
+			return fmt.Errorf("decoding cell %d: %w", i, err)
+		}
+		start += int64(len(r)) + 1
+	}
+	return nil
+}
+
+// cellReader streams raw cells back to back, a newline after each: two
+// numbers would otherwise read as one.
+type cellReader struct {
+	cells []json.RawMessage
+	off   int // read position in cells[0]; len(cells[0]) is its newline
+}
+
+func (r *cellReader) Read(p []byte) (n int, err error) {
+	for n < len(p) && len(r.cells) > 0 {
+		if c := r.cells[0]; r.off < len(c) {
+			k := copy(p[n:], c[r.off:])
+			r.off += k
+			n += k
+			continue
+		}
+		p[n] = '\n'
+		n++
+		r.cells, r.off = r.cells[1:], 0
+	}
+	if n == 0 && len(p) > 0 {
+		return 0, io.EOF
+	}
+	return n, nil
 }
 
 // single is the Spec of an experiment that is one simulation: a grid

@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -156,5 +158,45 @@ func TestUnravel(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(10, func() { unravel(17, 2, 3, 4, 5) }); n != 0 {
 		t.Fatalf("unravel allocates %v times per call", n)
+	}
+}
+
+// TestDecodeCellsKeepsCellBounds: one decoder reads every cell, yet each
+// cell stays its own value — two numbers do not run together, a cell
+// larger than the decoder's buffer reads whole — and a cell that is not
+// exactly one value fails as json.Unmarshal fails it alone.
+func TestDecodeCellsKeepsCellBounds(t *testing.T) {
+	raw := []json.RawMessage{[]byte(`1`), []byte(`2`), []byte(" 3\n"), []byte(`-4e1`)}
+	got := make([]float64, len(raw))
+	if err := decodeCells(raw, got); err != nil {
+		t.Fatal(err)
+	}
+	if want := []float64{1, 2, 3, -40}; !slices.Equal(got, want) {
+		t.Errorf("decoded %v, want %v", got, want)
+	}
+	for _, bad := range []string{``, "\n", `1 2`, `[`, `"x"`, `1]`} {
+		cells := slices.Clone(raw)
+		cells[1] = json.RawMessage(bad)
+		var f float64
+		want := fmt.Sprintf("decoding cell 1: %v", json.Unmarshal([]byte(bad), &f))
+		if err := decodeCells(cells, make([]float64, len(cells))); err == nil || err.Error() != want {
+			t.Errorf("cell 1 = %q: %v, want %s", bad, err, want)
+		}
+	}
+
+	long := make([]int, 2000)
+	for i := range long {
+		long[i] = i
+	}
+	big, err := json.Marshal(long)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lists := make([][]int, 3)
+	if err := decodeCells([]json.RawMessage{[]byte(`[]`), big, []byte(`[7]`)}, lists); err != nil {
+		t.Fatal(err)
+	}
+	if len(lists[0]) != 0 || !slices.Equal(lists[1], long) || !slices.Equal(lists[2], []int{7}) {
+		t.Errorf("decoded lists of %d, %d, %d ints", len(lists[0]), len(lists[1]), len(lists[2]))
 	}
 }

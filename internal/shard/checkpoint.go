@@ -65,18 +65,30 @@ type checkpointWriter struct {
 // tests can SIGKILL the process at every interesting instant.
 func (w *checkpointWriter) flush(cells []json.RawMessage, done int) error {
 	w.buf.Reset()
-	enc := json.NewEncoder(&w.buf) // Encode appends the newline
 	from := w.done
 	if w.f == nil {
 		from = 0
-		if err := enc.Encode(w.hdr); err != nil {
+		if err := json.NewEncoder(&w.buf).Encode(w.hdr); err != nil { // Encode appends the newline
 			return fmt.Errorf("encoding checkpoint header: %w", err)
 		}
 	}
+	// Each line is what Encode(checkpointLine{…}) writes, appended in
+	// place: sized once per flush, no value boxed per line.
+	const frame = len(`{"index":-9223372036854775808,"cell":}` + "\n")
+	size := 0
+	for _, c := range cells[from:done] {
+		size += frame + len(c)
+	}
+	w.buf.Grow(size)
 	for i := from; i < done; i++ {
-		if err := enc.Encode(checkpointLine{Index: w.hdr.CellRange.Lo + i, Cell: cells[i]}); err != nil {
-			return fmt.Errorf("encoding checkpoint cell %d: %w", w.hdr.CellRange.Lo+i, err)
+		idx := w.hdr.CellRange.Lo + i
+		w.buf.WriteString(`{"index":`)
+		w.buf.Write(strconv.AppendInt(w.buf.AvailableBuffer(), int64(idx), 10))
+		w.buf.WriteString(`,"cell":`)
+		if err := writeRaw(&w.buf, cells[i], ""); err != nil {
+			return fmt.Errorf("encoding checkpoint cell %d: %w", idx, err)
 		}
+		w.buf.WriteString("}\n")
 	}
 	data := w.buf.Bytes()
 	if w.crash.firesAt(pointTornFlush) {
@@ -132,7 +144,7 @@ func loadCheckpoint(path string, want checkpointHeader) (cells []json.RawMessage
 	defer f.Close()
 
 	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<26) // cells can be large (trace series)
+	sc.Buffer(nil, 1<<26) // grows from the default as far as a line needs: cells can be large (trace series)
 	if !sc.Scan() {
 		// Empty or unreadable header: treat as no progress.
 		return nil, nil

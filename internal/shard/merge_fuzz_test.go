@@ -12,9 +12,11 @@ import (
 
 // FuzzMergeEnvelopes feeds two arbitrary envelope files through
 // ReadEnvelopeFile and Merge, as "tfrcsim merge" does. Nothing panics;
-// envelopes Merge accepts merge to the same bytes in either order; and a
+// envelopes Merge accepts merge to the same bytes in either order; a
 // merge that claims completeness holds a computed cell at every index —
-// a null or missing cell is an error, never a zero cell.
+// a null or missing cell is an error, never a zero cell; and an accepted
+// merge written with WriteEnvelopeFile holds the encoder's bytes and
+// reads back to the same cells.
 func FuzzMergeEnvelopes(f *testing.F) {
 	params := []byte(`{"n":5,"seed":3}`)
 	hash, err := ParamsHash("shardtest", params)
@@ -43,6 +45,7 @@ func FuzzMergeEnvelopes(f *testing.F) {
 	f.Add(whole, whole)
 	f.Add(lo, bytes.Replace(hi, []byte(`{"index":3,"value":3}`), []byte(`null`), 1))
 	f.Add(lo, bytes.Replace(hi, []byte(`{"index":3,"value":3}`), []byte(` null `), 1))
+	f.Add(lo, bytes.Replace(hi, []byte(`{"index":3,"value":3}`), []byte(" { \"index\" : 3 ,\n\"value\":\"<&>\u2028\" } "), 1))
 	f.Add(lo, bytes.Replace(hi, []byte(`,{"index":4,"value":4}`), nil, 1))
 	f.Add(lo, bytes.Replace(hi, []byte(`"hi":5`), []byte(`"hi":6`), 1))
 	f.Add(whole, []byte(`{}`))
@@ -110,9 +113,40 @@ func FuzzMergeEnvelopes(f *testing.F) {
 					t.Fatalf("merge carries a null cell %d", i)
 				}
 			}
+			// The merge writes as the encoder writes it and reads back to
+			// the same cells.
+			out := filepath.Join(dir, "merged.json")
+			if err := WriteEnvelopeFile(out, m1); err != nil {
+				t.Fatalf("partial=%v: writing an accepted merge: %v", partial, err)
+			}
+			written, err := os.ReadFile(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := encoderEnvelope(t, m1); !bytes.Equal(written, want) {
+				t.Fatalf("partial=%v: WriteEnvelopeFile differs from the encoder:\n%s\n%s", partial, written, want)
+			}
+			back, err := ReadEnvelopeFile(out)
+			if err != nil {
+				t.Fatalf("partial=%v: reading a written merge: %v", partial, err)
+			}
+			for i, c := range m1.Cells {
+				if (back.Cells[i] == nil) != (c == nil) || !bytes.Equal(encoded(back.Cells[i]), encoded(c)) {
+					t.Fatalf("partial=%v: cell %d reads back as %s, was %s", partial, i, back.Cells[i], c)
+				}
+			}
 			if m1.Complete {
 				Reduce(m1) // may reject the cells, must not panic
 			}
 		}
 	})
+}
+
+// encoded is a cell as the encoder writes it: compact and HTML-escaped.
+func encoded(c json.RawMessage) []byte {
+	var b bytes.Buffer
+	if c != nil {
+		json.NewEncoder(&b).Encode(c)
+	}
+	return b.Bytes()
 }

@@ -158,34 +158,130 @@ func missingRanges(cells []json.RawMessage, lo int) []exp.CellRange {
 	return out
 }
 
-// WriteEnvelopeFile writes the envelope as indented JSON via the
-// atomic write-temp, fsync, rename discipline a checkpoint is published
-// with, so a crash mid-write never leaves a torn envelope behind.
+// WriteEnvelopeFile writes the envelope as json.Encoder writes it with
+// SetIndent("", "  "), via the atomic write-temp, fsync, rename
+// discipline a checkpoint is published with, so a crash mid-write never
+// leaves a torn envelope behind. The file is built in one buffer of its
+// exact size: the encoder writes every field but the cells, and each
+// cell is indented into its place.
 func WriteEnvelopeFile(path string, e *Envelope) error {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(e); err != nil {
+	data, err := marshalEnvelope(e)
+	if err != nil {
 		return fmt.Errorf("encoding envelope: %w", err)
 	}
-	return atomicWrite(path, buf.Bytes())
+	return atomicWrite(path, data)
 }
 
-// ReadEnvelopeFile reads and validates one envelope file. JSON null
-// cells decode to the literal "null"; they are normalized back to nil
-// so missing-cell checks stay uniform.
+// cellsKey precedes the cells in an indented envelope. Only a top-level
+// key follows a newline and exactly two spaces, so the first match is
+// the envelope's own, whatever the parameters hold.
+const cellsKey = "\n  \"cells\": "
+
+// marshalEnvelope returns the bytes WriteEnvelopeFile writes.
+func marshalEnvelope(e *Envelope) ([]byte, error) {
+	var head bytes.Buffer
+	h := *e
+	h.Cells = nil // written as null, which is right when e.Cells is nil
+	enc := json.NewEncoder(&head)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(&h); err != nil {
+		return nil, err
+	}
+	if e.Cells == nil {
+		return head.Bytes(), nil
+	}
+	// Each cell is indented twice into one scratch buffer: first to size
+	// the file, then to copy it into place.
+	var cell bytes.Buffer
+	indent := func(c json.RawMessage) ([]byte, error) {
+		cell.Reset()
+		err := writeRaw(&cell, c, "    ")
+		return cell.Bytes(), err
+	}
+	size := head.Len() + len("[\n  ]")
+	for i, c := range e.Cells {
+		b, err := indent(c)
+		if err != nil {
+			return nil, fmt.Errorf("cell %d: %w", i, err)
+		}
+		size += len(",\n    ") + len(b)
+	}
+	at := bytes.Index(head.Bytes(), []byte(cellsKey)) + len(cellsKey)
+	var buf bytes.Buffer
+	buf.Grow(size)
+	buf.Write(head.Bytes()[:at])
+	buf.WriteByte('[')
+	for i, c := range e.Cells {
+		if i > 0 {
+			buf.WriteByte(',')
+		}
+		buf.WriteString("\n    ")
+		b, _ := indent(c) // the first pass found every cell valid
+		buf.Write(b)
+	}
+	if len(e.Cells) > 0 {
+		buf.WriteString("\n  ")
+	}
+	buf.WriteByte(']')
+	buf.Write(head.Bytes()[at+len("null"):])
+	return buf.Bytes(), nil
+}
+
+// writeRaw appends raw to buf as json.Encoder writes a json.RawMessage:
+// null when nil, else validated, stripped of insignificant space and
+// HTML-escaped. A non-empty prefix indents it two spaces a level, as
+// SetIndent("", "  ") does a value at the depth prefix is the indent of.
+func writeRaw(buf *bytes.Buffer, raw json.RawMessage, prefix string) error {
+	if raw == nil {
+		buf.WriteString("null")
+		return nil
+	}
+	start := buf.Len()
+	var err error
+	if prefix == "" {
+		err = json.Compact(buf, raw)
+	} else if err = json.Indent(buf, raw, prefix, "  "); err == nil {
+		// Indent keeps the space after a value; the encoder drops it.
+		buf.Truncate(start + len(bytes.TrimRight(buf.Bytes()[start:], " \t\r\n")))
+	}
+	if err != nil {
+		buf.Truncate(start)
+		return err
+	}
+	// The characters the encoder escapes can only sit in strings, so
+	// escaping after the spacing is the same as escaping during it.
+	if out := buf.Bytes()[start:]; bytes.ContainsAny(out, "<>&\u2028\u2029") {
+		var esc bytes.Buffer
+		json.HTMLEscape(&esc, out)
+		buf.Truncate(start)
+		buf.Write(esc.Bytes())
+	}
+	return nil
+}
+
+// ReadEnvelopeFile reads and validates one envelope file. Its cells are
+// sub-slices of the buffer the file was read into, not copies: a cell
+// keeps that buffer alive, and each has its capacity capped at its
+// length, so appending to one copies it rather than overwriting the
+// next. JSON null cells are read as nil, so missing-cell checks stay
+// uniform.
 func ReadEnvelopeFile(path string) (*Envelope, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
 	var e Envelope
-	if err := json.Unmarshal(data, &e); err != nil {
+	file := struct {
+		*Envelope
+		Cells []sharedCell `json:"cells"` // shadows Envelope.Cells
+	}{Envelope: &e}
+	if err := json.Unmarshal(data, &file); err != nil {
 		return nil, fmt.Errorf("%s: parsing envelope: %w", path, err)
 	}
-	for i, c := range e.Cells {
-		if bytes.Equal(bytes.TrimSpace(c), []byte("null")) {
-			e.Cells[i] = nil
+	if file.Cells != nil {
+		e.Cells = make([]json.RawMessage, len(file.Cells))
+		for i, c := range file.Cells {
+			e.Cells[i] = json.RawMessage(c)
 		}
 	}
 	if err := e.Validate(); err != nil {
@@ -194,28 +290,46 @@ func ReadEnvelopeFile(path string) (*Envelope, error) {
 	return &e, nil
 }
 
+// sharedCell is a cell that keeps the bytes the decoder hands it. Under
+// json.Unmarshal those are a sub-slice of the input, here a file buffer
+// nothing else writes to, so keeping them is safe.
+type sharedCell json.RawMessage
+
+func (c *sharedCell) UnmarshalJSON(data []byte) error {
+	if string(data) == "null" {
+		*c = nil
+		return nil
+	}
+	*c = data[:len(data):len(data)]
+	return nil
+}
+
 // atomicWrite writes data to path via a same-directory temp file,
 // fsyncing the file before the rename and the directory after, so the
 // path either holds the old content or the complete new content.
-func atomicWrite(path string, data []byte) error {
+func atomicWrite(path string, data []byte) (err error) {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
 	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
+	defer func() {
+		if err != nil { // after a rename the name is gone: nothing to remove
+			os.Remove(tmp.Name())
+		}
+	}()
+	if _, err = tmp.Write(data); err != nil {
 		tmp.Close()
 		return err
 	}
-	if err := tmp.Sync(); err != nil {
+	if err = tmp.Sync(); err != nil {
 		tmp.Close()
 		return err
 	}
-	if err := tmp.Close(); err != nil {
+	if err = tmp.Close(); err != nil {
 		return err
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err = os.Rename(tmp.Name(), path); err != nil {
 		return err
 	}
 	syncDir(dir)
