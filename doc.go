@@ -117,9 +117,9 @@
 // Its five analyzers: detrand (no global math/rand, wall-clock reads or
 // timers, or order-sensitive map iteration in simulation packages — the
 // wire transport included, bar its OS driver's marked sites), hotpathalloc
-// (functions marked //tfrc:hotpath must not allocate; paired with
-// scripts/escape-gate.sh, which gates compiler escape analysis against
-// a committed allowlist), releasecheck (Release methods nil their
+// (functions marked //tfrc:hotpath must not allocate; what the packet
+// path does allocate, compiler escapes included, is measured by the
+// warm-cell matrix in internal/exp), releasecheck (Release methods nil their
 // reference fields unless annotated //tfrc:keep, sync.Pool.Put shows
 // reset evidence, Results never alias arena memory), importboundary
 // (examples and cmd stay off the internals; public packages leak no
@@ -127,7 +127,9 @@
 // round-trip and Validate). Deliberate exceptions are annotated in
 // place, with a reason: //tfrclint:allow <analyzer> <why>. The same
 // test fails on exported code that only tests call unless
-// scripts/census_allowlist.txt names it with a reason.
+// scripts/census_allowlist.txt names it with a reason, and on a second
+// statement of the house testbed, of the chunked allocator, or of the
+// run options' process default.
 //
 // Quick start (the wire endpoints over a simulated 2 Mb/s path; put
 // them on sockets with NewWireSender / NewWireReceiver and `go x.Run()`):

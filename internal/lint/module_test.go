@@ -28,8 +28,9 @@ func TestModuleHasNoDependencies(t *testing.T) {
 }
 
 // TestLintModule is the gate: every analyzer over every non-test package
-// of the module, then the census of exported code only tests call. A
-// diagnostic prints as file:line: analyzer: message.
+// of the module, then the census of exported code only tests call, then
+// the rules of what is stated once (rules_test.go). A diagnostic prints
+// as file:line: analyzer: message.
 func TestLintModule(t *testing.T) {
 	m := loadModule(t)
 	for _, p := range m.pkgs {
@@ -39,6 +40,7 @@ func TestLintModule(t *testing.T) {
 		}
 	}
 	census(t, m)
+	rules(t, m)
 }
 
 // A module is the module's non-test packages, type-checked from source

@@ -88,6 +88,10 @@ func (o *OnOff) startOn() {
 	o.emit()
 }
 
+// emit sends one packet of an ON period and schedules the next, or ends
+// the period.
+//
+//tfrc:hotpath
 func (o *OnOff) emit() {
 	now := o.net.Now()
 	if now >= o.until {
@@ -134,6 +138,9 @@ func NewCBR(nw *netsim.Network, node *netsim.Node, dst netsim.NodeID, port, flow
 // Start begins emission at the given time.
 func (c *CBR) Start(at float64) { c.net.Scheduler().AtArg(at, cbrEmitFn, c) }
 
+// emit sends one packet and schedules the next.
+//
+//tfrc:hotpath
 func (c *CBR) emit() {
 	p := c.net.NewPacket()
 	p.Kind = netsim.KindCBR
