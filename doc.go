@@ -14,18 +14,15 @@
 //
 // The module exposes three public layers:
 //
-//   - The algorithms (this package): Throughput (the TCP response
-//     function), LossHistory (the Average Loss Interval method, whose
-//     reads never change it),
-//     RTTEstimator, and the transport-agnostic Sender/Receiver state
-//     machines, all clock-injected and allocation-light — plus a wire
-//     implementation of them: endpoints that see only a clock and a
-//     datagram seam, run either over any net.PacketConn on the wall
-//     clock (NewWireSender / NewWireReceiver) or, byte for byte the
-//     same code, between two hosts of a scenario.Topology in virtual
-//     time (NewSimWirePair — a deterministic Dummynet-style testbed
-//     shaped by fault schedules). Use these to embed TFRC in your own
-//     transport.
+//   - The algorithms (this package): Throughput, the paper's Equation (1)
+//     (the TCP response function the sender's rate follows), and the wire
+//     endpoints that run the protocol: they see only a clock and a
+//     datagram seam, and run either over any net.PacketConn on the wall
+//     clock (NewWireSender / NewWireReceiver, examples/udp) or, byte for
+//     byte the same code, between two hosts of a scenario.Topology in
+//     virtual time (NewSimWirePair — a deterministic Dummynet-style
+//     testbed shaped by fault schedules, examples/quickstart). Use these
+//     to embed TFRC in your own transport.
 //
 //   - Package scenario: the packet-level simulator's composition
 //     surface. Topologies are declared, not hardcoded — named nodes,
@@ -127,9 +124,10 @@
 // round-trip and Validate). Deliberate exceptions are annotated in
 // place, with a reason: //tfrclint:allow <analyzer> <why>. The same
 // test fails on exported code that only tests call unless
-// scripts/census_allowlist.txt names it with a reason, and on a second
-// statement of the house testbed, of the chunked allocator, or of the
-// run options' process default.
+// scripts/census_allowlist.txt names it with a reason (a func of a
+// public package needs a program under examples/ that calls it), and
+// on a second statement of the house testbed, of the chunked
+// allocator, or of the run options' process default.
 //
 // Quick start (the wire endpoints over a simulated 2 Mb/s path; put
 // them on sockets with NewWireSender / NewWireReceiver and `go x.Run()`):

@@ -19,39 +19,30 @@ func main() {
 		duration = 90.0
 		warmup   = 30.0
 	)
-	// Declare the topology: 3 routers in a row, one host pair per
-	// contender crossing both bottlenecks.
-	topo := scenario.NewTopology(scenario.NewScheduler(), scenario.NewRand(2))
-	bottleneck := scenario.LinkSpec{
-		Bandwidth: bw, Delay: 0.015,
-		Queue: scenario.QueueDropTail, QueueLimit: 60,
-	}
-	access := scenario.LinkSpec{
-		Bandwidth: 10 * bw, Delay: 0.001,
-		Queue: scenario.QueueDropTail, QueueLimit: 1000,
-	}
-	for s := 0; s < 2; s++ {
-		topo.Link(fmt.Sprintf("r%d", s), fmt.Sprintf("r%d", s+1), bottleneck)
-	}
+	// The 2-bottleneck parking lot preset: routers r0-r1-r2, one through
+	// host pair (ts{i} -> td{i}) per contender crossing both bottlenecks.
 	contenders := []string{"tfrc", "vegas", "relentless"}
-	for i := range contenders {
-		topo.Link(fmt.Sprintf("s%d", i), "r0", access)
-		topo.Link(fmt.Sprintf("d%d", i), "r2", access)
-	}
+	pl := scenario.NewParkingLot(scenario.NewScheduler(), scenario.ParkingLotConfig{
+		Bottlenecks:  2,
+		ThroughPairs: len(contenders),
+		BottleneckBW: bw, BottleneckDly: 0.015,
+		Queue: scenario.QueueDropTail, QueueLimit: 60,
+	}, nil)
 
 	// Compose the scenario: one flow per contender, started together.
 	rng := scenario.NewRand(1)
-	b := scenario.NewBuilder(topo)
+	b := scenario.NewBuilder(pl.Topo)
 	mon := b.MonitorLink("r0->r1", 0.5, warmup)
 	b.MonitorQueue("r0->r1", 0.05, duration)
 	flows := make([]int, len(contenders))
 	for i, proto := range contenders {
-		src, dst := fmt.Sprintf("s%d", i), fmt.Sprintf("d%d", i)
+		src, dst := scenario.IndexedName("ts", i), scenario.IndexedName("td", i)
 		start := rng.Uniform(0, 2)
 		if proto == "tfrc" {
 			flows[i] = b.AddTFRC(src, dst, scenario.DefaultTFRCConfig(), start)
 			continue
 		}
+		// A zero CCConfig leaves each controller at its default tuning.
 		flows[i] = b.AddCC(scenario.CCName(proto), scenario.CCConfig{},
 			src, dst, scenario.TCPConfig{}, start)
 	}

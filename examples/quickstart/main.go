@@ -1,13 +1,16 @@
 // Quickstart: a TFRC sender and receiver — the real wire endpoints, codec
 // and timers included — streaming over a simulated 2 Mb/s path in virtual
-// time, printing the sender's TCP-fair rate as it converges. The run is
-// deterministic and takes no wall-clock time.
+// time, printing the sender's TCP-fair rate as it converges beside the
+// paper's Equation (1) evaluated at the receiver's loss event rate and the
+// sender's smoothed RTT. The run is deterministic and takes no wall-clock
+// time.
 //
 //	go run ./examples/quickstart
 package main
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"tfrc"
@@ -30,12 +33,19 @@ func main() {
 	send, recv := tfrc.NewSimWirePair(topo, "src", "dst", 1, nil, tfrc.WireConfig{PacketSize: 1000})
 	sched.At(0, send.Run)
 
-	fmt.Println("time    rate      rtt      p        sent/received")
+	// Where the equation binds, the sender's rate is Eq. 1 with RTO = 4R;
+	// while the cap of twice the receive rate binds, the rate sits below
+	// it. Before the first loss p is 0, and the equation allows any rate.
+	fmt.Println("time    rate         eq. 1        rtt       p        sent/received")
 	for i := 1; i <= 10; i++ {
 		sched.RunUntil(0.5 * float64(i))
 		s, r := send.Stats(), recv.Stats()
-		fmt.Printf("%4.1fs  %7.1f kB/s  %6.1f ms  %.5f  %d/%d\n",
-			0.5*float64(i), s.Rate/1000, float64(s.SRTT)/float64(time.Millisecond), r.P, s.Sent, r.Received)
+		eq := "      -     "
+		if x := tfrc.Throughput(1000, s.SRTT.Seconds(), 4*s.SRTT.Seconds(), r.P); !math.IsInf(x, 1) {
+			eq = fmt.Sprintf("%7.1f kB/s", x/1000)
+		}
+		fmt.Printf("%4.1fs  %7.1f kB/s  %s  %6.1f ms  %.5f  %d/%d\n",
+			0.5*float64(i), s.Rate/1000, eq, float64(s.SRTT)/float64(time.Millisecond), r.P, s.Sent, r.Received)
 	}
 	send.Stop()
 	recv.Stop()

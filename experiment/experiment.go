@@ -18,23 +18,8 @@
 // json.Unmarshal. Define adds user-defined experiments to the same
 // registry the CLI enumerates, as what every built-in one is — a cell
 // count, a pure per-cell function and a reducer — so they run, shard,
-// checkpoint and interrupt like the figures, by name:
-//
-//	type sweepParams struct{ Rates []float64 }
-//	func (p *sweepParams) Validate() error { ... }
-//
-//	func init() {
-//		experiment.Define(experiment.Spec[sweepParams, float64, *sweepResult]{
-//			Name:    "ratesweep",
-//			Default: func() sweepParams { return sweepParams{Rates: []float64{1e6, 2e6}} },
-//			Cells:   func(p *sweepParams) int { return len(p.Rates) },
-//			Cell: func(_ *experiment.Cell, p *sweepParams, i int) float64 {
-//				res, _ := scenario.Run(scenario.Spec{BottleneckBW: p.Rates[i], ...})
-//				return res.Utilization
-//			},
-//			Reduce: func(p *sweepParams, util []float64) *sweepResult { ... },
-//		})
-//	}
+// checkpoint and interrupt like the figures, by name. examples/fairness
+// defines a small Figure 6 grid this way and runs it with Run.
 //
 // The serialized record has a stable, versioned shape:
 //

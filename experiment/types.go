@@ -89,8 +89,6 @@ type (
 	ManyFlowsParams = exp.ManyFlowsParams
 	ManyFlowsResult = exp.ManyFlowsResult
 	ManyFlowsDecade = exp.ManyFlowsDecade
-	// Path is one emulated Internet path profile (figs 15-17).
-	Path = exp.Path
 	// BlackoutParams/BlackoutResult: graceful degradation through a
 	// total feedback outage.
 	BlackoutParams = exp.BlackoutParams
@@ -115,7 +113,3 @@ type (
 	GracefulReport = faults.GracefulReport
 	RatePoint      = faults.RatePoint
 )
-
-// Paths returns the catalogue of emulated Internet path profiles the
-// Figure 15-17 experiments stand on.
-func Paths() []Path { return exp.Paths() }

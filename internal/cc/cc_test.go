@@ -109,7 +109,7 @@ func round(c Controller, st *State, rtt float64) {
 func TestVegasPersistentQueue(t *testing.T) {
 	path := fluidPath{capacity: 1000, baseRTT: 0.1} // BDP = 100 packets
 	var v Vegas
-	v.Init(DefaultVegas(), 1e4)
+	v.Init(VegasParams{}, 1e4)
 	st := State{Cwnd: 2, Ssthresh: 1e4}
 
 	queue := func() float64 { return math.Max(st.Cwnd-path.bdp(), 0) }
@@ -140,13 +140,13 @@ func TestVegasPersistentQueue(t *testing.T) {
 func TestVegasLatecomerAdvantage(t *testing.T) {
 	path := fluidPath{capacity: 1000, baseRTT: 0.1}
 	var v1, v2 Vegas
-	v1.Init(DefaultVegas(), 1e4)
+	v1.Init(VegasParams{}, 1e4)
 	st1 := State{Cwnd: 2, Ssthresh: 1e4}
 	for i := 0; i < 400; i++ {
 		round(&v1, &st1, path.rtt(st1.Cwnd))
 	}
 
-	v2.Init(DefaultVegas(), 1e4)
+	v2.Init(VegasParams{}, 1e4)
 	st2 := State{Cwnd: 2, Ssthresh: 1e4}
 	for i := 0; i < 400; i++ {
 		rtt := path.rtt(st1.Cwnd + st2.Cwnd)
@@ -208,7 +208,7 @@ func TestLEDBATYieldsOnDelay(t *testing.T) {
 // exactly k packets of window, not a halving.
 func TestRelentlessDecreaseByLost(t *testing.T) {
 	var r Relentless
-	r.Init(DefaultRelentless(), 1e4)
+	r.Init(RelentlessParams{}, 1e4)
 	st := State{Cwnd: 40, Ssthresh: 40}
 
 	r.OnLoss(&st, 40) // episode entry: no cut

@@ -99,13 +99,6 @@ type VegasParams struct {
 	Gamma float64 `json:"gamma,omitempty"`
 }
 
-// DefaultVegas returns the classic 1/3/1 tuning.
-func DefaultVegas() VegasParams {
-	var p VegasParams
-	p.fill()
-	return p
-}
-
 func (p *VegasParams) fill() {
 	if p.Alpha == 0 {
 		p.Alpha = 1
@@ -146,13 +139,6 @@ type LEDBATParams struct {
 	Gain float64 `json:"gain,omitempty"`
 }
 
-// DefaultLEDBAT returns the scavenger tuning used by the experiments.
-func DefaultLEDBAT() LEDBATParams {
-	var p LEDBATParams
-	p.fill()
-	return p
-}
-
 func (p *LEDBATParams) fill() {
 	if p.Target == 0 {
 		p.Target = 0.025
@@ -181,13 +167,6 @@ func (p *LEDBATParams) Validate() error {
 type RelentlessParams struct {
 	// MinCwnd floors the window under per-loss decrements (default 2).
 	MinCwnd float64 `json:"minCwnd,omitempty"`
-}
-
-// DefaultRelentless returns the standard tuning.
-func DefaultRelentless() RelentlessParams {
-	var p RelentlessParams
-	p.fill()
-	return p
 }
 
 func (p *RelentlessParams) fill() {

@@ -20,17 +20,9 @@ type RTTEstimator struct {
 	init   bool
 }
 
-// NewRTTEstimator returns an estimator placing weight q on each new
-// sample (the paper's recommended middle ground is a small q such as 0.1;
-// q must be in (0, 1]).
-func NewRTTEstimator(q float64) *RTTEstimator {
-	e := new(RTTEstimator)
-	e.Init(q)
-	return e
-}
-
-// Init resets an estimator in place — the re-initialization path for
-// estimators embedded by value in pooled agents.
+// Init resets an estimator in place, placing weight q on each new sample
+// (the paper's recommended middle ground is a small q such as 0.1; q must
+// be in (0, 1]). Estimators live by value in pooled agents.
 func (e *RTTEstimator) Init(q float64) {
 	if q <= 0 || q > 1 {
 		panic("core: RTT EWMA weight must be in (0, 1]")

@@ -5,8 +5,14 @@ import (
 	"testing"
 )
 
+func newRTTEstimator(q float64) *RTTEstimator {
+	e := new(RTTEstimator)
+	e.Init(q)
+	return e
+}
+
 func TestRTTFirstSampleInitializes(t *testing.T) {
-	e := NewRTTEstimator(0.1)
+	e := newRTTEstimator(0.1)
 	if e.Valid() {
 		t.Fatal("fresh estimator claims validity")
 	}
@@ -23,7 +29,7 @@ func TestRTTFirstSampleInitializes(t *testing.T) {
 }
 
 func TestRTTEWMAConverges(t *testing.T) {
-	e := NewRTTEstimator(0.1)
+	e := newRTTEstimator(0.1)
 	e.OnSample(1.0)
 	for i := 0; i < 300; i++ {
 		e.OnSample(0.05)
@@ -37,7 +43,7 @@ func TestRTTEWMAConverges(t *testing.T) {
 }
 
 func TestRTTEWMAWeight(t *testing.T) {
-	e := NewRTTEstimator(0.25)
+	e := newRTTEstimator(0.25)
 	e.OnSample(0.1)
 	e.OnSample(0.2)
 	want := 0.75*0.1 + 0.25*0.2
@@ -49,7 +55,7 @@ func TestRTTEWMAWeight(t *testing.T) {
 func TestRTTSmallWeightDamps(t *testing.T) {
 	// A small weight must damp a single outlier far more than a large
 	// weight — the paper's §3.4 rationale for the middle-ground design.
-	small, large := NewRTTEstimator(0.05), NewRTTEstimator(0.5)
+	small, large := newRTTEstimator(0.05), newRTTEstimator(0.5)
 	for _, e := range []*RTTEstimator{small, large} {
 		e.OnSample(0.1)
 		e.OnSample(0.5) // outlier
@@ -62,7 +68,7 @@ func TestRTTSmallWeightDamps(t *testing.T) {
 }
 
 func TestRTTIgnoresNonPositive(t *testing.T) {
-	e := NewRTTEstimator(0.1)
+	e := newRTTEstimator(0.1)
 	e.OnSample(-1)
 	e.OnSample(0)
 	if e.Valid() {
@@ -78,7 +84,7 @@ func TestRTTBadWeightPanics(t *testing.T) {
 					t.Errorf("weight %v did not panic", w)
 				}
 			}()
-			NewRTTEstimator(w)
+			newRTTEstimator(w)
 		}()
 	}
 }

@@ -15,13 +15,18 @@ import (
 // code calls and that stay anyway.
 const censusAllowlist = "scripts/census_allowlist.txt"
 
+// publicDirs are the public packages. A func of theirs stays because an
+// example under examples/ calls it, never because an allowlist line gives
+// a reason.
+var publicDirs = []string{".", "scenario", "experiment"}
+
 // census fails the test on every exported func or method of the module
 // that no non-test code calls and the allowlist does not name, and on
-// every allowlist line that names nothing of the kind. Calls resolve
-// through go/types, so a method counts as called only through its own
-// object: by a direct call, a method value, or a call through an
-// interface method of the same name that its type implements. A call
-// from inside the declaration itself does not count. A method that
+// every allowlist line that names nothing of the kind or names public API.
+// Calls resolve through go/types, so a method counts as called only
+// through its own object: by a direct call, a method value, or a call
+// through an interface method of the same name that its type implements.
+// A call from inside the declaration itself does not count. A method that
 // implements an interface of the standard library (String, MarshalText,
 // …) counts as called, since the standard library calls it.
 func census(t *testing.T, m *module) {
@@ -101,6 +106,9 @@ func census(t *testing.T, m *module) {
 		}
 		if strings.TrimSpace(reason) == "" {
 			t.Errorf("%s:%d: %s gives no reason", censusAllowlist, i+1, id)
+		}
+		if dir, _, _ := strings.Cut(id, " "); slices.Contains(publicDirs, dir) {
+			t.Errorf("%s:%d: %s is public API; an example under examples/ calls it, or it is deleted", censusAllowlist, i+1, id)
 		}
 		listed = append(listed, id)
 	}

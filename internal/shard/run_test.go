@@ -121,8 +121,11 @@ func TestRunInterruptKeepsProgress(t *testing.T) {
 				t.Fatalf("RunWith = %v, want ErrInterrupted", err)
 			}
 
+			// A missing file is no progress, as Resume reads it: at two
+			// workers the cancel can come before cell 0 has started, and
+			// then nothing is ever flushed.
 			got, err := loadCheckpoint(sp.Checkpoint, stubHeader(t, n))
-			if err != nil {
+			if err != nil && !isNotExist(err) {
 				t.Fatal(err)
 			}
 			// The checkpoint holds the longest prefix of cells that

@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
@@ -458,12 +459,15 @@ func TestInOrderFlowNeverAllocates(t *testing.T) {
 // TestOneHoleCostsOneScoreboard is the other half: the first packet to
 // arrive ahead of a hole gives the sink's range set a minRanges segment,
 // once, cut from the arena's carver. The first sink warms the path (and
-// cuts the carver's first chunk); the first holes of the five after it
-// together cost at most one more chunk, where a make per set cost five.
+// cuts the carver's first chunk); the first holes of a batch of five
+// sinks after it together cost at most one more chunk, where a make per
+// set cost five. The allocator's counter is process-wide, so three fresh
+// batches are measured and the cheapest is judged, as the warm-cell
+// matrix judges its rows.
 func TestOneHoleCostsOneScoreboard(t *testing.T) {
-	const fresh = 6
+	const batches, batch = 3, 5
 	sched, nw, a, b := cleanPath()
-	var sinks [fresh]*Sink
+	sinks := make([]*Sink, 1+batches*batch)
 	for i := range sinks {
 		sinks[i] = NewSink(nw, b, i+1, i, 40)
 	}
@@ -478,14 +482,18 @@ func TestOneHoleCostsOneScoreboard(t *testing.T) {
 		}
 	}
 	hole(sinks[0])
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for _, snk := range sinks[1:] {
-		hole(snk)
+	cheapest := uint64(math.MaxUint64)
+	for k := range batches {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, snk := range sinks[1+k*batch : 1+(k+1)*batch] {
+			hole(snk)
+		}
+		runtime.ReadMemStats(&after)
+		cheapest = min(cheapest, after.Mallocs-before.Mallocs)
 	}
-	runtime.ReadMemStats(&after)
-	if n := after.Mallocs - before.Mallocs; n > 1 {
-		t.Errorf("%d sinks' first holes allocated %d times, want at most one carver chunk", fresh-1, n)
+	if cheapest > 1 {
+		t.Errorf("%d sinks' first holes allocated %d times in the cheapest of %d batches, want at most one carver chunk", batch, cheapest, batches)
 	}
 	for i, snk := range sinks {
 		if snk.CumAck() != int64(len(arrivals)) || len(snk.received.r) != 0 {

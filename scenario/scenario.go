@@ -154,28 +154,10 @@ type (
 	// CCName is a controller name with text/JSON codecs ("reno",
 	// "vegas", "ledbat", "relentless").
 	CCName = cc.Name
-	// VegasParams, LEDBATParams, and RelentlessParams tune the built-in
-	// delay-based, background, and loss-tolerant controllers.
-	VegasParams      = cc.VegasParams
-	LEDBATParams     = cc.LEDBATParams
-	RelentlessParams = cc.RelentlessParams
 )
-
-// DefaultVegas returns the classic 1/3/1 Vegas tuning.
-func DefaultVegas() VegasParams { return cc.DefaultVegas() }
-
-// DefaultLEDBAT returns the background-transport tuning (25 ms target).
-func DefaultLEDBAT() LEDBATParams { return cc.DefaultLEDBAT() }
-
-// DefaultRelentless returns the standard Relentless tuning.
-func DefaultRelentless() RelentlessParams { return cc.DefaultRelentless() }
 
 // DefaultTFRCConfig returns the paper's standard TFRC configuration.
 func DefaultTFRCConfig() TFRCConfig { return tfrcsim.DefaultConfig() }
-
-// DefaultOnOff returns the paper's ON/OFF background source parameters
-// (mean ON 1 s, mean OFF 2 s, 500 kb/s while ON, Pareto shape 1.5).
-func DefaultOnOff() OnOffConfig { return traffic.DefaultOnOff() }
 
 // Scenario composition.
 type (

@@ -33,7 +33,7 @@ func buildAndRun(t *testing.T) (tfrcKB, tcpKB, drop float64) {
 	rng := sched.NewRand(1)
 	tfrcFlow := b.AddTFRC("src", "dst", scenario.DefaultTFRCConfig(), rng.Uniform(0, 2))
 	tcpFlow := b.AddTCP("src", "dst", scenario.TCPConfig{Variant: scenario.TCPSack}, rng.Uniform(0, 2))
-	b.AddOnOff("xs", "xd", scenario.DefaultOnOff(), sched.NewRand(2), 0.5)
+	b.AddOnOff("xs", "xd", scenario.OnOffConfig{MeanOn: 1, MeanOff: 2, Shape: 1.5, Rate: 500e3, PacketSize: 1000}, sched.NewRand(2), 0.5)
 	b.Run(40)
 
 	tfrcKB = mon.TotalBytes(tfrcFlow) / 1000
