@@ -30,8 +30,11 @@ func DefaultLossHistory() LossHistoryConfig {
 // history discounting de-weights old intervals after long loss-free runs.
 //
 // Interval lengths are in packets. The zero value is not ready; use
-// NewLossHistory.
+// NewLossHistory. A history of the paper's n = 8 or less keeps its
+// interval buffers in itself, so it is not copied once initialized (go
+// vet's copylocks check sees the noCopy marker).
 type LossHistory struct {
+	_       noCopy
 	cfg     LossHistoryConfig
 	weights []float64 // w[0] = w_1 (most recent closed interval) … w[n-1] = w_n
 
@@ -40,7 +43,17 @@ type LossHistory struct {
 	open    float64   // s₀
 	dfCur   float64   // discount factor applied at the last Report
 	lastAvg float64   // average interval at the last Report, the discount trigger
+
+	// ring backs closed and df for a window of up to eight intervals.
+	ring [2 * (8 + 1)]float64
 }
+
+// noCopy marks a struct that points into itself: go vet's copylocks
+// check reports a copy of any struct that holds one.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
 
 // Weights returns the paper's weight sequence for n intervals: 1 for the
 // newest ⌈n/2⌉, then linearly decreasing. For n = 8 this is
@@ -64,7 +77,7 @@ func Weights(n int) []float64 {
 var sharedWeights8 = Weights(8)
 
 // NewLossHistory returns an empty history (no loss events seen). The
-// interval buffers are preallocated to the window size so steady-state
+// interval buffers are sized to the window once, so steady-state
 // OnLossEvent calls never grow them.
 func NewLossHistory(cfg LossHistoryConfig) *LossHistory {
 	h := new(LossHistory)
@@ -72,9 +85,10 @@ func NewLossHistory(cfg LossHistoryConfig) *LossHistory {
 	return h
 }
 
-// Init resets a history in place to the empty state, reusing its interval
-// buffers when the configured window still fits — the re-initialization
-// path for histories embedded by value in pooled receivers.
+// Init resets a history in place to the empty state, its interval
+// buffers in its own ring when the window fits there, else reused when
+// it still fits them — the re-initialization path for histories
+// embedded by value in pooled receivers.
 func (h *LossHistory) Init(cfg LossHistoryConfig) {
 	if cfg.N < 1 {
 		panic("core: loss history needs N ≥ 1")
@@ -94,7 +108,10 @@ func (h *LossHistory) Init(cfg LossHistoryConfig) {
 	closed, df := h.closed[:0], h.df[:0]
 	if cap(closed) < cfg.N+1 || cap(df) < cfg.N+1 {
 		// One backing array serves both interval buffers.
-		buf := make([]float64, 2*(cfg.N+1))
+		buf := h.ring[:]
+		if len(buf) < 2*(cfg.N+1) {
+			buf = make([]float64, 2*(cfg.N+1))
+		}
 		closed = buf[0 : 0 : cfg.N+1]
 		df = buf[cfg.N+1 : cfg.N+1 : 2*(cfg.N+1)]
 	}

@@ -36,8 +36,8 @@ type Report struct {
 type Receiver struct {
 	cfg ReceiverConfig
 	// hist is the paper's Average Loss Interval history, embedded by
-	// value so a pooled receiver re-Inits without reallocating its
-	// interval buffers.
+	// value with its interval buffers, so a receiver needs no allocation
+	// of its own.
 	hist LossHistory
 
 	haveData    bool
@@ -65,14 +65,13 @@ func NewReceiver(cfg ReceiverConfig) *Receiver {
 
 // Init resets a receiver in place to its initial state — the
 // re-initialization path for receivers embedded by value in pooled
-// simulator agents. The loss history is rebuilt in place, reusing its
-// buffers.
+// simulator agents. It allocates nothing: the loss history's buffers
+// are its own.
 func (r *Receiver) Init(cfg ReceiverConfig) {
 	if cfg.PacketSize <= 0 {
 		panic("core: receiver needs a positive packet size")
 	}
-	hist := r.hist
-	*r = Receiver{cfg: cfg, hist: hist}
+	*r = Receiver{cfg: cfg}
 	r.hist.Init(DefaultLossHistory())
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -209,4 +210,39 @@ func TestReceiverConfigValidation(t *testing.T) {
 		}
 	}()
 	NewReceiver(ReceiverConfig{PacketSize: 0})
+}
+
+// TestReceiverInitAllocatesNothing pins that a receiver's whole state,
+// its loss-interval ring included, sits in the receiver's own slot: Init
+// on a receiver allocated beforehand allocates nothing, the first time
+// or after losses, and a re-Init leaves no history behind. The cheapest
+// of three tries is judged, as MemStats counts the whole process.
+func TestReceiverInitAllocatesNothing(t *testing.T) {
+	cfg := ReceiverConfig{PacketSize: 1000}
+	initAllocs := func(r *Receiver) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r.Init(cfg)
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	fresh, again := ^uint64(0), ^uint64(0)
+	for try := 0; try < 3; try++ {
+		r := new(Receiver)
+		fresh = min(fresh, initAllocs(r))
+		now := feed(r, 0, 0, 50, 0.01, 0.1)
+		now = feed(r, now, 60, 50, 0.01, 0.1)
+		feed(r, now+1, 120, 50, 0.01, 0.1)
+		if !r.History().HaveLoss() || r.P() == 0 {
+			t.Fatal("two gaps left no loss history to reset")
+		}
+		again = min(again, initAllocs(r))
+		if r.History().HaveLoss() || r.P() != 0 {
+			t.Fatal("Init kept the previous flow's loss history")
+		}
+	}
+	t.Logf("Receiver.Init: %d allocations fresh, %d after losses", fresh, again)
+	if fresh != 0 || again != 0 {
+		t.Errorf("Receiver.Init allocated %d times on a fresh receiver and %d after losses, want 0", fresh, again)
+	}
 }

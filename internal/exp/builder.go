@@ -23,6 +23,7 @@ import (
 type ScenarioBuilder struct {
 	topo *netsim.Topology
 	nw   *netsim.Network
+	mem  *builderArena //tfrc:keep the scheduler's, where the tables below grow
 
 	nextFlow  int
 	tcpFlows  []int //tfrc:keep recycled int backing, truncated by NewScenarioBuilder
@@ -51,15 +52,18 @@ type ScenarioBuilder struct {
 // it pools scenario builders alongside the simulator objects they wire.
 var expArenaID = sim.NewArenaID()
 
-type builderArena struct{ builders sim.Slab[*ScenarioBuilder] }
+// builderArena holds a scheduler's builders and the segments their flow
+// and monitor tables grow into; a builder slot keeps the segments it
+// took, so its tables are not appended from nil.
+type builderArena struct {
+	builders sim.Slab[*ScenarioBuilder]
+	flowMem  sim.Carver[int]
+	sndMem   sim.Carver[*tfrcsim.Sender]
+	monMem   sim.Carver[*netsim.FlowMonitor]
+}
 
 // ResetArena implements sim.Arena.
 func (a *builderArena) ResetArena() { a.builders.Reset() }
-
-func builderFor(s *sim.Scheduler) *ScenarioBuilder {
-	a := s.Arena(expArenaID, func() sim.Arena { return &builderArena{} }).(*builderArena)
-	return sim.Next(&a.builders)
-}
 
 // NewScenarioBuilder returns a builder over the topology, building its
 // routes if the caller has not already done so. The
@@ -67,7 +71,8 @@ func builderFor(s *sim.Scheduler) *ScenarioBuilder {
 // arena and are recycled across sweep cells.
 func NewScenarioBuilder(t *netsim.Topology) *ScenarioBuilder {
 	nw := t.Build()
-	b := builderFor(nw.Scheduler())
+	a := nw.Scheduler().Arena(expArenaID, func() sim.Arena { return &builderArena{} }).(*builderArena)
+	b := sim.Next(&a.builders)
 	ports := b.ports[:0]
 	if cap(ports) < len(nw.Nodes()) {
 		ports = make([]int, len(nw.Nodes()))
@@ -78,6 +83,7 @@ func NewScenarioBuilder(t *netsim.Topology) *ScenarioBuilder {
 	*b = ScenarioBuilder{
 		topo:        t,
 		nw:          nw,
+		mem:         a,
 		ports:       ports,
 		micePort:    5000,
 		tcpFlows:    b.tcpFlows[:0],
@@ -113,7 +119,7 @@ func (b *ScenarioBuilder) AddTCP(src, dst string, cfg tcp.Config, start float64)
 	tcp.NewSink(b.nw, d, sinkPort, flow, 40)
 	snd := tcp.NewSender(b.nw, s, d.ID, sinkPort, srcPort, flow, cfg)
 	snd.Start(start)
-	b.tcpFlows = append(b.tcpFlows, flow)
+	b.tcpFlows = append(b.mem.flowMem.Reserve(b.tcpFlows, len(b.tcpFlows)+1), flow)
 	return flow
 }
 
@@ -141,8 +147,8 @@ func (b *ScenarioBuilder) AddTFRC(src, dst string, cfg tfrcsim.Config, start flo
 	dstPort, srcPort := b.port(d), b.port(s)
 	snd, _ := tfrcsim.Pair(b.nw, s, d, dstPort, srcPort, flow, cfg)
 	snd.Start(start)
-	b.tfrcFlows = append(b.tfrcFlows, flow)
-	b.tfrcSenders = append(b.tfrcSenders, snd)
+	b.tfrcFlows = append(b.mem.flowMem.Reserve(b.tfrcFlows, len(b.tfrcFlows)+1), flow)
+	b.tfrcSenders = append(b.mem.sndMem.Reserve(b.tfrcSenders, len(b.tfrcSenders)+1), snd)
 	return flow
 }
 
@@ -186,7 +192,7 @@ func (b *ScenarioBuilder) MonitorLink(link string, binWidth, start float64) *net
 	l := b.topo.LinkByName(link)
 	m := b.nw.NewFlowMonitor(binWidth, start)
 	l.AddTap(m.Tap())
-	b.monitors = append(b.monitors, m)
+	b.monitors = append(b.mem.monMem.Reserve(b.monitors, len(b.monitors)+1), m)
 	if b.primary == nil {
 		b.primary = m
 		b.primaryLink = link

@@ -925,26 +925,33 @@ func TestCalendarStragglersDoNotStretchTheWidth(t *testing.T) {
 // year scans are charged to the walk cost, so the drain itself must
 // re-derive the width after a few of them.
 func TestCalendarSparseAfterBurstRetunes(t *testing.T) {
+	// The burst crosses the growth trigger, twice the resting buckets, so
+	// the rebuild tunes the width to its 1 ns spacing and at least
+	// doubles the buckets twice. The sparse events are then too many for
+	// the drain to shrink the calendar (below an eighth of its buckets)
+	// before halfway.
+	burst := 2*calMinBuckets + calMinBuckets/4
+	sparse := calMinBuckets + calMinBuckets/2
 	s := NewScheduler()
 	n := 0
 	rec := func(any) { n++ }
-	for i := 0; i < 600; i++ { // crosses the growth trigger: width tuned to 1 ns spacing
+	for i := 0; i < burst; i++ {
 		s.AtArg(1+float64(i)*1e-9, rec, nil)
 	}
-	for i := 0; i < 400; i++ { // too many for the drain to shrink the calendar
+	for i := 0; i < sparse; i++ {
 		s.AtArg(2+float64(i)*1e-3, rec, nil)
 	}
 	if s.cal.width > 1e-6 {
 		t.Fatalf("width %v after the burst: the test no longer sets up a too-fine calendar", s.cal.width)
 	}
-	s.RunUntil(2.2)
+	s.RunUntil(2 + float64(sparse/2)*1e-3)
 	if s.cal.width < 1e-4 {
 		t.Errorf("width still %v halfway through the sparse events", s.cal.width)
 	}
 	calCheck(t, s)
 	s.Run()
-	if n != 1000 {
-		t.Fatalf("fired %d events, want 1000", n)
+	if n != burst+sparse {
+		t.Fatalf("fired %d events, want %d", n, burst+sparse)
 	}
 }
 

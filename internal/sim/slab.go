@@ -8,8 +8,8 @@ const (
 	slabFirstChunk = 8
 	slabMaxChunk   = 256
 	// slabRun is the number of chunks in the doubling run from
-	// slabFirstChunk to slabMaxChunk: the chunk table is made at this
-	// length with the first chunk, so it does not double from nil.
+	// slabFirstChunk to slabMaxChunk: the slab's own chunk table holds
+	// this many before it moves to the heap.
 	slabRun = 6
 )
 
@@ -26,19 +26,31 @@ const (
 // out free-list returns first, then bumps through the chunks; Reset
 // makes everything available again in the original order, so a slot's
 // grown backing (a scoreboard, a queue ring) meets the same tenant in
-// the next cell. Neither table a slab keeps doubles from nil: the chunk
-// table is made with the first chunk, at slabRun entries, and when Put
-// finds the free list full it grows to the slab's issued capacity, the
-// most it can ever hold, so a slab pays one free-list allocation per
-// chunk at most.
+// the next cell. A slab holds its first chunk and its chunk table in
+// itself, so its first slabFirstChunk values cost no allocation and each
+// later chunk one, until the table outgrows its slabRun entries. When
+// Put finds the free list full it grows to the slab's issued capacity,
+// the most it can ever hold, so a slab pays one free-list allocation per
+// chunk at most. Since its table points into itself, a slab is not
+// copied once used (go vet's copylocks check sees the noCopy marker).
 // Values come back as their last user left them: the caller resets what
 // it needs and keeps the capacity it wants.
 type Slab[T any] struct {
+	_      noCopy
 	chunks [][]T //tfrc:keep value chunks; addresses into them are stable across reuse
 	ci     int   // chunk the bump pointer is in
 	off    int   // next unissued slot of chunks[ci]
 	free   []*T  //tfrc:keep recycled free-list backing
+	table  [slabRun][]T
+	first  [slabFirstChunk]T
 }
+
+// noCopy marks a struct that points into itself: go vet's copylocks
+// check reports a copy of any struct that holds one.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
 
 // Get returns a slot: the most recent Put if any, else the next unissued
 // one, growing the slab by one chunk when all are issued.
@@ -53,13 +65,11 @@ func (s *Slab[T]) Get() *T {
 		s.off = 0
 	}
 	if s.ci == len(s.chunks) {
-		n := slabFirstChunk
-		if s.ci > 0 {
-			n = min(2*len(s.chunks[s.ci-1]), slabMaxChunk)
+		if s.ci == 0 {
+			s.chunks = append(s.table[:0], s.first[:])
 		} else {
-			s.chunks = make([][]T, 0, slabRun)
+			s.chunks = append(s.chunks, make([]T, min(2*len(s.chunks[s.ci-1]), slabMaxChunk)))
 		}
-		s.chunks = append(s.chunks, make([]T, n))
 	}
 	x := &s.chunks[s.ci][s.off]
 	s.off++

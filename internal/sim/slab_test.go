@@ -99,6 +99,49 @@ func TestSlabStableAddresses(t *testing.T) {
 	}
 }
 
+// TestSlabFirstChunkIsItsOwn pins what a cold slab costs: its first
+// slabFirstChunk values sit in the slab itself, chunk table included,
+// so they cost no allocation, and the value after them costs exactly one,
+// the second chunk. The cheapest of three tries is judged, as MemStats
+// counts the whole process.
+func TestSlabFirstChunkIsItsOwn(t *testing.T) {
+	type agent struct {
+		seq, acked int64
+		ring       []int
+	}
+	mallocs := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	first, next := ^uint64(0), ^uint64(0)
+	for try := 0; try < 3; try++ {
+		s := new(Slab[agent])
+		got := make([]*agent, 0, slabFirstChunk+1)
+		first = min(first, mallocs(func() {
+			for range slabFirstChunk {
+				got = append(got, s.Get())
+			}
+		}))
+		next = min(next, mallocs(func() { got = append(got, s.Get()) }))
+		for i, a := range got {
+			a.seq = int64(i)
+		}
+		for i, a := range got {
+			if a.seq != int64(i) {
+				t.Fatalf("slot %d shares storage with another", i)
+			}
+		}
+	}
+	t.Logf("a fresh slab's first %d values: %d allocations; the next: %d", slabFirstChunk, first, next)
+	if first != 0 || next != 1 {
+		t.Errorf("a fresh slab's first %d values cost %d allocations and the next %d, want 0 and 1",
+			slabFirstChunk, first, next)
+	}
+}
+
 // TestCarverSegmentsAreDisjoint pins what netsim's node and queue slots
 // rely on: a segment is zeroed, never overlapped by a later one, and
 // clipped to its length so an append cannot run into its neighbour.

@@ -208,24 +208,20 @@ type Receiver struct {
 }
 
 // NewReceiver attaches a TFRC receiver at node:port. Like the sender it
-// is drawn from the scheduler's agent arena; re-initializing the
-// embedded receiver reuses its loss-interval buffers.
+// is drawn from the scheduler's agent arena, and its state machine's
+// loss-interval buffers sit in the same slot.
 func NewReceiver(nw *netsim.Network, node *netsim.Node, port, flow int, cfg Config) *Receiver {
 	pktSize := cfg.Sender.PacketSize
 	if pktSize == 0 {
 		pktSize = 1000
 	}
 	r := arenaOf(nw.Scheduler()).receivers.Get()
-	// Preserve the embedded state machine across the wholesale reset so
-	// its Init can reuse the loss-interval buffers it already owns.
-	saved := r.core
 	*r = Receiver{
 		net:  nw,
 		node: node,
 		port: port,
 		flow: flow,
 	}
-	r.core = saved
 	r.core.Init(core.ReceiverConfig{
 		PacketSize:     pktSize,
 		OnLossInterval: cfg.OnLossInterval,
