@@ -3,6 +3,7 @@ package experiment_test
 import (
 	"bytes"
 	"context"
+	"encoding"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -145,9 +146,14 @@ func TestParkingLotGoldenViaRegistry(t *testing.T) {
 }
 
 // TestParamsJSONRoundTrip: every registered parameter set must survive
-// params → JSON → params unchanged, for the defaults and every preset.
+// params → JSON → params unchanged, for the defaults and every preset,
+// and its type must hold nothing JSON cannot carry back, set or not.
 func TestParamsJSONRoundTrip(t *testing.T) {
 	for _, d := range experiment.List() {
+		if why := jsonRoundTripIssue(reflect.TypeOf(d.Params()), map[reflect.Type]bool{}); why != "" {
+			t.Errorf("%s: %T does not JSON-round-trip: %s; tag the field json:\"-\" or give it a serializable type",
+				d.Name, d.Params(), why)
+		}
 		sets := map[string]experiment.Params{"default": d.Params()}
 		for name := range d.Presets {
 			p, err := d.PresetParams(name)
@@ -174,6 +180,61 @@ func TestParamsJSONRoundTrip(t *testing.T) {
 			}
 		}
 	}
+}
+
+var (
+	jsonMarshaler   = reflect.TypeFor[json.Marshaler]()
+	jsonUnmarshaler = reflect.TypeFor[json.Unmarshaler]()
+	textMarshaler   = reflect.TypeFor[encoding.TextMarshaler]()
+	textUnmarshaler = reflect.TypeFor[encoding.TextUnmarshaler]()
+)
+
+// jsonRoundTripIssue returns "" if a value of type t comes back from
+// encoding/json as it went in, or why it cannot: a func, chan, complex,
+// unsafe.Pointer or interface (whose dynamic type is lost) in an
+// exported field not tagged json:"-", a map key JSON cannot spell, or a
+// marshaler without its unmarshaler or the other way round.
+func jsonRoundTripIssue(t reflect.Type, seen map[reflect.Type]bool) string {
+	if seen[t] {
+		return ""
+	}
+	seen[t] = true
+	pt := reflect.PointerTo(t)
+	switch mj, uj, mt, ut := pt.Implements(jsonMarshaler), pt.Implements(jsonUnmarshaler),
+		pt.Implements(textMarshaler), pt.Implements(textUnmarshaler); {
+	case mj && uj, mt && ut:
+		return ""
+	case mj || mt:
+		return t.String() + " marshals but has no matching unmarshal method"
+	case uj || ut:
+		return t.String() + " unmarshals but has no matching marshal method"
+	}
+	switch t.Kind() {
+	case reflect.Func, reflect.Chan, reflect.Complex64, reflect.Complex128, reflect.UnsafePointer, reflect.Interface:
+		return t.Kind().String() + " " + t.String()
+	case reflect.Pointer, reflect.Slice, reflect.Array:
+		return jsonRoundTripIssue(t.Elem(), seen)
+	case reflect.Map:
+		k := t.Key()
+		switch pk := reflect.PointerTo(k); {
+		case k.Kind() == reflect.String, k.Kind() >= reflect.Int && k.Kind() <= reflect.Uintptr,
+			pk.Implements(textMarshaler) && pk.Implements(textUnmarshaler):
+		default:
+			return "map key " + k.String()
+		}
+		return jsonRoundTripIssue(t.Elem(), seen)
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			f := t.Field(i)
+			if name, _, _ := strings.Cut(f.Tag.Get("json"), ","); !f.IsExported() || name == "-" {
+				continue
+			}
+			if why := jsonRoundTripIssue(f.Type, seen); why != "" {
+				return "field " + f.Name + ": " + why
+			}
+		}
+	}
+	return ""
 }
 
 // TestEnumUnmarshalCaseInsensitive: hand-written params files may spell

@@ -23,7 +23,7 @@ type LEDBAT struct {
 	baseRTT float64 // minimum RTT ever sampled
 	qdelay  float64 // latest queueing-delay estimate
 
-	home *arena //tfrc:keep arena co-tenant; Release returns the value to it
+	home *arena // arena co-tenant; Release returns the value to it
 }
 
 // Init re-initializes the controller for a new connection, filling

@@ -11,7 +11,7 @@ package cc
 type Relentless struct {
 	p         RelentlessParams
 	maxWindow float64
-	home      *arena //tfrc:keep arena co-tenant; Release returns the value to it
+	home      *arena // arena co-tenant; Release returns the value to it
 }
 
 // Init re-initializes the controller for a new connection, filling

@@ -7,7 +7,7 @@ package cc
 // golden figures pin that equivalence.
 type Reno struct {
 	maxWindow float64
-	home      *arena //tfrc:keep arena co-tenant; Release returns the value to it
+	home      *arena // arena co-tenant; Release returns the value to it
 }
 
 // Init re-initializes the controller for a new connection.

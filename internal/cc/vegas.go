@@ -33,7 +33,7 @@ type Vegas struct {
 	acked    float64 // packets acked this epoch
 	target   float64 // epoch length: cwnd at epoch start, in packets
 
-	home *arena //tfrc:keep arena co-tenant; Release returns the value to it
+	home *arena // arena co-tenant; Release returns the value to it
 }
 
 // Init re-initializes the controller for a new connection, filling

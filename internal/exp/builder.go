@@ -23,12 +23,12 @@ import (
 type ScenarioBuilder struct {
 	topo *netsim.Topology
 	nw   *netsim.Network
-	mem  *builderArena //tfrc:keep the scheduler's, where the tables below grow
+	mem  *builderArena // the scheduler's, where the tables below grow
 
 	nextFlow  int
-	tcpFlows  []int //tfrc:keep recycled int backing, truncated by NewScenarioBuilder
-	tfrcFlows []int //tfrc:keep recycled int backing, truncated by NewScenarioBuilder
-	ports     []int //tfrc:keep next free port per NodeID; recycled int backing
+	tcpFlows  []int // recycled int backing, truncated by NewScenarioBuilder
+	tfrcFlows []int // recycled int backing, truncated by NewScenarioBuilder
+	ports     []int // next free port per NodeID; recycled int backing
 	micePort  int
 
 	tfrcSenders []*tfrcsim.Sender
@@ -44,8 +44,8 @@ type ScenarioBuilder struct {
 
 	// runInPlace harvests into these, kept across scenarios; the queue
 	// trace it harvests is kept by the queue monitor.
-	seriesSlab            []float64   //tfrc:keep rewritten by the next in-place harvest
-	tcpSeries, tfrcSeries [][]float64 //tfrc:keep headers into seriesSlab, rewritten likewise
+	seriesSlab            []float64   // rewritten by the next in-place harvest
+	tcpSeries, tfrcSeries [][]float64 // headers into seriesSlab, rewritten likewise
 }
 
 // expArenaID is this package's slot in every scheduler's arena table;
@@ -242,7 +242,7 @@ func (b *ScenarioBuilder) Release() {
 	// Drop the monitor pointers: they reference agents of the scenario
 	// that just ended, and the next NewScenarioBuilder rebuilds them.
 	// The int bookkeeping slices and the in-place series storage stay
-	// (//tfrc:keep) as recycled backing.
+	// as recycled backing.
 	b.topo = nil
 	b.nw = nil
 	b.primary = nil

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"weak"
 
 	"tfrc/internal/cc"
 	"tfrc/internal/faults"
@@ -79,13 +80,15 @@ func buildFootprintCell(sched *sim.Scheduler, seed int64) (*ScenarioBuilder, *ne
 }
 
 // runFootprintCell builds, runs, harvests and releases one footprint
-// cell on sched.
-func runFootprintCell(sched *sim.Scheduler, seed int64) {
+// cell on sched, with the sentinels planted in it.
+func runFootprintCell(sched *sim.Scheduler, seed int64, s *sentinels) {
 	b, _ := buildFootprintCell(sched, seed)
+	s.plant(b, "ts0", "r1->r2", footprintDuration)
 	res := b.Run(footprintDuration)
 	if len(res.TCPSeries)+len(res.TFRCSeries) != 6 {
 		panic("footprint cell lost a flow")
 	}
+	s.harvested(res)
 	b.Release()
 }
 
@@ -153,8 +156,9 @@ const matrixDuration = 10.0
 // matrixCell builds a 2 Mb/s, 20 ms house dumbbell of hosts host pairs
 // on a rewound c, applies fs to it, has place put the flows and
 // monitors on the builder, and runs the scenario in place and releases
-// it.
-func matrixCell(c *Cell, queue netsim.QueueKind, hosts int, fs *faults.Schedule, place func(b *ScenarioBuilder, rng *sim.Rand)) {
+// it. Handed sentinels, it plants them and harvests with Run instead,
+// whose result it hands them too.
+func matrixCell(c *Cell, queue netsim.QueueKind, hosts int, fs *faults.Schedule, place func(b *ScenarioBuilder, rng *sim.Rand), s *sentinels) {
 	sched := c.begin()
 	d := houseDumbbell(sched, hosts, 2e6, 0.02, queue, 7)
 	if fs != nil {
@@ -162,7 +166,12 @@ func matrixCell(c *Cell, queue netsim.QueueKind, hosts int, fs *faults.Schedule,
 	}
 	b := NewScenarioBuilder(d.Topo)
 	place(b, sched.NewRand(7))
-	b.runInPlace(matrixDuration)
+	if s != nil {
+		s.plant(b, "l0", "rl->rr", matrixDuration)
+		s.harvested(b.Run(matrixDuration))
+	} else {
+		b.runInPlace(matrixDuration)
+	}
 	b.Release()
 }
 
@@ -173,40 +182,40 @@ func tcpAndTFRC(b *ScenarioBuilder, rng *sim.Rand) { placeMix(b, 1, 1, rng, 7) }
 // ccCell is a row's cell of two flows of the named controller through
 // random loss and a 3 s outage, so every Controller hook runs: OnAck,
 // OnLoss and OnLostSegment in recovery, OnTimeout in the outage.
-func ccCell(name cc.Name) func(c *Cell) {
+func ccCell(name cc.Name) func(c *Cell, s *sentinels) {
 	fs := &faults.Schedule{Seed: 7, Faults: []faults.Fault{
 		{At: 0, Link: "rl->rr", Kind: faults.Impair, Corrupt: 0.01},
 		{At: 4, Link: "rl->rr", Kind: faults.LinkDown},
 		{At: 7, Link: "rl->rr", Kind: faults.LinkUp},
 	}}
-	return func(c *Cell) {
+	return func(c *Cell, s *sentinels) {
 		matrixCell(c, netsim.QueueDropTail, 2, fs, func(b *ScenarioBuilder, rng *sim.Rand) {
 			for i := 0; i < 2; i++ {
 				b.AddCC(name, cc.Config{}, netsim.IndexedName("l", i), netsim.IndexedName("r", i), houseTCP(7), rng.Uniform(0, 1))
 			}
-		})
+		}, s)
 	}
 }
 
 // tfrcCell is a row's cell of two house TFRC flows on timers of the
 // given coarse tick (0: exact timers), losing packets at the bottleneck.
-func tfrcCell(tick float64) func(c *Cell) {
-	return func(c *Cell) {
+func tfrcCell(tick float64) func(c *Cell, s *sentinels) {
+	return func(c *Cell, s *sentinels) {
 		matrixCell(c, netsim.QueueDropTail, 2, nil, func(b *ScenarioBuilder, rng *sim.Rand) {
 			tf := houseTFRC(7)
 			tf.CoarseTimerTick = tick
 			for i := 0; i < 2; i++ {
 				b.AddTFRC(netsim.IndexedName("l", i), netsim.IndexedName("r", i), tf, rng.Uniform(0, 1))
 			}
-		})
+		}, s)
 	}
 }
 
 // faultCell is a row's cell of one SACK and one TFRC flow through the
 // faults.
-func faultCell(fs ...faults.Fault) func(c *Cell) {
-	s := &faults.Schedule{Seed: 7, Faults: fs}
-	return func(c *Cell) { matrixCell(c, netsim.QueueDropTail, 2, s, tcpAndTFRC) }
+func faultCell(fs ...faults.Fault) func(c *Cell, s *sentinels) {
+	schedule := &faults.Schedule{Seed: 7, Faults: fs}
+	return func(c *Cell, s *sentinels) { matrixCell(c, netsim.QueueDropTail, 2, schedule, tcpAndTFRC, s) }
 }
 
 // A matrixRow is one warm cell of the matrix: a small scenario that
@@ -215,7 +224,7 @@ func faultCell(fs ...faults.Fault) func(c *Cell) {
 // measured (go1.24, amd64).
 type matrixRow struct {
 	name           string
-	cell           func(c *Cell) // builds, runs, harvests and releases one cell
+	cell           func(c *Cell, s *sentinels) // builds, runs, harvests and releases one cell; plants s unless nil
 	mallocs, bytes uint64
 }
 
@@ -227,10 +236,23 @@ var warmCellMatrix = []matrixRow{
 	// DropTail: the footprint cell, a parking lot of every sender and
 	// source with a tapped, reordering bottleneck. It also allocates
 	// its Run result and the parking lot's name maps.
-	{"droptail", func(c *Cell) { runFootprintCell(c.begin(), 7) }, 11, 1456},
+	{"droptail", func(c *Cell, s *sentinels) { runFootprintCell(c.begin(), 7, s) }, 11, 1456},
 	// RED: a Figure 6 grid cell, which allocates only its result's two
-	// per-flow vectors.
-	{"red", func(c *Cell) { runFig06Cell(c, netsim.QueueRED, 8, 8, 15, 10, 1) }, 2, 64},
+	// per-flow vectors. Handed sentinels, it builds the cell's scenario
+	// itself, to plant them.
+	{"red", func(c *Cell, s *sentinels) {
+		if s == nil {
+			runFig06Cell(c, netsim.QueueRED, 8, 8, 15, 10, 1)
+			return
+		}
+		b := buildScenario(c, Scenario{
+			NTCP: 4, NTFRC: 4, BottleneckBW: 8e6, Queue: netsim.QueueRED, TCPVariant: tcp.Sack,
+			Duration: 15, Warmup: 5, BinWidth: 0.5, Seed: 1,
+		})
+		s.plant(b, "l0", "rl->rr", 15)
+		s.harvested(b.Run(15))
+		b.Release()
+	}, 2, 64},
 	{"reno", ccCell("reno"), 4, 200},
 	{"vegas", ccCell("vegas"), 4, 200},
 	{"ledbat", ccCell("ledbat"), 4, 200},
@@ -238,32 +260,32 @@ var warmCellMatrix = []matrixRow{
 	{"tfrc", tfrcCell(0), 0, 0},
 	// The feedback timers on the wheel.
 	{"tfrc-coarse", tfrcCell(0.01), 0, 0},
-	{"tapped", func(c *Cell) {
+	{"tapped", func(c *Cell, s *sentinels) {
 		matrixCell(c, netsim.QueueDropTail, 2, nil, func(b *ScenarioBuilder, rng *sim.Rand) {
 			b.MonitorLink("rl->rr", 0.5, 0)
 			b.MonitorLink("rr->rl", 0.5, 0)
 			tcpAndTFRC(b, rng)
-		})
+		}, s)
 	}, 0, 0},
 	{"impaired", faultCell(faults.Fault{At: 0, Link: "rl->rr", Kind: faults.Impair, Duplicate: 0.01, Corrupt: 0.01}), 2, 136},
-	{"cbr", func(c *Cell) {
+	{"cbr", func(c *Cell, s *sentinels) {
 		matrixCell(c, netsim.QueueDropTail, 1, nil, func(b *ScenarioBuilder, _ *sim.Rand) {
 			src, dst := b.topo.Lookup("l0"), b.topo.Lookup("r0")
 			flow, port := b.nextFlow, b.port(dst)
 			b.nextFlow++
 			traffic.NewSink(b.nw, dst, port)
 			traffic.NewCBR(b.nw, src, dst.ID, port, flow, 1000, 1e6).Start(0)
-		})
+		}, s)
 	}, 0, 0},
-	{"onoff", func(c *Cell) {
+	{"onoff", func(c *Cell, s *sentinels) {
 		matrixCell(c, netsim.QueueDropTail, 1, nil, func(b *ScenarioBuilder, rng *sim.Rand) {
 			b.AddOnOff("l0", "r0", traffic.DefaultOnOff(), rng, 0)
-		})
+		}, s)
 	}, 0, 0},
-	{"mice", func(c *Cell) {
+	{"mice", func(c *Cell, s *sentinels) {
 		matrixCell(c, netsim.QueueDropTail, 1, nil, func(b *ScenarioBuilder, rng *sim.Rand) {
 			b.AddMice("l0", "r0", traffic.MiceConfig{MeanInterarrival: 0.2, MeanSize: 20, Variant: tcp.Sack}, rng, 0)
-		})
+		}, s)
 	}, 0, 0},
 	{"outage", faultCell(
 		faults.Fault{At: 4, Link: "rl->rr", Kind: faults.LinkDown},
@@ -292,15 +314,15 @@ func TestWarmCellAllocatesNothingNew(t *testing.T) {
 			warm := func() (mallocs, bytes uint64, caps []int) {
 				mallocs, bytes = ^uint64(0), ^uint64(0)
 				for i := 0; i < 3; i++ {
-					m, b := allocsOf(func() { row.cell(c) })
+					m, b := allocsOf(func() { row.cell(c, nil) })
 					mallocs, bytes = min(mallocs, m), min(bytes, b)
 				}
 				return mallocs, bytes, retainedCaps(c.sched)
 			}
-			row.cell(c) // cold: everything grows to what the cell needs
+			row.cell(c, nil) // cold: everything grows to what the cell needs
 			// The packet pool's free list regrows once, at its first
 			// reset, so the second run is not yet the fixed point.
-			row.cell(c)
+			row.cell(c, nil)
 			m2, b2, caps2 := warm()
 			m3, b3, caps3 := warm()
 
@@ -326,6 +348,92 @@ func TestWarmCellAllocatesNothingNew(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestReleasedCellPinsNothing runs every row of the matrix warm with
+// sentinels planted through the hooks that take a caller-owned
+// reference, and requires that the released cell — a pinned one, kept
+// alive across the collections as a sweep worker keeps it — holds none
+// of them.
+func TestReleasedCellPinsNothing(t *testing.T) {
+	for _, row := range warmCellMatrix {
+		t.Run(row.name, func(t *testing.T) {
+			c := newCell()
+			row.cell(c, nil)
+			s := new(sentinels)
+			row.cell(c, s)
+			s.check(t, c)
+		})
+	}
+}
+
+// sentinels are heap objects handed into a cell through the hooks that
+// take a caller-owned reference, watched through weak pointers.
+//
+// Three such hooks are not planted: Sender.OnRateChange, the
+// OnLossInterval of a tfrcsim.Config and a Mice generator's
+// traffic.ObserveSessions callback stay in their agents' arena slots
+// after Release, until a later cell reuses the slot.
+type sentinels struct {
+	hooks []string
+	alive []func() bool
+}
+
+// A sentinel is what a hook is handed. It holds a pointer, so the
+// allocator never packs it into one block with other objects, and it is
+// an agent, so Node.Attach can bind it.
+type sentinel struct {
+	_ *int
+	n int
+}
+
+func (s *sentinel) Recv(*netsim.Packet) { s.n++ }
+
+// watch has s watch p, handed in through hook, and returns p.
+func watch[T any](s *sentinels, hook string, p *T) *T {
+	w := weak.Make(p)
+	s.hooks = append(s.hooks, hook)
+	s.alive = append(s.alive, func() bool { return w.Value() != nil })
+	return p
+}
+
+// plant hands sentinels into the cell b builds: a tap on link, an agent
+// bound on host, and a fault schedule whose one fault is still pending
+// when the cell ends at duration. Nil sentinels plant nothing.
+func (s *sentinels) plant(b *ScenarioBuilder, host, link string, duration float64) {
+	if s == nil {
+		return
+	}
+	tap := watch(s, "Link.AddTap", new(sentinel))
+	b.topo.LinkByName(link).AddTap(func(netsim.TapEvent, float64, *netsim.Packet) { tap.n++ })
+	n := b.topo.Lookup(host)
+	n.Attach(b.port(n), watch(s, "Node.Attach", new(sentinel)))
+	watch(s, "faults.Schedule.Apply", &faults.Schedule{Faults: []faults.Fault{
+		{At: duration + 1, Link: link, Kind: faults.DelaySpike, Delay: 0.1},
+	}}).Apply(b.topo)
+}
+
+// harvested watches the result the cell harvested with Run.
+func (s *sentinels) harvested(res *ScenarioResult) {
+	if s != nil {
+		watch(s, "ScenarioBuilder.Run's result", res)
+	}
+}
+
+// check fails t for every sentinel the released cell c still holds.
+func (s *sentinels) check(t *testing.T, c *Cell) {
+	t.Helper()
+	if len(s.alive) < 4 {
+		t.Fatalf("%d sentinels planted, want 4: the row plants none", len(s.alive))
+	}
+	runtime.GC()
+	runtime.GC()
+	for i, alive := range s.alive {
+		if alive() {
+			t.Errorf("the released cell still holds what it was handed through %s", s.hooks[i])
+		}
+	}
+	runtime.KeepAlive(c)
 }
 
 // What the footprint cell allocates on a fresh scheduler in a fresh
@@ -378,7 +486,7 @@ func TestColdCellStaysUnderByteBudget(t *testing.T) {
 	if os.Getenv(coldCellChild) != "" {
 		sched := sim.NewScheduler()
 		sched.Pin()
-		mallocs, bytes := allocsOf(func() { runFootprintCell(sched, 7) })
+		mallocs, bytes := allocsOf(func() { runFootprintCell(sched, 7, nil) })
 		fmt.Printf("cold cell: %d allocs, %d B\n", mallocs, bytes)
 		return
 	}

@@ -110,7 +110,12 @@ func TestReusedCellPrintedOutputByteIdentical(t *testing.T) {
 // TestRunScenarioResultsOutliveCellReuse pins result privacy: a
 // ScenarioResult harvested as RunScenario harvests it must not change
 // when its worker cell is recycled and a grid cell harvests in place
-// over the queue monitor's and the builder's storage.
+// over the queue monitor's and the builder's storage; nor must what a
+// run of any registered experiment returns. Each experiment runs its
+// contract grid, at one seed, on one Cell grown first by a larger Figure
+// 6 cell, so that its cells harvest into kept storage, and is rendered;
+// the larger cell then rewrites that storage, and the result must
+// render to the same bytes.
 func TestRunScenarioResultsOutliveCellReuse(t *testing.T) {
 	c := newCell()
 	sc := Scenario{
@@ -135,6 +140,46 @@ func TestRunScenarioResultsOutliveCellReuse(t *testing.T) {
 	if got := fmt.Sprintf("%#v %v %v %v", *first, first.TCPSeries, first.TFRCSeries, first.Queue); got != snapshot {
 		t.Fatalf("harvested result mutated by cell reuse:\nbefore: %s\nafter:  %s", snapshot, got)
 	}
+
+	for _, d := range Experiments() {
+		t.Run(d.Name, func(t *testing.T) {
+			c := newCell()
+			overwrite := func() { runFig06Cell(c, netsim.QueueRED, 4, 16, 30, 30, 3) }
+			p := d.Params()
+			if err := json.Unmarshal([]byte(contractOverlays[d.Name]), p); err != nil {
+				t.Fatalf("overlay: %v", err)
+			}
+			for _, reps := range []string{"Seeds", "Runs"} {
+				if f := reflect.ValueOf(p).Elem().FieldByName(reps); f.CanInt() {
+					f.SetInt(1)
+				}
+			}
+			overwrite()
+			var kept Result
+			onlyCell(c, func() {
+				var err error
+				if kept, err = RunExperiment(d, p, RunOptions{Workers: 1}); err != nil {
+					t.Fatal(err)
+				}
+			})
+			before := rendered(t, kept)
+			overwrite()
+			if after := rendered(t, kept); !bytes.Equal(before, after) {
+				t.Fatalf("later cells on the same Cell rewrote the result:\nbefore: %.300s\nafter:  %.300s", before, after)
+			}
+		})
+	}
+}
+
+// onlyCell runs fn with every run's cells on c: the cell pool is
+// emptied and then hands out c alone until fn returns.
+func onlyCell(c *Cell, fn func()) {
+	mk := cellPool.New
+	defer func() { cellPool.New = mk }()
+	cellPool.New = func() any { return c }
+	for getCell() != c {
+	}
+	fn()
 }
 
 // TestKeptSeriesSurviveCellReuse pins the clones of the grid cells that

@@ -76,7 +76,7 @@ func getCell() *Cell { return cellPool.Get().(*Cell) }
 // arenas, and slabs live is the whole point (a cold cell costs the PR-4
 // setup allocations again); begin() rewinds everything on next Get.
 func putCell(c *Cell) {
-	cellPool.Put(c) //tfrclint:allow releasecheck warm reuse by design; begin() rewinds on next Get
+	cellPool.Put(c)
 }
 
 // begin rewinds the cell's arena for a fresh scenario and returns its

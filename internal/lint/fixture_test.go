@@ -15,7 +15,7 @@ import (
 // TestAnalyzerSet pins the suite: exactly the documented analyzers, in
 // documented order.
 func TestAnalyzerSet(t *testing.T) {
-	want := []string{"detrand", "hotpathalloc", "releasecheck", "importboundary", "paramjson"}
+	want := []string{"detrand", "hotpathalloc", "releasecheck", "importboundary"}
 	if len(analyzers) != len(want) {
 		t.Fatalf("%d analyzers, want %d", len(analyzers), len(want))
 	}
@@ -29,7 +29,6 @@ func TestAnalyzerSet(t *testing.T) {
 func TestDetRand(t *testing.T)      { runFixtures(t, "detrand", "detrand") }
 func TestHotPathAlloc(t *testing.T) { runFixtures(t, "hotpathalloc", "hotpathalloc") }
 func TestReleaseCheck(t *testing.T) { runFixtures(t, "releasecheck", "releasecheck") }
-func TestParamJSON(t *testing.T)    { runFixtures(t, "paramjson", "paramjson") }
 
 func TestImportBoundary(t *testing.T) {
 	runFixtures(t, "importboundary",

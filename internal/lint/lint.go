@@ -22,15 +22,18 @@
 //   - hotpathalloc: forbids closures, fmt, append, interface boxing and
 //     other known allocation patterns inside functions marked with a
 //     //tfrc:hotpath directive.
-//   - releasecheck: verifies arena discipline — Release methods clear
-//     (or explicitly //tfrc:keep) every reference field, sync.Pool.Put
-//     arguments are reset, and arena-owned slices are copied out before
-//     landing in Result-owned structs.
+//   - releasecheck: arena-owned slices are copied out before landing in
+//     Result-owned structs.
 //   - importboundary: enforces the three-layer architecture (examples/
 //     and cmd/ stay off the simulator internals; public packages leak no
 //     unaliased internal types).
-//   - paramjson: keeps the experiment-registry contract honest — every
-//     *Params struct JSON-round-trips and has a Validate() error method.
+//
+// What a Release leaves behind and what a parameter set can hold are
+// checked by behaviour, not here: tests in internal/exp (every row of
+// the warm-cell matrix), internal/sim and internal/tcp watch
+// caller-owned objects through weak pointers across a Release, and the
+// experiment package's JSON round-trip test walks every registered
+// Params type.
 //
 // A false positive is silenced, with a reason, by a line comment:
 //
@@ -39,10 +42,6 @@
 // Trailing code, the comment silences its own line; alone on its line,
 // it silences the next one. An allow comment that names no analyzer of
 // the suite or gives no reason is itself reported.
-//
-// releasecheck additionally honours //tfrc:keep on struct fields whose
-// retention across Release is deliberate (co-owned backing storage that
-// the arena recycles wholesale).
 package lint
 
 import (
@@ -69,7 +68,6 @@ var analyzers = []analyzer{
 	{"hotpathalloc", hotPathAlloc},
 	{"releasecheck", releaseCheck},
 	{"importboundary", importBoundary},
-	{"paramjson", paramJSON},
 }
 
 // A pass is one type-checked package handed to one analyzer.

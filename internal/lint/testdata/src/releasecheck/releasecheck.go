@@ -1,113 +1,6 @@
-// Package releasecheck exercises the releasecheck analyzer: Release
-// zeroing discipline, sync.Pool.Put reset evidence, and Result copy-out.
+// Package releasecheck exercises the releasecheck analyzer: slices
+// stored into a Result are copied out, not aliased.
 package releasecheck
-
-import "sync"
-
-type cb func()
-
-// goodRelease clears every reference field.
-type goodRelease struct {
-	next *goodRelease
-	buf  []int
-	done cb
-	n    int // value fields need no handling
-}
-
-func (g *goodRelease) Release() {
-	g.next = nil
-	g.buf = g.buf[:0]
-	g.done = nil
-}
-
-// badRelease leaves done live.
-type badRelease struct {
-	next *badRelease
-	done cb
-}
-
-func (b *badRelease) Release() { // want `Release of badRelease leaves reference field\(s\) done live`
-	b.next = nil
-}
-
-// keptRelease documents deliberate retention with //tfrc:keep.
-type keptRelease struct {
-	next *keptRelease
-	// The backing slice is arena-owned and recycled wholesale on Reset.
-	buf []int //tfrc:keep
-}
-
-func (k *keptRelease) Release() {
-	k.next = nil
-}
-
-// helperRelease clears its fields through a same-package helper.
-type helperRelease struct {
-	next *helperRelease
-	buf  []int
-}
-
-func (h *helperRelease) Release() {
-	scrub(h)
-}
-
-func scrub(h *helperRelease) {
-	h.next = nil
-	h.buf = nil
-}
-
-// wholesaleRelease resets the whole struct.
-type wholesaleRelease struct {
-	next *wholesaleRelease
-	done cb
-}
-
-func (w *wholesaleRelease) Release() {
-	*w = wholesaleRelease{}
-}
-
-// --- sync.Pool.Put ---
-
-type pooled struct {
-	refs []*pooled
-	n    int
-}
-
-var pool = sync.Pool{New: func() any { return new(pooled) }}
-
-func (p *pooled) Release() {
-	p.refs = p.refs[:0]
-	pool.Put(p) // reset evidence: the field scrub above
-}
-
-func putWithoutReset(p *pooled) {
-	pool.Put(p) // want `sync\.Pool\.Put\(p\) without reset evidence`
-}
-
-func putAfterRelease(p *pooled) {
-	p.Release()
-}
-
-func putAfterNil(p *pooled) {
-	p.refs = nil
-	pool.Put(p)
-}
-
-func putFresh() {
-	pool.Put(new(pooled)) // non-identifier args are out of scope
-}
-
-var bufPool = sync.Pool{New: func() any { return make([]byte, 2048) }}
-
-func putByteBuf(b []byte) {
-	bufPool.Put(b) // []byte pins nothing: no reset required
-}
-
-func putAllowed(p *pooled) {
-	pool.Put(p) //tfrclint:allow releasecheck warm reuse: next Get rewinds via begin()
-}
-
-// --- Result copy-out ---
 
 type monitor struct {
 	samples []float64
@@ -140,4 +33,8 @@ func resultToResultOK(in *SweepResult, out *SweepResult) {
 	out.Samples = in.Samples    // Result -> Result transfers ownership
 	out.Samples = in.Rows[0]    // including through an index
 	out.Samples = in.Samples[:] // and a reslice
+}
+
+func harvestAllowed(m *monitor, res *SweepResult) {
+	res.Samples = m.samples //tfrclint:allow releasecheck the monitor is the caller's own, no arena behind it
 }

@@ -209,34 +209,34 @@ type bfsHop struct {
 // once the first has grown.
 type Network struct {
 	sched      *sim.Scheduler
-	pool       Pool    //tfrc:keep the packet slab, zeroed and reissued by New
-	nodes      []*Node //tfrc:keep node headers live in nodeSlab; this index is recycled backing
+	pool       Pool    // the packet slab, zeroed and reissued by New
+	nodes      []*Node // node headers live in nodeSlab; this index is recycled backing
 	nominalPkt int     // mean packet size (bytes) for capacity-aware queues
 
 	nodeSlab sim.Slab[Node]
 	linkSlab sim.Slab[Link]
-	dtSlab   sim.Slab[DropTail]   //tfrc:keep queue structs and their rings are recycled in place across scenarios
-	redSlab  sim.Slab[RED]        //tfrc:keep queue structs and their rings are recycled in place across scenarios
-	impSlab  sim.Slab[linkImpair] //tfrc:keep fault blocks of impaired links, reissued by New; their rng is the scheduler's own
+	dtSlab   sim.Slab[DropTail]   // queue structs and their rings are recycled in place across scenarios
+	redSlab  sim.Slab[RED]        // queue structs and their rings are recycled in place across scenarios
+	impSlab  sim.Slab[linkImpair] // fault blocks of impaired links, reissued by New; their rng is the scheduler's own
 
 	// nowFn is the clock closure handed to capacity-aware queues. It
 	// captures the (stable) Network rather than the current scheduler, so
 	// it is built once per Network lifetime instead of once per queue.
-	nowFn func() float64 //tfrc:keep built once per Network lifetime; captures only the Network itself
+	nowFn func() float64 // built once per Network lifetime; captures only the Network itself
 
 	routeSlab []*Link // n*n next-hop table, partitioned per node
 
 	// What is sized per node or per queue rather than per network is cut
 	// from these: a cold cell pays a few chunks, not an append chain per
 	// node, and the slots keep their segments as they kept their slices.
-	adjMem  sim.Carver[adjacency]   //tfrc:keep node slots retain the segments they took
-	portMem sim.Carver[portBinding] //tfrc:keep node slots retain the segments they took; Release scrubs them
-	tabMem  sim.Carver[Agent]       //tfrc:keep node slots retain the segments they took; Release scrubs them
-	ringMem sim.Carver[*Packet]     //tfrc:keep queue slots retain the rings they took
-	tapMem  sim.Carver[Tap]         //tfrc:keep link slots retain the segments they took; Release scrubs them
+	adjMem  sim.Carver[adjacency]   // node slots retain the segments they took
+	portMem sim.Carver[portBinding] // node slots retain the segments they took; Release scrubs them
+	tabMem  sim.Carver[Agent]       // node slots retain the segments they took; Release scrubs them
+	ringMem sim.Carver[*Packet]     // queue slots retain the rings they took
+	tapMem  sim.Carver[Tap]         // link slots retain the segments they took; Release scrubs them
 
-	visited []bool   //tfrc:keep BuildRoutes scratch, value-only backing
-	bfsQ    []bfsHop //tfrc:keep BuildRoutes scratch; truncated after every build
+	visited []bool   // BuildRoutes scratch, value-only backing
+	bfsQ    []bfsHop // BuildRoutes scratch; truncated after every build
 
 	// partitioned records that the last RecomputeRoutes left some
 	// destination without a next hop; forward then drops instead of

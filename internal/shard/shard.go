@@ -47,24 +47,24 @@ const CheckpointSchema = "tfrc.shard.checkpoint/v1"
 type ShardParams struct {
 	// Index/Count address this shard's contiguous slice of the cell
 	// index space: SplitRange(total, Index, Count).
-	Index int `json:"index"`
-	Count int `json:"count"`
+	Index int
+	Count int
 	// Checkpoint is the checkpoint file path; empty disables
 	// checkpointing. The checkpoint is flushed every time the
 	// contiguous finished prefix grows, so a crash costs only the cells
 	// not yet in it: those in flight and those finished behind a slower
 	// one. The first flush of a run publishes the file atomically
 	// (write-temp, fsync, rename); every later one appends and fsyncs.
-	Checkpoint string `json:"checkpoint,omitempty"`
+	Checkpoint string
 	// Resume loads an existing checkpoint (validating experiment,
 	// params hash, and range) and recomputes only the missing tail. A
 	// missing checkpoint file is a fresh start, not an error, so
 	// supervisors can pass Resume unconditionally.
-	Resume bool `json:"resume,omitempty"`
+	Resume bool
 }
 
-// Validate implements the Params convention: shard addressing must be
-// coherent before any cell runs.
+// Validate checks that the shard addressing is coherent; RunWith
+// calls it before any cell runs.
 func (p *ShardParams) Validate() error {
 	if p.Count < 1 {
 		return fmt.Errorf("shard count must be at least 1, got %d", p.Count)

@@ -73,16 +73,16 @@ type Scheduler struct {
 	now    float64
 	seq    uint64
 	epoch  uint64   // bumped by Reset; stale-epoch Handles are inert
-	cal    calQueue //tfrc:keep value-only calendar bucket ends, truncated on Reset/reuse
+	cal    calQueue // value-only calendar bucket ends, truncated on Reset/reuse
 	slots  []event
-	free   []int32 //tfrc:keep recycled slot indices, value-only backing
+	free   []int32 // recycled slot indices, value-only backing
 	pinned bool    // owned by a worker context: Release is a no-op
 
-	rands Slab[Rand] //tfrc:keep generators handed out by NewRand, re-seeded and reissued on reuse
+	rands Slab[Rand] // generators handed out by NewRand, re-seeded and reissued on reuse
 
-	wheels []*Wheel //tfrc:keep coarse timer wheels keyed by tick, scrubbed on Reset/Release
+	wheels []*Wheel // coarse timer wheels keyed by tick, scrubbed on Reset/Release
 
-	arenas []Arena //tfrc:keep per-package agent arenas, indexed by ArenaID; they ARE the recycled stock
+	arenas []Arena // per-package agent arenas, indexed by ArenaID; they ARE the recycled stock
 }
 
 // Arena is a scheduler-attached memory arena: a package-private pool of

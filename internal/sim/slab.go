@@ -37,10 +37,10 @@ const (
 // it needs and keeps the capacity it wants.
 type Slab[T any] struct {
 	_      noCopy
-	chunks [][]T //tfrc:keep value chunks; addresses into them are stable across reuse
+	chunks [][]T // value chunks; addresses into them are stable across reuse
 	ci     int   // chunk the bump pointer is in
 	off    int   // next unissued slot of chunks[ci]
-	free   []*T  //tfrc:keep recycled free-list backing
+	free   []*T  // recycled free-list backing
 	table  [slabRun][]T
 	first  [slabFirstChunk]T
 }

@@ -38,8 +38,8 @@ type wheelEntry struct {
 type Wheel struct {
 	sched   *Scheduler
 	tick    float64
-	buckets [][]wheelEntry //tfrc:keep bucket backing reused across scenarios; reset scrubs entries
-	spare   []wheelEntry   //tfrc:keep bucket swapped in during processing so same-tick re-arms never alias
+	buckets [][]wheelEntry // bucket backing reused across scenarios; reset scrubs entries
+	spare   []wheelEntry   // bucket swapped in during processing so same-tick re-arms never alias
 	live    int
 	armed   bool
 	curV    int64 // tick the armed scheduler event will process

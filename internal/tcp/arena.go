@@ -15,7 +15,7 @@ var tcpArenaID = sim.NewArenaID()
 type agentArena struct {
 	senders sim.Slab[Sender]
 	sinks   sim.Slab[Sink]
-	ranges  sim.Carver[srange] //tfrc:keep agent slots retain the segments their range sets took
+	ranges  sim.Carver[srange] // agent slots retain the segments their range sets took
 }
 
 // ResetArena implements sim.Arena.

@@ -16,7 +16,7 @@ import (
 type Sender struct {
 	cfg  Config
 	net  *netsim.Network
-	node *netsim.Node //tfrc:keep arena co-tenant: node outlives the sender on the same scheduler
+	node *netsim.Node // arena co-tenant: node outlives the sender on the same scheduler
 	dst  netsim.NodeID
 	dprt int // destination (sink) port
 	sprt int // our port, where ACKs arrive
@@ -35,8 +35,8 @@ type Sender struct {
 	lastCut    int64 // highest seq at the most recent window cut: at
 	// most one cut per window of data (ns-2 bug_fix_)
 	pipe   int64    // Sack recovery: estimate of packets in flight
-	sacked rangeSet //tfrc:keep scoreboard backing recycled by NewSender; receiver-held blocks above cumack
-	rtxed  rangeSet //tfrc:keep scoreboard backing recycled by NewSender; holes retransmitted this recovery
+	sacked rangeSet // scoreboard backing recycled by NewSender; receiver-held blocks above cumack
+	rtxed  rangeSet // scoreboard backing recycled by NewSender; holes retransmitted this recovery
 
 	rtx     sim.Timer
 	startEv sim.Handle // pending Start event, cancelled by Release
@@ -56,7 +56,7 @@ type Sender struct {
 	limit    int64 // 0 = infinite backlog; else stop after this many packets
 	released bool  // guards against double Release
 
-	jitter   *sim.Rand //tfrc:keep scheduler-owned rand, reissued on Reset; non-nil when SendJitter > 0
+	jitter   *sim.Rand // scheduler-owned rand, reissued on Reset; non-nil when SendJitter > 0
 	lastSend float64   // latest scheduled departure, preserves ordering
 
 	// OnComplete, if set, runs once when a limited transfer is fully

@@ -8,12 +8,12 @@ import "tfrc/internal/netsim"
 // receive window.
 type Sink struct {
 	net      *netsim.Network
-	node     *netsim.Node //tfrc:keep arena co-tenant: node outlives the sink on the same scheduler
+	node     *netsim.Node // arena co-tenant: node outlives the sink on the same scheduler
 	ackSize  int
 	flow     int
 	released bool
 
-	received rangeSet //tfrc:keep range backing recycled by NewSink across arena reuse
+	received rangeSet // range backing recycled by NewSink across arena reuse
 	next     int64    // cumulative ACK: lowest sequence not yet received
 
 	// Delivered counts in-order goodput in packets; Received counts all

@@ -5,6 +5,7 @@ import (
 	"math"
 	"runtime"
 	"testing"
+	"weak"
 
 	"tfrc/internal/netsim"
 	"tfrc/internal/sim"
@@ -406,6 +407,39 @@ func TestScoreboardGrowsPastOldFixedHalf(t *testing.T) {
 		t.Fatalf("recycled agents lost their grown scoreboards: %d/%d/%d, want %d/%d/%d",
 			cap(snd2.sacked.r), cap(snd2.rtxed.r), cap(snk2.received.r), sackedCap, rtxedCap, receivedCap)
 	}
+}
+
+// TestReleasedSenderPinsNothing: a sender released from its OnComplete
+// keeps nothing the hook captured, though its slot stays in the
+// scheduler's arena — held live here across the collections — for the
+// next NewSender.
+func TestReleasedSenderPinsNothing(t *testing.T) {
+	sched, nw, a, b := cleanPath()
+	NewSink(nw, b, 1, 1, 40)
+	snd := NewSenderLimited(nw, a, b.ID, 1, 2, 1, Config{Variant: Sack}, 20)
+	type sentinel struct {
+		_ *int // pointerful, so the allocator never packs it with other objects
+		n int
+	}
+	captured := new(sentinel)
+	w := weak.Make(captured)
+	completed := false
+	snd.OnComplete = func(s *Sender) {
+		captured.n++
+		completed = true
+		s.Release()
+	}
+	snd.Start(0)
+	sched.RunUntil(10)
+	if !completed {
+		t.Fatal("the 20-packet transfer did not complete")
+	}
+	runtime.GC()
+	runtime.GC()
+	if w.Value() != nil {
+		t.Error("the released sender still holds what its OnComplete captured")
+	}
+	runtime.KeepAlive(sched)
 }
 
 // cleanPath is two nodes joined by an 8 Mb/s, 10 ms link whose queue
