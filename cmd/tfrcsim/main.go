@@ -34,11 +34,12 @@
 //
 // Experiments execute their cells on a worker pool; -parallel defaults
 // to the number of CPUs and results are bit-identical at any worker
-// count. -seeds applies to experiments whose parameters support
-// multi-seed replication (figures 6, 8, 14, 15 and the bwstep, ccfair
-// and parkinglot scenarios); each cell then repeats at that many seeds
-// and reports mean ± 90% CI. For chaos, -seeds is the number of soak
-// cells.
+// count. -seed n and -seeds n are the overlays {"Seed": n} and
+// {"Seeds": n}, applied after -params; an experiment whose parameters
+// lack the field warns and ignores the flag. -seeds applies to the
+// experiments whose parameters support multi-seed replication (figures
+// 6, 8, 14, 15 and the bwstep, ccfair and parkinglot scenarios); each
+// cell then repeats at that many seeds and reports mean ± 90% CI.
 //
 // A -params file is JSON overlaid on the selected preset's defaults, so
 // it may name only the fields it changes; unknown fields are rejected.
@@ -95,10 +96,10 @@ func runCmd(args []string) int {
 	preset := fs.String("preset", "", "named parameter preset (\"default\", \"paper\")")
 	paramsFile := fs.String("params", "", "JSON parameter file overlaid on the preset's defaults")
 	format := fs.String("format", "table", "output format: table | json")
-	seed := fs.Int64("seed", 1, "random seed")
+	fs.Int64("seed", 1, "random seed")
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0),
 		"worker count for sweep cells (1 = sequential; results are identical either way)")
-	seeds := fs.Int("seeds", 1,
+	fs.Int("seeds", 1,
 		"seeds per cell for experiments supporting multi-seed replication: >1 reports mean ± 90% CI")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := fs.String("memprofile", "", "write an allocation profile of the run to this file")
@@ -110,7 +111,7 @@ func runCmd(args []string) int {
 	if err := checkFormat(*format); err != nil {
 		return fail(exitUsage, err)
 	}
-	d, p, code := resolveExperiment(fs, name, *preset, *paramsFile, seed, seeds)
+	d, p, code := resolveExperiment(fs, name, *preset, *paramsFile)
 	if code != exitOK {
 		return code
 	}

@@ -46,6 +46,9 @@ func TestCommands(t *testing.T) {
 		code   int
 		stdout string // substring of stdout
 		stderr string // substring of stderr
+		// same, when set, is a run whose stdout this one's must equal,
+		// with sameParams as its params.
+		same, sameParams string
 	}{
 		{args: "run fig5 -format json", stdout: `"experiment": "fig5"`},
 		{args: "list", stdout: "run one with: tfrcsim run <name>"},
@@ -60,17 +63,21 @@ func TestCommands(t *testing.T) {
 		// The sender always decreases straight to the equation's rate
 		// (§3.2): a decrease policy is not a parameter.
 		{args: "run fig3 -params", params: `{"Decrease": 3}`, code: 1, stderr: `unknown field "Decrease"`},
+		// -seed and -seeds are the overlays {"Seed": n} and {"Seeds": n}
+		// after -params; params without the field ignore the flag.
+		{args: "run fig5 -seed 3", stderr: "fig5 takes no -seed; ignored", same: "run fig5"},
+		{args: "run chaos -seeds 2", stderr: "chaos takes no -seeds; ignored"},
+		{args: "run fig9 -seed 3 -params", params: `{"Seed": 5, "Runs": 2, "FlowsEach": 2}`,
+			same: "run fig9 -params", sameParams: `{"Seed": 3, "Runs": 2, "FlowsEach": 2}`},
 	} {
 		t.Run(tc.args, func(t *testing.T) {
-			args := strings.Fields(tc.args)
-			if tc.params != "" {
-				file := filepath.Join(t.TempDir(), "params.json")
-				if err := os.WriteFile(file, []byte(tc.params), 0o644); err != nil {
-					t.Fatal(err)
+			stdout, stderr, code := tfrcsim(t, withParams(t, tc.args, tc.params)...)
+			if tc.same != "" {
+				want, _, _ := tfrcsim(t, withParams(t, tc.same, tc.sameParams)...)
+				if stdout != want {
+					t.Errorf("stdout differs from %q's:\n%s\nvs\n%s", tc.same, stdout, want)
 				}
-				args = append(args, file)
 			}
-			stdout, stderr, code := tfrcsim(t, args...)
 			if code != tc.code {
 				t.Errorf("exit %d, want %d (stderr: %s)", code, tc.code, stderr)
 			}
@@ -86,6 +93,20 @@ func TestCommands(t *testing.T) {
 			}
 		})
 	}
+}
+
+// withParams splits args into fields and, when params is set, writes it
+// to a file whose name it appends.
+func withParams(t *testing.T, args, params string) []string {
+	fields := strings.Fields(args)
+	if params == "" {
+		return fields
+	}
+	file := filepath.Join(t.TempDir(), "params.json")
+	if err := os.WriteFile(file, []byte(params), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return append(fields, file)
 }
 
 // TestShardMergeEqualsRun pins the distributed contract at the CLI:

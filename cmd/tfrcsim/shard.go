@@ -67,15 +67,15 @@ func shardRunCmd(args []string) int {
 	out := fs.String("o", "", "envelope output file (default stdout)")
 	preset := fs.String("preset", "", "named parameter preset (\"default\", \"paper\")")
 	paramsFile := fs.String("params", "", "JSON parameter file overlaid on the preset's defaults")
-	seed := fs.Int64("seed", 1, "random seed")
-	seeds := fs.Int("seeds", 1, "seeds per cell for experiments supporting multi-seed replication")
+	fs.Int64("seed", 1, "random seed")
+	fs.Int("seeds", 1, "seeds per cell for experiments supporting multi-seed replication")
 	parallel := fs.Int("parallel", 0, "worker count for this shard's cells (0 = all CPUs; results are identical either way)")
 
 	name, ok := popExperimentName(fs, "shard run", args)
 	if !ok {
 		return exitUsage
 	}
-	d, p, code := resolveExperiment(fs, name, *preset, *paramsFile, seed, seeds)
+	d, p, code := resolveExperiment(fs, name, *preset, *paramsFile)
 	if code != exitOK {
 		return code
 	}
@@ -117,15 +117,15 @@ func shardExecCmd(args []string) int {
 	timeout := fs.Duration("shard-timeout", 0, "kill and retry a shard attempt running longer than this (0 = no timeout)")
 	preset := fs.String("preset", "", "named parameter preset (\"default\", \"paper\")")
 	paramsFile := fs.String("params", "", "JSON parameter file overlaid on the preset's defaults")
-	seed := fs.Int64("seed", 1, "random seed")
-	seeds := fs.Int("seeds", 1, "seeds per cell for experiments supporting multi-seed replication")
+	fs.Int64("seed", 1, "random seed")
+	fs.Int("seeds", 1, "seeds per cell for experiments supporting multi-seed replication")
 	parallel := fs.Int("parallel", 0, "worker count inside each shard (0 = all CPUs divided among the -n shards)")
 
 	name, ok := popExperimentName(fs, "shard exec", args)
 	if !ok {
 		return exitUsage
 	}
-	d, p, code := resolveExperiment(fs, name, *preset, *paramsFile, seed, seeds)
+	d, p, code := resolveExperiment(fs, name, *preset, *paramsFile)
 	if code != exitOK {
 		return code
 	}
@@ -304,9 +304,11 @@ func popExperimentName(fs *flag.FlagSet, cmd string, args []string) (string, boo
 
 // resolveExperiment looks the experiment up (exit 2 with the nearest
 // registered name on a typo) and resolves its parameters exactly as
-// "tfrcsim run" does: preset, then -params overlay, then -seed/-seeds
-// when passed explicitly.
-func resolveExperiment(fs *flag.FlagSet, name, preset, paramsFile string, seed *int64, seeds *int) (experiment.Descriptor, experiment.Params, int) {
+// "tfrcsim run" does: preset, then the -params file, then an explicit
+// -seed or -seeds as one more overlay, {"Seed": n} or {"Seeds": n}. An
+// experiment whose parameters have no such field rejects that overlay,
+// and the flag is ignored with a warning.
+func resolveExperiment(fs *flag.FlagSet, name, preset, paramsFile string) (experiment.Descriptor, experiment.Params, int) {
 	d, err := experiment.Get(name)
 	if err != nil {
 		return experiment.Descriptor{}, nil, fail(exitUsage, err)
@@ -320,30 +322,32 @@ func resolveExperiment(fs *flag.FlagSet, name, preset, paramsFile string, seed *
 		if err != nil {
 			return experiment.Descriptor{}, nil, fail(exitRuntime, err)
 		}
-		dec := json.NewDecoder(bytes.NewReader(data))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(p); err != nil {
+		if err := overlay(p, data); err != nil {
 			return experiment.Descriptor{}, nil, fail(exitRuntime, fmt.Errorf("parsing %s for %s: %w", paramsFile, d.Name, err))
-		}
-		if dec.More() {
-			return experiment.Descriptor{}, nil, fail(exitRuntime, fmt.Errorf("%s: trailing data after the parameter object", paramsFile))
 		}
 	}
 	fs.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "seed":
-			if s, ok := p.(experiment.SeedSetter); ok {
-				s.SetSeed(*seed)
-			} else {
-				fmt.Fprintf(os.Stderr, "tfrcsim: %s takes no -seed; ignored\n", d.Name)
-			}
-		case "seeds":
-			if s, ok := p.(experiment.SeedsSetter); ok {
-				s.SetSeeds(*seeds)
-			} else {
-				fmt.Fprintf(os.Stderr, "tfrcsim: %s takes no -seeds; ignored\n", d.Name)
-			}
+		field := map[string]string{"seed": "Seed", "seeds": "Seeds"}[f.Name]
+		if field == "" {
+			return
+		}
+		if overlay(p, fmt.Appendf(nil, `{%q: %s}`, field, f.Value)) != nil {
+			fmt.Fprintf(os.Stderr, "tfrcsim: %s takes no -%s; ignored\n", d.Name, f.Name)
 		}
 	})
 	return d, p, exitOK
+}
+
+// overlay decodes one JSON object onto p, rejecting unknown fields and
+// anything after the object.
+func overlay(p experiment.Params, data []byte) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(p); err != nil {
+		return err
+	}
+	if dec.More() {
+		return errors.New("trailing data after the parameter object")
+	}
+	return nil
 }

@@ -42,7 +42,8 @@ func main() {
 			flows[i] = b.AddTFRC(src, dst, scenario.DefaultTFRCConfig(), start)
 			continue
 		}
-		// A zero CCConfig leaves each controller at its default tuning.
+		// Each controller runs at its one fixed tuning; AddCC ignores
+		// the CCConfig.
 		flows[i] = b.AddCC(scenario.CCName(proto), scenario.CCConfig{},
 			src, dst, scenario.TCPConfig{}, start)
 	}

@@ -67,11 +67,6 @@ type (
 	// Result is what a run produces: Table writes the gnuplot-ready
 	// text table; the concrete structs also marshal to JSON.
 	Result = exp.Result
-	// SeedSetter is implemented by params whose base seed can be set.
-	SeedSetter = exp.SeedSetter
-	// SeedsSetter is implemented by params supporting multi-seed
-	// replication with mean ± 90% CI aggregation.
-	SeedsSetter = exp.SeedsSetter
 	// Grid is the pure-cell decomposition of an experiment: cell count,
 	// range runner, and reduce step over raw JSON cells. Every
 	// experiment declared with Define has one, so it can be split

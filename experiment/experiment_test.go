@@ -451,16 +451,22 @@ func TestRunRejectsForeignParamsType(t *testing.T) {
 	}
 }
 
-// TestSeedKnobs pins which experiments expose the -seed/-seeds knobs.
+// TestSeedKnobs pins which experiments expose the -seed/-seeds knobs:
+// those whose parameters take the overlay the CLI makes of the flag,
+// {"Seed": n} or {"Seeds": n}, decoded as strictly as a -params file.
 func TestSeedKnobs(t *testing.T) {
+	takes := func(d experiment.Descriptor, field string) bool {
+		dec := json.NewDecoder(strings.NewReader(`{"` + field + `": 2}`))
+		dec.DisallowUnknownFields()
+		return dec.Decode(d.Params()) == nil
+	}
 	seeded := map[string]bool{}
 	multi := map[string]bool{}
 	for _, d := range experiment.List() {
-		p := d.Params()
-		if _, ok := p.(experiment.SeedSetter); ok {
+		if takes(d, "Seed") {
 			seeded[d.Name] = true
 		}
-		if _, ok := p.(experiment.SeedsSetter); ok {
+		if takes(d, "Seeds") {
 			multi[d.Name] = true
 		}
 	}
@@ -470,7 +476,7 @@ func TestSeedKnobs(t *testing.T) {
 		}
 	}
 	// Exactly the list in the README's and cmd/tfrcsim's -seeds text.
-	wantMulti := []string{"fig6", "fig8", "fig14", "fig15", "bwstep", "ccfair", "chaos", "parkinglot"}
+	wantMulti := []string{"fig6", "fig8", "fig14", "fig15", "bwstep", "ccfair", "parkinglot"}
 	for _, name := range wantMulti {
 		if !multi[name] {
 			t.Errorf("%s should support -seeds", name)

@@ -34,9 +34,10 @@ func arenaOf(s *sim.Scheduler) *arena {
 // New returns a controller for cfg, drawn from the scheduler's
 // controller arena and re-initialized for a fresh connection. The
 // config must name a controller (a zero Config selects reno); an
-// unknown name panics — validate configs with Config.Validate at the
-// parameter boundary. Every kind draws from its own slab, so a warm
-// arena makes New allocation-free.
+// unknown name panics — a Name decoded from JSON is checked by
+// Name.UnmarshalText, and experiment parameters check theirs with
+// Known. Every kind draws from its own slab, so a warm arena makes New
+// allocation-free.
 func New(s *sim.Scheduler, cfg Config, maxWindow float64) Controller {
 	a := arenaOf(s)
 	switch cfg.Name.String() {
@@ -47,17 +48,17 @@ func New(s *sim.Scheduler, cfg Config, maxWindow float64) Controller {
 		return r
 	case "vegas":
 		v := a.vegas.Get()
-		v.Init(cfg.Vegas, maxWindow)
+		v.Init(maxWindow)
 		v.home = a
 		return v
 	case "ledbat":
 		l := a.ledbat.Get()
-		l.Init(cfg.LEDBAT, maxWindow)
+		l.Init(maxWindow)
 		l.home = a
 		return l
 	case "relentless":
 		r := a.relentless.Get()
-		r.Init(cfg.Relentless, maxWindow)
+		r.Init(maxWindow)
 		r.home = a
 		return r
 	}

@@ -9,7 +9,8 @@ package cc
 //	offTarget = (target − queueDelay) / target
 //	cwnd     += gain · offTarget · newlyAcked / cwnd
 //
-// Under the target the window grows at most gain packets per RTT (a
+// with target 25 ms and gain 1 (ledbatTarget, ledbatGain). Under the
+// target the window grows at most gain packets per RTT (a
 // ceiling of standard TCP additive increase); over it the window
 // shrinks linearly, and the further the overshoot the faster the
 // decrease. Any loss-filling competitor (Reno, Relentless) drives the
@@ -17,7 +18,6 @@ package cc
 // away and cedes the capacity — yielding is the design goal, and the
 // fairness experiments demonstrate the starvation side of it.
 type LEDBAT struct {
-	p         LEDBATParams
 	maxWindow float64
 
 	baseRTT float64 // minimum RTT ever sampled
@@ -26,11 +26,20 @@ type LEDBAT struct {
 	home *arena // arena co-tenant; Release returns the value to it
 }
 
-// Init re-initializes the controller for a new connection, filling
-// zero-valued tuning with the defaults.
-func (l *LEDBAT) Init(p LEDBATParams, maxWindow float64) {
-	p.fill()
-	*l = LEDBAT{p: p, maxWindow: maxWindow, home: l.home}
+// ledbatTarget is the queueing-delay target in seconds. RFC 6817
+// allows up to 100 ms; 25 ms sits well below the tens-of-milliseconds
+// queues the paper's scenarios build, so the transport actually yields
+// instead of competing. ledbatGain scales the window adjustment: at
+// most that many packets of growth per RTT, and proportionally faster
+// decrease the further the delay overshoots the target.
+const (
+	ledbatTarget = 0.025
+	ledbatGain   = 1
+)
+
+// Init re-initializes the controller for a new connection.
+func (l *LEDBAT) Init(maxWindow float64) {
+	*l = LEDBAT{maxWindow: maxWindow, home: l.home}
 }
 
 // OnAck implements Controller: the proportional delay controller. There
@@ -42,11 +51,11 @@ func (l *LEDBAT) OnAck(st *State, newly int64) {
 	if l.baseRTT == 0 {
 		return // no delay estimate yet
 	}
-	offTarget := (l.p.Target - l.qdelay) / l.p.Target
+	offTarget := (ledbatTarget - l.qdelay) / ledbatTarget
 	if offTarget > 1 {
 		offTarget = 1
 	}
-	st.Cwnd += l.p.Gain * offTarget * float64(newly) / st.Cwnd
+	st.Cwnd += ledbatGain * offTarget * float64(newly) / st.Cwnd
 	if st.Cwnd < 1 {
 		st.Cwnd = 1
 	}

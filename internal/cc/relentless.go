@@ -9,16 +9,16 @@ package cc
 // leaves it, which is nearly all of it. The ccfair experiments register
 // that unfairness as a first-class, reproducible measurement.
 type Relentless struct {
-	p         RelentlessParams
 	maxWindow float64
 	home      *arena // arena co-tenant; Release returns the value to it
 }
 
-// Init re-initializes the controller for a new connection, filling
-// zero-valued tuning with the defaults.
-func (r *Relentless) Init(p RelentlessParams, maxWindow float64) {
-	p.fill()
-	r.p = p
+// relentlessMinCwnd floors the window under per-loss decrements, in
+// packets.
+const relentlessMinCwnd = 2
+
+// Init re-initializes the controller for a new connection.
+func (r *Relentless) Init(maxWindow float64) {
 	r.maxWindow = maxWindow
 }
 
@@ -34,14 +34,15 @@ func (r *Relentless) OnAck(st *State, newly int64) { renoGrow(st, r.maxWindow) }
 func (r *Relentless) OnLoss(st *State, flight int64) {}
 
 // OnLostSegment implements Controller: one packet off the window per
-// segment deemed lost, floored at MinCwnd. Ssthresh follows the window
-// down so recovery exits in congestion avoidance, not slow start.
+// segment deemed lost, floored at relentlessMinCwnd. Ssthresh follows
+// the window down so recovery exits in congestion avoidance, not slow
+// start.
 //
 //tfrc:hotpath
 func (r *Relentless) OnLostSegment(st *State) {
 	st.Cwnd -= 1
-	if st.Cwnd < r.p.MinCwnd {
-		st.Cwnd = r.p.MinCwnd
+	if st.Cwnd < relentlessMinCwnd {
+		st.Cwnd = relentlessMinCwnd
 	}
 	st.Ssthresh = st.Cwnd
 }

@@ -8,9 +8,9 @@ package cc
 //
 // once per RTT (rtt being the epoch's minimum sample, baseRTT the
 // connection's minimum ever), grows by one packet per RTT while
-// diff < alpha, shrinks by one while diff > beta, and exits slow start
-// once diff exceeds gamma. Loss still halves — Vegas keeps Reno's loss
-// response as its safety net.
+// diff < vegasAlpha, shrinks by one while diff > vegasBeta, and exits
+// slow start once diff exceeds vegasGamma. Loss still halves — Vegas
+// keeps Reno's loss response as its safety net.
 //
 // Two classic pitfalls of this estimator are deliberate, documented
 // behavior (see the "gallery of solutions" catalog and the package
@@ -25,7 +25,6 @@ package cc
 //     occupancy up and stealing share from incumbents whose estimates
 //     are honest.
 type Vegas struct {
-	p         VegasParams
 	maxWindow float64
 
 	baseRTT  float64 // minimum RTT ever sampled (the propagation estimate)
@@ -36,11 +35,19 @@ type Vegas struct {
 	home *arena // arena co-tenant; Release returns the value to it
 }
 
-// Init re-initializes the controller for a new connection, filling
-// zero-valued tuning with the 1/3/1 defaults.
-func (v *Vegas) Init(p VegasParams, maxWindow float64) {
-	p.fill()
-	*v = Vegas{p: p, maxWindow: maxWindow, home: v.home}
+// The Vegas band (Brakmo's 1/3/1), in packets of the flow's own
+// standing queue: below vegasAlpha the window grows by one per RTT,
+// above vegasBeta it shrinks by one, and slow start exits once the
+// queue exceeds vegasGamma.
+const (
+	vegasAlpha = 1
+	vegasBeta  = 3
+	vegasGamma = 1
+)
+
+// Init re-initializes the controller for a new connection.
+func (v *Vegas) Init(maxWindow float64) {
+	*v = Vegas{maxWindow: maxWindow, home: v.home}
 }
 
 // OnAck implements Controller: standard slow-start growth below
@@ -74,12 +81,12 @@ func (v *Vegas) epoch(st *State) {
 		if st.Cwnd < st.Ssthresh {
 			// Modified slow start: leave it as soon as the path shows a
 			// standing queue of more than gamma packets.
-			if diff > v.p.Gamma {
+			if diff > vegasGamma {
 				st.Ssthresh = st.Cwnd
 			}
-		} else if diff < v.p.Alpha {
+		} else if diff < vegasAlpha {
 			st.Cwnd += 1
-		} else if diff > v.p.Beta {
+		} else if diff > vegasBeta {
 			st.Cwnd -= 1
 			if st.Cwnd < 2 {
 				st.Cwnd = 2

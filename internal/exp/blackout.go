@@ -62,9 +62,6 @@ func (p *BlackoutParams) Validate() error {
 	return v.err
 }
 
-// SetSeed implements SeedSetter.
-func (p *BlackoutParams) SetSeed(seed int64) { p.Seed = seed }
-
 func init() {
 	Define(single("blackout", "graceful degradation through a total feedback outage",
 		nil, DefaultBlackout, blackoutCell))

@@ -125,13 +125,13 @@ func (b *ScenarioBuilder) AddTCP(src, dst string, cfg tcp.Config, start float64)
 
 // AddCC places a one-way TCP transfer whose congestion-control policy
 // comes from package cc: name selects the controller ("reno", "vegas",
-// "ledbat" or "relentless"), ccfg carries its tuning (ccfg.Name is
-// overridden by name), and cfg the transport mechanics. A zero cfg.Variant is upgraded to Sack — the scoreboard
-// recovery every non-Reno controller is designed to ride on; set a
-// variant explicitly to study a mismatched pairing. Returns the flow ID.
-func (b *ScenarioBuilder) AddCC(name cc.Name, ccfg cc.Config, src, dst string, cfg tcp.Config, start float64) int {
-	ccfg.Name = name
-	cfg.CC = ccfg
+// "ledbat" or "relentless"), and cfg the transport mechanics. The
+// cc.Config argument is ignored: a controller's name is all it takes.
+// A zero cfg.Variant is upgraded to Sack — the scoreboard recovery
+// every non-Reno controller is designed to ride on; set a variant
+// explicitly to study a mismatched pairing. Returns the flow ID.
+func (b *ScenarioBuilder) AddCC(name cc.Name, _ cc.Config, src, dst string, cfg tcp.Config, start float64) int {
+	cfg.CC = cc.Config{Name: name}
 	if cfg.Variant == tcp.Tahoe {
 		cfg.Variant = tcp.Sack
 	}
@@ -243,13 +243,10 @@ func (b *ScenarioBuilder) Release() {
 	// that just ended, and the next NewScenarioBuilder rebuilds them.
 	// The int bookkeeping slices and the in-place series storage stay
 	// as recycled backing.
-	b.topo = nil
 	b.nw = nil
-	b.primary = nil
 	b.qmon = nil
 	clear(b.monitors)
 	b.monitors = b.monitors[:0]
-	clear(b.tfrcSenders)
 	b.tfrcSenders = b.tfrcSenders[:0]
 }
 

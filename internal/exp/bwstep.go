@@ -67,12 +67,6 @@ func (p *BWStepParams) Validate() error {
 	return v.err
 }
 
-// SetSeed implements SeedSetter.
-func (p *BWStepParams) SetSeed(seed int64) { p.Seed = seed }
-
-// SetSeeds implements SeedsSetter.
-func (p *BWStepParams) SetSeeds(n int) { p.Seeds = n }
-
 // bwstep is one cell per replicate.
 func init() {
 	Define(Spec[BWStepParams, BWStepResult, *BWStepResult]{

@@ -22,10 +22,6 @@ type CCFairParams struct {
 	ProtoB string
 	FlowsA int
 	FlowsB int
-	// CCA and CCB tune the controllers when the protocol is a cc name;
-	// the Name field inside them is overridden by ProtoA/ProtoB.
-	CCA cc.Config `json:"cca,omitzero"`
-	CCB cc.Config `json:"ccb,omitzero"`
 
 	Topology    string // "dumbbell" or "parkinglot"
 	Bottlenecks int    // parking-lot depth; ignored for the dumbbell
@@ -79,12 +75,6 @@ func (p *CCFairParams) Validate() error {
 		}
 	}
 	check(&v, p.FlowsA >= 1 && p.FlowsB >= 1, "need at least one flow per protocol, got %d vs %d", p.FlowsA, p.FlowsB)
-	if err := p.CCA.Validate(); err != nil {
-		v.fail("CCA: %w", err)
-	}
-	if err := p.CCB.Validate(); err != nil {
-		v.fail("CCB: %w", err)
-	}
 	if p.Topology != "dumbbell" && p.Topology != "parkinglot" {
 		v.fail("unknown topology %q (want dumbbell or parkinglot)", p.Topology)
 	}
@@ -99,12 +89,6 @@ func (p *CCFairParams) Validate() error {
 	nonNegative(&v, "Seeds", p.Seeds)
 	return v.err
 }
-
-// SetSeed implements SeedSetter.
-func (p *CCFairParams) SetSeed(seed int64) { p.Seed = seed }
-
-// SetSeeds implements SeedsSetter.
-func (p *CCFairParams) SetSeeds(n int) { p.Seeds = n }
 
 // ccfair is the grid, RTT-major, bandwidth next, replicate-minor.
 func init() {
@@ -167,11 +151,11 @@ const ccfairRatioCap = 1e6
 
 // ccfairAdd places one flow of the named protocol on host pair (src,
 // dst), returning its flow ID.
-func ccfairAdd(b *ScenarioBuilder, proto string, ccfg cc.Config, src, dst string, seed int64, start float64) int {
+func ccfairAdd(b *ScenarioBuilder, proto, src, dst string, seed int64, start float64) int {
 	if proto == "tfrc" {
 		return b.AddTFRC(src, dst, houseTFRC(seed), start)
 	}
-	return b.AddCC(cc.Name(proto), ccfg, src, dst, houseTCP(seed), start)
+	return b.AddCC(cc.Name(proto), cc.Config{}, src, dst, houseTCP(seed), start)
 }
 
 // runCCFairCell runs one (rtt, bandwidth, seed) cell on the worker's
@@ -227,11 +211,11 @@ func runCCFairCell(c *Cell, pr CCFairParams, rtt, linkMbps float64, seed int64) 
 	flowsA := make([]int, 0, pr.FlowsA)
 	flowsB := make([]int, 0, pr.FlowsB)
 	for i := 0; i < pr.FlowsA; i++ {
-		flowsA = append(flowsA, ccfairAdd(b, pr.ProtoA, pr.CCA, src(i), dst(i), seed, start()))
+		flowsA = append(flowsA, ccfairAdd(b, pr.ProtoA, src(i), dst(i), seed, start()))
 	}
 	for i := 0; i < pr.FlowsB; i++ {
 		j := pr.FlowsA + i
-		flowsB = append(flowsB, ccfairAdd(b, pr.ProtoB, pr.CCB, src(j), dst(j), seed, start()))
+		flowsB = append(flowsB, ccfairAdd(b, pr.ProtoB, src(j), dst(j), seed, start()))
 	}
 
 	res := b.Run(pr.Duration)

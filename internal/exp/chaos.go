@@ -76,12 +76,6 @@ func (p *ChaosParams) Validate() error {
 	return v.err
 }
 
-// SetSeed implements SeedSetter.
-func (p *ChaosParams) SetSeed(seed int64) { p.Seed = seed }
-
-// SetSeeds implements SeedsSetter: -seeds n means n chaos cells.
-func (p *ChaosParams) SetSeeds(n int) { p.Cells = n }
-
 // chaos is one cell per soak run; each cell's seed derives from its
 // absolute index.
 func init() {

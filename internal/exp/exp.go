@@ -49,9 +49,9 @@ type Scenario struct {
 	TCPAggressive  bool // Solaris-like spurious-RTO sender (§4.3)
 	TFRC           tfrcsim.Config
 
-	// OnOffSources adds N Pareto ON/OFF background sources (§4.1.3).
+	// OnOffSources adds N Pareto ON/OFF background sources with the
+	// §4.1.3 parameters (traffic.DefaultOnOff).
 	OnOffSources int
-	OnOff        traffic.OnOffConfig
 
 	// MiceLoad adds short-TCP background at roughly this fraction of the
 	// bottleneck (§4.2), plus a small amount of reverse-path traffic.
@@ -124,9 +124,6 @@ func (sc *Scenario) fill() {
 	}
 	if sc.StaggerStarts == 0 {
 		sc.StaggerStarts = math.Min(sc.Duration/10, 10)
-	}
-	if sc.OnOff.Rate == 0 {
-		sc.OnOff = traffic.DefaultOnOff()
 	}
 }
 
@@ -284,7 +281,7 @@ func buildScenario(c *Cell, sc Scenario) *ScenarioBuilder {
 	if extra > 0 {
 		bg := hosts // the background host pair index
 		for i := 0; i < sc.OnOffSources; i++ {
-			b.AddOnOff(left(bg), right(bg), sc.OnOff,
+			b.AddOnOff(left(bg), right(bg), traffic.DefaultOnOff(),
 				sched.NewRand(sc.Seed+100+int64(i)), rng.Uniform(0, 3))
 		}
 		if sc.MiceLoad > 0 {

@@ -61,9 +61,6 @@ func (p *Fig03Params) Validate() error {
 	return v.err
 }
 
-// SetSeed implements SeedSetter.
-func (p *Fig03Params) SetSeed(seed int64) { p.Seed = seed }
-
 // fig03Spec is the buffer sweep, one cell per buffer size; figures 3
 // and 4 are the same experiment at different defaults.
 func fig03Spec(name, alias, description string, def func() Fig03Params) Spec[Fig03Params, Fig03Curve, *Fig03Result] {

@@ -62,12 +62,6 @@ func (p *Fig06Params) Validate() error {
 	return v.err
 }
 
-// SetSeed implements SeedSetter.
-func (p *Fig06Params) SetSeed(seed int64) { p.Seed = seed }
-
-// SetSeeds implements SeedsSetter.
-func (p *Fig06Params) SetSeeds(n int) { p.Seeds = n }
-
 // fig6 is the grid: (queue, link, flows) points in that nesting
 // order, replicate-minor.
 func init() {
@@ -220,9 +214,6 @@ func (p *Fig07Params) Validate() error {
 	check(&v, 0 < p.MeasureTail && p.MeasureTail <= p.Duration, "need 0 < MeasureTail <= Duration, got MeasureTail=%v Duration=%v", p.MeasureTail, p.Duration)
 	return v.err
 }
-
-// SetSeed implements SeedSetter.
-func (p *Fig07Params) SetSeed(seed int64) { p.Seed = seed }
 
 // Fig07Result wraps the per-flow scatter cells.
 type Fig07Result struct{ Cells []Fig06Cell }

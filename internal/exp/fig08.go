@@ -42,12 +42,6 @@ func (p *Fig08GridParams) Validate() error {
 	return v.err
 }
 
-// SetSeed implements SeedSetter.
-func (p *Fig08GridParams) SetSeed(seed int64) { p.Seed = seed }
-
-// SetSeeds implements SeedsSetter.
-func (p *Fig08GridParams) SetSeeds(n int) { p.Seeds = n }
-
 // Fig08GridResult is one Fig08Result per requested queue discipline.
 type Fig08GridResult struct{ Results []*Fig08Result }
 

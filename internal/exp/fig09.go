@@ -55,9 +55,6 @@ func (p *Fig09Params) Validate() error {
 	return v.err
 }
 
-// SetSeed implements SeedSetter.
-func (p *Fig09Params) SetSeed(seed int64) { p.Seed = seed }
-
 // fig9 is one cell per independent run.
 func init() {
 	Define(Spec[Fig09Params, Fig09Run, *Fig09Result]{

@@ -55,9 +55,6 @@ func (p *Fig11Params) Validate() error {
 	return v.err
 }
 
-// SetSeed implements SeedSetter.
-func (p *Fig11Params) SetSeed(seed int64) { p.Seed = seed }
-
 // fig11 flattens the sweep source-major, run-minor.
 func init() {
 	Define(Spec[Fig11Params, Fig11Cell, *Fig11Result]{

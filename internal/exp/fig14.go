@@ -54,12 +54,6 @@ func (p *Fig14Params) Validate() error {
 	return v.err
 }
 
-// SetSeed implements SeedSetter.
-func (p *Fig14Params) SetSeed(seed int64) { p.Seed = seed }
-
-// SetSeeds implements SeedsSetter.
-func (p *Fig14Params) SetSeeds(n int) { p.Seeds = n }
-
 // fig14 is the (side × replicate) grid, side-major: all-TCP then
 // all-TFRC long-lived flows.
 func init() {

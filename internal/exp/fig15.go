@@ -90,12 +90,6 @@ func (p *Fig15Params) Validate() error {
 	return v.err
 }
 
-// SetSeed implements SeedSetter.
-func (p *Fig15Params) SetSeed(seed int64) { p.Seed = seed }
-
-// SetSeeds implements SeedsSetter.
-func (p *Fig15Params) SetSeeds(n int) { p.Seeds = n }
-
 // Fig16Params is the registry's parameter struct for the per-path
 // equivalence study (Figures 16 and 17).
 type Fig16Params struct {
@@ -124,9 +118,6 @@ func (p *Fig16Params) Validate() error {
 	positive(&v, "Duration", p.Duration)
 	return v.err
 }
-
-// SetSeed implements SeedSetter.
-func (p *Fig16Params) SetSeed(seed int64) { p.Seed = seed }
 
 // fig15 is one cell per replicate.
 func init() {

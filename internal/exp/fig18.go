@@ -46,9 +46,6 @@ func (p *Fig18Params) Validate() error {
 	return v.err
 }
 
-// SetSeed implements SeedSetter.
-func (p *Fig18Params) SetSeed(seed int64) { p.Seed = seed }
-
 // fig18 harvests one loss-interval trace per cell — a DropTail and a
 // RED dumbbell shared with TCP, and step-changing Bernoulli loss on a
 // clean pipe — and scores the estimators over all of them in Reduce.

@@ -62,9 +62,6 @@ func (p *FlapParams) Validate() error {
 	return v.err
 }
 
-// SetSeed implements SeedSetter.
-func (p *FlapParams) SetSeed(seed int64) { p.Seed = seed }
-
 func init() {
 	Define(single("flap", "riding out repeated hard outages of the bottleneck",
 		nil, DefaultFlap, flapCell))

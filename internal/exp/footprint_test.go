@@ -370,10 +370,11 @@ func TestReleasedCellPinsNothing(t *testing.T) {
 // sentinels are heap objects handed into a cell through the hooks that
 // take a caller-owned reference, watched through weak pointers.
 //
-// Three such hooks are not planted: Sender.OnRateChange, the
-// OnLossInterval of a tfrcsim.Config and a Mice generator's
-// traffic.ObserveSessions callback stay in their agents' arena slots
-// after Release, until a later cell reuses the slot.
+// Three such hooks are not planted, because the cell still holds what
+// they are handed: Sender.OnRateChange, the OnLossInterval of a
+// tfrcsim.Config and a Mice generator's traffic.ObserveSessions
+// callback stay in their agents' arena slots after Release, until a
+// later cell reuses the slot.
 type sentinels struct {
 	hooks []string
 	alive []func() bool
@@ -398,12 +399,15 @@ func watch[T any](s *sentinels, hook string, p *T) *T {
 }
 
 // plant hands sentinels into the cell b builds: a tap on link, an agent
-// bound on host, and a fault schedule whose one fault is still pending
-// when the cell ends at duration. Nil sentinels plant nothing.
+// bound on host, and a Scheduler.At closure and a fault schedule whose
+// one fault are still pending when the cell ends at duration. Nil
+// sentinels plant nothing.
 func (s *sentinels) plant(b *ScenarioBuilder, host, link string, duration float64) {
 	if s == nil {
 		return
 	}
+	at := watch(s, "Scheduler.At", new(sentinel))
+	b.nw.Scheduler().At(duration+1, func() { at.n++ })
 	tap := watch(s, "Link.AddTap", new(sentinel))
 	b.topo.LinkByName(link).AddTap(func(netsim.TapEvent, float64, *netsim.Packet) { tap.n++ })
 	n := b.topo.Lookup(host)
@@ -423,8 +427,8 @@ func (s *sentinels) harvested(res *ScenarioResult) {
 // check fails t for every sentinel the released cell c still holds.
 func (s *sentinels) check(t *testing.T, c *Cell) {
 	t.Helper()
-	if len(s.alive) < 4 {
-		t.Fatalf("%d sentinels planted, want 4: the row plants none", len(s.alive))
+	if len(s.alive) < 5 {
+		t.Fatalf("%d sentinels planted, want 5: the row plants none", len(s.alive))
 	}
 	runtime.GC()
 	runtime.GC()

@@ -86,9 +86,6 @@ func (p *ManyFlowsParams) Validate() error {
 	return v.err
 }
 
-// SetSeed implements SeedSetter.
-func (p *ManyFlowsParams) SetSeed(seed int64) { p.Seed = seed }
-
 // manyflows is one cell per rung. Rungs share nothing, and each
 // builds and releases its own scheduler, so with more than one worker
 // rungs overlap and peak memory is the sum of the rungs in flight — at

@@ -63,12 +63,6 @@ func (p *ParkingLotParams) Validate() error {
 	return v.err
 }
 
-// SetSeed implements SeedSetter.
-func (p *ParkingLotParams) SetSeed(seed int64) { p.Seed = seed }
-
-// SetSeeds implements SeedsSetter.
-func (p *ParkingLotParams) SetSeeds(n int) { p.Seeds = n }
-
 // parkinglot is the grid, bottleneck-major, replicate-minor.
 func init() {
 	Define(Spec[ParkingLotParams, ParkingLotCell, *ParkingLotResult]{

@@ -25,18 +25,6 @@ type Result interface {
 	Table(w io.Writer)
 }
 
-// SeedSetter is implemented by params whose base random seed can be
-// overridden (the CLI's -seed flag).
-type SeedSetter interface {
-	SetSeed(seed int64)
-}
-
-// SeedsSetter is implemented by params supporting multi-seed
-// replication with mean ± 90% CI aggregation (the CLI's -seeds flag).
-type SeedsSetter interface {
-	SetSeeds(n int)
-}
-
 // Descriptor is one registered experiment, as Define derives it from a
 // Spec: the paper's figures, the beyond-the-paper scenarios and any
 // experiment user code defines.
@@ -49,7 +37,7 @@ type Descriptor struct {
 	// Description is the one-line text shown by tfrcsim list.
 	Description string
 	// Params returns a fresh default parameter set. It must return a
-	// pointer so JSON decoding and seed overrides mutate it in place.
+	// pointer so JSON overlays (-params, -seed, -seeds) mutate it in place.
 	Params func() Params
 	// Presets are named alternate parameter sets; "paper" selects the
 	// paper's full-scale setup where one exists.

@@ -289,7 +289,6 @@ func (nw *Network) Release() {
 	nw.linkSlab.Each(func(l *Link) {
 		clear(l.taps[:cap(l.taps)])
 		l.taps = l.taps[:0]
-		l.queue = nil
 		l.imp = nil
 	})
 	clear(nw.routeSlab)

@@ -72,7 +72,6 @@ func newTopology(sched *sim.Scheduler, rng *sim.Rand, nodes, links int) *Topolog
 // used afterwards; calling Release is optional.
 func (t *Topology) Release() {
 	t.nw = nil
-	t.rng = nil
 	clear(t.nodes)
 	clear(t.links)
 }

@@ -76,7 +76,7 @@ type Scheduler struct {
 	cal    calQueue // value-only calendar bucket ends, truncated on Reset/reuse
 	slots  []event
 	free   []int32 // recycled slot indices, value-only backing
-	pinned bool    // owned by a worker context: Release is a no-op
+	pinned bool    // owned by a worker context: Release keeps it out of the pool
 
 	rands Slab[Rand] // generators handed out by NewRand, re-seeded and reissued on reuse
 
@@ -167,22 +167,22 @@ func (s *Scheduler) Reset() {
 }
 
 // Pin marks the scheduler as owned by a long-lived worker context:
-// Release becomes a no-op, so the scheduler (and the arenas riding on
-// it) stays with its owner instead of returning to the shared pool. The
-// owner recycles it with Reset.
+// Release still scrubs the pending events, but the scheduler (and the
+// arenas riding on it) stays with its owner instead of returning to the
+// shared pool. The owner recycles it with Reset.
 func (s *Scheduler) Pin() { s.pinned = true }
 
-// Release returns the scheduler's backing arrays to a shared pool for
-// reuse by a later NewScheduler. The scheduler (and any Handle issued by
-// it) must not be used afterwards. Calling Release is optional — an
-// unreleased scheduler is simply collected by the GC — and it is a no-op
-// on a pinned scheduler, whose owner keeps recycling it via Reset.
+// Release drops what the pending events and timers reference and
+// returns the scheduler's backing arrays to a shared pool for reuse by
+// a later NewScheduler. The scheduler (and any Handle issued by it)
+// must not be used afterwards. Calling Release is optional — an
+// unreleased scheduler is simply collected by the GC. A pinned
+// scheduler stays with its owner, which keeps recycling it via Reset.
 func (s *Scheduler) Release() {
-	if s.pinned {
-		return
-	}
 	s.clear()
-	schedMem.Put(s)
+	if !s.pinned {
+		schedMem.Put(s)
+	}
 }
 
 // clear drops what the finished scenario's pending events and wheel

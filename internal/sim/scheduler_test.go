@@ -603,37 +603,45 @@ func TestSchedulerReleaseReuse(t *testing.T) {
 	})
 }
 
-// TestReleasedSchedulerPinsNothing: an unpinned scheduler released with
-// an At closure and a coarse timer still pending keeps neither alive,
-// though the pool keeps the scheduler for the next NewScheduler. The
-// test holds the scheduler across the collections, as the pool would
-// between two: the pool frees what it holds after the second, which
-// would hide a scheduler that kept its events.
+// TestReleasedSchedulerPinsNothing: a scheduler released with an At
+// closure and a coarse timer still pending keeps neither alive, whether
+// the pool keeps it for the next NewScheduler or, pinned, its owner
+// keeps it for the next Reset. The test holds the scheduler across the
+// collections, as the pool would between two: the pool frees what it
+// holds after the second, which would hide a scheduler that kept its
+// events.
 func TestReleasedSchedulerPinsNothing(t *testing.T) {
-	type sentinel struct {
-		_ *int // pointerful, so the allocator never packs it with other objects
-		n int
+	for _, pinned := range []bool{false, true} {
+		t.Run(fmt.Sprintf("pinned=%v", pinned), func(t *testing.T) {
+			type sentinel struct {
+				_ *int // pointerful, so the allocator never packs it with other objects
+				n int
+			}
+			s := NewScheduler()
+			if pinned {
+				s.Pin()
+			}
+			captured, armed := new(sentinel), new(sentinel)
+			watched := map[string]weak.Pointer[sentinel]{
+				"At closure":   weak.Make(captured),
+				"coarse timer": weak.Make(armed),
+			}
+			s.At(1, func() { captured.n++ })
+			tm := new(Timer)
+			tm.InitArg(s, func(x any) { x.(*sentinel).n++ }, armed)
+			tm.Coarse(s.Wheel(0.01))
+			tm.Reset(1)
+			s.Release()
+			runtime.GC()
+			runtime.GC()
+			for what, w := range watched {
+				if w.Value() != nil {
+					t.Errorf("the released scheduler still holds what its pending %s references", what)
+				}
+			}
+			runtime.KeepAlive(s)
+		})
 	}
-	s := NewScheduler()
-	captured, armed := new(sentinel), new(sentinel)
-	watched := map[string]weak.Pointer[sentinel]{
-		"At closure":   weak.Make(captured),
-		"coarse timer": weak.Make(armed),
-	}
-	s.At(1, func() { captured.n++ })
-	tm := new(Timer)
-	tm.InitArg(s, func(x any) { x.(*sentinel).n++ }, armed)
-	tm.Coarse(s.Wheel(0.01))
-	tm.Reset(1)
-	s.Release()
-	runtime.GC()
-	runtime.GC()
-	for what, w := range watched {
-		if w.Value() != nil {
-			t.Errorf("the released scheduler still holds what its pending %s references", what)
-		}
-	}
-	runtime.KeepAlive(s)
 }
 
 // TestHandlesFromBeforeResetAreInert pins the epoch guard: a Handle

@@ -148,8 +148,8 @@ const (
 // TCP transport's loss-recovery mechanics (TCPConfig.CC selects one;
 // Builder.AddCC places a flow with one).
 type (
-	// CCConfig names a congestion controller and carries its tuning; the
-	// zero value is classic Reno AIMD.
+	// CCConfig names a congestion controller, each at its one fixed
+	// tuning; the zero value is classic Reno AIMD.
 	CCConfig = cc.Config
 	// CCName is a controller name with text/JSON codecs ("reno",
 	// "vegas", "ledbat", "relentless").
