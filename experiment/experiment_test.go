@@ -470,7 +470,7 @@ func TestSeedKnobs(t *testing.T) {
 			multi[d.Name] = true
 		}
 	}
-	for _, name := range []string{"fig3", "fig6", "fig8", "fig9", "fig11", "fig14", "fig15", "fig16", "fig18", "parkinglot", "bwstep"} {
+	for _, name := range []string{"fig6", "fig8", "fig9", "fig11", "fig14", "fig15", "fig16", "fig18", "parkinglot", "bwstep"} {
 		if !seeded[name] {
 			t.Errorf("%s should support -seed", name)
 		}
@@ -485,7 +485,7 @@ func TestSeedKnobs(t *testing.T) {
 	if len(multi) != len(wantMulti) {
 		t.Errorf("-seeds is supported by %v; the documented list is %v", multi, wantMulti)
 	}
-	for _, name := range []string{"fig2", "fig5", "fig19", "fig20", "fig21"} {
+	for _, name := range []string{"fig2", "fig3", "fig4", "fig5", "fig19", "fig20", "fig21"} {
 		if seeded[name] {
 			t.Errorf("%s is deterministic and should not claim -seed support", name)
 		}

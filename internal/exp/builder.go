@@ -247,6 +247,11 @@ func (b *ScenarioBuilder) Release() {
 	b.qmon = nil
 	clear(b.monitors)
 	b.monitors = b.monitors[:0]
+	// A sender stays in its arena slot until a later cell reuses it, so
+	// drop the rate observer a caller handed it.
+	for _, snd := range b.tfrcSenders {
+		snd.OnRateChange = nil
+	}
 	b.tfrcSenders = b.tfrcSenders[:0]
 }
 

@@ -56,43 +56,63 @@ type Fig02Point struct {
 // Fig02Result is the time series of Figure 2's three panels.
 type Fig02Result struct{ Points []Fig02Point }
 
-// periodicDropper drops every n-th data packet, with n switchable at
-// runtime — the idealized periodic loss of Figure 2.
-type periodicDropper struct {
+// lossDropper drops data packets on their way to a receiver, at a rate
+// switchable at runtime. With a generator it drops each with probability
+// p and keeps no count: the step-changing random loss of Figure 18.
+// Without one it drops every every-th (none while every is 0) and draws
+// no random number: the idealized periodic loss of figures 2 and 19-21.
+type lossDropper struct {
 	nw    *netsim.Network
 	next  netsim.Agent
 	every int
 	count int
+	p     float64
+	rng   *sim.Rand
 }
 
-func (d *periodicDropper) Recv(p *netsim.Packet) {
-	if p.Kind == netsim.KindData && d.every > 0 {
-		d.count++
-		if d.count%d.every == 0 {
-			d.nw.Free(p)
-			return
-		}
+func (d *lossDropper) Recv(pk *netsim.Packet) {
+	if pk.Kind == netsim.KindData && d.drops() {
+		d.nw.Free(pk)
+		return
 	}
-	d.next.Recv(p)
+	d.next.Recv(pk)
 }
 
-// periodicLossPipe is the testbed of figures 2 and 19-21: one TFRC
-// flow on sched over a link of base round-trip rtt with bandwidth and
-// buffer to spare, so the only loss is the periodic dropper's, which
-// starts at one packet in every.
-func periodicLossPipe(sched *sim.Scheduler, rtt float64, every int) (*tfrcsim.Sender, *tfrcsim.Receiver, *periodicDropper) {
+func (d *lossDropper) drops() bool {
+	if d.rng != nil {
+		return d.rng.Bernoulli(d.p)
+	}
+	if d.every <= 0 {
+		return false
+	}
+	d.count++
+	return d.count%d.every == 0
+}
+
+// lossyPipe is the testbed of figures 2, 18 and 19-21: one TFRC flow of
+// config cfg on sched over a link of bandwidth bw, base round-trip rtt
+// and a buffer of limit packets, all to spare, so the only loss is
+// drop's, which it puts in front of the receiver.
+func lossyPipe(sched *sim.Scheduler, bw, rtt float64, limit int, cfg tfrcsim.Config, drop *lossDropper) (*tfrcsim.Sender, *tfrcsim.Receiver) {
 	t := netsim.NewTopology(sched, nil)
 	t.Link("src", "dst", netsim.LinkSpec{
-		Bandwidth: 1e9, Delay: rtt / 2,
-		Queue: netsim.QueueDropTail, QueueLimit: 100000,
+		Bandwidth: bw, Delay: rtt / 2,
+		Queue: netsim.QueueDropTail, QueueLimit: limit,
 	})
 	nw := t.Build()
 	a, b := t.Lookup("src"), t.Lookup("dst")
-	cfg := tfrcsim.DefaultConfig()
 	rcv := tfrcsim.NewReceiver(nw, b, 5, 0, cfg)
 	snd := tfrcsim.NewSender(nw, a, b.ID, 1, 2, 0, cfg)
-	drop := &periodicDropper{nw: nw, next: rcv, every: every}
+	drop.nw, drop.next = nw, rcv
 	b.Attach(1, drop)
+	return snd, rcv
+}
+
+// periodicLossPipe is the lossy pipe of figures 2 and 19-21: a 1 Gb/s
+// link and the default TFRC config, losing one packet in every.
+func periodicLossPipe(sched *sim.Scheduler, rtt float64, every int) (*tfrcsim.Sender, *tfrcsim.Receiver, *lossDropper) {
+	drop := &lossDropper{every: every}
+	snd, rcv := lossyPipe(sched, 1e9, rtt, 100000, tfrcsim.DefaultConfig(), drop)
 	return snd, rcv, drop
 }
 

@@ -24,7 +24,6 @@ type Fig03Params struct {
 	BinWidth    float64 // rate-sampling bin
 	SqrtSpacing bool    // false → Figure 3, true → Figure 4
 	RTTWeight   float64 // paper: 0.05
-	Seed        int64
 }
 
 // DefaultFig03 uses the paper's EWMA weight 0.05 without the adjustment.
@@ -38,7 +37,6 @@ func DefaultFig03() Fig03Params {
 		BinWidth:    0.2,
 		SqrtSpacing: false,
 		RTTWeight:   0.05,
-		Seed:        1,
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"tfrc/internal/core"
 	"tfrc/internal/netsim"
-	"tfrc/internal/sim"
 	"tfrc/internal/stats"
 	"tfrc/internal/tcp"
 	"tfrc/internal/tfrcsim"
@@ -85,23 +84,6 @@ type Fig18Result struct {
 	Intervals int // total intervals evaluated
 }
 
-// bernoulliDropper drops data packets at a probability switchable at
-// runtime.
-type bernoulliDropper struct {
-	nw   *netsim.Network
-	next netsim.Agent
-	p    float64
-	rng  *sim.Rand
-}
-
-func (d *bernoulliDropper) Recv(pk *netsim.Packet) {
-	if pk.Kind == netsim.KindData && d.rng.Bernoulli(d.p) {
-		d.nw.Free(pk)
-		return
-	}
-	d.next.Recv(pk)
-}
-
 // congestedTrace records the loss intervals one TFRC flow sees sharing
 // a dumbbell with two TCP flows.
 func congestedTrace(c *Cell, q netsim.QueueKind, duration float64, seed int64) []float64 {
@@ -127,22 +109,12 @@ func congestedTrace(c *Cell, q netsim.QueueKind, duration float64, seed int64) [
 func bernoulliTrace(c *Cell, duration float64, seed int64) []float64 {
 	var log []float64
 	sched := c.begin()
-	t := netsim.NewTopology(sched, nil)
-	t.Link("src", "dst", netsim.LinkSpec{
-		Bandwidth: 1e8, Delay: 0.030,
-		Queue: netsim.QueueDropTail, QueueLimit: 10000,
-	})
-	nw := t.Build()
-	a, b := t.Lookup("src"), t.Lookup("dst")
 	cfg := tfrcsim.DefaultConfig()
 	cfg.OnLossInterval = func(iv float64) { log = append(log, iv) }
-	rcv := tfrcsim.NewReceiver(nw, b, 5, 0, cfg)
-	snd := tfrcsim.NewSender(nw, a, b.ID, 1, 2, 0, cfg)
-	drop := &bernoulliDropper{nw: nw, next: rcv, p: 0.02, rng: sched.NewRand(seed + 9)}
-	b.Attach(1, drop)
+	drop := &lossDropper{p: 0.02, rng: sched.NewRand(seed + 9)}
+	snd, _ := lossyPipe(sched, 1e8, 0.060, 10000, cfg, drop)
 	rates := []float64{0.05, 0.01, 0.08, 0.005, 0.03}
 	for i, r := range rates {
-		r := r
 		sched.At(duration*float64(i+1)/6, func() { drop.p = r })
 	}
 	snd.Start(0)

@@ -370,11 +370,10 @@ func TestReleasedCellPinsNothing(t *testing.T) {
 // sentinels are heap objects handed into a cell through the hooks that
 // take a caller-owned reference, watched through weak pointers.
 //
-// Three such hooks are not planted, because the cell still holds what
-// they are handed: Sender.OnRateChange, the OnLossInterval of a
-// tfrcsim.Config and a Mice generator's traffic.ObserveSessions
-// callback stay in their agents' arena slots after Release, until a
-// later cell reuses the slot.
+// Two such hooks are not planted, because the cell still holds what
+// they are handed: the OnLossInterval of a tfrcsim.Config and a Mice
+// generator's traffic.ObserveSessions callback stay in their agents'
+// arena slots after Release, until a later cell reuses the slot.
 type sentinels struct {
 	hooks []string
 	alive []func() bool
@@ -399,9 +398,10 @@ func watch[T any](s *sentinels, hook string, p *T) *T {
 }
 
 // plant hands sentinels into the cell b builds: a tap on link, an agent
-// bound on host, and a Scheduler.At closure and a fault schedule whose
-// one fault are still pending when the cell ends at duration. Nil
-// sentinels plant nothing.
+// bound on host, a Scheduler.At closure and a fault schedule whose one
+// fault are still pending when the cell ends at duration, and, when the
+// cell has a TFRC sender, the first one's rate observer. Nil sentinels
+// plant nothing.
 func (s *sentinels) plant(b *ScenarioBuilder, host, link string, duration float64) {
 	if s == nil {
 		return
@@ -415,6 +415,10 @@ func (s *sentinels) plant(b *ScenarioBuilder, host, link string, duration float6
 	watch(s, "faults.Schedule.Apply", &faults.Schedule{Faults: []faults.Fault{
 		{At: duration + 1, Link: link, Kind: faults.DelaySpike, Delay: 0.1},
 	}}).Apply(b.topo)
+	if len(b.tfrcSenders) > 0 {
+		rc := watch(s, "Sender.OnRateChange", new(sentinel))
+		b.TFRCSender(0).OnRateChange = func(float64, float64) { rc.n++ }
+	}
 }
 
 // harvested watches the result the cell harvested with Run.

@@ -33,7 +33,8 @@ import (
 // common case, and always the case among equal times, which is what
 // makes equal-time events FIFO — and otherwise walks from the head.
 // Cancel unlinks the event on the spot, so the scan never meets a dead
-// entry and no generation is stored in the queue.
+// entry, and the sequence number the queue sorts by is also the
+// identity a Handle checks.
 //
 // A list walk is a chain of dependent loads where a sorted array would
 // be searched in place, so the walk length is what the calendar tunes

@@ -17,62 +17,59 @@ import (
 )
 
 // event is one scheduled callback. Events live inline in the scheduler's
-// slot table — callers never hold them; At and After hand out
-// generation-checked Handles carrying the slot index instead.
+// slot table — callers never hold them; At and After hand out Handles
+// carrying the slot index and the event's sequence number instead.
+//
+// seq is the event's only identity. The scheduler numbers events from 1
+// and never rewinds, not even across Reset, so no two events of one
+// Scheduler ever share a number; a slot holds its event's number while
+// the event is pending and 0 once it has fired or been cancelled. Among
+// equal times the smaller number fires first.
 //
 // The struct is exactly 64 bytes — one cache line per event — and it is
 // the calendar queue's node itself: (at, seq) is the sort key and next
-// threads the event's day bucket through the table. Its fields fill 53
-// of them; the eleven spare bytes are kept so a slot never straddles two
+// threads the event's day bucket through the table. Its fields fill 44
+// of them; the twenty spare bytes are kept so a slot never straddles two
 // lines (at 56 bytes sim.sched_ns_per_event.1m read 230 against 202 ns,
 // worse in 9 of 10 alternating pairs).
 type event struct {
-	gen    uint64    // bumped on every recycle; stale Handles don't match
-	at     float64   // firing time
-	seq    uint64    // insertion sequence: FIFO among equal times
-	afn    func(any) // the one callback form; At and After pass their func() as arg
-	arg    any
-	next   int32 // next slot in the day bucket, -1 at the tail
-	queued bool  // pending in the calendar; false once fired, cancelled or recycled
-	_      [11]byte
+	at   float64   // firing time
+	seq  uint64    // insertion sequence, from 1; 0 while the slot is free
+	afn  func(any) // the one callback form; At and After pass their func() as arg
+	arg  any
+	next int32 // next slot in the day bucket, -1 at the tail
+	_    [20]byte
 }
 
 // Handle refers to one scheduled firing of an event. The zero Handle is
 // inert: Scheduled reports false and Cancel is a no-op. A Handle held
-// across its event's firing or cancellation goes stale — the generation
-// counter guarantees a stale Handle can never cancel the unrelated event
-// that later reuses the same recycled slot, and the epoch stamp
-// guarantees a Handle issued before a Scheduler.Reset can never touch
-// the rebuilt slot table of the next scenario.
+// across its event's firing or cancellation, or across a Reset, goes
+// stale: its sequence number is never issued again, so it can never
+// match, and so never cancel, the unrelated event that later reuses its
+// slot.
 type Handle struct {
-	s     *Scheduler
-	gen   uint64
-	epoch uint64
-	slot  int32
+	s    *Scheduler
+	seq  uint64
+	slot int32
 }
 
 // Scheduled reports whether the event this Handle was issued for is still
-// pending in the queue. The epoch check comes first: after a Reset the
-// slot table is rebuilt from empty, so a pre-Reset slot index may exceed
-// it (or alias an unrelated new event at the same generation).
+// pending in the queue. The bounds check covers a Handle from before a
+// Reset, whose slot index may exceed the rebuilt slot table.
 func (h Handle) Scheduled() bool {
-	if h.s == nil || h.epoch != h.s.epoch {
-		return false
-	}
-	e := &h.s.slots[h.slot]
-	return e.gen == h.gen && e.queued
+	return h.s != nil && int(h.slot) < len(h.s.slots) && h.s.slots[h.slot].seq == h.seq
 }
 
 // Scheduler owns the simulation clock and the pending event queue: a
 // calendar queue (calendar.go) ordered by (time, sequence) and threaded
-// through a slot table that gives every pending event a stable index for
-// generation-checked Handles. No interface boxing, no per-event
-// allocation: steady-state scheduling touches only flat slices.
+// through a slot table that gives every pending event a stable index,
+// which a Handle pairs with the event's sequence number. No interface
+// boxing, no per-event allocation: steady-state scheduling touches only
+// flat slices.
 // The zero value is not ready for use; call NewScheduler.
 type Scheduler struct {
 	now    float64
-	seq    uint64
-	epoch  uint64   // bumped by Reset; stale-epoch Handles are inert
+	seq    uint64   // last sequence number issued; never rewound
 	cal    calQueue // value-only calendar bucket ends, truncated on Reset/reuse
 	slots  []event
 	free   []int32 // recycled slot indices, value-only backing
@@ -153,8 +150,6 @@ func NewScheduler() *Scheduler {
 func (s *Scheduler) Reset() {
 	s.clear()
 	s.now = 0
-	s.seq = 0
-	s.epoch++
 	s.calReset()
 	s.slots = s.slots[:0]
 	s.free = s.free[:0]
@@ -220,23 +215,21 @@ func (s *Scheduler) alloc(t float64) int32 {
 	}
 	ev := &s.slots[slot]
 	ev.at = t
-	ev.seq = s.seq
 	s.seq++
-	ev.queued = true
+	ev.seq = s.seq
 	s.calInsert(slot)
 	return slot
 }
 
 // recycle clears a fired or cancelled slot and returns it to the free
-// list. The generation bump invalidates every Handle issued for it.
+// list. Zeroing seq invalidates the Handle issued for it.
 //
 //tfrc:hotpath
 func (s *Scheduler) recycle(slot int32) {
 	e := &s.slots[slot]
 	e.afn = nil
 	e.arg = nil
-	e.gen++
-	e.queued = false
+	e.seq = 0
 	s.free = append(s.free, slot) //tfrclint:allow hotpathalloc amortized free-list growth
 }
 
@@ -267,7 +260,7 @@ func (s *Scheduler) AtArg(t float64, fn func(any), arg any) Handle {
 	e := &s.slots[slot]
 	e.afn = fn
 	e.arg = arg
-	return Handle{s: s, slot: slot, gen: e.gen, epoch: s.epoch}
+	return Handle{s: s, seq: e.seq, slot: slot}
 }
 
 // AfterArg schedules fn(arg) to run d seconds from now.

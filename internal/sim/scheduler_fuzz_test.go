@@ -206,6 +206,9 @@ func FuzzSchedulerOrder(f *testing.F) {
 	f.Add(burst)
 	// Equal times, sub-nanosecond spacing and far stragglers together.
 	f.Add([]byte{3, 64, 0, 0, 1, 1 | 5<<3, 2, 7, 3, 200, 5, 1, 4, 9, 8, 3 | 9<<3, 6, 0, 8, 7})
+	// Handles from before a Reset: a stale Cancel into the emptied slot
+	// table, then one on the slot a fresh event has taken.
+	f.Add([]byte{0, 11, 0, 11, 9, 0, 5, 1, 0, 11, 5, 0, 6, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 4096 {
 			t.Skip()

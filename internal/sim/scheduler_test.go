@@ -644,13 +644,13 @@ func TestReleasedSchedulerPinsNothing(t *testing.T) {
 	}
 }
 
-// TestHandlesFromBeforeResetAreInert pins the epoch guard: a Handle
-// issued before Scheduler.Reset must be completely inert afterwards —
-// Scheduled false, Time zero, Cancel a no-op — even when the new
-// scenario's slot table is smaller than the old slot index (which would
-// otherwise index out of range) or reuses the same (slot, generation)
-// pair for an unrelated event (which a stale Cancel would otherwise
-// kill).
+// TestHandlesFromBeforeResetAreInert pins the sequence rule: Reset does
+// not rewind the sequence counter, so a Handle issued before
+// Scheduler.Reset must be completely inert afterwards — Scheduled false,
+// Cancel a no-op — even when the new scenario's slot table is smaller
+// than the old slot index (which the bounds check must catch) or reuses
+// the same slot for an unrelated event (which a stale Cancel would
+// otherwise kill, were sequence numbers issued again).
 func TestHandlesFromBeforeResetAreInert(t *testing.T) {
 	t.Run("calendar", testHandlesFromBeforeResetAreInert)
 }
@@ -658,7 +658,8 @@ func TestHandlesFromBeforeResetAreInert(t *testing.T) {
 func testHandlesFromBeforeResetAreInert(t *testing.T) {
 	s := NewScheduler()
 	// Grow the slot table, keeping a pending handle at a high slot and
-	// one at slot 0 with generation 0 — the aliasing candidates.
+	// one at slot 0 with the first sequence number — the aliasing
+	// candidates.
 	var stale []Handle
 	for i := 0; i < 32; i++ {
 		stale = append(stale, s.At(float64(i+1), func() {}))
@@ -668,8 +669,9 @@ func testHandlesFromBeforeResetAreInert(t *testing.T) {
 	if stale[7].Scheduled() {
 		t.Fatal("pre-Reset handle still reports Scheduled")
 	}
-	// One fresh event: its slot 0 / generation 0 collides with stale[0]'s
-	// identity, and every higher stale slot exceeds the new table.
+	// One fresh event: it takes stale[0]'s slot 0, and would take its
+	// sequence number too were Reset to rewind the counter; every higher
+	// stale slot exceeds the new table.
 	fired := false
 	s.At(1, func() { fired = true })
 	for _, h := range stale {
@@ -810,7 +812,7 @@ func calCheck(t testing.TB, s *Scheduler) {
 		last := int32(-1)
 		for ; h >= 0; h = s.slots[h].next {
 			ev := &s.slots[h]
-			if !ev.queued {
+			if ev.seq == 0 {
 				t.Fatalf("bucket %d holds recycled slot %d", idx, h)
 			}
 			if day := c.calDay(ev.at); int(day&mask) != idx || day < c.curV {
@@ -1064,11 +1066,15 @@ func TestCalendarResetAfterGrowth(t *testing.T) {
 }
 
 // TestEventIsOneCacheLine pins the slot layout the calendar's locality
-// rests on: 53 bytes of fields padded to the 64 of one line, so no slot
-// of the table straddles two.
+// rests on: 44 bytes of fields padded to the 64 of one line, so no slot
+// of the table straddles two. A Handle is the scheduler pointer, the
+// sequence number and the slot index, and nothing more.
 func TestEventIsOneCacheLine(t *testing.T) {
 	if sz := unsafe.Sizeof(event{}); sz != 64 {
 		t.Fatalf("event is %d bytes, want 64", sz)
+	}
+	if sz := unsafe.Sizeof(Handle{}); sz != 24 {
+		t.Fatalf("Handle is %d bytes, want 24", sz)
 	}
 }
 

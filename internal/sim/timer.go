@@ -27,11 +27,7 @@ type Timer struct {
 
 // timerFireFn is the shared scheduler callback: the timer itself rides in
 // the event's arg slot, so arming a timer never builds a closure.
-func timerFireFn(x any) {
-	t := x.(*Timer)
-	t.ev = Handle{}
-	t.fire()
-}
+func timerFireFn(x any) { x.(*Timer).fire() }
 
 // fire invokes the timer's callback; the pending state was already
 // cleared by the caller (exact event pop or wheel tick processing).
@@ -89,7 +85,6 @@ func (t *Timer) Stop() {
 		return
 	}
 	t.sched.Cancel(t.ev)
-	t.ev = Handle{}
 }
 
 // Pending reports whether the timer is armed.

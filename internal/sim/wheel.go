@@ -78,7 +78,6 @@ func (w *Wheel) reset() {
 	w.spare = w.spare[:0]
 	w.live = 0
 	w.armed = false
-	w.ev = Handle{}
 }
 
 // arm files a timer for the given absolute deadline, rounding up to the
@@ -147,7 +146,6 @@ func wheelFireFn(x any) { x.(*Wheel).process() }
 //tfrc:hotpath
 func (w *Wheel) process() {
 	w.armed = false
-	w.ev = Handle{}
 	kv := w.curV
 	idx := int(kv & (wheelBuckets - 1))
 	b := w.buckets[idx]

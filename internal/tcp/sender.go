@@ -117,7 +117,6 @@ func (s *Sender) Release() {
 	s.stopped = true
 	s.rtx.Stop()
 	s.net.Scheduler().Cancel(s.startEv)
-	s.startEv = sim.Handle{}
 	s.OnComplete = nil
 	if s.ctrl != nil {
 		s.ctrl.Release()
