@@ -125,13 +125,12 @@ type Fig06Cell struct {
 // Fig06Result is the full surface.
 type Fig06Result struct{ Cells []Fig06Cell }
 
-// runFig06Cell runs one cell of the grid on the worker's cell: flows/2
-// TCP and flows/2 TFRC flows, measured over the last tail seconds.
-func runFig06Cell(c *Cell, queue netsim.QueueKind, linkMbps float64, flows int, duration, tail float64, seed int64) Fig06Cell {
-	n := flows / 2
-	sc := Scenario{
-		NTCP:         n,
-		NTFRC:        n,
+// fig06Scenario is one cell of the grid: flows/2 TCP and flows/2 TFRC
+// flows, measured over the last tail seconds.
+func fig06Scenario(queue netsim.QueueKind, linkMbps float64, flows int, duration, tail float64, seed int64) Scenario {
+	return Scenario{
+		NTCP:         flows / 2,
+		NTFRC:        flows / 2,
 		BottleneckBW: linkMbps * 1e6,
 		Queue:        queue,
 		TCPVariant:   tcp.Sack,
@@ -140,7 +139,11 @@ func runFig06Cell(c *Cell, queue netsim.QueueKind, linkMbps float64, flows int, 
 		BinWidth:     0.5,
 		Seed:         seed,
 	}
-	res := runScenarioCell(c, sc)
+}
+
+// runFig06Cell runs one cell of the grid on the worker's cell.
+func runFig06Cell(c *Cell, queue netsim.QueueKind, linkMbps float64, flows int, duration, tail float64, seed int64) Fig06Cell {
+	res := runScenarioCell(c, fig06Scenario(queue, linkMbps, flows, duration, tail, seed))
 	return Fig06Cell{
 		Queue:       queue,
 		LinkMbps:    linkMbps,

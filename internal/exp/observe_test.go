@@ -49,20 +49,27 @@ func TestReadingTheReceiverDoesNotSteerIt(t *testing.T) {
 	}
 }
 
-// TestTapDoesNotSteerRED runs an 8-flow RED dumbbell twice per seed, once
-// with a tap on the bottleneck that does nothing and once without. A tap
-// only watches, so every flow's delivered bytes must be equal, bin for
-// bin. Each flow is measured where it leaves the dumbbell, on its
-// rr->r{i} access link (tapped in both runs), so in the quiet run the
-// bottleneck carries no tap at all.
+// TestTapDoesNotSteerRED runs an 8-flow dumbbell twice per seed, once
+// with a tap on the bottleneck that does nothing and once without, for
+// each queue discipline, on a clean bottleneck and on one whose rate
+// halves mid-run and which then goes down for a second holding its
+// backlog. A tap only watches, so every flow's delivered bytes must be
+// equal, bin for bin. Each flow is measured where it leaves the
+// dumbbell, on its rr->r{i} access link (tapped in both runs), so in the
+// quiet run the bottleneck carries no tap at all.
 func TestTapDoesNotSteerRED(t *testing.T) {
 	const hosts, duration, bin = 8, 20.0, 0.5
 	nbins := int(duration/bin) + 1
-	run := func(seed int64, tapped bool) [][]float64 {
+	run := func(queue netsim.QueueKind, faulted bool, seed int64, tapped bool) [][]float64 {
 		sched := sim.NewScheduler()
-		d := houseDumbbell(sched, hosts, 8e6, 0.025, netsim.QueueRED, seed)
+		d := houseDumbbell(sched, hosts, 8e6, 0.025, queue, seed)
 		if tapped {
 			d.Forward.AddTap(func(netsim.TapEvent, float64, *netsim.Packet) {})
+		}
+		if faulted {
+			sched.At(6, func() { d.Forward.SetBandwidth(4e6) })
+			sched.At(10, func() { d.Forward.SetDown(netsim.DownHold) })
+			sched.At(11, d.Forward.SetUp)
 		}
 		b := NewScenarioBuilder(d.Topo)
 		mon := b.Network().NewFlowMonitor(bin, 0)
@@ -78,16 +85,26 @@ func TestTapDoesNotSteerRED(t *testing.T) {
 		b.Release()
 		return series
 	}
-	for seed := int64(1); seed <= 4; seed++ {
-		quiet, tapped := run(seed, false), run(seed, true)
-		differ := 0
-		for f := range quiet {
-			if !slices.Equal(quiet[f], tapped[f]) {
-				differ++
+	for _, queue := range []netsim.QueueKind{netsim.QueueRED, netsim.QueueDropTail} {
+		for _, faulted := range []bool{false, true} {
+			name := queue.String() + "/clean"
+			if faulted {
+				name = queue.String() + "/step+outage"
 			}
-		}
-		if differ > 0 {
-			t.Errorf("seed %d: a no-op tap on the RED bottleneck changed %d of %d flows' delivered series", seed, differ, hosts)
+			t.Run(name, func(t *testing.T) {
+				for seed := int64(1); seed <= 4; seed++ {
+					quiet, tapped := run(queue, faulted, seed, false), run(queue, faulted, seed, true)
+					differ := 0
+					for f := range quiet {
+						if !slices.Equal(quiet[f], tapped[f]) {
+							differ++
+						}
+					}
+					if differ > 0 {
+						t.Errorf("seed %d: a no-op tap on the bottleneck changed %d of %d flows' delivered series", seed, differ, hosts)
+					}
+				}
+			})
 		}
 	}
 }

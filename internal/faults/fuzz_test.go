@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -14,22 +15,67 @@ import (
 
 // fuzzLot is a two-bottleneck parking lot carrying a SACK TCP flow
 // across both bottlenecks and one across the first: links r0->r1,
-// r1->r2 and their reverses, plus the hosts' access links.
-func fuzzLot() (*sim.Scheduler, *netsim.Topology) {
+// r1->r2 and their reverses, plus the hosts' access links. It returns
+// the two flows' sinks.
+func fuzzLot() (*sim.Scheduler, *netsim.Topology, []*tcp.Sink) {
 	sched := sim.NewScheduler()
 	pl := netsim.NewParkingLot(sched, netsim.ParkingLotConfig{
 		Bottlenecks: 2, ThroughPairs: 1, CrossPairs: 1,
 		BottleneckBW: 1e6, BottleneckDly: 0.01,
 		Queue: netsim.QueueDropTail, QueueLimit: 20,
 	}, sched.NewRand(1))
+	var sinks []*tcp.Sink
 	for i, ends := range [][2]*netsim.Node{
 		{pl.ThroughSrc[0], pl.ThroughDst[0]},
 		{pl.CrossSrc[0][0], pl.CrossDst[0][0]},
 	} {
-		tcp.NewSink(pl.Net, ends[1], 1, i, 40)
+		sinks = append(sinks, tcp.NewSink(pl.Net, ends[1], 1, i, 40))
 		tcp.NewSender(pl.Net, ends[0], ends[1].ID, 1, 2, i, tcp.Config{Variant: tcp.Sack}).Start(0)
 	}
-	return sched, pl.Topo
+	return sched, pl.Topo, sinks
+}
+
+// linkCount is what a counting tap saw on one link.
+type linkCount struct {
+	from, to                 netsim.NodeID
+	l                        *netsim.Link
+	arrived, departed, drops int
+}
+
+// tapEveryLink puts a counting tap on every link of the topology.
+func tapEveryLink(topo *netsim.Topology) []*linkCount {
+	var counts []*linkCount
+	nodes := topo.Network().Nodes()
+	for _, a := range nodes {
+		for _, b := range nodes {
+			l := a.LinkTo(b)
+			if l == nil {
+				continue
+			}
+			c := &linkCount{from: a.ID, to: b.ID, l: l}
+			l.AddTap(func(ev netsim.TapEvent, _ float64, _ *netsim.Packet) {
+				switch ev {
+				case netsim.TapArrive:
+					c.arrived++
+				case netsim.TapDepart:
+					c.departed++
+				case netsim.TapDrop:
+					c.drops++
+				}
+			})
+			counts = append(counts, c)
+		}
+	}
+	return counts
+}
+
+// received is each sink's count of arrived and of in-order packets.
+func received(sinks []*tcp.Sink) [][2]int64 {
+	var n [][2]int64
+	for _, s := range sinks {
+		n = append(n, [2]int64{s.Received, s.Delivered})
+	}
+	return n
 }
 
 // hasLink reports whether the topology declares the named link.
@@ -56,8 +102,12 @@ func poison(sc *Schedule, selector uint16) {
 // FuzzFaultSchedule feeds arbitrary JSON through the one entry point a
 // fault schedule has. Apply must panic exactly when Validate rejects a
 // fault or a fault names a link the topology lacks, and the panic must
-// name that fault by index; any other schedule runs five simulated
-// seconds of traffic without a panic.
+// name that fault by index. Any other schedule runs five simulated
+// seconds of traffic twice, once with a counting tap on every link and
+// once without. A tap only watches, so both runs' sinks must have
+// received the same packets. In the tapped run every link must account
+// for each packet offered to it: departed, dropped, queued, or the one
+// still serializing.
 //
 //	go test -run '^$' -fuzz FuzzFaultSchedule -fuzztime 20s ./internal/faults
 func FuzzFaultSchedule(f *testing.F) {
@@ -101,7 +151,7 @@ func FuzzFaultSchedule(f *testing.F) {
 			return
 		}
 		poison(&sc, selector)
-		sched, topo := fuzzLot()
+		sched, topo, sinks := fuzzLot()
 		defer sched.Release()
 
 		bad := -1 // the fault Apply must name: Validate's first, else the first unknown link
@@ -137,7 +187,21 @@ func FuzzFaultSchedule(f *testing.F) {
 		case bad >= 0 && !strings.Contains(msg, fmt.Sprintf("faults[%d]:", bad)):
 			t.Fatalf("Apply's panic %q does not name faults[%d]", msg, bad)
 		case bad < 0:
+			counts := tapEveryLink(topo)
 			sched.RunUntil(5)
+			for _, c := range counts {
+				if inFlight := c.arrived - c.departed - c.drops - c.l.Queue().Len(); inFlight != 0 && inFlight != 1 {
+					t.Fatalf("link %d->%d saw %d arrivals but %d departures, %d drops and %d queued\n%+v",
+						c.from, c.to, c.arrived, c.departed, c.drops, c.l.Queue().Len(), sc.Faults)
+				}
+			}
+			quiet, quietTopo, quietSinks := fuzzLot()
+			defer quiet.Release()
+			sc.Apply(quietTopo)
+			quiet.RunUntil(5)
+			if got, want := received(sinks), received(quietSinks); !slices.Equal(got, want) {
+				t.Fatalf("sinks received %v with every link tapped, %v without\n%+v", got, want, sc.Faults)
+			}
 		}
 	})
 }

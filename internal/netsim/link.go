@@ -13,9 +13,10 @@ const (
 )
 
 // Tap observes packets at a link. Taps must not retain the packet.
-// Attach taps before the simulation runs: packets already in flight on an
-// untapped link ride a condensed event path that skips the departure
-// notification.
+// Attach taps before the simulation runs: a packet that started
+// serializing while the link had no tap is not reported when it departs.
+// A tap only keeps the link's drain event armed, so it never shifts
+// simulation timing.
 type Tap func(ev TapEvent, now float64, p *Packet)
 
 // Link is a simplex link: a transmitter serializing packets at Bandwidth
@@ -23,23 +24,23 @@ type Tap func(ev TapEvent, now float64, p *Packet)
 // absorbing bursts while the transmitter is busy.
 //
 // The transmitter is tracked as the time it next falls idle (freeAt)
-// rather than with a busy flag, so a packet arriving at an idle, untapped
-// link costs a single scheduler event (its delivery); the
-// serialization-done event exists only where something observes it — a
-// tap needing TapDepart timing, or a queue that has been offered a
-// packet since the transmitter last fell idle. On both paths the
-// discipline is asked to dequeue when the transmitter falls idle after
-// any offer, accepted or refused, so attaching a tap never shifts
-// simulation timing.
+// rather than with a busy flag. A packet's delivery is scheduled when it
+// starts serializing, and one drain event, at the moment the transmitter
+// falls idle, reports that packet's departure to the taps and starts the
+// next. The drain is armed only while something waits on it — a tap, or a
+// queue offered a packet (accepted or refused) since the transmitter last
+// fell idle — so a packet crossing an idle, untapped link costs one
+// scheduler event, its delivery.
 type Link struct {
-	net     *Network
-	to      *Node
-	bw      float64 // bits per second
-	delay   float64 // propagation delay, seconds
-	queue   Queue
-	freeAt  float64 // when the transmitter is next idle
-	drainOn bool    // a drain/txDone event is pending
-	taps    []Tap
+	net       *Network
+	to        *Node
+	bw        float64 // bits per second
+	delay     float64 // propagation delay, seconds
+	queue     Queue
+	freeAt    float64 // when the transmitter is next idle
+	drainOn   bool    // a drain event is pending
+	departing *Packet // the packet the pending drain reports as TapDepart
+	taps      []Tap
 
 	// imp is the link's fault state (outage, blackhole, probabilistic
 	// impairments), taken from the network's slab only when a fault
@@ -97,10 +98,7 @@ type Impairments struct {
 // closures at all, not even per link at setup.
 //
 //tfrc:hotpath
-func pktTxDoneFn(x any) { p := x.(*Packet); p.link.txDone(p) }
-
-//tfrc:hotpath
-func pktDeliverFn(x any) { p := x.(*Packet); p.link.to.receive(p) }
+func pktDeliverFn(x any) { p := x.(*Packet); p.link.to.Send(p) }
 
 //tfrc:hotpath
 func linkDrainFn(x any) { x.(*Link).drain() }
@@ -165,29 +163,16 @@ func (l *Link) Send(p *Packet) {
 	l.emit(TapArrive, p)
 	now := l.net.sched.Now()
 	if now >= l.freeAt && !l.drainOn {
-		// Idle transmitter: serialize immediately. The delivery time is
-		// fixed now, when serialization starts — on both paths, so
-		// attaching a tap never shifts simulation timing.
-		txTime := float64(p.Size) * 8 / l.bw
-		l.freeAt = now + txTime
-		p.deliverAt = l.freeAt + l.delay
-		if len(l.taps) == 0 {
-			// Nothing observes the departure: one event door-to-door.
-			l.net.sched.AtArg(p.deliverAt, pktDeliverFn, p)
-			return
-		}
-		l.drainOn = true
-		l.net.sched.AtArg(l.freeAt, pktTxDoneFn, p)
+		l.start(p, now)
 		return
 	}
 	queued := l.queue.Enqueue(p)
 	if !l.drainOn {
-		// The transmitter is busy with a shortcut packet: arm a drain at
-		// the moment it falls idle. A refused packet arms it too, so the
-		// discipline sees the transmitter fall idle (RED ages its average
-		// from then) exactly when a tapped link's txDone would show it.
-		l.drainOn = true
-		l.net.sched.AtArg(l.freeAt, linkDrainFn, l)
+		// The transmitter is busy with a packet nothing waits on: arm the
+		// drain for the moment it falls idle. A refused packet arms it
+		// too, so the discipline sees the transmitter fall idle (RED ages
+		// its average from then) whether or not the link is tapped.
+		l.armDrain(l.freeAt)
 	}
 	if !queued {
 		l.emit(TapDrop, p)
@@ -195,47 +180,50 @@ func (l *Link) Send(p *Packet) {
 	}
 }
 
-// txDone fires when a packet on a tapped link finishes serializing.
+// start serializes p from now on. Its delivery time is fixed here, one
+// transmission time plus the propagation delay ahead. When a tap or a
+// backlog waits on the transmitter, the drain is armed for the moment it
+// falls idle, before the delivery is scheduled, so a zero-delay link
+// still reports the departure first.
 //
 //tfrc:hotpath
-func (l *Link) txDone(p *Packet) {
-	l.emit(TapDepart, p)
+func (l *Link) start(p *Packet, now float64) {
+	l.freeAt = now + float64(p.Size)*8/l.bw
+	p.deliverAt = l.freeAt + l.delay
+	if len(l.taps) > 0 || l.queue.Len() > 0 {
+		l.departing = p
+		l.armDrain(l.freeAt)
+	}
 	l.net.sched.AtArg(p.deliverAt, pktDeliverFn, p)
-	l.drainOn = false
-	l.drain()
 }
 
-// drain starts serializing the queue head once the transmitter is idle,
-// keeping exactly one pending drain/txDone event while a backlog exists.
+// armDrain schedules the link's one pending drain event at time at.
+//
+//tfrc:hotpath
+func (l *Link) armDrain(at float64) {
+	l.drainOn = true
+	l.net.sched.AtArg(at, linkDrainFn, l)
+}
+
+// drain fires when the transmitter falls idle: it reports the packet
+// that just finished as TapDepart and starts serializing the queue head.
+// Send re-arms it on the next offer that finds the transmitter busy.
 //
 //tfrc:hotpath
 func (l *Link) drain() {
 	l.drainOn = false
+	if p := l.departing; p != nil {
+		l.departing = nil
+		l.emit(TapDepart, p)
+	}
 	if l.imp != nil && l.imp.down {
 		// The transmitter fell idle on a dead link: the backlog (if held)
 		// waits for SetUp, which re-arms the drain.
 		return
 	}
-	next := l.queue.Dequeue()
-	if next == nil {
-		return
+	if next := l.queue.Dequeue(); next != nil {
+		l.start(next, l.net.sched.Now())
 	}
-	now := l.net.sched.Now()
-	txTime := float64(next.Size) * 8 / l.bw
-	l.freeAt = now + txTime
-	next.deliverAt = l.freeAt + l.delay
-	if len(l.taps) == 0 {
-		l.net.sched.AtArg(next.deliverAt, pktDeliverFn, next)
-		if l.queue.Len() > 0 {
-			// More backlog: keep draining. Otherwise Send re-arms on the
-			// next enqueue that finds the transmitter busy.
-			l.drainOn = true
-			l.net.sched.AtArg(l.freeAt, linkDrainFn, l)
-		}
-		return
-	}
-	l.drainOn = true
-	l.net.sched.AtArg(l.freeAt, pktTxDoneFn, next)
 }
 
 // pktReofferFn re-offers a reorder-held packet to its link. It runs only
@@ -327,12 +315,7 @@ func (l *Link) SetUp() {
 	}
 	im.down, im.hold = false, false
 	if l.queue.Len() > 0 && !l.drainOn {
-		at := l.net.sched.Now()
-		if l.freeAt > at {
-			at = l.freeAt
-		}
-		l.drainOn = true
-		l.net.sched.AtArg(at, linkDrainFn, l)
+		l.armDrain(max(l.net.sched.Now(), l.freeAt))
 	}
 }
 

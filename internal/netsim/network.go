@@ -123,20 +123,12 @@ func (n *Node) LinkTo(neighbor *Node) *Link {
 	return nil
 }
 
-// Send injects a packet originated by a local agent into the network.
+// Send hands a packet to the node: one addressed to it goes to the agent
+// bound to its destination port, anything else is forwarded. Local agents
+// inject their packets here, and links deliver theirs.
 //
 //tfrc:hotpath
 func (n *Node) Send(p *Packet) {
-	if p.Dst == n.ID {
-		// Local delivery without touching any link.
-		n.deliver(p)
-		return
-	}
-	n.forward(p)
-}
-
-//tfrc:hotpath
-func (n *Node) receive(p *Packet) {
 	if p.Dst == n.ID {
 		n.deliver(p)
 		return
@@ -290,6 +282,7 @@ func (nw *Network) Release() {
 		clear(l.taps[:cap(l.taps)])
 		l.taps = l.taps[:0]
 		l.imp = nil
+		l.departing = nil
 	})
 	clear(nw.routeSlab)
 }

@@ -52,6 +52,68 @@ func TestLinkLatencyAndSerialization(t *testing.T) {
 	}
 }
 
+// agentFunc adapts a function to an Agent.
+type agentFunc func(p *Packet)
+
+func (f agentFunc) Recv(p *Packet) { f(p) }
+
+// TestZeroDelayTapReportsDepartureFirst sends packets of different flows,
+// sequence numbers and sizes over a tapped link with no propagation
+// delay, so each packet departs and is delivered at the same instant:
+// three back to back, then one to an idle transmitter. Each TapDepart
+// must come at its packet's serialization end, before that packet's
+// delivery, and carry its flow, seq and size.
+func TestZeroDelayTapReportsDepartureFirst(t *testing.T) {
+	const bw = 1e6
+	sched, nw, a, b, _ := twoNodeNet(t, bw, 0, 100)
+	type record struct {
+		delivered bool
+		at        float64
+		flow      int
+		seq       int64
+		size      int
+	}
+	var got []record
+	note := func(delivered bool, p *Packet) {
+		got = append(got, record{delivered, nw.Now(), p.Flow, p.Seq, p.Size})
+	}
+	a.LinkTo(b).AddTap(func(ev TapEvent, _ float64, p *Packet) {
+		if ev == TapDepart {
+			note(false, p)
+		}
+	})
+	b.Attach(2, agentFunc(func(p *Packet) { note(true, p); nw.Free(p) }))
+
+	sizes := []int{1000, 500, 1500, 200}
+	sendAt := []float64{0, 0, 0, 0.1}
+	var want []record
+	free := 0.0
+	for i, size := range sizes {
+		sched.At(sendAt[i], func() {
+			p := nw.NewPacket()
+			p.Size, p.Flow, p.Seq = size, 10+i, int64(100+i)
+			p.Src, p.Dst, p.DstPort = a.ID, b.ID, 2
+			a.Send(p)
+		})
+		free = max(free, sendAt[i]) + float64(size)*8/bw
+		want = append(want,
+			record{false, free, 10 + i, int64(100 + i), size},
+			record{true, free, 10 + i, int64(100 + i), size})
+	}
+	for sched.Step() {
+	}
+	if len(got) != len(want) {
+		t.Fatalf("recorded %d events, want %d: %+v", len(got), len(want), got)
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if g.delivered != w.delivered || g.flow != w.flow || g.seq != w.seq || g.size != w.size ||
+			math.Abs(g.at-w.at) > 1e-12 {
+			t.Errorf("event %d = %+v, want %+v", i, g, w)
+		}
+	}
+}
+
 func TestLinkBackToBackSpacing(t *testing.T) {
 	// Two packets sent at once: the second is delayed by one
 	// serialization time, not by propagation.
