@@ -108,20 +108,19 @@
 // # Invariants and lint
 //
 // The simulator's load-bearing properties — determinism, zero-allocation
-// hot paths, and arena discipline — are mechanically enforced by four
-// go/types analyzers in internal/lint. TestLintModule type-checks every
-// package go list names and runs them, so go test ./... is the gate.
-// Its four analyzers: detrand (no global math/rand, wall-clock reads or
+// hot paths, and arena discipline — are mechanically enforced. Three
+// go/types analyzers in internal/lint read the source; TestLintModule
+// type-checks every package go list names and runs them, so go test
+// ./... is the gate: detrand (no global math/rand, wall-clock reads or
 // timers, or order-sensitive map iteration in simulation packages — the
-// wire transport included, bar its OS driver's marked sites), hotpathalloc
-// (functions marked //tfrc:hotpath must not allocate; what the packet
-// path does allocate, compiler escapes included, is measured by the
-// warm-cell matrix in internal/exp), releasecheck (Results never alias
-// arena memory), and importboundary (examples and cmd stay off the
-// internals; public packages leak no internal types). What a released
-// cell keeps and what a parameter set holds are checked by behaviour:
-// the warm-cell matrix watches caller-owned sentinels through weak
-// pointers across each row's Release, and the experiment package's
+// wire transport included, bar its OS driver's marked sites), releasecheck
+// (Results never alias arena memory), and importboundary (examples and
+// cmd stay off the internals; public packages leak no internal types).
+// What the packet path allocates, compiler escapes included, is measured
+// by the one allocation gate, the warm-cell matrix in internal/exp. What
+// a released cell keeps and what a parameter set holds are checked by
+// behaviour: the warm-cell matrix watches caller-owned sentinels through
+// weak pointers across each row's Release, and the experiment package's
 // round-trip test walks every registered Params type for fields JSON
 // cannot carry back. Deliberate exceptions are annotated in
 // place, with a reason: //tfrclint:allow <analyzer> <why>. The same

@@ -79,8 +79,6 @@ type Controller interface {
 // controllers: slow start below ssthresh (one packet per ACK, clamped to
 // ssthresh), congestion avoidance above (1/cwnd per ACK), capped at
 // maxWindow.
-//
-//tfrc:hotpath
 func renoGrow(st *State, maxWindow float64) {
 	if st.Cwnd < st.Ssthresh {
 		st.Cwnd += 1
@@ -97,8 +95,6 @@ func renoGrow(st *State, maxWindow float64) {
 
 // renoCut is the classic multiplicative window cut: half the flight,
 // floored at two packets.
-//
-//tfrc:hotpath
 func renoCut(st *State, flight int64) {
 	st.Ssthresh = float64(flight) / 2
 	if st.Ssthresh < 2 {
@@ -109,8 +105,6 @@ func renoCut(st *State, flight int64) {
 
 // renoTimeout is the classic timeout collapse: remember half the flight
 // and fall back to one packet of slow start.
-//
-//tfrc:hotpath
 func renoTimeout(st *State, flight int64) {
 	st.Ssthresh = float64(flight) / 2
 	if st.Ssthresh < 2 {

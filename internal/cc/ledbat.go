@@ -45,8 +45,6 @@ func (l *LEDBAT) Init(maxWindow float64) {
 // OnAck implements Controller: the proportional delay controller. There
 // is no slow-start phase — a background transport creeps up instead of
 // bursting into the queue it is trying to keep empty.
-//
-//tfrc:hotpath
 func (l *LEDBAT) OnAck(st *State, newly int64) {
 	if l.baseRTT == 0 {
 		return // no delay estimate yet
@@ -66,8 +64,6 @@ func (l *LEDBAT) OnAck(st *State, newly int64) {
 
 // OnLoss implements Controller: loss still halves (RFC 6817 §2.4.2) —
 // delay is the primary signal, loss the backstop.
-//
-//tfrc:hotpath
 func (l *LEDBAT) OnLoss(st *State, flight int64) {
 	st.Cwnd = st.Cwnd / 2
 	if st.Cwnd < 1 {
@@ -77,13 +73,9 @@ func (l *LEDBAT) OnLoss(st *State, flight int64) {
 }
 
 // OnLostSegment implements Controller.
-//
-//tfrc:hotpath
 func (l *LEDBAT) OnLostSegment(st *State) {}
 
 // OnTimeout implements Controller.
-//
-//tfrc:hotpath
 func (l *LEDBAT) OnTimeout(st *State, flight int64) {
 	st.Ssthresh = float64(flight) / 2
 	if st.Ssthresh < 2 {
@@ -94,8 +86,6 @@ func (l *LEDBAT) OnTimeout(st *State, flight int64) {
 
 // OnRTTSample implements Controller: maintain the base-delay minimum
 // and the current queueing-delay estimate.
-//
-//tfrc:hotpath
 func (l *LEDBAT) OnRTTSample(st *State, rtt float64) {
 	if rtt <= 0 {
 		return

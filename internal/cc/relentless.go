@@ -23,22 +23,16 @@ func (r *Relentless) Init(maxWindow float64) {
 }
 
 // OnAck implements Controller: growth is standard Reno.
-//
-//tfrc:hotpath
 func (r *Relentless) OnAck(st *State, newly int64) { renoGrow(st, r.maxWindow) }
 
 // OnLoss implements Controller: no episode cut — the decrease happens
 // per lost segment in OnLostSegment.
-//
-//tfrc:hotpath
 func (r *Relentless) OnLoss(st *State, flight int64) {}
 
 // OnLostSegment implements Controller: one packet off the window per
 // segment deemed lost, floored at relentlessMinCwnd. Ssthresh follows
 // the window down so recovery exits in congestion avoidance, not slow
 // start.
-//
-//tfrc:hotpath
 func (r *Relentless) OnLostSegment(st *State) {
 	st.Cwnd -= 1
 	if st.Cwnd < relentlessMinCwnd {
@@ -49,13 +43,9 @@ func (r *Relentless) OnLostSegment(st *State) {
 
 // OnTimeout implements Controller: timeouts collapse like standard TCP
 // — Relentless modifies only fast recovery.
-//
-//tfrc:hotpath
 func (r *Relentless) OnTimeout(st *State, flight int64) { renoTimeout(st, flight) }
 
 // OnRTTSample implements Controller.
-//
-//tfrc:hotpath
 func (r *Relentless) OnRTTSample(st *State, rtt float64) {}
 
 // Release hands the controller back to its arena.

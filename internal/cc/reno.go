@@ -16,29 +16,19 @@ func (r *Reno) Init(maxWindow float64) {
 }
 
 // OnAck implements Controller.
-//
-//tfrc:hotpath
 func (r *Reno) OnAck(st *State, newly int64) { renoGrow(st, r.maxWindow) }
 
 // OnLoss implements Controller: the classic halving.
-//
-//tfrc:hotpath
 func (r *Reno) OnLoss(st *State, flight int64) { renoCut(st, flight) }
 
 // OnLostSegment implements Controller: halving controllers react per
 // episode, not per segment.
-//
-//tfrc:hotpath
 func (r *Reno) OnLostSegment(st *State) {}
 
 // OnTimeout implements Controller.
-//
-//tfrc:hotpath
 func (r *Reno) OnTimeout(st *State, flight int64) { renoTimeout(st, flight) }
 
 // OnRTTSample implements Controller: loss-based control ignores delay.
-//
-//tfrc:hotpath
 func (r *Reno) OnRTTSample(st *State, rtt float64) {}
 
 // Release hands the controller back to its arena (no-op for

@@ -53,8 +53,6 @@ func (v *Vegas) Init(maxWindow float64) {
 // OnAck implements Controller: standard slow-start growth below
 // ssthresh, and once a window's worth of packets has been acked the
 // per-RTT Vegas adjustment runs on the epoch's delay estimate.
-//
-//tfrc:hotpath
 func (v *Vegas) OnAck(st *State, newly int64) {
 	if st.Cwnd < st.Ssthresh {
 		st.Cwnd += 1
@@ -73,8 +71,6 @@ func (v *Vegas) OnAck(st *State, newly int64) {
 
 // epoch closes one RTT's worth of acknowledgments: compute the queued
 // estimate and steer cwnd toward the alpha..beta band.
-//
-//tfrc:hotpath
 func (v *Vegas) epoch(st *State) {
 	if v.epochMin > 0 && v.baseRTT > 0 {
 		diff := st.Cwnd * (v.epochMin - v.baseRTT) / v.epochMin
@@ -108,18 +104,12 @@ func (v *Vegas) epoch(st *State) {
 
 // OnLoss implements Controller: Vegas retains the Reno cut as its
 // congestion backstop.
-//
-//tfrc:hotpath
 func (v *Vegas) OnLoss(st *State, flight int64) { renoCut(st, flight) }
 
 // OnLostSegment implements Controller.
-//
-//tfrc:hotpath
 func (v *Vegas) OnLostSegment(st *State) {}
 
 // OnTimeout implements Controller: Reno collapse plus a fresh epoch.
-//
-//tfrc:hotpath
 func (v *Vegas) OnTimeout(st *State, flight int64) {
 	renoTimeout(st, flight)
 	v.acked = 0
@@ -129,8 +119,6 @@ func (v *Vegas) OnTimeout(st *State, flight int64) {
 
 // OnRTTSample implements Controller: track the connection minimum (the
 // propagation-delay estimate) and the per-epoch minimum.
-//
-//tfrc:hotpath
 func (v *Vegas) OnRTTSample(st *State, rtt float64) {
 	if rtt <= 0 {
 		return

@@ -212,8 +212,6 @@ func (r *Receiver) MakeReport(now float64) (rep Report, ok bool) {
 // OnArrival is the receiver's turn at a data packet's arrival (OnData):
 // the first packet and a new loss event take a report turn at once; any
 // other arrival leaves the pending report timer as it is.
-//
-//tfrc:hotpath
 func (r *Receiver) OnArrival(now float64, pkt DataPacket, rep *Report) (send bool, arm float64) {
 	if r.OnData(now, pkt) {
 		return r.OnReportTimer(now, rep)
@@ -223,8 +221,6 @@ func (r *Receiver) OnArrival(now float64, pkt DataPacket, rep *Report) (send boo
 
 // OnReportTimer is the report turn, taken at the report timer's expiry:
 // a report if data arrived since the last one, and the timer re-armed.
-//
-//tfrc:hotpath
 func (r *Receiver) OnReportTimer(now float64, rep *Report) (send bool, arm float64) {
 	*rep, send = r.MakeReport(now)
 	return send, r.reportInterval()

@@ -127,8 +127,6 @@ func (s *Sender) OnFeedback(fb Feedback) float64 {
 // OnSend is the sender's turn right after it sent a data packet (stamped
 // with RTT().SRTT(), 0 before the first sample): arm the send timer gap
 // seconds ahead.
-//
-//tfrc:hotpath
 func (s *Sender) OnSend(now, minGap, jitter float64) (gap float64) {
 	gap = max(s.PacketInterval(), minGap) * jitter
 	s.nextSend = now + gap
@@ -141,8 +139,6 @@ func (s *Sender) OnSend(now, minGap, jitter float64) (gap float64) {
 // re-arm the no-feedback timer timeout seconds ahead, and if pull > 0
 // the new rate's next packet is due before the pending send: pull the
 // send timer forward to pull seconds ahead.
-//
-//tfrc:hotpath
 func (s *Sender) OnReport(now float64, rep Report, minGap float64) (ok bool, timeout, pull float64) {
 	s.OnFeedback(Feedback{P: rep.P, XRecv: rep.XRecv, RTTSample: now - rep.EchoSendTime - rep.EchoDelay})
 	if !s.rtt.Valid() {
@@ -161,8 +157,6 @@ func (s *Sender) OnReport(now float64, rep Report, minGap float64) (ok bool, tim
 // its rate, and ultimately stop (§3). Each expiry halves the rate down to
 // one packet per MaxBackoffInterval; re-arm the timer timeout seconds
 // ahead.
-//
-//tfrc:hotpath
 func (s *Sender) OnNoFeedback() (timeout float64) {
 	s.rate = math.Max(s.rate/2, s.minRate())
 	return s.NoFeedbackTimeout()

@@ -26,12 +26,74 @@ func eq1(s, r, p float64) float64 {
 	return s / (r*math.Sqrt(2*p/3) + 4*r*3*math.Sqrt(3*p/8)*p*(1+32*p*p))
 }
 
+// a1Increase is the bound of the paper's Appendix A.1 on how fast a
+// TFRC sender's rate grows once losses stop, in packets per RTT per
+// RTT. At an average loss interval of A packets the sender's rate is
+// 1.2·√A packets per RTT (Eq. (1) without its timeout term), so in one
+// loss-free RTT the open interval grows by 1.2·√A packets, and the
+// average, which weighs the open interval w of the whole, by w·1.2·√A.
+// The rate then grows by 1.2·(√(A + w·1.2·√A) − √A), which rises with A
+// towards 0.72·w; the bound is its largest value over A.
+func a1Increase(w float64) float64 {
+	worst := 0.0
+	for a := 1.0; a < 1e6; a *= 1.1 {
+		worst = max(worst, 1.2*(math.Sqrt(a+w*1.2*math.Sqrt(a))-math.Sqrt(a)))
+	}
+	return worst
+}
+
+// lossWeights are the paper's weights of the last eight loss intervals
+// (§3.3), most recent first.
+var lossWeights = [8]float64{1, 1, 1, 1, 0.8, 0.6, 0.4, 0.2}
+
+// halvingFloor is the fewest round-trips in which a TFRC sender at loss
+// event rate p0 can halve its rate once every second packet is lost
+// (Appendix A.2). The history starts as eight intervals of 1/p0. After k
+// loss events of persistent congestion, each closing an interval near
+// zero, the old intervals hold the slots from k on, so the average
+// interval is at least their weight, Σ_{i≥k} w_i / Σ w_i, times 1/p0:
+// 5/6, 4/6, 3/6, 2/6, 1.2/6, … The rate, Eq. (1) at p0 over that
+// fraction, halves at the first k where it falls to half Eq. (1) at p0.
+// A loss event begins at least one RTT after the last, the first at the
+// switch, and the sender hears of each a round-trip after it begins, so
+// the k-th event moves the rate no sooner than k RTTs after the switch.
+func halvingFloor(p0 float64) int {
+	var total float64
+	for _, w := range lossWeights {
+		total += w
+	}
+	rest := total
+	for k := 1; k < len(lossWeights); k++ {
+		rest -= lossWeights[k-1]
+		if eq1(1, 1, p0*total/rest) <= eq1(1, 1, p0)/2 {
+			return k
+		}
+	}
+	return len(lossWeights)
+}
+
+// halving is the reading of a cell that halved its rate after rtts
+// round-trips of persistent congestion, having lost one packet in
+// dropEvery before it.
+func halving(cell string, dropEvery, rtts int) reading {
+	p0 := 1 / float64(dropEvery)
+	perRTT := eq1(1, 1, p0) // Eq. (1) in packets per RTT
+	return reading{
+		cell:     cell,
+		value:    float64(rtts),
+		inDomain: perRTT >= 1,
+		lo:       float64(halvingFloor(p0)),
+		note:     fmt.Sprintf("(Eq. 1 at p0=%.3f: %.2f packets per RTT; floor %d RTTs)", p0, perRTT, halvingFloor(p0)),
+	}
+}
+
 // reading is one cell's value of a claim's quantity.
 type reading struct {
 	cell     string
 	value    float64
-	inDomain bool   // false: logged, not held to the band
-	note     string // what else the log line shows
+	inDomain bool    // false: logged, not held to the band
+	lo       float64 // the cell's own lower edge, where above the claim's
+	note     string  // what else the log line shows
 }
 
 // claim is one row of the claims table.
@@ -103,15 +165,65 @@ func TestPaperClaims(t *testing.T) {
 		{"fig6 TCP rate / Eq.1(p, R)", 0.75, 1.33, func(*testing.T) []reading {
 			return fig6.ratios(false, 4)
 		}},
+		// Figure 19, Appendix A.1: once losses stop, the sender's rate
+		// grows by at most a1Increase(w) packets per RTT per RTT, where w
+		// is the weight of the open interval. Without history
+		// discounting w = 1/6 (§3.3's weights sum to 6), a bound of
+		// 0.12. Discounting the older intervals, to a quarter of their
+		// weight at most, raises w towards 1/(1 + 5/4) = 0.44; the paper
+		// takes it as about 0.4, a bound of 0.288 that it rounds to
+		// 0.28. Band: above the undiscounted bound, since the sender
+		// discounts, and at most the paper's discounted one.
+		{"fig19 rate increase per RTT after loss stops", a1Increase(1.0 / 6), a1Increase(0.4), func(t *testing.T) []reading {
+			pr := DefaultFig19()
+			r := runWith[*Fig19Result](t, "fig19", &pr, 1)
+			if r.PreSwitchRate <= 0 {
+				t.Fatal("no pre-switch rate")
+			}
+			if last := r.Points[len(r.Points)-1]; last.RateBps < 1.2*r.PreSwitchRate {
+				t.Errorf("rate did not grow after loss ended: %v vs %v", last.RateBps, r.PreSwitchRate)
+			}
+			return []reading{{cell: "default", value: r.MaxIncreasePerRTT, inDomain: true}}
+		}},
+		// Figures 20 and 21, Appendix A.2: under persistent congestion
+		// (every second packet lost from the switch on) the paper's
+		// sender halves its rate in three to eight round-trips, its band
+		// here. A cell whose halvingFloor lies above three raises the
+		// lower edge to it. With the simple response function, where the
+		// rate goes as √(average interval), halving takes the fifth loss
+		// event, so it is not possible in four RTTs or fewer; Eq. (1)'s
+		// timeout term steepens the rate at higher p, so at Figure 20's
+		// pre-switch p = 1/100 the fourth can do it (a floor of 4), and
+		// at Figure 21's higher drop rates fewer still (the paper's 3
+		// holds there). Domain: a pre-switch rate, Eq. (1) at p0, of at
+		// least one packet per RTT. Below that a round-trip can pass
+		// with no packet sent, so with no loss event, and the count grows
+		// as the packets thin out: Figure 21's p = 0.2 and 0.25 are
+		// logged.
+		{"fig20 RTTs to halve the rate", 3, 8, func(t *testing.T) []reading {
+			pr := DefaultFig20()
+			r := runWith[*Fig19Result](t, "fig20", &pr, 1)
+			return []reading{halving(fmt.Sprintf("p0=%.3f", 1/float64(pr.DropEveryBefore)), pr.DropEveryBefore, r.HalvedAfterRTTs)}
+		}},
+		{"fig21 RTTs to halve the rate", 3, 8, func(t *testing.T) []reading {
+			pr := DefaultFig21()
+			var out []reading
+			for _, row := range runWith[*Fig21Result](t, "fig21", &pr, 1).Rows {
+				// The cell drops one packet in max(3, round(1/p)).
+				out = append(out, halving(fmt.Sprintf("p=%.3f", row.DropRate), max(3, int(1/row.DropRate+0.5)), row.RTTs))
+			}
+			return out
+		}},
 	}
 	for _, c := range claims {
 		t.Run(c.name, func(t *testing.T) {
 			for _, r := range c.read(t) {
+				lo := max(c.lo, r.lo)
 				switch {
 				case !r.inDomain:
 					t.Logf("outside the domain, not checked: %s: %.3f %s", r.cell, r.value, r.note)
-				case !(c.lo <= r.value && r.value <= c.hi):
-					t.Errorf("%s: %.3f outside [%v, %v] %s", r.cell, r.value, c.lo, c.hi, r.note)
+				case !(lo <= r.value && r.value <= c.hi):
+					t.Errorf("%s: %.3f outside [%v, %v] %s", r.cell, r.value, lo, c.hi, r.note)
 				}
 			}
 		})

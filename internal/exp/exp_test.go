@@ -352,58 +352,6 @@ func TestFig18PredictorShape(t *testing.T) {
 	}
 }
 
-func TestFig19IncreaseRate(t *testing.T) {
-	pr := DefaultFig19()
-	r := runWith[*Fig19Result](t, "fig19", &pr, 1)
-	if r.PreSwitchRate <= 0 {
-		t.Fatal("no pre-switch rate")
-	}
-	// Paper Figure 19: after congestion ends the sender increases by
-	// ≈ 0.12 pkts/RTT (up to ≈ 0.3 with discounting); never more.
-	if r.MaxIncreasePerRTT > 0.35 {
-		t.Fatalf("increase %v pkts/RTT exceeds the A.1 bound", r.MaxIncreasePerRTT)
-	}
-	if r.MaxIncreasePerRTT < 0.05 {
-		t.Fatalf("increase %v pkts/RTT: sender barely grew", r.MaxIncreasePerRTT)
-	}
-	// The rate at the end must clearly exceed the loss-limited rate.
-	last := r.Points[len(r.Points)-1]
-	if last.RateBps < 1.2*r.PreSwitchRate {
-		t.Fatalf("rate did not grow after loss ended: %v vs %v", last.RateBps, r.PreSwitchRate)
-	}
-}
-
-func TestFig20HalvingTime(t *testing.T) {
-	pr := DefaultFig20()
-	r := runWith[*Fig19Result](t, "fig20", &pr, 1)
-	if r.HalvedAfterRTTs == 0 {
-		t.Fatal("rate never halved under persistent congestion")
-	}
-	// Paper: from three to eight round-trip times (Appendix A.2 lower
-	// bound: not possible in four or fewer).
-	if r.HalvedAfterRTTs < 3 || r.HalvedAfterRTTs > 10 {
-		t.Fatalf("halved after %d RTTs, want ≈ 3..8", r.HalvedAfterRTTs)
-	}
-}
-
-func TestFig21Sweep(t *testing.T) {
-	// Paper: three to eight round-trips across the sweep. We validate
-	// p ≤ 0.15; at p = 0.25 the full PFTK equation's timeout term pins
-	// the pre-switch rate below one packet/RTT, which slows the wall-
-	// clock response (documented deviation in EXPERIMENTS.md).
-	pr := Fig21Params{DropRates: []float64{0.01, 0.05, 0.1, 0.15}, RTT: 0.05}
-	r := runWith[*Fig21Result](t, "fig21", &pr, 1)
-	for _, row := range r.Rows {
-		if row.RTTs == 0 {
-			t.Fatalf("p=%v never halved", row.DropRate)
-		}
-		if row.RTTs < 3 || row.RTTs > 8 {
-			t.Fatalf("p=%v: halving took %d RTTs, want the paper's 3-8 band",
-				row.DropRate, row.RTTs)
-		}
-	}
-}
-
 func TestPrintersProduceOutput(t *testing.T) {
 	var b strings.Builder
 	f2 := Fig02Params{P1: 0.01, P2: 0.05, P3: 0.005, T1: 2, T2: 3, Duration: 5, RTT: 0.05}

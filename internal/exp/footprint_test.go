@@ -154,18 +154,22 @@ func retainedCaps(sched *sim.Scheduler) []int {
 const matrixDuration = 10.0
 
 // matrixCell builds a 2 Mb/s, 20 ms house dumbbell of hosts host pairs
-// on a rewound c, applies fs to it, has place put the flows and
-// monitors on the builder, and runs the scenario in place and releases
-// it. Handed sentinels, it plants them and harvests with Run instead,
-// whose result it hands them too.
+// on a rewound c and runs dumbbellCell on it.
 func matrixCell(c *Cell, queue netsim.QueueKind, hosts int, fs *faults.Schedule, place func(b *ScenarioBuilder, rng *sim.Rand), s *sentinels) {
 	sched := c.begin()
-	d := houseDumbbell(sched, hosts, 2e6, 0.02, queue, 7)
+	dumbbellCell(houseDumbbell(sched, hosts, 2e6, 0.02, queue, 7), fs, place, s)
+}
+
+// dumbbellCell applies fs to d, has place put the flows and monitors on
+// the builder, and runs the scenario in place and releases it. Handed
+// sentinels, it plants them and harvests with Run instead, whose result
+// it hands them too.
+func dumbbellCell(d *netsim.Dumbbell, fs *faults.Schedule, place func(b *ScenarioBuilder, rng *sim.Rand), s *sentinels) {
 	if fs != nil {
 		fs.Apply(d.Topo)
 	}
 	b := NewScenarioBuilder(d.Topo)
-	place(b, sched.NewRand(7))
+	place(b, b.nw.Scheduler().NewRand(7))
 	if s != nil {
 		s.plant(b, "l0", "rl->rr", matrixDuration)
 		s.harvested(b.Run(matrixDuration))
@@ -174,6 +178,28 @@ func matrixCell(c *Cell, queue netsim.QueueKind, hosts int, fs *faults.Schedule,
 	}
 	b.Release()
 }
+
+// addCBR places a constant-bit-rate source of rate bits/sec from src to
+// dst, with a discarding sink.
+func addCBR(b *ScenarioBuilder, src, dst string, rate float64) {
+	from, to := b.topo.Lookup(src), b.topo.Lookup(dst)
+	flow, port := b.nextFlow, b.port(to)
+	b.nextFlow++
+	traffic.NewSink(b.nw, to, port)
+	traffic.NewCBR(b.nw, from, to.ID, port, flow, 1000, rate).Start(0)
+}
+
+// nopFn is a scheduler callback that does nothing.
+func nopFn(any) {}
+
+// nopRateFn is a TFRC rate observer that does nothing.
+func nopRateFn(float64, float64) {}
+
+// feedbackBlackhole loses the feedback path from t = 3 to t = 9.
+var feedbackBlackhole = &faults.Schedule{Seed: 7, Faults: []faults.Fault{
+	{At: 3, Link: "rr->rl", Kind: faults.Blackhole},
+	{At: 9, Link: "rr->rl", Kind: faults.BlackholeOff},
+}}
 
 // tcpAndTFRC is a placement of one house SACK flow and one house TFRC
 // flow.
@@ -192,6 +218,46 @@ func ccCell(name cc.Name) func(c *Cell, s *sentinels) {
 		matrixCell(c, netsim.QueueDropTail, 2, fs, func(b *ScenarioBuilder, rng *sim.Rand) {
 			for i := 0; i < 2; i++ {
 				b.AddCC(name, cc.Config{}, netsim.IndexedName("l", i), netsim.IndexedName("r", i), houseTCP(7), rng.Uniform(0, 1))
+			}
+		}, s)
+	}
+}
+
+// fig06Row is a row's cell of one 15 s Figure 6 grid cell. Handed
+// sentinels, it builds the cell's scenario itself, to plant them.
+func fig06Row(queue netsim.QueueKind, linkMbps float64, flows int) func(c *Cell, s *sentinels) {
+	return func(c *Cell, s *sentinels) {
+		if s == nil {
+			runFig06Cell(c, queue, linkMbps, flows, 15, 10, 1)
+			return
+		}
+		b := buildScenario(c, fig06Scenario(queue, linkMbps, flows, 15, 10, 1))
+		s.plant(b, "l0", "rl->rr", 15)
+		s.harvested(b.Run(15))
+		b.Release()
+	}
+}
+
+// tcpVariantsCell is a row's cell of Figure 15's TCP flavours through
+// random loss: a Reno and a NewReno flow, whose fast recovery inflates
+// the window on every further duplicate ACK and, for NewReno, resends a
+// hole per partial ACK; a Reno flow on a 500 ms timer tick; and the
+// aggressive-RTO flow that times out spuriously.
+func tcpVariantsCell() func(c *Cell, s *sentinels) {
+	fs := &faults.Schedule{Seed: 7, Faults: []faults.Fault{
+		{At: 0, Link: "rl->rr", Kind: faults.Impair, Corrupt: 0.01},
+	}}
+	cfgs := []tcp.Config{
+		{Variant: tcp.Reno},
+		{Variant: tcp.NewReno},
+		{Variant: tcp.Reno, Granularity: 0.5},
+		{Variant: tcp.Reno, Granularity: 0.01, AggressiveRTO: true},
+	}
+	return func(c *Cell, s *sentinels) {
+		matrixCell(c, netsim.QueueDropTail, len(cfgs), fs, func(b *ScenarioBuilder, rng *sim.Rand) {
+			for i, cfg := range cfgs {
+				cfg.SendJitter, cfg.JitterSeed = 0.001, 7
+				b.AddTCP(netsim.IndexedName("l", i), netsim.IndexedName("r", i), cfg, rng.Uniform(0, 1))
 			}
 		}, s)
 	}
@@ -238,25 +304,36 @@ var warmCellMatrix = []matrixRow{
 	// its Run result and the parking lot's name maps.
 	{"droptail", func(c *Cell, s *sentinels) { runFootprintCell(c.begin(), 7, s) }, 11, 1456},
 	// RED: a Figure 6 grid cell, which allocates only its result's two
-	// per-flow vectors. Handed sentinels, it builds the cell's scenario
-	// itself, to plant them.
-	{"red", func(c *Cell, s *sentinels) {
-		if s == nil {
-			runFig06Cell(c, netsim.QueueRED, 8, 8, 15, 10, 1)
-			return
-		}
-		b := buildScenario(c, Scenario{
-			NTCP: 4, NTFRC: 4, BottleneckBW: 8e6, Queue: netsim.QueueRED, TCPVariant: tcp.Sack,
-			Duration: 15, Warmup: 5, BinWidth: 0.5, Seed: 1,
-		})
-		s.plant(b, "l0", "rl->rr", 15)
-		s.harvested(b.Run(15))
-		b.Release()
-	}, 2, 64},
+	// per-flow vectors.
+	{"red", fig06Row(netsim.QueueRED, 8, 8), 2, 64},
+	// A Figure 6 RED cell at 16 Mb/s: of the default grid's cells, only
+	// those at 16 and 64 Mb/s have SACK enter fast recovery with fewer
+	// than three packets in flight, clamping its pipe estimate at zero.
+	{"red-16mbps", fig06Row(netsim.QueueRED, 16, 8), 2, 64},
+	// RED past twice its upper threshold, where it drops every
+	// arrival. A CBR source sending five times the bottleneck's rate
+	// beside a SACK and a TFRC flow keeps the queue high while the
+	// average climbs through the marking region. The house thresholds
+	// put that region at the buffer limit, out of reach, so the row
+	// sets its own well under the buffer, as manyflows does.
+	{"red-overload", func(c *Cell, s *sentinels) {
+		sched := c.begin()
+		red := netsim.DefaultRED(60)
+		red.MinThresh, red.MaxThresh = 3, 6
+		d := netsim.NewDumbbell(sched, netsim.DumbbellConfig{
+			Hosts: 3, BottleneckBW: 2e6, BottleneckDly: 0.02,
+			Queue: netsim.QueueRED, QueueLimit: 60, RED: red,
+		}, sched.NewRand(8))
+		dumbbellCell(d, nil, func(b *ScenarioBuilder, rng *sim.Rand) {
+			tcpAndTFRC(b, rng)
+			addCBR(b, "l2", "r2", 10e6)
+		}, s)
+	}, 0, 0},
 	{"reno", ccCell("reno"), 4, 200},
 	{"vegas", ccCell("vegas"), 4, 200},
 	{"ledbat", ccCell("ledbat"), 4, 200},
 	{"relentless", ccCell("relentless"), 4, 200},
+	{"tcp-variants", tcpVariantsCell(), 2, 136},
 	{"tfrc", tfrcCell(0), 0, 0},
 	// The feedback timers on the wheel.
 	{"tfrc-coarse", tfrcCell(0.01), 0, 0},
@@ -267,15 +344,24 @@ var warmCellMatrix = []matrixRow{
 			tcpAndTFRC(b, rng)
 		}, s)
 	}, 0, 0},
+	// The calendar's own upkeep. Each of two bursts of 1024 no-op
+	// events, due within a millisecond of t = 1 and t = 5, grows the
+	// bucket array; its drain shrinks it again, on a day width fitted
+	// to the burst, so the packet traffic after it finds nothing due
+	// within a year, take after take, until the width is re-fitted.
+	{"calendar", func(c *Cell, s *sentinels) {
+		matrixCell(c, netsim.QueueDropTail, 2, nil, func(b *ScenarioBuilder, rng *sim.Rand) {
+			tcpAndTFRC(b, rng)
+			for _, at := range []float64{1, 5} {
+				for i := range 1024 {
+					b.nw.Scheduler().AtArg(at+float64(i)*1e-6, nopFn, nil)
+				}
+			}
+		}, s)
+	}, 0, 0},
 	{"impaired", faultCell(faults.Fault{At: 0, Link: "rl->rr", Kind: faults.Impair, Duplicate: 0.01, Corrupt: 0.01}), 2, 136},
 	{"cbr", func(c *Cell, s *sentinels) {
-		matrixCell(c, netsim.QueueDropTail, 1, nil, func(b *ScenarioBuilder, _ *sim.Rand) {
-			src, dst := b.topo.Lookup("l0"), b.topo.Lookup("r0")
-			flow, port := b.nextFlow, b.port(dst)
-			b.nextFlow++
-			traffic.NewSink(b.nw, dst, port)
-			traffic.NewCBR(b.nw, src, dst.ID, port, flow, 1000, 1e6).Start(0)
-		}, s)
+		matrixCell(c, netsim.QueueDropTail, 1, nil, func(b *ScenarioBuilder, _ *sim.Rand) { addCBR(b, "l0", "r0", 1e6) }, s)
 	}, 0, 0},
 	{"onoff", func(c *Cell, s *sentinels) {
 		matrixCell(c, netsim.QueueDropTail, 1, nil, func(b *ScenarioBuilder, rng *sim.Rand) {
@@ -292,11 +378,14 @@ var warmCellMatrix = []matrixRow{
 		faults.Fault{At: 6, Link: "rl->rr", Kind: faults.LinkUp},
 	), 3, 72},
 	// Feedback lost for 6 s: the TFRC sender's no-feedback timer fires
-	// and backs off.
-	{"blackhole", faultCell(
-		faults.Fault{At: 3, Link: "rr->rl", Kind: faults.Blackhole},
-		faults.Fault{At: 9, Link: "rr->rl", Kind: faults.BlackholeOff},
-	), 3, 40},
+	// and backs off. Its rate observer is set, as the blackout
+	// experiment sets it.
+	{"blackhole", func(c *Cell, s *sentinels) {
+		matrixCell(c, netsim.QueueDropTail, 2, feedbackBlackhole, func(b *ScenarioBuilder, rng *sim.Rand) {
+			tcpAndTFRC(b, rng)
+			b.TFRCSender(0).OnRateChange = nopRateFn
+		}, s)
+	}, 3, 40},
 	{"reorder", faultCell(faults.Fault{At: 0, Link: "rl->rr", Kind: faults.Impair, Reorder: 0.02, ReorderDelay: 0.005}), 2, 136},
 }
 

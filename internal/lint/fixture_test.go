@@ -15,7 +15,7 @@ import (
 // TestAnalyzerSet pins the suite: exactly the documented analyzers, in
 // documented order.
 func TestAnalyzerSet(t *testing.T) {
-	want := []string{"detrand", "hotpathalloc", "releasecheck", "importboundary"}
+	want := []string{"detrand", "releasecheck", "importboundary"}
 	if len(analyzers) != len(want) {
 		t.Fatalf("%d analyzers, want %d", len(analyzers), len(want))
 	}
@@ -27,7 +27,6 @@ func TestAnalyzerSet(t *testing.T) {
 }
 
 func TestDetRand(t *testing.T)      { runFixtures(t, "detrand", "detrand") }
-func TestHotPathAlloc(t *testing.T) { runFixtures(t, "hotpathalloc", "hotpathalloc") }
 func TestReleaseCheck(t *testing.T) { runFixtures(t, "releasecheck", "releasecheck") }
 
 func TestImportBoundary(t *testing.T) {

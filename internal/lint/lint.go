@@ -1,9 +1,8 @@
 // Package lint holds the analyzers that mechanically enforce the
-// simulator's determinism, zero-alloc, and arena-discipline invariants.
+// simulator's determinism, arena-discipline and layering invariants.
 // The paper's figures only reproduce because simulation is
-// bit-deterministic, and the hot path is only fast because it is
-// closure-free and slab-pooled; each analyzer turns one of those
-// reviewer-folklore rules into a build gate.
+// bit-deterministic; each analyzer turns one reviewer-folklore rule
+// into a build gate.
 //
 // The gate is a test: TestLintModule lists the module's packages with
 // go list, type-checks their non-test files from source with go/types,
@@ -19,21 +18,21 @@
 //   - detrand: forbids wall-clock time, global math/rand, fmt of map
 //     values, and order-sensitive iteration over maps in the
 //     deterministic simulator packages.
-//   - hotpathalloc: forbids closures, fmt, append, interface boxing and
-//     other known allocation patterns inside functions marked with a
-//     //tfrc:hotpath directive.
 //   - releasecheck: arena-owned slices are copied out before landing in
 //     Result-owned structs.
 //   - importboundary: enforces the three-layer architecture (examples/
 //     and cmd/ stay off the simulator internals; public packages leak no
 //     unaliased internal types).
 //
-// What a Release leaves behind and what a parameter set can hold are
-// checked by behaviour, not here: tests in internal/exp (every row of
-// the warm-cell matrix), internal/sim and internal/tcp watch
-// caller-owned objects through weak pointers across a Release, and the
-// experiment package's JSON round-trip test walks every registered
-// Params type.
+// What the packet path allocates, what a Release leaves behind and what
+// a parameter set can hold are checked by behaviour, not here. The
+// warm-cell matrix in internal/exp (TestWarmCellAllocatesNothingNew) is
+// the one allocation gate: it runs a small cell per part of the packet
+// path warm and holds each to its measured allocation count, compiler
+// escapes included. Tests in internal/exp (every row of the matrix),
+// internal/sim and internal/tcp watch caller-owned objects through weak
+// pointers across a Release, and the experiment package's JSON
+// round-trip test walks every registered Params type.
 //
 // A false positive is silenced, with a reason, by a line comment:
 //
@@ -65,7 +64,6 @@ type analyzer struct {
 // analyzers is the suite, in documented order.
 var analyzers = []analyzer{
 	{"detrand", detRand},
-	{"hotpathalloc", hotPathAlloc},
 	{"releasecheck", releaseCheck},
 	{"importboundary", importBoundary},
 }
@@ -237,22 +235,6 @@ func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 func pathMatchesAny(pkgPath string, prefixes ...string) bool {
 	for _, pre := range prefixes {
 		if pkgPath == pre || strings.HasPrefix(pkgPath, pre+"/") {
-			return true
-		}
-	}
-	return false
-}
-
-// hasDirective reports whether the comment group contains the given
-// //-style directive (e.g. "tfrc:hotpath"), which ast.CommentGroup.Text
-// strips.
-func hasDirective(cg *ast.CommentGroup, directive string) bool {
-	if cg == nil {
-		return false
-	}
-	for _, c := range cg.List {
-		text := strings.TrimPrefix(c.Text, "//")
-		if text == directive || strings.HasPrefix(text, directive+" ") {
 			return true
 		}
 	}

@@ -96,11 +96,8 @@ type Impairments struct {
 // Per-hop scheduler callbacks are shared package-level functions — the
 // packet carries its current link — so the per-packet path builds no
 // closures at all, not even per link at setup.
-//
-//tfrc:hotpath
 func pktDeliverFn(x any) { p := x.(*Packet); p.link.to.Send(p) }
 
-//tfrc:hotpath
 func linkDrainFn(x any) { x.(*Link).drain() }
 
 // Bandwidth returns the link rate in bits per second.
@@ -153,8 +150,6 @@ func (l *Link) emit(ev TapEvent, p *Packet) {
 // Send offers a packet to the link. If the transmitter is idle the packet
 // starts serializing immediately; otherwise it is queued, and may be
 // dropped by the discipline. Dropped packets are returned to the pool.
-//
-//tfrc:hotpath
 func (l *Link) Send(p *Packet) {
 	p.link = l
 	if l.imp != nil && !l.impOffer(p) {
@@ -185,8 +180,6 @@ func (l *Link) Send(p *Packet) {
 // backlog waits on the transmitter, the drain is armed for the moment it
 // falls idle, before the delivery is scheduled, so a zero-delay link
 // still reports the departure first.
-//
-//tfrc:hotpath
 func (l *Link) start(p *Packet, now float64) {
 	l.freeAt = now + float64(p.Size)*8/l.bw
 	p.deliverAt = l.freeAt + l.delay
@@ -198,8 +191,6 @@ func (l *Link) start(p *Packet, now float64) {
 }
 
 // armDrain schedules the link's one pending drain event at time at.
-//
-//tfrc:hotpath
 func (l *Link) armDrain(at float64) {
 	l.drainOn = true
 	l.net.sched.AtArg(at, linkDrainFn, l)
@@ -208,8 +199,6 @@ func (l *Link) armDrain(at float64) {
 // drain fires when the transmitter falls idle: it reports the packet
 // that just finished as TapDepart and starts serializing the queue head.
 // Send re-arms it on the next offer that finds the transmitter busy.
-//
-//tfrc:hotpath
 func (l *Link) drain() {
 	l.drainOn = false
 	if p := l.departing; p != nil {

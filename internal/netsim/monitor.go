@@ -134,8 +134,6 @@ func (m *FlowMonitor) restride(nbins int) {
 }
 
 // observe is the per-packet tap: pure column arithmetic, no allocation.
-//
-//tfrc:hotpath
 func (m *FlowMonitor) observe(ev TapEvent, now float64, p *Packet) {
 	idx := p.Flow
 	if idx >= m.nflows {

@@ -126,8 +126,6 @@ func (n *Node) LinkTo(neighbor *Node) *Link {
 // Send hands a packet to the node: one addressed to it goes to the agent
 // bound to its destination port, anything else is forwarded. Local agents
 // inject their packets here, and links deliver theirs.
-//
-//tfrc:hotpath
 func (n *Node) Send(p *Packet) {
 	if p.Dst == n.ID {
 		n.deliver(p)
@@ -136,7 +134,6 @@ func (n *Node) Send(p *Packet) {
 	n.forward(p)
 }
 
-//tfrc:hotpath
 func (n *Node) deliver(p *Packet) {
 	if tab := n.portTab; len(tab) != 0 {
 		// Dense table: covers every bound port by invariant, so a miss
@@ -162,7 +159,6 @@ func (n *Node) deliver(p *Packet) {
 
 const maxHops = 64
 
-//tfrc:hotpath
 func (n *Node) forward(p *Packet) {
 	p.hops++
 	if p.hops > maxHops {

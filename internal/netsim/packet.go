@@ -119,16 +119,12 @@ func (pl *Pool) reset() {
 }
 
 // Get returns a zeroed packet.
-//
-//tfrc:hotpath
 func (pl *Pool) Get() *Packet {
 	pl.live++
 	return pl.slab.Get()
 }
 
 // Put returns a packet to the pool.
-//
-//tfrc:hotpath
 func (pl *Pool) Put(p *Packet) {
 	if p == nil {
 		return

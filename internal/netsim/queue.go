@@ -39,7 +39,6 @@ func (f *fifo) recycled(mem *sim.Carver[*Packet]) fifo {
 	return fifo{buf: f.buf, mem: mem}
 }
 
-//tfrc:hotpath
 func (f *fifo) push(p *Packet) {
 	if f.n == len(f.buf) {
 		f.grow()
@@ -62,7 +61,6 @@ func (f *fifo) grow() {
 	f.head = 0
 }
 
-//tfrc:hotpath
 func (f *fifo) pop() *Packet {
 	if f.n == 0 {
 		return nil
@@ -103,8 +101,6 @@ func (nw *Network) newDropTail(limit int) *DropTail {
 }
 
 // Enqueue implements Queue.
-//
-//tfrc:hotpath
 func (q *DropTail) Enqueue(p *Packet) bool {
 	if q.n >= q.limit {
 		return false
@@ -114,8 +110,6 @@ func (q *DropTail) Enqueue(p *Packet) bool {
 }
 
 // Dequeue implements Queue.
-//
-//tfrc:hotpath
 func (q *DropTail) Dequeue() *Packet { return q.pop() }
 
 // Len implements Queue.

@@ -87,8 +87,6 @@ func (nw *Network) newRED(cfg REDConfig, rng *sim.Rand) *RED {
 func (q *RED) SetPTC(pktPerSec float64) { q.ptc = pktPerSec }
 
 // Enqueue implements Queue.
-//
-//tfrc:hotpath
 func (q *RED) Enqueue(p *Packet) bool {
 	q.updateAvg()
 	if q.n >= q.cfg.Limit {
@@ -102,7 +100,6 @@ func (q *RED) Enqueue(p *Packet) bool {
 	return true
 }
 
-//tfrc:hotpath
 func (q *RED) updateAvg() {
 	if q.idle {
 		// The queue has been empty: decay the average as if m small
@@ -117,7 +114,6 @@ func (q *RED) updateAvg() {
 	q.avg = (1-q.cfg.Wq)*q.avg + q.cfg.Wq*float64(q.n)
 }
 
-//tfrc:hotpath
 func (q *RED) dropEarly() bool {
 	cfg := &q.cfg
 	switch {
@@ -140,8 +136,6 @@ func (q *RED) dropEarly() bool {
 
 // flip applies the ns-2 inter-drop spreading: a drop is suppressed until
 // count·pb ≥ 1, making inter-drop gaps closer to uniform than geometric.
-//
-//tfrc:hotpath
 func (q *RED) flip(pb float64) bool {
 	if pb <= 0 {
 		return false
@@ -162,8 +156,6 @@ func (q *RED) flip(pb float64) bool {
 }
 
 // Dequeue implements Queue.
-//
-//tfrc:hotpath
 func (q *RED) Dequeue() *Packet {
 	p := q.pop()
 	if q.n == 0 && !q.idle {

@@ -123,8 +123,6 @@ func (s *Scheduler) calReset() {
 // calInsert links a claimed slot into its day bucket in (at, seq)
 // order. New events carry the largest sequence number, so among equal
 // times the insertion point is after every equal-time entry — FIFO.
-//
-//tfrc:hotpath
 func (s *Scheduler) calInsert(slot int32) {
 	c := &s.cal
 	ev := &s.slots[slot]
@@ -166,8 +164,6 @@ func (s *Scheduler) calInsert(slot int32) {
 // calUnlink removes a pending slot from its day bucket (Cancel). A
 // pending slot is always in its bucket; were it not, the walk would run
 // off the list's end and panic indexing slot -1.
-//
-//tfrc:hotpath
 func (s *Scheduler) calUnlink(slot int32) {
 	c := &s.cal
 	ev := &s.slots[slot]
@@ -193,8 +189,6 @@ func (s *Scheduler) calUnlink(slot int32) {
 // span — it jumps the calendar to the minimum over all bucket heads.
 // Serving Step (bound +Inf) and RunUntil alike, it finds each event
 // once; a take refused by the bound leaves the scan on that event's day.
-//
-//tfrc:hotpath
 func (s *Scheduler) calTake(bound float64) int32 {
 	c := &s.cal
 	if c.live == 0 {

@@ -196,8 +196,6 @@ func (s *Scheduler) clear() {
 func (s *Scheduler) Now() float64 { return s.now }
 
 // alloc validates t, claims a slot, and files it in the calendar.
-//
-//tfrc:hotpath
 func (s *Scheduler) alloc(t float64) int32 {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %.9f before now %.9f", t, s.now))
@@ -211,7 +209,7 @@ func (s *Scheduler) alloc(t float64) int32 {
 		s.free = s.free[:n-1]
 	} else {
 		slot = int32(len(s.slots))
-		s.slots = append(s.slots, event{}) //tfrclint:allow hotpathalloc amortized slab growth
+		s.slots = append(s.slots, event{})
 	}
 	ev := &s.slots[slot]
 	ev.at = t
@@ -223,14 +221,12 @@ func (s *Scheduler) alloc(t float64) int32 {
 
 // recycle clears a fired or cancelled slot and returns it to the free
 // list. Zeroing seq invalidates the Handle issued for it.
-//
-//tfrc:hotpath
 func (s *Scheduler) recycle(slot int32) {
 	e := &s.slots[slot]
 	e.afn = nil
 	e.arg = nil
 	e.seq = 0
-	s.free = append(s.free, slot) //tfrclint:allow hotpathalloc amortized free-list growth
+	s.free = append(s.free, slot)
 }
 
 // callFn is the shared callback behind At, After and Timer.Init: the
@@ -253,8 +249,6 @@ func (s *Scheduler) After(d float64, fn func()) Handle {
 // AtArg schedules fn(arg) at absolute time t. Unlike At it needs no
 // closure: callers on hot paths build fn once and pass per-event state
 // through arg, so steady-state scheduling is allocation-free.
-//
-//tfrc:hotpath
 func (s *Scheduler) AtArg(t float64, fn func(any), arg any) Handle {
 	slot := s.alloc(t)
 	e := &s.slots[slot]
@@ -264,8 +258,6 @@ func (s *Scheduler) AtArg(t float64, fn func(any), arg any) Handle {
 }
 
 // AfterArg schedules fn(arg) to run d seconds from now.
-//
-//tfrc:hotpath
 func (s *Scheduler) AfterArg(d float64, fn func(any), arg any) Handle {
 	return s.AtArg(s.now+d, fn, arg)
 }
@@ -273,8 +265,6 @@ func (s *Scheduler) AfterArg(d float64, fn func(any), arg any) Handle {
 // Cancel removes a pending event. Cancelling a fired, already-cancelled,
 // or stale handle is a no-op, which lets protocol code keep a single
 // timer handle without tracking liveness.
-//
-//tfrc:hotpath
 func (s *Scheduler) Cancel(h Handle) {
 	if !h.Scheduled() {
 		return
@@ -285,15 +275,11 @@ func (s *Scheduler) Cancel(h Handle) {
 
 // Step runs the earliest pending event and advances the clock to it.
 // It returns false when the queue is empty.
-//
-//tfrc:hotpath
 func (s *Scheduler) Step() bool { return s.step(math.Inf(1)) }
 
 // step runs the earliest pending event if it fires no later than bound:
 // pop, advance the clock, fire. It returns false, leaving the event
 // queued, when there is none or it is later.
-//
-//tfrc:hotpath
 func (s *Scheduler) step(bound float64) bool {
 	slot := s.calTake(bound)
 	if slot < 0 {

@@ -31,8 +31,6 @@ func timerFireFn(x any) { x.(*Timer).fire() }
 
 // fire invokes the timer's callback; the pending state was already
 // cleared by the caller (exact event pop or wheel tick processing).
-//
-//tfrc:hotpath
 func (t *Timer) fire() {
 	t.afn(t.arg)
 }
@@ -64,8 +62,6 @@ func (t *Timer) Coarse(w *Wheel) {
 
 // Reset (re)arms the timer to fire d seconds from now, cancelling any
 // pending expiry.
-//
-//tfrc:hotpath
 func (t *Timer) Reset(d float64) {
 	if t.wheel != nil {
 		t.wheel.cancel(t)
@@ -77,8 +73,6 @@ func (t *Timer) Reset(d float64) {
 }
 
 // Stop cancels a pending expiry. Stopping an idle timer is a no-op.
-//
-//tfrc:hotpath
 func (t *Timer) Stop() {
 	if t.wheel != nil {
 		t.wheel.cancel(t)

@@ -83,8 +83,6 @@ func (w *Wheel) reset() {
 // arm files a timer for the given absolute deadline, rounding up to the
 // next tick. Called from Timer.Reset after the timer's previous
 // occurrence (if any) was invalidated.
-//
-//tfrc:hotpath
 func (w *Wheel) arm(t *Timer, at float64) {
 	k := int64(math.Ceil(at / w.tick))
 	now := w.sched.now
@@ -98,14 +96,12 @@ func (w *Wheel) arm(t *Timer, at float64) {
 	t.wgen++
 	t.wtick = k
 	idx := int(k & (wheelBuckets - 1))
-	w.buckets[idx] = append(w.buckets[idx], wheelEntry{t: t, gen: t.wgen, tick: k}) //tfrclint:allow hotpathalloc amortized bucket growth
+	w.buckets[idx] = append(w.buckets[idx], wheelEntry{t: t, gen: t.wgen, tick: k})
 	w.live++
 	w.armAt(k)
 }
 
 // cancel lazily invalidates a timer's pending occurrence.
-//
-//tfrc:hotpath
 func (w *Wheel) cancel(t *Timer) {
 	if t.wtick < 0 {
 		return
@@ -116,8 +112,6 @@ func (w *Wheel) cancel(t *Timer) {
 }
 
 // armAt ensures the wheel's scheduler event fires no later than tick k.
-//
-//tfrc:hotpath
 func (w *Wheel) armAt(k int64) {
 	if w.armed && w.curV <= k {
 		return
@@ -142,8 +136,6 @@ func wheelFireFn(x any) { x.(*Wheel).process() }
 // re-arm into any bucket — including the one being processed; the spare
 // swap keeps the in-flight slice private, and a callback arming an
 // already-elapsed tick simply schedules a new wheel event at now.
-//
-//tfrc:hotpath
 func (w *Wheel) process() {
 	w.armed = false
 	kv := w.curV
@@ -161,13 +153,13 @@ func (w *Wheel) process() {
 			w.live--
 			e.t.fire()
 		} else {
-			keep = append(keep, e) //tfrclint:allow hotpathalloc in-place retention within b's backing
+			keep = append(keep, e)
 		}
 	}
 	// Merge: retained future-round entries first, then anything armed
 	// into this bucket by the callbacks just fired.
 	armedNew := w.buckets[idx]
-	keep = append(keep, armedNew...) //tfrclint:allow hotpathalloc amortized bucket growth
+	keep = append(keep, armedNew...)
 	for i := len(keep); i < len(b); i++ {
 		b[i] = wheelEntry{}
 	}
@@ -183,8 +175,6 @@ func (w *Wheel) process() {
 // k. Buckets holding only far-round entries cause a bounded number of
 // no-op wakeups (the process call finds nothing due and re-arms), never
 // a missed deadline.
-//
-//tfrc:hotpath
 func (w *Wheel) armNext(k int64) {
 	for off := int64(1); off <= wheelBuckets; off++ {
 		idx := int((k + off) & (wheelBuckets - 1))

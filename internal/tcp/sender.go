@@ -171,8 +171,6 @@ func (s *Sender) window() float64 {
 func (s *Sender) flight() int64 { return s.next - s.cumack }
 
 // Recv handles an arriving ACK.
-//
-//tfrc:hotpath
 func (s *Sender) Recv(p *netsim.Packet) {
 	if p.Kind != netsim.KindAck {
 		s.net.Free(p)
@@ -206,8 +204,6 @@ func (s *Sender) Recv(p *netsim.Packet) {
 
 // onNewAck advances the cumulative ACK and reports whether that
 // completed a limited transfer.
-//
-//tfrc:hotpath
 func (s *Sender) onNewAck(ack int64) (complete bool) {
 	newly := ack - s.cumack
 	s.cumack = ack
@@ -271,7 +267,6 @@ func (s *Sender) onPartialAck(newly int64) {
 	}
 }
 
-//tfrc:hotpath
 func (s *Sender) onDupAck() {
 	s.dupacks++
 	if s.inRecovery {
@@ -392,8 +387,6 @@ func (s *Sender) retransmit(seq int64) {
 }
 
 // trySend transmits whatever the window (or the recovery pipe) allows.
-//
-//tfrc:hotpath
 func (s *Sender) trySend() {
 	if !s.started || s.stopped {
 		return

@@ -52,8 +52,6 @@ func (s *Sink) Release() {
 }
 
 // Recv handles one data packet and emits the corresponding ACK.
-//
-//tfrc:hotpath
 func (s *Sink) Recv(p *netsim.Packet) {
 	if p.Kind != netsim.KindData {
 		s.net.Free(p)

@@ -125,7 +125,6 @@ func (s *Sender) Rate() float64 { return s.core.Rate() }
 // Core exposes the rate-control state machine for traces and tests.
 func (s *Sender) Core() *core.Sender { return &s.core }
 
-//tfrc:hotpath
 func (s *Sender) onSend() {
 	s.emit()
 	jitter := 1.0
@@ -135,7 +134,6 @@ func (s *Sender) onSend() {
 	s.sendTmr.Reset(s.core.OnSend(s.net.Now(), 0, jitter))
 }
 
-//tfrc:hotpath
 func (s *Sender) emit() {
 	p := s.net.NewPacket()
 	p.Kind = netsim.KindData
@@ -153,8 +151,6 @@ func (s *Sender) emit() {
 }
 
 // Recv handles a feedback packet from the receiver.
-//
-//tfrc:hotpath
 func (s *Sender) Recv(p *netsim.Packet) {
 	if p.Kind != netsim.KindFeedback {
 		s.net.Free(p)
@@ -242,8 +238,6 @@ func (r *Receiver) Core() *core.Receiver { return &r.core }
 func (r *Receiver) P() float64 { return r.core.P() }
 
 // Recv handles one data packet.
-//
-//tfrc:hotpath
 func (r *Receiver) Recv(p *netsim.Packet) {
 	if p.Kind != netsim.KindData {
 		r.net.Free(p)
@@ -263,8 +257,6 @@ func (r *Receiver) Recv(p *netsim.Packet) {
 }
 
 // act does what a receiver turn asks: send the report, arm the timer.
-//
-//tfrc:hotpath
 func (r *Receiver) act(rep *core.Report, send bool, arm float64) {
 	if send {
 		p := r.net.NewPacket()

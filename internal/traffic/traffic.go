@@ -90,8 +90,6 @@ func (o *OnOff) startOn() {
 
 // emit sends one packet of an ON period and schedules the next, or ends
 // the period.
-//
-//tfrc:hotpath
 func (o *OnOff) emit() {
 	now := o.net.Now()
 	if now >= o.until {
@@ -139,8 +137,6 @@ func NewCBR(nw *netsim.Network, node *netsim.Node, dst netsim.NodeID, port, flow
 func (c *CBR) Start(at float64) { c.net.Scheduler().AtArg(at, cbrEmitFn, c) }
 
 // emit sends one packet and schedules the next.
-//
-//tfrc:hotpath
 func (c *CBR) emit() {
 	p := c.net.NewPacket()
 	p.Kind = netsim.KindCBR
@@ -328,8 +324,6 @@ func (m *Mice) spawn() {
 // detached itself and will not be touched again by the ACK that finished
 // it, so it goes back to the arena now rather than when its slot comes
 // round MiceSlots sessions later.
-//
-//tfrc:hotpath
 func (m *Mice) sessionDone(snd *tcp.Sender) {
 	k := 0
 	for m.slots[k].snd != snd {
