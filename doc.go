@@ -102,8 +102,9 @@
 //     agent state follows live flows: a finished short transfer's sender
 //     is back in the arena before the next one starts.
 //     Per-flow measurement series live in struct-of-arrays monitor
-//     columns, and packet delivery at a node with many bound ports goes
-//     through a dense port-indexed table rather than a scan.
+//     columns, and a node delivers a packet by one index into its
+//     port-indexed table; the scenario builder numbers every node's
+//     ports densely from 1, mice generators included.
 //
 // # Invariants and lint
 //

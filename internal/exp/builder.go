@@ -28,8 +28,7 @@ type ScenarioBuilder struct {
 	nextFlow  int
 	tcpFlows  []int // recycled int backing, truncated by NewScenarioBuilder
 	tfrcFlows []int // recycled int backing, truncated by NewScenarioBuilder
-	ports     []int // next free port per NodeID; recycled int backing
-	micePort  int
+	ports     []int // last port issued per NodeID; recycled int backing
 
 	tfrcSenders []*tfrcsim.Sender
 
@@ -85,7 +84,6 @@ func NewScenarioBuilder(t *netsim.Topology) *ScenarioBuilder {
 		nw:          nw,
 		mem:         a,
 		ports:       ports,
-		micePort:    5000,
 		tcpFlows:    b.tcpFlows[:0],
 		tfrcFlows:   b.tfrcFlows[:0],
 		tfrcSenders: b.tfrcSenders[:0],
@@ -170,16 +168,17 @@ func (b *ScenarioBuilder) AddOnOff(src, dst string, cfg traffic.OnOffConfig, rng
 }
 
 // AddMice places a short-TCP session generator between src and dst. All
-// sessions share one flow ID (returned). A zero cfg.BasePort draws a
-// dedicated 2·traffic.MiceSlots port range so concurrent generators
-// never collide.
+// sessions share one flow ID (returned). A zero cfg.BasePort takes the
+// next traffic.MiceSlots ports free on both hosts, so the generator
+// collides with no other flow and every port table stays dense.
 func (b *ScenarioBuilder) AddMice(src, dst string, cfg traffic.MiceConfig, rng *sim.Rand, start float64) int {
 	s, d := b.topo.Lookup(src), b.topo.Lookup(dst)
 	flow := b.nextFlow
 	b.nextFlow++
 	if cfg.BasePort == 0 {
-		cfg.BasePort = b.micePort
-		b.micePort += 2 * traffic.MiceSlots
+		cfg.BasePort = max(b.port(s), b.port(d))
+		b.ports[s.ID] = cfg.BasePort + traffic.MiceSlots - 1
+		b.ports[d.ID] = b.ports[s.ID]
 	}
 	traffic.NewMice(b.nw, s, d, flow, cfg, rng).Start(start)
 	return flow

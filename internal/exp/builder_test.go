@@ -8,6 +8,7 @@ import (
 	"tfrc/internal/sim"
 	"tfrc/internal/tcp"
 	"tfrc/internal/tfrcsim"
+	"tfrc/internal/traffic"
 )
 
 // TestScenarioBuilderArbitraryPairs places flows on hand-picked host
@@ -239,5 +240,71 @@ func TestFig08Fig14Fig15MultiSeed(t *testing.T) {
 	f15.Seeds = 0
 	if g := runWith[*Fig15Result](t, "fig15", &f15, 1); g.Seeds != 0 {
 		t.Fatalf("fig15 single-seed gained Seeds=%d", g.Seeds)
+	}
+}
+
+// TestBuilderPortsAreDense builds a fig14-shaped scenario with ON/OFF
+// and mice background on its last host pair, adds a second mice
+// generator and then a TCP flow on that same pair, and runs it: twice,
+// on one pinned cell, so the second build lands on node slots whose
+// tables a previous tenant grew. A mice session unbinds its port before
+// binding it, so a collision would not panic; instead, no binding made
+// while building may be gone after the run, and the destination host
+// must end with every sink bound: its ON/OFF sinks, both generators'
+// MiceSlots sinks and the TCP sink. Every node's delivery table must end
+// within the ports the builder issued on it, and the TCP flow, issued
+// last, ends both of the pair's tables.
+func TestBuilderPortsAreDense(t *testing.T) {
+	c := newCell()
+	for round := range 2 {
+		sc := Scenario{
+			NTCP: 4, NTFRC: 4,
+			BottleneckBW: 15e6, BottleneckDly: 0.010,
+			Queue: netsim.QueueDropTail, QueueLimit: 250,
+			TCPVariant:   tcp.Sack,
+			OnOffSources: 2,
+			MiceLoad:     0.2,
+			Duration:     10,
+			BinWidth:     0.15,
+			Seed:         int64(round + 1),
+		}
+		b := buildScenario(c, sc)
+		src, dst := netsim.IndexedName("l", 8), netsim.IndexedName("r", 8)
+		b.AddMice(src, dst, traffic.MiceConfig{MeanInterarrival: 0.05, MeanSize: 20, Variant: tcp.Sack}, c.sched.NewRand(9), 0)
+		b.AddTCP(src, dst, houseTCP(sc.Seed), 1)
+		nodes := b.nw.Nodes()
+		built := make([][]uintptr, len(nodes))
+		for i, n := range nodes {
+			built[i] = portTable(n)
+		}
+		b.Run(sc.Duration)
+
+		for i, n := range nodes {
+			tab := portTable(n)
+			for port, a := range built[i] {
+				if a != 0 && (port >= len(tab) || tab[port] != a) {
+					t.Errorf("round %d: node %d lost the binding of port %d during the run", round, n.ID, port)
+				}
+			}
+			if issued := b.ports[n.ID]; len(tab) > issued+1 {
+				t.Errorf("round %d: node %d has a table of %d entries for %d ports issued", round, n.ID, len(tab), issued)
+			}
+		}
+		for _, host := range []string{src, dst} {
+			n := b.topo.Lookup(host)
+			if tab := portTable(n); len(tab) != b.ports[n.ID]+1 {
+				t.Errorf("round %d: %s has a table of %d entries, want %d", round, host, len(tab), b.ports[n.ID]+1)
+			}
+		}
+		sinks := 0
+		for _, a := range portTable(b.topo.Lookup(dst)) {
+			if a != 0 {
+				sinks++
+			}
+		}
+		if want := sc.OnOffSources + 2*traffic.MiceSlots + 1; sinks != want {
+			t.Errorf("round %d: %s ends with %d sinks bound, want %d", round, dst, sinks, want)
+		}
+		b.Release()
 	}
 }

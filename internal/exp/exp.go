@@ -293,7 +293,6 @@ func buildScenario(c *Cell, sc Scenario) *ScenarioBuilder {
 				MeanInterarrival: inter,
 				MeanSize:         meanSize,
 				Variant:          tcp.Sack,
-				BasePort:         5000,
 			}, sched.NewRand(sc.Seed+7), 0.5)
 			// A whiff of reverse traffic so ACK paths are not pristine.
 			b.AddOnOff(right(bg), left(bg),

@@ -1,6 +1,24 @@
 package exp
 
-import "tfrc/internal/netsim"
+import (
+	"reflect"
+
+	"tfrc/internal/netsim"
+)
+
+// portTable returns node n's delivery table as the address of the agent
+// bound at each port, 0 where none is. The table is netsim's own, so it
+// is read by reflection.
+func portTable(n *netsim.Node) []uintptr {
+	tab := reflect.ValueOf(n).Elem().FieldByName("ports")
+	agents := make([]uintptr, tab.Len())
+	for port := range agents {
+		if a := tab.Index(port); !a.IsNil() {
+			agents[port] = a.Elem().Pointer()
+		}
+	}
+	return agents
+}
 
 // fixedPoint is what one long-lived flow of a fig6 cell did over the
 // measurement tail: the rate it offered the bottleneck and the loss

@@ -302,7 +302,7 @@ var warmCellMatrix = []matrixRow{
 	// DropTail: the footprint cell, a parking lot of every sender and
 	// source with a tapped, reordering bottleneck. It also allocates
 	// its Run result and the parking lot's name maps.
-	{"droptail", func(c *Cell, s *sentinels) { runFootprintCell(c.begin(), 7, s) }, 11, 1456},
+	{"droptail", func(c *Cell, s *sentinels) { runFootprintCell(c.begin(), 7, s) }, 8, 1048},
 	// RED: a Figure 6 grid cell, which allocates only its result's two
 	// per-flow vectors.
 	{"red", fig06Row(netsim.QueueRED, 8, 8), 2, 64},

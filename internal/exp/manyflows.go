@@ -24,7 +24,9 @@ import (
 // exercise: flows live in chunked agent slabs, per-flow series in
 // struct-of-arrays monitor columns, feedback and no-feedback timers on a
 // shared coarse timer wheel (one scheduler event per tick, not per
-// flow), and delivery through the dense per-port table.
+// flow), and delivery by one index into each end host's port table:
+// flow i binds port i+1 on both hosts, so at a million flows the table
+// is a million entries long and every entry past 0 is bound.
 type ManyFlowsParams struct {
 	Flows           []int   // decade axis: concurrent flows per cell
 	PerFlowKbps     float64 // bottleneck capacity per flow (kbit/s)

@@ -25,9 +25,10 @@ func fuzzLot() (*sim.Scheduler, *netsim.Topology, []*tcp.Sink) {
 		Queue: netsim.QueueDropTail, QueueLimit: 20,
 	}, sched.NewRand(1))
 	var sinks []*tcp.Sink
+	node := pl.Topo.Lookup
 	for i, ends := range [][2]*netsim.Node{
-		{pl.ThroughSrc[0], pl.ThroughDst[0]},
-		{pl.CrossSrc[0][0], pl.CrossDst[0][0]},
+		{node("ts0"), node("td0")},
+		{node("cs0.0"), node("cd0.0")},
 	} {
 		sinks = append(sinks, tcp.NewSink(pl.Net, ends[1], 1, i, 40))
 		tcp.NewSender(pl.Net, ends[0], ends[1].ID, 1, 2, i, tcp.Config{Variant: tcp.Sack}).Start(0)

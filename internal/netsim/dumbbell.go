@@ -77,15 +77,15 @@ type DumbbellConfig struct {
 // Dumbbell is the realized topology. Its Topo field exposes the builder
 // names: routers "rl"/"rr", hosts "l{i}"/"r{i}", bottleneck "rl->rr".
 type Dumbbell struct {
-	Topo           *Topology
-	Net            *Network
-	Left, Right    []*Node
-	RouterL        *Node
-	RouterR        *Node
-	Forward        *Link // RouterL → RouterR: the congested direction
-	Reverse        *Link // RouterR → RouterL
-	ForwardQ, RevQ Queue
-	cfg            DumbbellConfig
+	Topo        *Topology
+	Net         *Network
+	Left, Right []*Node
+	RouterL     *Node
+	RouterR     *Node
+	Forward     *Link // RouterL → RouterR: the congested direction
+	Reverse     *Link // RouterR → RouterL
+	ForwardQ    Queue
+	cfg         DumbbellConfig
 }
 
 // NewDumbbell builds the paper's dumbbell as a preset over the Topology
@@ -121,7 +121,6 @@ func NewDumbbell(sched *sim.Scheduler, cfg DumbbellConfig, rng *sim.Rand) *Dumbb
 		Queue: cfg.Queue, QueueLimit: cfg.QueueLimit, RED: cfg.RED,
 	})
 	d.ForwardQ = d.Forward.Queue()
-	d.RevQ = d.Reverse.Queue()
 
 	for i := 0; i < cfg.Hosts; i++ {
 		l := IndexedName("l", i)

@@ -28,10 +28,8 @@ func (l *Link) Delay() float64 { return l.delay }
 
 // Agent returns the agent bound to port, or nil.
 func (n *Node) Agent(port int) Agent {
-	for _, b := range n.ports {
-		if b.port == port {
-			return b.a
-		}
+	if port < 0 || port >= len(n.ports) {
+		return nil
 	}
-	return nil
+	return n.ports[port]
 }

@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"fmt"
-	"slices"
 
 	"tfrc/internal/sim"
 )
@@ -22,15 +21,6 @@ type adjacency struct {
 	l  *Link
 }
 
-// portBinding is one (port, agent) binding. The authoritative binding
-// list; nodes with dense port numbering additionally maintain portTab, a
-// flat port-indexed table, so delivery at a million bound ports is one
-// slice index instead of a million-entry scan.
-type portBinding struct {
-	port int
-	a    Agent
-}
-
 // Node is a network element: hosts run agents on ports, routers simply
 // forward. A packet addressed to the node is delivered to the agent bound
 // to its destination port; anything else is forwarded along the static
@@ -40,75 +30,37 @@ type Node struct {
 	net   *Network
 	links []adjacency // sorted by neighbor ID
 	route []*Link     // destination NodeID → next-hop link
-	ports []portBinding
 
-	// portTab is the dense delivery table: portTab[port] is the bound
-	// agent or nil. Maintained while the node's port numbering stays
-	// dense (see portInsert); abandoned — falling back to the linear
-	// scan — when a binding would make the table wastefully sparse.
-	// Invariant: when non-empty it covers every bound port.
-	portTab    []Agent
-	portSparse bool // numbering judged sparse; stop maintaining portTab
+	// ports is the delivery table: ports[port] is the bound agent or
+	// nil, so delivery is one index. It reaches the highest port bound
+	// since the node was made, so callers number a node's ports densely
+	// from 1, as the scenario builder does.
+	ports []Agent
 }
 
-// densePortLimit is the port number below which the dense table always
-// grows; higher ports must stay within portSlack× the binding count.
-const (
-	densePortLimit = 64
-	portSlack      = 4
-)
-
-// Attach binds an agent to a local port; binding a bound port panics.
+// Attach binds an agent to a local port. Binding a negative or an
+// already bound port panics.
 func (n *Node) Attach(port int, a Agent) {
-	var bound bool
-	if tab := n.portTab; len(tab) > 0 {
-		// The dense table covers every bound port, so a port outside it
-		// is unbound: no walk of n.ports, which would make binding n
-		// densely numbered flows on one node O(n²).
-		bound = port >= 0 && port < len(tab) && tab[port] != nil
-	} else {
-		bound = slices.ContainsFunc(n.ports, func(b portBinding) bool { return b.port == port })
+	if port < 0 {
+		panic(fmt.Sprintf("netsim: node %d port %d is negative", n.ID, port))
 	}
-	if bound {
-		panic(fmt.Sprintf("netsim: node %d port %d already bound", n.ID, port))
-	}
-	n.ports = append(n.net.portMem.Reserve(n.ports, len(n.ports)+1), portBinding{port: port, a: a})
-	n.portInsert(port, a)
-}
-
-// portInsert maintains the dense delivery table for one new binding, or
-// abandons it when the numbering is too sparse to table.
-func (n *Node) portInsert(port int, a Agent) {
-	if n.portSparse {
-		return
-	}
-	if port < 0 || (port >= densePortLimit && port > portSlack*(len(n.ports)+8)) {
-		clear(n.portTab)
-		n.portTab = n.portTab[:0]
-		n.portSparse = true
-		return
-	}
-	if old := len(n.portTab); port >= old {
+	if old := len(n.ports); port >= old {
 		// A recycled node slot's table may still hold a previous
 		// scenario's agents beyond its length: the ports skipped over
 		// must read unbound.
-		n.portTab = n.net.tabMem.Reserve(n.portTab, port+1)[:port+1]
-		clear(n.portTab[old:port])
+		n.ports = n.net.tabMem.Reserve(n.ports, port+1)[:port+1]
+		clear(n.ports[old:port])
+	} else if n.ports[port] != nil {
+		panic(fmt.Sprintf("netsim: node %d port %d already bound", n.ID, port))
 	}
-	n.portTab[port] = a
+	n.ports[port] = a
 }
 
 // Detach unbinds a port. Detaching an unbound port is a no-op, so callers
 // recycling ports (e.g. short-flow generators) need not track liveness.
 func (n *Node) Detach(port int) {
-	for i, b := range n.ports {
-		if b.port == port {
-			n.ports = append(n.ports[:i], n.ports[i+1:]...)
-			if port >= 0 && port < len(n.portTab) {
-				n.portTab[port] = nil
-			}
-			return
-		}
+	if port >= 0 && port < len(n.ports) {
+		n.ports[port] = nil
 	}
 }
 
@@ -135,21 +87,9 @@ func (n *Node) Send(p *Packet) {
 }
 
 func (n *Node) deliver(p *Packet) {
-	if tab := n.portTab; len(tab) != 0 {
-		// Dense table: covers every bound port by invariant, so a miss
-		// here is a definitive miss.
-		if idx := p.DstPort; idx >= 0 && idx < len(tab) {
-			if a := tab[idx]; a != nil {
-				a.Recv(p)
-				return
-			}
-		}
-		n.net.pool.Put(p)
-		return
-	}
-	for _, b := range n.ports {
-		if b.port == p.DstPort {
-			b.a.Recv(p)
+	if port := p.DstPort; port >= 0 && port < len(n.ports) {
+		if a := n.ports[port]; a != nil {
+			a.Recv(p)
 			return
 		}
 	}
@@ -217,11 +157,10 @@ type Network struct {
 	// What is sized per node or per queue rather than per network is cut
 	// from these: a cold cell pays a few chunks, not an append chain per
 	// node, and the slots keep their segments as they kept their slices.
-	adjMem  sim.Carver[adjacency]   // node slots retain the segments they took
-	portMem sim.Carver[portBinding] // node slots retain the segments they took; Release scrubs them
-	tabMem  sim.Carver[Agent]       // node slots retain the segments they took; Release scrubs them
-	ringMem sim.Carver[*Packet]     // queue slots retain the rings they took
-	tapMem  sim.Carver[Tap]         // link slots retain the segments they took; Release scrubs them
+	adjMem  sim.Carver[adjacency] // node slots retain the segments they took
+	tabMem  sim.Carver[Agent]     // node slots retain the segments they took; Release scrubs them
+	ringMem sim.Carver[*Packet]   // queue slots retain the rings they took
+	tapMem  sim.Carver[Tap]       // link slots retain the segments they took; Release scrubs them
 
 	visited []bool   // BuildRoutes scratch, value-only backing
 	bfsQ    []bfsHop // BuildRoutes scratch; truncated after every build
@@ -270,8 +209,6 @@ func (nw *Network) Release() {
 	nw.nodeSlab.Each(func(n *Node) {
 		clear(n.ports[:cap(n.ports)])
 		n.ports = n.ports[:0]
-		clear(n.portTab[:cap(n.portTab)])
-		n.portTab = n.portTab[:0]
 		n.route = nil
 	})
 	nw.linkSlab.Each(func(l *Link) {
@@ -310,8 +247,6 @@ func (nw *Network) allocNode() *Node {
 	n := nw.nodeSlab.Get()
 	n.links = n.links[:0]
 	n.ports = n.ports[:0]
-	n.portTab = n.portTab[:0]
-	n.portSparse = false
 	n.route = nil
 	return n
 }

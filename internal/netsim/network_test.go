@@ -406,9 +406,8 @@ func TestDensePortTable(t *testing.T) {
 		sinks[i] = &portSink{nw: nw}
 		b.Attach(i, sinks[i])
 	}
-	if len(b.portTab) == 0 || b.portSparse {
-		t.Fatalf("dense numbering did not build the port table (len=%d sparse=%v)",
-			len(b.portTab), b.portSparse)
+	if len(b.ports) != n {
+		t.Fatalf("port table of %d entries after binding ports 1..%d", len(b.ports), n-1)
 	}
 	send := func(port int) {
 		p := nw.NewPacket()
@@ -450,86 +449,65 @@ func TestDensePortTable(t *testing.T) {
 	}
 }
 
-func TestSparsePortsFallBackToScan(t *testing.T) {
-	sched, nw, a, b, sink := twoNodeNet(t, 1e9, 0.001, 1000)
-	// A mice-style high base port abandons the dense table.
-	far := &portSink{nw: nw}
-	b.Attach(5000, far)
-	if !b.portSparse || len(b.portTab) != 0 {
-		t.Fatalf("sparse binding kept the table (len=%d sparse=%v)",
-			len(b.portTab), b.portSparse)
-	}
-	// Duplicate detection still works in sparse mode.
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("duplicate sparse bind did not panic")
-			}
-		}()
-		b.Attach(5000, far)
-	}()
-	for _, port := range []int{1, 5000} {
-		p := nw.NewPacket()
-		p.Size = 100
-		p.Src, p.Dst, p.DstPort = a.ID, b.ID, port
-		a.Send(p)
-	}
-	for sched.Step() {
-	}
-	if sink.bytes != 100 || far.n != 1 {
-		t.Fatalf("scan fallback delivered sink=%dB far=%d, want 100B and 1", sink.bytes, far.n)
-	}
-}
-
-// TestAttachDoubleBindPanics covers the duplicate check in each of the
-// node's three binding modes, and that a port the dense table does not
-// reach binds without a panic: past the table's end nothing can be bound,
-// so Attach answers from the table alone instead of walking n.ports.
+// TestAttachDoubleBindPanics covers the duplicate check inside the
+// table, past its end and after a detach, that a port far past the end
+// binds into the table, and that a negative port is refused.
 func TestAttachDoubleBindPanics(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		bound  []int // bound first, in order (-2 detaches port 2)
-		dup    int   // then binding this again must panic
-		fresh  int   // and this must not
-		sparse bool  // mode the node must be in when dup is tried
+		name  string
+		bound []int // bound first, in order (-2 detaches port 2)
+		dup   int   // then binding this again must panic
+		fresh int   // and this must not
 	}{
-		{"first binding", []int{4}, 4, 5, false},
-		{"dense, inside the table", []int{1, 2, 3, 40}, 2, 17, false},
-		{"dense, past the table's end", []int{1, 2, 3}, 3, 4, false},
-		{"dense, rebound after a detach", []int{1, 2, 3, -2, 2}, 2, 4, false},
-		{"sparse", []int{1, 5000, 2}, 5000, 3, true},
-		{"sparse by a negative port", []int{1, -7}, -7, -8, true},
+		{"first binding", []int{4}, 4, 5},
+		{"dense, inside the table", []int{1, 2, 3, 40}, 2, 17},
+		{"dense, past the table's end", []int{1, 2, 3}, 3, 4},
+		{"dense, rebound after a detach", []int{1, 2, 3, -2, 2}, 2, 4},
+		{"sparse", []int{1, 5000, 2}, 5000, 3}, // binds into the table all the same
+		{"a negative port", []int{1}, -7, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			nw := New(sim.NewScheduler())
 			n := nw.NewNode()
 			a := &portSink{nw: nw}
+			bindings := 0
 			for _, port := range tc.bound {
 				if port == -2 {
 					n.Detach(2)
+					bindings--
 					continue
 				}
 				n.Attach(port, a)
+				bindings++
 			}
-			if n.portSparse != tc.sparse || (len(n.portTab) == 0) != tc.sparse {
-				t.Fatalf("node in the wrong mode: sparse=%v, table of %d", n.portSparse, len(n.portTab))
-			}
-			bindings := len(n.ports)
+			table := len(n.ports)
 			func() {
 				defer func() {
 					if recover() == nil {
-						t.Fatalf("binding port %d twice did not panic", tc.dup)
+						t.Fatalf("binding port %d did not panic", tc.dup)
 					}
 				}()
 				n.Attach(tc.dup, a)
 			}()
-			if len(n.ports) != bindings {
-				t.Fatal("the refused binding was recorded")
+			if got := boundPorts(n); got != bindings || len(n.ports) != table {
+				t.Fatalf("refused binding left %d ports bound in a table of %d, want %d in %d",
+					got, len(n.ports), bindings, table)
 			}
 			n.Attach(tc.fresh, a)
-			if len(n.ports) != bindings+1 {
+			if n.Agent(tc.fresh) != a || boundPorts(n) != bindings+1 {
 				t.Fatalf("port %d did not bind", tc.fresh)
 			}
 		})
 	}
+}
+
+// boundPorts counts the node's bound ports.
+func boundPorts(n *Node) int {
+	c := 0
+	for _, a := range n.ports {
+		if a != nil {
+			c++
+		}
+	}
+	return c
 }

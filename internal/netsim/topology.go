@@ -175,14 +175,10 @@ type ParkingLotConfig struct {
 // ParkingLot is the realized multi-bottleneck topology. Routers are
 // named "r0".."rk", through hosts "ts{i}"/"td{i}", and segment-s cross
 // hosts "cs{s}.{i}"/"cd{s}.{i}"; bottleneck s is the link "r{s}->r{s+1}".
+// Topo.Lookup finds a node by name.
 type ParkingLot struct {
 	Topo        *Topology
 	Net         *Network
-	Routers     []*Node
-	ThroughSrc  []*Node
-	ThroughDst  []*Node
-	CrossSrc    [][]*Node // [segment][pair]
-	CrossDst    [][]*Node
 	Bottlenecks []*Link // forward direction: router s → router s+1
 }
 
@@ -198,55 +194,35 @@ func NewParkingLot(sched *sim.Scheduler, cfg ParkingLotConfig, rng *sim.Rand) *P
 	if cfg.QueueLimit < 1 {
 		panic("netsim: parking lot needs a queue limit")
 	}
-	// Every node list is a segment of one backing, cut to its final size.
 	k := cfg.Bottlenecks
 	hosts := 2*cfg.ThroughPairs + 2*k*cfg.CrossPairs
 	t := newTopology(sched, rng, (k+1)+hosts, 2*(k+hosts))
-	nodes := make([]*Node, (k+1)+hosts)
-	cut := func(n int) []*Node {
-		s := nodes[:0:n]
-		nodes = nodes[n:]
-		return s
-	}
-	segments := make([][]*Node, 2*k)
-	pl := &ParkingLot{
-		Topo:       t,
-		Routers:    cut(k + 1),
-		ThroughSrc: cut(cfg.ThroughPairs),
-		ThroughDst: cut(cfg.ThroughPairs),
-		CrossSrc:   segments[:0:k],
-		CrossDst:   segments[k:k],
-	}
+	pl := &ParkingLot{Topo: t, Bottlenecks: make([]*Link, 0, k)}
 	bspec := LinkSpec{
 		Bandwidth: cfg.BottleneckBW, Delay: cfg.BottleneckDly,
 		Queue: cfg.Queue, QueueLimit: cfg.QueueLimit, RED: cfg.RED,
 	}
 	aspec := accessSpec(cfg.BottleneckBW, accessDelay)
-	for s := 0; s <= cfg.Bottlenecks; s++ {
-		pl.Routers = append(pl.Routers, t.Node(IndexedName("r", s)))
+	for s := 0; s <= k; s++ {
+		t.Node(IndexedName("r", s))
 	}
-	for s := 0; s < cfg.Bottlenecks; s++ {
+	for s := 0; s < k; s++ {
 		fwd, _ := t.Link(IndexedName("r", s), IndexedName("r", s+1), bspec)
 		pl.Bottlenecks = append(pl.Bottlenecks, fwd)
 	}
 	for i := 0; i < cfg.ThroughPairs; i++ {
-		src := t.Node(IndexedName("ts", i))
-		dst := t.Node(IndexedName("td", i))
+		t.Node(IndexedName("ts", i))
+		t.Node(IndexedName("td", i))
 		t.Link(IndexedName("ts", i), "r0", aspec)
-		t.Link(IndexedName("td", i), IndexedName("r", cfg.Bottlenecks), aspec)
-		pl.ThroughSrc = append(pl.ThroughSrc, src)
-		pl.ThroughDst = append(pl.ThroughDst, dst)
+		t.Link(IndexedName("td", i), IndexedName("r", k), aspec)
 	}
-	for s := 0; s < cfg.Bottlenecks; s++ {
-		srcs, dsts := cut(cfg.CrossPairs), cut(cfg.CrossPairs)
+	for s := 0; s < k; s++ {
 		for i := 0; i < cfg.CrossPairs; i++ {
-			srcs = append(srcs, t.Node(SubName("cs", s, i)))
-			dsts = append(dsts, t.Node(SubName("cd", s, i)))
+			t.Node(SubName("cs", s, i))
+			t.Node(SubName("cd", s, i))
 			t.Link(SubName("cs", s, i), IndexedName("r", s), aspec)
 			t.Link(SubName("cd", s, i), IndexedName("r", s+1), aspec)
 		}
-		pl.CrossSrc = append(pl.CrossSrc, srcs)
-		pl.CrossDst = append(pl.CrossDst, dsts)
 	}
 	pl.Net = t.Build()
 	return pl

@@ -33,9 +33,10 @@ func TestParkingLotRouting(t *testing.T) {
 		QueueLimit:    100,
 	}, nil)
 	nw := pl.Net
+	node := pl.Topo.Lookup
 
-	if len(pl.Routers) != 4 || len(pl.Bottlenecks) != 3 {
-		t.Fatalf("got %d routers, %d bottlenecks", len(pl.Routers), len(pl.Bottlenecks))
+	if len(nw.Nodes()) != 4+2+6 || len(pl.Bottlenecks) != 3 {
+		t.Fatalf("got %d nodes, %d bottlenecks", len(nw.Nodes()), len(pl.Bottlenecks))
 	}
 
 	// Tap every bottleneck to observe which segments a packet crosses.
@@ -51,8 +52,8 @@ func TestParkingLotRouting(t *testing.T) {
 
 	// Through traffic must serialize on every bottleneck in order.
 	sinkT := &collector{nw: nw}
-	pl.ThroughDst[0].Attach(7, sinkT)
-	sendOne(nw, pl.ThroughSrc[0], pl.ThroughDst[0], 7, 1000)
+	node("td0").Attach(7, sinkT)
+	sendOne(nw, node("ts0"), node("td0"), 7, 1000)
 	for sched.Step() {
 	}
 	if len(sinkT.times) != 1 {
@@ -65,8 +66,8 @@ func TestParkingLotRouting(t *testing.T) {
 	// Cross traffic on segment 1 must touch only bottleneck 1.
 	crossed[0], crossed[1], crossed[2] = 0, 0, 0
 	sinkC := &collector{nw: nw}
-	pl.CrossDst[1][0].Attach(7, sinkC)
-	sendOne(nw, pl.CrossSrc[1][0], pl.CrossDst[1][0], 7, 1000)
+	node("cd1.0").Attach(7, sinkC)
+	sendOne(nw, node("cs1.0"), node("cd1.0"), 7, 1000)
 	for sched.Step() {
 	}
 	if len(sinkC.times) != 1 {
@@ -78,8 +79,8 @@ func TestParkingLotRouting(t *testing.T) {
 
 	// Reverse path: through destination back to through source.
 	sinkR := &collector{nw: nw}
-	pl.ThroughSrc[0].Attach(8, sinkR)
-	sendOne(nw, pl.ThroughDst[0], pl.ThroughSrc[0], 8, 500)
+	node("ts0").Attach(8, sinkR)
+	sendOne(nw, node("td0"), node("ts0"), 8, 500)
 	for sched.Step() {
 	}
 	if len(sinkR.times) != 1 || sinkR.bytes != 500 {
@@ -105,17 +106,19 @@ func TestParkingLotNextHops(t *testing.T) {
 		Queue:         QueueDropTail,
 		QueueLimit:    100,
 	}, nil)
+	router := func(s int) *Node { return pl.Topo.Lookup(IndexedName("r", s)) }
+	src, dst := pl.Topo.Lookup("ts0"), pl.Topo.Lookup("td0")
 	for s := 0; s < 3; s++ {
 		// From router s the next hop toward the far destination must be
 		// the forward bottleneck of segment s.
-		if got := pl.Routers[s].route[pl.ThroughDst[0].ID]; got != pl.Bottlenecks[s] {
+		if got := router(s).route[dst.ID]; got != pl.Bottlenecks[s] {
 			t.Fatalf("router %d next hop toward through sink is not bottleneck %d", s, s)
 		}
 	}
 	// And the reverse direction walks the chain backwards.
 	for s := 3; s > 0; s-- {
-		want := pl.Routers[s].LinkTo(pl.Routers[s-1])
-		if got := pl.Routers[s].route[pl.ThroughSrc[0].ID]; got != want {
+		want := router(s).LinkTo(router(s - 1))
+		if got := router(s).route[src.ID]; got != want {
 			t.Fatalf("router %d reverse next hop wrong", s)
 		}
 	}

@@ -182,13 +182,19 @@ type MiceConfig struct {
 	MeanSize float64
 	// Variant for the transfers (default Sack).
 	Variant tcp.Variant
-	// BasePort: each concurrent session needs two ports; the generator
-	// uses BasePort + 2k and BasePort + 2k + 1 cyclically, k < MiceSlots.
+	// BasePort: the session in port slot k binds its sender to port
+	// BasePort + k on the source and its sink to the same port on the
+	// destination, k < MiceSlots, so the two hosts must differ. Zero
+	// means 1000; a node's delivery table reaches its highest bound
+	// port, so that default costs a 1064-entry table on each host, once
+	// per node slot (a recycled network keeps it). ScenarioBuilder's
+	// AddMice sets it to the next MiceSlots ports free on both hosts.
 	BasePort int
 }
 
 // MiceSlots is the number of port slots a Mice generator cycles through,
-// and so the most sessions it keeps alive at once.
+// and so the most sessions it keeps alive at once; the generator binds
+// ports BasePort to BasePort + MiceSlots - 1 on both of its hosts.
 const MiceSlots = 64
 
 // Mice launches short TCP sessions between src and dst. What it keeps
@@ -288,17 +294,17 @@ func (m *Mice) spawn() {
 	m.Sessions++
 	k := m.slot % MiceSlots
 	m.slot++
-	sinkPort := m.cfg.BasePort + 2*k
-	srcPort := m.cfg.BasePort + 2*k + 1
+	port := m.cfg.BasePort + k
 	size := int64(m.rng.Exponential(m.cfg.MeanSize)) + 1
 
 	// Ports are recycled. A sender still bound to this slot is a
 	// straggler: it simply dies (with MiceSlots slots that is rare and
 	// harmless for background load) and goes back to the arena here
 	// instead of in sessionDone. The slot's last sink goes back either
-	// way, and the new session immediately reuses both.
-	m.src.Detach(srcPort)
-	m.dst.Detach(sinkPort)
+	// way, and the new session immediately rebinds the port on both
+	// hosts.
+	m.src.Detach(port)
+	m.dst.Detach(port)
 	sl := &m.slots[k]
 	if sl.snd != nil {
 		if m.observe != nil {
@@ -309,8 +315,8 @@ func (m *Mice) spawn() {
 	if sl.sink != nil {
 		sl.sink.Release()
 	}
-	sl.sink = tcp.NewSink(m.net, m.dst, sinkPort, m.flow, 40)
-	snd := tcp.NewSenderLimited(m.net, m.src, m.dst.ID, sinkPort, srcPort, m.flow, tcp.Config{Variant: m.cfg.Variant}, size)
+	sl.sink = tcp.NewSink(m.net, m.dst, port, m.flow, 40)
+	snd := tcp.NewSenderLimited(m.net, m.src, m.dst.ID, port, port, m.flow, tcp.Config{Variant: m.cfg.Variant}, size)
 	snd.OnComplete = m.doneFn
 	sl.snd = snd
 	if m.observe != nil {
