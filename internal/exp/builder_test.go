@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"tfrc/internal/netsim"
@@ -247,9 +248,9 @@ func TestFig08Fig14Fig15MultiSeed(t *testing.T) {
 // and mice background on its last host pair, adds a second mice
 // generator and then a TCP flow on that same pair, and runs it: twice,
 // on one pinned cell, so the second build lands on node slots whose
-// tables a previous tenant grew. A mice session unbinds its port before
-// binding it, so a collision would not panic; instead, no binding made
-// while building may be gone after the run, and the destination host
+// tables a previous tenant grew. A collision would panic in Attach
+// (TestMiceRefuseABoundPort); besides, no binding made while building
+// may be gone after the run, and the destination host
 // must end with every sink bound: its ON/OFF sinks, both generators'
 // MiceSlots sinks and the TCP sink. Every node's delivery table must end
 // within the ports the builder issued on it, and the TCP flow, issued
@@ -306,5 +307,25 @@ func TestBuilderPortsAreDense(t *testing.T) {
 			t.Errorf("round %d: %s ends with %d sinks bound, want %d", round, dst, sinks, want)
 		}
 		b.Release()
+	}
+}
+
+// TestMiceRefuseABoundPort places a TCP flow on l0→r0, which takes port
+// 1 on both hosts, and then a mice generator whose BasePort is 1 on the
+// same hosts: its first session must panic binding a port the TCP flow
+// owns, not unbind the flow's agents.
+func TestMiceRefuseABoundPort(t *testing.T) {
+	c := newCell()
+	sched := c.begin()
+	b := NewScenarioBuilder(houseDumbbell(sched, 1, 2e6, 0.02, netsim.QueueDropTail, 7).Topo)
+	b.AddTCP("l0", "r0", houseTCP(7), 0)
+	b.AddMice("l0", "r0", traffic.MiceConfig{MeanInterarrival: 0.2, MeanSize: 20, Variant: tcp.Sack, BasePort: 1}, sched.NewRand(7), 0)
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		b.runInPlace(5)
+		return nil
+	}()
+	if msg, _ := got.(string); !strings.Contains(msg, "already bound") {
+		t.Fatalf("overlapping mice ports: got %v, want an \"already bound\" panic", got)
 	}
 }

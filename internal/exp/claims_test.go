@@ -105,6 +105,14 @@ type claim struct {
 
 func TestPaperClaims(t *testing.T) {
 	fig6 := fig06Cells()
+	var fig9 *Fig09Result // run once, by the first row that reads it
+	fig09 := func(t *testing.T) *Fig09Result {
+		if fig9 == nil {
+			pr := DefaultFig09()
+			fig9 = runWith[*Fig09Result](t, "fig9", &pr, runtime.NumCPU())
+		}
+		return fig9
+	}
 	claims := []claim{
 		// Figure 5, §3.5.1: a loss event is one or more losses in one
 		// round-trip, so a flow sending N packets per RTT under Bernoulli
@@ -164,6 +172,49 @@ func TestPaperClaims(t *testing.T) {
 		// logged. Cell means over the cell's TCP flows.
 		{"fig6 TCP rate / Eq.1(p, R)", 0.75, 1.33, func(*testing.T) []reading {
 			return fig6.ratios(false, 4)
+		}},
+		// Figure 10: the coefficient of variation of a flow's throughput
+		// in bins of one timescale, for 16 SACK and 16 TFRC flows on a
+		// RED bottleneck, is lower for TFRC than for TCP at every
+		// timescale the paper plots: TFRC is the smoother. A TCP flow
+		// halves its window at every loss event, so over a few RTTs its
+		// rate swings by a factor of two about its mean; a TFRC sender
+		// sets its rate from the average of eight loss intervals, which
+		// one new interval moves by at most its weight, a sixth without
+		// discounting. Longer bins average over more loss events, both
+		// CoVs fall, and what is left is the drift of each flow's share
+		// of the link, which both protocols see, so the ratio climbs
+		// towards 1 without reaching it. Band: the ratio of the mean
+		// CoVs over the runs at most 1, at each of the default grid's
+		// six timescales.
+		{"fig10 TFRC CoV / TCP CoV", 0, 1, func(t *testing.T) []reading {
+			r := fig09(t)
+			out := make([]reading, len(r.Timescales))
+			for i, ts := range r.Timescales {
+				out[i] = reading{cell: fmt.Sprintf("timescale=%gs", ts), value: r.CoVTFRC[i].Mean / r.CoVTCP[i].Mean, inDomain: true}
+			}
+			return out
+		}},
+		// Figure 9: on the same runs, two TFRC flows are at least as
+		// equivalent to each other as two TCP flows are, at every
+		// timescale. The equivalence ratio of a pair at one timescale
+		// is the mean over bins of min(a/b, b/a) (Eq. (3)). Each pair's
+		// two base RTTs are drawn from the same range, and both
+		// protocols' rates go as 1/R, so the pairs' mean rates differ
+		// by the same factor for both; what separates them is how far
+		// each flow's rate wanders from its mean. For two independent
+		// rates of mean μ and CoV c, 1 − E[min/max] grows with E|a−b|/μ,
+		// about 1.13·c for small c, so the protocol with Figure 10's
+		// lower CoV has the higher ratio. Band: TFRC-vs-TFRC minus
+		// TCP-vs-TCP, each the mean over the runs, at least 0 (and at
+		// most 1, since both ratios lie in [0, 1]).
+		{"fig9 TFRC-TFRC minus TCP-TCP equivalence", 0, 1, func(t *testing.T) []reading {
+			r := fig09(t)
+			out := make([]reading, len(r.Timescales))
+			for i, ts := range r.Timescales {
+				out[i] = reading{cell: fmt.Sprintf("timescale=%gs", ts), value: r.TFRCvTFRC[i].Mean - r.TCPvTCP[i].Mean, inDomain: true}
+			}
+			return out
 		}},
 		// Figure 19, Appendix A.1: once losses stop, the sender's rate
 		// grows by at most a1Increase(w) packets per RTT per RTT, where w

@@ -49,7 +49,7 @@ func TestWireFramesConserved(t *testing.T) {
 		for _, host := range []string{"a", "b"} {
 			n := topo.Lookup(host)
 			ag := n.Agent(1)
-			n.Detach(1)
+			n.Detach(1, ag)
 			n.Attach(1, probeAgent{ag, &delivered})
 		}
 		for _, name := range []string{fwd, rev} {

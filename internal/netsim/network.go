@@ -24,7 +24,7 @@ type adjacency struct {
 // Node is a network element: hosts run agents on ports, routers simply
 // forward. A packet addressed to the node is delivered to the agent bound
 // to its destination port; anything else is forwarded along the static
-// route toward its destination.
+// route toward its destination. Only the agent bound to a port unbinds it.
 type Node struct {
 	ID    NodeID
 	net   *Network
@@ -56,10 +56,10 @@ func (n *Node) Attach(port int, a Agent) {
 	n.ports[port] = a
 }
 
-// Detach unbinds a port. Detaching an unbound port is a no-op, so callers
-// recycling ports (e.g. short-flow generators) need not track liveness.
-func (n *Node) Detach(port int) {
-	if port >= 0 && port < len(n.ports) {
+// Detach unbinds port if a is the agent bound there, and otherwise does
+// nothing, so an agent never unbinds another's port.
+func (n *Node) Detach(port int, a Agent) {
+	if port >= 0 && port < len(n.ports) && n.ports[port] == a {
 		n.ports[port] = nil
 	}
 }

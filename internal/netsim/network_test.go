@@ -427,14 +427,24 @@ func TestDensePortTable(t *testing.T) {
 			t.Fatalf("port %d got %d deliveries, want 1", i, sinks[i].n)
 		}
 	}
-	// Detach clears the table slot; redelivery is a discard, and rebinding
-	// works again.
-	b.Detach(7)
+	// Only the owner's Detach clears the table slot: another agent's,
+	// or one for the wrong port, leaves the binding in place.
+	b.Detach(7, sinks[8])
+	b.Detach(8, sinks[7])
 	send(7)
 	for sched.Step() {
 	}
-	if sinks[7].n != 1 {
-		t.Fatalf("detached port got %d deliveries, want 1", sinks[7].n)
+	if sinks[7].n != 2 || b.Agent(8) != sinks[8] {
+		t.Fatalf("a stranger's Detach unbound a port: port 7 got %d deliveries, want 2", sinks[7].n)
+	}
+	// The owner's does; redelivery is a discard, and rebinding works
+	// again.
+	b.Detach(7, sinks[7])
+	send(7)
+	for sched.Step() {
+	}
+	if sinks[7].n != 2 {
+		t.Fatalf("detached port got %d deliveries, want 2", sinks[7].n)
 	}
 	re := &portSink{nw: nw}
 	b.Attach(7, re)
@@ -473,7 +483,7 @@ func TestAttachDoubleBindPanics(t *testing.T) {
 			bindings := 0
 			for _, port := range tc.bound {
 				if port == -2 {
-					n.Detach(2)
+					n.Detach(2, a)
 					bindings--
 					continue
 				}

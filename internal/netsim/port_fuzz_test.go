@@ -9,8 +9,11 @@ import (
 // FuzzPortTable drives two nodes' delivery tables through binds,
 // unbinds and deliveries against a map per node. Every op is two bytes:
 // the first's low two bits pick attach, detach, deliver or renew, its
-// next bit the node, and the second, as a signed byte, the port. Renew
-// resets the scheduler (releasing the network first when bit 3 is set)
+// next bit the node, and the second, as a signed byte, the port. Detach
+// is by the agent the model binds to the port, or, when bit 3 is set, by
+// the agent the high four bits pick (modulo the agents made so far, old
+// networks' included), which must unbind the port only if it is the one
+// bound there. Renew resets the scheduler (releasing the network first when bit 3 is set)
 // and builds a new network on it, whose recycled node slots keep their
 // old tables: a previous tenant's agents past the new table's length
 // must read unbound. After every op each port from -130 to 130 must
@@ -22,6 +25,7 @@ func FuzzPortTable(f *testing.F) {
 	f.Add([]byte{0, 40, 4, 40, 0, 40, 2, 40, 6, 40, 1, 40, 0, 40})         // the same port on both nodes
 	f.Add([]byte{0, 100, 0, 5, 3, 0, 0, 7, 2, 100, 2, 50, 0, 100, 2, 100}) // stale agents past a recycled table
 	f.Add([]byte{0, 120, 11, 0, 4, 3, 2, 120, 0, 0xf9, 2, 0xf9})           // released first; a negative port
+	f.Add([]byte{0, 5, 0, 6, 0x19, 5, 2, 5, 9, 6, 2, 6, 1, 6, 2, 6})       // strangers' detaches, then the owner's
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sched := sim.NewScheduler()
 		var (
@@ -62,8 +66,14 @@ func FuzzPortTable(f *testing.F) {
 					want = append(want, 0)
 				}
 			case 1:
-				n.Detach(port)
-				delete(m, port)
+				a := m[port]
+				if data[step]&8 != 0 && len(agents) > 0 {
+					a = agents[int(data[step]>>4)%len(agents)]
+				}
+				n.Detach(port, a)
+				if m[port] == a {
+					delete(m, port)
+				}
 			case 2:
 				p := nw.NewPacket()
 				p.Dst, p.DstPort = n.ID, port

@@ -101,13 +101,13 @@ func NewSender(nw *netsim.Network, node *netsim.Node, dst netsim.NodeID, dstPort
 }
 
 // Release hands the sender back to its scheduler's agent arena for reuse
-// by a later NewSender, stopping its timers and cancelling any pending
-// Start event first. The caller must have detached the sender from its
-// port (a completed limited transfer detaches itself, and may be released
-// from its OnComplete); the sender must not be used afterwards. Release
-// is optional — Scheduler.Reset reclaims every agent wholesale — and
-// exists so scenarios that churn short-lived senders (web mice) keep as
-// many resident as are in flight: the next NewSender gets the struct just
+// by a later NewSender, stopping its timers, cancelling any pending Start
+// event and unbinding its port first (a completed limited transfer has
+// already unbound it, and may be released from its OnComplete); the
+// sender must not be used afterwards. Release is optional —
+// Scheduler.Reset reclaims every agent wholesale — and exists so
+// scenarios that churn short-lived senders (web mice) keep as many
+// resident as are in flight: the next NewSender gets the struct just
 // released, scoreboard backing included.
 func (s *Sender) Release() {
 	if s.released {
@@ -117,6 +117,7 @@ func (s *Sender) Release() {
 	s.stopped = true
 	s.rtx.Stop()
 	s.net.Scheduler().Cancel(s.startEv)
+	s.node.Detach(s.sprt, s)
 	s.OnComplete = nil
 	if s.ctrl != nil {
 		s.ctrl.Release()
@@ -218,7 +219,7 @@ func (s *Sender) onNewAck(ack int64) (complete bool) {
 	if s.limit > 0 && s.cumack >= s.limit {
 		// Finite transfer complete: release the port for reuse.
 		s.Stop()
-		s.node.Detach(s.sprt)
+		s.node.Detach(s.sprt, s)
 		return true
 	}
 

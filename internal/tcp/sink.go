@@ -7,13 +7,12 @@ import "tfrc/internal/netsim"
 // and a timestamp echo for the sender's RTT sampling. It has an infinite
 // receive window.
 type Sink struct {
-	net      *netsim.Network
-	node     *netsim.Node // arena co-tenant: node outlives the sink on the same scheduler
-	ackSize  int
-	flow     int
-	released bool
+	net     *netsim.Network
+	node    *netsim.Node // arena co-tenant: node outlives the sink on the same scheduler
+	ackSize int
+	flow    int
 
-	received rangeSet // range backing recycled by NewSink across arena reuse
+	received rangeSet // range backing kept by Restart and recycled by NewSink
 	next     int64    // cumulative ACK: lowest sequence not yet received
 
 	// Delivered counts in-order goodput in packets; Received counts all
@@ -26,29 +25,25 @@ type Sink struct {
 // data flow's id, so monitors can pair them). Like senders, sinks are
 // drawn from the scheduler's agent arena. In-order data never touches the
 // received-range set: the first arrival ahead of a hole cuts its backing
-// from the arena's range carver, and the backing then stays with the
-// arena slot across reuse.
+// from the arena's range carver, and the backing then stays with the sink
+// across Restart and with the arena slot across reuse.
 func NewSink(nw *netsim.Network, node *netsim.Node, port, flow, ackSize int) *Sink {
 	if ackSize == 0 {
 		ackSize = 40
 	}
 	s := arenaOf(nw.Scheduler()).sinks.Get()
-	received := s.received.r[:0]
-	*s = Sink{net: nw, node: node, ackSize: ackSize, flow: flow}
-	s.received.r = received
+	*s = Sink{net: nw, node: node, ackSize: ackSize, flow: flow, received: s.received}
+	s.Restart()
 	node.Attach(port, s)
 	return s
 }
 
-// Release hands the sink back to its scheduler's agent arena for reuse
-// by a later NewSink. The caller must have detached it from its port;
-// the sink must not be used afterwards. Optional, like Sender.Release.
-func (s *Sink) Release() {
-	if s.released {
-		return
-	}
-	s.released = true
-	arenaOf(s.net.Scheduler()).sinks.Put(s)
+// Restart readies the sink, still bound, for a new transfer, as NewSink
+// would on the same slot: its cumulative ACK, counters and received
+// ranges start over, and the ranges keep their backing.
+func (s *Sink) Restart() {
+	s.received.clear()
+	s.next, s.Delivered, s.Received = 0, 0, 0
 }
 
 // Recv handles one data packet and emits the corresponding ACK.

@@ -389,23 +389,27 @@ func TestScoreboardGrowsPastOldFixedHalf(t *testing.T) {
 			cap(snd.sacked.r), cap(snd.rtxed.r), cap(snk.received.r))
 	}
 
-	// A recycled slot starts logically empty but keeps what it grew.
+	// A recycled sender slot and a restarted sink start logically empty
+	// but keep what they grew. The sender's Release unbinds its port, so
+	// the next sender binds it again; the sink stays bound.
 	sackedCap, rtxedCap, receivedCap := cap(snd.sacked.r), cap(snd.rtxed.r), cap(snk.received.r)
-	snd.sacked.add(nil, 1, 2) // leftovers a new tenant must not see
-	b.Detach(9)
+	snd.sacked.add(nil, 1, 2)               // leftovers a new tenant must not see
+	snk.received.add(nil, limit+1, limit+2) // and a new transfer must not see
 	snd.Release()
-	snk.Release()
+	snk.Restart()
 	snd2 := NewSender(nw, a, b.ID, 1, 2, 2, Config{Variant: Sack})
-	snk2 := NewSink(nw, b, 9, 2, 40)
-	if snd2 != snd || snk2 != snk {
-		t.Fatal("released agents were not the next ones handed out")
+	if snd2 != snd {
+		t.Fatal("the released sender was not the next one handed out")
 	}
-	if len(snd2.sacked.r)+len(snd2.rtxed.r)+len(snk2.received.r) != 0 {
+	if snk.next != 0 || snk.Delivered != 0 || snk.Received != 0 {
+		t.Fatalf("restarted sink kept its transfer: cumack %d, delivered %d, received %d", snk.next, snk.Delivered, snk.Received)
+	}
+	if len(snd2.sacked.r)+len(snd2.rtxed.r)+len(snk.received.r) != 0 {
 		t.Fatal("recycled agents inherited scoreboard contents")
 	}
-	if cap(snd2.sacked.r) != sackedCap || cap(snd2.rtxed.r) != rtxedCap || cap(snk2.received.r) != receivedCap {
+	if cap(snd2.sacked.r) != sackedCap || cap(snd2.rtxed.r) != rtxedCap || cap(snk.received.r) != receivedCap {
 		t.Fatalf("recycled agents lost their grown scoreboards: %d/%d/%d, want %d/%d/%d",
-			cap(snd2.sacked.r), cap(snd2.rtxed.r), cap(snk2.received.r), sackedCap, rtxedCap, receivedCap)
+			cap(snd2.sacked.r), cap(snd2.rtxed.r), cap(snk.received.r), sackedCap, rtxedCap, receivedCap)
 	}
 }
 
@@ -440,6 +444,36 @@ func TestReleasedSenderPinsNothing(t *testing.T) {
 		t.Error("the released sender still holds what its OnComplete captured")
 	}
 	runtime.KeepAlive(sched)
+}
+
+// TestReleaseUnbindsOnlyTheSender: a sender released mid-transfer
+// unbinds its port, so a new sender binds it; one released after its
+// completed transfer's port was rebound leaves the new binding alone.
+func TestReleaseUnbindsOnlyTheSender(t *testing.T) {
+	sched, nw, a, b := cleanPath()
+	NewSink(nw, b, 1, 1, 40)
+	mid := NewSender(nw, a, b.ID, 1, 2, 1, Config{Variant: Sack})
+	mid.Start(0)
+	sched.RunUntil(0.5)
+	mid.Release()
+	NewSender(nw, a, b.ID, 1, 2, 1, Config{Variant: Sack}) // panics if port 2 is still bound
+
+	NewSink(nw, b, 4, 2, 40)
+	done := NewSenderLimited(nw, a, b.ID, 4, 3, 2, Config{Variant: Sack}, 20)
+	done.Start(sched.Now())
+	sched.RunUntil(sched.Now() + 5)
+	if done.cumack != done.limit {
+		t.Fatal("the 20-packet transfer did not complete")
+	}
+	next := &filter{nw: nw}
+	a.Attach(3, next)
+	done.Release()
+	defer func() {
+		if recover() == nil {
+			t.Error("releasing a completed sender unbound the agent that took its port")
+		}
+	}()
+	a.Attach(3, next)
 }
 
 // cleanPath is two nodes joined by an 8 Mb/s, 10 ms link whose queue

@@ -45,7 +45,6 @@ func DefaultConfig() Config {
 
 // Sender is the TFRC data-sending agent.
 type Sender struct {
-	cfg  Config
 	net  *netsim.Network
 	node *netsim.Node
 	dst  netsim.NodeID
@@ -58,6 +57,7 @@ type Sender struct {
 	sendTmr sim.Timer
 	noFbTmr sim.Timer
 	jitter  *sim.Rand
+	pacing  float64 // Config.PacingJitter, the jitter's amplitude
 
 	// Counters for experiments.
 	Sent      int64
@@ -76,13 +76,13 @@ type Sender struct {
 func NewSender(nw *netsim.Network, node *netsim.Node, dst netsim.NodeID, dstPort, srcPort, flow int, cfg Config) *Sender {
 	s := arenaOf(nw.Scheduler()).senders.Get()
 	*s = Sender{
-		cfg:  cfg,
-		net:  nw,
-		node: node,
-		dst:  dst,
-		dprt: dstPort,
-		sprt: srcPort,
-		flow: flow,
+		net:    nw,
+		node:   node,
+		dst:    dst,
+		dprt:   dstPort,
+		sprt:   srcPort,
+		flow:   flow,
+		pacing: cfg.PacingJitter,
 	}
 	s.core.Init(cfg.Sender)
 	s.sendTmr.InitArg(nw.Scheduler(), senderSendFn, s)
@@ -129,7 +129,7 @@ func (s *Sender) onSend() {
 	s.emit()
 	jitter := 1.0
 	if s.jitter != nil {
-		jitter = 1 + s.cfg.PacingJitter*(2*s.jitter.Float64()-1)
+		jitter = 1 + s.pacing*(2*s.jitter.Float64()-1)
 	}
 	s.sendTmr.Reset(s.core.OnSend(s.net.Now(), 0, jitter))
 }

@@ -15,7 +15,7 @@ type genArena struct {
 	sinks  sim.Slab[*Sink]
 	mice   sim.Slab[*Mice]
 
-	observe func(SessionEvent) // see ObserveSessions; not reset
+	observe func(SessionEvent) // ObserveSessions' setting, read by every generator as it reports; not reset
 }
 
 // ResetArena implements sim.Arena.

@@ -214,14 +214,12 @@ type Mice struct {
 	doneFn   func(*tcp.Sender) // bound once: every session's OnComplete
 
 	slots [MiceSlots]miceSlot // by port slot; inline, so a generator is one allocation
-
-	observe func(SessionEvent) // ObserveSessions' callback, nil when nobody watches
 }
 
-// miceSlot is what is bound to one port slot. snd is the slot's
-// unfinished transfer, nil once it completes. sink outlives its transfer:
-// a late duplicate is still acknowledged, so the sink stays bound until
-// spawn reuses the slot's ports and hands it back to the arena.
+// miceSlot is what is bound to one port slot, each owning its binding.
+// snd is the slot's unfinished transfer, nil once it completes. sink,
+// made by the slot's first session, stays bound for the scenario: a late
+// duplicate is still acknowledged, and each later session restarts it.
 type miceSlot struct {
 	snd  *tcp.Sender
 	sink *tcp.Sink
@@ -250,13 +248,18 @@ type SessionEvent struct {
 	Received            int64
 }
 
-// ObserveSessions makes every Mice generator created on s from now on
-// report its sessions to fn, in event order. The setting belongs to the
-// scheduler and survives Reset; nil switches it off.
+// ObserveSessions makes every Mice generator on s report its sessions to
+// fn, in event order, while the setting holds: they read it as they
+// report and keep no copy. The setting belongs to the scheduler and
+// survives Reset; nil switches it off.
 func ObserveSessions(s *sim.Scheduler, fn func(SessionEvent)) { arenaOf(s).observe = fn }
 
 func (m *Mice) report(kind SessionKind, k int, snd *tcp.Sender) {
-	m.observe(SessionEvent{
+	observe := arenaOf(m.net.Scheduler()).observe
+	if observe == nil {
+		return
+	}
+	observe(SessionEvent{
 		Kind: kind, At: m.net.Now(), Flow: m.flow, Slot: k, Size: snd.Limit(),
 		Sent: snd.Sent, Rtx: snd.Rtx, Timeouts: snd.Timeouts,
 		Received: m.slots[k].sink.Received,
@@ -271,13 +274,12 @@ func NewMice(nw *netsim.Network, src, dst *netsim.Node, flow int, cfg MiceConfig
 	if cfg.BasePort == 0 {
 		cfg.BasePort = 1000
 	}
-	a := arenaOf(nw.Scheduler())
-	m := sim.Next(&a.mice)
+	m := sim.Next(&arenaOf(nw.Scheduler()).mice)
 	// Slot entries from a previous scenario were reclaimed wholesale by
 	// the arena reset: the zeroed slots forget them rather than
 	// re-releasing.
 	doneFn := m.doneFn
-	*m = Mice{cfg: cfg, net: nw, src: src, dst: dst, flow: flow, rng: rng, observe: a.observe}
+	*m = Mice{cfg: cfg, net: nw, src: src, dst: dst, flow: flow, rng: rng}
 	m.doneFn = doneFn
 	if m.doneFn == nil {
 		m.doneFn = m.sessionDone
@@ -299,29 +301,23 @@ func (m *Mice) spawn() {
 
 	// Ports are recycled. A sender still bound to this slot is a
 	// straggler: it simply dies (with MiceSlots slots that is rare and
-	// harmless for background load) and goes back to the arena here
-	// instead of in sessionDone. The slot's last sink goes back either
-	// way, and the new session immediately rebinds the port on both
-	// hosts.
-	m.src.Detach(port)
-	m.dst.Detach(port)
+	// harmless for background load), and Release unbinds it and hands
+	// it back to the arena here instead of in sessionDone. The slot's
+	// sink starts over. A port another flow holds panics in Attach.
 	sl := &m.slots[k]
 	if sl.snd != nil {
-		if m.observe != nil {
-			m.report(SessionEvicted, k, sl.snd)
-		}
+		m.report(SessionEvicted, k, sl.snd)
 		sl.snd.Release()
 	}
-	if sl.sink != nil {
-		sl.sink.Release()
+	if sl.sink == nil {
+		sl.sink = tcp.NewSink(m.net, m.dst, port, m.flow, 40)
+	} else {
+		sl.sink.Restart()
 	}
-	sl.sink = tcp.NewSink(m.net, m.dst, port, m.flow, 40)
 	snd := tcp.NewSenderLimited(m.net, m.src, m.dst.ID, port, port, m.flow, tcp.Config{Variant: m.cfg.Variant}, size)
 	snd.OnComplete = m.doneFn
 	sl.snd = snd
-	if m.observe != nil {
-		m.report(SessionStart, k, snd)
-	}
+	m.report(SessionStart, k, snd)
 	snd.Start(m.net.Now())
 	m.net.Scheduler().AfterArg(m.rng.Exponential(m.cfg.MeanInterarrival), miceSpawnFn, m)
 }
@@ -335,9 +331,7 @@ func (m *Mice) sessionDone(snd *tcp.Sender) {
 	for m.slots[k].snd != snd {
 		k++
 	}
-	if m.observe != nil {
-		m.report(SessionDone, k, snd)
-	}
+	m.report(SessionDone, k, snd)
 	m.slots[k].snd = nil
 	snd.Release()
 }

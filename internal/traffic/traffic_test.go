@@ -103,13 +103,16 @@ func TestMiceGenerateSessions(t *testing.T) {
 // transfers are unfinished, the most there ever were, and every sender
 // struct a session was ever started on. It fails the test if two port
 // slots ever hold the same sender — what a struct released twice, and
-// so issued twice, would look like.
+// so issued twice, would look like — or if a session starts on a sink
+// other than its slot's first, or on one that still counts the last
+// transfer's packets.
 type miceWatch struct {
 	t                      *testing.T
 	m                      *Mice
 	live, peak             int
 	starts, dones, evicted int
 	issued                 map[*tcp.Sender]bool
+	sinks                  [MiceSlots]*tcp.Sink // each slot's first sink
 }
 
 func watchMice(t *testing.T, sched *sim.Scheduler, build func() *Mice) *miceWatch {
@@ -132,6 +135,14 @@ func (w *miceWatch) event(e SessionEvent) {
 		w.live++
 		w.peak = max(w.peak, w.live)
 		w.issued[w.m.slots[e.Slot].snd] = true
+		sink := w.m.slots[e.Slot].sink
+		if first := w.sinks[e.Slot]; first != nil && sink != first {
+			w.t.Fatalf("session %d: port slot %d changed its sink", w.starts, e.Slot)
+		}
+		w.sinks[e.Slot] = sink
+		if e.Received != 0 || sink.Delivered != 0 {
+			w.t.Fatalf("session %d: slot %d's sink starts with %d packets received, %d delivered", w.starts, e.Slot, e.Received, sink.Delivered)
+		}
 		held := map[*tcp.Sender]int{}
 		for k, sl := range w.m.slots {
 			if sl.snd == nil {
