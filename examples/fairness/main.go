@@ -85,7 +85,7 @@ func init() {
 			}
 		},
 		Cells: (*fairnessParams).cells,
-		Cell: func(_ *experiment.Cell, p *fairnessParams, i int) fairnessCell {
+		Cell: func(_ *scenario.Scheduler, p *fairnessParams, i int) fairnessCell {
 			res, err := scenario.Run(p.spec(i))
 			if err != nil {
 				panic(err) // Validate checked every cell's spec

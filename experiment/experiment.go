@@ -79,12 +79,13 @@ type (
 
 // Spec declares an experiment as parameters → N independent cells →
 // reduce: P is the plain parameter struct (*P implements Params), C one
-// cell's JSON-round-trippable harvest, R the Result.
+// cell's JSON-round-trippable harvest, R the Result. Its Cell function
+// is handed the worker's pinned *scenario.Scheduler, rewound before
+// every cell: the clock reads zero and nothing is pending. A cell that
+// builds its scenario on it (scenario.NewTopology or a preset, then
+// scenario.NewBuilder) reuses the worker's previous cell's memory; one
+// that runs scenario.Run ignores it.
 type Spec[P, C any, R Result] = exp.Spec[P, C, R]
-
-// Cell is the worker's simulation arena handed to a Spec's Cell
-// function; code outside this module has no use for it.
-type Cell = exp.Cell
 
 // Define registers the experiment s describes — Run, the shardable
 // Grid and the JSON framing at its boundary are all derived from the

@@ -500,7 +500,7 @@ func TestRegisterUserExperiment(t *testing.T) {
 		Description: "test-only user experiment",
 		Default:     func() userDumbbellParams { return userDumbbellParams{Flows: 2, Duration: 10} },
 		Cells:       func(*userDumbbellParams) int { return 1 },
-		Cell: func(_ *experiment.Cell, p *userDumbbellParams, _ int) float64 {
+		Cell: func(_ *scenario.Scheduler, p *userDumbbellParams, _ int) float64 {
 			res, err := scenario.Run(scenario.Spec{
 				NTCP: p.Flows, NTFRC: p.Flows,
 				BottleneckBW: 2e6, Duration: p.Duration, Seed: 1,
@@ -524,6 +524,81 @@ func TestRegisterUserExperiment(t *testing.T) {
 	}
 	if u := res.(*userDumbbellResult).Util; u <= 0 || u > 1.01 {
 		t.Fatalf("implausible utilization %v", u)
+	}
+}
+
+// TestUserCellBuildsOnItsScheduler defines an experiment whose cells
+// build their scenario on the *scenario.Scheduler they are handed,
+// through scenario.NewTopology and scenario.NewBuilder, and never rewind
+// it. Run at one worker and at two, every cell must start at time zero
+// and read what it reads built on a fresh scheduler.
+func TestUserCellBuildsOnItsScheduler(t *testing.T) {
+	cell := func(sched *scenario.Scheduler, p *userLinkParams, i int) userLinkCell {
+		if now := sched.Now(); now != 0 {
+			t.Errorf("cell %d handed a scheduler at t = %v", i, now)
+		}
+		topo := scenario.NewTopology(sched, sched.NewRand(int64(i)))
+		topo.Link("src", "dst", scenario.LinkSpec{
+			Bandwidth: p.Mbps[i] * 1e6, Delay: 0.02,
+			Queue: scenario.QueueDropTail, QueueLimit: 30,
+		})
+		b := scenario.NewBuilder(topo)
+		b.MonitorLink("src->dst", 0.5, 1)
+		b.AddTFRC("src", "dst", scenario.DefaultTFRCConfig(), 0)
+		b.AddTCP("src", "dst", scenario.TCPConfig{Variant: scenario.TCPSack}, 0.1)
+		res := b.Run(p.Duration)
+		b.Release()
+		var c userLinkCell
+		for _, v := range res.TCPSeries[0] {
+			c.TCP += v
+		}
+		for _, v := range res.TFRCSeries[0] {
+			c.TFRC += v
+		}
+		return c
+	}
+	experiment.Define(experiment.Spec[userLinkParams, userLinkCell, *userLinkResult]{
+		Name:        "user-link",
+		Description: "test-only user experiment built on the handed scheduler",
+		Default:     func() userLinkParams { return userLinkParams{Mbps: []float64{1, 2, 4, 1.5, 3}, Duration: 6} },
+		Cells:       func(p *userLinkParams) int { return len(p.Mbps) },
+		Cell:        cell,
+		Reduce: func(_ *userLinkParams, cells []userLinkCell) *userLinkResult {
+			return &userLinkResult{Cells: cells}
+		},
+	})
+	d, err := experiment.Get("user-link")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := d.Params().(*userLinkParams)
+	for _, workers := range []int{1, 2} {
+		res, err := experiment.RunWith(d, p, experiment.RunOptions{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, got := range res.(*userLinkResult).Cells {
+			if want := cell(scenario.NewScheduler(), p, i); got != want || got.TCP == 0 || got.TFRC == 0 {
+				t.Errorf("%d workers, cell %d: %+v, want %+v as on a fresh scheduler, both flows moving bytes", workers, i, got, want)
+			}
+		}
+	}
+}
+
+type userLinkParams struct {
+	Mbps     []float64
+	Duration float64
+}
+
+func (p *userLinkParams) Validate() error { return nil }
+
+type userLinkCell struct{ TCP, TFRC float64 }
+
+type userLinkResult struct{ Cells []userLinkCell }
+
+func (r *userLinkResult) Table(w io.Writer) {
+	for _, c := range r.Cells {
+		fmt.Fprintf(w, "%.0f\t%.0f\n", c.TCP, c.TFRC)
 	}
 }
 

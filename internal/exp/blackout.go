@@ -7,6 +7,7 @@ import (
 	"tfrc/internal/core"
 	"tfrc/internal/faults"
 	"tfrc/internal/netsim"
+	"tfrc/internal/sim"
 )
 
 // BlackoutParams is the total-feedback-outage soak: one TFRC flow on a
@@ -81,8 +82,7 @@ type BlackoutResult struct {
 	Rates    []faults.RatePoint // allowed-rate trace
 }
 
-func blackoutCell(c *Cell, pr *BlackoutParams) *BlackoutResult {
-	sched := c.begin()
+func blackoutCell(sched *sim.Scheduler, pr *BlackoutParams) *BlackoutResult {
 	bw := pr.LinkMbps * 1e6
 	d := houseDumbbell(sched, 1, bw, pr.Delay, pr.Queue, pr.Seed)
 

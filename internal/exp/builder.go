@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"tfrc/internal/cc"
+	"tfrc/internal/core"
 	"tfrc/internal/netsim"
 	"tfrc/internal/sim"
 	"tfrc/internal/tcp"
@@ -30,7 +31,7 @@ type ScenarioBuilder struct {
 	tfrcFlows []int // recycled int backing, truncated by NewScenarioBuilder
 	ports     []int // last port issued per NodeID; recycled int backing
 
-	tfrcSenders []*tfrcsim.Sender
+	tfrc []tfrcFlow // the agents of each AddTFRC call, in call order
 
 	primary      *netsim.FlowMonitor
 	primaryLink  string
@@ -47,6 +48,12 @@ type ScenarioBuilder struct {
 	tcpSeries, tfrcSeries [][]float64 // headers into seriesSlab, rewritten likewise
 }
 
+// tfrcFlow is the sender and receiver of one AddTFRC call.
+type tfrcFlow struct {
+	snd *tfrcsim.Sender
+	rcv *tfrcsim.Receiver
+}
+
 // expArenaID is this package's slot in every scheduler's arena table;
 // it pools scenario builders alongside the simulator objects they wire.
 var expArenaID = sim.NewArenaID()
@@ -57,12 +64,19 @@ var expArenaID = sim.NewArenaID()
 type builderArena struct {
 	builders sim.Slab[*ScenarioBuilder]
 	flowMem  sim.Carver[int]
-	sndMem   sim.Carver[*tfrcsim.Sender]
+	tfrcMem  sim.Carver[tfrcFlow]
 	monMem   sim.Carver[*netsim.FlowMonitor]
+
+	accessDly []float64 // buildScenario's access-link delays, redrawn by each scenario
 }
 
 // ResetArena implements sim.Arena.
 func (a *builderArena) ResetArena() { a.builders.Reset() }
+
+// builderArenaOf returns sched's exp arena, made on first use.
+func builderArenaOf(sched *sim.Scheduler) *builderArena {
+	return sched.Arena(expArenaID, func() sim.Arena { return &builderArena{} }).(*builderArena)
+}
 
 // NewScenarioBuilder returns a builder over the topology, building its
 // routes if the caller has not already done so. The
@@ -70,7 +84,7 @@ func (a *builderArena) ResetArena() { a.builders.Reset() }
 // arena and are recycled across sweep cells.
 func NewScenarioBuilder(t *netsim.Topology) *ScenarioBuilder {
 	nw := t.Build()
-	a := nw.Scheduler().Arena(expArenaID, func() sim.Arena { return &builderArena{} }).(*builderArena)
+	a := builderArenaOf(nw.Scheduler())
 	b := sim.Next(&a.builders)
 	ports := b.ports[:0]
 	if cap(ports) < len(nw.Nodes()) {
@@ -80,17 +94,17 @@ func NewScenarioBuilder(t *netsim.Topology) *ScenarioBuilder {
 		clear(ports)
 	}
 	*b = ScenarioBuilder{
-		topo:        t,
-		nw:          nw,
-		mem:         a,
-		ports:       ports,
-		tcpFlows:    b.tcpFlows[:0],
-		tfrcFlows:   b.tfrcFlows[:0],
-		tfrcSenders: b.tfrcSenders[:0],
-		monitors:    b.monitors[:0],
-		seriesSlab:  b.seriesSlab,
-		tcpSeries:   b.tcpSeries,
-		tfrcSeries:  b.tfrcSeries,
+		topo:       t,
+		nw:         nw,
+		mem:        a,
+		ports:      ports,
+		tcpFlows:   b.tcpFlows[:0],
+		tfrcFlows:  b.tfrcFlows[:0],
+		tfrc:       b.tfrc[:0],
+		monitors:   b.monitors[:0],
+		seriesSlab: b.seriesSlab,
+		tcpSeries:  b.tcpSeries,
+		tfrcSeries: b.tfrcSeries,
 	}
 	return b
 }
@@ -143,16 +157,16 @@ func (b *ScenarioBuilder) AddTFRC(src, dst string, cfg tfrcsim.Config, start flo
 	flow := b.nextFlow
 	b.nextFlow++
 	dstPort, srcPort := b.port(d), b.port(s)
-	snd, _ := tfrcsim.Pair(b.nw, s, d, dstPort, srcPort, flow, cfg)
+	snd, rcv := tfrcsim.Pair(b.nw, s, d, dstPort, srcPort, flow, cfg)
 	snd.Start(start)
 	b.tfrcFlows = append(b.mem.flowMem.Reserve(b.tfrcFlows, len(b.tfrcFlows)+1), flow)
-	b.tfrcSenders = append(b.mem.sndMem.Reserve(b.tfrcSenders, len(b.tfrcSenders)+1), snd)
+	b.tfrc = append(b.mem.tfrcMem.Reserve(b.tfrc, len(b.tfrc)+1), tfrcFlow{snd, rcv})
 	return flow
 }
 
 // TFRCSender returns the sender agent of the i-th AddTFRC call, for rate
 // traces (OnRateChange) and robustness counters. Valid until Release.
-func (b *ScenarioBuilder) TFRCSender(i int) *tfrcsim.Sender { return b.tfrcSenders[i] }
+func (b *ScenarioBuilder) TFRCSender(i int) *tfrcsim.Sender { return b.tfrc[i].snd }
 
 // AddOnOff places a Pareto ON/OFF background source from src to dst with
 // its own rng, plus a discarding sink, and returns its flow ID. ON/OFF
@@ -246,12 +260,14 @@ func (b *ScenarioBuilder) Release() {
 	b.qmon = nil
 	clear(b.monitors)
 	b.monitors = b.monitors[:0]
-	// A sender stays in its arena slot until a later cell reuses it, so
-	// drop the rate observer a caller handed it.
-	for _, snd := range b.tfrcSenders {
-		snd.OnRateChange = nil
+	// A TFRC flow's agents stay in their arena slots until a later cell
+	// reuses them, so drop what a caller handed them: the sender's rate
+	// observer, and the receiver's state machine with its OnLossInterval.
+	for _, f := range b.tfrc {
+		f.snd.OnRateChange = nil
+		*f.rcv.Core() = core.Receiver{}
 	}
-	b.tfrcSenders = b.tfrcSenders[:0]
+	b.tfrc = b.tfrc[:0]
 }
 
 // Run registers every flow with every monitor (preallocating the series

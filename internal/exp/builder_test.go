@@ -247,7 +247,7 @@ func TestFig08Fig14Fig15MultiSeed(t *testing.T) {
 // TestBuilderPortsAreDense builds a fig14-shaped scenario with ON/OFF
 // and mice background on its last host pair, adds a second mice
 // generator and then a TCP flow on that same pair, and runs it: twice,
-// on one pinned cell, so the second build lands on node slots whose
+// on one pinned scheduler, so the second build lands on node slots whose
 // tables a previous tenant grew. A collision would panic in Attach
 // (TestMiceRefuseABoundPort); besides, no binding made while building
 // may be gone after the run, and the destination host
@@ -256,7 +256,7 @@ func TestFig08Fig14Fig15MultiSeed(t *testing.T) {
 // within the ports the builder issued on it, and the TCP flow, issued
 // last, ends both of the pair's tables.
 func TestBuilderPortsAreDense(t *testing.T) {
-	c := newCell()
+	sched := newPinned()
 	for round := range 2 {
 		sc := Scenario{
 			NTCP: 4, NTFRC: 4,
@@ -269,9 +269,9 @@ func TestBuilderPortsAreDense(t *testing.T) {
 			BinWidth:     0.15,
 			Seed:         int64(round + 1),
 		}
-		b := buildScenario(c, sc)
+		b := buildScenario(rewound(sched), sc)
 		src, dst := netsim.IndexedName("l", 8), netsim.IndexedName("r", 8)
-		b.AddMice(src, dst, traffic.MiceConfig{MeanInterarrival: 0.05, MeanSize: 20, Variant: tcp.Sack}, c.sched.NewRand(9), 0)
+		b.AddMice(src, dst, traffic.MiceConfig{MeanInterarrival: 0.05, MeanSize: 20, Variant: tcp.Sack}, sched.NewRand(9), 0)
 		b.AddTCP(src, dst, houseTCP(sc.Seed), 1)
 		nodes := b.nw.Nodes()
 		built := make([][]uintptr, len(nodes))
@@ -315,8 +315,7 @@ func TestBuilderPortsAreDense(t *testing.T) {
 // same hosts: its first session must panic binding a port the TCP flow
 // owns, not unbind the flow's agents.
 func TestMiceRefuseABoundPort(t *testing.T) {
-	c := newCell()
-	sched := c.begin()
+	sched := newPinned()
 	b := NewScenarioBuilder(houseDumbbell(sched, 1, 2e6, 0.02, netsim.QueueDropTail, 7).Topo)
 	b.AddTCP("l0", "r0", houseTCP(7), 0)
 	b.AddMice("l0", "r0", traffic.MiceConfig{MeanInterarrival: 0.2, MeanSize: 20, Variant: tcp.Sack, BasePort: 1}, sched.NewRand(7), 0)

@@ -6,6 +6,7 @@ import (
 
 	"tfrc/internal/faults"
 	"tfrc/internal/netsim"
+	"tfrc/internal/sim"
 	"tfrc/internal/stats"
 )
 
@@ -75,12 +76,12 @@ func init() {
 		Default:     DefaultBWStep,
 		Presets:     map[string]func() BWStepParams{"paper": PaperBWStep},
 		Cells:       func(p *BWStepParams) int { return replicas(p.Seeds) },
-		Cell: func(c *Cell, p *BWStepParams, rep int) BWStepResult {
+		Cell: func(sched *sim.Scheduler, p *BWStepParams, rep int) BWStepResult {
 			pr := *p
 			if pr.Factor == 0 {
 				pr.Factor = 0.5
 			}
-			return runBWStepSeed(c, pr, replicaSeed(pr.Seed, rep))
+			return runBWStepSeed(sched, pr, replicaSeed(pr.Seed, rep))
 		},
 		Reduce: bwStepReduce,
 	})
@@ -112,8 +113,7 @@ type BWStepResult struct {
 	Seeds     int
 }
 
-func runBWStepSeed(c *Cell, pr BWStepParams, seed int64) BWStepResult {
-	sched := c.begin()
+func runBWStepSeed(sched *sim.Scheduler, pr BWStepParams, seed int64) BWStepResult {
 	rng := sched.NewRand(seed)
 	bw := pr.LinkMbps * 1e6
 	d := houseDumbbell(sched, pr.NTCP+pr.NTFRC, bw, 0.025, pr.Queue, seed)

@@ -6,6 +6,7 @@ import (
 
 	"tfrc/internal/cc"
 	"tfrc/internal/netsim"
+	"tfrc/internal/sim"
 	"tfrc/internal/stats"
 )
 
@@ -100,9 +101,9 @@ func init() {
 		Cells: func(p *CCFairParams) int {
 			return len(p.RTTs) * len(p.LinkMbps) * replicas(p.Seeds)
 		},
-		Cell: func(c *Cell, p *CCFairParams, idx int) CCFairCell {
+		Cell: func(sched *sim.Scheduler, p *CCFairParams, idx int) CCFairCell {
 			at := unravel(idx, len(p.RTTs), len(p.LinkMbps), replicas(p.Seeds))
-			return runCCFairCell(c, *p, p.RTTs[at[0]], p.LinkMbps[at[1]], replicaSeed(p.Seed, at[2]))
+			return runCCFairCell(sched, *p, p.RTTs[at[0]], p.LinkMbps[at[1]], replicaSeed(p.Seed, at[2]))
 		},
 		Reduce: ccfairReduce,
 	})
@@ -162,8 +163,7 @@ func ccfairAdd(b *ScenarioBuilder, proto, src, dst string, seed int64, start flo
 // pinned arena. Flow IDs are assigned A-first then B, and start times
 // are drawn in that same order, so shards reproduce the exact event
 // sequence of a single-machine run.
-func runCCFairCell(c *Cell, pr CCFairParams, rtt, linkMbps float64, seed int64) CCFairCell {
-	sched := c.begin()
+func runCCFairCell(sched *sim.Scheduler, pr CCFairParams, rtt, linkMbps float64, seed int64) CCFairCell {
 	rng := sched.NewRand(seed)
 	bw := linkMbps * 1e6
 	nflows := pr.FlowsA + pr.FlowsB

@@ -84,8 +84,8 @@ func init() {
 		Description: "seeded randomized fault soak with hard invariants",
 		Default:     DefaultChaos,
 		Cells:       func(p *ChaosParams) int { return p.Cells },
-		Cell: func(c *Cell, p *ChaosParams, idx int) ChaosCell {
-			return runChaosCell(c, *p, chaosFloor, p.Seed+int64(idx)*9973)
+		Cell: func(sched *sim.Scheduler, p *ChaosParams, idx int) ChaosCell {
+			return runChaosCell(sched, *p, chaosFloor, p.Seed+int64(idx)*9973)
 		},
 		Reduce: chaosReduce,
 	})
@@ -198,8 +198,7 @@ func chaosReduce(pr *ChaosParams, cells []ChaosCell) *ChaosResult {
 	return out
 }
 
-func runChaosCell(c *Cell, pr ChaosParams, floor float64, seed int64) ChaosCell {
-	sched := c.begin()
+func runChaosCell(sched *sim.Scheduler, pr ChaosParams, floor float64, seed int64) ChaosCell {
 	rng := sched.NewRand(seed)
 	bw := pr.LinkMbps * 1e6
 	const dly = 0.025

@@ -20,6 +20,7 @@ import (
 	"math"
 
 	"tfrc/internal/netsim"
+	"tfrc/internal/sim"
 	"tfrc/internal/stats"
 	"tfrc/internal/tcp"
 	"tfrc/internal/tfrcsim"
@@ -183,24 +184,25 @@ func (r *ScenarioResult) NormalizedPerFlow(series [][]float64) []float64 {
 // the clock, and harvests measurements. It is a preset over
 // ScenarioBuilder: the dumbbell topology, one monitor set on the
 // congested link, and the paper's flow mix, in a fixed deterministic
-// order. The simulation runs on a pooled worker Cell, so repeated calls
-// reuse a warm arena, and the result is harvested into fresh storage the
-// caller owns; grid experiments pass their worker-pinned cell to
-// runScenarioCell directly.
+// order. The simulation runs on a pooled worker-pinned scheduler, which
+// it rewinds first, so repeated calls reuse a warm arena, and the result
+// is harvested into fresh storage the caller owns; grid cells pass the
+// scheduler they are handed to runScenarioCell directly.
 func RunScenario(sc Scenario) *ScenarioResult {
-	c := getCell()
-	defer putCell(c)
-	b := buildScenario(c, sc)
+	sched := schedPool.Get().(*sim.Scheduler)
+	defer schedPool.Put(sched)
+	sched.Reset()
+	b := buildScenario(sched, sc)
 	defer b.Release()
 	return b.Run(sc.Duration)
 }
 
-// runScenarioCell is RunScenario on an explicit worker cell, harvested in
-// place: the result's series and queue trace live in storage the cell
-// keeps, valid until the cell's next begin(). A grid cell reads them
-// there, and clones exactly the slices it keeps.
-func runScenarioCell(c *Cell, sc Scenario) ScenarioResult {
-	b := buildScenario(c, sc)
+// runScenarioCell is RunScenario on a rewound worker scheduler, harvested
+// in place: the result's series and queue trace live in storage the
+// scheduler's arenas keep, valid until its next Reset. A grid cell reads
+// them there, and clones exactly the slices it keeps.
+func runScenarioCell(sched *sim.Scheduler, sc Scenario) ScenarioResult {
+	b := buildScenario(sched, sc)
 	defer b.Release()
 	return b.runInPlace(sc.Duration)
 }
@@ -224,11 +226,10 @@ func cloneSeries(series [][]float64) [][]float64 {
 	return out
 }
 
-// buildScenario builds sc's dumbbell, flows and monitors on a rewound c,
-// ready to run.
-func buildScenario(c *Cell, sc Scenario) *ScenarioBuilder {
+// buildScenario builds sc's dumbbell, flows and monitors on a rewound
+// sched, ready to run.
+func buildScenario(sched *sim.Scheduler, sc Scenario) *ScenarioBuilder {
 	sc.fill()
-	sched := c.begin()
 	rng := sched.NewRand(sc.Seed)
 
 	hosts := sc.NTCP + sc.NTFRC
@@ -236,7 +237,9 @@ func buildScenario(c *Cell, sc Scenario) *ScenarioBuilder {
 	if sc.OnOffSources > 0 || sc.MiceLoad > 0 {
 		extra = 1 // a dedicated host pair carries all background traffic
 	}
-	accessDly := c.floats(hosts + extra)
+	mem := builderArenaOf(sched)
+	mem.accessDly = append(mem.accessDly[:0], make([]float64, hosts+extra)...)
+	accessDly := mem.accessDly
 	for i := range accessDly {
 		if sc.AccessDlyMax > 0 {
 			accessDly[i] = rng.Uniform(sc.AccessDlyMin, sc.AccessDlyMax)

@@ -47,9 +47,8 @@ func fig06FixedPoints(queue netsim.QueueKind, linkMbps float64, flows int, durat
 	// buildScenario's access links when the scenario draws no delays.
 	const accessDelay = 0.001
 	sc := fig06Scenario(queue, linkMbps, flows, duration, tail, seed)
-	c := getCell()
-	defer putCell(c)
-	b := buildScenario(c, sc)
+	sched := newPinned()
+	b := buildScenario(sched, sc)
 	defer b.Release()
 
 	n := sc.NTCP + sc.NTFRC

@@ -116,8 +116,7 @@ func periodicLossPipe(sched *sim.Scheduler, rtt float64, every int) (*tfrcsim.Se
 	return snd, rcv, drop
 }
 
-func fig02Cell(c *Cell, pr *Fig02Params) *Fig02Result {
-	sched := c.begin()
+func fig02Cell(sched *sim.Scheduler, pr *Fig02Params) *Fig02Result {
 	snd, rcv, drop := periodicLossPipe(sched, pr.RTT, int(1/pr.P1))
 	sched.At(pr.T1, func() { drop.every = int(1 / pr.P2) })
 	sched.At(pr.T2, func() { drop.every = int(1 / pr.P3) })

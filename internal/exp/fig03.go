@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"tfrc/internal/netsim"
+	"tfrc/internal/sim"
 	"tfrc/internal/stats"
 	"tfrc/internal/tfrcsim"
 )
@@ -98,9 +99,9 @@ type Fig03Result struct {
 // fig03Cell runs one cell of the buffer sweep: a two-node pipe topology
 // with a single TFRC flow, composed on the scenario builder over the
 // worker's pinned arena.
-func fig03Cell(c *Cell, pr *Fig03Params, idx int) Fig03Curve {
+func fig03Cell(sched *sim.Scheduler, pr *Fig03Params, idx int) Fig03Curve {
 	buf := pr.BufferSizes[idx]
-	t := netsim.NewTopology(c.begin(), nil)
+	t := netsim.NewTopology(sched, nil)
 	t.Link("src", "dst", netsim.LinkSpec{
 		Bandwidth: pr.Bandwidth, Delay: pr.BaseRTT / 2,
 		Queue: netsim.QueueDropTail, QueueLimit: buf,

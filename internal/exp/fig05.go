@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"tfrc/internal/core"
+	"tfrc/internal/sim"
 )
 
 // Fig05Params reproduces Figure 5: the loss-event fraction as a function
@@ -96,7 +97,7 @@ func lossEventFraction(pLoss, mult, rtt float64, pktSize int) float64 {
 	return pEvent
 }
 
-func fig05Cell(_ *Cell, pr *Fig05Params, idx int) Fig05Row {
+func fig05Cell(_ *sim.Scheduler, pr *Fig05Params, idx int) Fig05Row {
 	row := Fig05Row{PLoss: pr.PLoss[idx]}
 	for _, m := range pr.Multiplier {
 		row.PEvent = append(row.PEvent, lossEventFraction(row.PLoss, m, pr.RTT, pr.PacketSize))

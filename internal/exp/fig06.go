@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"tfrc/internal/netsim"
+	"tfrc/internal/sim"
 	"tfrc/internal/tcp"
 )
 
@@ -74,9 +75,9 @@ func init() {
 		Cells: func(p *Fig06Params) int {
 			return len(p.Queues) * len(p.LinkMbps) * len(p.TotalFlows) * replicas(p.Seeds)
 		},
-		Cell: func(c *Cell, p *Fig06Params, idx int) Fig06Cell {
+		Cell: func(sched *sim.Scheduler, p *Fig06Params, idx int) Fig06Cell {
 			at := unravel(idx, len(p.Queues), len(p.LinkMbps), len(p.TotalFlows), replicas(p.Seeds))
-			return runFig06Cell(c, p.Queues[at[0]], p.LinkMbps[at[1]], p.TotalFlows[at[2]],
+			return runFig06Cell(sched, p.Queues[at[0]], p.LinkMbps[at[1]], p.TotalFlows[at[2]],
 				p.Duration, p.MeasureTail, replicaSeed(p.Seed, at[3]))
 		},
 		Reduce: fig06Reduce,
@@ -93,8 +94,8 @@ func init() {
 		Default:     DefaultFig07,
 		Presets:     map[string]func() Fig07Params{"paper": PaperFig07},
 		Cells:       func(p *Fig07Params) int { return len(p.TotalFlows) },
-		Cell: func(c *Cell, p *Fig07Params, idx int) Fig06Cell {
-			return runFig06Cell(c, netsim.QueueRED, 15, p.TotalFlows[idx], p.Duration, p.MeasureTail, p.Seed)
+		Cell: func(sched *sim.Scheduler, p *Fig07Params, idx int) Fig06Cell {
+			return runFig06Cell(sched, netsim.QueueRED, 15, p.TotalFlows[idx], p.Duration, p.MeasureTail, p.Seed)
 		},
 		Reduce: func(_ *Fig07Params, cells []Fig06Cell) *Fig07Result { return &Fig07Result{Cells: cells} },
 	})
@@ -141,9 +142,9 @@ func fig06Scenario(queue netsim.QueueKind, linkMbps float64, flows int, duration
 	}
 }
 
-// runFig06Cell runs one cell of the grid on the worker's cell.
-func runFig06Cell(c *Cell, queue netsim.QueueKind, linkMbps float64, flows int, duration, tail float64, seed int64) Fig06Cell {
-	res := runScenarioCell(c, fig06Scenario(queue, linkMbps, flows, duration, tail, seed))
+// runFig06Cell runs one cell of the grid on the worker's scheduler.
+func runFig06Cell(sched *sim.Scheduler, queue netsim.QueueKind, linkMbps float64, flows int, duration, tail float64, seed int64) Fig06Cell {
+	res := runScenarioCell(sched, fig06Scenario(queue, linkMbps, flows, duration, tail, seed))
 	return Fig06Cell{
 		Queue:       queue,
 		LinkMbps:    linkMbps,

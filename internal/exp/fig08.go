@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"tfrc/internal/netsim"
+	"tfrc/internal/sim"
 	"tfrc/internal/stats"
 	"tfrc/internal/tcp"
 )
@@ -61,9 +62,9 @@ func init() {
 		Description: "per-flow throughput traces (DropTail and RED)",
 		Default:     DefaultFig08Grid,
 		Cells:       func(p *Fig08GridParams) int { return len(p.Queues) * replicas(p.Seeds) },
-		Cell: func(c *Cell, p *Fig08GridParams, idx int) Fig08Result {
+		Cell: func(sched *sim.Scheduler, p *Fig08GridParams, idx int) Fig08Result {
 			at := unravel(idx, len(p.Queues), replicas(p.Seeds))
-			return runFig08Seed(c, p.Queues[at[0]], p.Flows, replicaSeed(p.Seed, at[1]))
+			return runFig08Seed(sched, p.Queues[at[0]], p.Flows, replicaSeed(p.Seed, at[1]))
 		},
 		Reduce: fig08Reduce,
 	})
@@ -88,9 +89,9 @@ type Fig08Result struct {
 // runFig08Seed runs one trace simulation at one seed, at the paper's
 // setup: 30 s, the second half traced in 0.15 s bins, four flows of
 // each kind.
-func runFig08Seed(c *Cell, queue netsim.QueueKind, flows int, seed int64) Fig08Result {
+func runFig08Seed(sched *sim.Scheduler, queue netsim.QueueKind, flows int, seed int64) Fig08Result {
 	const binWidth, nTrace = 0.15, 4
-	res := runScenarioCell(c, Scenario{
+	res := runScenarioCell(sched, Scenario{
 		NTCP:         flows / 2,
 		NTFRC:        flows / 2,
 		BottleneckBW: 15e6,

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"tfrc/internal/netsim"
+	"tfrc/internal/sim"
 	"tfrc/internal/tcp"
 )
 
@@ -92,9 +93,9 @@ type Fig09Run struct {
 
 // fig09Cell is one run, an independent simulation whose seed derives
 // from its absolute run index.
-func fig09Cell(c *Cell, pr *Fig09Params, run int) Fig09Run {
+func fig09Cell(sched *sim.Scheduler, pr *Fig09Params, run int) Fig09Run {
 	const base = 0.1
-	res := runScenarioCell(c, Scenario{
+	res := runScenarioCell(sched, Scenario{
 		NTCP:          pr.FlowsEach,
 		NTFRC:         pr.FlowsEach,
 		BottleneckBW:  15e6,

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"tfrc/internal/netsim"
+	"tfrc/internal/sim"
 	"tfrc/internal/tcp"
 )
 
@@ -97,11 +98,11 @@ type Fig11Cell struct {
 
 // fig11Cell is one (source count, run) simulation; its seed derives
 // from those absolute coordinates.
-func fig11Cell(c *Cell, pr *Fig11Params, idx int) Fig11Cell {
+func fig11Cell(sched *sim.Scheduler, pr *Fig11Params, idx int) Fig11Cell {
 	const base = 0.1
 	at := unravel(idx, len(pr.Sources), pr.Runs)
 	n, run := pr.Sources[at[0]], at[1]
-	sr := runScenarioCell(c, Scenario{
+	sr := runScenarioCell(sched, Scenario{
 		NTCP:          1,
 		NTFRC:         1,
 		BottleneckBW:  15e6,

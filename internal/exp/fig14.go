@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"tfrc/internal/netsim"
+	"tfrc/internal/sim"
 	"tfrc/internal/tcp"
 )
 
@@ -63,9 +64,9 @@ func init() {
 		Description: "queue dynamics: 40 TCP vs 40 TFRC flows",
 		Default:     DefaultFig14,
 		Cells:       func(p *Fig14Params) int { return 2 * replicas(p.Seeds) },
-		Cell: func(c *Cell, p *Fig14Params, idx int) Fig14Side {
+		Cell: func(sched *sim.Scheduler, p *Fig14Params, idx int) Fig14Side {
 			at := unravel(idx, 2, replicas(p.Seeds))
-			return runFig14Side(c, p, at[0] == 1, replicaSeed(p.Seed, at[1]))
+			return runFig14Side(sched, p, at[0] == 1, replicaSeed(p.Seed, at[1]))
 		},
 		Reduce: func(p *Fig14Params, cells []Fig14Side) *Fig14Result {
 			seeds := replicas(p.Seeds)
@@ -92,7 +93,7 @@ type Fig14Side struct {
 // Fig14Result pairs the TCP and TFRC runs.
 type Fig14Result struct{ TCP, TFRC Fig14Side }
 
-func runFig14Side(c *Cell, pr *Fig14Params, useTFRC bool, seed int64) Fig14Side {
+func runFig14Side(sched *sim.Scheduler, pr *Fig14Params, useTFRC bool, seed int64) Fig14Side {
 	sc := Scenario{
 		BottleneckBW:  pr.LinkMbps * 1e6,
 		BottleneckDly: 0.010, // paper: RTTs roughly 45 ms
@@ -113,7 +114,7 @@ func runFig14Side(c *Cell, pr *Fig14Params, useTFRC bool, seed int64) Fig14Side 
 	} else {
 		sc.NTCP = pr.Flows
 	}
-	r := runScenarioCell(c, sc)
+	r := runScenarioCell(sched, sc)
 	return Fig14Side{
 		Protocol:    name,
 		Queue:       slices.Clone(r.Queue),

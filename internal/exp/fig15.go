@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"tfrc/internal/netsim"
+	"tfrc/internal/sim"
 	"tfrc/internal/stats"
 	"tfrc/internal/tcp"
 )
@@ -128,8 +129,8 @@ func init() {
 		Default:     DefaultFig15,
 		Presets:     map[string]func() Fig15Params{"paper": PaperFig15},
 		Cells:       func(p *Fig15Params) int { return replicas(p.Seeds) },
-		Cell: func(c *Cell, p *Fig15Params, rep int) Fig15Result {
-			return runFig15Seed(c, p.Duration, replicaSeed(p.Seed, rep))
+		Cell: func(sched *sim.Scheduler, p *Fig15Params, rep int) Fig15Result {
+			return runFig15Seed(sched, p.Duration, replicaSeed(p.Seed, rep))
 		},
 		Reduce: func(_ *Fig15Params, cells []Fig15Result) *Fig15Result {
 			out := &cells[0]
@@ -152,9 +153,9 @@ func init() {
 		Default:     DefaultFig16,
 		Presets:     map[string]func() Fig16Params{"paper": PaperFig16},
 		Cells:       func(*Fig16Params) int { return len(Paths()) },
-		Cell: func(c *Cell, p *Fig16Params, idx int) Fig16Row {
+		Cell: func(sched *sim.Scheduler, p *Fig16Params, idx int) Fig16Row {
 			path := Paths()[idx]
-			sr := runScenarioCell(c, pathScenario(path, 1, 1, p.Duration, p.Duration/6, p.Seed))
+			sr := runScenarioCell(sched, pathScenario(path, 1, 1, p.Duration, p.Duration/6, p.Seed))
 			row := Fig16Row{Path: path.Name}
 			row.Eq, row.CoVTCP, row.CoVTFRC = timescaleCurves(sr.TCPSeries[0], sr.TFRCSeries[0], 0.1, p.Timescales)
 			return row
@@ -183,11 +184,11 @@ type Fig15Result struct {
 	MeanTFRCCI float64
 }
 
-func runFig15Seed(c *Cell, duration float64, seed int64) Fig15Result {
+func runFig15Seed(sched *sim.Scheduler, duration float64, seed int64) Fig15Result {
 	p := Paths()[0]
 	sc := pathScenario(p, 3, 1, duration, duration/6, seed)
 	sc.BinWidth = 1.0
-	r := runScenarioCell(c, sc)
+	r := runScenarioCell(sched, sc)
 	out := Fig15Result{BinWidth: 1.0, TFRCTrace: slices.Clone(r.TFRCSeries[0])}
 	out.TCPTraces = cloneSeries(r.TCPSeries)
 	var covSum float64

@@ -7,6 +7,7 @@ import (
 
 	"tfrc/internal/core"
 	"tfrc/internal/netsim"
+	"tfrc/internal/sim"
 	"tfrc/internal/stats"
 	"tfrc/internal/tcp"
 	"tfrc/internal/tfrcsim"
@@ -56,14 +57,14 @@ func init() {
 		Default:     DefaultFig18,
 		Presets:     map[string]func() Fig18Params{"paper": PaperFig18},
 		Cells:       func(*Fig18Params) int { return 3 },
-		Cell: func(c *Cell, p *Fig18Params, idx int) []float64 {
+		Cell: func(sched *sim.Scheduler, p *Fig18Params, idx int) []float64 {
 			switch idx {
 			case 0:
-				return congestedTrace(c, netsim.QueueDropTail, p.Duration, p.Seed)
+				return congestedTrace(sched, netsim.QueueDropTail, p.Duration, p.Seed)
 			case 1:
-				return congestedTrace(c, netsim.QueueRED, p.Duration, p.Seed+1)
+				return congestedTrace(sched, netsim.QueueRED, p.Duration, p.Seed+1)
 			default:
-				return bernoulliTrace(c, p.Duration, p.Seed)
+				return bernoulliTrace(sched, p.Duration, p.Seed)
 			}
 		},
 		Reduce: fig18Reduce,
@@ -86,11 +87,11 @@ type Fig18Result struct {
 
 // congestedTrace records the loss intervals one TFRC flow sees sharing
 // a dumbbell with two TCP flows.
-func congestedTrace(c *Cell, q netsim.QueueKind, duration float64, seed int64) []float64 {
+func congestedTrace(sched *sim.Scheduler, q netsim.QueueKind, duration float64, seed int64) []float64 {
 	var log []float64
 	cfg := tfrcsim.DefaultConfig()
 	cfg.OnLossInterval = func(iv float64) { log = append(log, iv) }
-	runScenarioCell(c, Scenario{
+	runScenarioCell(sched, Scenario{
 		NTCP:         2,
 		NTFRC:        1,
 		BottleneckBW: 4e6,
@@ -106,9 +107,8 @@ func congestedTrace(c *Cell, q netsim.QueueKind, duration float64, seed int64) [
 
 // bernoulliTrace records the loss intervals of one TFRC flow under
 // step-changing Bernoulli loss on a clean pipe.
-func bernoulliTrace(c *Cell, duration float64, seed int64) []float64 {
+func bernoulliTrace(sched *sim.Scheduler, duration float64, seed int64) []float64 {
 	var log []float64
-	sched := c.begin()
 	cfg := tfrcsim.DefaultConfig()
 	cfg.OnLossInterval = func(iv float64) { log = append(log, iv) }
 	drop := &lossDropper{p: 0.02, rng: sched.NewRand(seed + 9)}

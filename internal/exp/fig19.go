@@ -3,6 +3,8 @@ package exp
 import (
 	"fmt"
 	"io"
+
+	"tfrc/internal/sim"
 )
 
 // Fig19Params reproduces Figures 19-21 (Appendix A): a single TFRC flow
@@ -91,9 +93,9 @@ func init() {
 		Description: "round-trips to halve the rate vs initial drop rate",
 		Default:     DefaultFig21,
 		Cells:       func(p *Fig21Params) int { return len(p.DropRates) },
-		Cell: func(c *Cell, p *Fig21Params, idx int) Fig21Row {
+		Cell: func(sched *sim.Scheduler, p *Fig21Params, idx int) Fig21Row {
 			rate := p.DropRates[idx]
-			res := fig19Cell(c, &Fig19Params{
+			res := fig19Cell(sched, &Fig19Params{
 				DropEveryBefore: max(3, int(1/rate+0.5)),
 				DropEveryAfter:  2,
 				SwitchTime:      10,
@@ -129,8 +131,7 @@ type Fig19Result struct {
 	MaxIncreasePerRTT float64
 }
 
-func fig19Cell(c *Cell, pr *Fig19Params) *Fig19Result {
-	sched := c.begin()
+func fig19Cell(sched *sim.Scheduler, pr *Fig19Params) *Fig19Result {
 	snd, _, drop := periodicLossPipe(sched, pr.RTT, pr.DropEveryBefore)
 	sched.At(pr.SwitchTime, func() { drop.every = pr.DropEveryAfter })
 

@@ -6,6 +6,7 @@ import (
 
 	"tfrc/internal/faults"
 	"tfrc/internal/netsim"
+	"tfrc/internal/sim"
 )
 
 // FlapParams is the link-flap soak: TFRC and TCP flows share a dumbbell
@@ -85,8 +86,7 @@ type FlapResult struct {
 	DropRate  float64
 }
 
-func flapCell(c *Cell, pr *FlapParams) *FlapResult {
-	sched := c.begin()
+func flapCell(sched *sim.Scheduler, pr *FlapParams) *FlapResult {
 	rng := sched.NewRand(pr.Seed)
 	bw := pr.LinkMbps * 1e6
 	d := houseDumbbell(sched, pr.NTCP+pr.NTFRC, bw, 0.025, pr.Queue, pr.Seed)

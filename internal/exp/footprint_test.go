@@ -12,6 +12,7 @@ import (
 	"weak"
 
 	"tfrc/internal/cc"
+	"tfrc/internal/core"
 	"tfrc/internal/faults"
 	"tfrc/internal/netsim"
 	"tfrc/internal/sim"
@@ -156,9 +157,8 @@ func retainedCaps(sched *sim.Scheduler) []int {
 const matrixDuration = 10.0
 
 // matrixCell builds a 2 Mb/s, 20 ms house dumbbell of hosts host pairs
-// on a rewound c and runs dumbbellCell on it.
-func matrixCell(c *Cell, queue netsim.QueueKind, hosts int, fs *faults.Schedule, place func(b *ScenarioBuilder, rng *sim.Rand), s *sentinels) {
-	sched := c.begin()
+// on a rewound sched and runs dumbbellCell on it.
+func matrixCell(sched *sim.Scheduler, queue netsim.QueueKind, hosts int, fs *faults.Schedule, place func(b *ScenarioBuilder, rng *sim.Rand), s *sentinels) {
 	dumbbellCell(houseDumbbell(sched, hosts, 2e6, 0.02, queue, 7), fs, place, s)
 }
 
@@ -213,14 +213,14 @@ func tcpAndTFRC(b *ScenarioBuilder, rng *sim.Rand) { placeMix(b, 1, 1, rng, 7) }
 // ccCell is a row's cell of two flows of the named controller through
 // random loss and a 3 s outage, so every Controller hook runs: OnAck,
 // OnLoss and OnLostSegment in recovery, OnTimeout in the outage.
-func ccCell(name cc.Name) func(c *Cell, s *sentinels) {
+func ccCell(name cc.Name) func(sched *sim.Scheduler, s *sentinels) {
 	fs := &faults.Schedule{Seed: 7, Faults: []faults.Fault{
 		{At: 0, Link: "rl->rr", Kind: faults.Impair, Corrupt: 0.01},
 		{At: 4, Link: "rl->rr", Kind: faults.LinkDown},
 		{At: 7, Link: "rl->rr", Kind: faults.LinkUp},
 	}}
-	return func(c *Cell, s *sentinels) {
-		matrixCell(c, netsim.QueueDropTail, 2, fs, func(b *ScenarioBuilder, rng *sim.Rand) {
+	return func(sched *sim.Scheduler, s *sentinels) {
+		matrixCell(sched, netsim.QueueDropTail, 2, fs, func(b *ScenarioBuilder, rng *sim.Rand) {
 			for i := 0; i < 2; i++ {
 				b.AddCC(name, cc.Config{}, netsim.IndexedName("l", i), netsim.IndexedName("r", i), houseTCP(7), rng.Uniform(0, 1))
 			}
@@ -230,13 +230,13 @@ func ccCell(name cc.Name) func(c *Cell, s *sentinels) {
 
 // fig06Row is a row's cell of one 15 s Figure 6 grid cell. Handed
 // sentinels, it builds the cell's scenario itself, to plant them.
-func fig06Row(queue netsim.QueueKind, linkMbps float64, flows int) func(c *Cell, s *sentinels) {
-	return func(c *Cell, s *sentinels) {
+func fig06Row(queue netsim.QueueKind, linkMbps float64, flows int) func(sched *sim.Scheduler, s *sentinels) {
+	return func(sched *sim.Scheduler, s *sentinels) {
 		if s == nil {
-			runFig06Cell(c, queue, linkMbps, flows, 15, 10, 1)
+			runFig06Cell(sched, queue, linkMbps, flows, 15, 10, 1)
 			return
 		}
-		b := buildScenario(c, fig06Scenario(queue, linkMbps, flows, 15, 10, 1))
+		b := buildScenario(sched, fig06Scenario(queue, linkMbps, flows, 15, 10, 1))
 		s.plant(b, "l0", "rl->rr", 15)
 		s.harvested(b.Run(15))
 		b.Release()
@@ -248,7 +248,7 @@ func fig06Row(queue netsim.QueueKind, linkMbps float64, flows int) func(c *Cell,
 // the window on every further duplicate ACK and, for NewReno, resends a
 // hole per partial ACK; a Reno flow on a 500 ms timer tick; and the
 // aggressive-RTO flow that times out spuriously.
-func tcpVariantsCell() func(c *Cell, s *sentinels) {
+func tcpVariantsCell() func(sched *sim.Scheduler, s *sentinels) {
 	fs := &faults.Schedule{Seed: 7, Faults: []faults.Fault{
 		{At: 0, Link: "rl->rr", Kind: faults.Impair, Corrupt: 0.01},
 	}}
@@ -258,8 +258,8 @@ func tcpVariantsCell() func(c *Cell, s *sentinels) {
 		{Variant: tcp.Reno, Granularity: 0.5},
 		{Variant: tcp.Reno, Granularity: 0.01, AggressiveRTO: true},
 	}
-	return func(c *Cell, s *sentinels) {
-		matrixCell(c, netsim.QueueDropTail, len(cfgs), fs, func(b *ScenarioBuilder, rng *sim.Rand) {
+	return func(sched *sim.Scheduler, s *sentinels) {
+		matrixCell(sched, netsim.QueueDropTail, len(cfgs), fs, func(b *ScenarioBuilder, rng *sim.Rand) {
 			for i, cfg := range cfgs {
 				cfg.SendJitter, cfg.JitterSeed = 0.001, 7
 				b.AddTCP(netsim.IndexedName("l", i), netsim.IndexedName("r", i), cfg, rng.Uniform(0, 1))
@@ -270,9 +270,9 @@ func tcpVariantsCell() func(c *Cell, s *sentinels) {
 
 // tfrcCell is a row's cell of two house TFRC flows on timers of the
 // given coarse tick (0: exact timers), losing packets at the bottleneck.
-func tfrcCell(tick float64) func(c *Cell, s *sentinels) {
-	return func(c *Cell, s *sentinels) {
-		matrixCell(c, netsim.QueueDropTail, 2, nil, func(b *ScenarioBuilder, rng *sim.Rand) {
+func tfrcCell(tick float64) func(sched *sim.Scheduler, s *sentinels) {
+	return func(sched *sim.Scheduler, s *sentinels) {
+		matrixCell(sched, netsim.QueueDropTail, 2, nil, func(b *ScenarioBuilder, rng *sim.Rand) {
 			tf := houseTFRC(7)
 			tf.CoarseTimerTick = tick
 			for i := 0; i < 2; i++ {
@@ -284,9 +284,11 @@ func tfrcCell(tick float64) func(c *Cell, s *sentinels) {
 
 // faultCell is a row's cell of one SACK and one TFRC flow through the
 // faults.
-func faultCell(fs ...faults.Fault) func(c *Cell, s *sentinels) {
+func faultCell(fs ...faults.Fault) func(sched *sim.Scheduler, s *sentinels) {
 	schedule := &faults.Schedule{Seed: 7, Faults: fs}
-	return func(c *Cell, s *sentinels) { matrixCell(c, netsim.QueueDropTail, 2, schedule, tcpAndTFRC, s) }
+	return func(sched *sim.Scheduler, s *sentinels) {
+		matrixCell(sched, netsim.QueueDropTail, 2, schedule, tcpAndTFRC, s)
+	}
 }
 
 // A matrixRow is one warm cell of the matrix: a small scenario that
@@ -295,7 +297,7 @@ func faultCell(fs ...faults.Fault) func(c *Cell, s *sentinels) {
 // measured (go1.24, amd64).
 type matrixRow struct {
 	name           string
-	cell           func(c *Cell, s *sentinels) // builds, runs, harvests and releases one cell; plants s unless nil
+	cell           func(sched *sim.Scheduler, s *sentinels) // builds, runs, harvests and releases one cell on a rewound sched; plants s unless nil
 	mallocs, bytes uint64
 }
 
@@ -307,7 +309,7 @@ var warmCellMatrix = []matrixRow{
 	// DropTail: the footprint cell, a parking lot of every sender and
 	// source with a tapped, reordering bottleneck. It also allocates
 	// its Run result and the parking lot's name maps.
-	{"droptail", func(c *Cell, s *sentinels) { runFootprintCell(c.begin(), 7, s) }, 8, 1048},
+	{"droptail", func(sched *sim.Scheduler, s *sentinels) { runFootprintCell(sched, 7, s) }, 8, 1048},
 	// RED: a Figure 6 grid cell, which allocates only its result's two
 	// per-flow vectors.
 	{"red", fig06Row(netsim.QueueRED, 8, 8), 2, 64},
@@ -321,8 +323,7 @@ var warmCellMatrix = []matrixRow{
 	// average climbs through the marking region. The house thresholds
 	// put that region at the buffer limit, out of reach, so the row
 	// sets its own well under the buffer, as manyflows does.
-	{"red-overload", func(c *Cell, s *sentinels) {
-		sched := c.begin()
+	{"red-overload", func(sched *sim.Scheduler, s *sentinels) {
 		red := netsim.DefaultRED(60)
 		red.MinThresh, red.MaxThresh = 3, 6
 		d := netsim.NewDumbbell(sched, netsim.DumbbellConfig{
@@ -342,8 +343,8 @@ var warmCellMatrix = []matrixRow{
 	{"tfrc", tfrcCell(0), 0, 0},
 	// The feedback timers on the wheel.
 	{"tfrc-coarse", tfrcCell(0.01), 0, 0},
-	{"tapped", func(c *Cell, s *sentinels) {
-		matrixCell(c, netsim.QueueDropTail, 2, nil, func(b *ScenarioBuilder, rng *sim.Rand) {
+	{"tapped", func(sched *sim.Scheduler, s *sentinels) {
+		matrixCell(sched, netsim.QueueDropTail, 2, nil, func(b *ScenarioBuilder, rng *sim.Rand) {
 			b.MonitorLink("rl->rr", 0.5, 0)
 			b.MonitorLink("rr->rl", 0.5, 0)
 			tcpAndTFRC(b, rng)
@@ -354,8 +355,8 @@ var warmCellMatrix = []matrixRow{
 	// bucket array; its drain shrinks it again, on a day width fitted
 	// to the burst, so the packet traffic after it finds nothing due
 	// within a year, take after take, until the width is re-fitted.
-	{"calendar", func(c *Cell, s *sentinels) {
-		matrixCell(c, netsim.QueueDropTail, 2, nil, func(b *ScenarioBuilder, rng *sim.Rand) {
+	{"calendar", func(sched *sim.Scheduler, s *sentinels) {
+		matrixCell(sched, netsim.QueueDropTail, 2, nil, func(b *ScenarioBuilder, rng *sim.Rand) {
 			tcpAndTFRC(b, rng)
 			for _, at := range []float64{1, 5} {
 				for i := range 1024 {
@@ -365,16 +366,16 @@ var warmCellMatrix = []matrixRow{
 		}, s)
 	}, 0, 0},
 	{"impaired", faultCell(faults.Fault{At: 0, Link: "rl->rr", Kind: faults.Impair, Duplicate: 0.01, Corrupt: 0.01}), 2, 136},
-	{"cbr", func(c *Cell, s *sentinels) {
-		matrixCell(c, netsim.QueueDropTail, 1, nil, func(b *ScenarioBuilder, _ *sim.Rand) { addCBR(b, "l0", "r0", 1e6) }, s)
+	{"cbr", func(sched *sim.Scheduler, s *sentinels) {
+		matrixCell(sched, netsim.QueueDropTail, 1, nil, func(b *ScenarioBuilder, _ *sim.Rand) { addCBR(b, "l0", "r0", 1e6) }, s)
 	}, 0, 0},
-	{"onoff", func(c *Cell, s *sentinels) {
-		matrixCell(c, netsim.QueueDropTail, 1, nil, func(b *ScenarioBuilder, rng *sim.Rand) {
+	{"onoff", func(sched *sim.Scheduler, s *sentinels) {
+		matrixCell(sched, netsim.QueueDropTail, 1, nil, func(b *ScenarioBuilder, rng *sim.Rand) {
 			b.AddOnOff("l0", "r0", traffic.DefaultOnOff(), rng, 0)
 		}, s)
 	}, 0, 0},
-	{"mice", func(c *Cell, s *sentinels) {
-		matrixCell(c, netsim.QueueDropTail, 1, nil, func(b *ScenarioBuilder, rng *sim.Rand) {
+	{"mice", func(sched *sim.Scheduler, s *sentinels) {
+		matrixCell(sched, netsim.QueueDropTail, 1, nil, func(b *ScenarioBuilder, rng *sim.Rand) {
 			b.AddMice("l0", "r0", traffic.MiceConfig{MeanInterarrival: 0.2, MeanSize: 20, Variant: tcp.Sack}, rng, 0)
 		}, s)
 	}, 0, 0},
@@ -385,8 +386,8 @@ var warmCellMatrix = []matrixRow{
 	// Feedback lost for 6 s: the TFRC sender's no-feedback timer fires
 	// and backs off. Its rate observer is set, as the blackout
 	// experiment sets it.
-	{"blackhole", func(c *Cell, s *sentinels) {
-		matrixCell(c, netsim.QueueDropTail, 2, feedbackBlackhole, func(b *ScenarioBuilder, rng *sim.Rand) {
+	{"blackhole", func(sched *sim.Scheduler, s *sentinels) {
+		matrixCell(sched, netsim.QueueDropTail, 2, feedbackBlackhole, func(b *ScenarioBuilder, rng *sim.Rand) {
 			tcpAndTFRC(b, rng)
 			b.TFRCSender(0).OnRateChange = nopRateFn
 		}, s)
@@ -404,19 +405,19 @@ var warmCellMatrix = []matrixRow{
 func TestWarmCellAllocatesNothingNew(t *testing.T) {
 	for _, row := range warmCellMatrix {
 		t.Run(row.name, func(t *testing.T) {
-			c := newCell()
+			sched := newPinned()
 			warm := func() (mallocs, bytes uint64, caps []int) {
 				mallocs, bytes = ^uint64(0), ^uint64(0)
 				for i := 0; i < 3; i++ {
-					m, b := allocsOf(func() { row.cell(c, nil) })
+					m, b := allocsOf(func() { row.cell(rewound(sched), nil) })
 					mallocs, bytes = min(mallocs, m), min(bytes, b)
 				}
-				return mallocs, bytes, retainedCaps(c.sched)
+				return mallocs, bytes, retainedCaps(sched)
 			}
-			row.cell(c, nil) // cold: everything grows to what the cell needs
+			row.cell(rewound(sched), nil) // cold: everything grows to what the cell needs
 			// The packet pool's free list regrows once, at its first
 			// reset, so the second run is not yet the fixed point.
-			row.cell(c, nil)
+			row.cell(rewound(sched), nil)
 			m2, b2, caps2 := warm()
 			m3, b3, caps3 := warm()
 
@@ -452,22 +453,17 @@ func TestWarmCellAllocatesNothingNew(t *testing.T) {
 func TestReleasedCellPinsNothing(t *testing.T) {
 	for _, row := range warmCellMatrix {
 		t.Run(row.name, func(t *testing.T) {
-			c := newCell()
-			row.cell(c, nil)
+			sched := newPinned()
+			row.cell(rewound(sched), nil)
 			s := new(sentinels)
-			row.cell(c, s)
-			s.check(t, c)
+			row.cell(rewound(sched), s)
+			s.check(t, sched)
 		})
 	}
 }
 
 // sentinels are heap objects handed into a cell through the hooks that
 // take a caller-owned reference, watched through weak pointers.
-//
-// One such hook is not planted, because the cell still holds what it
-// is handed: a tfrcsim.Config's OnLossInterval stays in the receiver's
-// core config, in its arena slot, after Release, until a later cell
-// reuses the slot.
 type sentinels struct {
 	hooks []string
 	alive []func() bool
@@ -494,8 +490,8 @@ func watch[T any](s *sentinels, hook string, p *T) *T {
 // plant hands sentinels into the cell b builds: a tap on link, an agent
 // bound on host, a Scheduler.At closure and a fault schedule whose one
 // fault are still pending when the cell ends at duration, and, when the
-// cell has a TFRC sender, the first one's rate observer. Nil sentinels
-// plant nothing.
+// cell has a TFRC flow, the first one's sender's rate observer and its
+// receiver's OnLossInterval. Nil sentinels plant nothing.
 func (s *sentinels) plant(b *ScenarioBuilder, host, link string, duration float64) {
 	if s == nil {
 		return
@@ -509,9 +505,15 @@ func (s *sentinels) plant(b *ScenarioBuilder, host, link string, duration float6
 	watch(s, "faults.Schedule.Apply", &faults.Schedule{Faults: []faults.Fault{
 		{At: duration + 1, Link: link, Kind: faults.DelaySpike, Delay: 0.1},
 	}}).Apply(b.topo)
-	if len(b.tfrcSenders) > 0 {
+	if len(b.tfrc) > 0 {
+		f := b.tfrc[0]
 		rc := watch(s, "Sender.OnRateChange", new(sentinel))
-		b.TFRCSender(0).OnRateChange = func(float64, float64) { rc.n++ }
+		f.snd.OnRateChange = func(float64, float64) { rc.n++ }
+		// The receiver's state machine takes a tfrcsim.Config's
+		// OnLossInterval as tfrcsim.NewReceiver hands it over. No packet
+		// has arrived yet, so initialising it again changes nothing else.
+		li := watch(s, "tfrcsim.Config.OnLossInterval", new(sentinel))
+		f.rcv.Core().Init(core.ReceiverConfig{PacketSize: f.snd.Core().PacketSize(), OnLossInterval: func(float64) { li.n++ }})
 	}
 }
 
@@ -544,8 +546,9 @@ func (s *sentinels) harvested(res *ScenarioResult) {
 	}
 }
 
-// check fails t for every sentinel the released cell c still holds.
-func (s *sentinels) check(t *testing.T, c *Cell) {
+// check fails t for every sentinel the released cell on sched still
+// holds.
+func (s *sentinels) check(t *testing.T, sched *sim.Scheduler) {
 	t.Helper()
 	if len(s.alive) < 5 {
 		t.Fatalf("%d sentinels planted, want 5: the row plants none", len(s.alive))
@@ -557,7 +560,7 @@ func (s *sentinels) check(t *testing.T, c *Cell) {
 			t.Errorf("the released cell still holds what it was handed through %s", s.hooks[i])
 		}
 	}
-	runtime.KeepAlive(c)
+	runtime.KeepAlive(sched)
 }
 
 // What the footprint cell allocates on a fresh scheduler in a fresh

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 
+	"tfrc/internal/sim"
 	"tfrc/internal/stats"
 )
 
@@ -29,11 +30,13 @@ type Spec[P, C any, R Result] struct {
 	// Cells is the flattened cell count for validated parameters.
 	Cells func(p *P) int
 	// Cell computes the cell at absolute index idx on the worker's
-	// arena. It must be a pure function of (*p, idx) — any sub-range of
-	// cells computed anywhere, in any order, yields the same values —
-	// and C must survive encoding/json exactly: exported fields, no NaN
-	// or Inf, marshalers that round-trip.
-	Cell func(c *Cell, p *P, idx int) C
+	// pinned scheduler, rewound by the executor: its clock reads zero,
+	// nothing is pending, and its arenas hold the worker's previous cell
+	// as stock to build from. It must be a pure function of (*p, idx) —
+	// any sub-range of cells computed anywhere, in any order, yields the
+	// same values — and C must survive encoding/json exactly: exported
+	// fields, no NaN or Inf, marshalers that round-trip.
+	Cell func(sched *sim.Scheduler, p *P, idx int) C
 	// Reduce assembles the Result from all cells in index order. Cells
 	// an interrupted run never started arrive as zero values.
 	Reduce func(p *P, cells []C) R
@@ -77,7 +80,7 @@ func describe[P, C any, R Result, PP interface {
 				return nil, err
 			}
 			out := make([]C, cells(tp))
-			runCells(o, len(out), func(c *Cell, i int) { out[i] = cell(c, tp, i) })
+			runCells(o, len(out), func(sched *sim.Scheduler, i int) { out[i] = cell(sched, tp, i) })
 			return reduce(tp, out), nil
 		},
 		Grid: &Grid{
@@ -96,8 +99,8 @@ func describe[P, C any, R Result, PP interface {
 				if n := cells(tp); r.Lo < 0 || r.Hi > n || r.Lo > r.Hi {
 					return fmt.Errorf("cell range %s out of bounds for %d cells", r, n)
 				}
-				runCells(o, r.Len(), func(c *Cell, i int) {
-					raw, err := json.Marshal(cell(c, tp, r.Lo+i))
+				runCells(o, r.Len(), func(sched *sim.Scheduler, i int) {
+					raw, err := json.Marshal(cell(sched, tp, r.Lo+i))
 					if err != nil {
 						err = fmt.Errorf("marshaling cell %d: %w", r.Lo+i, err)
 					}
@@ -180,14 +183,14 @@ func (r *cellReader) Read(p []byte) (n int, err error) {
 // single is the Spec of an experiment that is one simulation: a grid
 // of one cell, so it still shards, checkpoints and interrupts like the
 // rest.
-func single[P any, R Result](name, description string, aliases []string, def func() P, run func(c *Cell, p *P) R) Spec[P, R, R] {
+func single[P any, R Result](name, description string, aliases []string, def func() P, run func(sched *sim.Scheduler, p *P) R) Spec[P, R, R] {
 	return Spec[P, R, R]{
 		Name:        name,
 		Aliases:     aliases,
 		Description: description,
 		Default:     def,
 		Cells:       func(*P) int { return 1 },
-		Cell:        func(c *Cell, p *P, _ int) R { return run(c, p) },
+		Cell:        func(sched *sim.Scheduler, p *P, _ int) R { return run(sched, p) },
 		Reduce:      func(_ *P, cells []R) R { return cells[0] },
 	}
 }

@@ -100,7 +100,7 @@ func init() {
 		Default:     DefaultManyFlows,
 		Presets:     map[string]func() ManyFlowsParams{"million": MillionFlows},
 		Cells:       func(p *ManyFlowsParams) int { return len(p.Flows) },
-		Cell: func(_ *Cell, p *ManyFlowsParams, idx int) ManyFlowsDecade {
+		Cell: func(_ *sim.Scheduler, p *ManyFlowsParams, idx int) ManyFlowsDecade {
 			return RunManyFlowsDecade(p.Flows[idx], *p)
 		},
 		Reduce: func(p *ManyFlowsParams, cells []ManyFlowsDecade) *ManyFlowsResult {
@@ -135,7 +135,7 @@ type ManyFlowsResult struct {
 
 // RunManyFlowsDecade runs one rung: n flows across a four-node chain
 // src — L — R — dst whose middle link carries n × PerFlowKbps. The
-// scheduler is built per call rather than drawn from the worker cell
+// scheduler is built per call rather than taken from the executor's
 // pool, and is never released to the shared one: nothing keeps it when
 // the call returns, so a million-flow working set goes to the collector
 // instead of staying pinned in an arena after the experiment moves on.

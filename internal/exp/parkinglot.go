@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"tfrc/internal/netsim"
+	"tfrc/internal/sim"
 	"tfrc/internal/stats"
 )
 
@@ -71,9 +72,9 @@ func init() {
 		Default:     DefaultParkingLot,
 		Presets:     map[string]func() ParkingLotParams{"paper": PaperParkingLot},
 		Cells:       func(p *ParkingLotParams) int { return len(p.Bottlenecks) * replicas(p.Seeds) },
-		Cell: func(c *Cell, p *ParkingLotParams, idx int) ParkingLotCell {
+		Cell: func(sched *sim.Scheduler, p *ParkingLotParams, idx int) ParkingLotCell {
 			at := unravel(idx, len(p.Bottlenecks), replicas(p.Seeds))
-			return runParkingLotCell(c, *p, p.Bottlenecks[at[0]], replicaSeed(p.Seed, at[1]))
+			return runParkingLotCell(sched, *p, p.Bottlenecks[at[0]], replicaSeed(p.Seed, at[1]))
 		},
 		Reduce: parkingLotReduce,
 	})
@@ -105,8 +106,7 @@ type ParkingLotResult struct {
 // topology + scenario layer, over the worker's pinned arena. The random
 // sources come from the scheduler's recycled generators, which re-seed
 // to exactly the stream a fresh source would produce.
-func runParkingLotCell(c *Cell, pr ParkingLotParams, k int, seed int64) ParkingLotCell {
-	sched := c.begin()
+func runParkingLotCell(sched *sim.Scheduler, pr ParkingLotParams, k int, seed int64) ParkingLotCell {
 	rng := sched.NewRand(seed)
 	bw := pr.LinkMbps * 1e6
 	queueLimit, red := houseQueue(bw, 0.1)

@@ -9,12 +9,14 @@ import (
 	"testing"
 
 	"tfrc/internal/netsim"
+	"tfrc/internal/sim"
 )
 
 // The arena discipline's core promise: a cell computed on a recycled
 // worker context is indistinguishable from one computed on freshly
 // constructed state. These tests drive a randomized mixed sequence of
-// dumbbell (fig-6 style) and parking-lot cells through ONE pooled Cell —
+// dumbbell (fig-6 style) and parking-lot cells through ONE pinned
+// scheduler, rewound before each cell as the executor rewinds it —
 // maximizing cross-contamination opportunities between consecutive,
 // differently-shaped scenarios — and require every result to match a
 // fresh-cell run field for field.
@@ -49,10 +51,11 @@ func randomReuseSequence(n int, seed int64) []reuseCellSpec {
 	return specs
 }
 
-// run executes the spec on the given worker cell.
-func (s reuseCellSpec) run(c *Cell) any {
+// run executes the spec on the given worker scheduler, rewound first.
+func (s reuseCellSpec) run(sched *sim.Scheduler) any {
+	sched.Reset()
 	if s.parking {
-		return runParkingLotCell(c, ParkingLotParams{
+		return runParkingLotCell(sched, ParkingLotParams{
 			CrossPairs: 1,
 			LinkMbps:   s.link,
 			Queue:      s.queue,
@@ -60,20 +63,21 @@ func (s reuseCellSpec) run(c *Cell) any {
 			Warmup:     6,
 		}, s.lots, s.seed)
 	}
-	return runFig06Cell(c, s.queue, s.link, s.flows, 16, 8, s.seed)
+	return runFig06Cell(sched, s.queue, s.link, s.flows, 16, 8, s.seed)
 }
 
 // TestReusedCellMatchesFreshCell is the randomized reuse-vs-fresh
 // differential: the same mixed cell sequence, once through a single
-// recycled Cell (worker-pinned reuse) and once with a brand-new Cell per
-// cell (fresh construction), must produce identical results.
+// recycled scheduler (worker-pinned reuse) and once with a brand-new
+// scheduler per cell (fresh construction), must produce identical
+// results.
 func TestReusedCellMatchesFreshCell(t *testing.T) {
 	specs := randomReuseSequence(14, 71)
 
-	pooled := newCell() // one worker context reused for every cell
+	pooled := newPinned() // one worker context reused for every cell
 	for i, spec := range specs {
 		reused := spec.run(pooled)
-		fresh := spec.run(newCell())
+		fresh := spec.run(newPinned())
 		if !reflect.DeepEqual(reused, fresh) {
 			t.Fatalf("cell %d (%+v): pooled-context result differs from fresh construction:\npooled: %+v\nfresh:  %+v",
 				i, spec, reused, fresh)
@@ -94,13 +98,13 @@ func TestReusedCellPrintedOutputByteIdentical(t *testing.T) {
 		}
 		return out
 	}
-	pooled := newCell()
+	pooled := newPinned()
 	var reused, fresh []any
 	for _, spec := range specs {
 		reused = append(reused, spec.run(pooled))
 	}
 	for _, spec := range specs {
-		fresh = append(fresh, spec.run(newCell()))
+		fresh = append(fresh, spec.run(newPinned()))
 	}
 	if a, b := render(reused), render(fresh); a != b {
 		t.Fatalf("pooled-context output differs from fresh construction:\n--- pooled\n%s--- fresh\n%s", a, b)
@@ -109,15 +113,15 @@ func TestReusedCellPrintedOutputByteIdentical(t *testing.T) {
 
 // TestRunScenarioResultsOutliveCellReuse pins result privacy: a
 // ScenarioResult harvested as RunScenario harvests it must not change
-// when its worker cell is recycled and a grid cell harvests in place
-// over the queue monitor's and the builder's storage; nor must what a
-// run of any registered experiment returns. Each experiment runs its
-// contract grid, at one seed, on one Cell grown first by a larger Figure
-// 6 cell, so that its cells harvest into kept storage, and is rendered;
-// the larger cell then rewrites that storage, and the result must
-// render to the same bytes.
+// when its worker scheduler is recycled and a grid cell harvests in
+// place over the queue monitor's and the builder's storage; nor must
+// what a run of any registered experiment returns. Each experiment runs
+// its contract grid, at one seed, on one scheduler grown first by a
+// larger Figure 6 cell, so that its cells harvest into kept storage, and
+// is rendered; the larger cell then rewrites that storage, and the
+// result must render to the same bytes.
 func TestRunScenarioResultsOutliveCellReuse(t *testing.T) {
-	c := newCell()
+	sched := newPinned()
 	sc := Scenario{
 		NTCP: 2, NTFRC: 2,
 		BottleneckBW: 4e6,
@@ -126,7 +130,7 @@ func TestRunScenarioResultsOutliveCellReuse(t *testing.T) {
 		Warmup:       4,
 		Seed:         9,
 	}
-	b := buildScenario(c, sc)
+	b := buildScenario(sched, sc)
 	first := b.Run(sc.Duration)
 	b.Release()
 	snapshot := fmt.Sprintf("%#v %v %v %v", *first, first.TCPSeries, first.TFRCSeries, first.Queue)
@@ -135,7 +139,7 @@ func TestRunScenarioResultsOutliveCellReuse(t *testing.T) {
 	// the queue monitor refills the same samples backing.
 	sc2 := sc
 	sc2.NTCP, sc2.NTFRC, sc2.Seed, sc2.Duration = 4, 4, 10, 10
-	_ = runScenarioCell(c, sc2)
+	_ = runScenarioCell(rewound(sched), sc2)
 
 	if got := fmt.Sprintf("%#v %v %v %v", *first, first.TCPSeries, first.TFRCSeries, first.Queue); got != snapshot {
 		t.Fatalf("harvested result mutated by cell reuse:\nbefore: %s\nafter:  %s", snapshot, got)
@@ -143,8 +147,8 @@ func TestRunScenarioResultsOutliveCellReuse(t *testing.T) {
 
 	for _, d := range Experiments() {
 		t.Run(d.Name, func(t *testing.T) {
-			c := newCell()
-			overwrite := func() { runFig06Cell(c, netsim.QueueRED, 4, 16, 30, 30, 3) }
+			sched := newPinned()
+			overwrite := func() { runFig06Cell(rewound(sched), netsim.QueueRED, 4, 16, 30, 30, 3) }
 			p := d.Params()
 			if err := json.Unmarshal([]byte(contractOverlays[d.Name]), p); err != nil {
 				t.Fatalf("overlay: %v", err)
@@ -156,7 +160,7 @@ func TestRunScenarioResultsOutliveCellReuse(t *testing.T) {
 			}
 			overwrite()
 			var kept Result
-			onlyCell(c, func() {
+			onlyScheduler(sched, func() {
 				var err error
 				if kept, err = RunExperiment(d, p, RunOptions{Workers: 1}); err != nil {
 					t.Fatal(err)
@@ -165,40 +169,40 @@ func TestRunScenarioResultsOutliveCellReuse(t *testing.T) {
 			before := rendered(t, kept)
 			overwrite()
 			if after := rendered(t, kept); !bytes.Equal(before, after) {
-				t.Fatalf("later cells on the same Cell rewrote the result:\nbefore: %.300s\nafter:  %.300s", before, after)
+				t.Fatalf("later cells on the same scheduler rewrote the result:\nbefore: %.300s\nafter:  %.300s", before, after)
 			}
 		})
 	}
 }
 
-// onlyCell runs fn with every run's cells on c: the cell pool is
-// emptied and then hands out c alone until fn returns.
-func onlyCell(c *Cell, fn func()) {
-	mk := cellPool.New
-	defer func() { cellPool.New = mk }()
-	cellPool.New = func() any { return c }
-	for getCell() != c {
+// onlyScheduler runs fn with every run's cells on sched: the scheduler
+// pool is emptied and then hands out sched alone until fn returns.
+func onlyScheduler(sched *sim.Scheduler, fn func()) {
+	mk := schedPool.New
+	defer func() { schedPool.New = mk }()
+	schedPool.New = func() any { return sched }
+	for schedPool.Get() != sched {
 	}
 	fn()
 }
 
 // TestKeptSeriesSurviveCellReuse pins the clones of the grid cells that
 // keep what runScenarioCell harvests in place: Figure 8's traces, Figure
-// 14's queue trace and Figure 15's traces. They run on one Cell, grown
-// first by a larger Figure 6 cell so that all of them harvest into the
-// same kept storage, and are marshalled; a second such Figure 6 cell then
-// rewrites that storage, and the kept results must marshal to the same
-// bytes.
+// 14's queue trace and Figure 15's traces. They run on one scheduler,
+// grown first by a larger Figure 6 cell so that all of them harvest into
+// the same kept storage, and are marshalled; a second such Figure 6 cell
+// then rewrites that storage, and the kept results must marshal to the
+// same bytes.
 func TestKeptSeriesSurviveCellReuse(t *testing.T) {
-	c := newCell()
+	sched := newPinned()
 	// 16 flows × 60 bins and 601 queue samples: more than any cell below.
-	overwrite := func() { runFig06Cell(c, netsim.QueueRED, 4, 16, 30, 30, 3) }
+	overwrite := func() { runFig06Cell(rewound(sched), netsim.QueueRED, 4, 16, 30, 30, 3) }
 	overwrite()
 	p14 := Fig14Params{Flows: 8, Stagger: 2, Duration: 10, LinkMbps: 4, Queue: 50, MiceLoad: 0.2}
 	kept := []any{
-		runFig08Seed(c, netsim.QueueRED, 8, 1),
-		runFig14Side(c, &p14, false, 1),
-		runFig15Seed(c, 20, 1),
+		runFig08Seed(rewound(sched), netsim.QueueRED, 8, 1),
+		runFig14Side(rewound(sched), &p14, false, 1),
+		runFig15Seed(rewound(sched), 20, 1),
 	}
 	before, err := json.Marshal(kept)
 	if err != nil {
@@ -210,6 +214,6 @@ func TestKeptSeriesSurviveCellReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(before, after) {
-		t.Fatalf("a later cell on the same Cell rewrote kept results:\nbefore: %.300s\nafter:  %.300s", before, after)
+		t.Fatalf("a later cell on the same scheduler rewrote kept results:\nbefore: %.300s\nafter:  %.300s", before, after)
 	}
 }

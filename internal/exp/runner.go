@@ -46,69 +46,32 @@ func SetParallelism(n int) int {
 // default worker count, never cancelled.
 func DefaultRunOptions() RunOptions { return RunOptions{Workers: int(defaultWorkers.Load())} }
 
-// Cell is a worker-pinned simulation arena: a pinned scheduler plus the
-// package arenas riding on it (network, topology, monitors, TCP/TFRC/
-// traffic agents, scenario builders). A sweep worker passes the same
-// Cell to every cell it executes, so cell i+workers rebuilds its entire
-// working set out of cell i's memory — after each worker's first cell, a
-// scenario run touches the allocator only for the result it keeps, which
-// a cell that harvests in place (runScenarioCell) cuts down to the
-// slices it clones.
-type Cell struct {
-	sched   *sim.Scheduler
-	scratch []float64 // per-cell float scratch (access-delay draws)
-}
-
-func newCell() *Cell {
+// schedPool recycles worker-pinned schedulers across runs and
+// RunScenario calls. A pinned scheduler keeps its package arenas warm
+// across Reset, so a worker's cell i+workers rebuilds its working set out
+// of cell i's memory: after each worker's first cell, a cell touches the
+// allocator only for the result it keeps.
+var schedPool = sync.Pool{New: func() any {
 	s := sim.NewScheduler()
 	s.Pin()
-	return &Cell{sched: s}
-}
+	return s
+}}
 
-// cellPool recycles Cells across sweeps and across the standalone
-// entry points (RunScenario et al.), so even non-sweep callers reuse a
-// warm arena.
-var cellPool = sync.Pool{New: func() any { return newCell() }}
-
-func getCell() *Cell { return cellPool.Get().(*Cell) }
-
-// putCell deliberately pools the cell warm — keeping its scheduler,
-// arenas, and slabs live is the whole point (a cold cell costs the PR-4
-// setup allocations again); begin() rewinds everything on next Get.
-func putCell(c *Cell) {
-	cellPool.Put(c)
-}
-
-// begin rewinds the cell's arena for a fresh scenario and returns its
-// scheduler. Everything drawn from the previous scenario on this cell is
-// reclaimed, a result runScenarioCell harvested in place included; a
-// result harvested by ScenarioBuilder.Run stays valid, its storage being
-// its own.
-func (c *Cell) begin() *sim.Scheduler {
-	c.sched.Reset()
-	return c.sched
-}
-
-// floats returns an n-element scratch slice owned by the cell, valid
-// until the next call.
-func (c *Cell) floats(n int) []float64 {
-	if cap(c.scratch) < n {
-		c.scratch = make([]float64, n)
-	}
-	return c.scratch[:n]
-}
-
-// runCells is the one cell executor: it calls fn(c, i) for every i in
-// [0, n) on o.Workers worker-pinned Cells, so every cell runs at most
-// once and consecutive cells on one worker share an arena. Once o.Ctx is
-// done no further cell starts; fn is never called for a cell that did
-// not run, so what it stored for the others is a well-formed partial
-// result.
-func runCells(o RunOptions, n int, fn func(c *Cell, i int)) {
-	sweep.MapCtx(o.Workers, n, getCell, putCell, func(c *Cell, i int) struct{} {
-		if !o.interrupted() {
-			fn(c, i)
-		}
-		return struct{}{}
-	})
+// runCells is the one cell executor: it calls fn(s, i) for every i in
+// [0, n) on o.Workers worker-pinned schedulers, rewinding s first, so
+// every cell runs at most once, starts at time zero with nothing pending,
+// and shares an arena with the worker's previous cell. Once o.Ctx is done
+// no further cell starts; fn is never called for a cell that did not
+// run, so what it stored for the others is a well-formed partial result.
+func runCells(o RunOptions, n int, fn func(s *sim.Scheduler, i int)) {
+	sweep.MapCtx(o.Workers, n,
+		func() *sim.Scheduler { return schedPool.Get().(*sim.Scheduler) },
+		func(s *sim.Scheduler) { schedPool.Put(s) },
+		func(s *sim.Scheduler, i int) struct{} {
+			if !o.interrupted() {
+				s.Reset()
+				fn(s, i)
+			}
+			return struct{}{}
+		})
 }

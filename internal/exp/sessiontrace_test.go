@@ -66,9 +66,9 @@ func TestFootprintCellSessionTrace(t *testing.T) {
 // several times and some transfers are still alive when theirs does.
 func TestScenarioSessionTrace(t *testing.T) {
 	var log bytes.Buffer
-	c := newCell()
-	traffic.ObserveSessions(c.sched, sessionLogger(&log))
-	res := runScenarioCell(c, Scenario{
+	sched := newPinned()
+	traffic.ObserveSessions(sched, sessionLogger(&log))
+	res := runScenarioCell(sched, Scenario{
 		NTCP: 2, NTFRC: 2,
 		BottleneckBW: 1.5e6,
 		Queue:        netsim.QueueDropTail,

@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"tfrc/internal/sim"
 )
 
 // snapParams/snapResult are a minimal unregistered experiment used to
@@ -34,7 +36,7 @@ func snapDescriptor(probe func(i int)) Descriptor {
 		Name:    "snapshot-test",
 		Default: func() snapParams { return snapParams{Probes: 4} },
 		Cells:   func(p *snapParams) int { return p.Probes },
-		Cell: func(_ *Cell, _ *snapParams, i int) int {
+		Cell: func(_ *sim.Scheduler, _ *snapParams, i int) int {
 			probe(i)
 			return 1
 		},

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"tfrc/internal/exp"
+	"tfrc/internal/sim"
 )
 
 // shardtest is a synthetic grid experiment for exercising the
@@ -45,7 +46,7 @@ func init() {
 		Description: "synthetic pure-cell grid for shard coordinator tests",
 		Default:     func() shardtestParams { return shardtestParams{N: 6, Seed: 1} },
 		Cells:       func(p *shardtestParams) int { return p.N },
-		Cell: func(_ *exp.Cell, p *shardtestParams, idx int) shardtestCell {
+		Cell: func(_ *sim.Scheduler, p *shardtestParams, idx int) shardtestCell {
 			// Irrational factors make the float payloads exercise
 			// shortest-exact JSON round-tripping.
 			v := float64(p.Seed)*math.Sqrt2 + float64(idx*idx)*math.Pi/7

@@ -10,8 +10,10 @@
 // Everything here is a stable alias over the internal implementation, so
 // scenarios composed on this package run on exactly the zero-allocation
 // arena-pooled engine the figure experiments use: call (*Builder).Release
-// after harvesting and the next scenario on the same scheduler reuses the
-// entire working set.
+// after harvesting, and the next scenario reuses the entire working set,
+// either on a new NewScheduler, which takes the released one from a pool,
+// or on the same scheduler if it is pinned ((*Scheduler).Pin) and Reset
+// before building again, as the one an experiment.Spec cell is handed is.
 //
 // A minimal custom scenario:
 //
@@ -175,7 +177,8 @@ type (
 // NewBuilder returns a builder over the topology. The builder and all
 // simulation state come from the scheduler's arena, so repeated
 // scenarios on one scheduler reuse a warm working set; call Release
-// after harvesting.
+// after harvesting. A scheduler kept for the next scenario must be
+// pinned and Reset before it is built on again.
 func NewBuilder(t *Topology) *Builder { return exp.NewScenarioBuilder(t) }
 
 // Run validates and executes the dumbbell preset, harvesting a Result.
