@@ -80,7 +80,7 @@ type (
 // Spec declares an experiment as parameters → N independent cells →
 // reduce: P is the plain parameter struct (*P implements Params), C one
 // cell's JSON-round-trippable harvest, R the Result. Its Cell function
-// is handed the worker's pinned *scenario.Scheduler, rewound before
+// is handed the worker's *scenario.Scheduler, rewound before
 // every cell: the clock reads zero and nothing is pending. A cell that
 // builds its scenario on it (scenario.NewTopology or a preset, then
 // scenario.NewBuilder) reuses the worker's previous cell's memory; one

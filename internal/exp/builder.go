@@ -4,7 +4,6 @@ import (
 	"slices"
 
 	"tfrc/internal/cc"
-	"tfrc/internal/core"
 	"tfrc/internal/netsim"
 	"tfrc/internal/sim"
 	"tfrc/internal/tcp"
@@ -31,7 +30,7 @@ type ScenarioBuilder struct {
 	tfrcFlows []int // recycled int backing, truncated by NewScenarioBuilder
 	ports     []int // last port issued per NodeID; recycled int backing
 
-	tfrc []tfrcFlow // the agents of each AddTFRC call, in call order
+	tfrc []*tfrcsim.Sender // the sender of each AddTFRC call, in call order
 
 	primary      *netsim.FlowMonitor
 	primaryLink  string
@@ -48,12 +47,6 @@ type ScenarioBuilder struct {
 	tcpSeries, tfrcSeries [][]float64 // headers into seriesSlab, rewritten likewise
 }
 
-// tfrcFlow is the sender and receiver of one AddTFRC call.
-type tfrcFlow struct {
-	snd *tfrcsim.Sender
-	rcv *tfrcsim.Receiver
-}
-
 // expArenaID is this package's slot in every scheduler's arena table;
 // it pools scenario builders alongside the simulator objects they wire.
 var expArenaID = sim.NewArenaID()
@@ -64,13 +57,15 @@ var expArenaID = sim.NewArenaID()
 type builderArena struct {
 	builders sim.Slab[*ScenarioBuilder]
 	flowMem  sim.Carver[int]
-	tfrcMem  sim.Carver[tfrcFlow]
+	tfrcMem  sim.Carver[*tfrcsim.Sender]
 	monMem   sim.Carver[*netsim.FlowMonitor]
 
 	accessDly []float64 // buildScenario's access-link delays, redrawn by each scenario
 }
 
-// ResetArena implements sim.Arena.
+// ResetArena implements sim.Arena. A builder needs no scrub: what it
+// points at — topology, network, monitors, senders — is stock of the
+// same scheduler's arenas, which scrub it themselves.
 func (a *builderArena) ResetArena() { a.builders.Reset() }
 
 // builderArenaOf returns sched's exp arena, made on first use.
@@ -157,16 +152,16 @@ func (b *ScenarioBuilder) AddTFRC(src, dst string, cfg tfrcsim.Config, start flo
 	flow := b.nextFlow
 	b.nextFlow++
 	dstPort, srcPort := b.port(d), b.port(s)
-	snd, rcv := tfrcsim.Pair(b.nw, s, d, dstPort, srcPort, flow, cfg)
+	snd, _ := tfrcsim.Pair(b.nw, s, d, dstPort, srcPort, flow, cfg)
 	snd.Start(start)
 	b.tfrcFlows = append(b.mem.flowMem.Reserve(b.tfrcFlows, len(b.tfrcFlows)+1), flow)
-	b.tfrc = append(b.mem.tfrcMem.Reserve(b.tfrc, len(b.tfrc)+1), tfrcFlow{snd, rcv})
+	b.tfrc = append(b.mem.tfrcMem.Reserve(b.tfrc, len(b.tfrc)+1), snd)
 	return flow
 }
 
 // TFRCSender returns the sender agent of the i-th AddTFRC call, for rate
 // traces (OnRateChange) and robustness counters. Valid until Release.
-func (b *ScenarioBuilder) TFRCSender(i int) *tfrcsim.Sender { return b.tfrc[i].snd }
+func (b *ScenarioBuilder) TFRCSender(i int) *tfrcsim.Sender { return b.tfrc[i] }
 
 // AddOnOff places a Pareto ON/OFF background source from src to dst with
 // its own rng, plus a discarding sink, and returns its flow ID. ON/OFF
@@ -239,36 +234,15 @@ func (b *ScenarioBuilder) MonitorUtilization(link string, start float64) {
 	b.util = true
 }
 
-// Release returns the scenario's simulator working memory — the
-// network's node/link/queue slabs, its packet pool, and the scheduler's
-// event arrays — to shared pools for reuse by the next scenario, so
-// short sweep cells stop paying per-cell setup allocations. A result
-// from Run stays valid for good (its storage is its own). The monitors,
-// and a result harvested in place, stay readable until the scheduler's
-// next Reset, after which the next scenario rewrites their storage. The
-// topology, network, scheduler, and flows must not be touched afterwards.
-func (b *ScenarioBuilder) Release() {
-	sched := b.nw.Scheduler()
-	b.topo.Release()
-	b.nw.Release()
-	sched.Release()
-	// Drop the monitor pointers: they reference agents of the scenario
-	// that just ended, and the next NewScenarioBuilder rebuilds them.
-	// The int bookkeeping slices and the in-place series storage stay
-	// as recycled backing.
-	b.nw = nil
-	b.qmon = nil
-	clear(b.monitors)
-	b.monitors = b.monitors[:0]
-	// A TFRC flow's agents stay in their arena slots until a later cell
-	// reuses them, so drop what a caller handed them: the sender's rate
-	// observer, and the receiver's state machine with its OnLossInterval.
-	for _, f := range b.tfrc {
-		f.snd.OnRateChange = nil
-		*f.rcv.Core() = core.Receiver{}
-	}
-	b.tfrc = b.tfrc[:0]
-}
+// Release ends the scenario: it rewinds the scheduler the builder was
+// built on, whose arenas scrub and take back everything the scenario
+// used, so the next scenario — built on the same scheduler — reuses the
+// entire working set. A result from Run stays valid for good (its
+// storage is its own); the monitors, and a result harvested in place,
+// stay readable until the next scenario is built, which rewrites their
+// storage. The topology, network, builder and flows must not be touched
+// afterwards.
+func (b *ScenarioBuilder) Release() { b.nw.Scheduler().Reset() }
 
 // Run registers every flow with every monitor (preallocating the series
 // up front), runs the clock to duration, and harvests a ScenarioResult

@@ -160,7 +160,7 @@ func ccfairAdd(b *ScenarioBuilder, proto, src, dst string, seed int64, start flo
 }
 
 // runCCFairCell runs one (rtt, bandwidth, seed) cell on the worker's
-// pinned arena. Flow IDs are assigned A-first then B, and start times
+// arena. Flow IDs are assigned A-first then B, and start times
 // are drawn in that same order, so shards reproduce the exact event
 // sequence of a single-machine run.
 func runCCFairCell(sched *sim.Scheduler, pr CCFairParams, rtt, linkMbps float64, seed int64) CCFairCell {

@@ -184,10 +184,11 @@ func (r *ScenarioResult) NormalizedPerFlow(series [][]float64) []float64 {
 // the clock, and harvests measurements. It is a preset over
 // ScenarioBuilder: the dumbbell topology, one monitor set on the
 // congested link, and the paper's flow mix, in a fixed deterministic
-// order. The simulation runs on a pooled worker-pinned scheduler, which
-// it rewinds first, so repeated calls reuse a warm arena, and the result
-// is harvested into fresh storage the caller owns; grid cells pass the
-// scheduler they are handed to runScenarioCell directly.
+// order. The simulation runs on a scheduler from the executor's pool,
+// which it rewinds first and releases after the harvest, so repeated
+// calls reuse a warm arena; the result is harvested into fresh storage
+// the caller owns, valid for good. Grid cells pass the scheduler they
+// are handed to runScenarioCell directly.
 func RunScenario(sc Scenario) *ScenarioResult {
 	sched := schedPool.Get().(*sim.Scheduler)
 	defer schedPool.Put(sched)
@@ -199,8 +200,10 @@ func RunScenario(sc Scenario) *ScenarioResult {
 
 // runScenarioCell is RunScenario on a rewound worker scheduler, harvested
 // in place: the result's series and queue trace live in storage the
-// scheduler's arenas keep, valid until its next Reset. A grid cell reads
-// them there, and clones exactly the slices it keeps.
+// scheduler's arenas keep. Releasing the builder rewinds the scheduler
+// but leaves that storage as it is, so the result is valid until the
+// next scenario is built on the scheduler. A grid cell reads it there,
+// and clones exactly the slices it keeps.
 func runScenarioCell(sched *sim.Scheduler, sc Scenario) ScenarioResult {
 	b := buildScenario(sched, sc)
 	defer b.Release()

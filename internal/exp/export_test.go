@@ -4,6 +4,7 @@ import (
 	"reflect"
 
 	"tfrc/internal/netsim"
+	"tfrc/internal/sim"
 )
 
 // portTable returns node n's delivery table as the address of the agent
@@ -47,7 +48,7 @@ func fig06FixedPoints(queue netsim.QueueKind, linkMbps float64, flows int, durat
 	// buildScenario's access links when the scenario draws no delays.
 	const accessDelay = 0.001
 	sc := fig06Scenario(queue, linkMbps, flows, duration, tail, seed)
-	sched := newPinned()
+	sched := sim.NewScheduler()
 	b := buildScenario(sched, sc)
 	defer b.Release()
 

@@ -98,7 +98,7 @@ type Fig03Result struct {
 
 // fig03Cell runs one cell of the buffer sweep: a two-node pipe topology
 // with a single TFRC flow, composed on the scenario builder over the
-// worker's pinned arena.
+// worker's arena.
 func fig03Cell(sched *sim.Scheduler, pr *Fig03Params, idx int) Fig03Curve {
 	buf := pr.BufferSizes[idx]
 	t := netsim.NewTopology(sched, nil)

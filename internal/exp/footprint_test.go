@@ -12,7 +12,6 @@ import (
 	"weak"
 
 	"tfrc/internal/cc"
-	"tfrc/internal/core"
 	"tfrc/internal/faults"
 	"tfrc/internal/netsim"
 	"tfrc/internal/sim"
@@ -396,7 +395,7 @@ var warmCellMatrix = []matrixRow{
 }
 
 // TestWarmCellAllocatesNothingNew runs every row of the matrix cold,
-// then warm on the same pinned scheduler, and holds the warm cost to
+// then warm on the same scheduler, and holds the warm cost to
 // the row's measurement. The cheapest of three warm runs is judged:
 // MemStats counts the whole process, and the runtime allocates on its
 // own at random (type-assertion caches, GC workers), so a single run
@@ -405,7 +404,7 @@ var warmCellMatrix = []matrixRow{
 func TestWarmCellAllocatesNothingNew(t *testing.T) {
 	for _, row := range warmCellMatrix {
 		t.Run(row.name, func(t *testing.T) {
-			sched := newPinned()
+			sched := sim.NewScheduler()
 			warm := func() (mallocs, bytes uint64, caps []int) {
 				mallocs, bytes = ^uint64(0), ^uint64(0)
 				for i := 0; i < 3; i++ {
@@ -447,13 +446,13 @@ func TestWarmCellAllocatesNothingNew(t *testing.T) {
 
 // TestReleasedCellPinsNothing runs every row of the matrix warm with
 // sentinels planted through the hooks that take a caller-owned
-// reference, and requires that the released cell — a pinned one, kept
+// reference, and requires that the released cell — its scheduler kept
 // alive across the collections as a sweep worker keeps it — holds none
 // of them.
 func TestReleasedCellPinsNothing(t *testing.T) {
 	for _, row := range warmCellMatrix {
 		t.Run(row.name, func(t *testing.T) {
-			sched := newPinned()
+			sched := sim.NewScheduler()
 			row.cell(rewound(sched), nil)
 			s := new(sentinels)
 			row.cell(rewound(sched), s)
@@ -488,10 +487,10 @@ func watch[T any](s *sentinels, hook string, p *T) *T {
 }
 
 // plant hands sentinels into the cell b builds: a tap on link, an agent
-// bound on host, a Scheduler.At closure and a fault schedule whose one
-// fault are still pending when the cell ends at duration, and, when the
-// cell has a TFRC flow, the first one's sender's rate observer and its
-// receiver's OnLossInterval. Nil sentinels plant nothing.
+// and a TFRC receiver's OnLossInterval bound on host, a Scheduler.At
+// closure and a fault schedule whose one fault are still pending when
+// the cell ends at duration, and, when the cell has a TFRC flow, the
+// first one's sender's rate observer. Nil sentinels plant nothing.
 func (s *sentinels) plant(b *ScenarioBuilder, host, link string, duration float64) {
 	if s == nil {
 		return
@@ -505,15 +504,16 @@ func (s *sentinels) plant(b *ScenarioBuilder, host, link string, duration float6
 	watch(s, "faults.Schedule.Apply", &faults.Schedule{Faults: []faults.Fault{
 		{At: duration + 1, Link: link, Kind: faults.DelaySpike, Delay: 0.1},
 	}}).Apply(b.topo)
+	// A TFRC receiver's state machine takes a tfrcsim.Config's
+	// OnLossInterval as tfrcsim.NewReceiver hands it over; this one is
+	// bound on host and never sent to.
+	cfg := tfrcsim.DefaultConfig()
+	li := watch(s, "tfrcsim.Config.OnLossInterval", new(sentinel))
+	cfg.OnLossInterval = func(float64) { li.n++ }
+	tfrcsim.NewReceiver(b.nw, n, b.port(n), b.nextFlow, cfg)
 	if len(b.tfrc) > 0 {
-		f := b.tfrc[0]
 		rc := watch(s, "Sender.OnRateChange", new(sentinel))
-		f.snd.OnRateChange = func(float64, float64) { rc.n++ }
-		// The receiver's state machine takes a tfrcsim.Config's
-		// OnLossInterval as tfrcsim.NewReceiver hands it over. No packet
-		// has arrived yet, so initialising it again changes nothing else.
-		li := watch(s, "tfrcsim.Config.OnLossInterval", new(sentinel))
-		f.rcv.Core().Init(core.ReceiverConfig{PacketSize: f.snd.Core().PacketSize(), OnLossInterval: func(float64) { li.n++ }})
+		b.TFRCSender(0).OnRateChange = func(float64, float64) { rc.n++ }
 	}
 }
 
@@ -608,7 +608,6 @@ const coldCellChild = "TFRC_COLD_CELL_CHILD"
 func TestColdCellStaysUnderByteBudget(t *testing.T) {
 	if os.Getenv(coldCellChild) != "" {
 		sched := sim.NewScheduler()
-		sched.Pin()
 		mallocs, bytes := allocsOf(func() { runFootprintCell(sched, 7, nil) })
 		fmt.Printf("cold cell: %d allocs, %d B\n", mallocs, bytes)
 		return

@@ -7,10 +7,6 @@ import (
 	"tfrc/internal/sim"
 )
 
-// newPinned returns a pinned scheduler, as the executor's pool makes one
-// for a worker.
-func newPinned() *sim.Scheduler { return schedPool.New().(*sim.Scheduler) }
-
 // rewound resets sched and returns it: a test that runs a cell function
 // itself rewinds the scheduler as the executor does before every cell.
 func rewound(sched *sim.Scheduler) *sim.Scheduler {

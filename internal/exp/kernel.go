@@ -30,7 +30,7 @@ type Spec[P, C any, R Result] struct {
 	// Cells is the flattened cell count for validated parameters.
 	Cells func(p *P) int
 	// Cell computes the cell at absolute index idx on the worker's
-	// pinned scheduler, rewound by the executor: its clock reads zero,
+	// scheduler, rewound by the executor: its clock reads zero,
 	// nothing is pending, and its arenas hold the worker's previous cell
 	// as stock to build from. It must be a pure function of (*p, idx) —
 	// any sub-range of cells computed anywhere, in any order, yields the

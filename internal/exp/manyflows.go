@@ -136,9 +136,9 @@ type ManyFlowsResult struct {
 // RunManyFlowsDecade runs one rung: n flows across a four-node chain
 // src — L — R — dst whose middle link carries n × PerFlowKbps. The
 // scheduler is built per call rather than taken from the executor's
-// pool, and is never released to the shared one: nothing keeps it when
-// the call returns, so a million-flow working set goes to the collector
-// instead of staying pinned in an arena after the experiment moves on.
+// pool: nothing keeps it when the call returns, so a million-flow
+// working set goes to the collector instead of staying in an arena
+// after the experiment moves on.
 func RunManyFlowsDecade(n int, pr ManyFlowsParams) ManyFlowsDecade {
 	sched := sim.NewScheduler()
 	nw := netsim.New(sched)

@@ -103,7 +103,7 @@ type ParkingLotResult struct {
 }
 
 // runParkingLotCell runs one (bottlenecks, seed) cell on the declarative
-// topology + scenario layer, over the worker's pinned arena. The random
+// topology + scenario layer, over the worker's arena. The random
 // sources come from the scheduler's recycled generators, which re-seed
 // to exactly the stream a fresh source would produce.
 func runParkingLotCell(sched *sim.Scheduler, pr ParkingLotParams, k int, seed int64) ParkingLotCell {

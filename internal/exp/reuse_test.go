@@ -15,7 +15,7 @@ import (
 // The arena discipline's core promise: a cell computed on a recycled
 // worker context is indistinguishable from one computed on freshly
 // constructed state. These tests drive a randomized mixed sequence of
-// dumbbell (fig-6 style) and parking-lot cells through ONE pinned
+// dumbbell (fig-6 style) and parking-lot cells through ONE
 // scheduler, rewound before each cell as the executor rewinds it —
 // maximizing cross-contamination opportunities between consecutive,
 // differently-shaped scenarios — and require every result to match a
@@ -68,16 +68,16 @@ func (s reuseCellSpec) run(sched *sim.Scheduler) any {
 
 // TestReusedCellMatchesFreshCell is the randomized reuse-vs-fresh
 // differential: the same mixed cell sequence, once through a single
-// recycled scheduler (worker-pinned reuse) and once with a brand-new
+// recycled scheduler (a worker's reuse) and once with a brand-new
 // scheduler per cell (fresh construction), must produce identical
 // results.
 func TestReusedCellMatchesFreshCell(t *testing.T) {
 	specs := randomReuseSequence(14, 71)
 
-	pooled := newPinned() // one worker context reused for every cell
+	pooled := sim.NewScheduler() // one worker context reused for every cell
 	for i, spec := range specs {
 		reused := spec.run(pooled)
-		fresh := spec.run(newPinned())
+		fresh := spec.run(sim.NewScheduler())
 		if !reflect.DeepEqual(reused, fresh) {
 			t.Fatalf("cell %d (%+v): pooled-context result differs from fresh construction:\npooled: %+v\nfresh:  %+v",
 				i, spec, reused, fresh)
@@ -98,13 +98,13 @@ func TestReusedCellPrintedOutputByteIdentical(t *testing.T) {
 		}
 		return out
 	}
-	pooled := newPinned()
+	pooled := sim.NewScheduler()
 	var reused, fresh []any
 	for _, spec := range specs {
 		reused = append(reused, spec.run(pooled))
 	}
 	for _, spec := range specs {
-		fresh = append(fresh, spec.run(newPinned()))
+		fresh = append(fresh, spec.run(sim.NewScheduler()))
 	}
 	if a, b := render(reused), render(fresh); a != b {
 		t.Fatalf("pooled-context output differs from fresh construction:\n--- pooled\n%s--- fresh\n%s", a, b)
@@ -121,7 +121,7 @@ func TestReusedCellPrintedOutputByteIdentical(t *testing.T) {
 // is rendered; the larger cell then rewrites that storage, and the
 // result must render to the same bytes.
 func TestRunScenarioResultsOutliveCellReuse(t *testing.T) {
-	sched := newPinned()
+	sched := sim.NewScheduler()
 	sc := Scenario{
 		NTCP: 2, NTFRC: 2,
 		BottleneckBW: 4e6,
@@ -147,7 +147,7 @@ func TestRunScenarioResultsOutliveCellReuse(t *testing.T) {
 
 	for _, d := range Experiments() {
 		t.Run(d.Name, func(t *testing.T) {
-			sched := newPinned()
+			sched := sim.NewScheduler()
 			overwrite := func() { runFig06Cell(rewound(sched), netsim.QueueRED, 4, 16, 30, 30, 3) }
 			p := d.Params()
 			if err := json.Unmarshal([]byte(contractOverlays[d.Name]), p); err != nil {
@@ -194,7 +194,7 @@ func onlyScheduler(sched *sim.Scheduler, fn func()) {
 // then rewrites that storage, and the kept results must marshal to the
 // same bytes.
 func TestKeptSeriesSurviveCellReuse(t *testing.T) {
-	sched := newPinned()
+	sched := sim.NewScheduler()
 	// 16 flows × 60 bins and 601 queue samples: more than any cell below.
 	overwrite := func() { runFig06Cell(rewound(sched), netsim.QueueRED, 4, 16, 30, 30, 3) }
 	overwrite()

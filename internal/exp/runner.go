@@ -46,19 +46,15 @@ func SetParallelism(n int) int {
 // default worker count, never cancelled.
 func DefaultRunOptions() RunOptions { return RunOptions{Workers: int(defaultWorkers.Load())} }
 
-// schedPool recycles worker-pinned schedulers across runs and
-// RunScenario calls. A pinned scheduler keeps its package arenas warm
-// across Reset, so a worker's cell i+workers rebuilds its working set out
-// of cell i's memory: after each worker's first cell, a cell touches the
+// schedPool recycles schedulers across runs and RunScenario calls; it is
+// the only pool of them. A scheduler keeps its package arenas warm across
+// Reset, so a worker's cell i+workers rebuilds its working set out of
+// cell i's memory: after each worker's first cell, a cell touches the
 // allocator only for the result it keeps.
-var schedPool = sync.Pool{New: func() any {
-	s := sim.NewScheduler()
-	s.Pin()
-	return s
-}}
+var schedPool = sync.Pool{New: func() any { return sim.NewScheduler() }}
 
 // runCells is the one cell executor: it calls fn(s, i) for every i in
-// [0, n) on o.Workers worker-pinned schedulers, rewinding s first, so
+// [0, n) on o.Workers worker schedulers, rewinding s first, so
 // every cell runs at most once, starts at time zero with nothing pending,
 // and shares an arena with the worker's previous cell. Once o.Ctx is done
 // no further cell starts; fn is never called for a cell that did not

@@ -122,9 +122,9 @@ func TestRunScenarioRewindsItsScheduler(t *testing.T) {
 		Seed:         5,
 	}
 	var clean *ScenarioResult
-	onlyScheduler(newPinned(), func() { clean = RunScenario(sc) })
+	onlyScheduler(sim.NewScheduler(), func() { clean = RunScenario(sc) })
 
-	sched := newPinned()
+	sched := sim.NewScheduler()
 	fired := false
 	dirtyCell(sched, func() { fired = true })
 	var got *ScenarioResult

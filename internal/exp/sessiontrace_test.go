@@ -48,7 +48,6 @@ func logSeries(w *bytes.Buffer, name string, series [][]float64) {
 func TestFootprintCellSessionTrace(t *testing.T) {
 	var log bytes.Buffer
 	sched := sim.NewScheduler()
-	sched.Pin()
 	traffic.ObserveSessions(sched, sessionLogger(&log))
 	b, mon := buildFootprintCell(sched, 7)
 	res := b.Run(footprintDuration)
@@ -66,7 +65,7 @@ func TestFootprintCellSessionTrace(t *testing.T) {
 // several times and some transfers are still alive when theirs does.
 func TestScenarioSessionTrace(t *testing.T) {
 	var log bytes.Buffer
-	sched := newPinned()
+	sched := sim.NewScheduler()
 	traffic.ObserveSessions(sched, sessionLogger(&log))
 	res := runScenarioCell(sched, Scenario{
 		NTCP: 2, NTFRC: 2,

@@ -47,7 +47,7 @@ type Link struct {
 	// first touches the link: an unfaulted link pays one nil check per
 	// packet and nothing else. Once taken it stays for the link's
 	// lifetime — a healed link keeps an inert block — and is dropped by
-	// allocLink/Release.
+	// allocLink and scrubbed at Scheduler.Reset.
 	imp *linkImpair
 }
 

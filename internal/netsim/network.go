@@ -129,12 +129,12 @@ type bfsHop struct {
 // All working memory — node, link and queue structs, route tables,
 // packets, and route-computation scratch — is slab-allocated on the
 // Network, which itself lives in its scheduler's arena and survives
-// Release/New and Scheduler.Reset cycles. The slabs hand the same slots
-// out in the same order every time, and a slot keeps what its last
-// tenant grew (a node's port table, a queue's ring), so storage is sized
-// by demand — a cold cell pays for what it uses — and sweep cells that
-// build thousands of short-lived networks stop paying setup allocations
-// once the first has grown.
+// Scheduler.Reset. The slabs hand the same slots out in the same order
+// every time, and a slot keeps what its last tenant grew (a node's port
+// table, a queue's ring), so storage is sized by demand — a cold cell
+// pays for what it uses — and sweep cells that build thousands of
+// short-lived networks stop paying setup allocations once the first has
+// grown.
 type Network struct {
 	sched      *sim.Scheduler
 	pool       Pool    // the packet slab, zeroed and reissued by New
@@ -158,9 +158,9 @@ type Network struct {
 	// from these: a cold cell pays a few chunks, not an append chain per
 	// node, and the slots keep their segments as they kept their slices.
 	adjMem  sim.Carver[adjacency] // node slots retain the segments they took
-	tabMem  sim.Carver[Agent]     // node slots retain the segments they took; Release scrubs them
+	tabMem  sim.Carver[Agent]     // node slots retain the segments they took; ResetArena scrubs them
 	ringMem sim.Carver[*Packet]   // queue slots retain the rings they took
-	tapMem  sim.Carver[Tap]       // link slots retain the segments they took; Release scrubs them
+	tapMem  sim.Carver[Tap]       // link slots retain the segments they took; ResetArena scrubs them
 
 	visited []bool   // BuildRoutes scratch, value-only backing
 	bfsQ    []bfsHop // BuildRoutes scratch; truncated after every build
@@ -174,9 +174,9 @@ type Network struct {
 
 // New returns an empty network driven by the given scheduler. Its
 // backing memory comes from the scheduler's netsim arena: when the
-// scheduler is recycled (Reset or a pool round-trip), the network — and
-// all its slab storage — is handed out again, so sweep cells that build
-// thousands of short-lived networks stop paying setup allocations.
+// scheduler is recycled with Reset, the network — and all its slab
+// storage — is handed out again, so sweep cells that build thousands of
+// short-lived networks stop paying setup allocations.
 func New(sched *sim.Scheduler) *Network {
 	a := arenaOf(sched)
 	nw := sim.Next(&a.networks)
@@ -195,29 +195,6 @@ func New(sched *sim.Scheduler) *Network {
 		nw.nowFn = func() float64 { return nw.sched.Now() }
 	}
 	return nw
-}
-
-// Release scrubs the network's outward references — agents bound to
-// ports, tap closures over monitors and their series — so the recycled
-// network does not pin the finished scenario's object graph while it
-// waits in the scheduler's arena for the next New. The network, its
-// nodes, links, queues, and every packet drawn from its pool must not be
-// used afterwards. Calling Release is optional: the arena reclaims the
-// memory at the next Scheduler.Reset either way.
-func (nw *Network) Release() {
-	nw.sched = nil
-	nw.nodeSlab.Each(func(n *Node) {
-		clear(n.ports[:cap(n.ports)])
-		n.ports = n.ports[:0]
-		n.route = nil
-	})
-	nw.linkSlab.Each(func(l *Link) {
-		clear(l.taps[:cap(l.taps)])
-		l.taps = l.taps[:0]
-		l.imp = nil
-		l.departing = nil
-	})
-	clear(nw.routeSlab)
 }
 
 // SetNominalPacketSize sets the mean packet size (bytes) used to convert
@@ -319,7 +296,7 @@ func (nw *Network) connect(a, b *Node, bw, delay float64, abQueue, baQueue Queue
 // node with breadth-first search. It must be called after the last Connect
 // and panics if the topology is disconnected. Route tables live in one
 // n×n slab and the BFS scratch is reused across sources (and across
-// Release/New cycles), so recomputing routes costs no per-source
+// scenarios), so recomputing routes costs no per-source
 // allocations.
 func (nw *Network) BuildRoutes() {
 	nw.buildRoutes(false)

@@ -102,9 +102,9 @@ func SendFn(x any) {
 
 // Pool recycles packets. It is deliberately not safe for concurrent use:
 // the simulator is single-threaded and the pool sits on the hot path.
-// The packets live in a slab the owning Network keeps across Release/New
-// cycles, zeroed whenever they are not checked out, so a recycled
-// network hands the same ones out again without touching the allocator.
+// The packets live in a slab the owning Network keeps across scenarios,
+// zeroed whenever they are not checked out, so a recycled network hands
+// the same ones out again without touching the allocator.
 type Pool struct {
 	slab sim.Slab[Packet]
 	live int

@@ -13,10 +13,11 @@ import (
 // is by the agent the model binds to the port, or, when bit 3 is set, by
 // the agent the high four bits pick (modulo the agents made so far, old
 // networks' included), which must unbind the port only if it is the one
-// bound there. Renew resets the scheduler (releasing the network first when bit 3 is set)
-// and builds a new network on it, whose recycled node slots keep their
-// old tables: a previous tenant's agents past the new table's length
-// must read unbound. After every op each port from -130 to 130 must
+// bound there. Renew resets the scheduler, whose arena scrubs the
+// network's port tables, and builds a new network on it, whose recycled
+// node slots keep their tables' storage: a previous tenant's agents
+// past the new table's length must read unbound. After every op each
+// port from -130 to 130 must
 // resolve to the model's agent, every agent must have received exactly
 // the packets sent to its bindings, and a table must be exactly as long
 // as the highest port bound on its node plus one.
@@ -24,7 +25,7 @@ func FuzzPortTable(f *testing.F) {
 	f.Add([]byte{0, 3, 0, 1, 2, 3, 2, 9, 1, 3, 2, 3})                      // bind, deliver, miss, unbind
 	f.Add([]byte{0, 40, 4, 40, 0, 40, 2, 40, 6, 40, 1, 40, 0, 40})         // the same port on both nodes
 	f.Add([]byte{0, 100, 0, 5, 3, 0, 0, 7, 2, 100, 2, 50, 0, 100, 2, 100}) // stale agents past a recycled table
-	f.Add([]byte{0, 120, 11, 0, 4, 3, 2, 120, 0, 0xf9, 2, 0xf9})           // released first; a negative port
+	f.Add([]byte{0, 120, 11, 0, 4, 3, 2, 120, 0, 0xf9, 2, 0xf9})           // renewed; a negative port
 	f.Add([]byte{0, 5, 0, 6, 0x19, 5, 2, 5, 9, 6, 2, 6, 1, 6, 2, 6})       // strangers' detaches, then the owner's
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sched := sim.NewScheduler()
@@ -89,9 +90,6 @@ func FuzzPortTable(f *testing.F) {
 					t.Fatalf("step %d: %d packets live after a delivery", step, live)
 				}
 			case 3:
-				if data[step]&8 != 0 {
-					nw.Release()
-				}
 				sched.Reset()
 				renew()
 			}

@@ -73,7 +73,7 @@ func NewRED(cfg REDConfig, now func() float64, rng *sim.Rand) *RED {
 // newRED is the arena-backed variant used by the topology layer: the
 // struct comes from the network's queue slab and keeps the ring a
 // previous life of the slot grew, and the clock closure is the
-// network's shared one — all recycled across Release/New.
+// network's shared one — all recycled across scenarios.
 func (nw *Network) newRED(cfg REDConfig, rng *sim.Rand) *RED {
 	validateRED(cfg)
 	q := nw.redSlab.Get()

@@ -66,16 +66,6 @@ func newTopology(sched *sim.Scheduler, rng *sim.Rand, nodes, links int) *Topolog
 	return t
 }
 
-// Release scrubs the topology's references to its network and nodes
-// so the recycled builder state pins nothing while it waits in the
-// scheduler's arena for the next NewTopology. The topology must not be
-// used afterwards; calling Release is optional.
-func (t *Topology) Release() {
-	t.nw = nil
-	clear(t.nodes)
-	clear(t.links)
-}
-
 // Network returns the underlying network.
 func (t *Topology) Network() *Network { return t.nw }
 

@@ -91,7 +91,7 @@ const (
 )
 
 // calQueue is the calendar state embedded in Scheduler. All backing
-// storage is value-only (no pointers), so Reset/Release only truncate.
+// storage is value-only (no pointers), so Reset only truncates.
 type calQueue struct {
 	head, tail []int32 // per-bucket list ends (slot indices); head -1 = empty, tail then stale
 	width, inv float64 // seconds of simulated time per day bucket, and its reciprocal

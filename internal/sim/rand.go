@@ -18,7 +18,7 @@ func NewRand(seed int64) *Rand {
 }
 
 // NewRand returns a deterministic source seeded with seed whose storage
-// is owned by the scheduler: when the scheduler is Released and reused,
+// is owned by the scheduler: when the scheduler is Reset and reused,
 // the generators it handed out are re-seeded and handed out again.
 // Re-seeding fully resets the underlying source, so a recycled generator
 // produces exactly the stream a fresh NewRand(seed) would — scenario

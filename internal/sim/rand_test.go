@@ -6,10 +6,10 @@ import (
 )
 
 // TestSchedulerRandRecycledDeterminism pins the contract that makes
-// generator recycling safe: a Rand handed out by a recycled scheduler is
-// re-seeded, and re-seeding fully resets the source, so the stream is
-// bit-identical to a fresh NewRand with the same seed. Sweep cells built
-// on recycled schedulers therefore stay deterministic.
+// generator recycling safe: a Rand handed out again by a scheduler after
+// Reset is re-seeded, and re-seeding fully resets the source, so the
+// stream is bit-identical to a fresh NewRand with the same seed. Sweep
+// cells built on recycled schedulers therefore stay deterministic.
 func TestSchedulerRandRecycledDeterminism(t *testing.T) {
 	draw := func(r *Rand, n int) []float64 {
 		out := make([]float64, n)
@@ -28,13 +28,15 @@ func TestSchedulerRandRecycledDeterminism(t *testing.T) {
 			t.Fatalf("scheduler-owned generator diverges from fresh NewRand at draw %d", i)
 		}
 	}
-	s.Release()
+	s.Reset()
 
 	// The recycled scheduler hands the same generator out again; after
 	// re-seeding it must replay the stream exactly, even though the
 	// previous life left it mid-sequence.
-	s2 := NewScheduler()
-	recycled := s2.NewRand(42)
+	recycled := s.NewRand(42)
+	if recycled != first {
+		t.Fatal("the recycled scheduler did not hand its generator out again")
+	}
 	got2 := draw(recycled, 500)
 	for i := range want {
 		if got2[i] != want[i] {
@@ -43,16 +45,14 @@ func TestSchedulerRandRecycledDeterminism(t *testing.T) {
 	}
 	// Different seed on the next life must give the matching fresh stream
 	// too, not a continuation of anything.
-	s2.Release()
-	s3 := NewScheduler()
+	s.Reset()
 	want7 := draw(NewRand(7), 100)
-	got7 := draw(s3.NewRand(7), 100)
+	got7 := draw(s.NewRand(7), 100)
 	for i := range want7 {
 		if got7[i] != want7[i] {
 			t.Fatalf("re-seeded recycled generator diverges at draw %d", i)
 		}
 	}
-	s3.Release()
 }
 
 // TestNewRandAllocatesOnlyItsSource pins what a generator costs a cold
@@ -94,7 +94,6 @@ func TestSchedulerRandDistinctStreams(t *testing.T) {
 			t.Fatalf("generator B diverges at draw %d", i)
 		}
 	}
-	s.Release()
 }
 
 // TestParetoMeanAcrossShapes checks the mean parameterization across the
@@ -163,16 +162,14 @@ func TestDistributionDeterminismAcrossRecycledGenerators(t *testing.T) {
 
 	s := NewScheduler()
 	s.NewRand(1) // occupy slot 0 so the next life reuses it for seed 99
-	s.Release()
+	s.Reset()
 
-	s2 := NewScheduler()
-	got := sample(s2.NewRand(99))
+	got := sample(s.NewRand(99))
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("recycled generator variate %d = %v, want %v", i, got[i], want[i])
 		}
 	}
-	s2.Release()
 }
 
 func boolToF(b bool) float64 {

@@ -12,7 +12,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 )
 
@@ -65,28 +64,30 @@ func (h Handle) Scheduled() bool {
 // through a slot table that gives every pending event a stable index,
 // which a Handle pairs with the event's sequence number. No interface
 // boxing, no per-event allocation: steady-state scheduling touches only
-// flat slices.
+// flat slices. A scheduler and its arenas hold one scenario's whole
+// state; its owner recycles them for the next scenario with Reset.
 // The zero value is not ready for use; call NewScheduler.
 type Scheduler struct {
-	now    float64
-	seq    uint64   // last sequence number issued; never rewound
-	cal    calQueue // value-only calendar bucket ends, truncated on Reset/reuse
-	slots  []event
-	free   []int32 // recycled slot indices, value-only backing
-	pinned bool    // owned by a worker context: Release keeps it out of the pool
+	now   float64
+	seq   uint64   // last sequence number issued; never rewound
+	cal   calQueue // value-only calendar bucket ends, truncated on Reset/reuse
+	slots []event
+	free  []int32 // recycled slot indices, value-only backing
 
 	rands Slab[Rand] // generators handed out by NewRand, re-seeded and reissued on reuse
 
-	wheels []*Wheel // coarse timer wheels keyed by tick, scrubbed on Reset/Release
+	wheels []*Wheel // coarse timer wheels keyed by tick, scrubbed on Reset
 
 	arenas []Arena // per-package agent arenas, indexed by ArenaID; they ARE the recycled stock
 }
 
 // Arena is a scheduler-attached memory arena: a package-private pool of
 // that package's per-scenario objects (agents, monitors, networks). The
-// scheduler calls ResetArena at every Reset, which marks every object
-// the arena ever handed out as free again — the whole working set of the
-// previous scenario becomes the construction stock of the next one.
+// scheduler calls ResetArena at every Reset, which scrubs what the
+// finished scenario bound into the arena's objects and marks every
+// object it ever handed out as free again — the whole working set of the
+// previous scenario becomes the construction stock of the next one. An
+// arena scrubs only its own package's objects.
 type Arena interface{ ResetArena() }
 
 // ArenaID names one package's arena slot on every scheduler. IDs are
@@ -99,7 +100,7 @@ var arenaIDs atomic.Int32
 func NewArenaID() ArenaID { return ArenaID(arenaIDs.Add(1) - 1) }
 
 // Arena returns the scheduler's arena for the given ID, calling mk to
-// build it on first use. Arenas survive Reset and Release: they are the
+// build it on first use. Arenas survive Reset: they are the
 // mechanism by which a reused scheduler carries an entire recycled
 // object graph from one sweep cell to the next.
 func (s *Scheduler) Arena(id ArenaID, mk func() Arena) Arena {
@@ -114,41 +115,40 @@ func (s *Scheduler) Arena(id ArenaID, mk func() Arena) Arena {
 	return a
 }
 
-// schedMem recycles scheduler backing arrays across instances: sweep
-// cells build thousands of short-lived schedulers, and reusing the grown
-// slices keeps per-cell setup out of the allocator.
-var schedMem = sync.Pool{New: func() any {
-	return &Scheduler{
+// NewScheduler returns a fresh scheduler with the clock at zero. It
+// makes its slot table, free list and calendar-rebuild scratch once, at
+// calMinBuckets — the population the calendar rests at — so up to that
+// many pending events cost no allocation, and a larger population grows
+// them by doubling from there rather than from nil. Its arena table is
+// made at the number of registered ArenaIDs. It takes nothing from an
+// earlier scheduler: a scheduler's owner recycles it with Reset.
+func NewScheduler() *Scheduler {
+	s := &Scheduler{
 		slots: make([]event, 0, calMinBuckets),
 		free:  make([]int32, 0, calMinBuckets),
 		cal:   calQueue{scratch: make([]int32, 0, calMinBuckets)},
 		// IDs are taken at package init, so every arena has its entry.
 		arenas: make([]Arena, arenaIDs.Load()),
 	}
-}}
-
-// NewScheduler returns a scheduler with the clock at zero. Its backing
-// arrays may be recycled from a previously Released scheduler. A fresh
-// one makes its slot table, free list and calendar-rebuild scratch once,
-// at calMinBuckets — the population the calendar rests at — so up to
-// that many pending events cost no allocation, and a larger population
-// grows them by doubling from there rather than from nil. Its arena
-// table is made at the number of registered ArenaIDs.
-func NewScheduler() *Scheduler {
-	s := schedMem.Get().(*Scheduler)
 	s.Reset()
 	return s
 }
 
-// Reset rewinds the scheduler for a fresh scenario: the clock returns to
-// zero, every pending event is dropped (and its callback reference
-// scrubbed), recycled random generators and arena objects all become
-// available again. Any Handle, Rand, or arena object obtained before the
-// Reset must be re-acquired. Worker contexts that pin a scheduler call
-// Reset once per sweep cell instead of round-tripping it through the
-// shared pool.
+// Reset rewinds the scheduler for a fresh scenario, and is the one way
+// a scenario's state is recycled: the clock returns to zero, every
+// pending event and coarse timer is dropped (and its callback reference
+// scrubbed), recycled random generators become available again, and
+// each arena's ResetArena scrubs what its package handed out and makes
+// it construction stock for the next scenario. Any Handle, Rand, or
+// arena object obtained before the Reset must be re-acquired.
 func (s *Scheduler) Reset() {
-	s.clear()
+	for i := range s.slots {
+		s.slots[i].afn = nil
+		s.slots[i].arg = nil
+	}
+	for _, w := range s.wheels {
+		w.reset()
+	}
 	s.now = 0
 	s.calReset()
 	s.slots = s.slots[:0]
@@ -161,36 +161,15 @@ func (s *Scheduler) Reset() {
 	}
 }
 
-// Pin marks the scheduler as owned by a long-lived worker context:
-// Release still scrubs the pending events, but the scheduler (and the
-// arenas riding on it) stays with its owner instead of returning to the
-// shared pool. The owner recycles it with Reset.
-func (s *Scheduler) Pin() { s.pinned = true }
+// Pin does nothing: every scheduler stays with its owner, which
+// recycles it with Reset. It remains only for the benchmark harness's
+// calls.
+func (s *Scheduler) Pin() {}
 
-// Release drops what the pending events and timers reference and
-// returns the scheduler's backing arrays to a shared pool for reuse by
-// a later NewScheduler. The scheduler (and any Handle issued by it)
-// must not be used afterwards. Calling Release is optional — an
-// unreleased scheduler is simply collected by the GC. A pinned
-// scheduler stays with its owner, which keeps recycling it via Reset.
-func (s *Scheduler) Release() {
-	s.clear()
-	if !s.pinned {
-		schedMem.Put(s)
-	}
-}
-
-// clear drops what the finished scenario's pending events and wheel
-// buckets (which hold *Timer references into agent graphs) point at.
-func (s *Scheduler) clear() {
-	for i := range s.slots {
-		s.slots[i].afn = nil
-		s.slots[i].arg = nil
-	}
-	for _, w := range s.wheels {
-		w.reset()
-	}
-}
+// Release is Reset: the scheduler comes back scrubbed and rewound, and
+// its owner may build the next scenario on it. It remains only for the
+// benchmark harness's calls.
+func (s *Scheduler) Release() { s.Reset() }
 
 // Now returns the current simulated time in seconds.
 func (s *Scheduler) Now() float64 { return s.now }

@@ -183,7 +183,6 @@ func (p *schedPair) run(data []byte) {
 	}
 	p.s.Run()
 	p.expect(math.Inf(1), math.MaxInt, p.now)
-	p.s.Release()
 }
 
 // FuzzSchedulerOrder feeds one byte-coded operation sequence (At, After,

@@ -577,12 +577,13 @@ func testSchedulerDifferential(t *testing.T) {
 	}
 }
 
-// TestSchedulerReleaseReuse checks that a scheduler built from recycled
-// backing arrays behaves identically to a fresh one.
+// TestSchedulerReleaseReuse checks that a scheduler recycled by Release
+// behaves identically to a fresh one: every run after the first reuses
+// the backing arrays the previous run on the same scheduler grew.
 func TestSchedulerReleaseReuse(t *testing.T) {
 	t.Run("calendar", func(t *testing.T) {
+		s := NewScheduler()
 		run := func() []float64 {
-			s := NewScheduler()
 			var got []float64
 			for _, at := range []float64{3, 1, 2, 1, 5} {
 				at := at
@@ -595,8 +596,11 @@ func TestSchedulerReleaseReuse(t *testing.T) {
 			return got
 		}
 		first := run()
+		if !sort.Float64sAreSorted(first) {
+			t.Fatalf("fresh scheduler fired out of order: %v", first)
+		}
 		for i := 0; i < 3; i++ {
-			if again := run(); !sort.Float64sAreSorted(again) || len(again) != len(first) {
+			if again := run(); !slices.Equal(again, first) {
 				t.Fatalf("recycled scheduler run %d differs: %v vs %v", i, again, first)
 			}
 		}
@@ -604,44 +608,38 @@ func TestSchedulerReleaseReuse(t *testing.T) {
 }
 
 // TestReleasedSchedulerPinsNothing: a scheduler released with an At
-// closure and a coarse timer still pending keeps neither alive, whether
-// the pool keeps it for the next NewScheduler or, pinned, its owner
-// keeps it for the next Reset. The test holds the scheduler across the
-// collections, as the pool would between two: the pool frees what it
-// holds after the second, which would hide a scheduler that kept its
-// events.
+// closure and a coarse timer still pending keeps neither alive while
+// its owner keeps it for the next scenario. The test holds the
+// scheduler across the collections, as a sweep worker holds it between
+// two cells; the subtest keeps the name of the owner-pinned case.
 func TestReleasedSchedulerPinsNothing(t *testing.T) {
-	for _, pinned := range []bool{false, true} {
-		t.Run(fmt.Sprintf("pinned=%v", pinned), func(t *testing.T) {
-			type sentinel struct {
-				_ *int // pointerful, so the allocator never packs it with other objects
-				n int
+	t.Run("pinned=true", func(t *testing.T) {
+		type sentinel struct {
+			_ *int // pointerful, so the allocator never packs it with other objects
+			n int
+		}
+		s := NewScheduler()
+		s.Pin()
+		captured, armed := new(sentinel), new(sentinel)
+		watched := map[string]weak.Pointer[sentinel]{
+			"At closure":   weak.Make(captured),
+			"coarse timer": weak.Make(armed),
+		}
+		s.At(1, func() { captured.n++ })
+		tm := new(Timer)
+		tm.InitArg(s, func(x any) { x.(*sentinel).n++ }, armed)
+		tm.Coarse(s.Wheel(0.01))
+		tm.Reset(1)
+		s.Release()
+		runtime.GC()
+		runtime.GC()
+		for what, w := range watched {
+			if w.Value() != nil {
+				t.Errorf("the released scheduler still holds what its pending %s references", what)
 			}
-			s := NewScheduler()
-			if pinned {
-				s.Pin()
-			}
-			captured, armed := new(sentinel), new(sentinel)
-			watched := map[string]weak.Pointer[sentinel]{
-				"At closure":   weak.Make(captured),
-				"coarse timer": weak.Make(armed),
-			}
-			s.At(1, func() { captured.n++ })
-			tm := new(Timer)
-			tm.InitArg(s, func(x any) { x.(*sentinel).n++ }, armed)
-			tm.Coarse(s.Wheel(0.01))
-			tm.Reset(1)
-			s.Release()
-			runtime.GC()
-			runtime.GC()
-			for what, w := range watched {
-				if w.Value() != nil {
-					t.Errorf("the released scheduler still holds what its pending %s references", what)
-				}
-			}
-			runtime.KeepAlive(s)
-		})
-	}
+		}
+		runtime.KeepAlive(s)
+	})
 }
 
 // TestHandlesFromBeforeResetAreInert pins the sequence rule: Reset does
@@ -1000,9 +998,9 @@ func TestCalendarSparseAfterBurstRetunes(t *testing.T) {
 }
 
 // TestCalendarResetAfterGrowth grows the calendar well past its resting
-// size, shrinks it again, and then sends it through Reset and through
-// the Release/NewScheduler pool: each time it must come back at the
-// resting size and default width, empty, and fire in reference order.
+// size, shrinks it again, and then sends the same scheduler through
+// Reset or Release in turn: each time it must come back at the resting
+// size and default width, empty, and fire in reference order.
 func TestCalendarResetAfterGrowth(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	nop := func(any) {}
@@ -1045,7 +1043,6 @@ func TestCalendarResetAfterGrowth(t *testing.T) {
 			s.Reset()
 		} else {
 			s.Release()
-			s = NewScheduler()
 		}
 		if len(s.cal.head) != calMinBuckets || s.cal.width != calDefaultWidth || s.Len() != 0 || s.Now() != 0 {
 			t.Fatalf("round %d: recycled calendar has %d buckets, width %v, %d events, clock %v",
@@ -1124,7 +1121,6 @@ func BenchmarkSchedulerQueues(b *testing.B) {
 	for _, pop := range []int{1_000, 100_000, 1_000_000} {
 		b.Run(fmt.Sprintf("pop=%d", pop), func(b *testing.B) {
 			s := NewScheduler()
-			s.Pin() // keep the 1M-population backing out of the shared pool
 			r := rand.New(rand.NewSource(1))
 			delays := make([]float64, 8192)
 			for i := range delays {

@@ -34,7 +34,7 @@ type wheelEntry struct {
 
 // Wheel batches coarse timers for one tick granularity on one
 // scheduler. Obtain via Scheduler.Wheel; wheels persist across Reset
-// (scrubbed) so pooled scenarios reuse their bucket storage.
+// (scrubbed) so recycled scenarios reuse their bucket storage.
 type Wheel struct {
 	sched   *Scheduler
 	tick    float64

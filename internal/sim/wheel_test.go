@@ -194,7 +194,6 @@ func TestWheelDeterminism(t *testing.T) {
 			}
 		}
 		s.Run()
-		s.Release()
 		return trace
 	}
 	a := run()
@@ -214,7 +213,6 @@ func TestWheelDeterminism(t *testing.T) {
 // hold a queue entry.
 func BenchmarkWheelTimers(b *testing.B) {
 	s := NewScheduler()
-	s.Pin()
 	w := s.Wheel(0.01)
 	const n = 100_000
 	fn := func(any) {}

@@ -1,6 +1,9 @@
 package tfrcsim
 
-import "tfrc/internal/sim"
+import (
+	"tfrc/internal/core"
+	"tfrc/internal/sim"
+)
 
 var tfrcArenaID = sim.NewArenaID()
 
@@ -13,8 +16,13 @@ type agentArena struct {
 	receivers sim.Slab[Receiver]
 }
 
-// ResetArena implements sim.Arena.
+// ResetArena implements sim.Arena. It drops what a caller handed the
+// agents — a sender's rate observer, a receiver's state machine with its
+// OnLossInterval — so an agent waiting in its slot for the next scenario
+// pins nothing of the last one.
 func (a *agentArena) ResetArena() {
+	a.senders.Each(func(s *Sender) { s.OnRateChange = nil })
+	a.receivers.Each(func(r *Receiver) { r.core = core.Receiver{} })
 	a.senders.Reset()
 	a.receivers.Reset()
 }

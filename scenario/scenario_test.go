@@ -2,17 +2,16 @@ package scenario_test
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"tfrc/scenario"
 )
 
-// buildAndRun composes a two-bottleneck topology with mixed flows on
-// the public package and returns the harvested numbers.
-func buildAndRun(t *testing.T) (tfrcKB, tcpKB, drop float64) {
-	t.Helper()
-	sched := scenario.NewScheduler()
-	topo := scenario.NewTopology(sched, scenario.NewRand(7))
+// compose builds a two-bottleneck topology with mixed flows, a flow
+// monitor and a queue monitor on sched, on the public package alone.
+func compose(sched *scenario.Scheduler) (b *scenario.Builder, mon *scenario.FlowMonitor, tfrcFlow, tcpFlow int) {
+	topo := scenario.NewTopology(sched, sched.NewRand(7))
 	bott := scenario.LinkSpec{
 		Bandwidth: 3e6, Delay: 0.01,
 		Queue: scenario.QueueRED, QueueLimit: 40, RED: scenario.DefaultRED(40),
@@ -28,12 +27,21 @@ func buildAndRun(t *testing.T) (tfrcKB, tcpKB, drop float64) {
 	topo.Link("xs", "r1", access)
 	topo.Link("xd", "r2", access)
 
-	b := scenario.NewBuilder(topo)
-	mon := b.MonitorLink("r0->r1", 0.5, 10)
+	b = scenario.NewBuilder(topo)
+	mon = b.MonitorLink("r0->r1", 0.5, 10)
+	b.MonitorQueue("r0->r1", 0.1, 0)
 	rng := sched.NewRand(1)
-	tfrcFlow := b.AddTFRC("src", "dst", scenario.DefaultTFRCConfig(), rng.Uniform(0, 2))
-	tcpFlow := b.AddTCP("src", "dst", scenario.TCPConfig{Variant: scenario.TCPSack}, rng.Uniform(0, 2))
+	tfrcFlow = b.AddTFRC("src", "dst", scenario.DefaultTFRCConfig(), rng.Uniform(0, 2))
+	tcpFlow = b.AddTCP("src", "dst", scenario.TCPConfig{Variant: scenario.TCPSack}, rng.Uniform(0, 2))
 	b.AddOnOff("xs", "xd", scenario.OnOffConfig{MeanOn: 1, MeanOff: 2, Shape: 1.5, Rate: 500e3, PacketSize: 1000}, sched.NewRand(2), 0.5)
+	return b, mon, tfrcFlow, tcpFlow
+}
+
+// buildAndRun runs the composed scenario on a fresh scheduler and
+// returns the harvested numbers.
+func buildAndRun(t *testing.T) (tfrcKB, tcpKB, drop float64) {
+	t.Helper()
+	b, mon, tfrcFlow, tcpFlow := compose(scenario.NewScheduler())
 	b.Run(40)
 
 	tfrcKB = mon.TotalBytes(tfrcFlow) / 1000
@@ -55,15 +63,44 @@ func TestBuilderComposesAndHarvests(t *testing.T) {
 	}
 }
 
-// TestReleaseReuseDeterministic: Release must return the working set to
-// the pools without poisoning determinism — an identical scenario
-// rebuilt afterwards (likely on recycled memory) harvests identical
-// numbers.
+// TestReleaseReuseDeterministic: the same scenario built on two fresh
+// schedulers harvests identical numbers.
 func TestReleaseReuseDeterministic(t *testing.T) {
 	a1, b1, d1 := buildAndRun(t)
 	a2, b2, d2 := buildAndRun(t)
 	if a1 != a2 || b1 != b2 || d1 != d2 {
 		t.Fatalf("reuse changed results: (%v %v %v) vs (%v %v %v)", a1, b1, d1, a2, b2, d2)
+	}
+}
+
+// runOn runs the composed scenario on sched, releases the builder and
+// returns the harvest, which Run hands back in storage of its own.
+func runOn(sched *scenario.Scheduler) *scenario.Result {
+	b, _, _, _ := compose(sched)
+	res := b.Run(20)
+	b.Release()
+	return res
+}
+
+// runHarvestAllocs is what Run's harvest allocates for the composed
+// scenario: the series slab, the TCP and TFRC series headers, the queue
+// trace's clone and the Result.
+const runHarvestAllocs = 5
+
+// TestRebuildOnReleasedScheduler: Release rewinds the scheduler the
+// builder was built on, so the same scenario built on it again, with no
+// other call in between, harvests exactly what a fresh scheduler does,
+// and a warm rebuild allocates nothing but Run's harvest.
+func TestRebuildOnReleasedScheduler(t *testing.T) {
+	want := runOn(scenario.NewScheduler())
+	sched := scenario.NewScheduler()
+	for i := range 3 {
+		if got := runOn(sched); !reflect.DeepEqual(got, want) {
+			t.Fatalf("build %d on the released scheduler harvests\n%+v\nwant a fresh scheduler's\n%+v", i, got, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(5, func() { runOn(sched) }); allocs != runHarvestAllocs {
+		t.Errorf("a warm rebuild allocates %v times, want Run's harvest: %d", allocs, runHarvestAllocs)
 	}
 }
 
