@@ -38,7 +38,7 @@
 // {"Seeds": n}, applied after -params; an experiment whose parameters
 // lack the field warns and ignores the flag. -seeds applies to the
 // experiments whose parameters support multi-seed replication (figures
-// 6, 8, 14, 15 and the bwstep, ccfair and parkinglot scenarios); each
+// 6, 8, 14, 15 and the faultphase, ccfair and parkinglot scenarios); each
 // cell then repeats at that many seeds and reports mean ± 90% CI.
 //
 // A -params file is JSON overlaid on the selected preset's defaults, so

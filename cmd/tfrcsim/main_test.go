@@ -55,7 +55,7 @@ func TestCommands(t *testing.T) {
 		{args: "run 10 -format json", stdout: `"experiment": "fig9"`}, // registry aliases stay
 		{args: "", code: 2, stderr: "want a command"},
 		{args: "run", code: 2, stderr: "needs an experiment name"},
-		{args: "run bwsetp", code: 2, stderr: `did you mean "bwstep"`},
+		{args: "run faultphas", code: 2, stderr: `did you mean "faultphase"`},
 		{args: "run fig5 -format xml", code: 2, stderr: "-format"},
 		// A shard's cells and its retry policy are not flags.
 		{args: "shard run fig5 -cells 0:1", code: 2, stderr: "flag provided but not defined: -cells"},

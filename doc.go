@@ -49,7 +49,7 @@
 //
 //   - Package experiment: the registry of the paper's evaluation.
 //     Every figure (2-21) and beyond-paper experiment (parkinglot,
-//     bwstep, manyflows, ccfair, the fault soaks) is one
+//     faultphase, manyflows, ccfair, chaos) is one
 //     experiment.Define spec — JSON-serializable, self-validating
 //     parameters (the paper's full scale is the "paper" preset), a
 //     cell count, a pure per-cell function and a reducer to a Result

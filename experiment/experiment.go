@@ -33,9 +33,10 @@
 // result payload: it changes only if the record's own keys change
 // meaning, so downstream tooling can gate on it before parsing.
 //
-// Fault-injection experiments (blackout, flap, chaos) embed
-// FaultSchedule values in their params/results; the schedule itself is
-// JSON all the way down:
+// The fault-injection experiment faultphase takes a FaultSchedule as
+// its Faults parameter (its presets blackout and flap are two such
+// programs); the schedule itself is JSON all the way down, and decodes
+// whole, unknown fields rejected:
 //
 //	{"seed": 7, "reroute": true, "faults": [
 //	  {"at": 25, "link": "rr->rl", "kind": "blackhole"},

@@ -417,8 +417,7 @@ func TestListCoversAllFiguresInOrder(t *testing.T) {
 	want := []string{
 		"fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
 		"fig11", "fig14", "fig15", "fig16", "fig18", "fig19", "fig20",
-		"fig21", "blackout", "bwstep", "ccfair", "chaos", "flap", "manyflows",
-		"parkinglot",
+		"fig21", "ccfair", "chaos", "faultphase", "manyflows", "parkinglot",
 	}
 	if !reflect.DeepEqual(names, want) {
 		t.Fatalf("List() order = %v, want %v", names, want)
@@ -470,13 +469,13 @@ func TestSeedKnobs(t *testing.T) {
 			multi[d.Name] = true
 		}
 	}
-	for _, name := range []string{"fig6", "fig8", "fig9", "fig11", "fig14", "fig15", "fig16", "fig18", "parkinglot", "bwstep"} {
+	for _, name := range []string{"fig6", "fig8", "fig9", "fig11", "fig14", "fig15", "fig16", "fig18", "parkinglot", "faultphase"} {
 		if !seeded[name] {
 			t.Errorf("%s should support -seed", name)
 		}
 	}
 	// Exactly the list in the README's and cmd/tfrcsim's -seeds text.
-	wantMulti := []string{"fig6", "fig8", "fig14", "fig15", "bwstep", "ccfair", "parkinglot"}
+	wantMulti := []string{"fig6", "fig8", "fig14", "fig15", "faultphase", "ccfair", "parkinglot"}
 	for _, name := range wantMulti {
 		if !multi[name] {
 			t.Errorf("%s should support -seeds", name)

@@ -17,8 +17,9 @@ import (
 // testdata/golden. Experiments with a replicate count appear twice, so
 // both the single-seed pass-through and the mean ± CI reduction are
 // pinned. The files were generated by the commit before the experiment
-// kernel landed (the two full-length bwstep cases by the commit before its
-// rate step moved onto faults.Schedule); UPDATE_GOLDEN=1 rewrites them.
+// kernel landed (the faultphase cases by the commit that folded the
+// blackout, bwstep and flap experiments into it, every bwstep and flap
+// number unchanged); UPDATE_GOLDEN=1 rewrites them.
 var goldenCases = []struct{ name, exp, overlay string }{
 	{"fig2", "fig2", `{"T1": 3, "T2": 5, "Duration": 8}`},
 	{"fig3", "fig3", `{"BufferSizes": [4, 16], "Duration": 30, "Warmup": 10}`},
@@ -40,19 +41,28 @@ var goldenCases = []struct{ name, exp, overlay string }{
 	{"fig19", "fig19", `{"SwitchTime": 5, "Duration": 7}`},
 	{"fig20", "fig20", `{"SwitchTime": 5, "Duration": 7}`},
 	{"fig21", "fig21", `{"DropRates": [0.01, 0.1]}`},
-	{"blackout", "blackout", `{"OutageStart": 10, "OutageEnd": 18, "Duration": 30}`},
-	{"bwstep", "bwstep", `{"StepAt": 8, "RestoreAt": 16, "Duration": 24}`},
-	{"bwstep-seeds2", "bwstep", `{"StepAt": 8, "RestoreAt": 16, "Duration": 24, "Seeds": 2}`},
-	{"bwstep-default", "bwstep", `{}`},
-	{"bwstep-seeds3", "bwstep", `{"Seeds": 3}`},
+	{"blackout", "faultphase", `{"NTCP": 0, "NTFRC": 1, "LinkMbps": 4, "Duration": 30, ` + blackoutFaults + `}`},
+	{"bwstep", "faultphase", `{"Duration": 24, ` + stepFaults + `}`},
+	{"bwstep-seeds2", "faultphase", `{"Duration": 24, "Seeds": 2, ` + stepFaults + `}`},
+	{"bwstep-default", "faultphase", `{}`},
+	{"bwstep-seeds3", "faultphase", `{"Seeds": 3}`},
 	{"ccfair", "ccfair", `{"RTTs": [0.06, 0.12], "LinkMbps": [4, 8], "Duration": 20, "Warmup": 5}`},
 	{"ccfair-seeds2", "ccfair", `{"RTTs": [0.06, 0.12], "LinkMbps": [4, 8], "Duration": 20, "Warmup": 5, "Seeds": 2}`},
 	{"chaos", "chaos", `{"Cells": 3, "Episodes": 3, "Duration": 25}`},
-	{"flap", "flap", `{"FlapStart": 8, "Period": 3, "Flaps": 2, "Duration": 24}`},
+	{"flap", "faultphase", `{"Duration": 24, ` + flapFaults + `}`},
 	{"manyflows", "manyflows", `{"Flows": [50, 200], "Duration": 6, "Warmup": 3}`},
 	{"parkinglot", "parkinglot", `{"Bottlenecks": [1, 2], "Duration": 20, "Warmup": 5}`},
 	{"parkinglot-seeds2", "parkinglot", `{"Bottlenecks": [1, 2], "Duration": 20, "Warmup": 5, "Seeds": 2}`},
 }
+
+// The faultphase cases' fault programs: the bottleneck halved over
+// [8, 16) s, its feedback direction blackholed over [10, 18) s, and two
+// held 0.5 s outages 3 s apart from 8 s.
+const (
+	stepFaults     = `"Faults": {"faults": [{"at": 8, "link": "rl->rr", "kind": "bandwidth", "bandwidth": 4e6}, {"at": 16, "link": "rl->rr", "kind": "bandwidth", "bandwidth": 8e6}]}`
+	blackoutFaults = `"Faults": {"faults": [{"at": 10, "link": "rr->rl", "kind": "blackhole"}, {"at": 18, "link": "rr->rl", "kind": "blackhole-off"}]}`
+	flapFaults     = `"Faults": {"faults": [{"at": 8, "link": "rl->rr", "kind": "down", "drain": true}, {"at": 8.5, "link": "rl->rr", "kind": "up"}, {"at": 11, "link": "rl->rr", "kind": "down", "drain": true}, {"at": 11.5, "link": "rl->rr", "kind": "up"}]}`
+)
 
 // overlaid returns the experiment's defaults with the JSON overlay
 // applied the way "tfrcsim run -params" applies it.

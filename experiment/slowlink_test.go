@@ -12,21 +12,21 @@ import (
 // RTT of 80 kbit or less). The RED thresholds derived for that buffer
 // used to be min = max = 5, which the queue refuses with a panic after
 // Validate had accepted the parameters.
-var slowLinkCases = []struct{ exp, overlay string }{
-	{"bwstep", `{"LinkMbps": 0.5, "StepAt": 8, "RestoreAt": 16, "Duration": 24}`},
-	{"flap", `{"LinkMbps": 0.5, "FlapStart": 8, "Period": 3, "Flaps": 2, "Duration": 24}`},
-	{"blackout", `{"LinkMbps": 0.5, "OutageStart": 10, "OutageEnd": 18, "Duration": 30}`},
-	{"chaos", `{"LinkMbps": 0.5, "Cells": 1, "Episodes": 3, "Duration": 25}`},
-	{"parkinglot", `{"LinkMbps": 0.5, "Bottlenecks": [2], "Duration": 20, "Warmup": 5}`},
-	{"fig6", `{"LinkMbps": [0.5], "TotalFlows": [2], "Duration": 15, "MeasureTail": 8}`},
-	{"ccfair", `{"LinkMbps": [1], "RTTs": [0.06], "Duration": 20, "Warmup": 5}`},
+var slowLinkCases = []struct{ name, exp, overlay string }{
+	{"bwstep", "faultphase", `{"LinkMbps": 0.5, "Duration": 24, "Faults": {"faults": [{"at": 8, "link": "rl->rr", "kind": "bandwidth", "bandwidth": 0.25e6}, {"at": 16, "link": "rl->rr", "kind": "bandwidth", "bandwidth": 0.5e6}]}}`},
+	{"flap", "faultphase", `{"LinkMbps": 0.5, "Duration": 24, ` + flapFaults + `}`},
+	{"blackout", "faultphase", `{"NTCP": 0, "NTFRC": 1, "LinkMbps": 0.5, "Duration": 30, ` + blackoutFaults + `}`},
+	{"chaos", "chaos", `{"LinkMbps": 0.5, "Cells": 1, "Episodes": 3, "Duration": 25}`},
+	{"parkinglot", "parkinglot", `{"LinkMbps": 0.5, "Bottlenecks": [2], "Duration": 20, "Warmup": 5}`},
+	{"fig6", "fig6", `{"LinkMbps": [0.5], "TotalFlows": [2], "Duration": 15, "MeasureTail": 8}`},
+	{"ccfair", "ccfair", `{"LinkMbps": [1], "RTTs": [0.06], "Duration": 20, "Warmup": 5}`},
 }
 
 // TestSlowLinksRun: every house-testbed experiment runs on a slow link,
 // and its record has no NaN or Inf in it (encoding/json refuses those).
 func TestSlowLinksRun(t *testing.T) {
 	for _, tc := range slowLinkCases {
-		t.Run(tc.exp, func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			d, p, err := overlaid(t, tc.exp, tc.overlay)
 			if err != nil {
 				t.Fatalf("overlay: %v", err)

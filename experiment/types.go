@@ -80,36 +80,27 @@ type (
 	CCFairParams = exp.CCFairParams
 	CCFairResult = exp.CCFairResult
 	CCFairCell   = exp.CCFairCell
-	// BWStepParams/BWStepResult: bandwidth-step transient.
-	BWStepParams = exp.BWStepParams
-	BWStepResult = exp.BWStepResult
-	BWStepPhase  = exp.BWStepPhase
+	// FaultPhaseParams/FaultPhaseResult: flows riding out a fault
+	// program on the bottleneck (a bandwidth step, a feedback blackout,
+	// link flaps); FaultPhase is one phase's summary.
+	FaultPhaseParams = exp.FaultPhaseParams
+	FaultPhaseResult = exp.FaultPhaseResult
+	FaultPhase       = exp.FaultPhase
 	// ManyFlowsParams/ManyFlowsResult: million-flow scaling ladder;
 	// ManyFlowsDecade is one flow-count rung.
 	ManyFlowsParams = exp.ManyFlowsParams
 	ManyFlowsResult = exp.ManyFlowsResult
 	ManyFlowsDecade = exp.ManyFlowsDecade
-	// BlackoutParams/BlackoutResult: graceful degradation through a
-	// total feedback outage.
-	BlackoutParams = exp.BlackoutParams
-	BlackoutResult = exp.BlackoutResult
-	// FlapParams/FlapResult: repeated hard outages of the bottleneck.
-	FlapParams = exp.FlapParams
-	FlapResult = exp.FlapResult
-	FlapPhase  = exp.FlapPhase
 	// ChaosParams/ChaosResult: seeded randomized fault soak; ChaosCell
 	// is one cell's verdict.
 	ChaosParams = exp.ChaosParams
 	ChaosResult = exp.ChaosResult
 	ChaosCell   = exp.ChaosCell
 	// Fault-injection vocabulary (internal/faults): a FaultSchedule is a
-	// JSON-serializable fault program; GracefulSpec/GracefulReport are
-	// the degradation checker's contract; RatePoint is one allowed-rate
+	// JSON-serializable fault program; RatePoint is one allowed-rate
 	// sample.
-	Fault          = faults.Fault
-	FaultKind      = faults.Kind
-	FaultSchedule  = faults.Schedule
-	GracefulSpec   = faults.GracefulSpec
-	GracefulReport = faults.GracefulReport
-	RatePoint      = faults.RatePoint
+	Fault         = faults.Fault
+	FaultKind     = faults.Kind
+	FaultSchedule = faults.Schedule
+	RatePoint     = faults.RatePoint
 )

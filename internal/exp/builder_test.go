@@ -134,9 +134,11 @@ func TestParkingLotParallelByteIdentical(t *testing.T) {
 // both protocols track the capacity change: high utilization before,
 // near the reduced capacity during the squeeze, and recovery after.
 func TestBWStepExperiment(t *testing.T) {
-	pr := DefaultBWStep()
-	pr.StepAt, pr.RestoreAt, pr.Duration = 20, 40, 60
-	r := runWith[*BWStepResult](t, "bwstep", &pr, 1)
+	pr := DefaultFaultPhase()
+	stepAt, restoreAt := 20.0, 40.0
+	pr.Faults = halveBottleneck(8e6, stepAt, restoreAt)
+	pr.Duration = 60
+	r := runWith[*FaultPhaseResult](t, "faultphase", &pr, 1)
 	if len(r.Phases) != 3 {
 		t.Fatalf("got %d phases", len(r.Phases))
 	}
@@ -153,17 +155,17 @@ func TestBWStepExperiment(t *testing.T) {
 	// bytes must drop accordingly between the before and squeezed bins.
 	var beforeSum, squeezedSum float64
 	for i := range r.TFRCTotal {
-		ts := float64(i) * r.BinWidth
+		ts := float64(i) * pr.BinWidth
 		tot := r.TFRCTotal[i] + r.TCPTotal[i]
 		switch {
-		case ts >= 5 && ts < pr.StepAt:
+		case ts >= 5 && ts < stepAt:
 			beforeSum += tot
-		case ts >= pr.StepAt+5 && ts < pr.RestoreAt:
+		case ts >= stepAt+5 && ts < restoreAt:
 			squeezedSum += tot
 		}
 	}
-	perBinBefore := beforeSum / ((pr.StepAt - 5) / r.BinWidth)
-	perBinSqueezed := squeezedSum / ((pr.RestoreAt - pr.StepAt - 5) / r.BinWidth)
+	perBinBefore := beforeSum / ((stepAt - 5) / pr.BinWidth)
+	perBinSqueezed := squeezedSum / ((restoreAt - stepAt - 5) / pr.BinWidth)
 	if perBinSqueezed > 0.8*perBinBefore {
 		t.Fatalf("throughput did not drop under the squeeze: %v vs %v",
 			perBinSqueezed, perBinBefore)
@@ -171,12 +173,13 @@ func TestBWStepExperiment(t *testing.T) {
 }
 
 // TestBWStepShortRun pins the phase-window clamping: a run ending just
-// after RestoreAt leaves the "after" phase empty rather than panicking
+// after the restore leaves the "after" phase empty rather than panicking
 // on an inverted slice.
 func TestBWStepShortRun(t *testing.T) {
-	pr := DefaultBWStep()
-	pr.StepAt, pr.RestoreAt, pr.Duration = 10, 20, 22
-	r := runWith[*BWStepResult](t, "bwstep", &pr, 1)
+	pr := DefaultFaultPhase()
+	pr.Faults = halveBottleneck(8e6, 10, 20)
+	pr.Duration = 22
+	r := runWith[*FaultPhaseResult](t, "faultphase", &pr, 1)
 	if len(r.Phases) != 3 {
 		t.Fatalf("got %d phases", len(r.Phases))
 	}
@@ -186,14 +189,15 @@ func TestBWStepShortRun(t *testing.T) {
 }
 
 // TestBWStepParallelByteIdentical pins multi-seed determinism on the
-// sweep runner for the transient experiment.
+// sweep runner for the bandwidth-step transient.
 func TestBWStepParallelByteIdentical(t *testing.T) {
-	pr := DefaultBWStep()
-	pr.StepAt, pr.RestoreAt, pr.Duration = 15, 30, 45
+	pr := DefaultFaultPhase()
+	pr.Faults = halveBottleneck(8e6, 15, 30)
+	pr.Duration = 45
 	pr.Seeds = 2
 	var seq, par bytes.Buffer
-	runWith[*BWStepResult](t, "bwstep", &pr, 1).Table(&seq)
-	runWith[*BWStepResult](t, "bwstep", &pr, 8).Table(&par)
+	runWith[*FaultPhaseResult](t, "faultphase", &pr, 1).Table(&seq)
+	runWith[*FaultPhaseResult](t, "faultphase", &pr, 8).Table(&par)
 	if !bytes.Equal(seq.Bytes(), par.Bytes()) {
 		t.Fatalf("parallel bwstep differs from sequential:\n--- sequential\n%s--- parallel\n%s",
 			seq.String(), par.String())

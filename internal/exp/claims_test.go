@@ -6,6 +6,10 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+
+	"tfrc/internal/core"
+	"tfrc/internal/faults"
+	"tfrc/internal/tfrcsim"
 )
 
 // The paper's claims as assertions. Goldens show that the code agrees
@@ -256,6 +260,31 @@ func TestPaperClaims(t *testing.T) {
 			r := runWith[*Fig19Result](t, "fig20", &pr, 1)
 			return []reading{halving(fmt.Sprintf("p0=%.3f", 1/float64(pr.DropEveryBefore)), pr.DropEveryBefore, r.HalvedAfterRTTs)}
 		}},
+		// §4.4, through a feedback blackout: the blackout preset loses
+		// every report of its one TFRC flow for L = 15 s. Each expiry of
+		// the no-feedback timer halves the rate X and re-arms the timer
+		// max(4R, 2s/X) ahead, R being the sender's RTT estimate, which
+		// no sample moves during the outage; X stops at the floor of one
+		// packet per t_mbi = 64 s. The last report arrives within R of
+		// the outage's start, and while X ≥ s/(2R) the timer runs 4R, so
+		// X falls to s/(2R) or below within R + 4R·k of the start, where
+		// k = ⌈log2(2R·X0/s)⌉ and X0 is the highest rate the outage saw.
+		// From a rate Y ≤ s/(2R) on, the timer runs 2s/X: m halvings take
+		// 2s/Y·(2^m − 1), so D seconds after reaching Y the rate is below
+		// 4s/(D + 2s/Y) < 4s/D. The lowest rate of the outage is
+		// therefore below 4s/(L − R − 4R·k), well under one packet per
+		// t_RTO = 4R for this L (2 to 3 s reach s/(2R)), and at least
+		// the floor. Readings, each over its bound: the lowest rate over
+		// 4s/(L − R − 4R·k), and over s/t_RTO with the floor s/t_mbi as
+		// its lower edge; liveness, the longest send gap in the outage
+		// over three packet spacings at the lowest rate (a pacing
+		// interval, doubled by a halving mid-gap, plus timer slack;
+		// faults.CheckGraceful also holds every gap to the rate in effect
+		// at its end); and recovery, the time from the heal to the first
+		// bin back at recoverFrac of the pre-outage goodput, over
+		// recoverRTTs base round-trips plus the Θ(s/X) ramp the first
+		// reports need at the lowest rate X.
+		{"§4.4 blackout: reading / bound", 0, 1, blackoutReadings},
 		{"fig21 RTTs to halve the rate", 3, 8, func(t *testing.T) []reading {
 			pr := DefaultFig21()
 			var out []reading
@@ -278,6 +307,65 @@ func TestPaperClaims(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// The §4.4 row's recovery target: recoverFrac of the pre-outage
+// goodput back within recoverRTTs base round-trips of the heal.
+const (
+	recoverFrac = 0.9
+	recoverRTTs = 100
+)
+
+// blackoutReadings runs the blackout preset and reads the §4.4 row's
+// cells off it, each over its bound.
+func blackoutReadings(t *testing.T) []reading {
+	p := faultPhasePresets["blackout"]()
+	res, sends, r := faultPhaseProbe(&p)
+	if r <= 0 {
+		t.Fatalf("no RTT estimate as the outage began: %v", r)
+	}
+	if res.NoFbCuts == 0 {
+		t.Error("no no-feedback cuts during the outage")
+	}
+	from, to, _ := p.window()
+	s := float64(tfrcsim.DefaultConfig().Sender.PacketSize)
+	floor := s / core.MaxBackoffInterval
+	x0 := 0.0 // the highest rate in effect during the outage
+	for _, rp := range res.Rates {
+		switch {
+		case rp.T < from:
+			x0 = rp.Rate
+		case rp.T < to:
+			x0 = max(x0, rp.Rate)
+		}
+	}
+	k := math.Ceil(math.Log2(2 * r * x0 / s))
+	cascade := 4 * s / (to - from - r - 4*r*k)
+	rep := faults.CheckGraceful(faults.GracefulSpec{
+		OutageStart:   from,
+		OutageEnd:     to,
+		PreFrom:       from / 2,
+		PacketSize:    s,
+		DegradeBelow:  s / (4 * r),
+		FloorRate:     floor,
+		RecoverFrac:   recoverFrac,
+		RecoverWithin: recoverRTTs * 2 * (2*accessDelay + p.Delay),
+		RampSlack:     4,
+	}, sends, res.Rates, res.TFRCTotal, p.BinWidth)
+	if !rep.Live {
+		t.Errorf("a send gap outgrew three spacings at the rate then: %s", rep)
+	}
+	recovery := math.Inf(1)
+	if rep.RecoveredAt >= 0 {
+		recovery = (rep.RecoveredAt - to) / (rep.RecoverBy - to)
+	}
+	note := rep.String()
+	return []reading{
+		{cell: fmt.Sprintf("lowest rate / 4s/(L-R-4Rk), k=%v", k), value: rep.DegradedRate / cascade, inDomain: cascade > 0, note: note},
+		{cell: "lowest rate / (s/t_RTO)", value: rep.DegradedRate * 4 * r / s, inDomain: true, lo: floor * 4 * r / s, note: note},
+		{cell: "longest send gap / (3s/lowest rate)", value: rep.MaxSendGap * rep.DegradedRate / (3 * s), inDomain: true, note: note},
+		{cell: "recovery time / budget", value: recovery, inDomain: true, note: note},
 	}
 }
 

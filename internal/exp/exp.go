@@ -13,7 +13,8 @@
 // bandwidth-delay product with RED thresholds to match, jittered SACK
 // TCP against jittered TFRC. A new dumbbell experiment starts from
 // houseDumbbell and placeMix (houseQueue, houseTCP and houseTFRC for
-// another topology or placement) and, for a transient, phaseFractions.
+// another topology or placement); a transient on it is a fault program
+// for faultphase, not a new experiment.
 package exp
 
 import (

@@ -21,6 +21,11 @@ func portTable(n *netsim.Node) []uintptr {
 	return agents
 }
 
+// accessDelay is the one-way delay of a house access link: netsim's
+// preset access links, which buildScenario keeps when the scenario
+// draws no delays.
+const accessDelay = 0.001
+
 // fixedPoint is what one long-lived flow of a fig6 cell did over the
 // measurement tail: the rate it offered the bottleneck and the loss
 // event rate and round-trip time the rate equation takes.
@@ -45,8 +50,6 @@ type fixedPoint struct {
 // Its R is the mean of the samples its sender takes: an ACK's arrival
 // less the send time it echoes.
 func fig06FixedPoints(queue netsim.QueueKind, linkMbps float64, flows int, duration, tail float64, seed int64) []fixedPoint {
-	// buildScenario's access links when the scenario draws no delays.
-	const accessDelay = 0.001
 	sc := fig06Scenario(queue, linkMbps, flows, duration, tail, seed)
 	sched := sim.NewScheduler()
 	b := buildScenario(sched, sc)
@@ -115,4 +118,23 @@ func fig06FixedPoints(queue netsim.QueueKind, linkMbps float64, flows int, durat
 		pt.p = float64(events) / float64(f.pkts)
 	}
 	return points
+}
+
+// faultPhaseProbe runs p's first replicate as faultphase runs it and
+// returns, beside the result, what §4.4's row reads off the run: TFRC
+// flow 0's data send times, from a tap on its access link, and its
+// sender's smoothed RTT as the first fault fires.
+func faultPhaseProbe(p *FaultPhaseParams) (res FaultPhaseResult, sends []float64, srtt float64) {
+	sched := sim.NewScheduler()
+	b, run := faultPhaseScenario(sched, p, p.Seed)
+	b.topo.LinkByName(netsim.IndexedName("l", p.NTCP) + "->rl").AddTap(func(ev netsim.TapEvent, now float64, pk *netsim.Packet) {
+		if ev == netsim.TapArrive && pk.Kind == netsim.KindData {
+			sends = append(sends, now)
+		}
+	})
+	snd := b.TFRCSender(0)
+	from, _, _ := p.window()
+	sched.At(from, func() { srtt = snd.Core().RTT().SRTT() })
+	res = run()
+	return res, sends, srtt
 }

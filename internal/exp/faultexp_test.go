@@ -10,57 +10,20 @@ import (
 	"tfrc/internal/sim"
 )
 
-// TestBlackoutGracefulDegradation is the acceptance test for the
-// feedback-blackout soak: during a 15 s total feedback loss the sender
-// must stay live (never a gap beyond what its own rate allows), halve
-// down to at most one packet per RTO, respect the protocol floor, and
-// climb back to ≥ RecoverFrac of the pre-fault goodput within the
-// RTT-plus-ramp budget.
-func TestBlackoutGracefulDegradation(t *testing.T) {
-	pr := DefaultBlackout()
-	res := runWith[*BlackoutResult](t, "blackout", &pr, 1)
-	rep := res.Report
-	if !rep.Live {
-		t.Errorf("sender went silent during the outage: %s", rep)
-	}
-	if !rep.Degraded {
-		t.Errorf("rate never degraded below one packet per RTO (%v B/s): %s",
-			res.Params.RecoverFrac, rep)
-	}
-	if !rep.FloorKept {
-		t.Errorf("rate fell through the one-packet-per-64 s floor: %s", rep)
-	}
-	if !rep.Recovered {
-		t.Errorf("goodput did not recover in time: %s", rep)
-	}
-	if res.NoFbCuts == 0 {
-		t.Error("no no-feedback cuts during a 15 s feedback blackout")
-	}
-	if res.RTO <= 0 {
-		t.Errorf("RTO = %v, want positive", res.RTO)
-	}
-	// The degradation bound itself: the checker compared against
-	// PacketSize/RTO, so Degraded implies ≤ 1 packet per RTO. Sanity-check
-	// the raw numbers agree.
-	if rep.DegradedRate > 1000/res.RTO {
-		t.Errorf("DegradedRate %v exceeds one packet per RTO (%v)", rep.DegradedRate, 1000/res.RTO)
-	}
-}
-
-// TestFlapRecovery asserts the flap experiment's bounded-recovery
+// TestFlapRecovery asserts the flap preset's bounded-recovery
 // property: after four half-second outages the flows regain at least
 // 0.9× their pre-fault share of the bottleneck.
 func TestFlapRecovery(t *testing.T) {
-	pr := DefaultFlap()
-	res := runWith[*FlapResult](t, "flap", &pr, 1)
+	pr := faultPhasePresets["flap"]()
+	res := runWith[*FaultPhaseResult](t, "faultphase", &pr, 1)
 	if len(res.Phases) != 3 {
-		t.Fatalf("got %d phases, want before/flapping/recovered", len(res.Phases))
+		t.Fatalf("got %d phases, want before/during/after", len(res.Phases))
 	}
 	before, recovered := res.Phases[0], res.Phases[2]
 	if recovered.TFRCFrac < 0.9*before.TFRCFrac {
 		t.Errorf("TFRC recovered to %.3f of capacity, want ≥ 0.9×%.3f", recovered.TFRCFrac, before.TFRCFrac)
 	}
-	tot := func(p FlapPhase) float64 { return p.TFRCFrac + p.TCPFrac }
+	tot := func(p FaultPhase) float64 { return p.TFRCFrac + p.TCPFrac }
 	if tot(recovered) < 0.9*tot(before) {
 		t.Errorf("aggregate recovered to %.3f, want ≥ 0.9×%.3f", tot(recovered), tot(before))
 	}

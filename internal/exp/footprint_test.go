@@ -383,7 +383,7 @@ var warmCellMatrix = []matrixRow{
 		faults.Fault{At: 6, Link: "rl->rr", Kind: faults.LinkUp},
 	), 3, 72},
 	// Feedback lost for 6 s: the TFRC sender's no-feedback timer fires
-	// and backs off. Its rate observer is set, as the blackout
+	// and backs off. Its rate observer is set, as the faultphase
 	// experiment sets it.
 	{"blackhole", func(sched *sim.Scheduler, s *sentinels) {
 		matrixCell(sched, netsim.QueueDropTail, 2, feedbackBlackhole, func(b *ScenarioBuilder, rng *sim.Rand) {

@@ -32,13 +32,18 @@ var contractOverlays = map[string]string{
 	"fig19":      `{"SwitchTime": 3, "Duration": 5}`,
 	"fig20":      `{"SwitchTime": 3, "Duration": 5}`,
 	"fig21":      `{"DropRates": [0.01, 0.1]}`,
-	"blackout":   `{"OutageStart": 8, "OutageEnd": 14, "Duration": 24}`,
-	"bwstep":     `{"StepAt": 6, "RestoreAt": 12, "Duration": 18, "Seeds": 2}`,
 	"ccfair":     `{"RTTs": [0.06, 0.12], "LinkMbps": [4], "Duration": 15, "Warmup": 5, "Seeds": 2}`,
 	"chaos":      `{"Cells": 3, "Episodes": 3, "Duration": 25}`,
-	"flap":       `{"FlapStart": 6, "Period": 3, "Flaps": 2, "Duration": 18}`,
+	"faultphase": `{"NTCP": 0, "NTFRC": 1, "LinkMbps": 4, "Faults": {"faults": [{"at": 8, "link": "rr->rl", "kind": "blackhole"}, {"at": 14, "link": "rr->rl", "kind": "blackhole-off"}]}, "Duration": 24}`,
 	"manyflows":  `{"Flows": [50, 100], "Duration": 5, "Warmup": 2}`,
 	"parkinglot": `{"Bottlenecks": [1, 2], "Duration": 15, "Warmup": 5, "Seeds": 2}`,
+}
+
+// scheduleOverlays run the contract over fault schedules that were once
+// experiments of their own, under those experiments' names: each is an
+// experiment name and its parameters.
+var scheduleOverlays = map[string][2]string{
+	"bwstep": {"faultphase", `{"Faults": {"faults": [{"at": 6, "link": "rl->rr", "kind": "bandwidth", "bandwidth": 4e6}, {"at": 12, "link": "rl->rr", "kind": "bandwidth", "bandwidth": 8e6}]}, "Duration": 18, "Seeds": 2}`},
 }
 
 // rendered is a Result as both output formats.
@@ -62,51 +67,65 @@ func TestEveryExperimentIsAGrid(t *testing.T) {
 		t.Errorf("%d experiments registered, %d have contract parameters", n, len(contractOverlays))
 	}
 	for _, d := range Experiments() {
-		t.Run(d.Name, func(t *testing.T) {
-			if d.Grid == nil {
-				t.Fatal("no Grid")
+		t.Run(d.Name, func(t *testing.T) { checkGrid(t, d, contractOverlays[d.Name]) })
+	}
+	for name, ov := range scheduleOverlays {
+		t.Run(name, func(t *testing.T) {
+			d, ok := Lookup(ov[0])
+			if !ok {
+				t.Fatalf("no experiment %q", ov[0])
 			}
-			p := d.Params()
-			dec := json.NewDecoder(strings.NewReader(contractOverlays[d.Name]))
-			dec.DisallowUnknownFields()
-			if err := dec.Decode(p); err != nil {
-				t.Fatalf("overlay: %v", err)
-			}
-			run := func(workers int) []byte {
-				res, err := RunExperiment(d, p, RunOptions{Workers: workers})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return rendered(t, res)
-			}
-			whole := run(1)
-			if par := run(8); !bytes.Equal(whole, par) {
-				t.Error("Run differs between 1 and 8 workers")
-			}
-
-			n, err := d.Grid.Cells(p)
-			if err != nil || n < 1 {
-				t.Fatalf("Cells = %d, %v", n, err)
-			}
-			cells := make([]json.RawMessage, n)
-			for i := n - 1; i >= 0; i-- {
-				one, err := d.Grid.RunRange(p, CellRange{i, i + 1})
-				if err != nil || len(one) != 1 {
-					t.Fatalf("RunRange(cell %d): %d payloads, %v", i, len(one), err)
-				}
-				cells[i] = one[0]
-			}
-			res, err := d.Grid.Reduce(p, cells)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := rendered(t, res); !bytes.Equal(got, whole) {
-				t.Errorf("Reduce over single cells differs from Run (%d vs %d bytes)", len(got), len(whole))
-			}
-			if _, err := d.Grid.RunRange(p, CellRange{0, n + 1}); err == nil {
-				t.Error("RunRange past the last cell succeeded")
-			}
+			checkGrid(t, d, ov[1])
 		})
+	}
+}
+
+// checkGrid holds d's Grid to the contract at the parameters overlay
+// sets over its defaults.
+func checkGrid(t *testing.T, d Descriptor, overlay string) {
+	t.Helper()
+	if d.Grid == nil {
+		t.Fatal("no Grid")
+	}
+	p := d.Params()
+	dec := json.NewDecoder(strings.NewReader(overlay))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(p); err != nil {
+		t.Fatalf("overlay: %v", err)
+	}
+	run := func(workers int) []byte {
+		res, err := RunExperiment(d, p, RunOptions{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rendered(t, res)
+	}
+	whole := run(1)
+	if par := run(8); !bytes.Equal(whole, par) {
+		t.Error("Run differs between 1 and 8 workers")
+	}
+
+	n, err := d.Grid.Cells(p)
+	if err != nil || n < 1 {
+		t.Fatalf("Cells = %d, %v", n, err)
+	}
+	cells := make([]json.RawMessage, n)
+	for i := n - 1; i >= 0; i-- {
+		one, err := d.Grid.RunRange(p, CellRange{i, i + 1})
+		if err != nil || len(one) != 1 {
+			t.Fatalf("RunRange(cell %d): %d payloads, %v", i, len(one), err)
+		}
+		cells[i] = one[0]
+	}
+	res, err := d.Grid.Reduce(p, cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rendered(t, res); !bytes.Equal(got, whole) {
+		t.Errorf("Reduce over single cells differs from Run (%d vs %d bytes)", len(got), len(whole))
+	}
+	if _, err := d.Grid.RunRange(p, CellRange{0, n + 1}); err == nil {
+		t.Error("RunRange past the last cell succeeded")
 	}
 }
 

@@ -76,21 +76,14 @@ func placeMix(b *ScenarioBuilder, nTCP, nTFRC int, rng *sim.Rand, seed int64) {
 	}
 }
 
-// phaseFractions sums two aggregate per-bin byte traces over the bins
-// of [lo, hi) seconds, clamped to the run, and returns each sum as a
-// fraction of capacity(a, z) — the bytes the bottleneck could carry over
-// those bins [a, z) — or zero for an empty window.
-func phaseFractions(tfrc, tcp []float64, binWidth, lo, hi float64, capacity func(a, z int) float64) (tfrcFrac, tcpFrac float64, a, z int) {
-	a, z = int(lo/binWidth), min(int(hi/binWidth), len(tfrc))
-	a = min(a, z) // a window past the end of the run is empty
-	if z > a {
-		var tf, tc float64
-		for i := a; i < z; i++ {
-			tf += tfrc[i]
-			tc += tcp[i]
+// sumSeries is the aggregate of per-flow binned series: bytes per bin
+// over all flows.
+func sumSeries(series [][]float64, bins int) []float64 {
+	out := make([]float64, bins)
+	for _, s := range series {
+		for i := 0; i < bins && i < len(s); i++ {
+			out[i] += s[i]
 		}
-		bytes := capacity(a, z)
-		tfrcFrac, tcpFrac = tf/bytes, tc/bytes
 	}
-	return tfrcFrac, tcpFrac, a, z
+	return out
 }

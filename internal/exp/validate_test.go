@@ -54,8 +54,8 @@ func TestValidateCatchesBadParams(t *testing.T) {
 		{"fig19 switch past end", &Fig19Params{DropEveryBefore: 100, SwitchTime: 20, Duration: 10, RTT: 0.05}, "SwitchTime"},
 		{"fig21 bad drop rate", &Fig21Params{DropRates: []float64{1.5}, RTT: 0.05}, "drop rates"},
 		{"parkinglot warmup past end", func() Params { p := DefaultParkingLot(); p.Warmup = p.Duration; return &p }(), "Warmup"},
-		{"bwstep step order", func() Params { p := DefaultBWStep(); p.RestoreAt = p.StepAt - 1; return &p }(), "StepAt"},
-		{"bwstep no flows", func() Params { p := DefaultBWStep(); p.NTCP, p.NTFRC = 0, 0; return &p }(), "at least one flow"},
+		{"faultphase fault past end", func() Params { p := DefaultFaultPhase(); p.Duration = p.Faults.Faults[1].At - 1; return &p }(), "Duration"},
+		{"faultphase no flows", func() Params { p := DefaultFaultPhase(); p.NTCP, p.NTFRC = 0, 0; return &p }(), "at least one flow"},
 	}
 	for _, c := range cases {
 		err := c.p.Validate()
@@ -132,7 +132,7 @@ func TestRunExperimentValidates(t *testing.T) {
 func TestSuggest(t *testing.T) {
 	for miss, want := range map[string]string{
 		"fgi6":        "fig6",
-		"bwsetp":      "bwstep",
+		"faultphas":   "faultphase",
 		"parkinglots": "parkinglot",
 	} {
 		if got := Suggest(miss); got != want {

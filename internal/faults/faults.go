@@ -11,6 +11,8 @@
 package faults
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 
@@ -126,6 +128,29 @@ type Schedule struct {
 	Reroute bool `json:"reroute,omitempty"`
 	// Faults fire in slice order at their At times.
 	Faults []Fault `json:"faults"`
+}
+
+// plainSchedule is a Schedule without its JSON methods.
+type plainSchedule Schedule
+
+// MarshalJSON encodes the fields as their tags say; it is the pair of
+// UnmarshalJSON.
+func (s Schedule) MarshalJSON() ([]byte, error) { return json.Marshal(plainSchedule(s)) }
+
+// UnmarshalJSON decodes a schedule whole: what the JSON leaves out is
+// zero, not left over from the schedule decoded into (encoding/json
+// reuses a slice's elements in place, so a "down" fault decoded over a
+// "bandwidth" one would keep its rate), and an unknown field is an
+// error, so a misspelled knob fails as loudly as a misspelled kind.
+func (s *Schedule) UnmarshalJSON(b []byte) error {
+	var out plainSchedule
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&out); err != nil {
+		return err
+	}
+	*s = Schedule(out)
+	return nil
 }
 
 // Validate implements the params contract for every fault in the list.

@@ -40,6 +40,19 @@ func TestScheduleJSONRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(sc, back) {
 		t.Fatalf("round trip changed the schedule:\n%+v\n%+v", sc, back)
 	}
+	// Decoded over another schedule, as a -params overlay is decoded over
+	// an experiment's defaults, the JSON replaces it whole: encoding/json
+	// alone leaves a reused fault's omitted fields as they were.
+	over := Schedule{Seed: 7, Faults: make([]Fault, len(sc.Faults))}
+	for i := range over.Faults {
+		over.Faults[i] = Fault{Drain: true, Delay: 1, Bandwidth: 1, Corrupt: 1}
+	}
+	if err := json.Unmarshal(j, &over); err != nil || !reflect.DeepEqual(sc, over) {
+		t.Fatalf("decoding over a schedule kept some of it (%v):\n%+v\n%+v", err, sc, over)
+	}
+	if err := json.Unmarshal([]byte(`{"faults": [{"at": 1, "link": "a->b", "kind": "bandwidth", "bandwith": 1e5}]}`), &back); err == nil {
+		t.Fatal("a misspelled field decoded")
+	}
 }
 
 func TestValidateRejectsBadFaults(t *testing.T) {
