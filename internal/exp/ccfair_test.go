@@ -95,32 +95,6 @@ func TestCCFairParkingLot(t *testing.T) {
 	}
 }
 
-// TestCCFairParallelByteIdentical: the grid merges in deterministic
-// order, so output is bit-identical at any parallelism.
-func TestCCFairParallelByteIdentical(t *testing.T) {
-	pr := CCFairParams{
-		ProtoA:   "tfrc",
-		ProtoB:   "relentless",
-		FlowsA:   1,
-		FlowsB:   1,
-		Topology: "dumbbell",
-		RTTs:     []float64{0.06, 0.12},
-		LinkMbps: []float64{4},
-		Queue:    netsim.QueueRED,
-		Duration: 30,
-		Warmup:   10,
-		Seed:     2,
-		Seeds:    2,
-	}
-	var seq, par bytes.Buffer
-	runWith[*CCFairResult](t, "ccfair", &pr, 1).Table(&seq)
-	runWith[*CCFairResult](t, "ccfair", &pr, 8).Table(&par)
-	if !bytes.Equal(seq.Bytes(), par.Bytes()) {
-		t.Fatalf("parallel ccfair output differs from sequential:\n--- sequential\n%s--- parallel\n%s",
-			seq.String(), par.String())
-	}
-}
-
 // TestCCFairShardMergeByteIdentical exercises the registry's Grid
 // contract the way tfrcsim shard/merge does: three uneven shards of the
 // cell space, reassembled and reduced, must reproduce the

@@ -73,6 +73,7 @@ func (p *ChaosParams) Validate() error {
 	}
 	check(&v, p.Duration >= 20, "Duration must be at least 20 s (episodes need a settled head and a healed tail), got %v", p.Duration)
 	positive(&v, "BinWidth", p.BinWidth)
+	binCount(&v, p.Duration, p.BinWidth)
 	return v.err
 }
 

@@ -77,3 +77,16 @@ func window(v *checks, aName string, a float64, bName string, b float64) {
 		v.fail("need 0 <= %s < %s, got %s=%v %s=%v", aName, bName, aName, a, bName, b)
 	}
 }
+
+// maxBins caps Duration/BinWidth, the length of a monitor series: twenty
+// times the most any default or preset asks for (fig11's paper preset,
+// 5000 s in 0.1 s bins), and far below a series too large to allocate.
+const maxBins = 1e6
+
+// binCount requires duration/binWidth <= maxBins. It judges only a
+// positive binWidth; pair it with positive or nonNegative for the rest.
+func binCount(v *checks, duration, binWidth float64) {
+	if binWidth > 0 {
+		check(v, duration/binWidth <= maxBins, "need Duration/BinWidth <= %v bins, got Duration=%v BinWidth=%v", maxBins, duration, binWidth)
+	}
+}

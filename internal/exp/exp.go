@@ -18,6 +18,7 @@
 package exp
 
 import (
+	"cmp"
 	"math"
 
 	"tfrc/internal/netsim"
@@ -83,6 +84,7 @@ func (sc *Scenario) Validate() error {
 	nonNegative(&v, "OnOffSources", sc.OnOffSources)
 	nonNegative(&v, "MiceLoad", sc.MiceLoad)
 	nonNegative(&v, "BinWidth", sc.BinWidth)
+	binCount(&v, sc.Duration, cmp.Or(sc.BinWidth, 0.1)) // zero runs at fill's 0.1 s
 	nonNegative(&v, "BottleneckDly", sc.BottleneckDly)
 	nonNegative(&v, "QueueLimit", sc.QueueLimit)
 	nonNegative(&v, "StaggerStarts", sc.StaggerStarts)

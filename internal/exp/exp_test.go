@@ -50,61 +50,54 @@ func TestScenarioDeterminism(t *testing.T) {
 	}
 }
 
+// TestFig02Shape holds what the "fig2" claims row cannot: how the
+// estimate and the rate move between the settled windows. Each step's
+// transient depends on how fast the sender's own falling or rising rate
+// fills the history, which the paper plots but does not bound; so these
+// bounds have no derivation and stay here.
 func TestFig02Shape(t *testing.T) {
-	pr := DefaultFig02()
-	r := runWith[*Fig02Result](t, "fig2", &pr, 1)
+	r := fig02Run(t)
 	if len(r.Points) < 100 {
 		t.Fatalf("only %d samples", len(r.Points))
 	}
-	// Windowed means of the estimated loss rate in each phase.
-	phase := func(lo, hi float64) float64 {
-		var sum, n float64
+	// One field of the samples in a window.
+	in := func(lo, hi float64, f func(Fig02Point) float64) []float64 {
+		var xs []float64
 		for _, p := range r.Points {
 			if p.Time >= lo && p.Time < hi {
-				sum += p.EstLossRate
-				n++
+				xs = append(xs, f(p))
 			}
 		}
-		return sum / n
+		return xs
 	}
-	p1 := phase(4, 6)   // should sit near 0.01
-	p2 := phase(7.5, 9) // should have risen toward 0.1
-	p3 := phase(14, 16) // should have fallen well below p2
-	if p1 < 0.005 || p1 > 0.02 {
-		t.Fatalf("phase-1 estimate %v, want ≈ 0.01", p1)
-	}
+	mean := func(lo, hi float64, f func(Fig02Point) float64) float64 { return stats.Mean(in(lo, hi, f)) }
+	est := func(p Fig02Point) float64 { return p.EstLossRate }
+	p1 := mean(4, 6, est)   // 0.01, held by the claims row
+	p2 := mean(7.5, 9, est) // should have risen toward 0.1
+	p3 := mean(14, 16, est) // should have fallen well below p2
 	if p2 < 3*p1 {
-		t.Fatalf("estimate did not react to 10× loss increase: %v vs %v", p2, p1)
+		t.Errorf("estimate did not react to 10× loss increase: %v vs %v", p2, p1)
 	}
 	if p3 > p2/2 {
-		t.Fatalf("estimate did not recover: %v vs %v", p3, p2)
+		t.Errorf("estimate did not recover: %v vs %v", p3, p2)
 	}
 	// Transmission rate moves inversely.
-	rate := func(lo, hi float64) float64 {
-		var sum, n float64
-		for _, p := range r.Points {
-			if p.Time >= lo && p.Time < hi {
-				sum += p.TxRate
-				n++
-			}
-		}
-		return sum / n
+	rate := func(p Fig02Point) float64 { return p.TxRate }
+	if r1, r2 := mean(4, 6, rate), mean(7.5, 9, rate); r2 > r1/2 {
+		t.Errorf("tx rate did not drop under 10× loss: %v → %v", r1, r2)
 	}
-	if r1, r2 := rate(4, 6), rate(7.5, 9); r2 > r1/2 {
-		t.Fatalf("tx rate did not drop under 10× loss: %v → %v", r1, r2)
-	}
-	if r2, r3 := rate(7.5, 9), rate(14, 16); r3 < 1.5*r2 {
-		t.Fatalf("tx rate did not recover: %v → %v", r2, r3)
+	if r2, r3 := mean(7.5, 9, rate), mean(14, 16, rate); r3 < 1.5*r2 {
+		t.Errorf("tx rate did not recover: %v → %v", r2, r3)
 	}
 }
 
+// TestFig02StableBeforeChange: before t=6 the loss is perfectly
+// periodic, so the ALI estimate must be rock-stable. The paper calls it
+// "a completely stable measure" without a number; the 0.05 bound on its
+// CoV has no derivation.
 func TestFig02StableBeforeChange(t *testing.T) {
-	// Before t=6 the loss is perfectly periodic: the ALI estimate must
-	// be rock-stable (paper: "a completely stable measure").
-	pr := DefaultFig02()
-	r := runWith[*Fig02Result](t, "fig2", &pr, 1)
 	var vals []float64
-	for _, p := range r.Points {
+	for _, p := range fig02Run(t).Points {
 		if p.Time >= 4 && p.Time < 6 {
 			vals = append(vals, p.EstLossRate)
 		}
@@ -114,52 +107,6 @@ func TestFig02StableBeforeChange(t *testing.T) {
 	}
 	if cov := stats.CoV(vals); cov > 0.05 {
 		t.Fatalf("estimate CoV %v under periodic loss, want < 0.05", cov)
-	}
-}
-
-func TestFig03OscillationDampedByFig04(t *testing.T) {
-	p3 := DefaultFig03()
-	p3.Duration, p3.Warmup = 60, 20
-	p3.BufferSizes = []int{8, 32}
-	p4 := p3
-	p4.SqrtSpacing = true
-	r3, r4 := runWith[*Fig03Result](t, "fig3", &p3, 1), runWith[*Fig03Result](t, "fig3", &p4, 1)
-	var c3, c4 float64
-	for i := range r3.Curves {
-		c3 += r3.Curves[i].CoV
-		c4 += r4.Curves[i].CoV
-	}
-	if c4 >= c3 {
-		t.Fatalf("spacing adjustment did not damp oscillation: %v vs %v", c4, c3)
-	}
-}
-
-func TestFig05Shape(t *testing.T) {
-	pr := DefaultFig05()
-	r := runWith[*Fig05Result](t, "fig5", &pr, 1)
-	for _, row := range r.Rows {
-		// p_event never exceeds p_loss, and slower flows sit closer to
-		// the diagonal (ordering in the multiplier: 1x, 2x, 0.5x).
-		pe1, pe2, peHalf := row.PEvent[0], row.PEvent[1], row.PEvent[2]
-		for i, pe := range row.PEvent {
-			if pe > row.PLoss+1e-12 {
-				t.Fatalf("p=%v mult[%d]: pEvent %v above pLoss", row.PLoss, i, pe)
-			}
-		}
-		if !(peHalf >= pe1 && pe1 >= pe2) {
-			t.Fatalf("p=%v: ordering broken: 0.5x=%v 1x=%v 2x=%v",
-				row.PLoss, peHalf, pe1, pe2)
-		}
-	}
-	// The paper: difference between p_loss and p_event is at most ≈ 10%
-	// for the 1× flow in moderate-loss conditions, and small at the
-	// extremes.
-	for _, row := range r.Rows {
-		if row.PLoss <= 0.01 || row.PLoss >= 0.2 {
-			if rel := (row.PLoss - row.PEvent[0]) / row.PLoss; rel > 0.25 {
-				t.Fatalf("extreme p=%v: deviation %v too large", row.PLoss, rel)
-			}
-		}
 	}
 }
 
@@ -201,154 +148,90 @@ func TestFig07PerFlowSpread(t *testing.T) {
 	}
 }
 
-func TestFig08TFRCSmootherBothQueues(t *testing.T) {
-	pr := DefaultFig08Grid()
-	for _, r := range runWith[*Fig08GridResult](t, "fig8", &pr, 1).Results {
-		if r.CoVTFRC >= r.CoVTCP {
-			t.Fatalf("%s: TFRC CoV %v not below TCP CoV %v", r.Queue, r.CoVTFRC, r.CoVTCP)
-		}
-	}
-}
-
+// TestFig09Shape holds the bounds on Figure 9's equivalence ratios that
+// have no derivation: that every ratio exceeds 0.2, and that the
+// TCP-vs-TFRC ratio does not fall by more than 0.05 from the shortest
+// timescale to the longest. The ratios at neighbouring timescales are
+// not ordered in general (min/max of sums is not bounded by the mean of
+// per-bin min/max), and no model puts a floor under them. The claims
+// rows "fig9" and "fig10" hold the protocol comparisons on this run.
 func TestFig09Shape(t *testing.T) {
-	pr := DefaultFig09()
-	pr.Runs = 2
-	pr.FlowsEach = 8
-	pr.Duration, pr.Warmup = 50, 20
-	r := runWith[*Fig09Result](t, "fig9", &pr, 1)
-	for i := range pr.Timescales {
+	r := fig09Run(t)
+	for i, ts := range r.Timescales {
 		for name, c := range map[string]MeanCI{
 			"TCPvTCP": r.TCPvTCP[i], "TFRCvTFRC": r.TFRCvTFRC[i], "TCPvTFRC": r.TCPvTFRC[i],
 		} {
 			if c.Mean <= 0.2 || c.Mean > 1 {
-				t.Fatalf("%s at τ=%v: equivalence %v outside (0.2, 1]",
-					name, pr.Timescales[i], c.Mean)
+				t.Errorf("%s at τ=%v: equivalence %v outside (0.2, 1]", name, ts, c.Mean)
 			}
 		}
 	}
-	// Equivalence improves with timescale for the cross-protocol pair.
-	first, last := r.TCPvTFRC[0].Mean, r.TCPvTFRC[len(pr.Timescales)-1].Mean
+	first, last := r.TCPvTFRC[0].Mean, r.TCPvTFRC[len(r.Timescales)-1].Mean
 	if last < first-0.05 {
-		t.Fatalf("TCPvTFRC equivalence fell with timescale: %v → %v", first, last)
-	}
-	// Figure 10: TFRC smoother than TCP at sub-second timescales.
-	if r.CoVTFRC[0].Mean >= r.CoVTCP[0].Mean {
-		t.Fatalf("CoV at τ=0.2: TFRC %v not below TCP %v",
-			r.CoVTFRC[0].Mean, r.CoVTCP[0].Mean)
-	}
-	// TFRC flows are equivalent to each other on a broader range than
-	// TCP flows (paper's observation), checked at the smallest scale.
-	if r.TFRCvTFRC[0].Mean < r.TCPvTCP[0].Mean-0.05 {
-		t.Fatalf("TFRC pair equivalence %v well below TCP pair %v at τ=0.2",
-			r.TFRCvTFRC[0].Mean, r.TCPvTCP[0].Mean)
+		t.Errorf("TCPvTFRC equivalence fell with timescale: %v → %v", first, last)
 	}
 }
 
+// TestFig11LossRisesWithSources holds what the "fig11" claims row
+// cannot: below the link's capacity nothing forces a loss, so no model
+// bounds the 60-source cell, and that loss rises with the sources and
+// that the equivalence under heavy load (Figure 12) does not fall with
+// the timescale by more than 0.05 have no derivation.
 func TestFig11LossRisesWithSources(t *testing.T) {
-	pr := Fig11Params{
-		Sources:    []int{60, 150},
-		Duration:   120,
-		Warmup:     30,
-		Timescales: []float64{1, 10},
-		Runs:       1,
-		Seed:       1,
+	r := fig11Run(t)
+	if lo, hi := r.Rows[0].LossRate.Mean, r.Rows[1].LossRate.Mean; hi <= lo {
+		t.Errorf("loss did not rise with sources: %v → %v", lo, hi)
 	}
-	r := runWith[*Fig11Result](t, "fig11", &pr, 1)
-	lo, hi := r.Rows[0].LossRate.Mean, r.Rows[1].LossRate.Mean
-	if hi <= lo {
-		t.Fatalf("loss did not rise with sources: %v → %v", lo, hi)
-	}
-	if hi < 0.08 {
-		t.Fatalf("150 sources produced only %v loss; paper sees tens of %%", hi)
-	}
-	// Figure 12 shape: equivalence at the long timescale beats the
-	// short one under heavy load.
-	row := r.Rows[1]
-	if row.EqTCPvTFRC[1].Mean < row.EqTCPvTFRC[0].Mean-0.05 {
-		t.Fatalf("equivalence fell with timescale under load: %v → %v",
+	if row := r.Rows[1]; row.EqTCPvTFRC[1].Mean < row.EqTCPvTFRC[0].Mean-0.05 {
+		t.Errorf("equivalence fell with timescale under load: %v → %v",
 			row.EqTCPvTFRC[0].Mean, row.EqTCPvTFRC[1].Mean)
 	}
 }
 
+// TestFig14QueueDynamics holds Figure 14's utilization floor, which has
+// no derivation: the flows start over the first 20 s of a 25 s run, so
+// the utilization is set by start-up, which no steady-state model
+// bounds (the paper reads 99 %). The "fig14" claims row holds the drop
+// rates.
 func TestFig14QueueDynamics(t *testing.T) {
-	pr := DefaultFig14()
-	r := runWith[*Fig14Result](t, "fig14", &pr, 1)
+	r := fig14Run(t)
 	for _, side := range []Fig14Side{r.TCP, r.TFRC} {
 		if side.Utilization < 0.85 {
-			t.Fatalf("%s utilization %v < 0.85 (paper: 99%%)", side.Protocol, side.Utilization)
+			t.Errorf("%s utilization %v < 0.85 (paper: 99%%)", side.Protocol, side.Utilization)
 		}
 		if len(side.Queue) == 0 {
-			t.Fatalf("%s: no queue samples", side.Protocol)
+			t.Errorf("%s: no queue samples", side.Protocol)
 		}
-	}
-	// Paper: TFRC does not negatively impact queue dynamics; its drop
-	// rate was in fact lower (3.5% vs 4.9%). Allow TFRC up to 1.5× TCP.
-	if r.TFRC.DropRate > r.TCP.DropRate*1.5+0.01 {
-		t.Fatalf("TFRC drop rate %v ≫ TCP %v", r.TFRC.DropRate, r.TCP.DropRate)
 	}
 }
 
+// TestFig15TFRCSmoothComparable holds Figure 15's "comparable
+// throughput" as a factor of 3 either way, which has no derivation: the
+// two flows see different loss event rates on the path, so Eq. (1) does
+// not tie their means together. The "fig15" claims row holds the CoVs.
 func TestFig15TFRCSmoothComparable(t *testing.T) {
-	pr := Fig15Params{Duration: 90, Seed: 1}
-	r := runWith[*Fig15Result](t, "fig15", &pr, 1)
+	r := fig15Run(t)
 	if r.MeanTFRC <= 0 || r.MeanTCP <= 0 {
 		t.Fatal("starved flow")
 	}
-	ratio := r.MeanTFRC / r.MeanTCP
-	if ratio < 0.3 || ratio > 3 {
-		t.Fatalf("TFRC/TCP mean ratio %v outside [0.3, 3]", ratio)
-	}
-	if r.CoVTFRC >= r.CoVTCPMean {
-		t.Fatalf("TFRC CoV %v not below TCP %v", r.CoVTFRC, r.CoVTCPMean)
+	if ratio := r.MeanTFRC / r.MeanTCP; ratio < 0.3 || ratio > 3 {
+		t.Errorf("TFRC/TCP mean ratio %v outside [0.3, 3]", ratio)
 	}
 }
 
-func TestFig16SolarisAnomaly(t *testing.T) {
-	pr := Fig16Params{Timescales: []float64{1, 5, 20}, Duration: 90, Seed: 1}
-	r := runWith[*Fig16Result](t, "fig16", &pr, 1)
-	byName := map[string]Fig16Row{}
-	for _, row := range r.Rows {
-		byName[row.Path] = row
-	}
-	linux, solaris := byName["UMASS (Linux)"], byName["UMASS (Solaris)"]
-	// Paper: the Linux sender gives good equivalence, Solaris poorer —
-	// visible at mid/long timescales.
-	if solaris.Eq[2] > linux.Eq[2]+0.05 {
-		t.Fatalf("Solaris eq %v not below Linux %v at τ=20", solaris.Eq[2], linux.Eq[2])
-	}
-	// Paper Figure 17: the anomaly is the TCP side (abnormally variable
-	// Solaris TCP), while the TFRC trace "appears normal".
-	if solaris.CoVTCP[0] <= solaris.CoVTFRC[0] {
-		t.Fatalf("Solaris TCP CoV %v not above its TFRC %v",
-			solaris.CoVTCP[0], solaris.CoVTFRC[0])
-	}
-}
-
+// TestFig18PredictorShape holds Figure 18's plausibility bounds, which
+// have no derivation: every average error in (0, 0.2], and at least 50
+// loss intervals scored. The "fig18" claims row holds the history sizes
+// against each other.
 func TestFig18PredictorShape(t *testing.T) {
-	pr := DefaultFig18()
-	pr.Duration = 80
-	r := runWith[*Fig18Result](t, "fig18", &pr, 1)
-	get := func(n int, constant bool) Fig18Point {
-		for _, p := range r.Points {
-			if p.HistorySize == n && p.ConstantWeights == constant {
-				return p
-			}
-		}
-		t.Fatalf("missing point n=%d constant=%v", n, constant)
-		return Fig18Point{}
-	}
-	// More history helps up to n=8 (paper's chosen value).
-	if e2, e8 := get(2, false), get(8, false); e8.AvgError > e2.AvgError {
-		t.Fatalf("history 8 error %v worse than history 2 %v", e8.AvgError, e2.AvgError)
-	}
-	// All errors are finite, positive, and in a plausible band.
+	r := fig18Run(t)
 	for _, p := range r.Points {
 		if p.AvgError <= 0 || p.AvgError > 0.2 {
-			t.Fatalf("point %+v has implausible error", p)
+			t.Errorf("point %+v has implausible error", p)
 		}
 	}
 	if r.Intervals < 50 {
-		t.Fatalf("only %d intervals evaluated", r.Intervals)
+		t.Errorf("only %d intervals evaluated", r.Intervals)
 	}
 }
 

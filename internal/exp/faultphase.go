@@ -101,6 +101,7 @@ func (p *FaultPhaseParams) Validate() error {
 	nonNegative(&v, "Delay", p.Delay)
 	positive(&v, "Duration", p.Duration)
 	positive(&v, "BinWidth", p.BinWidth)
+	binCount(&v, p.Duration, p.BinWidth)
 	nonNegative(&v, "Seeds", p.Seeds)
 	nonEmpty(&v, "Faults.faults", len(p.Faults.Faults))
 	if err := p.Faults.Validate(); err != nil {

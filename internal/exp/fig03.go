@@ -56,6 +56,7 @@ func (p *Fig03Params) Validate() error {
 	positive(&v, "Bandwidth", p.Bandwidth)
 	positive(&v, "BaseRTT", p.BaseRTT)
 	positive(&v, "BinWidth", p.BinWidth)
+	binCount(&v, p.Duration, p.BinWidth)
 	window(&v, "Warmup", p.Warmup, "Duration", p.Duration)
 	return v.err
 }

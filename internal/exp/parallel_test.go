@@ -1,52 +1,10 @@
 package exp
 
 import (
-	"bytes"
 	"testing"
 
 	"tfrc/internal/netsim"
 )
-
-// TestParallelFig06ByteIdentical requires the parallel runner to
-// reproduce the sequential Figure 6 grid byte for byte: cells are pure,
-// so only the merge order could differ, and the runner pins it.
-func TestParallelFig06ByteIdentical(t *testing.T) {
-	pr := Fig06Params{
-		LinkMbps:    []float64{2, 4},
-		TotalFlows:  []int{2, 4},
-		Queues:      []netsim.QueueKind{netsim.QueueDropTail, netsim.QueueRED},
-		Duration:    20,
-		MeasureTail: 10,
-		Seed:        3,
-	}
-	var seq, par bytes.Buffer
-	runWith[*Fig06Result](t, "fig6", &pr, 1).Table(&seq)
-	runWith[*Fig06Result](t, "fig6", &pr, 8).Table(&par)
-	if !bytes.Equal(seq.Bytes(), par.Bytes()) {
-		t.Fatalf("parallel Fig06 output differs from sequential:\n--- sequential\n%s--- parallel\n%s",
-			seq.String(), par.String())
-	}
-}
-
-// TestParallelFig09ByteIdentical does the same for the multi-run
-// Figure 9 study, whose runs merge by run index.
-func TestParallelFig09ByteIdentical(t *testing.T) {
-	pr := Fig09Params{
-		Runs:       3,
-		FlowsEach:  4,
-		Duration:   25,
-		Warmup:     10,
-		Timescales: []float64{0.5, 1, 5},
-		Seed:       2,
-	}
-	var seq, par bytes.Buffer
-	runWith[*Fig09Result](t, "fig9", &pr, 1).Table(&seq)
-	runWith[*Fig09Result](t, "fig9", &pr, 8).Table(&par)
-	if !bytes.Equal(seq.Bytes(), par.Bytes()) {
-		t.Fatalf("parallel Fig09 output differs from sequential:\n--- sequential\n%s--- parallel\n%s",
-			seq.String(), par.String())
-	}
-}
 
 // TestFig06MultiSeedCI exercises the multi-seed confidence-interval
 // mode: means must aggregate across seeds with nonzero CI half-widths,
