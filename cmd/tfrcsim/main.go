@@ -10,7 +10,7 @@
 //	tfrcsim run fig6 -format json     # {experiment, params, result} JSON
 //	tfrcsim run fig9 -seed 7          # change the random seed
 //	tfrcsim run fig6 -params p.json   # overlay a JSON parameter file
-//	tfrcsim run parkinglot -seeds 3   # 3 seeds per cell, mean ± 90% CI
+//	tfrcsim run ccfair -seeds 3       # 3 seeds per cell, mean ± 90% CI
 //	tfrcsim list                      # enumerate the registry
 //
 // Every experiment is a grid of independent cells (a single trace is a
@@ -38,8 +38,8 @@
 // {"Seeds": n}, applied after -params; an experiment whose parameters
 // lack the field warns and ignores the flag. -seeds applies to the
 // experiments whose parameters support multi-seed replication (figures
-// 6, 8, 14, 15 and the faultphase, ccfair and parkinglot scenarios); each
-// cell then repeats at that many seeds and reports mean ± 90% CI.
+// 6, 8, 14, 15 and the faultphase and ccfair scenarios); each cell
+// then repeats at that many seeds and reports mean ± 90% CI.
 //
 // A -params file is JSON overlaid on the selected preset's defaults, so
 // it may name only the fields it changes; unknown fields are rejected.

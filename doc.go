@@ -48,8 +48,8 @@
 //     step.Apply(topo)
 //
 //   - Package experiment: the registry of the paper's evaluation.
-//     Every figure (2-21) and beyond-paper experiment (parkinglot,
-//     faultphase, manyflows, ccfair, chaos) is one
+//     Every figure (2-21) and beyond-paper experiment (faultphase,
+//     manyflows, ccfair, chaos) is one
 //     experiment.Define spec — JSON-serializable, self-validating
 //     parameters (the paper's full scale is the "paper" preset), a
 //     cell count, a pure per-cell function and a reducer to a Result

@@ -13,7 +13,7 @@
 //	experiment.WriteJSON(os.Stdout, d.Name, p, res)
 //
 // Parameters are pointers to plain structs (aliased in this package:
-// Fig06Params, ParkingLotParams, ...), so callers can type-assert and
+// Fig06Params, CCFairParams, ...), so callers can type-assert and
 // tweak fields, or overlay a JSON document on the defaults with
 // json.Unmarshal. Define adds user-defined experiments to the same
 // registry the CLI enumerates, as what every built-in one is — a cell
@@ -101,7 +101,7 @@ func Define[P, C any, R Result, PP interface {
 }
 
 // Get finds an experiment by canonical name or alias ("fig6", "6",
-// "parkinglot"). Unknown names produce an error that includes the
+// "ccfair"). Unknown names produce an error that includes the
 // closest registered name, when one is plausibly close.
 func Get(name string) (Descriptor, error) {
 	if d, ok := exp.Lookup(name); ok {

@@ -124,27 +124,6 @@ func TestFig09GoldenViaRegistry(t *testing.T) {
 	}
 }
 
-func TestParkingLotGoldenViaRegistry(t *testing.T) {
-	d, err := experiment.Get("parkinglot")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := d.Params().(*experiment.ParkingLotParams)
-	*p = experiment.ParkingLotParams{
-		Bottlenecks: []int{1, 2},
-		CrossPairs:  1,
-		LinkMbps:    3,
-		Queue:       scenario.QueueRED,
-		Duration:    25,
-		Warmup:      10,
-		Seed:        5,
-	}
-	got := runTable(t, "parkinglot", p)
-	if want := readGolden(t, "parkinglot_regression.golden"); !bytes.Equal(got, want) {
-		t.Fatalf("registry parkinglot output differs from golden:\n--- got\n%s--- want\n%s", got, want)
-	}
-}
-
 // TestParamsJSONRoundTrip: every registered parameter set must survive
 // params → JSON → params unchanged, for the defaults and every preset,
 // and its type must hold nothing JSON cannot carry back, set or not.
@@ -390,7 +369,7 @@ func TestResultJSONForSimResult(t *testing.T) {
 func TestGetAliasesAndSuggestions(t *testing.T) {
 	for alias, want := range map[string]string{
 		"6": "fig6", "fig10": "fig9", "10": "fig9", "12": "fig11",
-		"17": "fig16", "parkinglot": "parkinglot",
+		"17": "fig16", "ccfair": "ccfair",
 	} {
 		d, err := experiment.Get(alias)
 		if err != nil {
@@ -400,9 +379,9 @@ func TestGetAliasesAndSuggestions(t *testing.T) {
 			t.Errorf("Get(%q).Name = %q, want %q", alias, d.Name, want)
 		}
 	}
-	_, err := experiment.Get("parkinglt")
-	if err == nil || !strings.Contains(err.Error(), `"parkinglot"`) {
-		t.Errorf("Get(parkinglt) error should suggest parkinglot, got %v", err)
+	_, err := experiment.Get("manyflws")
+	if err == nil || !strings.Contains(err.Error(), `"manyflows"`) {
+		t.Errorf("Get(manyflws) error should suggest manyflows, got %v", err)
 	}
 	if _, err := experiment.Get("fig99"); err == nil {
 		t.Error("Get(fig99) should fail")
@@ -417,7 +396,7 @@ func TestListCoversAllFiguresInOrder(t *testing.T) {
 	want := []string{
 		"fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
 		"fig11", "fig14", "fig15", "fig16", "fig18", "fig19", "fig20",
-		"fig21", "ccfair", "chaos", "faultphase", "manyflows", "parkinglot",
+		"fig21", "ccfair", "chaos", "faultphase", "manyflows",
 	}
 	if !reflect.DeepEqual(names, want) {
 		t.Fatalf("List() order = %v, want %v", names, want)
@@ -469,13 +448,13 @@ func TestSeedKnobs(t *testing.T) {
 			multi[d.Name] = true
 		}
 	}
-	for _, name := range []string{"fig6", "fig8", "fig9", "fig11", "fig14", "fig15", "fig16", "fig18", "parkinglot", "faultphase"} {
+	for _, name := range []string{"fig6", "fig8", "fig9", "fig11", "fig14", "fig15", "fig16", "fig18", "ccfair", "faultphase"} {
 		if !seeded[name] {
 			t.Errorf("%s should support -seed", name)
 		}
 	}
 	// Exactly the list in the README's and cmd/tfrcsim's -seeds text.
-	wantMulti := []string{"fig6", "fig8", "fig14", "fig15", "faultphase", "ccfair", "parkinglot"}
+	wantMulti := []string{"fig6", "fig8", "fig14", "fig15", "faultphase", "ccfair"}
 	for _, name := range wantMulti {
 		if !multi[name] {
 			t.Errorf("%s should support -seeds", name)

@@ -48,11 +48,10 @@ var goldenCases = []struct{ name, exp, overlay string }{
 	{"bwstep-seeds3", "faultphase", `{"Seeds": 3}`},
 	{"ccfair", "ccfair", `{"RTTs": [0.06, 0.12], "LinkMbps": [4, 8], "Duration": 20, "Warmup": 5}`},
 	{"ccfair-seeds2", "ccfair", `{"RTTs": [0.06, 0.12], "LinkMbps": [4, 8], "Duration": 20, "Warmup": 5, "Seeds": 2}`},
+	{"ccfair-parkinglot", "ccfair", `{"Topology": "parkinglot", "Bottlenecks": 3, "RTTs": [0.06, 0.12], "LinkMbps": [4], "Duration": 20, "Warmup": 5}`},
 	{"chaos", "chaos", `{"Cells": 3, "Episodes": 3, "Duration": 25}`},
 	{"flap", "faultphase", `{"Duration": 24, ` + flapFaults + `}`},
 	{"manyflows", "manyflows", `{"Flows": [50, 200], "Duration": 6, "Warmup": 3}`},
-	{"parkinglot", "parkinglot", `{"Bottlenecks": [1, 2], "Duration": 20, "Warmup": 5}`},
-	{"parkinglot-seeds2", "parkinglot", `{"Bottlenecks": [1, 2], "Duration": 20, "Warmup": 5, "Seeds": 2}`},
 }
 
 // The faultphase cases' fault programs: the bottleneck halved over

@@ -17,9 +17,9 @@ var slowLinkCases = []struct{ name, exp, overlay string }{
 	{"flap", "faultphase", `{"LinkMbps": 0.5, "Duration": 24, ` + flapFaults + `}`},
 	{"blackout", "faultphase", `{"NTCP": 0, "NTFRC": 1, "LinkMbps": 0.5, "Duration": 30, ` + blackoutFaults + `}`},
 	{"chaos", "chaos", `{"LinkMbps": 0.5, "Cells": 1, "Episodes": 3, "Duration": 25}`},
-	{"parkinglot", "parkinglot", `{"LinkMbps": 0.5, "Bottlenecks": [2], "Duration": 20, "Warmup": 5}`},
 	{"fig6", "fig6", `{"LinkMbps": [0.5], "TotalFlows": [2], "Duration": 15, "MeasureTail": 8}`},
 	{"ccfair", "ccfair", `{"LinkMbps": [1], "RTTs": [0.06], "Duration": 20, "Warmup": 5}`},
+	{"ccfair-parkinglot", "ccfair", `{"Topology": "parkinglot", "Bottlenecks": 2, "Queue": "RED", "LinkMbps": [1], "RTTs": [0.06], "Duration": 20, "Warmup": 5}`},
 }
 
 // TestSlowLinksRun: every house-testbed experiment runs on a slow link,

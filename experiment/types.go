@@ -70,10 +70,6 @@ type (
 	Fig21Params = exp.Fig21Params
 	Fig21Result = exp.Fig21Result
 	Fig21Row    = exp.Fig21Row
-	// ParkingLotParams/ParkingLotResult: multi-bottleneck fairness grid.
-	ParkingLotParams = exp.ParkingLotParams
-	ParkingLotResult = exp.ParkingLotResult
-	ParkingLotCell   = exp.ParkingLotCell
 	// CCFairParams/CCFairResult: congestion-control zoo head-to-head
 	// fairness grid (N flows of protocol A vs M of protocol B over RTT
 	// and bandwidth); CCFairCell is one grid point.

@@ -82,33 +82,6 @@ func TestMonitorUtilizationNeedsThePrimaryMonitor(t *testing.T) {
 	b.MonitorUtilization("r1->r2", 5)
 }
 
-// TestParkingLotExperiment runs the multi-bottleneck fairness grid and
-// checks its core claims: through flows survive across 1-3 bottlenecks,
-// and TFRC's through throughput stays comparable to TCP's.
-func TestParkingLotExperiment(t *testing.T) {
-	pr := DefaultParkingLot()
-	pr.Duration, pr.Warmup = 40, 15
-	r := runWith[*ParkingLotResult](t, "parkinglot", &pr, 1)
-	if len(r.Cells) != 3 {
-		t.Fatalf("got %d cells", len(r.Cells))
-	}
-	for _, c := range r.Cells {
-		if c.ThroughTFRC <= 0 || c.ThroughTCP <= 0 {
-			t.Fatalf("k=%d: starved through flow: %+v", c.Bottlenecks, c)
-		}
-		ratio := c.ThroughTFRC / c.ThroughTCP
-		if ratio < 0.2 || ratio > 5 {
-			t.Fatalf("k=%d: TFRC/TCP through ratio %v outside [0.2, 5]", c.Bottlenecks, ratio)
-		}
-		if len(c.DropRates) != c.Bottlenecks {
-			t.Fatalf("k=%d: %d drop rates", c.Bottlenecks, len(c.DropRates))
-		}
-		if c.Utilization < 0.5 {
-			t.Fatalf("k=%d: bottleneck-0 utilization %v", c.Bottlenecks, c.Utilization)
-		}
-	}
-}
-
 // TestBWStepExperiment runs the bandwidth-step transient and checks that
 // both protocols track the capacity change: high utilization before,
 // near the reduced capacity during the squeeze, and recovery after.

@@ -17,7 +17,10 @@ import (
 // ("reno", "vegas", "ledbat", "relentless"), so the same experiment
 // answers both the paper's question (is TFRC TCP-friendly?) and its
 // inversions (who starves whom when the rival does not halve, or backs
-// off on delay alone?).
+// off on delay alone?). It earns its place as the controller zoo's
+// head-to-head testbed, on which CI holds TFRC to Reno's share, and as
+// the only experiment that runs more than one bottleneck (Topology
+// "parkinglot").
 type CCFairParams struct {
 	ProtoA string // "tfrc" or a cc controller name
 	ProtoB string
@@ -86,6 +89,7 @@ func (p *CCFairParams) Validate() error {
 		check(&v, rtt > 0.004, "RTTs must exceed the 4 ms of access delay, got %v", rtt)
 	}
 	positive(&v, "LinkMbps", p.LinkMbps...)
+	queueKinds(&v, "Queue", p.Queue)
 	window(&v, "Warmup", p.Warmup, "Duration", p.Duration)
 	nonNegative(&v, "Seeds", p.Seeds)
 	return v.err
@@ -169,10 +173,11 @@ func runCCFairCell(sched *sim.Scheduler, pr CCFairParams, rtt, linkMbps float64,
 	nflows := pr.FlowsA + pr.FlowsB
 	queueLimit, red := houseQueue(bw, rtt)
 
-	var b *ScenarioBuilder
-	var bottleneck string
-	switch pr.Topology {
-	case "parkinglot":
+	// Host pair i is l{i}→r{i} on the dumbbell, ts{i}→td{i} on the
+	// parking lot.
+	var topo *netsim.Topology
+	bottleneck, srcs, dsts := "rl->rr", "l", "r"
+	if pr.Topology == "parkinglot" {
 		pl := netsim.NewParkingLot(sched, netsim.ParkingLotConfig{
 			Bottlenecks:   pr.Bottlenecks,
 			ThroughPairs:  nflows,
@@ -182,29 +187,23 @@ func runCCFairCell(sched *sim.Scheduler, pr CCFairParams, rtt, linkMbps float64,
 			QueueLimit:    queueLimit,
 			RED:           red,
 		}, sched.NewRand(seed+1))
-		b = NewScenarioBuilder(pl.Topo)
-		bottleneck = pl.BottleneckName(0)
-	default: // dumbbell
-		d := netsim.NewDumbbell(sched, netsim.DumbbellConfig{
+		topo, bottleneck, srcs, dsts = pl.Topo, pl.BottleneckName(0), "ts", "td"
+	} else {
+		topo = netsim.NewDumbbell(sched, netsim.DumbbellConfig{
 			Hosts:         nflows,
 			BottleneckBW:  bw,
 			BottleneckDly: rtt/2 - 0.002, // 1 ms access on each side
 			Queue:         pr.Queue,
 			QueueLimit:    queueLimit,
 			RED:           red,
-		}, sched.NewRand(seed+1))
-		b = NewScenarioBuilder(d.Topo)
-		bottleneck = "rl->rr"
+		}, sched.NewRand(seed+1)).Topo
 	}
+	b := NewScenarioBuilder(topo)
 
 	primary := b.MonitorLink(bottleneck, 0.5, pr.Warmup)
 	b.MonitorUtilization(bottleneck, pr.Warmup)
 	b.MonitorQueue(bottleneck, 0.05, pr.Duration)
 
-	srcs, dsts := "l", "r" // host pair i is l{i}→r{i}, or ts{i}→td{i} on the parking lot
-	if pr.Topology == "parkinglot" {
-		srcs, dsts = "ts", "td"
-	}
 	src := func(i int) string { return netsim.IndexedName(srcs, i) }
 	dst := func(i int) string { return netsim.IndexedName(dsts, i) }
 	start := func() float64 { return rng.Uniform(0, 5) }

@@ -21,7 +21,9 @@ import (
 // checks hard invariants only: rates stay finite and above the protocol
 // floor, utilization stays physical, and delivery resumes once the last
 // fault heals. Results are byte-identical at any worker count; a failed
-// cell reproduces alone from its seed.
+// cell reproduces alone from its seed. It earns its place as CI's
+// race-checked chaos smoke run and as the soak testbed for conservation
+// under random fault schedules.
 type ChaosParams struct {
 	Cells       int
 	NTCP, NTFRC int
@@ -74,6 +76,7 @@ func (p *ChaosParams) Validate() error {
 	check(&v, p.Duration >= 20, "Duration must be at least 20 s (episodes need a settled head and a healed tail), got %v", p.Duration)
 	positive(&v, "BinWidth", p.BinWidth)
 	binCount(&v, p.Duration, p.BinWidth)
+	queueKinds(&v, "Queue", p.Queue)
 	return v.err
 }
 

@@ -1,6 +1,10 @@
 package exp
 
-import "fmt"
+import (
+	"fmt"
+
+	"tfrc/internal/netsim"
+)
 
 // checks collects a Validate method's verdict. The first failing check
 // sets err and every later one is skipped, so a method written as one
@@ -88,5 +92,15 @@ const maxBins = 1e6
 func binCount(v *checks, duration, binWidth float64) {
 	if binWidth > 0 {
 		check(v, duration/binWidth <= maxBins, "need Duration/BinWidth <= %v bins, got Duration=%v BinWidth=%v", maxBins, duration, binWidth)
+	}
+}
+
+// queueKinds requires every k to be DropTail or RED: a topology builds
+// any other kind as DropTail.
+func queueKinds(v *checks, name string, ks ...netsim.QueueKind) {
+	for _, k := range ks {
+		if k != netsim.QueueDropTail && k != netsim.QueueRED {
+			v.fail("%s must be DropTail (0) or RED (1), got %d", name, int(k))
+		}
 	}
 }

@@ -79,6 +79,7 @@ func (sc *Scenario) Validate() error {
 	nonNegative(&v, "NTCP", sc.NTCP)
 	nonNegative(&v, "NTFRC", sc.NTFRC)
 	positive(&v, "BottleneckBW", sc.BottleneckBW)
+	queueKinds(&v, "Queue", sc.Queue)
 	positive(&v, "Duration", sc.Duration)
 	window(&v, "Warmup", sc.Warmup, "Duration", sc.Duration)
 	nonNegative(&v, "OnOffSources", sc.OnOffSources)

@@ -23,7 +23,9 @@ const (
 // NTCP SACK and NTFRC TFRC flows, starting in the first 5 s, share a
 // LinkMbps bottleneck of Delay seconds one way while Faults runs on
 // rl->rr or rr->rl. The metrics are each protocol's share of the
-// capacity before, during and after the faults.
+// capacity before, during and after the faults. It earns its place as
+// the paper's §4.4 feedback blackout, the "§4.4 blackout" row of
+// TestPaperClaims.
 //
 // The schedule sets the phases and the capacity; no other setting does.
 // The fault window runs from the earliest fault to the latest. "before"
@@ -99,6 +101,7 @@ func (p *FaultPhaseParams) Validate() error {
 	check(&v, p.NTCP >= 0 && p.NTFRC >= 0 && p.NTCP+p.NTFRC >= 1, "need at least one flow, got NTCP=%d NTFRC=%d", p.NTCP, p.NTFRC)
 	positive(&v, "LinkMbps", p.LinkMbps)
 	nonNegative(&v, "Delay", p.Delay)
+	queueKinds(&v, "Queue", p.Queue)
 	positive(&v, "Duration", p.Duration)
 	positive(&v, "BinWidth", p.BinWidth)
 	binCount(&v, p.Duration, p.BinWidth)

@@ -58,6 +58,7 @@ func (p *Fig06Params) Validate() error {
 	nonEmpty(&v, "Queues", len(p.Queues))
 	positive(&v, "LinkMbps", p.LinkMbps...)
 	atLeast(&v, "TotalFlows", 2, p.TotalFlows...) // half TCP, half TFRC
+	queueKinds(&v, "Queues", p.Queues...)
 	check(&v, 0 < p.MeasureTail && p.MeasureTail <= p.Duration, "need 0 < MeasureTail <= Duration, got MeasureTail=%v Duration=%v", p.MeasureTail, p.Duration)
 	nonNegative(&v, "Seeds", p.Seeds)
 	return v.err

@@ -38,6 +38,7 @@ func DefaultFig08Grid() Fig08GridParams {
 func (p *Fig08GridParams) Validate() error {
 	var v checks
 	nonEmpty(&v, "Queues", len(p.Queues))
+	queueKinds(&v, "Queues", p.Queues...)
 	atLeast(&v, "Flows", 2, p.Flows) // half TCP, half TFRC
 	nonNegative(&v, "Seeds", p.Seeds)
 	return v.err

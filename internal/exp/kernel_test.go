@@ -36,16 +36,17 @@ var contractOverlays = map[string]string{
 	"chaos":      `{"Cells": 3, "Duration": 25}`,
 	"faultphase": `{"NTCP": 0, "NTFRC": 1, "LinkMbps": 4, "Faults": {"faults": [{"at": 8, "link": "rr->rl", "kind": "blackhole"}, {"at": 14, "link": "rr->rl", "kind": "blackhole-off"}]}, "Duration": 24}`,
 	"manyflows":  `{"Flows": [50, 100], "Duration": 5, "Warmup": 2}`,
-	"parkinglot": `{"Bottlenecks": [1, 3], "Duration": 15, "Warmup": 5, "Seeds": 2}`,
 }
 
 // extraOverlays run the contract a second time on an experiment whose
 // one overlay cannot reach a path: a fault schedule that was once an
-// experiment of its own, under that experiment's name, or a controller
-// the defaults do not run. Each is an experiment name and its
-// parameters.
+// experiment of its own, under that experiment's name, a controller the
+// defaults do not run, or the parking lot, three bottlenecks deep so
+// that interior routers forward from one bottleneck onto the next. Each
+// is an experiment name and its parameters.
 var extraOverlays = map[string][2]string{
 	"bwstep":            {"faultphase", `{"Faults": {"faults": [{"at": 6, "link": "rl->rr", "kind": "bandwidth", "bandwidth": 4e6}, {"at": 12, "link": "rl->rr", "kind": "bandwidth", "bandwidth": 8e6}]}, "Duration": 18, "Seeds": 2}`},
+	"ccfair-parkinglot": {"ccfair", `{"Topology": "parkinglot", "Bottlenecks": 3, "RTTs": [0.06, 0.12], "LinkMbps": [4], "Duration": 15, "Warmup": 5, "Seeds": 2}`},
 	"ccfair-relentless": {"ccfair", `{"ProtoB": "relentless", "FlowsA": 1, "FlowsB": 1, "RTTs": [0.06, 0.12], "LinkMbps": [4], "Duration": 15, "Warmup": 5, "Seeds": 2}`},
 }
 

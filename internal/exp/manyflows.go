@@ -18,7 +18,9 @@ import (
 // magnitude. Each decade reports whether equation-based control still
 // divides the link fairly at that scale — aggregate utilization, the
 // Jain fairness index, the distribution of per-flow normalized
-// throughput, and the distribution of receiver loss estimates.
+// throughput, and the distribution of receiver loss estimates. It earns
+// its place as the study of per-flow cost at scale, which the
+// manyflows10k benchmark workload times.
 //
 // The decades lean on the scaling machinery this experiment exists to
 // exercise: flows live in chunked agent slabs, per-flow series in
@@ -85,6 +87,7 @@ func (p *ManyFlowsParams) Validate() error {
 	positive(&v, "PacketSize", p.PacketSize)
 	window(&v, "Warmup", p.Warmup, "Duration", p.Duration)
 	nonNegative(&v, "CoarseTimerTick", p.CoarseTimerTick)
+	queueKinds(&v, "Queue", p.Queue)
 	return v.err
 }
 

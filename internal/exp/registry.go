@@ -29,7 +29,7 @@ type Result interface {
 // Spec: the paper's figures, the beyond-the-paper scenarios and any
 // experiment user code defines.
 type Descriptor struct {
-	// Name is the canonical registry key ("fig6", "parkinglot").
+	// Name is the canonical registry key ("fig6", "ccfair").
 	Name string
 	// Aliases are alternate lookup keys — panels the experiment
 	// includes ("fig10" for fig9) and bare figure numbers ("6").

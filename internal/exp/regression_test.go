@@ -45,25 +45,6 @@ func TestFig06ByteIdenticalToPreRefactor(t *testing.T) {
 	compareGolden(t, "fig06_regression.golden", b.Bytes())
 }
 
-// TestParkingLotByteIdentical pins a multi-bottleneck (parking-lot) cell
-// in addition to the dumbbell figures: the golden was captured before the
-// zero-alloc event-engine refactor (flat 4-ary scheduler queue, packet
-// slab pooling, route/scratch reuse), so it proves the perf pass moved no
-// output byte on a topology that exercises multi-hop forwarding.
-func TestParkingLotByteIdentical(t *testing.T) {
-	var b bytes.Buffer
-	runWith[*ParkingLotResult](t, "parkinglot", &ParkingLotParams{
-		Bottlenecks: []int{1, 2},
-		CrossPairs:  1,
-		LinkMbps:    3,
-		Queue:       netsim.QueueRED,
-		Duration:    25,
-		Warmup:      10,
-		Seed:        5,
-	}, 1).Table(&b)
-	compareGolden(t, "parkinglot_regression.golden", b.Bytes())
-}
-
 func TestFig09ByteIdenticalToPreRefactor(t *testing.T) {
 	var b bytes.Buffer
 	runWith[*Fig09Result](t, "fig9", &Fig09Params{

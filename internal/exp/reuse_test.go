@@ -55,15 +55,46 @@ func randomReuseSequence(n int, seed int64) []reuseCellSpec {
 func (s reuseCellSpec) run(sched *sim.Scheduler) any {
 	sched.Reset()
 	if s.parking {
-		return runParkingLotCell(sched, ParkingLotParams{
-			CrossPairs: 1,
-			LinkMbps:   s.link,
-			Queue:      s.queue,
-			Duration:   16,
-			Warmup:     6,
-		}, s.lots, s.seed)
+		return s.runLot(sched)
 	}
 	return runFig06Cell(sched, s.queue, s.link, s.flows, 16, 8, s.seed)
+}
+
+// runLot is a parking-lot cell of s.lots bottlenecks: a TFRC and a TCP
+// through flow, one TCP cross pair per segment, and a monitor on every
+// bottleneck. It returns every flow's series at every bottleneck, the
+// drop rates and the first bottleneck's utilization.
+func (s reuseCellSpec) runLot(sched *sim.Scheduler) []float64 {
+	rng := sched.NewRand(s.seed)
+	bw := s.link * 1e6
+	limit, red := houseQueue(bw, 0.1)
+	pl := netsim.NewParkingLot(sched, netsim.ParkingLotConfig{
+		Bottlenecks: s.lots, ThroughPairs: 2, CrossPairs: 1,
+		BottleneckBW: bw, BottleneckDly: 0.010,
+		Queue: s.queue, QueueLimit: limit, RED: red,
+	}, sched.NewRand(s.seed+1))
+	b := NewScenarioBuilder(pl.Topo)
+	mons := make([]*netsim.FlowMonitor, s.lots)
+	for i := range mons {
+		mons[i] = b.MonitorLink(pl.BottleneckName(i), 0.5, 6)
+	}
+	b.MonitorUtilization(pl.BottleneckName(0), 6)
+	start := func() float64 { return rng.Uniform(0, 5) }
+	b.AddTFRC("ts0", "td0", houseTFRC(s.seed), start())
+	b.AddTCP("ts1", "td1", houseTCP(s.seed), start())
+	for i := range s.lots {
+		b.AddTCP(netsim.SubName("cs", i, 0), netsim.SubName("cd", i, 0), houseTCP(s.seed), start())
+	}
+	res := b.Run(16)
+	out := []float64{res.Utilization}
+	for _, m := range mons {
+		for f := range 2 + s.lots {
+			out = append(out, m.Series(f, res.Bins)...)
+		}
+		out = append(out, m.DropRate())
+	}
+	b.Release()
+	return out
 }
 
 // TestReusedCellMatchesFreshCell is the randomized reuse-vs-fresh

@@ -53,7 +53,7 @@ func TestValidateCatchesBadParams(t *testing.T) {
 		{"fig18 empty history", &Fig18Params{Duration: 10}, "HistorySizes"},
 		{"fig19 switch past end", &Fig19Params{DropEveryBefore: 100, SwitchTime: 20, Duration: 10, RTT: 0.05}, "SwitchTime"},
 		{"fig21 bad drop rate", &Fig21Params{DropRates: []float64{1.5}, RTT: 0.05}, "drop rates"},
-		{"parkinglot warmup past end", func() Params { p := DefaultParkingLot(); p.Warmup = p.Duration; return &p }(), "Warmup"},
+		{"ccfair warmup past end", func() Params { p := DefaultCCFair(); p.Warmup = p.Duration; return &p }(), "Warmup"},
 		{"faultphase fault past end", func() Params { p := DefaultFaultPhase(); p.Duration = p.Faults.Faults[1].At - 1; return &p }(), "Duration"},
 		{"faultphase no flows", func() Params { p := DefaultFaultPhase(); p.NTCP, p.NTFRC = 0, 0; return &p }(), "at least one flow"},
 	}
@@ -131,9 +131,9 @@ func TestRunExperimentValidates(t *testing.T) {
 
 func TestSuggest(t *testing.T) {
 	for miss, want := range map[string]string{
-		"fgi6":        "fig6",
-		"faultphas":   "faultphase",
-		"parkinglots": "parkinglot",
+		"fgi6":      "fig6",
+		"faultphas": "faultphase",
+		"ccfairs":   "ccfair",
 	} {
 		if got := Suggest(miss); got != want {
 			t.Errorf("Suggest(%q) = %q, want %q", miss, got, want)
