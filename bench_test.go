@@ -255,7 +255,7 @@ func BenchmarkFig20PersistentCongestion(b *testing.B) {
 }
 
 func BenchmarkFig21HalvingSweep(b *testing.B) {
-	pr := exp.Fig21Params{DropRates: []float64{0.01, 0.1}, RTT: 0.05}
+	pr := exp.Fig21Params{DropRates: []float64{0.01, 0.1}}
 	for i := 0; i < b.N; i++ {
 		r := runWith[*exp.Fig21Result](b, "fig21", &pr, 1)
 		var mean float64

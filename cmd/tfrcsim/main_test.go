@@ -63,6 +63,9 @@ func TestCommands(t *testing.T) {
 		// The sender always decreases straight to the equation's rate
 		// (§3.2): a decrease policy is not a parameter.
 		{args: "run fig3 -params", params: `{"Decrease": 3}`, code: 1, stderr: `unknown field "Decrease"`},
+		// A setting the paper fixes is a constant, and naming it is an
+		// error, not a silent no-op.
+		{args: "run fig21 -params", params: `{"RTT": 0.1}`, code: 1, stderr: `unknown field "RTT"`},
 		// -seed and -seeds are the overlays {"Seed": n} and {"Seeds": n}
 		// after -params; params without the field ignore the flag.
 		{args: "run fig5 -seed 3", stderr: "fig5 takes no -seed; ignored", same: "run fig5"},

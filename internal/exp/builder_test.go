@@ -107,7 +107,7 @@ func TestBWStepExperiment(t *testing.T) {
 	// bytes must drop accordingly between the before and squeezed bins.
 	var beforeSum, squeezedSum float64
 	for i := range r.TFRCTotal {
-		ts := float64(i) * pr.BinWidth
+		ts := float64(i) * houseBin
 		tot := r.TFRCTotal[i] + r.TCPTotal[i]
 		switch {
 		case ts >= 5 && ts < stepAt:
@@ -116,8 +116,8 @@ func TestBWStepExperiment(t *testing.T) {
 			squeezedSum += tot
 		}
 	}
-	perBinBefore := beforeSum / ((stepAt - 5) / pr.BinWidth)
-	perBinSqueezed := squeezedSum / ((restoreAt - stepAt - 5) / pr.BinWidth)
+	perBinBefore := beforeSum / ((stepAt - 5) / houseBin)
+	perBinSqueezed := squeezedSum / ((restoreAt - stepAt - 5) / houseBin)
 	if perBinSqueezed > 0.8*perBinBefore {
 		t.Fatalf("throughput did not drop under the squeeze: %v vs %v",
 			perBinSqueezed, perBinBefore)

@@ -3,6 +3,7 @@ package exp
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"tfrc/internal/netsim"
@@ -22,6 +23,31 @@ func ccfairOneCell(protoA, protoB string, queue netsim.QueueKind) *CCFairParams 
 		Duration: 60,
 		Warmup:   20,
 		Seed:     1,
+	}
+}
+
+// TestCCFairParamsRoundTrip checks that params survive JSON unchanged,
+// a netsim.QueueKind written by name: the non-default DropTail exercises
+// the text marshaller both ways.
+func TestCCFairParamsRoundTrip(t *testing.T) {
+	p := DefaultCCFair()
+	p.Queue = netsim.QueueDropTail
+	raw, err := json.Marshal(&p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(raw, []byte(`"Queue":"DropTail"`)) {
+		t.Fatalf("queue kind not serialized by name: %s", raw)
+	}
+	var q CCFairParams
+	if err := json.Unmarshal(raw, &q); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(p, q) {
+		t.Fatalf("round trip changed params:\n%+v\n%+v", p, q)
+	}
+	if err := q.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 

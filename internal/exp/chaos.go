@@ -25,9 +25,8 @@ import (
 // race-checked chaos smoke run and as the soak testbed for conservation
 // under random fault schedules.
 type ChaosParams struct {
-	Cells       int
-	NTCP, NTFRC int
-	LinkMbps    float64
+	Cells    int
+	LinkMbps float64
 	// Episodes is the number of paired fault episodes per cell.
 	Episodes int
 	// Kinds restricts which episode kinds the generator draws
@@ -35,21 +34,20 @@ type ChaosParams struct {
 	// empty means all of them.
 	Kinds    []faults.Kind
 	Duration float64
-	BinWidth float64
-	Queue    netsim.QueueKind
 	Seed     int64
 }
+
+// The flow mix of every chaos cell, on a RED house bottleneck: one SACK
+// flow against two TFRC flows, whose rates the invariants watch.
+const chaosTCP, chaosTFRC = 1, 2
 
 // DefaultChaos is the laptop-scale soak.
 func DefaultChaos() ChaosParams {
 	return ChaosParams{
-		Cells: 8,
-		NTCP:  1, NTFRC: 2,
+		Cells:    8,
 		LinkMbps: 8,
 		Episodes: 5,
 		Duration: 60,
-		BinWidth: 0.5,
-		Queue:    netsim.QueueRED,
 		Seed:     1,
 	}
 }
@@ -65,7 +63,6 @@ var episodeKinds = []faults.Kind{
 func (p *ChaosParams) Validate() error {
 	var v checks
 	atLeast(&v, "Cells", 1, p.Cells)
-	check(&v, p.NTCP >= 0 && p.NTFRC >= 1, "need NTFRC >= 1 and NTCP >= 0, got NTCP=%d NTFRC=%d", p.NTCP, p.NTFRC)
 	positive(&v, "LinkMbps", p.LinkMbps)
 	nonNegative(&v, "Episodes", p.Episodes)
 	for _, k := range p.Kinds {
@@ -74,9 +71,7 @@ func (p *ChaosParams) Validate() error {
 		}
 	}
 	check(&v, p.Duration >= 20, "Duration must be at least 20 s (episodes need a settled head and a healed tail), got %v", p.Duration)
-	positive(&v, "BinWidth", p.BinWidth)
-	binCount(&v, p.Duration, p.BinWidth)
-	queueKinds(&v, "Queue", p.Queue)
+	binCount(&v, p.Duration, houseBin)
 	return v.err
 }
 
@@ -205,18 +200,17 @@ func chaosReduce(pr *ChaosParams, cells []ChaosCell) *ChaosResult {
 func runChaosCell(sched *sim.Scheduler, pr ChaosParams, floor float64, seed int64) ChaosCell {
 	rng := sched.NewRand(seed)
 	bw := pr.LinkMbps * 1e6
-	const dly = 0.025
-	d := houseDumbbell(sched, pr.NTCP+pr.NTFRC, bw, dly, pr.Queue, seed)
+	d := houseDumbbell(sched, chaosTCP+chaosTFRC, bw, houseDelay, netsim.QueueRED, seed)
 
-	sc := chaosSchedule(rng, pr, seed, bw, dly)
+	sc := chaosSchedule(rng, pr, seed, bw, houseDelay)
 	sc.Apply(d.Topo)
 
 	cell := ChaosCell{Ran: true, Seed: seed, Hash: scheduleHash(&sc), Faults: len(sc.Faults)}
 
 	b := NewScenarioBuilder(d.Topo)
-	b.MonitorLink("rl->rr", pr.BinWidth, 0)
+	b.MonitorLink("rl->rr", houseBin, 0)
 
-	placeMix(b, pr.NTCP, pr.NTFRC, rng, seed)
+	placeMix(b, chaosTCP, chaosTFRC, rng, seed)
 	minRate, maxRate := math.Inf(1), 0.0
 	var samples int
 	observe := func(_, rate float64) {
@@ -224,11 +218,11 @@ func runChaosCell(sched *sim.Scheduler, pr ChaosParams, floor float64, seed int6
 		minRate = math.Min(minRate, rate)
 		maxRate = math.Max(maxRate, rate)
 	}
-	for i := 0; i < pr.NTFRC; i++ {
+	for i := 0; i < chaosTFRC; i++ {
 		b.TFRCSender(i).OnRateChange = observe
 	}
 	res := b.Run(pr.Duration)
-	for i := 0; i < pr.NTFRC; i++ {
+	for i := 0; i < chaosTFRC; i++ {
 		cell.NoFbCuts += b.TFRCSender(i).NoFbCuts
 	}
 	b.Release()
@@ -238,7 +232,7 @@ func runChaosCell(sched *sim.Scheduler, pr ChaosParams, floor float64, seed int6
 		total[i] += v
 	}
 	var delivered, tail float64
-	tailFrom := int((pr.Duration - 5) / pr.BinWidth)
+	tailFrom := int((pr.Duration - 5) / houseBin)
 	for i, v := range total {
 		delivered += v
 		if i >= tailFrom {
@@ -254,7 +248,7 @@ func runChaosCell(sched *sim.Scheduler, pr ChaosParams, floor float64, seed int6
 		cell.Violations = append(cell.Violations, fmt.Sprintf(format, args...))
 	}
 	if samples == 0 {
-		bad("no rate samples from %d TFRC senders", pr.NTFRC)
+		bad("no rate samples from %d TFRC senders", chaosTFRC)
 	} else {
 		cell.MinRate, cell.MaxRate = minRate, maxRate
 		if math.IsNaN(minRate) || math.IsNaN(maxRate) || maxRate > 1e12 {
@@ -277,7 +271,7 @@ func runChaosCell(sched *sim.Scheduler, pr ChaosParams, floor float64, seed int6
 func (r *ChaosResult) Table(w io.Writer) {
 	fmt.Fprintf(w, "# Chaos soak: %d cells × %d episodes, %.0f Mb/s bottleneck, %d TCP + %d TFRC, %.0f s\n",
 		r.Params.Cells, r.Params.Episodes, r.Params.LinkMbps,
-		r.Params.NTCP, r.Params.NTFRC, r.Params.Duration)
+		chaosTCP, chaosTFRC, r.Params.Duration)
 	fmt.Fprintln(w, "# cell\tseed\tschedule\tfaults\tminRate\tutil\ttailKB\tnoFbCuts\tverdict")
 	for i, c := range r.Cells {
 		if !c.Ran {

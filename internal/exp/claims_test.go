@@ -171,8 +171,8 @@ func TestPaperClaims(t *testing.T) {
 		{"fig2 p estimate / link loss rate, settled", 6.0 / 7, 1, func(t *testing.T) []reading {
 			pr := DefaultFig02()
 			var out []reading
-			for _, ph := range [][3]float64{{0, pr.T1, pr.P1}, {pr.T1, pr.T2, pr.P2}} {
-				from, to, p := ph[0]+9/ph[2]/eq1(1, pr.RTT, ph[2]), ph[1], ph[2]
+			for _, ph := range [][3]float64{{0, pr.T1, fig2P1}, {pr.T1, pr.T2, fig2P2}} {
+				from, to, p := ph[0]+9/ph[2]/eq1(1, lossyPipeRTT, ph[2]), ph[1], ph[2]
 				lo, hi := math.Inf(1), math.Inf(-1)
 				for _, pt := range fig02Run(t).Points {
 					if from <= pt.Time && pt.Time < to {
@@ -217,12 +217,11 @@ func TestPaperClaims(t *testing.T) {
 		// below (multipliers ≤ 1); the 2× curve, a flow sending twice
 		// what the equation allows, sees larger gaps and is logged.
 		{"fig5 (p_loss-p_event)/p_loss", 0, 0.10, func(t *testing.T) []reading {
-			pr := DefaultFig05()
-			rows := fig05Run(t).Rows
+			res := fig05Run(t)
 			var out []reading
-			for i, m := range pr.Multiplier {
+			for i, m := range res.Multiplier {
 				var worst reading
-				for _, row := range rows {
+				for _, row := range res.Rows {
 					r := reading{
 						cell:     fmt.Sprintf("rate=%.1fx p_loss=%.3f", m, row.PLoss),
 						value:    (row.PLoss - row.PEvent[i]) / row.PLoss,
@@ -251,14 +250,14 @@ func TestPaperClaims(t *testing.T) {
 		// p_event of the slower curve minus the faster, over p_loss, over
 		// every p_loss. Band: at least 0 (and at most 1).
 		{"fig5 slower minus faster p_event / p_loss", 0, 1, func(t *testing.T) []reading {
-			pr := DefaultFig05()
+			res := fig05Run(t)
 			var out []reading
-			for _, pair := range [][2]int{{2, 0}, {0, 1}} { // the default curves are 1×, 2×, 0.5×
+			for _, pair := range [][2]int{{2, 0}, {0, 1}} { // the curves are 1×, 2×, 0.5×
 				slow, fast := pair[0], pair[1]
 				r := reading{value: math.Inf(1), inDomain: true}
-				for _, row := range fig05Run(t).Rows {
+				for _, row := range res.Rows {
 					if d := (row.PEvent[slow] - row.PEvent[fast]) / row.PLoss; d < r.value {
-						r.value, r.cell = d, fmt.Sprintf("%.1fx minus %.1fx, smallest at p_loss=%.3f", pr.Multiplier[slow], pr.Multiplier[fast], row.PLoss)
+						r.value, r.cell = d, fmt.Sprintf("%.1fx minus %.1fx, smallest at p_loss=%.3f", res.Multiplier[slow], res.Multiplier[fast], row.PLoss)
 					}
 				}
 				out = append(out, r)
@@ -588,9 +587,9 @@ func blackoutReadings(t *testing.T) []reading {
 		DegradeBelow:  s / (4 * r),
 		FloorRate:     floor,
 		RecoverFrac:   recoverFrac,
-		RecoverWithin: recoverRTTs * 2 * (2*accessDelay + p.Delay),
+		RecoverWithin: recoverRTTs * 2 * (2*accessDelay + houseDelay),
 		RampSlack:     4,
-	}, sends, res.Rates, res.TFRCTotal, p.BinWidth)
+	}, sends, res.Rates, res.TFRCTotal, houseBin)
 	if !rep.Live {
 		t.Errorf("a send gap outgrew three spacings at the rate then: %s", rep)
 	}

@@ -237,9 +237,9 @@ func TestFig18PredictorShape(t *testing.T) {
 
 func TestPrintersProduceOutput(t *testing.T) {
 	var b strings.Builder
-	f2 := Fig02Params{P1: 0.01, P2: 0.05, P3: 0.005, T1: 2, T2: 3, Duration: 5, RTT: 0.05}
-	f5 := Fig05Params{PLoss: []float64{0.01, 0.1}, Multiplier: []float64{1}, RTT: 0.1, PacketSize: 1000}
-	f19 := Fig19Params{DropEveryBefore: 50, DropEveryAfter: 2, SwitchTime: 2, Duration: 4, RTT: 0.05}
+	f2 := Fig02Params{T1: 2, T2: 3, Duration: 5}
+	f5 := Fig05Params{PLoss: []float64{0.01, 0.1}}
+	f19 := Fig19Params{DropEveryBefore: 50, DropEveryAfter: 2, SwitchTime: 2, Duration: 4}
 	runWith[*Fig02Result](t, "fig2", &f2, 1).Table(&b)
 	runWith[*Fig05Result](t, "fig5", &f5, 1).Table(&b)
 	runWith[*Fig19Result](t, "fig19", &f19, 1).Table(&b)

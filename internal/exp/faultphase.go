@@ -21,7 +21,7 @@ const (
 
 // FaultPhaseParams is a fault program on a house dumbbell's bottleneck:
 // NTCP SACK and NTFRC TFRC flows, starting in the first 5 s, share a
-// LinkMbps bottleneck of Delay seconds one way while Faults runs on
+// LinkMbps RED bottleneck of houseDelay one way while Faults runs on
 // rl->rr or rr->rl. The metrics are each protocol's share of the
 // capacity before, during and after the faults. It earns its place as
 // the paper's §4.4 feedback blackout, the "§4.4 blackout" row of
@@ -38,10 +38,7 @@ const (
 type FaultPhaseParams struct {
 	NTCP, NTFRC int
 	LinkMbps    float64
-	Delay       float64 // bottleneck one-way propagation delay, seconds
-	Queue       netsim.QueueKind
 	Duration    float64
-	BinWidth    float64
 	Seed        int64
 
 	// Seeds > 1 repeats the run at that many seeds, reporting the phase
@@ -55,8 +52,7 @@ type FaultPhaseParams struct {
 // halves at 30 s and recovers at 60 s.
 func DefaultFaultPhase() FaultPhaseParams {
 	return FaultPhaseParams{
-		NTCP: 2, NTFRC: 2, LinkMbps: 8, Delay: 0.025, Queue: netsim.QueueRED,
-		Duration: 90, BinWidth: 0.5, Seed: 1,
+		NTCP: 2, NTFRC: 2, LinkMbps: 8, Duration: 90, Seed: 1,
 		Faults: halveBottleneck(8e6, 30, 60),
 	}
 }
@@ -100,11 +96,8 @@ func (p *FaultPhaseParams) Validate() error {
 	var v checks
 	check(&v, p.NTCP >= 0 && p.NTFRC >= 0 && p.NTCP+p.NTFRC >= 1, "need at least one flow, got NTCP=%d NTFRC=%d", p.NTCP, p.NTFRC)
 	positive(&v, "LinkMbps", p.LinkMbps)
-	nonNegative(&v, "Delay", p.Delay)
-	queueKinds(&v, "Queue", p.Queue)
 	positive(&v, "Duration", p.Duration)
-	positive(&v, "BinWidth", p.BinWidth)
-	binCount(&v, p.Duration, p.BinWidth)
+	binCount(&v, p.Duration, houseBin)
 	nonNegative(&v, "Seeds", p.Seeds)
 	nonEmpty(&v, "Faults.faults", len(p.Faults.Faults))
 	if err := p.Faults.Validate(); err != nil {
@@ -196,11 +189,11 @@ type FaultPhaseResult struct {
 // topology in between.
 func faultPhaseScenario(sched *sim.Scheduler, p *FaultPhaseParams, seed int64) (*ScenarioBuilder, func() FaultPhaseResult) {
 	rng := sched.NewRand(seed)
-	d := houseDumbbell(sched, p.NTCP+p.NTFRC, p.LinkMbps*1e6, p.Delay, p.Queue, seed)
+	d := houseDumbbell(sched, p.NTCP+p.NTFRC, p.LinkMbps*1e6, houseDelay, netsim.QueueRED, seed)
 	p.Faults.Apply(d.Topo)
 
 	b := NewScenarioBuilder(d.Topo)
-	b.MonitorLink(bottleneck, p.BinWidth, 0)
+	b.MonitorLink(bottleneck, houseBin, 0)
 	b.MonitorQueue(bottleneck, 0.05, p.Duration)
 	placeMix(b, p.NTCP, p.NTFRC, rng, seed)
 
@@ -220,7 +213,7 @@ func faultPhaseScenario(sched *sim.Scheduler, p *FaultPhaseParams, seed int64) (
 		}
 		out.Capacity = make([]float64, res.Bins)
 		for i := range out.Capacity {
-			out.Capacity[i] = p.capacity(float64(i)*p.BinWidth) / 8 * p.BinWidth
+			out.Capacity[i] = p.capacity(float64(i)*houseBin) / 8 * houseBin
 		}
 		from, to, during := p.window()
 		out.Phases = []FaultPhase{
@@ -235,9 +228,8 @@ func faultPhaseScenario(sched *sim.Scheduler, p *FaultPhaseParams, seed int64) (
 // phase sums the aggregate traces over the bins of [lo, hi) seconds,
 // clamped to the run; an empty window reports zeros.
 func (r *FaultPhaseResult) phase(name string, lo, hi float64) FaultPhase {
-	w := r.Params.BinWidth
-	z := min(int(hi/w), len(r.TFRCTotal))
-	a := min(int(lo/w), z)
+	z := min(int(hi/houseBin), len(r.TFRCTotal))
+	a := min(int(lo/houseBin), z)
 	ph := FaultPhase{Name: name, CoVTFRC: stats.CoV(r.TFRCTotal[a:z])}
 	if z > a {
 		var tf, tc, c float64
@@ -292,12 +284,12 @@ func (r *FaultPhaseResult) Table(w io.Writer) {
 	fmt.Fprintln(w, "# time\ttfrcKBps\ttcpKBps\tcapKBps\tallowedKBps")
 	ri, rate := 0, 0.0
 	allowed := func(i int) float64 {
-		for ri < len(r.Rates) && r.Rates[ri].T <= float64(i+1)*p.BinWidth {
+		for ri < len(r.Rates) && r.Rates[ri].T <= float64(i+1)*houseBin {
 			rate = r.Rates[ri].Rate
 			ri++
 		}
 		return rate / 1000
 	}
-	writeMatrix(w, len(r.TFRCTotal), "%.1f", binStart(p.BinWidth), "%.1f",
-		kbps(r.TFRCTotal, p.BinWidth), kbps(r.TCPTotal, p.BinWidth), kbps(r.Capacity, p.BinWidth), allowed)
+	writeMatrix(w, len(r.TFRCTotal), "%.1f", binStart(houseBin), "%.1f",
+		kbps(r.TFRCTotal, houseBin), kbps(r.TCPTotal, houseBin), kbps(r.Capacity, houseBin), allowed)
 }

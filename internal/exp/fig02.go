@@ -14,27 +14,23 @@ import (
 // idealized periodic loss that switches rate at two instants, exposing
 // the Average Loss Interval dynamics.
 type Fig02Params struct {
-	// Phase loss rates and boundaries (paper: 1% before T1=6 s, 10%
-	// until T2=9 s, 0.5% to the end at 16 s).
-	P1, P2, P3 float64
-	T1, T2     float64
-	Duration   float64
-	RTT        float64 // base round-trip; paper plot implies ≈ tens of ms
+	// The loss rate steps at T1 and T2 (paper: 6 s, 9 s, 16 s in all).
+	T1, T2   float64
+	Duration float64
 }
+
+// Figure 2's periodic loss rates before T1, until T2 and to the end.
+const fig2P1, fig2P2, fig2P3 = 0.01, 0.10, 0.005
 
 // DefaultFig02 matches the paper's setup.
 func DefaultFig02() Fig02Params {
-	return Fig02Params{P1: 0.01, P2: 0.10, P3: 0.005, T1: 6, T2: 9, Duration: 16, RTT: 0.05}
+	return Fig02Params{T1: 6, T2: 9, Duration: 16}
 }
 
 // Validate implements Params.
 func (p *Fig02Params) Validate() error {
 	var v checks
-	for _, l := range []float64{p.P1, p.P2, p.P3} {
-		check(&v, 0 < l && l <= 1, "phase loss rates must be in (0, 1], got %v/%v/%v", p.P1, p.P2, p.P3)
-	}
 	check(&v, 0 < p.T1 && p.T1 < p.T2 && p.T2 < p.Duration, "need 0 < T1 < T2 < Duration, got T1=%v T2=%v Duration=%v", p.T1, p.T2, p.Duration)
-	positive(&v, "RTT", p.RTT)
 	return v.err
 }
 
@@ -108,18 +104,22 @@ func lossyPipe(sched *sim.Scheduler, bw, rtt float64, limit int, cfg tfrcsim.Con
 	return snd, rcv
 }
 
+// lossyPipeRTT is the base round-trip of figures 2 and 19-21, in
+// seconds: the paper's plots imply tens of milliseconds.
+const lossyPipeRTT = 0.05
+
 // periodicLossPipe is the lossy pipe of figures 2 and 19-21: a 1 Gb/s
 // link and the default TFRC config, losing one packet in every.
-func periodicLossPipe(sched *sim.Scheduler, rtt float64, every int) (*tfrcsim.Sender, *tfrcsim.Receiver, *lossDropper) {
+func periodicLossPipe(sched *sim.Scheduler, every int) (*tfrcsim.Sender, *tfrcsim.Receiver, *lossDropper) {
 	drop := &lossDropper{every: every}
-	snd, rcv := lossyPipe(sched, 1e9, rtt, 100000, tfrcsim.DefaultConfig(), drop)
+	snd, rcv := lossyPipe(sched, 1e9, lossyPipeRTT, 100000, tfrcsim.DefaultConfig(), drop)
 	return snd, rcv, drop
 }
 
 func fig02Cell(sched *sim.Scheduler, pr *Fig02Params) *Fig02Result {
-	snd, rcv, drop := periodicLossPipe(sched, pr.RTT, int(1/pr.P1))
-	sched.At(pr.T1, func() { drop.every = int(1 / pr.P2) })
-	sched.At(pr.T2, func() { drop.every = int(1 / pr.P3) })
+	snd, rcv, drop := periodicLossPipe(sched, int(1/fig2P1))
+	sched.At(pr.T1, func() { drop.every = int(1 / fig2P2) })
+	sched.At(pr.T2, func() { drop.every = int(1 / fig2P3) })
 
 	res := &Fig02Result{}
 	var sample func()
@@ -131,24 +131,17 @@ func fig02Cell(sched *sim.Scheduler, pr *Fig02Params) *Fig02Result {
 				CurrentS0:    h.Open(),
 				EstInterval:  h.AvgInterval(),
 				EstLossRate:  p,
-				SqrtLossRate: sqrt(p),
+				SqrtLossRate: math.Sqrt(p),
 				TxRate:       snd.Rate(),
 			})
 		}
-		sched.After(pr.RTT, sample)
+		sched.After(lossyPipeRTT, sample)
 	}
-	sched.After(pr.RTT, sample)
+	sched.After(lossyPipeRTT, sample)
 
 	snd.Start(0)
 	sched.RunUntil(pr.Duration)
 	return res
-}
-
-func sqrt(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return math.Sqrt(x)
 }
 
 // Table implements Result: "time s0 estInterval p sqrtP txRateKBps"

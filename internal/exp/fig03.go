@@ -17,27 +17,27 @@ import (
 // adjustment the flow oscillates (Figure 3); enabling the √RTT spacing
 // adjustment damps the oscillation (Figure 4).
 type Fig03Params struct {
-	BufferSizes []int   // queue limits in packets
-	Bandwidth   float64 // bits/sec
-	BaseRTT     float64 // propagation round-trip, seconds
+	BufferSizes []int // queue limits in packets
 	Duration    float64
 	Warmup      float64
-	BinWidth    float64 // rate-sampling bin
-	SqrtSpacing bool    // false → Figure 3, true → Figure 4
-	RTTWeight   float64 // paper: 0.05
+	SqrtSpacing bool // false → Figure 3, true → Figure 4
 }
 
-// DefaultFig03 uses the paper's EWMA weight 0.05 without the adjustment.
+// The paper's pipe of figures 3 and 4 and its RTT EWMA weight, and the
+// rate-sampling bin.
+const (
+	fig3Bandwidth = 2e6   // bits/sec
+	fig3BaseRTT   = 0.050 // propagation round-trip, seconds
+	fig3RTTWeight = 0.05
+	fig3BinWidth  = 0.2 // seconds
+)
+
+// DefaultFig03 runs the sweep without the adjustment.
 func DefaultFig03() Fig03Params {
 	return Fig03Params{
 		BufferSizes: []int{2, 4, 8, 16, 32, 64},
-		Bandwidth:   2e6,
-		BaseRTT:     0.050,
 		Duration:    120,
 		Warmup:      40,
-		BinWidth:    0.2,
-		SqrtSpacing: false,
-		RTTWeight:   0.05,
 	}
 }
 
@@ -53,10 +53,7 @@ func (p *Fig03Params) Validate() error {
 	var v checks
 	nonEmpty(&v, "BufferSizes", len(p.BufferSizes))
 	atLeast(&v, "BufferSizes", 1, p.BufferSizes...)
-	positive(&v, "Bandwidth", p.Bandwidth)
-	positive(&v, "BaseRTT", p.BaseRTT)
-	positive(&v, "BinWidth", p.BinWidth)
-	binCount(&v, p.Duration, p.BinWidth)
+	binCount(&v, p.Duration, fig3BinWidth)
 	window(&v, "Warmup", p.Warmup, "Duration", p.Duration)
 	return v.err
 }
@@ -72,7 +69,7 @@ func fig03Spec(name, alias, description string, def func() Fig03Params) Spec[Fig
 		Cells:       func(p *Fig03Params) int { return len(p.BufferSizes) },
 		Cell:        fig03Cell,
 		Reduce: func(p *Fig03Params, curves []Fig03Curve) *Fig03Result {
-			return &Fig03Result{SqrtSpacing: p.SqrtSpacing, BinWidth: p.BinWidth, Curves: curves}
+			return &Fig03Result{SqrtSpacing: p.SqrtSpacing, BinWidth: fig3BinWidth, Curves: curves}
 		},
 	}
 }
@@ -104,22 +101,22 @@ func fig03Cell(sched *sim.Scheduler, pr *Fig03Params, idx int) Fig03Curve {
 	buf := pr.BufferSizes[idx]
 	t := netsim.NewTopology(sched, nil)
 	t.Link("src", "dst", netsim.LinkSpec{
-		Bandwidth: pr.Bandwidth, Delay: pr.BaseRTT / 2,
+		Bandwidth: fig3Bandwidth, Delay: fig3BaseRTT / 2,
 		Queue: netsim.QueueDropTail, QueueLimit: buf,
 	})
 	b := NewScenarioBuilder(t)
-	b.MonitorLink("src->dst", pr.BinWidth, pr.Warmup)
+	b.MonitorLink("src->dst", fig3BinWidth, pr.Warmup)
 
 	cfg := tfrcsim.DefaultConfig()
 	cfg.Sender.SqrtSpacing = pr.SqrtSpacing
-	cfg.Sender.RTTWeight = pr.RTTWeight
+	cfg.Sender.RTTWeight = fig3RTTWeight
 	b.AddTFRC("src", "dst", cfg, 0)
 	res := b.Run(pr.Duration)
 	b.Release()
 
 	series := res.TFRCSeries[0]
 	for i := range series {
-		series[i] /= pr.BinWidth // bytes per bin → bytes/sec
+		series[i] /= fig3BinWidth // bytes per bin → bytes/sec
 	}
 	return Fig03Curve{Buffer: buf, Series: series, CoV: stats.CoV(series)}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"tfrc/internal/core"
 	"tfrc/internal/sim"
@@ -13,11 +14,16 @@ import (
 // of the Bernoulli packet-loss probability, for flows transmitting at
 // 0.5×, 1× and 2× the rate the control equation allows.
 type Fig05Params struct {
-	PLoss      []float64 // Bernoulli loss probabilities to evaluate
-	Multiplier []float64 // rate multipliers (paper: 0.5, 1, 2)
-	RTT        float64   // seconds (affects N = packets per RTT)
-	PacketSize int
+	PLoss []float64 // Bernoulli loss probabilities to evaluate
 }
+
+// fig5Multipliers are the paper's rate multipliers, one column each.
+var fig5Multipliers = [...]float64{1.0, 2.0, 0.5}
+
+// The fixed point is solved at a 0.1 s RTT and 1000-byte packets, which
+// do not change it: N = mult·PFTK(s, R, 4R, p)·R/s = mult/f(p), so R and
+// s cancel. They stay so that the rounding, and the output, do not move.
+const fig5RTT, fig5PacketSize = 0.1, 1000
 
 // DefaultFig05 covers the paper's range p ∈ (0, 0.25].
 func DefaultFig05() Fig05Params {
@@ -25,12 +31,7 @@ func DefaultFig05() Fig05Params {
 	for p := 0.005; p <= 0.25+1e-9; p += 0.005 {
 		ps = append(ps, p)
 	}
-	return Fig05Params{
-		PLoss:      ps,
-		Multiplier: []float64{1.0, 2.0, 0.5},
-		RTT:        0.1,
-		PacketSize: 1000,
-	}
+	return Fig05Params{PLoss: ps}
 }
 
 // Validate implements Params.
@@ -40,10 +41,6 @@ func (p *Fig05Params) Validate() error {
 	for _, q := range p.PLoss {
 		check(&v, 0 < q && q < 1, "loss probabilities must be in (0, 1), got %v", q)
 	}
-	nonEmpty(&v, "Multiplier", len(p.Multiplier))
-	positive(&v, "Multiplier", p.Multiplier...)
-	positive(&v, "RTT", p.RTT)
-	positive(&v, "PacketSize", p.PacketSize)
 	return v.err
 }
 
@@ -56,7 +53,7 @@ func init() {
 		Cells:       func(p *Fig05Params) int { return len(p.PLoss) },
 		Cell:        fig05Cell,
 		Reduce: func(p *Fig05Params, rows []Fig05Row) *Fig05Result {
-			return &Fig05Result{Multiplier: p.Multiplier, Rows: rows}
+			return &Fig05Result{Multiplier: slices.Clone(fig5Multipliers[:]), Rows: rows}
 		},
 	})
 }
@@ -65,7 +62,7 @@ func init() {
 // multiplier at one Bernoulli loss probability.
 type Fig05Row struct {
 	PLoss  float64
-	PEvent []float64 // aligned with Params.Multiplier
+	PEvent []float64 // aligned with Fig05Result.Multiplier
 }
 
 // Fig05Result is the family of curves.
@@ -99,8 +96,8 @@ func lossEventFraction(pLoss, mult, rtt float64, pktSize int) float64 {
 
 func fig05Cell(_ *sim.Scheduler, pr *Fig05Params, idx int) Fig05Row {
 	row := Fig05Row{PLoss: pr.PLoss[idx]}
-	for _, m := range pr.Multiplier {
-		row.PEvent = append(row.PEvent, lossEventFraction(row.PLoss, m, pr.RTT, pr.PacketSize))
+	for _, m := range fig5Multipliers {
+		row.PEvent = append(row.PEvent, lossEventFraction(row.PLoss, m, fig5RTT, fig5PacketSize))
 	}
 	return row
 }

@@ -20,7 +20,6 @@ type Fig14Params struct {
 	Duration float64 // paper: ~25 s shown
 	LinkMbps float64
 	Queue    int // bottleneck buffer in packets
-	MiceLoad float64
 	Seed     int64
 
 	// Seeds > 1 repeats both sides at that many seeds on the sweep
@@ -37,7 +36,6 @@ func DefaultFig14() Fig14Params {
 		Duration: 25,
 		LinkMbps: 15,
 		Queue:    250,
-		MiceLoad: 0.2,
 		Seed:     1,
 	}
 }
@@ -50,7 +48,6 @@ func (p *Fig14Params) Validate() error {
 	positive(&v, "Duration", p.Duration)
 	positive(&v, "LinkMbps", p.LinkMbps)
 	atLeast(&v, "Queue", 1, p.Queue) // packets
-	nonNegative(&v, "MiceLoad", p.MiceLoad)
 	nonNegative(&v, "Seeds", p.Seeds)
 	return v.err
 }
@@ -100,7 +97,7 @@ func runFig14Side(sched *sim.Scheduler, pr *Fig14Params, useTFRC bool, seed int6
 		Queue:         netsim.QueueDropTail,
 		QueueLimit:    pr.Queue,
 		TCPVariant:    tcp.Sack,
-		MiceLoad:      pr.MiceLoad,
+		MiceLoad:      0.2, // paper: ~20% short-lived background TCP
 		Duration:      pr.Duration,
 		Warmup:        0,
 		BinWidth:      0.15,

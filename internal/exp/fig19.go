@@ -20,19 +20,18 @@ type Fig19Params struct {
 	DropEveryAfter int
 	SwitchTime     float64
 	Duration       float64
-	RTT            float64
 }
 
 // DefaultFig19 is the end-of-congestion run: every 100th packet dropped
 // until t = 10, then nothing.
 func DefaultFig19() Fig19Params {
-	return Fig19Params{DropEveryBefore: 100, DropEveryAfter: 0, SwitchTime: 10, Duration: 13, RTT: 0.05}
+	return Fig19Params{DropEveryBefore: 100, DropEveryAfter: 0, SwitchTime: 10, Duration: 13}
 }
 
 // DefaultFig20 is the persistent-congestion run: every 100th packet until
 // t = 10, then every 2nd.
 func DefaultFig20() Fig19Params {
-	return Fig19Params{DropEveryBefore: 100, DropEveryAfter: 2, SwitchTime: 10, Duration: 12, RTT: 0.05}
+	return Fig19Params{DropEveryBefore: 100, DropEveryAfter: 2, SwitchTime: 10, Duration: 12}
 }
 
 // Validate implements Params.
@@ -41,7 +40,6 @@ func (p *Fig19Params) Validate() error {
 	atLeast(&v, "DropEveryBefore", 1, p.DropEveryBefore)
 	nonNegative(&v, "DropEveryAfter", p.DropEveryAfter)
 	check(&v, 0 < p.SwitchTime && p.SwitchTime < p.Duration, "need 0 < SwitchTime < Duration, got SwitchTime=%v Duration=%v", p.SwitchTime, p.Duration)
-	positive(&v, "RTT", p.RTT)
 	return v.err
 }
 
@@ -54,15 +52,11 @@ func (p *Fig19Params) Validate() error {
 // logs both as outside its domain.
 type Fig21Params struct {
 	DropRates []float64
-	RTT       float64
 }
 
 // DefaultFig21 matches the paper's sweep.
 func DefaultFig21() Fig21Params {
-	return Fig21Params{
-		DropRates: []float64{0.005, 0.01, 0.02, 0.05, 0.1, 0.15, 0.2, 0.25},
-		RTT:       0.05,
-	}
+	return Fig21Params{DropRates: []float64{0.005, 0.01, 0.02, 0.05, 0.1, 0.15, 0.2, 0.25}}
 }
 
 // Validate implements Params.
@@ -72,7 +66,6 @@ func (p *Fig21Params) Validate() error {
 	for _, d := range p.DropRates {
 		check(&v, 0 < d && d < 1, "drop rates must be in (0, 1), got %v", d)
 	}
-	positive(&v, "RTT", p.RTT)
 	return v.err
 }
 
@@ -100,7 +93,6 @@ func init() {
 				DropEveryAfter:  2,
 				SwitchTime:      10,
 				Duration:        14,
-				RTT:             p.RTT,
 			})
 			return Fig21Row{DropRate: rate, RTTs: res.HalvedAfterRTTs}
 		},
@@ -132,10 +124,10 @@ type Fig19Result struct {
 }
 
 func fig19Cell(sched *sim.Scheduler, pr *Fig19Params) *Fig19Result {
-	snd, _, drop := periodicLossPipe(sched, pr.RTT, pr.DropEveryBefore)
+	snd, _, drop := periodicLossPipe(sched, pr.DropEveryBefore)
 	sched.At(pr.SwitchTime, func() { drop.every = pr.DropEveryAfter })
 
-	res := &Fig19Result{RTT: pr.RTT}
+	res := &Fig19Result{RTT: lossyPipeRTT}
 	pktSize := float64(snd.Core().PacketSize())
 	var sample func()
 	sample = func() {
@@ -143,11 +135,11 @@ func fig19Cell(sched *sim.Scheduler, pr *Fig19Params) *Fig19Result {
 		res.Points = append(res.Points, Fig19Point{
 			Time:       sched.Now(),
 			RateBps:    rate,
-			PktsPerRTT: rate * pr.RTT / pktSize,
+			PktsPerRTT: rate * lossyPipeRTT / pktSize,
 		})
-		sched.After(pr.RTT, sample)
+		sched.After(lossyPipeRTT, sample)
 	}
-	sched.After(pr.RTT, sample)
+	sched.After(lossyPipeRTT, sample)
 
 	snd.Start(0)
 	sched.RunUntil(pr.Duration)
@@ -160,7 +152,7 @@ func fig19Cell(sched *sim.Scheduler, pr *Fig19Params) *Fig19Result {
 			continue
 		}
 		if res.HalvedAfterRTTs == 0 && pt.RateBps <= res.PreSwitchRate/2 {
-			res.HalvedAfterRTTs = int((pt.Time - pr.SwitchTime) / pr.RTT)
+			res.HalvedAfterRTTs = int((pt.Time - pr.SwitchTime) / lossyPipeRTT)
 		}
 		if inc := pt.PktsPerRTT - res.Points[i-1].PktsPerRTT; inc > res.MaxIncreasePerRTT &&
 			res.Points[i-1].Time > pr.SwitchTime {

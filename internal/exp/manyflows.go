@@ -37,7 +37,6 @@ type ManyFlowsParams struct {
 	Duration        float64 // simulated seconds per decade
 	Warmup          float64 // settling time before measurement begins
 	CoarseTimerTick float64 // feedback-timer wheel tick (seconds); 0 = exact timers
-	Queue           netsim.QueueKind
 	Seed            int64
 }
 
@@ -62,7 +61,6 @@ func DefaultManyFlows() ManyFlowsParams {
 		Duration:        15,
 		Warmup:          10,
 		CoarseTimerTick: 0.010,
-		Queue:           netsim.QueueRED,
 		Seed:            1,
 	}
 }
@@ -87,7 +85,6 @@ func (p *ManyFlowsParams) Validate() error {
 	positive(&v, "PacketSize", p.PacketSize)
 	window(&v, "Warmup", p.Warmup, "Duration", p.Duration)
 	nonNegative(&v, "CoarseTimerTick", p.CoarseTimerTick)
-	queueKinds(&v, "Queue", p.Queue)
 	return v.err
 }
 
@@ -156,26 +153,22 @@ func RunManyFlowsDecade(n int, pr ManyFlowsParams) ManyFlowsDecade {
 	if limit < 100 {
 		limit = 100
 	}
-	newQueue := func() netsim.Queue { return netsim.NewDropTail(limit) }
-	if pr.Queue == netsim.QueueRED {
-		// The paper's fixed 25/125-packet thresholds assume a megabit
-		// pipe; at n×200 kb/s they must scale with the buffer or the
-		// marking band is a rounding error of the BDP and slow-starting
-		// flows capture the link. Likewise Wq: its time constant is
-		// measured in arrivals, so at millions of packets per second the
-		// paper's 0.002 averages over microseconds — pin the constant to
-		// ~an RTT of arrivals instead.
-		red := netsim.DefaultRED(limit)
-		red.MinThresh = math.Max(25, float64(limit)/20)
-		red.MaxThresh = 5 * red.MinThresh
-		ptc := bw / 8 / float64(pr.PacketSize)
-		red.Wq = math.Min(0.002, math.Max(1e-6, 1/(ptc*pr.RTT)))
-		rng := sched.NewRand(pr.Seed)
-		newQueue = func() netsim.Queue { return netsim.NewRED(red, nw.Now, rng) }
-	}
+	// The bottleneck is RED. The paper's fixed 25/125-packet thresholds
+	// assume a megabit pipe; at n×200 kb/s they must scale with the
+	// buffer or the marking band is a rounding error of the BDP and
+	// slow-starting flows capture the link. Likewise Wq: its time
+	// constant is measured in arrivals, so at millions of packets per
+	// second the paper's 0.002 averages over microseconds — pin the
+	// constant to ~an RTT of arrivals instead.
+	red := netsim.DefaultRED(limit)
+	red.MinThresh = math.Max(25, float64(limit)/20)
+	red.MaxThresh = 5 * red.MinThresh
+	ptc := bw / 8 / float64(pr.PacketSize)
+	red.Wq = math.Min(0.002, math.Max(1e-6, 1/(ptc*pr.RTT)))
+	rng := sched.NewRand(pr.Seed)
 	generous := func() netsim.Queue { return netsim.NewDropTail(4 * limit) }
 	nw.Connect(src, rl, accessBW, accessDly, generous)
-	nw.Connect(rl, rr, bw, bnDly, newQueue)
+	nw.Connect(rl, rr, bw, bnDly, func() netsim.Queue { return netsim.NewRED(red, nw.Now, rng) })
 	nw.Connect(rr, dst, accessBW, accessDly, generous)
 	nw.BuildRoutes()
 
@@ -243,8 +236,8 @@ func RunManyFlowsDecade(n int, pr ManyFlowsParams) ManyFlowsDecade {
 // Table implements Result: one row per decade.
 func (r *ManyFlowsResult) Table(w io.Writer) {
 	fmt.Fprintln(w, "# Many flows: aggregate behavior vs concurrent flow count")
-	fmt.Fprintf(w, "# %.0f kb/s per flow, RTT %.0f ms, %s bottleneck; throughput normalized by the fair share\n",
-		r.Params.PerFlowKbps, r.Params.RTT*1000, r.Params.Queue)
+	fmt.Fprintf(w, "# %.0f kb/s per flow, RTT %.0f ms, RED bottleneck; throughput normalized by the fair share\n",
+		r.Params.PerFlowKbps, r.Params.RTT*1000)
 	fmt.Fprintln(w, "# flows\tutil\tfairness\tthruP1\tthruP50\tthruP99\tlossP50\tlossP99\tdropRate")
 	for _, c := range r.Cells {
 		fmt.Fprintf(w, "%d\t%.3f\t%.4f\t%.3f\t%.3f\t%.3f\t%.4f\t%.4f\t%.4f\n",

@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"bytes"
-	"encoding/json"
 	"reflect"
 	"testing"
 )
@@ -51,28 +49,6 @@ func TestManyFlowsDeterministic(t *testing.T) {
 	b := runWith[*ManyFlowsResult](t, "manyflows", p, 1)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("identical params produced different results")
-	}
-}
-
-func TestManyFlowsParamsRoundTrip(t *testing.T) {
-	p := DefaultManyFlows()
-	p.Queue = 1 // RED: exercises the text marshaller
-	raw, err := json.Marshal(&p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(raw, []byte(`"RED"`)) {
-		t.Fatalf("queue kind not serialized by name: %s", raw)
-	}
-	var q ManyFlowsParams
-	if err := json.Unmarshal(raw, &q); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(p, q) {
-		t.Fatalf("round trip changed params:\n%+v\n%+v", p, q)
-	}
-	if err := q.Validate(); err != nil {
-		t.Fatal(err)
 	}
 }
 

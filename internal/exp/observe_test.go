@@ -16,18 +16,18 @@ func TestReadingTheReceiverDoesNotSteerIt(t *testing.T) {
 	pr := DefaultFig02()
 	run := func(observe bool) (rates []float64, sent int64) {
 		sched := sim.NewScheduler()
-		snd, rcv, drop := periodicLossPipe(sched, pr.RTT, int(1/pr.P1))
-		sched.At(pr.T1, func() { drop.every = int(1 / pr.P2) })
-		sched.At(pr.T2, func() { drop.every = int(1 / pr.P3) })
+		snd, rcv, drop := periodicLossPipe(sched, int(1/fig2P1))
+		sched.At(pr.T1, func() { drop.every = int(1 / fig2P2) })
+		sched.At(pr.T2, func() { drop.every = int(1 / fig2P3) })
 		var sample func()
 		sample = func() {
 			if observe {
 				_ = rcv.P()
 			}
 			rates = append(rates, snd.Rate())
-			sched.After(pr.RTT, sample)
+			sched.After(lossyPipeRTT, sample)
 		}
-		sched.After(pr.RTT, sample)
+		sched.After(lossyPipeRTT, sample)
 		snd.Start(0)
 		sched.RunUntil(pr.Duration)
 		return rates, snd.Sent

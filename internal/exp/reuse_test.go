@@ -229,7 +229,7 @@ func TestKeptSeriesSurviveCellReuse(t *testing.T) {
 	// 16 flows × 60 bins and 601 queue samples: more than any cell below.
 	overwrite := func() { runFig06Cell(rewound(sched), netsim.QueueRED, 4, 16, 30, 30, 3) }
 	overwrite()
-	p14 := Fig14Params{Flows: 8, Stagger: 2, Duration: 10, LinkMbps: 4, Queue: 50, MiceLoad: 0.2}
+	p14 := Fig14Params{Flows: 8, Stagger: 2, Duration: 10, LinkMbps: 4, Queue: 50}
 	kept := []any{
 		runFig08Seed(rewound(sched), netsim.QueueRED, 8, 1),
 		runFig14Side(rewound(sched), &p14, false, 1),

@@ -32,6 +32,10 @@ func houseQueue(bw, rtt float64) (limit int, red netsim.REDConfig) {
 	return limit, red
 }
 
+// houseDelay (one way) and houseBin, in seconds, are the bottleneck
+// delay and throughput bin chaos and faultphase share.
+const houseDelay, houseBin = 0.025, 0.5
+
 // houseDumbbell is a dumbbell of hosts host pairs around a house
 // bottleneck of bw bits/sec and the given one-way delay, buffered for
 // the nominal 100 ms; its RED queue draws from seed+1.

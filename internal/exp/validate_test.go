@@ -34,11 +34,10 @@ func TestValidateCatchesBadParams(t *testing.T) {
 		p    Params
 		want string // substring of the expected error
 	}{
-		{"fig2 loss out of range", &Fig02Params{P1: 2, P2: 0.1, P3: 0.1, T1: 1, T2: 2, Duration: 3, RTT: 0.05}, "loss rates"},
-		{"fig2 switch order", &Fig02Params{P1: 0.1, P2: 0.1, P3: 0.1, T1: 5, T2: 2, Duration: 3, RTT: 0.05}, "T1 < T2"},
-		{"fig3 empty buffers", &Fig03Params{Bandwidth: 1e6, BaseRTT: 0.05, Duration: 10, BinWidth: 0.2}, "BufferSizes"},
+		{"fig2 switch order", &Fig02Params{T1: 5, T2: 2, Duration: 3}, "T1 < T2"},
+		{"fig3 empty buffers", &Fig03Params{Duration: 10}, "BufferSizes"},
 		{"fig3 negative duration", func() Params { p := DefaultFig03(); p.Duration = -5; return &p }(), "Duration"},
-		{"fig5 empty grid", &Fig05Params{RTT: 0.1, PacketSize: 1000}, "PLoss"},
+		{"fig5 empty grid", &Fig05Params{}, "PLoss"},
 		{"fig6 zero flows", func() Params { p := DefaultFig06(); p.TotalFlows = []int{0}; return &p }(), "at least 2"},
 		{"fig6 tail exceeds duration", func() Params { p := DefaultFig06(); p.MeasureTail = p.Duration + 1; return &p }(), "MeasureTail"},
 		{"fig7 one flow", func() Params { p := DefaultFig07(); p.TotalFlows = []int{1}; return &p }(), "at least 2"},
@@ -51,8 +50,8 @@ func TestValidateCatchesBadParams(t *testing.T) {
 		{"fig15 negative duration", &Fig15Params{Duration: -1}, "Duration"},
 		{"fig16 no timescales", &Fig16Params{Duration: 10}, "Timescales"},
 		{"fig18 empty history", &Fig18Params{Duration: 10}, "HistorySizes"},
-		{"fig19 switch past end", &Fig19Params{DropEveryBefore: 100, SwitchTime: 20, Duration: 10, RTT: 0.05}, "SwitchTime"},
-		{"fig21 bad drop rate", &Fig21Params{DropRates: []float64{1.5}, RTT: 0.05}, "drop rates"},
+		{"fig19 switch past end", &Fig19Params{DropEveryBefore: 100, SwitchTime: 20, Duration: 10}, "SwitchTime"},
+		{"fig21 bad drop rate", &Fig21Params{DropRates: []float64{1.5}}, "drop rates"},
 		{"ccfair warmup past end", func() Params { p := DefaultCCFair(); p.Warmup = p.Duration; return &p }(), "Warmup"},
 		{"faultphase fault past end", func() Params { p := DefaultFaultPhase(); p.Duration = p.Faults.Faults[1].At - 1; return &p }(), "Duration"},
 		{"faultphase no flows", func() Params { p := DefaultFaultPhase(); p.NTCP, p.NTFRC = 0, 0; return &p }(), "at least one flow"},
@@ -123,7 +122,7 @@ func TestRunExperimentValidates(t *testing.T) {
 		t.Fatal("fig5 not registered")
 	}
 	p := d.Params().(*Fig05Params)
-	p.PacketSize = 0
+	p.PLoss = nil
 	if _, err := RunExperiment(d, p, RunOptions{}); err == nil {
 		t.Fatal("RunExperiment accepted invalid params")
 	}
